@@ -303,7 +303,7 @@ func runGate(jsonOut bool, jsonDir string) {
 		fatal(err)
 	}
 	for _, r := range results {
-		fmt.Printf("%-22s %10.1f allocs/op %14.1f bytes/op\n", r.Name, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Printf("%-22s %10.2f allocs/op %14.1f bytes/op\n", r.Name, r.AllocsPerOp, r.BytesPerOp)
 	}
 	if jsonOut {
 		out := struct {

@@ -101,11 +101,21 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 
 // AttachPort binds the node to its switch-facing port.
 func (n *Node) AttachPort(p *sim.Port) {
-	p.SetReceiver(n.receive)
+	p.SetFrameReceiver(n.receive)
 }
 
-// receive is the RX path: RSS to a core, ring admission, service.
-func (n *Node) receive(wire []byte) {
+// receive is the RX path. The node keeps only its trimmed copy, so an
+// owned mirror frame goes back to the pool as soon as capture returns.
+func (n *Node) receive(wire []byte, owned bool) {
+	n.capture(wire)
+	if owned {
+		n.Sim.PutFrame(wire)
+	}
+}
+
+// capture does the work of one arrival: RSS to a core, ring admission,
+// trim, service.
+func (n *Node) capture(wire []byte) {
 	if n.terminated {
 		return
 	}
@@ -158,20 +168,26 @@ func (n *Node) receive(wire []byte) {
 		// and the core finishing with the packet.
 		h.Observe("dumper.sojourn_ns", int64(done.Sub(now)))
 	}
-	n.Sim.At(done, func() {
-		c.queued--
-		n.queued--
-		if h := n.Sim.Hub(); h.Active() {
-			h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy",
-				int64(n.queued))
-		}
-		// Restore the RSS-randomized port before buffering (§3.4).
-		packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
-		c.captured = append(c.captured, Record{
-			Wire: data, Arrival: n.Sim.Now(), Node: n.Index, Core: ci,
-		})
-		n.Captured++
+	n.Sim.AtEvent(done, n, 0, uint64(ci), data)
+}
+
+// HandleEvent is the node's only event: core arg finished servicing the
+// packet whose trimmed copy is data.
+func (n *Node) HandleEvent(_ int, arg uint64, data []byte) {
+	ci := int(arg)
+	c := &n.cores[ci]
+	c.queued--
+	n.queued--
+	if h := n.Sim.Hub(); h.Active() {
+		h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy",
+			int64(n.queued))
+	}
+	// Restore the RSS-randomized port before buffering (§3.4).
+	packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
+	c.captured = append(c.captured, Record{
+		Wire: data, Arrival: n.Sim.Now(), Node: n.Index, Core: ci,
 	})
+	n.Captured++
 }
 
 // Arena blocks grow geometrically from arenaBlockMin to arenaBlockMax so
@@ -219,12 +235,26 @@ func (n *Node) rssCore(wire []byte) int {
 // Terminate implements the orchestrator's TERM message: stop capturing
 // and return all buffered records ("write to disk").
 func (n *Node) Terminate() []Record {
-	n.terminated = true
-	var all []Record
+	return n.terminate(make([]Record, 0, n.buffered()))
+}
+
+// buffered counts the records the cores hold.
+func (n *Node) buffered() int {
+	total := 0
 	for i := range n.cores {
-		all = append(all, n.cores[i].captured...)
+		total += len(n.cores[i].captured)
 	}
-	return all
+	return total
+}
+
+// terminate stops capturing and appends every buffered record to dst,
+// core by core.
+func (n *Node) terminate(dst []Record) []Record {
+	n.terminated = true
+	for i := range n.cores {
+		dst = append(dst, n.cores[i].captured...)
+	}
+	return dst
 }
 
 // CoreLoads reports packets captured per core (RSS balance diagnostics).
@@ -250,11 +280,16 @@ func NewPool(s *sim.Simulator, n int, cfg Config) *Pool {
 	return p
 }
 
-// Terminate TERMs every node and returns all captured records.
+// Terminate TERMs every node and returns all captured records, node by
+// node and core by core, each copied once into a slice sized up front.
 func (p *Pool) Terminate() []Record {
-	var all []Record
+	total := 0
 	for _, n := range p.Nodes {
-		all = append(all, n.Terminate()...)
+		total += n.buffered()
+	}
+	all := make([]Record, 0, total)
+	for _, n := range p.Nodes {
+		all = n.terminate(all)
 	}
 	return all
 }

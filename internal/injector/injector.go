@@ -117,12 +117,6 @@ type Switch struct {
 	mirrorSeq uint64
 	rng       *sim.RNG
 
-	// mirrorPool recycles mirror-copy buffers: a mirror frame is dead as
-	// soon as the dumper's receive handler returns (the dumper trims into
-	// its own storage), so the pool bounds steady-state mirror allocation
-	// to the in-flight window.
-	mirrorPool [][]byte
-
 	perPort []PortCounters
 	total   PortCounters
 
@@ -164,6 +158,7 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 // heldPkt is a packet parked by an EventReorder action.
 type heldPkt struct {
 	wire      []byte
+	owned     bool // wire is a pool frame the switch holds
 	dst       packet.MAC
 	remaining int // same-connection data packets that must overtake first
 	released  bool
@@ -182,7 +177,7 @@ func (sw *Switch) AttachHost(port *sim.Port, mac packet.MAC) int {
 	sw.hostMACs = append(sw.hostMACs, mac)
 	sw.macTable[mac] = idx
 	sw.perPort = append(sw.perPort, PortCounters{})
-	port.SetReceiver(func(wire []byte) { sw.ingress(idx, wire) })
+	port.SetFrameReceiver(func(wire []byte, owned bool) { sw.ingress(idx, wire, owned) })
 	return idx
 }
 
@@ -199,7 +194,7 @@ func (sw *Switch) AttachTrunk(port *sim.Port, macs []packet.MAC) int {
 		sw.macTable[mac] = idx
 	}
 	sw.perPort = append(sw.perPort, PortCounters{})
-	port.SetReceiver(func(wire []byte) { sw.ingress(idx, wire) })
+	port.SetFrameReceiver(func(wire []byte, owned bool) { sw.ingress(idx, wire, owned) })
 	return idx
 }
 
@@ -268,8 +263,11 @@ func (sw *Switch) PerPort() []PortCounters {
 // check condition 2 (§3.5).
 func (sw *Switch) MirrorCount() uint64 { return sw.mirrorSeq }
 
-// ingress is the switch pipeline entry point (Figure 6).
-func (sw *Switch) ingress(portIdx int, wire []byte) {
+// ingress is the switch pipeline entry point (Figure 6). An owned frame
+// is the switch's to pass on or release: it leaves with forward, or goes
+// back to the pool where the pipeline drops it or replaces it with a
+// rewritten copy. An unowned one is only ever read.
+func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	pc := &sw.perPort[portIdx]
 	pc.RxFrames++
 	sw.total.RxFrames++
@@ -280,7 +278,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 	if sw.Cfg.L2Only || !isRoCE {
 		// Plain L2 forwarding (baseline mode, and non-RoCE traffic in
 		// Lumina mode skips the RoCE pipeline stages).
-		sw.forward(wire, pkt.Eth.Dst, isRoCE)
+		sw.forward(wire, owned, pkt.Eth.Dst, isRoCE)
 		return
 	}
 
@@ -317,20 +315,29 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		}
 	}
 
-	// Apply the action to the forwarded original.
+	// Apply the action to the forwarded original. Rewrites go into a
+	// fresh pool frame — the arriving bytes may be a caller's — which
+	// then replaces the original.
 	out := wire
 	switch ev {
 	case packet.EventECN:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionECN)
-		out = append([]byte(nil), wire...)
+		out = sw.copyFrame(wire)
 		packet.SetECNCE(out)
 	case packet.EventCorrupt:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionCorrupt)
-		out = append([]byte(nil), wire...)
+		out = sw.copyFrame(wire)
 		packet.CorruptPayload(out)
 	case packet.EventSetMigReq:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionMigReq)
 		out = sw.rewriteMigReq(&pkt)
+	}
+	if &out[0] != &wire[0] {
+		// pkt's payload aliased wire; nothing below reads it.
+		if owned {
+			sw.Sim.PutFrame(wire)
+		}
+		owned = true
 	}
 	if ev != packet.EventNone {
 		pc.Injected++
@@ -350,6 +357,9 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		pc.Dropped++
 		sw.total.Dropped++
 		sw.Sim.Hub().Count("inject.drops", 1)
+		if owned {
+			sw.Sim.PutFrame(out)
+		}
 		return
 	case packet.EventDelay:
 		// Quantitative delay (§7 future work): forward after the rule's
@@ -357,7 +367,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDelay)
 		d := sw.dataPlaneLatency(true) + rule.Delay
 		dst := pkt.Eth.Dst
-		sw.Sim.After(d, func() { sw.forwardNow(out, dst, true) })
+		sw.Sim.After(d, func() { sw.forwardNow(out, owned, dst, true) })
 		return
 	case packet.EventReorder:
 		// Packet reordering (§7 future work): park the packet until
@@ -368,12 +378,12 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		if off <= 0 {
 			off = 1
 		}
-		h := &heldPkt{wire: out, dst: pkt.Eth.Dst, remaining: off}
+		h := &heldPkt{wire: out, owned: owned, dst: pkt.Eth.Dst, remaining: off}
 		sw.held[key] = append(sw.held[key], h)
 		sw.Sim.After(reorderMaxHold, func() { sw.release(key, h) })
 		return
 	}
-	sw.forward(out, pkt.Eth.Dst, true)
+	sw.forward(out, owned, pkt.Eth.Dst, true)
 
 	// Data packets overtake any parked (reordered) predecessors.
 	if isData {
@@ -415,7 +425,7 @@ func (sw *Switch) release(key connKey, h *heldPkt) {
 	} else {
 		sw.held[key] = holds
 	}
-	sw.forward(h.wire, h.dst, true)
+	sw.forward(h.wire, h.owned, h.dst, true)
 }
 
 // trackITER implements Figure 3: if the packet's PSN is not larger than
@@ -454,13 +464,20 @@ func (sw *Switch) lookupRule(pkt *packet.Packet, iter uint32) *Rule {
 // action Lumina added to confirm the §6.2.3 interop root cause. Unlike
 // ECN marking, MigReq is iCRC-covered, so the packet must be rebuilt.
 // The flip is applied in place on the decoded packet and restored after
-// serializing, avoiding a full clone.
+// encoding, avoiding a full clone.
 func (sw *Switch) rewriteMigReq(pkt *packet.Packet) []byte {
 	saved := pkt.BTH.MigReq
 	pkt.BTH.MigReq = true
-	out := pkt.AppendWire(nil)
+	out := pkt.AppendWire(sw.Sim.GetFrame(pkt.WireLen())[:0])
 	pkt.BTH.MigReq = saved
 	return out
+}
+
+// copyFrame duplicates wire into a pool frame.
+func (sw *Switch) copyFrame(wire []byte) []byte {
+	dup := sw.Sim.GetFrame(len(wire))
+	copy(dup, wire)
+	return dup
 }
 
 // dataPlaneLatency models the pipeline stages a packet traverses:
@@ -479,69 +496,66 @@ func (sw *Switch) dataPlaneLatency(roce bool) sim.Duration {
 	return full
 }
 
-// forward performs L2 forwarding with the stage-dependent latency.
-func (sw *Switch) forward(wire []byte, dst packet.MAC, isRoCE bool) {
+// egress resolves dst to a host port index and counts the frame out of
+// it. An unknown unicast with no default route is dropped — no flooding
+// in a 2-host testbed — and reported as -1, its frame released.
+func (sw *Switch) egress(wire []byte, owned bool, dst packet.MAC, isRoCE bool) int {
 	idx, ok := sw.macTable[dst]
 	if !ok {
 		if sw.defaultPort < 0 {
-			return // unknown unicast: drop (no flooding in a 2-host testbed)
+			if owned {
+				sw.Sim.PutFrame(wire)
+			}
+			return -1
 		}
 		idx = sw.defaultPort // default route: the uplink trunk
 	}
-	port := sw.hostPorts[idx]
-	out := wire
 	sw.perPort[idx].TxFrames++
 	sw.total.TxFrames++
 	if isRoCE {
 		sw.perPort[idx].TxRoCE++
 		sw.total.TxRoCE++
 	}
-	sw.Sim.After(sw.dataPlaneLatency(isRoCE), func() {
-		port.Send(out)
-	})
+	return idx
+}
+
+// Switch event ops. Both carry the frame in data and a port index in
+// arg; swForward's arg also carries ownership in its low bit.
+const (
+	swForward = iota // pipeline latency elapsed: send on host port arg>>1
+	swMirror         // mirror latency elapsed: send on dumper port arg
+)
+
+// forward performs L2 forwarding with the stage-dependent latency.
+func (sw *Switch) forward(wire []byte, owned bool, dst packet.MAC, isRoCE bool) {
+	idx := sw.egress(wire, owned, dst, isRoCE)
+	if idx < 0 {
+		return
+	}
+	sw.Sim.AfterEvent(sw.dataPlaneLatency(isRoCE), sw, swForward, uint64(idx)<<1|sim.OwnedArg(owned), wire)
 }
 
 // forwardNow is forward without the pipeline latency (the caller already
 // accounted for it, e.g. delay events).
-func (sw *Switch) forwardNow(wire []byte, dst packet.MAC, isRoCE bool) {
-	idx, ok := sw.macTable[dst]
-	if !ok {
-		if sw.defaultPort < 0 {
-			return
-		}
-		idx = sw.defaultPort
+func (sw *Switch) forwardNow(wire []byte, owned bool, dst packet.MAC, isRoCE bool) {
+	if idx := sw.egress(wire, owned, dst, isRoCE); idx >= 0 {
+		sw.hostPorts[idx].SendFrame(wire, owned)
 	}
-	sw.perPort[idx].TxFrames++
-	sw.total.TxFrames++
-	if isRoCE {
-		sw.perPort[idx].TxRoCE++
-		sw.total.TxRoCE++
-	}
-	sw.hostPorts[idx].Send(wire)
 }
 
-// getMirrorBuf returns an n-byte buffer from the pool (or a fresh one).
-func (sw *Switch) getMirrorBuf(n int) []byte {
-	for k := len(sw.mirrorPool) - 1; k >= 0; k-- {
-		buf := sw.mirrorPool[k]
-		if cap(buf) >= n {
-			sw.mirrorPool[k] = sw.mirrorPool[len(sw.mirrorPool)-1]
-			sw.mirrorPool[len(sw.mirrorPool)-1] = nil
-			sw.mirrorPool = sw.mirrorPool[:len(sw.mirrorPool)-1]
-			return buf[:n]
-		}
+// HandleEvent puts a frame on its egress port once the pipeline latency
+// scheduled by forward or mirror has elapsed.
+func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
+	if op == swForward {
+		sw.hostPorts[arg>>1].SendFrame(data, arg&1 != 0)
+		return
 	}
-	return make([]byte, n)
-}
-
-func (sw *Switch) putMirrorBuf(buf []byte) {
-	sw.mirrorPool = append(sw.mirrorPool, buf)
+	sw.dumperPorts[arg].SendFrame(data, true)
 }
 
 // mirror emits the metadata-stamped duplicate toward the dumper pool.
 func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
-	dup := sw.getMirrorBuf(len(wire))
-	copy(dup, wire)
+	dup := sw.copyFrame(wire)
 	sw.mirrorSeq++
 	if sw.intCol != nil {
 		// INT pipeline hop on the forwarded original (the mirror copy is
@@ -561,7 +575,6 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorRSSRewrite)
 		packet.RewriteUDPDstPort(dup, uint16(0xC000+sw.rng.Intn(0x3000)))
 	}
-	var port *sim.Port
 	var pick int
 	if sw.ByIngressMirror {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorByIngress)
@@ -570,7 +583,6 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorSpray)
 		pick = sw.nextDumper()
 	}
-	port = sw.dumperPorts[pick]
 	if h := sw.Sim.Hub(); h.Active() {
 		h.EmitArgs(telemetry.KindWRRPick, "switch/mirror", "spray",
 			telemetry.I("node", int64(pick)),
@@ -578,9 +590,7 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		h.Count("switch.mirrored", 1)
 	}
 	sw.total.Mirrored++
-	sw.Sim.After(sim.Duration(sw.Cfg.PipelineLatencyNs), func() {
-		port.SendRecycle(dup, sw.putMirrorBuf)
-	})
+	sw.Sim.AfterEvent(sim.Duration(sw.Cfg.PipelineLatencyNs), sw, swMirror, uint64(pick), dup)
 }
 
 // nextDumper runs smooth weighted round-robin over the dumper ports.

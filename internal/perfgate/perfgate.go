@@ -79,7 +79,9 @@ func Budgets() ([]Budget, error) {
 	return f.Budgets, nil
 }
 
-// Result is one workload measurement.
+// Result is one workload measurement. "Op" is the workload's unit: one
+// operation for most, one simulated packet for the macro workloads (see
+// workloadFn).
 type Result struct {
 	Name        string  `json:"name"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -95,7 +97,7 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %.1f %s exceeds budget of %.1f", v.Name, v.Measured, v.Metric, v.Allowed)
+	return fmt.Sprintf("%s: %.2f %s exceeds budget of %.2f", v.Name, v.Measured, v.Metric, v.Allowed)
 }
 
 // WorkloadNames lists the measurable workloads in sorted order.
@@ -120,14 +122,14 @@ func Measure(name string) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("perfgate: unknown workload %q (have %v)", name, WorkloadNames())
 	}
-	ops, op := wl()
-	if ops <= 0 {
-		return Result{}, fmt.Errorf("perfgate: workload %q declared %d ops", name, ops)
+	ops, units, op := wl()
+	if ops <= 0 || units <= 0 {
+		return Result{}, fmt.Errorf("perfgate: workload %q declared %d ops of %d units", name, ops, units)
 	}
 	op() // warm caches, lazy tables, pools
 	res := Result{Name: name}
 	for pass := 0; pass < measurePasses; pass++ {
-		allocs, bytes := measureOnce(ops, op)
+		allocs, bytes := measureOnce(ops, units, op)
 		if pass == 0 || allocs < res.AllocsPerOp {
 			res.AllocsPerOp = allocs
 		}
@@ -138,7 +140,7 @@ func Measure(name string) (Result, error) {
 	return res, nil
 }
 
-func measureOnce(ops int, op func()) (allocsPerOp, bytesPerOp float64) {
+func measureOnce(ops, units int, op func()) (allocsPerUnit, bytesPerUnit float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -147,8 +149,9 @@ func measureOnce(ops int, op func()) (allocsPerOp, bytesPerOp float64) {
 		op()
 	}
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(ops),
-		float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+	n := float64(ops) * float64(units)
+	return float64(after.Mallocs-before.Mallocs) / n,
+		float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
 // MeasureAll measures every budgeted workload.

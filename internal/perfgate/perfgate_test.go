@@ -46,7 +46,7 @@ func TestPerfBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		t.Logf("%-22s %8.1f allocs/op %12.1f bytes/op", r.Name, r.AllocsPerOp, r.BytesPerOp)
+		t.Logf("%-22s %8.2f allocs/op %12.1f bytes/op", r.Name, r.AllocsPerOp, r.BytesPerOp)
 	}
 	for _, v := range violations {
 		t.Errorf("perf budget violated: %s", v)
@@ -67,7 +67,7 @@ func TestZeroAllocWorkloads(t *testing.T) {
 			continue
 		}
 		wl := workloads[b.Name]
-		_, op := wl()
+		_, _, op := wl()
 		op() // warm
 		if avg := testing.AllocsPerRun(100, op); avg != 0 {
 			t.Errorf("%s: testing.AllocsPerRun reports %.2f allocs/op, budget is 0", b.Name, avg)

@@ -14,11 +14,15 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// A workload returns (ops per measurement pass, the operation). Setup
-// happens inside the constructor so its allocations land outside the
-// measured window; the op must be deterministic and free of wall-clock
-// or global-RNG reads, like everything else in the simulator.
-type workloadFn func() (ops int, op func())
+// A workload returns (ops per measurement pass, units per op, the
+// operation). Measurements are reported per unit: micro workloads and
+// whole-run tripwires have one unit per op, so they read per op; a macro
+// workload that simulates many packets per op declares how many and
+// reads per simulated packet. Setup happens inside the constructor so
+// its allocations land outside the measured window; the op must be
+// deterministic and free of wall-clock or global-RNG reads, like
+// everything else in the simulator.
+type workloadFn func() (ops, units int, op func())
 
 // workloads maps budget names to their measurable operations. Every
 // entry in perf_budgets.json must have a workload here and vice versa
@@ -33,6 +37,7 @@ var workloads = map[string]workloadFn{
 	"coverage_record":    coverageRecord,
 	"end_to_end_run":     endToEndRun,
 	"fabric_incast":      fabricIncast,
+	"bulk_pair_packet":   bulkPairPacket,
 	"cache_lookup":       cacheLookup,
 }
 
@@ -57,18 +62,18 @@ func samplePacket() *packet.Packet {
 // packetAppendWire is the transmit-side encode path: serializing a
 // packet (headers + iCRC) into a reused buffer. Budgeted at zero
 // allocations — this is the operation every simulated packet pays.
-func packetAppendWire() (int, func()) {
+func packetAppendWire() (int, int, func()) {
 	p := samplePacket()
 	buf := make([]byte, 0, p.WireLen())
-	return 20000, func() { buf = p.AppendWire(buf[:0]) }
+	return 20000, 1, func() { buf = p.AppendWire(buf[:0]) }
 }
 
 // packetDecodeInto is the receive-side parse path: decoding wire bytes
 // into a reused packet struct, payload aliased not copied. Zero allocs.
-func packetDecodeInto() (int, func()) {
+func packetDecodeInto() (int, int, func()) {
 	wire := samplePacket().Serialize()
 	var pkt packet.Packet
-	return 20000, func() {
+	return 20000, 1, func() {
 		if err := packet.DecodeInto(wire, &pkt); err != nil {
 			panic(err)
 		}
@@ -77,16 +82,16 @@ func packetDecodeInto() (int, func()) {
 
 // packetICRC is the invariant-CRC computation every received packet
 // pays before transport processing. Zero allocs.
-func packetICRC() (int, func()) {
+func packetICRC() (int, int, func()) {
 	wire := samplePacket().Serialize()
 	body := wire[:len(wire)-4]
-	return 20000, func() { _ = packet.ComputeICRC(body) }
+	return 20000, 1, func() { _ = packet.ComputeICRC(body) }
 }
 
 // simEvents is the event-loop steady state: schedule one callback, fire
 // it. With the indexed heap and the event freelist this recycles one
 // event struct per op — zero allocations once warm.
-func simEvents() (int, func()) {
+func simEvents() (int, int, func()) {
 	s := sim.New(1)
 	fn := func() {}
 	// Warm the freelist so the measured window sees steady state.
@@ -95,7 +100,7 @@ func simEvents() (int, func()) {
 	}
 	for s.Step() {
 	}
-	return 50000, func() {
+	return 50000, 1, func() {
 		s.After(1, fn)
 		s.Step()
 	}
@@ -107,7 +112,7 @@ func simEvents() (int, func()) {
 // one heap sift per event instead of a pop/execute interleave. With
 // the freelist and the reused batch buffer this is allocation-free
 // once warm.
-func eventBatch() (int, func()) {
+func eventBatch() (int, int, func()) {
 	s := sim.New(1)
 	fn := func() {}
 	const burst = 64
@@ -116,7 +121,7 @@ func eventBatch() (int, func()) {
 		s.After(1, fn)
 	}
 	s.Run()
-	return 2000, func() {
+	return 2000, 1, func() {
 		for i := 0; i < burst; i++ {
 			s.After(1, fn)
 		}
@@ -130,7 +135,7 @@ func eventBatch() (int, func()) {
 // INT-enabled run. Budgeted at zero allocations: the stamp log is
 // truncated (capacity kept) each op, exactly how steady state reuses
 // it.
-func intStamp() (int, func()) {
+func intStamp() (int, int, func()) {
 	c := inband.NewCollector(nil)
 	origin := c.RegisterHop("nic", true)
 	transit := c.RegisterHop("sw", false)
@@ -140,7 +145,7 @@ func intStamp() (int, func()) {
 	c.StampWire(wire, transit, 100, 1500, 80)
 	c.Reset()
 	var t int64
-	return 20000, func() {
+	return 20000, 1, func() {
 		t += 1000
 		c.StampWire(wire, origin, t, 0, sim.Duration(t/2))
 		c.StampWire(wire, transit, t+100, 1500, sim.Duration(t/4))
@@ -156,10 +161,10 @@ func intStamp() (int, func()) {
 // call, and components without an attached map pay the nil-receiver
 // no-op. Both sides are budgeted at zero allocations — the map is a
 // fixed count vector sized by the compile-time registry.
-func coverageRecord() (int, func()) {
+func coverageRecord() (int, int, func()) {
 	m := coverage.NewMap()
 	var detached *coverage.Map
-	return 50000, func() {
+	return 50000, 1, func() {
 		m.Record(coverage.SiteQPState, 1)
 		m.Record(coverage.SiteInjectLookup, 0)
 		m.Record(coverage.SiteDCQCNRP, 4)
@@ -171,10 +176,10 @@ func coverageRecord() (int, func()) {
 // injection, mirroring, capture, trace reconstruction, integrity check.
 // Its budget is the whole-system regression tripwire; the companion
 // ratio check pins it ≥30% below the pre-optimization baseline.
-func endToEndRun() (int, func()) {
+func endToEndRun() (int, int, func()) {
 	cfg := config.Default()
 	cfg.Traffic.NumMsgsPerQP = 5
-	return 8, func() {
+	return 8, 1, func() {
 		rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
 		if err != nil {
 			panic(err)
@@ -190,7 +195,7 @@ func endToEndRun() (int, func()) {
 // digest check). This is what a warm corpus replay or a served
 // resubmission pays *instead of* an end_to_end_run, so its budget keeps
 // the hit path orders of magnitude below the simulation it replaces.
-func cacheLookup() (int, func()) {
+func cacheLookup() (int, int, func()) {
 	cfg := config.Default()
 	cfg.Traffic.NumMsgsPerQP = 5
 	opts := orchestrator.DefaultOptions()
@@ -218,7 +223,7 @@ func cacheLookup() (int, func()) {
 	if err := c.Put(key, arts); err != nil {
 		panic(err)
 	}
-	return 200, func() {
+	return 200, 1, func() {
 		if _, ok := c.Get(key); !ok {
 			panic("perfgate: cache_lookup missed a warm key")
 		}
@@ -230,7 +235,7 @@ func cacheLookup() (int, func()) {
 // fabric of event-loop shards synchronized by conservative lookahead.
 // Its budget bounds the whole sharding machinery — envelope pools,
 // window barriers, outbox sweeps — per orchestrated run.
-func fabricIncast() (int, func()) {
+func fabricIncast() (int, int, func()) {
 	cfg := config.Default()
 	cfg.Fabric = &config.FabricTopo{Leaves: 2, HostsPerLeaf: 4, UplinkGbps: 400, Pattern: "incast"}
 	cfg.Traffic.NumConnections = 2
@@ -238,7 +243,7 @@ func fabricIncast() (int, func()) {
 	cfg.Traffic.Events = nil
 	opts := orchestrator.DefaultOptions()
 	opts.Shards = 4
-	return 4, func() {
+	return 4, 1, func() {
 		rep, err := orchestrator.Run(cfg, opts)
 		if err != nil {
 			panic(err)
@@ -247,4 +252,54 @@ func fabricIncast() (int, func()) {
 			panic("perfgate: fabric_incast integrity check failed: " + rep.IntegrityDetail)
 		}
 	}
+}
+
+// bulkScenario is the bulk pair scenario of the repository benchmark
+// (bench/workloads/bulk.yaml, which go:embed cannot reach from here):
+// two 1 MiB-message Write QPs in two ETS queues on CX6 Dx, one packet in
+// fifty of the first QP ECN-marked — about ten thousand switch packets.
+const bulkScenario = `
+name: perfgate-bulk
+requester:
+  nic: {type: cx6, ip-list: [10.0.0.1]}
+  ets-queues:
+    - {weight: 50}
+    - {weight: 50}
+responder:
+  nic: {type: cx6, ip-list: [10.0.0.2]}
+traffic:
+  num-connections: 2
+  rdma-verb: write
+  num-msgs-per-qp: 4
+  message-size: 1048576
+  tx-depth: 4
+  qp-traffic-class: [0, 1]
+  data-pkt-events:
+    - {qpn: 1, psn: 1, type: ecn, iter: 1, every: 50}
+`
+
+// bulkPairPacket is the macro budget the micro workloads cannot give:
+// one whole bulk run — build, traffic, injection, mirroring, capture,
+// reconstruction — divided by the packets it simulated. The per-packet
+// data path (typed events, pooled frames, descriptor rings) allocates
+// nothing at steady state, so what remains is per-run set-up, per-message
+// completions and the amortized growth of the capture and the trace; a
+// closure or a Serialize creeping back onto the path costs a whole
+// allocation per packet and breaks the budget at once.
+func bulkPairPacket() (int, int, func()) {
+	cfg, err := config.Parse([]byte(bulkScenario))
+	if err != nil {
+		panic(err)
+	}
+	run := func() int {
+		rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
+		if err != nil {
+			panic(err)
+		}
+		if !rep.IntegrityOK {
+			panic("perfgate: bulk_pair_packet integrity check failed: " + rep.IntegrityDetail)
+		}
+		return len(rep.Trace.Entries)
+	}
+	return 1, run(), func() { run() }
 }

@@ -88,9 +88,24 @@ func (rp *rpState) armTimers() {
 	p := rp.nic.Prof.DCQCN
 	s := rp.nic.Sim
 	s.Cancel(rp.alphaTimer)
-	rp.alphaTimer = s.After(p.AlphaTimer, rp.alphaTick)
+	rp.alphaTimer = s.AfterEvent(p.AlphaTimer, rp, rpAlphaTick, 0, nil)
 	s.Cancel(rp.rateTimer)
-	rp.rateTimer = s.After(p.RateTimer, rp.rateTick)
+	rp.rateTimer = s.AfterEvent(p.RateTimer, rp, rpRateTick, 0, nil)
+}
+
+// rpState event ops: the two estimator timers.
+const (
+	rpAlphaTick = iota
+	rpRateTick
+)
+
+// HandleEvent fires the timer op selects.
+func (rp *rpState) HandleEvent(op int, _ uint64, _ []byte) {
+	if op == rpAlphaTick {
+		rp.alphaTick()
+	} else {
+		rp.rateTick()
+	}
 }
 
 func (rp *rpState) alphaTick() {
@@ -103,7 +118,7 @@ func (rp *rpState) alphaTick() {
 		rp.alpha *= 1 - p.G
 	}
 	rp.cnpSeen = false
-	rp.alphaTimer = rp.nic.Sim.After(p.AlphaTimer, rp.alphaTick)
+	rp.alphaTimer = rp.nic.Sim.AfterEvent(p.AlphaTimer, rp, rpAlphaTick, 0, nil)
 }
 
 func (rp *rpState) rateTick() {
@@ -113,7 +128,7 @@ func (rp *rpState) rateTick() {
 	rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPTimerRound)
 	rp.timerRounds++
 	rp.increase()
-	rp.rateTimer = rp.nic.Sim.After(rp.nic.Prof.DCQCN.RateTimer, rp.rateTick)
+	rp.rateTimer = rp.nic.Sim.AfterEvent(rp.nic.Prof.DCQCN.RateTimer, rp, rpRateTick, 0, nil)
 }
 
 // onBytesSent feeds the byte counter that drives the second increase

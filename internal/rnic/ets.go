@@ -144,7 +144,7 @@ func (s *etsScheduler) register(qp *QP) {
 
 // enqueue admits a packet from qp into the scheduler.
 func (s *etsScheduler) enqueue(qp *QP, pkt txPkt) {
-	qp.txq = append(qp.txq, pkt)
+	qp.txq.push(pkt)
 	s.pending++
 	s.kick()
 }
@@ -152,8 +152,8 @@ func (s *etsScheduler) enqueue(qp *QP, pkt txPkt) {
 // flush discards qp's queued-but-untransmitted packets (Go-back-N rewind
 // or QP teardown).
 func (s *etsScheduler) flush(qp *QP) {
-	s.pending -= len(qp.txq)
-	qp.txq = nil
+	s.pending -= qp.txq.len()
+	qp.txq.reset()
 }
 
 // kick runs the arbitration loop: transmit while the port is free and an
@@ -177,8 +177,7 @@ func (s *etsScheduler) kick() {
 		}
 		return
 	}
-	pkt := qp.txq[0]
-	qp.txq = qp.txq[1:]
+	pkt := qp.txq.pop()
 	s.pending--
 	size := pkt.size
 
@@ -224,15 +223,18 @@ func (s *etsScheduler) wakeAt(t sim.Time) {
 		s.nic.Sim.Cancel(s.wake)
 	}
 	s.wakeAtT = t
-	s.wake = s.nic.Sim.At(t, func() {
-		s.wake = sim.EventRef{}
-		s.kick()
-	})
+	s.wake = s.nic.Sim.AtEvent(t, s, 0, 0, nil)
+}
+
+// HandleEvent is the scheduler's only event: the wake-up wakeAt armed.
+func (s *etsScheduler) HandleEvent(int, uint64, []byte) {
+	s.wake = sim.EventRef{}
+	s.kick()
 }
 
 // eligible reports whether qp's head packet may transmit now.
 func (s *etsScheduler) eligible(q *etsQueue, qp *QP, now sim.Time) bool {
-	if len(qp.txq) == 0 {
+	if qp.txq.len() == 0 {
 		return false
 	}
 	if qp.paceReadyAt > now {
@@ -296,7 +298,7 @@ func (s *etsScheduler) nextEligible(now sim.Time) (sim.Time, bool) {
 	found := false
 	for _, q := range s.queues {
 		for _, qp := range q.qps {
-			if len(qp.txq) == 0 {
+			if qp.txq.len() == 0 {
 				continue
 			}
 			cand := qp.paceReadyAt

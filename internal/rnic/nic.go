@@ -107,6 +107,10 @@ type NIC struct {
 	// retain the pointer), so steady-state reception allocates no Packet
 	// structs. Per-NIC, hence safe with one simulator per worker.
 	rxFree []*packet.Packet
+	// rxq holds the decoded packets inside the RX pipeline, oldest first.
+	// PipelineDelay is one constant per NIC, so the pipeline's dispatch
+	// events fire in admission order and each one takes the head.
+	rxq ring[*packet.Packet]
 
 	// lastCNPAt feeds the inter-CNP-gap histogram (telemetry only).
 	lastCNPAt sim.Time
@@ -160,7 +164,7 @@ func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 // handler.
 func (n *NIC) AttachPort(p *sim.Port) {
 	n.port = p
-	p.SetReceiver(n.receive)
+	p.SetFrameReceiver(n.receive)
 }
 
 // IP returns the NIC's primary address.
@@ -236,7 +240,8 @@ func (n *NIC) executeAtomic(op packet.Opcode, rkey uint32, addr uint64, swapAdd,
 	return orig, true
 }
 
-// transmit pushes scheduler-selected wire bytes onto the port.
+// transmit pushes scheduler-selected wire bytes onto the port. wire is a
+// pool frame (QP.encode); its ownership leaves with it.
 func (n *NIC) transmit(wire []byte, qp *QP) {
 	n.Counters.Inc(CtrTxRoCEPackets)
 	n.Counters.Add(CtrTxRoCEBytes, uint64(len(wire)))
@@ -251,7 +256,7 @@ func (n *NIC) transmit(wire []byte, qp *QP) {
 	for _, t := range n.taps {
 		t(TapTx, wire)
 	}
-	n.port.Send(wire)
+	n.port.SendFrame(wire, true)
 }
 
 // getRxPkt pops a recycled packet struct (or allocates the first time).
@@ -272,20 +277,31 @@ func (n *NIC) putRxPkt(p *packet.Packet) {
 	n.rxFree = append(n.rxFree, p)
 }
 
-// receive is the RX entry point for frames arriving from the switch.
-func (n *NIC) receive(wire []byte) {
+// receive is the RX entry point for frames arriving from the switch. A
+// frame the pipeline admits is released when its dispatch event has run;
+// one discarded here is released at once.
+func (n *NIC) receive(wire []byte, owned bool) {
+	if !n.admit(wire, owned) && owned {
+		n.Sim.PutFrame(wire)
+	}
+}
+
+// admit runs the arrival-time checks and, for a packet that passes them,
+// schedules its dispatch after the pipeline delay. It reports whether the
+// dispatch event now holds the frame.
+func (n *NIC) admit(wire []byte, owned bool) bool {
 	// The phy/pipeline drop decision happens at arrival: a stalled
 	// pipeline discards frames before any parsing (§6.2.2).
 	if n.stalled() {
 		n.Counters.Inc(CtrRxDiscardsPhy)
-		return
+		return false
 	}
 	pkt := n.getRxPkt()
 	if err := packet.DecodeInto(wire, pkt); err != nil || !pkt.IsRoCE() {
 		// Non-RoCE traffic (e.g. the generators' TCP metadata exchange)
 		// is out of scope for the hardware transport.
 		n.putRxPkt(pkt)
-		return
+		return false
 	}
 	n.Counters.Inc(CtrRxRoCEPackets)
 	n.Counters.Add(CtrRxRoCEBytes, uint64(len(wire)))
@@ -297,7 +313,7 @@ func (n *NIC) receive(wire []byte) {
 	if err := packet.VerifyICRC(wire); err != nil {
 		n.Counters.Inc(CtrICRCErrors)
 		n.putRxPkt(pkt)
-		return
+		return false
 	}
 
 	// APM slow path (§6.2.3): data packets carrying MigReq=0 on strict
@@ -306,20 +322,31 @@ func (n *NIC) receive(wire []byte) {
 		if !n.apmAdmit(pkt) {
 			n.Counters.Inc(CtrRxDiscardsPhy)
 			n.putRxPkt(pkt)
-			return
+			return false
 		}
 		// apmAdmit schedules delayed delivery itself (with its own copy)
 		// when queued.
 		if n.apmQueued(pkt) {
 			n.putRxPkt(pkt)
-			return
+			return false
 		}
 	}
 
-	n.Sim.After(n.Prof.PipelineDelay, func() {
-		n.dispatch(pkt)
-		n.putRxPkt(pkt)
-	})
+	n.rxq.push(pkt)
+	n.Sim.AfterEvent(n.Prof.PipelineDelay, n, 0, sim.OwnedArg(owned), wire)
+	return true
+}
+
+// HandleEvent is the NIC's only event: the RX pipeline delay of the
+// oldest admitted packet has elapsed. data is that packet's frame, which
+// its payload aliases; arg != 0 when the NIC owns the frame.
+func (n *NIC) HandleEvent(_ int, arg uint64, data []byte) {
+	pkt := n.rxq.pop()
+	n.dispatch(pkt)
+	n.putRxPkt(pkt)
+	if arg != 0 {
+		n.Sim.PutFrame(data)
+	}
 }
 
 // dispatch routes a parsed packet to congestion processing and its QP.
@@ -381,7 +408,7 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 	if !n.Prof.BugCNPSentStuck {
 		n.Counters.Inc(CtrNpCnpSent)
 	}
-	// Built in the QP's scratch packet and serialized immediately — the
+	// Built in the QP's scratch packet and encoded immediately — the
 	// wire bytes are what crosses the emission delay, not the struct.
 	cnp := &qp.scratch
 	*cnp = packet.Packet{
@@ -393,10 +420,9 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 		UDP: packet.UDP{SrcPort: qp.udpSrcPort, DstPort: packet.RoCEv2Port},
 		BTH: packet.BTH{Opcode: packet.OpCNP, BECN: true, MigReq: n.Prof.MigReqInit, DestQP: qp.remote.QPN},
 	}
-	wire := cnp.Serialize()
 	// CNPs bypass pacing: they are tiny control packets emitted by the
 	// congestion engine, not the WQE scheduler.
-	n.Sim.After(200, func() { n.transmit(wire, qp) })
+	n.Sim.AfterEvent(200, qp, qpSendCNP, 0, qp.encode(cnp))
 }
 
 // --- slow-path engine (noisy neighbor, §6.2.2) ---

@@ -206,12 +206,12 @@ type QP struct {
 	atomicOrder  []uint32
 
 	// transmit path (owned by the ETS scheduler)
-	txq         []txPkt
+	txq         ring[txPkt]
 	paceReadyAt sim.Time
 	rp          *rpState
 
 	// scratch is the per-connection packet used to build outgoing wire
-	// bytes. Every build resets it, serializes immediately, and never
+	// bytes. Every build resets it, encodes immediately, and never
 	// retains the pointer, so one struct serves the whole QP lifetime.
 	scratch packet.Packet
 
@@ -455,6 +455,12 @@ func (qp *QP) baseHeader(op packet.Opcode, psn uint32) *packet.Packet {
 	return p
 }
 
+// encode writes p's wire bytes into a frame from the simulator's pool.
+// The caller owns the frame until NIC.transmit sends it on.
+func (qp *QP) encode(p *packet.Packet) []byte {
+	return p.AppendWire(qp.nic.Sim.GetFrame(p.WireLen())[:0])
+}
+
 // segLen returns the payload length of packet index i of a message of
 // total length, given the MTU.
 func segLen(total, mtu, i, npkts int) int {
@@ -555,7 +561,7 @@ func (qp *QP) makeDataPacket(w *wqe, psn uint32, i int) *packet.Packet {
 func (qp *QP) buildDataPacket(w *wqe, psn uint32) []byte {
 	i := int(psnSub(psn, w.startPSN))
 	qp.noteTransmit(psn)
-	b := qp.makeDataPacket(w, psn, i).Serialize()
+	b := qp.encode(qp.makeDataPacket(w, psn, i))
 	qp.model.onTransmit(qp, w, psn)
 	return b
 }
@@ -578,7 +584,7 @@ func (qp *QP) buildReadRequest(w *wqe, psn uint32) []byte {
 	}
 	p.BTH.AckReq = true
 	qp.noteTransmit(psn)
-	return p.Serialize()
+	return qp.encode(p)
 }
 
 func (qp *QP) noteTransmit(psn uint32) {
@@ -958,12 +964,28 @@ func (qp *QP) deliverRecv(pkt *packet.Packet) {
 }
 
 func (qp *QP) scheduleAck(psn uint32) {
-	qp.nic.Sim.After(qp.nic.Prof.AckGenDelay, func() {
-		if qp.errored {
-			return
+	qp.nic.Sim.AfterEvent(qp.nic.Prof.AckGenDelay, qp, qpSendAck, uint64(psn), nil)
+}
+
+// QP event ops.
+const (
+	qpSendAck = iota // the ACK for PSN arg finished its generation delay
+	qpTimeout        // the retransmission timer expired
+	qpSendCNP        // the CNP in data finished its emission delay
+)
+
+// HandleEvent runs the QP's per-packet events.
+func (qp *QP) HandleEvent(op int, arg uint64, data []byte) {
+	switch op {
+	case qpSendAck:
+		if !qp.errored {
+			qp.sendAckPacket(uint32(arg), packet.SyndromeACK|31)
 		}
-		qp.sendAckPacket(psn, packet.SyndromeACK|31)
-	})
+	case qpTimeout:
+		qp.onTimeout()
+	case qpSendCNP:
+		qp.nic.transmit(data, qp)
+	}
 }
 
 func (qp *QP) sendNakNow(syndrome uint8) {
@@ -980,7 +1002,7 @@ func (qp *QP) sendAckPacket(psn uint32, syndrome uint8) {
 	// The MSN is snapshotted now: an ACK's content is fixed at generation
 	// time even when it queues behind read responses.
 	msn := qp.msn
-	if len(qp.txq) > 0 {
+	if qp.txq.len() > 0 {
 		qp.enqueue(txPkt{
 			kind: txAck, size: packet.WireSize(packet.OpAcknowledge, 0, 0),
 			psn: psn, syndrome: syndrome, msn: msn,
@@ -993,7 +1015,7 @@ func (qp *QP) sendAckPacket(psn uint32, syndrome uint8) {
 func (qp *QP) buildAckPacket(psn uint32, syndrome uint8, msn uint32) []byte {
 	p := qp.baseHeader(packet.OpAcknowledge, psn)
 	p.AETH = packet.AETH{Syndrome: syndrome, MSN: msn}
-	return p.Serialize()
+	return qp.encode(p)
 }
 
 // --- responder: Read requests ---
@@ -1108,7 +1130,7 @@ func (qp *QP) readResponseWireLen(ctx readCtx, i int) int {
 }
 
 func (qp *QP) buildReadResponse(ctx readCtx, i int, psn uint32) []byte {
-	return qp.makeReadResponse(ctx, i, psn).Serialize()
+	return qp.encode(qp.makeReadResponse(ctx, i, psn))
 }
 
 // --- atomics ---
@@ -1139,7 +1161,7 @@ func (qp *QP) atomicRequestWireLen(w *wqe) int {
 
 func (qp *QP) buildAtomicRequest(w *wqe, psn uint32) []byte {
 	qp.noteTransmit(psn)
-	return qp.makeAtomicRequest(w, psn).Serialize()
+	return qp.encode(qp.makeAtomicRequest(w, psn))
 }
 
 // handleAtomicRequest executes the remote atomic at the responder. Per
@@ -1219,7 +1241,7 @@ func (qp *QP) sendAtomicAck(psn uint32, orig uint64) {
 		if qp.errored {
 			return
 		}
-		if len(qp.txq) > 0 {
+		if qp.txq.len() > 0 {
 			qp.enqueue(txPkt{
 				kind: txAtomicAck, size: packet.WireSize(packet.OpAtomicAcknowledge, 0, 0),
 				psn: psn, msn: msn, orig: orig,
@@ -1234,7 +1256,7 @@ func (qp *QP) buildAtomicAckPacket(psn, msn uint32, orig uint64) []byte {
 	p := qp.baseHeader(packet.OpAtomicAcknowledge, psn)
 	p.AETH = packet.AETH{Syndrome: packet.SyndromeACK | 31, MSN: msn}
 	p.AtomicAck = orig
-	return p.Serialize()
+	return qp.encode(p)
 }
 
 // handleAtomicAck completes the atomic WQE at the requester with the
@@ -1305,7 +1327,7 @@ func (qp *QP) rcArmTimer() {
 			telemetry.I("rto_ns", int64(rto)), telemetry.I("retry", int64(qp.retries)))
 	}
 	qp.cov().Record(coverage.SiteTimer, coverage.TimerArm)
-	qp.rtoTimer = s.After(rto, qp.onTimeout)
+	qp.rtoTimer = s.AfterEvent(rto, qp, qpTimeout, 0, nil)
 }
 
 func (qp *QP) onTimeout() {

@@ -659,8 +659,8 @@ func TestSchedulerFlushOnQPError(t *testing.T) {
 	if !p.aQP.Errored() {
 		t.Fatal("QP did not error")
 	}
-	if len(p.aQP.txq) != 0 {
-		t.Fatalf("errored QP still holds %d queued packets", len(p.aQP.txq))
+	if p.aQP.txq.len() != 0 {
+		t.Fatalf("errored QP still holds %d queued packets", p.aQP.txq.len())
 	}
 	if p.s.Pending() != 0 {
 		t.Fatalf("events still pending after error drain: %d", p.s.Pending())

@@ -44,14 +44,6 @@ type Fabric struct {
 	// during the current window; only the owning shard's goroutine
 	// appends, and the fabric sweeps it at the barrier.
 	out [][]envelope
-	// used is the per-shard list of fabric-owned transfer buffers the
-	// shard finished receiving during the current window; swept back to
-	// pool at the barrier.
-	used [][]xbuf
-	// pool is the per-source-shard free list of transfer buffers; only
-	// the owning shard pops (during its window), only the fabric pushes
-	// (at the barrier).
-	pool [][][]byte
 	// pending holds swept, not-yet-delivered messages in canonical
 	// order.
 	pending []envelope
@@ -71,14 +63,7 @@ type envelope struct {
 	idx    uint64
 	src    *Port
 	data   []byte
-	pooled bool // data is a fabric-owned transfer buffer
-}
-
-// xbuf is a spent transfer buffer on its way back to a source shard's
-// pool.
-type xbuf struct {
-	src int
-	buf []byte
+	owned  bool // data is a pool frame whose ownership crosses with it
 }
 
 // NewFabric creates a fabric of n single-shard simulators sharing one
@@ -99,8 +84,6 @@ func NewFabric(seed int64, n, maxPar int) *Fabric {
 		lookahead: Duration(MaxTime),
 		maxPar:    maxPar,
 		out:       make([][]envelope, n),
-		used:      make([][]xbuf, n),
-		pool:      make([][][]byte, n),
 	}
 	for i := 0; i < n; i++ {
 		s := &Simulator{rng: f.rng, fabric: f, shard: i}
@@ -147,42 +130,23 @@ func (f *Fabric) Connect(a, b int, nameA, nameB string, gbps float64, prop Durat
 	return pa, pb
 }
 
-// post queues one cross-shard frame; called from Port.send on the
-// sending shard's goroutine. Pooled frames (SendRecycle) are copied
-// into a fabric-owned transfer buffer and recycled immediately so the
-// caller's buffer never leaves its shard.
-func (f *Fabric) post(p *Port, data []byte, recycle func([]byte), now, arrive Time) {
+// post queues one cross-shard frame; called from Port.SendFrame on the
+// sending shard's goroutine. The bytes are not copied: an owned frame
+// changes shards with its envelope and is released into the receiving
+// shard's pool (the window barrier orders the sender's writes before
+// the receiver's reads); an unowned one stays the sender's, as on an
+// intra-shard link.
+func (f *Fabric) post(p *Port, data []byte, owned bool, now, arrive Time) {
 	src := p.sim.shard
-	pooled := false
-	if recycle != nil {
-		buf := f.getBuf(src, len(data))
-		copy(buf, data)
-		recycle(data)
-		data = buf
-		pooled = true
-	}
 	ob := f.out[src]
 	f.out[src] = append(ob, envelope{
 		arrive: arrive, sched: now, srcOrd: p.ord, idx: uint64(len(ob)),
-		src: p, data: data, pooled: pooled,
+		src: p, data: data, owned: owned,
 	})
 }
 
-func (f *Fabric) getBuf(src, n int) []byte {
-	pl := f.pool[src]
-	if len(pl) > 0 {
-		buf := pl[len(pl)-1]
-		f.pool[src] = pl[:len(pl)-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// sweep moves every shard outbox into the canonical pending list and
-// returns spent transfer buffers to their source pools. Runs between
-// windows, with no shard goroutine active.
+// sweep moves every shard outbox into the canonical pending list. Runs
+// between windows, with no shard goroutine active.
 func (f *Fabric) sweep() {
 	moved := false
 	for i := range f.out {
@@ -191,10 +155,6 @@ func (f *Fabric) sweep() {
 			f.out[i] = f.out[i][:0]
 			moved = true
 		}
-		for _, u := range f.used[i] {
-			f.pool[u.src] = append(f.pool[u.src], u.buf)
-		}
-		f.used[i] = f.used[i][:0]
 	}
 	if moved {
 		sort.SliceStable(f.pending, func(a, b int) bool {
@@ -224,22 +184,10 @@ func (f *Fabric) deliver(horizon Time) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		env := f.pending[i]
+		env := &f.pending[i]
 		dst := env.src.peer
-		rs := dst.sim
-		data, pooled, srcShard := env.data, env.pooled, env.src.sim.shard
-		rs.atSched(env.arrive, env.sched, func() {
-			dst.RxFrames++
-			dst.RxBytes += uint64(len(data))
-			if dst.recv == nil {
-				panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", dst.Name))
-			}
-			dst.recv(data)
-			if pooled {
-				f.used[rs.shard] = append(f.used[rs.shard], xbuf{src: srcShard, buf: data})
-			}
-		})
-		f.pending[i] = envelope{}
+		dst.sim.atSched(env.arrive, env.sched, dst, portRx, OwnedArg(env.owned), env.data)
+		*env = envelope{}
 	}
 	f.pending = append(f.pending[:0], f.pending[n:]...)
 }

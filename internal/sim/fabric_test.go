@@ -2,67 +2,117 @@ package sim
 
 import "testing"
 
-// TestSendRecycleShardSafety pins the SendRecycle ownership contract
-// the sharded fabric relies on: a pooled frame buffer never crosses
-// shard ownership. Cross-shard, the frame is copied into a
-// fabric-owned transfer buffer and recycle(data) runs synchronously
-// inside the sender's Send call; the receiving shard sees a slice with
-// different backing storage. Intra-shard, delivery aliases the
-// sender's buffer and recycle runs after the receive handler.
-func TestSendRecycleShardSafety(t *testing.T) {
+// TestFrameOwnershipAcrossShards pins how a frame's ownership crosses a
+// link. An owned pool frame is never copied: the peer's receiver gets the
+// very buffer with owned == true, on the same shard or another, and what
+// it releases lands in the pool of the shard it runs on — the sending
+// shard's pool simply misses. A frame sent with plain Send stays the
+// caller's: owned == false, same bytes, and nothing adopts it.
+func TestFrameOwnershipAcrossShards(t *testing.T) {
 	f := NewFabric(1, 2, 2)
 	a, b := f.Connect(0, 1, "a", "b", 100, 500)
+	src, dst := f.Node(0), f.Node(1)
 
-	buf := make([]byte, 64)
-	for i := range buf {
-		buf[i] = byte(i)
+	frame := src.GetFrame(64)
+	for i := range frame {
+		frame[i] = byte(i)
 	}
+	mine := make([]byte, 64)
 
-	var got []byte
-	b.SetReceiver(func(data []byte) {
-		got = append([]byte(nil), data...)
-		if &data[0] == &buf[0] {
-			t.Error("cross-shard delivery aliased the sender's pooled buffer")
+	var gotOwned, gotMine bool
+	b.SetFrameReceiver(func(data []byte, owned bool) {
+		switch &data[0] {
+		case &frame[0]:
+			gotOwned = true
+			if !owned {
+				t.Error("owned frame arrived cross-shard as unowned")
+			}
+			if data[0] != 0 || data[63] != 63 {
+				t.Errorf("owned frame corrupted in flight: [0]=%d [63]=%d", data[0], data[63])
+			}
+			dst.PutFrame(data)
+		case &mine[0]:
+			gotMine = true
+			if owned {
+				t.Error("caller-owned buffer arrived as an owned frame")
+			}
+		default:
+			t.Error("cross-shard delivery copied the frame")
 		}
 	})
-
-	recycled := false
-	a.SendRecycle(buf, func(data []byte) {
-		if &data[0] != &buf[0] {
-			t.Error("recycle invoked with a different buffer than was sent")
-		}
-		recycled = true
-	})
-	if !recycled {
-		t.Fatal("cross-shard SendRecycle must invoke recycle synchronously, on the sending shard")
-	}
-	// The sender may reuse the buffer immediately; the copy in flight
-	// must be unaffected.
-	for i := range buf {
-		buf[i] = 0xFF
-	}
-
+	a.SendFrame(frame, true)
+	a.Send(mine)
 	f.Run()
-	if len(got) != 64 || got[0] != 0 || got[63] != 63 {
-		t.Fatalf("receiver saw corrupted frame: len=%d got[0]=%d got[63]=%d", len(got), got[0], got[63])
+	if !gotOwned || !gotMine {
+		t.Fatalf("delivered owned=%v caller-owned=%v, want both", gotOwned, gotMine)
+	}
+	if got := dst.GetFrame(64); &got[0] != &frame[0] {
+		t.Error("frame released on the receiving shard did not enter that shard's pool")
+	}
+	if got := src.GetFrame(64); &got[0] == &frame[0] || &got[0] == &mine[0] {
+		t.Error("sending shard's pool handed out a frame it no longer owns")
 	}
 
-	// Intra-shard (same node): zero-copy aliasing, recycle after receive.
-	s := f.Node(0)
-	c, d := Connect(s, "c", "d", 100, 0)
-	recycled = false
-	d.SetReceiver(func(data []byte) {
-		if &data[0] != &buf[0] {
-			t.Error("intra-shard delivery should alias the sender's buffer")
-		}
-		if recycled {
-			t.Error("intra-shard recycle ran before the receive handler")
+	// Intra-shard: the same contract without the envelope.
+	c, d := Connect(src, "c", "d", 100, 0)
+	frame2 := src.GetFrame(64)
+	seen := 0
+	d.SetFrameReceiver(func(data []byte, owned bool) {
+		seen++
+		if owned != (&data[0] == &frame2[0]) {
+			t.Errorf("intra-shard delivery %d: owned=%v", seen, owned)
 		}
 	})
-	c.SendRecycle(buf, func(data []byte) { recycled = true })
+	c.SendFrame(frame2, true)
+	c.Send(mine)
 	f.Run()
-	if !recycled {
-		t.Fatal("intra-shard SendRecycle never invoked recycle")
+	if seen != 2 {
+		t.Fatalf("intra-shard link delivered %d of 2 frames", seen)
+	}
+}
+
+// TestFramePoolClassesAndBound checks the pool's two promises: a request
+// is never served by a smaller frame (and a too-small frame is not
+// thrown away to serve it — it stays for the next request it fits), and
+// a class retains at most frameClassMax frames.
+func TestFramePoolClassesAndBound(t *testing.T) {
+	s := New(1)
+	small := s.GetFrame(62)
+	if len(small) != 62 || cap(small) != frameQuantum {
+		t.Fatalf("GetFrame(62) = len %d cap %d, want 62 / %d", len(small), cap(small), frameQuantum)
+	}
+	s.PutFrame(small)
+	big := s.GetFrame(1082)
+	if &big[0] == &small[0] || cap(big) < 1082 {
+		t.Fatal("a 1082-byte request was served from the 64-byte class")
+	}
+	if again := s.GetFrame(40); &again[0] != &small[0] {
+		t.Error("the small frame was dropped while serving a larger request")
+	}
+	if huge := s.GetFrame(frameClasses * frameQuantum); cap(huge) != len(huge) {
+		t.Error("frames beyond the largest class must be allocated exactly")
+	}
+	s.PutFrame(make([]byte, frameClasses*frameQuantum)) // beyond the classes: dropped, no panic
+
+	for i := 0; i < frameClassMax+10; i++ {
+		s.PutFrame(make([]byte, 1082, 1088))
+	}
+	if n := len(s.frames[1088/frameQuantum]); n != frameClassMax {
+		t.Errorf("class retained %d frames, want the bound %d", n, frameClassMax)
+	}
+}
+
+// TestPoisonReleasedFrames checks the use-after-release hook fills a
+// released frame's whole capacity.
+func TestPoisonReleasedFrames(t *testing.T) {
+	defer PoisonReleasedFrames(PoisonReleasedFrames(true))
+	s := New(1)
+	buf := s.GetFrame(100)
+	s.PutFrame(buf)
+	for i, v := range buf[:cap(buf)] {
+		if v != 0xDB {
+			t.Fatalf("byte %d of a released frame is %#x, want 0xDB", i, v)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ type Port struct {
 	sim  *Simulator
 	link *Link
 	peer *Port
-	recv func(data []byte)
+	recv func(data []byte, owned bool)
 	// ord is the port's creation ordinal within its fabric (zero for
 	// ports of a standalone simulator); it canonicalizes the delivery
 	// order of cross-shard messages arriving at the same instant.
@@ -52,8 +52,23 @@ func (p *Port) SetStamper(fn func(data []byte, at Time, queuedAhead int64, busy 
 }
 
 // SetReceiver installs the function invoked for every frame arriving at
-// this port. It must be set before any peer transmits.
-func (p *Port) SetReceiver(fn func(data []byte)) { p.recv = fn }
+// this port. It must be set before any peer transmits. A receiver
+// installed this way takes no part in frame ownership: it never releases
+// a frame.
+func (p *Port) SetReceiver(fn func(data []byte)) {
+	if fn == nil {
+		p.recv = nil
+		return
+	}
+	p.recv = func(data []byte, _ bool) { fn(data) }
+}
+
+// SetFrameReceiver installs a receiver that also learns whether it now
+// owns the frame: when owned is true the frame came from the pool and the
+// receiver (or whoever it passes the frame on to) must eventually release
+// it with Simulator.PutFrame; when false the bytes are the sender's and
+// must be neither released nor kept past the handler.
+func (p *Port) SetFrameReceiver(fn func(data []byte, owned bool)) { p.recv = fn }
 
 // Connected reports whether the port is attached to a link.
 func (p *Port) Connected() bool { return p.link != nil }
@@ -65,25 +80,20 @@ func (p *Port) Peer() *Port { return p.peer }
 // peer after serialization (len/bandwidth, FIFO behind earlier frames)
 // plus propagation delay. Send never blocks; queueing is unbounded, as in
 // the paper's testbed the switch MMU is the only loss point and losses
-// there are modelled explicitly by the injector.
-func (p *Port) Send(data []byte) { p.send(data, nil) }
+// there are modelled explicitly by the injector. The buffer stays the
+// caller's: no receiver releases or adopts it.
+func (p *Port) Send(data []byte) { p.SendFrame(data, false) }
 
-// SendRecycle is Send for callers that pool their frame buffers: after
-// the peer's receive handler returns, recycle(data) is invoked so the
-// buffer can be reused. The receiver must therefore not retain the slice
-// beyond its handler (it may copy what it needs) — which is exactly the
-// contract the dumper path honors by trimming into its own storage.
-//
-// Shard-safety contract: recycle always runs on the sending port's own
-// shard, and the recycled buffer never crosses shard ownership. On an
-// intra-shard link recycle runs after the peer's handler, as above; on a
-// cross-shard link the frame is copied into a fabric-owned transfer
-// buffer at enqueue time and recycle(data) is invoked immediately, still
-// inside the sender's Send call. Callers may thus keep a plain,
-// unsynchronized free list keyed to the component that owns the port.
-func (p *Port) SendRecycle(data []byte, recycle func([]byte)) { p.send(data, recycle) }
+// Port event ops.
+const (
+	portTxDone = iota // arg bytes left the transmitter
+	portRx            // data arrived; arg != 0 when the frame is owned
+)
 
-func (p *Port) send(data []byte, recycle func([]byte)) {
+// SendFrame is Send with explicit ownership: with owned set, data is a
+// pool frame (Simulator.GetFrame) whose ownership passes to the peer's
+// receiver, on this shard or another.
+func (p *Port) SendFrame(data []byte, owned bool) {
 	if p.link == nil {
 		panic(fmt.Sprintf("sim: send on disconnected port %q", p.Name))
 	}
@@ -110,29 +120,39 @@ func (p *Port) send(data []byte, recycle func([]byte)) {
 
 	peer := p.peer
 	arrive := done.Add(p.link.Propagation)
-	n := int64(len(data))
-	s.At(done, func() { p.QueueBytes -= n })
+	s.AtEvent(done, p, portTxDone, uint64(len(data)), nil)
 	if peer.sim != s {
 		// Cross-shard link: the arrival becomes a timestamped message
 		// the fabric delivers into the peer's shard at the next safe
-		// horizon. When the caller pools its buffer (SendRecycle), the
-		// frame is copied into a fabric-owned buffer and recycle(data)
-		// runs right here, on the sending shard — a pooled buffer never
-		// crosses shard ownership (see Fabric and TestSendRecycleShardSafety).
-		s.fabric.post(p, data, recycle, now, arrive)
+		// horizon (see Fabric).
+		s.fabric.post(p, data, owned, now, arrive)
 		return
 	}
-	s.At(arrive, func() {
-		peer.RxFrames++
-		peer.RxBytes += uint64(len(data))
-		if peer.recv == nil {
-			panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", peer.Name))
-		}
-		peer.recv(data)
-		if recycle != nil {
-			recycle(data)
-		}
-	})
+	s.AtEvent(arrive, peer, portRx, OwnedArg(owned), data)
+}
+
+// OwnedArg encodes frame ownership as an event scalar — 1 owned, 0 not —
+// for handlers that carry a frame in data across a delay.
+func OwnedArg(owned bool) uint64 {
+	if owned {
+		return 1
+	}
+	return 0
+}
+
+// HandleEvent runs the port's two per-frame events: the transmitter
+// finishing a frame, and a frame arriving from the peer.
+func (p *Port) HandleEvent(op int, arg uint64, data []byte) {
+	if op == portTxDone {
+		p.QueueBytes -= int64(arg)
+		return
+	}
+	p.RxFrames++
+	p.RxBytes += uint64(len(data))
+	if p.recv == nil {
+		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
+	}
+	p.recv(data, arg != 0)
 }
 
 // TxBacklog returns how long the transmitter is already committed beyond

@@ -65,10 +65,30 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Microseconds reports the duration as fractional microseconds.
 func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
 
-// event is a single scheduled callback. Event structs are recycled
-// through the simulator's freelist; gen counts recycles so that stale
-// EventRefs held by components can never cancel a later occupant of the
-// same struct.
+// Handler receives typed events. Components on the per-packet path
+// (ports, NICs, QPs, schedulers, the switch, dumper nodes) implement it
+// on their pointer type and schedule themselves with AtEvent/AfterEvent:
+// the event carries a small op code selecting what to do, one scalar and
+// one byte slice, all stored inline in the pooled event struct, so
+// scheduling allocates nothing. A handler runs with the clock at the
+// event's instant and may schedule or cancel anything; it must not keep
+// data unless it owns the frame (see GetFrame).
+type Handler interface {
+	HandleEvent(op int, arg uint64, data []byte)
+}
+
+// Func adapts a plain callback to Handler. A func value is a single
+// pointer, so the conversion to the interface allocates nothing: At and
+// After are sugar over AtEvent, not a second mechanism.
+type Func func()
+
+// HandleEvent calls f.
+func (f Func) HandleEvent(int, uint64, []byte) { f() }
+
+// event is a single scheduled (handler, op, arg, data) tuple. Event
+// structs are recycled through the simulator's freelist; gen counts
+// recycles so that stale EventRefs held by components can never cancel a
+// later occupant of the same struct.
 type event struct {
 	at Time
 	// schedAt is the instant the event was scheduled. For a single
@@ -79,7 +99,10 @@ type event struct {
 	// single shared heap would have had (see fabric.go).
 	schedAt Time
 	seq     uint64 // tie-breaker: FIFO among events at the same instant
-	fn      func()
+	h       Handler
+	op      int
+	arg     uint64
+	data    []byte
 	idx     int // heap index; -1 once popped or cancelled, -2 while
 	// buffered in a same-timestamp batch (see stepBatch)
 	gen  uint64 // incremented every time the struct is recycled
@@ -235,6 +258,9 @@ type Simulator struct {
 	fabric *Fabric
 	// shard is this simulator's index within its fabric.
 	shard int
+
+	// frames is the wire-frame pool (see frames.go).
+	frames framePool
 }
 
 // New creates a simulator whose RNG is seeded with seed. Two simulators
@@ -283,14 +309,28 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // At schedules fn to run at the absolute instant at. Scheduling in the
 // past (before Now) panics: it would corrupt causality.
 func (s *Simulator) At(at Time, fn func()) EventRef {
-	return s.atSched(at, s.now, fn)
+	return s.atSched(at, s.now, Func(fn), 0, 0, nil)
 }
 
-// atSched schedules fn at the instant at, carrying an explicit
+// AtEvent schedules h.HandleEvent(op, arg, data) at the absolute instant
+// at — the allocation-free form of At for per-packet paths.
+func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte) EventRef {
+	return s.atSched(at, s.now, h, op, arg, data)
+}
+
+// AfterEvent is AtEvent d nanoseconds from now. Negative d panics.
+func (s *Simulator) AfterEvent(d Duration, h Handler, op int, arg uint64, data []byte) EventRef {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return s.atSched(s.now.Add(d), s.now, h, op, arg, data)
+}
+
+// atSched schedules an event at the instant at, carrying an explicit
 // scheduling stamp. The fabric uses it to inject cross-shard arrivals
 // stamped with the sender's clock, so same-instant ordering matches
 // the global scheduling order of an unsharded run.
-func (s *Simulator) atSched(at, schedAt Time, fn func()) EventRef {
+func (s *Simulator) atSched(at, schedAt Time, h Handler, op int, arg uint64, data []byte) EventRef {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
@@ -299,10 +339,11 @@ func (s *Simulator) atSched(at, schedAt Time, fn func()) EventRef {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.schedAt, ev.seq, ev.fn, ev.dead = at, schedAt, s.nextSeq, fn, false
+		ev.at, ev.schedAt, ev.seq, ev.dead = at, schedAt, s.nextSeq, false
 	} else {
-		ev = &event{at: at, schedAt: schedAt, seq: s.nextSeq, fn: fn}
+		ev = &event{at: at, schedAt: schedAt, seq: s.nextSeq}
 	}
+	ev.h, ev.op, ev.arg, ev.data = h, op, arg, data
 	s.nextSeq++
 	s.queue.push(ev)
 	return EventRef{ev: ev, gen: ev.gen}
@@ -310,19 +351,16 @@ func (s *Simulator) atSched(at, schedAt Time, fn func()) EventRef {
 
 // recycle returns a fired or cancelled event struct to the freelist. The
 // generation bump invalidates every outstanding EventRef to it, and
-// dropping fn releases whatever the callback closure captured.
+// dropping the handler and data releases whatever they reference.
 func (s *Simulator) recycle(ev *event) {
-	ev.fn = nil
+	ev.h, ev.data = nil, nil
 	ev.gen++
 	s.free = append(s.free, ev)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
 func (s *Simulator) After(d Duration, fn func()) EventRef {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.At(s.now.Add(d), fn)
+	return s.AfterEvent(d, Func(fn), 0, 0, nil)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -362,10 +400,16 @@ func (s *Simulator) Step() bool {
 	s.now = ev.at
 	s.curSched = ev.schedAt
 	s.executed++
-	fn := ev.fn
-	s.recycle(ev)
-	fn()
+	s.fire(ev)
 	return true
+}
+
+// fire recycles ev and runs its handler. The struct goes back to the
+// freelist first so the handler's own scheduling can reuse it.
+func (s *Simulator) fire(ev *event) {
+	h, op, arg, data := ev.h, ev.op, ev.arg, ev.data
+	s.recycle(ev)
+	h.HandleEvent(op, arg, data)
 }
 
 // stepBatch fires the entire run of events sharing the earliest pending
@@ -402,9 +446,7 @@ func (s *Simulator) stepBatch() bool {
 			ev.dead = true
 			s.curSched = ev.schedAt
 			s.executed++
-			fn := ev.fn
-			s.recycle(ev)
-			fn()
+			s.fire(ev)
 		}
 	}
 	return true

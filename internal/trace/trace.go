@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -37,32 +36,105 @@ type Trace struct {
 	Entries []Entry
 }
 
-// Reconstruct decodes dumper records and sorts them by mirror sequence
+// Reconstruct decodes dumper records and orders them by mirror sequence
 // number — the orchestrator's trace-assembly step (§3.5). Records whose
 // headers cannot be parsed are rejected (the dumpers only capture RoCE
 // mirrors, so any such record indicates corruption of the capture path
 // itself).
+//
+// The order is that of a stable sort by sequence number, for any input,
+// but is produced by merging: each dumper core appends its records in
+// arrival order, so the input is a handful of already-sorted runs laid
+// end to end. One pass reads every record's metadata and finds the run
+// boundaries; a k-way merge over the run heads then yields the records
+// in final order, and each is decoded once, straight into its slot.
 func Reconstruct(recs []dumper.Record) (*Trace, error) {
-	tr := &Trace{Entries: make([]Entry, 0, len(recs))}
-	for i, r := range recs {
-		meta, ok := packet.ExtractMirrorMeta(r.Wire)
+	metas := make([]packet.MirrorMeta, len(recs))
+	var heads []runHead
+	for i := range recs {
+		m, ok := packet.ExtractMirrorMeta(recs[i].Wire)
 		if !ok {
-			return nil, fmt.Errorf("trace: record %d too short for mirror metadata", i)
+			return nil, firstError(recs)
 		}
-		var pkt packet.Packet
-		origLen, err := packet.DecodeHeaders(r.Wire, &pkt)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %v", i, err)
+		metas[i] = m
+		if i == 0 || m.Seq < metas[i-1].Seq {
+			heads = append(heads, runHead{seq: m.Seq, pos: i, end: i + 1})
+		} else {
+			heads[len(heads)-1].end = i + 1
 		}
-		tr.Entries = append(tr.Entries, Entry{
-			Meta: meta, Pkt: pkt, OrigLen: origLen, Wire: r.Wire,
-			Node: r.Node, Core: r.Core,
-		})
 	}
-	sort.SliceStable(tr.Entries, func(i, j int) bool {
-		return tr.Entries[i].Meta.Seq < tr.Entries[j].Meta.Seq
-	})
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
+	}
+
+	tr := &Trace{Entries: make([]Entry, len(recs))}
+	for out := range tr.Entries {
+		h := &heads[0]
+		r, e := &recs[h.pos], &tr.Entries[out]
+		origLen, err := packet.DecodeHeaders(r.Wire, &e.Pkt)
+		if err != nil {
+			return nil, firstError(recs)
+		}
+		e.Meta, e.OrigLen, e.Wire, e.Node, e.Core = metas[h.pos], origLen, r.Wire, r.Node, r.Core
+		if h.pos++; h.pos < h.end {
+			h.seq = metas[h.pos].Seq
+		} else {
+			last := len(heads) - 1
+			heads[0] = heads[last]
+			heads = heads[:last]
+		}
+		siftDown(heads, 0)
+	}
 	return tr, nil
+}
+
+// runHead is the merge cursor of one non-decreasing run of the input:
+// records [pos, end), seq caching record pos's sequence number.
+type runHead struct {
+	seq      uint64
+	pos, end int
+}
+
+// before orders run heads by sequence number; on a tie the run that
+// started earlier in the input wins, which for disjoint contiguous runs
+// is the one with the lower position — exactly a stable sort's choice.
+func (a runHead) before(b runHead) bool {
+	return a.seq < b.seq || (a.seq == b.seq && a.pos < b.pos)
+}
+
+// siftDown restores the min-heap property of h below index i.
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// firstError reports the failure a record-by-record decode in input
+// order stops at: the lowest-indexed bad record, whichever check it
+// fails. Reconstruct calls it only once it has met a bad record, so the
+// merge never has to track which error comes first.
+func firstError(recs []dumper.Record) error {
+	var pkt packet.Packet
+	for i, r := range recs {
+		if _, ok := packet.ExtractMirrorMeta(r.Wire); !ok {
+			return fmt.Errorf("trace: record %d too short for mirror metadata", i)
+		}
+		if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+			return fmt.Errorf("trace: record %d: %v", i, err)
+		}
+	}
+	panic("trace: firstError called on records that all decode")
 }
 
 // IntegrityError describes a failed integrity condition.
