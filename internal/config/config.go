@@ -436,20 +436,25 @@ func (tr *Traffic) validateTransports() error {
 	if base == "" {
 		base = "rc"
 	}
+	// Canonical names go into a fresh slice, never back into the backing
+	// array: by-value copies of one config.Test share it, and engine
+	// workers validate their copies concurrently.
+	canon := make([]string, len(tr.QPTransport))
 	allBase := true
-	for i := range tr.QPTransport {
-		name := strings.ToLower(tr.QPTransport[i])
+	for i, raw := range tr.QPTransport {
+		name := strings.ToLower(raw)
 		if name == "" {
 			name = base // empty entries inherit the traffic-wide choice
 		}
 		if _, err := rnic.ParseTransport(name); err != nil {
 			return fmt.Errorf("config: qp-transport[%d]: %w", i, err)
 		}
-		tr.QPTransport[i] = name
+		canon[i] = name
 		if name != base {
 			allBase = false
 		}
 	}
+	tr.QPTransport = canon
 	if allBase {
 		tr.QPTransport = nil
 	}

@@ -2,6 +2,7 @@ package config
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -67,6 +68,38 @@ func TestTransportCanonicalization(t *testing.T) {
 	}
 	if got := strings.Join(mixed.Traffic.QPTransport, ","); got != "rc,ud" {
 		t.Errorf("canonicalized qp-transport = %q, want rc,ud", got)
+	}
+}
+
+// TestValidateCopiesConcurrently is the -race regression test for the
+// engine's usage: workers receive by-value copies of one config.Test,
+// which share the qp-transport backing array, and validate them at the
+// same time. Validation must not write through the shared array, and
+// the original must keep its spelling.
+func TestValidateCopiesConcurrently(t *testing.T) {
+	shared := Default()
+	shared.Traffic.NumConnections = 2
+	shared.Traffic.Verb = "send"
+	shared.Traffic.MessageSize = 1024
+	shared.Traffic.QPTransport = []string{"", "UD"}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		cp := shared
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cp.Validate(); err != nil {
+				t.Error(err)
+			}
+			if got := strings.Join(cp.Traffic.QPTransport, ","); got != "rc,ud" {
+				t.Errorf("canonicalized qp-transport = %q, want rc,ud", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := strings.Join(shared.Traffic.QPTransport, ","); got != ",UD" {
+		t.Errorf("validating a copy rewrote the original's qp-transport to %q", got)
 	}
 }
 

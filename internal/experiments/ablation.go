@@ -126,7 +126,7 @@ func AblateWedge() ([]AblationPoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		tb.ReqNIC.Prof.SlowPathContexts = contexts
+		tb.Flows[0].Req.Prof.SlowPathContexts = contexts
 		rep, err := tb.Execute()
 		if err != nil {
 			return 0, err
@@ -172,7 +172,7 @@ func AblateAPM() ([]AblationPoint, error) {
 		if err != nil {
 			return 0, err
 		}
-		tb.RespNIC.Prof.StrictAPM = strict
+		tb.Flows[0].Resp.Prof.StrictAPM = strict
 		rep, err := tb.Execute()
 		if err != nil {
 			return 0, err

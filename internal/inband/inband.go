@@ -66,9 +66,15 @@ import (
 // bandwidth-delay product.
 const tagCounterBits = 10
 
-// maxOriginHop is the largest hop ID that can originate transits (the
-// origin hop ID must fit the tag's 6 high bits, nonzero).
-const maxOriginHop = 1<<(16-tagCounterBits) - 2
+// MaxOriginHops is how many leading hop IDs can originate transits (the
+// origin hop ID + 1 must fit the tag's 6 high bits); MaxHops is the
+// size of the hop table (hop IDs are one byte, 255 reserved). Callers
+// building a hop table from outside input check both before
+// registering: RegisterHop panics past either.
+const (
+	MaxOriginHops = 1<<(16-tagCounterBits) - 1
+	MaxHops       = 255
+)
 
 // Stamp is one full-fidelity hop record. The on-wire form quantizes
 // QueueBytes and UtilPermille to a byte each; the collector keeps the
@@ -190,10 +196,10 @@ func (c *Collector) Views(n int) []*Collector {
 // origin hops among the first 63 hops (their ID rides in the tag).
 func (c *Collector) RegisterHop(name string, origin bool) uint8 {
 	hops := &c.core.hops
-	if len(*hops) >= 255 {
+	if len(*hops) >= MaxHops {
 		panic("inband: hop table full")
 	}
-	if origin && len(*hops) > maxOriginHop {
+	if origin && len(*hops) >= MaxOriginHops {
 		panic("inband: origin hops must be registered among the first 63 hops")
 	}
 	*hops = append(*hops, hopState{name: name, origin: origin})
@@ -209,15 +215,6 @@ func (c *Collector) AttachPort(p *sim.Port, origin bool) uint8 {
 		c.StampWire(data, hop, int64(at), queuedAhead, busy)
 	})
 	return hop
-}
-
-// AttachPortHop installs the stamping hook for an already-registered
-// hop — the sharded orchestrator registers every hop once (on the
-// shared table) and binds each port on its owning shard's view.
-func (c *Collector) AttachPortHop(p *sim.Port, hop uint8) {
-	p.SetStamper(func(data []byte, at sim.Time, queuedAhead int64, busy sim.Duration) {
-		c.StampWire(data, hop, int64(at), queuedAhead, busy)
-	})
 }
 
 // utilization closes the hop's measurement window at (at, busy) and

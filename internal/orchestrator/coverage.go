@@ -4,26 +4,11 @@ import (
 	"io"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // CoverageSchema versions the coverage.json layout for cross-run diffing
 // tools; bump it when a field changes meaning or disappears.
 const CoverageSchema = coverage.Schema
-
-// buildCoverageReport snapshots the behavioral coverage map into the
-// report and publishes the frontier size as a telemetry counter. Called
-// before the metrics/events snapshot so the counter lands in
-// metrics.json — but only when telemetry is independently on, keeping
-// metrics.json byte-identical with coverage on or off when telemetry is
-// off, and coverage.json independent of telemetry entirely.
-func (tb *Testbed) buildCoverageReport(cov *coverage.Map, hub *telemetry.Hub) *coverage.Report {
-	rep := cov.Report()
-	if hub.Active() {
-		hub.Count("coverage.pairs", int64(rep.Covered))
-	}
-	return rep
-}
 
 // WriteCoverage renders the coverage report as indented JSON (the
 // coverage.json artifact). The rendering is canonical: sites appear in

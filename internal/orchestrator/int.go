@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"encoding/json"
 	"io"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
@@ -41,8 +40,7 @@ type INTReport struct {
 // the lineage graph (when built), and runs the hop-level analyzers.
 // Called before the metrics/events snapshot so INT counters and verdict
 // probes land in metrics.json and the timeline.
-func (tb *Testbed) buildINTReport(rep *Report, hub *telemetry.Hub) *INTReport {
-	c := tb.INT
+func buildINTReport(c *inband.Collector, rep *Report, hub *telemetry.Hub) *INTReport {
 	c.Publish()
 	ir := &INTReport{
 		Schema:   INTSchema,
@@ -55,26 +53,12 @@ func (tb *Testbed) buildINTReport(rep *Report, hub *telemetry.Hub) *INTReport {
 		ir.Chains = c.Join(rep.Lineage)
 	}
 	ir.Verdicts = analyzer.HopVerdicts(ir.Chains, ir.Hops)
-	for _, v := range ir.Verdicts {
-		result := "pass"
-		if !v.Pass {
-			result = "fail"
-		}
-		hub.EmitArgs(telemetry.KindVerdict, "int", v.Analyzer,
-			telemetry.S("result", result),
-			telemetry.S("reason", v.Reason))
-	}
+	emitVerdicts(hub, "int", ir.Verdicts)
 	return ir
 }
 
 // WriteINT renders the INT report as indented JSON (the int.json
 // artifact).
 func (r *Report) WriteINT(w io.Writer) error {
-	js, err := json.MarshalIndent(r.INT, "", "  ")
-	if err != nil {
-		return err
-	}
-	js = append(js, '\n')
-	_, err = w.Write(js)
-	return err
+	return writeJSON(w, r.INT)
 }

@@ -1,18 +1,23 @@
 // Package orchestrator drives a complete Lumina test (§3.1, Figure 1):
-// it builds the simulated testbed from a configuration — two hosts with
-// the NIC models under test connected to the event-injector switch, plus
+// it builds the simulated testbed from a configuration — hosts with the
+// NIC models under test connected to the event-injector switch, plus
 // the traffic-dumper pool — performs the setup phases in the paper's
 // order (configure hosts, create QPs, exchange metadata, populate the
 // injector's match-action table, start traffic), and after traffic
 // finishes collects every Table-1 artifact: the reconstructed packet
 // trace with its integrity check, NIC counters, traffic-generator logs,
 // and switch counters.
+//
+// There is one way through: Build turns the configuration into a
+// topology description (topology.go) and that into a Testbed on a
+// sim.Fabric; Execute runs it; an observer (observer.go) carries the
+// observe-only taps through both.
 package orchestrator
 
 import (
 	"encoding/json"
 	"fmt"
-	"net/netip"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,10 +25,8 @@ import (
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/dumper"
-	"github.com/lumina-sim/lumina/internal/inband"
 	"github.com/lumina-sim/lumina/internal/injector"
 	"github.com/lumina-sim/lumina/internal/lineage"
-	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -83,17 +86,18 @@ type Options struct {
 	// results are keyed by it.
 	Transport string
 
-	// Shards selects the sharded event-loop engine (sim.Fabric): each
-	// fabric node — host NIC, leaf, spine+dumpers — runs its own event
-	// heap, synchronized by conservative lookahead, with Shards capping
-	// how many node loops execute concurrently inside one window.
+	// Shards sets how the run is spread over event loops. Every testbed
+	// is built on a sim.Fabric whose nodes each run their own event
+	// heap, synchronized by conservative lookahead.
 	//
-	// 0 or 1 (the default) keeps today's inline single-heap path for
-	// pair testbeds; >1 partitions the pair across three nodes
-	// (requester / responder / switch+dumpers). Configurations with a
-	// fabric topology (config.Test.Fabric) always build per-node and use
-	// Shards only as the parallelism cap. Every artifact is
-	// byte-identical at any Shards value.
+	// A pair testbed places everything on one node at 0 or 1 (the
+	// default) and on three nodes — requester / responder /
+	// switch+dumpers — above that. A fabric topology (config.Test.Fabric)
+	// always places one node per host, leaf, and spine+dumpers. On a
+	// multi-node fabric Shards also caps how many node loops execute
+	// concurrently inside one window. Placement and parallelism change
+	// wall-clock time only: every artifact is byte-identical at any
+	// Shards value.
 	Shards int
 }
 
@@ -193,66 +197,44 @@ type Testbed struct {
 	Cfg  config.Test
 	Opts Options
 
-	Sim     *sim.Simulator
-	ReqNIC  *rnic.NIC
-	RespNIC *rnic.NIC
-	Switch  *injector.Switch
-	Pool    *dumper.Pool
-	Pair    *traffic.Pair
-
-	// Ports holds every fabric port in creation order (host NIC, switch
-	// host-facing, dumper, switch dumper-facing); Execute publishes their
-	// queue/utilization gauges into the metrics registry.
-	Ports []*sim.Port
-	// INT is the in-band telemetry collector; nil unless Options.INT.
-	INT *inband.Collector
-
-	// Fabric is the sharded event-loop engine; nil on the inline path
-	// (pair testbed with Options.Shards <= 1). When non-nil, Sim aliases
-	// node 0 and Execute runs the conservative-window loop (shard.go).
+	// Fabric is the event-loop engine every testbed runs on; Sim is its
+	// node 0 (the only node of an unsharded pair testbed).
 	Fabric *sim.Fabric
-	// Pairs are the per-sender traffic generators of a fabric-topology
-	// run (Pair is nil then); pair testbeds use Pair.
-	Pairs []*traffic.Pair
-	// Senders/Recv are the fabric-topology NICs: Recv is host 0 (the
-	// incast sink), Senders the rest. Nil on pair testbeds, which use
-	// ReqNIC/RespNIC.
-	Senders []*rnic.NIC
-	Recv    *rnic.NIC
-	// Leaves are the L2-only leaf switches of a fabric topology (the
-	// Switch field holds the injector-capable spine).
-	Leaves []*injector.Switch
+	Sim    *sim.Simulator
 
-	// Sharded-run telemetry plumbing: ctl is the control hub owning the
-	// canonical merged stream, hubs the per-shard hubs in node order,
-	// covs the per-shard coverage maps. evPrefix/evDrain are splice
-	// indices into ctl's stream (see spliceEvents).
-	ctl               *telemetry.Hub
-	hubs              []*telemetry.Hub
-	covs              []*coverage.Map
-	evPrefix, evDrain int
-	shardRunDeadline  sim.Time
+	// Hosts are the NICs under test in topology order: requester then
+	// responder on a pair testbed; the incast sink (host 0) then the
+	// senders on a fabric. Flows are the traffic generators, one per
+	// sender→receiver pair (Flows[i].Req / .Resp are its NICs).
+	Hosts []*rnic.NIC
+	Flows []*traffic.Pair
+
+	// Switch is the injector: the pair testbed's only switch, a fabric's
+	// spine.
+	Switch *injector.Switch
+	Pool   *dumper.Pool
+
+	// Ports holds every port in link creation order, both ends of a link
+	// adjacent (host links, trunks, then dumper links); Execute
+	// publishes their queue/utilization gauges into the metrics
+	// registry.
+	Ports []*sim.Port
+
+	topo topology
+	obs  observer
 }
 
-// unreliableQPNs unions the UC/UD destination-QPN sets of every traffic
-// generator the testbed drives (the single Pair of a pair testbed, or
-// the per-sender Pairs of a fabric run). Nil for all-RC runs, keeping
-// the historical verdict shape.
+// unreliableQPNs unions the UC/UD destination-QPN sets of every flow.
+// Nil for all-RC runs, keeping the historical verdict shape.
 func (tb *Testbed) unreliableQPNs() map[uint32]bool {
 	var set map[uint32]bool
-	add := func(p *traffic.Pair) {
+	for _, p := range tb.Flows {
 		for qpn := range p.UnreliableQPNs() {
 			if set == nil {
 				set = map[uint32]bool{}
 			}
 			set[qpn] = true
 		}
-	}
-	if tb.Pair != nil {
-		add(tb.Pair)
-	}
-	for _, p := range tb.Pairs {
-		add(p)
 	}
 	return set
 }
@@ -272,148 +254,79 @@ func Build(cfg config.Test, opts Options) (*Testbed, error) {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultOptions().Deadline
 	}
-	if cfg.Fabric != nil || opts.Shards > 1 {
-		return buildSharded(cfg, opts)
+	t := pairTopology(cfg, opts.Shards)
+	if cfg.Fabric != nil {
+		t = fabricTopology(cfg)
 	}
-	s := sim.New(cfg.Seed)
-	if opts.Telemetry {
-		s.AttachHub(telemetry.NewHub())
-		s.Hub().Emit(telemetry.KindRunPhase, "orchestrator", "setup")
-	}
-	if opts.Coverage {
-		s.AttachCoverage(coverage.NewMap())
-	}
-
-	reqNIC, err := buildNIC(s, cfg.Requester, "requester", packet.MAC{2, 0, 0, 0, 0, 1})
-	if err != nil {
-		return nil, err
-	}
-	respNIC, err := buildNIC(s, cfg.Responder, "responder", packet.MAC{2, 0, 0, 0, 0, 2})
-	if err != nil {
-		return nil, err
-	}
-
-	sw := injector.New(s, cfg.Switch)
-	sw.NoRSSRewrite = !cfg.Dumpers.RSSPortRewrite
-	sw.ByIngressMirror = !cfg.Dumpers.PerPacketLB
-
-	// Host links run at each NIC's line rate.
-	reqPort, swReq := sim.Connect(s, "req-nic", "sw-req", reqNIC.Prof.LinkGbps, 100)
-	respPort, swResp := sim.Connect(s, "resp-nic", "sw-resp", respNIC.Prof.LinkGbps, 100)
-	reqNIC.AttachPort(reqPort)
-	respNIC.AttachPort(respPort)
-	sw.AttachHost(swReq, reqNIC.MAC)
-	sw.AttachHost(swResp, respNIC.MAC)
-	ports := []*sim.Port{reqPort, swReq, respPort, swResp}
-
-	// INT stamping hops, in fixed registration order: NIC egress ports
-	// originate transits, switch egress ports append their view, and the
-	// injector's pipeline (registered by EnableINT) binds transit IDs to
-	// mirror sequence numbers. Dumper-facing ports are never stamped —
-	// mirror copies must reach the trace with their bytes untouched.
-	var col *inband.Collector
-	if opts.INT {
-		col = inband.NewCollector(s.Hub())
-		col.AttachPort(reqPort, true)
-		col.AttachPort(respPort, true)
-		col.AttachPort(swReq, false)
-		col.AttachPort(swResp, false)
-		sw.EnableINT(col)
-	}
-
-	// Dumper pool. In the two-host (no per-packet LB) design only two
-	// nodes are used, one per traffic direction.
-	nNodes := cfg.Dumpers.Nodes
-	if !cfg.Dumpers.PerPacketLB && nNodes > 2 {
-		nNodes = 2
-	}
-	dcfg := dumper.Config{
-		Cores:       cfg.Dumpers.CoresPerNode,
-		PerCoreGbps: cfg.Dumpers.PerCoreGbps,
-		TrimBytes:   cfg.Dumpers.TrimBytes,
-	}
-	pool := dumper.NewPool(s, nNodes, dcfg)
-	for i, node := range pool.Nodes {
-		nodePort, swPort := sim.Connect(s, fmt.Sprintf("dumper-%d", i), fmt.Sprintf("sw-dump-%d", i), cfg.Dumpers.NodeGbps, 100)
-		node.AttachPort(nodePort)
-		w := 1
-		if i < len(cfg.Dumpers.Weights) {
-			w = cfg.Dumpers.Weights[i]
-		}
-		sw.AttachDumper(swPort, w)
-		ports = append(ports, nodePort, swPort)
-	}
-
-	pair, err := traffic.NewPair(s, reqNIC, respNIC, cfg.Traffic)
-	if err != nil {
-		return nil, err
-	}
-
-	// Control-plane phase (§3.3): the requester shares runtime metadata
-	// with the injector, which combines it with the configured intents
-	// to populate the match-action table — before traffic starts.
-	metas := pair.ConnMetas()
-	for _, m := range metas {
-		sw.AddConnection(m)
-	}
-	if cfg.Switch.Inject {
-		rules, err := injector.TranslateIntents(cfg.Traffic.Events, cfg.Traffic.Verb, metas, cfg.Traffic.PacketsPerQP())
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rules {
-			sw.InstallRule(r)
-		}
-	}
-
-	return &Testbed{
-		Cfg: cfg, Opts: opts,
-		Sim: s, ReqNIC: reqNIC, RespNIC: respNIC,
-		Switch: sw, Pool: pool, Pair: pair,
-		Ports: ports, INT: col,
-	}, nil
+	return t.build(cfg, opts)
 }
 
-func buildNIC(s *sim.Simulator, h config.Host, name string, mac packet.MAC) (*rnic.NIC, error) {
-	prof, err := rnic.ProfileByName(h.NIC.Type)
-	if err != nil {
-		return nil, err
+// trafficResults folds the flows' snapshots in flow order, reindexing
+// connections; a lone flow's fold is its own snapshot.
+func (tb *Testbed) trafficResults() *traffic.Results {
+	out := &traffic.Results{Conns: make([]traffic.ConnStats, 0, len(tb.Flows)*tb.Cfg.Traffic.NumConnections)}
+	for _, p := range tb.Flows {
+		r := p.Snapshot()
+		for _, c := range r.Conns {
+			c.Index = len(out.Conns)
+			out.Conns = append(out.Conns, c)
+		}
+		if out.Start == 0 || (r.Start != 0 && r.Start < out.Start) {
+			out.Start = r.Start
+		}
+		out.End = max(out.End, r.End)
 	}
-	set := rnic.Settings{
-		DCQCNRPEnable:      h.RoCE.DCQCNRPEnable,
-		DCQCNNPEnable:      h.RoCE.DCQCNNPEnable,
-		MinTimeBetweenCNPs: h.RoCE.MinCNPInterval(),
-		AdaptiveRetrans:    h.RoCE.AdaptiveRetrans,
-		SlowRestart:        h.RoCE.SlowRestart,
+	return out
+}
+
+// counters sums the NIC counters of the hosts on one side of the
+// scenario — responders (sinks) or requesters (senders).
+func (tb *Testbed) counters(responder bool) map[string]uint64 {
+	var out map[string]uint64
+	for i, h := range tb.topo.hosts {
+		if h.responder != responder {
+			continue
+		}
+		snap := tb.Hosts[i].Counters.Snapshot()
+		if out == nil {
+			out = snap
+			continue
+		}
+		for k, v := range snap {
+			out[k] += v
+		}
 	}
-	var ets rnic.ETSConfig
-	for _, q := range h.ETS {
-		ets.Queues = append(ets.Queues, rnic.ETSQueueConfig{Strict: q.Strict, Weight: q.Weight})
-	}
-	ips := append([]netip.Addr(nil), h.NIC.IPList...)
-	return rnic.New(s, prof, rnic.Config{
-		Name: name, MAC: mac, IPs: ips, ETS: ets, Set: set,
-	}), nil
+	return out
 }
 
 // Execute runs traffic to completion (or the deadline), collects all
 // results, reconstructs the trace and performs the integrity check.
 func (tb *Testbed) Execute() (*Report, error) {
-	if tb.Fabric != nil {
-		return tb.executeSharded()
-	}
-	hub := tb.Sim.Hub()
+	f, obs := tb.Fabric, &tb.obs
+	hub := obs.ctl
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "traffic")
-	if err := tb.Pair.Start(nil); err != nil {
-		return nil, err
+	for _, p := range tb.Flows {
+		if err := p.Start(nil); err != nil {
+			return nil, err
+		}
 	}
-	tb.Sim.DrainUntil(sim.Time(tb.Opts.Deadline))
-	timedOut := !tb.Pair.Finished()
+
+	obs.beginRun()
+	deadline := sim.Time(tb.Opts.Deadline)
+	f.DrainUntil(deadline)
+	timedOut := false
+	for _, p := range tb.Flows {
+		timedOut = timedOut || !p.Finished()
+	}
 	if !timedOut {
 		// Drain trailing events (mirrors in flight, dumper processing).
 		hub.Emit(telemetry.KindRunPhase, "orchestrator", "drain")
-		tb.Sim.Run()
+		f.Run()
 	}
+	// Per-shard snapshots below (traffic end times, durations) must read
+	// one global end-of-run instant.
+	f.AlignClocks()
+	obs.endRun(deadline)
 
 	// TERM the dumpers and rebuild the trace (§3.4, §3.5).
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "terminate")
@@ -425,13 +338,13 @@ func (tb *Testbed) Execute() (*Report, error) {
 
 	rep := &Report{
 		Config:            tb.Cfg,
-		Traffic:           tb.Pair.Snapshot(),
-		RequesterCounters: tb.ReqNIC.Counters.Snapshot(),
-		ResponderCounters: tb.RespNIC.Counters.Snapshot(),
+		Traffic:           tb.trafficResults(),
+		RequesterCounters: tb.counters(false),
+		ResponderCounters: tb.counters(true),
 		SwitchTotals:      tb.Switch.Totals(),
 		SwitchPerPort:     tb.Switch.PerPort(),
 		TimedOut:          timedOut,
-		DurationNs:        tb.Sim.Now(),
+		DurationNs:        f.Now(),
 		Trace:             tr,
 	}
 	for _, n := range tb.Pool.Nodes {
@@ -454,45 +367,26 @@ func (tb *Testbed) Execute() (*Report, error) {
 		// already terminated, so this cannot perturb the trace. The
 		// verdict probes are emitted before the Events snapshot so they
 		// appear as instants on the orchestrator timeline track.
-		rep.Lineage = lineage.Build(tr, hub.Events())
+		rep.Lineage = lineage.Build(tr, obs.events())
 		rep.Verdicts = analyzer.VerdictsWith(tr, rep.Lineage,
 			analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
-		for _, v := range rep.Verdicts {
-			result := "pass"
-			if !v.Pass {
-				result = "fail"
-			}
-			hub.EmitArgs(telemetry.KindVerdict, "orchestrator", v.Analyzer,
-				telemetry.S("result", result),
-				telemetry.S("reason", v.Reason))
-		}
+		emitVerdicts(hub, "orchestrator", rep.Verdicts)
 	}
-	if tb.INT != nil {
-		rep.INT = tb.buildINTReport(rep, hub)
-	}
-	if cov := tb.Sim.Coverage(); cov != nil {
-		rep.Coverage = tb.buildCoverageReport(cov, hub)
-	}
-	if hub.Active() {
-		// Per-port fabric gauges (queue high-water mark, link
-		// utilization): published whenever telemetry is on, INT or not,
-		// so metrics.json always reflects fabric state.
-		now := int64(tb.Sim.Now())
-		for _, p := range tb.Ports {
-			hub.SetGauge("port."+p.Name+".max_queue_bytes", p.MaxQueue)
-			util := int64(0)
-			if now > 0 {
-				util = int64(p.Busy) * 1000 / now
-				if util > 1000 {
-					util = 1000
-				}
-			}
-			hub.SetGauge("port."+p.Name+".util_permille", util)
-		}
-		rep.Metrics = hub.Snapshot()
-		rep.Events = hub.Events()
-	}
+	obs.collect(tb, rep)
 	return rep, nil
+}
+
+// emitVerdicts publishes analyzer judgements as instants on track.
+func emitVerdicts(hub *telemetry.Hub, track string, verdicts []analyzer.Verdict) {
+	for _, v := range verdicts {
+		result := "pass"
+		if !v.Pass {
+			result = "fail"
+		}
+		hub.EmitArgs(telemetry.KindVerdict, track, v.Analyzer,
+			telemetry.S("result", result),
+			telemetry.S("reason", v.Reason))
+	}
 }
 
 // Run builds and executes a test in one call.
@@ -519,65 +413,40 @@ func (r *Report) WriteArtifacts(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, "report.json"), js, 0o644); err != nil {
 		return err
 	}
-	if r.Trace != nil {
-		f, err := os.Create(filepath.Join(dir, "trace.pcap"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.Trace.WritePcap(f); err != nil {
-			return err
-		}
+	streamed := []struct {
+		name   string
+		on     bool
+		render func(io.Writer) error
+	}{
+		{"trace.pcap", r.Trace != nil, func(w io.Writer) error { return r.Trace.WritePcap(w) }},
+		{"metrics.json", r.Metrics != nil, func(w io.Writer) error { return writeJSON(w, r.Metrics) }},
+		{"timeline.json", r.Events != nil, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.Events) }},
+		{"summary.json", r.Lineage != nil, r.WriteSummary},
+		{"int.json", r.INT != nil, r.WriteINT},
+		{"coverage.json", r.Coverage != nil, r.WriteCoverage},
 	}
-	if r.Metrics != nil {
-		mjs, err := json.MarshalIndent(r.Metrics, "", "  ")
-		if err != nil {
-			return err
+	for _, a := range streamed {
+		if !a.on {
+			continue
 		}
-		mjs = append(mjs, '\n')
-		if err := os.WriteFile(filepath.Join(dir, "metrics.json"), mjs, 0o644); err != nil {
-			return err
-		}
-	}
-	if r.Events != nil {
-		f, err := os.Create(filepath.Join(dir, "timeline.json"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := telemetry.WriteTimeline(f, r.Events); err != nil {
-			return err
-		}
-	}
-	if r.Lineage != nil {
-		f, err := os.Create(filepath.Join(dir, "summary.json"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteSummary(f); err != nil {
-			return err
-		}
-	}
-	if r.INT != nil {
-		f, err := os.Create(filepath.Join(dir, "int.json"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteINT(f); err != nil {
-			return err
-		}
-	}
-	if r.Coverage != nil {
-		f, err := os.Create(filepath.Join(dir, "coverage.json"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.WriteCoverage(f); err != nil {
+		if err := writeFile(filepath.Join(dir, a.name), a.render); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeFile streams one artifact into a fresh file at path. A short
+// write may surface only when the file is closed, so Close's error is
+// the artifact's error too.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close() // the render error is the one to report
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
@@ -412,6 +413,28 @@ func TestWriteArtifacts(t *testing.T) {
 	}
 	if len(pkts) != len(rep.Trace.Entries) {
 		t.Fatalf("pcap has %d packets, trace has %d", len(pkts), len(rep.Trace.Entries))
+	}
+}
+
+// TestWriteArtifactsNamesTheFileItCannotCreate: every streamed artifact
+// goes through one create/render/close helper, so a path that cannot be
+// created must fail the call with an error naming that file.
+func TestWriteArtifactsNamesTheFileItCannotCreate(t *testing.T) {
+	opts := shardOpts(1)
+	rep, err := Run(baseCfg(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"trace.pcap", "metrics.json", "timeline.json", "summary.json", "int.json", "coverage.json"} {
+		dir := t.TempDir()
+		// A directory squatting on the artifact's name makes os.Create fail.
+		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		err := rep.WriteArtifacts(dir)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s uncreatable: WriteArtifacts error = %v, want one naming the file", name, err)
+		}
 	}
 }
 

@@ -69,26 +69,28 @@ func shardOpts(shards int) Options {
 	return o
 }
 
-// TestPairArtifactsIdenticalAcrossShards is the tentpole acceptance
-// test for the two-host testbed: the full artifact set — summary.json,
-// int.json, coverage.json, metrics.json, timeline.json, trace.pcap,
-// report.json — is byte-identical whether the run executes on the
-// legacy inline event loop (shards=1) or partitioned per node with
-// conservative lookahead (shards=2, NumCPU).
+// TestPairArtifactsIdenticalAcrossShards is the acceptance test for the
+// two-host testbed: the full artifact set — summary.json, int.json,
+// coverage.json, metrics.json, timeline.json, trace.pcap, report.json —
+// is byte-identical at every Shards value. All of them take the one
+// build/Execute path; they differ only in placement (one node at 0 and
+// 1, three above) and in the parallelism cap (2, 3 = the pair's node
+// count, NumCPU).
 func TestPairArtifactsIdenticalAcrossShards(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Traffic.Events = []config.Event{{Iter: 1, QPN: 1, PSN: 4, Type: "ecn"}}
 
 	want := artifactTree(t, cfg, shardOpts(1))
-	for _, n := range []int{2, runtime.NumCPU()} {
+	for _, n := range []int{0, 2, 3, runtime.NumCPU()} {
 		got := artifactTree(t, cfg, shardOpts(n))
 		requireIdenticalTrees(t, want, got, "shards="+itoa(n))
 	}
 }
 
 // TestTimeoutArtifactsIdenticalAcrossShards covers the partial-result
-// path: a deadline that expires mid-traffic must leave the sharded and
-// inline runs with the same timed-out report, byte for byte.
+// path: a deadline that expires mid-traffic must leave the one-node and
+// the three-node placement with the same timed-out report, byte for
+// byte.
 func TestTimeoutArtifactsIdenticalAcrossShards(t *testing.T) {
 	cfg := baseCfg()
 	opts1 := shardOpts(1)

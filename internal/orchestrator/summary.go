@@ -105,7 +105,7 @@ func (r *Report) Summary() *Summary {
 // WriteSummary renders the summary as indented JSON, including the
 // build's code_version stamp.
 func (r *Report) WriteSummary(w io.Writer) error {
-	return writeSummaryJSON(w, r.Summary())
+	return writeJSON(w, r.Summary())
 }
 
 // WriteSummaryCanonical renders the digest form: the summary with
@@ -115,7 +115,7 @@ func (r *Report) WriteSummary(w io.Writer) error {
 func (r *Report) WriteSummaryCanonical(w io.Writer) error {
 	s := r.Summary()
 	s.CodeVersion = ""
-	return writeSummaryJSON(w, s)
+	return writeJSON(w, s)
 }
 
 // SummaryDigest is the hex SHA-256 of the canonical summary form — the
@@ -128,8 +128,10 @@ func (r *Report) SummaryDigest() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func writeSummaryJSON(w io.Writer, s *Summary) error {
-	js, err := json.MarshalIndent(s, "", "  ")
+// writeJSON renders v the way every JSON artifact but report.json is
+// rendered: indented, newline-terminated.
+func writeJSON(w io.Writer, v any) error {
+	js, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
