@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"syscall"
 	"time"
 
@@ -202,27 +203,18 @@ func printStatus(st *serve.RunStatus) {
 		fmt.Printf("  summary_sha256: %s\n", st.Result.SummarySHA256)
 		fmt.Printf("  duration_ns: %d  timed_out: %t  integrity_ok: %t\n",
 			int64(st.Result.DurationNs), st.Result.TimedOut, st.Result.IntegrityOK)
-		for _, name := range sortedVerdicts(st.Result.Verdicts) {
+		names := make([]string, 0, len(st.Result.Verdicts))
+		for name := range st.Result.Verdicts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
 			fmt.Printf("  verdict %-28s pass=%t\n", name, st.Result.Verdicts[name])
 		}
 	}
 	if len(st.Artifacts) > 0 {
 		fmt.Printf("  artifacts: %v\n", st.Artifacts)
 	}
-}
-
-func sortedVerdicts(v map[string]bool) []string {
-	names := make([]string, 0, len(v))
-	for n := range v {
-		names = append(names, n)
-	}
-	// insertion sort keeps this dependency-free and the sets are tiny
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }
 
 func downloadArtifacts(ctx context.Context, c *serve.Client, st *serve.RunStatus, dir string) error {

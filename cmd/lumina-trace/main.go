@@ -260,9 +260,9 @@ func explainCmd(argv []string) {
 	fs.Parse(argv)
 
 	if *runDir != "" {
-		if s := filepath.Join(*runDir, "summary.json"); *sumPath == "" && fileExists(s) {
+		if s := filepath.Join(*runDir, orchestrator.SummaryName); *sumPath == "" && fileExists(s) {
 			*sumPath = s
-		} else if p := filepath.Join(*runDir, "trace.pcap"); *pcapPath == "" {
+		} else if p := filepath.Join(*runDir, orchestrator.TraceName); *pcapPath == "" {
 			*pcapPath = p
 		}
 	}
@@ -334,7 +334,7 @@ func hopsCmd(argv []string) {
 	fs.Parse(argv)
 
 	if *intPath == "" && *runDir != "" {
-		*intPath = filepath.Join(*runDir, "int.json")
+		*intPath = filepath.Join(*runDir, orchestrator.INTName)
 	}
 	if *intPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: lumina-trace hops (-run dir | -int int.json) [-lineage N]")
@@ -365,11 +365,7 @@ func hopsCmd(argv []string) {
 	}
 
 	for _, v := range ir.Verdicts {
-		result := "PASS"
-		if !v.Pass {
-			result = "FAIL"
-		}
-		fmt.Printf("\n%-12s %s  %s\n", v.Analyzer, result, v.Reason)
+		fmt.Printf("\n%s\n", v.Line(12))
 	}
 
 	matched := 0
@@ -469,7 +465,7 @@ func coverageCmd(argv []string) {
 func loadCoverage(path string) *coverage.Report {
 	p := path
 	if st, err := os.Stat(p); err == nil && st.IsDir() {
-		p = filepath.Join(p, "coverage.json")
+		p = filepath.Join(p, orchestrator.CoverageName)
 	}
 	data, err := os.ReadFile(p)
 	if err != nil {

@@ -12,12 +12,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	lumina "github.com/lumina-sim/lumina"
+	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/version"
 )
@@ -130,15 +130,7 @@ func main() {
 		if len(rep.Verdicts) > 0 {
 			fmt.Println("\n--- verdicts ---")
 			for _, v := range rep.Verdicts {
-				result := "PASS"
-				if !v.Pass {
-					result = "FAIL"
-				}
-				fmt.Printf("%-8s %s  %s", v.Analyzer, result, v.Reason)
-				if len(v.Chains) > 0 {
-					fmt.Printf("  [lineage %s]", joinIDs(v.Chains))
-				}
-				fmt.Println()
+				fmt.Println(v.Line(8))
 			}
 			if n := len(rep.Lineage.Chains); n > 0 && *outDir != "" {
 				fmt.Printf("%d causal chain(s); inspect one with: lumina-trace explain -run %s -psn <psn>\n", n, *outDir)
@@ -151,15 +143,7 @@ func main() {
 		fmt.Printf("%d per-hop stamp(s) across %d transit(s), %d hop(s), %d lineage bind(s)\n",
 			rep.INT.Stamps, rep.INT.Transits, len(rep.INT.Hops), rep.INT.Binds)
 		for _, v := range rep.INT.Verdicts {
-			result := "PASS"
-			if !v.Pass {
-				result = "FAIL"
-			}
-			fmt.Printf("%-12s %s  %s", v.Analyzer, result, v.Reason)
-			if len(v.Chains) > 0 {
-				fmt.Printf("  [lineage %s]", joinIDs(v.Chains))
-			}
-			fmt.Println()
+			fmt.Println(v.Line(12))
 		}
 		if *outDir != "" && len(rep.INT.Chains) > 0 {
 			fmt.Printf("per-hop breakdowns: lumina-trace hops -run %s [-lineage <id>]\n", *outDir)
@@ -185,13 +169,13 @@ func main() {
 	}
 
 	if *timeline != "" {
-		if err := writeTimeline(*timeline, rep.Events); err != nil {
+		if err := rep.WriteArtifact(orchestrator.TimelineName, *timeline); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("timeline (%d events) written to %s\n", len(rep.Events), *timeline)
 	}
 	if *metrics != "" {
-		if err := writeMetrics(*metrics, rep.Metrics); err != nil {
+		if err := rep.WriteArtifact(orchestrator.MetricsName, *metrics); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("metrics written to %s\n", *metrics)
@@ -203,34 +187,6 @@ func main() {
 		}
 		fmt.Printf("\nartifacts written to %s\n", *outDir)
 	}
-}
-
-func writeTimeline(path string, events []lumina.TelemetryEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return lumina.WriteTimeline(f, events)
-}
-
-func writeMetrics(path string, m *lumina.Metrics) error {
-	js, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(js, '\n'), 0o644)
-}
-
-func joinIDs(ids []uint64) string {
-	s := ""
-	for i, id := range ids {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%d", id)
-	}
-	return s
 }
 
 func statusSummary(st map[string]int) string {

@@ -450,3 +450,19 @@ func TestReconstructITERMatchesInjectorOnRealRun(t *testing.T) {
 	}
 	t.Fatal("iter-2 ECN rule never fired")
 }
+
+func TestVerdictLine(t *testing.T) {
+	for _, tc := range []struct {
+		v     analyzer.Verdict
+		width int
+		want  string
+	}{
+		{analyzer.Verdict{Analyzer: "gbn", Pass: true, Reason: "ok"}, 8, "gbn      PASS  ok"},
+		{analyzer.Verdict{Analyzer: "retrans", Pass: false, Reason: "slow", Chains: []uint64{7, 10}}, 8, "retrans  FAIL  slow  [lineage 7,10]"},
+		{analyzer.Verdict{Analyzer: "int-coverage", Pass: true, Reason: "joined", Chains: []uint64{3}}, 12, "int-coverage PASS  joined  [lineage 3]"},
+	} {
+		if got := tc.v.Line(tc.width); got != tc.want {
+			t.Errorf("Line(%d) = %q, want %q", tc.width, got, tc.want)
+		}
+	}
+}

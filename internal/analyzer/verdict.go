@@ -2,6 +2,8 @@ package analyzer
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -16,6 +18,25 @@ type Verdict struct {
 	Pass     bool     `json:"pass"`
 	Reason   string   `json:"reason"`
 	Chains   []uint64 `json:"chains,omitempty"`
+}
+
+// Line renders the verdict as the one report line every CLI prints:
+// analyzer name padded to width, PASS or FAIL, the reason, and the
+// lineage IDs of the chains it cites.
+func (v Verdict) Line(width int) string {
+	result := "PASS"
+	if !v.Pass {
+		result = "FAIL"
+	}
+	line := fmt.Sprintf("%-*s %s  %s", width, v.Analyzer, result, v.Reason)
+	if len(v.Chains) > 0 {
+		ids := make([]string, len(v.Chains))
+		for i, id := range v.Chains {
+			ids[i] = strconv.FormatUint(id, 10)
+		}
+		line += "  [lineage " + strings.Join(ids, ",") + "]"
+	}
+	return line
 }
 
 // VerdictOptions carries run context the verdicts need beyond the trace

@@ -59,14 +59,11 @@ func ID(cfg config.Test) (string, error) {
 }
 
 // ProfileExpectation is the golden behaviour of one entry under one NIC
-// profile, recorded at admission.
-type ProfileExpectation struct {
-	// Verdicts maps analyzer name → pass.
-	Verdicts map[string]bool `json:"verdicts"`
-	TimedOut bool            `json:"timed_out"`
-	// SummarySHA256 is the hex digest of the run's summary.json.
-	SummarySHA256 string `json:"summary_sha256"`
-}
+// profile, recorded at admission: the run's judged outcome (verdict set,
+// timeout flag, canonical summary digest). It is the same type a cached
+// result.json embeds, so a replay compares like with like whether the
+// cell was simulated or served from the cache.
+type ProfileExpectation = orchestrator.Outcome
 
 // Expected is the expected.json document.
 type Expected struct {
@@ -91,6 +88,15 @@ type Entry struct {
 	Dir      string
 	Config   config.Test
 	Expected Expected
+}
+
+// deadline is the virtual-time bound the goldens were recorded under;
+// an entry that records none replays under the orchestrator default.
+func (e *Entry) deadline() sim.Duration {
+	if e.Expected.DeadlineNs <= 0 {
+		return orchestrator.DefaultOptions().Deadline
+	}
+	return sim.Duration(e.Expected.DeadlineNs)
 }
 
 // Meta is admission provenance.
@@ -136,27 +142,6 @@ func withProfile(cfg config.Test, profile string) config.Test {
 	return out
 }
 
-// expectationOf condenses a finished run into its golden form.
-func expectationOf(rep *orchestrator.Report) (ProfileExpectation, error) {
-	exp := ProfileExpectation{Verdicts: map[string]bool{}, TimedOut: rep.TimedOut}
-	for _, v := range rep.Verdicts {
-		exp.Verdicts[v.Analyzer] = v.Pass
-	}
-	digest, err := summaryDigest(rep)
-	if err != nil {
-		return ProfileExpectation{}, err
-	}
-	exp.SummarySHA256 = digest
-	return exp, nil
-}
-
-// summaryDigest is the canonical (code_version-cleared) summary digest:
-// goldens identify behaviour, not builds, so the digest recorded at
-// admission still matches on any later checkout whose behaviour agrees.
-func summaryDigest(rep *orchestrator.Report) (string, error) {
-	return rep.SummaryDigest()
-}
-
 // Add admits cfg into the corpus at dir, recording golden behaviour for
 // every requested profile. It returns the entry and whether it was
 // newly created: an entry whose content address already exists is a
@@ -193,7 +178,7 @@ func Add(dir string, cfg config.Test, meta Meta, opts RunOptions) (*Entry, bool,
 		return nil, false, fmt.Errorf("corpus: recording goldens for %s: %w", id, err)
 	}
 	for i, p := range opts.Profiles {
-		pe, err := expectationOf(reps[i])
+		pe, err := reps[i].Outcome()
 		if err != nil {
 			return nil, false, fmt.Errorf("corpus: digesting %s under %s: %w", id, p, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/engine"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/sim"
 )
 
 // FrontierSchema versions the frontier.json layout (the per-profile
@@ -95,14 +94,10 @@ func CoverageCounts(ctx context.Context, dir string, workers int) ([]EntryCovera
 	}
 	jobs := make([]engine.Job, len(entries))
 	for i, e := range entries {
-		deadline := sim.Duration(e.Expected.DeadlineNs)
-		if deadline <= 0 {
-			deadline = orchestrator.DefaultOptions().Deadline
-		}
 		jobs[i] = engine.Job{
 			Label: e.ID,
 			Cfg:   e.Config,
-			Opts:  orchestrator.Options{Deadline: deadline, Coverage: true},
+			Opts:  orchestrator.Options{Deadline: e.deadline(), Coverage: true},
 		}
 	}
 	results := engine.Run(ctx, jobs, engine.Options{Workers: workers})

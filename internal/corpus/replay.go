@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,7 +16,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
-	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
 	"github.com/lumina-sim/lumina/internal/version"
 )
@@ -175,11 +175,11 @@ type ReplayOptions struct {
 	// drifts has caught the coverage machinery perturbing the
 	// simulation.
 	Coverage bool
-	// ArtifactsDir, when non-empty, writes each runnable cell's
-	// summary.json (and, with INT, int.json; with Coverage,
-	// coverage.json) under ArtifactsDir/<entry>/<profile>/ — the raw
-	// material for diffing two replays (e.g. different worker counts)
-	// byte-for-byte in CI.
+	// ArtifactsDir, when non-empty, writes each runnable cell's dumped
+	// artifacts (dumpedArtifacts: summary.json, plus int.json with INT
+	// and coverage.json with Coverage) under
+	// ArtifactsDir/<entry>/<profile>/ — the raw material for diffing two
+	// replays (e.g. different worker counts) byte-for-byte in CI.
 	ArtifactsDir string
 	// Shards partitions each cell's event loop per node (>1). Sharding
 	// is artifact-preserving, so cells still judge against the goldens
@@ -249,10 +249,11 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 	}
 
 	// Fan every runnable (entry, profile) cell out over the engine in
-	// row-major submission order. Cells whose cache key hits are judged
-	// from the stored bytes and never become jobs: the entry ID is the
-	// scenario content hash (verified above), so the key names exactly
-	// the run the cell would perform.
+	// row-major submission order. Cells whose cache key hits never become
+	// jobs: the entry ID is the scenario content hash (verified above), so
+	// the key names exactly the run the cell would perform. Either way a
+	// cell ends as one cellOutput, and settle is the only place one is
+	// judged, dumped and merged into the frontier.
 	type cellRef struct{ row, col int }
 	var jobs []engine.Job
 	var refs []cellRef
@@ -261,6 +262,21 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 	if opts.Coverage {
 		m.Coverage = map[string]*coverage.Report{}
 	}
+	settle := func(ref cellRef, out cellOutput) {
+		e, p := states[ref.row].entry, opts.Profiles[ref.col]
+		c := judge(e, p, out)
+		if out.err == nil {
+			if opts.ArtifactsDir != "" {
+				if err := dumpArtifacts(filepath.Join(opts.ArtifactsDir, e.ID, p), out.arts); err != nil && c.Status == Pass {
+					c.Status, c.Detail = Error, err.Error()
+				}
+			}
+			if m.Coverage != nil {
+				m.Coverage[p] = coverage.MergeReports(m.Coverage[p], out.coverage)
+			}
+		}
+		cells[ref] = c
+	}
 	stamp := version.Stamp()
 	for i, st := range states {
 		if st.skip != Pass {
@@ -268,18 +284,14 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 		}
 		e := st.entry
 		for j, p := range opts.Profiles {
-			deadline := sim.Duration(e.Expected.DeadlineNs)
-			if deadline <= 0 {
-				deadline = orchestrator.DefaultOptions().Deadline
-			}
-			cellOpts := orchestrator.Options{Deadline: deadline, Lineage: true, INT: opts.INT, Coverage: opts.Coverage, Shards: opts.Shards}
+			cellOpts := orchestrator.Options{Deadline: e.deadline(), Lineage: true, INT: opts.INT, Coverage: opts.Coverage, Shards: opts.Shards}
 			ref := cellRef{i, j}
 			var key resultcache.Key
 			if opts.Cache != nil {
 				key = resultcache.Key{Scenario: e.ID, Profile: p, Options: cellOpts.Fingerprint(), Version: stamp}
 				if arts, ok := opts.Cache.Get(key); ok {
-					if c, usable := replayFromCache(e, p, opts, m, arts); usable {
-						cells[ref] = c
+					if out, usable := cachedOutput(arts, opts.Coverage); usable {
+						settle(ref, out)
 						continue
 					}
 				}
@@ -294,29 +306,11 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 		}
 	}
 	results := engine.Run(ctx, jobs, engine.Options{Workers: opts.Workers})
-
-	// Assemble rows in ID order, consuming results by submission index.
 	for k := range results {
-		ref := refs[k]
-		c := judge(states[ref.row].entry, opts.Profiles[ref.col], &results[k])
-		if opts.ArtifactsDir != "" && results[k].Err == nil {
-			if err := dumpCellArtifacts(opts.ArtifactsDir, &results[k]); err != nil && c.Status == Pass {
-				c.Status, c.Detail = Error, err.Error()
-			}
-		}
-		if m.Coverage != nil && results[k].Err == nil && results[k].Report != nil {
-			p := opts.Profiles[ref.col]
-			m.Coverage[p] = coverage.MergeReports(m.Coverage[p], results[k].Report.Coverage)
-		}
-		if opts.Cache != nil && results[k].Err == nil && results[k].Report != nil {
-			// Best-effort: a cache that cannot be written (full disk,
-			// permissions) degrades to cold replays, it never fails one.
-			if arts, err := resultcache.Render(results[k].Report); err == nil {
-				_ = opts.Cache.Put(keys[k], arts)
-			}
-		}
-		cells[ref] = c
+		settle(refs[k], simulatedOutput(&results[k], opts, keys[k]))
 	}
+
+	// Assemble rows in ID order.
 	for i, id := range ids {
 		st := states[i]
 		row := Row{EntryID: id}
@@ -377,89 +371,93 @@ func filterByTransport(dir string, ids, want []string) ([]string, error) {
 	return out, nil
 }
 
-// dumpCellArtifacts writes one replayed cell's diffable artifacts under
-// dir/<entry>/<profile>/: summary.json always, int.json when the replay
-// ran with INT, coverage.json when it ran with coverage. All files are
-// byte-deterministic, so two dump trees from different worker counts
-// must be identical — CI diffs them.
-func dumpCellArtifacts(dir string, res *engine.JobResult) error {
-	entry, profile, ok := strings.Cut(res.Label, "@")
-	if !ok || res.Report == nil {
-		return nil
-	}
-	cellDir := filepath.Join(dir, entry, profile)
-	if err := os.MkdirAll(cellDir, 0o755); err != nil {
-		return err
-	}
-	write := func(name string, render func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(cellDir, name))
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write("summary.json", res.Report.WriteSummary); err != nil {
-		return err
-	}
-	if res.Report.INT != nil {
-		if err := write("int.json", res.Report.WriteINT); err != nil {
-			return err
-		}
-	}
-	if res.Report.Coverage != nil {
-		if err := write("coverage.json", res.Report.WriteCoverage); err != nil {
-			return err
-		}
-	}
-	return nil
+// cellOutput is what one replay cell produced, in the one form Replay
+// judges, dumps and merges — whether the cell was simulated or served
+// from the cache.
+type cellOutput struct {
+	err error // the run failed; nothing else is set
+	orchestrator.Outcome
+	// coverage is the cell's behavioral coverage; nil unless the replay
+	// asked for it.
+	coverage *coverage.Report
+	// arts holds rendered artifact bytes by name: the full cached set
+	// when a cache is in play, the dumped subset when only ArtifactsDir
+	// is, nil otherwise.
+	arts map[string][]byte
 }
 
-// replayFromCache judges one cell from its cached artifact set and
-// performs the side-effects a fresh run would have (artifact dump,
-// coverage merge). usable=false sends the cell to the engine instead —
-// the cached entry predates the current result schema or is missing an
-// artifact the replay needs, so it will be re-run and re-put.
-func replayFromCache(e *Entry, profile string, opts ReplayOptions, m *Matrix, arts map[string][]byte) (c Cell, usable bool) {
+// dumpedArtifacts are the table entries ArtifactsDir receives per cell:
+// the byte-deterministic, diffable ones. Two dump trees from different
+// worker counts, shard counts or cache states must be identical — CI
+// diffs them.
+var dumpedArtifacts = []string{orchestrator.SummaryName, orchestrator.INTName, orchestrator.CoverageName}
+
+// cachedOutput reads a cell's product out of its cached artifact set.
+// usable=false sends the cell to the engine instead — the cached entry
+// predates the current result schema or is missing an artifact the
+// replay needs, so it will be re-run and re-put.
+func cachedOutput(arts map[string][]byte, wantCoverage bool) (out cellOutput, usable bool) {
 	res, err := resultcache.ParseResult(arts[resultcache.ResultName])
 	if err != nil {
-		return Cell{}, false
+		return cellOutput{}, false
 	}
-	var cov *coverage.Report
-	if m.Coverage != nil {
-		if cov, err = coverage.ReadReport(arts["coverage.json"]); err != nil {
-			return Cell{}, false
+	out = cellOutput{Outcome: res.Outcome, arts: arts}
+	if wantCoverage {
+		if out.coverage, err = coverage.ReadReport(arts[orchestrator.CoverageName]); err != nil {
+			return cellOutput{}, false
 		}
 	}
-	got := ProfileExpectation{
-		Verdicts:      res.Verdicts,
-		TimedOut:      res.TimedOut,
-		SummarySHA256: res.SummarySHA256,
-	}
-	c = judgeExpectation(e, profile, got)
-	if opts.ArtifactsDir != "" {
-		if err := dumpCachedArtifacts(opts.ArtifactsDir, e.ID, profile, arts); err != nil && c.Status == Pass {
-			c.Status, c.Detail = Error, err.Error()
-		}
-	}
-	if m.Coverage != nil {
-		m.Coverage[profile] = coverage.MergeReports(m.Coverage[profile], cov)
-	}
-	return c, true
+	return out, true
 }
 
-// dumpCachedArtifacts mirrors dumpCellArtifacts for a cache hit: the
-// stored bytes were rendered by the same writers a fresh run uses, so
-// the dumped tree is byte-identical to a cold replay's.
-func dumpCachedArtifacts(dir, entry, profile string, arts map[string][]byte) error {
-	cellDir := filepath.Join(dir, entry, profile)
+// simulatedOutput condenses a finished engine job. With a cache, one
+// resultcache.Render serves the digest, the dump and the Put; without
+// one, only the canonical summary is rendered (for the digest) plus,
+// under ArtifactsDir, the dumped entries of the report's artifact table.
+func simulatedOutput(res *engine.JobResult, opts ReplayOptions, key resultcache.Key) cellOutput {
+	if res.Err != nil {
+		return cellOutput{err: res.Err}
+	}
+	out := cellOutput{coverage: res.Report.Coverage}
+	if opts.Cache != nil {
+		arts, err := resultcache.Render(res.Report)
+		if err != nil {
+			return cellOutput{err: err}
+		}
+		parsed, err := resultcache.ParseResult(arts[resultcache.ResultName])
+		if err != nil {
+			return cellOutput{err: err}
+		}
+		// Best-effort: a cache that cannot be written (full disk,
+		// permissions) degrades to cold replays, it never fails one.
+		_ = opts.Cache.Put(key, arts)
+		out.Outcome, out.arts = parsed.Outcome, arts
+		return out
+	}
+	var err error
+	if out.Outcome, err = res.Report.Outcome(); err != nil {
+		return cellOutput{err: err}
+	}
+	if opts.ArtifactsDir != "" {
+		out.arts = map[string][]byte{}
+		for _, a := range res.Report.Artifacts() {
+			if !slices.Contains(dumpedArtifacts, a.Name) {
+				continue
+			}
+			if out.arts[a.Name], err = a.Bytes(); err != nil {
+				return cellOutput{err: err}
+			}
+		}
+	}
+	return out
+}
+
+// dumpArtifacts writes the dumped subset of arts into cellDir.
+func dumpArtifacts(cellDir string, arts map[string][]byte) error {
 	if err := os.MkdirAll(cellDir, 0o755); err != nil {
 		return err
 	}
-	for _, name := range []string{"summary.json", "int.json", "coverage.json"} {
+	for _, name := range dumpedArtifacts {
 		data, ok := arts[name]
 		if !ok {
 			continue
@@ -471,35 +469,19 @@ func dumpCachedArtifacts(dir, entry, profile string, arts map[string][]byte) err
 	return nil
 }
 
-// judge compares one replayed cell against its golden expectation.
-func judge(e *Entry, profile string, res *engine.JobResult) Cell {
-	c := Cell{EntryID: e.ID, Profile: profile}
-	if _, ok := e.Expected.Profiles[profile]; !ok {
-		c.Status, c.Detail = Error, fmt.Sprintf("no golden recorded for profile %s", profile)
-		return c
-	}
-	if res.Err != nil {
-		c.Status, c.Detail = Error, res.Err.Error()
-		return c
-	}
-	got, err := expectationOf(res.Report)
-	if err != nil {
-		c.Status, c.Detail = Error, err.Error()
-		return c
-	}
-	return judgeExpectation(e, profile, got)
-}
-
-// judgeExpectation scores an already-extracted expectation — the shared
-// tail of the fresh-run and cache-hit judging paths.
-func judgeExpectation(e *Entry, profile string, got ProfileExpectation) Cell {
+// judge compares one cell's outcome against its golden expectation.
+func judge(e *Entry, profile string, got cellOutput) Cell {
 	c := Cell{EntryID: e.ID, Profile: profile}
 	golden, ok := e.Expected.Profiles[profile]
 	if !ok {
 		c.Status, c.Detail = Error, fmt.Sprintf("no golden recorded for profile %s", profile)
 		return c
 	}
-	if diff := verdictDiff(golden, got); diff != "" {
+	if got.err != nil {
+		c.Status, c.Detail = Error, got.err.Error()
+		return c
+	}
+	if diff := verdictDiff(golden, got.Outcome); diff != "" {
 		c.Status, c.Detail = VerdictDrift, diff
 		return c
 	}

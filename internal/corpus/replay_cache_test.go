@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/resultcache"
 )
 
@@ -28,13 +29,13 @@ func TestScenarioHashAgreesAcrossPackages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cacheKey, err := resultcache.ScenarioKey(cfg)
+		cacheKey, err := resultcache.KeyFor(cfg, "", orchestrator.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if corpusID != configHash || corpusID != cacheKey {
-			t.Fatalf("%s: hash disagreement: corpus.ID=%s config.ContentHash=%s resultcache.ScenarioKey=%s",
-				cfg.Name, corpusID, configHash, cacheKey)
+		if corpusID != configHash || corpusID != cacheKey.Scenario {
+			t.Fatalf("%s: hash disagreement: corpus.ID=%s config.ContentHash=%s resultcache.KeyFor(...).Scenario=%s",
+				cfg.Name, corpusID, configHash, cacheKey.Scenario)
 		}
 	}
 }
@@ -44,7 +45,10 @@ func TestScenarioHashAgreesAcrossPackages(t *testing.T) {
 // corpus on the same build must be served entirely from the cache — no
 // new misses, no new puts, so no simulations — and still produce the
 // same green matrix, the same coverage frontier and a byte-identical
-// artifact tree.
+// artifact tree. A third, cache-less replay takes the remaining way a
+// cell's artifacts reach the dump (rendered from the report's artifact
+// table instead of resultcache.Render or stored bytes) and must be
+// indistinguishable too.
 func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
 	addBoth(t, dir)
@@ -53,7 +57,7 @@ func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replay := func(artifacts string) *Matrix {
+	replay := func(artifacts string, cache *resultcache.Cache) *Matrix {
 		t.Helper()
 		m, err := Replay(context.Background(), dir, ReplayOptions{
 			Profiles:     testProfiles,
@@ -73,15 +77,15 @@ func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 		return m
 	}
 
-	coldDir, warmDir := filepath.Join(t.TempDir(), "cold"), filepath.Join(t.TempDir(), "warm")
-	cold := replay(coldDir)
+	coldDir, warmDir, bareDir := filepath.Join(t.TempDir(), "cold"), filepath.Join(t.TempDir(), "warm"), filepath.Join(t.TempDir(), "bare")
+	cold := replay(coldDir, cache)
 	after := cache.Stats()
 	cells := len(testProfiles) * 2 // two entries
 	if after.Hits != 0 || after.Misses != uint64(cells) || after.Puts != uint64(cells) {
 		t.Fatalf("cold replay stats = %+v, want %d misses and %d puts", after, cells, cells)
 	}
 
-	warm := replay(warmDir)
+	warm := replay(warmDir, cache)
 	st := cache.Stats()
 	if st.Misses != after.Misses || st.Puts != after.Puts {
 		t.Fatalf("warm replay simulated: misses %d→%d, puts %d→%d",
@@ -90,6 +94,8 @@ func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 	if st.Hits != uint64(cells) {
 		t.Fatalf("warm replay hit %d cells, want %d", st.Hits, cells)
 	}
+
+	bare := replay(bareDir, nil)
 
 	// The judged matrix and the merged coverage frontier must be
 	// indistinguishable from a cold replay's.
@@ -100,13 +106,14 @@ func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 		}
 		return buf.String()
 	}
-	if renderMatrix(cold) != renderMatrix(warm) {
-		t.Fatalf("warm matrix diverged:\n%s\nvs cold:\n%s", renderMatrix(warm), renderMatrix(cold))
-	}
 	coldCov, _ := json.Marshal(cold.Coverage)
-	warmCov, _ := json.Marshal(warm.Coverage)
-	if !bytes.Equal(coldCov, warmCov) {
-		t.Fatal("warm coverage frontier differs from cold")
+	for name, m := range map[string]*Matrix{"warm": warm, "cache-less": bare} {
+		if renderMatrix(cold) != renderMatrix(m) {
+			t.Fatalf("%s matrix diverged:\n%s\nvs cold:\n%s", name, renderMatrix(m), renderMatrix(cold))
+		}
+		if cov, _ := json.Marshal(m.Coverage); !bytes.Equal(coldCov, cov) {
+			t.Fatalf("%s coverage frontier differs from cold", name)
+		}
 	}
 
 	// And the dumped artifact tree must be byte-identical.
@@ -131,12 +138,64 @@ func TestCorpusReplayWarmCacheRunsZeroSimulations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmBytes, err := os.ReadFile(filepath.Join(warmDir, rel))
-		if err != nil {
-			t.Fatalf("artifact %s missing from warm tree: %v", rel, err)
+		for _, other := range []string{warmDir, bareDir} {
+			got, err := os.ReadFile(filepath.Join(other, rel))
+			if err != nil {
+				t.Fatalf("artifact %s missing from the %s tree: %v", rel, filepath.Base(other), err)
+			}
+			if !bytes.Equal(coldBytes, got) {
+				t.Fatalf("artifact %s differs between the cold and %s replays", rel, filepath.Base(other))
+			}
 		}
-		if !bytes.Equal(coldBytes, warmBytes) {
-			t.Fatalf("artifact %s differs between cold and warm replays", rel)
+	}
+	for _, other := range []string{warmDir, bareDir} {
+		if n := countFiles(t, other); n != len(files) {
+			t.Fatalf("%s tree has %d files, cold has %d", filepath.Base(other), n, len(files))
+		}
+	}
+}
+
+func countFiles(t *testing.T, root string) int {
+	t.Helper()
+	n := 0
+	if err := filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			n++
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestCheckedInGoldensRoundTrip pins expected.json independently of the
+// code: ProfileExpectation is now the orchestrator's Outcome type, and
+// every golden document in the seed corpus must load and marshal back
+// byte for byte through it.
+func TestCheckedInGoldensRoundTrip(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "corpus", "*", "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no seed corpus goldens found")
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := loadEntry(filepath.Dir(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.MarshalIndent(&e.Expected, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(js, '\n'), data) {
+			t.Errorf("%s does not round-trip:\n%s", p, js)
 		}
 	}
 }

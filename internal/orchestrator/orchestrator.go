@@ -15,6 +15,7 @@
 package orchestrator
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -398,42 +399,98 @@ func Run(cfg config.Test, opts Options) (*Report, error) {
 	return tb.Execute()
 }
 
-// WriteArtifacts stores the collected results in dir: report.json,
-// trace.pcap, plus — when the corresponding option was on —
-// metrics.json, timeline.json, summary.json, int.json, and
-// coverage.json.
-func (r *Report) WriteArtifacts(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// Artifact names, in the order Artifacts lists them. This block is the
+// one place they are spelled; every consumer refers to the constants.
+const (
+	ReportName   = "report.json"
+	TraceName    = "trace.pcap"
+	MetricsName  = "metrics.json"
+	TimelineName = "timeline.json"
+	SummaryName  = "summary.json"
+	INTName      = "int.json"
+	CoverageName = "coverage.json"
+)
+
+// Artifact is one file a finished run produces: its name and the
+// function that streams its bytes.
+type Artifact struct {
+	Name   string
+	Render func(io.Writer) error
+}
+
+// Bytes renders the artifact into memory.
+func (a Artifact) Bytes() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := a.Render(&buf); err != nil {
+		return nil, fmt.Errorf("rendering %s: %w", a.Name, err)
 	}
+	return buf.Bytes(), nil
+}
+
+// Artifacts is the ordered table of what this run produced — the single
+// description WriteArtifacts, resultcache.Render, corpus replay dumps and
+// the CLIs' -timeline/-metrics all consume. report.json is always
+// present; every other entry appears only when the option behind it was
+// on (trace.pcap: a trace was collected; metrics.json and timeline.json:
+// Telemetry; summary.json: Lineage; int.json: INT; coverage.json:
+// Coverage).
+func (r *Report) Artifacts() []Artifact {
+	table := [...]struct {
+		on bool
+		Artifact
+	}{
+		{true, Artifact{ReportName, r.writeReport}},
+		{r.Trace != nil, Artifact{TraceName, func(w io.Writer) error { return r.Trace.WritePcap(w) }}},
+		{r.Metrics != nil, Artifact{MetricsName, func(w io.Writer) error { return writeJSON(w, r.Metrics) }}},
+		{r.Events != nil, Artifact{TimelineName, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.Events) }}},
+		{r.Lineage != nil, Artifact{SummaryName, r.WriteSummary}},
+		{r.INT != nil, Artifact{INTName, r.WriteINT}},
+		{r.Coverage != nil, Artifact{CoverageName, r.WriteCoverage}},
+	}
+	arts := make([]Artifact, 0, len(table))
+	for _, t := range table {
+		if t.on {
+			arts = append(arts, t.Artifact)
+		}
+	}
+	return arts
+}
+
+// writeReport renders report.json, the one JSON artifact without a
+// trailing newline.
+func (r *Report) writeReport(w io.Writer) error {
 	js, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "report.json"), js, 0o644); err != nil {
+	_, err = w.Write(js)
+	return err
+}
+
+// WriteArtifacts stores every entry of Artifacts in dir, each streamed
+// straight into its file.
+func (r *Report) WriteArtifacts(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	streamed := []struct {
-		name   string
-		on     bool
-		render func(io.Writer) error
-	}{
-		{"trace.pcap", r.Trace != nil, func(w io.Writer) error { return r.Trace.WritePcap(w) }},
-		{"metrics.json", r.Metrics != nil, func(w io.Writer) error { return writeJSON(w, r.Metrics) }},
-		{"timeline.json", r.Events != nil, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.Events) }},
-		{"summary.json", r.Lineage != nil, r.WriteSummary},
-		{"int.json", r.INT != nil, r.WriteINT},
-		{"coverage.json", r.Coverage != nil, r.WriteCoverage},
-	}
-	for _, a := range streamed {
-		if !a.on {
-			continue
-		}
-		if err := writeFile(filepath.Join(dir, a.name), a.render); err != nil {
+	for _, a := range r.Artifacts() {
+		if err := writeFile(filepath.Join(dir, a.Name), a.Render); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteArtifact streams the one table entry called name into the file at
+// path — how a CLI places a single artifact somewhere of the user's
+// choosing (lumina -timeline, -metrics).
+func (r *Report) WriteArtifact(name, path string) error {
+	for _, a := range r.Artifacts() {
+		if a.Name == name {
+			return writeFile(path, a.Render)
+		}
+	}
+	return fmt.Errorf("orchestrator: this run produced no %s", name)
 }
 
 // writeFile streams one artifact into a fresh file at path. A short

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -416,8 +417,8 @@ func TestWriteArtifacts(t *testing.T) {
 	}
 }
 
-// TestWriteArtifactsNamesTheFileItCannotCreate: every streamed artifact
-// goes through one create/render/close helper, so a path that cannot be
+// TestWriteArtifactsNamesTheFileItCannotCreate: every artifact goes
+// through one create/render/close helper, so a path that cannot be
 // created must fail the call with an error naming that file.
 func TestWriteArtifactsNamesTheFileItCannotCreate(t *testing.T) {
 	opts := shardOpts(1)
@@ -425,7 +426,8 @@ func TestWriteArtifactsNamesTheFileItCannotCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"trace.pcap", "metrics.json", "timeline.json", "summary.json", "int.json", "coverage.json"} {
+	for _, a := range rep.Artifacts() {
+		name := a.Name
 		dir := t.TempDir()
 		// A directory squatting on the artifact's name makes os.Create fail.
 		if err := os.Mkdir(filepath.Join(dir, name), 0o755); err != nil {
@@ -435,6 +437,43 @@ func TestWriteArtifactsNamesTheFileItCannotCreate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s uncreatable: WriteArtifacts error = %v, want one naming the file", name, err)
 		}
+	}
+}
+
+// TestWriteArtifactPlacesOneTableEntry: the single-artifact form the
+// CLI's -timeline/-metrics use writes the same bytes WriteArtifacts
+// does, and refuses a name the run did not produce.
+func TestWriteArtifactPlacesOneTableEntry(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Telemetry = true
+	rep, err := Run(baseCfg(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := rep.WriteArtifacts(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{MetricsName, TimelineName} {
+		path := filepath.Join(t.TempDir(), "elsewhere.json")
+		if err := rep.WriteArtifact(name, path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("WriteArtifact(%s) differs from the file WriteArtifacts wrote", name)
+		}
+	}
+	// Lineage was off: the run has no summary.json to place.
+	if err := rep.WriteArtifact(SummaryName, filepath.Join(dir, "s.json")); err == nil {
+		t.Error("WriteArtifact wrote an artifact the run did not produce")
 	}
 }
 

@@ -108,24 +108,47 @@ func (r *Report) WriteSummary(w io.Writer) error {
 	return writeJSON(w, r.Summary())
 }
 
-// WriteSummaryCanonical renders the digest form: the summary with
-// CodeVersion cleared. Golden digests must identify behaviour, not
-// builds — a digest that changed on every commit could never catch a
-// drift — so the corpus and the result cache both digest this form.
-func (r *Report) WriteSummaryCanonical(w io.Writer) error {
+// SummaryDigest is the hex SHA-256 of the canonical summary form — the
+// summary with CodeVersion cleared — which is the quantity corpus
+// goldens record and replays compare. Golden digests must identify
+// behaviour, not builds: a digest that changed on every commit could
+// never catch a drift.
+func (r *Report) SummaryDigest() (string, error) {
 	s := r.Summary()
 	s.CodeVersion = ""
-	return writeJSON(w, s)
-}
-
-// SummaryDigest is the hex SHA-256 of the canonical summary form — the
-// quantity corpus goldens record and replays compare.
-func (r *Report) SummaryDigest() (string, error) {
 	h := sha256.New()
-	if err := r.WriteSummaryCanonical(h); err != nil {
+	if err := writeJSON(h, s); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// Outcome is the judged form of a run: what a consumer needs to score
+// it (corpus golden comparison, cached result.json, serve status
+// responses) without re-parsing the heavyweight artifacts. It is the
+// per-profile value of a corpus expected.json and the embedded head of
+// a cached result.json, so its field order is part of both formats.
+type Outcome struct {
+	// Verdicts maps analyzer name → pass.
+	Verdicts map[string]bool `json:"verdicts"`
+	TimedOut bool            `json:"timed_out"`
+	// SummarySHA256 is SummaryDigest: the canonical
+	// (code_version-cleared) summary digest.
+	SummarySHA256 string `json:"summary_sha256"`
+}
+
+// Outcome condenses the report into its judged form. It renders the
+// canonical summary once, for the digest, and nothing else.
+func (r *Report) Outcome() (Outcome, error) {
+	digest, err := r.SummaryDigest()
+	if err != nil {
+		return Outcome{}, err
+	}
+	out := Outcome{Verdicts: make(map[string]bool, len(r.Verdicts)), TimedOut: r.TimedOut, SummarySHA256: digest}
+	for _, v := range r.Verdicts {
+		out.Verdicts[v.Analyzer] = v.Pass
+	}
+	return out, nil
 }
 
 // writeJSON renders v the way every JSON artifact but report.json is

@@ -1,14 +1,12 @@
 package resultcache
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 	"github.com/lumina-sim/lumina/internal/version"
 )
 
@@ -18,33 +16,25 @@ const ResultSchema = "lumina-resultcache-result/1"
 // ResultName is the sidecar's artifact name.
 const ResultName = "result.json"
 
-// Result is the judged form of a cached run — everything a consumer
-// needs to score the run (corpus golden comparison, serve status
-// responses) without re-parsing the heavyweight artifacts.
+// Result is the result.json document: the run's judged outcome plus the
+// two report fields status consumers show. The embedded outcome comes
+// first after the schema, which keeps the field order — schema,
+// verdicts, timed_out, summary_sha256, duration_ns, integrity_ok — and
+// so the bytes of every result.json already on disk.
 type Result struct {
 	Schema string `json:"schema"`
-	// Verdicts maps analyzer name → pass.
-	Verdicts map[string]bool `json:"verdicts"`
-	TimedOut bool            `json:"timed_out"`
-	// SummarySHA256 is the canonical (code_version-cleared) summary
-	// digest — the same quantity corpus goldens record.
-	SummarySHA256 string   `json:"summary_sha256"`
-	DurationNs    sim.Time `json:"duration_ns"`
-	IntegrityOK   bool     `json:"integrity_ok"`
+	orchestrator.Outcome
+	DurationNs  sim.Time `json:"duration_ns"`
+	IntegrityOK bool     `json:"integrity_ok"`
 }
 
-// ScenarioKey computes the scenario dimension of a cache key: the
-// canonical scenario content hash. One definition serves corpus entry
-// IDs, cache keys and served run IDs (config.ContentHash).
-func ScenarioKey(cfg config.Test) (string, error) {
-	return config.ContentHash(cfg)
-}
-
-// KeyFor assembles the full cache key for running cfg (content-hashed
-// before any profile retargeting) under profile and opts with the
-// current build.
+// KeyFor assembles the full cache key for running cfg under profile and
+// opts with the current build. The scenario dimension is the canonical
+// content hash (config.ContentHash) of cfg before any profile
+// retargeting — the same identity as a corpus entry ID and a served run
+// ID.
 func KeyFor(cfg config.Test, profile string, opts orchestrator.Options) (Key, error) {
-	scenario, err := ScenarioKey(cfg)
+	scenario, err := config.ContentHash(cfg)
 	if err != nil {
 		return Key{}, err
 	}
@@ -57,72 +47,28 @@ func KeyFor(cfg config.Test, profile string, opts orchestrator.Options) (Key, er
 }
 
 // Render converts a finished report into the cacheable artifact set:
-// result.json always; summary.json when lineage ran; metrics.json and
-// timeline.json when telemetry ran; int.json and coverage.json when
-// those options ran; report.json always. Every artifact is rendered by
-// the same writers WriteArtifacts uses, so a cache hit can return bytes
-// identical to a fresh run's artifact files.
+// result.json plus every entry of rep.Artifacts() except trace.pcap —
+// by far the largest artifact, and one no cache consumer reads (replays
+// judge from result.json, served runs are scored and explained from the
+// JSON artifacts). The bytes come from the table's own renderers, so a
+// cache hit returns exactly what WriteArtifacts would have written.
 func Render(rep *orchestrator.Report) (map[string][]byte, error) {
-	digest, err := rep.SummaryDigest()
+	outcome, err := rep.Outcome()
 	if err != nil {
 		return nil, err
 	}
-	res := Result{
-		Schema:        ResultSchema,
-		Verdicts:      map[string]bool{},
-		TimedOut:      rep.TimedOut,
-		SummarySHA256: digest,
-		DurationNs:    rep.DurationNs,
-		IntegrityOK:   rep.IntegrityOK,
-	}
-	for _, v := range rep.Verdicts {
-		res.Verdicts[v.Analyzer] = v.Pass
-	}
+	res := Result{Schema: ResultSchema, Outcome: outcome, DurationNs: rep.DurationNs, IntegrityOK: rep.IntegrityOK}
 	resJS, err := json.MarshalIndent(&res, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	arts := map[string][]byte{ResultName: append(resJS, '\n')}
-
-	repJS, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	arts["report.json"] = repJS
-
-	render := func(name string, fn func(w *bytes.Buffer) error) error {
-		var buf bytes.Buffer
-		if err := fn(&buf); err != nil {
-			return fmt.Errorf("resultcache: rendering %s: %w", name, err)
+	for _, a := range rep.Artifacts() {
+		if a.Name == orchestrator.TraceName {
+			continue
 		}
-		arts[name] = buf.Bytes()
-		return nil
-	}
-	if rep.Lineage != nil {
-		if err := render("summary.json", func(w *bytes.Buffer) error { return rep.WriteSummary(w) }); err != nil {
-			return nil, err
-		}
-	}
-	if rep.Metrics != nil {
-		js, err := json.MarshalIndent(rep.Metrics, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		arts["metrics.json"] = append(js, '\n')
-	}
-	if rep.Events != nil {
-		if err := render("timeline.json", func(w *bytes.Buffer) error { return telemetry.WriteTimeline(w, rep.Events) }); err != nil {
-			return nil, err
-		}
-	}
-	if rep.INT != nil {
-		if err := render("int.json", func(w *bytes.Buffer) error { return rep.WriteINT(w) }); err != nil {
-			return nil, err
-		}
-	}
-	if rep.Coverage != nil {
-		if err := render("coverage.json", func(w *bytes.Buffer) error { return rep.WriteCoverage(w) }); err != nil {
-			return nil, err
+		if arts[a.Name], err = a.Bytes(); err != nil {
+			return nil, fmt.Errorf("resultcache: %w", err)
 		}
 	}
 	return arts, nil

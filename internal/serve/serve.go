@@ -425,11 +425,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "run %s has no artifact %q", r.id, name)
 		return
 	}
-	if name == "trace.pcap" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	// Every served artifact is JSON: resultcache.Render leaves the pcap out.
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
 }
 
