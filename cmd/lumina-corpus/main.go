@@ -211,7 +211,6 @@ func cmdReplay(args []string) error {
 	intFlag := fs.Bool("int", false, "replay with in-band telemetry enabled (observe-only: cells still judge against the INT-agnostic goldens)")
 	covFlag := fs.Bool("coverage", false, "replay with behavioral coverage enabled (observe-only, like -int) and report per-profile frontiers")
 	artifacts := fs.String("artifacts", "", "write each cell's summary.json (and int.json with -int, coverage.json with -coverage) under this directory for byte-level diffing")
-	shards := fs.Int("shards", 1, "event-loop shards per cell: >1 places each component on its own event loop and runs up to that many concurrently (artifact-preserving; cells still judge against shards=1 goldens)")
 	cacheDir := fs.String("cache", "", "result-cache directory: cells already cached for this build skip simulation; fresh cells are cached for the next replay")
 	cacheMaxMB := fs.Int64("cache-max-mb", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
 	fs.Parse(args)
@@ -231,7 +230,7 @@ func cmdReplay(args []string) error {
 	}
 	m, err := corpus.Replay(context.Background(), *dir,
 		corpus.ReplayOptions{Profiles: profiles, Transports: transports, Workers: *workers,
-			INT: *intFlag, Coverage: *covFlag, ArtifactsDir: *artifacts, Shards: *shards, Cache: cache})
+			INT: *intFlag, Coverage: *covFlag, ArtifactsDir: *artifacts, Cache: cache})
 	if err != nil {
 		return err
 	}

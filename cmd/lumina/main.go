@@ -31,7 +31,6 @@ func main() {
 	metrics := flag.String("metrics", "", "write the telemetry metrics snapshot (JSON) to this file")
 	intFlag := flag.Bool("int", false, "enable in-band telemetry: per-hop INT stamping, joined to lineage chains (int.json with -out)")
 	covFlag := flag.Bool("coverage", false, "record behavioral coverage: FSM/match-action (site, transition) pairs (coverage.json with -out)")
-	shards := flag.Int("shards", 1, "event-loop shards: >1 places each component (requester, responder, switch+dumpers; every fabric node) on its own event loop and runs up to that many concurrently (artifacts stay byte-identical)")
 	transport := flag.String("transport", "", "override the scenario's transport for every connection: rc, uc, or ud (default: whatever the scenario declares)")
 	showVersion := flag.Bool("version", false, "print the build stamp (also embedded in cache keys and summary.json) and exit")
 	flag.Parse()
@@ -57,7 +56,6 @@ func main() {
 		Lineage:   true,
 		INT:       *intFlag,
 		Coverage:  *covFlag,
-		Shards:    *shards,
 		Transport: *transport,
 	})
 	if err != nil {

@@ -95,10 +95,10 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			switch {
 			case !st.init:
 				st.init = true
-				st.expected = psnAdd(psn, 1)
+				st.expected = trace.PSNAdd(psn, 1)
 			case psn == st.expected:
-				st.expected = psnAdd(psn, 1)
-			case psnLT(st.expected, psn):
+				st.expected = trace.PSNAdd(psn, 1)
+			case trace.PSNLess(st.expected, psn):
 				st.ooo = true
 			}
 		}
@@ -122,7 +122,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 				nextReq[k] = &v
 				exp = &v
 			}
-			if psnLT(psn, *exp) {
+			if trace.PSNLess(psn, *exp) {
 				// Re-read into reserved space. It proves an implied NAK
 				// only when OOO responses were actually observed.
 				if st := findRespState(respOOO, e, psn); st != nil && st.ooo {
@@ -136,7 +136,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			if mtu > 0 && e.Pkt.RETH.DMALen > 0 {
 				npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
 			}
-			*exp = psnAdd(psn, npkts)
+			*exp = trace.PSNAdd(psn, npkts)
 		}
 	}
 

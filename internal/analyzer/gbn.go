@@ -127,7 +127,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			}
 			switch {
 			case psn == st.ePSN:
-				st.ePSN = psnAdd(st.ePSN, 1)
+				st.ePSN = trace.PSNAdd(st.ePSN, 1)
 				if st.inGap && psn == st.gapPSN {
 					// Gap filled: the receiver resumes. Spec requires
 					// the retransmission to restart exactly here;
@@ -135,7 +135,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 					st.inGap = false
 					st.nakSeen = false
 				}
-			case psnLT(st.ePSN, psn):
+			case trace.PSNLess(st.ePSN, psn):
 				// Out-of-order arrival: Go-back-N receiver discards it.
 				if !st.inGap {
 					st.inGap = true
@@ -163,10 +163,10 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 				}
 				addViolation(st, e, "NAK(psn=%d) generated with no outstanding gap", nakPSN)
 			case nakPSN != st.gapPSN:
-				if st.late[st.gapPSN] && psnLT(st.gapPSN, nakPSN) {
+				if st.late[st.gapPSN] && trace.PSNLess(st.gapPSN, nakPSN) {
 					// Late originals filled the replayed gap out of band;
 					// the receiver's first missing moved forward.
-					for p := st.gapPSN; psnLT(p, nakPSN); p = psnAdd(p, 1) {
+					for p := st.gapPSN; trace.PSNLess(p, nakPSN); p = trace.PSNAdd(p, 1) {
 						delete(st.late, p)
 					}
 					st.gapPSN = nakPSN
@@ -185,7 +185,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			st := state(resolveDataKey(states, tr, e))
 			if st.init && st.inGap {
 				reqPSN := e.Pkt.BTH.PSN
-				if psnLT(reqPSN, st.ePSN) || reqPSN == st.gapPSN {
+				if trace.PSNLess(reqPSN, st.ePSN) || reqPSN == st.gapPSN {
 					if reqPSN != st.gapPSN {
 						addViolation(st, e, "re-read names PSN %d, first missing is %d", reqPSN, st.gapPSN)
 					} else if st.nakSeen {
@@ -268,10 +268,4 @@ func psnDist(a, b uint32) uint32 {
 // sequence space (within a 2^20 window).
 func psnNear(a, b uint32) bool {
 	return psnDist(a, b) < 1<<20
-}
-
-func psnAdd(a, n uint32) uint32 { return (a + n) & packet.PSNMask }
-
-func psnLT(a, b uint32) bool {
-	return a != b && ((b-a)&packet.PSNMask) < 1<<23
 }

@@ -35,7 +35,7 @@ func ReconstructITER(tr *trace.Trace) []uint32 {
 			out[i] = 1
 			continue
 		}
-		if !psnGreater(e.Pkt.BTH.PSN, st.lastPSN) {
+		if !trace.PSNGreater(e.Pkt.BTH.PSN, st.lastPSN) {
 			st.iter++
 		}
 		st.lastPSN = e.Pkt.BTH.PSN
@@ -90,10 +90,4 @@ func RetransmissionStats(tr *trace.Trace) []RetransStats {
 		out = append(out, *byConn[k])
 	}
 	return out
-}
-
-// psnGreater reports a > b in the 24-bit circular space (the injector's
-// comparison).
-func psnGreater(a, b uint32) bool {
-	return a != b && ((b-a)&0xFFFFFF) >= 1<<23
 }

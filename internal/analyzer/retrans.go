@@ -68,56 +68,21 @@ func AnalyzeRetransmissions(tr *trace.Trace) []RetransEvent {
 			DroppedPSN: e.Pkt.BTH.PSN,
 			DropTime:   e.Time(),
 		}
-		fillRecovery(tr, i, &ev)
+		trigger, nack, retrans := tr.Recovery(i)
+		if trigger != nil {
+			ev.TriggerTime = trigger.Time() // first OOO arrival at receiver
+		}
+		if nack != nil {
+			ev.NackTime = nack.Time()
+		}
+		if retrans != nil {
+			ev.RetransTime = retrans.Time()
+			// Tail drop: recovery happened with no NACK → timeout path.
+			ev.Timeout = nack == nil
+		}
 		events = append(events, ev)
 	}
 	return events
-}
-
-// fillRecovery scans forward from the drop at index di.
-func fillRecovery(tr *trace.Trace, di int, ev *RetransEvent) {
-	drop := &tr.Entries[di]
-	dataKey := drop.Key()
-	isRead := drop.Pkt.BTH.Opcode.IsReadResponse()
-
-	for i := di + 1; i < len(tr.Entries); i++ {
-		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
-
-		// Same-direction data after the drop. The retransmission is
-		// observable at the switch even when the injector drops it again
-		// (Listing 2's iter-2 drop), so the reaction-latency endpoint
-		// accepts dropped entries; the trigger must actually reach the
-		// receiver, so it does not.
-		if e.Key() == dataKey && op.IsData() {
-			if ev.RetransTime == 0 && e.Pkt.BTH.PSN == ev.DroppedPSN {
-				ev.RetransTime = e.Time()
-				break
-			}
-			if ev.TriggerTime == 0 && e.Meta.Event != packet.EventDrop &&
-				psnLT(ev.DroppedPSN, e.Pkt.BTH.PSN) {
-				ev.TriggerTime = e.Time() // first OOO arrival at receiver
-			}
-		}
-
-		// Control packets flow opposite the data direction.
-		if e.Pkt.IP.Src.String() == dataKey.Dst && e.Pkt.IP.Dst.String() == dataKey.Src {
-			if ev.NackTime == 0 {
-				if !isRead && op.IsAck() && e.Pkt.AETH.IsNak() &&
-					e.Pkt.AETH.Syndrome == packet.NakPSNSeqError &&
-					e.Pkt.BTH.PSN == ev.DroppedPSN {
-					ev.NackTime = e.Time()
-				}
-				if isRead && op.IsReadRequest() && e.Pkt.BTH.PSN == ev.DroppedPSN {
-					ev.NackTime = e.Time()
-				}
-			}
-		}
-	}
-	// Tail drop: recovery (if any) happened with no NACK → timeout path.
-	if ev.NackTime == 0 && ev.RetransTime != 0 {
-		ev.Timeout = true
-	}
 }
 
 // LatencyStats summarizes a set of durations.

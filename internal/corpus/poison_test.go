@@ -19,10 +19,11 @@ import (
 // ownership to did — parses garbage and the run's summary changes. The
 // scenarios cover the release sites: listing2 (ECN rewrite copies, drops,
 // CNPs), retry-exhaustion (black-holed retransmissions), the 16-host
-// fabric incast (frames changing shards) and the noisy-neighbor config
-// (NIC pipeline wedges discarding arrivals). The three checked-in corpus
-// entries must still match their goldens, at one shard and at two; the
-// config, which has no golden, must match its own unpoisoned run.
+// fabric incast (frames released two and three hops from their sender)
+// and the noisy-neighbor config (NIC pipeline wedges discarding
+// arrivals). The three checked-in corpus entries must still match their
+// goldens; the config, which has no golden, must match its own
+// unpoisoned run.
 func TestPoisonedFramesLeaveDigestsUnchanged(t *testing.T) {
 	entries := []string{
 		"a982ccd565a57c48", // listing2
@@ -48,9 +49,9 @@ func TestPoisonedFramesLeaveDigestsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisyDigest := func(shards int) string {
+	noisyDigest := func() string {
 		opts := orchestrator.DefaultOptions()
-		opts.Lineage, opts.Shards = true, shards
+		opts.Lineage = true
 		rep, err := orchestrator.Run(noisy, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -61,21 +62,19 @@ func TestPoisonedFramesLeaveDigestsUnchanged(t *testing.T) {
 		}
 		return d
 	}
-	clean := noisyDigest(1)
+	clean := noisyDigest()
 
 	defer sim.PoisonReleasedFrames(sim.PoisonReleasedFrames(true))
-	for _, shards := range []int{1, 2} {
-		m, err := Replay(context.Background(), dir, ReplayOptions{Profiles: testProfiles, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.OK() || len(m.Rows) != len(entries) {
-			var b bytes.Buffer
-			m.Render(&b)
-			t.Errorf("shards=%d: poisoned replay drifted from the goldens:\n%s", shards, b.String())
-		}
-		if got := noisyDigest(shards); got != clean {
-			t.Errorf("shards=%d: noisy-neighbor summary digest %s with poisoned frames, %s without", shards, got, clean)
-		}
+	m, err := Replay(context.Background(), dir, ReplayOptions{Profiles: testProfiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.OK() || len(m.Rows) != len(entries) {
+		var b bytes.Buffer
+		m.Render(&b)
+		t.Errorf("poisoned replay drifted from the goldens:\n%s", b.String())
+	}
+	if got := noisyDigest(); got != clean {
+		t.Errorf("noisy-neighbor summary digest %s with poisoned frames, %s without", got, clean)
 	}
 }

@@ -181,11 +181,6 @@ type ReplayOptions struct {
 	// ArtifactsDir/<entry>/<profile>/ — the raw material for diffing two
 	// replays (e.g. different worker counts) byte-for-byte in CI.
 	ArtifactsDir string
-	// Shards partitions each cell's event loop per node (>1). Sharding
-	// is artifact-preserving, so cells still judge against the goldens
-	// recorded at shards=1 — a sharded replay that drifts has caught
-	// the partitioning perturbing the simulation.
-	Shards int
 	// Cache, when non-nil, is consulted before simulating each cell and
 	// populated after: a cell whose (entry, profile, options, code
 	// version) tuple is cached is judged — and its artifacts dumped —
@@ -284,7 +279,7 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 		}
 		e := st.entry
 		for j, p := range opts.Profiles {
-			cellOpts := orchestrator.Options{Deadline: e.deadline(), Lineage: true, INT: opts.INT, Coverage: opts.Coverage, Shards: opts.Shards}
+			cellOpts := orchestrator.Options{Deadline: e.deadline(), Lineage: true, INT: opts.INT, Coverage: opts.Coverage}
 			ref := cellRef{i, j}
 			var key resultcache.Key
 			if opts.Cache != nil {
@@ -388,7 +383,7 @@ type cellOutput struct {
 
 // dumpedArtifacts are the table entries ArtifactsDir receives per cell:
 // the byte-deterministic, diffable ones. Two dump trees from different
-// worker counts, shard counts or cache states must be identical — CI
+// worker counts or cache states must be identical — CI
 // diffs them.
 var dumpedArtifacts = []string{orchestrator.SummaryName, orchestrator.INTName, orchestrator.CoverageName}
 

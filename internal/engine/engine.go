@@ -13,7 +13,6 @@
 //     *PanicError in its JobResult instead of tearing down the batch;
 //   - cancellation: a context cancels jobs that have not started;
 //   - per-job wall-clock timeouts, reported as *TimeoutError;
-//   - bounded retry for transient failures (see Transient);
 //   - deterministic result ordering by submission index, never by
 //     completion order;
 //   - progress/failure probes on the telemetry hub, emitted in
@@ -26,7 +25,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -57,10 +55,10 @@ type JobResult struct {
 	Report *orchestrator.Report
 	Err    error
 
-	// Attempts counts executions including retries (≥ 1 unless the job
-	// was cancelled before starting).
+	// Attempts is 1 once the job was executed, 0 when it was cancelled
+	// before starting.
 	Attempts int
-	// Wall is the wall-clock time spent across all attempts.
+	// Wall is the wall-clock time the job took.
 	Wall time.Duration
 }
 
@@ -75,19 +73,12 @@ type Options struct {
 	// order (the serial path).
 	Workers int
 
-	// Timeout bounds each attempt's wall-clock time; 0 disables it. A
-	// timed-out attempt yields a *TimeoutError. The underlying
-	// simulation goroutine cannot be preempted — it is left to finish
-	// in the background and its result is discarded — so Timeout also
-	// forces monitored (goroutine-per-attempt) execution even at
-	// Workers=1.
+	// Timeout bounds each job's wall-clock time; 0 disables it. A
+	// timed-out job yields a *TimeoutError. The underlying simulation
+	// goroutine cannot be preempted — it is left to finish in the
+	// background and its result is discarded — so Timeout also forces
+	// monitored (goroutine-per-job) execution even at Workers=1.
 	Timeout time.Duration
-
-	// Retries is the number of extra attempts allowed per job when an
-	// attempt fails with a transient error (wall-clock timeouts and
-	// errors wrapped by Transient). Deterministic simulation errors
-	// are permanent and never retried.
-	Retries int
 
 	// Hub receives engine.job progress/failure probes, emitted in
 	// submission order from the coordinating goroutine so the probe
@@ -109,7 +100,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("job panicked: %v", e.Value)
 }
 
-// TimeoutError reports an attempt exceeding Options.Timeout.
+// TimeoutError reports a job exceeding Options.Timeout.
 type TimeoutError struct {
 	Label   string
 	Timeout time.Duration
@@ -117,27 +108,6 @@ type TimeoutError struct {
 
 func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("job %q exceeded wall-clock timeout %v", e.Label, e.Timeout)
-}
-
-// errTransient tags errors that bounded retry may re-attempt.
-var errTransient = errors.New("transient")
-
-// Transient wraps err so IsTransient reports true: run functions that
-// hit genuinely retryable failures (filesystem, external processes)
-// mark them for the engine's bounded retry.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", errTransient, err)
-}
-
-// IsTransient reports whether err may be retried: wall-clock timeouts
-// (load-dependent, not part of the deterministic history) and errors
-// wrapped by Transient.
-func IsTransient(err error) bool {
-	var to *TimeoutError
-	return errors.As(err, &to) || errors.Is(err, errTransient)
 }
 
 // Run executes jobs on a worker pool and returns one JobResult per job
@@ -237,33 +207,21 @@ func publish(hub *telemetry.Hub, r *JobResult) {
 		telemetry.S("error", errStr))
 }
 
-// execJob runs one job to a final result: attempts until success, a
-// permanent error, retry exhaustion, or cancellation.
+// execJob runs one job once, unless ctx is already cancelled.
 func execJob(ctx context.Context, index int, job Job, opts Options) JobResult {
 	res := JobResult{Index: index, Label: job.Label}
-	start := time.Now()
-	defer func() { res.Wall = time.Since(start) }()
-
+	if res.Err = ctx.Err(); res.Err != nil {
+		return res
+	}
 	run := opts.Run
 	if run == nil {
 		run = orchestrator.Run
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return res
-		}
-		res.Attempts++
-		rep, err := attempt(ctx, job, run, opts.Timeout)
-		if err == nil {
-			res.Report, res.Err = rep, nil
-			return res
-		}
-		res.Err = err
-		if res.Attempts > opts.Retries || !IsTransient(err) {
-			return res
-		}
-	}
+	start := time.Now()
+	res.Attempts = 1
+	res.Report, res.Err = attempt(ctx, job, run, opts.Timeout)
+	res.Wall = time.Since(start)
+	return res
 }
 
 // attempt executes job once with panic recovery; with a timeout it

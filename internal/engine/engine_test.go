@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,9 +103,6 @@ func TestRunTimeout(t *testing.T) {
 	if te.Label != "slow" {
 		t.Fatalf("timeout label = %q", te.Label)
 	}
-	if !IsTransient(results[0].Err) {
-		t.Fatal("timeouts must be classified transient")
-	}
 }
 
 func TestRunCancellation(t *testing.T) {
@@ -138,47 +134,6 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Fatal("no job observed the cancellation")
-	}
-}
-
-func TestRunBoundedRetry(t *testing.T) {
-	var calls atomic.Int64
-	run := fakeRun(func(config.Test) error {
-		if calls.Add(1) < 3 {
-			return Transient(errors.New("flaky sink"))
-		}
-		return nil
-	})
-	jobs := []Job{{Label: "flaky", Cfg: config.Test{Name: "flaky"}}}
-	results := Run(context.Background(), jobs, Options{Workers: 1, Retries: 3, Run: run})
-	if results[0].Err != nil {
-		t.Fatalf("retry did not recover: %v", results[0].Err)
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", results[0].Attempts)
-	}
-
-	// Permanent errors are never retried.
-	calls.Store(0)
-	permanent := fakeRun(func(config.Test) error {
-		calls.Add(1)
-		return errors.New("deterministic failure")
-	})
-	results = Run(context.Background(), jobs, Options{Workers: 1, Retries: 5, Run: permanent})
-	if results[0].Err == nil || results[0].Attempts != 1 || calls.Load() != 1 {
-		t.Fatalf("permanent error retried: attempts=%d calls=%d err=%v",
-			results[0].Attempts, calls.Load(), results[0].Err)
-	}
-
-	// Retry budget is bounded.
-	calls.Store(0)
-	alwaysFlaky := fakeRun(func(config.Test) error {
-		calls.Add(1)
-		return Transient(errors.New("never recovers"))
-	})
-	results = Run(context.Background(), jobs, Options{Workers: 1, Retries: 2, Run: alwaysFlaky})
-	if results[0].Err == nil || results[0].Attempts != 3 {
-		t.Fatalf("bounded retry: attempts=%d err=%v", results[0].Attempts, results[0].Err)
 	}
 }
 

@@ -134,11 +134,3 @@ func msStr(d sim.Duration) string {
 }
 
 func gbps(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// baseHostPair returns requester/responder host configs for a model.
-func baseHostPair(model string) (config.Host, config.Host) {
-	c := config.Default()
-	c.Requester.NIC.Type = model
-	c.Responder.NIC.Type = model
-	return c.Requester, c.Responder
-}

@@ -26,20 +26,10 @@
 //     sequence number it is about to assign — the key that joins INT
 //     stamps to lineage chains and the packet trace.
 //
-// Sharding. A collector can be split into per-shard views (Views):
-// every view shares the hop table, per-origin mint counters, tag ring,
-// and lineage binds, but appends stamps to its own log. Transit IDs
-// are namespaced per origin hop — (hop+1)<<32 | per-hop count — and
-// the 16-bit on-wire tag carries the origin hop in its top 6 bits, so
-// ID assignment is independent of the global interleaving of origins
-// and each ring/counter slot has exactly one writing shard. Cross-shard
-// reads (a transit hop resolving a tag its origin minted) are ordered
-// by the fabric's conservative-window barrier: the packet needs at
-// least one lookahead of propagation to reach the next hop, so the
-// mint always lands a window before the resolve. The canonical merged
-// log (Stamps) interleaves the views' logs by stamp instant, which is
-// byte-identical at any shard count because each transit's stamps are
-// strictly time-ordered and per-hop aggregates have a single writer.
+// Transit IDs are namespaced per origin hop — (hop+1)<<32 | per-hop
+// count — and the 16-bit on-wire tag carries the origin hop in its top
+// 6 bits, so ID assignment is independent of how different origins'
+// packets interleave.
 //
 // Like telemetry and lineage, INT is strictly observe-only: it never
 // schedules events, never reads the RNG, and never alters a packet
@@ -52,8 +42,6 @@
 package inband
 
 import (
-	"sort"
-
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -97,9 +85,7 @@ type Stamp struct {
 	UtilPermille uint16 `json:"util_permille"`
 }
 
-// hopState is the per-hop collector state and aggregates. Each hop is
-// only ever stamped by the shard that owns its port, so no entry has
-// two writers.
+// hopState is the per-hop collector state and aggregates.
 type hopState struct {
 	name   string
 	origin bool
@@ -128,65 +114,34 @@ type HopSummary struct {
 	MaxUtilPermille uint16 `json:"max_util_permille"`
 }
 
-// core is the state all views of one collector share.
-type core struct {
+// Collector is the INT collection sink: hops stamp into it, the
+// orchestrator drains it. All state updates happen synchronously inside
+// simulator events, so the stamp log is in virtual-time order and fully
+// deterministic. The hot path (StampWire) is alloc-free at steady state
+// — perfgate budgets it at zero allocs/op.
+type Collector struct {
+	hub  *telemetry.Hub
 	hops []hopState
 
 	// recent maps the 16-bit on-wire transit tag back to the full
-	// transit ID. Tags are partitioned by origin hop, so each slot has
-	// exactly one writing shard.
+	// transit ID.
 	recent []uint64
 
 	// byLineage maps mirror sequence numbers (= lineage chain IDs) to
-	// transit IDs, recorded by the injector's pipeline hop (a single
-	// shard).
+	// transit IDs, recorded by the injector's pipeline hop.
 	byLineage map[uint64]uint64
 
-	views  []*Collector
-	merged []Stamp // cached canonical log; nil until built
-	// mergedN is the total stamp count the cache was built from; the
-	// cache is stale when the views have recorded more since. A count
-	// check (instead of nil-ing the cache from record) keeps the hot
-	// path free of writes to shared core state — per-shard stampers
-	// must not contend.
-	mergedN int
-}
-
-// Collector is the INT collection sink: hops stamp into it, the
-// orchestrator drains it. All state updates happen synchronously inside
-// simulator events, so each view's stamp log is in virtual-time order
-// and fully deterministic. The hot path (StampWire) is alloc-free at
-// steady state — perfgate budgets it at zero allocs/op.
-type Collector struct {
-	hub    *telemetry.Hub
-	core   *core
 	stamps []Stamp
 }
 
 // NewCollector returns a collector publishing roll-up metrics to hub
 // (nil hub = collect only).
 func NewCollector(hub *telemetry.Hub) *Collector {
-	c := &Collector{
-		hub: hub,
-		core: &core{
-			recent:    make([]uint64, 1<<16),
-			byLineage: map[uint64]uint64{},
-		},
+	return &Collector{
+		hub:       hub,
+		recent:    make([]uint64, 1<<16),
+		byLineage: map[uint64]uint64{},
 	}
-	c.core.views = []*Collector{c}
-	return c
-}
-
-// Views splits the collector into n per-shard views sharing its hop
-// table, mint counters, tag ring, and binds; view i appends stamps to
-// its own log. View 0 is the receiver itself. Reporting accessors
-// (Stamps, StampCount, Join, Publish, …) on any view cover all views.
-func (c *Collector) Views(n int) []*Collector {
-	for len(c.core.views) < n {
-		v := &Collector{hub: c.hub, core: c.core}
-		c.core.views = append(c.core.views, v)
-	}
-	return c.core.views[:n]
 }
 
 // RegisterHop adds a hop to the table and returns its ID. Origin hops
@@ -195,20 +150,18 @@ func (c *Collector) Views(n int) []*Collector {
 // int.json), so callers must register deterministically — and register
 // origin hops among the first 63 hops (their ID rides in the tag).
 func (c *Collector) RegisterHop(name string, origin bool) uint8 {
-	hops := &c.core.hops
-	if len(*hops) >= MaxHops {
+	if len(c.hops) >= MaxHops {
 		panic("inband: hop table full")
 	}
-	if origin && len(*hops) >= MaxOriginHops {
+	if origin && len(c.hops) >= MaxOriginHops {
 		panic("inband: origin hops must be registered among the first 63 hops")
 	}
-	*hops = append(*hops, hopState{name: name, origin: origin})
-	return uint8(len(*hops) - 1)
+	c.hops = append(c.hops, hopState{name: name, origin: origin})
+	return uint8(len(c.hops) - 1)
 }
 
 // AttachPort registers the port as a hop and installs the egress
-// stamping hook on it. In a sharded run, call this on the view of the
-// shard that owns the port.
+// stamping hook on it.
 func (c *Collector) AttachPort(p *sim.Port, origin bool) uint8 {
 	hop := c.RegisterHop(p.Name, origin)
 	p.SetStamper(func(data []byte, at sim.Time, queuedAhead int64, busy sim.Duration) {
@@ -246,20 +199,20 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 	if !packet.WireIsRoCE(wire) {
 		return
 	}
-	h := &c.core.hops[hop]
+	h := &c.hops[hop]
 	var transit uint64
 	var tag uint16
 	if h.origin {
 		h.mint++
 		transit = (uint64(hop)+1)<<32 | (h.mint & 0xFFFFFFFF)
 		tag = (uint16(hop)+1)<<tagCounterBits | uint16((h.mint-1)&(1<<tagCounterBits-1))
-		c.core.recent[tag] = transit
+		c.recent[tag] = transit
 	} else {
 		tag = packet.INTTransit(wire)
 		if tag == 0 {
 			return
 		}
-		transit = c.core.recent[tag]
+		transit = c.recent[tag]
 		if transit == 0 {
 			return
 		}
@@ -292,16 +245,16 @@ func (c *Collector) Pipeline(wire []byte, hop uint8, at int64, lineageID uint64)
 	if tag == 0 {
 		return
 	}
-	transit := c.core.recent[tag]
+	transit := c.recent[tag]
 	if transit == 0 {
 		return
 	}
-	c.core.byLineage[lineageID] = transit
+	c.byLineage[lineageID] = transit
 	// The match-action rewrite: the forwarded original leaves the
 	// pipeline carrying this hop's ID (the egress port overwrites the
 	// state with its own queue view microseconds later).
 	packet.EmbedINTStamp(wire, packet.INTStamp{Transit: tag, Hop: hop})
-	c.record(&c.core.hops[hop], Stamp{Transit: transit, Hop: hop, AtNs: at})
+	c.record(&c.hops[hop], Stamp{Transit: transit, Hop: hop, AtNs: at})
 }
 
 func (c *Collector) record(h *hopState, s Stamp) {
@@ -315,65 +268,35 @@ func (c *Collector) record(h *hopState, s Stamp) {
 	}
 }
 
-// Stamps returns the canonical stamp log across all views: the
-// per-view logs (each already in virtual-time order) interleaved
-// stably by stamp instant, views in shard order. Every transit's
-// stamps are strictly time-ordered — each hop adds at least one
-// propagation delay — so the canonical log lists them identically at
-// any shard count. The caller must not mutate the result.
-func (c *Collector) Stamps() []Stamp {
-	co := c.core
-	n := 0
-	for _, v := range co.views {
-		n += len(v.stamps)
-	}
-	if co.merged != nil && co.mergedN == n {
-		return co.merged
-	}
-	if len(co.views) == 1 {
-		co.merged, co.mergedN = co.views[0].stamps, n
-		return co.merged
-	}
-	out := make([]Stamp, 0, n)
-	for _, v := range co.views {
-		out = append(out, v.stamps...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].AtNs < out[j].AtNs })
-	co.merged, co.mergedN = out, n
-	return out
-}
+// Stamps returns the stamp log in recording (= virtual-time) order. The
+// caller must not mutate the result.
+func (c *Collector) Stamps() []Stamp { return c.stamps }
 
-// StampCount returns the number of collected stamps across all views.
-func (c *Collector) StampCount() int {
-	n := 0
-	for _, v := range c.core.views {
-		n += len(v.stamps)
-	}
-	return n
-}
+// StampCount returns the number of collected stamps.
+func (c *Collector) StampCount() int { return len(c.stamps) }
 
 // TransitCount returns how many transits origin hops tagged.
 func (c *Collector) TransitCount() uint64 {
 	var n uint64
-	for i := range c.core.hops {
-		n += c.core.hops[i].mint
+	for i := range c.hops {
+		n += c.hops[i].mint
 	}
 	return n
 }
 
 // BindCount returns how many lineage IDs the pipeline hop bound to
 // transits.
-func (c *Collector) BindCount() int { return len(c.core.byLineage) }
+func (c *Collector) BindCount() int { return len(c.byLineage) }
 
 // TransitOf resolves a lineage (mirror sequence) ID to its transit ID.
 func (c *Collector) TransitOf(lineageID uint64) (uint64, bool) {
-	t, ok := c.core.byLineage[lineageID]
+	t, ok := c.byLineage[lineageID]
 	return t, ok
 }
 
 // Hops returns the per-hop summaries in hop-ID order.
 func (c *Collector) Hops() []HopSummary {
-	hops := c.core.hops
+	hops := c.hops
 	out := make([]HopSummary, len(hops))
 	for i := range hops {
 		h := &hops[i]
@@ -398,19 +321,15 @@ func (c *Collector) Publish() {
 	h.Count("int.stamps", int64(c.StampCount()))
 	h.Count("int.transits", int64(c.TransitCount()))
 	h.Count("int.binds", int64(c.BindCount()))
-	for i := range c.core.hops {
-		hs := &c.core.hops[i]
+	for i := range c.hops {
+		hs := &c.hops[i]
 		h.SetGauge("int.hop."+hs.name+".stamps", int64(hs.stamps))
 		h.SetGauge("int.hop."+hs.name+".max_queue_bytes", hs.maxQueue)
 		h.SetGauge("int.hop."+hs.name+".max_util_permille", int64(hs.maxUtil))
 	}
 }
 
-// Reset truncates this view's stamp log, keeping its capacity and the
-// shared hop table, and invalidates the canonical-log cache. Benchmarks
-// and the perf gate use it to keep the steady-state hot path alloc-free
-// across measurement passes.
-func (c *Collector) Reset() {
-	c.stamps = c.stamps[:0]
-	c.core.merged, c.core.mergedN = nil, 0
-}
+// Reset truncates the stamp log, keeping its capacity and the hop
+// table. Benchmarks and the perf gate use it to keep the steady-state
+// hot path alloc-free across measurement passes.
+func (c *Collector) Reset() { c.stamps = c.stamps[:0] }

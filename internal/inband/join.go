@@ -80,13 +80,13 @@ func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 			n := &g.Nodes[id]
 			nh := NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
 			if n.Seq != 0 {
-				if transit, ok := c.core.byLineage[n.Seq]; ok {
+				if transit, ok := c.byLineage[n.Seq]; ok {
 					nh.Transit = transit
 					idx := byTransit[transit]
 					for k, si := range idx {
 						s := &stamps[si]
 						cr := HopCrossing{
-							Hop:          c.core.hops[s.Hop].name,
+							Hop:          c.hops[s.Hop].name,
 							AtNs:         s.AtNs,
 							QueueBytes:   s.QueueBytes,
 							UtilPermille: s.UtilPermille,

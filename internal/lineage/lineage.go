@@ -161,7 +161,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 	psn := e.Pkt.BTH.PSN
 	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: psn}
 
-	trigger, nack, retrans := scanRecovery(tr, di)
+	trigger, nack, retrans := tr.Recovery(di)
 
 	link := func(from, to int, label string) {
 		ch.Edges = append(ch.Edges, Edge{
@@ -214,7 +214,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 				return false
 			}
 			una, ok := argI(ev, "una_psn")
-			return ok && !psnLT(psn, uint32(una)&psnMask)
+			return ok && !trace.PSNLess(psn, uint32(una)&psnMask)
 		}); rto != nil {
 			retry, _ := argI(rto, "retry")
 			id := g.addNode(Node{
@@ -366,42 +366,6 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	g.Chains = append(g.Chains, ch)
 }
 
-// scanRecovery walks forward from the injected loss at index di and
-// returns the wire-visible reactions: the out-of-order arrival that
-// exposed the gap, the NAK (or re-read), and the retransmission. Any of
-// the three may be nil. The logic mirrors analyzer.fillRecovery (which
-// cannot be imported here: analyzer sits above lineage).
-func scanRecovery(tr *trace.Trace, di int) (trigger, nack, retrans *trace.Entry) {
-	drop := &tr.Entries[di]
-	dataKey := drop.Key()
-	isRead := drop.Pkt.BTH.Opcode.IsReadResponse()
-	psn := drop.Pkt.BTH.PSN
-
-	for i := di + 1; i < len(tr.Entries); i++ {
-		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
-		if e.Key() == dataKey && op.IsData() {
-			if retrans == nil && e.Pkt.BTH.PSN == psn {
-				retrans = e
-				break
-			}
-			if trigger == nil && e.Meta.Event != packet.EventDrop && psnLT(psn, e.Pkt.BTH.PSN) {
-				trigger = e
-			}
-		}
-		if nack == nil && e.Pkt.IP.Src.String() == dataKey.Dst && e.Pkt.IP.Dst.String() == dataKey.Src {
-			if !isRead && op.IsAck() && e.Pkt.AETH.IsNak() &&
-				e.Pkt.AETH.Syndrome == packet.NakPSNSeqError && e.Pkt.BTH.PSN == psn {
-				nack = e
-			}
-			if isRead && op.IsReadRequest() && e.Pkt.BTH.PSN == psn {
-				nack = e
-			}
-		}
-	}
-	return trigger, nack, retrans
-}
-
 // Chain returns the chain with the given lineage ID, or nil.
 func (g *Graph) Chain(lineage uint64) *Chain {
 	for i := range g.Chains {
@@ -500,14 +464,7 @@ func trackQPN(track string) (uint32, bool) {
 	return uint32(v), true
 }
 
-// --- 24-bit PSN arithmetic (IB spec §9.7.2, duplicated per package
-// idiom: rnic, analyzer and trace each keep their own copy private) ---
-
-const psnMask = 1<<24 - 1
-
-func psnLT(a, b uint32) bool {
-	return a != b && (b-a)&psnMask < 1<<23
-}
+const psnMask = packet.PSNMask
 
 // psnInRange reports start <= p <= end in circular PSN space.
 func psnInRange(p, start, end uint32) bool {

@@ -29,25 +29,68 @@ func runArtifacts(t *testing.T, cfg config.Test) (*Report, map[string][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep, writtenTree(t, rep)
+}
+
+// allObservers turns every observe-only tap on.
+func allObservers() Options {
+	o := DefaultOptions()
+	o.Telemetry, o.Lineage, o.INT, o.Coverage = true, true, true, true
+	return o
+}
+
+// writtenTree returns every file WriteArtifacts produces for rep, keyed
+// by name — the whole externally visible output of a run.
+func writtenTree(t *testing.T, rep *Report) map[string][]byte {
+	t.Helper()
 	dir := t.TempDir()
 	if err := rep.WriteArtifacts(dir); err != nil {
 		t.Fatal(err)
 	}
-	files := map[string][]byte{}
-	for _, name := range []string{"summary.json", "timeline.json", "metrics.json", "trace.pcap"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[name] = b
+		out[e.Name()] = b
 	}
-	return rep, files
+	return out
 }
 
 // The golden-fixture determinism contract: two same-seed runs, and a
 // run under GOMAXPROCS=1, all serialize byte-identical summary.json
-// and timeline.json.
+// and timeline.json; a leaf-spine incast with every observer on repeats
+// its whole artifact tree.
 func TestSummaryAndTimelineAreByteIdenticalAcrossRuns(t *testing.T) {
+	incast := config.Default()
+	incast.Name = "incast-test"
+	incast.Fabric = &config.FabricTopo{Leaves: 2, HostsPerLeaf: 8, UplinkGbps: 400, Pattern: "incast"}
+	incast.Traffic.NumConnections = 2
+	incast.Traffic.NumMsgsPerQP = 2
+	incast.Traffic.Events = nil
+	var trees [2]map[string][]byte
+	for i := range trees {
+		rep, err := Run(incast, allObservers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = writtenTree(t, rep)
+	}
+	a, b := trees[0], trees[1]
+	if len(a) != 7 || len(b) != len(a) {
+		t.Fatalf("incast runs wrote %d and %d artifacts, want all 7 twice", len(a), len(b))
+	}
+	for name := range a {
+		if !bytes.Equal(a[name], b[name]) {
+			t.Errorf("same-seed incast runs produced different %s bytes", name)
+		}
+	}
+
 	cfg := lineageCfg()
 	_, f1 := runArtifacts(t, cfg)
 	_, f2 := runArtifacts(t, cfg)

@@ -9,9 +9,9 @@
 // and switch counters.
 //
 // There is one way through: Build turns the configuration into a
-// topology description (topology.go) and that into a Testbed on a
-// sim.Fabric; Execute runs it; an observer (observer.go) carries the
-// observe-only taps through both.
+// topology description (topology.go) and that into a Testbed on one
+// sim.Simulator; Execute drains it; an observer (observer.go) carries
+// the observe-only taps through both.
 package orchestrator
 
 import (
@@ -87,18 +87,7 @@ type Options struct {
 	// results are keyed by it.
 	Transport string
 
-	// Shards sets how the run is spread over event loops. Every testbed
-	// is built on a sim.Fabric whose nodes each run their own event
-	// heap, synchronized by conservative lookahead.
-	//
-	// A pair testbed places everything on one node at 0 or 1 (the
-	// default) and on three nodes — requester / responder /
-	// switch+dumpers — above that. A fabric topology (config.Test.Fabric)
-	// always places one node per host, leaf, and spine+dumpers. On a
-	// multi-node fabric Shards also caps how many node loops execute
-	// concurrently inside one window. Placement and parallelism change
-	// wall-clock time only: every artifact is byte-identical at any
-	// Shards value.
+	// Deprecated: Shards is ignored (one event loop); bench/ still sets it.
 	Shards int
 }
 
@@ -111,11 +100,6 @@ func DefaultOptions() Options {
 // into a canonical string — the "options" dimension of a result-cache
 // key. Two runs of the same scenario with the same fingerprint (and the
 // same code version) produce byte-identical artifacts.
-//
-// Shards is deliberately excluded: sharding is artifact-preserving by
-// contract (every artifact is byte-identical at any Shards value, and
-// CI diffs the trees to prove it), so a result computed sharded may
-// serve a cache lookup for an unsharded replay and vice versa.
 func (o Options) Fingerprint() string {
 	d := o.Deadline
 	if d <= 0 {
@@ -198,10 +182,10 @@ type Testbed struct {
 	Cfg  config.Test
 	Opts Options
 
-	// Fabric is the event-loop engine every testbed runs on; Sim is its
-	// node 0 (the only node of an unsharded pair testbed).
-	Fabric *sim.Fabric
-	Sim    *sim.Simulator
+	// Sim is the event loop every component of the testbed runs on.
+	Sim *sim.Simulator
+	// Deprecated: Fabric is always nil; bench/ still tests it for nil.
+	Fabric *sim.Simulator
 
 	// Hosts are the NICs under test in topology order: requester then
 	// responder on a pair testbed; the incast sink (host 0) then the
@@ -255,7 +239,7 @@ func Build(cfg config.Test, opts Options) (*Testbed, error) {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultOptions().Deadline
 	}
-	t := pairTopology(cfg, opts.Shards)
+	t := pairTopology(cfg)
 	if cfg.Fabric != nil {
 		t = fabricTopology(cfg)
 	}
@@ -303,8 +287,7 @@ func (tb *Testbed) counters(responder bool) map[string]uint64 {
 // Execute runs traffic to completion (or the deadline), collects all
 // results, reconstructs the trace and performs the integrity check.
 func (tb *Testbed) Execute() (*Report, error) {
-	f, obs := tb.Fabric, &tb.obs
-	hub := obs.ctl
+	s, hub := tb.Sim, tb.obs.hub
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "traffic")
 	for _, p := range tb.Flows {
 		if err := p.Start(nil); err != nil {
@@ -312,9 +295,7 @@ func (tb *Testbed) Execute() (*Report, error) {
 		}
 	}
 
-	obs.beginRun()
-	deadline := sim.Time(tb.Opts.Deadline)
-	f.DrainUntil(deadline)
+	s.DrainUntil(sim.Time(tb.Opts.Deadline))
 	timedOut := false
 	for _, p := range tb.Flows {
 		timedOut = timedOut || !p.Finished()
@@ -322,12 +303,8 @@ func (tb *Testbed) Execute() (*Report, error) {
 	if !timedOut {
 		// Drain trailing events (mirrors in flight, dumper processing).
 		hub.Emit(telemetry.KindRunPhase, "orchestrator", "drain")
-		f.Run()
+		s.Run()
 	}
-	// Per-shard snapshots below (traffic end times, durations) must read
-	// one global end-of-run instant.
-	f.AlignClocks()
-	obs.endRun(deadline)
 
 	// TERM the dumpers and rebuild the trace (§3.4, §3.5).
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "terminate")
@@ -345,7 +322,7 @@ func (tb *Testbed) Execute() (*Report, error) {
 		SwitchTotals:      tb.Switch.Totals(),
 		SwitchPerPort:     tb.Switch.PerPort(),
 		TimedOut:          timedOut,
-		DurationNs:        f.Now(),
+		DurationNs:        s.Now(),
 		Trace:             tr,
 	}
 	for _, n := range tb.Pool.Nodes {
@@ -368,12 +345,12 @@ func (tb *Testbed) Execute() (*Report, error) {
 		// already terminated, so this cannot perturb the trace. The
 		// verdict probes are emitted before the Events snapshot so they
 		// appear as instants on the orchestrator timeline track.
-		rep.Lineage = lineage.Build(tr, obs.events())
+		rep.Lineage = lineage.Build(tr, hub.Events())
 		rep.Verdicts = analyzer.VerdictsWith(tr, rep.Lineage,
 			analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
 		emitVerdicts(hub, "orchestrator", rep.Verdicts)
 	}
-	obs.collect(tb, rep)
+	tb.obs.collect(tb, rep)
 	return rep, nil
 }
 

@@ -421,8 +421,7 @@ func TestWriteArtifacts(t *testing.T) {
 // through one create/render/close helper, so a path that cannot be
 // created must fail the call with an error naming that file.
 func TestWriteArtifactsNamesTheFileItCannotCreate(t *testing.T) {
-	opts := shardOpts(1)
-	rep, err := Run(baseCfg(), opts)
+	rep, err := Run(baseCfg(), allObservers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,15 @@
 // hosts under test, an injector switch that mirrors, a dumper pool. A
 // topology value describes one instance of it — which hosts, which
 // switches, how they are linked, which ports stamp INT, who sends to
-// whom, and which event-loop shard each component runs on — and build
-// turns any such value into a Testbed, creating every component in the
-// order the description lists it. That order is load-bearing: it fixes
-// the shared-RNG fork sequence, the port ordinals and the INT hop IDs,
-// and with them every artifact byte.
+// whom — and build turns any such value into a Testbed on one
+// sim.Simulator, creating every component in the order the description
+// lists it. That order is load-bearing: it fixes the RNG fork sequence,
+// the port order and the INT hop IDs, and with them every artifact
+// byte.
 //
 // Two functions produce descriptions: pairTopology (the paper's two
 // hosts around one injector switch) and fabricTopology (a leaf-spine
-// incast fabric). Where components are placed changes how the run is
-// scheduled, never what it computes.
+// incast fabric).
 package orchestrator
 
 import (
@@ -28,22 +27,16 @@ import (
 	"github.com/lumina-sim/lumina/internal/traffic"
 )
 
-// linkProp is the propagation delay of every testbed link (100 ns); on
-// a link that crosses shards it doubles as the conservative lookahead
-// bound.
+// linkProp is the propagation delay of every testbed link (100 ns).
 const linkProp = 100
 
 // topology is the description build consumes.
 type topology struct {
-	// shards is the number of event-loop shards (sim.Fabric nodes) the
-	// placement below spreads components over.
-	shards int
-
 	hosts    []hostSpec
-	switches []switchSpec
+	switches []config.Switch
 	// injector indexes the switch that runs the Lumina pipeline
 	// (mirroring, event injection, ITER tracking); build hangs the dumper
-	// pool off it, on its shard.
+	// pool off it.
 	injector int
 
 	// links in creation order. Link i's two ports are ports 2i (the a
@@ -65,12 +58,6 @@ type hostSpec struct {
 	// counters the report folds separately from the senders'.
 	tmpl      config.Host
 	responder bool
-	shard     int
-}
-
-type switchSpec struct {
-	cfg   config.Switch
-	shard int
 }
 
 type nodeKind uint8
@@ -107,64 +94,40 @@ type flowSpec struct {
 	label            string // telemetry track label; "" for a lone flow
 }
 
-// portEnd returns the link end that owns port p.
-func (t *topology) portEnd(p int) end {
-	if p%2 == 0 {
-		return t.links[p/2].a
-	}
-	return t.links[p/2].b
-}
-
-// shardOf returns the shard that runs the component at e.
-func (t *topology) shardOf(e end) int {
-	if e.kind == hostNode {
-		return t.hosts[e.idx].shard
-	}
-	return t.switches[e.idx].shard
-}
-
 // pairTopology describes the classic testbed: requester and responder
-// around one injector switch. With shards <= 1 everything shares one
-// event loop; above that the requester, the responder and the
-// switch+dumpers each get their own.
-func pairTopology(cfg config.Test, shards int) topology {
-	t := topology{shards: 1}
-	resp, sw := 0, 0
-	if shards > 1 {
-		t.shards, resp, sw = 3, 1, 2
+// around one injector switch.
+func pairTopology(cfg config.Test) topology {
+	return topology{
+		hosts: []hostSpec{
+			{name: "requester", mac: packet.MAC{2, 0, 0, 0, 0, 1}, tmpl: cfg.Requester},
+			{name: "responder", mac: packet.MAC{2, 0, 0, 0, 0, 2}, tmpl: cfg.Responder, responder: true},
+		},
+		switches: []config.Switch{cfg.Switch},
+		links: []linkSpec{
+			{a: end{hostNode, 0, "req-nic"}, b: end{switchNode, 0, "sw-req"}},
+			{a: end{hostNode, 1, "resp-nic"}, b: end{switchNode, 0, "sw-resp"}},
+		},
+		// NIC egress ports originate transits, then the switch's
+		// host-facing egress ports append their view.
+		hops:  []hopSpec{{0, true}, {2, true}, {1, false}, {3, false}},
+		flows: []flowSpec{{sender: 0, receiver: 1}},
 	}
-	t.hosts = []hostSpec{
-		{name: "requester", mac: packet.MAC{2, 0, 0, 0, 0, 1}, tmpl: cfg.Requester, shard: 0},
-		{name: "responder", mac: packet.MAC{2, 0, 0, 0, 0, 2}, tmpl: cfg.Responder, responder: true, shard: resp},
-	}
-	t.switches = []switchSpec{{cfg: cfg.Switch, shard: sw}}
-	t.links = []linkSpec{
-		{a: end{hostNode, 0, "req-nic"}, b: end{switchNode, 0, "sw-req"}},
-		{a: end{hostNode, 1, "resp-nic"}, b: end{switchNode, 0, "sw-resp"}},
-	}
-	// NIC egress ports originate transits, then the switch's host-facing
-	// egress ports append their view.
-	t.hops = []hopSpec{{0, true}, {2, true}, {1, false}, {3, false}}
-	t.flows = []flowSpec{{sender: 0, receiver: 1}}
-	return t
 }
 
 // fabricTopology describes a leaf-spine fabric: plain L2 leaves under
-// one spine that carries the injector pipeline and the dumper pool,
-// every host, leaf and the spine on a shard of its own. Host 0 is the
-// traffic sink (Responder template); every other host (Requester
+// one spine that carries the injector pipeline and the dumper pool.
+// Host 0 is the traffic sink (Responder template); every other host (Requester
 // template) runs one flow toward it.
 func fabricTopology(cfg config.Test) topology {
 	ft := cfg.Fabric
 	hosts, spine := ft.Hosts(), ft.Leaves
-	t := topology{shards: hosts + ft.Leaves + 1, injector: spine}
+	t := topology{injector: spine}
 	for i := 0; i < hosts; i++ {
 		// Addresses sit outside the pair testbed's 2:0:0:0:0:x space.
 		h := hostSpec{
-			name:  fmt.Sprintf("host-%d", i),
-			mac:   packet.MAC{2, 0, 0, 1, byte(i >> 8), byte(i)},
-			tmpl:  cfg.Requester,
-			shard: i,
+			name: fmt.Sprintf("host-%d", i),
+			mac:  packet.MAC{2, 0, 0, 1, byte(i >> 8), byte(i)},
+			tmpl: cfg.Requester,
 		}
 		if i == 0 {
 			h.tmpl, h.responder = cfg.Responder, true
@@ -183,7 +146,7 @@ func fabricTopology(cfg config.Test) topology {
 	}
 	leafCfg := config.Switch{PipelineLatencyNs: cfg.Switch.PipelineLatencyNs, L2Only: true}
 	for l := 0; l < ft.Leaves; l++ {
-		t.switches = append(t.switches, switchSpec{cfg: leafCfg, shard: hosts + l})
+		t.switches = append(t.switches, leafCfg)
 		// Both trunk ends relay transits; a leaf's host-facing egress
 		// does not stamp.
 		t.hops = append(t.hops, hopSpec{port: 2 * len(t.links)}, hopSpec{port: 2*len(t.links) + 1})
@@ -193,7 +156,7 @@ func fabricTopology(cfg config.Test) topology {
 			gbps: ft.UplinkGbps,
 		})
 	}
-	t.switches = append(t.switches, switchSpec{cfg: cfg.Switch, shard: hosts + ft.Leaves})
+	t.switches = append(t.switches, cfg.Switch)
 	return t
 }
 
@@ -213,29 +176,25 @@ func (t *topology) checkHops() error {
 	return nil
 }
 
-// build assembles the testbed the description lists, onto one sim.Fabric
-// with one node per shard. A one-shard fabric has no cross-shard link,
-// so its whole run is a single conservative window — the plain event
-// loop.
+// build assembles the testbed the description lists on one event loop.
 func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
-	// Options.Shards only caps how many shard loops run concurrently.
-	f := sim.NewFabric(cfg.Seed, t.shards, max(opts.Shards, 1))
-	tb := &Testbed{Cfg: cfg, Opts: opts, Fabric: f, Sim: f.Node(0), topo: *t}
-	tb.obs.attach(f, opts)
+	s := sim.New(cfg.Seed)
+	tb := &Testbed{Cfg: cfg, Opts: opts, Sim: s, topo: *t}
+	tb.obs.attach(s, opts)
 
-	// Hosts, then switches: the order components fork the shared RNG.
+	// Hosts, then switches: the order components fork the RNG.
 	for _, h := range t.hosts {
-		nic, err := buildNIC(f.Node(h.shard), h)
+		nic, err := buildNIC(s, h)
 		if err != nil {
 			return nil, err
 		}
 		tb.Hosts = append(tb.Hosts, nic)
 	}
 	switches := make([]*injector.Switch, len(t.switches))
-	for i, sp := range t.switches {
-		switches[i] = injector.New(f.Node(sp.shard), sp.cfg)
+	for i, sc := range t.switches {
+		switches[i] = injector.New(s, sc)
 	}
-	sw, swShard := switches[t.injector], t.switches[t.injector].shard
+	sw := switches[t.injector]
 	sw.NoRSSRewrite = !cfg.Dumpers.RSSPortRewrite
 	sw.ByIngressMirror = !cfg.Dumpers.PerPacketLB
 	tb.Switch = sw
@@ -246,7 +205,7 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 		if gbps == 0 {
 			gbps = tb.Hosts[l.a.idx].Prof.LinkGbps
 		}
-		pa, pb := f.Connect(t.shardOf(l.a), t.shardOf(l.b), l.a.port, l.b.port, gbps, linkProp)
+		pa, pb := sim.Connect(s, l.a.port, l.b.port, gbps, linkProp)
 		tb.Ports = append(tb.Ports, pa, pb)
 		up := switches[l.b.idx]
 		switch l.a.kind {
@@ -269,19 +228,19 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 		}
 	}
 
-	// The dumper pool hangs off the injector, on its shard. By-ingress
-	// mirroring uses only two nodes, one per traffic direction.
+	// The dumper pool hangs off the injector. By-ingress mirroring uses
+	// only two nodes, one per traffic direction.
 	dumpers := cfg.Dumpers.Nodes
 	if !cfg.Dumpers.PerPacketLB && dumpers > 2 {
 		dumpers = 2
 	}
-	tb.Pool = dumper.NewPool(f.Node(swShard), dumpers, dumper.Config{
+	tb.Pool = dumper.NewPool(s, dumpers, dumper.Config{
 		Cores:       cfg.Dumpers.CoresPerNode,
 		PerCoreGbps: cfg.Dumpers.PerCoreGbps,
 		TrimBytes:   cfg.Dumpers.TrimBytes,
 	})
 	for i, node := range tb.Pool.Nodes {
-		np, sp := f.Connect(swShard, swShard, fmt.Sprintf("dumper-%d", i), fmt.Sprintf("sw-dump-%d", i), cfg.Dumpers.NodeGbps, linkProp)
+		np, sp := sim.Connect(s, fmt.Sprintf("dumper-%d", i), fmt.Sprintf("sw-dump-%d", i), cfg.Dumpers.NodeGbps, linkProp)
 		tb.Ports = append(tb.Ports, np, sp)
 		node.AttachPort(np)
 		w := 1
@@ -291,29 +250,23 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 		sw.AttachDumper(sp, w)
 	}
 
-	// INT hops register on the shared table in description order; each
-	// port binds on the collector view of the shard that owns it. The
-	// injector's pipeline hop binds transit IDs to mirror sequence
-	// numbers. Dumper-facing ports never stamp: mirror copies must reach
-	// the trace with their bytes untouched.
+	// INT hops register in description order. The injector's pipeline hop
+	// binds transit IDs to mirror sequence numbers. Dumper-facing ports
+	// never stamp: mirror copies must reach the trace with their bytes
+	// untouched.
 	if opts.INT {
 		if err := t.checkHops(); err != nil {
 			return nil, err
 		}
-		views := tb.obs.col.Views(t.shards)
 		for _, h := range t.hops {
-			views[t.shardOf(t.portEnd(h.port))].AttachPort(tb.Ports[h.port], h.origin)
+			tb.obs.col.AttachPort(tb.Ports[h.port], h.origin)
 		}
-		sw.EnableINT(views[swShard])
+		sw.EnableINT(tb.obs.col)
 	}
 
-	// Flows: QP creation and metadata exchange are serial build-phase
-	// work; at run time a flow's state lives on its sender's shard
-	// (every generator callback is requester-side).
 	var metas []injector.ConnMeta
 	for _, fl := range t.flows {
-		p, err := traffic.NewPairLabeled(f.Node(t.hosts[fl.sender].shard),
-			tb.Hosts[fl.sender], tb.Hosts[fl.receiver], cfg.Traffic, fl.label)
+		p, err := traffic.NewPairLabeled(s, tb.Hosts[fl.sender], tb.Hosts[fl.receiver], cfg.Traffic, fl.label)
 		if err != nil {
 			return nil, err
 		}

@@ -11,25 +11,23 @@ import (
 )
 
 // describe flattens the ordered lists of a description that fix artifact
-// bytes: NICs (RNG fork order), ports with their owning shard (port
-// ordinals, placement) and INT hops (hop IDs).
+// bytes: NICs (RNG fork order), ports (creation order) and INT hops (hop
+// IDs).
 func describe(t *topology) (nics, ports, hops []string) {
 	for _, h := range t.hosts {
-		nics = append(nics, fmt.Sprintf("%s %x shard=%d", h.name, h.mac[:], h.shard))
+		nics = append(nics, fmt.Sprintf("%s %x", h.name, h.mac[:]))
 	}
-	for p := 0; p < 2*len(t.links); p++ {
-		e := t.portEnd(p)
-		ports = append(ports, fmt.Sprintf("%s shard=%d", e.port, t.shardOf(e)))
+	for _, l := range t.links {
+		ports = append(ports, l.a.port, l.b.port)
 	}
 	for id, h := range t.hops {
-		hops = append(hops, fmt.Sprintf("%d %s origin=%v", id, t.portEnd(h.port).port, h.origin))
+		hops = append(hops, fmt.Sprintf("%d %s origin=%v", id, ports[h.port], h.origin))
 	}
 	return nics, ports, hops
 }
 
 // TestTopologyDescriptionsArePinned pins what the two topology
-// functions emit, in order. Three hand-written constructors used to
-// mirror these lists; now they are the single source build consumes,
+// functions emit, in order. They are the single source build consumes,
 // and a reordering here is a change of every artifact.
 func TestTopologyDescriptionsArePinned(t *testing.T) {
 	leafSpine := config.Default()
@@ -38,34 +36,23 @@ func TestTopologyDescriptionsArePinned(t *testing.T) {
 	cases := []struct {
 		name              string
 		topo              topology
-		shards            int
 		nics, ports, hops []string
 		flows             []flowSpec
 	}{
 		{
-			name: "pair on one shard", topo: pairTopology(config.Default(), 1), shards: 1,
-			nics:  []string{"requester 020000000001 shard=0", "responder 020000000002 shard=0"},
-			ports: []string{"req-nic shard=0", "sw-req shard=0", "resp-nic shard=0", "sw-resp shard=0"},
+			name: "pair", topo: pairTopology(config.Default()),
+			nics:  []string{"requester 020000000001", "responder 020000000002"},
+			ports: []string{"req-nic", "sw-req", "resp-nic", "sw-resp"},
 			hops:  []string{"0 req-nic origin=true", "1 resp-nic origin=true", "2 sw-req origin=false", "3 sw-resp origin=false"},
 			flows: []flowSpec{{sender: 0, receiver: 1}},
 		},
 		{
-			name: "pair on three shards", topo: pairTopology(config.Default(), 8), shards: 3,
-			nics:  []string{"requester 020000000001 shard=0", "responder 020000000002 shard=1"},
-			ports: []string{"req-nic shard=0", "sw-req shard=2", "resp-nic shard=1", "sw-resp shard=2"},
-			hops:  []string{"0 req-nic origin=true", "1 resp-nic origin=true", "2 sw-req origin=false", "3 sw-resp origin=false"},
-			flows: []flowSpec{{sender: 0, receiver: 1}},
-		},
-		{
-			name: "2x2 leaf-spine", topo: fabricTopology(leafSpine), shards: 7,
-			nics: []string{
-				"host-0 020000010000 shard=0", "host-1 020000010001 shard=1",
-				"host-2 020000010002 shard=2", "host-3 020000010003 shard=3",
-			},
+			name: "2x2 leaf-spine", topo: fabricTopology(leafSpine),
+			nics: []string{"host-0 020000010000", "host-1 020000010001", "host-2 020000010002", "host-3 020000010003"},
 			ports: []string{
-				"host-0 shard=0", "leaf-0-p0 shard=4", "host-1 shard=1", "leaf-0-p1 shard=4",
-				"host-2 shard=2", "leaf-1-p0 shard=5", "host-3 shard=3", "leaf-1-p1 shard=5",
-				"leaf-0-up shard=4", "spine-p0 shard=6", "leaf-1-up shard=5", "spine-p1 shard=6",
+				"host-0", "leaf-0-p0", "host-1", "leaf-0-p1",
+				"host-2", "leaf-1-p0", "host-3", "leaf-1-p1",
+				"leaf-0-up", "spine-p0", "leaf-1-up", "spine-p1",
 			},
 			hops: []string{
 				"0 host-0 origin=true", "1 host-1 origin=true", "2 host-2 origin=true", "3 host-3 origin=true",
@@ -80,7 +67,6 @@ func TestTopologyDescriptionsArePinned(t *testing.T) {
 			what      string
 			got, want any
 		}{
-			{"shards", c.topo.shards, c.shards},
 			{"NICs", nics, c.nics},
 			{"ports", ports, c.ports},
 			{"INT hops", hops, c.hops},
@@ -114,8 +100,8 @@ func TestBuildFollowsTheDescription(t *testing.T) {
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("ports = %s\nwant   %s", got, want)
 	}
-	if len(tb.Hosts) != 4 || len(tb.Flows) != 3 || tb.Fabric.Nodes() != 7 {
-		t.Fatalf("hosts=%d flows=%d nodes=%d, want 4, 3, 7", len(tb.Hosts), len(tb.Flows), tb.Fabric.Nodes())
+	if len(tb.Hosts) != 4 || len(tb.Flows) != 3 {
+		t.Fatalf("hosts=%d flows=%d, want 4, 3", len(tb.Hosts), len(tb.Flows))
 	}
 	for i, fl := range tb.Flows {
 		if fl.Req != tb.Hosts[i+1] || fl.Resp != tb.Hosts[0] {
@@ -154,7 +140,7 @@ func TestINTHopLimitsAreBuildErrors(t *testing.T) {
 
 	// The hop table bound cannot be reached through a leaf-spine config
 	// once the origin bound holds, so drive it through a description.
-	wide := pairTopology(config.Default(), 1)
+	wide := pairTopology(config.Default())
 	for len(wide.hops) < inband.MaxHops-1 {
 		wide.hops = append(wide.hops, hopSpec{port: 1})
 	}

@@ -146,33 +146,3 @@ func TestTransportOverrideChangesRunAndFingerprint(t *testing.T) {
 		t.Error("unknown transport override accepted")
 	}
 }
-
-// TestUnreliableSummaryByteIdenticalAcrossShards extends the shard
-// byte-identity contract to the new transports: the summary digest of a
-// UC or UD run must not depend on the engine partitioning.
-func TestUnreliableSummaryByteIdenticalAcrossShards(t *testing.T) {
-	opts := Options{Deadline: 600 * sim.Second, Lineage: true}
-	for _, cfg := range []config.Test{ucDropConfig(), udDropConfig()} {
-		inline, err := Run(cfg, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		want, err := inline.SummaryDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded := opts
-		sharded.Shards = 3
-		rep, err := Run(cfg, sharded)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", cfg.Name, err)
-		}
-		got, err := rep.SummaryDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: sharded summary digest %s != inline %s", cfg.Name, got, want)
-		}
-	}
-}

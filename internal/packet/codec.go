@@ -8,7 +8,11 @@ import (
 // Serialize encodes the packet to wire bytes, computing IPv4 TotalLen and
 // header checksum, UDP Length, and the iCRC. The returned buffer is
 // freshly allocated. It is a thin compatibility wrapper around AppendWire;
-// hot paths that reuse buffers should call AppendWire directly.
+// hot paths that reuse buffers should call AppendWire directly. No
+// simulated component calls it any more: outside tests it survives for
+// one-off set-up encodes in perfgate and the frozen bench/probes.go
+// (ROADMAP item 6c), as Decode does for the injector's and the examples'
+// stack-local parses.
 func (p *Packet) Serialize() []byte {
 	buf := make([]byte, p.WireLen())
 	p.serializeInto(buf)

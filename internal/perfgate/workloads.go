@@ -32,7 +32,6 @@ var workloads = map[string]workloadFn{
 	"packet_decode_into": packetDecodeInto,
 	"packet_icrc":        packetICRC,
 	"sim_events":         simEvents,
-	"event_batch":        eventBatch,
 	"int_stamp":          intStamp,
 	"coverage_record":    coverageRecord,
 	"end_to_end_run":     endToEndRun,
@@ -103,29 +102,6 @@ func simEvents() (int, int, func()) {
 	return 50000, 1, func() {
 		s.After(1, fn)
 		s.Step()
-	}
-}
-
-// eventBatch is the bursty event-loop case the batch drain optimizes:
-// a run of events sharing one timestamp (an incast wave, a fan-out of
-// link deliveries) popped as a whole before any callback executes —
-// one heap sift per event instead of a pop/execute interleave. With
-// the freelist and the reused batch buffer this is allocation-free
-// once warm.
-func eventBatch() (int, int, func()) {
-	s := sim.New(1)
-	fn := func() {}
-	const burst = 64
-	// Warm the freelist and the batch buffer to burst size.
-	for i := 0; i < burst; i++ {
-		s.After(1, fn)
-	}
-	s.Run()
-	return 2000, 1, func() {
-		for i := 0; i < burst; i++ {
-			s.After(1, fn)
-		}
-		s.Run()
 	}
 }
 
@@ -230,11 +206,9 @@ func cacheLookup() (int, int, func()) {
 	}
 }
 
-// fabricIncast is one complete sharded fabric run: an 8-host 2-leaf /
-// 1-spine incast (7 senders × 2 QPs into host 0) built as a per-node
-// fabric of event-loop shards synchronized by conservative lookahead.
-// Its budget bounds the whole sharding machinery — envelope pools,
-// window barriers, outbox sweeps — per orchestrated run.
+// fabricIncast is one complete leaf-spine run: an 8-host 2-leaf /
+// 1-spine incast (7 senders × 2 QPs into host 0). Its budget bounds
+// what a multi-switch build and N flows cost per orchestrated run.
 func fabricIncast() (int, int, func()) {
 	cfg := config.Default()
 	cfg.Fabric = &config.FabricTopo{Leaves: 2, HostsPerLeaf: 4, UplinkGbps: 400, Pattern: "incast"}
@@ -242,7 +216,6 @@ func fabricIncast() (int, int, func()) {
 	cfg.Traffic.NumMsgsPerQP = 2
 	cfg.Traffic.Events = nil
 	opts := orchestrator.DefaultOptions()
-	opts.Shards = 4
 	return 4, 1, func() {
 		rep, err := orchestrator.Run(cfg, opts)
 		if err != nil {

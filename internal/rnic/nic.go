@@ -48,18 +48,6 @@ type mrState struct {
 	mem map[uint64]uint64 // sparse 8-byte cells keyed by address
 }
 
-// Tap observes packets at the NIC boundary; tests and analyzers attach
-// taps instead of reaching into NIC internals.
-type Tap func(dir TapDir, wire []byte)
-
-// TapDir distinguishes transmit from receive observations.
-type TapDir int
-
-const (
-	TapTx TapDir = iota
-	TapRx
-)
-
 // NIC is one simulated RDMA NIC instance.
 type NIC struct {
 	Sim  *sim.Simulator
@@ -98,7 +86,6 @@ type NIC struct {
 	apmQueueN  int
 	apmBusyTil sim.Time
 
-	taps    []Tap
 	nextQPN uint32
 	nextRK  uint32
 
@@ -172,9 +159,6 @@ func (n *NIC) IP() netip.Addr { return n.ips[0] }
 
 // IPs returns all addresses (multi-GID emulation, §5).
 func (n *NIC) IPs() []netip.Addr { return n.ips }
-
-// AddTap attaches a packet observer.
-func (n *NIC) AddTap(t Tap) { n.taps = append(n.taps, t) }
 
 // RegisterMR registers a memory region of the given length and returns
 // its handle. Addresses are synthetic but unique per NIC.
@@ -253,9 +237,6 @@ func (n *NIC) transmit(wire []byte, qp *QP) {
 		qp.lastTxAt, qp.txSeen = now, true
 		h.Count("nic.tx_packets", 1)
 	}
-	for _, t := range n.taps {
-		t(TapTx, wire)
-	}
 	n.port.SendFrame(wire, true)
 }
 
@@ -305,9 +286,6 @@ func (n *NIC) admit(wire []byte, owned bool) bool {
 	}
 	n.Counters.Inc(CtrRxRoCEPackets)
 	n.Counters.Add(CtrRxRoCEBytes, uint64(len(wire)))
-	for _, t := range n.taps {
-		t(TapRx, wire)
-	}
 
 	// iCRC check precedes all transport processing.
 	if err := packet.VerifyICRC(wire); err != nil {

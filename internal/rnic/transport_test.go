@@ -749,27 +749,6 @@ func TestParseVerbAndModelTables(t *testing.T) {
 	}
 }
 
-func TestNICTapObservesBothDirections(t *testing.T) {
-	p := newPair(t, defaultPairOpts())
-	var tx, rx int
-	p.a.AddTap(func(dir TapDir, wire []byte) {
-		switch dir {
-		case TapTx:
-			tx++
-		case TapRx:
-			rx++
-		}
-	})
-	_, _, mr := p.connect(t, 1024, 10, 7)
-	runTransfer(t, p, VerbWrite, 1, 4096, mr)
-	if tx == 0 || rx == 0 {
-		t.Fatalf("tap saw tx=%d rx=%d", tx, rx)
-	}
-	if tx != int(p.a.Counters.Get(CtrTxRoCEPackets)) {
-		t.Fatalf("tap tx %d != counter %d", tx, p.a.Counters.Get(CtrTxRoCEPackets))
-	}
-}
-
 func TestStaleReadRequestGetsInvalidNak(t *testing.T) {
 	// A duplicate read request whose range has aged out of the
 	// responder's read context window draws an invalid-request NAK and

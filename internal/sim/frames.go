@@ -11,17 +11,12 @@ import "sync/atomic"
 // it with a copy, a dumper once it has trimmed its record — returns it
 // with PutFrame. Frames sent with Port.Send stay the caller's: receivers
 // see owned == false and never release or adopt them. A receiver that
-// does not release an owned frame (a test sink, a tap that keeps the
-// slice) leaks nothing: the garbage collector takes the frame and the
-// pool allocates the next one.
+// does not release an owned frame (a test sink) leaks nothing: the
+// garbage collector takes the frame and the pool allocates the next one.
 //
-// The pool is per Simulator and therefore single-threaded. On a Fabric
-// an owned frame crosses into the receiving shard with its envelope and
-// is released into that shard's pool; the sender's pool then misses and
-// allocates a frame of exactly the size class requested — what
-// Packet.Serialize cost — so a flow that never returns frames to its
-// sender is no worse off than without the pool, and the per-class bound
-// keeps the receiving side from hoarding.
+// The pool is per Simulator and every component of a testbed runs on
+// the one simulator, so a frame released by whoever consumed it — at
+// any hop — is the next frame of its class handed to any sender.
 
 const (
 	// frameQuantum is the size-class step. Frames are handed out with
@@ -34,8 +29,8 @@ const (
 	// exactly and never pooled.
 	frameClasses = 72
 	// frameClassMax bounds the frames retained per class — far above a
-	// pair testbed's in-flight window, small enough that a shard which
-	// only ever receives keeps at most a few hundred KiB.
+	// pair testbed's in-flight window, and at most a few hundred KiB per
+	// class in use.
 	frameClassMax = 256
 )
 

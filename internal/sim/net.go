@@ -13,10 +13,6 @@ type Port struct {
 	link *Link
 	peer *Port
 	recv func(data []byte, owned bool)
-	// ord is the port's creation ordinal within its fabric (zero for
-	// ports of a standalone simulator); it canonicalizes the delivery
-	// order of cross-shard messages arriving at the same instant.
-	ord int
 
 	// txFreeAt is the instant the transmitter finishes serializing the
 	// last queued frame; it implements an infinite FIFO output queue.
@@ -92,7 +88,7 @@ const (
 
 // SendFrame is Send with explicit ownership: with owned set, data is a
 // pool frame (Simulator.GetFrame) whose ownership passes to the peer's
-// receiver, on this shard or another.
+// receiver.
 func (p *Port) SendFrame(data []byte, owned bool) {
 	if p.link == nil {
 		panic(fmt.Sprintf("sim: send on disconnected port %q", p.Name))
@@ -118,17 +114,8 @@ func (p *Port) SendFrame(data []byte, owned bool) {
 		p.MaxQueue = p.QueueBytes
 	}
 
-	peer := p.peer
-	arrive := done.Add(p.link.Propagation)
 	s.AtEvent(done, p, portTxDone, uint64(len(data)), nil)
-	if peer.sim != s {
-		// Cross-shard link: the arrival becomes a timestamped message
-		// the fabric delivers into the peer's shard at the next safe
-		// horizon (see Fabric).
-		s.fabric.post(p, data, owned, now, arrive)
-		return
-	}
-	s.AtEvent(arrive, peer, portRx, OwnedArg(owned), data)
+	s.AtEvent(done.Add(p.link.Propagation), p.peer, portRx, OwnedArg(owned), data)
 }
 
 // OwnedArg encodes frame ownership as an event scalar — 1 owned, 0 not —

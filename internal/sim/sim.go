@@ -90,23 +90,14 @@ func (f Func) HandleEvent(int, uint64, []byte) { f() }
 // recycles so that stale EventRefs held by components can never cancel a
 // later occupant of the same struct.
 type event struct {
-	at Time
-	// schedAt is the instant the event was scheduled. For a single
-	// simulator, ordering by (at, schedAt, seq) is identical to
-	// (at, seq) — schedAt is nondecreasing in seq — but it lets a
-	// sharded fabric inject cross-shard arrivals with the sender's
-	// scheduling instant, reproducing the global scheduling order a
-	// single shared heap would have had (see fabric.go).
-	schedAt Time
-	seq     uint64 // tie-breaker: FIFO among events at the same instant
-	h       Handler
-	op      int
-	arg     uint64
-	data    []byte
-	idx     int // heap index; -1 once popped or cancelled, -2 while
-	// buffered in a same-timestamp batch (see stepBatch)
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among events at the same instant
+	h    Handler
+	op   int
+	arg  uint64
+	data []byte
+	idx  int    // heap index; -1 once popped or cancelled
 	gen  uint64 // incremented every time the struct is recycled
-	dead bool
 }
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
@@ -121,7 +112,7 @@ type EventRef struct {
 // Cancelled reports whether the event was cancelled or already fired (or
 // never scheduled).
 func (r EventRef) Cancelled() bool {
-	return r.ev == nil || r.ev.gen != r.gen || r.ev.dead
+	return r.ev == nil || r.ev.gen != r.gen
 }
 
 // eventHeap is an indexed 4-ary min-heap ordered by (at, seq). A 4-ary
@@ -133,9 +124,6 @@ type eventHeap []*event
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].schedAt != h[j].schedAt {
-		return h[i].schedAt < h[j].schedAt
 	}
 	return h[i].seq < h[j].seq
 }
@@ -230,7 +218,6 @@ type Simulator struct {
 
 	executed  uint64 // total events fired, for diagnostics
 	cancelled uint64
-	running   bool
 
 	// hub is the attached telemetry probe bus; nil (the default) means
 	// every probe emitted by components running on this simulator is a
@@ -243,21 +230,6 @@ type Simulator struct {
 	// default) makes every Record call a nil-receiver no-op. Coverage
 	// shares telemetry's observe-only contract.
 	cov *coverage.Map
-
-	// batch is the same-timestamp run buffer stepBatch drains into —
-	// reused across batches so steady state allocates nothing.
-	batch []*event
-
-	// curSched is the scheduling instant of the event currently
-	// executing — exported to telemetry as the probe-stream merge key
-	// (see telemetry.Hub.SetSchedClock).
-	curSched Time
-
-	// fabric is non-nil when this simulator is one shard of a Fabric;
-	// Ports use it to route cross-shard sends (see fabric.go).
-	fabric *Fabric
-	// shard is this simulator's index within its fabric.
-	shard int
 
 	// frames is the wire-frame pool (see frames.go).
 	frames framePool
@@ -279,7 +251,6 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) AttachHub(h *telemetry.Hub) {
 	s.hub = h
 	h.SetClock(func() int64 { return int64(s.now) })
-	h.SetSchedClock(func() int64 { return int64(s.curSched) })
 }
 
 // Hub returns the attached telemetry hub, nil when none is attached.
@@ -309,28 +280,12 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // At schedules fn to run at the absolute instant at. Scheduling in the
 // past (before Now) panics: it would corrupt causality.
 func (s *Simulator) At(at Time, fn func()) EventRef {
-	return s.atSched(at, s.now, Func(fn), 0, 0, nil)
+	return s.AtEvent(at, Func(fn), 0, 0, nil)
 }
 
 // AtEvent schedules h.HandleEvent(op, arg, data) at the absolute instant
 // at — the allocation-free form of At for per-packet paths.
 func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte) EventRef {
-	return s.atSched(at, s.now, h, op, arg, data)
-}
-
-// AfterEvent is AtEvent d nanoseconds from now. Negative d panics.
-func (s *Simulator) AfterEvent(d Duration, h Handler, op int, arg uint64, data []byte) EventRef {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.atSched(s.now.Add(d), s.now, h, op, arg, data)
-}
-
-// atSched schedules an event at the instant at, carrying an explicit
-// scheduling stamp. The fabric uses it to inject cross-shard arrivals
-// stamped with the sender's clock, so same-instant ordering matches
-// the global scheduling order of an unsharded run.
-func (s *Simulator) atSched(at, schedAt Time, h Handler, op int, arg uint64, data []byte) EventRef {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
@@ -339,14 +294,22 @@ func (s *Simulator) atSched(at, schedAt Time, h Handler, op int, arg uint64, dat
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at, ev.schedAt, ev.seq, ev.dead = at, schedAt, s.nextSeq, false
 	} else {
-		ev = &event{at: at, schedAt: schedAt, seq: s.nextSeq}
+		ev = new(event)
 	}
+	ev.at, ev.seq = at, s.nextSeq
 	ev.h, ev.op, ev.arg, ev.data = h, op, arg, data
 	s.nextSeq++
 	s.queue.push(ev)
 	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// AfterEvent is AtEvent d nanoseconds from now. Negative d panics.
+func (s *Simulator) AfterEvent(d Duration, h Handler, op int, arg uint64, data []byte) EventRef {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return s.AtEvent(s.now.Add(d), h, op, arg, data)
 }
 
 // recycle returns a fired or cancelled event struct to the freelist. The
@@ -365,23 +328,12 @@ func (s *Simulator) After(d Duration, fn func()) EventRef {
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op. Reports whether the event was
-// actually removed. An event buffered by the same-timestamp batch
-// drain (idx == -2) is still cancellable — it has not fired yet — but
-// its struct is recycled by the batch executor, not here.
+// actually removed.
 func (s *Simulator) Cancel(r EventRef) bool {
 	ev := r.ev
-	if ev == nil || ev.gen != r.gen || ev.dead {
+	if ev == nil || ev.gen != r.gen {
 		return false
 	}
-	if ev.idx == -2 {
-		ev.dead = true
-		s.cancelled++
-		return true
-	}
-	if ev.idx < 0 {
-		return false
-	}
-	ev.dead = true
 	s.queue.remove(ev.idx)
 	s.cancelled++
 	s.recycle(ev)
@@ -390,74 +342,25 @@ func (s *Simulator) Cancel(r EventRef) bool {
 
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty. Cancellation removes events from the heap eagerly, so
-// whatever sits at the top is live.
+// whatever sits at the top is live. The struct goes back to the freelist
+// before the handler runs so the handler's own scheduling can reuse it.
 func (s *Simulator) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
 	ev := s.queue.pop()
-	ev.dead = true
 	s.now = ev.at
-	s.curSched = ev.schedAt
 	s.executed++
-	s.fire(ev)
-	return true
-}
-
-// fire recycles ev and runs its handler. The struct goes back to the
-// freelist first so the handler's own scheduling can reuse it.
-func (s *Simulator) fire(ev *event) {
 	h, op, arg, data := ev.h, ev.op, ev.arg, ev.data
 	s.recycle(ev)
 	h.HandleEvent(op, arg, data)
-}
-
-// stepBatch fires the entire run of events sharing the earliest pending
-// timestamp, popping the whole run from the heap before executing any
-// of it — one heap sift per event instead of interleaving pops with
-// callback execution. Events the callbacks schedule at the same instant
-// carry higher sequence numbers than everything buffered, so re-looping
-// after the buffer drains preserves exact FIFO order. Buffered events
-// keep idx == -2 and dead == false until they fire, so Cancel and
-// EventRef.Cancelled see them exactly as if they were still queued.
-// It reports false when the queue is empty.
-func (s *Simulator) stepBatch() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	t := s.queue[0].at
-	s.now = t
-	for len(s.queue) > 0 && s.queue[0].at == t {
-		b := s.batch[:0]
-		for len(s.queue) > 0 && s.queue[0].at == t {
-			ev := s.queue.pop()
-			ev.idx = -2
-			b = append(b, ev)
-		}
-		s.batch = b
-		for i, ev := range b {
-			b[i] = nil
-			if ev.dead {
-				// Cancelled while buffered: Cancel already counted it
-				// and deferred the recycle to us.
-				s.recycle(ev)
-				continue
-			}
-			ev.dead = true
-			s.curSched = ev.schedAt
-			s.executed++
-			s.fire(ev)
-		}
-	}
 	return true
 }
 
 // Run drains the event queue until no events remain, then returns the
 // final virtual time.
 func (s *Simulator) Run() Time {
-	s.running = true
-	defer func() { s.running = false }()
-	for s.stepBatch() {
+	for s.Step() {
 	}
 	return s.now
 }
@@ -466,14 +369,7 @@ func (s *Simulator) Run() Time {
 // sets the clock to deadline and returns. Events scheduled exactly at the
 // deadline do fire.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.running = true
-	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		if s.queue[0].at > deadline {
-			break
-		}
-		s.stepBatch()
-	}
+	s.DrainUntil(deadline)
 	if s.now < deadline {
 		s.now = deadline
 	}
@@ -499,7 +395,7 @@ func (s *Simulator) DrainUntil(deadline Time) {
 		if !ok || at > deadline {
 			return
 		}
-		s.stepBatch()
+		s.Step()
 	}
 }
 

@@ -134,10 +134,16 @@ func TestCancelInterleavedWithOtherEvents(t *testing.T) {
 	s := New(1)
 	var order []string
 	ref := s.After(20, func() { order = append(order, "victim") })
+	var sameInstant EventRef
 	s.After(10, func() {
 		order = append(order, "canceller")
 		s.Cancel(ref)
+		// A victim due at this very instant has not fired yet either.
+		if !s.Cancel(sameInstant) || !sameInstant.Cancelled() {
+			t.Error("an event pending at the canceller's own instant was not cancelled")
+		}
 	})
+	sameInstant = s.After(10, func() { order = append(order, "same-instant victim") })
 	s.After(30, func() { order = append(order, "after") })
 	s.Run()
 	if len(order) != 2 || order[0] != "canceller" || order[1] != "after" {
@@ -466,74 +472,20 @@ func (r *recorder) HandleEvent(op int, arg uint64, data []byte) {
 // they fire strictly in scheduling order, each handler seeing exactly the
 // op, scalar and bytes it was scheduled with.
 func TestTypedAndFuncEventsShareOneOrder(t *testing.T) {
-	for _, run := range []struct {
-		name  string
-		drain func(*Simulator)
-	}{
-		{"batch", func(s *Simulator) { s.Run() }},
-		{"step", func(s *Simulator) {
-			for s.Step() {
-			}
-		}},
-	} {
-		s := New(1)
-		r := &recorder{}
-		s.AtEvent(10, r, 1, 7, []byte("a"))
-		s.At(10, func() { r.log = append(r.log, "f1") })
-		s.AfterEvent(10, r, 2, 8, []byte("b"))
-		s.After(10, func() {
-			r.log = append(r.log, "f2")
-			s.AfterEvent(0, r, 3, 9, nil) // same instant, scheduled later: fires last
-		})
-		s.AtEvent(10, r, 4, 0, nil)
-		run.drain(s)
-		want := "h1/7/a f1 h2/8/b f2 h4/0/ h3/9/"
-		if got := strings.Join(r.log, " "); got != want {
-			t.Errorf("%s: fire order %q, want %q", run.name, got, want)
-		}
-	}
-}
-
-// TestCancelTypedEventWhileBatched cancels a Handler event from an
-// earlier event of the same timestamp — while the batch executor has it
-// buffered (idx == -2). It must not fire, must read as cancelled, and its
-// struct must go back to the freelist exactly once.
-func TestCancelTypedEventWhileBatched(t *testing.T) {
 	s := New(1)
 	r := &recorder{}
-	var victim EventRef
-	s.At(5, func() {
-		if victim.ev.idx != -2 {
-			t.Errorf("victim idx = %d, want -2 (buffered in the batch)", victim.ev.idx)
-		}
-		if !s.Cancel(victim) {
-			t.Error("Cancel of a batched typed event reported false")
-		}
-		if s.Cancel(victim) {
-			t.Error("second Cancel of the same event reported true")
-		}
+	s.AtEvent(10, r, 1, 7, []byte("a"))
+	s.At(10, func() { r.log = append(r.log, "f1") })
+	s.AfterEvent(10, r, 2, 8, []byte("b"))
+	s.After(10, func() {
+		r.log = append(r.log, "f2")
+		s.AfterEvent(0, r, 3, 9, nil) // same instant, scheduled later: fires last
 	})
-	victim = s.AtEvent(5, r, 1, 0, []byte("x"))
-	s.AtEvent(5, r, 2, 0, nil)
+	s.AtEvent(10, r, 4, 0, nil)
 	s.Run()
-	if got := strings.Join(r.log, " "); got != "h2/0/" {
-		t.Errorf("fired %q, want only the uncancelled event", got)
-	}
-	if !victim.Cancelled() {
-		t.Error("cancelled typed event does not read as cancelled")
-	}
-	if s.Executed() != 2 {
-		t.Errorf("executed %d events, want 2", s.Executed())
-	}
-	seen := map[*event]bool{}
-	for _, ev := range s.free {
-		if seen[ev] {
-			t.Fatal("an event struct sits on the freelist twice")
-		}
-		seen[ev] = true
-		if ev.h != nil || ev.data != nil {
-			t.Error("recycled event still references its handler or data")
-		}
+	want := "h1/7/a f1 h2/8/b f2 h4/0/ h3/9/"
+	if got := strings.Join(r.log, " "); got != want {
+		t.Errorf("fire order %q, want %q", got, want)
 	}
 }
 

@@ -36,13 +36,10 @@ func (c *Counter) Inc() { c.v++ }
 func (c *Counter) Value() int64 { return c.v }
 
 // Gauge is a last-value-wins sample.
-type Gauge struct {
-	v   int64
-	set bool
-}
+type Gauge struct{ v int64 }
 
 // Set records the gauge value.
-func (g *Gauge) Set(v int64) { g.v, g.set = v, true }
+func (g *Gauge) Set(v int64) { g.v = v }
 
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v }
@@ -269,59 +266,4 @@ func (s *MetricsSnapshot) CounterValue(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// sortEventsByAt stably sorts a probe stream by timestamp; ties keep
-// their input order (MergeEvents relies on this for canonical shard
-// interleaving).
-func sortEventsByAt(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].sched < evs[j].sched
-	})
-}
-
-// MergeInto folds this registry's metrics into dst: counters add, set
-// gauges overwrite (the sharded orchestrator guarantees each gauge name
-// has a single writer), histograms merge bucket-wise. Merging N shard
-// registries that together saw the same samples as one unsharded
-// registry yields an identical Snapshot — every operation here is
-// order-independent.
-func (r *Registry) MergeInto(dst *Registry) {
-	if r == nil || dst == nil {
-		return
-	}
-	for name, c := range r.counters {
-		dst.Counter(name).Add(c.v)
-	}
-	for name, g := range r.gauges {
-		if g.set {
-			dst.Gauge(name).Set(g.v)
-		}
-	}
-	for name, h := range r.hists {
-		if h.count == 0 {
-			dst.Histogram(name) // preserve touched-but-empty histograms
-			continue
-		}
-		d := dst.Histogram(name)
-		if len(h.buckets) > len(d.buckets) {
-			grown := make([]int64, len(h.buckets))
-			copy(grown, d.buckets)
-			d.buckets = grown
-		}
-		for i, n := range h.buckets {
-			d.buckets[i] += n
-		}
-		if d.count == 0 || h.min < d.min {
-			d.min = h.min
-		}
-		if h.max > d.max {
-			d.max = h.max
-		}
-		d.count += h.count
-		d.sum += h.sum
-	}
 }

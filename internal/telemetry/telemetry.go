@@ -22,6 +22,8 @@
 // cycle; virtual time crosses the boundary as int64 nanoseconds.
 package telemetry
 
+import "slices"
+
 // Kind names a probe event family. Kinds are dot-namespaced by the
 // emitting subsystem; see the README's probe taxonomy.
 type Kind string
@@ -81,80 +83,26 @@ type Event struct {
 	// is Args[0].Val.
 	Counter bool
 	Args    []Field
-
-	// sched is the scheduling instant of the simulator event that
-	// emitted this probe (see Hub.SetSchedClock). It is a merge key
-	// only: MergeEvents orders same-instant events from different shards
-	// by it, recovering the (at, schedAt) order a single global event
-	// heap fires in. Never serialized.
-	sched int64
 }
 
 // Hub is the probe bus plus the metrics registry. The zero Hub pointer
 // (nil) is the detached state: every method on a nil *Hub returns
 // immediately, so components emit unconditionally.
 type Hub struct {
-	clock      func() int64
-	schedClock func() int64
-	events     []Event
-	reg        *Registry
-	// sink, when non-nil, receives every event this hub emits (stamped
-	// with this hub's clock) instead of the local stream. The sharded
-	// orchestrator points every shard hub at one control hub during the
-	// serial build/teardown phases, so those events keep their exact
-	// call order; during the parallel run phase sinks are detached and
-	// each shard records locally. Metric operations always stay local —
-	// registries merge order-independently.
-	sink *Hub
+	clock  func() int64
+	events []Event
+	reg    *Registry
 }
 
-// SetSink redirects this hub's event stream into dst (nil restores
-// local recording). See the sink field for the sharding rationale.
-func (h *Hub) SetSink(dst *Hub) {
-	if h == nil {
-		return
-	}
-	h.sink = dst
-}
-
-// SetSchedClock installs the reader of the current simulator event's
-// scheduling instant (sim.Simulator.AttachHub does it). The value
-// stamps each event's merge key; see Event.sched.
-func (h *Hub) SetSchedClock(clock func() int64) {
-	if h == nil {
-		return
-	}
-	h.schedClock = clock
-}
-
-// record appends e to the local stream or the sink.
+// record appends e to the stream, doubling its capacity when full: a run
+// records tens of thousands of probes, and append's own 1.25x steps
+// would copy the stream some five times over, each copy into a freshly
+// faulted-in span.
 func (h *Hub) record(e Event) {
-	if h.schedClock != nil {
-		e.sched = h.schedClock()
-	}
-	if h.sink != nil {
-		h.sink.events = append(h.sink.events, e)
-		return
+	if len(h.events) == cap(h.events) {
+		h.events = slices.Grow(h.events, max(len(h.events), 64))
 	}
 	h.events = append(h.events, e)
-}
-
-// MergeEvents interleaves per-shard probe streams into one canonical
-// stream ordered by (timestamp, scheduling instant) — the order a
-// single global event heap fires same-instant events in. The sort is
-// stable, so remaining ties keep stream order (shards are passed in
-// fixed node order) and, within a stream, emission order.
-func MergeEvents(streams ...[]Event) []Event {
-	n := 0
-	for _, s := range streams {
-		n += len(s)
-	}
-	out := make([]Event, 0, n)
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sortEventsByAt(out)
-	return out
 }
 
 // NewHub returns an attached hub with an empty registry. Until SetClock

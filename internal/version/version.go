@@ -14,7 +14,7 @@
 //
 // Both are computed once and constant for the life of the process, so
 // every artifact one binary writes carries the same stamp — the
-// byte-identity guarantees (same tree at any worker or shard count)
+// byte-identity guarantees (same tree at any worker count)
 // hold within a build, which is the only place they are ever checked.
 package version
 
