@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"fmt"
+	"net/netip"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -31,8 +32,21 @@ type HostView struct {
 	Counters map[string]uint64
 }
 
-func (h HostView) owns(ip string) bool {
-	for _, a := range h.IPs {
+// addrs parses the host's GIDs once, so the per-packet ownership test
+// compares addresses instead of formatting them. A GID that is not an
+// IP address could never equal a packet's and is left out.
+func (h HostView) addrs() []netip.Addr {
+	out := make([]netip.Addr, 0, len(h.IPs))
+	for _, s := range h.IPs {
+		if a, err := netip.ParseAddr(s); err == nil {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func owns(addrs []netip.Addr, ip netip.Addr) bool {
+	for _, a := range addrs {
 		if a == ip {
 			return true
 		}
@@ -76,7 +90,11 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	// subsequent re-read proves an implied-NAK detection rather than a
 	// plain timeout recovery (a tail loss yields a re-read with no OOO
 	// response preceding it, and must not count).
+	// Streams are also listed in first-seen order: a re-read is matched
+	// against them in that order, never in the map's.
 	respOOO := map[trace.ConnKey]*respStateT{}
+	var respOrder []*respStateT
+	mine := h.addrs()
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
@@ -85,11 +103,13 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
 		// host, so they carry no evidence.
-		if op.IsReadResponse() && h.owns(e.Pkt.IP.Dst.String()) && e.Meta.Event != packet.EventDrop {
-			st := respOOO[e.Key()]
+		if op.IsReadResponse() && owns(mine, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
+			k := e.Key()
+			st := respOOO[k]
 			if st == nil {
-				st = &respStateT{}
-				respOOO[e.Key()] = st
+				st = &respStateT{src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst}
+				respOOO[k] = st
+				respOrder = append(respOrder, st)
 			}
 			psn := e.Pkt.BTH.PSN
 			switch {
@@ -103,8 +123,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			}
 		}
 
-		src := e.Pkt.IP.Src.String()
-		if !h.owns(src) {
+		if !owns(mine, e.Pkt.IP.Src) {
 			continue
 		}
 		txSeen++
@@ -125,7 +144,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			if trace.PSNLess(psn, *exp) {
 				// Re-read into reserved space. It proves an implied NAK
 				// only when OOO responses were actually observed.
-				if st := findRespState(respOOO, e, psn); st != nil && st.ooo {
+				if st := findRespState(respOrder, e, psn); st != nil && st.ooo {
 					impliedNaks++
 					st.ooo = false
 					st.expected = psn // the requester rewound
@@ -175,20 +194,28 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 // respStateT tracks one read-response stream's expected PSN and whether
 // out-of-order deliveries are pending as implied-NAK evidence.
 type respStateT struct {
+	src, dst netip.Addr // the responses' direction
 	init     bool
 	expected uint32
 	ooo      bool
 }
 
-// findRespState links a re-read request to its response stream: reversed
-// IP pair, PSN space near the re-read PSN.
-func findRespState(states map[trace.ConnKey]*respStateT, e *trace.Entry, psn uint32) *respStateT {
-	for k, st := range states {
-		if k.Src == e.Pkt.IP.Dst.String() && k.Dst == e.Pkt.IP.Src.String() && psnNear(st.expected, psn) {
-			return st
+// findRespState links a re-read request to its response stream: among
+// the streams (in first-seen order) of the reversed IP pair whose PSN
+// space is near the re-read PSN, the one whose expected PSN is nearest,
+// the first seen among equally near ones.
+func findRespState(streams []*respStateT, e *trace.Entry, psn uint32) *respStateT {
+	var best *respStateT
+	var bestDist uint32
+	for _, st := range streams {
+		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src || !psnNear(st.expected, psn) {
+			continue
+		}
+		if d := psnDist(st.expected, psn); best == nil || d < bestDist {
+			best, bestDist = st, d
 		}
 	}
-	return nil
+	return best
 }
 
 // estimateMTU infers the path MTU as the largest data payload observed

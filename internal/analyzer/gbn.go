@@ -9,6 +9,7 @@ package analyzer
 
 import (
 	"fmt"
+	"net/netip"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -40,9 +41,10 @@ func (r *GBNReport) OK() bool { return len(r.Violations) == 0 }
 // gbnState replays one direction's receiver per the Go-back-N
 // specification.
 type gbnState struct {
-	key  trace.ConnKey
-	init bool
-	ePSN uint32
+	key      trace.ConnKey
+	src, dst netip.Addr // key's addresses, for comparing without formatting
+	init     bool
+	ePSN     uint32
 
 	// gap state
 	inGap   bool
@@ -79,15 +81,24 @@ func (st *gbnState) markLate(psn uint32) {
 // receiver, so the FSM skips them when advancing its expected PSN.
 func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	rep := &GBNReport{}
+	// order lists the streams as first seen, beside the map: whatever is
+	// chosen among several streams is chosen in that order, never in the
+	// map's, so a verdict cannot change from run to run.
 	states := map[trace.ConnKey]*gbnState{}
-	state := func(k trace.ConnKey) *gbnState {
+	var order []*gbnState
+	state := func(k trace.ConnKey, src, dst netip.Addr) *gbnState {
 		st, ok := states[k]
 		if !ok {
-			st = &gbnState{key: k}
+			st = &gbnState{key: k, src: src, dst: dst}
 			states[k] = st
+			order = append(order, st)
 			rep.ConnsChecked++
 		}
 		return st
+	}
+	// A control packet's data stream flows the opposite way.
+	controlled := func(e *trace.Entry) *gbnState {
+		return state(resolveDataKey(order, tr, e), e.Pkt.IP.Dst, e.Pkt.IP.Src)
 	}
 	addViolation := func(st *gbnState, e *trace.Entry, format string, args ...any) {
 		rep.Violations = append(rep.Violations, Violation{
@@ -101,7 +112,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 		op := e.Pkt.BTH.Opcode
 		switch {
 		case op.IsSend() || op.IsWrite() || op.IsReadResponse():
-			st := state(e.Key())
+			st := state(e.Key(), e.Pkt.IP.Src, e.Pkt.IP.Dst)
 			// Mirrors are taken at ingress, before the action applies:
 			// dropped packets never reach the receiver, and delayed or
 			// reordered packets reach it later than their mirror
@@ -149,7 +160,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			}
 		case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
 			// NAK travels opposite to its data direction.
-			st := state(resolveDataKey(states, tr, e))
+			st := controlled(e)
 			nakPSN := e.Pkt.BTH.PSN
 			switch {
 			case !st.inGap:
@@ -182,7 +193,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 		case op.IsReadRequest():
 			// A re-issued read request is Read traffic's NAK equivalent.
 			// Its data direction is the reverse of the request's.
-			st := state(resolveDataKey(states, tr, e))
+			st := controlled(e)
 			if st.init && st.inGap {
 				reqPSN := e.Pkt.BTH.PSN
 				if trace.PSNLess(reqPSN, st.ePSN) || reqPSN == st.gapPSN {
@@ -206,18 +217,19 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 // control packet alone — the trace carries only destination QPNs — and
 // several QPs may share an IP pair, so the checker picks the tracked
 // reversed-direction stream whose expected PSN is circularly closest to
-// the control packet's PSN; when no state exists yet, it scans the trace
-// for the nearest data packet, and otherwise falls back to a fresh
-// addresses-only key.
-func resolveDataKey(states map[trace.ConnKey]*gbnState, tr *trace.Trace, e *trace.Entry) trace.ConnKey {
+// the control packet's PSN (the first seen among equally close ones;
+// streams come in first-seen order); when no state exists yet, it scans
+// the trace for the nearest data packet, and otherwise falls back to a
+// fresh addresses-only key.
+func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.ConnKey {
 	ctrlPSN := e.Pkt.BTH.PSN
 	var best *gbnState
 	var bestDist uint32
-	for _, st := range states {
+	for _, st := range streams {
 		if !st.init {
 			continue
 		}
-		if st.key.Src != e.Pkt.IP.Dst.String() || st.key.Dst != e.Pkt.IP.Src.String() {
+		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src {
 			continue
 		}
 		ref := st.ePSN

@@ -153,14 +153,16 @@ func (n *Node) capture(wire []byte) {
 	if h := n.Sim.Hub(); h.Active() {
 		// seq threads the packet's lineage ID (its mirror sequence
 		// number) through the capture path for causal joins.
-		args := []telemetry.Field{
+		args := [3]telemetry.Field{
 			telemetry.I("core", int64(ci)),
 			telemetry.I("depth", int64(c.queued)),
 		}
+		nargs := 2
 		if m, ok := packet.ExtractMirrorMeta(wire); ok {
-			args = append(args, telemetry.I("seq", int64(m.Seq)))
+			args[2] = telemetry.I("seq", int64(m.Seq))
+			nargs = 3
 		}
-		h.EmitArgs(telemetry.KindDumperEnq, n.track, "enqueue", args...)
+		h.EmitArgs(telemetry.KindDumperEnq, n.track, "enqueue", args[:nargs]...)
 		h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy",
 			int64(n.queued))
 		h.Count("dumper.rx", 1)

@@ -131,8 +131,19 @@ type Collector struct {
 	// transit IDs, recorded by the injector's pipeline hop.
 	byLineage map[uint64]uint64
 
-	stamps []Stamp
+	// The stamp log in recording order: the chunks already full, then the
+	// one being filled. Chunked (sizes doubling from stampChunkMin to
+	// stampChunkMax) so that a run's tens of thousands of stamps are
+	// never copied to make room for the next one.
+	sealed [][]Stamp
+	cur    []Stamp
 }
+
+// Stamp-log chunk sizes, in stamps of 40 bytes.
+const (
+	stampChunkMin = 256
+	stampChunkMax = 8192
+)
 
 // NewCollector returns a collector publishing roll-up metrics to hub
 // (nil hub = collect only).
@@ -258,7 +269,13 @@ func (c *Collector) Pipeline(wire []byte, hop uint8, at int64, lineageID uint64)
 }
 
 func (c *Collector) record(h *hopState, s Stamp) {
-	c.stamps = append(c.stamps, s)
+	if len(c.cur) == cap(c.cur) {
+		if c.cur != nil {
+			c.sealed = append(c.sealed, c.cur)
+		}
+		c.cur = make([]Stamp, 0, min(max(2*cap(c.cur), stampChunkMin), stampChunkMax))
+	}
+	c.cur = append(c.cur, s)
 	h.stamps++
 	if s.QueueBytes > h.maxQueue {
 		h.maxQueue = s.QueueBytes
@@ -268,12 +285,33 @@ func (c *Collector) record(h *hopState, s Stamp) {
 	}
 }
 
-// Stamps returns the stamp log in recording (= virtual-time) order. The
-// caller must not mutate the result.
-func (c *Collector) Stamps() []Stamp { return c.stamps }
+// Stamps returns the stamp log in recording (= virtual-time) order, as
+// one slice (a copy once the log spans several chunks). The caller must
+// not mutate the result.
+func (c *Collector) Stamps() []Stamp {
+	if len(c.sealed) == 0 {
+		return c.cur
+	}
+	out := make([]Stamp, 0, c.StampCount())
+	for _, chunk := range c.chunks() {
+		out = append(out, chunk...)
+	}
+	return out
+}
 
 // StampCount returns the number of collected stamps.
-func (c *Collector) StampCount() int { return len(c.stamps) }
+func (c *Collector) StampCount() int {
+	n := 0
+	for _, chunk := range c.chunks() {
+		n += len(chunk)
+	}
+	return n
+}
+
+// chunks returns the stamp log's chunks in recording order.
+func (c *Collector) chunks() [][]Stamp {
+	return append(c.sealed[:len(c.sealed):len(c.sealed)], c.cur)
+}
 
 // TransitCount returns how many transits origin hops tagged.
 func (c *Collector) TransitCount() uint64 {
@@ -329,7 +367,7 @@ func (c *Collector) Publish() {
 	}
 }
 
-// Reset truncates the stamp log, keeping its capacity and the hop
-// table. Benchmarks and the perf gate use it to keep the steady-state
-// hot path alloc-free across measurement passes.
-func (c *Collector) Reset() { c.stamps = c.stamps[:0] }
+// Reset truncates the stamp log, keeping the current chunk's capacity
+// and the hop table. Benchmarks and the perf gate use it to keep the
+// steady-state hot path alloc-free across measurement passes.
+func (c *Collector) Reset() { c.sealed, c.cur = nil, c.cur[:0] }

@@ -161,6 +161,44 @@ func TestResetKeepsHopsTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestStampLogKeepsOrderAcrossChunks records enough stamps to span
+// several chunks of the log: Stamps and StampCount must present them as
+// one sequence in recording order, stamps recorded early must not move,
+// and Reset must leave a log that starts over.
+func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
+	c := NewCollector(nil)
+	origin := c.RegisterHop("nic", true)
+	wire := roceWire()
+	const n = 5*stampChunkMin + 17
+	var first *Stamp
+	for i := 0; i < n; i++ {
+		c.StampWire(wire, origin, int64(i), int64(i)*3, 0)
+		if i == 0 {
+			first = &c.cur[0]
+		}
+	}
+	if len(c.sealed) < 2 {
+		t.Fatalf("%d stamps fit %d sealed chunk(s); the log no longer spans several", n, len(c.sealed))
+	}
+	st := c.Stamps()
+	if len(st) != n || c.StampCount() != n {
+		t.Fatalf("Stamps holds %d, StampCount says %d, want %d", len(st), c.StampCount(), n)
+	}
+	for i := range st {
+		if st[i].AtNs != int64(i) || st[i].QueueBytes != int64(i)*3 {
+			t.Fatalf("stamp %d is %+v: out of recording order", i, st[i])
+		}
+	}
+	if first != &c.sealed[0][0] || first.AtNs != 0 {
+		t.Fatal("growing the log moved a stamp already recorded")
+	}
+	c.Reset()
+	c.StampWire(wire, origin, 7, 0, 0)
+	if st := c.Stamps(); len(st) != 1 || st[0].AtNs != 7 || c.StampCount() != 1 {
+		t.Fatalf("after Reset the log holds %+v", st)
+	}
+}
+
 // stampChain pushes one packet through nic → pipeline (bind) → switch
 // egress, returning its transit ID.
 func stampChain(c *Collector, nic, pipe, sw uint8, seq uint64, base int64, queue int64) uint64 {

@@ -57,16 +57,38 @@ type ChainHops struct {
 // wire-visible nodes: node.Seq → (pipeline bind) → transit ID → stamp
 // log. Chains, nodes, and crossings all keep their deterministic
 // source order, so the result serializes byte-identically across runs.
+//
+// The join is driven by the chains, which name a few hundred of a run's
+// tens of thousands of transits: it first collects the transits the
+// chains' nodes are bound to, then indexes only those in one pass over
+// the stamp log.
 func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 	if g == nil || len(g.Chains) == 0 {
 		return nil
 	}
-	// Index the canonical stamp log by transit; per-transit order is
-	// virtual-time order because the log itself is.
-	stamps := c.Stamps()
-	byTransit := make(map[uint64][]int, c.TransitCount())
-	for i := range stamps {
-		byTransit[stamps[i].Transit] = append(byTransit[stamps[i].Transit], i)
+	// bound resolves a node to the transit the pipeline hop bound its
+	// packet to; probe-derived nodes (Seq 0) never crossed the switch.
+	bound := func(n *lineage.Node) (uint64, bool) {
+		if n.Seq == 0 {
+			return 0, false
+		}
+		return c.TransitOf(n.Seq)
+	}
+	wanted := map[uint64][]*Stamp{} // transit → its stamps, in log order
+	for i := range g.Chains {
+		for _, id := range g.Chains[i].Nodes {
+			if transit, ok := bound(&g.Nodes[id]); ok {
+				wanted[transit] = nil
+			}
+		}
+	}
+	// Per-transit order is virtual-time order because the log's is.
+	for _, chunk := range c.chunks() {
+		for i := range chunk {
+			if of, ok := wanted[chunk[i].Transit]; ok {
+				wanted[chunk[i].Transit] = append(of, &chunk[i])
+			}
+		}
 	}
 	out := make([]ChainHops, 0, len(g.Chains))
 	for _, ch := range g.Chains {
@@ -79,23 +101,23 @@ func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 		for _, id := range ch.Nodes {
 			n := &g.Nodes[id]
 			nh := NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
-			if n.Seq != 0 {
-				if transit, ok := c.byLineage[n.Seq]; ok {
-					nh.Transit = transit
-					idx := byTransit[transit]
-					for k, si := range idx {
-						s := &stamps[si]
-						cr := HopCrossing{
-							Hop:          c.hops[s.Hop].name,
-							AtNs:         s.AtNs,
-							QueueBytes:   s.QueueBytes,
-							UtilPermille: s.UtilPermille,
-						}
-						if k+1 < len(idx) {
-							cr.LatencyNs = stamps[idx[k+1]].AtNs - s.AtNs
-						}
-						nh.Hops = append(nh.Hops, cr)
+			if transit, ok := bound(n); ok {
+				nh.Transit = transit
+				stamps := wanted[transit]
+				if len(stamps) > 0 {
+					nh.Hops = make([]HopCrossing, 0, len(stamps))
+				}
+				for k, s := range stamps {
+					cr := HopCrossing{
+						Hop:          c.hops[s.Hop].name,
+						AtNs:         s.AtNs,
+						QueueBytes:   s.QueueBytes,
+						UtilPermille: s.UtilPermille,
 					}
+					if k+1 < len(stamps) {
+						cr.LatencyNs = stamps[k+1].AtNs - s.AtNs
+					}
+					nh.Hops = append(nh.Hops, cr)
 				}
 			}
 			ah.Nodes = append(ah.Nodes, nh)

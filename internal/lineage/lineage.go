@@ -26,7 +26,10 @@
 package lineage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -100,12 +103,14 @@ type Graph struct {
 
 // Build reconstructs the lineage DAG from a trace and (optionally) the
 // run's probe stream. events may be nil: chains then contain only the
-// wire-visible nodes.
+// wire-visible nodes. The probe stream is expected in virtual-time order,
+// as a hub records it; one that is not is sorted into a private copy.
 func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 	g := &Graph{}
 	if tr == nil {
 		return g
 	}
+	events = timeOrdered(events)
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
 		if e.Meta.Event == packet.EventNone {
@@ -320,12 +325,10 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	// The receiver's notification point answers with a CNP flowing
 	// opposite the data direction (possibly suppressed by the NIC's
 	// CNP rate limiter — then the chain ends at the injection).
-	key := e.Key()
 	var cnp *trace.Entry
 	for i := di + 1; i < len(tr.Entries); i++ {
 		c := &tr.Entries[i]
-		if c.Pkt.BTH.Opcode.IsCNP() &&
-			c.Pkt.IP.Src.String() == key.Dst && c.Pkt.IP.Dst.String() == key.Src {
+		if c.Pkt.BTH.Opcode.IsCNP() && c.Reverses(e) {
 			cnp = c
 			break
 		}
@@ -410,26 +413,39 @@ func (g *Graph) ChainsOf(events ...packet.EventType) []uint64 {
 
 // --- probe-stream helpers ---
 
-// findEvent returns the earliest event in [from, to] (to 0 = unbounded)
-// satisfying pred. The probe stream is emission-ordered, which for a
-// deterministic simulator is time-ordered, but the scan does not rely
-// on that.
-func findEvent(events []telemetry.Event, from, to sim.Time, pred func(*telemetry.Event) bool) *telemetry.Event {
-	var best *telemetry.Event
-	for i := range events {
-		ev := &events[i]
-		at := sim.Time(ev.At)
-		if at < from || (to != 0 && at > to) {
-			continue
-		}
-		if !pred(ev) {
-			continue
-		}
-		if best == nil || at < sim.Time(best.At) {
-			best = ev
+// timeOrdered returns events in At order, emission order kept among
+// equal stamps: the slice itself when it already is (a hub's stream,
+// emitted by a simulator whose clock never runs backwards), else a
+// stably sorted copy. findEvent relies on the order, so Build checks it
+// once instead of trusting every caller.
+func timeOrdered(events []telemetry.Event) []telemetry.Event {
+	for i := 1; i < len(events); i++ {
+		if events[i].At < events[i-1].At {
+			events = slices.Clone(events)
+			slices.SortStableFunc(events, func(a, b telemetry.Event) int { return cmp.Compare(a.At, b.At) })
+			break
 		}
 	}
-	return best
+	return events
+}
+
+// findEvent returns the earliest event in [from, to] (to 0 = unbounded)
+// satisfying pred, the first emitted among those sharing its stamp.
+// Precondition, established by timeOrdered: events is At-ordered. The
+// lookup is then a binary search to from and a walk that ends at the
+// first match or past to.
+func findEvent(events []telemetry.Event, from, to sim.Time, pred func(*telemetry.Event) bool) *telemetry.Event {
+	start := sort.Search(len(events), func(i int) bool { return sim.Time(events[i].At) >= from })
+	for i := start; i < len(events); i++ {
+		ev := &events[i]
+		if to != 0 && sim.Time(ev.At) > to {
+			return nil
+		}
+		if pred(ev) {
+			return ev
+		}
+	}
+	return nil
 }
 
 func argI(ev *telemetry.Event, key string) (int64, bool) {

@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
+	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/inband"
+	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
@@ -186,5 +190,109 @@ func TestPortGaugesPublishedWithoutINT(t *testing.T) {
 	}
 	if found != 4 {
 		t.Fatalf("per-port gauges missing from metrics registry (found %d/4): %v", found, rep.Metrics.Gauges)
+	}
+}
+
+// joinEveryTransit is the specification Collector.Join is held to — the
+// join it replaced: index every stamp of the run by transit, then
+// annotate the chains from that index. Written against the collector's
+// public surface only.
+func joinEveryTransit(c *inband.Collector, g *lineage.Graph) []inband.ChainHops {
+	if g == nil || len(g.Chains) == 0 {
+		return nil
+	}
+	stamps, hops := c.Stamps(), c.Hops()
+	byTransit := map[uint64][]int{}
+	for i := range stamps {
+		byTransit[stamps[i].Transit] = append(byTransit[stamps[i].Transit], i)
+	}
+	var out []inband.ChainHops
+	for _, ch := range g.Chains {
+		ah := inband.ChainHops{Lineage: ch.Lineage, Event: ch.Event.String(), PSN: ch.PSN, Completed: ch.Completed}
+		for _, id := range ch.Nodes {
+			n := &g.Nodes[id]
+			nh := inband.NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
+			if transit, ok := c.TransitOf(n.Seq); ok && n.Seq != 0 {
+				nh.Transit = transit
+				idx := byTransit[transit]
+				for k, si := range idx {
+					s := &stamps[si]
+					cr := inband.HopCrossing{Hop: hops[s.Hop].Name, AtNs: s.AtNs, QueueBytes: s.QueueBytes, UtilPermille: s.UtilPermille}
+					if k+1 < len(idx) {
+						cr.LatencyNs = stamps[idx[k+1]].AtNs - s.AtNs
+					}
+					nh.Hops = append(nh.Hops, cr)
+				}
+			}
+			ah.Nodes = append(ah.Nodes, nh)
+		}
+		out = append(out, ah)
+	}
+	return out
+}
+
+// TestJoinMatchesIndexEverythingJoin runs two corpus entries with INT on
+// — the pair testbed's listing2 (ECN mark, double drop) and the 16-host
+// leaf-spine incast — and requires the chain-driven join's annotations,
+// node for node and crossing for crossing, to equal the reference's. A
+// fabric takes no injected events, so its run has no chains of its own:
+// the join is also driven over its stamp log (four stamping hops per
+// packet and more) by a graph that makes every 7th captured packet a
+// chain, with a probe-derived node beside the wire-visible one.
+func TestJoinMatchesIndexEverythingJoin(t *testing.T) {
+	for _, entry := range []string{"a982ccd565a57c48", "c563496672a52ab8"} {
+		cfg, err := config.Load(filepath.Join("..", "..", "corpus", entry, "scenario.yaml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := Build(cfg, intOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := tb.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := tb.obs.col
+		if got, want := rep.INT.Chains, joinEveryTransit(col, rep.Lineage); (cfg.Fabric == nil) != (len(want) > 0) {
+			t.Fatalf("%s: the reference joined %d chains", cfg.Name, len(want))
+		} else {
+			compareJoins(t, cfg.Name, got, want)
+		}
+
+		sampled := &lineage.Graph{}
+		for i := 0; i < len(rep.Trace.Entries); i += 7 {
+			e := &rep.Trace.Entries[i]
+			wire := lineage.Node{ID: len(sampled.Nodes), Kind: lineage.NodeInject, At: e.Time(), PSN: e.Pkt.BTH.PSN, Seq: e.Meta.Seq}
+			probe := lineage.Node{ID: wire.ID + 1, Kind: lineage.NodeRewind, At: e.Time() + 1, PSN: e.Pkt.BTH.PSN}
+			sampled.Nodes = append(sampled.Nodes, wire, probe)
+			sampled.Chains = append(sampled.Chains, lineage.Chain{Lineage: e.Meta.Seq, PSN: e.Pkt.BTH.PSN, Nodes: []int{wire.ID, probe.ID}})
+		}
+		want := joinEveryTransit(col, sampled)
+		crossings := 0
+		for _, ch := range want {
+			crossings += len(ch.Nodes[0].Hops)
+		}
+		if len(want) < 10 || crossings < 3*len(want) {
+			t.Fatalf("%s: reference joined %d sampled chains to %d crossings", cfg.Name, len(want), crossings)
+		}
+		compareJoins(t, cfg.Name+" (sampled)", col.Join(sampled), want)
+	}
+}
+
+// compareJoins requires got to equal want up to PerHop, which both sides
+// would derive from the nodes by the same digest: the join proper is the
+// nodes.
+func compareJoins(t *testing.T, what string, got, want []inband.ChainHops) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chains joined, the index-everything join gives %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g := got[i]
+		g.PerHop = nil
+		if !reflect.DeepEqual(g, want[i]) {
+			t.Fatalf("%s: chain %d joined as\n%+v\nthe index-everything join gives\n%+v", what, i, g, want[i])
+		}
 	}
 }

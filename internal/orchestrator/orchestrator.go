@@ -15,6 +15,7 @@
 package orchestrator
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -445,13 +446,18 @@ func (r *Report) writeReport(w io.Writer) error {
 }
 
 // WriteArtifacts stores every entry of Artifacts in dir, each streamed
-// straight into its file.
+// into its file through one write buffer shared by all of them.
 func (r *Report) WriteArtifacts(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	return r.writeArtifacts(dir, createFile)
+}
+
+func (r *Report) writeArtifacts(dir string, create fileCreator) error {
+	bw := bufio.NewWriterSize(nil, artifactBufSize)
 	for _, a := range r.Artifacts() {
-		if err := writeFile(filepath.Join(dir, a.Name), a.Render); err != nil {
+		if err := writeFile(bw, create, filepath.Join(dir, a.Name), a.Render); err != nil {
 			return err
 		}
 	}
@@ -464,22 +470,46 @@ func (r *Report) WriteArtifacts(dir string) error {
 func (r *Report) WriteArtifact(name, path string) error {
 	for _, a := range r.Artifacts() {
 		if a.Name == name {
-			return writeFile(path, a.Render)
+			return writeFile(bufio.NewWriterSize(nil, artifactBufSize), createFile, path, a.Render)
 		}
 	}
 	return fmt.Errorf("orchestrator: this run produced no %s", name)
 }
 
-// writeFile streams one artifact into a fresh file at path. A short
-// write may surface only when the file is closed, so Close's error is
-// the artifact's error too.
-func writeFile(path string, render func(io.Writer) error) error {
+// artifactBufSize is the write buffer between a renderer and its file.
+// Renderers emit a packet record or a timeline event at a time; the file
+// should see a write per tens of KiB, not per record. (A renderer that
+// hands over its whole output at once, as the JSON artifacts do, passes
+// straight through an empty buffer.)
+const artifactBufSize = 64 << 10
+
+// fileCreator opens an artifact's destination: createFile, or a test's
+// instrumented stand-in.
+type fileCreator func(path string) (io.WriteCloser, error)
+
+func createFile(path string) (io.WriteCloser, error) {
 	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// writeFile streams one artifact through bw into a fresh file at path.
+// Buffered bytes may fail to reach the file only at the flush, and a
+// short write may surface only when the file is closed, so Flush's and
+// Close's errors are the artifact's errors too.
+func writeFile(bw *bufio.Writer, create fileCreator, path string, render func(io.Writer) error) error {
+	f, err := create(path)
 	if err != nil {
 		return err
 	}
-	if err := render(f); err != nil {
-		f.Close() // the render error is the one to report
+	bw.Reset(f)
+	if err = render(bw); err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		f.Close() // the render or flush error is the one to report
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return f.Close()

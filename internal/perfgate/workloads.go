@@ -28,16 +28,17 @@ type workloadFn func() (ops, units int, op func())
 // entry in perf_budgets.json must have a workload here and vice versa
 // (TestPerfBudgets cross-checks).
 var workloads = map[string]workloadFn{
-	"packet_append_wire": packetAppendWire,
-	"packet_decode_into": packetDecodeInto,
-	"packet_icrc":        packetICRC,
-	"sim_events":         simEvents,
-	"int_stamp":          intStamp,
-	"coverage_record":    coverageRecord,
-	"end_to_end_run":     endToEndRun,
-	"fabric_incast":      fabricIncast,
-	"bulk_pair_packet":   bulkPairPacket,
-	"cache_lookup":       cacheLookup,
+	"packet_append_wire":  packetAppendWire,
+	"packet_decode_into":  packetDecodeInto,
+	"packet_icrc":         packetICRC,
+	"sim_events":          simEvents,
+	"int_stamp":           intStamp,
+	"coverage_record":     coverageRecord,
+	"end_to_end_run":      endToEndRun,
+	"fabric_incast":       fabricIncast,
+	"bulk_pair_packet":    bulkPairPacket,
+	"bulk_explain_packet": bulkExplainPacket,
+	"cache_lookup":        cacheLookup,
 }
 
 // samplePacket is a representative mid-message Write data packet: the
@@ -260,17 +261,43 @@ traffic:
 // closure or a Serialize creeping back onto the path costs a whole
 // allocation per packet and breaks the budget at once.
 func bulkPairPacket() (int, int, func()) {
+	return bulkRun(orchestrator.DefaultOptions(), "")
+}
+
+// bulkExplainPacket is the same run with every observer on — telemetry,
+// lineage, INT, coverage — and its artifacts written out (what
+// `lumina -int -coverage -out` does), again per simulated packet. The
+// history is bulk_pair_packet's, so the difference between the two
+// budgets is what watching a packet costs: a few slab and log chunks per
+// run, not a field list per probe, a string per address or a map bucket
+// per transit.
+func bulkExplainPacket() (int, int, func()) {
+	opts := orchestrator.DefaultOptions()
+	opts.Telemetry, opts.Lineage, opts.INT, opts.Coverage = true, true, true, true
+	// A fixed directory, rewritten by every run, keeps repeated gate runs
+	// from accumulating temp dirs.
+	return bulkRun(opts, filepath.Join(os.TempDir(), "lumina-perfgate-explain"))
+}
+
+// bulkRun measures whole runs of bulkScenario under opts, their
+// artifacts written into dir when it is non-empty, per simulated packet.
+func bulkRun(opts orchestrator.Options, dir string) (int, int, func()) {
 	cfg, err := config.Parse([]byte(bulkScenario))
 	if err != nil {
 		panic(err)
 	}
 	run := func() int {
-		rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
+		rep, err := orchestrator.Run(cfg, opts)
 		if err != nil {
 			panic(err)
 		}
 		if !rep.IntegrityOK {
-			panic("perfgate: bulk_pair_packet integrity check failed: " + rep.IntegrityDetail)
+			panic("perfgate: bulk run integrity check failed: " + rep.IntegrityDetail)
+		}
+		if dir != "" {
+			if err := rep.WriteArtifacts(dir); err != nil {
+				panic(err)
+			}
 		}
 		return len(rep.Trace.Entries)
 	}

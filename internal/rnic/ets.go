@@ -104,6 +104,7 @@ type etsQueue struct {
 // pacing, and (on buggy hardware) per-queue guarantee clamps.
 type etsScheduler struct {
 	nic     *NIC
+	track   string // telemetry track of the grant probes
 	queues  []*etsQueue
 	busyTil sim.Time
 	wake    sim.EventRef
@@ -112,7 +113,7 @@ type etsScheduler struct {
 }
 
 func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
-	s := &etsScheduler{nic: nic}
+	s := &etsScheduler{nic: nic, track: nic.Name + "/ets"}
 	totalW := 0
 	weighted := 0
 	for _, q := range cfg.Queues {
@@ -187,7 +188,7 @@ func (s *etsScheduler) kick() {
 		s.nic.Sim.Coverage().Record(coverage.SiteETSGrant, coverage.ETSGrantWeighted)
 	}
 	if h := s.nic.Sim.Hub(); h.Active() {
-		h.EmitArgs(telemetry.KindETSPick, s.nic.Name+"/ets", "grant",
+		h.EmitArgs(telemetry.KindETSPick, s.track, "grant",
 			telemetry.I("queue", int64(q.idx)),
 			telemetry.I("qpn", int64(qp.QPN)),
 			telemetry.I("size", int64(size)))

@@ -17,12 +17,27 @@
 // test and a return. BenchmarkTelemetryOverhead documents that the
 // no-sink cost stays within run-to-run noise.
 //
+// The third constraint is cost when somebody is listening: a run with
+// every observer on replays the history of a bare run and should cost
+// little more. An emit is therefore an append and nothing else. The hub
+// owns a chunked Event log and a chunked Field slab; Emit* copy their
+// variadic arguments into the slab, so the caller's argument list never
+// escapes (it stays on the caller's stack) and a recorded event's Args
+// alias memory only the hub writes, once. Chunks start small and double
+// up to a cap (eventChunkMin..eventChunkMax, fieldChunkMin..
+// fieldChunkMax): a five-message run pays for a few KiB, a 50 000-probe
+// run for a dozen allocations, and nothing recorded is ever copied to
+// make room for what follows. Events() hands out a flat slice because
+// that is what lineage and the timeline writer index, and it is
+// incremental because a run asks twice — before the verdict probes and
+// after: each call moves only the events recorded since the previous one
+// onto the flat stream (after which their chunks are reused), so the
+// second call copies a handful of events, not the run.
+//
 // This package deliberately imports nothing but the standard library so
 // that package sim can wire a Hub into the Simulator without an import
 // cycle; virtual time crosses the boundary as int64 nanoseconds.
 package telemetry
-
-import "slices"
 
 // Kind names a probe event family. Kinds are dot-namespaced by the
 // emitting subsystem; see the README's probe taxonomy.
@@ -89,20 +104,55 @@ type Event struct {
 // (nil) is the detached state: every method on a nil *Hub returns
 // immediately, so components emit unconditionally.
 type Hub struct {
-	clock  func() int64
-	events []Event
-	reg    *Registry
+	clock func() int64
+	reg   *Registry
+
+	// The log of events recorded since the last Events call: the chunks
+	// already full, then the one being filled.
+	sealed [][]Event
+	cur    []Event
+	// fields is the slab chunk being filled. Earlier chunks are kept
+	// alive by the Args that point into them.
+	fields []Field
+	// flat is the stream Events has handed out so far.
+	flat []Event
 }
 
-// record appends e to the stream, doubling its capacity when full: a run
-// records tens of thousands of probes, and append's own 1.25x steps
-// would copy the stream some five times over, each copy into a freshly
-// faulted-in span.
-func (h *Hub) record(e Event) {
-	if len(h.events) == cap(h.events) {
-		h.events = slices.Grow(h.events, max(len(h.events), 64))
+// Chunk sizes, in elements (an Event is 96 bytes, a Field 40). Each new
+// chunk doubles the previous one up to the cap, at which a chunk is a
+// few hundred KiB: big enough that a long run allocates one every few
+// thousand probes, small enough that its unused tail is noise.
+const (
+	eventChunkMin = 32
+	eventChunkMax = 4096
+	fieldChunkMin = 64
+	fieldChunkMax = 8192
+)
+
+// nextChunk is the size of the chunk that follows one of size prev.
+func nextChunk(prev, lo, hi int) int {
+	return min(max(2*prev, lo), hi)
+}
+
+// record appends e, annotated with a hub-owned copy of args, to the log.
+func (h *Hub) record(e Event, args []Field) {
+	if len(h.cur) == cap(h.cur) {
+		if h.cur != nil {
+			h.sealed = append(h.sealed, h.cur)
+		}
+		h.cur = make([]Event, 0, nextChunk(cap(h.cur), eventChunkMin, eventChunkMax))
 	}
-	h.events = append(h.events, e)
+	if n := len(args); n > 0 {
+		if len(h.fields)+n > cap(h.fields) {
+			h.fields = make([]Field, 0, max(n, nextChunk(cap(h.fields), fieldChunkMin, fieldChunkMax)))
+		}
+		start := len(h.fields)
+		h.fields = append(h.fields, args...)
+		// Capacity-limited, so an append through the event's Args can
+		// never reach a neighbour's fields.
+		e.Args = h.fields[start:len(h.fields):len(h.fields)]
+	}
+	h.cur = append(h.cur, e)
 }
 
 // NewHub returns an attached hub with an empty registry. Until SetClock
@@ -136,15 +186,16 @@ func (h *Hub) Emit(kind Kind, track, name string) {
 	if h == nil {
 		return
 	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name})
+	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name}, nil)
 }
 
-// EmitArgs publishes an instant event with annotations.
+// EmitArgs publishes an instant event with annotations. The hub keeps
+// its own copy of args; the caller's list is free to be reused.
 func (h *Hub) EmitArgs(kind Kind, track, name string, args ...Field) {
 	if h == nil {
 		return
 	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Args: args})
+	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name}, args)
 }
 
 // EmitSpan publishes a completed span of the given duration ending at
@@ -157,7 +208,7 @@ func (h *Hub) EmitSpan(kind Kind, track, name string, dur int64, args ...Field) 
 	if dur < 0 {
 		dur = 0
 	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Dur: dur, Args: args})
+	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Dur: dur}, args)
 }
 
 // EmitCounter publishes a sampled value, rendered as a counter track.
@@ -165,20 +216,40 @@ func (h *Hub) EmitCounter(kind Kind, track, name string, val int64) {
 	if h == nil {
 		return
 	}
-	h.record(Event{
-		At: h.now(), Kind: kind, Track: track, Name: name,
-		Counter: true, Args: []Field{{Key: "value", Val: val}},
-	})
+	value := [1]Field{{Key: "value", Val: val}}
+	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Counter: true}, value[:])
 }
 
 // Events returns the recorded probe stream in emission order (which,
 // events being fired by the deterministic simulator, is itself
-// deterministic). The caller must not mutate the slice.
+// deterministic). The caller must not mutate the slice. A later call
+// returns a stream that begins with the same events.
 func (h *Hub) Events() []Event {
 	if h == nil {
 		return nil
 	}
-	return h.events
+	n := len(h.cur)
+	for _, c := range h.sealed {
+		n += len(c)
+	}
+	if n == 0 {
+		return h.flat
+	}
+	if need := len(h.flat) + n; need > cap(h.flat) {
+		// Headroom for the probes that follow a first call (a run's
+		// verdict instants), so they do not copy the stream again.
+		grown := make([]Event, len(h.flat), need+need/8+eventChunkMin)
+		copy(grown, h.flat)
+		h.flat = grown
+	}
+	for _, c := range h.sealed {
+		h.flat = append(h.flat, c...)
+	}
+	h.flat = append(h.flat, h.cur...)
+	// The moved events' Args point into the slab, not the log, so the
+	// log's storage is free again.
+	h.sealed, h.cur = nil, h.cur[:0]
+	return h.flat
 }
 
 // Registry returns the hub's metrics registry (nil on a detached hub).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -200,5 +201,147 @@ func TestWriteJSONStringEscapes(t *testing.T) {
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("escaping broke JSON: %v\n%s", err, buf.String())
+	}
+}
+
+// TestRecordedArgsAreHubOwned pins the slab's ownership contract: what an
+// event recorded is a copy only the hub ever wrote, so neither the caller
+// reusing its argument array nor 200k later emits (slab chunks filling
+// and being replaced) can change it.
+func TestRecordedArgsAreHubOwned(t *testing.T) {
+	h := NewHub()
+	args := [2]Field{I("psn", 7), S("why", "first")}
+	h.EmitArgs(KindRetransGBN, "qp", "rewind", args[:]...)
+	args[0], args[1] = I("overwritten", -1), S("overwritten", "by the caller")
+	early := h.Events()[0]
+
+	for i := 0; i < 200_000; i++ {
+		args[0].Val = int64(i)
+		switch i % 3 {
+		case 0:
+			h.EmitArgs(KindETSPick, "ets", "grant", args[:]...)
+		case 1:
+			h.EmitCounter(KindDumperQueue, "dumper", "ring", int64(i))
+		default:
+			h.EmitSpan(KindNICWedge, "nic", "wedge", 5, args[0])
+		}
+	}
+	evs := h.Events()
+	if len(evs) != 200_001 {
+		t.Fatalf("events = %d, want 200001", len(evs))
+	}
+	for _, ev := range []Event{early, evs[0]} {
+		if len(ev.Args) != 2 || ev.Args[0] != I("psn", 7) || ev.Args[1] != S("why", "first") {
+			t.Fatalf("first event's args changed after later emits: %+v", ev.Args)
+		}
+	}
+	// Every later event still holds the value it was emitted with.
+	for i := 0; i < 200_000; i++ {
+		ev := &evs[i+1]
+		if ev.Args[0].Val != int64(i) {
+			t.Fatalf("event %d holds %d", i, ev.Args[0].Val)
+		}
+		if want := [3]int{2, 1, 1}[i%3]; len(ev.Args) != want {
+			t.Fatalf("event %d has %d args, want %d", i, len(ev.Args), want)
+		}
+	}
+	// An append through one event's Args must not reach its neighbour's.
+	_ = append(evs[1].Args, I("stray", 99))
+	if evs[2].Args[0].Key != "value" {
+		t.Fatalf("append through event 1's args overwrote event 2's: %+v", evs[2].Args)
+	}
+}
+
+// TestEmitDoesNotAllocate holds the "cost when somebody is listening"
+// constraint: on an attached hub an emit is an append into hub-owned
+// chunks, so 10k mixed emits cost a few dozen chunk allocations in all
+// and the variadic argument lists stay on the caller's stack.
+func TestEmitDoesNotAllocate(t *testing.T) {
+	const emits = 10_000
+	avg := testing.AllocsPerRun(5, func() {
+		h := NewHub()
+		for i := 0; i < emits/4; i++ {
+			v := int64(i)
+			h.Emit(KindRunPhase, "orchestrator", "phase")
+			h.EmitArgs(KindETSPick, "requester/ets", "grant", I("queue", v), I("qpn", v), I("size", v))
+			h.EmitCounter(KindDumperQueue, "dumper-0", "ring_occupancy", v)
+			h.EmitSpan(KindRetransGBN, "qp", "nack_react", v, I("psn", v))
+		}
+		if n := len(h.Events()); n != emits {
+			t.Fatalf("recorded %d events, want %d", n, emits)
+		}
+	})
+	if perEmit := avg / emits; perEmit >= 0.05 {
+		t.Fatalf("%.4f allocs per emit (%.0f per %d emits), want < 0.05", perEmit, avg, emits)
+	}
+}
+
+// TestEventsIsIncremental: a mid-run call and the final call agree on
+// everything the first one returned, and what the first one returned
+// stays as it was.
+func TestEventsIsIncremental(t *testing.T) {
+	h := NewHub()
+	now := int64(0)
+	h.SetClock(func() int64 { return now })
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			now++
+			h.EmitArgs(KindTrafficMsg, "conn", "post", I("n", now))
+		}
+	}
+	emit(5000)
+	mid := h.Events()
+	if len(mid) != 5000 {
+		t.Fatalf("mid-run stream holds %d events, want 5000", len(mid))
+	}
+	if again := h.Events(); len(again) != 5000 || &again[0] != &mid[0] {
+		t.Fatal("a second call with nothing new rebuilt the stream")
+	}
+	snapshot := append([]Event(nil), mid...)
+	emit(7) // the verdict probes of a run: must fit the headroom
+	end := h.Events()
+	if len(end) != 5007 {
+		t.Fatalf("final stream holds %d events, want 5007", len(end))
+	}
+	if &end[0] != &mid[0] {
+		t.Error("a handful of late events copied the whole stream")
+	}
+	emit(20_000)
+	end = h.Events()
+	if len(end) != 25_007 {
+		t.Fatalf("final stream holds %d events, want 25007", len(end))
+	}
+	for i := range snapshot {
+		for _, got := range []Event{mid[i], end[i]} {
+			if got.At != snapshot[i].At || got.Name != snapshot[i].Name || got.Args[0] != snapshot[i].Args[0] {
+				t.Fatalf("event %d changed between calls: %+v, was %+v", i, got, snapshot[i])
+			}
+		}
+	}
+	for i := 1; i < len(end); i++ {
+		if end[i].At != end[i-1].At+1 {
+			t.Fatalf("stream out of emission order at %d: %d after %d", i, end[i].At, end[i-1].At)
+		}
+	}
+}
+
+// TestSmallHubStaysSmall: chunks start small, so the hub of a five-message
+// run (or of an engine that records a dozen job events) costs a few KiB,
+// not a full-size chunk.
+func TestSmallHubStaysSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	h := NewHub()
+	for i := 0; i < 10; i++ {
+		h.EmitArgs(KindEngineJob, "engine", "job", I("index", int64(i)), S("status", "ok"))
+	}
+	evs := h.Events()
+	runtime.ReadMemStats(&after)
+	if len(evs) != 10 {
+		t.Fatalf("events = %d, want 10", len(evs))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Fatalf("a 10-event hub allocated %d bytes, want < 16 KiB", got)
 	}
 }

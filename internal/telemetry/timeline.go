@@ -17,119 +17,141 @@ import (
 // integer-nanosecond-derived microseconds with exactly three decimals.
 // Identical event streams serialize to identical bytes — the property
 // the determinism acceptance test pins down.
+//
+// Each record is formatted with plain appends into the writer's own free
+// space (bufio's AvailableBuffer) and handed over in one Write, so
+// rendering costs no intermediate strings and one method call per event.
 func WriteTimeline(w io.Writer, events []Event) error {
+	// A caller that already buffers (WriteArtifacts does) is written to
+	// directly: NewWriter hands back a *bufio.Writer it is given.
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[")
 
-	// Track rows, in first-appearance order.
-	tids := map[string]int{}
-	order := []string{}
+	// Track rows, in first-appearance order. Each event's row is looked
+	// up here, once, and each row's number rendered once.
+	rows := map[string]int32{}
+	rowOf := make([]int32, len(events))
+	var tids [][]byte
+	sep := "" // nothing before the first record, a comma before the rest
 	for i := range events {
 		t := events[i].Track
-		if _, ok := tids[t]; !ok {
-			tids[t] = len(order) + 1
-			order = append(order, t)
+		row, ok := rows[t]
+		if !ok {
+			row = int32(len(tids))
+			rows[t] = row
+			tids = append(tids, strconv.AppendInt(nil, int64(row)+1, 10))
+			b := append(recordSpace(bw), sep...)
+			sep = ","
+			b = append(b, `{"name":"thread_name","ph":"M","pid":1,"tid":`...)
+			b = append(b, tids[row]...)
+			b = append(b, `,"args":{"name":`...)
+			b = appendJSONString(b, t)
+			bw.Write(append(b, "}}"...))
 		}
-	}
-	first := true
-	for _, t := range order {
-		writeSep(bw, &first)
-		bw.WriteString(`{"name":"thread_name","ph":"M","pid":1,"tid":`)
-		bw.WriteString(strconv.Itoa(tids[t]))
-		bw.WriteString(`,"args":{"name":`)
-		writeJSONString(bw, t)
-		bw.WriteString("}}")
+		rowOf[i] = row
 	}
 
 	for i := range events {
 		e := &events[i]
-		writeSep(bw, &first)
-		bw.WriteString(`{"name":`)
+		b := append(recordSpace(bw), sep...)
+		sep = ","
+		b = append(b, `{"name":`...)
 		if e.Counter {
 			// Counter series are keyed by name across the whole process;
 			// prefix the track so each component gets its own series.
-			writeJSONString(bw, e.Track+" "+e.Name)
+			b = append(b, '"')
+			b = appendJSONEscaped(b, e.Track)
+			b = append(b, ' ')
+			b = appendJSONEscaped(b, e.Name)
+			b = append(b, '"')
 		} else {
-			writeJSONString(bw, e.Name)
+			b = appendJSONString(b, e.Name)
 		}
-		bw.WriteString(`,"cat":`)
-		writeJSONString(bw, string(e.Kind))
+		b = append(b, `,"cat":`...)
+		b = appendJSONString(b, string(e.Kind))
 		switch {
 		case e.Counter:
-			bw.WriteString(`,"ph":"C"`)
+			b = append(b, `,"ph":"C"`...)
 		case e.Dur > 0:
-			bw.WriteString(`,"ph":"X","dur":`)
-			writeMicros(bw, e.Dur)
+			b = append(b, `,"ph":"X","dur":`...)
+			b = appendMicros(b, e.Dur)
 		default:
-			bw.WriteString(`,"ph":"i","s":"t"`)
+			b = append(b, `,"ph":"i","s":"t"`...)
 		}
-		bw.WriteString(`,"ts":`)
-		writeMicros(bw, e.At)
-		bw.WriteString(`,"pid":1,"tid":`)
-		bw.WriteString(strconv.Itoa(tids[e.Track]))
+		b = append(b, `,"ts":`...)
+		b = appendMicros(b, e.At)
+		b = append(b, `,"pid":1,"tid":`...)
+		b = append(b, tids[rowOf[i]]...)
 		if len(e.Args) > 0 {
-			bw.WriteString(`,"args":{`)
-			for j, a := range e.Args {
+			b = append(b, `,"args":{`...)
+			for j := range e.Args {
+				a := &e.Args[j]
 				if j > 0 {
-					bw.WriteByte(',')
+					b = append(b, ',')
 				}
-				writeJSONString(bw, a.Key)
-				bw.WriteByte(':')
+				b = appendJSONString(b, a.Key)
+				b = append(b, ':')
 				if a.Str != "" {
-					writeJSONString(bw, a.Str)
+					b = appendJSONString(b, a.Str)
 				} else {
-					bw.WriteString(strconv.FormatInt(a.Val, 10))
+					b = strconv.AppendInt(b, a.Val, 10)
 				}
 			}
-			bw.WriteByte('}')
+			b = append(b, '}')
 		}
-		bw.WriteByte('}')
+		bw.Write(append(b, '}'))
 	}
 
 	bw.WriteString("],\"displayTimeUnit\":\"ns\"}\n")
 	return bw.Flush()
 }
 
-func writeSep(bw *bufio.Writer, first *bool) {
-	if *first {
-		*first = false
-		return
+// recordSpace returns bw's free space for the next record, flushing first
+// when less than a typical record's worth is left; a record that still
+// outgrows it merely spills into an allocation of its own.
+func recordSpace(bw *bufio.Writer) []byte {
+	if bw.Available() < 512 {
+		bw.Flush()
 	}
-	bw.WriteByte(',')
+	return bw.AvailableBuffer()
 }
 
-// writeMicros prints ns as microseconds with exactly three decimals
+// appendMicros prints ns as microseconds with exactly three decimals
 // ("1234.567") — exact, float-free, and stable.
-func writeMicros(bw *bufio.Writer, ns int64) {
+func appendMicros(b []byte, ns int64) []byte {
 	if ns < 0 {
 		ns = 0
 	}
-	bw.WriteString(strconv.FormatInt(ns/1000, 10))
-	bw.WriteByte('.')
 	frac := ns % 1000
-	bw.WriteByte(byte('0' + frac/100))
-	bw.WriteByte(byte('0' + frac/10%10))
-	bw.WriteByte(byte('0' + frac%10))
+	b = strconv.AppendInt(b, ns/1000, 10)
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
-// writeJSONString escapes and quotes s per JSON. Probe names are plain
-// ASCII identifiers in practice; the escaper handles the general case.
-func writeJSONString(bw *bufio.Writer, s string) {
-	bw.WriteByte('"')
+// appendJSONString escapes and quotes s per JSON.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	b = appendJSONEscaped(b, s)
+	return append(b, '"')
+}
+
+// appendJSONEscaped appends s with JSON string escaping, unquoted. Probe
+// names are plain ASCII identifiers in practice, appended in one piece;
+// the escaper handles the general case.
+func appendJSONEscaped(b []byte, s string) []byte {
+	plain := 0 // start of the run of bytes needing no escape
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			bw.WriteByte('\\')
-			bw.WriteByte(c)
-		case c < 0x20:
+		if c != '"' && c != '\\' && c >= 0x20 {
+			continue
+		}
+		b = append(b, s[plain:i]...)
+		plain = i + 1
+		if c < 0x20 {
 			const hex = "0123456789abcdef"
-			bw.WriteString(`\u00`)
-			bw.WriteByte(hex[c>>4])
-			bw.WriteByte(hex[c&0xF])
-		default:
-			bw.WriteByte(c)
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		} else {
+			b = append(b, '\\', c)
 		}
 	}
-	bw.WriteByte('"')
+	return append(b, s[plain:]...)
 }

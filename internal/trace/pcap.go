@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,37 +17,44 @@ const (
 	linkTypeEther  = 1
 )
 
+// pcapBufSize is WritePcap's write buffer. A record is a hundred-odd
+// bytes, so an unbuffered capture costs two system calls per packet.
+const pcapBufSize = 64 << 10
+
 // WritePcap serializes the trace as a classic pcap capture. Each
 // record's timestamp is the switch ingress timestamp; captured length is
-// the trimmed length, original length the wire length.
+// the trimmed length, original length the wire length. Output is
+// buffered: w receives writes of pcapBufSize (a *bufio.Writer at least
+// that large is used as it is) and the final flush's error is returned.
 func (t *Trace) WritePcap(w io.Writer) error {
 	le := binary.LittleEndian
-	hdr := make([]byte, 24)
-	le.PutUint32(hdr[0:4], pcapMagicNs)
-	le.PutUint16(hdr[4:6], pcapVersionMaj)
-	le.PutUint16(hdr[6:8], pcapVersionMin)
-	// thiszone, sigfigs zero.
-	le.PutUint32(hdr[16:20], 65535) // snaplen
-	le.PutUint32(hdr[20:24], linkTypeEther)
-	if _, err := w.Write(hdr); err != nil {
+	bw := bufio.NewWriterSize(w, pcapBufSize)
+	hdr := bw.AvailableBuffer()
+	hdr = le.AppendUint32(hdr, pcapMagicNs)
+	hdr = le.AppendUint16(hdr, pcapVersionMaj)
+	hdr = le.AppendUint16(hdr, pcapVersionMin)
+	hdr = le.AppendUint64(hdr, 0)     // thiszone, sigfigs
+	hdr = le.AppendUint32(hdr, 65535) // snaplen
+	hdr = le.AppendUint32(hdr, linkTypeEther)
+	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	rec := make([]byte, 16)
 	for i := range t.Entries {
 		e := &t.Entries[i]
 		ts := e.Meta.Timestamp
-		le.PutUint32(rec[0:4], uint32(ts/1e9))
-		le.PutUint32(rec[4:8], uint32(ts%1e9))
-		le.PutUint32(rec[8:12], uint32(len(e.Wire)))
-		le.PutUint32(rec[12:16], uint32(e.OrigLen))
-		if _, err := w.Write(rec); err != nil {
+		rec := bw.AvailableBuffer()
+		rec = le.AppendUint32(rec, uint32(ts/1e9))
+		rec = le.AppendUint32(rec, uint32(ts%1e9))
+		rec = le.AppendUint32(rec, uint32(len(e.Wire)))
+		rec = le.AppendUint32(rec, uint32(e.OrigLen))
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
-		if _, err := w.Write(e.Wire); err != nil {
+		if _, err := bw.Write(e.Wire); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // PcapPacket is one record read back from a pcap file.

@@ -9,7 +9,6 @@ import "github.com/lumina-sim/lumina/internal/packet"
 // retransmission.
 func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 	drop := &t.Entries[di]
-	dataKey := drop.Key()
 	isRead := drop.Pkt.BTH.Opcode.IsReadResponse()
 	psn := drop.Pkt.BTH.PSN
 
@@ -21,7 +20,7 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 		// observable at the switch even when the injector drops it again
 		// (Listing 2's iter-2 drop), so it may be a dropped entry; the
 		// trigger must actually reach the receiver, so it may not.
-		if e.Key() == dataKey && op.IsData() {
+		if op.IsData() && e.SameConn(drop) {
 			if e.Pkt.BTH.PSN == psn {
 				return trigger, nack, e
 			}
@@ -31,7 +30,7 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 		}
 
 		// Control packets flow opposite the data direction.
-		if nack == nil && e.Pkt.IP.Src.String() == dataKey.Dst && e.Pkt.IP.Dst.String() == dataKey.Src {
+		if nack == nil && e.Reverses(drop) {
 			if !isRead && op.IsAck() && e.Pkt.AETH.IsNak() &&
 				e.Pkt.AETH.Syndrome == packet.NakPSNSeqError && e.Pkt.BTH.PSN == psn {
 				nack = e

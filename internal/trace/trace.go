@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"net/netip"
 
 	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -26,7 +27,15 @@ type Entry struct {
 	Wire []byte
 	// Node/Core locate the capturing dumper.
 	Node, Core int
+
+	// addrs holds the string forms of Pkt.IP.Src/Dst, interned once per
+	// trace by Reconstruct so Key formats nothing; nil on an entry built
+	// by hand.
+	addrs *addrPair
 }
+
+// addrPair is the string form of one (source, destination) address pair.
+type addrPair struct{ src, dst string }
 
 // Time returns the switch ingress timestamp as a simulation instant.
 func (e *Entry) Time() sim.Time { return sim.Time(e.Meta.Timestamp) }
@@ -49,15 +58,18 @@ type Trace struct {
 // boundaries; a k-way merge over the run heads then yields the records
 // in final order, and each is decoded once, straight into its slot.
 func Reconstruct(recs []dumper.Record) (*Trace, error) {
-	metas := make([]packet.MirrorMeta, len(recs))
+	// Only the sequence numbers are kept from this pass: the rest of the
+	// metadata is read again when its record is decoded, which is
+	// cheaper than carrying it.
+	seqs := make([]uint64, len(recs))
 	var heads []runHead
 	for i := range recs {
 		m, ok := packet.ExtractMirrorMeta(recs[i].Wire)
 		if !ok {
 			return nil, firstError(recs)
 		}
-		metas[i] = m
-		if i == 0 || m.Seq < metas[i-1].Seq {
+		seqs[i] = m.Seq
+		if i == 0 || m.Seq < seqs[i-1] {
 			heads = append(heads, runHead{seq: m.Seq, pos: i, end: i + 1})
 		} else {
 			heads[len(heads)-1].end = i + 1
@@ -68,6 +80,8 @@ func Reconstruct(recs []dumper.Record) (*Trace, error) {
 	}
 
 	tr := &Trace{Entries: make([]Entry, len(recs))}
+	pairs := map[[2]netip.Addr]*addrPair{}
+	var last *Entry // the entry before e
 	for out := range tr.Entries {
 		h := &heads[0]
 		r, e := &recs[h.pos], &tr.Entries[out]
@@ -75,9 +89,22 @@ func Reconstruct(recs []dumper.Record) (*Trace, error) {
 		if err != nil {
 			return nil, firstError(recs)
 		}
-		e.Meta, e.OrigLen, e.Wire, e.Node, e.Core = metas[h.pos], origLen, r.Wire, r.Node, r.Core
+		e.Meta, _ = packet.ExtractMirrorMeta(r.Wire)
+		e.OrigLen, e.Wire, e.Node, e.Core = origLen, r.Wire, r.Node, r.Core
+		// Packets of one direction come in runs, so most entries share
+		// the previous one's pair and skip the map.
+		if last != nil && last.Pkt.IP.Src == e.Pkt.IP.Src && last.Pkt.IP.Dst == e.Pkt.IP.Dst {
+			e.addrs = last.addrs
+		} else {
+			k := [2]netip.Addr{e.Pkt.IP.Src, e.Pkt.IP.Dst}
+			if e.addrs = pairs[k]; e.addrs == nil {
+				e.addrs = &addrPair{src: k[0].String(), dst: k[1].String()}
+				pairs[k] = e.addrs
+			}
+		}
+		last = e
 		if h.pos++; h.pos < h.end {
-			h.seq = metas[h.pos].Seq
+			h.seq = seqs[h.pos]
 		} else {
 			last := len(heads) - 1
 			heads[0] = heads[last]
@@ -178,7 +205,23 @@ type ConnKey struct {
 
 // Key returns the entry's connection-direction key.
 func (e *Entry) Key() ConnKey {
+	if a := e.addrs; a != nil {
+		return ConnKey{Src: a.src, Dst: a.dst, DstQPN: e.Pkt.BTH.DestQP}
+	}
 	return ConnKey{Src: e.Pkt.IP.Src.String(), Dst: e.Pkt.IP.Dst.String(), DstQPN: e.Pkt.BTH.DestQP}
+}
+
+// SameConn reports whether e and o belong to the same connection
+// direction — e.Key() == o.Key() without building either key.
+func (e *Entry) SameConn(o *Entry) bool {
+	return e.Pkt.BTH.DestQP == o.Pkt.BTH.DestQP && e.Pkt.IP.Src == o.Pkt.IP.Src && e.Pkt.IP.Dst == o.Pkt.IP.Dst
+}
+
+// Reverses reports whether e flows opposite to of: from of's destination
+// address back to its source, as the ACKs, NAKs, CNPs and re-issued read
+// requests answering of do.
+func (e *Entry) Reverses(of *Entry) bool {
+	return e.Pkt.IP.Src == of.Pkt.IP.Dst && e.Pkt.IP.Dst == of.Pkt.IP.Src
 }
 
 // Filter returns the entries satisfying keep, preserving order.

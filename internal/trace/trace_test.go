@@ -240,3 +240,61 @@ func TestThroughputTimeline(t *testing.T) {
 		t.Fatal("zero bucket should yield nil")
 	}
 }
+
+// TestKeyIsInternedPerTrace: Reconstruct formats each address pair of a
+// trace once, so Key — called per packet by every analyzer — allocates
+// nothing, yet returns exactly the key formatting would: same strings,
+// same map-key behaviour, for every pair of an interleaved capture and
+// for the reverse direction as a pair of its own.
+func TestKeyIsInternedPerTrace(t *testing.T) {
+	addrs := []string{"10.0.0.1", "10.0.0.2", "10.0.1.9", "192.168.7.250"}
+	var recs []dumper.Record
+	for i := 0; i < 64; i++ {
+		src, dst := addrs[i%3], addrs[(i/2+1)%4]
+		rec := mkRecord(uint64(i+1), packet.EventNone, int64(i), packet.OpWriteMiddle, uint32(i), 64)
+		s4, d4 := netip.MustParseAddr(src).As4(), netip.MustParseAddr(dst).As4()
+		copy(rec.Wire[packet.EthernetSize+12:], s4[:])
+		copy(rec.Wire[packet.EthernetSize+16:], d4[:])
+		recs = append(recs, rec)
+	}
+	tr, err := Reconstruct(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[ConnKey]int{}
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		want := ConnKey{Src: e.Pkt.IP.Src.String(), Dst: e.Pkt.IP.Dst.String(), DstQPN: e.Pkt.BTH.DestQP}
+		if got := e.Key(); got != want {
+			t.Fatalf("entry %d: Key() = %+v, formatting gives %+v", i, got, want)
+		}
+		byKey[e.Key()]++
+		for j := range tr.Entries[:i] {
+			o := &tr.Entries[j]
+			if e.SameConn(o) != (e.Key() == o.Key()) {
+				t.Fatalf("entry %d SameConn(%d) = %v disagrees with the keys %+v, %+v", i, j, e.SameConn(o), e.Key(), o.Key())
+			}
+			reversed := e.Key().Src == o.Key().Dst && e.Key().Dst == o.Key().Src
+			if e.Reverses(o) != reversed {
+				t.Fatalf("entry %d Reverses(%d) = %v, keys %+v, %+v", i, j, e.Reverses(o), e.Key(), o.Key())
+			}
+		}
+	}
+	if len(byKey) < 6 {
+		t.Fatalf("capture holds %d connection keys; the interleaving no longer exercises the table", len(byKey))
+	}
+	var sink ConnKey
+	if avg := testing.AllocsPerRun(10, func() {
+		for i := range tr.Entries {
+			sink = tr.Entries[i].Key()
+		}
+	}); avg != 0 {
+		t.Fatalf("Key allocates on a reconstructed trace: %.1f allocs per pass", avg)
+	}
+	_ = sink
+	// An entry built by hand has no interned pair and still answers.
+	bare := Entry{Pkt: tr.Entries[0].Pkt}
+	if bare.Key() != tr.Entries[0].Key() {
+		t.Fatalf("hand-built entry: Key() = %+v, want %+v", bare.Key(), tr.Entries[0].Key())
+	}
+}
