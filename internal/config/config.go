@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"sort"
@@ -255,6 +256,12 @@ func (t *Test) Validate() error {
 	if tr.MinRetransmitTimeout <= 0 {
 		tr.MinRetransmitTimeout = 14
 	}
+	if tr.MinRetransmitTimeout > 31 {
+		// IB's Local ACK Timeout is a 5-bit exponent; past 50 the
+		// 4.096 µs << exp retransmission timer overflows to a negative
+		// delay inside the run.
+		return fmt.Errorf("config: min-retransmit-timeout %d exceeds the 5-bit exponent's maximum of 31", tr.MinRetransmitTimeout)
+	}
 	if tr.MaxRetransmitRetry <= 0 {
 		tr.MaxRetransmitRetry = 7
 	}
@@ -325,11 +332,11 @@ func (t *Test) Validate() error {
 	if d.CoresPerNode <= 0 {
 		d.CoresPerNode = 8
 	}
-	if d.PerCoreGbps <= 0 {
-		d.PerCoreGbps = 5
+	if err := defaultRate("per-core-gbps", &d.PerCoreGbps, 5); err != nil {
+		return err
 	}
-	if d.NodeGbps <= 0 {
-		d.NodeGbps = 100
+	if err := defaultRate("node-gbps", &d.NodeGbps, 100); err != nil {
+		return err
 	}
 	if d.TrimBytes <= 0 {
 		d.TrimBytes = 128
@@ -349,8 +356,8 @@ func (t *Test) Validate() error {
 		if f.HostsPerLeaf <= 0 {
 			f.HostsPerLeaf = 8
 		}
-		if f.UplinkGbps <= 0 {
-			f.UplinkGbps = 400
+		if err := defaultRate("uplink-gbps", &f.UplinkGbps, 400); err != nil {
+			return err
 		}
 		if f.Pattern == "" {
 			f.Pattern = "incast"
@@ -364,6 +371,20 @@ func (t *Test) Validate() error {
 		if len(tr.Events) > 0 {
 			return fmt.Errorf("config: data-pkt-events are pair-testbed only; not valid with a fabric")
 		}
+	}
+	return nil
+}
+
+// defaultRate fills in a non-positive line rate and refuses one that is
+// not a finite number: yamlite reads "NaN" and "Inf" as floats, a NaN
+// passes every <= 0 guard downstream, and the serialization time it
+// yields lies in the distant past — a scheduling panic inside the run.
+func defaultRate(key string, gbps *float64, def float64) error {
+	if math.IsNaN(*gbps) || math.IsInf(*gbps, 0) {
+		return fmt.Errorf("config: %s must be a finite rate in Gbps, got %v", key, *gbps)
+	}
+	if *gbps <= 0 {
+		*gbps = def
 	}
 	return nil
 }

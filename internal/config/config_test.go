@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"net/netip"
 	"os"
 	"reflect"
@@ -140,6 +141,10 @@ func TestValidationErrors(t *testing.T) {
 		{func(t *Test) { t.Requester.ETS = []ETSQueue{{Strict: true, Weight: 3}} }, "strict and weighted"},
 		{func(t *Test) { t.Traffic.QPTrafficClass = []int{3} }, "qp-traffic-class"},
 		{func(t *Test) { t.Dumpers.Weights = []int{1, 2} }, "weights"},
+		{func(t *Test) { t.Traffic.MinRetransmitTimeout = 51 }, "min-retransmit-timeout"},
+		{func(t *Test) { t.Dumpers.PerCoreGbps = math.NaN() }, "per-core-gbps"},
+		{func(t *Test) { t.Dumpers.NodeGbps = math.Inf(1) }, "node-gbps"},
+		{func(t *Test) { t.Fabric = &FabricTopo{UplinkGbps: math.Inf(-1)} }, "uplink-gbps"},
 	}
 	for i, c := range cases {
 		tc := Default()

@@ -1,6 +1,9 @@
 package packet
 
-import "hash/crc32"
+import (
+	"encoding/binary"
+	"hash/crc32"
+)
 
 // ComputeICRC computes the RoCEv2 invariant CRC over a serialized packet
 // (everything up to, but excluding, the trailing 4 iCRC bytes).
@@ -21,36 +24,48 @@ import "hash/crc32"
 // is also what lets Lumina's injector mark ECN without recomputing it,
 // and what forces the injector's corruption action to actually break it.
 func ComputeICRC(wire []byte) uint32 {
-	if len(wire) < EthernetSize+IPv4Size+UDPSize+BTHSize {
+	const headEnd = EthernetSize + IPv4Size + UDPSize + BTHSize
+	if len(wire) < headEnd {
 		return 0
 	}
-	// Build the masked image. A fixed-size stack prefix plus the
-	// unmodified tail keeps this cheap: only the first 40 bytes after
-	// Ethernet need masking.
-	var head [8 + IPv4Size + UDPSize + BTHSize]byte
-	for i := 0; i < 8; i++ {
-		head[i] = 0xFF
+	// The masked image is the 0xFF prefix plus the 40 header bytes after
+	// Ethernet with five fields forced to 0xFF: six 8-byte blocks. The
+	// prefix block is folded into icrcSeed; each other block is loaded
+	// little-endian from the wire, masked with an OR and hashed by
+	// slicing-by-8 — no copy of the head, no write to the frame. Only the
+	// long unmasked tail goes through crc32.Update's optimized path; the
+	// two compose exactly: Update(0, head)+Update(·, tail) ≡ this.
+	h := wire[EthernetSize:headEnd]
+	le := binary.LittleEndian
+	crc := slice8(icrcSeed, le.Uint64(h[0:])|0xFF<<8)   // IP 0-7: TOS (DSCP+ECN)
+	crc = slice8(crc, le.Uint64(h[8:])|0xFF|0xFFFF<<16) // IP 8-15: TTL, header checksum
+	crc = slice8(crc, le.Uint64(h[16:]))                // IP 16-19, UDP 0-3
+	crc = slice8(crc, le.Uint64(h[24:])|0xFFFF<<16)     // UDP 4-7: checksum; BTH 0-3
+	crc = slice8(crc, le.Uint64(h[32:])|0xFF)           // BTH 4-11: resv8a (FECN/BECN)
+	return crc32.Update(^crc, crc32.IEEETable, wire[headEnd:])
+}
+
+// icrcTables are the slicing-by-8 tables of the IEEE polynomial: table k
+// maps a byte to its CRC contribution after k further zero bytes.
+var icrcTables = func() (t [8][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for k := 1; k < 8; k++ {
+		for i, v := range t[k-1] {
+			t[k][i] = t[0][byte(v)] ^ v>>8
+		}
 	}
-	copy(head[8:], wire[EthernetSize:EthernetSize+IPv4Size+UDPSize+BTHSize])
+	return t
+}()
 
-	ip := head[8 : 8+IPv4Size]
-	ip[1] = 0xFF                // TOS (DSCP+ECN)
-	ip[8] = 0xFF                // TTL
-	ip[10], ip[11] = 0xFF, 0xFF // header checksum
+// icrcSeed is the CRC state after the eight 0xFF bytes that stand in for
+// the LRH and the masked GRH fields.
+var icrcSeed = slice8(^uint32(0), ^uint64(0))
 
-	udp := head[8+IPv4Size : 8+IPv4Size+UDPSize]
-	udp[6], udp[7] = 0xFF, 0xFF // UDP checksum
-
-	bth := head[8+IPv4Size+UDPSize:]
-	bth[4] = 0xFF // resv8a (FECN/BECN)
-
-	// The masked prefix is hashed with a manual table walk so the stack
-	// array never escapes into the hashing routine; only the long
-	// unmasked tail goes through crc32.Update's optimized path. The two
-	// compose exactly: Update(0, head)+Update(·, tail) ≡ this.
-	crc := ^uint32(0)
-	for _, b := range &head {
-		crc = crc32.IEEETable[byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc32.Update(^crc, crc32.IEEETable, wire[EthernetSize+IPv4Size+UDPSize+BTHSize:])
+// slice8 advances a reflected CRC-32 state over eight bytes held
+// little-endian in v.
+func slice8(crc uint32, v uint64) uint32 {
+	t := &icrcTables
+	lo, hi := crc^uint32(v), uint32(v>>32)
+	return t[7][byte(lo)] ^ t[6][byte(lo>>8)] ^ t[5][byte(lo>>16)] ^ t[4][lo>>24] ^
+		t[3][byte(hi)] ^ t[2][byte(hi>>8)] ^ t[1][byte(hi>>16)] ^ t[0][hi>>24]
 }

@@ -18,13 +18,23 @@ type Port struct {
 	// last queued frame; it implements an infinite FIFO output queue.
 	txFreeAt Time
 
+	// txq is a power-of-two ring of the frames still counted in
+	// queueBytes, oldest at txHead: each leaves the transmitter at its
+	// done instant, but the gauge only learns that when settle runs. A
+	// frame costs the event queue its arrival and nothing else.
+	txq    []txFrame
+	txHead int
+	txLen  int
+	// queueBytes is the queue gauge as of the last settle; read it
+	// through QueueBytes.
+	queueBytes int64
+
 	// Gauges and counters, exported for integrity checks (§3.5).
-	TxFrames   uint64
-	TxBytes    uint64
-	RxFrames   uint64
-	RxBytes    uint64
-	QueueBytes int64 // bytes currently waiting for or in serialization
-	MaxQueue   int64
+	TxFrames uint64
+	TxBytes  uint64
+	RxFrames uint64
+	RxBytes  uint64
+	MaxQueue int64 // high-water mark of QueueBytes, sampled at each send
 	// Busy is the cumulative serialization time committed to this port's
 	// transmitter — the link-utilization numerator (Busy / elapsed). It
 	// is credited at enqueue time, so over a window it can briefly exceed
@@ -80,23 +90,71 @@ func (p *Port) Peer() *Port { return p.peer }
 // caller's: no receiver releases or adopts it.
 func (p *Port) Send(data []byte) { p.SendFrame(data, false) }
 
-// Port event ops.
-const (
-	portTxDone = iota // arg bytes left the transmitter
-	portRx            // data arrived; arg != 0 when the frame is owned
-)
+// txFrame is one frame between enqueue and the end of its
+// serialization: bytes leave the queue gauge at done, ordered among the
+// events of that instant as if by an event scheduled just before the
+// frame's arrival event, whose sequence number is seq.
+type txFrame struct {
+	done  Time
+	seq   uint64
+	bytes int64
+}
+
+// txRingMin is the ring's first capacity; it doubles when a transmitter
+// holds more frames than that at once.
+const txRingMin = 8
+
+// settle subtracts from the gauge every frame whose serialization has
+// ended: done is in the past, or done is this instant and the simulator
+// has already fired an event scheduled at or after the frame's arrival
+// event. An event scheduled before the send and firing exactly at done
+// therefore still sees the frame queued. The ring is in (done, seq)
+// order, so the scan stops at the first frame still in the transmitter.
+func (p *Port) settle() {
+	now, fired := p.sim.now, p.sim.firedSeq
+	for p.txLen > 0 {
+		f := &p.txq[p.txHead]
+		if f.done > now || (f.done == now && f.seq >= fired) {
+			return
+		}
+		p.queueBytes -= f.bytes
+		p.txHead = (p.txHead + 1) & (len(p.txq) - 1)
+		p.txLen--
+	}
+}
+
+// pushTx appends a frame to the ring, reusing settled slots and doubling
+// the ring only when every slot holds a frame still in the transmitter.
+func (p *Port) pushTx(f txFrame) {
+	if p.txLen == len(p.txq) {
+		grown := make([]txFrame, max(txRingMin, 2*len(p.txq)))
+		n := copy(grown, p.txq[p.txHead:])
+		copy(grown[n:], p.txq[:p.txHead])
+		p.txq, p.txHead = grown, 0
+	}
+	p.txq[(p.txHead+p.txLen)&(len(p.txq)-1)] = f
+	p.txLen++
+}
+
+// QueueBytes reports the bytes currently waiting for or in serialization.
+func (p *Port) QueueBytes() int64 {
+	p.settle()
+	return p.queueBytes
+}
 
 // SendFrame is Send with explicit ownership: with owned set, data is a
 // pool frame (Simulator.GetFrame) whose ownership passes to the peer's
 // receiver.
 func (p *Port) SendFrame(data []byte, owned bool) {
 	if p.link == nil {
+		// invariant: every Port comes from Connect, which links both ends; only a Port literal built by hand gets here.
 		panic(fmt.Sprintf("sim: send on disconnected port %q", p.Name))
 	}
 	s := p.sim
 	now := s.Now()
+	p.settle()
 	if p.stamp != nil {
-		p.stamp(data, now, p.QueueBytes, p.Busy)
+		p.stamp(data, now, p.queueBytes, p.Busy)
 	}
 	start := now
 	if p.txFreeAt > start {
@@ -109,13 +167,13 @@ func (p *Port) SendFrame(data []byte, owned bool) {
 
 	p.TxFrames++
 	p.TxBytes += uint64(len(data))
-	p.QueueBytes += int64(len(data))
-	if p.QueueBytes > p.MaxQueue {
-		p.MaxQueue = p.QueueBytes
+	p.queueBytes += int64(len(data))
+	if p.queueBytes > p.MaxQueue {
+		p.MaxQueue = p.queueBytes
 	}
 
-	s.AtEvent(done, p, portTxDone, uint64(len(data)), nil)
-	s.AtEvent(done.Add(p.link.Propagation), p.peer, portRx, OwnedArg(owned), data)
+	arrival := s.AtEvent(done.Add(p.link.Propagation), p.peer, 0, OwnedArg(owned), data)
+	p.pushTx(txFrame{done: done, seq: arrival.ev.seq, bytes: int64(len(data))})
 }
 
 // OwnedArg encodes frame ownership as an event scalar — 1 owned, 0 not —
@@ -127,16 +185,13 @@ func OwnedArg(owned bool) uint64 {
 	return 0
 }
 
-// HandleEvent runs the port's two per-frame events: the transmitter
-// finishing a frame, and a frame arriving from the peer.
-func (p *Port) HandleEvent(op int, arg uint64, data []byte) {
-	if op == portTxDone {
-		p.QueueBytes -= int64(arg)
-		return
-	}
+// HandleEvent runs the port's one per-frame event: a frame arriving from
+// the peer, owned by the receiver when arg is non-zero.
+func (p *Port) HandleEvent(_ int, arg uint64, data []byte) {
 	p.RxFrames++
 	p.RxBytes += uint64(len(data))
 	if p.recv == nil {
+		// invariant: the builder attaches every port it connects to a NIC, switch or dumper node, each of which installs its receiver, before the first event runs.
 		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
 	}
 	p.recv(data, arg != 0)
@@ -168,6 +223,7 @@ type Link struct {
 // receivers and keeps the *Port handles.
 func Connect(s *Simulator, nameA, nameB string, gbps float64, prop Duration) (*Port, *Port) {
 	if gbps <= 0 {
+		// invariant: a link rate is a built-in NIC profile's LinkGbps or a config rate, and config.Validate defaults non-positive rates and refuses non-finite ones.
 		panic("sim: link rate must be positive")
 	}
 	l := &Link{GbpsRate: gbps, Propagation: prop}
@@ -194,6 +250,7 @@ func (l *Link) SerializationDelay(n int) Duration {
 // below the physical line rate.
 func TransferTime(n int, gbps float64) Duration {
 	if gbps <= 0 {
+		// invariant: callers pass a profile's LinkGbps, a positive-weight share of it, a DCQCN rate floored at MinRateGbps, or a config rate config.Validate made positive and finite.
 		panic("sim: non-positive rate")
 	}
 	return Duration(float64(n) * 8 / gbps)

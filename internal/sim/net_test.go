@@ -119,12 +119,12 @@ func TestQueueGaugeReturnsToZero(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Send(make([]byte, 1250))
 	}
-	if a.QueueBytes != 12500 {
-		t.Fatalf("QueueBytes = %d immediately after sends, want 12500", a.QueueBytes)
+	if a.QueueBytes() != 12500 {
+		t.Fatalf("QueueBytes = %d immediately after sends, want 12500", a.QueueBytes())
 	}
 	s.Run()
-	if a.QueueBytes != 0 {
-		t.Fatalf("QueueBytes = %d after drain, want 0", a.QueueBytes)
+	if a.QueueBytes() != 0 {
+		t.Fatalf("QueueBytes = %d after drain, want 0", a.QueueBytes())
 	}
 	if a.MaxQueue != 12500 {
 		t.Fatalf("MaxQueue = %d, want 12500", a.MaxQueue)
@@ -144,12 +144,12 @@ func TestQueueGaugeMultiPortInterleaved(t *testing.T) {
 		a.Send(make([]byte, 1250))
 		c.Send(make([]byte, 500))
 	}
-	if a.QueueBytes != 6250 || c.QueueBytes != 2500 {
-		t.Fatalf("queues = %d/%d after interleaved sends, want 6250/2500", a.QueueBytes, c.QueueBytes)
+	if a.QueueBytes() != 6250 || c.QueueBytes() != 2500 {
+		t.Fatalf("queues = %d/%d after interleaved sends, want 6250/2500", a.QueueBytes(), c.QueueBytes())
 	}
 	s.Run()
-	if a.QueueBytes != 0 || c.QueueBytes != 0 {
-		t.Fatalf("queues = %d/%d after drain, want 0/0", a.QueueBytes, c.QueueBytes)
+	if a.QueueBytes() != 0 || c.QueueBytes() != 0 {
+		t.Fatalf("queues = %d/%d after drain, want 0/0", a.QueueBytes(), c.QueueBytes())
 	}
 	if a.MaxQueue != 6250 || c.MaxQueue != 2500 {
 		t.Fatalf("high-water marks = %d/%d, want 6250/2500", a.MaxQueue, c.MaxQueue)
@@ -167,8 +167,8 @@ func TestQueueGaugeDuplexIndependent(t *testing.T) {
 		a.Send(make([]byte, 1250))
 	}
 	b.Send(make([]byte, 100))
-	if a.QueueBytes != 10000 || b.QueueBytes != 100 {
-		t.Fatalf("queues = %d/%d, want 10000/100", a.QueueBytes, b.QueueBytes)
+	if a.QueueBytes() != 10000 || b.QueueBytes() != 100 {
+		t.Fatalf("queues = %d/%d, want 10000/100", a.QueueBytes(), b.QueueBytes())
 	}
 	s.Run()
 	if a.MaxQueue != 10000 || b.MaxQueue != 100 {
@@ -190,8 +190,8 @@ func TestQueueGaugeDrainSchedule(t *testing.T) {
 	}{{99, 3750}, {100, 2500}, {199, 2500}, {200, 1250}, {299, 1250}, {300, 0}}
 	for _, w := range want {
 		s.RunUntil(w.at)
-		if a.QueueBytes != w.queue {
-			t.Fatalf("QueueBytes = %d at t=%d, want %d", a.QueueBytes, w.at, w.queue)
+		if a.QueueBytes() != w.queue {
+			t.Fatalf("QueueBytes = %d at t=%d, want %d", a.QueueBytes(), w.at, w.queue)
 		}
 	}
 	if a.MaxQueue != 3750 {
@@ -432,4 +432,232 @@ func TestTransferTimePanicsOnBadRate(t *testing.T) {
 		}
 	}()
 	TransferTime(100, 0)
+}
+
+// Tie order of the lazy queue gauge. A frame leaves the gauge at its
+// done instant, ordered among that instant's events as the explicit
+// tx-done event used to be: after everything scheduled before the Send,
+// before everything scheduled after it.
+func TestQueueGaugeTieOrder(t *testing.T) {
+	type seen struct {
+		gauge, ahead, max int64 // at the probe: QueueBytes, the stamper's queuedAhead, MaxQueue after its send
+		atArrival         int64 // QueueBytes when the 1250-byte frame reaches the peer
+	}
+	for _, c := range []struct {
+		name        string
+		prop        Duration
+		probeBefore bool // probe scheduled before the Send it races
+		want        seen
+	}{
+		{"scheduled before, zero propagation", 0, true, seen{1250, 1250, 1350, 100}},
+		{"scheduled after, zero propagation", 0, false, seen{0, 0, 1250, 0}},
+		{"scheduled before", 500, true, seen{1250, 1250, 1350, 0}},
+		{"scheduled after", 500, false, seen{0, 0, 1250, 0}},
+	} {
+		s := New(1)
+		a, b := Connect(s, "a", "b", 100, c.prop)
+		a.SetReceiver(func([]byte) {})
+		var got seen
+		b.SetReceiver(func(data []byte) {
+			if len(data) == 1250 {
+				got.atArrival = a.QueueBytes()
+			}
+		})
+		a.SetStamper(func(data []byte, _ Time, queuedAhead int64, _ Duration) {
+			if len(data) == 100 {
+				got.ahead = queuedAhead
+			}
+		})
+		// The probe fires at t=100, exactly when the 1250-byte frame sent
+		// at t=0 finishes serializing, and sends 100 bytes of its own.
+		probe := func() {
+			got.gauge = a.QueueBytes()
+			a.Send(make([]byte, 100))
+			got.max = a.MaxQueue
+		}
+		if c.probeBefore {
+			s.At(100, probe)
+		}
+		a.Send(make([]byte, 1250))
+		if !c.probeBefore {
+			s.At(100, probe)
+		}
+		s.Run()
+		if got != c.want {
+			t.Errorf("%s: saw %+v, want %+v", c.name, got, c.want)
+		}
+		if q := a.QueueBytes(); q != 0 {
+			t.Errorf("%s: QueueBytes = %d after drain, want 0", c.name, q)
+		}
+	}
+}
+
+// gaugeModel is what the lazy-gauge property test drives: the real Port
+// and a reference that still schedules one tx-done event per frame.
+type gaugeModel interface {
+	send(n int)
+	queue() int64
+	maxQueue() int64
+}
+
+type realGauge struct{ p *Port }
+
+func (r realGauge) send(n int)      { r.p.Send(make([]byte, n)) }
+func (r realGauge) queue() int64    { return r.p.QueueBytes() }
+func (r realGauge) maxQueue() int64 { return r.p.MaxQueue }
+
+// refGauge is the port model as it was before the gauge went lazy: the
+// frame's bytes leave the queue in an event of their own at done,
+// scheduled immediately before the arrival event.
+type refGauge struct {
+	s        *Simulator
+	link     Link
+	txFreeAt Time
+	q, max   int64
+	stamp    func(queuedAhead int64)
+	recv     func(n int)
+}
+
+func (r *refGauge) send(n int) {
+	r.stamp(r.q)
+	start := r.s.Now()
+	if r.txFreeAt > start {
+		start = r.txFreeAt
+	}
+	done := start.Add(r.link.SerializationDelay(n))
+	r.txFreeAt = done
+	r.q += int64(n)
+	if r.q > r.max {
+		r.max = r.q
+	}
+	r.s.At(done, func() { r.q -= int64(n) })
+	r.s.At(done.Add(r.link.Propagation), func() { r.recv(n) })
+}
+func (r *refGauge) queue() int64    { return r.q }
+func (r *refGauge) maxQueue() int64 { return r.max }
+
+// replayGauge runs one seeded random send schedule against a model and
+// returns everything the gauge showed: queuedAhead at every send, the
+// gauge read between RunUntil steps, and its value and high-water mark
+// after the drain. Times and serialization delays sit on a 10 ns grid so
+// that sends, tx-done instants and arrivals collide constantly; sends
+// come from events scheduled up front (before any frame), from arrival
+// handlers, and from events those handlers schedule (after some frames).
+func replayGauge(seed int64, mk func(s *Simulator, stamp func(int64), recv func(int)) gaugeModel) (obs []int64, frames int, executed uint64) {
+	s := New(1)
+	rng := NewRNG(seed)
+	var m gaugeModel
+	size := func() int { return 125 * (1 + rng.Intn(8)) } // 10..80 ns at 100 Gbps
+	send := func() {
+		frames++
+		m.send(size())
+	}
+	m = mk(s, func(ahead int64) { obs = append(obs, ahead) }, func(int) {
+		switch rng.Intn(4) {
+		case 0:
+			send()
+		case 1:
+			s.After(Duration(10*rng.Intn(6)), send)
+		}
+	})
+	for i := 0; i < 40; i++ {
+		s.At(Time(10*rng.Intn(120)), send)
+	}
+	for at := Time(0); at <= 1500; at += 10 {
+		s.RunUntil(at)
+		obs = append(obs, m.queue())
+		if rng.Intn(8) == 0 {
+			send() // from outside any event, between steps
+		}
+	}
+	s.Run()
+	return append(obs, m.queue(), m.maxQueue()), frames, s.Executed()
+}
+
+func TestPropertyLazyGaugeMatchesTxDoneEvent(t *testing.T) {
+	realModel := func(prop Duration) func(*Simulator, func(int64), func(int)) gaugeModel {
+		return func(s *Simulator, stamp func(int64), recv func(int)) gaugeModel {
+			a, b := Connect(s, "a", "b", 100, prop)
+			a.SetStamper(func(_ []byte, _ Time, queuedAhead int64, _ Duration) { stamp(queuedAhead) })
+			b.SetReceiver(func(data []byte) { recv(len(data)) })
+			return realGauge{a}
+		}
+	}
+	refModel := func(prop Duration) func(*Simulator, func(int64), func(int)) gaugeModel {
+		return func(s *Simulator, stamp func(int64), recv func(int)) gaugeModel {
+			return &refGauge{s: s, link: Link{GbpsRate: 100, Propagation: prop}, stamp: stamp, recv: recv}
+		}
+	}
+	for _, prop := range []Duration{0, 10, 50, 7} {
+		for seed := int64(1); seed <= 50; seed++ {
+			got, frames, events := replayGauge(seed, realModel(prop))
+			want, refFrames, refEvents := replayGauge(seed, refModel(prop))
+			if frames != refFrames || len(got) != len(want) {
+				t.Fatalf("prop %v seed %d: schedules diverged: %d frames / %d observations, reference %d / %d",
+					prop, seed, frames, len(got), refFrames, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("prop %v seed %d: observation %d of %d = %d, reference %d", prop, seed, i, len(want), got[i], want[i])
+				}
+			}
+			if got[len(got)-2] != 0 {
+				t.Fatalf("prop %v seed %d: gauge %d after drain", prop, seed, got[len(got)-2])
+			}
+			// The reference pays two events per frame, the port one.
+			if events+uint64(frames) != refEvents {
+				t.Fatalf("prop %v seed %d: %d events for %d frames, reference %d", prop, seed, events, frames, refEvents)
+			}
+		}
+	}
+}
+
+func TestTxRingGrowsAndWraps(t *testing.T) {
+	s := New(1)
+	a, _, _ := pipe(t, s, 100, 0)
+	// Steady state: five 125-byte frames (10 ns each) in the transmitter,
+	// one leaving and one joining every 10 ns. The ring's head laps the
+	// array many times and its capacity never moves.
+	for i := 0; i < 5; i++ {
+		a.Send(make([]byte, 125))
+	}
+	for i := 0; i < 100; i++ {
+		s.RunFor(10)
+		a.Send(make([]byte, 125))
+		if q := a.QueueBytes(); q != 5*125 {
+			t.Fatalf("step %d: QueueBytes = %d, want %d", i, q, 5*125)
+		}
+	}
+	if len(a.txq) != txRingMin {
+		t.Fatalf("ring grew to %d slots holding 5 frames, want %d", len(a.txq), txRingMin)
+	}
+	if a.txHead == 0 {
+		t.Fatal("head did not move: the growth below would not exercise a wrapped ring")
+	}
+	// Growth from a wrapped ring keeps FIFO order: frames of distinct
+	// sizes must leave the gauge in the order they were sent.
+	sizes := []int64{5 * 125}
+	want := int64(5 * 125)
+	for i := 1; i <= 40; i++ {
+		a.Send(make([]byte, 125*i))
+		want += int64(125 * i)
+		sizes = append(sizes, int64(125*i))
+	}
+	if len(a.txq) != 64 || a.txLen != 45 {
+		t.Fatalf("ring holds %d frames in %d slots, want 45 in 64", a.txLen, len(a.txq))
+	}
+	if q := a.QueueBytes(); q != want || a.MaxQueue != want {
+		t.Fatalf("QueueBytes/MaxQueue = %d/%d after burst, want %d", q, a.MaxQueue, want)
+	}
+	for i, sz := range sizes {
+		// sizes[0] stands for the five 125-byte frames still queued.
+		s.RunFor(Duration(sz / 125 * 10))
+		want -= sz
+		if q := a.QueueBytes(); q != want {
+			t.Fatalf("after group %d left: QueueBytes = %d, want %d", i, q, want)
+		}
+	}
+	if a.txLen != 0 || len(a.txq) != 64 {
+		t.Fatalf("drained ring holds %d frames in %d slots, want 0 in 64", a.txLen, len(a.txq))
+	}
 }

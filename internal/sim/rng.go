@@ -47,6 +47,7 @@ func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
+		// invariant: every bound is a positive constant, a non-empty slice's length, or a profile span plus one; none comes from a scenario.
 		panic("sim: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
@@ -55,6 +56,7 @@ func (r *RNG) Intn(n int) int {
 // Int63n returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Int63n(n int64) int64 {
 	if n <= 0 {
+		// invariant: the one caller, LatencyCurve.At, draws only when its profile's Jitter is positive.
 		panic("sim: Int63n with non-positive n")
 	}
 	return int64(r.Uint64() % uint64(n))

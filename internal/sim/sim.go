@@ -214,7 +214,12 @@ type Simulator struct {
 	queue   eventHeap
 	free    []*event // recycled event structs; see recycle
 	nextSeq uint64
-	rng     *RNG
+	// firedSeq bounds the events of the current instant that have fired:
+	// every scheduled event at now with seq below it has. Port.settle
+	// reads it to order lazy tx-queue accounting among same-instant
+	// events; nothing else does.
+	firedSeq uint64
+	rng      *RNG
 
 	executed  uint64 // total events fired, for diagnostics
 	cancelled uint64
@@ -287,6 +292,7 @@ func (s *Simulator) At(at Time, fn func()) EventRef {
 // at — the allocation-free form of At for per-packet paths.
 func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte) EventRef {
 	if at < s.now {
+		// invariant: components compute instants as now plus a non-negative span (max with a free-at time, a serialization delay over a validated rate); no input carries an absolute instant.
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
 	var ev *event
@@ -307,6 +313,7 @@ func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte)
 // AfterEvent is AtEvent d nanoseconds from now. Negative d panics.
 func (s *Simulator) AfterEvent(d Duration, h Handler, op int, arg uint64, data []byte) EventRef {
 	if d < 0 {
+		// invariant: delays are profile constants, latency curves clamped at zero, or config values config.Validate bounds (delay-us must be positive, the timeout exponent at most 31).
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	return s.AtEvent(s.now.Add(d), h, op, arg, data)
@@ -349,7 +356,7 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	ev := s.queue.pop()
-	s.now = ev.at
+	s.now, s.firedSeq = ev.at, ev.seq+1
 	s.executed++
 	h, op, arg, data := ev.h, ev.op, ev.arg, ev.data
 	s.recycle(ev)
@@ -393,9 +400,12 @@ func (s *Simulator) DrainUntil(deadline Time) {
 	for {
 		at, ok := s.NextEventTime()
 		if !ok || at > deadline {
-			return
+			break
 		}
 		s.Step()
+	}
+	if deadline >= s.now {
+		s.firedSeq = s.nextSeq // nothing scheduled at now is still pending
 	}
 }
 
