@@ -297,6 +297,7 @@ func (m *Map) Record(s Site, t uint8) {
 	}
 	idx := offsets[s] + int(t)
 	if idx >= offsets[s+1] {
+		// invariant: every Record call site passes a Site constant and one of that site's transition constants declared beside defs; no transition is computed from data.
 		panic(fmt.Sprintf("coverage: site %s has no transition %d", defs[s].name, t))
 	}
 	m.counts[idx]++

@@ -231,7 +231,9 @@ func (n *Node) rssCore(wire []byte) int {
 	h.Write(wire[14+9 : 14+10])  // protocol
 	h.Write(wire[14+12 : 14+20]) // src+dst IP
 	h.Write(wire[34 : 34+4])     // src+dst port
-	return int(h.Sum32()) % n.Cfg.Cores
+	// Reduce in uint32: on a 32-bit int, int(h.Sum32()) is negative for
+	// half of all hashes.
+	return int(h.Sum32() % uint32(n.Cfg.Cores))
 }
 
 // Terminate implements the orchestrator's TERM message: stop capturing

@@ -1,6 +1,7 @@
 package dumper
 
 import (
+	"hash/fnv"
 	"net/netip"
 	"testing"
 
@@ -93,6 +94,35 @@ func TestRSSSpreadsRandomizedPorts(t *testing.T) {
 		if l == 0 {
 			t.Fatalf("core %d idle under randomized ports: %v", c, loads)
 		}
+	}
+}
+
+// TestRSSCoreForHighHashes walks every destination port and checks each
+// frame whose 5-tuple hash is at or above 2^31 — negative as a 32-bit
+// int — lands on core hash mod Cores, computed here in uint32.
+func TestRSSCoreForHighHashes(t *testing.T) {
+	wire := mirrorFrame(1, 0, 0)
+	high := 0
+	for _, cores := range []int{3, 8} {
+		n := NewNode(sim.New(1), 0, Config{Cores: cores})
+		for port := 0; port <= 0xFFFF; port++ {
+			packet.RewriteUDPDstPort(wire, uint16(port))
+			h := fnv.New32a()
+			h.Write(wire[23:24]) // protocol
+			h.Write(wire[26:34]) // src+dst IP
+			h.Write(wire[34:38]) // src+dst port
+			sum := h.Sum32()
+			if sum < 1<<31 {
+				continue
+			}
+			high++
+			if got, want := n.rssCore(wire), int(sum%uint32(cores)); got != want {
+				t.Fatalf("port %#x, hash %#x, %d cores: rssCore = %d, want %d", port, sum, cores, got, want)
+			}
+		}
+	}
+	if high == 0 {
+		t.Fatal("no port hashed at or above 2^31: the walk is broken")
 	}
 }
 

@@ -162,9 +162,11 @@ func NewCollector(hub *telemetry.Hub) *Collector {
 // origin hops among the first 63 hops (their ID rides in the tag).
 func (c *Collector) RegisterHop(name string, origin bool) uint8 {
 	if len(c.hops) >= MaxHops {
+		// invariant: the orchestrator's topology.checkHops returns a Build error before any hop registers when the ports plus the injector pipeline exceed MaxHops.
 		panic("inband: hop table full")
 	}
 	if origin && len(c.hops) >= MaxOriginHops {
+		// invariant: the orchestrator registers hops in description order, and topology.checkHops returns a Build error first when an origin hop's index reaches MaxOriginHops.
 		panic("inband: origin hops must be registered among the first 63 hops")
 	}
 	c.hops = append(c.hops, hopState{name: name, origin: origin})

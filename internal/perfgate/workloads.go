@@ -32,6 +32,7 @@ var workloads = map[string]workloadFn{
 	"packet_decode_into":  packetDecodeInto,
 	"packet_icrc":         packetICRC,
 	"sim_events":          simEvents,
+	"sim_events_mixed":    simEventsMixed,
 	"int_stamp":           intStamp,
 	"coverage_record":     coverageRecord,
 	"end_to_end_run":      endToEndRun,
@@ -104,6 +105,34 @@ func simEvents() (int, int, func()) {
 		s.After(1, fn)
 		s.Step()
 	}
+}
+
+// simEventsMixed exercises both tiers of the event queue: each op
+// schedules two events inside the timing wheel's 16 µs horizon and two
+// beyond it (the heap), cancels one of each, and fires two, so the
+// queue's occupancy holds steady. Both tiers link or index the pooled
+// event structs, so the op allocates nothing once the freelist and the
+// heap's array have reached their working size.
+func simEventsMixed() (int, int, func()) {
+	s := sim.New(1)
+	fn := func() {}
+	op := func() {
+		near := s.After(100, fn)
+		s.After(5*sim.Microsecond, fn)
+		s.After(20*sim.Microsecond, fn)
+		far := s.After(sim.Millisecond, fn)
+		s.Cancel(near)
+		s.Cancel(far)
+		s.Step()
+		s.Step()
+	}
+	for i := 0; i < 64; i++ {
+		s.After(sim.Duration(i)*sim.Microsecond, fn)
+	}
+	for i := 0; i < 10000; i++ {
+		op()
+	}
+	return 50000, 1, op
 }
 
 // intStamp is the in-band telemetry hot path: an origin hop tags and

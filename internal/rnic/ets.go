@@ -138,6 +138,7 @@ func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
 func (s *etsScheduler) register(qp *QP) {
 	tc := qp.cfg.TrafficClass
 	if tc < 0 || tc >= len(s.queues) {
+		// invariant: config.Validate refuses a qp-traffic-class outside the requester's ETS queues (one when none is set), fabric hosts share the requester's queues, and responder QPs use class 0.
 		panic(fmt.Sprintf("rnic: QP traffic class %d out of range (%d ETS queues)", tc, len(s.queues)))
 	}
 	s.queues[tc].qps = append(s.queues[tc].qps, qp)

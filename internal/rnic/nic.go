@@ -120,6 +120,7 @@ type Config struct {
 // construction order does not perturb other components' random streams.
 func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 	if len(cfg.IPs) == 0 {
+		// invariant: config.Validate refuses a host whose ip-list is empty or holds no parseable address, and the orchestrator's topology gives every fabric host a generated one.
 		panic("rnic: NIC needs at least one IP (GID)")
 	}
 	ets := cfg.ETS
@@ -127,6 +128,7 @@ func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 		ets = DefaultETSConfig()
 	}
 	if err := ets.Validate(); err != nil {
+		// invariant: config.Validate refuses ets-queues that are strict and weighted or weighted without a positive weight, the two checks ETSConfig.Validate makes on a non-empty list.
 		panic(err)
 	}
 	n := &NIC{

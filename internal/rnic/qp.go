@@ -365,6 +365,7 @@ func (qp *QP) pump() {
 		psn := qp.sendPtr
 		w := qp.wqeFor(psn)
 		if w == nil {
+			// invariant: qp.wqes is append-only, PostSend appends a WQE covering exactly the PSNs it adds to nextPSN, and sendPtr is IPSN, one past a posted WQE, sndUna or a NAK PSN onSequenceNak checked against [sndUna, nextPSN).
 			panic(fmt.Sprintf("rnic: no WQE covers PSN %d", psn))
 		}
 		// sendPtr advances before the enqueue: on completion-at-transmit
@@ -410,6 +411,7 @@ func (qp *QP) buildTx(pkt txPkt) []byte {
 	case txAtomicAck:
 		return qp.buildAtomicAckPacket(pkt.psn, pkt.msn, pkt.orig)
 	}
+	// invariant: txPkt descriptors are built only inside this package, each with one of the six txKind constants switched on above.
 	panic(fmt.Sprintf("rnic: unknown txPkt kind %d", pkt.kind))
 }
 
@@ -511,6 +513,7 @@ func dataOpcode(v Verb, i, npkts int, imm bool) packet.Opcode {
 			return packet.OpWriteMiddle
 		}
 	}
+	// invariant: only txData descriptors reach here, and pump builds those only for verbs that are neither Read nor atomic; scenario verbs come from config.Validate's rdma-verb list through ParseVerb.
 	panic("rnic: dataOpcode on read verb")
 }
 

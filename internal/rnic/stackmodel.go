@@ -121,6 +121,7 @@ var stackModels = [...]StackModel{
 // stackModelFor returns the singleton engine for t.
 func stackModelFor(t Transport) StackModel {
 	if int(t) < 0 || int(t) >= len(stackModels) {
+		// invariant: a QP's Transport is the zero value (RC), a Transport constant, or ParseTransport's result, which config.Validate and the orchestrator's option check run first.
 		panic(fmt.Sprintf("rnic: no stack model for transport %d", int(t)))
 	}
 	return stackModels[t]

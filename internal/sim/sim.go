@@ -2,12 +2,20 @@
 // that every Lumina component runs on.
 //
 // The simulator maintains a virtual clock with nanosecond resolution and a
-// priority queue of scheduled events. Events scheduled for the same instant
-// fire in scheduling order, which — together with the seeded RNG in
-// package sim — makes every simulation run bit-for-bit reproducible. This
-// property is load-bearing: Lumina's whole purpose is precise and
-// reproducible tests, and the simulation substrate must not introduce
-// nondeterminism of its own.
+// queue of scheduled events ordered by (instant, scheduling sequence).
+// Events scheduled for the same instant fire in scheduling order, which —
+// together with the seeded RNG in package sim — makes every simulation run
+// bit-for-bit reproducible. This property is load-bearing: Lumina's whole
+// purpose is precise and reproducible tests, and the simulation substrate
+// must not introduce nondeterminism of its own.
+//
+// The queue has two tiers with one order. An event due within the
+// wheel's horizon (fewer than wheelSlots slots of 64 ns past the current
+// instant's slot) goes into a timing wheel, where finding the next one is
+// a bitmap scan; the rest — retransmission and rate timers, deep
+// bottleneck backlogs — go into a 4-ary heap. The next event is the
+// earlier of the two heads by (instant, sequence), so which tier holds an
+// event changes how it is found, never when it fires.
 //
 // There are no goroutines and no wall-clock reads anywhere in the core;
 // components interact exclusively by scheduling callbacks.
@@ -16,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
@@ -96,8 +105,11 @@ type event struct {
 	op   int
 	arg  uint64
 	data []byte
-	idx  int    // heap index; -1 once popped or cancelled
+	idx  int    // heap index in the far tier; -1 in the wheel
 	gen  uint64 // incremented every time the struct is recycled
+	// next and prev link the event into its wheel slot's list; they are
+	// stale once it leaves.
+	next, prev *event
 }
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
@@ -115,10 +127,117 @@ func (r EventRef) Cancelled() bool {
 	return r.ev == nil || r.ev.gen != r.gen
 }
 
-// eventHeap is an indexed 4-ary min-heap ordered by (at, seq). A 4-ary
-// layout halves the tree depth of the binary heap it replaced, and the
-// maintained idx field gives O(log n) cancellation without lazy deletion
-// — the queue never holds dead events.
+// The near tier's geometry: wheelSlots slots of 1<<slotShift ns, a
+// 16.4 µs horizon, and one bitmap word per 64 slots.
+const (
+	slotShift  = 6
+	wheelSlots = 256
+	wheelWords = wheelSlots / 64
+)
+
+// slotOf is the absolute slot number of an instant; the wheel keeps slot
+// n at index n % wheelSlots.
+func slotOf(t Time) uint64 { return uint64(t) >> slotShift }
+
+// wheel is the near tier: one circular doubly linked list per slot,
+// threaded through the events themselves and kept in (at, seq) order, so
+// a slot's head is its earliest event and the head's prev is its tail.
+// bits has one bit per non-empty slot. Every event in the wheel lies in
+// the wheelSlots slots starting at now's, and the clock never passes a
+// pending event, so that window only slides forward and the slots after
+// now's, in index order wrapping round, are the slots in time order.
+type wheel struct {
+	heads [wheelSlots]*event
+	bits  [wheelWords]uint64
+	n     int
+	// min, when non-nil, is the wheel's earliest event: a push earlier
+	// than it replaces it, its removal clears it, and first rescans only
+	// then. Asking twice for the next event, or scheduling with few
+	// events pending, costs no scan.
+	min *event
+}
+
+// push links ev into its slot. ev carries the largest seq scheduled so
+// far, so it goes after every event due at or before it: usually at the
+// tail; otherwise the scan starts from whichever end is nearer in time.
+func (w *wheel) push(ev *event) {
+	i := slotOf(ev.at) % wheelSlots
+	if w.n == 0 || (w.min != nil && ev.at < w.min.at) {
+		w.min = ev
+	}
+	w.n++
+	head := w.heads[i]
+	if head == nil {
+		ev.next, ev.prev = ev, ev
+		w.heads[i] = ev
+		w.bits[i/64%wheelWords] |= 1 << (i % 64)
+		return
+	}
+	p := head.prev // the tail; ev goes after p
+	switch {
+	case ev.at >= p.at:
+	case ev.at < head.at: // earlier than the whole slot: after the tail, as the new head
+		w.heads[i] = ev
+	case ev.at-head.at < p.at-ev.at:
+		for p = head; p.next.at <= ev.at; p = p.next {
+		}
+	default:
+		for p = p.prev; p.at > ev.at; p = p.prev {
+		}
+	}
+	ev.prev, ev.next = p, p.next
+	p.next.prev = ev
+	p.next = ev
+}
+
+// remove unlinks ev from its slot.
+func (w *wheel) remove(ev *event) {
+	i := slotOf(ev.at) % wheelSlots
+	w.n--
+	if ev == w.min {
+		w.min = nil
+	}
+	if ev.next == ev {
+		w.heads[i] = nil
+		w.bits[i/64%wheelWords] &^= 1 << (i % 64)
+	} else {
+		ev.prev.next, ev.next.prev = ev.next, ev.prev
+		if w.heads[i] == ev {
+			w.heads[i] = ev.next
+		}
+	}
+}
+
+// first returns the wheel's earliest event, nil when it is empty: min,
+// or else the head of the first non-empty slot at or after now's, in
+// wrapping order — which becomes min.
+func (w *wheel) first(now Time) *event {
+	if w.min == nil && w.n > 0 {
+		w.min = w.scan(now)
+	}
+	return w.min
+}
+
+// scan finds the head of the first non-empty slot at or after now's: in
+// the rest of now's bitmap word, then in the remaining words, ending with
+// now's own word again, whose low bits are the slots a lap ahead.
+func (w *wheel) scan(now Time) *event {
+	i := slotOf(now) % wheelSlots
+	if word := w.bits[i/64%wheelWords] >> (i % 64); word != 0 {
+		return w.heads[(i+uint64(bits.TrailingZeros64(word)))%wheelSlots]
+	}
+	for k := i/64 + 1; k <= i/64+wheelWords; k++ {
+		if word := w.bits[k%wheelWords]; word != 0 {
+			return w.heads[(k%wheelWords*64+uint64(bits.TrailingZeros64(word)))%wheelSlots]
+		}
+	}
+	return nil
+}
+
+// eventHeap is the far tier: an indexed 4-ary min-heap ordered by
+// (at, seq), holding the events scheduled beyond the wheel's horizon.
+// The maintained idx field gives O(log n) cancellation without lazy
+// deletion — the queue never holds dead events.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
@@ -211,8 +330,8 @@ func (h *eventHeap) remove(i int) {
 // Simulator owns the virtual clock and the event queue.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
-	free    []*event // recycled event structs; see recycle
+	far     eventHeap // events due beyond the wheel's horizon when scheduled
+	free    []*event  // recycled event structs; see recycle
 	nextSeq uint64
 	// firedSeq bounds the events of the current instant that have fired:
 	// every scheduled event at now with seq below it has. Port.settle
@@ -238,6 +357,11 @@ type Simulator struct {
 
 	// frames is the wire-frame pool (see frames.go).
 	frames framePool
+
+	// near holds the events due within the wheel's horizon; last, so
+	// its 2 KiB of slot heads do not split the scalars above across
+	// cache lines.
+	near wheel
 }
 
 // New creates a simulator whose RNG is seeded with seed. Two simulators
@@ -277,7 +401,7 @@ func (s *Simulator) Coverage() *coverage.Map { return s.cov }
 func (s *Simulator) RNG() *RNG { return s.rng }
 
 // Pending reports the number of events still scheduled.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.near.n + len(s.far) }
 
 // Executed reports the total number of events fired so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
@@ -306,7 +430,12 @@ func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte)
 	ev.at, ev.seq = at, s.nextSeq
 	ev.h, ev.op, ev.arg, ev.data = h, op, arg, data
 	s.nextSeq++
-	s.queue.push(ev)
+	if slotOf(at)-slotOf(s.now) < wheelSlots {
+		ev.idx = -1
+		s.near.push(ev)
+	} else {
+		s.far.push(ev)
+	}
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -341,21 +470,46 @@ func (s *Simulator) Cancel(r EventRef) bool {
 	if ev == nil || ev.gen != r.gen {
 		return false
 	}
-	s.queue.remove(ev.idx)
+	if ev.idx < 0 {
+		s.near.remove(ev)
+	} else {
+		s.far.remove(ev.idx)
+	}
 	s.cancelled++
 	s.recycle(ev)
 	return true
 }
 
+// head returns the earliest pending event, nil when none is: the earlier
+// of the two tiers' heads by (at, seq). Cancellation unlinks events from
+// either tier eagerly, so both heads are live.
+func (s *Simulator) head() *event {
+	ev := s.near.first(s.now)
+	if len(s.far) > 0 {
+		if f := s.far[0]; ev == nil || f.at < ev.at || (f.at == ev.at && f.seq < ev.seq) {
+			return f
+		}
+	}
+	return ev
+}
+
 // Step fires the single earliest pending event. It reports false when the
-// queue is empty. Cancellation removes events from the heap eagerly, so
-// whatever sits at the top is live. The struct goes back to the freelist
-// before the handler runs so the handler's own scheduling can reuse it.
-func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+// queue is empty.
+func (s *Simulator) Step() bool { return s.fireNext(MaxTime) }
+
+// fireNext fires the earliest pending event if it is due by deadline and
+// reports whether it did. The struct goes back to the freelist before the
+// handler runs so the handler's own scheduling can reuse it.
+func (s *Simulator) fireNext(deadline Time) bool {
+	ev := s.head()
+	if ev == nil || ev.at > deadline {
 		return false
 	}
-	ev := s.queue.pop()
+	if ev.idx < 0 {
+		s.near.remove(ev)
+	} else {
+		s.far.pop()
+	}
 	s.now, s.firedSeq = ev.at, ev.seq+1
 	s.executed++
 	h, op, arg, data := ev.h, ev.op, ev.arg, ev.data
@@ -387,8 +541,8 @@ func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // NextEventTime reports the instant of the earliest pending event.
 func (s *Simulator) NextEventTime() (Time, bool) {
-	if len(s.queue) > 0 {
-		return s.queue[0].at, true
+	if ev := s.head(); ev != nil {
+		return ev.at, true
 	}
 	return 0, false
 }
@@ -397,12 +551,7 @@ func (s *Simulator) NextEventTime() (Time, bool) {
 // RunUntil, leaves the clock at the last fired event when the queue
 // drains early — so "how long did the run take" reads naturally.
 func (s *Simulator) DrainUntil(deadline Time) {
-	for {
-		at, ok := s.NextEventTime()
-		if !ok || at > deadline {
-			break
-		}
-		s.Step()
+	for s.fireNext(deadline) {
 	}
 	if deadline >= s.now {
 		s.firedSeq = s.nextSeq // nothing scheduled at now is still pending

@@ -86,7 +86,7 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 		"shuffled":   shuffled,
 		"duplicates": iota64(400, func(int) uint64 { return uint64(rng.Intn(12)) }),
 		"all-equal":  iota64(100, func(int) uint64 { return 5 }),
-		"gapped":     iota64(300, func(int) uint64 { return uint64(rng.Intn(1 << 40)) }),
+		"gapped":     iota64(300, func(int) uint64 { return uint64(rng.Int63n(1 << 40)) }),
 		"per-core":   perCore,
 		"short-runs": iota64(600, func(i int) uint64 { return uint64(i%2) + uint64(rng.Intn(50)) }),
 	}

@@ -161,6 +161,7 @@ func firstError(recs []dumper.Record) error {
 			return fmt.Errorf("trace: record %d: %v", i, err)
 		}
 	}
+	// invariant: Reconstruct calls this only after a record failed ExtractMirrorMeta or DecodeHeaders, and the loop above repeats both checks on every record.
 	panic("trace: firstError called on records that all decode")
 }
 
