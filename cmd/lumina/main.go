@@ -1,202 +1,294 @@
-// Command lumina runs one Lumina test from a yamlite configuration file
-// (the paper's Listings 1–2 schema), prints a summary with analyzer
-// verdicts, and optionally writes the collected artifacts (report.json,
-// trace.pcap, metrics.json, timeline.json, summary.json, with -int also
-// int.json, and with -coverage also coverage.json) to a directory.
+// Command lumina is the one binary for the paper's whole loop: run a
+// scenario (run), inspect what it captured (trace), keep and replay the
+// regression corpus (corpus), search for anomalies (fuzz), serve runs
+// over HTTP (serve) and regenerate the paper's tables (bench).
 //
-// Usage:
-//
-//	lumina -config test.yaml [-out results/] [-analyze] [-deadline 600]
-//	       [-timeline t.json] [-metrics m.json] [-int] [-coverage]
-//	       [-transport rc|uc|ud]
+// `lumina help` lists every subcommand with its flags and `lumina
+// <command> -h` describes each flag; both are rendered from the
+// commands' flag sets. The exit status is 0 on success, 2 for a usage
+// error and 1 for any other failure, corpus drift included.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
-	lumina "github.com/lumina-sim/lumina"
-	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/sim"
+	"github.com/lumina-sim/lumina/internal/resultcache"
+	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/version"
 )
 
+// command is one node of the subcommand tree. args names its positional
+// arguments, which exec counts: "cfg.yaml" is exactly one, a trailing
+// "..." one or more. bind declares the command's flags on fs and returns
+// the function that runs it on the positional arguments; it has no
+// other effect, so the usage renderer calls it too. A command without
+// bind only groups its subcommands.
+type command struct {
+	name, args, summary string
+	bind                func(fs *flag.FlagSet) func(args []string) error
+	subs                []*command
+}
+
+// commands builds the whole tree. It is a function rather than a
+// variable because help renders the tree that contains it.
+func commands() *command {
+	return &command{name: "lumina", summary: "print the build stamp; every subcommand takes -h for its flags", bind: bindRoot, subs: []*command{
+		{name: "run", args: "cfg.yaml", summary: "run one scenario: traffic, trace integrity, analyzer verdicts", bind: bindRun},
+		{name: "trace", summary: "list a captured pcap, re-derive ITER rounds, re-run trace analyzers", bind: bindTrace, subs: []*command{
+			{name: "timeline", summary: "render a pcap as Chrome trace-event JSON (Perfetto)", bind: bindTimeline},
+			{name: "explain", summary: "print the causal chain each injected event provoked", bind: bindExplain},
+			{name: "hops", summary: "print a run's per-hop in-band telemetry (int.json)", bind: bindHops},
+			{name: "coverage", summary: "print a coverage.json or frontier.json, or diff two", bind: bindTraceCoverage},
+		}},
+		{name: "corpus", subs: []*command{
+			{name: "add", args: "cfg.yaml...", summary: "admit scenarios into the regression corpus", bind: bindCorpusAdd},
+			{name: "minimize", args: "cfg.yaml", summary: "delta-debug a scenario to a 1-minimal reproducer", bind: bindMinimize},
+			{name: "replay", summary: "replay every entry against its goldens; fails on drift", bind: bindReplay},
+			{name: "coverage", summary: "report each profile's corpus coverage frontier", bind: bindCorpusCoverage},
+			{name: "list", summary: "list corpus entries", bind: bindList},
+		}},
+		{name: "fuzz", summary: "genetic search (§4, Algorithm 1); -corpus admits minimized findings", bind: bindFuzz},
+		{name: "serve", subs: []*command{
+			{name: "daemon", summary: "serve runs over HTTP, answering repeats from the result cache", bind: bindDaemon},
+			{name: "run", args: "cfg.yaml", summary: "submit a scenario to a daemon, wait, fetch its artifacts", bind: bindServeRun},
+			{name: "status", args: "runID", summary: "print one run's state and verdicts", bind: bindStatus},
+			{name: "artifacts", args: "runID", summary: "download a finished run's artifacts", bind: bindArtifacts},
+			{name: "stats", summary: "print a daemon's version, run count and cache counters", bind: bindStats},
+		}},
+		{name: "bench", summary: "regenerate the paper's tables and figures; -gate checks alloc budgets", bind: bindBench},
+		{name: "help", summary: "print this list", bind: bindHelp},
+	}}
+}
+
 func main() {
-	cfgPath := flag.String("config", "", "test configuration file (yamlite)")
-	outDir := flag.String("out", "", "directory for artifacts (report.json, trace.pcap)")
-	analyze := flag.Bool("analyze", true, "run the built-in analyzers on the trace")
-	deadline := flag.Int("deadline", 600, "virtual-time deadline in seconds")
-	timeline := flag.String("timeline", "", "write a Perfetto-compatible timeline (Chrome trace-event JSON) to this file")
-	metrics := flag.String("metrics", "", "write the telemetry metrics snapshot (JSON) to this file")
-	intFlag := flag.Bool("int", false, "enable in-band telemetry: per-hop INT stamping, joined to lineage chains (int.json with -out)")
-	covFlag := flag.Bool("coverage", false, "record behavioral coverage: FSM/match-action (site, transition) pairs (coverage.json with -out)")
-	transport := flag.String("transport", "", "override the scenario's transport for every connection: rc, uc, or ud (default: whatever the scenario declares)")
-	showVersion := flag.Bool("version", false, "print the build stamp (also embedded in cache keys and summary.json) and exit")
-	flag.Parse()
+	os.Exit(exitCode(commands().exec("lumina", os.Args[1:])))
+}
 
-	if *showVersion {
-		fmt.Println("lumina", version.String())
-		return
+// exec runs the command args name below c, reached by the command
+// words in path: it parses the rest of args with that command's flags
+// and runs it. The flag set reports its own parse errors and -h; exec
+// reports the usage errors a command returns.
+func (c *command) exec(path string, args []string) error {
+	if len(args) > 0 {
+		for _, s := range c.subs {
+			if s.name == args[0] {
+				return s.exec(path+" "+s.name, args[1:])
+			}
+		}
 	}
-	if *cfgPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: lumina -config test.yaml [-out dir]")
-		os.Exit(2)
-	}
-	cfg, err := lumina.LoadConfig(*cfgPath)
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := lumina.RunWithOptions(cfg, lumina.Options{
-		Deadline: sim.Duration(*deadline) * sim.Second,
-		// -out implies telemetry so the artifact directory always gets
-		// the full set (timeline, metrics, summary with probe-backed
-		// lineage chains).
-		Telemetry: *timeline != "" || *metrics != "" || *outDir != "",
-		Lineage:   true,
-		INT:       *intFlag,
-		Coverage:  *covFlag,
-		Transport: *transport,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	fmt.Printf("test %q: %d connection(s), verb=%s, %d msg(s) × %d B\n",
-		cfg.Name, cfg.Traffic.NumConnections, cfg.Traffic.Verb,
-		cfg.Traffic.NumMsgsPerQP, cfg.Traffic.MessageSize)
-	fmt.Printf("virtual duration: %v  timed-out: %v\n", rep.DurationNs, rep.TimedOut)
-	haveTrace := rep.Trace != nil && len(rep.Trace.Entries) > 0
+	fs, run := c.flags(path)
+	err := fs.Parse(args)
+	want, n := strings.Fields(c.args), fs.NArg()
 	switch {
-	case rep.Trace == nil:
-		fmt.Println("trace: none collected (mirroring disabled)")
-	case rep.IntegrityOK:
-		fmt.Printf("trace: %d packets, integrity OK\n", len(rep.Trace.Entries))
+	case errors.Is(err, flag.ErrHelp):
+		return nil
+	case err != nil:
+		return usageError{err}
+	case len(c.subs) > 0 && n > 0:
+		err = usagef("unknown subcommand %q", fs.Arg(0))
+	case n != len(want) && !(strings.HasSuffix(c.args, "...") && n >= len(want)):
+		err = usagef("want %q, got %d argument(s)", c.args, n)
 	default:
-		fmt.Printf("trace: %d packets, INTEGRITY FAILED: %s\n", len(rep.Trace.Entries), rep.IntegrityDetail)
+		err = run(fs.Args())
 	}
-	if rep.Traffic != nil {
-		fmt.Printf("aggregate goodput: %.2f Gbps, avg MCT: %v\n",
-			rep.Traffic.TotalGoodputGbps(), rep.Traffic.AvgMCT())
-		for i := range rep.Traffic.Conns {
-			c := &rep.Traffic.Conns[i]
-			fmt.Printf("  conn %2d qpn=%#x: %v  avg MCT %v  goodput %.2f Gbps\n",
-				c.Index, c.ReqQPN, statusSummary(c.Statuses), c.AvgMCT(), c.GoodputGbps())
-		}
+	if errors.As(err, new(usageError)) {
+		fmt.Fprintf(fs.Output(), "%s: %v\n", path, err)
+		fs.Usage()
 	}
+	return err
+}
 
-	if *analyze && haveTrace {
-		fmt.Println("\n--- analyzers ---")
-		if !rep.IntegrityOK {
-			// A trace that fails the integrity check (§3.5) is missing
-			// mirrored packets — usually dumper ring overflow. Sequence
-			// gaps then look like drops that never happened on the wire,
-			// so analyzer verdicts below are advisory, not conclusive.
-			fmt.Printf("WARNING: integrity check failed (%s)\n", rep.IntegrityDetail)
-			fmt.Println("WARNING: the trace is incomplete; gaps may be capture loss, not network loss.")
-			fmt.Println("WARNING: analyzer results on this partial trace are advisory only.")
+// flags binds c's flags to a new flag set and returns it with the
+// function that runs c.
+func (c *command) flags(path string) (*flag.FlagSet, func([]string) error) {
+	fs := flag.NewFlagSet(path, flag.ContinueOnError)
+	fs.Usage = func() { c.usage(fs.Output(), path) }
+	if c.bind == nil {
+		return fs, func([]string) error { return usagef("missing subcommand") }
+	}
+	return fs, c.bind(fs)
+}
+
+// usageError is a mistake in how a command was invoked.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error {
+	return usageError{fmt.Errorf(format, a...)}
+}
+
+// exitCode is the one place an error becomes a process status: 2 for a
+// usage error, which exec has already reported with the command's
+// usage, and 1 for any other failure, corpus drift included.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	}
+	fmt.Fprintln(os.Stderr, "lumina:", err)
+	return 1
+}
+
+func bindRoot(fs *flag.FlagSet) func([]string) error {
+	showVersion := fs.Bool("version", false, "print the build stamp (also embedded in cache keys and summary.json) and exit")
+	return func([]string) error {
+		if !*showVersion {
+			return usagef("missing subcommand")
 		}
-		gbn := lumina.CheckGoBackN(rep.Trace)
-		fmt.Printf("go-back-n logic: %d connection-direction(s), %d gap(s), %d violation(s)\n",
-			gbn.ConnsChecked, gbn.Events, len(gbn.Violations))
-		for _, v := range gbn.Violations {
-			fmt.Printf("  VIOLATION %s\n", v)
+		fmt.Println("lumina", version.String())
+		return nil
+	}
+}
+
+func bindHelp(*flag.FlagSet) func([]string) error {
+	return func([]string) error {
+		commands().help(os.Stdout, "lumina")
+		return nil
+	}
+}
+
+// help writes the synopsis and summary of every runnable command in c's
+// tree: the text of `lumina help` and of README's command list.
+func (c *command) help(w io.Writer, path string) {
+	if c.bind != nil {
+		fmt.Fprintf(w, "%s\n    %s\n", c.synopsis(path), c.summary)
+	}
+	for _, s := range c.subs {
+		s.help(w, path+" "+s.name)
+	}
+}
+
+// usage writes help for c's tree, then c's own flags in detail.
+func (c *command) usage(w io.Writer, path string) {
+	c.help(w, path)
+	fmt.Fprintln(w)
+	fs, _ := c.flags(path)
+	fs.SetOutput(w)
+	fs.PrintDefaults()
+}
+
+// synopsis renders path, c's flags and its positional arguments,
+// wrapped before 80 columns.
+func (c *command) synopsis(path string) string {
+	var words []string
+	fs, _ := c.flags(path)
+	fs.VisitAll(func(f *flag.Flag) {
+		w := "[-" + f.Name
+		if name, _ := flag.UnquoteUsage(f); name != "" {
+			w += " " + name
 		}
-		for _, ev := range lumina.AnalyzeRetransmissions(rep.Trace) {
-			kind := "fast-retransmit"
-			if ev.Timeout {
-				kind = "timeout"
-			}
-			fmt.Printf("retransmission psn=%d (%s): gen=%v react=%v total=%v\n",
-				ev.DroppedPSN, kind, ev.GenLatency(), ev.ReactLatency(), ev.TotalLatency())
-		}
-		cnp := lumina.AnalyzeCNP(rep.Trace)
-		if cnp.TotalCNPs() > 0 {
-			fmt.Printf("cnp: %d notification(s), min per-port gap %v, orphans %d\n",
-				cnp.TotalCNPs(), cnp.MinIntervalPerPort, cnp.Orphans)
-		}
-		inc := lumina.CheckCounters(rep.Trace,
-			lumina.HostViewOf("requester", cfg.Requester, rep.RequesterCounters),
-			lumina.HostViewOf("responder", cfg.Responder, rep.ResponderCounters),
-		)
-		if len(inc) == 0 {
-			fmt.Println("counters: consistent with trace")
-		}
-		for _, i := range inc {
-			fmt.Printf("counter INCONSISTENCY: %s\n", i)
-		}
-		if len(rep.Verdicts) > 0 {
-			fmt.Println("\n--- verdicts ---")
-			for _, v := range rep.Verdicts {
-				fmt.Println(v.Line(8))
-			}
-			if n := len(rep.Lineage.Chains); n > 0 && *outDir != "" {
-				fmt.Printf("%d causal chain(s); inspect one with: lumina-trace explain -run %s -psn <psn>\n", n, *outDir)
-			}
+		words = append(words, w+"]")
+	})
+	if c.args != "" {
+		words = append(words, c.args)
+	}
+	lines := []string{path}
+	for _, w := range words {
+		if last := len(lines) - 1; len(lines[last])+1+len(w) < 80 {
+			lines[last] += " " + w
+		} else {
+			lines = append(lines, "        "+w)
 		}
 	}
+	return strings.Join(lines, "\n")
+}
 
-	if rep.INT != nil {
-		fmt.Println("\n--- in-band telemetry ---")
-		fmt.Printf("%d per-hop stamp(s) across %d transit(s), %d hop(s), %d lineage bind(s)\n",
-			rep.INT.Stamps, rep.INT.Transits, len(rep.INT.Hops), rep.INT.Binds)
-		for _, v := range rep.INT.Verdicts {
-			fmt.Println(v.Line(12))
+// The flags below mean the same thing under every command that takes
+// them, so each is declared once, here.
+
+func workersFlag(fs *flag.FlagSet) *int {
+	return fs.Int("workers", 0, "engine worker-pool size: 0 = one per CPU, 1 = serial (output is identical for every value)")
+}
+
+func corpusFlag(fs *flag.FlagSet, def string) *string {
+	return fs.String("corpus", def, "regression corpus `dir`")
+}
+
+func addrFlag(fs *flag.FlagSet) *string {
+	return fs.String("addr", "127.0.0.1:8642", "daemon `host:port`")
+}
+
+func deadlineFlag(fs *flag.FlagSet) *int {
+	return fs.Int("deadline", 600, "virtual-time deadline in `seconds`")
+}
+
+// observeFlags declares the observe-only instruments: neither changes
+// a verdict or the summary digest, each adds one artifact.
+func observeFlags(fs *flag.FlagSet) (intFlag, covFlag *bool) {
+	return fs.Bool("int", false, "in-band telemetry: per-hop INT stamps joined to lineage chains (int.json)"),
+		fs.Bool("coverage", false, "behavioral coverage: FSM/match-action (site, transition) pairs (coverage.json)")
+}
+
+func profilesFlag(fs *flag.FlagSet) *[]string {
+	return csvFlag(fs, "profiles", "comma-separated NIC `models` (default: all)",
+		func(s string) (string, error) { _, err := rnic.ProfileByName(s); return s, err })
+}
+
+// cacheFlag declares a result-cache directory and its size bound, and
+// returns the directory and the function that opens the cache (nil when
+// no directory was given).
+func cacheFlag(fs *flag.FlagSet) (*string, func() (*resultcache.Cache, error)) {
+	dir := fs.String("cache", "", "result-cache `dir`: cells cached for this build skip simulation, fresh ones are cached (empty disables)")
+	maxMB := fs.Int64("cache-max-mb", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
+	return dir, func() (*resultcache.Cache, error) {
+		if *dir == "" {
+			return nil, nil
 		}
-		if *outDir != "" && len(rep.INT.Chains) > 0 {
-			fmt.Printf("per-hop breakdowns: lumina-trace hops -run %s [-lineage <id>]\n", *outDir)
-		}
+		return resultcache.Open(*dir, *maxMB<<20)
 	}
+}
 
-	if rep.Coverage != nil {
-		fmt.Println("\n--- behavioral coverage ---")
-		fmt.Printf("%d/%d (site, transition) pair(s) covered\n", rep.Coverage.Covered, rep.Coverage.Total)
-		for _, s := range rep.Coverage.Sites {
-			if len(s.Covered) == 0 {
+// csvFlag declares a comma-separated list flag whose items check
+// validates and normalizes; empty items are skipped.
+func csvFlag(fs *flag.FlagSet, name, usage string, check func(string) (string, error)) *[]string {
+	var items []string
+	fs.Func(name, usage, func(s string) error {
+		items = nil
+		for _, item := range strings.Split(s, ",") {
+			if item = strings.TrimSpace(item); item == "" {
 				continue
 			}
-			fmt.Printf("  %-16s %d/%d:", s.Name, len(s.Covered), s.Transitions)
-			for _, t := range s.Covered {
-				fmt.Printf(" %s", t.Name)
+			v, err := check(item)
+			if err != nil {
+				return err
 			}
-			fmt.Println()
+			items = append(items, v)
 		}
-		if *outDir != "" {
-			fmt.Printf("diff against another run: lumina-trace coverage -a %s -b <other>\n", *outDir)
-		}
-	}
-
-	if *timeline != "" {
-		if err := rep.WriteArtifact(orchestrator.TimelineName, *timeline); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("timeline (%d events) written to %s\n", len(rep.Events), *timeline)
-	}
-	if *metrics != "" {
-		if err := rep.WriteArtifact(orchestrator.MetricsName, *metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metrics)
-	}
-
-	if *outDir != "" {
-		if err := rep.WriteArtifacts(*outDir); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nartifacts written to %s\n", *outDir)
-	}
+		return nil
+	})
+	return &items
 }
 
-func statusSummary(st map[string]int) string {
-	if len(st) == 1 {
-		for k, v := range st {
-			return fmt.Sprintf("%d×%s", v, k)
-		}
+// writeFile writes what write produces to path by way of a temporary
+// file and a rename, so a failed write never leaves a partial file.
+func writeFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
 	}
-	return fmt.Sprintf("%v", st)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lumina:", err)
-	os.Exit(1)
+func plural(n int) string {
+	if n == 1 {
+		return "y"
+	}
+	return "ies"
 }

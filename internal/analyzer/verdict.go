@@ -12,7 +12,7 @@ import (
 
 // Verdict is one analyzer's pass/fail judgement over a run, citing the
 // exact causal chains (lineage IDs) it judged so a failure can be
-// replayed with `lumina-trace explain`.
+// replayed with `lumina trace explain`.
 type Verdict struct {
 	Analyzer string   `json:"analyzer"`
 	Pass     bool     `json:"pass"`

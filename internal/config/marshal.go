@@ -5,7 +5,7 @@ import "github.com/lumina-sim/lumina/internal/yamlite"
 // MarshalYAML renders the configuration in the yamlite format Load/Parse
 // read — so the fuzzer's anomalous configurations, or any
 // programmatically built test, can be saved and replayed with
-// `lumina -config`.
+// `lumina run`.
 func (t Test) MarshalYAML() ([]byte, error) {
 	doc := map[string]any{
 		"name":        t.Name,

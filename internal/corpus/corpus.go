@@ -11,7 +11,7 @@
 // (name field cleared, keys sorted by the marshaller), truncated to 16
 // hex digits. Each entry holds:
 //
-//	<id>/scenario.yaml   the scenario, replayable with `lumina -config`
+//	<id>/scenario.yaml   the scenario, replayable with `lumina run`
 //	<id>/expected.json   per-profile golden behaviour: the analyzer
 //	                     verdict set, the timeout flag, and the SHA-256
 //	                     of the run's summary.json

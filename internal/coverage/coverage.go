@@ -446,7 +446,7 @@ func MergeReports(dst, src *Report) *Report {
 	return reportFromCounts(counts)
 }
 
-// Diff is the pairwise comparison lumina-trace renders: which pairs
+// Diff is the pairwise comparison `lumina trace coverage` renders: which pairs
 // each side covered that the other did not.
 type Diff struct {
 	CoveredA int

@@ -3,7 +3,7 @@
 // interoperability/counter findings; §6.3 hidden behaviours; Table 2).
 // Each experiment builds test configurations, drives the orchestrator,
 // runs the relevant analyzers, and returns printable rows, so the same
-// code backs cmd/lumina-bench and the root bench_test.go.
+// code backs `lumina bench` and the root bench_test.go.
 package experiments
 
 import (

@@ -49,7 +49,7 @@ type FindingRecord struct {
 	CoveragePairs int `json:"coverage_pairs,omitempty"`
 }
 
-// FindingsFile is the schema of the lumina-fuzz -findings output.
+// FindingsFile is the schema of the `lumina fuzz -findings` output.
 type FindingsFile struct {
 	Schema      string          `json:"schema"`
 	Target      string          `json:"target"`

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// A v1 findings file exactly as lumina-fuzz wrote it before the schema
+// A v1 findings file exactly as `lumina fuzz` wrote it before the schema
 // grew coverage fields — the back-compat contract is that it still
 // parses, with every record an anomaly and no coverage data.
 const findingsV1 = `{

@@ -21,7 +21,7 @@ type ChainsSummary struct {
 
 // ChainItem is one serialized chain. Node/edge indices are local to the
 // item so a ChainItem deserialized from summary.json is self-contained
-// — `lumina-trace explain` prints stories from either a live Graph or a
+// — `lumina trace explain` prints stories from either a live Graph or a
 // parsed summary through the same code.
 type ChainItem struct {
 	Lineage   uint64     `json:"lineage"`
@@ -92,7 +92,7 @@ func (g *Graph) Summarize() *ChainsSummary {
 }
 
 // Story renders the chain as the multi-line causal narrative
-// `lumina-trace explain` prints.
+// `lumina trace explain` prints.
 func (it *ChainItem) Story() string {
 	var b strings.Builder
 	status := "open"
@@ -130,7 +130,7 @@ func (it *ChainItem) Headline() string {
 }
 
 // Explain returns the stories of every chain matching (qpn, psn) — the
-// programmatic face of `lumina-trace explain`. qpn 0 matches any QPN.
+// programmatic face of `lumina trace explain`. qpn 0 matches any QPN.
 func (g *Graph) Explain(qpn, psn uint32) string {
 	matches := g.Find(qpn, psn)
 	if len(matches) == 0 {

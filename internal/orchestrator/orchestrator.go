@@ -466,7 +466,7 @@ func (r *Report) writeArtifacts(dir string, create fileCreator) error {
 
 // WriteArtifact streams the one table entry called name into the file at
 // path — how a CLI places a single artifact somewhere of the user's
-// choosing (lumina -timeline, -metrics).
+// choosing (`lumina run -timeline`, `-metrics`).
 func (r *Report) WriteArtifact(name, path string) error {
 	for _, a := range r.Artifacts() {
 		if a.Name == name {

@@ -7,7 +7,7 @@
 // program — the same on a laptop and a loaded CI VM — so they can be
 // budgeted, checked in, and gated without flakiness (see DESIGN.md
 // §3.10). The budgets live in perf_budgets.json next to this file and
-// are embedded into the binary; TestPerfBudgets and `lumina-bench -gate`
+// are embedded into the binary; TestPerfBudgets and `lumina bench -gate`
 // both measure the named workloads and fail when any measurement exceeds
 // its budget by more than Slack (10%). Zero budgets gate hard: a path
 // promised to be allocation-free fails on the first stray allocation.
@@ -202,7 +202,7 @@ func Check(budgets []Budget, results []Result) []Violation {
 }
 
 // Gate measures every budgeted workload and checks the results: the
-// one-call form TestPerfBudgets and `lumina-bench -gate` share.
+// one-call form TestPerfBudgets and `lumina bench -gate` share.
 func Gate() ([]Result, []Violation, error) {
 	budgets, err := Budgets()
 	if err != nil {

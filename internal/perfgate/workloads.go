@@ -295,7 +295,7 @@ func bulkPairPacket() (int, int, func()) {
 
 // bulkExplainPacket is the same run with every observer on — telemetry,
 // lineage, INT, coverage — and its artifacts written out (what
-// `lumina -int -coverage -out` does), again per simulated packet. The
+// `lumina run -int -coverage -out` does), again per simulated packet. The
 // history is bulk_pair_packet's, so the difference between the two
 // budgets is what watching a packet costs: a few slab and log chunks per
 // run, not a field list per probe, a string per address or a map bucket

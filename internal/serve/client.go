@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Client talks to a lumina-serve daemon. The zero value is unusable;
+// Client talks to a `lumina serve` daemon. The zero value is unusable;
 // set Base (e.g. "http://127.0.0.1:8642").
 type Client struct {
 	// Base is the daemon's root URL, without a trailing slash.

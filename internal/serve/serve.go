@@ -78,8 +78,8 @@ const (
 
 // SubmitRequest is the POST /v1/runs body.
 type SubmitRequest struct {
-	// Scenario is the test configuration YAML (same format lumina
-	// -config reads).
+	// Scenario is the test configuration YAML (same format `lumina run`
+	// reads).
 	Scenario string `json:"scenario"`
 	// Profile optionally retargets both hosts' NIC model (cx4, cx5,
 	// e810, xl170b, spec). It is a separate cache-key dimension, like a
@@ -143,7 +143,7 @@ type run struct {
 	notify    chan struct{} // closed on every event append, then replaced
 }
 
-// Server is the lumina-serve HTTP handler plus its worker pool. Create
+// Server is the `lumina serve` HTTP handler plus its worker pool. Create
 // with New, serve with net/http, stop with Shutdown.
 type Server struct {
 	cfg Config

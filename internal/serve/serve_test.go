@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,6 +200,62 @@ func TestServeInFlightDedup(t *testing.T) {
 	}
 	if n := executions.Load(); n != 1 {
 		t.Fatalf("%d executions for one run ID", n)
+	}
+}
+
+// TestServePanickingRunFailsAndReruns pins the daemon's side of panic
+// isolation: a run whose execution panics reads failed with the panic
+// value, leaves no cache entry behind, does not take the daemon down,
+// and executes again when the same scenario is resubmitted.
+func TestServePanickingRunFailsAndReruns(t *testing.T) {
+	var calls atomic.Int32
+	boom := func(config.Test, orchestrator.Options) (*orchestrator.Report, error) {
+		calls.Add(1)
+		panic("injected run fault")
+	}
+	cache, err := resultcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := startServer(t, Config{Workers: 1, Cache: cache, Run: boom})
+	ctx := context.Background()
+	req := SubmitRequest{Scenario: scenarioYAML(t, nil)}
+	cfg, err := config.Parse([]byte(req.Scenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := resultcache.KeyFor(cfg, "", orchestrator.Options{Deadline: orchestrator.DefaultOptions().Deadline, Lineage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for round := int32(1); round <= 2; round++ {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ID != key.ID() {
+			t.Fatalf("run ID %s, want the cache key %s", st.ID, key.ID())
+		}
+		final, err := c.WaitDone(ctx, st.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateFailed || !strings.Contains(final.Error, "injected run fault") {
+			t.Fatalf("round %d: state %s, error %q; want failed with the panic value", round, final.State, final.Error)
+		}
+		if n := calls.Load(); n != round {
+			t.Fatalf("round %d: Run called %d time(s)", round, n)
+		}
+		if _, ok := cache.Get(key); ok {
+			t.Fatalf("round %d: the cache holds an entry for the panicked run", round)
+		}
+		if h, err := c.Healthz(ctx); err != nil || h.Status != "ok" {
+			t.Fatalf("round %d: healthz = %+v, %v", round, h, err)
+		}
+	}
+	if st := cache.Stats(); st.Entries != 0 || st.Puts != 0 {
+		t.Fatalf("cache stats after two panicked runs: %+v", st)
 	}
 }
 

@@ -123,7 +123,7 @@ func AnalyzeSilentLoss(tr *Trace, unreliable map[uint32]bool) []SilentLoss {
 }
 
 // Lineage (Options.Lineage: the causal packet-lifecycle DAG behind
-// Report.Lineage, `lumina-trace explain`, and summary.json).
+// Report.Lineage, `lumina trace explain`, and summary.json).
 type (
 	LineageGraph = lineage.Graph
 	LineageChain = lineage.Chain
@@ -141,7 +141,7 @@ func BuildLineage(tr *Trace, events []TelemetryEvent) *LineageGraph {
 // In-band telemetry (Options.INT: per-hop INT stamping in spare,
 // iCRC-masked header fields, collected into Report.INT / int.json and
 // joined with lineage chains for hop-level latency attribution — see
-// `lumina-trace hops`).
+// `lumina trace hops`).
 type (
 	INTReport     = orchestrator.INTReport
 	INTStamp      = inband.Stamp
@@ -153,9 +153,9 @@ type (
 // Behavioral coverage (Options.Coverage: deterministic (site,
 // transition) pair recording across the transport FSM, DCQCN, ETS
 // arbiter, and injector match-action pipeline, collected into
-// Report.Coverage / coverage.json and diffed with `lumina-trace
+// Report.Coverage / coverage.json and diffed with `lumina trace
 // coverage`; the frontier union across a corpus comes from
-// `lumina-corpus coverage`).
+// `lumina corpus coverage`).
 type (
 	CoverageReport   = coverage.Report
 	CoverageSite     = coverage.SiteReport
@@ -275,7 +275,7 @@ func HostViewOf(name string, h Host, counters map[string]uint64) HostView {
 
 // Regression corpus: minimized reproducers of anomalous runs, stored
 // content-addressed with golden verdicts/digests and replayed as a
-// cross-profile conformance matrix (see the lumina-corpus CLI).
+// cross-profile conformance matrix (see `lumina corpus`).
 type (
 	MinimizeOptions = minimize.Options
 	MinimizeResult  = minimize.Result
@@ -336,7 +336,7 @@ func Models() []string { return rnic.ModelNames() }
 // Performance gate: checked-in allocation budgets for the simulator's
 // hot paths, measured deterministically (allocs/op and bytes/op are
 // properties of the compiled program, not the machine — see DESIGN.md
-// §3.10). CI enforces them via TestPerfBudgets and `lumina-bench -gate`.
+// §3.10). CI enforces them via TestPerfBudgets and `lumina bench -gate`.
 type (
 	PerfBudget    = perfgate.Budget
 	PerfResult    = perfgate.Result
@@ -368,8 +368,8 @@ func BuildStamp() string { return version.Stamp() }
 
 // Result cache (DESIGN.md §3.14): runs are pure functions of
 // (scenario, profile, options, code version), so artifacts are stored
-// content-addressed and reused by `lumina-corpus replay -cache` and
-// the lumina-serve daemon. Reads are digest-verified (corruption =
+// content-addressed and reused by `lumina corpus replay -cache` and
+// the `lumina serve` daemon. Reads are digest-verified (corruption =
 // miss), writes are atomic, eviction is LRU.
 type (
 	ResultCache      = resultcache.Cache
