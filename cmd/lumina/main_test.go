@@ -158,6 +158,10 @@ func runMain(t *testing.T, args ...string) (int, string, string) {
 
 func TestExitCodes(t *testing.T) {
 	run := filepath.Join(fixture(t), "run")
+	typo := filepath.Join(t.TempDir(), "typo.yaml")
+	if err := os.WriteFile(typo, []byte("traffic:\n  num-msgs-per-q: 9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var help bytes.Buffer
 	commands().help(&help, "lumina")
 	for _, tc := range []struct {
@@ -176,6 +180,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"corpus", "replay", "-transport", "xrc"}, 2, "", "known transports: rc, uc, ud"},
 		{[]string{"trace", "explain", "-summary", filepath.Join(run, "report.json")}, 1, "", "lumina: " + filepath.Join(run, "report.json")},
 		{[]string{"trace", "explain", "-run", run, "-psn", "999999"}, 1, "", "no causal chain matches qp=any psn=999999"},
+		{[]string{"run", typo}, 1, "", `config: traffic: unknown key "num-msgs-per-q"`},
 		{[]string{"run", "-h"}, 0, "", "-transport rc|uc|ud"},
 		{[]string{"-version"}, 0, "lumina ", ""},
 		{[]string{"help"}, 0, help.String(), ""},

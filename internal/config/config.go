@@ -9,13 +9,11 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"os"
 	"sort"
 	"strings"
 
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/yamlite"
 )
 
 // Test is a complete test description: everything the orchestrator needs
@@ -482,7 +480,10 @@ func (tr *Traffic) validateTransports() error {
 	if tr.Transport == "rc" {
 		tr.Transport = ""
 	}
-	for i := 0; i < tr.NumConnections; i++ {
+	// Connections past the qp-transport list all take the base transport,
+	// so the first of them speaks for the rest: the check costs no more
+	// for num-connections 10^15 than for 2.
+	for i := 0; i < min(tr.NumConnections, len(tr.QPTransport)+1); i++ {
 		switch tr.TransportOf(i) {
 		case "ud":
 			if tr.Verb != "send" {
@@ -498,154 +499,4 @@ func (tr *Traffic) validateTransports() error {
 		}
 	}
 	return nil
-}
-
-// Load reads a yamlite test configuration from a file.
-func Load(path string) (Test, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Test{}, err
-	}
-	return Parse(data)
-}
-
-// Parse decodes a yamlite test configuration. Missing sections inherit
-// Default() values.
-func Parse(data []byte) (Test, error) {
-	root, err := yamlite.ParseMap(data)
-	if err != nil {
-		return Test{}, err
-	}
-	t := Default()
-	w := yamlite.Wrap(root)
-
-	t.Name = w.Str("name", t.Name)
-	t.Seed = w.Int64("seed", t.Seed)
-
-	if w.Has("requester") {
-		parseHost(w.Child("requester"), &t.Requester)
-	}
-	if w.Has("responder") {
-		parseHost(w.Child("responder"), &t.Responder)
-	}
-	if w.Has("traffic") {
-		parseTraffic(w.Child("traffic"), &t.Traffic)
-	}
-	if w.Has("switch") {
-		s := w.Child("switch")
-		t.Switch.PipelineLatencyNs = s.Int("pipeline-latency-ns", t.Switch.PipelineLatencyNs)
-		t.Switch.Mirror = s.Bool("mirror", t.Switch.Mirror)
-		t.Switch.Inject = s.Bool("inject", t.Switch.Inject)
-		t.Switch.L2Only = s.Bool("l2-only", t.Switch.L2Only)
-	}
-	if w.Has("dumper-pool") {
-		d := w.Child("dumper-pool")
-		t.Dumpers.Nodes = d.Int("nodes", t.Dumpers.Nodes)
-		t.Dumpers.CoresPerNode = d.Int("cores-per-node", t.Dumpers.CoresPerNode)
-		t.Dumpers.PerCoreGbps = d.Float("per-core-gbps", t.Dumpers.PerCoreGbps)
-		t.Dumpers.NodeGbps = d.Float("node-gbps", t.Dumpers.NodeGbps)
-		t.Dumpers.TrimBytes = d.Int("trim-bytes", t.Dumpers.TrimBytes)
-		t.Dumpers.RSSPortRewrite = d.Bool("rss-port-rewrite", t.Dumpers.RSSPortRewrite)
-		t.Dumpers.PerPacketLB = d.Bool("per-packet-lb", t.Dumpers.PerPacketLB)
-		for _, v := range d.StrList("weights") {
-			var x int
-			if _, err := fmt.Sscanf(v, "%d", &x); err != nil {
-				return Test{}, fmt.Errorf("config: bad dumper weight %q", v)
-			}
-			t.Dumpers.Weights = append(t.Dumpers.Weights, x)
-		}
-	}
-	if w.Has("fabric") {
-		f := w.Child("fabric")
-		t.Fabric = &FabricTopo{
-			Leaves:       f.Int("leaves", 0),
-			HostsPerLeaf: f.Int("hosts-per-leaf", 0),
-			UplinkGbps:   f.Float("uplink-gbps", 0),
-			Pattern:      f.Str("pattern", ""),
-		}
-	}
-	if err := w.Err(); err != nil {
-		return Test{}, err
-	}
-	if err := t.Validate(); err != nil {
-		return Test{}, err
-	}
-	return t, nil
-}
-
-func parseHost(h yamlite.Map, out *Host) {
-	out.Workspace = h.Str("workspace", out.Workspace)
-	out.ControlIP = h.Str("control-ip", out.ControlIP)
-	if h.Has("nic") {
-		n := h.Child("nic")
-		out.NIC.Type = n.Str("type", out.NIC.Type)
-		out.NIC.IfName = n.Str("if-name", out.NIC.IfName)
-		out.NIC.SwitchPort = n.Int("switch-port", out.NIC.SwitchPort)
-		if ips := n.StrList("ip-list"); len(ips) > 0 {
-			out.NIC.IPList = nil
-			for _, s := range ips {
-				// Accept both bare addresses and CIDR notation.
-				s = strings.SplitN(s, "/", 2)[0]
-				if a, err := netip.ParseAddr(s); err == nil {
-					out.NIC.IPList = append(out.NIC.IPList, a)
-				}
-			}
-		}
-	}
-	if h.Has("roce-parameters") {
-		r := h.Child("roce-parameters")
-		out.RoCE.DCQCNRPEnable = r.Bool("dcqcn-rp-enable", out.RoCE.DCQCNRPEnable)
-		out.RoCE.DCQCNNPEnable = r.Bool("dcqcn-np-enable", out.RoCE.DCQCNNPEnable)
-		out.RoCE.MinTimeBetweenCNPs = r.Int("min-time-between-cnps", out.RoCE.MinTimeBetweenCNPs)
-		out.RoCE.AdaptiveRetrans = r.Bool("adaptive-retrans", out.RoCE.AdaptiveRetrans)
-		out.RoCE.SlowRestart = r.Bool("slow-restart", out.RoCE.SlowRestart)
-	}
-	if h.Has("ets-queues") {
-		out.ETS = nil
-		for _, q := range h.MapList("ets-queues") {
-			out.ETS = append(out.ETS, ETSQueue{
-				Strict: q.Bool("strict", false),
-				Weight: q.Int("weight", 0),
-			})
-		}
-	}
-}
-
-func parseTraffic(tr yamlite.Map, out *Traffic) {
-	out.NumConnections = tr.Int("num-connections", out.NumConnections)
-	out.Verb = tr.Str("rdma-verb", out.Verb)
-	out.NumMsgsPerQP = tr.Int("num-msgs-per-qp", out.NumMsgsPerQP)
-	out.MTU = tr.Int("mtu", out.MTU)
-	out.MessageSize = tr.Int("message-size", out.MessageSize)
-	out.MultiGID = tr.Bool("multi-gid", out.MultiGID)
-	out.BarrierSync = tr.Bool("barrier-sync", out.BarrierSync)
-	out.TxDepth = tr.Int("tx-depth", out.TxDepth)
-	out.MinRetransmitTimeout = tr.Int("min-retransmit-timeout", out.MinRetransmitTimeout)
-	out.MaxRetransmitRetry = tr.Int("max-retransmit-retry", out.MaxRetransmitRetry)
-	if tr.Has("qp-traffic-class") {
-		out.QPTrafficClass = nil
-		for _, v := range tr.StrList("qp-traffic-class") {
-			var x int
-			fmt.Sscanf(v, "%d", &x)
-			out.QPTrafficClass = append(out.QPTrafficClass, x)
-		}
-	}
-	out.Transport = tr.Str("transport", out.Transport)
-	if tr.Has("qp-transport") {
-		out.QPTransport = tr.StrList("qp-transport")
-	}
-	if tr.Has("data-pkt-events") {
-		out.Events = nil
-		for _, e := range tr.MapList("data-pkt-events") {
-			out.Events = append(out.Events, Event{
-				QPN:     e.Int("qpn", 0),
-				PSN:     e.Int("psn", 0),
-				Iter:    e.Int("iter", 1),
-				Type:    e.Str("type", ""),
-				Every:   e.Int("every", 0),
-				DelayUs: e.Int("delay-us", 0),
-				Offset:  e.Int("offset", 0),
-			})
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTransportOfAndTransports(t *testing.T) {
@@ -137,6 +138,25 @@ func TestTransportParseRoundTrip(t *testing.T) {
 	}
 	if got := strings.Join(back.Traffic.QPTransport, ","); got != "rc,ud" {
 		t.Errorf("round-trip qp-transport = %q", got)
+	}
+}
+
+// TestValidateCostIsNotPerConnection: a document may ask for any number
+// of connections, and Validate must answer without walking them all (a
+// loop over 10^15 connections would stall Parse, and with it a serve
+// handler, for days).
+func TestValidateCostIsNotPerConnection(t *testing.T) {
+	for _, src := range []string{
+		"traffic: {num-connections: 1000000000000000}",
+		"traffic: {num-connections: 1000000000000000, transport: ud}",
+	} {
+		done := make(chan error, 1)
+		go func() { _, err := Parse([]byte(src)); done <- err }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Parse(%q) still running after 10 s", src)
+		}
 	}
 }
 

@@ -292,10 +292,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "scenario: %v", err)
 		return
 	}
-	if err := cfg.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "scenario: %v", err)
-		return
-	}
 	if sr.Profile != "" {
 		if _, err := rnic.ProfileByName(sr.Profile); err != nil {
 			httpError(w, http.StatusBadRequest, "profile: %v", err)

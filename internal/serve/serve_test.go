@@ -434,6 +434,12 @@ func TestServeHealthzAndBadRequests(t *testing.T) {
 	if _, err := c.Submit(ctx, SubmitRequest{Scenario: scenarioYAML(t, nil), Profile: "nope"}); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
+	// A misspelled key is refused, not run (and cached) as the default
+	// scenario it would otherwise decode to.
+	_, err = c.Submit(ctx, SubmitRequest{Scenario: "traffic: {rdma_verb: read}"})
+	if err == nil || !strings.Contains(err.Error(), `unknown key "rdma_verb"`) || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("misspelled key: %v, want HTTP 400 naming rdma_verb", err)
+	}
 	if _, err := c.Status(ctx, "deadbeef"); err == nil {
 		t.Fatal("unknown run id did not 404")
 	}

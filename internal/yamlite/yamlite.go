@@ -69,8 +69,10 @@ func (p *parser) errorf(i int, format string, args ...any) error {
 }
 
 // split breaks the source into meaningful lines, stripping comments and
-// blank lines and recording indentation.
+// blank lines and recording indentation. As in YAML, "\r\n", "\r" and
+// "\n" all end a line, so no scalar can hold a line break.
 func (p *parser) split(src string) {
+	src = strings.ReplaceAll(strings.ReplaceAll(src, "\r\n", "\n"), "\r", "\n")
 	for num, raw := range strings.Split(src, "\n") {
 		s := stripComment(raw)
 		trimmed := strings.TrimRight(s, " \t\r")

@@ -51,34 +51,29 @@ func TestParseListing1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := Wrap(root)
-	req := w.Child("requester")
-	if got := req.Str("workspace", ""); got != "/home/foo/bar/" {
-		t.Errorf("workspace = %q", got)
+	req := root["requester"].(map[string]any)
+	if got := req["workspace"]; got != "/home/foo/bar/" {
+		t.Errorf("workspace = %v", got)
 	}
-	nic := req.Child("nic")
-	if got := nic.Str("type", ""); got != "cx4" {
-		t.Errorf("nic.type = %q", got)
+	nic := req["nic"].(map[string]any)
+	if got := nic["type"]; got != "cx4" {
+		t.Errorf("nic.type = %v", got)
 	}
-	if got := nic.Int("switch-port", 0); got != 144 {
-		t.Errorf("switch-port = %d", got)
+	if got := nic["switch-port"]; got != int64(144) {
+		t.Errorf("switch-port = %v", got)
 	}
-	ips := nic.StrList("ip-list")
-	if !reflect.DeepEqual(ips, []string{"10.0.0.2/24", "10.0.0.12/24"}) {
-		t.Errorf("ip-list = %v", ips)
+	if got := nic["ip-list"]; !reflect.DeepEqual(got, []any{"10.0.0.2/24", "10.0.0.12/24"}) {
+		t.Errorf("ip-list = %v", got)
 	}
-	rp := req.Child("roce-parameters")
-	if rp.Bool("dcqcn-rp-enable", true) {
+	rp := req["roce-parameters"].(map[string]any)
+	if rp["dcqcn-rp-enable"] != false {
 		t.Error("dcqcn-rp-enable should parse False")
 	}
-	if !rp.Bool("dcqcn-np-enable", false) {
+	if rp["dcqcn-np-enable"] != true {
 		t.Error("dcqcn-np-enable should parse True")
 	}
-	if got := rp.Int("min-time-between-cnps", -1); got != 0 {
-		t.Errorf("min-time-between-cnps = %d", got)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
+	if got := rp["min-time-between-cnps"]; got != int64(0) {
+		t.Errorf("min-time-between-cnps = %v", got)
 	}
 }
 
@@ -87,29 +82,24 @@ func TestParseListing2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := Wrap(root).Child("traffic")
-	if got := tr.Int("num-connections", 0); got != 2 {
-		t.Errorf("num-connections = %d", got)
+	tr := root["traffic"].(map[string]any)
+	if got := tr["num-connections"]; got != int64(2) {
+		t.Errorf("num-connections = %v", got)
 	}
-	if got := tr.Str("rdma-verb", ""); got != "write" {
-		t.Errorf("rdma-verb = %q", got)
+	if got := tr["rdma-verb"]; got != "write" {
+		t.Errorf("rdma-verb = %v", got)
 	}
-	if !tr.Bool("multi-gid", false) || !tr.Bool("barrier-sync", false) {
+	if tr["multi-gid"] != true || tr["barrier-sync"] != true {
 		t.Error("lowercase booleans not parsed")
 	}
-	events := tr.MapList("data-pkt-events")
-	if len(events) != 3 {
-		t.Fatalf("parsed %d events, want 3", len(events))
+	events := tr["data-pkt-events"].([]any)
+	want := []any{
+		map[string]any{"qpn": int64(1), "psn": int64(4), "type": "ecn", "iter": int64(1)},
+		map[string]any{"qpn": int64(2), "psn": int64(5), "type": "drop", "iter": int64(1)},
+		map[string]any{"qpn": int64(2), "psn": int64(5), "type": "drop", "iter": int64(2)},
 	}
-	want := []struct {
-		qpn, psn, iter int
-		typ            string
-	}{{1, 4, 1, "ecn"}, {2, 5, 1, "drop"}, {2, 5, 2, "drop"}}
-	for i, ev := range events {
-		if ev.Int("qpn", 0) != want[i].qpn || ev.Int("psn", 0) != want[i].psn ||
-			ev.Int("iter", 0) != want[i].iter || ev.Str("type", "") != want[i].typ {
-			t.Errorf("event %d = %v", i, ev.Raw())
-		}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("data-pkt-events = %v", events)
 	}
 }
 
@@ -246,6 +236,7 @@ func TestErrors(t *testing.T) {
 		"just a scalar line\n", // not key: value
 		"a: [1] trailing\n",    // garbage after flow
 		"items:\n  -x\n",       // missing space after dash
+		"a: x\ry\n",            // a bare CR ends the line, too
 	}
 	for _, src := range cases {
 		if _, err := Parse([]byte(src)); err == nil {
@@ -279,43 +270,6 @@ func TestNullValues(t *testing.T) {
 	m := v.(map[string]any)
 	if m["a"] != nil {
 		t.Fatalf("a = %v, want nil", m["a"])
-	}
-}
-
-func TestAccessorErrorsAccumulate(t *testing.T) {
-	root, err := ParseMap([]byte("a: hello\nb: 3\nc: [1]\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Wrap(root)
-	w.Int("a", 0)      // type error
-	w.Str("b", "")     // type error
-	w.Bool("c", false) // type error
-	if len(w.Errs()) != 3 {
-		t.Fatalf("accumulated %d errors, want 3: %v", len(w.Errs()), w.Errs())
-	}
-	if w.Err() == nil {
-		t.Fatal("Err() = nil")
-	}
-}
-
-func TestAccessorDefaults(t *testing.T) {
-	w := Wrap(map[string]any{})
-	if w.Int("x", 7) != 7 || w.Str("y", "d") != "d" || !w.Bool("z", true) || w.Float("f", 2.5) != 2.5 {
-		t.Fatal("defaults not honored")
-	}
-	if w.Child("nested").Int("deep", 9) != 9 {
-		t.Fatal("child default not honored")
-	}
-	if w.Err() != nil {
-		t.Fatalf("absent keys must not error: %v", w.Err())
-	}
-}
-
-func TestAccessorFloatWidensInt(t *testing.T) {
-	w := Wrap(map[string]any{"x": int64(4)})
-	if w.Float("x", 0) != 4.0 {
-		t.Fatal("int64 did not widen to float")
 	}
 }
 
