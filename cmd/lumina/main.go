@@ -60,7 +60,7 @@ func commands() *command {
 			{name: "artifacts", args: "runID", summary: "download a finished run's artifacts", bind: bindArtifacts},
 			{name: "stats", summary: "print a daemon's version, run count and cache counters", bind: bindStats},
 		}},
-		{name: "bench", summary: "regenerate the paper's tables and figures; -gate checks alloc budgets", bind: bindBench},
+		{name: "bench", summary: "regenerate the paper's tables and figures", bind: bindBench},
 		{name: "help", summary: "print this list", bind: bindHelp},
 	}}
 }

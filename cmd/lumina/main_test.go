@@ -139,15 +139,21 @@ func TestArtifactReadersRefuseForeignDocuments(t *testing.T) {
 	}
 }
 
-// runMain runs the binary's main with args and returns its exit status,
-// stdout and stderr.
+// runMain runs the binary's main with args in an empty directory, so no
+// outcome depends on the checkout, and returns its exit status, stdout
+// and stderr.
 func runMain(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Dir = t.TempDir()
 	cmd.Env = append(os.Environ(), reexecEnv+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
+	err = cmd.Run()
 	if ee, ok := err.(*exec.ExitError); ok {
 		return ee.ExitCode(), stdout.String(), stderr.String()
 	} else if err != nil {
@@ -184,6 +190,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"run", "-h"}, 0, "", "-transport rc|uc|ud"},
 		{[]string{"-version"}, 0, "lumina ", ""},
 		{[]string{"help"}, 0, help.String(), ""},
+		{[]string{"bench", "-run", "overhead,nosuch"}, 2, "", `lumina bench: unknown experiment "nosuch"`},
+		{[]string{"bench", "-run", "cache"}, 2, "", `unknown experiment "cache"`},
+		// The paper's tables need no corpus.
+		{[]string{"bench"}, 0, "=== ablation ===", ""},
 	} {
 		code, stdout, stderr := runMain(t, tc.args...)
 		if code != tc.code || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {
@@ -228,13 +238,18 @@ func TestREADMEUsageIsCurrent(t *testing.T) {
 }
 
 // TestNoDeletedCommandNames fails on any mention of the five binaries
-// that became subcommands. Schema names (a slash after the name) stay
-// legal, and so does bench/, whose files the repository benchmark pins.
-// Of the markdown files at the root only the user-facing documents are
-// checked; the others are history and planning notes.
+// that became subcommands, of the performance harnesses `lumina bench`
+// shed (its gate flag, its JSON flags and the files they wrote), and of
+// any benchmark function but the three that remain. Schema names (a
+// slash after the name) stay legal, and so does bench/, whose files the
+// repository benchmark pins. Of the markdown files at the root only the
+// user-facing documents are checked; the others are history and planning
+// notes.
 func TestNoDeletedCommandNames(t *testing.T) {
-	deleted := regexp.MustCompile(`lumina-(bench|corpus|fuzz|serve|trace)\b[^/-]`)
-	skipDirs := map[string]bool{".git": true, "bench": true, "results": true, "bin": true}
+	deleted := regexp.MustCompile(`lumina-(bench|corpus|fuzz|serve|trace)\b[^/-]|bench -(gate)\b|-json-(dir)\b|(BENCH)_`)
+	benchmark := regexp.MustCompile(`\bBenchmark[A-Z_]\w*`)
+	kept := map[string]bool{"BenchmarkExperiments": true, "BenchmarkWorkloads": true, "BenchmarkEventQueueHold": true}
+	skipDirs := map[string]bool{".git": true, "bench": true, "results": true, "bin": true, ".bench_build": true}
 	userDocs := map[string]bool{"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true}
 	skipFile := func(rel string) bool {
 		return filepath.Dir(rel) == "." && strings.HasSuffix(rel, ".md") && !userDocs[rel]
@@ -258,6 +273,11 @@ func TestNoDeletedCommandNames(t *testing.T) {
 		for i, line := range strings.Split(string(data), "\n") {
 			if m := deleted.FindString(line + "\n"); m != "" {
 				t.Errorf("%s:%d names a deleted command: %s", rel, i+1, strings.TrimSpace(line))
+			}
+			for _, m := range benchmark.FindAllString(line, -1) {
+				if !kept[m] {
+					t.Errorf("%s:%d names a deleted benchmark %s: %s", rel, i+1, m, strings.TrimSpace(line))
+				}
 			}
 		}
 		return nil

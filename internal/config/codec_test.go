@@ -143,6 +143,16 @@ func TestParseRejectsWhatItCannotRead(t *testing.T) {
 		// Settled edge case: an empty ip-list used to keep the default
 		// address; a list replaces the default, and a host needs one.
 		{"requester:\n  nic: {ip-list: []}\n", `needs at least one IP`},
+		// Sizes orchestrator.Build could not hold. On a 32-bit int the
+		// fabric's 4194305 × 1024 wraps to 1024 hosts if multiplied out.
+		{"traffic: {num-connections: 4097}", `config: num-connections 4097 exceeds the limit of 4096`},
+		{"fabric: {leaves: 1025, hosts-per-leaf: 1}", `config: fabric leaves × hosts-per-leaf (1025 × 1) exceeds the limit of 1024 hosts`},
+		{"fabric: {leaves: 4194305, hosts-per-leaf: 1024}", `exceeds the limit of 1024 hosts`},
+		{"fabric: {leaves: 16, hosts-per-leaf: 64}\ntraffic: {num-connections: 65}", `config: 1023 sending hosts × num-connections 65 exceeds the limit of 65536 QPs`},
+		{"dumper-pool: {nodes: 1000000, cores-per-node: 1000000}", `config: dumper-pool nodes × cores-per-node (1000000 × 1000000) exceeds the limit of 4096 cores`},
+		{"traffic: {message-size: 1048576, mtu: 1, num-msgs-per-qp: 17}", `exceeds the limit of 16777216 packets per connection`},
+		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 16777217}\n", `config: event 0: every 16777217 exceeds the limit of 16777216 packets`},
+		{"traffic:\n  message-size: 1048576\n  mtu: 8\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 1}\n", `expand to more than the limit of 65536 injector rules`},
 	}
 	if strconv.IntSize == 32 {
 		// An int field reads as it does on a 64-bit host, or not at all.

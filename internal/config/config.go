@@ -214,6 +214,24 @@ func Default() Test {
 	}
 }
 
+// Size limits on what orchestrator.Build allocates for a scenario: hosts,
+// QPs, dumper cores and injector rules. Without them one short document
+// could ask Build for 10^15 QPs and exhaust memory, in `lumina serve` the
+// whole daemon's. Each is far above what the paper or any checked-in
+// scenario uses; DESIGN.md gives the reasons for each value.
+const (
+	maxConnections  = 4096    // num-connections
+	maxFabricHosts  = 1024    // leaves × hosts-per-leaf
+	maxQPs          = 65536   // sending hosts × num-connections
+	maxDumperCores  = 4096    // dumper-pool nodes × cores-per-node
+	maxPacketsPerQP = 1 << 24 // data packets per connection, and every
+	maxRules        = 65536   // data-pkt-events after every expands them
+)
+
+// fits reports whether a × b ≤ limit for positive a and b, without
+// computing a product that could overflow.
+func fits(a, b, limit int) bool { return a <= limit/b }
+
 // Validate checks internal consistency and fills defaulted fields.
 func (t *Test) Validate() error {
 	if t.Seed == 0 {
@@ -239,6 +257,9 @@ func (t *Test) Validate() error {
 	if tr.NumConnections <= 0 {
 		return fmt.Errorf("config: num-connections must be positive")
 	}
+	if tr.NumConnections > maxConnections {
+		return fmt.Errorf("config: num-connections %d exceeds the limit of %d", tr.NumConnections, maxConnections)
+	}
 	if tr.MTU <= 0 {
 		tr.MTU = 1024
 	}
@@ -248,6 +269,12 @@ func (t *Test) Validate() error {
 	if tr.NumMsgsPerQP <= 0 {
 		tr.NumMsgsPerQP = 1
 	}
+	pktsPerMsg := (tr.MessageSize-1)/tr.MTU + 1
+	if !fits(pktsPerMsg, tr.NumMsgsPerQP, maxPacketsPerQP) {
+		return fmt.Errorf("config: message-size / mtu × num-msgs-per-qp (%d × %d packets) exceeds the limit of %d packets per connection",
+			pktsPerMsg, tr.NumMsgsPerQP, maxPacketsPerQP)
+	}
+	pktsPerQP := pktsPerMsg * tr.NumMsgsPerQP
 	if tr.TxDepth <= 0 {
 		tr.TxDepth = 1
 	}
@@ -289,6 +316,7 @@ func (t *Test) Validate() error {
 			return fmt.Errorf("config: qp-traffic-class[%d] = %d out of range (%d queues)", i, tc, nq)
 		}
 	}
+	rules := 0
 	for i, ev := range tr.Events {
 		if ev.QPN < 1 || ev.QPN > tr.NumConnections {
 			return fmt.Errorf("config: event %d: qpn %d out of range 1..%d", i, ev.QPN, tr.NumConnections)
@@ -318,6 +346,16 @@ func (t *Test) Validate() error {
 		if ev.Every < 0 {
 			return fmt.Errorf("config: event %d: negative every", i)
 		}
+		if ev.Every > maxPacketsPerQP {
+			return fmt.Errorf("config: event %d: every %d exceeds the limit of %d packets", i, ev.Every, maxPacketsPerQP)
+		}
+		rules++
+		if ev.Every > 0 && ev.PSN < pktsPerQP {
+			rules += (pktsPerQP - ev.PSN) / ev.Every
+		}
+		if rules > maxRules {
+			return fmt.Errorf("config: data-pkt-events expand to more than the limit of %d injector rules", maxRules)
+		}
 	}
 	sw := &t.Switch
 	if sw.PipelineLatencyNs <= 0 {
@@ -329,6 +367,10 @@ func (t *Test) Validate() error {
 	}
 	if d.CoresPerNode <= 0 {
 		d.CoresPerNode = 8
+	}
+	if !fits(d.Nodes, d.CoresPerNode, maxDumperCores) {
+		return fmt.Errorf("config: dumper-pool nodes × cores-per-node (%d × %d) exceeds the limit of %d cores",
+			d.Nodes, d.CoresPerNode, maxDumperCores)
 	}
 	if err := defaultRate("per-core-gbps", &d.PerCoreGbps, 5); err != nil {
 		return err
@@ -354,6 +396,10 @@ func (t *Test) Validate() error {
 		if f.HostsPerLeaf <= 0 {
 			f.HostsPerLeaf = 8
 		}
+		if !fits(f.Leaves, f.HostsPerLeaf, maxFabricHosts) {
+			return fmt.Errorf("config: fabric leaves × hosts-per-leaf (%d × %d) exceeds the limit of %d hosts",
+				f.Leaves, f.HostsPerLeaf, maxFabricHosts)
+		}
 		if err := defaultRate("uplink-gbps", &f.UplinkGbps, 400); err != nil {
 			return err
 		}
@@ -368,6 +414,10 @@ func (t *Test) Validate() error {
 		}
 		if len(tr.Events) > 0 {
 			return fmt.Errorf("config: data-pkt-events are pair-testbed only; not valid with a fabric")
+		}
+		if senders := f.Hosts() - 1; senders*tr.NumConnections > maxQPs {
+			return fmt.Errorf("config: %d sending hosts × num-connections %d exceeds the limit of %d QPs",
+				senders, tr.NumConnections, maxQPs)
 		}
 	}
 	return nil

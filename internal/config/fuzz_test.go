@@ -12,10 +12,7 @@ import (
 // panic. Whatever it accepts must survive the canonical round trip: the
 // re-parsed document marshals to the same bytes and hashes the same,
 // so a scenario's identity does not depend on how it was spelled.
-//
-// orchestrator.Build is deliberately left out: Validate bounds neither
-// num-connections nor the fabric size, so a fuzzer would only find the
-// way to exhaust memory there.
+// orchestrator's FuzzBuild carries the same bytes on into Build.
 func FuzzParseScenario(f *testing.F) {
 	for _, g := range []string{"configs/*.yaml", "corpus/*/scenario.yaml", "bench/workloads/*.yaml", "examples/*/*.yaml"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", g))

@@ -23,9 +23,6 @@ type DumperLBPoint struct {
 // Success means the three-condition integrity check passes. The paper
 // reports the redesign lifting capture success from ~30% to nearly 100%.
 func DumperLB(runs int) ([]DumperLBPoint, error) {
-	if runs <= 0 {
-		runs = 10
-	}
 	designs := []struct {
 		name string
 		mut  func(*config.Test)
@@ -124,4 +121,16 @@ func SwitchOverhead() (SwitchOverheadPoint, error) {
 	// The MCT spans data one way and the ACK back; both directions pay
 	// the pipeline, so halve the difference for the one-way figure.
 	return SwitchOverheadPoint{PipelineNs: 400, OneWayExtra: (lumina - l2) / 2}, nil
+}
+
+// switchOverheadTable renders the claim's one row.
+func switchOverheadTable(p SwitchOverheadPoint) *Table {
+	return &Table{
+		Title:   "Switch pipeline overhead (paper reports <0.4µs one-way)",
+		Columns: []string{"one_way_extra_us", "configured_ns"},
+		Rows: [][]string{{
+			fmt.Sprintf("%.3f", float64(p.OneWayExtra)/1000),
+			fmt.Sprintf("%d", p.PipelineNs),
+		}},
+	}
 }

@@ -2,8 +2,10 @@
 // evaluation (§5 Figure 7; §6.1 Figures 8–9; §6.2 Figures 10–11 and the
 // interoperability/counter findings; §6.3 hidden behaviours; Table 2).
 // Each experiment builds test configurations, drives the orchestrator,
-// runs the relevant analyzers, and returns printable rows, so the same
-// code backs `lumina bench` and the root bench_test.go.
+// runs the relevant analyzers, and returns printable rows. Paper lists
+// them at the paper's parameters: `lumina bench` prints it,
+// BenchmarkExperiments times it and testdata/experiments.golden.csv pins
+// every row it renders.
 package experiments
 
 import (

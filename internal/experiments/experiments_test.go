@@ -243,7 +243,7 @@ func TestCNPIntervalShape(t *testing.T) {
 }
 
 func TestCNPScopeMatchesPaper(t *testing.T) {
-	for _, p := range must(CNPScopes(nil))(t) {
+	for _, p := range must(CNPScopes(rnic.HardwareModelNames()))(t) {
 		if p.Inferred != p.Expected {
 			t.Errorf("%s: inferred %s, paper says %s", p.Model, p.Inferred, p.Expected)
 		}

@@ -28,9 +28,6 @@ type Figure11Point struct {
 // and the stalled pipeline discards innocent connections' packets,
 // sending their MCTs from ~160 µs into the hundreds of milliseconds.
 func Figure11(model string, dropCounts []int) ([]Figure11Point, error) {
-	if len(dropCounts) == 0 {
-		dropCounts = []int{0, 8, 12, 16}
-	}
 	const totalConns = 36
 	var cfgs []config.Test
 	for _, i := range dropCounts {

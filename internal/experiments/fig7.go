@@ -36,9 +36,6 @@ type Figure7Point struct {
 // populated with entries that never fire (the paper keeps the tables but
 // disables the exact drop behaviour to avoid retransmissions).
 func Figure7(numMsgs int) ([]Figure7Point, error) {
-	if numMsgs <= 0 {
-		numMsgs = 1000
-	}
 	// Declarative job matrix: one configuration per (size, variant)
 	// sweep point, fanned out by runAll.
 	var cfgs []config.Test

@@ -5,7 +5,6 @@ import (
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
-	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
@@ -19,9 +18,6 @@ type RetransPoint struct {
 	React   sim.Duration
 }
 
-// DefaultDropPositions mirrors the figures' x axis.
-func DefaultDropPositions() []int { return []int{1, 20, 40, 60, 80, 99} }
-
 // Figures8And9 measures NACK generation latency (Figure 8) and NACK
 // reaction latency (Figure 9) versus the sequence number of the dropped
 // packet, for Write and Read traffic on each NIC model (§6.1): a single
@@ -30,12 +26,6 @@ func DefaultDropPositions() []int { return []int{1, 20, 40, 60, 80, 99} }
 // PSN, and the retransmission analyzer extracts the Figure 5 breakdown
 // from the reconstructed trace.
 func Figures8And9(models []string, positions []int) ([]RetransPoint, error) {
-	if len(models) == 0 {
-		models = rnic.HardwareModelNames()
-	}
-	if len(positions) == 0 {
-		positions = DefaultDropPositions()
-	}
 	var cfgs []config.Test
 	var points []RetransPoint
 	for _, model := range models {

@@ -25,9 +25,6 @@ type CNPIntervalPoint struct {
 // undocumented ~50 µs floor shows up here; NVIDIA NICs honor the
 // configured value.
 func CNPIntervals(models []string) ([]CNPIntervalPoint, error) {
-	if len(models) == 0 {
-		models = rnic.HardwareModelNames()
-	}
 	var cfgs []config.Test
 	for _, model := range models {
 		cfg := config.Default()
@@ -104,9 +101,6 @@ func cnpScopeExpected() map[string]string {
 // is enforced. Expected per the paper: CX4 Lx per destination IP, E810
 // per QP, CX5/CX6 Dx per NIC port.
 func CNPScopes(models []string) ([]CNPScopePoint, error) {
-	if len(models) == 0 {
-		models = rnic.HardwareModelNames()
-	}
 	var cfgs []config.Test
 	var limits []sim.Duration
 	for _, model := range models {
@@ -188,9 +182,6 @@ type AdaptiveRetransPoint struct {
 // 25.1, 67.1, 134.2 ms) and retry 8–13 times; with it off, behaviour
 // follows the IB specification exactly.
 func AdaptiveRetrans(model string, adaptive bool, drops int) ([]AdaptiveRetransPoint, error) {
-	if drops <= 0 {
-		drops = 7
-	}
 	cfg := config.Default()
 	cfg.Name = fmt.Sprintf("adaptive-%s-%v", model, adaptive)
 	cfg.Requester.NIC.Type = model

@@ -26,9 +26,6 @@ type InteropPoint struct {
 // by orders of magnitude; rewriting MigReq to 1 in flight (the Lumina
 // action added to confirm the root cause) eliminates the discards.
 func Interop(qpCounts []int, fixMigReq bool) ([]InteropPoint, error) {
-	if len(qpCounts) == 0 {
-		qpCounts = []int{1, 2, 4, 8, 16, 24}
-	}
 	var cfgs []config.Test
 	for _, n := range qpCounts {
 		cfg := config.Default()

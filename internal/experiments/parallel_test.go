@@ -11,8 +11,9 @@ import (
 
 // These tests pin the reproducibility contract of the run engine: the
 // worker-pool size is an execution detail, never an input to the
-// measured history. Every rendered table and every summary.json must be
-// byte-identical whether the job matrix runs serially or fans out.
+// measured history. Every rendered table (TestPaperTablesMatchGolden)
+// and every summary.json must be byte-identical whether the job matrix
+// runs serially or fans out.
 
 // atWorkers runs f with the package worker count pinned to n, restoring
 // the previous setting afterwards.
@@ -22,38 +23,6 @@ func atWorkers(t *testing.T, n int, f func() string) string {
 	SetWorkers(n)
 	defer SetWorkers(old)
 	return f()
-}
-
-func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	renders := map[string]func() string{
-		"fig7": func() string {
-			return Figure7Table(must(Figure7(4))(t)).Render()
-		},
-		"cnp-intervals": func() string {
-			pts := must(CNPIntervals([]string{rnic.ModelCX5, rnic.ModelE810}))(t)
-			return CNPIntervalTable(pts).Render()
-		},
-		"interop": func() string {
-			return InteropTable(must(Interop([]int{2, 4}, false))(t)).RenderCSV()
-		},
-		"dumper-lb": func() string {
-			return DumperLBTable(must(DumperLB(4))(t)).Render()
-		},
-	}
-	for name, render := range renders {
-		t.Run(name, func(t *testing.T) {
-			serial := atWorkers(t, 1, render)
-			parallel := atWorkers(t, 8, render)
-			if serial != parallel {
-				t.Errorf("table %q differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-					name, serial, parallel)
-			}
-			defaulted := atWorkers(t, 0, render)
-			if serial != defaulted {
-				t.Errorf("table %q differs between workers=1 and workers=0 (NumCPU)", name)
-			}
-		})
-	}
 }
 
 func TestSummariesByteIdenticalAcrossWorkerCounts(t *testing.T) {

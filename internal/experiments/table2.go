@@ -171,7 +171,7 @@ func DetectCounterBugs() ([]string, error) {
 // exist, differ, and are undocumented) whose scope is verifiably
 // enforced; the per-model classification lives in CNPScopes.
 func DetectCNPRateLimiting() ([]string, error) {
-	pts, err := CNPScopes(nil)
+	pts, err := CNPScopes(rnic.HardwareModelNames())
 	if err != nil {
 		return nil, err
 	}

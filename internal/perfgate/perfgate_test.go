@@ -3,6 +3,8 @@ package perfgate
 import (
 	"sort"
 	"testing"
+
+	"github.com/lumina-sim/lumina/internal/config"
 )
 
 // TestBudgetsParse validates the embedded budget file: it must parse,
@@ -41,14 +43,18 @@ func TestPerfBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf gate measures full workloads; skipped in -short")
 	}
-	results, violations, err := Gate()
+	budgets, err := Budgets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := MeasureAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
 		t.Logf("%-22s %8.2f allocs/op %12.1f bytes/op", r.Name, r.AllocsPerOp, r.BytesPerOp)
 	}
-	for _, v := range violations {
+	for _, v := range Check(budgets, results) {
 		t.Errorf("perf budget violated: %s", v)
 	}
 }
@@ -109,5 +115,47 @@ func TestCheckFlagsRegressions(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("unexpected extra violations: got %v want %v", got, want)
+	}
+}
+
+// TestBulkScenarioIsTheBenchWorkload pins bulkScenario to the repository
+// benchmark's bulk workload, so the bulk_pair_packet and
+// bulk_explain_packet budgets count the run that bulk_write and
+// bulk_explain time.
+func TestBulkScenarioIsTheBenchWorkload(t *testing.T) {
+	inline, err := config.Parse([]byte(bulkScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := config.Load("../../bench/workloads/bulk.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := config.ContentHash(inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := config.ContentHash(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("bulkScenario hashes to %s, bench/workloads/bulk.yaml to %s", got, want)
+	}
+}
+
+// BenchmarkWorkloads times every perfgate workload. An op is one call of
+// the workload's operation: a whole run for the macro workloads, whose
+// budgets are per simulated packet.
+func BenchmarkWorkloads(b *testing.B) {
+	for _, name := range WorkloadNames() {
+		b.Run(name, func(b *testing.B) {
+			_, _, op := workloads[name]()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }

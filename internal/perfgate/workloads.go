@@ -258,7 +258,8 @@ func fabricIncast() (int, int, func()) {
 }
 
 // bulkScenario is the bulk pair scenario of the repository benchmark
-// (bench/workloads/bulk.yaml, which go:embed cannot reach from here):
+// (bench/workloads/bulk.yaml, which go:embed cannot reach from here;
+// TestBulkScenarioIsTheBenchWorkload holds the two equal):
 // two 1 MiB-message Write QPs in two ETS queues on CX6 Dx, one packet in
 // fifty of the first QP ECN-marked — about ten thousand switch packets.
 const bulkScenario = `

@@ -440,6 +440,12 @@ func TestServeHealthzAndBadRequests(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown key "rdma_verb"`) || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("misspelled key: %v, want HTTP 400 naming rdma_verb", err)
 	}
+	// A scenario Build could not hold is refused before it is queued,
+	// not run until the daemon runs out of memory.
+	_, err = c.Submit(ctx, SubmitRequest{Scenario: "traffic: {num-connections: 1000000000000000}"})
+	if err == nil || !strings.Contains(err.Error(), "num-connections") || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("10^15 connections: %v, want HTTP 400 naming num-connections", err)
+	}
 	if _, err := c.Status(ctx, "deadbeef"); err == nil {
 		t.Fatal("unknown run id did not 404")
 	}

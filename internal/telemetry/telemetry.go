@@ -14,8 +14,8 @@
 // call site goes through a *Hub whose methods are nil-receiver no-ops:
 // a component holds the hub pointer (nil when no sink is attached) and
 // calls h.Emit(...) unconditionally; with no hub the call is a pointer
-// test and a return. BenchmarkTelemetryOverhead documents that the
-// no-sink cost stays within run-to-run noise.
+// test and a return. The repository benchmark's bulk_write workload
+// times a run with no hub; bulk_explain times the same run with one.
 //
 // The third constraint is cost when somebody is listening: a run with
 // every observer on replays the history of a bare run and should cost

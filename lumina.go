@@ -37,7 +37,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/minimize"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/perfgate"
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -332,25 +331,6 @@ func NoisyNeighborTarget(model string) FuzzTarget {
 
 // Models lists the built-in NIC models.
 func Models() []string { return rnic.ModelNames() }
-
-// Performance gate: checked-in allocation budgets for the simulator's
-// hot paths, measured deterministically (allocs/op and bytes/op are
-// properties of the compiled program, not the machine — see DESIGN.md
-// §3.10). CI enforces them via TestPerfBudgets and `lumina bench -gate`.
-type (
-	PerfBudget    = perfgate.Budget
-	PerfResult    = perfgate.Result
-	PerfViolation = perfgate.Violation
-)
-
-// PerfBudgets returns the embedded budget table
-// (internal/perfgate/perf_budgets.json).
-func PerfBudgets() ([]PerfBudget, error) { return perfgate.Budgets() }
-
-// PerfGate measures every budgeted workload and reports the
-// measurements plus any busted budgets (empty violations = gate
-// passes).
-func PerfGate() ([]PerfResult, []PerfViolation, error) { return perfgate.Gate() }
 
 // Build identity (debug.ReadBuildInfo): printed by every CLI's
 // -version flag, embedded in summary.json, and the fourth dimension of
