@@ -14,11 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
+	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/version"
 )
 
@@ -214,8 +217,20 @@ func addrFlag(fs *flag.FlagSet) *string {
 	return fs.String("addr", "127.0.0.1:8642", "daemon `host:port`")
 }
 
-func deadlineFlag(fs *flag.FlagSet) *int {
-	return fs.Int("deadline", 600, "virtual-time deadline in `seconds`")
+// deadlineFlag declares -deadline in whole seconds. A count whose
+// nanoseconds overflow sim.Duration is a usage error: wrapped, it would
+// turn negative and silently become the default deadline.
+func deadlineFlag(fs *flag.FlagSet) *sim.Duration {
+	d := 600 * sim.Second
+	fs.Func("deadline", "virtual-time deadline in `seconds` (default 600)", func(s string) error {
+		n, err := strconv.ParseInt(s, 0, 64)
+		if err == nil && (n > math.MaxInt64/int64(sim.Second) || n < math.MinInt64/int64(sim.Second)) {
+			err = fmt.Errorf("%d seconds overflow the virtual clock", n)
+		}
+		d = sim.Duration(n) * sim.Second
+		return err
+	})
+	return &d
 }
 
 // observeFlags declares the observe-only instruments: neither changes

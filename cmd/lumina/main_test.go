@@ -181,6 +181,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"trace", "bogus"}, 2, "", `lumina trace: unknown subcommand "bogus"`},
 		{[]string{"run"}, 2, "", `lumina run: want "cfg.yaml", got 0 argument(s)`},
 		{[]string{"run", "-config", "../../configs/listing2.yaml"}, 2, "", "flag provided but not defined: -config"},
+		// 10^10 s is past sim.Duration's 292 years; wrapped, it used to
+		// turn negative and silently become the 600 s default.
+		{[]string{"run", "-deadline", "10000000000", "../../configs/listing2.yaml"}, 2, "", "10000000000 seconds overflow the virtual clock"},
+		{[]string{"serve", "run", "-deadline", "10000000000", "../../configs/listing2.yaml"}, 2, "", "10000000000 seconds overflow the virtual clock"},
 		{[]string{"serve", "status", "a", "b"}, 2, "", `want "runID", got 2 argument(s)`},
 		{[]string{"fuzz", "-target", "nope"}, 2, "", `unknown target "nope"`},
 		{[]string{"corpus", "replay", "-transport", "xrc"}, 2, "", "known transports: rc, uc, ud"},
@@ -238,15 +242,15 @@ func TestREADMEUsageIsCurrent(t *testing.T) {
 }
 
 // TestNoDeletedCommandNames fails on any mention of the five binaries
-// that became subcommands, of the performance harnesses `lumina bench`
-// shed (its gate flag, its JSON flags and the files they wrote), and of
-// any benchmark function but the three that remain. Schema names (a
-// slash after the name) stay legal, and so does bench/, whose files the
-// repository benchmark pins. Of the markdown files at the root only the
-// user-facing documents are checked; the others are history and planning
-// notes.
+// that became subcommands, of the top-level -config flag (now `run`), of
+// the performance harnesses `lumina bench` shed (its gate flag, its JSON
+// flags and the files they wrote), and of any benchmark function but the
+// three that remain. Schema names (a slash after the name) stay legal,
+// and so does bench/, whose files the repository benchmark pins. Of the
+// markdown files at the root only the user-facing documents are checked;
+// the others are history and planning notes.
 func TestNoDeletedCommandNames(t *testing.T) {
-	deleted := regexp.MustCompile(`lumina-(bench|corpus|fuzz|serve|trace)\b[^/-]|bench -(gate)\b|-json-(dir)\b|(BENCH)_`)
+	deleted := regexp.MustCompile(`lumina-(bench|corpus|fuzz|serve|trace)\b[^/-]|lumina -(config)\b|bench -(gate)\b|-json-(dir)\b|(BENCH)_`)
 	benchmark := regexp.MustCompile(`\bBenchmark[A-Z_]\w*`)
 	kept := map[string]bool{"BenchmarkExperiments": true, "BenchmarkWorkloads": true, "BenchmarkEventQueueHold": true}
 	skipDirs := map[string]bool{".git": true, "bench": true, "results": true, "bin": true, ".bench_build": true}

@@ -6,7 +6,6 @@ import (
 
 	lumina "github.com/lumina-sim/lumina"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/sim"
 )
 
 // bindRun runs one test from a yamlite configuration file (the paper's
@@ -28,7 +27,7 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 			return err
 		}
 		rep, err := lumina.RunWithOptions(cfg, lumina.Options{
-			Deadline: sim.Duration(*deadline) * sim.Second,
+			Deadline: *deadline,
 			// -out implies telemetry so the artifact directory always gets
 			// the full set (timeline, metrics, summary with probe-backed
 			// lineage chains).

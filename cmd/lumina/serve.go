@@ -94,7 +94,7 @@ func bindServeRun(fs *flag.FlagSet) func([]string) error {
 		st, err := c.Submit(ctx, serve.SubmitRequest{
 			Scenario:   string(yml),
 			Profile:    *profile,
-			DeadlineNs: int64(*deadline) * int64(time.Second),
+			DeadlineNs: int64(*deadline),
 			Telemetry:  *telemetry,
 			INT:        *intFlag,
 			Coverage:   *covFlag,

@@ -2,10 +2,12 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -23,6 +25,15 @@ import (
 //     an empty list always;
 //   - ints are int64, floats float64 (an integer widens), and a
 //     netip.Addr is its string form, read with or without a CIDR suffix.
+//
+// A field's `lumina` tag declares what the key may hold, and check, the
+// first step of Validate, enforces it:
+//   - default=v replaces a non-positive number or an empty string;
+//   - min=x and max=x bound a number, each entry of a list of numbers,
+//     and the length of any other list;
+//   - oneof=a b c lists the values a string may take.
+//
+// A float must also be finite.
 
 // Load reads a yamlite test configuration from a file.
 func Load(path string) (Test, error) {
@@ -40,7 +51,7 @@ func Parse(data []byte) (Test, error) {
 	if err != nil {
 		return Test{}, err
 	}
-	t := Default()
+	t := defaults()
 	if err := decode(reflect.ValueOf(&t).Elem(), root); err != nil {
 		return Test{}, err
 	}
@@ -64,6 +75,9 @@ func (t Test) MarshalYAML() ([]byte, error) {
 type field struct {
 	key       string
 	omitEmpty bool
+	def       reflect.Value // the default, of the field's type; invalid when none
+	min, max  float64       // ±Inf when unbounded
+	oneof     []string
 }
 
 // fieldTables caches each struct type's fields: reading the tags on
@@ -76,8 +90,29 @@ func fieldsOf(t reflect.Type) []field {
 	}
 	fs := make([]field, t.NumField())
 	for i := range fs {
-		key, opts, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		fs[i] = field{key: key, omitEmpty: opts == "omitempty"}
+		sf := t.Field(i)
+		key, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		f := field{key: key, omitEmpty: opts == "omitempty", min: math.Inf(-1), max: math.Inf(1)}
+		for _, opt := range strings.Split(sf.Tag.Get("lumina"), ",") {
+			name, val, _ := strings.Cut(opt, "=")
+			var err error
+			switch name {
+			case "default":
+				f.def = reflect.New(sf.Type).Elem()
+				err = decode(f.def, yamlite.Scalar(val))
+			case "min":
+				f.min, err = strconv.ParseFloat(val, 64)
+			case "max":
+				f.max, err = strconv.ParseFloat(val, 64)
+			case "oneof":
+				f.oneof = strings.Fields(val)
+			}
+			if err != nil {
+				// invariant: tags are literals in this package, and TestREADMEKeysAreCurrent parses every one.
+				panic(fmt.Sprintf("config: %s.%s: lumina tag %q: %v", t.Name(), sf.Name, opt, err))
+			}
+		}
+		fs[i] = f
 	}
 	fieldTables.Store(t, fs)
 	return fs
@@ -220,6 +255,79 @@ func decodeStruct(v reflect.Value, m map[string]any) error {
 		}
 	}
 	return failf("unknown key %q", slices.Min(unknown))
+}
+
+// check fills the defaults of v, a struct, and holds every field to its
+// lumina tag. It allocates only to report a failure.
+func check(v reflect.Value) error {
+	fs := fieldsOf(v.Type())
+	for i := range fs {
+		if err := fs[i].check(v.Field(i)); err != nil {
+			return under(fs[i].key, err)
+		}
+	}
+	return nil
+}
+
+func (f *field) check(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Struct:
+		if v.Type() != addrType {
+			return check(v)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return check(v.Elem())
+		}
+	case reflect.Slice:
+		if k := v.Type().Elem().Kind(); k != reflect.Int && k != reflect.Float64 {
+			if msg := f.bound(float64(v.Len())); msg != "" {
+				return failf("%d entries %s", v.Len(), msg)
+			}
+		}
+		for i := 0; i < v.Len(); i++ {
+			if err := f.check(v.Index(i)); err != nil {
+				return under(fmt.Sprintf("[%d]", i), err)
+			}
+		}
+	case reflect.String:
+		if v.Len() == 0 && f.def.IsValid() {
+			v.SetString(f.def.String())
+		}
+		if f.oneof != nil && !slices.Contains(f.oneof, v.String()) {
+			return failf("%q is not one of %s", v.String(), strings.Join(f.oneof, ", "))
+		}
+	case reflect.Int, reflect.Int64:
+		if v.Int() <= 0 && f.def.IsValid() {
+			v.SetInt(f.def.Int())
+		}
+		if msg := f.bound(float64(v.Int())); msg != "" {
+			return failf("%d %s", v.Int(), msg)
+		}
+	case reflect.Float64:
+		if math.IsNaN(v.Float()) || math.IsInf(v.Float(), 0) {
+			return failf("%v is not a finite number", v.Float())
+		}
+		if v.Float() <= 0 && f.def.IsValid() {
+			v.SetFloat(f.def.Float())
+		}
+		if msg := f.bound(v.Float()); msg != "" {
+			return failf("%v %s", v.Float(), msg)
+		}
+	}
+	return nil
+}
+
+// bound says how x falls outside the field's min and max, or returns ""
+// when it does not.
+func (f *field) bound(x float64) string {
+	switch {
+	case x < f.min:
+		return "is below the minimum of " + strconv.FormatFloat(f.min, 'f', -1, 64)
+	case x > f.max:
+		return "exceeds the maximum of " + strconv.FormatFloat(f.max, 'f', -1, 64)
+	}
+	return ""
 }
 
 // parseAddr reads an address, bare or in Listing 1's CIDR form.

@@ -1,10 +1,13 @@
 package config
 
 import (
+	"math"
 	"math/rand"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,17 +145,40 @@ func TestParseRejectsWhatItCannotRead(t *testing.T) {
 		{"requester:\n  nic: {ip-list: [7]}\n", `config: requester.nic.ip-list[0]: want IP address, got int64`},
 		// Settled edge case: an empty ip-list used to keep the default
 		// address; a list replaces the default, and a host needs one.
-		{"requester:\n  nic: {ip-list: []}\n", `needs at least one IP`},
+		{"requester:\n  nic: {ip-list: []}\n", `config: requester.nic.ip-list: 0 entries is below the minimum of 1`},
 		// Sizes orchestrator.Build could not hold. On a 32-bit int the
 		// fabric's 4194305 × 1024 wraps to 1024 hosts if multiplied out.
-		{"traffic: {num-connections: 4097}", `config: num-connections 4097 exceeds the limit of 4096`},
+		{"traffic: {num-connections: 4097}", `config: traffic.num-connections: 4097 exceeds the maximum of 4096`},
 		{"fabric: {leaves: 1025, hosts-per-leaf: 1}", `config: fabric leaves × hosts-per-leaf (1025 × 1) exceeds the limit of 1024 hosts`},
 		{"fabric: {leaves: 4194305, hosts-per-leaf: 1024}", `exceeds the limit of 1024 hosts`},
 		{"fabric: {leaves: 16, hosts-per-leaf: 64}\ntraffic: {num-connections: 65}", `config: 1023 sending hosts × num-connections 65 exceeds the limit of 65536 QPs`},
 		{"dumper-pool: {nodes: 1000000, cores-per-node: 1000000}", `config: dumper-pool nodes × cores-per-node (1000000 × 1000000) exceeds the limit of 4096 cores`},
-		{"traffic: {message-size: 1048576, mtu: 1, num-msgs-per-qp: 17}", `exceeds the limit of 16777216 packets per connection`},
-		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 16777217}\n", `config: event 0: every 16777217 exceeds the limit of 16777216 packets`},
+		{"traffic: {message-size: 1048576, mtu: 1, num-msgs-per-qp: 17}", `exceeds the limit of 4194304 packets per connection`},
+		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 16777217}\n", `config: traffic.data-pkt-events[0].every: 16777217 exceeds the maximum of 16777216`},
 		{"traffic:\n  message-size: 1048576\n  mtu: 8\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 1}\n", `expand to more than the limit of 65536 injector rules`},
+		// Values a run could not survive, or applied to another packet:
+		// the scheduler panicked on the first three, the fourth ran out
+		// of memory, the trace of the fifth could not be decoded, the
+		// next two matched iter 1 and packet 2, the next overflowed the
+		// CNP interval to a negative one, and the last message spans
+		// half the PSN space, so no packet of it was ever sent. (Where a
+		// 32-bit int cannot hold the value, the error is that it
+		// overflows; either way it names the key.)
+		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 2, type: delay, delay-us: 10000000000000000}\n",
+			`config: traffic.data-pkt-events[0].delay-us: 10000000000000000 `},
+		{"switch: {pipeline-latency-ns: 9000000000000000000}", `config: switch.pipeline-latency-ns: 9000000000000000000 `},
+		{"dumper-pool: {per-core-gbps: 1e-19}", `config: dumper-pool.per-core-gbps: 1e-19 is below the minimum of 0.001`},
+		{"traffic: {message-size: 1000000000000, mtu: 1000000000000}", `config: traffic.mtu: 1000000000000 `},
+		{"dumper-pool: {trim-bytes: 60}", `config: dumper-pool.trim-bytes: 60 is shorter than the 70 header bytes of an rdma-verb write trace`},
+		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: drop, iter: 4294967297}\n", `config: traffic.data-pkt-events[0].iter: 4294967297 `},
+		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 16777218, type: drop}\n", `config: traffic.data-pkt-events[0].psn: 16777218 exceeds the maximum of 16777216`},
+		{"requester:\n  roce-parameters: {min-time-between-cnps: 10000000000000000}\n", `config: requester.roce-parameters.min-time-between-cnps: 10000000000000000 `},
+		{"traffic: {message-size: 2147483647, mtu: 256}", `(8388608 × 1 packets) exceeds the limit of 4194304 packets per connection`},
+		// One byte short of the deepest header stack trace reconstruction
+		// reads: a RETH for writes and reads, an AETH for sends.
+		{"dumper-pool: {trim-bytes: 69}", `config: dumper-pool.trim-bytes: 69 is shorter than the 70 header bytes`},
+		{"dumper-pool: {trim-bytes: 69}\ntraffic: {rdma-verb: read}", `of an rdma-verb read trace`},
+		{"dumper-pool: {trim-bytes: 57}\ntraffic: {rdma-verb: send}", `config: dumper-pool.trim-bytes: 57 is shorter than the 58 header bytes of an rdma-verb send trace`},
 	}
 	if strconv.IntSize == 32 {
 		// An int field reads as it does on a 64-bit host, or not at all.
@@ -182,6 +208,9 @@ func TestParseKeepsDefaults(t *testing.T) {
 		{"traffic:\nswitch: {}\nseed:\nrequester: {nic: {ip-list: }}\n", func(*Test) {}},
 		{"dumper-pool: {node-gbps: 50}", func(c *Test) { c.Dumpers.NodeGbps = 50 }},
 		{"fabric:", func(c *Test) { c.Fabric = &FabricTopo{Leaves: 2, HostsPerLeaf: 8, UplinkGbps: 400, Pattern: "incast"} }},
+		// trim-bytes at the floor of each rdma-verb's header stack.
+		{"dumper-pool: {trim-bytes: 70}", func(c *Test) { c.Dumpers.TrimBytes = 70 }},
+		{"dumper-pool: {trim-bytes: 58}\ntraffic: {rdma-verb: send}", func(c *Test) { c.Dumpers.TrimBytes, c.Traffic.Verb = 58, "send" }},
 		{"requester: {nic: {ip-list: [10.0.0.7/24, 'fe80::1']}}", func(c *Test) {
 			c.Requester.NIC.IPList = []netip.Addr{netip.MustParseAddr("10.0.0.7"), netip.MustParseAddr("fe80::1")}
 		}},
@@ -194,6 +223,143 @@ func TestParseKeepsDefaults(t *testing.T) {
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("Parse(%q) =\n%+v\nwant\n%+v", c.src, got, want)
 		}
+	}
+}
+
+// TestEveryBoundHoldsAtItsEdge walks the field table: for every key
+// whose lumina tag has a min= or max=, a scenario holding the bound
+// parses, and one a step past it is refused with an error naming the
+// key's path. A list of numbers is bounded entry by entry (the first
+// entry is moved), any other list by its length.
+func TestEveryBoundHoldsAtItsEdge(t *testing.T) {
+	type edge struct {
+		path  string
+		steps []int // field indices; -1 steps through a pointer or into a list's first entry
+		f     field
+		typ   reflect.Type
+	}
+	type try struct {
+		x  float64 // the value, or a list's length
+		ok bool    // whether Parse must accept it
+	}
+	var edges []edge
+	var walk func(path string, steps []int, typ reflect.Type)
+	walk = func(path string, steps []int, typ reflect.Type) {
+		for i, f := range fieldsOf(typ) {
+			p, s, ft := path+f.key, append(slices.Clip(steps), i), typ.Field(i).Type
+			if !math.IsInf(f.min, -1) || !math.IsInf(f.max, 1) {
+				edges = append(edges, edge{p, s, f, ft})
+			}
+			for ft.Kind() == reflect.Pointer || (ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Struct) {
+				if ft.Kind() == reflect.Slice {
+					p += "[0]"
+				}
+				ft, s = ft.Elem(), append(s, -1)
+			}
+			if ft.Kind() == reflect.Struct && ft != addrType {
+				walk(p+".", s, ft)
+			}
+		}
+	}
+	walk("", nil, reflect.TypeOf(Test{}))
+	if len(edges) < 15 {
+		t.Fatalf("found %d bounded keys, want every one", len(edges))
+	}
+	base := func(fabric bool) Test {
+		c := Default()
+		if fabric {
+			c.Fabric = &FabricTopo{}
+		} else {
+			c.Traffic.Events = []Event{{QPN: 1, PSN: 1, Type: "ecn"}}
+			c.Dumpers.Weights = []int{1, 1, 1, 1}
+		}
+		return c
+	}
+	for _, e := range edges {
+		isInt := e.typ.Kind() == reflect.Int || e.typ.Kind() == reflect.Slice && e.typ.Elem().Kind() == reflect.Int
+		past := func(bound, dir float64) float64 {
+			if isInt || e.typ.Kind() == reflect.Slice {
+				return bound + dir
+			}
+			return bound * math.Pow(2, dir) // a float stays positive, or the default would fill it
+		}
+		var tries []try
+		if !math.IsInf(e.f.min, -1) {
+			tries = append(tries, try{e.f.min, true}, try{past(e.f.min, -1), false})
+		}
+		if !math.IsInf(e.f.max, 1) {
+			tries = append(tries, try{e.f.max, true}, try{past(e.f.max, 1), false})
+		}
+		for _, try := range tries {
+			c := base(strings.HasPrefix(e.path, "fabric"))
+			v, path := reflect.ValueOf(&c).Elem(), e.path
+			for _, s := range e.steps {
+				switch {
+				case s >= 0:
+					v = v.Field(s)
+				case v.Kind() == reflect.Pointer:
+					v = v.Elem()
+				default:
+					v = v.Index(0)
+				}
+			}
+			switch {
+			case v.Kind() == reflect.Slice && isInt:
+				v, path = v.Index(0), path+"[0]"
+			case v.Kind() == reflect.Slice:
+				l := reflect.MakeSlice(v.Type(), int(try.x), int(try.x))
+				for i := 0; i < l.Len(); i++ {
+					l.Index(i).Set(v.Index(0))
+				}
+				v.Set(l)
+			}
+			switch v.Kind() {
+			case reflect.Int:
+				if v.OverflowInt(int64(try.x)) || (!try.ok && try.x <= 0 && e.f.def.IsValid()) {
+					continue // a 32-bit int cannot hold it, or the default would fill it
+				}
+				v.SetInt(int64(try.x))
+			case reflect.Float64:
+				v.SetFloat(try.x)
+			}
+			if !try.ok {
+				// Validate, since the YAML form cannot hold an empty list.
+				if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "config: "+path+": ") {
+					t.Errorf("%s = %v: got %v, want an error naming %s", e.path, try.x, err, path)
+				}
+				continue
+			}
+			y, err := c.MarshalYAML()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Parse(y); err != nil {
+				t.Errorf("%s = %v: %v", e.path, try.x, err)
+			}
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: the tag walk and the cross-field rules
+// allocate nothing on a checked-in scenario, and Parse no more than the
+// 94 allocations it took on bench/workloads/bulk.yaml before the walk
+// replaced Validate's hand-written checks.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, path := range scenarioFiles(t) {
+		c, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { v := c; _ = v.Validate() }); n != 0 {
+			t.Errorf("%s: Validate allocates %v times", path, n)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "bench", "workloads", "bulk.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = Parse(data) }); n > 94 {
+		t.Errorf("Parse(bulk.yaml) allocates %v times, want at most 94", n)
 	}
 }
 
@@ -239,7 +405,7 @@ func randomTest(r *rand.Rand) Test {
 		Switch: Switch{PipelineLatencyNs: 1 + r.Intn(1000), Mirror: r.Intn(2) == 0, Inject: r.Intn(2) == 0, L2Only: r.Intn(4) == 0},
 		Dumpers: DumperPool{
 			Nodes: 1 + r.Intn(4), CoresPerNode: 1 + r.Intn(8), PerCoreGbps: float64(1+r.Intn(20)) / 4,
-			NodeGbps: float64(25 * (1 + r.Intn(4))), TrimBytes: 64 + r.Intn(128),
+			NodeGbps: float64(25 * (1 + r.Intn(4))), TrimBytes: 70 + r.Intn(128),
 			RSSPortRewrite: r.Intn(2) == 0, PerPacketLB: r.Intn(2) == 0,
 		},
 	}

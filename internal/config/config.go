@@ -6,12 +6,15 @@
 package config
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"net/netip"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
+	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
@@ -47,15 +50,15 @@ type Test struct {
 type FabricTopo struct {
 	// Leaves is the number of leaf switches; HostsPerLeaf the hosts
 	// hanging off each leaf. Host 0 (on leaf 0) is the traffic sink.
-	Leaves       int `json:"leaves"`
-	HostsPerLeaf int `json:"hosts-per-leaf"`
+	Leaves       int `json:"leaves" lumina:"default=2"`
+	HostsPerLeaf int `json:"hosts-per-leaf" lumina:"default=8"`
 	// UplinkGbps is the leaf↔spine trunk rate (the incast bottleneck
 	// shifts to the receiver's leaf downlink when this exceeds the host
 	// line rate).
-	UplinkGbps float64 `json:"uplink-gbps"`
+	UplinkGbps float64 `json:"uplink-gbps" lumina:"default=400,min=0.001"`
 	// Pattern names the traffic pattern; only "incast" (every other
 	// host sends to host 0) is defined.
-	Pattern string `json:"pattern"`
+	Pattern string `json:"pattern" lumina:"default=incast,oneof=incast"`
 }
 
 // Hosts returns the total host count.
@@ -74,17 +77,17 @@ type Host struct {
 
 // NIC selects and places the hardware under test.
 type NIC struct {
-	Type       string       `json:"type"` // cx4 | cx5 | cx6 | e810 | spec
+	Type       string       `json:"type" lumina:"default=spec"` // cx4 | cx5 | cx6 | e810 | spec
 	IfName     string       `json:"if-name,omitempty"`
 	SwitchPort int          `json:"switch-port,omitempty"`
-	IPList     []netip.Addr `json:"ip-list"`
+	IPList     []netip.Addr `json:"ip-list" lumina:"min=1"`
 }
 
 // RoCE mirrors Listing 1's roce-parameters block.
 type RoCE struct {
 	DCQCNRPEnable      bool `json:"dcqcn-rp-enable"`
 	DCQCNNPEnable      bool `json:"dcqcn-np-enable"`
-	MinTimeBetweenCNPs int  `json:"min-time-between-cnps"` // µs; -1 = hardware default
+	MinTimeBetweenCNPs int  `json:"min-time-between-cnps" lumina:"max=1000000000"` // µs; -1 = hardware default
 	AdaptiveRetrans    bool `json:"adaptive-retrans"`
 	SlowRestart        bool `json:"slow-restart"`
 }
@@ -97,16 +100,16 @@ type ETSQueue struct {
 
 // Traffic mirrors Listing 2.
 type Traffic struct {
-	NumConnections       int    `json:"num-connections"`
-	Verb                 string `json:"rdma-verb"` // send | write | read
-	NumMsgsPerQP         int    `json:"num-msgs-per-qp"`
-	MTU                  int    `json:"mtu"`
-	MessageSize          int    `json:"message-size"`
+	NumConnections       int    `json:"num-connections" lumina:"min=1,max=4096"`
+	Verb                 string `json:"rdma-verb" lumina:"default=write,oneof=send write read send+read write+read"`
+	NumMsgsPerQP         int    `json:"num-msgs-per-qp" lumina:"default=1"`
+	MTU                  int    `json:"mtu" lumina:"default=1024,max=4096"`
+	MessageSize          int    `json:"message-size" lumina:"min=1"`
 	MultiGID             bool   `json:"multi-gid"`
 	BarrierSync          bool   `json:"barrier-sync"`
-	TxDepth              int    `json:"tx-depth"`
-	MinRetransmitTimeout int    `json:"min-retransmit-timeout"` // IB timeout exponent
-	MaxRetransmitRetry   int    `json:"max-retransmit-retry"`
+	TxDepth              int    `json:"tx-depth" lumina:"default=1"`
+	MinRetransmitTimeout int    `json:"min-retransmit-timeout" lumina:"default=14,max=31"` // IB's 5-bit timeout exponent
+	MaxRetransmitRetry   int    `json:"max-retransmit-retry" lumina:"default=7"`
 	// QPTrafficClass maps connection index → ETS queue on the sender
 	// (the multi-queue experiments of §6.2.1). Missing entries default
 	// to queue 0.
@@ -136,13 +139,13 @@ type Traffic struct {
 // packet by DelayUs microseconds; reorder slips it behind the next
 // Offset packets of its connection.
 type Event struct {
-	QPN   int    `json:"qpn"`
-	PSN   int    `json:"psn"`
-	Iter  int    `json:"iter"`
-	Type  string `json:"type"` // ecn | drop | corrupt | set-migreq | delay | reorder
-	Every int    `json:"every,omitempty"`
+	QPN   int    `json:"qpn" lumina:"min=1"`
+	PSN   int    `json:"psn" lumina:"min=1,max=16777216"`
+	Iter  int    `json:"iter" lumina:"default=1,max=4294967295"` // the injector compares a uint32
+	Type  string `json:"type"`                                   // ecn | drop | corrupt | set-migreq | delay | reorder
+	Every int    `json:"every,omitempty" lumina:"min=0,max=16777216"`
 	// DelayUs is the added forwarding delay for delay events, in µs.
-	DelayUs int `json:"delay-us,omitempty"`
+	DelayUs int `json:"delay-us,omitempty" lumina:"max=1000000000"`
 	// Offset is how many later packets a reorder event slips behind
 	// (default 1: swap with the next packet).
 	Offset int `json:"offset,omitempty"`
@@ -153,7 +156,7 @@ type Event struct {
 // disabled to reproduce the Lumina-nm / Lumina-ne / l2-forward baselines
 // of Figure 7.
 type Switch struct {
-	PipelineLatencyNs int  `json:"pipeline-latency-ns"`
+	PipelineLatencyNs int  `json:"pipeline-latency-ns" lumina:"default=400,max=1000000000000"`
 	Mirror            bool `json:"mirror"`
 	Inject            bool `json:"inject"`
 	// L2Only bypasses the whole Lumina pipeline (match-action tables,
@@ -163,18 +166,18 @@ type Switch struct {
 
 // DumperPool configures the traffic-dumper substrate (§3.4).
 type DumperPool struct {
-	Nodes        int `json:"nodes"`
-	CoresPerNode int `json:"cores-per-node"`
+	Nodes        int `json:"nodes" lumina:"default=4"`
+	CoresPerNode int `json:"cores-per-node" lumina:"default=8"`
 	// PerCoreGbps is each core's sustained packet-processing rate.
-	PerCoreGbps float64 `json:"per-core-gbps"`
+	PerCoreGbps float64 `json:"per-core-gbps" lumina:"default=5,min=0.001"`
 	// NodeGbps is each node's NIC line rate.
-	NodeGbps float64 `json:"node-gbps"`
+	NodeGbps float64 `json:"node-gbps" lumina:"default=100,min=0.001"`
 	// Weights for the injector's weighted round-robin spraying; empty
 	// means equal weights.
-	Weights []int `json:"weights,omitempty"`
+	Weights []int `json:"weights,omitempty" lumina:"min=1"`
 	// TrimBytes: packets are truncated to this many bytes before
 	// buffering (the first 128 bytes hold all headers, §5).
-	TrimBytes int `json:"trim-bytes"`
+	TrimBytes int `json:"trim-bytes" lumina:"default=128"`
 	// RSSPortRewrite enables the injector's UDP destination port
 	// randomization so RSS spreads one flow across all cores (§3.4).
 	RSSPortRewrite bool `json:"rss-port-rewrite"`
@@ -186,10 +189,19 @@ type DumperPool struct {
 
 // Default returns a fully-populated baseline configuration: spec NICs,
 // Lumina switch with injection and mirroring on, a 4-node dumper pool.
+// The values a lumina tag declares come from the tag.
 func Default() Test {
+	t := defaults()
+	_ = t.Validate() // fills the seed and the tag defaults; TestDefaultsValidate holds it valid
+	return t
+}
+
+// defaults is Default before Validate fills it in. Parse decodes onto it
+// and then validates once.
+func defaults() Test {
 	host := func(ipStr string) Host {
 		return Host{
-			NIC: NIC{Type: "spec", IPList: []netip.Addr{netip.MustParseAddr(ipStr)}},
+			NIC: NIC{IPList: []netip.Addr{netip.MustParseAddr(ipStr)}},
 			RoCE: RoCE{
 				DCQCNRPEnable: true, DCQCNNPEnable: true,
 				MinTimeBetweenCNPs: -1, SlowRestart: true,
@@ -198,33 +210,25 @@ func Default() Test {
 	}
 	return Test{
 		Name:      "default",
-		Seed:      1,
 		Requester: host("10.0.0.1"),
 		Responder: host("10.0.0.2"),
-		Traffic: Traffic{
-			NumConnections: 1, Verb: "write", NumMsgsPerQP: 1,
-			MTU: 1024, MessageSize: 10240, TxDepth: 1,
-			MinRetransmitTimeout: 14, MaxRetransmitRetry: 7,
-		},
-		Switch: Switch{PipelineLatencyNs: 400, Mirror: true, Inject: true},
-		Dumpers: DumperPool{
-			Nodes: 4, CoresPerNode: 8, PerCoreGbps: 5, NodeGbps: 100,
-			TrimBytes: 128, RSSPortRewrite: true, PerPacketLB: true,
-		},
+		Traffic:   Traffic{NumConnections: 1, MessageSize: 10240},
+		Switch:    Switch{Mirror: true, Inject: true},
+		Dumpers:   DumperPool{RSSPortRewrite: true, PerPacketLB: true},
 	}
 }
 
-// Size limits on what orchestrator.Build allocates for a scenario: hosts,
-// QPs, dumper cores and injector rules. Without them one short document
-// could ask Build for 10^15 QPs and exhaust memory, in `lumina serve` the
-// whole daemon's. Each is far above what the paper or any checked-in
-// scenario uses; DESIGN.md gives the reasons for each value.
+// Size limits on what a scenario makes orchestrator.Build allocate:
+// hosts, QPs, dumper cores, packets and injector rules. Without them one
+// short document could ask Build for 10^15 QPs and exhaust memory, in
+// `lumina serve` the whole daemon's. Each is far above what the paper or
+// any checked-in scenario uses; DESIGN.md gives the reasons for each
+// value. Limits on a single key are its lumina tag.
 const (
-	maxConnections  = 4096    // num-connections
 	maxFabricHosts  = 1024    // leaves × hosts-per-leaf
 	maxQPs          = 65536   // sending hosts × num-connections
 	maxDumperCores  = 4096    // dumper-pool nodes × cores-per-node
-	maxPacketsPerQP = 1 << 24 // data packets per connection, and every
+	maxPacketsPerQP = 1 << 22 // data packets per connection: under half the PSN space
 	maxRules        = 65536   // data-pkt-events after every expands them
 )
 
@@ -232,18 +236,16 @@ const (
 // computing a product that could overflow.
 func fits(a, b, limit int) bool { return a <= limit/b }
 
-// Validate checks internal consistency and fills defaulted fields.
+// Validate fills the defaults and enforces the bounds the fields' lumina
+// tags declare, then checks the rules that read more than one key.
 func (t *Test) Validate() error {
+	if err := check(reflect.ValueOf(t).Elem()); err != nil {
+		return err
+	}
 	if t.Seed == 0 {
 		t.Seed = 1
 	}
 	for _, h := range []*Host{&t.Requester, &t.Responder} {
-		if h.NIC.Type == "" {
-			h.NIC.Type = "spec"
-		}
-		if len(h.NIC.IPList) == 0 {
-			return fmt.Errorf("config: host %q needs at least one IP", h.ControlIP)
-		}
 		for i, q := range h.ETS {
 			if q.Strict && q.Weight != 0 {
 				return fmt.Errorf("config: ETS queue %d both strict and weighted", i)
@@ -254,100 +256,46 @@ func (t *Test) Validate() error {
 		}
 	}
 	tr := &t.Traffic
-	if tr.NumConnections <= 0 {
-		return fmt.Errorf("config: num-connections must be positive")
-	}
-	if tr.NumConnections > maxConnections {
-		return fmt.Errorf("config: num-connections %d exceeds the limit of %d", tr.NumConnections, maxConnections)
-	}
-	if tr.MTU <= 0 {
-		tr.MTU = 1024
-	}
-	if tr.MessageSize <= 0 {
-		return fmt.Errorf("config: message-size must be positive")
-	}
-	if tr.NumMsgsPerQP <= 0 {
-		tr.NumMsgsPerQP = 1
-	}
-	pktsPerMsg := (tr.MessageSize-1)/tr.MTU + 1
+	pktsPerMsg := tr.PacketsPerMessage()
 	if !fits(pktsPerMsg, tr.NumMsgsPerQP, maxPacketsPerQP) {
 		return fmt.Errorf("config: message-size / mtu × num-msgs-per-qp (%d × %d packets) exceeds the limit of %d packets per connection",
 			pktsPerMsg, tr.NumMsgsPerQP, maxPacketsPerQP)
 	}
 	pktsPerQP := pktsPerMsg * tr.NumMsgsPerQP
-	if tr.TxDepth <= 0 {
-		tr.TxDepth = 1
-	}
-	if tr.MinRetransmitTimeout <= 0 {
-		tr.MinRetransmitTimeout = 14
-	}
-	if tr.MinRetransmitTimeout > 31 {
-		// IB's Local ACK Timeout is a 5-bit exponent; past 50 the
-		// 4.096 µs << exp retransmission timer overflows to a negative
-		// delay inside the run.
-		return fmt.Errorf("config: min-retransmit-timeout %d exceeds the 5-bit exponent's maximum of 31", tr.MinRetransmitTimeout)
-	}
-	if tr.MaxRetransmitRetry <= 0 {
-		tr.MaxRetransmitRetry = 7
-	}
-	switch tr.Verb {
-	case "send", "write", "read":
-	case "send+read", "write+read":
-		// Verb combinations generate bi-directional data traffic (§3.2).
-		// Event intents are direction-ambiguous there, so they are only
-		// valid with a single verb.
-		if len(tr.Events) > 0 {
-			return fmt.Errorf("config: data-pkt-events require a single rdma-verb, not %q", tr.Verb)
-		}
-	case "":
-		tr.Verb = "write"
-	default:
-		return fmt.Errorf("config: unknown rdma-verb %q", tr.Verb)
+	// Verb combinations generate bi-directional data traffic (§3.2).
+	// Event intents are direction-ambiguous there, so they are only valid
+	// with a single verb.
+	if strings.Contains(tr.Verb, "+") && len(tr.Events) > 0 {
+		return fmt.Errorf("config: data-pkt-events require a single rdma-verb, not %q", tr.Verb)
 	}
 	if err := tr.validateTransports(); err != nil {
 		return err
 	}
+	nq := max(len(t.Requester.ETS), 1) // no ets-queues is one default queue
 	for i, tc := range tr.QPTrafficClass {
-		nq := len(t.Requester.ETS)
-		if nq == 0 {
-			nq = 1
-		}
 		if tc < 0 || tc >= nq {
 			return fmt.Errorf("config: qp-traffic-class[%d] = %d out of range (%d queues)", i, tc, nq)
 		}
 	}
 	rules := 0
 	for i, ev := range tr.Events {
-		if ev.QPN < 1 || ev.QPN > tr.NumConnections {
+		if ev.QPN > tr.NumConnections {
 			return fmt.Errorf("config: event %d: qpn %d out of range 1..%d", i, ev.QPN, tr.NumConnections)
 		}
-		if ev.PSN < 1 {
-			return fmt.Errorf("config: event %d: psn must be >= 1 (1-based packet index)", i)
-		}
-		if ev.Iter < 1 {
-			tr.Events[i].Iter = 1
-		}
-		switch ev.Type {
-		case "ecn", "drop", "corrupt", "set-migreq":
-		case "delay":
+		switch action, _ := packet.ParseEventType(ev.Type); action {
+		case packet.EventNone:
+			return fmt.Errorf("config: event %d: unknown type %q", i, ev.Type)
+		case packet.EventDelay:
 			if ev.DelayUs <= 0 {
 				return fmt.Errorf("config: event %d: delay events need delay-us > 0", i)
 			}
-		case "reorder":
+		case packet.EventReorder:
 			if ev.Offset < 0 {
 				return fmt.Errorf("config: event %d: negative reorder offset", i)
 			}
 			if ev.Offset == 0 {
 				tr.Events[i].Offset = 1
 			}
-		default:
-			return fmt.Errorf("config: event %d: unknown type %q", i, ev.Type)
-		}
-		if ev.Every < 0 {
-			return fmt.Errorf("config: event %d: negative every", i)
-		}
-		if ev.Every > maxPacketsPerQP {
-			return fmt.Errorf("config: event %d: every %d exceeds the limit of %d packets", i, ev.Every, maxPacketsPerQP)
 		}
 		rules++
 		if ev.Every > 0 && ev.PSN < pktsPerQP {
@@ -357,57 +305,28 @@ func (t *Test) Validate() error {
 			return fmt.Errorf("config: data-pkt-events expand to more than the limit of %d injector rules", maxRules)
 		}
 	}
-	sw := &t.Switch
-	if sw.PipelineLatencyNs <= 0 {
-		sw.PipelineLatencyNs = 400
-	}
 	d := &t.Dumpers
-	if d.Nodes <= 0 {
-		d.Nodes = 4
+	// The dumpers keep the first trim-bytes of each mirrored frame, and
+	// trace reconstruction decodes every header in them: the RETH of a
+	// Write or a Read request, or the AETH on a Send's acknowledgement.
+	headers := packet.EthernetSize + packet.IPv4Size + packet.UDPSize + packet.BTHSize + packet.RETHSize
+	if tr.Verb == "send" {
+		headers += packet.AETHSize - packet.RETHSize
 	}
-	if d.CoresPerNode <= 0 {
-		d.CoresPerNode = 8
+	if d.TrimBytes < headers {
+		return fmt.Errorf("config: dumper-pool.trim-bytes: %d is shorter than the %d header bytes of an rdma-verb %s trace", d.TrimBytes, headers, tr.Verb)
 	}
 	if !fits(d.Nodes, d.CoresPerNode, maxDumperCores) {
 		return fmt.Errorf("config: dumper-pool nodes × cores-per-node (%d × %d) exceeds the limit of %d cores",
 			d.Nodes, d.CoresPerNode, maxDumperCores)
 	}
-	if err := defaultRate("per-core-gbps", &d.PerCoreGbps, 5); err != nil {
-		return err
-	}
-	if err := defaultRate("node-gbps", &d.NodeGbps, 100); err != nil {
-		return err
-	}
-	if d.TrimBytes <= 0 {
-		d.TrimBytes = 128
-	}
 	if len(d.Weights) != 0 && len(d.Weights) != d.Nodes {
 		return fmt.Errorf("config: %d dumper weights for %d nodes", len(d.Weights), d.Nodes)
 	}
-	for i, w := range d.Weights {
-		if w <= 0 {
-			return fmt.Errorf("config: dumper weight %d must be positive", i)
-		}
-	}
 	if f := t.Fabric; f != nil {
-		if f.Leaves <= 0 {
-			f.Leaves = 2
-		}
-		if f.HostsPerLeaf <= 0 {
-			f.HostsPerLeaf = 8
-		}
 		if !fits(f.Leaves, f.HostsPerLeaf, maxFabricHosts) {
 			return fmt.Errorf("config: fabric leaves × hosts-per-leaf (%d × %d) exceeds the limit of %d hosts",
 				f.Leaves, f.HostsPerLeaf, maxFabricHosts)
-		}
-		if err := defaultRate("uplink-gbps", &f.UplinkGbps, 400); err != nil {
-			return err
-		}
-		if f.Pattern == "" {
-			f.Pattern = "incast"
-		}
-		if f.Pattern != "incast" {
-			return fmt.Errorf("config: unknown fabric pattern %q", f.Pattern)
 		}
 		if f.Hosts() < 2 {
 			return fmt.Errorf("config: fabric needs at least 2 hosts, got %d", f.Hosts())
@@ -423,20 +342,6 @@ func (t *Test) Validate() error {
 	return nil
 }
 
-// defaultRate fills in a non-positive line rate and refuses one that is
-// not a finite number: yamlite reads "NaN" and "Inf" as floats, a NaN
-// passes every <= 0 guard downstream, and the serialization time it
-// yields lies in the distant past — a scheduling panic inside the run.
-func defaultRate(key string, gbps *float64, def float64) error {
-	if math.IsNaN(*gbps) || math.IsInf(*gbps, 0) {
-		return fmt.Errorf("config: %s must be a finite rate in Gbps, got %v", key, *gbps)
-	}
-	if *gbps <= 0 {
-		*gbps = def
-	}
-	return nil
-}
-
 // MinCNPInterval converts the µs config knob to a duration (-1 → -1,
 // meaning hardware default).
 func (r RoCE) MinCNPInterval() sim.Duration {
@@ -447,8 +352,9 @@ func (r RoCE) MinCNPInterval() sim.Duration {
 }
 
 // PacketsPerMessage returns how many MTU-sized packets one message spans.
+// It is written so that no message-size overflows it.
 func (tr Traffic) PacketsPerMessage() int {
-	return (tr.MessageSize + tr.MTU - 1) / tr.MTU
+	return (tr.MessageSize-1)/tr.MTU + 1
 }
 
 // PacketsPerQP returns the total first-transmission data packets each
@@ -464,10 +370,7 @@ func (tr Traffic) TransportOf(i int) string {
 	if i < len(tr.QPTransport) && tr.QPTransport[i] != "" {
 		return tr.QPTransport[i]
 	}
-	if tr.Transport != "" {
-		return tr.Transport
-	}
-	return "rc"
+	return cmp.Or(tr.Transport, "rc")
 }
 
 // Transports returns the sorted set of effective transport names across
@@ -501,14 +404,12 @@ func (tr *Traffic) validateTransports() error {
 		return fmt.Errorf("config: %d qp-transport entries for %d connections",
 			len(tr.QPTransport), tr.NumConnections)
 	}
-	base := tr.Transport
-	if base == "" {
-		base = "rc"
-	}
+	base := cmp.Or(tr.Transport, "rc")
 	// Canonical names go into a fresh slice, never back into the backing
 	// array: by-value copies of one config.Test share it, and engine
-	// workers validate their copies concurrently.
-	canon := make([]string, len(tr.QPTransport))
+	// workers validate their copies concurrently. A list already in
+	// canonical form is kept, so validating it again allocates nothing.
+	canon, fresh := tr.QPTransport, false
 	allBase := true
 	for i, raw := range tr.QPTransport {
 		name := strings.ToLower(raw)
@@ -518,7 +419,12 @@ func (tr *Traffic) validateTransports() error {
 		if _, err := rnic.ParseTransport(name); err != nil {
 			return fmt.Errorf("config: qp-transport[%d]: %w", i, err)
 		}
-		canon[i] = name
+		if name != raw {
+			if !fresh {
+				canon, fresh = slices.Clone(canon), true
+			}
+			canon[i] = name
+		}
 		if name != base {
 			allBase = false
 		}

@@ -131,7 +131,7 @@ func TestValidationErrors(t *testing.T) {
 		{func(t *Test) { t.Traffic.NumConnections = 0 }, "num-connections"},
 		{func(t *Test) { t.Traffic.MessageSize = 0 }, "message-size"},
 		{func(t *Test) { t.Traffic.Verb = "atomic" }, "rdma-verb"},
-		{func(t *Test) { t.Requester.NIC.IPList = nil }, "at least one IP"},
+		{func(t *Test) { t.Requester.NIC.IPList = nil }, "requester.nic.ip-list"},
 		{func(t *Test) { t.Traffic.Events = []Event{{QPN: 5, PSN: 1, Type: "drop"}} }, "qpn"},
 		{func(t *Test) { t.Traffic.Events = []Event{{QPN: 1, PSN: 0, Type: "drop"}} }, "psn"},
 		{func(t *Test) { t.Traffic.Events = []Event{{QPN: 1, PSN: 1, Type: "truncate"}} }, "unknown type"},

@@ -12,7 +12,7 @@ import (
 // panic. Whatever it accepts must survive the canonical round trip: the
 // re-parsed document marshals to the same bytes and hashes the same,
 // so a scenario's identity does not depend on how it was spelled.
-// orchestrator's FuzzBuild carries the same bytes on into Build.
+// orchestrator's FuzzExecute carries the same bytes on into a run.
 func FuzzParseScenario(f *testing.F) {
 	for _, g := range []string{"configs/*.yaml", "corpus/*/scenario.yaml", "bench/workloads/*.yaml", "examples/*/*.yaml"} {
 		files, err := filepath.Glob(filepath.Join("..", "..", g))

@@ -138,11 +138,9 @@ type Switch struct {
 	NoRSSRewrite bool
 }
 
-// New creates a switch with the given data-plane configuration.
+// New creates a switch with the given data-plane configuration, which
+// config.Validate has filled in.
 func New(s *sim.Simulator, cfg config.Switch) *Switch {
-	if cfg.PipelineLatencyNs <= 0 {
-		cfg.PipelineLatencyNs = 400
-	}
 	return &Switch{
 		Sim:         s,
 		Cfg:         cfg,
@@ -203,11 +201,9 @@ func (sw *Switch) AttachTrunk(port *sim.Port, macs []packet.MAC) int {
 // the spine. Pass -1 to restore dropping.
 func (sw *Switch) SetDefaultPort(idx int) { sw.defaultPort = idx }
 
-// AttachDumper binds a mirror port with a WRR weight (≥1).
+// AttachDumper binds a mirror port with a WRR weight, at least 1 (the
+// dumper-pool weights tag holds a configured one there).
 func (sw *Switch) AttachDumper(port *sim.Port, weight int) {
-	if weight <= 0 {
-		weight = 1
-	}
 	sw.dumperPorts = append(sw.dumperPorts, port)
 	sw.wrrWeights = append(sw.wrrWeights, weight)
 	sw.wrrCurrent = append(sw.wrrCurrent, 0)

@@ -20,7 +20,8 @@ import (
 //	                bounded by the connection's total packet count
 //
 // totalPkts is the number of first-transmission data packets per
-// connection (bounding 'every' expansion).
+// connection (bounding 'every' expansion). The events are as
+// config.Validate leaves them, their iter defaults filled in.
 func TranslateIntents(events []config.Event, verb string, conns []ConnMeta, totalPkts int) ([]Rule, error) {
 	var rules []Rule
 	for i, ev := range events {
@@ -32,10 +33,6 @@ func TranslateIntents(events []config.Event, verb string, conns []ConnMeta, tota
 			return nil, fmt.Errorf("injector: event %d: unknown type %q", i, ev.Type)
 		}
 		m := conns[ev.QPN-1]
-		iter := uint32(ev.Iter)
-		if iter == 0 {
-			iter = 1
-		}
 
 		indices := []int{ev.PSN}
 		if ev.Every > 0 {
@@ -50,7 +47,7 @@ func TranslateIntents(events []config.Event, verb string, conns []ConnMeta, tota
 			}
 			wirePSN := (m.ReqIPSN + uint32(rel-1)) & packet.PSNMask
 			r := Rule{
-				PSN: wirePSN, Iter: iter, Action: action,
+				PSN: wirePSN, Iter: uint32(ev.Iter), Action: action,
 				Delay:         sim.Duration(ev.DelayUs) * sim.Microsecond,
 				ReorderOffset: ev.Offset,
 			}

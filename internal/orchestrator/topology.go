@@ -309,8 +309,13 @@ func buildNIC(s *sim.Simulator, h hostSpec) (*rnic.NIC, error) {
 	for _, q := range h.tmpl.ETS {
 		ets.Queues = append(ets.Queues, rnic.ETSQueueConfig{Strict: q.Strict, Weight: q.Weight})
 	}
-	ips := append([]netip.Addr(nil), h.tmpl.NIC.IPList...)
+	for _, ip := range h.tmpl.NIC.IPList {
+		if !ip.Is4() {
+			// The wire format (internal/packet) is RoCEv2 over IPv4.
+			return nil, fmt.Errorf("orchestrator: %s: %v is not an IPv4 address", h.name, ip)
+		}
+	}
 	return rnic.New(s, prof, rnic.Config{
-		Name: h.name, MAC: h.mac, IPs: ips, ETS: ets, Set: set,
+		Name: h.name, MAC: h.mac, IPs: h.tmpl.NIC.IPList, ETS: ets, Set: set,
 	}), nil
 }

@@ -223,7 +223,7 @@ type Link struct {
 // receivers and keeps the *Port handles.
 func Connect(s *Simulator, nameA, nameB string, gbps float64, prop Duration) (*Port, *Port) {
 	if gbps <= 0 {
-		// invariant: a link rate is a built-in NIC profile's LinkGbps or a config rate, and config.Validate defaults non-positive rates and refuses non-finite ones.
+		// invariant: a link rate is a built-in NIC profile's LinkGbps or a config rate, whose lumina tag defaults a non-positive value and refuses a non-finite one or one below 0.001 Gbps.
 		panic("sim: link rate must be positive")
 	}
 	l := &Link{GbpsRate: gbps, Propagation: prop}
@@ -250,7 +250,7 @@ func (l *Link) SerializationDelay(n int) Duration {
 // below the physical line rate.
 func TransferTime(n int, gbps float64) Duration {
 	if gbps <= 0 {
-		// invariant: callers pass a profile's LinkGbps, a positive-weight share of it, a DCQCN rate floored at MinRateGbps, or a config rate config.Validate made positive and finite.
+		// invariant: callers pass a profile's LinkGbps, a positive-weight share of it, a DCQCN rate floored at MinRateGbps, or a config rate its lumina tag holds finite and at least 0.001 Gbps.
 		panic("sim: non-positive rate")
 	}
 	return Duration(float64(n) * 8 / gbps)

@@ -442,7 +442,7 @@ func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte)
 // AfterEvent is AtEvent d nanoseconds from now. Negative d panics.
 func (s *Simulator) AfterEvent(d Duration, h Handler, op int, arg uint64, data []byte) EventRef {
 	if d < 0 {
-		// invariant: delays are profile constants, latency curves clamped at zero, or config values config.Validate bounds (delay-us must be positive, the timeout exponent at most 31).
+		// invariant: delays are profile constants, latency curves clamped at zero, or scenario values the config package's lumina tags bound (delay-us, min-time-between-cnps and pipeline-latency-ns at most 1000 s, the timeout exponent at most 31) and Validate holds positive where they are used (delay-us on a delay event).
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	return s.AtEvent(s.now.Add(d), h, op, arg, data)
