@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite README.md's `lumina help` block")
+var update = flag.Bool("update", false, "rewrite README.md's `lumina help` block and testdata/run.golden")
 
 // reexecEnv makes the test binary run main instead of the tests, so a
 // test can observe the real exit status and stderr.
