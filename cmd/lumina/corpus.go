@@ -16,13 +16,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	lumina "github.com/lumina-sim/lumina"
-	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/corpus"
 	"github.com/lumina-sim/lumina/internal/fuzz"
 	"github.com/lumina-sim/lumina/internal/minimize"
-	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
@@ -260,12 +257,7 @@ func bindFuzz(fs *flag.FlagSet) func([]string) error {
 		case "noisy-neighbor":
 			target = fuzz.NoisyNeighborTarget(*model)
 		case "counter-bugs":
-			target = fuzz.CounterBugTarget(*model, func(rep *orchestrator.Report) int {
-				return len(analyzer.CheckCounters(rep.Trace,
-					lumina.HostViewOf("requester", rep.Config.Requester, rep.RequesterCounters),
-					lumina.HostViewOf("responder", rep.Config.Responder, rep.ResponderCounters),
-				))
-			})
+			target = fuzz.CounterBugTarget(*model)
 		default:
 			return usagef("unknown target %q", *targetName)
 		}

@@ -3,8 +3,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
+	"strings"
 
-	lumina "github.com/lumina-sim/lumina"
+	"github.com/lumina-sim/lumina/internal/analyzer"
+	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 )
 
@@ -22,11 +25,11 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 	intFlag, covFlag := observeFlags(fs)
 	transport := fs.String("transport", "", "override every connection's transport: `rc|uc|ud` (default: the scenario's own)")
 	return func(args []string) error {
-		cfg, err := lumina.LoadConfig(args[0])
+		cfg, err := config.Load(args[0])
 		if err != nil {
 			return err
 		}
-		rep, err := lumina.RunWithOptions(cfg, lumina.Options{
+		rep, err := orchestrator.Run(cfg, orchestrator.Options{
 			Deadline: *deadline,
 			// -out implies telemetry so the artifact directory always gets
 			// the full set (timeline, metrics, summary with probe-backed
@@ -73,13 +76,13 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 				fmt.Println("WARNING: the trace is incomplete; gaps may be capture loss, not network loss.")
 				fmt.Println("WARNING: analyzer results on this partial trace are advisory only.")
 			}
-			gbn := lumina.CheckGoBackN(rep.Trace)
+			an := rep.Analysis
 			fmt.Printf("go-back-n logic: %d connection-direction(s), %d gap(s), %d violation(s)\n",
-				gbn.ConnsChecked, gbn.Events, len(gbn.Violations))
-			for _, v := range gbn.Violations {
+				an.GBN.ConnsChecked, an.GBN.Events, len(an.GBN.Violations))
+			for _, v := range an.GBN.Violations {
 				fmt.Printf("  VIOLATION %s\n", v)
 			}
-			for _, ev := range lumina.AnalyzeRetransmissions(rep.Trace) {
+			for _, ev := range an.Retrans {
 				kind := "fast-retransmit"
 				if ev.Timeout {
 					kind = "timeout"
@@ -87,21 +90,11 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 				fmt.Printf("retransmission psn=%d (%s): gen=%v react=%v total=%v\n",
 					ev.DroppedPSN, kind, ev.GenLatency(), ev.ReactLatency(), ev.TotalLatency())
 			}
-			cnp := lumina.AnalyzeCNP(rep.Trace)
-			if cnp.TotalCNPs() > 0 {
+			if cnp := an.CNP; cnp.TotalCNPs() > 0 {
 				fmt.Printf("cnp: %d notification(s), min per-port gap %v, orphans %d\n",
 					cnp.TotalCNPs(), cnp.MinIntervalPerPort, cnp.Orphans)
 			}
-			inc := lumina.CheckCounters(rep.Trace,
-				lumina.HostViewOf("requester", cfg.Requester, rep.RequesterCounters),
-				lumina.HostViewOf("responder", cfg.Responder, rep.ResponderCounters),
-			)
-			if len(inc) == 0 {
-				fmt.Println("counters: consistent with trace")
-			}
-			for _, i := range inc {
-				fmt.Printf("counter INCONSISTENCY: %s\n", i)
-			}
+			printCounters(rep)
 			if len(rep.Verdicts) > 0 {
 				fmt.Println("\n--- verdicts ---")
 				for _, v := range rep.Verdicts {
@@ -162,6 +155,29 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 			fmt.Printf("\nartifacts written to %s\n", *outDir)
 		}
 		return nil
+	}
+}
+
+// printCounters cross-checks the NIC counters against the trace (§6.2.4)
+// on every side the trace can judge, and names the sides it cannot.
+func printCounters(rep *orchestrator.Report) {
+	views := rep.HostViews()
+	var skipped []string
+	for _, side := range []string{"requester", "responder"} {
+		if !slices.ContainsFunc(views, func(v analyzer.HostView) bool { return v.Name == side }) {
+			skipped = append(skipped, side)
+		}
+	}
+	if len(skipped) > 0 {
+		fmt.Printf("counters: not checked for %s: some of their flows never cross the injector, so the trace cannot witness them\n",
+			strings.Join(skipped, ", "))
+	}
+	inc := analyzer.CheckCounters(rep.Trace, views...)
+	if len(views) > 0 && len(inc) == 0 {
+		fmt.Println("counters: consistent with trace")
+	}
+	for _, i := range inc {
+		fmt.Printf("counter INCONSISTENCY: %s\n", i)
 	}
 }
 

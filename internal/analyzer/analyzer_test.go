@@ -300,10 +300,7 @@ func TestCNPAnalyzerDetectsOrphan(t *testing.T) {
 
 func TestCounterAnalyzerCleanRun(t *testing.T) {
 	rep := e2e(t, nil)
-	inc := analyzer.CheckCounters(rep.Trace,
-		hostView("requester", rep.Config.Requester, rep.RequesterCounters),
-		hostView("responder", rep.Config.Responder, rep.ResponderCounters),
-	)
+	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...)
 	if len(inc) != 0 {
 		t.Fatalf("clean run reported inconsistencies: %v", inc)
 	}
@@ -316,9 +313,7 @@ func TestCounterAnalyzerFindsE810CnpBug(t *testing.T) {
 		c.Traffic.MessageSize = 102400
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 1, Type: "ecn", Iter: 1, Every: 5}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace,
-		hostView("responder", rep.Config.Responder, rep.ResponderCounters),
-	)
+	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[1]) // the responder
 	found := false
 	for _, i := range inc {
 		if i.Counter == rnic.CtrNpCnpSent && i.Counted == 0 && i.Observed > 0 {
@@ -339,9 +334,7 @@ func TestCounterAnalyzerFindsCX4ImpliedNakBug(t *testing.T) {
 		c.Traffic.NumMsgsPerQP = 1
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 40, Type: "drop", Iter: 1}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace,
-		hostView("requester", rep.Config.Requester, rep.RequesterCounters),
-	)
+	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[0]) // the requester
 	found := false
 	for _, i := range inc {
 		if i.Counter == rnic.CtrImpliedNakSeq && i.Counted == 0 && i.Observed > 0 {
@@ -364,9 +357,7 @@ func TestCounterAnalyzerCX5ReadIsClean(t *testing.T) {
 		c.Traffic.NumMsgsPerQP = 1
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 40, Type: "drop", Iter: 1}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace,
-		hostView("requester", rep.Config.Requester, rep.RequesterCounters),
-	)
+	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[0]) // the requester
 	for _, i := range inc {
 		if i.Counter == rnic.CtrImpliedNakSeq {
 			t.Fatalf("CX5 falsely flagged: %v", i)
@@ -382,14 +373,6 @@ func TestStats(t *testing.T) {
 	if z := analyzer.Stats(nil); z.N != 0 || z.Mean != 0 {
 		t.Fatalf("empty stats = %+v", z)
 	}
-}
-
-func hostView(name string, h config.Host, ctr map[string]uint64) analyzer.HostView {
-	v := analyzer.HostView{Name: name, Counters: ctr}
-	for _, ip := range h.NIC.IPList {
-		v.IPs = append(v.IPs, ip.String())
-	}
-	return v
 }
 
 func TestReconstructITERMatchesFigure3(t *testing.T) {

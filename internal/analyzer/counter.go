@@ -3,6 +3,7 @@ package analyzer
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -25,33 +26,12 @@ func (i Inconsistency) String() string {
 	return fmt.Sprintf("%s %s: counter=%d trace=%d (%s)", i.Host, i.Counter, i.Counted, i.Observed, i.Detail)
 }
 
-// HostView gives the counter analyzer one NIC's identity and counters.
+// HostView gives the counter analyzer one side of a run: its hosts'
+// addresses and their summed counters.
 type HostView struct {
 	Name     string
-	IPs      []string // all GIDs owned by this host
+	IPs      []netip.Addr // every GID the side's hosts own
 	Counters map[string]uint64
-}
-
-// addrs parses the host's GIDs once, so the per-packet ownership test
-// compares addresses instead of formatting them. A GID that is not an
-// IP address could never equal a packet's and is left out.
-func (h HostView) addrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(h.IPs))
-	for _, s := range h.IPs {
-		if a, err := netip.ParseAddr(s); err == nil {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func owns(addrs []netip.Addr, ip netip.Addr) bool {
-	for _, a := range addrs {
-		if a == ip {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckCounters cross-checks each host's counters against the trace.
@@ -94,7 +74,6 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	// against them in that order, never in the map's.
 	respOOO := map[trace.ConnKey]*respStateT{}
 	var respOrder []*respStateT
-	mine := h.addrs()
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
@@ -103,7 +82,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
 		// host, so they carry no evidence.
-		if op.IsReadResponse() && owns(mine, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
+		if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
 			k := e.Key()
 			st := respOOO[k]
 			if st == nil {
@@ -123,7 +102,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 			}
 		}
 
-		if !owns(mine, e.Pkt.IP.Src) {
+		if !slices.Contains(h.IPs, e.Pkt.IP.Src) {
 			continue
 		}
 		txSeen++

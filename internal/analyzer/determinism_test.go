@@ -31,17 +31,7 @@ func TestAnalyzersRepeatOnNoisyNeighbor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostView := func(name string, h config.Host, counters map[string]uint64) analyzer.HostView {
-		v := analyzer.HostView{Name: name, Counters: counters}
-		for _, ip := range h.NIC.IPList {
-			v.IPs = append(v.IPs, ip.String())
-		}
-		return v
-	}
-	hosts := []analyzer.HostView{
-		hostView("requester", cfg.Requester, rep.RequesterCounters),
-		hostView("responder", cfg.Responder, rep.ResponderCounters),
-	}
+	hosts := rep.HostViews()
 	render := func() string {
 		var b strings.Builder
 		for _, v := range analyzer.VerdictsWith(rep.Trace, rep.Lineage, analyzer.VerdictOptions{}) {

@@ -58,7 +58,7 @@ func TestVerdictsWithUnreliableSetAddsSilentLossVerdict(t *testing.T) {
 	b.add(writePkt(102, packet.OpWriteLast), packet.EventNone)
 	tr := b.build()
 
-	plain := analyzer.Verdicts(tr, nil)
+	plain := analyzer.VerdictsWith(tr, nil, analyzer.VerdictOptions{})
 	if len(plain) != 3 {
 		t.Fatalf("RC verdict count = %d, want 3", len(plain))
 	}

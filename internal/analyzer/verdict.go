@@ -49,17 +49,44 @@ type VerdictOptions struct {
 	UnreliableQPNs map[uint32]bool
 }
 
-// Verdicts runs the trace analyzers and renders their findings as
-// verdicts, assuming an all-RC run. g supplies the causal chains each
-// verdict cites; it may be nil (verdicts then carry no chain
-// references).
-func Verdicts(tr *trace.Trace, g *lineage.Graph) []Verdict {
-	return VerdictsWith(tr, g, VerdictOptions{})
+// Analysis is every trace analyzer's finding over one run, each
+// computed once: Verdicts judges it, and `lumina run` prints its details.
+type Analysis struct {
+	GBN *GBNReport
+	// Retrans holds every retransmission event, those on unreliable QPs
+	// included; the retrans verdict leaves those out.
+	Retrans []RetransEvent
+	CNP     *CNPReport
+	// SilentLoss is nil unless the run had UC/UD connections.
+	SilentLoss []SilentLoss
+
+	unreliable map[uint32]bool
 }
 
-// VerdictsWith is Verdicts with explicit run context.
-func VerdictsWith(tr *trace.Trace, g *lineage.Graph, opts VerdictOptions) []Verdict {
+// Analyze runs the trace analyzers once over tr; nil for a nil trace.
+func Analyze(tr *trace.Trace, opts VerdictOptions) *Analysis {
 	if tr == nil {
+		return nil
+	}
+	return &Analysis{
+		GBN:        CheckGoBackN(tr),
+		Retrans:    AnalyzeRetransmissions(tr),
+		CNP:        AnalyzeCNP(tr),
+		SilentLoss: AnalyzeSilentLoss(tr, opts.UnreliableQPNs),
+		unreliable: opts.UnreliableQPNs,
+	}
+}
+
+// VerdictsWith analyzes tr and judges the analysis.
+func VerdictsWith(tr *trace.Trace, g *lineage.Graph, opts VerdictOptions) []Verdict {
+	return Analyze(tr, opts).Verdicts(g)
+}
+
+// Verdicts renders the analysis as pass/fail judgements; nil for a nil
+// analysis. g supplies the causal chains each verdict cites; it may be
+// nil (verdicts then carry no chain references).
+func (a *Analysis) Verdicts(g *lineage.Graph) []Verdict {
+	if a == nil {
 		return nil
 	}
 	chainsOf := func(events ...packet.EventType) []uint64 {
@@ -70,7 +97,7 @@ func VerdictsWith(tr *trace.Trace, g *lineage.Graph, opts VerdictOptions) []Verd
 	}
 	var out []Verdict
 
-	gbn := CheckGoBackN(tr)
+	gbn := a.GBN
 	v := Verdict{
 		Analyzer: "gbn", Pass: gbn.OK(),
 		Chains: chainsOf(packet.EventDrop, packet.EventCorrupt,
@@ -85,33 +112,28 @@ func VerdictsWith(tr *trace.Trace, g *lineage.Graph, opts VerdictOptions) []Verd
 	}
 	out = append(out, v)
 
-	retrans := AnalyzeRetransmissions(tr)
-	if len(opts.UnreliableQPNs) > 0 {
-		kept := retrans[:0]
-		for i := range retrans {
-			if !opts.UnreliableQPNs[retrans[i].Conn.DstQPN] {
-				kept = append(kept, retrans[i])
-			}
+	drops, recovered, timeouts := 0, 0, 0
+	for i := range a.Retrans {
+		ev := &a.Retrans[i]
+		if a.unreliable[ev.Conn.DstQPN] {
+			continue
 		}
-		retrans = kept
-	}
-	recovered, timeouts := 0, 0
-	for i := range retrans {
-		if retrans[i].RetransTime != 0 {
+		drops++
+		if ev.RetransTime != 0 {
 			recovered++
 		}
-		if retrans[i].Timeout {
+		if ev.Timeout {
 			timeouts++
 		}
 	}
 	out = append(out, Verdict{
-		Analyzer: "retrans", Pass: recovered == len(retrans),
+		Analyzer: "retrans", Pass: recovered == drops,
 		Reason: fmt.Sprintf("%d drop(s): %d recovered (%d by timeout), %d unrecovered",
-			len(retrans), recovered, timeouts, len(retrans)-recovered),
+			drops, recovered, timeouts, drops-recovered),
 		Chains: chainsOf(packet.EventDrop),
 	})
 
-	cnp := AnalyzeCNP(tr)
+	cnp := a.CNP
 	marked := 0
 	for _, n := range cnp.ECNMarked {
 		marked += n
@@ -125,8 +147,8 @@ func VerdictsWith(tr *trace.Trace, g *lineage.Graph, opts VerdictOptions) []Verd
 
 	// The silent-loss contract only exists on UC/UD runs; RC-only runs
 	// keep their historical three-verdict shape byte for byte.
-	if len(opts.UnreliableQPNs) > 0 {
-		losses := AnalyzeSilentLoss(tr, opts.UnreliableQPNs)
+	if len(a.unreliable) > 0 {
+		losses := a.SilentLoss
 		silent, anomalous := 0, 0
 		for i := range losses {
 			if losses[i].Silent() {

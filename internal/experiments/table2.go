@@ -155,11 +155,11 @@ func DetectCounterBugs() ([]string, error) {
 	}
 	var affected []string
 	for i, model := range models {
+		// HostViews lists the requester, then the responder: the CNP probe
+		// judges the CNP sender, the implied-NAK probe the re-reader.
 		cnp, nak := reps[2*i], reps[2*i+1]
-		bad := len(analyzer.CheckCounters(cnp.Trace,
-			hostViewFor("responder", cnp.Config.Responder, cnp.ResponderCounters))) > 0
-		bad = bad || len(analyzer.CheckCounters(nak.Trace,
-			hostViewFor("requester", nak.Config.Requester, nak.RequesterCounters))) > 0
+		bad := len(analyzer.CheckCounters(cnp.Trace, cnp.HostViews()[1])) > 0
+		bad = bad || len(analyzer.CheckCounters(nak.Trace, nak.HostViews()[0])) > 0
 		if bad {
 			affected = append(affected, model)
 		}
@@ -198,12 +198,4 @@ func DetectAdaptiveRetrans() ([]string, error) {
 		}
 	}
 	return affected, nil
-}
-
-func hostViewFor(name string, h config.Host, ctr map[string]uint64) analyzer.HostView {
-	v := analyzer.HostView{Name: name, Counters: ctr}
-	for _, ip := range h.NIC.IPList {
-		v.IPs = append(v.IPs, ip.String())
-	}
-	return v
 }

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -71,8 +72,9 @@ func noisyNeighborScore(g Genome, rep *orchestrator.Report) float64 {
 
 // CounterBugTarget searches for configurations where hardware counters
 // disagree with the wire — the §6.2.4 class. Genome: [verb, dropPSN,
-// ecnEvery]. Score: number of trace-vs-counter inconsistencies.
-func CounterBugTarget(model string, check func(*orchestrator.Report) int) Target {
+// ecnEvery]. Score: number of trace-vs-counter inconsistencies on every
+// side the trace can judge, the check `lumina run` prints.
+func CounterBugTarget(model string) Target {
 	return Target{
 		Name: "counter-bugs",
 		Params: []Param{
@@ -99,7 +101,7 @@ func CounterBugTarget(model string, check func(*orchestrator.Report) int) Target
 			return c
 		},
 		Score: func(g Genome, rep *orchestrator.Report) float64 {
-			return float64(check(rep))
+			return float64(len(analyzer.CheckCounters(rep.Trace, rep.HostViews()...)))
 		},
 		Threshold: 1,
 	}

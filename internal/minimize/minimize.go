@@ -5,7 +5,7 @@
 // configuration is the form worth keeping in a regression corpus.
 //
 // The anomaly is identified by its verdict signature: the set of
-// analyzer verdicts (analyzer.Verdicts) that fail on the original run,
+// analyzer verdicts (orchestrator.Report.Verdicts) that fail on the original run,
 // plus whether the run timed out. Minimization is delta debugging over
 // the injected event list (ddmin: drop ever-finer complements) followed
 // by rounds of single-field simplifications (fewer connections, smaller

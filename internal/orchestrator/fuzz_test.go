@@ -3,25 +3,106 @@ package orchestrator
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
+// scenarioFiles lists every checked-in scenario document.
+func scenarioFiles(t testing.TB) []string {
+	var files []string
+	for _, g := range []string{"configs/*.yaml", "corpus/*/scenario.yaml", "bench/workloads/*.yaml", "examples/*/*.yaml"} {
+		matches, err := filepath.Glob(filepath.Join("..", "..", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
+	}
+	return files
+}
+
 // fuzzScenarios seeds f with every checked-in scenario document.
 func fuzzScenarios(f *testing.F) {
-	for _, g := range []string{"configs/*.yaml", "corpus/*/scenario.yaml", "bench/workloads/*.yaml", "examples/*/*.yaml"} {
-		files, err := filepath.Glob(filepath.Join("..", "..", g))
+	for _, path := range scenarioFiles(f) {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, path := range files {
-			data, err := os.ReadFile(path)
+		f.Add(data)
+	}
+}
+
+// TestConfigCorpus runs every checked-in scenario end to end, holds its
+// host views to the trace, and reruns it from its marshalled form.
+func TestConfigCorpus(t *testing.T) {
+	files := scenarioFiles(t)
+	if len(files) == 0 {
+		t.Fatal("no checked-in scenarios found")
+	}
+	for _, f := range files {
+		rel, _ := filepath.Rel(filepath.Join("..", ".."), f)
+		t.Run(filepath.ToSlash(rel), func(t *testing.T) {
+			cfg, err := config.Load(f)
 			if err != nil {
-				f.Fatal(err)
+				t.Fatal(err)
 			}
-			f.Add(data)
+			rep, err := Run(cfg, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TimedOut {
+				t.Fatal("timed out")
+			}
+			if !rep.IntegrityOK {
+				t.Fatalf("integrity: %s", rep.IntegrityDetail)
+			}
+			checkHostViews(t, rep)
+			// Round-trip through the emitter and re-run deterministically.
+			yml, err := cfg.MarshalYAML()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg2, err := config.Parse(yml)
+			if err != nil {
+				t.Fatalf("re-parse: %v\n%s", err, yml)
+			}
+			rep2, err := Run(cfg2, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep2.Trace.Entries) != len(rep.Trace.Entries) {
+				t.Fatalf("marshalled config diverged: %d vs %d packets",
+					len(rep2.Trace.Entries), len(rep.Trace.Entries))
+			}
+		})
+	}
+}
+
+// checkHostViews holds HostViews to what the trace witnesses, counted
+// here without the counter analyzer: on a finished run with a whole
+// trace, each view's tx_roce_packets equals the trace entries sourced at
+// its addresses, and a mirrored pair testbed is judged on both sides.
+func checkHostViews(t *testing.T, rep *Report) {
+	t.Helper()
+	if rep.TimedOut || !rep.IntegrityOK {
+		return
+	}
+	views := rep.HostViews()
+	if rep.Config.Fabric == nil && rep.Config.Switch.Mirror && len(views) != 2 {
+		t.Fatalf("pair testbed judged on %d side(s), want 2", len(views))
+	}
+	for _, v := range views {
+		var sourced uint64
+		for i := range rep.Trace.Entries {
+			if slices.Contains(v.IPs, rep.Trace.Entries[i].Pkt.IP.Src) {
+				sourced++
+			}
+		}
+		if n := v.Counters[rnic.CtrTxRoCEPackets]; n != sourced {
+			t.Fatalf("%s: %s=%d, but %d trace entries are sourced at %v", v.Name, rnic.CtrTxRoCEPackets, n, sourced, v.IPs)
 		}
 	}
 }
@@ -43,6 +124,9 @@ func FuzzExecute(f *testing.F) {
 		"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: drop, iter: 4294967297}\n",
 		"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 16777218, type: drop}\n",
 		"requester:\n  roce-parameters: {min-time-between-cnps: 10000000000000000}\n",
+		// One host per leaf: every flow crosses the spine, so both sides
+		// are judged.
+		"fabric: {leaves: 3, hosts-per-leaf: 1}\ntraffic: {num-connections: 2, num-msgs-per-qp: 2}\n",
 	} {
 		f.Add([]byte(src))
 	}
@@ -56,8 +140,12 @@ func FuzzExecute(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if _, err := tb.Execute(); err != nil {
+			rep, err := tb.Execute()
+			if err != nil {
 				t.Fatalf("accepted scenario failed to run: %v\n%s", err, data)
+			}
+			if opts.Lineage {
+				checkHostViews(t, rep)
 			}
 		}
 	})

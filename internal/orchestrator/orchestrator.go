@@ -158,8 +158,10 @@ type Report struct {
 	// Options.Lineage was set. Serialized (via Summary) to summary.json
 	// by WriteArtifacts.
 	Lineage *lineage.Graph `json:"-"`
-	// Verdicts are the analyzer pass/fail judgements citing lineage
-	// chains; nil unless Options.Lineage was set.
+	// Analysis holds the trace analyzers' findings, and Verdicts their
+	// pass/fail judgements citing lineage chains; both nil unless
+	// Options.Lineage was set.
+	Analysis *analyzer.Analysis `json:"-"`
 	Verdicts []analyzer.Verdict `json:"-"`
 
 	// INT is the in-band telemetry report (per-hop stamps joined to
@@ -240,10 +242,7 @@ func Build(cfg config.Test, opts Options) (*Testbed, error) {
 	if opts.Deadline <= 0 {
 		opts.Deadline = DefaultOptions().Deadline
 	}
-	t := pairTopology(cfg)
-	if cfg.Fabric != nil {
-		t = fabricTopology(cfg)
-	}
+	t := topologyOf(cfg)
 	return t.build(cfg, opts)
 }
 
@@ -347,8 +346,8 @@ func (tb *Testbed) Execute() (*Report, error) {
 		// verdict probes are emitted before the Events snapshot so they
 		// appear as instants on the orchestrator timeline track.
 		rep.Lineage = lineage.Build(tr, hub.Events())
-		rep.Verdicts = analyzer.VerdictsWith(tr, rep.Lineage,
-			analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
+		rep.Analysis = analyzer.Analyze(tr, analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
+		rep.Verdicts = rep.Analysis.Verdicts(rep.Lineage)
 		emitVerdicts(hub, "orchestrator", rep.Verdicts)
 	}
 	tb.obs.collect(tb, rep)

@@ -1,26 +1,26 @@
 // Cross-cutting property-based tests: whole-system invariants that must
 // hold for arbitrary (bounded) workloads and event patterns, checked
 // with testing/quick over end-to-end orchestrated runs.
-package lumina_test
+package orchestrator
 
 import (
 	"testing"
 	"testing/quick"
 
-	lumina "github.com/lumina-sim/lumina"
 	"github.com/lumina-sim/lumina/internal/analyzer"
-	"github.com/lumina-sim/lumina/internal/orchestrator"
+	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
 // arbitraryConfig derives a small but varied test configuration from
 // fuzz inputs: verb, message geometry, connection count, and a set of
 // drop/ecn events at bounded positions.
-func arbitraryConfig(seed int64, verbSel, conns, msgs, sizeKB uint8, drops []uint8) lumina.Config {
-	cfg := lumina.DefaultConfig()
+func arbitraryConfig(seed int64, verbSel, conns, msgs, sizeKB uint8, drops []uint8) config.Test {
+	cfg := config.Default()
 	cfg.Seed = seed
-	cfg.Requester.NIC.Type = lumina.ModelSpec
-	cfg.Responder.NIC.Type = lumina.ModelSpec
+	cfg.Requester.NIC.Type = rnic.ModelSpec
+	cfg.Responder.NIC.Type = rnic.ModelSpec
 	cfg.Traffic.Verb = []string{"write", "read", "send"}[int(verbSel)%3]
 	cfg.Traffic.NumConnections = int(conns)%3 + 1
 	cfg.Traffic.NumMsgsPerQP = int(msgs)%3 + 1
@@ -37,7 +37,7 @@ func arbitraryConfig(seed int64, verbSel, conns, msgs, sizeKB uint8, drops []uin
 		if d%3 == 0 {
 			typ = "ecn"
 		}
-		cfg.Traffic.Events = append(cfg.Traffic.Events, lumina.Event{
+		cfg.Traffic.Events = append(cfg.Traffic.Events, config.Event{
 			QPN: i%cfg.Traffic.NumConnections + 1, PSN: psn, Type: typ, Iter: 1,
 		})
 	}
@@ -58,7 +58,7 @@ func TestPropertyEndToEnd(t *testing.T) {
 	}
 	f := func(seed int64, verbSel, conns, msgs, sizeKB uint8, drops []uint8) bool {
 		cfg := arbitraryConfig(seed, verbSel, conns, msgs, sizeKB, drops)
-		rep, err := orchestrator.Run(cfg, orchestrator.Options{Deadline: 300 * sim.Second})
+		rep, err := Run(cfg, Options{Deadline: 300 * sim.Second})
 		if err != nil || rep.TimedOut {
 			t.Logf("cfg %+v: err=%v timedOut", cfg.Traffic, err)
 			return false
@@ -73,20 +73,16 @@ func TestPropertyEndToEnd(t *testing.T) {
 			t.Logf("integrity: %s", rep.IntegrityDetail)
 			return false
 		}
-		if gbn := lumina.CheckGoBackN(rep.Trace); !gbn.OK() {
+		if gbn := analyzer.CheckGoBackN(rep.Trace); !gbn.OK() {
 			t.Logf("gbn violations: %v", gbn.Violations)
 			return false
 		}
-		inc := lumina.CheckCounters(rep.Trace,
-			lumina.HostViewOf("requester", cfg.Requester, rep.RequesterCounters),
-			lumina.HostViewOf("responder", cfg.Responder, rep.ResponderCounters),
-		)
-		if len(inc) != 0 {
+		if inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...); len(inc) != 0 {
 			t.Logf("counter inconsistencies on spec NIC: %v", inc)
 			return false
 		}
 		// Determinism: rerun and compare.
-		rep2, err := orchestrator.Run(cfg, orchestrator.Options{Deadline: 300 * sim.Second})
+		rep2, err := Run(cfg, Options{Deadline: 300 * sim.Second})
 		if err != nil || len(rep2.Trace.Entries) != len(rep.Trace.Entries) ||
 			rep2.DurationNs != rep.DurationNs {
 			t.Logf("nondeterministic rerun")
@@ -107,19 +103,19 @@ func TestPropertyEndToEnd(t *testing.T) {
 // number, per Figure 3 — so round>1 alone does not mean "retransmitted".)
 func TestPropertyOfflineRetransConsistency(t *testing.T) {
 	f := func(seed int64, dropA, dropB uint8) bool {
-		cfg := lumina.DefaultConfig()
+		cfg := config.Default()
 		cfg.Seed = seed
 		cfg.Traffic.MessageSize = 10240
 		cfg.Traffic.NumMsgsPerQP = 2
 		cfg.Traffic.MinRetransmitTimeout = 10
 		pA := int(dropA)%20 + 1
 		pB := int(dropB)%20 + 1
-		cfg.Traffic.Events = []lumina.Event{{QPN: 1, PSN: pA, Type: "drop", Iter: 1}}
+		cfg.Traffic.Events = []config.Event{{QPN: 1, PSN: pA, Type: "drop", Iter: 1}}
 		if pB != pA {
 			cfg.Traffic.Events = append(cfg.Traffic.Events,
-				lumina.Event{QPN: 1, PSN: pB, Type: "drop", Iter: 1})
+				config.Event{QPN: 1, PSN: pB, Type: "drop", Iter: 1})
 		}
-		rep, err := orchestrator.Run(cfg, orchestrator.Options{Deadline: 300 * sim.Second})
+		rep, err := Run(cfg, Options{Deadline: 300 * sim.Second})
 		if err != nil || rep.TimedOut {
 			return false
 		}
@@ -160,12 +156,12 @@ func TestPropertyOfflineRetransConsistency(t *testing.T) {
 // is forwarded, mirrored exactly once, and captured exactly once.
 func TestPropertyConservation(t *testing.T) {
 	f := func(seed int64, conns, msgs uint8) bool {
-		cfg := lumina.DefaultConfig()
+		cfg := config.Default()
 		cfg.Seed = seed
 		cfg.Traffic.NumConnections = int(conns)%4 + 1
 		cfg.Traffic.NumMsgsPerQP = int(msgs)%4 + 1
 		cfg.Traffic.MessageSize = 4096
-		rep, err := orchestrator.Run(cfg, orchestrator.Options{Deadline: 300 * sim.Second})
+		rep, err := Run(cfg, Options{Deadline: 300 * sim.Second})
 		if err != nil || rep.TimedOut {
 			return false
 		}

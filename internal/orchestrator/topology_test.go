@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/inband"
 )
@@ -106,6 +107,42 @@ func TestBuildFollowsTheDescription(t *testing.T) {
 	for i, fl := range tb.Flows {
 		if fl.Req != tb.Hosts[i+1] || fl.Resp != tb.Hosts[0] {
 			t.Errorf("flow %d does not run host %d -> host 0", i, i+1)
+		}
+	}
+}
+
+// TestHostViewsJudgeOnlyWitnessedSides: a side is judged only when every
+// flow touching it crosses a mirroring injector, with its hosts' own
+// addresses, and a judged side agrees with the trace.
+func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
+	fabric := func(leaves, perLeaf int) config.Test {
+		cfg := config.Default()
+		cfg.Fabric = &config.FabricTopo{Leaves: leaves, HostsPerLeaf: perLeaf, UplinkGbps: 400, Pattern: "incast"}
+		return cfg
+	}
+	unmirrored := config.Default()
+	unmirrored.Switch.Mirror = false
+	for _, c := range []struct {
+		name string
+		cfg  config.Test
+		want string
+	}{
+		{"pair", config.Default(), "requester [10.0.0.1]; responder [10.0.0.2]; "},
+		{"pair without mirroring", unmirrored, ""},
+		{"sender on the sink's leaf", fabric(2, 2), ""},
+		{"one host per leaf", fabric(3, 1), "requester [10.1.0.2 10.1.0.3]; responder [10.1.0.1]; "},
+	} {
+		rep := run(t, c.cfg)
+		var got strings.Builder
+		for _, v := range rep.HostViews() {
+			fmt.Fprintf(&got, "%s %v; ", v.Name, v.IPs)
+		}
+		if got.String() != c.want {
+			t.Errorf("%s: views %q, want %q", c.name, got.String(), c.want)
+		}
+		checkHostViews(t, rep)
+		if inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...); len(inc) != 0 {
+			t.Errorf("%s: %v", c.name, inc)
 		}
 	}
 }
