@@ -169,7 +169,7 @@ func printCounters(rep *orchestrator.Report) {
 		}
 	}
 	if len(skipped) > 0 {
-		fmt.Printf("counters: not checked for %s: some of their flows never cross the injector, so the trace cannot witness them\n",
+		fmt.Printf("counters: not checked for %s: the trace cannot account for every packet they send\n",
 			strings.Join(skipped, ", "))
 	}
 	inc := analyzer.CheckCounters(rep.Trace, views...)

@@ -172,10 +172,10 @@ func topologyOf(cfg config.Test) topology {
 // HostViews gives the counter analyzer (§6.2.4) each side of the run the
 // trace can judge: the requester side (the senders), then the responder
 // side (the sinks), each with its hosts' addresses and the side's summed
-// counters. A side is left out when one of its flows never crosses a
-// mirroring injector, because the trace cannot witness that flow's
-// packets; on a fabric, one sender on the sink's leaf does that to both
-// sides.
+// counters. A side is left out when the trace cannot account for its
+// packets: one of its flows never crosses a mirroring injector (on a
+// fabric, one sender on the sink's leaf does that to both sides), or it
+// shares an address with the other side.
 func (r *Report) HostViews() []analyzer.HostView {
 	t := topologyOf(r.Config)
 	attach := make([]int, len(t.hosts)) // the switch each host hangs off
@@ -193,6 +193,16 @@ func (r *Report) HostViews() []analyzer.HostView {
 		if a := attach[f.sender]; !mirrors || (a != t.injector && a == attach[f.receiver]) {
 			unjudged[t.hosts[f.sender].responder] = true
 			unjudged[t.hosts[f.receiver].responder] = true
+		}
+	}
+	// Nor can the trace tell two sides apart that share an address.
+	owner := map[netip.Addr]bool{} // address → hostSpec.responder
+	for _, h := range t.hosts {
+		for _, ip := range h.tmpl.NIC.IPList {
+			if r, ok := owner[ip]; ok && r != h.responder {
+				unjudged[false], unjudged[true] = true, true
+			}
+			owner[ip] = h.responder
 		}
 	}
 	var views []analyzer.HostView

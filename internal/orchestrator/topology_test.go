@@ -112,8 +112,9 @@ func TestBuildFollowsTheDescription(t *testing.T) {
 }
 
 // TestHostViewsJudgeOnlyWitnessedSides: a side is judged only when every
-// flow touching it crosses a mirroring injector, with its hosts' own
-// addresses, and a judged side agrees with the trace.
+// flow touching it crosses a mirroring injector and no other side shares
+// its addresses, with its hosts' own addresses, and a judged side agrees
+// with the trace.
 func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
 	fabric := func(leaves, perLeaf int) config.Test {
 		cfg := config.Default()
@@ -122,6 +123,8 @@ func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
 	}
 	unmirrored := config.Default()
 	unmirrored.Switch.Mirror = false
+	shared := config.Default()
+	shared.Requester.NIC.IPList = append(shared.Requester.NIC.IPList, shared.Responder.NIC.IPList[0])
 	for _, c := range []struct {
 		name string
 		cfg  config.Test
@@ -129,6 +132,7 @@ func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
 	}{
 		{"pair", config.Default(), "requester [10.0.0.1]; responder [10.0.0.2]; "},
 		{"pair without mirroring", unmirrored, ""},
+		{"pair sharing an address", shared, ""},
 		{"sender on the sink's leaf", fabric(2, 2), ""},
 		{"one host per leaf", fabric(3, 1), "requester [10.1.0.2 10.1.0.3]; responder [10.1.0.1]; "},
 	} {
