@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"slices"
@@ -11,8 +12,8 @@ import (
 )
 
 // bindBench regenerates the paper's tables and figures, experiments.Paper
-// in its order (see DESIGN.md's per-experiment index), and prints the
-// measured rows.
+// in its order (see DESIGN.md's per-experiment index), prints the
+// measured rows, and fails naming every claim of the paper they break.
 func bindBench(fs *flag.FlagSet) func([]string) error {
 	var names []string
 	for _, ex := range experiments.Paper {
@@ -35,18 +36,25 @@ func bindBench(fs *flag.FlagSet) func([]string) error {
 			render = (*experiments.Table).RenderCSV
 		}
 		experiments.SetWorkers(*workers)
+		var broken []error
 		for _, ex := range experiments.Paper {
 			if !selected["all"] && !selected[ex.Name] {
 				continue
 			}
 			start := time.Now()
 			fmt.Printf("=== %s ===\n", ex.Name)
-			t, err := ex.Run()
+			t, bad, err := ex.Run()
 			if err != nil {
 				return fmt.Errorf("experiment %q failed: %w", ex.Name, err)
 			}
 			fmt.Print(render(t))
 			fmt.Printf("(%s took %v)\n\n", ex.Name, time.Since(start).Round(time.Millisecond))
+			for _, c := range bad {
+				broken = append(broken, fmt.Errorf("%s: %s %q:\n%w", ex.Name, c.Section, c.Sentence, c.Why))
+			}
+		}
+		if len(broken) > 0 {
+			return fmt.Errorf("%d claim(s) of the paper broken:\n%w", len(broken), errors.Join(broken...))
 		}
 		return nil
 	}

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/lumina-sim/lumina/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite README.md's `lumina help` block and testdata/run.golden")
@@ -204,6 +206,41 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("lumina %q: exit %d, stdout %q, stderr %q; want exit %d, stdout ~%q, stderr ~%q",
 				tc.args, code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
 		}
+	}
+}
+
+// TestBenchFailsOnABrokenClaim swaps the paper for one entry whose claim
+// breaks: bench still prints its table, then exits 1 naming the entry,
+// the claim's section and its sentence.
+func TestBenchFailsOnABrokenClaim(t *testing.T) {
+	defer func(paper []experiments.Experiment) { experiments.Paper = paper }(experiments.Paper)
+	claim := experiments.Claim{Section: "§9.9", Sentence: "The stub holds."}
+	experiments.Paper = []experiments.Experiment{{Name: "stub", Claims: []experiments.Claim{claim},
+		Run: func() (*experiments.Table, []experiments.Broken, error) {
+			return &experiments.Table{Title: "stub", Columns: []string{"x"}},
+				[]experiments.Broken{{Claim: claim, Why: errors.New("it does not")}}, nil
+		}}}
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	var code int
+	if err := quietly(func() error {
+		saved := os.Stderr
+		os.Stderr = stderr
+		defer func() { os.Stderr = saved }()
+		code = exitCode(commands().exec("lumina", []string{"bench"}))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "stub: §9.9 \"The stub holds.\":\nit does not"; code != 1 || !strings.Contains(string(msg), want) {
+		t.Errorf("bench with a broken claim: exit %d, stderr %q; want exit 1, stderr ~%q", code, msg, want)
 	}
 }
 

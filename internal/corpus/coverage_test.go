@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,61 @@ func TestReadFrontierRejectsUnknownSchema(t *testing.T) {
 	_, err := ReadFrontier([]byte(`{"schema": "lumina-coverage-frontier/9", "profiles": {}}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown schema") {
 		t.Fatalf("err = %v, want unknown-schema rejection", err)
+	}
+}
+
+// FuzzReadCoverage feeds bytes down the `lumina trace coverage` path:
+// read as a coverage report, else as a corpus frontier, then merged and
+// diffed. No input may panic, and whatever is accepted must write, read
+// back and write again to the same bytes.
+func FuzzReadCoverage(f *testing.F) {
+	m := coverage.NewMap()
+	m.Record(coverage.SiteAck, coverage.AckOK)
+	m.Record(coverage.SiteTimer, coverage.TimerRetry)
+	var rep, fr bytes.Buffer
+	if err := m.Report().Write(&rep); err != nil {
+		f.Fatal(err)
+	}
+	frontier := &FrontierFile{Schema: FrontierSchema, Profiles: map[string]*coverage.Report{
+		"cx4": m.Report(), "spec": coverage.NewMap().Report()}}
+	if err := frontier.Write(&fr); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rep.Bytes())
+	f.Add(fr.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a *coverage.Report
+		if r, err := coverage.ReadReport(data); err == nil {
+			a = r
+			writeStable(t, r, coverage.ReadReport)
+		} else if fr, err := ReadFrontier(data); err == nil {
+			a = fr.Merged()
+			writeStable(t, fr, ReadFrontier)
+		} else {
+			return
+		}
+		merged := coverage.MergeReports(a, a)
+		coverage.DiffReports(a, merged)
+		coverage.DiffReports(nil, a)
+	})
+}
+
+// writeStable writes v, reads the bytes back and writes them again: both
+// writes must agree.
+func writeStable[T interface{ Write(io.Writer) error }](t *testing.T, v T, read func([]byte) (T, error)) {
+	var first, second bytes.Buffer
+	if err := v.Write(&first); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	back, err := read(first.Bytes())
+	if err != nil {
+		t.Fatalf("read back what was written: %v\n%s", err, first.Bytes())
+	}
+	if err := back.Write(&second); err != nil {
+		t.Fatalf("write again: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("write → read → write moved bytes:\n%s\n%s", first.Bytes(), second.Bytes())
 	}
 }
 

@@ -40,8 +40,8 @@ func AblationTable(points []AblationPoint) *Table {
 
 // customPair runs one two-NIC traffic scenario with explicitly supplied
 // profiles — the hook the ablations use to flip single profile fields
-// without registering new models.
-func customPair(profReq, profResp rnic.Profile, mutate func(*config.Traffic), ets rnic.ETSConfig) (*traffic.Results, error) {
+// without registering new models. It returns the finished pair.
+func customPair(profReq, profResp rnic.Profile, mutate func(*config.Traffic), ets rnic.ETSConfig) (*traffic.Pair, error) {
 	s := sim.New(1)
 	req := rnic.New(s, profReq, rnic.Config{
 		Name: "req", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
@@ -53,7 +53,7 @@ func customPair(profReq, profResp rnic.Profile, mutate func(*config.Traffic), et
 		IPs: []netip.Addr{netip.MustParseAddr("10.0.0.2")},
 		Set: rnic.DefaultSettings(),
 	})
-	pa, pb := sim.Connect(s, "a", "b", minF(profReq.LinkGbps, profResp.LinkGbps), 100)
+	pa, pb := sim.Connect(s, "a", "b", min(profReq.LinkGbps, profResp.LinkGbps), 100)
 	req.AttachPort(pa)
 	resp.AttachPort(pb)
 	tr := config.Traffic{
@@ -70,14 +70,7 @@ func customPair(profReq, profResp rnic.Profile, mutate func(*config.Traffic), et
 	}
 	pair.Start(nil)
 	s.Run()
-	return pair.Results(), nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	return pair, nil
 }
 
 // AblateETSClamp measures the throughput a lone flow loses to the CX6 Dx
@@ -87,11 +80,11 @@ func AblateETSClamp() ([]AblationPoint, error) {
 	measure := func(clamped bool) (float64, error) {
 		prof := rnic.Profiles()[rnic.ModelCX6]
 		prof.ETSNonWorkConserving = clamped
-		res, err := customPair(prof, rnic.Profiles()[rnic.ModelCX6], nil, ets)
+		pair, err := customPair(prof, rnic.Profiles()[rnic.ModelCX6], nil, ets)
 		if err != nil {
 			return 0, err
 		}
-		return res.Conns[0].GoodputGbps(), nil
+		return pair.Results().Conns[0].GoodputGbps(), nil
 	}
 	clamped, err := measure(true)
 	if err != nil {
@@ -234,30 +227,14 @@ func AblateAckCoalescing() ([]AblationPoint, error) {
 	for _, factor := range []int{1, 4, 16} {
 		prof := rnic.Profiles()[rnic.ModelSpec]
 		prof.AckCoalesce = factor
-
-		s := sim.New(1)
-		req := rnic.New(s, prof, rnic.Config{
-			Name: "req", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
-			IPs: []netip.Addr{netip.MustParseAddr("10.0.0.1")}, Set: rnic.DefaultSettings(),
-		})
-		resp := rnic.New(s, prof, rnic.Config{
-			Name: "resp", MAC: packet.MAC{2, 0, 0, 0, 0, 2},
-			IPs: []netip.Addr{netip.MustParseAddr("10.0.0.2")}, Set: rnic.DefaultSettings(),
-		})
-		pa, pb := sim.Connect(s, "a", "b", prof.LinkGbps, 100)
-		req.AttachPort(pa)
-		resp.AttachPort(pb)
-		pair, err := traffic.NewPair(s, req, resp, config.Traffic{
-			NumConnections: 1, Verb: "write", NumMsgsPerQP: 10,
-			MTU: 1024, MessageSize: 102400, TxDepth: 4,
-			MinRetransmitTimeout: 14, MaxRetransmitRetry: 7,
-		})
+		pair, err := customPair(prof, prof, func(tr *config.Traffic) {
+			tr.NumMsgsPerQP = 10
+			tr.MessageSize = 102400
+		}, rnic.ETSConfig{})
 		if err != nil {
 			return nil, err
 		}
-		pair.Start(nil)
-		s.Run()
-		acks := float64(resp.Counters.Get(rnic.CtrTxRoCEPackets))
+		acks := float64(pair.Resp.Counters.Get(rnic.CtrTxRoCEPackets))
 		out = append(out,
 			AblationPoint{"ack-coalesce", fmt.Sprintf("factor %d", factor), "responder-tx-pkts", acks},
 			AblationPoint{"ack-coalesce", fmt.Sprintf("factor %d", factor), "goodput-gbps", pair.Results().Conns[0].GoodputGbps()},

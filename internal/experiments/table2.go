@@ -10,42 +10,59 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
+// Table2Row is one finding of Table 2: the models its detector flagged,
+// sorted, and the paper's attribution as the paper prints it.
+type Table2Row struct {
+	Finding  string
+	Detected []string
+	Paper    string
+}
+
 // Table2 regenerates the paper's Table 2 ("Bugs and hidden behaviors"):
 // for every finding it runs the detecting experiment on each hardware
 // model and reports which NICs are affected, alongside the paper's
 // attribution.
-func Table2() (*Table, error) {
+func Table2() ([]Table2Row, error) {
+	findings := []struct {
+		Table2Row
+		detect func() ([]string, error)
+	}{
+		{Table2Row{Finding: "Non-work conserving ETS (§6.2.1)", Paper: "cx6"}, DetectNonWorkConservingETS},
+		{Table2Row{Finding: "Noisy neighbor (§6.2.2)", Paper: "cx4"}, DetectNoisyNeighbor},
+		{Table2Row{Finding: "Interoperability problem (§6.2.3)", Paper: "cx5+e810"}, DetectInteropProblem},
+		{Table2Row{Finding: "Counter inconsistency (§6.2.4)", Paper: "cx4, e810"}, DetectCounterBugs},
+		{Table2Row{Finding: "CNP rate limiting modes (§6.3)", Paper: "all NICs tested"}, DetectCNPRateLimiting},
+		{Table2Row{Finding: "Adaptive retransmission (§6.3)", Paper: "all CX NICs"}, DetectAdaptiveRetrans},
+	}
+	var rows []Table2Row
+	for _, f := range findings {
+		ms, err := f.detect()
+		if err != nil {
+			return nil, err
+		}
+		sort.Strings(ms)
+		f.Detected = ms
+		rows = append(rows, f.Table2Row)
+	}
+	return rows, nil
+}
+
+// Table2Table renders the findings.
+func Table2Table(rows []Table2Row) *Table {
 	t := &Table{
 		Title:   "Table 2: bugs and hidden behaviors",
 		Columns: []string{"finding", "affected (detected)", "affected (paper)"},
 	}
-	rows := []struct {
-		finding string
-		detect  func() ([]string, error)
-		paper   string
-	}{
-		{"Non-work conserving ETS (§6.2.1)", DetectNonWorkConservingETS, "cx6"},
-		{"Noisy neighbor (§6.2.2)", DetectNoisyNeighbor, "cx4"},
-		{"Interoperability problem (§6.2.3)", DetectInteropProblem, "cx5+e810"},
-		{"Counter inconsistency (§6.2.4)", DetectCounterBugs, "cx4, e810"},
-		{"CNP rate limiting modes (§6.3)", DetectCNPRateLimiting, "all NICs tested"},
-		{"Adaptive retransmission (§6.3)", DetectAdaptiveRetrans, "all CX NICs"},
-	}
 	for _, r := range rows {
-		ms, err := r.detect()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{r.finding, joinModels(ms), r.paper})
+		t.Rows = append(t.Rows, []string{r.Finding, joinModels(r.Detected), r.Paper})
 	}
-	return t, nil
+	return t
 }
 
 func joinModels(ms []string) string {
 	if len(ms) == 0 {
 		return "none"
 	}
-	sort.Strings(ms)
 	return strings.Join(ms, ", ")
 }
 

@@ -3,8 +3,11 @@ package lumina_test
 import (
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +61,8 @@ func TestFacadeFuzzerConstruction(t *testing.T) {
 }
 
 // TestDocsNameOnlyDeclaredNames fails when a user-facing document names
-// a lumina.<Name> that lumina.go does not declare.
+// a lumina.<Name> that lumina.go does not declare, or a Test… that is
+// not the prefix of a test function somewhere in the module.
 func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "lumina.go", nil, 0)
 	if err != nil {
@@ -68,6 +72,27 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 	for name := range f.Scope.Objects {
 		declared[name] = true
 	}
+	var tests []string
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			tests = append(tests, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testName := regexp.MustCompile(`\bTest[A-Z]\w*`)
 	mention := regexp.MustCompile(`\blumina\.([A-Z]\w*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(doc)
@@ -78,6 +103,11 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 			for _, m := range mention.FindAllStringSubmatch(line, -1) {
 				if !declared[m[1]] {
 					t.Errorf("%s:%d names lumina.%s, which lumina.go does not declare", doc, i+1, m[1])
+				}
+			}
+			for _, name := range testName.FindAllString(line, -1) {
+				if !slices.ContainsFunc(tests, func(test string) bool { return strings.HasPrefix(test, name) }) {
+					t.Errorf("%s:%d names %s, which no test function's name starts with", doc, i+1, name)
 				}
 			}
 		}
