@@ -15,10 +15,12 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/serve"
 	"github.com/lumina-sim/lumina/internal/version"
 )
@@ -71,7 +73,7 @@ func bindDaemon(fs *flag.FlagSet) func([]string) error {
 // downloads every artifact, and fails if the run failed.
 func bindServeRun(fs *flag.FlagSet) func([]string) error {
 	addr := addrFlag(fs)
-	profile := fs.String("profile", "", "retarget both hosts' NIC `model` (cx4, cx5, e810, xl170b, spec)")
+	profile := fs.String("profile", "", "retarget both hosts' NIC `model` ("+strings.Join(rnic.ModelNames(), ", ")+")")
 	deadline := deadlineFlag(fs)
 	telemetry := fs.Bool("telemetry", false, "enable telemetry (metrics.json, timeline.json)")
 	intFlag, covFlag := observeFlags(fs)

@@ -50,15 +50,13 @@ func AnalyzeSilentLoss(tr *trace.Trace, unreliable map[uint32]bool) []SilentLoss
 			Seq:      e.Meta.Seq,
 			DropTime: e.Time(),
 		}
-		key := e.Key()
 		for j := i + 1; j < len(tr.Entries); j++ {
 			n := &tr.Entries[j]
 			op := n.Pkt.BTH.Opcode
-			if n.Key() == key && op.IsData() && n.Pkt.BTH.PSN == l.PSN {
+			if n.SameConn(e) && op.IsData() && n.Pkt.BTH.PSN == l.PSN {
 				l.Retransmitted = true
 			}
-			if n.Pkt.IP.Src.String() == key.Dst && n.Pkt.IP.Dst.String() == key.Src &&
-				op.IsAck() && n.Pkt.AETH.IsNak() &&
+			if n.Reverses(e) && op.IsAck() && n.Pkt.AETH.IsNak() &&
 				n.Pkt.AETH.Syndrome == packet.NakPSNSeqError &&
 				psnNear(n.Pkt.BTH.PSN, l.PSN) {
 				l.NAKed = true

@@ -440,19 +440,33 @@ func (tr *Traffic) validateTransports() error {
 	// so the first of them speaks for the rest: the check costs no more
 	// for num-connections 10^15 than for 2.
 	for i := 0; i < min(tr.NumConnections, len(tr.QPTransport)+1); i++ {
-		switch tr.TransportOf(i) {
-		case "ud":
-			if tr.Verb != "send" {
-				return fmt.Errorf("config: connection %d is UD, which carries only rdma-verb send (got %q)", i+1, tr.Verb)
+		tp, _ := rnic.ParseTransport(tr.TransportOf(i)) // checked above
+		for rest := tr.Verb; rest != ""; {
+			var name string
+			name, rest, _ = strings.Cut(rest, "+")
+			if v, _ := rnic.ParseVerb(name); !tp.Supports(v) {
+				return fmt.Errorf("config: connection %d is %s, which carries only %s (got %q)",
+					i+1, strings.ToUpper(tp.String()), carried(tp), tr.Verb)
 			}
-			if tr.MessageSize > tr.MTU {
-				return fmt.Errorf("config: connection %d is UD: message-size %d exceeds the %d-byte MTU (datagrams are single-packet)", i+1, tr.MessageSize, tr.MTU)
-			}
-		case "uc":
-			if tr.Verb != "send" && tr.Verb != "write" {
-				return fmt.Errorf("config: connection %d is UC, which carries only send or write (got %q)", i+1, tr.Verb)
-			}
+		}
+		if tp.SinglePacket() && tr.MessageSize > tr.MTU {
+			return fmt.Errorf("config: connection %d is %s: message-size %d exceeds the %d-byte MTU (datagrams are single-packet)",
+				i+1, strings.ToUpper(tp.String()), tr.MessageSize, tr.MTU)
 		}
 	}
 	return nil
+}
+
+// carried names the rdma-verb values transport tp carries, for errors.
+func carried(tp rnic.Transport) string {
+	var names []string
+	for _, v := range []rnic.Verb{rnic.VerbSend, rnic.VerbWrite, rnic.VerbRead} {
+		if tp.Supports(v) {
+			names = append(names, v.String())
+		}
+	}
+	if len(names) == 1 {
+		return "rdma-verb " + names[0]
+	}
+	return strings.Join(names, " or ")
 }

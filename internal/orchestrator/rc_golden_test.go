@@ -7,12 +7,13 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// These digests were recorded on the RC transport engine BEFORE the
-// StackModel seam was carved out of internal/rnic. They pin the refactor
-// as behavior-preserving: the canonical summary.json (verdicts, chain
-// structure, durations, trace size) of an RC run must be byte-identical
-// before and after — any drift here means the seam changed RC semantics,
-// not just code layout.
+// These digests were recorded on the RC transport engine before UC and
+// UD joined it in internal/rnic, and they still hold: the canonical
+// summary.json (verdicts, chain structure, durations, trace size) of an
+// RC run must stay byte-identical through any restructuring of the
+// transport code. Drift here means a change altered RC semantics, not
+// just code layout. (The test's name keeps the name of the first such
+// refactor.)
 const (
 	rcGoldenDropDigest    = "28fe69be075aa4a0e4e7e6a132e8bfed2b59614d426479732814100b1933d9ff"
 	rcGoldenInOrderDigest = "139197ebf9f5225a804483570b8d77fe1bc847696f8c28fa6606031c2d38eb13"

@@ -130,13 +130,13 @@ type Profile struct {
 	WedgeCooldown    sim.Duration
 
 	// APM / MigReq behaviour (§6.2.3). MigReqInit is the value the NIC
-	// writes in outgoing packets' BTH.MigReq. StrictAPM receivers push
-	// the first packets of every connection whose MigReq is 0 through a
-	// slow APM validation path with APMQueueDepth slots and
-	// APMServiceTime per packet; overflow discards the packet.
+	// writes in outgoing packets' BTH.MigReq. StrictAPM receivers admit
+	// the first apmCacheCapacity connections whose MigReq is 0 to a fast
+	// cache; every data packet of a connection past it takes a serialized
+	// slow APM validation path of apmSlowBuffer slots and APMServiceTime
+	// per packet, and overflow discards the packet.
 	MigReqInit     bool
 	StrictAPM      bool
-	APMQueueDepth  int
 	APMServiceTime sim.Duration
 
 	// Counter bugs (§6.2.4).
@@ -232,7 +232,7 @@ func Profiles() map[string]Profile {
 			CNPScope:       CNPPerPort, MinCNPInterval: us(4), CNPIntervalSettable: true,
 			DCQCN:      defaultDCQCN(),
 			MigReqInit: true,
-			StrictAPM:  true, APMQueueDepth: 48, APMServiceTime: us(18),
+			StrictAPM:  true, APMServiceTime: us(18),
 			SupportsAdaptiveRetrans: true,
 			AdaptiveTimeouts: []sim.Duration{
 				ms(5.2), ms(4.0), ms(8.1), ms(16.0), ms(24.4), ms(65.0), ms(130.0),

@@ -163,13 +163,12 @@ type readCtx struct {
 
 // QP is one side of a connection. The common state below (PSN windows,
 // receive queue, transmit queue, timers) serves every transport; the
-// attached StackModel interprets it per the QP's service type — RC being
+// QP switches on cfg.Transport where the service types differ — RC being
 // the paper's Reliable Connection engine, UC and UD the NAK-less
 // transports that treat losses as silent.
 type QP struct {
-	nic   *NIC
-	cfg   QPConfig
-	model StackModel
+	nic *NIC
+	cfg QPConfig
 
 	QPN  uint32
 	IPSN uint32
@@ -254,7 +253,6 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 	qp := &QP{
 		nic:        n,
 		cfg:        cfg,
-		model:      stackModelFor(cfg.Transport),
 		QPN:        qpn,
 		IPSN:       n.rng.Uint32() & packet.PSNMask,
 		udpSrcPort: uint16(49152 + n.rng.Intn(16384)),
@@ -305,10 +303,7 @@ func (qp *QP) Connect(remote Endpoint) {
 func (qp *QP) Errored() bool { return qp.errored }
 
 // Transport returns the QP's transport service type.
-func (qp *QP) Transport() Transport { return qp.model.Transport() }
-
-// Model returns the transport engine driving this QP.
-func (qp *QP) Model() StackModel { return qp.model }
+func (qp *QP) Transport() Transport { return qp.cfg.Transport }
 
 // MTU returns the path MTU in use.
 func (qp *QP) MTU() int { return qp.cfg.MTU }
@@ -328,9 +323,9 @@ func (qp *QP) PostSend(req WorkRequest) error {
 	if qp.errored {
 		return fmt.Errorf("rnic: QP %#x in error state", qp.QPN)
 	}
-	if !qp.model.Supports(req.Verb) {
+	if !qp.cfg.Transport.Supports(req.Verb) {
 		return fmt.Errorf("rnic: verb %s not supported on %s transport",
-			req.Verb, qp.model.Name())
+			req.Verb, qp.cfg.Transport)
 	}
 	if req.Verb.IsAtomic() {
 		req.Length = 8 // atomics operate on one 64-bit cell
@@ -342,8 +337,9 @@ func (qp *QP) PostSend(req WorkRequest) error {
 	if req.Verb.IsAtomic() {
 		npkts = 1
 	}
-	if err := qp.model.validateSend(qp, req, npkts); err != nil {
-		return err
+	if npkts > 1 && qp.cfg.Transport.SinglePacket() {
+		return fmt.Errorf("rnic: UD datagram of %d bytes exceeds the %d-byte MTU",
+			req.Length, qp.cfg.MTU)
 	}
 	w := &wqe{
 		req:      req,
@@ -558,14 +554,15 @@ func (qp *QP) makeDataPacket(w *wqe, psn uint32, i int) *packet.Packet {
 }
 
 // buildDataPacket serializes the packet for psn, counting retransmissions.
-// The transport model's onTransmit hook runs after serialization — on
-// completion-at-transmit transports (UC/UD) it advances the send window
-// and completes the WQE; on RC it is a no-op.
+// On UC and UD, which complete at transmit, it then advances the send
+// window and completes the WQE; RC completes at acknowledgement.
 func (qp *QP) buildDataPacket(w *wqe, psn uint32) []byte {
 	i := int(psnSub(psn, w.startPSN))
 	qp.noteTransmit(psn)
 	b := qp.encode(qp.makeDataPacket(w, psn, i))
-	qp.model.onTransmit(qp, w, psn)
+	if !qp.cfg.Transport.Reliable() {
+		qp.unreliableOnTransmit(w, psn)
+	}
 	return b
 }
 
@@ -623,17 +620,28 @@ func zeroPayload(n int) []byte {
 
 // --- receive-side processing ---
 
-// handlePacket processes a transport packet addressed to this QP,
-// routing through the QP's transport engine.
+// handlePacket processes a transport packet addressed to this QP. UC
+// and UD ignore every opcode they do not carry.
 func (qp *QP) handlePacket(pkt *packet.Packet) {
 	if !qp.connected || qp.errored {
 		return
 	}
-	qp.model.handlePacket(qp, pkt)
+	op := pkt.BTH.Opcode
+	switch qp.cfg.Transport {
+	case TransportRC:
+		qp.rcDispatch(pkt)
+	case TransportUC:
+		if op.IsSend() || op.IsWrite() {
+			qp.ucHandleRequest(pkt)
+		}
+	case TransportUD:
+		if op.IsSend() && op.IsOnly() {
+			qp.udDeliver(pkt)
+		}
+	}
 }
 
-// rcDispatch routes one packet through the RC engine's op-specific
-// handlers (the pre-StackModel handlePacket body, unchanged).
+// rcDispatch routes one packet to the RC engine's op-specific handlers.
 func (qp *QP) rcDispatch(pkt *packet.Packet) {
 	op := pkt.BTH.Opcode
 	switch {
@@ -894,30 +902,15 @@ func (qp *QP) handleRequest(pkt *packet.Packet) {
 			qp.scheduleAck(psn)
 		}
 	case psnLT(qp.ePSN, psn) && psnLT(psn, psnAdd(qp.ePSN, 1<<22)):
-		// Sequence gap: one NAK per gap (IB forbids repeating the same
-		// NAK), generated after the measured NACK-generation latency
-		// (Figure 8a).
+		// Sequence gap, at the NACK-generation latency of the missing
+		// PSN's position in its message (Figure 8a).
 		qp.cov().Record(coverage.SiteRecv, coverage.RecvGapNak)
-		qp.nic.Counters.Inc(CtrOutOfSequence)
-		if !qp.nakArmed {
-			return
-		}
-		qp.nakArmed = false
-		idx := int(psnSub(qp.ePSN, qp.msgStartPSN))
-		d := qp.nic.Prof.NACKGenWrite.At(idx, qp.nic.rng)
-		missing := qp.ePSN
-		if h := qp.hub(); h.Active() {
+		d, armed := qp.seqGap(int(psnSub(qp.ePSN, qp.msgStartPSN)))
+		if h := qp.hub(); armed && h.Active() {
 			h.EmitSpan(telemetry.KindRetransGBN, qp.track, "nack_gen", int64(d),
-				telemetry.I("missing_psn", int64(missing)), telemetry.I("got_psn", int64(psn)))
+				telemetry.I("missing_psn", int64(qp.ePSN)), telemetry.I("got_psn", int64(psn)))
 			h.Observe("retrans.nack_gen_ns", int64(d))
 		}
-		qp.nic.Sim.After(d, func() {
-			if qp.errored || qp.ePSN != missing {
-				return
-			}
-			qp.nic.Counters.Inc(CtrPacketSeqErr)
-			qp.sendAckPacket(missing, packet.NakPSNSeqError)
-		})
 	default:
 		// Duplicate request: re-acknowledge so a lost ACK cannot stall
 		// the requester.
@@ -970,11 +963,29 @@ func (qp *QP) scheduleAck(psn uint32) {
 	qp.nic.Sim.AfterEvent(qp.nic.Prof.AckGenDelay, qp, qpSendAck, uint64(psn), nil)
 }
 
+// seqGap handles a request packet that arrived past ePSN, for every RC
+// request handler: it counts the out-of-sequence detection and, once
+// per gap (IB forbids repeating the same NAK), schedules the
+// PSN_SEQ_ERR NAK for the missing PSN after the NACK-generation latency
+// at index idx of the Write curve. It reports the delay and whether it
+// scheduled the NAK.
+func (qp *QP) seqGap(idx int) (sim.Duration, bool) {
+	qp.nic.Counters.Inc(CtrOutOfSequence)
+	if !qp.nakArmed {
+		return 0, false
+	}
+	qp.nakArmed = false
+	d := qp.nic.Prof.NACKGenWrite.At(idx, qp.nic.rng)
+	qp.nic.Sim.AfterEvent(d, qp, qpSeqNak, uint64(qp.ePSN), nil)
+	return d, true
+}
+
 // QP event ops.
 const (
 	qpSendAck = iota // the ACK for PSN arg finished its generation delay
 	qpTimeout        // the retransmission timer expired
 	qpSendCNP        // the CNP in data finished its emission delay
+	qpSeqNak         // the gap NAK for missing PSN arg finished its generation delay
 )
 
 // HandleEvent runs the QP's per-packet events.
@@ -983,6 +994,12 @@ func (qp *QP) HandleEvent(op int, arg uint64, data []byte) {
 	case qpSendAck:
 		if !qp.errored {
 			qp.sendAckPacket(uint32(arg), packet.SyndromeACK|31)
+		}
+	case qpSeqNak:
+		// Moot once the missing PSN arrived and closed the gap.
+		if missing := uint32(arg); !qp.errored && qp.ePSN == missing {
+			qp.nic.Counters.Inc(CtrPacketSeqErr)
+			qp.sendAckPacket(missing, packet.NakPSNSeqError)
 		}
 	case qpTimeout:
 		qp.onTimeout()
@@ -1071,19 +1088,7 @@ func (qp *QP) handleReadRequest(pkt *packet.Packet) {
 	default:
 		// Future read request (requests lost before it): NAK the gap.
 		qp.cov().Record(coverage.SiteReadReq, coverage.ReadReqGap)
-		qp.nic.Counters.Inc(CtrOutOfSequence)
-		if qp.nakArmed {
-			qp.nakArmed = false
-			missing := qp.ePSN
-			d := qp.nic.Prof.NACKGenWrite.At(0, qp.nic.rng)
-			qp.nic.Sim.After(d, func() {
-				if qp.errored || qp.ePSN != missing {
-					return
-				}
-				qp.nic.Counters.Inc(CtrPacketSeqErr)
-				qp.sendAckPacket(missing, packet.NakPSNSeqError)
-			})
-		}
+		qp.seqGap(0)
 	}
 }
 
@@ -1204,19 +1209,7 @@ func (qp *QP) handleAtomicRequest(pkt *packet.Packet) {
 	default:
 		// Sequence gap ahead of the atomic: NAK like any other request.
 		qp.cov().Record(coverage.SiteAtomic, coverage.AtomicGap)
-		qp.nic.Counters.Inc(CtrOutOfSequence)
-		if qp.nakArmed {
-			qp.nakArmed = false
-			missing := qp.ePSN
-			d := qp.nic.Prof.NACKGenWrite.At(0, qp.nic.rng)
-			qp.nic.Sim.After(d, func() {
-				if qp.errored || qp.ePSN != missing {
-					return
-				}
-				qp.nic.Counters.Inc(CtrPacketSeqErr)
-				qp.sendAckPacket(missing, packet.NakPSNSeqError)
-			})
-		}
+		qp.seqGap(0)
 	}
 }
 
@@ -1312,13 +1305,13 @@ func (qp *QP) rto() sim.Duration {
 	return base << uint(exp)
 }
 
-// armTimer delegates to the transport engine: RC (re)arms the
-// retransmission timer; UC/UD never retransmit, so theirs is a no-op.
-func (qp *QP) armTimer() { qp.model.armTimer(qp) }
-
-// rcArmTimer (re)arms the retransmission timer when data is outstanding
-// and cancels it when everything is acknowledged.
-func (qp *QP) rcArmTimer() {
+// armTimer (re)arms the retransmission timer when data is outstanding
+// and cancels it when everything is acknowledged. UC and UD never
+// retransmit, so they never arm it.
+func (qp *QP) armTimer() {
+	if !qp.cfg.Transport.Reliable() {
+		return
+	}
 	s := qp.nic.Sim
 	s.Cancel(qp.rtoTimer)
 	if qp.errored || !psnLT(qp.sndUna, qp.nextPSN) {

@@ -24,34 +24,31 @@ func TestParseTransportTable(t *testing.T) {
 	}
 }
 
+// TestStackModelDescriptors holds the answers each transport gives
+// other packages: whether it recovers losses, which verbs it carries,
+// and whether a message must fit in one packet.
 func TestStackModelDescriptors(t *testing.T) {
 	cases := []struct {
-		tp       Transport
-		reliable bool
-		atTx     bool
-		write    bool
+		tp                      Transport
+		reliable, write, single bool
 	}{
-		{TransportRC, true, false, true},
-		{TransportUC, false, true, true},
-		{TransportUD, false, true, false},
+		{TransportRC, true, true, false},
+		{TransportUC, false, true, false},
+		{TransportUD, false, false, true},
 	}
 	for _, c := range cases {
-		m := stackModelFor(c.tp)
-		if m.Transport() != c.tp || m.Name() != c.tp.String() {
-			t.Errorf("%v: descriptor mismatch (%v, %q)", c.tp, m.Transport(), m.Name())
+		if c.tp.Reliable() != c.reliable || c.tp.SinglePacket() != c.single {
+			t.Errorf("%v: Reliable=%v SinglePacket=%v", c.tp, c.tp.Reliable(), c.tp.SinglePacket())
 		}
-		if m.Reliable() != c.reliable || m.CompletionAtTransmit() != c.atTx {
-			t.Errorf("%v: Reliable=%v CompletionAtTransmit=%v", c.tp, m.Reliable(), m.CompletionAtTransmit())
-		}
-		if !m.Supports(VerbSend) {
+		if !c.tp.Supports(VerbSend) {
 			t.Errorf("%v: must support send", c.tp)
 		}
-		if m.Supports(VerbWrite) != c.write {
-			t.Errorf("%v: Supports(write) = %v", c.tp, m.Supports(VerbWrite))
+		if c.tp.Supports(VerbWrite) != c.write {
+			t.Errorf("%v: Supports(write) = %v", c.tp, c.tp.Supports(VerbWrite))
 		}
-	}
-	if stackModelFor(TransportUD).Supports(VerbRead) || stackModelFor(TransportUC).Supports(VerbRead) {
-		t.Error("unreliable transports must not support read")
+		if atomic := c.tp.Supports(VerbFetchAdd); c.tp.Supports(VerbRead) != c.reliable || atomic != c.reliable {
+			t.Errorf("%v: Supports(read) = %v, Supports(fetch-add) = %v; only RC carries them", c.tp, c.tp.Supports(VerbRead), atomic)
+		}
 	}
 }
 

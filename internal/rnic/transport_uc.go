@@ -5,40 +5,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/packet"
 )
 
-// ucModel is Unreliable Connected: the connected, sequenced transport
-// without a reliability protocol. The receiver delivers in-sequence
-// packets exactly like RC, but a sequence error generates no NAK and no
-// retransmission ever happens — the rest of the damaged message is
-// silently discarded and the stream re-anchors at the next First/Only
-// packet. Send WQEs complete at transmit (there is nothing to wait for).
-type ucModel struct{}
-
-func (ucModel) Transport() Transport       { return TransportUC }
-func (ucModel) Name() string               { return "uc" }
-func (ucModel) Reliable() bool             { return false }
-func (ucModel) CompletionAtTransmit() bool { return true }
-
-// UC carries Sends and Writes; Reads and atomics require the RC
-// acknowledgement machinery.
-func (ucModel) Supports(v Verb) bool { return v == VerbSend || v == VerbWrite }
-
-func (ucModel) validateSend(*QP, WorkRequest, int) error { return nil }
-
-func (ucModel) handlePacket(qp *QP, pkt *packet.Packet) {
-	op := pkt.BTH.Opcode
-	if !op.IsSend() && !op.IsWrite() {
-		return // UC generates no ACKs, reads, or atomics; ignore strays
-	}
-	qp.ucHandleRequest(pkt)
-}
-
-func (ucModel) onTransmit(qp *QP, w *wqe, psn uint32) {
-	unreliableOnTransmit(qp, w, psn)
-}
-
-// UC never retransmits, so there is no timer to arm.
-func (ucModel) armTimer(*QP) {}
-
 // ucHandleRequest is the UC responder FSM. Three outcomes: in-sequence
 // packets are accepted; an out-of-sequence First/Only packet re-anchors
 // the stream (the gapped message is lost for good); anything else is

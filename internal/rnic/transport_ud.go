@@ -1,56 +1,15 @@
 package rnic
 
 import (
-	"fmt"
-
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/packet"
 )
 
-// udModel is Unreliable Datagram: independent single-MTU Send datagrams
-// with no sequencing and no acknowledgements. The receiver performs no
-// PSN checks at all — every datagram that arrives with a posted receive
-// is delivered, every datagram without one is discarded, and a datagram
-// the injector drops is simply never seen (a silent loss the analyzers
-// attribute as expected, not as a retransmission failure). Completions
-// fire at transmit, one per datagram.
-type udModel struct{}
-
-func (udModel) Transport() Transport       { return TransportUD }
-func (udModel) Name() string               { return "ud" }
-func (udModel) Reliable() bool             { return false }
-func (udModel) CompletionAtTransmit() bool { return true }
-
-// UD carries Sends only (IB spec: no RDMA on datagram QPs).
-func (udModel) Supports(v Verb) bool { return v == VerbSend }
-
-// validateSend rejects multi-packet messages: a datagram is one MTU.
-func (udModel) validateSend(qp *QP, req WorkRequest, npkts int) error {
-	if npkts > 1 {
-		return fmt.Errorf("rnic: UD datagram of %d bytes exceeds the %d-byte MTU",
-			req.Length, qp.cfg.MTU)
-	}
-	return nil
-}
-
-func (udModel) handlePacket(qp *QP, pkt *packet.Packet) {
-	op := pkt.BTH.Opcode
-	if !op.IsSend() || !op.IsOnly() {
-		return // UD carries single-datagram Sends only; ignore strays
-	}
-	qp.udDeliver(pkt)
-}
-
-func (udModel) onTransmit(qp *QP, w *wqe, psn uint32) {
-	unreliableOnTransmit(qp, w, psn)
-}
-
-// UD never retransmits, so there is no timer to arm.
-func (udModel) armTimer(*QP) {}
-
-// udDeliver completes one datagram into the next posted receive; with
-// none posted the datagram is dropped on the floor (real UD QPs do the
-// same — there is no RNR NAK on a datagram QP).
+// udDeliver is the UD receiver. It performs no PSN checks at all: it
+// completes each datagram into the next posted receive, and with none
+// posted drops it on the floor (real UD QPs do the same — there is no
+// RNR NAK on a datagram QP). A datagram the injector drops is simply
+// never seen, a silent loss the analyzers attribute as expected.
 func (qp *QP) udDeliver(pkt *packet.Packet) {
 	if len(qp.recvs) == 0 {
 		qp.cov().Record(coverage.SiteUD, coverage.UDNoRecv)

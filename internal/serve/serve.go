@@ -81,8 +81,8 @@ type SubmitRequest struct {
 	// Scenario is the test configuration YAML (same format `lumina run`
 	// reads).
 	Scenario string `json:"scenario"`
-	// Profile optionally retargets both hosts' NIC model (cx4, cx5,
-	// e810, xl170b, spec). It is a separate cache-key dimension, like a
+	// Profile optionally retargets both hosts' NIC model (one of
+	// rnic.ModelNames()). It is a separate cache-key dimension, like a
 	// corpus matrix column; empty runs the scenario's own NIC types.
 	Profile string `json:"profile,omitempty"`
 	// DeadlineNs overrides the simulated-time deadline (0 = default).

@@ -249,7 +249,7 @@ func NewPairLabeled(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, l
 func (p *Pair) UnreliableQPNs() map[uint32]bool {
 	var set map[uint32]bool
 	for _, c := range p.conns {
-		if c.reqQP.Model().Reliable() {
+		if c.reqQP.Transport().Reliable() {
 			continue
 		}
 		if set == nil {
