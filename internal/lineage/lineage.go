@@ -212,10 +212,13 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		retransAt = retrans.Time()
 	}
 
-	// Probe-derived interior nodes: the sender-side timer and rewind.
+	// Probe-derived interior nodes: the sender-side timer and rewind,
+	// both on the requester's own track (every QP's timer fires into the
+	// same window when several lose packets at once).
+	track := requesterTrack(events, e, isRead)
 	if nack == nil && retrans != nil {
 		if rto := findEvent(events, e.Time(), retransAt, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindRetransTimer || ev.Name != "fire" {
+			if ev.Kind != telemetry.KindRetransTimer || ev.Name != "fire" || ev.Track != track {
 				return false
 			}
 			una, ok := argI(ev, "una_psn")
@@ -242,7 +245,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			from = e.Time()
 		}
 		if rw := findEvent(events, from, retransAt, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindRetransGBN || ev.Name != "rewind" {
+			if ev.Kind != telemetry.KindRetransGBN || ev.Name != "rewind" || ev.Track != track {
 				return false
 			}
 			p, ok := argI(ev, "psn")
@@ -285,7 +288,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		// Completion: the first WQE whose PSN range covers the dropped
 		// PSN and that completed after the retransmission.
 		if done := findEvent(events, retransAt, 0, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindTrafficMsg || ev.Name != "wqe_complete" {
+			if ev.Kind != telemetry.KindTrafficMsg || ev.Name != "wqe_complete" || ev.Track != track {
 				return false
 			}
 			start, ok1 := argI(ev, "start_psn")
@@ -446,6 +449,27 @@ func findEvent(events []telemetry.Event, from, to sim.Time, pred func(*telemetry
 		}
 	}
 	return nil
+}
+
+// requesterTrack names the track of the QP that recovers data packet e:
+// for a Read response the QP it is addressed to, else the QP whose RTS
+// probe names e's destination as its remote. "" when no probe says.
+func requesterTrack(events []telemetry.Event, e *trace.Entry, isRead bool) string {
+	dst := e.Pkt.BTH.DestQP
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind != telemetry.KindQPState || ev.Name != "RTS" {
+			continue
+		}
+		if isRead {
+			if qpn, ok := trackQPN(ev.Track); ok && qpn == dst {
+				return ev.Track
+			}
+		} else if remote, ok := argI(ev, "remote_qpn"); ok && uint32(remote) == dst {
+			return ev.Track
+		}
+	}
+	return ""
 }
 
 func argI(ev *telemetry.Event, key string) (int64, bool) {

@@ -2,12 +2,17 @@ package orchestrator
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
@@ -165,5 +170,79 @@ func TestVerdictsPublishedAsProbes(t *testing.T) {
 		if v.Analyzer == "retrans" && len(v.Chains) == 0 {
 			t.Fatal("retrans verdict cites no lineage chains")
 		}
+	}
+}
+
+// taildropCfg runs eight Write QPs that each lose their last packet, so
+// every connection recovers by its own retransmission timer while the
+// others' timers fire around it.
+func taildropCfg(t *testing.T) config.Test {
+	t.Helper()
+	y := `name: taildrop
+requester: {nic: {type: cx5, ip-list: [10.0.0.1]}}
+responder: {nic: {type: cx5, ip-list: [10.0.0.2]}}
+traffic:
+  num-connections: 8
+  rdma-verb: write
+  num-msgs-per-qp: 1
+  mtu: 1024
+  message-size: 4096
+  min-retransmit-timeout: 15
+  data-pkt-events:
+`
+	for qpn := 1; qpn <= 8; qpn++ {
+		y += fmt.Sprintf("    - {qpn: %d, psn: 4, type: drop, iter: 1}\n", qpn)
+	}
+	cfg, err := config.Parse([]byte(y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// Each tail-drop chain's timer node is the fire of the QP that sent the
+// dropped packet, not the first fire of any QP in the window.
+func TestRTOChainsNameTheirOwnRequester(t *testing.T) {
+	rep, _ := runArtifacts(t, taildropCfg(t))
+	// The requester of a connection is the QP whose RTS probe names the
+	// data packets' destination QP as its remote.
+	requester := map[uint32]string{} // responder QPN → requester track
+	fires := map[string][]int64{}    // track → its timer fires
+	for i := range rep.Events {
+		ev := &rep.Events[i]
+		switch {
+		case ev.Kind == telemetry.KindQPState && ev.Name == "RTS":
+			requester[uint32(ev.Args[0].Val)] = ev.Track
+		case ev.Kind == telemetry.KindRetransTimer && ev.Name == "fire":
+			fires[ev.Track] = append(fires[ev.Track], ev.At)
+		}
+	}
+	actors := map[uint32]bool{}
+	for _, ch := range rep.Lineage.Chains {
+		track := requester[ch.Conn.DstQPN]
+		want, err := strconv.ParseUint(track[strings.LastIndex(track, "-0x")+3:], 16, 32)
+		if err != nil {
+			t.Fatalf("requester track %q of conn %+v: %v", track, ch.Conn, err)
+		}
+		if ch.ActorQPN != uint32(want) {
+			t.Errorf("chain on qp 0x%06x names actor 0x%06x, want its requester 0x%06x", ch.Conn.DstQPN, ch.ActorQPN, want)
+		}
+		actors[ch.ActorQPN] = true
+		rto := -1
+		for _, id := range ch.Nodes {
+			if rep.Lineage.Nodes[id].Kind == lineage.NodeRTO {
+				rto = id
+			}
+		}
+		if rto < 0 {
+			t.Errorf("chain on qp 0x%06x has no rto-fire node", ch.Conn.DstQPN)
+			continue
+		}
+		if at := int64(rep.Lineage.Nodes[rto].At); !slices.Contains(fires[track], at) {
+			t.Errorf("chain on qp 0x%06x: rto-fire at %d is none of %s's fires %v", ch.Conn.DstQPN, at, track, fires[track])
+		}
+	}
+	if len(rep.Lineage.Chains) != 8 || len(actors) != 8 {
+		t.Fatalf("%d chains with %d distinct actors, want 8 and 8", len(rep.Lineage.Chains), len(actors))
 	}
 }
