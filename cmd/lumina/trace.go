@@ -134,9 +134,11 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 		}
 		iters := analyzer.ReconstructITER(tr)
 
-		events := make([]telemetry.Event, 0, len(tr.Entries))
+		hub := telemetry.NewHub()
+		var e *trace.Entry
+		hub.SetClock(func() int64 { return e.Meta.Timestamp })
 		for i := range tr.Entries {
-			e := &tr.Entries[i]
+			e = &tr.Entries[i]
 			k := e.Key()
 			args := []telemetry.Field{
 				telemetry.I("psn", int64(e.Pkt.BTH.PSN)),
@@ -148,14 +150,10 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 			if e.Meta.Event != 0 {
 				args = append(args, telemetry.S("event", e.Meta.Event.String()))
 			}
-			events = append(events, telemetry.Event{
-				At:    e.Meta.Timestamp,
-				Kind:  telemetry.KindTracePkt,
-				Track: fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
-				Name:  e.Pkt.BTH.Opcode.String(),
-				Args:  args,
-			})
+			hub.EmitArgs(telemetry.KindTracePkt, fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
+				e.Pkt.BTH.Opcode.String(), args...)
 		}
+		events := hub.Events()
 
 		if *outPath == "" {
 			return telemetry.WriteTimeline(os.Stdout, events)

@@ -156,19 +156,19 @@ func TestRunTelemetryProbesDeterministicOrder(t *testing.T) {
 			t.Fatalf("workers=%d: %d probe events, want %d", workers, len(events), len(jobs))
 		}
 		for i, ev := range events {
-			if ev.Kind != telemetry.KindEngineJob {
-				t.Fatalf("event %d kind = %s", i, ev.Kind)
+			if ev.Kind() != telemetry.KindEngineJob {
+				t.Fatalf("event %d kind = %s", i, ev.Kind())
 			}
-			if ev.Name != fmt.Sprintf("j%d", i) {
-				t.Fatalf("workers=%d: event %d is %q; probes must follow submission order", workers, i, ev.Name)
+			if ev.Name() != fmt.Sprintf("j%d", i) {
+				t.Fatalf("workers=%d: event %d is %q; probes must follow submission order", workers, i, ev.Name())
 			}
 			wantStatus := "ok"
 			if i == 2 {
 				wantStatus = "error"
 			}
 			var status string
-			for _, f := range ev.Args {
-				if f.Key == "status" {
+			for j := range ev.NumArgs() {
+				if f := ev.Arg(j); f.Key == "status" {
 					status = f.Str
 				}
 			}

@@ -43,15 +43,15 @@ func TestFindEventMatchesFullScan(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		n := rng.Intn(400)
 		span := int64(1 + rng.Intn(200)) // far fewer stamps than events: ties everywhere
-		sorted := make([]telemetry.Event, n)
+		h := telemetry.NewHub()
 		at := int64(rng.Intn(5))
-		for i := range sorted {
+		h.SetClock(func() int64 { return at })
+		for i := 0; i < n; i++ {
 			at += rng.Int63n(3) / 2 * rng.Int63n(span) // mostly +0
-			sorted[i] = telemetry.Event{
-				At: at, Name: names[rng.Intn(len(names))],
-				Args: []telemetry.Field{telemetry.I("id", int64(i)), telemetry.I("psn", int64(rng.Intn(8)))},
-			}
+			h.EmitArgs("", "", names[rng.Intn(len(names))],
+				telemetry.I("id", int64(i)), telemetry.I("psn", int64(rng.Intn(8))))
 		}
+		sorted := h.Events()
 		if got := timeOrdered(sorted); n > 0 && &got[0] != &sorted[0] {
 			t.Fatal("timeOrdered copied a stream already in order")
 		}
@@ -75,7 +75,7 @@ func TestFindEventMatchesFullScan(t *testing.T) {
 			name, psn := names[rng.Intn(len(names))], int64(rng.Intn(10))
 			pred := func(ev *telemetry.Event) bool {
 				p, _ := argI(ev, "psn")
-				return ev.Name == name && (psn >= 8 || p == psn)
+				return ev.Name() == name && (psn >= 8 || p == psn)
 			}
 			if rng.Intn(10) == 0 {
 				pred = func(*telemetry.Event) bool { return false }
@@ -105,7 +105,17 @@ func TestBuildAcceptsUnorderedProbes(t *testing.T) {
 	if got := timeOrdered(nil); got != nil {
 		t.Fatalf("timeOrdered(nil) = %v", got)
 	}
-	evs := []telemetry.Event{{At: 30, Name: "c"}, {At: 10, Name: "a"}, {At: 30, Name: "d"}, {At: 20, Name: "b"}}
+	h := telemetry.NewHub()
+	var at int64
+	h.SetClock(func() int64 { return at })
+	for _, e := range []struct {
+		at   int64
+		name string
+	}{{30, "c"}, {10, "a"}, {30, "d"}, {20, "b"}} {
+		at = e.at
+		h.Emit("", "", e.name)
+	}
+	evs := h.Events()
 	orig := append([]telemetry.Event(nil), evs...)
 	got := timeOrdered(evs)
 	if !reflect.DeepEqual(evs, orig) {
@@ -113,7 +123,7 @@ func TestBuildAcceptsUnorderedProbes(t *testing.T) {
 	}
 	var order string
 	for _, e := range got {
-		order += e.Name
+		order += e.Name()
 	}
 	if order != "abcd" {
 		t.Fatalf("sorted order = %q, want abcd (stable on the tie at 30)", order)

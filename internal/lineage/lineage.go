@@ -218,7 +218,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 	track := requesterTrack(events, e, isRead)
 	if nack == nil && retrans != nil {
 		if rto := findEvent(events, e.Time(), retransAt, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindRetransTimer || ev.Name != "fire" || ev.Track != track {
+			if ev.Kind() != telemetry.KindRetransTimer || ev.Name() != "fire" || ev.Track() != track {
 				return false
 			}
 			una, ok := argI(ev, "una_psn")
@@ -234,7 +234,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			link(last, id, "rto_wait")
 			last = id
 			nackAt = sim.Time(rto.At)
-			if qpn, ok := trackQPN(rto.Track); ok {
+			if qpn, ok := trackQPN(rto.Track()); ok {
 				ch.ActorQPN = qpn
 			}
 		}
@@ -245,7 +245,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			from = e.Time()
 		}
 		if rw := findEvent(events, from, retransAt, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindRetransGBN || ev.Name != "rewind" || ev.Track != track {
+			if ev.Kind() != telemetry.KindRetransGBN || ev.Name() != "rewind" || ev.Track() != track {
 				return false
 			}
 			p, ok := argI(ev, "psn")
@@ -260,7 +260,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			link(last, id, "nack_react")
 			last = id
 			if ch.ActorQPN == 0 {
-				if qpn, ok := trackQPN(rw.Track); ok {
+				if qpn, ok := trackQPN(rw.Track()); ok {
 					ch.ActorQPN = qpn
 				}
 			}
@@ -288,7 +288,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		// Completion: the first WQE whose PSN range covers the dropped
 		// PSN and that completed after the retransmission.
 		if done := findEvent(events, retransAt, 0, func(ev *telemetry.Event) bool {
-			if ev.Kind != telemetry.KindTrafficMsg || ev.Name != "wqe_complete" || ev.Track != track {
+			if ev.Kind() != telemetry.KindTrafficMsg || ev.Name() != "wqe_complete" || ev.Track() != track {
 				return false
 			}
 			start, ok1 := argI(ev, "start_psn")
@@ -351,15 +351,15 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	ch.ActorQPN = cnp.Pkt.BTH.DestQP
 
 	if cut := findEvent(events, cnp.Time(), 0, func(ev *telemetry.Event) bool {
-		if ev.Kind != telemetry.KindDCQCNRate || !ev.Counter {
+		if ev.Kind() != telemetry.KindDCQCNRate || !ev.Counter() {
 			return false
 		}
-		qpn, ok := trackQPN(ev.Track)
+		qpn, ok := trackQPN(ev.Track())
 		return ok && qpn == cnp.Pkt.BTH.DestQP
 	}); cut != nil {
 		var rate int64
-		if len(cut.Args) > 0 {
-			rate = cut.Args[0].Val
+		if cut.NumArgs() > 0 {
+			rate = cut.Arg(0).Val
 		}
 		id := g.addNode(Node{
 			Kind: NodeRateCut, At: sim.Time(cut.At),
@@ -458,36 +458,28 @@ func requesterTrack(events []telemetry.Event, e *trace.Entry, isRead bool) strin
 	dst := e.Pkt.BTH.DestQP
 	for i := range events {
 		ev := &events[i]
-		if ev.Kind != telemetry.KindQPState || ev.Name != "RTS" {
+		if ev.Kind() != telemetry.KindQPState || ev.Name() != "RTS" {
 			continue
 		}
 		if isRead {
-			if qpn, ok := trackQPN(ev.Track); ok && qpn == dst {
-				return ev.Track
+			if qpn, ok := trackQPN(ev.Track()); ok && qpn == dst {
+				return ev.Track()
 			}
 		} else if remote, ok := argI(ev, "remote_qpn"); ok && uint32(remote) == dst {
-			return ev.Track
+			return ev.Track()
 		}
 	}
 	return ""
 }
 
 func argI(ev *telemetry.Event, key string) (int64, bool) {
-	for _, f := range ev.Args {
-		if f.Key == key {
-			return f.Val, true
-		}
-	}
-	return 0, false
+	f, ok := ev.Lookup(key)
+	return f.Val, ok
 }
 
 func argS(ev *telemetry.Event, key string) string {
-	for _, f := range ev.Args {
-		if f.Key == key {
-			return f.Str
-		}
-	}
-	return ""
+	f, _ := ev.Lookup(key)
+	return f.Str
 }
 
 // trackQPN extracts the QPN from a per-QP telemetry track name of the

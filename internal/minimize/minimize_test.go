@@ -145,7 +145,7 @@ func TestMinimizeEmitsStepProbes(t *testing.T) {
 	}
 	var probes int
 	for _, ev := range hub.Events() {
-		if ev.Kind == telemetry.KindMinimizeStep {
+		if ev.Kind() == telemetry.KindMinimizeStep {
 			probes++
 		}
 	}

@@ -93,7 +93,7 @@ func TestINTReportEndToEnd(t *testing.T) {
 	}
 	probes := 0
 	for _, ev := range rep.Events {
-		if ev.Kind == telemetry.KindVerdict && ev.Track == "int" {
+		if ev.Kind() == telemetry.KindVerdict && ev.Track() == "int" {
 			probes++
 		}
 	}

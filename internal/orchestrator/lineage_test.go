@@ -154,9 +154,9 @@ func TestVerdictsPublishedAsProbes(t *testing.T) {
 	}
 	probes := 0
 	for _, ev := range rep.Events {
-		if ev.Kind == telemetry.KindVerdict {
-			if ev.Track != "orchestrator" {
-				t.Fatalf("verdict probe on track %q", ev.Track)
+		if ev.Kind() == telemetry.KindVerdict {
+			if ev.Track() != "orchestrator" {
+				t.Fatalf("verdict probe on track %q", ev.Track())
 			}
 			probes++
 		}
@@ -211,10 +211,10 @@ func TestRTOChainsNameTheirOwnRequester(t *testing.T) {
 	for i := range rep.Events {
 		ev := &rep.Events[i]
 		switch {
-		case ev.Kind == telemetry.KindQPState && ev.Name == "RTS":
-			requester[uint32(ev.Args[0].Val)] = ev.Track
-		case ev.Kind == telemetry.KindRetransTimer && ev.Name == "fire":
-			fires[ev.Track] = append(fires[ev.Track], ev.At)
+		case ev.Kind() == telemetry.KindQPState && ev.Name() == "RTS":
+			requester[uint32(ev.Arg(0).Val)] = ev.Track()
+		case ev.Kind() == telemetry.KindRetransTimer && ev.Name() == "fire":
+			fires[ev.Track()] = append(fires[ev.Track()], ev.At)
 		}
 	}
 	actors := map[uint32]bool{}

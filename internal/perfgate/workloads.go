@@ -12,6 +12,7 @@ import (
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/sim"
+	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // A workload returns (ops per measurement pass, units per op, the
@@ -40,6 +41,7 @@ var workloads = map[string]workloadFn{
 	"bulk_pair_packet":    bulkPairPacket,
 	"bulk_explain_packet": bulkExplainPacket,
 	"cache_lookup":        cacheLookup,
+	"telemetry_emit":      telemetryEmit,
 }
 
 // samplePacket is a representative mid-message Write data packet: the
@@ -178,6 +180,26 @@ func coverageRecord() (int, int, func()) {
 	}
 }
 
+// telemetryEmit is the probe every simulated packet pays several times
+// when telemetry is on: one EmitArgs with three integer arguments on an
+// attached hub whose site is already interned. The event is a fixed-size
+// record appended to the hub's log, so an op's bytes are the record's
+// size and its only allocations are the log's chunks, one per 4096
+// events.
+func telemetryEmit() (int, int, func()) {
+	h := telemetry.NewHub()
+	var v int64
+	op := func() {
+		v++
+		h.EmitArgs(telemetry.KindETSPick, "requester/ets", "grant",
+			telemetry.I("queue", v&7), telemetry.I("qpn", v), telemetry.I("size", 1024))
+	}
+	for i := 0; i < 8192; i++ {
+		op()
+	}
+	return 50000, 1, op
+}
+
 // endToEndRun is one complete orchestrated test: setup, traffic,
 // injection, mirroring, capture, trace reconstruction, integrity check.
 // Its budget is the whole-system regression tripwire; the companion
@@ -298,8 +320,8 @@ func bulkPairPacket() (int, int, func()) {
 // lineage, INT, coverage — and its artifacts written out (what
 // `lumina run -int -coverage -out` does), again per simulated packet. The
 // history is bulk_pair_packet's, so the difference between the two
-// budgets is what watching a packet costs: a few slab and log chunks per
-// run, not a field list per probe, a string per address or a map bucket
+// budgets is what watching a packet costs: a few log chunks per run, not
+// a field list per probe, a string per address or a map bucket
 // per transit.
 func bulkExplainPacket() (int, int, func()) {
 	opts := orchestrator.DefaultOptions()

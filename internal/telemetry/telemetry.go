@@ -19,13 +19,17 @@
 //
 // The third constraint is cost when somebody is listening: a run with
 // every observer on replays the history of a bare run and should cost
-// little more. An emit is therefore an append and nothing else. The hub
-// owns a chunked Event log and a chunked Field slab; Emit* copy their
-// variadic arguments into the slab, so the caller's argument list never
-// escapes (it stays on the caller's stack) and a recorded event's Args
-// alias memory only the hub writes, once. Chunks start small and double
-// up to a cap (eventChunkMin..eventChunkMax, fieldChunkMin..
-// fieldChunkMax): a five-message run pays for a few KiB, a 50 000-probe
+// little more. An emit is therefore an append of a fixed-size record and
+// nothing else. An Event holds its stamp, its duration and up to five
+// numeric arguments inline, plus one pointer: to the hub's intern table,
+// which stores once what emits from the same place share — kind, track,
+// name and argument keys, as one site — and each distinct string value.
+// Accessors (Kind, Track, Name, Arg, Lookup) read through it. The
+// caller's argument list never escapes (it stays on the caller's stack),
+// and a site repeated by every packet is found in a small cache of recent
+// lookups without hashing its strings. The hub owns a chunked log of
+// records; chunks start small and double up to a cap (eventChunkMin..
+// eventChunkMax): a five-message run pays for a few KiB, a 50 000-probe
 // run for a dozen allocations, and nothing recorded is ever copied to
 // make room for what follows. Events() hands out a flat slice because
 // that is what lineage and the timeline writer index, and it is
@@ -67,9 +71,10 @@ const (
 	KindCorpusCell   Kind = "corpus.replay"    // corpus replay conformance cell (entry, profile, status)
 )
 
-// Field is one key/value annotation on an event. Val carries numeric
+// Field is one key/value argument of an emit. Val carries numeric
 // values; Str, when non-empty, takes precedence and carries a string.
-// An ordered slice (not a map) keeps serialization deterministic.
+// Emit* take their arguments as an ordered list (not a map), which keeps
+// serialization deterministic; nothing stores a Field.
 type Field struct {
 	Key string
 	Val int64
@@ -82,22 +87,163 @@ func I(key string, v int64) Field { return Field{Key: key, Val: v} }
 // S builds a string field.
 func S(key, v string) Field { return Field{Key: key, Str: v} }
 
-// Event is one probe-bus record.
+// maxArgs is the most arguments one emit may carry: the engine's job
+// probe has five.
+const maxArgs = 5
+
+// Event is one probe-bus record: a fixed-size value whose only pointer is
+// to its hub's intern table. The strings of an event — kind, track, name,
+// argument keys and string values — live there once per hub; the event
+// holds their indices and its numeric arguments inline.
 type Event struct {
 	// At is the virtual-time stamp in nanoseconds.
 	At int64
-	// Kind is the event family; Track the component instance it belongs
-	// to (one timeline row per track); Name the specific occurrence.
-	Kind  Kind
-	Track string
-	Name  string
 	// Dur, when positive, makes this a span (Chrome "X" event) rather
 	// than an instant.
 	Dur int64
-	// Counter marks a sampled-value event (Chrome "C" event); the value
-	// is Args[0].Val.
-	Counter bool
-	Args    []Field
+	// vals[i] is argument i's value, or the index of its string in
+	// syms.strs when the site marks it a string.
+	vals [maxArgs]int64
+	syms *symbols
+	site uint32
+}
+
+// site is what an emit shares with every other emit from the same place:
+// its kind, track and name and its arguments' keys and types.
+type site struct {
+	kind        Kind
+	track, name string
+	keys        [maxArgs]string
+	n           uint8 // argument count
+	strs        uint8 // bit i: argument i is a string
+	counter     bool
+}
+
+// symbols is a hub's intern table. Entries are only ever appended, so an
+// index an event holds stays valid for the table's lifetime.
+type symbols struct {
+	sites []entry
+	// named maps a track and name to the index + 1 of the latest site
+	// with both; entry.prev chains it to the earlier ones.
+	named map[[2]string]uint32
+	strs  []string
+	strID map[string]uint32
+	// recent holds, per slot, the index + 1 of the last site looked up
+	// there (0: none). Five probes fire per simulated packet, each from a
+	// site that repeats, so most lookups end here on one comparison.
+	recent [256]uint32
+}
+
+type entry struct {
+	site
+	prev uint32
+}
+
+// site returns the index of the site of an emit with these parameters,
+// interning it on first sight.
+func (t *symbols) site(kind Kind, track, name string, counter bool, strs uint8, args []Field) uint32 {
+	r := &t.recent[slot(track, name, len(args))]
+	if *r != 0 && t.sites[*r-1].matches(kind, track, name, counter, strs, args) {
+		return *r - 1
+	}
+	k := [2]string{track, name}
+	id := t.named[k]
+	for id != 0 && !t.sites[id-1].matches(kind, track, name, counter, strs, args) {
+		id = t.sites[id-1].prev
+	}
+	if id == 0 {
+		s := site{kind: kind, track: track, name: name, n: uint8(len(args)), strs: strs, counter: counter}
+		for i := range args {
+			s.keys[i] = args[i].Key
+		}
+		t.sites = append(t.sites, entry{site: s, prev: t.named[k]})
+		id = uint32(len(t.sites))
+		t.named[k] = id
+	}
+	*r = id
+	return id - 1
+}
+
+func (s *site) matches(kind Kind, track, name string, counter bool, strs uint8, args []Field) bool {
+	if int(s.n) != len(args) || s.strs != strs || s.counter != counter || s.kind != kind || s.track != track || s.name != name {
+		return false
+	}
+	for i := range args {
+		if s.keys[i] != args[i].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// slot spreads sites over recent by the tail of their track (where
+// per-QP and per-node tracks differ), their name and their arity.
+func slot(track, name string, n int) int {
+	h := uint32(len(name)) | uint32(n)<<8
+	for i := max(len(track)-4, 0); i < len(track); i++ {
+		h = h*31 + uint32(track[i])
+	}
+	if name != "" {
+		h = h*31 + uint32(name[0])
+	}
+	return int(h * 0x9e3779b1 >> 24) // a Fibonacci hash onto 256 slots
+}
+
+func (t *symbols) str(v string) int64 {
+	id, ok := t.strID[v]
+	if !ok {
+		id = uint32(len(t.strs))
+		t.strs = append(t.strs, v)
+		t.strID[v] = id
+	}
+	return int64(id)
+}
+
+// noSite is what the accessors read on an Event the hub did not record.
+var noSite site
+
+func (e *Event) info() *site {
+	if e.syms == nil {
+		return &noSite
+	}
+	return &e.syms.sites[e.site].site
+}
+
+// Kind is the event family.
+func (e *Event) Kind() Kind { return e.info().kind }
+
+// Track is the component instance the event belongs to (one timeline
+// row per track).
+func (e *Event) Track() string { return e.info().track }
+
+// Name is the specific occurrence.
+func (e *Event) Name() string { return e.info().name }
+
+// Counter reports a sampled-value event (Chrome "C" event); the value is
+// Arg(0).Val.
+func (e *Event) Counter() bool { return e.info().counter }
+
+// NumArgs is the number of arguments the event was emitted with.
+func (e *Event) NumArgs() int { return int(e.info().n) }
+
+// Arg returns argument i, 0 <= i < NumArgs(), as it was emitted.
+func (e *Event) Arg(i int) Field {
+	s := e.info()
+	if s.strs&(1<<i) != 0 {
+		return Field{Key: s.keys[i], Str: e.syms.strs[e.vals[i]]}
+	}
+	return Field{Key: s.keys[i], Val: e.vals[i]}
+}
+
+// Lookup returns the first argument named key.
+func (e *Event) Lookup(key string) (Field, bool) {
+	s := e.info()
+	for i := range int(s.n) {
+		if s.keys[i] == key {
+			return e.Arg(i), true
+		}
+	}
+	return Field{}, false
 }
 
 // Hub is the probe bus plus the metrics registry. The zero Hub pointer
@@ -106,51 +252,47 @@ type Event struct {
 type Hub struct {
 	clock func() int64
 	reg   *Registry
+	syms  *symbols
 
 	// The log of events recorded since the last Events call: the chunks
 	// already full, then the one being filled.
 	sealed [][]Event
 	cur    []Event
-	// fields is the slab chunk being filled. Earlier chunks are kept
-	// alive by the Args that point into them.
-	fields []Field
 	// flat is the stream Events has handed out so far.
 	flat []Event
 }
 
-// Chunk sizes, in elements (an Event is 96 bytes, a Field 40). Each new
-// chunk doubles the previous one up to the cap, at which a chunk is a
-// few hundred KiB: big enough that a long run allocates one every few
-// thousand probes, small enough that its unused tail is noise.
+// Chunk sizes, in events. Each new chunk doubles the previous one up to
+// the cap, at which a chunk is a few hundred KiB: big enough that a long
+// run allocates one every few thousand probes, small enough that its
+// unused tail is noise.
 const (
 	eventChunkMin = 32
 	eventChunkMax = 4096
-	fieldChunkMin = 64
-	fieldChunkMax = 8192
 )
 
-// nextChunk is the size of the chunk that follows one of size prev.
-func nextChunk(prev, lo, hi int) int {
-	return min(max(2*prev, lo), hi)
-}
-
-// record appends e, annotated with a hub-owned copy of args, to the log.
-func (h *Hub) record(e Event, args []Field) {
+// record appends one event to the log, interning its strings.
+func (h *Hub) record(kind Kind, track, name string, dur int64, counter bool, args []Field) {
+	if len(args) > maxArgs {
+		// invariant: every emit site passes a fixed argument list of at most maxArgs fields; the widest, the engine's job probe, has five.
+		panic("telemetry: more than maxArgs arguments")
+	}
+	e := Event{At: h.now(), Dur: dur, syms: h.syms}
+	var strs uint8 // bit i: argument i is a string
+	for i := range args {
+		if args[i].Str != "" {
+			strs |= 1 << i
+			e.vals[i] = h.syms.str(args[i].Str)
+		} else {
+			e.vals[i] = args[i].Val
+		}
+	}
+	e.site = h.syms.site(kind, track, name, counter, strs, args)
 	if len(h.cur) == cap(h.cur) {
 		if h.cur != nil {
 			h.sealed = append(h.sealed, h.cur)
 		}
-		h.cur = make([]Event, 0, nextChunk(cap(h.cur), eventChunkMin, eventChunkMax))
-	}
-	if n := len(args); n > 0 {
-		if len(h.fields)+n > cap(h.fields) {
-			h.fields = make([]Field, 0, max(n, nextChunk(cap(h.fields), fieldChunkMin, fieldChunkMax)))
-		}
-		start := len(h.fields)
-		h.fields = append(h.fields, args...)
-		// Capacity-limited, so an append through the event's Args can
-		// never reach a neighbour's fields.
-		e.Args = h.fields[start:len(h.fields):len(h.fields)]
+		h.cur = make([]Event, 0, min(max(2*cap(h.cur), eventChunkMin), eventChunkMax))
 	}
 	h.cur = append(h.cur, e)
 }
@@ -158,7 +300,7 @@ func (h *Hub) record(e Event, args []Field) {
 // NewHub returns an attached hub with an empty registry. Until SetClock
 // is called (sim.Simulator.AttachHub does it), events are stamped 0.
 func NewHub() *Hub {
-	return &Hub{reg: NewRegistry()}
+	return &Hub{reg: NewRegistry(), syms: &symbols{named: map[[2]string]uint32{}, strID: map[string]uint32{}}}
 }
 
 // SetClock installs the virtual-clock reader used to stamp events.
@@ -186,16 +328,16 @@ func (h *Hub) Emit(kind Kind, track, name string) {
 	if h == nil {
 		return
 	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name}, nil)
+	h.record(kind, track, name, 0, false, nil)
 }
 
 // EmitArgs publishes an instant event with annotations. The hub keeps
-// its own copy of args; the caller's list is free to be reused.
+// their values; the caller's list is free to be reused.
 func (h *Hub) EmitArgs(kind Kind, track, name string, args ...Field) {
 	if h == nil {
 		return
 	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name}, args)
+	h.record(kind, track, name, 0, false, args)
 }
 
 // EmitSpan publishes a completed span of the given duration ending at
@@ -205,10 +347,7 @@ func (h *Hub) EmitSpan(kind Kind, track, name string, dur int64, args ...Field) 
 	if h == nil {
 		return
 	}
-	if dur < 0 {
-		dur = 0
-	}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Dur: dur}, args)
+	h.record(kind, track, name, max(dur, 0), false, args)
 }
 
 // EmitCounter publishes a sampled value, rendered as a counter track.
@@ -217,7 +356,7 @@ func (h *Hub) EmitCounter(kind Kind, track, name string, val int64) {
 		return
 	}
 	value := [1]Field{{Key: "value", Val: val}}
-	h.record(Event{At: h.now(), Kind: kind, Track: track, Name: name, Counter: true}, value[:])
+	h.record(kind, track, name, 0, true, value[:])
 }
 
 // Events returns the recorded probe stream in emission order (which,
@@ -246,8 +385,7 @@ func (h *Hub) Events() []Event {
 		h.flat = append(h.flat, c...)
 	}
 	h.flat = append(h.flat, h.cur...)
-	// The moved events' Args point into the slab, not the log, so the
-	// log's storage is free again.
+	// The moved events are values, so the log's storage is free again.
 	h.sealed, h.cur = nil, h.cur[:0]
 	return h.flat
 }

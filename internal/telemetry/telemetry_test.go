@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -42,8 +44,8 @@ func TestHubStampsVirtualTime(t *testing.T) {
 	if evs[0].At != 0 || evs[1].At != 1500 {
 		t.Fatalf("timestamps = %d, %d", evs[0].At, evs[1].At)
 	}
-	if evs[1].Args[0].Key != "qpn" || evs[1].Args[0].Val != 9 {
-		t.Fatalf("args = %+v", evs[1].Args)
+	if evs[1].NumArgs() != 1 || evs[1].Arg(0).Key != "qpn" || evs[1].Arg(0).Val != 9 {
+		t.Fatalf("args = %d, first %+v", evs[1].NumArgs(), evs[1].Arg(0))
 	}
 }
 
@@ -192,8 +194,9 @@ func TestWriteTimelineIsValidJSONAndDeterministic(t *testing.T) {
 
 func TestWriteJSONStringEscapes(t *testing.T) {
 	var buf bytes.Buffer
-	bw := []Event{{At: 0, Kind: "k", Track: `t"\x` + "\n", Name: "n"}}
-	if err := WriteTimeline(&buf, bw); err != nil {
+	h := NewHub()
+	h.Emit("k", `t"\x`+"\n", "n")
+	if err := WriteTimeline(&buf, h.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -204,10 +207,10 @@ func TestWriteJSONStringEscapes(t *testing.T) {
 	}
 }
 
-// TestRecordedArgsAreHubOwned pins the slab's ownership contract: what an
-// event recorded is a copy only the hub ever wrote, so neither the caller
-// reusing its argument array nor 200k later emits (slab chunks filling
-// and being replaced) can change it.
+// TestRecordedArgsAreHubOwned pins the record's ownership contract: what
+// an event recorded is a copy only the hub ever wrote, so neither the
+// caller reusing its argument array nor 200k later emits (log chunks
+// filling and being replaced, the intern table growing) can change it.
 func TestRecordedArgsAreHubOwned(t *testing.T) {
 	h := NewHub()
 	args := [2]Field{I("psn", 7), S("why", "first")}
@@ -231,24 +234,26 @@ func TestRecordedArgsAreHubOwned(t *testing.T) {
 		t.Fatalf("events = %d, want 200001", len(evs))
 	}
 	for _, ev := range []Event{early, evs[0]} {
-		if len(ev.Args) != 2 || ev.Args[0] != I("psn", 7) || ev.Args[1] != S("why", "first") {
-			t.Fatalf("first event's args changed after later emits: %+v", ev.Args)
+		if ev.NumArgs() != 2 || ev.Arg(0) != I("psn", 7) || ev.Arg(1) != S("why", "first") {
+			t.Fatalf("first event's args changed after later emits: %d args, %+v %+v", ev.NumArgs(), ev.Arg(0), ev.Arg(1))
 		}
 	}
 	// Every later event still holds the value it was emitted with.
 	for i := 0; i < 200_000; i++ {
 		ev := &evs[i+1]
-		if ev.Args[0].Val != int64(i) {
-			t.Fatalf("event %d holds %d", i, ev.Args[0].Val)
+		if ev.Arg(0).Val != int64(i) {
+			t.Fatalf("event %d holds %d", i, ev.Arg(0).Val)
 		}
-		if want := [3]int{2, 1, 1}[i%3]; len(ev.Args) != want {
-			t.Fatalf("event %d has %d args, want %d", i, len(ev.Args), want)
+		if want := [3]int{2, 1, 1}[i%3]; ev.NumArgs() != want {
+			t.Fatalf("event %d has %d args, want %d", i, ev.NumArgs(), want)
 		}
 	}
-	// An append through one event's Args must not reach its neighbour's.
-	_ = append(evs[1].Args, I("stray", 99))
-	if evs[2].Args[0].Key != "value" {
-		t.Fatalf("append through event 1's args overwrote event 2's: %+v", evs[2].Args)
+	// Writing through an argument read from one event must reach neither
+	// that event nor its neighbour.
+	stray := evs[1].Arg(0)
+	stray.Key, stray.Val = "stray", 99
+	if evs[1].Arg(0) != I("overwritten", 0) || evs[2].Arg(0).Key != "value" {
+		t.Fatalf("a write through event 1's argument reached the log: %+v, %+v", evs[1].Arg(0), evs[2].Arg(0))
 	}
 }
 
@@ -313,7 +318,7 @@ func TestEventsIsIncremental(t *testing.T) {
 	}
 	for i := range snapshot {
 		for _, got := range []Event{mid[i], end[i]} {
-			if got.At != snapshot[i].At || got.Name != snapshot[i].Name || got.Args[0] != snapshot[i].Args[0] {
+			if got.At != snapshot[i].At || got.Name() != snapshot[i].Name() || got.Arg(0) != snapshot[i].Arg(0) {
 				t.Fatalf("event %d changed between calls: %+v, was %+v", i, got, snapshot[i])
 			}
 		}
@@ -344,4 +349,44 @@ func TestSmallHubStaysSmall(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
 		t.Fatalf("a 10-event hub allocated %d bytes, want < 16 KiB", got)
 	}
+}
+
+// TestEventIsAFixedSizeRecord pins the record format: at most 80 bytes on
+// a 64-bit platform, and one field the collector must scan, the pointer
+// to the hub's intern table. A slice, string or second pointer creeping
+// back in fails here before it shows as bytes per probe.
+func TestEventIsAFixedSizeRecord(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	if strconv.IntSize == 64 && typ.Size() > 80 {
+		t.Errorf("Event is %d bytes, want at most 80", typ.Size())
+	}
+	var pointered []string
+	for i := range typ.NumField() {
+		if f := typ.Field(i); holdsPointers(f.Type) {
+			pointered = append(pointered, f.Name+" "+f.Type.String())
+		}
+	}
+	if len(pointered) > 1 {
+		t.Errorf("Event has %d pointer-bearing fields, want at most 1: %v", len(pointered), pointered)
+	}
+}
+
+// holdsPointers reports whether a value of type t contains a pointer the
+// garbage collector must follow.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	}
+	return false
 }

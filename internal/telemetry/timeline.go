@@ -8,7 +8,7 @@ import (
 
 // WriteTimeline renders a probe stream as Chrome trace-event JSON (the
 // JSON Array Format with metadata, as consumed by Perfetto and
-// chrome://tracing). Each distinct Event.Track becomes one named thread
+// chrome://tracing). Each distinct Event.Track() becomes one named thread
 // row; instants render as "i" events, spans as "X", counter samples as
 // "C" counter tracks.
 //
@@ -34,7 +34,7 @@ func WriteTimeline(w io.Writer, events []Event) error {
 	var tids [][]byte
 	sep := "" // nothing before the first record, a comma before the rest
 	for i := range events {
-		t := events[i].Track
+		t := events[i].Track()
 		row, ok := rows[t]
 		if !ok {
 			row = int32(len(tids))
@@ -56,21 +56,22 @@ func WriteTimeline(w io.Writer, events []Event) error {
 		b := append(recordSpace(bw), sep...)
 		sep = ","
 		b = append(b, `{"name":`...)
-		if e.Counter {
+		s := e.info()
+		if s.counter {
 			// Counter series are keyed by name across the whole process;
 			// prefix the track so each component gets its own series.
 			b = append(b, '"')
-			b = appendJSONEscaped(b, e.Track)
+			b = appendJSONEscaped(b, s.track)
 			b = append(b, ' ')
-			b = appendJSONEscaped(b, e.Name)
+			b = appendJSONEscaped(b, s.name)
 			b = append(b, '"')
 		} else {
-			b = appendJSONString(b, e.Name)
+			b = appendJSONString(b, s.name)
 		}
 		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, string(e.Kind))
+		b = appendJSONString(b, string(s.kind))
 		switch {
-		case e.Counter:
+		case s.counter:
 			b = append(b, `,"ph":"C"`...)
 		case e.Dur > 0:
 			b = append(b, `,"ph":"X","dur":`...)
@@ -82,10 +83,10 @@ func WriteTimeline(w io.Writer, events []Event) error {
 		b = appendMicros(b, e.At)
 		b = append(b, `,"pid":1,"tid":`...)
 		b = append(b, tids[rowOf[i]]...)
-		if len(e.Args) > 0 {
+		if s.n > 0 {
 			b = append(b, `,"args":{`...)
-			for j := range e.Args {
-				a := &e.Args[j]
+			for j := range int(s.n) {
+				a := e.Arg(j)
 				if j > 0 {
 					b = append(b, ',')
 				}
