@@ -183,10 +183,22 @@ func defaultDCQCN() DCQCNParams {
 // Profiles returns the built-in model table, freshly allocated so callers
 // may tweak fields (ablation benchmarks do).
 func Profiles() map[string]Profile {
+	m := make(map[string]Profile, len(ModelNames()))
+	for _, name := range ModelNames() {
+		m[name], _ = builtin(name)
+	}
+	return m
+}
+
+// builtin builds the named built-in profile, and only that one: every
+// call returns fresh values (AdaptiveTimeouts included) that no other
+// caller shares.
+func builtin(name string) (Profile, bool) {
 	us := func(f float64) sim.Duration { return sim.Duration(f * float64(sim.Microsecond)) }
 	ms := func(f float64) sim.Duration { return sim.Duration(f * float64(sim.Millisecond)) }
 
-	m := map[string]Profile{
+	switch name {
+	case ModelCX4:
 		// NVIDIA ConnectX-4 Lx, 40 GbE. Fast NACK generation for
 		// Write/Send but a very slow reaction path (§6.1: "retransmission
 		// latencies in the hundreds of µs, primarily due to slow NACK
@@ -195,7 +207,7 @@ func Profiles() map[string]Profile {
 		// produces the noisy-neighbor stall (§6.2.2). CNP rate limiting
 		// is per destination IP (§6.3); implied_nak_seq_err is stuck
 		// (§6.2.4).
-		ModelCX4: {
+		return Profile{
 			Name: ModelCX4, LinkGbps: 40,
 			PipelineDelay: 600, AckGenDelay: us(1),
 			NACKGenWrite:   LatencyCurve{Base: us(1.4), PerPSN: 2, Jitter: us(0.3)},
@@ -214,15 +226,15 @@ func Profiles() map[string]Profile {
 				ms(4.8), ms(3.9), ms(7.6), ms(15.2), ms(23.8), ms(61.0), ms(122.0),
 			},
 			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
-		},
-
+		}, true
+	case ModelCX5:
 		// NVIDIA ConnectX-5, 100 GbE. The best retransmission performance
 		// together with CX6 Dx: ~2 µs NACK generation, 2–6 µs reaction
 		// (§6.1). Per-NIC-port CNP rate limiting (§6.3). Strict APM
 		// receiver: MigReq=0 senders (E810) push new connections through
 		// a shallow validation queue that overflows under concurrent
 		// connection setup (§6.2.3).
-		ModelCX5: {
+		return Profile{
 			Name: ModelCX5, LinkGbps: 100,
 			PipelineDelay: 350, AckGenDelay: us(0.7),
 			NACKGenWrite:   LatencyCurve{Base: us(1.9), PerPSN: 3, Jitter: us(0.2)},
@@ -238,15 +250,15 @@ func Profiles() map[string]Profile {
 				ms(5.2), ms(4.0), ms(8.1), ms(16.0), ms(24.4), ms(65.0), ms(130.0),
 			},
 			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
-		},
-
+		}, true
+	case ModelCX6:
 		// NVIDIA ConnectX-6 Dx, 100 GbE. Retransmission behaviour close
 		// to CX5 (§6.1). The headline bug: ETS queues are clamped to
 		// their guaranteed bandwidth — not work conserving (§6.2.1).
 		// Adaptive-retransmission schedule quoted directly from §6.3
 		// (0.0056 s, 0.0041 s, 0.0084 s, 0.0167 s, 0.0251 s, 0.0671 s,
 		// 0.1342 s).
-		ModelCX6: {
+		return Profile{
 			Name: ModelCX6, LinkGbps: 100,
 			PipelineDelay: 350, AckGenDelay: us(0.7),
 			NACKGenWrite:   LatencyCurve{Base: us(2.2), PerPSN: 3, Jitter: us(0.2)},
@@ -262,15 +274,15 @@ func Profiles() map[string]Profile {
 				ms(5.6), ms(4.1), ms(8.4), ms(16.7), ms(25.1), ms(67.1), ms(134.2),
 			},
 			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
-		},
-
+		}, true
+	case ModelE810:
 		// Intel E810, 100 GbE. Write NACK generation ~10 µs; Read-loss
 		// detection detours through an ~83 ms path (§6.1). CNPs are rate
 		// limited per QP with an undocumented ~50 µs floor that no
 		// configuration knob removes (§6.3); the cnpSent counter is stuck
 		// (§6.2.4). Sends MigReq=0, the trigger for the CX5 interop bug
 		// (§6.2.3). No adaptive retransmission.
-		ModelE810: {
+		return Profile{
 			Name: ModelE810, LinkGbps: 100,
 			PipelineDelay: 500, AckGenDelay: us(1),
 			NACKGenWrite:   LatencyCurve{Base: us(9.6), PerPSN: 8, Jitter: us(0.8)},
@@ -282,12 +294,12 @@ func Profiles() map[string]Profile {
 			DCQCN:             defaultDCQCN(),
 			MigReqInit:        false,
 			BugCNPSentStuck:   true,
-		},
-
+		}, true
+	case ModelSpec:
 		// SpecNIC: an idealized NIC that follows the InfiniBand
 		// specification and DCQCN paper exactly. Used as the analyzers'
 		// correctness baseline and in ablation benchmarks.
-		ModelSpec: {
+		return Profile{
 			Name: ModelSpec, LinkGbps: 100,
 			PipelineDelay: 300, AckGenDelay: us(0.5),
 			NACKGenWrite:   LatencyCurve{Base: us(1), PerPSN: 0},
@@ -297,16 +309,16 @@ func Profiles() map[string]Profile {
 			CNPScope:       CNPPerQP, MinCNPInterval: 0, CNPIntervalSettable: true,
 			DCQCN:      defaultDCQCN(),
 			MigReqInit: true,
-		},
+		}, true
 	}
-	return m
+	return Profile{}, false
 }
 
 // ProfileByName looks up a built-in profile. The error for an unknown
 // name lists every known model so a typo in a config or -nic flag is
 // self-diagnosing.
 func ProfileByName(name string) (Profile, error) {
-	p, ok := Profiles()[name]
+	p, ok := builtin(name)
 	if !ok {
 		known := ModelNames()
 		sort.Strings(known)
