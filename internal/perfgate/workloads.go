@@ -194,6 +194,7 @@ func telemetryEmit() (int, int, func()) {
 		h.EmitArgs(telemetry.KindETSPick, "requester/ets", "grant",
 			telemetry.I("queue", v&7), telemetry.I("qpn", v), telemetry.I("size", 1024))
 	}
+	// Past 8160 events the log's chunks have doubled up to their cap.
 	for i := 0; i < 8192; i++ {
 		op()
 	}
