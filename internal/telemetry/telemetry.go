@@ -147,7 +147,8 @@ func (t *symbols) site(kind Kind, track, name string, counter bool, strs uint8, 
 		return *r - 1
 	}
 	k := [2]string{track, name}
-	id := t.named[k]
+	head := t.named[k]
+	id := head
 	for id != 0 && !t.sites[id-1].matches(kind, track, name, counter, strs, args) {
 		id = t.sites[id-1].prev
 	}
@@ -156,7 +157,7 @@ func (t *symbols) site(kind Kind, track, name string, counter bool, strs uint8, 
 		for i := range args {
 			s.keys[i] = args[i].Key
 		}
-		t.sites = append(t.sites, entry{site: s, prev: t.named[k]})
+		t.sites = append(t.sites, entry{site: s, prev: head})
 		id = uint32(len(t.sites))
 		t.named[k] = id
 	}
