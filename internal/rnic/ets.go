@@ -48,39 +48,6 @@ func (c ETSConfig) Validate() error {
 	return nil
 }
 
-// txKind discriminates the transmit descriptor variants.
-type txKind uint8
-
-const (
-	txData txKind = iota
-	txReadReq
-	txReadResp
-	txAtomicReq
-	txAck
-	txAtomicAck
-)
-
-// txPkt is one packet waiting in the NIC's transmit path — a plain value
-// descriptor rather than a build closure, so enqueueing allocates
-// nothing. Packets are built lazily at transmit time (QP.buildTx) so
-// Go-back-N rewinds regenerate fresh wire bytes and queued-but-flushed
-// packets cost nothing.
-type txPkt struct {
-	kind txKind
-	size int
-	psn  uint32
-	// w covers requester descriptors (data, read request, atomic request).
-	w *wqe
-	// ctx/i cover read responses.
-	ctx readCtx
-	i   int
-	// syndrome/msn/orig cover acknowledgements, whose content is
-	// snapshotted at generation time.
-	syndrome uint8
-	msn      uint32
-	orig     uint64
-}
-
 // etsQueue is the runtime state of one scheduler queue.
 type etsQueue struct {
 	cfg ETSQueueConfig
@@ -144,7 +111,9 @@ func (s *etsScheduler) register(qp *QP) {
 	s.queues[tc].qps = append(s.queues[tc].qps, qp)
 }
 
-// enqueue admits a packet from qp into the scheduler.
+// enqueue admits a packet from qp into the scheduler. It kicks once
+// per packet whether or not the packet extended a queued run, so grants,
+// block coverage and probes come exactly as from a per-packet queue.
 func (s *etsScheduler) enqueue(qp *QP, pkt txPkt) {
 	qp.txq.push(pkt)
 	s.pending++
@@ -179,7 +148,7 @@ func (s *etsScheduler) kick() {
 		}
 		return
 	}
-	pkt := qp.txq.pop()
+	pkt := qp.txq.pop(qp)
 	s.pending--
 	size := pkt.size
 

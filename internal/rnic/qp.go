@@ -205,7 +205,7 @@ type QP struct {
 	atomicOrder  []uint32
 
 	// transmit path (owned by the ETS scheduler)
-	txq         ring[txPkt]
+	txq         txq
 	paceReadyAt sim.Time
 	rp          *rpState
 

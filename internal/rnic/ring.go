@@ -13,6 +13,12 @@ type ring[T any] struct {
 
 func (r *ring[T]) len() int { return r.n }
 
+// front and back point at the oldest and newest elements, for updating
+// them in place; the ring must not be empty, and the pointers are good
+// only until the next push.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+func (r *ring[T]) back() *T  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
 func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -45,7 +51,7 @@ func (r *ring[T]) reset() {
 func (r *ring[T]) grow() {
 	size := 2 * len(r.buf)
 	if size == 0 {
-		size = 16
+		size = 4
 	}
 	buf := make([]T, size)
 	k := copy(buf, r.buf[r.head:])
