@@ -114,7 +114,7 @@ func loadTrace(path string) (*trace.Trace, error) {
 	for _, p := range pkts {
 		recs = append(recs, dumper.Record{Wire: p.Data})
 	}
-	return trace.Reconstruct(recs)
+	return trace.Reconstruct([][]dumper.Record{recs})
 }
 
 // bindTimeline renders a captured trace as Chrome trace-event JSON: one

@@ -42,7 +42,7 @@ func FuzzPcapToAnalyzers(f *testing.F) {
 		for _, p := range pkts {
 			recs = append(recs, dumper.Record{Wire: p.Data})
 		}
-		tr, err := trace.Reconstruct(recs)
+		tr, err := trace.Reconstruct([][]dumper.Record{recs})
 		if err != nil {
 			return
 		}

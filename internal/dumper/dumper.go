@@ -27,8 +27,6 @@ type Record struct {
 	// Wire holds the trimmed packet bytes with the UDP destination port
 	// restored to 4791.
 	Wire []byte
-	// Arrival is the instant the dumper finished processing the packet.
-	Arrival sim.Time
 	// Node and Core locate where the packet was captured.
 	Node int
 	Core int
@@ -48,10 +46,33 @@ func DefaultConfig() Config {
 	return Config{Cores: 8, PerCoreGbps: 5, RingDepth: 1024, TrimBytes: 128}
 }
 
+// core buffers its records in chunks that double from chunkMin to
+// chunkMax records. A full chunk is kept as it is and a new one started,
+// so no record is copied between capture and trace reconstruction.
 type core struct {
-	busyTil  sim.Time
-	queued   int
-	captured []Record
+	busyTil sim.Time
+	queued  int
+	chunks  [][]Record
+}
+
+const (
+	chunkMin = 16
+	chunkMax = 1024
+)
+
+// add appends r to the core's last chunk, starting a new one when it is
+// full.
+func (c *core) add(r Record) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		size := chunkMin
+		if last >= 0 {
+			size = min(2*cap(c.chunks[last]), chunkMax)
+		}
+		c.chunks = append(c.chunks, make([]Record, 0, size))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], r)
 }
 
 // Node is one traffic-dumper server.
@@ -186,9 +207,7 @@ func (n *Node) HandleEvent(_ int, arg uint64, data []byte) {
 	}
 	// Restore the RSS-randomized port before buffering (§3.4).
 	packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
-	c.captured = append(c.captured, Record{
-		Wire: data, Arrival: n.Sim.Now(), Node: n.Index, Core: ci,
-	})
+	c.add(Record{Wire: data, Node: n.Index, Core: ci})
 	n.Captured++
 }
 
@@ -237,26 +256,22 @@ func (n *Node) rssCore(wire []byte) int {
 }
 
 // Terminate implements the orchestrator's TERM message: stop capturing
-// and return all buffered records ("write to disk").
+// and return all buffered records ("write to disk"), core by core, in
+// one slice.
 func (n *Node) Terminate() []Record {
-	return n.terminate(make([]Record, 0, n.buffered()))
-}
-
-// buffered counts the records the cores hold.
-func (n *Node) buffered() int {
-	total := 0
-	for i := range n.cores {
-		total += len(n.cores[i].captured)
+	all := make([]Record, 0, n.Captured)
+	for _, chunk := range n.terminate(nil) {
+		all = append(all, chunk...)
 	}
-	return total
+	return all
 }
 
-// terminate stops capturing and appends every buffered record to dst,
+// terminate stops capturing and appends every buffered chunk to dst,
 // core by core.
-func (n *Node) terminate(dst []Record) []Record {
+func (n *Node) terminate(dst [][]Record) [][]Record {
 	n.terminated = true
 	for i := range n.cores {
-		dst = append(dst, n.cores[i].captured...)
+		dst = append(dst, n.cores[i].chunks...)
 	}
 	return dst
 }
@@ -265,7 +280,9 @@ func (n *Node) terminate(dst []Record) []Record {
 func (n *Node) CoreLoads() []int {
 	out := make([]int, len(n.cores))
 	for i := range n.cores {
-		out[i] = len(n.cores[i].captured)
+		for _, chunk := range n.cores[i].chunks {
+			out[i] += len(chunk)
+		}
 	}
 	return out
 }
@@ -284,14 +301,18 @@ func NewPool(s *sim.Simulator, n int, cfg Config) *Pool {
 	return p
 }
 
-// Terminate TERMs every node and returns all captured records, node by
-// node and core by core, each copied once into a slice sized up front.
-func (p *Pool) Terminate() []Record {
-	total := 0
+// Terminate TERMs every node and returns the captured records as the
+// cores buffered them: their chunks in node, core and chunk order, none
+// copied. Read end to end they are the pool's records node by node and
+// core by core, the input trace.Reconstruct expects.
+func (p *Pool) Terminate() [][]Record {
+	chunks := 0
 	for _, n := range p.Nodes {
-		total += n.buffered()
+		for i := range n.cores {
+			chunks += len(n.cores[i].chunks)
+		}
 	}
-	all := make([]Record, 0, total)
+	all := make([][]Record, 0, chunks)
 	for _, n := range p.Nodes {
 		all = n.terminate(all)
 	}

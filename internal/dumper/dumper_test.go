@@ -219,7 +219,10 @@ func TestPoolAggregation(t *testing.T) {
 	if pool.Captured() != 30 {
 		t.Fatalf("pool captured %d, want 30", pool.Captured())
 	}
-	recs := pool.Terminate()
+	var recs []Record
+	for _, chunk := range pool.Terminate() {
+		recs = append(recs, chunk...)
+	}
 	if len(recs) != 30 {
 		t.Fatalf("pool terminate returned %d records", len(recs))
 	}
@@ -233,6 +236,44 @@ func TestPoolAggregation(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("records span %d nodes, want 3", len(seen))
+	}
+}
+
+// TestCoreChunksAreHandedOverUncopied captures 3 000 packets on one
+// core: Pool.Terminate must hand over chunks of 16, 32, ... 1 024 and
+// then 1 024 records, in capture order, as the core filled them — a
+// second TERM returns the very same backing arrays.
+func TestCoreChunksAreHandedOverUncopied(t *testing.T) {
+	s := sim.New(1)
+	pool := NewPool(s, 1, Config{Cores: 1, PerCoreGbps: 1000, RingDepth: 4096})
+	src, dst := sim.Connect(s, "sw", "dump", 100, 100)
+	src.SetReceiver(func([]byte) {})
+	pool.Nodes[0].AttachPort(dst)
+	const total = 3000
+	for i := 1; i <= total; i++ {
+		src.Send(mirrorFrame(uint64(i), 0xC000, 64))
+	}
+	s.Run()
+	chunks := pool.Terminate()
+	seq, size := uint64(0), 16
+	for k, chunk := range chunks {
+		if k < len(chunks)-1 && (len(chunk) != size || cap(chunk) != size) {
+			t.Fatalf("chunk %d holds %d of %d records, want a full %d", k, len(chunk), cap(chunk), size)
+		}
+		for _, r := range chunk {
+			if m, _ := packet.ExtractMirrorMeta(r.Wire); m.Seq != seq+1 {
+				t.Fatalf("chunk %d: seq %d after %d", k, m.Seq, seq)
+			}
+			seq++
+		}
+		size = min(2*size, 1024)
+	}
+	if seq != total {
+		t.Fatalf("chunks hold %d records, want %d", seq, total)
+	}
+	again := pool.Terminate()
+	if len(again) != len(chunks) || &again[0][0] != &chunks[0][0] || &again[len(again)-1][0] != &chunks[len(chunks)-1][0] {
+		t.Fatal("a second TERM returned copies of the chunks")
 	}
 }
 

@@ -41,10 +41,10 @@ func rawPcap(magic uint32, recs ...rawRecord) []byte {
 // a valid capture must decode to the same packets through each, and an
 // invalid one must fail through each.
 func TestReadPcapShortReads(t *testing.T) {
-	tr, err := Reconstruct([]dumper.Record{
+	tr, err := Reconstruct([][]dumper.Record{{
 		mkRecord(1, packet.EventNone, 1234567890123, packet.OpWriteFirst, 1, 1024),
 		mkRecord(2, packet.EventDrop, 1234567890456, packet.OpAcknowledge, 1, 0),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,81 @@ func recordsFor(seqs []uint64) []dumper.Record {
 	return recs
 }
 
+// concat is the one logical input segs stands for.
+func concat(segs [][]dumper.Record) []dumper.Record {
+	var out []dumper.Record
+	for _, seg := range segs {
+		out = append(out, seg...)
+	}
+	return out
+}
+
+// randomCuts splits recs into segments at random points, empty segments
+// included, as a dumper pool's chunks split its cores' runs.
+func randomCuts(rng *rand.Rand, recs []dumper.Record) [][]dumper.Record {
+	var segs [][]dumper.Record
+	for len(recs) > 0 || rng.Intn(3) == 0 {
+		n := rng.Intn(len(recs) + 1)
+		if rng.Intn(2) == 0 {
+			n = min(n, rng.Intn(4)) // short and empty segments
+		}
+		segs = append(segs, recs[:n:n])
+		recs = recs[n:]
+	}
+	return segs
+}
+
+// badRecords fails Reconstruct each in its own way: too short for the
+// mirror metadata, long enough for it but not for the headers, not
+// IPv4, or a RETH cut short.
+func badRecords() []dumper.Record {
+	notIPv4 := mkRecord(9, packet.EventNone, 90, packet.OpWriteOnly, 9, 64)
+	notIPv4.Wire[12], notIPv4.Wire[13] = 0x86, 0xDD
+	return []dumper.Record{
+		{Wire: []byte{1, 2, 3}},  // no mirror metadata
+		{Wire: make([]byte, 40)}, // metadata, truncated headers
+		notIPv4,                  // metadata, undecodable
+		{Wire: mkRecord(4, packet.EventNone, 40, packet.OpWriteFirst, 4, 0).Wire[:60]}, // metadata, truncated RETH
+	}
+}
+
+// checkAgainstReference runs Reconstruct on segs and requires exactly
+// the reference's result over their concatenation: the same entries in
+// the same order, or the same error text.
+func checkAgainstReference(t *testing.T, name string, segs [][]dumper.Record) {
+	t.Helper()
+	want, werr := reconstructReference(concat(segs))
+	got, err := Reconstruct(segs)
+	if werr != nil || err != nil {
+		if werr == nil || err == nil || err.Error() != werr.Error() {
+			t.Fatalf("%s: error %v, reference %v", name, err, werr)
+		}
+		return
+	}
+	// The reference's entries carry no interned addresses, so their
+	// Key formats them: the specification the interned form must meet.
+	for i := range got.Entries {
+		if i < len(want.Entries) && got.Entries[i].Key() != want.Entries[i].Key() {
+			t.Fatalf("%s: entry %d has interned key %+v, formatted key %+v", name, i, got.Entries[i].Key(), want.Entries[i].Key())
+		}
+		got.Entries[i].addrs = nil
+	}
+	if !reflect.DeepEqual(got.Entries, want.Entries) {
+		for i := range want.Entries {
+			if i >= len(got.Entries) || !reflect.DeepEqual(got.Entries[i], want.Entries[i]) {
+				t.Fatalf("%s: entry %d differs: reference has record %d (seq %d)", name, i,
+					want.Entries[i].Core, want.Entries[i].Meta.Seq)
+			}
+		}
+		t.Fatalf("%s: entries differ from the reference", name)
+	}
+}
+
 // TestReconstructMatchesStableSort checks the merge against the
 // reference on the input shapes that stress it: already sorted, reversed
 // (every record its own run), shuffled, duplicate-heavy, gapped, a few
 // long interleaved runs (what a dumper pool produces) and hundreds of
-// two-record runs.
+// two-record runs, each as one segment and cut into segments at random.
 func TestReconstructMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	iota64 := func(n int, f func(i int) uint64) []uint64 {
@@ -92,30 +162,12 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 	}
 	for name, seqs := range cases {
 		recs := recordsFor(seqs)
-		want, err := reconstructReference(recs)
-		if err != nil {
+		if _, err := reconstructReference(recs); err != nil {
 			t.Fatalf("%s: reference failed: %v", name, err)
 		}
-		got, err := Reconstruct(recs)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// The reference's entries carry no interned addresses, so their
-		// Key formats them: the specification the interned form must meet.
-		for i := range got.Entries {
-			if i < len(want.Entries) && got.Entries[i].Key() != want.Entries[i].Key() {
-				t.Fatalf("%s: entry %d has interned key %+v, formatted key %+v", name, i, got.Entries[i].Key(), want.Entries[i].Key())
-			}
-			got.Entries[i].addrs = nil
-		}
-		if !reflect.DeepEqual(got.Entries, want.Entries) {
-			for i := range want.Entries {
-				if !reflect.DeepEqual(got.Entries[i], want.Entries[i]) {
-					t.Fatalf("%s: entry %d is record %d (seq %d), reference has record %d (seq %d)", name, i,
-						got.Entries[i].Core, got.Entries[i].Meta.Seq, want.Entries[i].Core, want.Entries[i].Meta.Seq)
-				}
-			}
-			t.Fatalf("%s: entries differ from the reference", name)
+		checkAgainstReference(t, name, [][]dumper.Record{recs})
+		for k := 0; k < 8; k++ {
+			checkAgainstReference(t, fmt.Sprintf("%s cut %d", name, k), randomCuts(rng, recs))
 		}
 	}
 }
@@ -126,14 +178,7 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 // shuffled capture, and requires the reference's error: the same record
 // index, the same message.
 func TestReconstructReportsFirstBadRecord(t *testing.T) {
-	notIPv4 := mkRecord(9, packet.EventNone, 90, packet.OpWriteOnly, 9, 64)
-	notIPv4.Wire[12], notIPv4.Wire[13] = 0x86, 0xDD
-	bad := []dumper.Record{
-		{Wire: []byte{1, 2, 3}},  // no mirror metadata
-		{Wire: make([]byte, 40)}, // metadata, truncated headers
-		notIPv4,                  // metadata, undecodable
-		{Wire: mkRecord(4, packet.EventNone, 40, packet.OpWriteFirst, 4, 0).Wire[:60]}, // metadata, truncated RETH
-	}
+	bad := badRecords()
 	seqs := []uint64{5, 1, 4, 2, 8, 3, 7, 6}
 	for a, first := range bad {
 		for b, second := range bad {
@@ -143,7 +188,7 @@ func TestReconstructReportsFirstBadRecord(t *testing.T) {
 					recs = append(recs[:j:j], append([]dumper.Record{second}, recs[j:]...)...)
 					recs = append(recs[:i:i], append([]dumper.Record{first}, recs[i:]...)...)
 					_, want := reconstructReference(recs)
-					_, got := Reconstruct(recs)
+					_, got := Reconstruct([][]dumper.Record{recs[:i], recs[i:j], recs[j:]})
 					if want == nil || got == nil || got.Error() != want.Error() {
 						t.Fatalf("bad records %d@%d and %d@%d: error %v, reference %v", a, i, b, j+1, got, want)
 					}
@@ -151,4 +196,45 @@ func TestReconstructReportsFirstBadRecord(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReconstructSegments holds Reconstruct to the reference on inputs
+// the fuzzer cuts up. Each byte is one step: 0xFF ends the current
+// segment (two in a row leave an empty one), 0xFE appends a bad record
+// of the kind the next byte picks, and any other byte appends a record
+// with that sequence number. Results must match the reference over the
+// concatenation, error text included.
+func FuzzReconstructSegments(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0xFF, 4, 5, 6})             // a run across a cut
+	f.Add([]byte{3, 2, 0xFF, 0xFF, 1, 0xFF, 0, 0})    // empty segments, reversed
+	f.Add([]byte{1, 4, 0xFF, 2, 5, 0xFF, 3, 6})       // interleaved cores
+	f.Add([]byte{5, 5, 0xFF, 5, 0xFE, 2, 0xFF, 1, 7}) // ties, a bad record
+	f.Add([]byte{0xFE, 0, 0xFF, 0xFE, 3})
+	bad := badRecords()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			return
+		}
+		segs := [][]dumper.Record{nil}
+		ops := []packet.Opcode{packet.OpWriteFirst, packet.OpWriteMiddle, packet.OpWriteLast, packet.OpAcknowledge}
+		n := 0
+		for k := 0; k < len(data); k++ {
+			var r dumper.Record
+			switch b := data[k]; {
+			case b == 0xFF:
+				segs = append(segs, nil)
+				continue
+			case b == 0xFE && k+1 < len(data):
+				k++
+				r = bad[int(data[k])%len(bad)]
+			default:
+				r = mkRecord(uint64(b), packet.EventType(n%3), int64(b)*10, ops[n%len(ops)], uint32(n), 64*(n%4))
+			}
+			r.Core = n // tells equal sequence numbers apart
+			n++
+			last := len(segs) - 1
+			segs[last] = append(segs[last], r)
+		}
+		checkAgainstReference(t, fmt.Sprintf("%x", data), segs)
+	})
 }

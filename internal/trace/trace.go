@@ -51,46 +51,52 @@ type Trace struct {
 // mirrors, so any such record indicates corruption of the capture path
 // itself).
 //
+// segs is one logical input read end to end: the dumper pool hands over
+// each core's buffered chunks as they are, uncopied, and a caller with
+// one flat slice passes [][]dumper.Record{recs}. Positions below count
+// records across the concatenation.
+//
 // The order is that of a stable sort by sequence number, for any input,
 // but is produced by merging: each dumper core appends its records in
 // arrival order, so the input is a handful of already-sorted runs laid
-// end to end. One pass reads every record's metadata and finds the run
-// boundaries; a k-way merge over the run heads then yields the records
-// in final order, and each is decoded once, straight into its slot.
-func Reconstruct(recs []dumper.Record) (*Trace, error) {
-	// Only the sequence numbers are kept from this pass: the rest of the
-	// metadata is read again when its record is decoded, which is
-	// cheaper than carrying it.
-	seqs := make([]uint64, len(recs))
+// end to end, a run free to span a chunk boundary. One pass reads every
+// record's metadata and finds the run boundaries; a k-way merge over the
+// run heads then yields the records in final order, and each is decoded
+// once, straight into its slot. A head reads the metadata of its next
+// record as it advances, so the merge keeps nothing per record.
+func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	var heads []runHead
-	for i := range recs {
-		m, ok := packet.ExtractMirrorMeta(recs[i].Wire)
-		if !ok {
-			return nil, firstError(recs)
-		}
-		seqs[i] = m.Seq
-		if i == 0 || m.Seq < seqs[i-1] {
-			heads = append(heads, runHead{seq: m.Seq, pos: i, end: i + 1})
-		} else {
-			heads[len(heads)-1].end = i + 1
+	var prev uint64
+	pos := 0
+	for si, seg := range segs {
+		for off := range seg {
+			m, ok := packet.ExtractMirrorMeta(seg[off].Wire)
+			if !ok {
+				return nil, firstError(segs)
+			}
+			if pos == 0 || m.Seq < prev {
+				heads = append(heads, runHead{meta: m, pos: pos, seg: si, off: off})
+			}
+			heads[len(heads)-1].end = pos + 1
+			prev = m.Seq
+			pos++
 		}
 	}
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
 
-	tr := &Trace{Entries: make([]Entry, len(recs))}
+	tr := &Trace{Entries: make([]Entry, pos)}
 	pairs := map[[2]netip.Addr]*addrPair{}
 	var last *Entry // the entry before e
 	for out := range tr.Entries {
 		h := &heads[0]
-		r, e := &recs[h.pos], &tr.Entries[out]
+		r, e := &segs[h.seg][h.off], &tr.Entries[out]
 		origLen, err := packet.DecodeHeaders(r.Wire, &e.Pkt)
 		if err != nil {
-			return nil, firstError(recs)
+			return nil, firstError(segs)
 		}
-		e.Meta, _ = packet.ExtractMirrorMeta(r.Wire)
-		e.OrigLen, e.Wire, e.Node, e.Core = origLen, r.Wire, r.Node, r.Core
+		e.Meta, e.OrigLen, e.Wire, e.Node, e.Core = h.meta, origLen, r.Wire, r.Node, r.Core
 		// Packets of one direction come in runs, so most entries share
 		// the previous one's pair and skip the map.
 		if last != nil && last.Pkt.IP.Src == e.Pkt.IP.Src && last.Pkt.IP.Dst == e.Pkt.IP.Dst {
@@ -104,7 +110,12 @@ func Reconstruct(recs []dumper.Record) (*Trace, error) {
 		}
 		last = e
 		if h.pos++; h.pos < h.end {
-			h.seq = seqs[h.pos]
+			// The run goes on, possibly past its chunk's end: the first
+			// pass accepted every record, so the read cannot fail.
+			for h.off++; h.off == len(segs[h.seg]); h.off = 0 {
+				h.seg++
+			}
+			h.meta, _ = packet.ExtractMirrorMeta(segs[h.seg][h.off].Wire)
 		} else {
 			last := len(heads) - 1
 			heads[0] = heads[last]
@@ -116,17 +127,19 @@ func Reconstruct(recs []dumper.Record) (*Trace, error) {
 }
 
 // runHead is the merge cursor of one non-decreasing run of the input:
-// records [pos, end), seq caching record pos's sequence number.
+// records [pos, end) of the concatenation, the one at pos being
+// segs[seg][off] with metadata meta.
 type runHead struct {
-	seq      uint64
+	meta     packet.MirrorMeta
 	pos, end int
+	seg, off int
 }
 
 // before orders run heads by sequence number; on a tie the run that
 // started earlier in the input wins, which for disjoint contiguous runs
 // is the one with the lower position — exactly a stable sort's choice.
-func (a runHead) before(b runHead) bool {
-	return a.seq < b.seq || (a.seq == b.seq && a.pos < b.pos)
+func (a *runHead) before(b *runHead) bool {
+	return a.meta.Seq < b.meta.Seq || (a.meta.Seq == b.meta.Seq && a.pos < b.pos)
 }
 
 // siftDown restores the min-heap property of h below index i.
@@ -136,10 +149,10 @@ func siftDown(h []runHead, i int) {
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
 			c++
 		}
-		if !h[c].before(h[i]) {
+		if !h[c].before(&h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -147,18 +160,23 @@ func siftDown(h []runHead, i int) {
 	}
 }
 
-// firstError reports the failure a record-by-record decode in input
-// order stops at: the lowest-indexed bad record, whichever check it
-// fails. Reconstruct calls it only once it has met a bad record, so the
-// merge never has to track which error comes first.
-func firstError(recs []dumper.Record) error {
+// firstError reports the failure a record-by-record decode of segs, read
+// end to end, stops at: the lowest-indexed bad record, whichever check
+// it fails, indexed across the concatenation. Reconstruct calls it only
+// once it has met a bad record, so the merge never has to track which
+// error comes first.
+func firstError(segs [][]dumper.Record) error {
 	var pkt packet.Packet
-	for i, r := range recs {
-		if _, ok := packet.ExtractMirrorMeta(r.Wire); !ok {
-			return fmt.Errorf("trace: record %d too short for mirror metadata", i)
-		}
-		if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
-			return fmt.Errorf("trace: record %d: %v", i, err)
+	i := 0
+	for _, seg := range segs {
+		for _, r := range seg {
+			if _, ok := packet.ExtractMirrorMeta(r.Wire); !ok {
+				return fmt.Errorf("trace: record %d too short for mirror metadata", i)
+			}
+			if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+				return fmt.Errorf("trace: record %d: %v", i, err)
+			}
+			i++
 		}
 	}
 	// invariant: Reconstruct calls this only after a record failed ExtractMirrorMeta or DecodeHeaders, and the loop above repeats both checks on every record.

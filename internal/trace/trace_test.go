@@ -41,7 +41,7 @@ func TestReconstructSortsBySeq(t *testing.T) {
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteFirst, 10, 1024),
 		mkRecord(2, packet.EventDrop, 200, packet.OpWriteMiddle, 11, 1024),
 	}
-	tr, err := Reconstruct(recs)
+	tr, err := Reconstruct([][]dumper.Record{recs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestIntegrityCheckPasses(t *testing.T) {
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64),
 		mkRecord(2, packet.EventNone, 200, packet.OpAcknowledge, 1, 0),
 	}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	if err := tr.IntegrityCheck(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestIntegrityCheckDetectsGap(t *testing.T) {
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64),
 		mkRecord(3, packet.EventNone, 300, packet.OpWriteOnly, 2, 64),
 	}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	err := tr.IntegrityCheck(3, 3)
 	ie, ok := err.(*IntegrityError)
 	if !ok || ie.Condition != 1 {
@@ -90,7 +90,7 @@ func TestIntegrityCheckDetectsGap(t *testing.T) {
 
 func TestIntegrityCheckDetectsMirrorCountMismatch(t *testing.T) {
 	recs := []dumper.Record{mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64)}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	err := tr.IntegrityCheck(5, 1)
 	ie, ok := err.(*IntegrityError)
 	if !ok || ie.Condition != 2 {
@@ -110,7 +110,7 @@ func TestFilters(t *testing.T) {
 		mkRecord(3, packet.EventNone, 30, packet.OpAcknowledge, 2, 0),
 		mkRecord(4, packet.EventNone, 40, packet.OpCNP, 0, 0),
 	}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	if got := len(tr.DataPackets()); got != 2 {
 		t.Fatalf("DataPackets = %d", got)
 	}
@@ -137,12 +137,12 @@ func TestFilters(t *testing.T) {
 }
 
 func TestReconstructRejectsGarbage(t *testing.T) {
-	if _, err := Reconstruct([]dumper.Record{{Wire: []byte{1, 2, 3}}}); err == nil {
+	if _, err := Reconstruct([][]dumper.Record{{{Wire: []byte{1, 2, 3}}}}); err == nil {
 		t.Fatal("garbage record accepted")
 	}
 	bad := mkRecord(1, packet.EventNone, 10, packet.OpWriteOnly, 1, 64)
 	bad.Wire[12], bad.Wire[13] = 0x86, 0xDD // not IPv4
-	if _, err := Reconstruct([]dumper.Record{bad}); err == nil {
+	if _, err := Reconstruct([][]dumper.Record{{bad}}); err == nil {
 		t.Fatal("non-IPv4 record accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestPcapRoundTrip(t *testing.T) {
 		mkRecord(1, packet.EventNone, 1234567890123, packet.OpWriteFirst, 1, 1024),
 		mkRecord(2, packet.EventDrop, 1234567890456, packet.OpWriteMiddle, 2, 1024),
 	}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	var buf bytes.Buffer
 	if err := tr.WritePcap(&buf); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestReadPcapRejectsBadMagic(t *testing.T) {
 
 func TestReadPcapTruncatedRecord(t *testing.T) {
 	recs := []dumper.Record{mkRecord(1, packet.EventNone, 1, packet.OpWriteOnly, 1, 64)}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	var buf bytes.Buffer
 	tr.WritePcap(&buf)
 	data := buf.Bytes()
@@ -217,7 +217,7 @@ func TestThroughputTimeline(t *testing.T) {
 		mkRecord(3, packet.EventNone, 1500, packet.OpWriteMiddle, 3, 1024),
 		mkRecord(4, packet.EventNone, 1600, packet.OpAcknowledge, 3, 0), // not data
 	}
-	tr, _ := Reconstruct(recs)
+	tr, _ := Reconstruct([][]dumper.Record{recs})
 	tl := tr.ThroughputTimeline(1000, nil)
 	if len(tl) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(tl))
@@ -257,7 +257,7 @@ func TestKeyIsInternedPerTrace(t *testing.T) {
 		copy(rec.Wire[packet.EthernetSize+16:], d4[:])
 		recs = append(recs, rec)
 	}
-	tr, err := Reconstruct(recs)
+	tr, err := Reconstruct([][]dumper.Record{recs})
 	if err != nil {
 		t.Fatal(err)
 	}
