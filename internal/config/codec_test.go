@@ -43,6 +43,7 @@ func TestContentHashesArePinned(t *testing.T) {
 		"corpus/19aed828727d4213/scenario.yaml": "19aed828727d4213",
 		"corpus/3c214b1d22169463/scenario.yaml": "3c214b1d22169463",
 		"corpus/52380f835dfdf2fd/scenario.yaml": "52380f835dfdf2fd",
+		"corpus/60ffff148aa5f27b/scenario.yaml": "60ffff148aa5f27b",
 		"corpus/6b355107525ab79e/scenario.yaml": "6b355107525ab79e",
 		"corpus/8105d1241be1b4aa/scenario.yaml": "8105d1241be1b4aa",
 		"corpus/a22ffd9ade27a8df/scenario.yaml": "a22ffd9ade27a8df",
