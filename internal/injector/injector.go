@@ -153,14 +153,20 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 	}
 }
 
-// heldPkt is a packet parked by an EventReorder action.
+// heldPkt is a packet parked by an EventReorder action. It is also the
+// handler of its own reorderMaxHold timeout.
 type heldPkt struct {
+	sw        *Switch
+	key       connKey
 	wire      []byte
 	owned     bool // wire is a pool frame the switch holds
 	dst       packet.MAC
 	remaining int // same-connection data packets that must overtake first
 	released  bool
 }
+
+// HandleEvent releases the packet when its hold times out.
+func (h *heldPkt) HandleEvent(int, uint64, []byte) { h.sw.release(h) }
 
 // reorderMaxHold bounds how long a reordered packet may wait for
 // overtaking traffic before it is forcibly released — without it, a
@@ -362,8 +368,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		// extra latency on top of the pipeline.
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDelay)
 		d := sw.dataPlaneLatency(true) + rule.Delay
-		dst := pkt.Eth.Dst
-		sw.Sim.After(d, func() { sw.forwardNow(out, owned, dst, true) })
+		sw.Sim.AfterEvent(d, sw, swDelayed, pkt.Eth.Dst.Uint64()<<1|sim.OwnedArg(owned), out)
 		return
 	case packet.EventReorder:
 		// Packet reordering (§7 future work): park the packet until
@@ -374,9 +379,9 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		if off <= 0 {
 			off = 1
 		}
-		h := &heldPkt{wire: out, owned: owned, dst: pkt.Eth.Dst, remaining: off}
+		h := &heldPkt{sw: sw, key: key, wire: out, owned: owned, dst: pkt.Eth.Dst, remaining: off}
 		sw.held[key] = append(sw.held[key], h)
-		sw.Sim.After(reorderMaxHold, func() { sw.release(key, h) })
+		sw.Sim.AfterEvent(reorderMaxHold, h, 0, 0, nil)
 		return
 	}
 	sw.forward(out, owned, pkt.Eth.Dst, true)
@@ -398,28 +403,28 @@ func (sw *Switch) overtake(key connKey) {
 		h.remaining--
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionOvertake)
 		if h.remaining <= 0 {
-			sw.release(key, h)
+			sw.release(h)
 		}
 	}
 }
 
 // release forwards a held packet (idempotent) and compacts the hold list.
-func (sw *Switch) release(key connKey, h *heldPkt) {
+func (sw *Switch) release(h *heldPkt) {
 	if h.released {
 		return
 	}
 	h.released = true
 	sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionRelease)
-	holds := sw.held[key][:0]
-	for _, x := range sw.held[key] {
+	holds := sw.held[h.key][:0]
+	for _, x := range sw.held[h.key] {
 		if x != h {
 			holds = append(holds, x)
 		}
 	}
 	if len(holds) == 0 {
-		delete(sw.held, key)
+		delete(sw.held, h.key)
 	} else {
-		sw.held[key] = holds
+		sw.held[h.key] = holds
 	}
 	sw.forward(h.wire, h.owned, h.dst, true)
 }
@@ -515,11 +520,12 @@ func (sw *Switch) egress(wire []byte, owned bool, dst packet.MAC, isRoCE bool) i
 	return idx
 }
 
-// Switch event ops. Both carry the frame in data and a port index in
-// arg; swForward's arg also carries ownership in its low bit.
+// Switch event ops. Each carries the frame in data; the low bit of a
+// forward's arg is the frame's ownership.
 const (
 	swForward = iota // pipeline latency elapsed: send on host port arg>>1
 	swMirror         // mirror latency elapsed: send on dumper port arg
+	swDelayed        // a delay event's latency elapsed: forward to MAC arg>>1 now
 )
 
 // forward performs L2 forwarding with the stage-dependent latency.
@@ -531,22 +537,20 @@ func (sw *Switch) forward(wire []byte, owned bool, dst packet.MAC, isRoCE bool) 
 	sw.Sim.AfterEvent(sw.dataPlaneLatency(isRoCE), sw, swForward, uint64(idx)<<1|sim.OwnedArg(owned), wire)
 }
 
-// forwardNow is forward without the pipeline latency (the caller already
-// accounted for it, e.g. delay events).
-func (sw *Switch) forwardNow(wire []byte, owned bool, dst packet.MAC, isRoCE bool) {
-	if idx := sw.egress(wire, owned, dst, isRoCE); idx >= 0 {
-		sw.hostPorts[idx].SendFrame(wire, owned)
-	}
-}
-
-// HandleEvent puts a frame on its egress port once the pipeline latency
-// scheduled by forward or mirror has elapsed.
+// HandleEvent puts a frame on its egress port once the latency
+// scheduled by forward, mirror or a delay event has elapsed. A delayed
+// frame resolves its port only now, with no further pipeline latency.
 func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
-	if op == swForward {
+	switch op {
+	case swForward:
 		sw.hostPorts[arg>>1].SendFrame(data, arg&1 != 0)
-		return
+	case swMirror:
+		sw.dumperPorts[arg].SendFrame(data, true)
+	case swDelayed:
+		if idx := sw.egress(data, arg&1 != 0, packet.MACFromUint64(arg>>1), true); idx >= 0 {
+			sw.hostPorts[idx].SendFrame(data, arg&1 != 0)
+		}
 	}
-	sw.dumperPorts[arg].SendFrame(data, true)
 }
 
 // mirror emits the metadata-stamped duplicate toward the dumper pool.

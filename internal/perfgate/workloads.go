@@ -91,20 +91,26 @@ func packetICRC() (int, int, func()) {
 	return 20000, 1, func() { _ = packet.ComputeICRC(body) }
 }
 
-// simEvents is the event-loop steady state: schedule one callback, fire
+// nop is a handler that does nothing: the event workloads time the
+// queue, not the handler.
+type nop struct{}
+
+func (*nop) HandleEvent(int, uint64, []byte) {}
+
+// simEvents is the event-loop steady state: schedule one event, fire
 // it. With the indexed heap and the event freelist this recycles one
 // event struct per op — zero allocations once warm.
 func simEvents() (int, int, func()) {
 	s := sim.New(1)
-	fn := func() {}
+	h := &nop{}
 	// Warm the freelist so the measured window sees steady state.
 	for i := 0; i < 64; i++ {
-		s.After(1, fn)
+		s.AfterEvent(1, h, 0, 0, nil)
 	}
 	for s.Step() {
 	}
 	return 50000, 1, func() {
-		s.After(1, fn)
+		s.AfterEvent(1, h, 0, 0, nil)
 		s.Step()
 	}
 }
@@ -117,19 +123,19 @@ func simEvents() (int, int, func()) {
 // heap's array have reached their working size.
 func simEventsMixed() (int, int, func()) {
 	s := sim.New(1)
-	fn := func() {}
+	h := &nop{}
 	op := func() {
-		near := s.After(100, fn)
-		s.After(5*sim.Microsecond, fn)
-		s.After(20*sim.Microsecond, fn)
-		far := s.After(sim.Millisecond, fn)
+		near := s.AfterEvent(100, h, 0, 0, nil)
+		s.AfterEvent(5*sim.Microsecond, h, 0, 0, nil)
+		s.AfterEvent(20*sim.Microsecond, h, 0, 0, nil)
+		far := s.AfterEvent(sim.Millisecond, h, 0, 0, nil)
 		s.Cancel(near)
 		s.Cancel(far)
 		s.Step()
 		s.Step()
 	}
 	for i := 0; i < 64; i++ {
-		s.After(sim.Duration(i)*sim.Microsecond, fn)
+		s.AfterEvent(sim.Duration(i)*sim.Microsecond, h, 0, 0, nil)
 	}
 	for i := 0; i < 10000; i++ {
 		op()

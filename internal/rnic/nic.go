@@ -83,8 +83,10 @@ type NIC struct {
 	// by a single slow server with a shallow buffer.
 	apmCache   map[uint32]bool // local QPN → in fast cache
 	apmCacheN  int
-	apmQueueN  int
 	apmBusyTil sim.Time
+	// apmq holds the packets in the slow path, oldest first. Service is
+	// serial and apmBusyTil never decreases, so they finish in that order.
+	apmq ring[*packet.Packet]
 
 	nextQPN uint32
 	nextRK  uint32
@@ -313,15 +315,30 @@ func (n *NIC) admit(wire []byte, owned bool) bool {
 	}
 
 	n.rxq.push(pkt)
-	n.Sim.AfterEvent(n.Prof.PipelineDelay, n, 0, sim.OwnedArg(owned), wire)
+	n.Sim.AfterEvent(n.Prof.PipelineDelay, n, nicRxDispatch, sim.OwnedArg(owned), wire)
 	return true
 }
 
-// HandleEvent is the NIC's only event: the RX pipeline delay of the
-// oldest admitted packet has elapsed. data is that packet's frame, which
-// its payload aliases; arg != 0 when the NIC owns the frame.
-func (n *NIC) HandleEvent(_ int, arg uint64, data []byte) {
-	pkt := n.rxq.pop()
+// NIC event ops.
+const (
+	nicRxDispatch  = iota // the RX pipeline delay of the oldest of rxq elapsed
+	nicSlowRelease        // a slow-path context's occupancy ended
+	nicAPMDispatch        // the APM slow path finished the oldest of apmq
+)
+
+// HandleEvent runs the NIC's events. A dispatch takes the head of its
+// queue; for an RX dispatch data is the packet's frame, which its
+// payload aliases, and arg != 0 when the NIC owns the frame.
+func (n *NIC) HandleEvent(op int, arg uint64, data []byte) {
+	if op == nicSlowRelease {
+		n.slowBusy--
+		return
+	}
+	q := &n.rxq
+	if op == nicAPMDispatch {
+		q = &n.apmq
+	}
+	pkt := q.pop()
 	n.dispatch(pkt)
 	n.putRxPkt(pkt)
 	if arg != 0 {
@@ -421,7 +438,7 @@ func (n *NIC) slowPathEnter(d sim.Duration) {
 		return
 	}
 	n.slowBusy++
-	n.Sim.After(d, func() { n.slowBusy-- })
+	n.Sim.AfterEvent(d, n, nicSlowRelease, 0, nil)
 	now := n.Sim.Now()
 	if n.slowBusy > n.Prof.SlowPathContexts && now >= n.wedgeCooldownTill {
 		n.wedgedUntil = now.Add(n.Prof.WedgeDuration)
@@ -451,10 +468,9 @@ func (n *NIC) apmAdmit(pkt *packet.Packet) bool {
 	}
 	// Over-capacity connection: every packet takes the serialized slow
 	// path. Shallow buffer; overflow discards.
-	if n.apmQueueN >= apmSlowBuffer {
+	if n.apmq.len() >= apmSlowBuffer {
 		return false
 	}
-	n.apmQueueN++
 	now := n.Sim.Now()
 	start := now
 	if n.apmBusyTil > start {
@@ -463,14 +479,13 @@ func (n *NIC) apmAdmit(pkt *packet.Packet) bool {
 	done := start.Add(n.Prof.APMServiceTime)
 	n.apmBusyTil = done
 	n.Counters.Inc(CtrApmProcessed)
-	p := *pkt
+	p := n.getRxPkt()
+	*p = *pkt
 	if p.Payload != nil {
 		p.Payload = append([]byte(nil), p.Payload...)
 	}
-	n.Sim.At(done, func() {
-		n.apmQueueN--
-		n.dispatch(&p)
-	})
+	n.apmq.push(p)
+	n.Sim.AtEvent(done, n, nicAPMDispatch, 0, nil)
 	return true
 }
 

@@ -3,6 +3,7 @@ package rnic
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -161,6 +162,15 @@ type readCtx struct {
 	rkey     uint32
 }
 
+// reread is a duplicate Read request waiting out NACKReactRead: the
+// read it re-executes and the response index it resumes at. The read is
+// carried, not looked up again at fire time, because rememberRead may
+// have evicted it by then. off < 0 marks a free slot.
+type reread struct {
+	ctx readCtx
+	off int
+}
+
 // QP is one side of a connection. The common state below (PSN windows,
 // receive queue, transmit queue, timers) serves every transport; the
 // QP switches on cfg.Transport where the service types differ — RC being
@@ -198,8 +208,10 @@ type QP struct {
 	nakArmed    bool // one NAK per request gap
 	msgStartPSN uint32
 	recvs       []*RecvRequest
-	reads       []readCtx // recent read executions, for duplicate re-reads
-	sinceAck    int       // in-order packets since the last coalesced ACK
+	reads       []readCtx   // recent read executions, for duplicate re-reads
+	rereads     []reread    // re-reads waiting out NACKReactRead, by slot
+	atomicAcks  ring[txPkt] // atomic ACKs waiting out AckGenDelay, oldest first
+	sinceAck    int         // in-order packets since the last coalesced ACK
 	// atomic replay cache (exactly-once semantics for duplicates)
 	atomicReplay map[uint32]uint64
 	atomicOrder  []uint32
@@ -690,12 +702,7 @@ func (qp *QP) handleAck(pkt *packet.Packet) {
 			return
 		}
 		qp.cov().Record(coverage.SiteAck, coverage.AckRNR)
-		qp.nic.Sim.After(100*sim.Microsecond, func() {
-			if !qp.errored {
-				qp.cov().Record(coverage.SiteRewind, coverage.RewindRNR)
-				qp.rewind(qp.sndUna)
-			}
-		})
+		qp.nic.Sim.AfterEvent(100*sim.Microsecond, qp, qpRNRRetry, 0, nil)
 	}
 }
 
@@ -716,15 +723,7 @@ func (qp *QP) onSequenceNak(nakPSN uint32) {
 			telemetry.I("psn", int64(nakPSN)))
 		h.Observe("retrans.nack_react_ns", int64(d))
 	}
-	qp.nic.Sim.After(d, func() {
-		if qp.errored {
-			return
-		}
-		// Everything before the NAK PSN is implicitly acknowledged.
-		qp.advanceUnaNoTimerReset(nakPSN)
-		qp.cov().Record(coverage.SiteRewind, coverage.RewindNak)
-		qp.rewind(nakPSN)
-	})
+	qp.nic.Sim.AfterEvent(d, qp, qpNakReact, uint64(nakPSN), nil)
 }
 
 // handleReadResponse consumes read-response data at the requester — the
@@ -769,14 +768,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		// duration — the resource whose exhaustion stalls CX4 Lx
 		// (§6.2.2).
 		qp.nic.slowPathEnter(d)
-		from := qp.sndUna
-		qp.nic.Sim.After(d, func() {
-			if qp.errored || !psnLT(qp.sndUna, qp.nextPSN) || qp.sndUna != from {
-				return
-			}
-			qp.cov().Record(coverage.SiteRewind, coverage.RewindImpliedNak)
-			qp.rewind(from)
-		})
+		qp.nic.Sim.AfterEvent(d, qp, qpImpliedNak, uint64(qp.sndUna), nil)
 	default:
 		// Duplicate response; ignore.
 		qp.cov().Record(coverage.SiteReadResp, coverage.ReadRespDuplicate)
@@ -982,13 +974,18 @@ func (qp *QP) seqGap(idx int) (sim.Duration, bool) {
 
 // QP event ops.
 const (
-	qpSendAck = iota // the ACK for PSN arg finished its generation delay
-	qpTimeout        // the retransmission timer expired
-	qpSendCNP        // the CNP in data finished its emission delay
-	qpSeqNak         // the gap NAK for missing PSN arg finished its generation delay
+	qpSendAck    = iota // the ACK for PSN arg finished its generation delay
+	qpTimeout           // the retransmission timer expired
+	qpSendCNP           // the CNP in data finished its emission delay
+	qpSeqNak            // the gap NAK for missing PSN arg finished its generation delay
+	qpRNRRetry          // the RNR retry delay elapsed
+	qpNakReact          // the NAK for PSN arg finished its reaction delay
+	qpImpliedNak        // the implied NAK for read responses from PSN arg finished its generation delay
+	qpReread            // the re-read in rereads[arg] finished its reaction delay
+	qpAtomicAck         // the oldest of atomicAcks finished its generation delay
 )
 
-// HandleEvent runs the QP's per-packet events.
+// HandleEvent runs the QP's events.
 func (qp *QP) HandleEvent(op int, arg uint64, data []byte) {
 	switch op {
 	case qpSendAck:
@@ -1005,6 +1002,33 @@ func (qp *QP) HandleEvent(op int, arg uint64, data []byte) {
 		qp.onTimeout()
 	case qpSendCNP:
 		qp.nic.transmit(data, qp)
+	case qpRNRRetry:
+		if !qp.errored {
+			qp.cov().Record(coverage.SiteRewind, coverage.RewindRNR)
+			qp.rewind(qp.sndUna)
+		}
+	case qpNakReact:
+		if psn := uint32(arg); !qp.errored {
+			// Everything before the NAK PSN is implicitly acknowledged.
+			qp.advanceUnaNoTimerReset(psn)
+			qp.cov().Record(coverage.SiteRewind, coverage.RewindNak)
+			qp.rewind(psn)
+		}
+	case qpImpliedNak:
+		if from := uint32(arg); !qp.errored && psnLT(qp.sndUna, qp.nextPSN) && qp.sndUna == from {
+			qp.cov().Record(coverage.SiteRewind, coverage.RewindImpliedNak)
+			qp.rewind(from)
+		}
+	case qpReread:
+		r := qp.rereads[arg]
+		qp.rereads[arg].off = -1
+		if !qp.errored {
+			qp.enqueueReadResponses(r.ctx, r.off)
+		}
+	case qpAtomicAck:
+		if ack := qp.atomicAcks.pop(); !qp.errored {
+			qp.sendControl(ack)
+		}
 	}
 }
 
@@ -1012,24 +1036,26 @@ func (qp *QP) sendNakNow(syndrome uint8) {
 	qp.sendAckPacket(qp.ePSN, syndrome)
 }
 
-// sendAckPacket emits an ACK/NAK. Acknowledgements normally bypass the
-// data scheduler (they are generated by the transport engine, not WQEs),
-// but when read responses are queued for this QP the ACK must stay
-// ordered behind them — IB responders emit responses and
-// acknowledgements in PSN order, and an ACK overtaking a response range
-// would make the requester discard the whole range as duplicates.
+// sendAckPacket emits an ACK/NAK. The MSN is snapshotted now: an ACK's
+// content is fixed at generation time even when it queues behind read
+// responses.
 func (qp *QP) sendAckPacket(psn uint32, syndrome uint8) {
-	// The MSN is snapshotted now: an ACK's content is fixed at generation
-	// time even when it queues behind read responses.
-	msn := qp.msn
+	qp.sendControl(txPkt{kind: txAck, size: packet.WireSize(packet.OpAcknowledge, 0, 0), psn: psn, syndrome: syndrome, msn: qp.msn})
+}
+
+// sendControl emits an acknowledgement of either kind. Acknowledgements
+// normally bypass the data scheduler (they are generated by the
+// transport engine, not WQEs), but when read responses are queued for
+// this QP the ACK must stay ordered behind them — IB responders emit
+// responses and acknowledgements in PSN order, and an ACK overtaking a
+// response range would make the requester discard the whole range as
+// duplicates.
+func (qp *QP) sendControl(ack txPkt) {
 	if qp.txq.len() > 0 {
-		qp.enqueue(txPkt{
-			kind: txAck, size: packet.WireSize(packet.OpAcknowledge, 0, 0),
-			psn: psn, syndrome: syndrome, msn: msn,
-		})
+		qp.enqueue(ack)
 		return
 	}
-	qp.nic.transmit(qp.buildAckPacket(psn, syndrome, msn), qp)
+	qp.nic.transmit(qp.buildTx(ack), qp)
 }
 
 func (qp *QP) buildAckPacket(psn uint32, syndrome uint8, msn uint32) []byte {
@@ -1077,14 +1103,15 @@ func (qp *QP) handleReadRequest(pkt *packet.Packet) {
 		}
 		qp.cov().Record(coverage.SiteReadReq, coverage.ReadReqReread)
 		off := int(psnSub(psn, ctx.startPSN))
-		idx := off
-		d := qp.nic.Prof.NACKReactRead.At(idx, qp.nic.rng)
-		qp.nic.Sim.After(d, func() {
-			if qp.errored {
-				return
-			}
-			qp.enqueueReadResponses(ctx, off)
-		})
+		d := qp.nic.Prof.NACKReactRead.At(off, qp.nic.rng)
+		// The delay varies with the offset and with jitter, so re-reads
+		// can fire out of post order: each event names its own slot.
+		slot := slices.IndexFunc(qp.rereads, func(r reread) bool { return r.off < 0 })
+		if slot < 0 {
+			slot, qp.rereads = len(qp.rereads), append(qp.rereads, reread{})
+		}
+		qp.rereads[slot] = reread{ctx, off}
+		qp.nic.Sim.AfterEvent(d, qp, qpReread, uint64(slot), nil)
 	default:
 		// Future read request (requests lost before it): NAK the gap.
 		qp.cov().Record(coverage.SiteReadReq, coverage.ReadReqGap)
@@ -1228,24 +1255,12 @@ func (qp *QP) rememberAtomic(psn uint32, orig uint64) {
 	}
 }
 
+// sendAtomicAck snapshots the atomic ACK's MSN and original value now
+// and emits it after AckGenDelay. The delay is a profile constant, so
+// pending atomic ACKs fire in the order they were queued.
 func (qp *QP) sendAtomicAck(psn uint32, orig uint64) {
-	// Snapshot the MSN at generation time, matching the pre-built packet
-	// this path used to carry across the ack-generation delay.
-	msn := qp.msn
-	d := qp.nic.Prof.AckGenDelay
-	qp.nic.Sim.After(d, func() {
-		if qp.errored {
-			return
-		}
-		if qp.txq.len() > 0 {
-			qp.enqueue(txPkt{
-				kind: txAtomicAck, size: packet.WireSize(packet.OpAtomicAcknowledge, 0, 0),
-				psn: psn, msn: msn, orig: orig,
-			})
-			return
-		}
-		qp.nic.transmit(qp.buildAtomicAckPacket(psn, msn, orig), qp)
-	})
+	qp.atomicAcks.push(txPkt{kind: txAtomicAck, size: packet.WireSize(packet.OpAtomicAcknowledge, 0, 0), psn: psn, msn: qp.msn, orig: orig})
+	qp.nic.Sim.AfterEvent(qp.nic.Prof.AckGenDelay, qp, qpAtomicAck, 0, nil)
 }
 
 func (qp *QP) buildAtomicAckPacket(psn, msn uint32, orig uint64) []byte {

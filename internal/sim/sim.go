@@ -18,7 +18,7 @@
 // event changes how it is found, never when it fires.
 //
 // There are no goroutines and no wall-clock reads anywhere in the core;
-// components interact exclusively by scheduling callbacks.
+// components interact exclusively by scheduling typed events.
 package sim
 
 import (
@@ -86,9 +86,10 @@ type Handler interface {
 	HandleEvent(op int, arg uint64, data []byte)
 }
 
-// Func adapts a plain callback to Handler. A func value is a single
-// pointer, so the conversion to the interface allocates nothing: At and
-// After are sugar over AtEvent, not a second mechanism.
+// Func adapts a plain callback to Handler, for tests: At and After are
+// test sugar over AtEvent, not a second mechanism. Production code
+// schedules typed events only, so every pending event is a (handler,
+// op, arg) that can be inspected; TestNoClosureEvents holds it there.
 type Func func()
 
 // HandleEvent calls f.
@@ -406,14 +407,15 @@ func (s *Simulator) Pending() int { return s.near.n + len(s.far) }
 // Executed reports the total number of events fired so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
-// At schedules fn to run at the absolute instant at. Scheduling in the
-// past (before Now) panics: it would corrupt causality.
+// At schedules fn to run at the absolute instant at: AtEvent with a Func,
+// for tests. Scheduling in the past (before Now) panics: it would
+// corrupt causality.
 func (s *Simulator) At(at Time, fn func()) EventRef {
 	return s.AtEvent(at, Func(fn), 0, 0, nil)
 }
 
 // AtEvent schedules h.HandleEvent(op, arg, data) at the absolute instant
-// at — the allocation-free form of At for per-packet paths.
+// at. With AfterEvent it is how every component schedules.
 func (s *Simulator) AtEvent(at Time, h Handler, op int, arg uint64, data []byte) EventRef {
 	if at < s.now {
 		// invariant: components compute instants as now plus a non-negative span (max with a free-at time, a serialization delay over a validated rate); no input carries an absolute instant.
@@ -457,7 +459,8 @@ func (s *Simulator) recycle(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// After schedules fn to run d nanoseconds from now. Negative d panics.
+// After schedules fn to run d nanoseconds from now, for tests. Negative
+// d panics.
 func (s *Simulator) After(d Duration, fn func()) EventRef {
 	return s.AfterEvent(d, Func(fn), 0, 0, nil)
 }
