@@ -156,6 +156,11 @@ func TestParseRejectsWhatItCannotRead(t *testing.T) {
 		{"fabric: {leaves: 16, hosts-per-leaf: 64}\ntraffic: {num-connections: 65}", `config: 1023 sending hosts × num-connections 65 exceeds the limit of 65536 QPs`},
 		{"dumper-pool: {nodes: 1000000, cores-per-node: 1000000}", `config: dumper-pool nodes × cores-per-node (1000000 × 1000000) exceeds the limit of 4096 cores`},
 		{"traffic: {message-size: 1048576, mtu: 1, num-msgs-per-qp: 17}", `exceeds the limit of 4194304 packets per connection`},
+		// 4096 connections each at the per-connection limit: 2^34 packets,
+		// terabytes with every observer on.
+		{"traffic: {num-connections: 4096, num-msgs-per-qp: 1024, message-size: 4194304}",
+			`config: sending hosts × num-connections × packets per connection (1 × 4096 × 4194304) exceeds the limit of 4194304 packets per run`},
+		{"fabric: {}\ntraffic: {num-connections: 16, message-size: 1024, num-msgs-per-qp: 17477}", `(15 × 16 × 17477) exceeds the limit of 4194304 packets per run`},
 		{"traffic:\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 16777217}\n", `config: traffic.data-pkt-events[0].every: 16777217 exceeds the maximum of 16777216`},
 		{"traffic:\n  message-size: 1048576\n  mtu: 8\n  data-pkt-events:\n    - {qpn: 1, psn: 1, type: ecn, every: 1}\n", `expand to more than the limit of 65536 injector rules`},
 		// Values a run could not survive, or applied to another packet:
@@ -190,6 +195,20 @@ func TestParseRejectsWhatItCannotRead(t *testing.T) {
 		_, err := Parse([]byte(c.src))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) = %v, want an error containing %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestRunSizeBoundAdmitsItsEdge holds the per-run packet bound at its
+// edge: one step past each of these is a row of
+// TestParseRejectsWhatItCannotRead.
+func TestRunSizeBoundAdmitsItsEdge(t *testing.T) {
+	for _, src := range []string{
+		"traffic: {num-connections: 4096, message-size: 1048576}",                                // 4096 × 1024 = 2^22
+		"fabric: {}\ntraffic: {num-connections: 16, message-size: 1024, num-msgs-per-qp: 17476}", // 15 × 16 × 17476
+	} {
+		if _, err := Parse([]byte(src)); err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
 		}
 	}
 }

@@ -230,6 +230,14 @@ const (
 	maxDumperCores  = 4096    // dumper-pool nodes × cores-per-node
 	maxPacketsPerQP = 1 << 22 // data packets per connection: under half the PSN space
 	maxRules        = 65536   // data-pkt-events after every expands them
+	// maxPackets bounds the data packets of a whole run: sending hosts ×
+	// num-connections × packets per connection. With every observer on
+	// and artifacts written a run allocates about 1.7 KB per packet
+	// (perfgate's bulk_explain_packet), so this holds a run to about
+	// 7 GB, what one connection could already ask for; 4 096 connections
+	// at the per-connection limit asked for 29 TB. The largest checked-in
+	// scenario or experiment, a 100 000-packet fig7 run, is 42× under it.
+	maxPackets = 1 << 22
 )
 
 // fits reports whether a × b ≤ limit for positive a and b, without
@@ -323,6 +331,7 @@ func (t *Test) Validate() error {
 	if len(d.Weights) != 0 && len(d.Weights) != d.Nodes {
 		return fmt.Errorf("config: %d dumper weights for %d nodes", len(d.Weights), d.Nodes)
 	}
+	senders := 1
 	if f := t.Fabric; f != nil {
 		if !fits(f.Leaves, f.HostsPerLeaf, maxFabricHosts) {
 			return fmt.Errorf("config: fabric leaves × hosts-per-leaf (%d × %d) exceeds the limit of %d hosts",
@@ -334,10 +343,14 @@ func (t *Test) Validate() error {
 		if len(tr.Events) > 0 {
 			return fmt.Errorf("config: data-pkt-events are pair-testbed only; not valid with a fabric")
 		}
-		if senders := f.Hosts() - 1; senders*tr.NumConnections > maxQPs {
+		if senders = f.Hosts() - 1; senders*tr.NumConnections > maxQPs {
 			return fmt.Errorf("config: %d sending hosts × num-connections %d exceeds the limit of %d QPs",
 				senders, tr.NumConnections, maxQPs)
 		}
+	}
+	if !fits(senders*tr.NumConnections, pktsPerQP, maxPackets) {
+		return fmt.Errorf("config: sending hosts × num-connections × packets per connection (%d × %d × %d) exceeds the limit of %d packets per run",
+			senders, tr.NumConnections, pktsPerQP, maxPackets)
 	}
 	return nil
 }

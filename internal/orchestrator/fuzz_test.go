@@ -131,6 +131,9 @@ func FuzzExecute(f *testing.F) {
 		// One host per leaf: every flow crosses the spine, so both sides
 		// are judged.
 		"fabric: {leaves: 3, hosts-per-leaf: 1}\ntraffic: {num-connections: 2, num-msgs-per-qp: 2}\n",
+		// The largest run Validate accepts: 4096 connections of 1024
+		// packets each, 2^22 packets in all.
+		"traffic: {num-connections: 4096, message-size: 1048576}\n",
 	} {
 		f.Add([]byte(src))
 	}
