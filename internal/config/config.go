@@ -234,9 +234,9 @@ const (
 	// num-connections × packets per connection. With every observer on
 	// and artifacts written a run allocates about 1.7 KB per packet
 	// (perfgate's bulk_explain_packet), so this holds a run to about
-	// 7 GB, what one connection could already ask for; 4 096 connections
-	// at the per-connection limit asked for 29 TB. The largest checked-in
-	// scenario or experiment, a 100 000-packet fig7 run, is 42× under it.
+	// 7 GB, what one connection at its own limit may ask for; 4 096 such
+	// connections would be 29 TB. The largest checked-in scenario or
+	// experiment, a 100 000-packet fig7 run, is 42× under it.
 	maxPackets = 1 << 22
 )
 
