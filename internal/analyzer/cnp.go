@@ -1,7 +1,8 @@
 package analyzer
 
 import (
-	"sort"
+	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -29,45 +30,62 @@ type CNPReport struct {
 	Orphans int
 }
 
+// addrPair is one direction between two addresses; cnpQP adds the
+// notified QP.
+type addrPair struct{ src, dst netip.Addr }
+
+type cnpQP struct {
+	addrPair
+	qpn uint32
+}
+
 // AnalyzeCNP inspects marking and notification behaviour in a trace.
 func AnalyzeCNP(tr *trace.Trace) *CNPReport {
-	rep := &CNPReport{
-		ECNMarked: map[string]int{},
-		CNPs:      map[string]int{},
-	}
-	// CE-marked data per receiver.
-	markedSeen := map[string]bool{} // "src>dst": CE data observed sender→receiver
-	var timesPerPort = map[string][]sim.Time{}
-	var timesPerIP = map[string][]sim.Time{}
-	var timesPerQP = map[string][]sim.Time{}
+	rep := &CNPReport{}
+	marked := map[netip.Addr]int{}    // CE-marked data per receiver
+	cnps := map[netip.Addr]int{}      // CNPs per sender
+	markedSeen := map[addrPair]bool{} // CE data observed sender→receiver
+	timesPerPort := map[netip.Addr][]sim.Time{}
+	timesPerIP := map[addrPair][]sim.Time{}
+	timesPerQP := map[cnpQP][]sim.Time{}
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
 		op := e.Pkt.BTH.Opcode
+		src, dst := e.Pkt.IP.Src, e.Pkt.IP.Dst
 		switch {
 		case op.IsData() && e.Pkt.IP.ECN == packet.ECNCE && e.Meta.Event != packet.EventDrop:
-			rep.ECNMarked[e.Pkt.IP.Dst.String()]++
-			markedSeen[e.Pkt.IP.Src.String()+">"+e.Pkt.IP.Dst.String()] = true
+			marked[dst]++
+			markedSeen[addrPair{src, dst}] = true
 		case op.IsCNP():
-			src := e.Pkt.IP.Src.String()
-			dst := e.Pkt.IP.Dst.String()
-			rep.CNPs[src]++
+			cnps[src]++
 			// Orphan check: a CNP from src implies CE-marked data
 			// dst→src was seen earlier.
-			if !markedSeen[dst+">"+src] {
+			if !markedSeen[addrPair{dst, src}] {
 				rep.Orphans++
 			}
 			ts := e.Time()
 			timesPerPort[src] = append(timesPerPort[src], ts)
-			timesPerIP[src+">"+dst] = append(timesPerIP[src+">"+dst], ts)
-			qpKey := dst + "/" + itoa(e.Pkt.BTH.DestQP)
-			timesPerQP[src+">"+qpKey] = append(timesPerQP[src+">"+qpKey], ts)
+			timesPerIP[addrPair{src, dst}] = append(timesPerIP[addrPair{src, dst}], ts)
+			k := cnpQP{addrPair{src, dst}, e.Pkt.BTH.DestQP}
+			timesPerQP[k] = append(timesPerQP[k], ts)
 		}
 	}
+	rep.ECNMarked = byAddrString(marked)
+	rep.CNPs = byAddrString(cnps)
 	rep.MinIntervalPerPort = minGap(timesPerPort)
 	rep.MinIntervalPerIP = minGap(timesPerIP)
 	rep.MinIntervalPerQP = minGap(timesPerQP)
 	return rep
+}
+
+// byAddrString re-keys per-address counts by the address's string form.
+func byAddrString(m map[netip.Addr]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for a, n := range m {
+		out[a.String()] = n
+	}
+	return out
 }
 
 // InferScope classifies the rate-limiter granularity given the
@@ -99,13 +117,13 @@ func (r *CNPReport) TotalCNPs() int {
 	return n
 }
 
-func minGap(groups map[string][]sim.Time) sim.Duration {
+func minGap[K comparable](groups map[K][]sim.Time) sim.Duration {
 	var min sim.Duration
 	for _, ts := range groups {
 		if len(ts) < 2 {
 			continue
 		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		slices.Sort(ts)
 		for i := 1; i < len(ts); i++ {
 			g := ts[i].Sub(ts[i-1])
 			if min == 0 || g < min {
@@ -114,18 +132,4 @@ func minGap(groups map[string][]sim.Time) sim.Duration {
 		}
 	}
 	return min
-}
-
-func itoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [10]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
