@@ -3,10 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"slices"
-	"strings"
 
-	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 )
@@ -94,7 +91,6 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 				fmt.Printf("cnp: %d notification(s), min per-port gap %v, orphans %d\n",
 					cnp.TotalCNPs(), cnp.MinIntervalPerPort, cnp.Orphans)
 			}
-			printCounters(rep)
 			if len(rep.Verdicts) > 0 {
 				fmt.Println("\n--- verdicts ---")
 				for _, v := range rep.Verdicts {
@@ -155,29 +151,6 @@ func bindRun(fs *flag.FlagSet) func([]string) error {
 			fmt.Printf("\nartifacts written to %s\n", *outDir)
 		}
 		return nil
-	}
-}
-
-// printCounters cross-checks the NIC counters against the trace (§6.2.4)
-// on every side the trace can judge, and names the sides it cannot.
-func printCounters(rep *orchestrator.Report) {
-	views := rep.HostViews()
-	var skipped []string
-	for _, side := range []string{"requester", "responder"} {
-		if !slices.ContainsFunc(views, func(v analyzer.HostView) bool { return v.Name == side }) {
-			skipped = append(skipped, side)
-		}
-	}
-	if len(skipped) > 0 {
-		fmt.Printf("counters: not checked for %s: the trace cannot account for every packet they send\n",
-			strings.Join(skipped, ", "))
-	}
-	inc := analyzer.CheckCounters(rep.Trace, views...)
-	if len(views) > 0 && len(inc) == 0 {
-		fmt.Println("counters: consistent with trace")
-	}
-	for _, i := range inc {
-		fmt.Printf("counter INCONSISTENCY: %s\n", i)
 	}
 }
 

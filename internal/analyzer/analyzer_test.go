@@ -2,6 +2,8 @@ package analyzer_test
 
 import (
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
@@ -146,7 +148,9 @@ func e2e(t *testing.T, mutate func(*config.Test)) *orchestrator.Report {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
+	opts := orchestrator.DefaultOptions()
+	opts.Lineage = true // judged: the counter tests read the verdict
+	rep, err := orchestrator.Run(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +302,22 @@ func TestCNPAnalyzerDetectsOrphan(t *testing.T) {
 	}
 }
 
+// counterVerdict is the run's counter-consistency verdict.
+func counterVerdict(t *testing.T, rep *orchestrator.Report) analyzer.Verdict {
+	t.Helper()
+	for _, v := range rep.Verdicts {
+		if v.Analyzer == "counter-consistency" {
+			return v
+		}
+	}
+	t.Fatalf("no counter-consistency verdict in %+v", rep.Verdicts)
+	return analyzer.Verdict{}
+}
+
 func TestCounterAnalyzerCleanRun(t *testing.T) {
-	rep := e2e(t, nil)
-	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...)
-	if len(inc) != 0 {
-		t.Fatalf("clean run reported inconsistencies: %v", inc)
+	v := counterVerdict(t, e2e(t, nil))
+	if want := "2 of 2 side(s) judged, 0 inconsistent counter(s)"; !v.Pass || v.Reason != want {
+		t.Fatalf("clean run: %s, want PASS  %s", v.Line(0), want)
 	}
 }
 
@@ -313,15 +328,12 @@ func TestCounterAnalyzerFindsE810CnpBug(t *testing.T) {
 		c.Traffic.MessageSize = 102400
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 1, Type: "ecn", Iter: 1, Every: 5}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[1]) // the responder
-	found := false
-	for _, i := range inc {
-		if i.Counter == rnic.CtrNpCnpSent && i.Counted == 0 && i.Observed > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("E810 cnpSent bug not detected: %v", inc)
+	v := counterVerdict(t, rep)
+	found := slices.ContainsFunc(rep.Analysis.Counters, func(i analyzer.Inconsistency) bool {
+		return i.Host == "responder" && i.Counter == rnic.CtrNpCnpSent && i.Counted == 0 && i.Observed > 0
+	})
+	if v.Pass || !found || !strings.Contains(v.Reason, "responder "+rnic.CtrNpCnpSent+": NIC 0, trace ") {
+		t.Fatalf("E810 cnpSent bug not detected: %s", v.Line(0))
 	}
 }
 
@@ -334,15 +346,12 @@ func TestCounterAnalyzerFindsCX4ImpliedNakBug(t *testing.T) {
 		c.Traffic.NumMsgsPerQP = 1
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 40, Type: "drop", Iter: 1}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[0]) // the requester
-	found := false
-	for _, i := range inc {
-		if i.Counter == rnic.CtrImpliedNakSeq && i.Counted == 0 && i.Observed > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CX4 implied_nak_seq_err bug not detected: %v", inc)
+	v := counterVerdict(t, rep)
+	found := slices.ContainsFunc(rep.Analysis.Counters, func(i analyzer.Inconsistency) bool {
+		return i.Host == "requester" && i.Counter == rnic.CtrImpliedNakSeq && i.Counted == 0 && i.Observed > 0
+	})
+	if v.Pass || !found || !strings.Contains(v.Reason, "requester "+rnic.CtrImpliedNakSeq+": NIC 0, trace ") {
+		t.Fatalf("CX4 implied_nak_seq_err bug not detected: %s", v.Line(0))
 	}
 }
 
@@ -357,11 +366,8 @@ func TestCounterAnalyzerCX5ReadIsClean(t *testing.T) {
 		c.Traffic.NumMsgsPerQP = 1
 		c.Traffic.Events = []config.Event{{QPN: 1, PSN: 40, Type: "drop", Iter: 1}}
 	})
-	inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()[0]) // the requester
-	for _, i := range inc {
-		if i.Counter == rnic.CtrImpliedNakSeq {
-			t.Fatalf("CX5 falsely flagged: %v", i)
-		}
+	if v := counterVerdict(t, rep); !v.Pass {
+		t.Fatalf("CX5 falsely flagged: %s", v.Line(0))
 	}
 }
 

@@ -23,7 +23,7 @@ type Inconsistency struct {
 }
 
 func (i Inconsistency) String() string {
-	return fmt.Sprintf("%s %s: counter=%d trace=%d (%s)", i.Host, i.Counter, i.Counted, i.Observed, i.Detail)
+	return fmt.Sprintf("%s %s: NIC %d, trace %d", i.Host, i.Counter, i.Counted, i.Observed)
 }
 
 // HostView gives the counter analyzer one side of a run: its hosts'
@@ -34,110 +34,98 @@ type HostView struct {
 	Counters map[string]uint64
 }
 
-// CheckCounters cross-checks each host's counters against the trace.
-// It validates the counters the paper's analyzer supports: sent/received
-// packets, sequence errors, out-of-sequence detections, CNPs sent, and
-// retransmissions implied by duplicate read requests.
-func CheckCounters(tr *trace.Trace, hosts ...HostView) []Inconsistency {
+// checkCounters cross-checks each side's counters against the trace.
+// It validates the counters the paper's analyzer supports: sent
+// packets, sequence errors, CNPs sent, and retransmissions implied by
+// duplicate read requests. The per-connection state is reused across
+// sides.
+func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
+	if len(hosts) == 0 {
+		return nil
+	}
+	// Estimate the path MTU from read-response payloads, once, so
+	// read-request PSN reservations (one PSN per response packet) can be
+	// reconstructed from DMALen.
+	mtu := estimateMTU(tr)
+	// nextReq tracks each connection's next expected fresh read-request
+	// PSN; a request landing below it re-reads already-reserved space.
+	nextReq := map[trace.ConnKey]uint32{}
+	// streamOf indexes streams, each read-response stream delivered
+	// toward the side in first-seen order: a re-read is matched against
+	// them in that order, never in the map's.
+	streamOf := map[trace.ConnKey]int{}
+	var streams []respState
 	var out []Inconsistency
 	for _, h := range hosts {
-		out = append(out, checkHost(tr, h)...)
+		clear(nextReq)
+		clear(streamOf)
+		streams = streams[:0]
+		// Packets transmitted by this side = trace entries whose source
+		// IP belongs to it. (The injector mirrors at ingress, so every
+		// transmitted packet appears exactly once, including ones later
+		// dropped by injection.)
+		var txSeen, cnpsSeen, naksSent, impliedNaks uint64
+		for i := range tr.Entries {
+			e := &tr.Entries[i]
+			op := e.Pkt.BTH.Opcode
+
+			// Read responses delivered toward this side feed the
+			// out-of-order evidence: a re-read proves an implied-NAK
+			// detection only after OOO responses, while a tail loss
+			// yields a re-read with none and must not count.
+			// Injector-dropped copies never reached the host, so they
+			// carry no evidence.
+			if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
+				k := e.Key()
+				j, ok := streamOf[k]
+				if !ok {
+					j = len(streams)
+					streamOf[k] = j
+					streams = append(streams, respState{src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst})
+				}
+				streams[j].observe(e.Pkt.BTH.PSN)
+			}
+
+			if !slices.Contains(h.IPs, e.Pkt.IP.Src) {
+				continue
+			}
+			txSeen++
+			switch {
+			case op.IsCNP():
+				cnpsSeen++
+			case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
+				naksSent++
+			case op.IsReadRequest():
+				k := e.Key()
+				psn := e.Pkt.BTH.PSN
+				exp, ok := nextReq[k]
+				if !ok {
+					exp = psn
+				}
+				if trace.PSNLess(psn, exp) {
+					// Re-read into reserved space. It proves an implied
+					// NAK only when OOO responses were actually observed.
+					if st := findRespState(streams, e, psn); st != nil && st.ooo {
+						impliedNaks++
+						st.ooo = false
+						st.expected = psn // the requester rewound
+					}
+					continue // re-reads do not extend the reservation
+				}
+				npkts := uint32(1)
+				if mtu > 0 && e.Pkt.RETH.DMALen > 0 {
+					npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
+				}
+				nextReq[k] = trace.PSNAdd(psn, npkts)
+			}
+		}
+		out = h.judge(out, txSeen, cnpsSeen, naksSent, impliedNaks)
 	}
 	return out
 }
 
-func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
-	var out []Inconsistency
-
-	// First pass: estimate the path MTU from read-response payloads so
-	// read-request PSN reservations (one PSN per response packet) can be
-	// reconstructed from DMALen.
-	mtu := estimateMTU(tr)
-
-	// Packets transmitted by this host = trace entries whose source IP
-	// belongs to it. (The injector mirrors at ingress, so every
-	// transmitted packet appears exactly once, including ones later
-	// dropped by injection.)
-	var txSeen uint64
-	var cnpsSeen uint64
-	var naksSent uint64
-	var impliedNaks uint64
-	// nextReq tracks each connection's next expected fresh read-request
-	// PSN; a request landing below it re-reads already-reserved space.
-	nextReq := map[trace.ConnKey]*uint32{}
-	// respOOO tracks whether out-of-order read responses were delivered
-	// toward this host since the last re-read — the evidence that a
-	// subsequent re-read proves an implied-NAK detection rather than a
-	// plain timeout recovery (a tail loss yields a re-read with no OOO
-	// response preceding it, and must not count).
-	// Streams are also listed in first-seen order: a re-read is matched
-	// against them in that order, never in the map's.
-	respOOO := map[trace.ConnKey]*respStateT{}
-	var respOrder []*respStateT
-
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
-
-		// Read responses delivered toward this host feed the OOO
-		// evidence tracker. Injector-dropped copies never reached the
-		// host, so they carry no evidence.
-		if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
-			k := e.Key()
-			st := respOOO[k]
-			if st == nil {
-				st = &respStateT{src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst}
-				respOOO[k] = st
-				respOrder = append(respOrder, st)
-			}
-			psn := e.Pkt.BTH.PSN
-			switch {
-			case !st.init:
-				st.init = true
-				st.expected = trace.PSNAdd(psn, 1)
-			case psn == st.expected:
-				st.expected = trace.PSNAdd(psn, 1)
-			case trace.PSNLess(st.expected, psn):
-				st.ooo = true
-			}
-		}
-
-		if !slices.Contains(h.IPs, e.Pkt.IP.Src) {
-			continue
-		}
-		txSeen++
-		switch {
-		case op.IsCNP():
-			cnpsSeen++
-		case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
-			naksSent++
-		case op.IsReadRequest():
-			k := e.Key()
-			psn := e.Pkt.BTH.PSN
-			exp, ok := nextReq[k]
-			if !ok {
-				v := psn
-				nextReq[k] = &v
-				exp = &v
-			}
-			if trace.PSNLess(psn, *exp) {
-				// Re-read into reserved space. It proves an implied NAK
-				// only when OOO responses were actually observed.
-				if st := findRespState(respOrder, e, psn); st != nil && st.ooo {
-					impliedNaks++
-					st.ooo = false
-					st.expected = psn // the requester rewound
-				}
-				continue // re-reads do not extend the reservation
-			}
-			npkts := uint32(1)
-			if mtu > 0 && e.Pkt.RETH.DMALen > 0 {
-				npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
-			}
-			*exp = trace.PSNAdd(psn, npkts)
-		}
-	}
-
+// judge appends the side's disagreements with the trace counts to out.
+func (h HostView) judge(out []Inconsistency, txSeen, cnpsSeen, naksSent, impliedNaks uint64) []Inconsistency {
 	if c := h.Counters[rnic.CtrTxRoCEPackets]; c != txSeen {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrTxRoCEPackets, Counted: c, Observed: txSeen,
@@ -158,9 +146,7 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	}
 	// implied_nak_seq_err: every re-read preceded by out-of-order read
 	// responses proves the requester detected the OOO arrival. A counter
-	// below the trace-proven count is the CX4 Lx bug (§6.2.4); pure
-	// timeout recoveries (tail losses) carry no OOO evidence and are not
-	// counted.
+	// below the trace-proven count is the CX4 Lx bug (§6.2.4).
 	if c := h.Counters[rnic.CtrImpliedNakSeq]; impliedNaks > 0 && c < impliedNaks {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrImpliedNakSeq, Counted: c, Observed: impliedNaks,
@@ -170,23 +156,37 @@ func checkHost(tr *trace.Trace, h HostView) []Inconsistency {
 	return out
 }
 
-// respStateT tracks one read-response stream's expected PSN and whether
+// respState tracks one read-response stream's expected PSN and whether
 // out-of-order deliveries are pending as implied-NAK evidence.
-type respStateT struct {
+type respState struct {
 	src, dst netip.Addr // the responses' direction
 	init     bool
 	expected uint32
 	ooo      bool
 }
 
+// observe advances the stream past one delivered response.
+func (st *respState) observe(psn uint32) {
+	switch {
+	case !st.init:
+		st.init = true
+		st.expected = trace.PSNAdd(psn, 1)
+	case psn == st.expected:
+		st.expected = trace.PSNAdd(psn, 1)
+	case trace.PSNLess(st.expected, psn):
+		st.ooo = true
+	}
+}
+
 // findRespState links a re-read request to its response stream: among
 // the streams (in first-seen order) of the reversed IP pair whose PSN
 // space is near the re-read PSN, the one whose expected PSN is nearest,
 // the first seen among equally near ones.
-func findRespState(streams []*respStateT, e *trace.Entry, psn uint32) *respStateT {
-	var best *respStateT
+func findRespState(streams []respState, e *trace.Entry, psn uint32) *respState {
+	var best *respState
 	var bestDist uint32
-	for _, st := range streams {
+	for i := range streams {
+		st := &streams[i]
 		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src || !psnNear(st.expected, psn) {
 			continue
 		}

@@ -12,6 +12,40 @@ import (
 	"github.com/lumina-sim/lumina/internal/trace"
 )
 
+// addCaptureSeeds seeds f with the capture of each run and with
+// truncations of it: cut mid-record, at headers, and empty.
+func addCaptureSeeds(f *testing.F, cfgs ...config.Test) {
+	for _, cfg := range cfgs {
+		rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.Trace.WritePcap(&buf); err != nil {
+			f.Fatal(err)
+		}
+		capture := buf.Bytes()
+		for _, n := range []int{len(capture), len(capture) - 1, len(capture) / 2, 24 + 16 + 40, 24 + 16, 24, 10, 0} {
+			f.Add(capture[:n])
+		}
+	}
+}
+
+// pcapTrace reads capture bytes the way `lumina trace` does: pcap
+// decoding, then trace reconstruction. ok is false for a refused input.
+func pcapTrace(data []byte) (tr *trace.Trace, ok bool) {
+	pkts, err := trace.ReadPcap(bytes.NewReader(data))
+	if err != nil {
+		return nil, false
+	}
+	recs := make([]dumper.Record, 0, len(pkts))
+	for _, p := range pkts {
+		recs = append(recs, dumper.Record{Wire: p.Data})
+	}
+	tr, err = trace.Reconstruct([][]dumper.Record{recs})
+	return tr, err == nil
+}
+
 // FuzzPcapToAnalyzers feeds capture bytes through everything `lumina
 // trace` and the pcap fallback of `lumina trace explain` run on a file:
 // pcap decoding, trace reconstruction, ITER rounds, the trace analyzers
@@ -21,29 +55,10 @@ func FuzzPcapToAnalyzers(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.Trace.WritePcap(&buf); err != nil {
-		f.Fatal(err)
-	}
-	capture := buf.Bytes()
-	for _, n := range []int{len(capture), len(capture) - 1, len(capture) / 2, 24 + 16 + 40, 24 + 16, 24, 10, 0} {
-		f.Add(capture[:n])
-	}
+	addCaptureSeeds(f, cfg)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pkts, err := trace.ReadPcap(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		recs := make([]dumper.Record, 0, len(pkts))
-		for _, p := range pkts {
-			recs = append(recs, dumper.Record{Wire: p.Data})
-		}
-		tr, err := trace.Reconstruct([][]dumper.Record{recs})
-		if err != nil {
+		tr, ok := pcapTrace(data)
+		if !ok {
 			return
 		}
 		tr.Span()

@@ -59,8 +59,8 @@ func TestVerdictsWithUnreliableSetAddsSilentLossVerdict(t *testing.T) {
 	tr := b.build()
 
 	plain := analyzer.VerdictsWith(tr, nil, analyzer.VerdictOptions{})
-	if len(plain) != 3 {
-		t.Fatalf("RC verdict count = %d, want 3", len(plain))
+	if len(plain) != 4 {
+		t.Fatalf("RC verdict count = %d, want 4", len(plain))
 	}
 	// The drop never recovers, so all-RC interpretation fails retrans...
 	for _, v := range plain {
@@ -73,8 +73,8 @@ func TestVerdictsWithUnreliableSetAddsSilentLossVerdict(t *testing.T) {
 	// silent-loss verdict and retrans sees zero drops.
 	with := analyzer.VerdictsWith(tr, nil,
 		analyzer.VerdictOptions{UnreliableQPNs: map[uint32]bool{0x22: true}})
-	if len(with) != 4 {
-		t.Fatalf("unreliable verdict count = %d, want 4", len(with))
+	if len(with) != 5 {
+		t.Fatalf("unreliable verdict count = %d, want 5", len(with))
 	}
 	for _, v := range with {
 		if !v.Pass {

@@ -47,6 +47,12 @@ type VerdictOptions struct {
 	// recovery is expected) and judged by the silent-loss verdict
 	// instead, which is emitted only when the set is non-empty.
 	UnreliableQPNs map[uint32]bool
+	// Hosts are the sides of the run whose NIC counters the
+	// counter-consistency verdict holds to the trace (§6.2.4); Unjudged
+	// names the sides the trace cannot account for. The verdict is
+	// emitted either way, naming what it left out.
+	Hosts    []HostView
+	Unjudged []string
 }
 
 // Analysis is every trace analyzer's finding over one run, each
@@ -59,6 +65,11 @@ type Analysis struct {
 	CNP     *CNPReport
 	// SilentLoss is nil unless the run had UC/UD connections.
 	SilentLoss []SilentLoss
+	// Counters holds every disagreement between a judged side's NIC
+	// counters and the trace; Hosts and Unjudged are the options' sides.
+	Counters []Inconsistency
+	Hosts    []HostView
+	Unjudged []string
 
 	unreliable map[uint32]bool
 }
@@ -73,6 +84,9 @@ func Analyze(tr *trace.Trace, opts VerdictOptions) *Analysis {
 		Retrans:    AnalyzeRetransmissions(tr),
 		CNP:        AnalyzeCNP(tr),
 		SilentLoss: AnalyzeSilentLoss(tr, opts.UnreliableQPNs),
+		Counters:   checkCounters(tr, opts.Hosts),
+		Hosts:      opts.Hosts,
+		Unjudged:   opts.Unjudged,
 		unreliable: opts.UnreliableQPNs,
 	}
 }
@@ -145,8 +159,7 @@ func (a *Analysis) Verdicts(g *lineage.Graph) []Verdict {
 		Chains: chainsOf(packet.EventECN),
 	})
 
-	// The silent-loss contract only exists on UC/UD runs; RC-only runs
-	// keep their historical three-verdict shape byte for byte.
+	// The silent-loss contract only exists on UC/UD runs.
 	if len(a.unreliable) > 0 {
 		losses := a.SilentLoss
 		silent, anomalous := 0, 0
@@ -164,5 +177,15 @@ func (a *Analysis) Verdicts(g *lineage.Graph) []Verdict {
 			Chains: chainsOf(packet.EventDrop),
 		})
 	}
-	return out
+
+	reason := []string{fmt.Sprintf("%d of %d side(s) judged, %d inconsistent counter(s)",
+		len(a.Hosts), len(a.Hosts)+len(a.Unjudged), len(a.Counters))}
+	for _, inc := range a.Counters {
+		reason = append(reason, inc.String())
+	}
+	if len(a.Unjudged) > 0 {
+		reason = append(reason, "not judged: "+strings.Join(a.Unjudged, ", ")+
+			" (the trace cannot account for every packet they send)")
+	}
+	return append(out, Verdict{Analyzer: "counter-consistency", Pass: len(a.Counters) == 0, Reason: strings.Join(reason, "; ")})
 }

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/engine"
+	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
 )
@@ -166,19 +170,17 @@ func DetectCounterBugs() ([]string, error) {
 		cfg.Traffic.Events = []config.Event{{QPN: 1, PSN: 40, Type: "drop", Iter: 1}}
 		cfgs = append(cfgs, cfg)
 	}
-	reps, err := runAll("counter-bugs", cfgs)
+	// Judged runs: their analysis carries the counter-consistency verdict.
+	reps, err := engine.RunConfigs(context.Background(), cfgs, orchestrator.Options{Lineage: true}, engine.Options{Workers: Workers()})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiment counter-bugs: %w", err)
 	}
 	var affected []string
-	for i, model := range models {
-		// HostViews lists the requester, then the responder: the CNP probe
-		// judges the CNP sender, the implied-NAK probe the re-reader.
-		cnp, nak := reps[2*i], reps[2*i+1]
-		bad := len(analyzer.CheckCounters(cnp.Trace, cnp.HostViews()[1])) > 0
-		bad = bad || len(analyzer.CheckCounters(nak.Trace, nak.HostViews()[0])) > 0
-		if bad {
-			affected = append(affected, model)
+	for i, rep := range reps {
+		for _, v := range rep.Verdicts {
+			if v.Analyzer == "counter-consistency" && !v.Pass && !slices.Contains(affected, models[i/2]) {
+				affected = append(affected, models[i/2])
+			}
 		}
 	}
 	return affected, nil

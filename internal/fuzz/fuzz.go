@@ -235,7 +235,8 @@ func (f *Fuzzer) evaluateAll(gs []Genome) []engine.JobResult {
 		jobs[i] = engine.Job{
 			Label: fmt.Sprintf("%s %v", f.target.Name, g),
 			Cfg:   cfg,
-			Opts:  orchestrator.Options{Deadline: f.opts.Deadline, Coverage: f.collecting()},
+			// Lineage judges the run, so scores can read its analysis.
+			Opts: orchestrator.Options{Deadline: f.opts.Deadline, Lineage: true, Coverage: f.collecting()},
 		}
 	}
 	return engine.Run(context.Background(), jobs, engine.Options{Workers: f.opts.Workers})

@@ -1,7 +1,6 @@
 package fuzz
 
 import (
-	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -73,7 +72,7 @@ func noisyNeighborScore(g Genome, rep *orchestrator.Report) float64 {
 // CounterBugTarget searches for configurations where hardware counters
 // disagree with the wire — the §6.2.4 class. Genome: [verb, dropPSN,
 // ecnEvery]. Score: number of trace-vs-counter inconsistencies on every
-// side the trace can judge, the check `lumina run` prints.
+// side the trace can judge, those the counter-consistency verdict names.
 func CounterBugTarget(model string) Target {
 	return Target{
 		Name: "counter-bugs",
@@ -101,7 +100,7 @@ func CounterBugTarget(model string) Target {
 			return c
 		},
 		Score: func(g Genome, rep *orchestrator.Report) float64 {
-			return float64(len(analyzer.CheckCounters(rep.Trace, rep.HostViews()...)))
+			return float64(len(rep.Analysis.Counters))
 		},
 		Threshold: 1,
 	}

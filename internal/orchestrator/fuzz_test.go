@@ -50,7 +50,7 @@ func TestConfigCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := Run(cfg, DefaultOptions())
+			rep, err := Run(cfg, Options{Lineage: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,17 +82,17 @@ func TestConfigCorpus(t *testing.T) {
 	}
 }
 
-// checkHostViews holds HostViews to what the trace witnesses, counted
-// here without the counter analyzer: on a finished run with a whole
-// trace, each view's tx_roce_packets equals the trace entries sourced at
-// its addresses, and a mirrored pair testbed whose hosts share no
-// address is judged on both sides.
+// checkHostViews holds the judged host views of a run's analysis to
+// what the trace witnesses, counted here without the counter analyzer:
+// on a finished run with a whole trace, each view's tx_roce_packets
+// equals the trace entries sourced at its addresses, and a mirrored pair
+// testbed whose hosts share no address is judged on both sides.
 func checkHostViews(t *testing.T, rep *Report) {
 	t.Helper()
 	if rep.TimedOut || !rep.IntegrityOK {
 		return
 	}
-	views := rep.HostViews()
+	views := rep.Analysis.Hosts
 	req, resp := rep.Config.Requester.NIC.IPList, rep.Config.Responder.NIC.IPList
 	shared := slices.ContainsFunc(req, func(a netip.Addr) bool { return slices.Contains(resp, a) })
 	if rep.Config.Fabric == nil && rep.Config.Switch.Mirror && !shared && len(views) != 2 {

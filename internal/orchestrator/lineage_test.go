@@ -141,8 +141,8 @@ func TestLineageDoesNotPerturbTrace(t *testing.T) {
 // orchestrator timeline track.
 func TestVerdictsPublishedAsProbes(t *testing.T) {
 	rep, _ := runArtifacts(t, lineageCfg())
-	if len(rep.Verdicts) != 3 {
-		t.Fatalf("verdicts = %+v, want gbn/retrans/cnp", rep.Verdicts)
+	if len(rep.Verdicts) != 4 {
+		t.Fatalf("verdicts = %+v, want gbn/retrans/cnp/counter-consistency", rep.Verdicts)
 	}
 	for _, v := range rep.Verdicts {
 		if !v.Pass {

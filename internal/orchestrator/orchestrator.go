@@ -346,7 +346,8 @@ func (tb *Testbed) Execute() (*Report, error) {
 		// verdict probes are emitted before the Events snapshot so they
 		// appear as instants on the orchestrator timeline track.
 		rep.Lineage = lineage.Build(tr, hub.Events())
-		rep.Analysis = analyzer.Analyze(tr, analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs()})
+		hosts, unjudged := tb.hostViews(rep)
+		rep.Analysis = analyzer.Analyze(tr, analyzer.VerdictOptions{UnreliableQPNs: tb.unreliableQPNs(), Hosts: hosts, Unjudged: unjudged})
 		rep.Verdicts = rep.Analysis.Verdicts(rep.Lineage)
 		emitVerdicts(hub, "orchestrator", rep.Verdicts)
 	}

@@ -58,7 +58,7 @@ func TestPropertyEndToEnd(t *testing.T) {
 	}
 	f := func(seed int64, verbSel, conns, msgs, sizeKB uint8, drops []uint8) bool {
 		cfg := arbitraryConfig(seed, verbSel, conns, msgs, sizeKB, drops)
-		rep, err := Run(cfg, Options{Deadline: 300 * sim.Second})
+		rep, err := Run(cfg, Options{Deadline: 300 * sim.Second, Lineage: true})
 		if err != nil || rep.TimedOut {
 			t.Logf("cfg %+v: err=%v timedOut", cfg.Traffic, err)
 			return false
@@ -77,8 +77,8 @@ func TestPropertyEndToEnd(t *testing.T) {
 			t.Logf("gbn violations: %v", gbn.Violations)
 			return false
 		}
-		if inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...); len(inc) != 0 {
-			t.Logf("counter inconsistencies on spec NIC: %v", inc)
+		if v := rep.Verdicts[len(rep.Verdicts)-1]; v.Analyzer != "counter-consistency" || !v.Pass {
+			t.Logf("counter consistency on spec NIC: %s", v.Line(0))
 			return false
 		}
 		// Determinism: rerun and compare.

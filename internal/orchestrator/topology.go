@@ -10,12 +10,13 @@
 //
 // Two functions produce descriptions: pairTopology (the paper's two
 // hosts around one injector switch) and fabricTopology (a leaf-spine
-// incast fabric); topologyOf picks one for Build and for HostViews.
+// incast fabric); topologyOf picks one for Build.
 package orchestrator
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
@@ -40,9 +41,9 @@ type topology struct {
 	// pool off it.
 	injector int
 
-	// links in creation order. Link i's two ports are ports 2i (the a
-	// end) and 2i+1 (the b end) of Testbed.Ports; the dumper pool's
-	// ports follow them.
+	// links in creation order, host i's link first as link i. Link i's
+	// two ports are ports 2i (the a end) and 2i+1 (the b end) of
+	// Testbed.Ports; the dumper pool's ports follow them.
 	links []linkSpec
 	// hops lists, in hop-ID order, the ports whose egress stamps INT;
 	// the injector's pipeline hop always follows them.
@@ -169,60 +170,50 @@ func topologyOf(cfg config.Test) topology {
 	return pairTopology(cfg)
 }
 
-// HostViews gives the counter analyzer (§6.2.4) each side of the run the
-// trace can judge: the requester side (the senders), then the responder
-// side (the sinks), each with its hosts' addresses and the side's summed
-// counters. A side is left out when the trace cannot account for its
-// packets: one of its flows never crosses a mirroring injector (on a
-// fabric, one sender on the sink's leaf does that to both sides), or it
-// shares an address with the other side.
-func (r *Report) HostViews() []analyzer.HostView {
-	t := topologyOf(r.Config)
-	attach := make([]int, len(t.hosts)) // the switch each host hangs off
-	for _, l := range t.links {
-		if l.a.kind == hostNode {
-			attach[l.a.idx] = l.b.idx
-		}
-	}
+// hostViews gives the counter analyzer (§6.2.4) each side of the run
+// the trace can judge: the requester side (the senders), then the
+// responder side (the sinks), each with its hosts' addresses and the
+// side's summed counters. It names the sides it leaves out: those the
+// trace cannot account for, because one of their flows never crosses a
+// mirroring injector (on a fabric, one sender on the sink's leaf does
+// that to both sides) or they share an address with the other side.
+func (tb *Testbed) hostViews(rep *Report) (views []analyzer.HostView, unjudged []string) {
+	t := &tb.topo
 	// Below the injector sit only plain switches trunked straight up to
 	// it, so a flow crosses the injector unless both its ends hang off
-	// the same plain switch.
-	mirrors := t.switches[t.injector].Mirror
-	unjudged := map[bool]bool{} // by hostSpec.responder
+	// the same plain switch (host i hangs off link i).
+	skip := map[bool]bool{} // by hostSpec.responder
 	for _, f := range t.flows {
-		if a := attach[f.sender]; !mirrors || (a != t.injector && a == attach[f.receiver]) {
-			unjudged[t.hosts[f.sender].responder] = true
-			unjudged[t.hosts[f.receiver].responder] = true
+		if a := t.links[f.sender].b.idx; !t.switches[t.injector].Mirror || (a != t.injector && a == t.links[f.receiver].b.idx) {
+			skip[t.hosts[f.sender].responder] = true
+			skip[t.hosts[f.receiver].responder] = true
 		}
 	}
-	// Nor can the trace tell two sides apart that share an address.
-	owner := map[netip.Addr]bool{} // address → hostSpec.responder
-	for _, h := range t.hosts {
-		for _, ip := range h.tmpl.NIC.IPList {
-			if r, ok := owner[ip]; ok && r != h.responder {
-				unjudged[false], unjudged[true] = true, true
-			}
-			owner[ip] = h.responder
-		}
+	sides := [2]analyzer.HostView{
+		{Name: "requester", Counters: rep.RequesterCounters},
+		{Name: "responder", Counters: rep.ResponderCounters},
 	}
-	var views []analyzer.HostView
-	for _, side := range []struct {
-		name      string
-		responder bool
-		counters  map[string]uint64
-	}{{"requester", false, r.RequesterCounters}, {"responder", true, r.ResponderCounters}} {
-		if unjudged[side.responder] {
-			continue
-		}
-		v := analyzer.HostView{Name: side.name, Counters: side.counters}
+	if !skip[false] || !skip[true] {
 		for _, h := range t.hosts {
-			if h.responder == side.responder {
-				v.IPs = append(v.IPs, h.tmpl.NIC.IPList...)
+			v := &sides[0]
+			if h.responder {
+				v = &sides[1]
 			}
+			v.IPs = append(v.IPs, h.tmpl.NIC.IPList...)
 		}
-		views = append(views, v)
+		// Nor can the trace tell two sides apart that share an address.
+		if slices.ContainsFunc(sides[0].IPs, func(ip netip.Addr) bool { return slices.Contains(sides[1].IPs, ip) }) {
+			skip[false], skip[true] = true, true
+		}
 	}
-	return views
+	for i, v := range sides {
+		if skip[i == 1] {
+			unjudged = append(unjudged, v.Name)
+		} else {
+			views = append(views, v)
+		}
+	}
+	return views, unjudged
 }
 
 // checkHops reports whether the INT hop table can hold the description:

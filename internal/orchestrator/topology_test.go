@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/inband"
 )
@@ -113,8 +112,9 @@ func TestBuildFollowsTheDescription(t *testing.T) {
 
 // TestHostViewsJudgeOnlyWitnessedSides: a side is judged only when every
 // flow touching it crosses a mirroring injector and no other side shares
-// its addresses, with its hosts' own addresses, and a judged side agrees
-// with the trace.
+// its addresses, with its hosts' own addresses; a judged side agrees
+// with the trace, and the counter-consistency verdict names every side
+// left out.
 func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
 	fabric := func(leaves, perLeaf int) config.Test {
 		cfg := config.Default()
@@ -126,27 +126,33 @@ func TestHostViewsJudgeOnlyWitnessedSides(t *testing.T) {
 	shared := config.Default()
 	shared.Requester.NIC.IPList = append(shared.Requester.NIC.IPList, shared.Responder.NIC.IPList[0])
 	for _, c := range []struct {
-		name string
-		cfg  config.Test
-		want string
+		name       string
+		cfg        config.Test
+		want, left string
 	}{
-		{"pair", config.Default(), "requester [10.0.0.1]; responder [10.0.0.2]; "},
-		{"pair without mirroring", unmirrored, ""},
-		{"pair sharing an address", shared, ""},
-		{"sender on the sink's leaf", fabric(2, 2), ""},
-		{"one host per leaf", fabric(3, 1), "requester [10.1.0.2 10.1.0.3]; responder [10.1.0.1]; "},
+		{"pair", config.Default(), "requester [10.0.0.1]; responder [10.0.0.2]; ", ""},
+		{"pair without mirroring", unmirrored, "", "requester, responder"},
+		{"pair sharing an address", shared, "", "requester, responder"},
+		{"sender on the sink's leaf", fabric(2, 2), "", "requester, responder"},
+		{"one host per leaf", fabric(3, 1), "requester [10.1.0.2 10.1.0.3]; responder [10.1.0.1]; ", ""},
 	} {
-		rep := run(t, c.cfg)
+		rep, err := Run(c.cfg, Options{Lineage: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got strings.Builder
-		for _, v := range rep.HostViews() {
+		for _, v := range rep.Analysis.Hosts {
 			fmt.Fprintf(&got, "%s %v; ", v.Name, v.IPs)
 		}
 		if got.String() != c.want {
 			t.Errorf("%s: views %q, want %q", c.name, got.String(), c.want)
 		}
 		checkHostViews(t, rep)
-		if inc := analyzer.CheckCounters(rep.Trace, rep.HostViews()...); len(inc) != 0 {
-			t.Errorf("%s: %v", c.name, inc)
+		v := rep.Verdicts[len(rep.Verdicts)-1]
+		_, left, _ := strings.Cut(v.Reason, "not judged: ")
+		left, _, _ = strings.Cut(left, " (")
+		if v.Analyzer != "counter-consistency" || !v.Pass || left != c.left {
+			t.Errorf("%s: %s, want PASS leaving out %q", c.name, v.Line(0), c.left)
 		}
 	}
 }

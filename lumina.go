@@ -11,7 +11,7 @@
 // integrity-checked packet trace, NIC/switch counters, and the traffic
 // generator's goodput and message-completion-time logs. Runs made with
 // Options.Lineage also carry the analyzers' findings (Report.Analysis),
-// their verdicts, and Report.HostViews for the counter-consistency check.
+// the counter-consistency check's among them, and their verdicts.
 //
 // The façade holds what the examples use; the lumina command and the
 // packages under internal/ hold the rest.
