@@ -30,11 +30,12 @@ type CNPReport struct {
 	Orphans int
 }
 
-// addrPair is one direction between two addresses; cnpQP adds the
-// notified QP.
+// addrPair is one direction between two addresses; connDir adds the
+// destination QP, naming a connection direction without the strings
+// of a trace.ConnKey.
 type addrPair struct{ src, dst netip.Addr }
 
-type cnpQP struct {
+type connDir struct {
 	addrPair
 	qpn uint32
 }
@@ -47,7 +48,7 @@ func AnalyzeCNP(tr *trace.Trace) *CNPReport {
 	markedSeen := map[addrPair]bool{} // CE data observed sender→receiver
 	timesPerPort := map[netip.Addr][]sim.Time{}
 	timesPerIP := map[addrPair][]sim.Time{}
-	timesPerQP := map[cnpQP][]sim.Time{}
+	timesPerQP := map[connDir][]sim.Time{}
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
@@ -67,7 +68,7 @@ func AnalyzeCNP(tr *trace.Trace) *CNPReport {
 			ts := e.Time()
 			timesPerPort[src] = append(timesPerPort[src], ts)
 			timesPerIP[addrPair{src, dst}] = append(timesPerIP[addrPair{src, dst}], ts)
-			k := cnpQP{addrPair{src, dst}, e.Pkt.BTH.DestQP}
+			k := connDir{addrPair{src, dst}, e.Pkt.BTH.DestQP}
 			timesPerQP[k] = append(timesPerQP[k], ts)
 		}
 	}

@@ -49,11 +49,11 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 	mtu := estimateMTU(tr)
 	// nextReq tracks each connection's next expected fresh read-request
 	// PSN; a request landing below it re-reads already-reserved space.
-	nextReq := map[trace.ConnKey]uint32{}
+	nextReq := map[connDir]uint32{}
 	// streamOf indexes streams, each read-response stream delivered
 	// toward the side in first-seen order: a re-read is matched against
 	// them in that order, never in the map's.
-	streamOf := map[trace.ConnKey]int{}
+	streamOf := map[connDir]int{}
 	var streams []respState
 	var out []Inconsistency
 	for _, h := range hosts {
@@ -68,6 +68,7 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
 			op := e.Pkt.BTH.Opcode
+			k := connDir{addrPair{e.Pkt.IP.Src, e.Pkt.IP.Dst}, e.Pkt.BTH.DestQP}
 
 			// Read responses delivered toward this side feed the
 			// out-of-order evidence: a re-read proves an implied-NAK
@@ -76,7 +77,6 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 			// Injector-dropped copies never reached the host, so they
 			// carry no evidence.
 			if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
-				k := e.Key()
 				j, ok := streamOf[k]
 				if !ok {
 					j = len(streams)
@@ -96,7 +96,6 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 			case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
 				naksSent++
 			case op.IsReadRequest():
-				k := e.Key()
 				psn := e.Pkt.BTH.PSN
 				exp, ok := nextReq[k]
 				if !ok {
