@@ -16,6 +16,7 @@ package dumper
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -86,6 +87,13 @@ type Node struct {
 	track      string // telemetry track, "dumper-<idx>"
 	queued     int    // packets in rings across all cores
 
+	// The ring_occupancy track is sampled when the occupancy's log2
+	// bucket, bits.Len(queued), differs from that of the last sample
+	// (initially 0, an empty ring); ringPeak holds the exact peak. Both
+	// live only while a hub is attached at construction.
+	sampled  int
+	ringPeak *telemetry.Gauge
+
 	// arena backs the trimmed record copies: records are append-only and
 	// live until Terminate, so carving capped slices out of block
 	// allocations replaces one small allocation per captured packet. Each
@@ -113,11 +121,15 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 	if cfg.PerCoreGbps <= 0 {
 		cfg.PerCoreGbps = 5
 	}
-	return &Node{
+	n := &Node{
 		Sim: s, Index: index, Cfg: cfg,
 		cores: make([]core, cfg.Cores),
 		track: fmt.Sprintf("dumper-%d", index),
 	}
+	if h := s.Hub(); h.Active() {
+		n.ringPeak = h.Registry().Gauge(n.track + ".ring_peak")
+	}
+	return n
 }
 
 // AttachPort binds the node to its switch-facing port.
@@ -147,7 +159,7 @@ func (n *Node) capture(wire []byte) {
 		n.RxDiscards++
 		if h := n.Sim.Hub(); h.Active() {
 			h.EmitArgs(telemetry.KindDumperDisc, n.track, "ring_full",
-				telemetry.I("core", int64(ci)))
+				telemetry.I("core", int64(ci)), telemetry.I("depth", int64(c.queued)))
 			h.Count("dumper.discards", 1)
 		}
 		return
@@ -172,20 +184,10 @@ func (n *Node) capture(wire []byte) {
 	done := start.Add(sim.TransferTime(len(wire), n.Cfg.PerCoreGbps))
 	c.busyTil = done
 	if h := n.Sim.Hub(); h.Active() {
-		// seq threads the packet's lineage ID (its mirror sequence
-		// number) through the capture path for causal joins.
-		args := [3]telemetry.Field{
-			telemetry.I("core", int64(ci)),
-			telemetry.I("depth", int64(c.queued)),
+		n.sampleRing(h)
+		if n.ringPeak != nil && int64(n.queued) > n.ringPeak.Value() {
+			n.ringPeak.Set(int64(n.queued))
 		}
-		nargs := 2
-		if m, ok := packet.ExtractMirrorMeta(wire); ok {
-			args[2] = telemetry.I("seq", int64(m.Seq))
-			nargs = 3
-		}
-		h.EmitArgs(telemetry.KindDumperEnq, n.track, "enqueue", args[:nargs]...)
-		h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy",
-			int64(n.queued))
 		h.Count("dumper.rx", 1)
 		// Sojourn = ring wait + service: the interval between NIC arrival
 		// and the core finishing with the packet.
@@ -202,13 +204,23 @@ func (n *Node) HandleEvent(_ int, arg uint64, data []byte) {
 	c.queued--
 	n.queued--
 	if h := n.Sim.Hub(); h.Active() {
-		h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy",
-			int64(n.queued))
+		n.sampleRing(h)
 	}
 	// Restore the RSS-randomized port before buffering (§3.4).
 	packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
 	c.add(Record{Wire: data, Node: n.Index, Core: ci})
 	n.Captured++
+}
+
+// sampleRing emits a ring_occupancy sample when the node's occupancy has
+// left the log2 bucket of the last one, so the track rises and falls
+// through every power of two at a handful of samples per burst rather
+// than two per packet.
+func (n *Node) sampleRing(h *telemetry.Hub) {
+	if b := bits.Len(uint(n.queued)); b != n.sampled {
+		n.sampled = b
+		h.EmitCounter(telemetry.KindDumperQueue, n.track, "ring_occupancy", int64(n.queued))
+	}
 }
 
 // Arena blocks grow geometrically from arenaBlockMin to arenaBlockMax so

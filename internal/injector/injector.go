@@ -106,6 +106,9 @@ type Switch struct {
 	dumperPorts []*sim.Port
 	wrrWeights  []int
 	wrrCurrent  []int
+	// spray[i] counts the mirrors sent to dumper i, when a hub was
+	// attached as the dumper was.
+	spray []*telemetry.Counter
 
 	rules map[ruleKey]*Rule
 	conns map[connKey]*connState
@@ -213,6 +216,10 @@ func (sw *Switch) AttachDumper(port *sim.Port, weight int) {
 	sw.dumperPorts = append(sw.dumperPorts, port)
 	sw.wrrWeights = append(sw.wrrWeights, weight)
 	sw.wrrCurrent = append(sw.wrrCurrent, 0)
+	if h := sw.Sim.Hub(); h.Active() {
+		name := fmt.Sprintf("switch.spray.dumper-%d", len(sw.spray))
+		sw.spray = append(sw.spray, h.Registry().Counter(name))
+	}
 }
 
 // EnableINT registers the match-action pipeline as an INT hop on the
@@ -584,9 +591,9 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		pick = sw.nextDumper()
 	}
 	if h := sw.Sim.Hub(); h.Active() {
-		h.EmitArgs(telemetry.KindWRRPick, "switch/mirror", "spray",
-			telemetry.I("node", int64(pick)),
-			telemetry.I("seq", int64(sw.mirrorSeq)))
+		if pick < len(sw.spray) {
+			sw.spray[pick].Inc()
+		}
 		h.Count("switch.mirrored", 1)
 	}
 	sw.total.Mirrored++

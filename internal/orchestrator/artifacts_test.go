@@ -37,7 +37,7 @@ func (f *countingFile) Close() error { f.closed = true; return nil }
 // and what arrives is byte for byte what lands in real files.
 func TestWriteArtifactsBuffersItsWrites(t *testing.T) {
 	cfg := baseCfg()
-	cfg.Traffic.NumMsgsPerQP, cfg.Traffic.MessageSize = 24, 65536
+	cfg.Traffic.NumMsgsPerQP, cfg.Traffic.MessageSize = 80, 65536
 	rep, err := Run(cfg, allObservers())
 	if err != nil {
 		t.Fatal(err)

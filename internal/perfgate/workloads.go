@@ -186,9 +186,9 @@ func coverageRecord() (int, int, func()) {
 	}
 }
 
-// telemetryEmit is the probe every simulated packet pays several times
-// when telemetry is on: one EmitArgs with three integer arguments on an
-// attached hub whose site is already interned. The event is a fixed-size
+// telemetryEmit is the cost of one probe when telemetry is on: one
+// EmitArgs with three integer arguments on an attached hub whose site is
+// already interned. The event is a fixed-size
 // record appended to the hub's log, so an op's bytes are the record's
 // size and its only allocations are the log's chunks, one per 4096
 // events.
@@ -197,8 +197,8 @@ func telemetryEmit() (int, int, func()) {
 	var v int64
 	op := func() {
 		v++
-		h.EmitArgs(telemetry.KindETSPick, "requester/ets", "grant",
-			telemetry.I("queue", v&7), telemetry.I("qpn", v), telemetry.I("size", 1024))
+		h.EmitArgs(telemetry.KindRetransTimer, "requester/qp-1", "arm",
+			telemetry.I("rto_ns", v&7), telemetry.I("retry", v), telemetry.I("psn", 1024))
 	}
 	// Past 8160 events the log's chunks have doubled up to their cap.
 	for i := 0; i < 8192; i++ {

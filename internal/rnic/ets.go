@@ -51,7 +51,9 @@ func (c ETSConfig) Validate() error {
 // etsQueue is the runtime state of one scheduler queue.
 type etsQueue struct {
 	cfg ETSQueueConfig
-	idx int // position in the ETS config, for telemetry
+	// grants and bytes count the packets and bytes the queue was granted,
+	// when a hub was attached as the NIC was built.
+	grants, bytes *telemetry.Counter
 	// qps holds the QPs assigned to this queue, served round-robin so a
 	// rate-limited QP cannot head-of-line block its neighbours.
 	qps []*QP
@@ -71,7 +73,6 @@ type etsQueue struct {
 // pacing, and (on buggy hardware) per-queue guarantee clamps.
 type etsScheduler struct {
 	nic     *NIC
-	track   string // telemetry track of the grant probes
 	queues  []*etsQueue
 	busyTil sim.Time
 	wake    sim.EventRef
@@ -80,7 +81,7 @@ type etsScheduler struct {
 }
 
 func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
-	s := &etsScheduler{nic: nic, track: nic.Name + "/ets"}
+	s := &etsScheduler{nic: nic}
 	totalW := 0
 	weighted := 0
 	for _, q := range cfg.Queues {
@@ -90,7 +91,11 @@ func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
 		}
 	}
 	for i, qc := range cfg.Queues {
-		q := &etsQueue{cfg: qc, idx: i}
+		q := &etsQueue{cfg: qc}
+		if h := nic.Sim.Hub(); h.Active() {
+			q.grants = h.Registry().Counter(fmt.Sprintf("%s/ets.q%d.grants", nic.Name, i))
+			q.bytes = h.Registry().Counter(fmt.Sprintf("%s/ets.q%d.bytes", nic.Name, i))
+		}
 		// The guarantee clamp only manifests when bandwidth is actually
 		// partitioned across multiple weighted queues; a single queue
 		// owns the port.
@@ -157,11 +162,9 @@ func (s *etsScheduler) kick() {
 	} else {
 		s.nic.Sim.Coverage().Record(coverage.SiteETSGrant, coverage.ETSGrantWeighted)
 	}
-	if h := s.nic.Sim.Hub(); h.Active() {
-		h.EmitArgs(telemetry.KindETSPick, s.track, "grant",
-			telemetry.I("queue", int64(q.idx)),
-			telemetry.I("qpn", int64(qp.QPN)),
-			telemetry.I("size", int64(size)))
+	if q.grants != nil {
+		q.grants.Inc()
+		q.bytes.Add(int64(size))
 	}
 
 	// Port occupancy at line rate.

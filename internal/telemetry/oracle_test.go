@@ -71,7 +71,7 @@ func (d *draw) string() string {
 }
 
 func (d *draw) kind() Kind {
-	kinds := []Kind{KindQPState, KindETSPick, KindDumperQueue, KindInjectHit, Kind(d.string())}
+	kinds := []Kind{KindQPState, KindRetransTimer, KindDumperQueue, KindInjectHit, Kind(d.string())}
 	return kinds[int(d.byte())%len(kinds)]
 }
 

@@ -55,10 +55,7 @@ const (
 	KindRetransGBN   Kind = "retrans.gbn"   // Go-back-N NAK receipt and rewind
 	KindCNPGen       Kind = "cnp.gen"       // CNP emitted or rate-limited away
 	KindDCQCNRate    Kind = "dcqcn.rate"    // reaction-point paced rate (counter)
-	KindETSPick      Kind = "ets.pick"      // ETS scheduler grant
 	KindInjectHit    Kind = "inject.hit"    // injector match-action rule hit
-	KindWRRPick      Kind = "wrr.pick"      // mirror spray WRR dumper choice
-	KindDumperEnq    Kind = "dumper.enqueue"
 	KindDumperDisc   Kind = "dumper.discard"
 	KindDumperQueue  Kind = "dumper.queue"     // ring occupancy (counter)
 	KindTrafficMsg   Kind = "traffic.msg"      // message post / completion
@@ -129,8 +126,9 @@ type symbols struct {
 	strs  []string
 	strID map[string]uint32
 	// recent holds, per slot, the index + 1 of the last site looked up
-	// there (0: none). Five probes fire per simulated packet, each from a
-	// site that repeats, so most lookups end here on one comparison.
+	// there (0: none). The probes a long run repeats most (occupancy
+	// samples, timer arms, rate changes) each come from one site, so
+	// most lookups end here on one comparison.
 	recent [256]uint32
 }
 

@@ -222,7 +222,7 @@ func TestRecordedArgsAreHubOwned(t *testing.T) {
 		args[0].Val = int64(i)
 		switch i % 3 {
 		case 0:
-			h.EmitArgs(KindETSPick, "ets", "grant", args[:]...)
+			h.EmitArgs(KindRetransTimer, "qp", "arm", args[:]...)
 		case 1:
 			h.EmitCounter(KindDumperQueue, "dumper", "ring", int64(i))
 		default:
@@ -268,7 +268,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 		for i := 0; i < emits/4; i++ {
 			v := int64(i)
 			h.Emit(KindRunPhase, "orchestrator", "phase")
-			h.EmitArgs(KindETSPick, "requester/ets", "grant", I("queue", v), I("qpn", v), I("size", v))
+			h.EmitArgs(KindRetransTimer, "requester/qp-1", "arm", I("rto_ns", v), I("retry", v), I("psn", v))
 			h.EmitCounter(KindDumperQueue, "dumper-0", "ring_occupancy", v)
 			h.EmitSpan(KindRetransGBN, "qp", "nack_react", v, I("psn", v))
 		}
