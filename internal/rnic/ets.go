@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -93,8 +94,8 @@ func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
 	for i, qc := range cfg.Queues {
 		q := &etsQueue{cfg: qc}
 		if h := nic.Sim.Hub(); h.Active() {
-			q.grants = h.Registry().Counter(fmt.Sprintf("%s/ets.q%d.grants", nic.Name, i))
-			q.bytes = h.Registry().Counter(fmt.Sprintf("%s/ets.q%d.bytes", nic.Name, i))
+			q.grants = h.Registry().Counter(nic.Name + "/ets.q" + strconv.Itoa(i) + ".grants")
+			q.bytes = h.Registry().Counter(nic.Name + "/ets.q" + strconv.Itoa(i) + ".bytes")
 		}
 		// The guarantee clamp only manifests when bandwidth is actually
 		// partitioned across multiple weighted queues; a single queue

@@ -28,7 +28,6 @@ type result struct {
 	Quick  bool   `json:"quick"`
 	Seed   int64  `json:"seed"`
 	Host   struct {
-		Version       string  `json:"version"`
 		CalibrationNs float64 `json:"calibration_ns"`
 	} `json:"host"`
 	Workloads []struct {
@@ -56,7 +55,6 @@ type ratio struct {
 type row struct {
 	Commit        string           `json:"commit"`
 	Source        string           `json:"source"`
-	Note          string           `json:"note,omitempty"`
 	Seed          int64            `json:"seed"`
 	CalibrationNs float64          `json:"calibration_ns"`
 	Workloads     map[string]point `json:"workloads"`
@@ -82,21 +80,15 @@ func readResult(data []byte) (*result, error) {
 	return &r, nil
 }
 
-// makeRow condenses a result into a trajectory row. An empty commit
-// falls back to the build stamp the result recorded; an empty source is
-// "quick" or "ladder" by how the result was measured.
-func makeRow(r *result, commit, source, note string) row {
-	if commit == "" {
-		commit = r.Host.Version
-	}
-	if source == "" {
-		source = "ladder"
-		if r.Quick {
-			source = "quick"
-		}
+// makeRow condenses a result into a trajectory row. Its source is
+// "quick" or "ladder", by how the result was measured.
+func makeRow(r *result, commit string) row {
+	source := "ladder"
+	if r.Quick {
+		source = "quick"
 	}
 	out := row{
-		Commit: commit, Source: source, Note: note, Seed: r.Seed,
+		Commit: commit, Source: source, Seed: r.Seed,
 		CalibrationNs: round(r.Host.CalibrationNs),
 		Workloads:     map[string]point{},
 	}
@@ -141,14 +133,15 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("trajectory", flag.ContinueOnError)
 	in := fs.String("result", "bench/out/result.json", "benchmark result file to read")
 	out := fs.String("out", "PERF_TRAJECTORY.jsonl", "trajectory file to append to")
-	commit := fs.String("commit", "", "commit the result measures (default: the result's build stamp)")
-	source := fs.String("source", "", `how the row was measured (default: "quick" or "ladder" from the result)`)
-	note := fs.String("note", "", "free-text note for the row")
+	commit := fs.String("commit", "", "commit the result measures (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *commit == "" {
+		return errors.New("-commit is required")
 	}
 	data, err := os.ReadFile(*in)
 	if err != nil {
@@ -158,7 +151,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
 	}
-	return appendRow(*out, makeRow(r, *commit, *source, *note))
+	return appendRow(*out, makeRow(r, *commit))
 }
 
 func main() {

@@ -32,9 +32,9 @@ func TestAppendsOneRowPerRun(t *testing.T) {
 	}
 }
 
-// TestDefaultsComeFromTheResult: without -commit and -source a row names
-// the result's build stamp and how it was measured, and carries a note.
-func TestDefaultsComeFromTheResult(t *testing.T) {
+// TestSourceIsHowTheResultWasMeasured: a quick ladder's row and a full
+// ladder's row say which they are.
+func TestSourceIsHowTheResultWasMeasured(t *testing.T) {
 	data, err := os.ReadFile("testdata/result.json")
 	if err != nil {
 		t.Fatal(err)
@@ -43,12 +43,11 @@ func TestDefaultsComeFromTheResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := makeRow(r, "", "", "parent")
-	if row.Commit != "(devel)+0123456789ab" || row.Source != "quick" || row.Note != "parent" {
-		t.Fatalf("row = %+v", row)
+	if row := makeRow(r, "c"); row.Source != "quick" {
+		t.Fatalf("a quick ladder's row has source %q", row.Source)
 	}
 	r.Quick = false
-	if row := makeRow(r, "", "", ""); row.Source != "ladder" {
+	if row := makeRow(r, "c"); row.Source != "ladder" {
 		t.Fatalf("a full ladder's row has source %q", row.Source)
 	}
 }
@@ -65,10 +64,13 @@ func TestRefusesWhatIsNotAResult(t *testing.T) {
 		}
 	}
 	out := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := run([]string{"-result", "testdata/missing.json", "-out", out}); err == nil {
+	if err := run([]string{"-result", "testdata/missing.json", "-out", out, "-commit", "c"}); err == nil {
 		t.Error("a missing result file appended a row")
 	}
-	if err := run([]string{"-out", out, "extra"}); err == nil || !strings.Contains(err.Error(), "extra") {
+	if err := run([]string{"-result", "testdata/result.json", "-out", out}); err == nil || !strings.Contains(err.Error(), "-commit") {
+		t.Errorf("no commit: %v", err)
+	}
+	if err := run([]string{"-out", out, "-commit", "c", "extra"}); err == nil || !strings.Contains(err.Error(), "extra") {
 		t.Errorf("a stray argument: %v", err)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
