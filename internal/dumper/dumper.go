@@ -89,8 +89,8 @@ type Node struct {
 
 	// The ring_occupancy track is sampled when the occupancy's log2
 	// bucket, bits.Len(queued), differs from that of the last sample
-	// (initially 0, an empty ring); ringPeak holds the exact peak. Both
-	// live only while a hub is attached at construction.
+	// (initially 0, an empty ring). ringPeak holds the exact peak; it is
+	// nil unless a hub was attached when the node was built.
 	sampled  int
 	ringPeak *telemetry.Gauge
 

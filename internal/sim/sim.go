@@ -378,8 +378,8 @@ func (s *Simulator) Now() Time { return s.now }
 // AttachHub connects a telemetry hub to the simulation: components
 // reached through Hub() start recording probes stamped with this
 // simulator's virtual clock. Attaching nil detaches. Attach before
-// building components: the per-node, per-dumper and per-queue registry
-// metrics are named when a component is constructed.
+// building components: the dumper, spray and ETS-queue registry metrics
+// are named when their component is built.
 func (s *Simulator) AttachHub(h *telemetry.Hub) {
 	s.hub = h
 	h.SetClock(func() int64 { return int64(s.now) })
