@@ -4,6 +4,11 @@
 package orchestrator
 
 import (
+	"net/netip"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -182,4 +187,143 @@ func TestPropertyConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// relabelling is an injective map over every ip-list address of the
+// checked-in configs, with the order it is built to keep.
+type relabelling struct {
+	name string
+	to   map[string]string
+	// keepsStringOrder holds when the images sort as strings the way the
+	// originals do; the address order is then reversed, and vice versa.
+	keepsStringOrder bool
+}
+
+// addressRelabellings flip one of the two orders an implementation might
+// sort addresses by and keep the other: a rendering that orders by either
+// moves under one of them.
+var addressRelabellings = []relabelling{
+	{"address order flipped", map[string]string{
+		"10.0.0.1": "10.0.0.100", "10.0.0.2": "10.0.0.40", "10.0.0.3": "10.0.0.5", "10.0.0.12": "10.0.0.4",
+	}, true},
+	{"string order flipped", map[string]string{
+		"10.0.0.1": "10.0.0.3", "10.0.0.2": "10.0.0.20", "10.0.0.3": "10.0.0.100", "10.0.0.12": "10.0.0.250",
+	}, false},
+}
+
+// dottedQuad matches a whole IPv4 address wherever it sits: summary JSON
+// escapes '>' as >, so an address may follow a digit-free letter
+// with no word boundary between them.
+var dottedQuad = regexp.MustCompile(`\d+\.\d+\.\d+\.\d+`)
+
+// TestPropertyAddressRelabelling: relabelling every address of a run
+// consistently changes no verdict, and mapping the relabelled run's
+// canonical summary and report.json back through the inverse gives the
+// original bytes. The two relabellings catch any output ordered by the
+// addresses themselves or by their strings.
+//
+// One quantity may move: the run's end time. A dumper node hashes the
+// address bytes to pick the capturing core (§3.4's RSS), so when the
+// last capture drains depends on the addresses; it is cleared before
+// rendering. Every packet's time still reaches the summary through the
+// chains' nodes.
+func TestPropertyAddressRelabelling(t *testing.T) {
+	for _, rl := range addressRelabellings {
+		inverse := map[string]string{}
+		for from, to := range rl.to {
+			inverse[to] = from
+		}
+		if len(inverse) != len(rl.to) {
+			t.Fatalf("%s: not injective", rl.name)
+		}
+		for a, to := range rl.to {
+			for b, tob := range rl.to {
+				addrA, addrB := netip.MustParseAddr(a), netip.MustParseAddr(b)
+				imgA, imgB := netip.MustParseAddr(to), netip.MustParseAddr(tob)
+				sameStr := (a < b) == (to < tob)
+				sameAddr := addrA.Less(addrB) == imgA.Less(imgB)
+				if a != b && (sameStr != rl.keepsStringOrder || sameAddr == rl.keepsStringOrder) {
+					t.Fatalf("%s: %s→%s, %s→%s does not flip the intended order", rl.name, a, to, b, tob)
+				}
+			}
+		}
+	}
+
+	files, err := filepath.Glob(filepath.Join("..", "..", "configs", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no configs: %v", err)
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			cfg, err := config.Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			summary, report, verdicts := relabelledRun(t, cfg, nil)
+			for _, rl := range addressRelabellings {
+				undo := func(s string) string {
+					return dottedQuad.ReplaceAllStringFunc(s, func(a string) string {
+						for from, to := range rl.to {
+							if to == a {
+								return from
+							}
+						}
+						return a
+					})
+				}
+				s, r, v := relabelledRun(t, cfg, rl.to)
+				if got := undo(s); got != summary {
+					t.Errorf("%s: canonical summary differs after the inverse map:\n%s\nwant\n%s", rl.name, got, summary)
+				}
+				if got := undo(r); got != report {
+					t.Errorf("%s: report.json differs after the inverse map:\n%s\nwant\n%s", rl.name, got, report)
+				}
+				if len(v) != len(verdicts) {
+					t.Fatalf("%s: %d verdicts, want %d", rl.name, len(v), len(verdicts))
+				}
+				for i := range v {
+					v[i].Reason = undo(v[i].Reason)
+					if v[i].Analyzer != verdicts[i].Analyzer || v[i].Pass != verdicts[i].Pass || v[i].Reason != verdicts[i].Reason {
+						t.Errorf("%s: verdict %d is %+v, want %+v", rl.name, i, v[i], verdicts[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// relabelledRun runs cfg with every ip-list address replaced through to
+// (nil keeps them) and returns its canonical summary, its report.json and
+// its verdicts.
+func relabelledRun(t *testing.T, cfg config.Test, to map[string]string) (summary, report string, verdicts []analyzer.Verdict) {
+	t.Helper()
+	for _, nic := range []*config.NIC{&cfg.Requester.NIC, &cfg.Responder.NIC} {
+		ips := slices.Clone(nic.IPList)
+		for i, a := range ips {
+			if to == nil {
+				continue
+			}
+			img, ok := to[a.String()]
+			if !ok {
+				t.Fatalf("address %s has no relabelling", a)
+			}
+			ips[i] = netip.MustParseAddr(img)
+		}
+		nic.IPList = ips
+	}
+	rep, err := Run(cfg, Options{Lineage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.DurationNs = 0
+	s := rep.Summary()
+	s.CodeVersion = ""
+	var sb, rb strings.Builder
+	if err := writeJSON(&sb, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.writeReport(&rb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String(), rb.String(), rep.Verdicts
 }

@@ -1,6 +1,7 @@
 package rnic
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -259,8 +260,11 @@ func TestDCQCNRateRecoversAfterCongestionEnds(t *testing.T) {
 func TestCNPScopePerQPvsPerPort(t *testing.T) {
 	// Two QPs on the same NIC pair, every packet CE-marked, zero
 	// configured interval but a 10µs profile floor. Per-port scope
-	// should emit roughly half the CNPs of per-QP scope.
-	run := func(scope CNPScope) int {
+	// should emit roughly half the CNPs of per-QP scope. Per-dst-IP
+	// scope keys by the data sender's address: with both QPs on one
+	// source GID it limits exactly as per-port does, and with a GID each
+	// exactly as per-QP does.
+	run := func(scope CNPScope, srcIPs [2]string) []sim.Time {
 		o := defaultPairOpts()
 		o.profB.CNPScope = scope
 		o.profB.MinCNPInterval = 10 * sim.Microsecond
@@ -272,12 +276,11 @@ func TestCNPScopePerQPvsPerPort(t *testing.T) {
 		p.relay.onForward = markEverything(t)
 		times := collectCNPTimes(t, p)
 
-		cfg := QPConfig{MTU: 1024, TimeoutExp: 10, RetryCnt: 7}
 		mr := p.b.RegisterMR(64 << 20)
 		var qas []*QP
-		for i := 0; i < 2; i++ {
-			qa := p.a.CreateQP(cfg)
-			qb := p.b.CreateQP(cfg)
+		for _, src := range srcIPs {
+			qa := p.a.CreateQP(QPConfig{MTU: 1024, TimeoutExp: 10, RetryCnt: 7, SrcIP: ip(src)})
+			qb := p.b.CreateQP(QPConfig{MTU: 1024, TimeoutExp: 10, RetryCnt: 7})
 			qa.Connect(qb.Local())
 			qb.Connect(qa.Local())
 			qas = append(qas, qa)
@@ -288,12 +291,20 @@ func TestCNPScopePerQPvsPerPort(t *testing.T) {
 			}
 		}
 		p.s.Run()
-		return len(*times)
+		return *times
 	}
-	perQP := run(CNPPerQP)
-	perPort := run(CNPPerPort)
-	if perQP < perPort*14/10 {
-		t.Fatalf("per-QP scope CNPs (%d) not meaningfully above per-port (%d)", perQP, perPort)
+	oneGID := [2]string{"10.0.0.1", "10.0.0.1"}
+	twoGIDs := [2]string{"10.0.0.1", "10.0.0.11"}
+	perQP := run(CNPPerQP, oneGID)
+	perPort := run(CNPPerPort, oneGID)
+	if len(perQP) < len(perPort)*14/10 {
+		t.Fatalf("per-QP scope CNPs (%d) not meaningfully above per-port (%d)", len(perQP), len(perPort))
+	}
+	if got := run(CNPPerDstIP, oneGID); !slices.Equal(got, perPort) {
+		t.Errorf("per-dst-IP on one source GID sent %d CNPs, per-port %d: times differ", len(got), len(perPort))
+	}
+	if got, want := run(CNPPerDstIP, twoGIDs), run(CNPPerQP, twoGIDs); !slices.Equal(got, want) {
+		t.Errorf("per-dst-IP on two source GIDs sent %d CNPs, per-QP %d: times differ", len(got), len(want))
 	}
 }
 
