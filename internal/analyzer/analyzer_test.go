@@ -276,7 +276,7 @@ func TestCNPAnalyzerCountsAndOrphans(t *testing.T) {
 	if cr.Orphans != 0 {
 		t.Fatalf("%d orphan CNPs", cr.Orphans)
 	}
-	respIP := rep.Config.Responder.NIC.IPList[0].String()
+	respIP := rep.Config.Responder.NIC.IPList[0]
 	if cr.CNPs[respIP] == 0 {
 		t.Fatal("CNPs not attributed to the responder")
 	}

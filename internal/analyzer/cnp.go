@@ -14,9 +14,9 @@ import (
 type CNPReport struct {
 	// ECNMarked counts CE-marked data packets per notification-point IP
 	// (the receiver that should react).
-	ECNMarked map[string]int
+	ECNMarked map[netip.Addr]int
 	// CNPs counts congestion notifications per sender IP.
-	CNPs map[string]int
+	CNPs map[netip.Addr]int
 	// MinIntervalPerPort / PerDstIP / PerQP are the smallest observed
 	// gaps between consecutive CNPs grouped at each scope. Comparing
 	// them against a configured limit infers the hardware's rate-limiter
@@ -30,63 +30,42 @@ type CNPReport struct {
 	Orphans int
 }
 
-// addrPair is one direction between two addresses; connDir adds the
-// destination QP, naming a connection direction without the strings
-// of a trace.ConnKey.
-type addrPair struct{ src, dst netip.Addr }
-
-type connDir struct {
-	addrPair
-	qpn uint32
-}
-
 // AnalyzeCNP inspects marking and notification behaviour in a trace.
 func AnalyzeCNP(tr *trace.Trace) *CNPReport {
-	rep := &CNPReport{}
-	marked := map[netip.Addr]int{}    // CE-marked data per receiver
-	cnps := map[netip.Addr]int{}      // CNPs per sender
-	markedSeen := map[addrPair]bool{} // CE data observed sender→receiver
+	rep := &CNPReport{ECNMarked: map[netip.Addr]int{}, CNPs: map[netip.Addr]int{}}
+	// Keys with a zero DstQPN name an address pair: markedSeen records
+	// CE data observed sender→receiver.
+	markedSeen := map[trace.ConnKey]bool{}
 	timesPerPort := map[netip.Addr][]sim.Time{}
-	timesPerIP := map[addrPair][]sim.Time{}
-	timesPerQP := map[connDir][]sim.Time{}
+	timesPerIP := map[trace.ConnKey][]sim.Time{}
+	timesPerQP := map[trace.ConnKey][]sim.Time{}
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
 		op := e.Pkt.BTH.Opcode
-		src, dst := e.Pkt.IP.Src, e.Pkt.IP.Dst
+		k := e.Key()
+		pair := trace.ConnKey{Src: k.Src, Dst: k.Dst}
 		switch {
 		case op.IsData() && e.Pkt.IP.ECN == packet.ECNCE && e.Meta.Event != packet.EventDrop:
-			marked[dst]++
-			markedSeen[addrPair{src, dst}] = true
+			rep.ECNMarked[k.Dst]++
+			markedSeen[pair] = true
 		case op.IsCNP():
-			cnps[src]++
+			rep.CNPs[k.Src]++
 			// Orphan check: a CNP from src implies CE-marked data
 			// dst→src was seen earlier.
-			if !markedSeen[addrPair{dst, src}] {
+			if !markedSeen[trace.ConnKey{Src: k.Dst, Dst: k.Src}] {
 				rep.Orphans++
 			}
 			ts := e.Time()
-			timesPerPort[src] = append(timesPerPort[src], ts)
-			timesPerIP[addrPair{src, dst}] = append(timesPerIP[addrPair{src, dst}], ts)
-			k := connDir{addrPair{src, dst}, e.Pkt.BTH.DestQP}
+			timesPerPort[k.Src] = append(timesPerPort[k.Src], ts)
+			timesPerIP[pair] = append(timesPerIP[pair], ts)
 			timesPerQP[k] = append(timesPerQP[k], ts)
 		}
 	}
-	rep.ECNMarked = byAddrString(marked)
-	rep.CNPs = byAddrString(cnps)
 	rep.MinIntervalPerPort = minGap(timesPerPort)
 	rep.MinIntervalPerIP = minGap(timesPerIP)
 	rep.MinIntervalPerQP = minGap(timesPerQP)
 	return rep
-}
-
-// byAddrString re-keys per-address counts by the address's string form.
-func byAddrString(m map[netip.Addr]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for a, n := range m {
-		out[a.String()] = n
-	}
-	return out
 }
 
 // InferScope classifies the rate-limiter granularity given the

@@ -49,11 +49,11 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 	mtu := estimateMTU(tr)
 	// nextReq tracks each connection's next expected fresh read-request
 	// PSN; a request landing below it re-reads already-reserved space.
-	nextReq := map[connDir]uint32{}
+	nextReq := map[trace.ConnKey]uint32{}
 	// streamOf indexes streams, each read-response stream delivered
 	// toward the side in first-seen order: a re-read is matched against
 	// them in that order, never in the map's.
-	streamOf := map[connDir]int{}
+	streamOf := map[trace.ConnKey]int{}
 	var streams []respState
 	var out []Inconsistency
 	for _, h := range hosts {
@@ -68,7 +68,7 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
 			op := e.Pkt.BTH.Opcode
-			k := connDir{addrPair{e.Pkt.IP.Src, e.Pkt.IP.Dst}, e.Pkt.BTH.DestQP}
+			k := e.Key()
 
 			// Read responses delivered toward this side feed the
 			// out-of-order evidence: a re-read proves an implied-NAK

@@ -9,7 +9,6 @@ package analyzer
 
 import (
 	"fmt"
-	"net/netip"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -41,10 +40,9 @@ func (r *GBNReport) OK() bool { return len(r.Violations) == 0 }
 // gbnState replays one direction's receiver per the Go-back-N
 // specification.
 type gbnState struct {
-	key      trace.ConnKey
-	src, dst netip.Addr // key's addresses, for comparing without formatting
-	init     bool
-	ePSN     uint32
+	key  trace.ConnKey
+	init bool
+	ePSN uint32
 
 	// gap state
 	inGap   bool
@@ -86,10 +84,10 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	// map's, so a verdict cannot change from run to run.
 	states := map[trace.ConnKey]*gbnState{}
 	var order []*gbnState
-	state := func(k trace.ConnKey, src, dst netip.Addr) *gbnState {
+	state := func(k trace.ConnKey) *gbnState {
 		st, ok := states[k]
 		if !ok {
-			st = &gbnState{key: k, src: src, dst: dst}
+			st = &gbnState{key: k}
 			states[k] = st
 			order = append(order, st)
 			rep.ConnsChecked++
@@ -98,7 +96,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	}
 	// A control packet's data stream flows the opposite way.
 	controlled := func(e *trace.Entry) *gbnState {
-		return state(resolveDataKey(order, tr, e), e.Pkt.IP.Dst, e.Pkt.IP.Src)
+		return state(resolveDataKey(order, tr, e))
 	}
 	addViolation := func(st *gbnState, e *trace.Entry, format string, args ...any) {
 		rep.Violations = append(rep.Violations, Violation{
@@ -112,7 +110,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 		op := e.Pkt.BTH.Opcode
 		switch {
 		case op.IsSend() || op.IsWrite() || op.IsReadResponse():
-			st := state(e.Key(), e.Pkt.IP.Src, e.Pkt.IP.Dst)
+			st := state(e.Key())
 			// Mirrors are taken at ingress, before the action applies:
 			// dropped packets never reach the receiver, and delayed or
 			// reordered packets reach it later than their mirror
@@ -229,7 +227,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 		if !st.init {
 			continue
 		}
-		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src {
+		if st.key.Src != e.Pkt.IP.Dst || st.key.Dst != e.Pkt.IP.Src {
 			continue
 		}
 		ref := st.ePSN
@@ -264,7 +262,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 	if found && bestDist < 1<<20 {
 		return bestKey
 	}
-	return trace.ConnKey{Src: e.Pkt.IP.Dst.String(), Dst: e.Pkt.IP.Src.String(), DstQPN: 0}
+	return trace.ConnKey{Src: e.Pkt.IP.Dst, Dst: e.Pkt.IP.Src}
 }
 
 // psnDist is the circular distance between two 24-bit PSNs.

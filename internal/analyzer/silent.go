@@ -53,7 +53,7 @@ func AnalyzeSilentLoss(tr *trace.Trace, unreliable map[uint32]bool) []SilentLoss
 		for j := i + 1; j < len(tr.Entries); j++ {
 			n := &tr.Entries[j]
 			op := n.Pkt.BTH.Opcode
-			if n.SameConn(e) && op.IsData() && n.Pkt.BTH.PSN == l.PSN {
+			if n.Key() == e.Key() && op.IsData() && n.Pkt.BTH.PSN == l.PSN {
 				l.Retransmitted = true
 			}
 			if n.Reverses(e) && op.IsAck() && n.Pkt.AETH.IsNak() &&

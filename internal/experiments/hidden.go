@@ -52,7 +52,7 @@ func CNPIntervals(models []string) ([]CNPIntervalPoint, error) {
 	var out []CNPIntervalPoint
 	for i, rep := range reps {
 		cr := analyzer.AnalyzeCNP(rep.Trace)
-		respIP := cfgs[i].Responder.NIC.IPList[0].String()
+		respIP := cfgs[i].Responder.NIC.IPList[0]
 		out = append(out, CNPIntervalPoint{
 			Model:       models[i],
 			MinInterval: cr.MinIntervalPerPort,

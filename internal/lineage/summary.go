@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/lumina-sim/lumina/internal/sim"
+	"github.com/lumina-sim/lumina/internal/trace"
 )
 
 // ChainsSummary is the JSON-stable form of a Graph, embedded in
@@ -52,6 +53,17 @@ type EdgeItem struct {
 	LatencyNs int64  `json:"latency_ns"`
 }
 
+// connName renders k as fmt's "%s>%s/qp-0x%06x" would, appending the
+// addresses' text to one stack buffer instead of boxing and formatting
+// each: Summarize runs once per chain.
+func connName(k trace.ConnKey) string {
+	var buf [64]byte
+	b := k.Src.AppendTo(buf[:0])
+	b = append(b, '>')
+	b = k.Dst.AppendTo(b)
+	return string(fmt.Appendf(b, "/qp-0x%06x", k.DstQPN))
+}
+
 // Summarize converts the graph into its serializable form.
 func (g *Graph) Summarize() *ChainsSummary {
 	s := &ChainsSummary{}
@@ -67,7 +79,7 @@ func (g *Graph) Summarize() *ChainsSummary {
 		s.ByEvent[ch.Event.String()]++
 		item := ChainItem{
 			Lineage: ch.Lineage, Event: ch.Event.String(),
-			Conn:     fmt.Sprintf("%s>%s/qp-0x%06x", ch.Conn.Src, ch.Conn.Dst, ch.Conn.DstQPN),
+			Conn:     connName(ch.Conn),
 			PSN:      ch.PSN,
 			ActorQPN: ch.ActorQPN, Completed: ch.Completed,
 		}

@@ -228,12 +228,13 @@ var dottedQuad = regexp.MustCompile(`\d+\.\d+\.\d+\.\d+`)
 // rendering. Every packet's time still reaches the summary through the
 // chains' nodes.
 func TestPropertyAddressRelabelling(t *testing.T) {
-	for _, rl := range addressRelabellings {
-		inverse := map[string]string{}
+	inverses := make([]map[string]string, len(addressRelabellings))
+	for n, rl := range addressRelabellings {
+		inverses[n] = map[string]string{}
 		for from, to := range rl.to {
-			inverse[to] = from
+			inverses[n][to] = from
 		}
-		if len(inverse) != len(rl.to) {
+		if len(inverses[n]) != len(rl.to) {
 			t.Fatalf("%s: not injective", rl.name)
 		}
 		for a, to := range rl.to {
@@ -260,13 +261,11 @@ func TestPropertyAddressRelabelling(t *testing.T) {
 				t.Fatal(err)
 			}
 			summary, report, verdicts := relabelledRun(t, cfg, nil)
-			for _, rl := range addressRelabellings {
+			for n, rl := range addressRelabellings {
 				undo := func(s string) string {
 					return dottedQuad.ReplaceAllStringFunc(s, func(a string) string {
-						for from, to := range rl.to {
-							if to == a {
-								return from
-							}
+						if from, ok := inverses[n][a]; ok {
+							return from
 						}
 						return a
 					})

@@ -1,6 +1,8 @@
 package rnic
 
 import (
+	"net/netip"
+
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -197,17 +199,24 @@ func (rp *rpState) stop() {
 	rp.nic.Sim.Cancel(rp.rateTimer)
 }
 
+// cnpBucket names one CNP rate-limiter bucket: the zero value on a
+// per-port NIC, the destination address per IP, both fields per QP.
+type cnpBucket struct {
+	ip  netip.Addr
+	qpn uint32
+}
+
 // cnpScopeKey returns the rate-limiter bucket a CNP toward (dstIP, dstQPN)
 // falls into for this NIC's scope mode — the hidden behaviour matrix of
 // §6.3 (CX4 Lx per destination IP, E810 per QP, CX5/CX6 Dx per port).
-func (n *NIC) cnpScopeKey(dstIP string, dstQPN uint32) string {
+func (n *NIC) cnpScopeKey(dstIP netip.Addr, dstQPN uint32) cnpBucket {
 	switch n.Prof.CNPScope {
 	case CNPPerPort:
-		return "port"
+		return cnpBucket{}
 	case CNPPerDstIP:
-		return "ip:" + dstIP
+		return cnpBucket{ip: dstIP}
 	default:
-		return "qp:" + dstIP + "/" + itoa(dstQPN)
+		return cnpBucket{ip: dstIP, qpn: dstQPN}
 	}
 }
 
@@ -223,18 +232,4 @@ func (n *NIC) minCNPInterval() sim.Duration {
 		iv = n.Prof.HiddenCNPInterval
 	}
 	return iv
-}
-
-func itoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [10]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

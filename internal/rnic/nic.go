@@ -68,7 +68,7 @@ type NIC struct {
 
 	// DCQCN notification point: next instant a CNP may be emitted, per
 	// rate-limiter scope bucket.
-	cnpNextAllowed map[string]sim.Time
+	cnpNextAllowed map[cnpBucket]sim.Time
 
 	// Slow-path engine (§6.2.2): occupancy above Prof.SlowPathContexts
 	// wedges the RX pipeline for Prof.WedgeDuration; arriving packets
@@ -144,7 +144,7 @@ func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 		qps:            map[uint32]*QP{},
 		mrs:            map[uint32]*mrState{},
 		rng:            s.RNG().Fork(),
-		cnpNextAllowed: map[string]sim.Time{},
+		cnpNextAllowed: map[cnpBucket]sim.Time{},
 		apmCache:       map[uint32]bool{},
 	}
 	n.sched = newETSScheduler(n, ets)
@@ -380,7 +380,7 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 	if !ok || !qp.connected {
 		return
 	}
-	key := n.cnpScopeKey(pkt.IP.Src.String(), qp.remote.QPN)
+	key := n.cnpScopeKey(pkt.IP.Src, qp.remote.QPN)
 	now := n.Sim.Now()
 	if next, busy := n.cnpNextAllowed[key]; busy && now < next {
 		n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSuppress)

@@ -20,7 +20,7 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 		// observable at the switch even when the injector drops it again
 		// (Listing 2's iter-2 drop), so it may be a dropped entry; the
 		// trigger must actually reach the receiver, so it may not.
-		if op.IsData() && e.SameConn(drop) {
+		if op.IsData() && e.Key() == drop.Key() {
 			if e.Pkt.BTH.PSN == psn {
 				return trigger, nack, e
 			}

@@ -27,15 +27,7 @@ type Entry struct {
 	Wire []byte
 	// Node/Core locate the capturing dumper.
 	Node, Core int
-
-	// addrs holds the string forms of Pkt.IP.Src/Dst, interned once per
-	// trace by Reconstruct so Key formats nothing; nil on an entry built
-	// by hand.
-	addrs *addrPair
 }
-
-// addrPair is the string form of one (source, destination) address pair.
-type addrPair struct{ src, dst string }
 
 // Time returns the switch ingress timestamp as a simulation instant.
 func (e *Entry) Time() sim.Time { return sim.Time(e.Meta.Timestamp) }
@@ -87,8 +79,6 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	}
 
 	tr := &Trace{Entries: make([]Entry, pos)}
-	pairs := map[[2]netip.Addr]*addrPair{}
-	var last *Entry // the entry before e
 	for out := range tr.Entries {
 		h := &heads[0]
 		r, e := &segs[h.seg][h.off], &tr.Entries[out]
@@ -97,18 +87,6 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 			return nil, firstError(segs)
 		}
 		e.Meta, e.OrigLen, e.Wire, e.Node, e.Core = h.meta, origLen, r.Wire, r.Node, r.Core
-		// Packets of one direction come in runs, so most entries share
-		// the previous one's pair and skip the map.
-		if last != nil && last.Pkt.IP.Src == e.Pkt.IP.Src && last.Pkt.IP.Dst == e.Pkt.IP.Dst {
-			e.addrs = last.addrs
-		} else {
-			k := [2]netip.Addr{e.Pkt.IP.Src, e.Pkt.IP.Dst}
-			if e.addrs = pairs[k]; e.addrs == nil {
-				e.addrs = &addrPair{src: k[0].String(), dst: k[1].String()}
-				pairs[k] = e.addrs
-			}
-		}
-		last = e
 		if h.pos++; h.pos < h.end {
 			// The run goes on, possibly past its chunk's end: the first
 			// pass accepted every record, so the read cannot fail.
@@ -216,24 +194,17 @@ func (t *Trace) IntegrityCheck(mirrored, rxRoCE uint64) error {
 	return nil
 }
 
-// ConnKey identifies one direction of one connection in the trace.
+// ConnKey identifies one direction of one connection in the trace. It
+// is comparable and formats nothing: renderings print the addresses
+// with %s, and JSON writes them as text, both in their String form.
 type ConnKey struct {
-	Src, Dst string // IP addresses, string form for map keys
+	Src, Dst netip.Addr
 	DstQPN   uint32
 }
 
 // Key returns the entry's connection-direction key.
 func (e *Entry) Key() ConnKey {
-	if a := e.addrs; a != nil {
-		return ConnKey{Src: a.src, Dst: a.dst, DstQPN: e.Pkt.BTH.DestQP}
-	}
-	return ConnKey{Src: e.Pkt.IP.Src.String(), Dst: e.Pkt.IP.Dst.String(), DstQPN: e.Pkt.BTH.DestQP}
-}
-
-// SameConn reports whether e and o belong to the same connection
-// direction — e.Key() == o.Key() without building either key.
-func (e *Entry) SameConn(o *Entry) bool {
-	return e.Pkt.BTH.DestQP == o.Pkt.BTH.DestQP && e.Pkt.IP.Src == o.Pkt.IP.Src && e.Pkt.IP.Dst == o.Pkt.IP.Dst
+	return ConnKey{Src: e.Pkt.IP.Src, Dst: e.Pkt.IP.Dst, DstQPN: e.Pkt.BTH.DestQP}
 }
 
 // Reverses reports whether e flows opposite to of: from of's destination
@@ -257,16 +228,6 @@ func (t *Trace) Filter(keep func(*Entry) bool) []*Entry {
 // DataPackets returns the entries carrying data opcodes.
 func (t *Trace) DataPackets() []*Entry {
 	return t.Filter(func(e *Entry) bool { return e.Pkt.BTH.Opcode.IsData() })
-}
-
-// ByConnection groups data packets per connection direction.
-func (t *Trace) ByConnection() map[ConnKey][]*Entry {
-	out := map[ConnKey][]*Entry{}
-	for _, e := range t.DataPackets() {
-		k := e.Key()
-		out[k] = append(out[k], e)
-	}
-	return out
 }
 
 // EventsOfType returns the entries the injector marked with ev.
@@ -307,46 +268,6 @@ func (t *Trace) Span() (first, last sim.Time) {
 		}
 	}
 	return first, last
-}
-
-// ThroughputPoint is one bucket of a throughput timeline.
-type ThroughputPoint struct {
-	Start sim.Time
-	Gbps  float64
-}
-
-// ThroughputTimeline buckets data-packet bytes (by original wire length)
-// into fixed windows per connection-direction filter, yielding a
-// goodput-over-time series — the raw material for Figure-10-style plots
-// from a trace alone. A nil keep admits every data packet.
-func (t *Trace) ThroughputTimeline(bucket sim.Duration, keep func(*Entry) bool) []ThroughputPoint {
-	if bucket <= 0 || len(t.Entries) == 0 {
-		return nil
-	}
-	first, last := t.Span()
-	n := int(last.Sub(first)/bucket) + 1
-	bytes := make([]int64, n)
-	for i := range t.Entries {
-		e := &t.Entries[i]
-		if !e.Pkt.BTH.Opcode.IsData() {
-			continue
-		}
-		if keep != nil && !keep(e) {
-			continue
-		}
-		idx := int(e.Time().Sub(first) / bucket)
-		if idx >= 0 && idx < n {
-			bytes[idx] += int64(e.OrigLen)
-		}
-	}
-	out := make([]ThroughputPoint, n)
-	for i := range out {
-		out[i] = ThroughputPoint{
-			Start: first.Add(sim.Duration(i) * bucket),
-			Gbps:  float64(bytes[i]) * 8 / float64(bucket),
-		}
-	}
-	return out
 }
 
 func (t *Trace) String() string {

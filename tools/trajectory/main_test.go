@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +77,58 @@ func TestRefusesWhatIsNotAResult(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused run created the trajectory: %v", err)
+	}
+}
+
+// TestCheckedInTrajectoryIsWellFormed holds every line of the
+// repository's trajectory to the row format: it decodes with no unknown
+// field and nothing after the row, names its commit, says how it was
+// measured, and names only workloads the benchmark declares.
+func TestCheckedInTrajectoryIsWellFormed(t *testing.T) {
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, w := range bench.Workloads {
+		declared[w.Name] = true
+	}
+	sources := map[string]bool{"reanchor-quick": true, "quick": true, "ladder": true}
+
+	data, err = os.ReadFile("../../PERF_TRAJECTORY.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i, line := range lines {
+		var r row
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&r); err != nil {
+			t.Errorf("line %d: %v", i+1, err)
+			continue
+		}
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			t.Errorf("line %d: more than one row: %v", i+1, err)
+		}
+		if r.Commit == "" {
+			t.Errorf("line %d: no commit", i+1)
+		}
+		if !sources[r.Source] {
+			t.Errorf("line %d: source %q", i+1, r.Source)
+		}
+		for name := range r.Workloads {
+			if !declared[name] {
+				t.Errorf("line %d: workload %q is not in BENCHMARK.json", i+1, name)
+			}
+		}
 	}
 }
