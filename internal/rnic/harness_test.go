@@ -6,6 +6,7 @@ import (
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
+	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // relayAction tells the test relay what to do with a forwarded frame.
@@ -45,6 +46,7 @@ type pairOpts struct {
 	timeoutExp   int
 	retryCnt     int
 	seed         int64
+	hub          *telemetry.Hub // attached before the NICs are built, when set
 }
 
 func defaultPairOpts() pairOpts {
@@ -62,6 +64,9 @@ func ip(s string) netip.Addr { return netip.MustParseAddr(s) }
 func newPair(t *testing.T, o pairOpts) *testPair {
 	t.Helper()
 	s := sim.New(o.seed)
+	if o.hub != nil {
+		s.AttachHub(o.hub)
+	}
 	a := New(s, o.profA, Config{
 		Name: "A", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
 		IPs: []netip.Addr{ip("10.0.0.1")}, Set: o.setA, ETS: o.etsA,
