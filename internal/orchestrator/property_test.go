@@ -315,14 +315,66 @@ func relabelledRun(t *testing.T, cfg config.Test, to map[string]string) (summary
 		t.Fatal(err)
 	}
 	rep.DurationNs = 0
-	s := rep.Summary()
-	s.CodeVersion = ""
-	var sb, rb strings.Builder
-	if err := writeJSON(&sb, s); err != nil {
-		t.Fatal(err)
-	}
+	var rb strings.Builder
 	if err := rep.writeReport(&rb); err != nil {
 		t.Fatal(err)
 	}
-	return sb.String(), rb.String(), rep.Verdicts
+	return canonicalSummary(t, rep), rb.String(), rep.Verdicts
+}
+
+// canonicalSummary renders rep's summary.json with code_version cleared,
+// so two builds of one history render the same bytes.
+func canonicalSummary(t *testing.T, rep *Report) string {
+	t.Helper()
+	s := rep.Summary()
+	s.CodeVersion = ""
+	var sb strings.Builder
+	if err := writeJSON(&sb, s); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestPropertyUnmatchableEvent: appending an event no packet can match —
+// a drop of a PSN no connection in the checked-in configs reaches —
+// changes no verdict and no byte of the canonical summary. An injector
+// that matched on fewer fields than the event names would drop a packet
+// and move both.
+func TestPropertyUnmatchableEvent(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "configs", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no configs: %v", err)
+	}
+	for _, f := range files {
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			cfg, err := config.Load(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var summaries [2]string
+			var verdicts [2][]analyzer.Verdict
+			for i := range summaries {
+				if i == 1 {
+					cfg.Traffic.Events = append(slices.Clone(cfg.Traffic.Events),
+						config.Event{QPN: 1, PSN: 16000000, Type: "drop", Iter: 1})
+				}
+				rep, err := Run(cfg, Options{Lineage: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				summaries[i], verdicts[i] = canonicalSummary(t, rep), rep.Verdicts
+			}
+			if summaries[1] != summaries[0] {
+				t.Errorf("canonical summary moved:\n%s\nwant\n%s", summaries[1], summaries[0])
+			}
+			if len(verdicts[1]) != len(verdicts[0]) {
+				t.Fatalf("%d verdicts, want %d", len(verdicts[1]), len(verdicts[0]))
+			}
+			for i, v := range verdicts[1] {
+				if w := verdicts[0][i]; v.Analyzer != w.Analyzer || v.Pass != w.Pass || v.Reason != w.Reason {
+					t.Errorf("verdict %d is %+v, want %+v", i, v, w)
+				}
+			}
+		})
+	}
 }
