@@ -107,21 +107,15 @@ func CNPScopes(models []string) ([]CNPScopePoint, error) {
 		prof, _ := rnic.ProfileByName(model)
 		// Pick the discrimination interval: ask for 20 µs where the knob
 		// is honored; hardware floors override (E810's hidden 50 µs).
-		limit := 20 * sim.Microsecond
-		cfgInterval := 20
-		if !prof.CNPIntervalSettable {
-			cfgInterval = -1
-			limit = prof.MinCNPInterval
-		}
-		if prof.HiddenCNPInterval > limit {
-			limit = prof.HiddenCNPInterval
-		}
-
 		cfg := config.Default()
 		cfg.Name = "cnp-scope-" + model
 		cfg.Requester.NIC.Type = model
 		cfg.Responder.NIC.Type = model
-		cfg.Responder.RoCE.MinTimeBetweenCNPs = cfgInterval
+		cfg.Responder.RoCE.MinTimeBetweenCNPs = 20
+		if !prof.CNPIntervalSettable {
+			cfg.Responder.RoCE.MinTimeBetweenCNPs = -1
+		}
+		limit := prof.CNPInterval(cfg.Responder.RoCE.MinCNPInterval())
 		// Two requester GIDs so CNPs target two destination IPs.
 		cfg.Requester.NIC.IPList = append(cfg.Requester.NIC.IPList,
 			cfg.Requester.NIC.IPList[0].Next())

@@ -8,6 +8,19 @@ import (
 	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
+// DCQCN reaction-point constants from the DCQCN paper, in
+// simulation-friendly units. Every profile shares them.
+const (
+	dcqcnG                  = 1.0 / 256             // alpha gain
+	dcqcnAlphaTimer         = 55 * sim.Microsecond  // alpha decay period when no CNPs arrive
+	dcqcnRateTimer          = 300 * sim.Microsecond // additive/fast increase period
+	dcqcnByteCounter        = 10 << 10              // bytes per increase event (Mellanox-scale byte stage)
+	dcqcnAIRateGbps         = 5                     // additive increase step
+	dcqcnHAIRateGbps        = 50                    // hyper increase step
+	dcqcnMinRateGbps        = 0.1                   // rate floor
+	dcqcnFastRecoveryRounds = 5                     // timer/byte rounds in fast recovery before AI
+)
+
 // rpState is the DCQCN reaction-point rate controller attached to each
 // QP when dcqcn-rp-enable is set. It follows the algorithm of the DCQCN
 // paper (Zhu et al., SIGCOMM 2015): multiplicative decrease driven by
@@ -69,17 +82,16 @@ func (rp *rpState) rate() float64 {
 // estimator timers.
 func (rp *rpState) onCNP() {
 	rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPCnpCut)
-	p := rp.nic.Prof.DCQCN
 	if !rp.active {
 		rp.active = true
 		rp.alpha = 1
 	}
 	rp.targetGbps = rp.currentGbps
 	rp.currentGbps *= 1 - rp.alpha/2
-	if rp.currentGbps < p.MinRateGbps {
-		rp.currentGbps = p.MinRateGbps
+	if rp.currentGbps < dcqcnMinRateGbps {
+		rp.currentGbps = dcqcnMinRateGbps
 	}
-	rp.alpha = (1-p.G)*rp.alpha + p.G
+	rp.alpha = (1-dcqcnG)*rp.alpha + dcqcnG
 	rp.cnpSeen = true
 	rp.timerRounds, rp.byteRounds, rp.bytesSent = 0, 0, 0
 	rp.emitRate()
@@ -87,12 +99,11 @@ func (rp *rpState) onCNP() {
 }
 
 func (rp *rpState) armTimers() {
-	p := rp.nic.Prof.DCQCN
 	s := rp.nic.Sim
 	s.Cancel(rp.alphaTimer)
-	rp.alphaTimer = s.AfterEvent(p.AlphaTimer, rp, rpAlphaTick, 0, nil)
+	rp.alphaTimer = s.AfterEvent(dcqcnAlphaTimer, rp, rpAlphaTick, 0, nil)
 	s.Cancel(rp.rateTimer)
-	rp.rateTimer = s.AfterEvent(p.RateTimer, rp, rpRateTick, 0, nil)
+	rp.rateTimer = s.AfterEvent(dcqcnRateTimer, rp, rpRateTick, 0, nil)
 }
 
 // rpState event ops: the two estimator timers.
@@ -114,13 +125,12 @@ func (rp *rpState) alphaTick() {
 	if !rp.active {
 		return
 	}
-	p := rp.nic.Prof.DCQCN
 	if !rp.cnpSeen {
 		rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPAlphaDecay)
-		rp.alpha *= 1 - p.G
+		rp.alpha *= 1 - dcqcnG
 	}
 	rp.cnpSeen = false
-	rp.alphaTimer = rp.nic.Sim.AfterEvent(p.AlphaTimer, rp, rpAlphaTick, 0, nil)
+	rp.alphaTimer = rp.nic.Sim.AfterEvent(dcqcnAlphaTimer, rp, rpAlphaTick, 0, nil)
 }
 
 func (rp *rpState) rateTick() {
@@ -130,7 +140,7 @@ func (rp *rpState) rateTick() {
 	rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPTimerRound)
 	rp.timerRounds++
 	rp.increase()
-	rp.rateTimer = rp.nic.Sim.AfterEvent(rp.nic.Prof.DCQCN.RateTimer, rp, rpRateTick, 0, nil)
+	rp.rateTimer = rp.nic.Sim.AfterEvent(dcqcnRateTimer, rp, rpRateTick, 0, nil)
 }
 
 // onBytesSent feeds the byte counter that drives the second increase
@@ -139,10 +149,9 @@ func (rp *rpState) onBytesSent(n int) {
 	if !rp.active {
 		return
 	}
-	p := rp.nic.Prof.DCQCN
 	rp.bytesSent += int64(n)
-	for rp.bytesSent >= p.ByteCounter {
-		rp.bytesSent -= p.ByteCounter
+	for rp.bytesSent >= dcqcnByteCounter {
+		rp.bytesSent -= dcqcnByteCounter
 		rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPByteRound)
 		rp.byteRounds++
 		rp.increase()
@@ -152,7 +161,6 @@ func (rp *rpState) onBytesSent(n int) {
 // increase performs one fast-recovery / additive / hyper increase step,
 // keyed on how many rounds have elapsed since the last decrease.
 func (rp *rpState) increase() {
-	p := rp.nic.Prof.DCQCN
 	minRounds := rp.timerRounds
 	if rp.byteRounds < minRounds {
 		minRounds = rp.byteRounds
@@ -162,17 +170,17 @@ func (rp *rpState) increase() {
 		maxRounds = rp.byteRounds
 	}
 	switch {
-	case maxRounds <= p.FastRecoveryRounds:
+	case maxRounds <= dcqcnFastRecoveryRounds:
 		// Fast recovery: halve the gap to the target rate.
 		rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPFastRecovery)
-	case minRounds > p.FastRecoveryRounds:
+	case minRounds > dcqcnFastRecoveryRounds:
 		// Hyper increase.
 		rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPHyper)
-		rp.targetGbps += p.HAIRateGbps
+		rp.targetGbps += dcqcnHAIRateGbps
 	default:
 		// Additive increase.
 		rp.nic.Sim.Coverage().Record(coverage.SiteDCQCNRP, coverage.RPAdditive)
-		rp.targetGbps += p.AIRateGbps
+		rp.targetGbps += dcqcnAIRateGbps
 	}
 	if rp.targetGbps > rp.lineGbps {
 		rp.targetGbps = rp.lineGbps
@@ -218,18 +226,4 @@ func (n *NIC) cnpScopeKey(dstIP netip.Addr, dstQPN uint32) cnpBucket {
 	default:
 		return cnpBucket{ip: dstIP, qpn: dstQPN}
 	}
-}
-
-// minCNPInterval resolves the effective CNP spacing: the configured value
-// where the hardware honors configuration, overridden by any hidden
-// hardware floor (E810's undocumented ~50 µs, §6.3).
-func (n *NIC) minCNPInterval() sim.Duration {
-	iv := n.Prof.MinCNPInterval
-	if n.Prof.CNPIntervalSettable && n.Set.MinTimeBetweenCNPs >= 0 {
-		iv = n.Set.MinTimeBetweenCNPs
-	}
-	if n.Prof.HiddenCNPInterval > iv {
-		iv = n.Prof.HiddenCNPInterval
-	}
-	return iv
 }

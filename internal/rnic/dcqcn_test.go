@@ -330,9 +330,9 @@ func TestAdaptiveRetransFollowsHiddenSchedule(t *testing.T) {
 
 	prof := Profiles()[ModelCX6]
 	retries := len(dataTimes) - 1
-	if retries < prof.AdaptiveRetryMin || retries > prof.AdaptiveRetryMax {
+	if retries < adaptiveRetryMin || retries > adaptiveRetryMax {
 		t.Fatalf("adaptive mode retried %d times, want %d..%d (retry_cnt was 7)",
-			retries, prof.AdaptiveRetryMin, prof.AdaptiveRetryMax)
+			retries, adaptiveRetryMin, adaptiveRetryMax)
 	}
 	for i := 1; i < len(dataTimes) && i-1 < len(prof.AdaptiveTimeouts); i++ {
 		gap := dataTimes[i].Sub(dataTimes[i-1])

@@ -154,9 +154,10 @@ func (s *etsScheduler) kick() {
 		}
 		return
 	}
-	pkt := qp.txq.pop(qp)
+	pkt := qp.txq.pop()
 	s.pending--
-	size := pkt.size
+	wire := qp.encode(qp.frame(pkt))
+	size := len(wire)
 
 	if q.cfg.Strict {
 		s.nic.Sim.Coverage().Record(coverage.SiteETSGrant, coverage.ETSGrantStrict)
@@ -186,7 +187,8 @@ func (s *etsScheduler) kick() {
 		q.capReadyAt = now.Add(sim.TransferTime(size, q.capGbps))
 	}
 
-	s.nic.transmit(qp.buildTx(pkt), qp)
+	qp.sent(pkt)
+	s.nic.transmit(wire, qp)
 	s.wakeAt(s.busyTil)
 }
 

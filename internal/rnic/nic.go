@@ -392,7 +392,7 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 		return // coalesced away by the rate limiter
 	}
 	n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSend)
-	n.cnpNextAllowed[key] = now.Add(n.minCNPInterval())
+	n.cnpNextAllowed[key] = now.Add(n.Prof.CNPInterval(n.Set.MinTimeBetweenCNPs))
 	if h := n.hub(); h.Active() {
 		h.EmitArgs(telemetry.KindCNPGen, n.Name+"/cnp", "send",
 			telemetry.I("dest_qpn", int64(qp.remote.QPN)))

@@ -109,10 +109,6 @@ type Profile struct {
 	// configuration — E810's undocumented ~50 µs floor (§6.3).
 	HiddenCNPInterval sim.Duration
 
-	// DCQCN reaction point parameters (DCQCN's published defaults;
-	// identical across profiles unless noted).
-	DCQCN DCQCNParams
-
 	// ETS packet scheduler. ETSNonWorkConserving models the CX6 Dx bug
 	// (§6.2.1): weighted queues are clamped to their guaranteed share
 	// even when other queues leave bandwidth idle.
@@ -143,41 +139,25 @@ type Profile struct {
 	BugCNPSentStuck       bool // E810: cnpSent never increments
 	BugImpliedNakSeqStuck bool // CX4 Lx: implied_nak_seq_err never increments
 
-	// Adaptive retransmission (§6.3, NVIDIA NICs). When enabled by
-	// configuration and supported here, retransmission timeouts follow
-	// AdaptiveTimeouts (wrapping by repeating the final value doubled)
-	// instead of the IB-spec 4.096 µs · 2^timeout, and the NIC retries
-	// AdaptiveRetryMin..AdaptiveRetryMax times regardless of retry_cnt.
-	SupportsAdaptiveRetrans bool
-	AdaptiveTimeouts        []sim.Duration
-	AdaptiveRetryMin        int
-	AdaptiveRetryMax        int
+	// Adaptive retransmission (§6.3, NVIDIA NICs): supported where
+	// AdaptiveTimeouts is non-empty. When enabled by configuration,
+	// retransmission timeouts follow AdaptiveTimeouts (wrapping by
+	// repeating the final value doubled) instead of the IB-spec
+	// 4.096 µs · 2^timeout, and the NIC retries adaptiveRetryMin..
+	// adaptiveRetryMax times regardless of retry_cnt.
+	AdaptiveTimeouts []sim.Duration
 }
 
-// DCQCNParams are the reaction-point constants from the DCQCN paper, in
-// simulation-friendly units.
-type DCQCNParams struct {
-	G                  float64      // alpha gain (1/256)
-	AlphaTimer         sim.Duration // alpha decay period when no CNPs arrive
-	RateTimer          sim.Duration // additive/fast increase period
-	ByteCounter        int64        // bytes per increase event
-	AIRateGbps         float64      // additive increase step
-	HAIRateGbps        float64      // hyper increase step
-	MinRateGbps        float64      // rate floor
-	FastRecoveryRounds int          // timer/byte rounds in fast recovery before AI
-}
-
-func defaultDCQCN() DCQCNParams {
-	return DCQCNParams{
-		G:                  1.0 / 256,
-		AlphaTimer:         55 * sim.Microsecond,
-		RateTimer:          300 * sim.Microsecond,
-		ByteCounter:        10 << 10, // 10 KB (Mellanox-scale byte stage)
-		AIRateGbps:         5,
-		HAIRateGbps:        50,
-		MinRateGbps:        0.1,
-		FastRecoveryRounds: 5,
+// CNPInterval resolves the CNP spacing the notification point enforces
+// when configured is asked for (negative: the hardware default): the
+// configured value where the hardware honours configuration, raised to
+// any hidden hardware floor (E810's undocumented ~50 µs, §6.3).
+func (p Profile) CNPInterval(configured sim.Duration) sim.Duration {
+	iv := p.MinCNPInterval
+	if p.CNPIntervalSettable && configured >= 0 {
+		iv = configured
 	}
+	return max(iv, p.HiddenCNPInterval)
 }
 
 // Profiles returns the built-in model table, freshly allocated so callers
@@ -215,17 +195,14 @@ func builtin(name string) (Profile, bool) {
 			NACKGenRead:    LatencyCurve{Base: us(148), PerPSN: 20, Jitter: us(5)},
 			NACKReactRead:  LatencyCurve{Base: us(46), PerPSN: 10, Jitter: us(3)},
 			CNPScope:       CNPPerDstIP, MinCNPInterval: us(4), CNPIntervalSettable: true,
-			DCQCN:                   defaultDCQCN(),
-			SlowPathContexts:        10,
-			WedgeDuration:           330 * sim.Millisecond,
-			WedgeCooldown:           sim.Second,
-			MigReqInit:              true,
-			BugImpliedNakSeqStuck:   true,
-			SupportsAdaptiveRetrans: true,
+			SlowPathContexts:      10,
+			WedgeDuration:         330 * sim.Millisecond,
+			WedgeCooldown:         sim.Second,
+			MigReqInit:            true,
+			BugImpliedNakSeqStuck: true,
 			AdaptiveTimeouts: []sim.Duration{
 				ms(4.8), ms(3.9), ms(7.6), ms(15.2), ms(23.8), ms(61.0), ms(122.0),
 			},
-			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
 		}, true
 	case ModelCX5:
 		// NVIDIA ConnectX-5, 100 GbE. The best retransmission performance
@@ -242,14 +219,11 @@ func builtin(name string) (Profile, bool) {
 			NACKGenRead:    LatencyCurve{Base: us(2.0), PerPSN: 3, Jitter: us(0.2)},
 			NACKReactRead:  LatencyCurve{Base: us(1.9), PerPSN: 19, Jitter: us(0.3)},
 			CNPScope:       CNPPerPort, MinCNPInterval: us(4), CNPIntervalSettable: true,
-			DCQCN:      defaultDCQCN(),
 			MigReqInit: true,
 			StrictAPM:  true, APMServiceTime: us(18),
-			SupportsAdaptiveRetrans: true,
 			AdaptiveTimeouts: []sim.Duration{
 				ms(5.2), ms(4.0), ms(8.1), ms(16.0), ms(24.4), ms(65.0), ms(130.0),
 			},
-			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
 		}, true
 	case ModelCX6:
 		// NVIDIA ConnectX-6 Dx, 100 GbE. Retransmission behaviour close
@@ -266,14 +240,11 @@ func builtin(name string) (Profile, bool) {
 			NACKGenRead:    LatencyCurve{Base: us(2.3), PerPSN: 3, Jitter: us(0.2)},
 			NACKReactRead:  LatencyCurve{Base: us(2.0), PerPSN: 20, Jitter: us(0.3)},
 			CNPScope:       CNPPerPort, MinCNPInterval: us(4), CNPIntervalSettable: true,
-			DCQCN:                   defaultDCQCN(),
-			ETSNonWorkConserving:    true,
-			MigReqInit:              true,
-			SupportsAdaptiveRetrans: true,
+			ETSNonWorkConserving: true,
+			MigReqInit:           true,
 			AdaptiveTimeouts: []sim.Duration{
 				ms(5.6), ms(4.1), ms(8.4), ms(16.7), ms(25.1), ms(67.1), ms(134.2),
 			},
-			AdaptiveRetryMin: 8, AdaptiveRetryMax: 13,
 		}, true
 	case ModelE810:
 		// Intel E810, 100 GbE. Write NACK generation ~10 µs; Read-loss
@@ -291,7 +262,6 @@ func builtin(name string) (Profile, bool) {
 			NACKReactRead:  LatencyCurve{Base: us(27), PerPSN: 12, Jitter: us(2)},
 			CNPScope:       CNPPerQP, MinCNPInterval: 0, CNPIntervalSettable: false,
 			HiddenCNPInterval: us(50),
-			DCQCN:             defaultDCQCN(),
 			MigReqInit:        false,
 			BugCNPSentStuck:   true,
 		}, true
@@ -307,7 +277,6 @@ func builtin(name string) (Profile, bool) {
 			NACKGenRead:    LatencyCurve{Base: us(1), PerPSN: 0},
 			NACKReactRead:  LatencyCurve{Base: us(1), PerPSN: 0},
 			CNPScope:       CNPPerQP, MinCNPInterval: 0, CNPIntervalSettable: true,
-			DCQCN:      defaultDCQCN(),
 			MigReqInit: true,
 		}, true
 	}

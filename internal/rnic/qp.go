@@ -274,9 +274,8 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 	qp.sendPtr = qp.IPSN
 	qp.maxSent = qp.IPSN
 	qp.retryLimit = cfg.RetryCnt
-	if n.Set.AdaptiveRetrans && n.Prof.SupportsAdaptiveRetrans {
-		span := n.Prof.AdaptiveRetryMax - n.Prof.AdaptiveRetryMin
-		qp.retryLimit = n.Prof.AdaptiveRetryMin + n.rng.Intn(span+1)
+	if n.Set.AdaptiveRetrans && len(n.Prof.AdaptiveTimeouts) > 0 {
+		qp.retryLimit = adaptiveRetryMin + n.rng.Intn(adaptiveRetryMax-adaptiveRetryMin+1)
 	}
 	if n.Set.DCQCNRPEnable {
 		qp.rp = newRPState(qp)
@@ -383,14 +382,14 @@ func (qp *QP) pump() {
 		// off. (enqueue never reads sendPtr, so RC is order-indifferent.)
 		if w.req.Verb.IsAtomic() {
 			qp.sendPtr = psnAdd(psn, 1)
-			qp.enqueue(txPkt{kind: txAtomicReq, size: qp.atomicRequestWireLen(w), w: w, psn: psn})
+			qp.enqueue(txPkt{kind: txAtomicReq, w: w, psn: psn})
 		} else if w.req.Verb == VerbRead {
 			// One request packet asks for all remaining response PSNs.
 			qp.sendPtr = psnAdd(w.endPSN, 1)
-			qp.enqueue(txPkt{kind: txReadReq, size: qp.readRequestWireLen(), w: w, psn: psn})
+			qp.enqueue(txPkt{kind: txReadReq, w: w, psn: psn})
 		} else {
 			qp.sendPtr = psnAdd(psn, 1)
-			qp.enqueue(txPkt{kind: txData, size: qp.dataWireLen(w, psn), w: w, psn: psn})
+			qp.enqueue(txPkt{kind: txData, w: w, psn: psn})
 		}
 	}
 	qp.armTimer()
@@ -400,27 +399,42 @@ func (qp *QP) enqueue(pkt txPkt) {
 	qp.nic.sched.enqueue(qp, pkt)
 }
 
-// buildTx serializes a queued descriptor at transmit time. Building
+// frame builds a queued descriptor's packet at transmit time. Building
 // lazily here (instead of capturing a closure at enqueue time) keeps
 // Go-back-N semantics — flushed packets cost nothing and rewinds
-// regenerate fresh bytes — without a per-packet closure allocation.
-func (qp *QP) buildTx(pkt txPkt) []byte {
+// regenerate fresh bytes — without a per-packet closure allocation. It
+// changes no QP state; what sending the packet changes is sent's.
+func (qp *QP) frame(pkt txPkt) *packet.Packet {
 	switch pkt.kind {
 	case txData:
-		return qp.buildDataPacket(pkt.w, pkt.psn)
+		return qp.makeDataPacket(pkt.w, pkt.psn)
 	case txReadReq:
-		return qp.buildReadRequest(pkt.w, pkt.psn)
+		return qp.makeReadRequest(pkt.w, pkt.psn)
 	case txAtomicReq:
-		return qp.buildAtomicRequest(pkt.w, pkt.psn)
+		return qp.makeAtomicRequest(pkt.w, pkt.psn)
 	case txReadResp:
-		return qp.buildReadResponse(pkt.ctx, pkt.i, pkt.psn)
-	case txAck:
-		return qp.buildAckPacket(pkt.psn, pkt.syndrome, pkt.msn)
-	case txAtomicAck:
-		return qp.buildAtomicAckPacket(pkt.psn, pkt.msn, pkt.orig)
+		return qp.makeReadResponse(pkt.ctx, pkt.i, pkt.psn)
+	case txAck, txAtomicAck:
+		return qp.makeAck(pkt)
 	}
 	// invariant: txPkt descriptors are built only inside this package, each with one of the six txKind constants switched on above.
 	panic(fmt.Sprintf("rnic: unknown txPkt kind %d", pkt.kind))
+}
+
+// sent applies what sending a requester packet changes: the
+// retransmission count, and on UC and UD, which complete at transmit,
+// the send window and the WQE's completion. RC completes at
+// acknowledgement.
+func (qp *QP) sent(pkt txPkt) {
+	switch pkt.kind {
+	case txData:
+		qp.noteTransmit(pkt.psn)
+		if !qp.cfg.Transport.Reliable() {
+			qp.unreliableOnTransmit(pkt.w, pkt.psn)
+		}
+	case txReadReq, txAtomicReq:
+		qp.noteTransmit(pkt.psn)
+	}
 }
 
 // rewind restarts transmission from psn (Go-back-N) and flushes packets
@@ -538,16 +552,8 @@ func respOpcode(i, npkts int) packet.Opcode {
 	}
 }
 
-// dataWireLen computes the on-wire size of packet psn of w arithmetically
-// — no packet is built just to measure it.
-func (qp *QP) dataWireLen(w *wqe, psn uint32) int {
+func (qp *QP) makeDataPacket(w *wqe, psn uint32) *packet.Packet {
 	i := int(psnSub(psn, w.startPSN))
-	op := dataOpcode(w.req.Verb, i, w.npkts, w.req.UseImm)
-	n := segLen(w.req.Length, qp.cfg.MTU, i, w.npkts)
-	return packet.WireSize(op, n, (4-n%4)%4)
-}
-
-func (qp *QP) makeDataPacket(w *wqe, psn uint32, i int) *packet.Packet {
 	op := dataOpcode(w.req.Verb, i, w.npkts, w.req.UseImm)
 	p := qp.baseHeader(op, psn)
 	if op.HasRETH() {
@@ -565,28 +571,11 @@ func (qp *QP) makeDataPacket(w *wqe, psn uint32, i int) *packet.Packet {
 	return p
 }
 
-// buildDataPacket serializes the packet for psn, counting retransmissions.
-// On UC and UD, which complete at transmit, it then advances the send
-// window and completes the WQE; RC completes at acknowledgement.
-func (qp *QP) buildDataPacket(w *wqe, psn uint32) []byte {
-	i := int(psnSub(psn, w.startPSN))
-	qp.noteTransmit(psn)
-	b := qp.encode(qp.makeDataPacket(w, psn, i))
-	if !qp.cfg.Transport.Reliable() {
-		qp.unreliableOnTransmit(w, psn)
-	}
-	return b
-}
-
-func (qp *QP) readRequestWireLen() int {
-	return packet.WireSize(packet.OpReadRequest, 0, 0)
-}
-
-// buildReadRequest builds the READ_REQUEST for a read WQE starting at
+// makeReadRequest builds the READ_REQUEST for a read WQE starting at
 // psn. When psn > startPSN this is an implied-NAK re-read: the VA and
 // length are advanced to the first missing byte ("read from memory
 // offset N", §6.1).
-func (qp *QP) buildReadRequest(w *wqe, psn uint32) []byte {
+func (qp *QP) makeReadRequest(w *wqe, psn uint32) *packet.Packet {
 	off := int(psnSub(psn, w.startPSN)) * qp.cfg.MTU
 	p := qp.baseHeader(packet.OpReadRequest, psn)
 	p.RETH = packet.RETH{
@@ -595,8 +584,7 @@ func (qp *QP) buildReadRequest(w *wqe, psn uint32) []byte {
 		DMALen: uint32(w.req.Length - off),
 	}
 	p.BTH.AckReq = true
-	qp.noteTransmit(psn)
-	return qp.encode(p)
+	return p
 }
 
 func (qp *QP) noteTransmit(psn uint32) {
@@ -1040,7 +1028,7 @@ func (qp *QP) sendNakNow(syndrome uint8) {
 // content is fixed at generation time even when it queues behind read
 // responses.
 func (qp *QP) sendAckPacket(psn uint32, syndrome uint8) {
-	qp.sendControl(txPkt{kind: txAck, size: packet.WireSize(packet.OpAcknowledge, 0, 0), psn: psn, syndrome: syndrome, msn: qp.msn})
+	qp.sendControl(txPkt{kind: txAck, psn: psn, syndrome: syndrome, msn: qp.msn})
 }
 
 // sendControl emits an acknowledgement of either kind. Acknowledgements
@@ -1055,13 +1043,20 @@ func (qp *QP) sendControl(ack txPkt) {
 		qp.enqueue(ack)
 		return
 	}
-	qp.nic.transmit(qp.buildTx(ack), qp)
+	qp.nic.transmit(qp.encode(qp.makeAck(ack)), qp)
 }
 
-func (qp *QP) buildAckPacket(psn uint32, syndrome uint8, msn uint32) []byte {
-	p := qp.baseHeader(packet.OpAcknowledge, psn)
-	p.AETH = packet.AETH{Syndrome: syndrome, MSN: msn}
-	return qp.encode(p)
+// makeAck builds an acknowledgement of either kind from its snapshot;
+// an atomic ACK also carries the original remote value.
+func (qp *QP) makeAck(ack txPkt) *packet.Packet {
+	op := packet.OpAcknowledge
+	if ack.kind == txAtomicAck {
+		op = packet.OpAtomicAcknowledge
+	}
+	p := qp.baseHeader(op, ack.psn)
+	p.AETH = packet.AETH{Syndrome: ack.syndrome, MSN: ack.msn}
+	p.AtomicAck = ack.orig
+	return p
 }
 
 // --- responder: Read requests ---
@@ -1142,7 +1137,7 @@ func (qp *QP) findRead(psn uint32) (readCtx, bool) {
 func (qp *QP) enqueueReadResponses(ctx readCtx, from int) {
 	for i := from; i < ctx.npkts; i++ {
 		psn := psnAdd(ctx.startPSN, uint32(i))
-		qp.enqueue(txPkt{kind: txReadResp, size: qp.readResponseWireLen(ctx, i), ctx: ctx, i: i, psn: psn})
+		qp.enqueue(txPkt{kind: txReadResp, ctx: ctx, i: i, psn: psn})
 	}
 }
 
@@ -1156,16 +1151,6 @@ func (qp *QP) makeReadResponse(ctx readCtx, i int, psn uint32) *packet.Packet {
 	p.Payload = zeroPayload(n)
 	p.BTH.PadCount = uint8((4 - n%4) % 4)
 	return p
-}
-
-func (qp *QP) readResponseWireLen(ctx readCtx, i int) int {
-	op := respOpcode(i, ctx.npkts)
-	n := segLen(ctx.length, qp.cfg.MTU, i, ctx.npkts)
-	return packet.WireSize(op, n, (4-n%4)%4)
-}
-
-func (qp *QP) buildReadResponse(ctx readCtx, i int, psn uint32) []byte {
-	return qp.encode(qp.makeReadResponse(ctx, i, psn))
 }
 
 // --- atomics ---
@@ -1188,15 +1173,6 @@ func (qp *QP) makeAtomicRequest(w *wqe, psn uint32) *packet.Packet {
 	}
 	p.BTH.AckReq = true
 	return p
-}
-
-func (qp *QP) atomicRequestWireLen(w *wqe) int {
-	return packet.WireSize(atomicOpcode(w.req.Verb), 0, 0)
-}
-
-func (qp *QP) buildAtomicRequest(w *wqe, psn uint32) []byte {
-	qp.noteTransmit(psn)
-	return qp.encode(qp.makeAtomicRequest(w, psn))
 }
 
 // handleAtomicRequest executes the remote atomic at the responder. Per
@@ -1259,15 +1235,8 @@ func (qp *QP) rememberAtomic(psn uint32, orig uint64) {
 // and emits it after AckGenDelay. The delay is a profile constant, so
 // pending atomic ACKs fire in the order they were queued.
 func (qp *QP) sendAtomicAck(psn uint32, orig uint64) {
-	qp.atomicAcks.push(txPkt{kind: txAtomicAck, size: packet.WireSize(packet.OpAtomicAcknowledge, 0, 0), psn: psn, msn: qp.msn, orig: orig})
+	qp.atomicAcks.push(txPkt{kind: txAtomicAck, psn: psn, syndrome: packet.SyndromeACK | 31, msn: qp.msn, orig: orig})
 	qp.nic.Sim.AfterEvent(qp.nic.Prof.AckGenDelay, qp, qpAtomicAck, 0, nil)
-}
-
-func (qp *QP) buildAtomicAckPacket(psn, msn uint32, orig uint64) []byte {
-	p := qp.baseHeader(packet.OpAtomicAcknowledge, psn)
-	p.AETH = packet.AETH{Syndrome: packet.SyndromeACK | 31, MSN: msn}
-	p.AtomicAck = orig
-	return qp.encode(p)
 }
 
 // handleAtomicAck completes the atomic WQE at the requester with the
@@ -1300,7 +1269,7 @@ func (qp *QP) handleAtomicAck(pkt *packet.Packet) {
 // §6.3 measured.
 func (qp *QP) rto() sim.Duration {
 	n := qp.nic
-	if n.Set.AdaptiveRetrans && n.Prof.SupportsAdaptiveRetrans && len(n.Prof.AdaptiveTimeouts) > 0 {
+	if n.Set.AdaptiveRetrans && len(n.Prof.AdaptiveTimeouts) > 0 {
 		sched := n.Prof.AdaptiveTimeouts
 		if qp.retries < len(sched) {
 			return sched[qp.retries]
@@ -1403,6 +1372,14 @@ func (qp *QP) fatal(st CompletionStatus) {
 // rnrRetryLimit bounds receiver-not-ready retries before the QP errors
 // (IBV's rnr_retry; 7 is the common non-infinite maximum).
 const rnrRetryLimit = 7
+
+// With adaptive retransmission on, a QP retries between adaptiveRetryMin
+// and adaptiveRetryMax times regardless of retry_cnt — the bounds §6.3
+// measured on every NVIDIA model.
+const (
+	adaptiveRetryMin = 8
+	adaptiveRetryMax = 13
+)
 
 // defaultAckCoalesce is the responder's default ACK coalescing factor:
 // one ACK per this many in-order request packets (besides explicit

@@ -97,8 +97,8 @@ func (t Transport) SinglePacket() bool { return t == TransportUD }
 // unreliableOnTransmit is the completion-at-transmit path UC and UD
 // share: the transport offers no acknowledgements, so the send window
 // advances and the WQE completes the moment its last packet is
-// serialized. The ETS scheduler sets its busy horizon before asking for
-// the bytes, so posting follow-up work from inside the completion
+// serialized. The ETS scheduler sets its busy horizon before it reports
+// the packet sent, so posting follow-up work from inside the completion
 // callback re-enters the scheduler safely.
 func (qp *QP) unreliableOnTransmit(w *wqe, psn uint32) {
 	next := psnAdd(psn, 1)

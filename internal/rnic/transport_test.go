@@ -765,7 +765,7 @@ func TestStaleReadRequestGetsInvalidNak(t *testing.T) {
 	dup := qb // responder-side QP sends nothing; build via requester's builder
 	_ = dup
 	w := qa.wqes[0]
-	wire := qa.buildReadRequest(w, w.startPSN)
+	wire := qa.encode(qa.makeReadRequest(w, w.startPSN))
 	var st CompletionStatus = -1
 	// Attach one more WQE so the fatal path has something to flush.
 	qa.PostSend(WorkRequest{

@@ -14,16 +14,15 @@ const (
 
 // txPkt is one packet waiting in the NIC's transmit path — a plain value
 // descriptor rather than a build closure, so enqueueing allocates
-// nothing. Packets are built lazily at transmit time (QP.buildTx) so
+// nothing. Packets are built lazily at transmit time (QP.frame) so
 // Go-back-N rewinds regenerate fresh wire bytes and queued-but-flushed
-// packets cost nothing.
+// packets cost nothing; a packet's size is its frame's length.
 //
 // In a txq a data or read-response descriptor stands for a run: itself
 // and the more packets that continue it, PSN by PSN. Its fields then
 // describe the run's first packet.
 type txPkt struct {
 	kind txKind
-	size int
 	psn  uint32
 	more uint32 // packets queued behind this one in its run
 	// w covers requester descriptors (data, read request, atomic request).
@@ -75,10 +74,8 @@ func (q *txq) push(pkt txPkt) {
 }
 
 // pop removes and returns the oldest packet; the queue must not be
-// empty. A run's next packet takes over its descriptor, with the size
-// recomputed from qp's MTU: both wire-length functions are pure in the
-// (WQE or read, PSN or index, MTU) they are given.
-func (q *txq) pop(qp *QP) txPkt {
+// empty. A run's next packet takes over its descriptor.
+func (q *txq) pop() txPkt {
 	q.n--
 	head := q.runs.front()
 	if head.more == 0 {
@@ -88,11 +85,8 @@ func (q *txq) pop(qp *QP) txPkt {
 	pkt.more = 0
 	head.more--
 	head.psn = psnAdd(head.psn, 1)
-	if head.kind == txData {
-		head.size = qp.dataWireLen(head.w, head.psn)
-	} else {
+	if head.kind == txReadResp {
 		head.i++
-		head.size = qp.readResponseWireLen(head.ctx, head.i)
 	}
 	return pkt
 }

@@ -26,7 +26,6 @@ func (f *fifo) pop() txPkt {
 // atomic ACKs — with pops and flushes at random points, and requires the
 // same packet from every pop and the same length after every step.
 func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
-	qp := &QP{cfg: QPConfig{MTU: 256}}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Contiguous WQEs of every data verb and shape, so a run that
@@ -50,10 +49,10 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 		}
 		dataAt := func(w *wqe, i int) txPkt {
 			p := psnAdd(w.startPSN, uint32(i))
-			return txPkt{kind: txData, size: qp.dataWireLen(w, p), w: w, psn: p}
+			return txPkt{kind: txData, w: w, psn: p}
 		}
 		respAt := func(ctx readCtx, i int) txPkt {
-			return txPkt{kind: txReadResp, size: qp.readResponseWireLen(ctx, i), ctx: ctx, i: i, psn: psnAdd(ctx.startPSN, uint32(i))}
+			return txPkt{kind: txReadResp, ctx: ctx, i: i, psn: psnAdd(ctx.startPSN, uint32(i))}
 		}
 
 		var q txq
@@ -78,9 +77,9 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 					push(respAt(ctx, i))
 				}
 			case op == 4:
-				push(txPkt{kind: txAck, size: packet.WireSize(packet.OpAcknowledge, 0, 0), psn: rng.Uint32() & packet.PSNMask, syndrome: uint8(rng.Intn(256)), msn: rng.Uint32() & packet.PSNMask})
+				push(txPkt{kind: txAck, psn: rng.Uint32() & packet.PSNMask, syndrome: uint8(rng.Intn(256)), msn: rng.Uint32() & packet.PSNMask})
 			case op == 5:
-				push(txPkt{kind: txAtomicAck, size: packet.WireSize(packet.OpAtomicAcknowledge, 0, 0), psn: rng.Uint32() & packet.PSNMask, msn: rng.Uint32() & packet.PSNMask, orig: rng.Uint64()})
+				push(txPkt{kind: txAtomicAck, psn: rng.Uint32() & packet.PSNMask, msn: rng.Uint32() & packet.PSNMask, orig: rng.Uint64()})
 			case op == 6: // flush, and a Go-back-N restart from an earlier WQE
 				q.reset()
 				want = want[:0]
@@ -90,8 +89,8 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 				}
 			default:
 				for n := rng.Intn(8); n > 0 && len(want) > 0; n-- {
-					got, exp := q.pop(qp), want.pop()
-					if got.kind != exp.kind || got.psn != exp.psn || got.size != exp.size || got.i != exp.i ||
+					got, exp := q.pop(), want.pop()
+					if got.kind != exp.kind || got.psn != exp.psn || got.i != exp.i ||
 						got.msn != exp.msn || got.w != exp.w || got.ctx != exp.ctx || got.syndrome != exp.syndrome || got.orig != exp.orig {
 						t.Fatalf("seed %d step %d: popped %+v, want %+v", seed, step, got, exp)
 					}
