@@ -2,9 +2,11 @@
 // reads a repository-benchmark result file (schema lumina-bench/1, as
 // `go run ./bench` writes to bench/out/result.json) and appends one JSON
 // line to PERF_TRAJECTORY.jsonl holding the commit, the host's
-// calibration and, per workload, op p50, allocations and KiB per op and
-// simulated packets per second. When the result holds both bulk_explain
-// and bulk_write it also records their ratios, the observer cost.
+// calibration and, per workload, op p50, allocations and KiB per op,
+// simulated packets per second and, where the result traced them, the
+// exact simulated packets and events per op. When the result holds both
+// bulk_explain and bulk_write it also records their ratios, the observer
+// cost.
 //
 //	go run ./tools/trajectory -commit "$(git rev-parse --short HEAD)"
 //
@@ -33,15 +35,19 @@ type result struct {
 	Workloads []struct {
 		Name     string             `json:"name"`
 		EndToEnd map[string]float64 `json:"end_to_end"`
+		PerLayer map[string]float64 `json:"per_layer"`
 	} `json:"workloads"`
 }
 
-// point is one workload's figures in a row.
+// point is one workload's figures in a row. The exact counts are
+// absent when the result did not trace the workload.
 type point struct {
-	OpMsP50      float64 `json:"op_ms_p50"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	AllocKBPerOp float64 `json:"alloc_kb_per_op"`
-	SimPktsPerS  float64 `json:"sim_pkts_per_s"`
+	OpMsP50        float64 `json:"op_ms_p50"`
+	AllocsPerOp    float64 `json:"allocs_per_op"`
+	AllocKBPerOp   float64 `json:"alloc_kb_per_op"`
+	SimPktsPerS    float64 `json:"sim_pkts_per_s"`
+	SimPktsPerOp   float64 `json:"sim_pkts_per_op,omitempty"`
+	SimEventsPerOp float64 `json:"sim_events_per_op,omitempty"`
 }
 
 // ratio is bulk_explain over bulk_write: what observing a run costs.
@@ -95,10 +101,12 @@ func makeRow(r *result, commit string) row {
 	for _, w := range r.Workloads {
 		e := w.EndToEnd
 		out.Workloads[w.Name] = point{
-			OpMsP50:      round(e["op_ms_p50"]),
-			AllocsPerOp:  round(e["allocs_per_op"]),
-			AllocKBPerOp: round(e["alloc_kb_per_op"]),
-			SimPktsPerS:  round(e["sim_pkts_per_s"]),
+			OpMsP50:        round(e["op_ms_p50"]),
+			AllocsPerOp:    round(e["allocs_per_op"]),
+			AllocKBPerOp:   round(e["alloc_kb_per_op"]),
+			SimPktsPerS:    round(e["sim_pkts_per_s"]),
+			SimPktsPerOp:   w.PerLayer["sim.pkts_per_op"],
+			SimEventsPerOp: w.PerLayer["sim.events_per_op"],
 		}
 	}
 	explain, ok1 := out.Workloads["bulk_explain"]

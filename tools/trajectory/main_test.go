@@ -11,7 +11,8 @@ import (
 
 // TestAppendsOneRowPerRun reads the fixture result twice into a fresh
 // trajectory: two identical lines, each the literal row below, with the
-// figures rounded, the workloads sorted and the observer ratios derived.
+// figures rounded, the workloads sorted, the observer ratios derived and
+// the exact counts copied where the result traced them.
 func TestAppendsOneRowPerRun(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "PERF_TRAJECTORY.jsonl")
 	args := []string{"-result", "testdata/result.json", "-out", out, "-commit", "0123456"}
@@ -26,7 +27,7 @@ func TestAppendsOneRowPerRun(t *testing.T) {
 	}
 	want := `{"commit":"0123456","source":"quick","seed":1,"calibration_ns":37012.4,"workloads":{` +
 		`"bulk_explain":{"op_ms_p50":20.988,"allocs_per_op":4700,"alloc_kb_per_op":10138.5,"sim_pkts_per_s":491800},` +
-		`"bulk_write":{"op_ms_p50":12.346,"allocs_per_op":1041,"alloc_kb_per_op":5069.25,"sim_pkts_per_s":836123.457},` +
+		`"bulk_write":{"op_ms_p50":12.346,"allocs_per_op":1041,"alloc_kb_per_op":5069.25,"sim_pkts_per_s":836123.457,"sim_pkts_per_op":10322,"sim_events_per_op":20645},` +
 		`"serve_mix":{"op_ms_p50":0.29,"allocs_per_op":1457,"alloc_kb_per_op":173,"sim_pkts_per_s":0}},` +
 		`"explain_over_write":{"op_ms_p50":1.7,"alloc_kb_per_op":2}}` + "\n"
 	if got := string(data); got != want+want {
