@@ -54,7 +54,7 @@ func bindTrace(fs *flag.FlagSet) func([]string) error {
 			if e.Meta.Event != 0 {
 				ev = e.Meta.Event.String()
 			}
-			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", e.Meta.Seq, e.Time(), iter, ev, e.Pkt.String())
+			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", e.Meta.Seq, e.Time(), iter, ev, e.String())
 		}
 		if limit < len(tr.Entries) {
 			fmt.Printf("… %d more packets (-n 0 for all)\n", len(tr.Entries)-limit)
@@ -141,7 +141,7 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 			e = &tr.Entries[i]
 			k := e.Key()
 			args := []telemetry.Field{
-				telemetry.I("psn", int64(e.Pkt.BTH.PSN)),
+				telemetry.I("psn", int64(e.PSN())),
 				telemetry.I("seq", int64(e.Meta.Seq)),
 			}
 			if iters[i] > 0 {
@@ -151,7 +151,7 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 				args = append(args, telemetry.S("event", e.Meta.Event.String()))
 			}
 			hub.EmitArgs(telemetry.KindTracePkt, fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
-				e.Pkt.BTH.Opcode.String(), args...)
+				e.Opcode().String(), args...)
 		}
 		events := hub.Events()
 

@@ -45,7 +45,7 @@ func main() {
 	// still appears in the trace (mirroring happens before the drop).
 	for _, e := range rep.Trace.Entries {
 		if e.Meta.Event.String() == "drop" {
-			fmt.Printf("dropped:  seq=%d %v\n", e.Meta.Seq, e.Pkt.String())
+			fmt.Printf("dropped:  seq=%d %v\n", e.Meta.Seq, e.String())
 		}
 	}
 

@@ -23,16 +23,20 @@ type traceBuilder struct {
 	now     int64
 }
 
+// add appends p as a capture of the whole frame, its payload sized so
+// that the frame is builtFrameLen bytes long.
 func (b *traceBuilder) add(p packet.Packet, ev packet.EventType) *traceBuilder {
 	b.seq++
 	b.now += 1000
+	p.Payload = make([]byte, builtFrameLen-packet.WireSize(p.BTH.Opcode, 0, int(p.BTH.PadCount)))
 	b.entries = append(b.entries, trace.Entry{
-		Meta:    packet.MirrorMeta{Seq: b.seq, Event: ev, Timestamp: b.now},
-		Pkt:     p,
-		OrigLen: 1024,
+		Meta: packet.MirrorMeta{Seq: b.seq, Event: ev, Timestamp: b.now},
+		Wire: p.Serialize(),
 	})
 	return b
 }
+
+const builtFrameLen = 1024
 
 func (b *traceBuilder) build() *trace.Trace { return &trace.Trace{Entries: b.entries} }
 

@@ -42,11 +42,11 @@ func AnalyzeCNP(tr *trace.Trace) *CNPReport {
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 		k := e.Key()
 		pair := trace.ConnKey{Src: k.Src, Dst: k.Dst}
 		switch {
-		case op.IsData() && e.Pkt.IP.ECN == packet.ECNCE && e.Meta.Event != packet.EventDrop:
+		case op.IsData() && e.ECN() == packet.ECNCE && e.Meta.Event != packet.EventDrop:
 			rep.ECNMarked[k.Dst]++
 			markedSeen[pair] = true
 		case op.IsCNP():

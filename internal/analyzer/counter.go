@@ -67,7 +67,7 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 		var txSeen, cnpsSeen, naksSent, impliedNaks uint64
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
-			op := e.Pkt.BTH.Opcode
+			op := e.Opcode()
 			k := e.Key()
 
 			// Read responses delivered toward this side feed the
@@ -76,27 +76,27 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 			// yields a re-read with none and must not count.
 			// Injector-dropped copies never reached the host, so they
 			// carry no evidence.
-			if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
+			if op.IsReadResponse() && slices.Contains(h.IPs, e.Dst()) && e.Meta.Event != packet.EventDrop {
 				j, ok := streamOf[k]
 				if !ok {
 					j = len(streams)
 					streamOf[k] = j
-					streams = append(streams, respState{src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst})
+					streams = append(streams, respState{src: e.Src(), dst: e.Dst()})
 				}
-				streams[j].observe(e.Pkt.BTH.PSN)
+				streams[j].observe(e.PSN())
 			}
 
-			if !slices.Contains(h.IPs, e.Pkt.IP.Src) {
+			if !slices.Contains(h.IPs, e.Src()) {
 				continue
 			}
 			txSeen++
 			switch {
 			case op.IsCNP():
 				cnpsSeen++
-			case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
+			case op.IsAck() && e.AETH().Syndrome == packet.NakPSNSeqError:
 				naksSent++
 			case op.IsReadRequest():
-				psn := e.Pkt.BTH.PSN
+				psn := e.PSN()
 				exp, ok := nextReq[k]
 				if !ok {
 					exp = psn
@@ -112,8 +112,8 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 					continue // re-reads do not extend the reservation
 				}
 				npkts := uint32(1)
-				if mtu > 0 && e.Pkt.RETH.DMALen > 0 {
-					npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
+				if mtu > 0 && e.DMALen() > 0 {
+					npkts = (e.DMALen() + uint32(mtu) - 1) / uint32(mtu)
 				}
 				nextReq[k] = trace.PSNAdd(psn, npkts)
 			}
@@ -186,7 +186,7 @@ func findRespState(streams []respState, e *trace.Entry, psn uint32) *respState {
 	var bestDist uint32
 	for i := range streams {
 		st := &streams[i]
-		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src || !psnNear(st.expected, psn) {
+		if st.src != e.Dst() || st.dst != e.Src() || !psnNear(st.expected, psn) {
 			continue
 		}
 		if d := psnDist(st.expected, psn); best == nil || d < bestDist {
@@ -203,7 +203,7 @@ func estimateMTU(tr *trace.Trace) int {
 	mtu := 0
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 		if !op.IsData() || op.IsReadRequest() {
 			continue
 		}
@@ -217,7 +217,7 @@ func estimateMTU(tr *trace.Trace) int {
 		if op.HasImm() {
 			hdr += packet.ImmSize
 		}
-		if p := e.OrigLen - hdr - int(e.Pkt.BTH.PadCount); p > mtu {
+		if p := e.OrigLen() - hdr - int(e.PadCount()); p > mtu {
 			mtu = p
 		}
 	}

@@ -46,8 +46,8 @@ func checkAgainstReference(t *testing.T, name string, tr *trace.Trace, hosts []a
 func traceSides(tr *trace.Trace) []analyzer.HostView {
 	a, b := analyzer.HostView{Name: "a"}, analyzer.HostView{Name: "b"}
 	for i := range tr.Entries {
-		ip := &tr.Entries[i].Pkt.IP
-		for _, addr := range []netip.Addr{ip.Src, ip.Dst} {
+		e := &tr.Entries[i]
+		for _, addr := range []netip.Addr{e.Src(), e.Dst()} {
 			switch {
 			case a.IPs == nil:
 				a.IPs = []netip.Addr{addr}
@@ -262,20 +262,20 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
 		// host, so they carry no evidence.
-		if op.IsReadResponse() && slices.Contains(h.IPs, e.Pkt.IP.Dst) && e.Meta.Event != packet.EventDrop {
+		if op.IsReadResponse() && slices.Contains(h.IPs, e.Dst()) && e.Meta.Event != packet.EventDrop {
 			k := e.Key()
 			st := respOOO[k]
 			if st == nil {
-				st = &respStateT{src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst}
+				st = &respStateT{src: e.Src(), dst: e.Dst()}
 				respOOO[k] = st
 				respOrder = append(respOrder, st)
 			}
-			psn := e.Pkt.BTH.PSN
+			psn := e.PSN()
 			switch {
 			case !st.init:
 				st.init = true
@@ -287,18 +287,18 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 			}
 		}
 
-		if !slices.Contains(h.IPs, e.Pkt.IP.Src) {
+		if !slices.Contains(h.IPs, e.Src()) {
 			continue
 		}
 		txSeen++
 		switch {
 		case op.IsCNP():
 			cnpsSeen++
-		case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
+		case op.IsAck() && e.AETH().IsNak() && e.AETH().Syndrome == packet.NakPSNSeqError:
 			naksSent++
 		case op.IsReadRequest():
 			k := e.Key()
-			psn := e.Pkt.BTH.PSN
+			psn := e.PSN()
 			exp, ok := nextReq[k]
 			if !ok {
 				v := psn
@@ -316,8 +316,8 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 				continue // re-reads do not extend the reservation
 			}
 			npkts := uint32(1)
-			if mtu > 0 && e.Pkt.RETH.DMALen > 0 {
-				npkts = (e.Pkt.RETH.DMALen + uint32(mtu) - 1) / uint32(mtu)
+			if mtu > 0 && e.DMALen() > 0 {
+				npkts = (e.DMALen() + uint32(mtu) - 1) / uint32(mtu)
 			}
 			*exp = trace.PSNAdd(psn, npkts)
 		}
@@ -372,7 +372,7 @@ func findRespState(streams []*respStateT, e *trace.Entry, psn uint32) *respState
 	var best *respStateT
 	var bestDist uint32
 	for _, st := range streams {
-		if st.src != e.Pkt.IP.Dst || st.dst != e.Pkt.IP.Src || !psnNear(st.expected, psn) {
+		if st.src != e.Dst() || st.dst != e.Src() || !psnNear(st.expected, psn) {
 			continue
 		}
 		if d := psnDist(st.expected, psn); best == nil || d < bestDist {
@@ -389,7 +389,7 @@ func estimateMTU(tr *trace.Trace) int {
 	mtu := 0
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 		if !op.IsData() || op.IsReadRequest() {
 			continue
 		}
@@ -403,7 +403,7 @@ func estimateMTU(tr *trace.Trace) int {
 		if op.HasImm() {
 			hdr += packet.ImmSize
 		}
-		if p := e.OrigLen - hdr - int(e.Pkt.BTH.PadCount); p > mtu {
+		if p := e.OrigLen() - hdr - int(e.PadCount()); p > mtu {
 			mtu = p
 		}
 	}

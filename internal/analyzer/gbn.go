@@ -107,7 +107,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 		switch {
 		case op.IsSend() || op.IsWrite() || op.IsReadResponse():
 			st := state(e.Key())
@@ -120,7 +120,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			// filled by the retransmission, which IS in the trace).
 			dropped := e.Meta.Event == packet.EventDrop
 			latent := e.Meta.Event == packet.EventDelay || e.Meta.Event == packet.EventReorder
-			psn := e.Pkt.BTH.PSN
+			psn := e.PSN()
 			if !st.init {
 				st.init = true
 				st.ePSN = psn
@@ -156,10 +156,10 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 				// Duplicate (already delivered): allowed; receiver
 				// re-acknowledges.
 			}
-		case op.IsAck() && e.Pkt.AETH.IsNak() && e.Pkt.AETH.Syndrome == packet.NakPSNSeqError:
+		case op.IsAck() && e.AETH().Syndrome == packet.NakPSNSeqError:
 			// NAK travels opposite to its data direction.
 			st := controlled(e)
-			nakPSN := e.Pkt.BTH.PSN
+			nakPSN := e.PSN()
 			switch {
 			case !st.inGap:
 				if st.late[nakPSN] {
@@ -193,7 +193,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			// Its data direction is the reverse of the request's.
 			st := controlled(e)
 			if st.init && st.inGap {
-				reqPSN := e.Pkt.BTH.PSN
+				reqPSN := e.PSN()
 				if trace.PSNLess(reqPSN, st.ePSN) || reqPSN == st.gapPSN {
 					if reqPSN != st.gapPSN {
 						addViolation(st, e, "re-read names PSN %d, first missing is %d", reqPSN, st.gapPSN)
@@ -220,14 +220,14 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 // the trace for the nearest data packet, and otherwise falls back to a
 // fresh addresses-only key.
 func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.ConnKey {
-	ctrlPSN := e.Pkt.BTH.PSN
+	ctrlPSN := e.PSN()
 	var best *gbnState
 	var bestDist uint32
 	for _, st := range streams {
 		if !st.init {
 			continue
 		}
-		if st.key.Src != e.Pkt.IP.Dst || st.key.Dst != e.Pkt.IP.Src {
+		if st.key.Src != e.Dst() || st.key.Dst != e.Src() {
 			continue
 		}
 		ref := st.ePSN
@@ -247,14 +247,14 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 	found := false
 	for i := range tr.Entries {
 		d := &tr.Entries[i]
-		op := d.Pkt.BTH.Opcode
+		op := d.Opcode()
 		if !(op.IsSend() || op.IsWrite() || op.IsReadResponse()) {
 			continue
 		}
-		if d.Pkt.IP.Src != e.Pkt.IP.Dst || d.Pkt.IP.Dst != e.Pkt.IP.Src {
+		if d.Src() != e.Dst() || d.Dst() != e.Src() {
 			continue
 		}
-		dist := psnDist(d.Pkt.BTH.PSN, ctrlPSN)
+		dist := psnDist(d.PSN(), ctrlPSN)
 		if !found || dist < bestDist {
 			bestKey, bestDist, found = d.Key(), dist, true
 		}
@@ -262,7 +262,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 	if found && bestDist < 1<<20 {
 		return bestKey
 	}
-	return trace.ConnKey{Src: e.Pkt.IP.Dst, Dst: e.Pkt.IP.Src}
+	return trace.ConnKey{Src: e.Dst(), Dst: e.Src()}
 }
 
 // psnDist is the circular distance between two 24-bit PSNs.

@@ -24,21 +24,21 @@ func ReconstructITER(tr *trace.Trace) []uint32 {
 	out := make([]uint32, len(tr.Entries))
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if !e.Pkt.BTH.Opcode.IsData() {
+		if !e.Opcode().IsData() {
 			continue
 		}
 		k := e.Key()
 		st, ok := conns[k]
 		if !ok {
-			st = &state{lastPSN: e.Pkt.BTH.PSN, iter: 1}
+			st = &state{lastPSN: e.PSN(), iter: 1}
 			conns[k] = st
 			out[i] = 1
 			continue
 		}
-		if !trace.PSNGreater(e.Pkt.BTH.PSN, st.lastPSN) {
+		if !trace.PSNGreater(e.PSN(), st.lastPSN) {
 			st.iter++
 		}
-		st.lastPSN = e.Pkt.BTH.PSN
+		st.lastPSN = e.PSN()
 		out[i] = st.iter
 	}
 	return out
@@ -64,7 +64,7 @@ func RetransmissionStats(tr *trace.Trace) []RetransStats {
 	var order []trace.ConnKey
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if !e.Pkt.BTH.Opcode.IsData() {
+		if !e.Opcode().IsData() {
 			continue
 		}
 		k := e.Key()

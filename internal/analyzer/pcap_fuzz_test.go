@@ -49,7 +49,8 @@ func pcapTrace(data []byte) (tr *trace.Trace, ok bool) {
 // FuzzPcapToAnalyzers feeds capture bytes through everything `lumina
 // trace` and the pcap fallback of `lumina trace explain` run on a file:
 // pcap decoding, trace reconstruction, ITER rounds, the trace analyzers
-// and wire-only lineage. Any input may be refused; none may panic.
+// and wire-only lineage, with every header accessor called on every
+// admitted entry. Any input may be refused; none may panic.
 func FuzzPcapToAnalyzers(f *testing.F) {
 	cfg, err := config.Load("../../configs/listing2.yaml")
 	if err != nil {
@@ -64,7 +65,9 @@ func FuzzPcapToAnalyzers(f *testing.F) {
 		tr.Span()
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
-			_, _, _ = e.Pkt.String(), e.Key(), e.Meta.Event.String()
+			_, _, _, _ = e.String(), e.Key(), e.Meta.Event.String(), e.OrigLen()
+			_, _, _, _, _ = e.Opcode(), e.PSN(), e.DestQP(), e.PadCount(), e.ECN()
+			_, _, _, _ = e.Src(), e.Dst(), e.AETH(), e.DMALen()
 		}
 		analyzer.ReconstructITER(tr)
 		analyzer.CheckGoBackN(tr)

@@ -60,12 +60,12 @@ func AnalyzeRetransmissions(tr *trace.Trace) []RetransEvent {
 	var events []RetransEvent
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta.Event != packet.EventDrop || !e.Pkt.BTH.Opcode.IsData() {
+		if e.Meta.Event != packet.EventDrop || !e.Opcode().IsData() {
 			continue
 		}
 		ev := RetransEvent{
 			Conn:       e.Key(),
-			DroppedPSN: e.Pkt.BTH.PSN,
+			DroppedPSN: e.PSN(),
 			DropTime:   e.Time(),
 		}
 		trigger, nack, retrans := tr.Recovery(i)

@@ -38,27 +38,26 @@ func AnalyzeSilentLoss(tr *trace.Trace, unreliable map[uint32]bool) []SilentLoss
 	var out []SilentLoss
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta.Event != packet.EventDrop || !e.Pkt.BTH.Opcode.IsData() {
+		if e.Meta.Event != packet.EventDrop || !e.Opcode().IsData() {
 			continue
 		}
-		if !unreliable[e.Pkt.BTH.DestQP] {
+		if !unreliable[e.DestQP()] {
 			continue
 		}
 		l := SilentLoss{
 			Conn:     e.Key(),
-			PSN:      e.Pkt.BTH.PSN,
+			PSN:      e.PSN(),
 			Seq:      e.Meta.Seq,
 			DropTime: e.Time(),
 		}
 		for j := i + 1; j < len(tr.Entries); j++ {
 			n := &tr.Entries[j]
-			op := n.Pkt.BTH.Opcode
-			if n.Key() == e.Key() && op.IsData() && n.Pkt.BTH.PSN == l.PSN {
+			op := n.Opcode()
+			if n.Key() == e.Key() && op.IsData() && n.PSN() == l.PSN {
 				l.Retransmitted = true
 			}
-			if n.Reverses(e) && op.IsAck() && n.Pkt.AETH.IsNak() &&
-				n.Pkt.AETH.Syndrome == packet.NakPSNSeqError &&
-				psnNear(n.Pkt.BTH.PSN, l.PSN) {
+			if n.Reverses(e) && op.IsAck() && n.AETH().Syndrome == packet.NakPSNSeqError &&
+				psnNear(n.PSN(), l.PSN) {
 				l.NAKed = true
 			}
 			if l.Retransmitted && l.NAKed {

@@ -23,14 +23,12 @@ import (
 	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
-// Record is one captured (trimmed) mirror packet.
+// Record is one captured (trimmed) mirror packet. Where it was captured
+// is the chunk that holds it: each core buffers only its own records.
 type Record struct {
 	// Wire holds the trimmed packet bytes with the UDP destination port
 	// restored to 4791.
 	Wire []byte
-	// Node and Core locate where the packet was captured.
-	Node int
-	Core int
 }
 
 // Config sizes one dumper node.
@@ -208,7 +206,7 @@ func (n *Node) HandleEvent(_ int, arg uint64, data []byte) {
 	}
 	// Restore the RSS-randomized port before buffering (§3.4).
 	packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
-	c.add(Record{Wire: data, Node: n.Index, Core: ci})
+	c.add(Record{Wire: data})
 	n.Captured++
 }
 

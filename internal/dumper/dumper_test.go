@@ -229,13 +229,11 @@ func TestPoolAggregation(t *testing.T) {
 	if pool.Discards() != 0 {
 		t.Fatalf("pool discards = %d", pool.Discards())
 	}
-	// Node indices recorded correctly.
-	seen := map[int]bool{}
-	for _, r := range recs {
-		seen[r.Node] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("records span %d nodes, want 3", len(seen))
+	// Each node captured the ten frames sent to it.
+	for i, node := range pool.Nodes {
+		if node.Captured != 10 {
+			t.Fatalf("node %d captured %d records, want 10", i, node.Captured)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func AdaptiveRetrans(model string, adaptive bool, drops int) ([]AdaptiveRetransP
 	for i := range rep.Trace.Entries {
 		e := &rep.Trace.Entries[i]
 		if e.Meta.Event == packet.EventDrop {
-			droppedPSN = e.Pkt.BTH.PSN
+			droppedPSN = e.PSN()
 			found = true
 			break
 		}
@@ -213,7 +213,7 @@ func AdaptiveRetrans(model string, adaptive bool, drops int) ([]AdaptiveRetransP
 	if found {
 		for i := range rep.Trace.Entries {
 			e := &rep.Trace.Entries[i]
-			if e.Pkt.BTH.Opcode.IsData() && e.Pkt.BTH.PSN == droppedPSN {
+			if e.Opcode().IsData() && e.PSN() == droppedPSN {
 				times = append(times, e.Time())
 			}
 		}

@@ -120,7 +120,7 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 		case packet.EventECN:
 			g.buildECNChain(tr, i, events)
 		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
-			if e.Pkt.BTH.Opcode.IsData() {
+			if e.Opcode().IsData() {
 				g.buildRecoveryChain(tr, i, events)
 			} else {
 				g.buildBareChain(tr, i)
@@ -142,8 +142,8 @@ func (g *Graph) injectNode(e *trace.Entry) Node {
 	return Node{
 		Kind: NodeInject, At: e.Time(),
 		Label: fmt.Sprintf("injector applied %s to psn %d (mirror seq %d)",
-			e.Meta.Event, e.Pkt.BTH.PSN, e.Meta.Seq),
-		PSN: e.Pkt.BTH.PSN, Seq: e.Meta.Seq,
+			e.Meta.Event, e.PSN(), e.Meta.Seq),
+		PSN: e.PSN(), Seq: e.Meta.Seq,
 	}
 }
 
@@ -151,7 +151,7 @@ func (g *Graph) injectNode(e *trace.Entry) Node {
 // (e.g. set-migreq, or an event on a non-data packet).
 func (g *Graph) buildBareChain(tr *trace.Trace, di int) {
 	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.Pkt.BTH.PSN}
+	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.PSN()}
 	ch.Nodes = append(ch.Nodes, g.addNode(g.injectNode(e)))
 	ch.Completed = true // nothing further to wait for
 	g.Chains = append(g.Chains, ch)
@@ -162,8 +162,8 @@ func (g *Graph) buildBareChain(tr *trace.Trace, di int) {
 // recovery to message completion.
 func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.Event) {
 	e := &tr.Entries[di]
-	isRead := e.Pkt.BTH.Opcode.IsReadResponse()
-	psn := e.Pkt.BTH.PSN
+	isRead := e.Opcode().IsReadResponse()
+	psn := e.PSN()
 	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: psn}
 
 	trigger, nack, retrans := tr.Recovery(di)
@@ -181,8 +181,8 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		id := g.addNode(Node{
 			Kind: NodeOOO, At: trigger.Time(),
 			Label: fmt.Sprintf("psn %d arrived out of order, exposing the gap at psn %d",
-				trigger.Pkt.BTH.PSN, psn),
-			PSN: trigger.Pkt.BTH.PSN, Seq: trigger.Meta.Seq,
+				trigger.PSN(), psn),
+			PSN: trigger.PSN(), Seq: trigger.Meta.Seq,
 		})
 		ch.Nodes = append(ch.Nodes, id)
 		link(last, id, "gap_detect")
@@ -204,7 +204,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			// rewound is the requester, i.e. the data packets' DestQP.
 			ch.ActorQPN = ch.Conn.DstQPN
 		} else {
-			ch.ActorQPN = nack.Pkt.BTH.DestQP
+			ch.ActorQPN = nack.DestQP()
 		}
 	}
 	retransAt := sim.Time(0)
@@ -314,7 +314,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 // rate cut the CNP caused at the sender.
 func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event) {
 	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.Pkt.BTH.PSN}
+	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.PSN()}
 	last := g.addNode(g.injectNode(e))
 	ch.Nodes = append(ch.Nodes, last)
 
@@ -331,7 +331,7 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	var cnp *trace.Entry
 	for i := di + 1; i < len(tr.Entries); i++ {
 		c := &tr.Entries[i]
-		if c.Pkt.BTH.Opcode.IsCNP() && c.Reverses(e) {
+		if c.Opcode().IsCNP() && c.Reverses(e) {
 			cnp = c
 			break
 		}
@@ -342,20 +342,20 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	}
 	id := g.addNode(Node{
 		Kind: NodeCNP, At: cnp.Time(),
-		Label: fmt.Sprintf("notification point sent CNP toward qp 0x%06x", cnp.Pkt.BTH.DestQP),
+		Label: fmt.Sprintf("notification point sent CNP toward qp 0x%06x", cnp.DestQP()),
 		Seq:   cnp.Meta.Seq,
 	})
 	ch.Nodes = append(ch.Nodes, id)
 	link(last, id, "cnp_gen")
 	last = id
-	ch.ActorQPN = cnp.Pkt.BTH.DestQP
+	ch.ActorQPN = cnp.DestQP()
 
 	if cut := findEvent(events, cnp.Time(), 0, func(ev *telemetry.Event) bool {
 		if ev.Kind() != telemetry.KindDCQCNRate || !ev.Counter() {
 			return false
 		}
 		qpn, ok := trackQPN(ev.Track())
-		return ok && qpn == cnp.Pkt.BTH.DestQP
+		return ok && qpn == cnp.DestQP()
 	}); cut != nil {
 		var rate int64
 		if cut.NumArgs() > 0 {
@@ -455,7 +455,7 @@ func findEvent(events []telemetry.Event, from, to sim.Time, pred func(*telemetry
 // for a Read response the QP it is addressed to, else the QP whose RTS
 // probe names e's destination as its remote. "" when no probe says.
 func requesterTrack(events []telemetry.Event, e *trace.Entry, isRead bool) string {
-	dst := e.Pkt.BTH.DestQP
+	dst := e.DestQP()
 	for i := range events {
 		ev := &events[i]
 		if ev.Kind() != telemetry.KindQPState || ev.Name() != "RTS" {

@@ -101,7 +101,7 @@ func checkHostViews(t *testing.T, rep *Report) {
 	for _, v := range views {
 		var sourced uint64
 		for i := range rep.Trace.Entries {
-			if slices.Contains(v.IPs, rep.Trace.Entries[i].Pkt.IP.Src) {
+			if slices.Contains(v.IPs, rep.Trace.Entries[i].Src()) {
 				sourced++
 			}
 		}

@@ -113,8 +113,8 @@ func TestListing2ScenarioEndToEnd(t *testing.T) {
 		t.Fatalf("drop events in trace = %d, want 2 (original + retransmission)", len(drops))
 	}
 	// Both drops hit the same wire PSN.
-	if drops[0].Pkt.BTH.PSN != drops[1].Pkt.BTH.PSN {
-		t.Fatalf("drop PSNs differ: %d vs %d", drops[0].Pkt.BTH.PSN, drops[1].Pkt.BTH.PSN)
+	if drops[0].PSN() != drops[1].PSN() {
+		t.Fatalf("drop PSNs differ: %d vs %d", drops[0].PSN(), drops[1].PSN())
 	}
 	// The responder NAKed at least once; the trace shows it.
 	if len(rep.Trace.Naks()) == 0 {
@@ -137,7 +137,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i := range r1.Trace.Entries {
 		a, b := r1.Trace.Entries[i], r2.Trace.Entries[i]
-		if a.Meta != b.Meta || a.Pkt.BTH != b.Pkt.BTH {
+		if a.Meta != b.Meta || !bytes.Equal(a.Wire, b.Wire) {
 			t.Fatalf("entry %d differs between identical runs", i)
 		}
 	}
@@ -171,12 +171,12 @@ func TestReadVerbEndToEnd(t *testing.T) {
 	if len(drops) != 1 {
 		t.Fatalf("drops = %d", len(drops))
 	}
-	if !drops[0].Pkt.BTH.Opcode.IsReadResponse() {
-		t.Fatalf("dropped packet opcode = %v, want a read response", drops[0].Pkt.BTH.Opcode)
+	if !drops[0].Opcode().IsReadResponse() {
+		t.Fatalf("dropped packet opcode = %v, want a read response", drops[0].Opcode())
 	}
 	// Duplicate read request (the implied NAK) appears in the trace.
 	reqs := rep.Trace.Filter(func(e *trace.Entry) bool {
-		return e.Pkt.BTH.Opcode.IsReadRequest()
+		return e.Opcode().IsReadRequest()
 	})
 	if len(reqs) <= 5*2 { // 2 conns × 5 msgs = 10 first-time requests
 		t.Fatalf("read requests = %d, want > 10 (re-read present)", len(reqs))
@@ -217,7 +217,7 @@ func TestMultiGID(t *testing.T) {
 	// The two connections use distinct source IPs.
 	srcs := map[string]bool{}
 	for _, e := range rep.Trace.DataPackets() {
-		srcs[e.Pkt.IP.Src.String()] = true
+		srcs[e.Src().String()] = true
 	}
 	if len(srcs) != 2 {
 		t.Fatalf("data packets from %d source IPs, want 2 (multi-GID)", len(srcs))

@@ -129,21 +129,21 @@ func TestPropertyOfflineRetransConsistency(t *testing.T) {
 		duplicates := 0
 		for i := range rep.Trace.Entries {
 			e := &rep.Trace.Entries[i]
-			if !e.Pkt.BTH.Opcode.IsData() {
+			if !e.Opcode().IsData() {
 				continue
 			}
-			k := e.Pkt.IP.Src.String() + ">" + e.Pkt.IP.Dst.String()
+			k := e.Src().String() + ">" + e.Dst().String()
 			if seen[k] == nil {
 				seen[k] = map[uint32]bool{}
 			}
-			if seen[k][e.Pkt.BTH.PSN] {
+			if seen[k][e.PSN()] {
 				duplicates++
 				if iters[i] < 2 {
-					t.Logf("duplicate PSN %d labelled round %d", e.Pkt.BTH.PSN, iters[i])
+					t.Logf("duplicate PSN %d labelled round %d", e.PSN(), iters[i])
 					return false
 				}
 			}
-			seen[k][e.Pkt.BTH.PSN] = true
+			seen[k][e.PSN()] = true
 		}
 		counted := int(rep.RequesterCounters["retransmitted_packets"])
 		if duplicates != counted {

@@ -225,7 +225,7 @@ var fuzzSeeds = sync.OnceValues(func() ([][]byte, error) {
 		}
 		for i := range rep.Trace.Entries {
 			e := &rep.Trace.Entries[i]
-			if k := (shape{e.Pkt.BTH.Opcode, len(e.Wire)}); !seen[k] {
+			if k := (shape{e.Opcode(), len(e.Wire)}); !seen[k] {
 				seen[k] = true
 				seeds = append(seeds, e.Wire)
 			}

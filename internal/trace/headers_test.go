@@ -10,9 +10,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -64,12 +66,43 @@ type headers struct {
 // readHeaders reads an entry's headers the way the analyzers do.
 func readHeaders(e *Entry) headers {
 	return headers{
-		op: e.Pkt.BTH.Opcode, psn: e.Pkt.BTH.PSN, qp: e.Pkt.BTH.DestQP,
-		pad: e.Pkt.BTH.PadCount, ecn: e.Pkt.IP.ECN,
-		src: e.Pkt.IP.Src, dst: e.Pkt.IP.Dst,
-		aeth: e.Pkt.AETH, dmaLen: e.Pkt.RETH.DMALen,
-		origLen: e.OrigLen, str: e.Pkt.String(),
+		op: e.Opcode(), psn: e.PSN(), qp: e.DestQP(),
+		pad: e.PadCount(), ecn: e.ECN(),
+		src: e.Src(), dst: e.Dst(),
+		aeth: e.AETH(), dmaLen: e.DMALen(),
+		origLen: e.OrigLen(), str: e.String(),
 	}
+}
+
+// decodedHeaders is what packet.DecodeHeaders says about the same bytes.
+func decodedHeaders(wire []byte) (headers, error) {
+	var p packet.Packet
+	origLen, err := packet.DecodeHeaders(wire, &p)
+	return headers{
+		op: p.BTH.Opcode, psn: p.BTH.PSN, qp: p.BTH.DestQP,
+		pad: p.BTH.PadCount, ecn: p.IP.ECN,
+		src: p.IP.Src, dst: p.IP.Dst,
+		aeth: p.AETH, dmaLen: p.RETH.DMALen,
+		origLen: origLen, str: p.String(),
+	}, err
+}
+
+// CheckHeaders calls every header accessor of an admitted entry and
+// fails unless each equals the field packet.DecodeHeaders reads from the
+// entry's bytes, and Key is made of them. It is exported for the
+// property over checked-in scenarios, which runs in package trace_test.
+func CheckHeaders(e *Entry) error {
+	want, err := decodedHeaders(e.Wire)
+	if err != nil {
+		return fmt.Errorf("seq %d: admitted entry does not decode: %v", e.Meta.Seq, err)
+	}
+	if got := readHeaders(e); got != want {
+		return fmt.Errorf("seq %d: accessors read\n%+v\nDecodeHeaders reads\n%+v", e.Meta.Seq, got, want)
+	}
+	if k := (ConnKey{Src: want.src, Dst: want.dst, DstQPN: want.qp}); e.Key() != k {
+		return fmt.Errorf("seq %d: Key() = %+v, its headers give %+v", e.Meta.Seq, e.Key(), k)
+	}
+	return nil
 }
 
 var (
@@ -168,5 +201,20 @@ func TestEntryHeadersMatchLiterals(t *testing.T) {
 		if got := readHeaders(e); got != c.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestEntryShape pins the sizes this package and the dumper were cut to
+// on 64-bit platforms: an entry is its mirror metadata and a slice of
+// captured bytes, and a record is the slice alone.
+func TestEntryShape(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 48 {
+		t.Errorf("trace.Entry is %d bytes, want 48", n)
+	}
+	if n := unsafe.Sizeof(dumper.Record{}); n != 24 {
+		t.Errorf("dumper.Record is %d bytes, want 24", n)
 	}
 }

@@ -46,7 +46,7 @@ func (t *Trace) WritePcap(w io.Writer) error {
 		rec = le.AppendUint32(rec, uint32(ts/1e9))
 		rec = le.AppendUint32(rec, uint32(ts%1e9))
 		rec = le.AppendUint32(rec, uint32(len(e.Wire)))
-		rec = le.AppendUint32(rec, uint32(e.OrigLen))
+		rec = le.AppendUint32(rec, uint32(e.OrigLen()))
 		if _, err := bw.Write(rec); err != nil {
 			return err
 		}

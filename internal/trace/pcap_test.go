@@ -55,7 +55,7 @@ func TestReadPcapShortReads(t *testing.T) {
 	capture := buf.Bytes()
 	var written []PcapPacket
 	for _, e := range tr.Entries {
-		written = append(written, PcapPacket{TimestampNs: e.Meta.Timestamp, OrigLen: e.OrigLen, Data: e.Wire})
+		written = append(written, PcapPacket{TimestampNs: e.Meta.Timestamp, OrigLen: e.OrigLen(), Data: e.Wire})
 	}
 
 	valid := []struct {

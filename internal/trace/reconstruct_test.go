@@ -3,9 +3,10 @@ package trace
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -22,14 +23,10 @@ func reconstructReference(recs []dumper.Record) (*Trace, error) {
 			return nil, fmt.Errorf("trace: record %d too short for mirror metadata", i)
 		}
 		var pkt packet.Packet
-		origLen, err := packet.DecodeHeaders(r.Wire, &pkt)
-		if err != nil {
+		if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %v", i, err)
 		}
-		tr.Entries = append(tr.Entries, Entry{
-			Meta: meta, Pkt: pkt, OrigLen: origLen, Wire: r.Wire,
-			Node: r.Node, Core: r.Core,
-		})
+		tr.Entries = append(tr.Entries, Entry{Meta: meta, Wire: r.Wire})
 	}
 	sort.SliceStable(tr.Entries, func(i, j int) bool {
 		return tr.Entries[i].Meta.Seq < tr.Entries[j].Meta.Seq
@@ -38,14 +35,14 @@ func reconstructReference(recs []dumper.Record) (*Trace, error) {
 }
 
 // recordsFor builds one record per sequence number, in the given order.
-// Core carries the input position, so records sharing a sequence number
-// stay distinguishable and a stability slip shows in the comparison.
+// Each record's bytes have their own backing array, so records sharing a
+// sequence number stay distinguishable and a stability slip shows in the
+// comparison.
 func recordsFor(seqs []uint64) []dumper.Record {
 	ops := []packet.Opcode{packet.OpWriteFirst, packet.OpWriteMiddle, packet.OpWriteLast, packet.OpAcknowledge}
 	recs := make([]dumper.Record, len(seqs))
 	for i, seq := range seqs {
 		recs[i] = mkRecord(seq, packet.EventType(i%3), int64(seq)*10, ops[i%len(ops)], uint32(i), 64*(i%4))
-		recs[i].Core = i
 	}
 	return recs
 }
@@ -90,10 +87,13 @@ func badRecords() []dumper.Record {
 
 // checkAgainstReference runs Reconstruct on segs and requires exactly
 // the reference's result over their concatenation: the same entries in
-// the same order, or the same error text.
+// the same order, each holding the very bytes of the record the
+// reference placed there, or the same error text. Every accessor of
+// every admitted entry must agree with a decode of its bytes.
 func checkAgainstReference(t *testing.T, name string, segs [][]dumper.Record) {
 	t.Helper()
-	want, werr := reconstructReference(concat(segs))
+	recs := concat(segs)
+	want, werr := reconstructReference(recs)
 	got, err := Reconstruct(segs)
 	if werr != nil || err != nil {
 		if werr == nil || err == nil || err.Error() != werr.Error() {
@@ -101,21 +101,25 @@ func checkAgainstReference(t *testing.T, name string, segs [][]dumper.Record) {
 		}
 		return
 	}
+	if len(got.Entries) != len(want.Entries) {
+		t.Fatalf("%s: %d entries, reference %d", name, len(got.Entries), len(want.Entries))
+	}
 	for i := range got.Entries {
-		e := &got.Entries[i]
-		if want := (ConnKey{Src: e.Pkt.IP.Src, Dst: e.Pkt.IP.Dst, DstQPN: e.Pkt.BTH.DestQP}); e.Key() != want {
-			t.Fatalf("%s: entry %d has key %+v, its headers give %+v", name, i, e.Key(), want)
+		g, w := &got.Entries[i], &want.Entries[i]
+		if g.Meta != w.Meta || len(g.Wire) != len(w.Wire) || unsafe.SliceData(g.Wire) != unsafe.SliceData(w.Wire) {
+			t.Fatalf("%s: entry %d holds record %d (seq %d), reference has record %d (seq %d)", name, i,
+				recordIndex(recs, g.Wire), g.Meta.Seq, recordIndex(recs, w.Wire), w.Meta.Seq)
+		}
+		if err := CheckHeaders(g); err != nil {
+			t.Fatalf("%s: entry %d: %v", name, i, err)
 		}
 	}
-	if !reflect.DeepEqual(got.Entries, want.Entries) {
-		for i := range want.Entries {
-			if i >= len(got.Entries) || !reflect.DeepEqual(got.Entries[i], want.Entries[i]) {
-				t.Fatalf("%s: entry %d differs: reference has record %d (seq %d)", name, i,
-					want.Entries[i].Core, want.Entries[i].Meta.Seq)
-			}
-		}
-		t.Fatalf("%s: entries differ from the reference", name)
-	}
+}
+
+// recordIndex returns the position in recs of the record whose bytes
+// wire is, or -1.
+func recordIndex(recs []dumper.Record, wire []byte) int {
+	return slices.IndexFunc(recs, func(r dumper.Record) bool { return unsafe.SliceData(r.Wire) == unsafe.SliceData(wire) })
 }
 
 // TestReconstructMatchesStableSort checks the merge against the
@@ -228,7 +232,6 @@ func FuzzReconstructSegments(f *testing.F) {
 			default:
 				r = mkRecord(uint64(b), packet.EventType(n%3), int64(b)*10, ops[n%len(ops)], uint32(n), 64*(n%4))
 			}
-			r.Core = n // tells equal sequence numbers apart
 			n++
 			last := len(segs) - 1
 			segs[last] = append(segs[last], r)

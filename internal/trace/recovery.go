@@ -9,33 +9,32 @@ import "github.com/lumina-sim/lumina/internal/packet"
 // retransmission.
 func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 	drop := &t.Entries[di]
-	isRead := drop.Pkt.BTH.Opcode.IsReadResponse()
-	psn := drop.Pkt.BTH.PSN
+	isRead := drop.Opcode().IsReadResponse()
+	psn := drop.PSN()
 
 	for i := di + 1; i < len(t.Entries); i++ {
 		e := &t.Entries[i]
-		op := e.Pkt.BTH.Opcode
+		op := e.Opcode()
 
 		// Same-direction data after the drop. The retransmission is
 		// observable at the switch even when the injector drops it again
 		// (Listing 2's iter-2 drop), so it may be a dropped entry; the
 		// trigger must actually reach the receiver, so it may not.
 		if op.IsData() && e.Key() == drop.Key() {
-			if e.Pkt.BTH.PSN == psn {
+			if e.PSN() == psn {
 				return trigger, nack, e
 			}
-			if trigger == nil && e.Meta.Event != packet.EventDrop && PSNLess(psn, e.Pkt.BTH.PSN) {
+			if trigger == nil && e.Meta.Event != packet.EventDrop && PSNLess(psn, e.PSN()) {
 				trigger = e
 			}
 		}
 
 		// Control packets flow opposite the data direction.
 		if nack == nil && e.Reverses(drop) {
-			if !isRead && op.IsAck() && e.Pkt.AETH.IsNak() &&
-				e.Pkt.AETH.Syndrome == packet.NakPSNSeqError && e.Pkt.BTH.PSN == psn {
+			if !isRead && op.IsAck() && e.AETH().Syndrome == packet.NakPSNSeqError && e.PSN() == psn {
 				nack = e
 			}
-			if isRead && op.IsReadRequest() && e.Pkt.BTH.PSN == psn {
+			if isRead && op.IsReadRequest() && e.PSN() == psn {
 				nack = e
 			}
 		}

@@ -5,6 +5,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 
@@ -13,24 +14,96 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// Entry is one packet of a reconstructed trace.
+// Entry is one packet of a reconstructed trace: the bytes a dumper
+// captured and the metadata the injector embedded in them. Its header
+// accessors read Wire in place. Reconstruct admits only records whose
+// headers decode, so every accessor finds the bytes it reads.
 type Entry struct {
 	// Meta is the data-plane metadata the injector embedded: mirror
 	// sequence number, event type, and the nanosecond ingress timestamp
-	// that every analyzer's latency math builds on.
+	// that every analyzer's latency math builds on. It is kept decoded
+	// because it is the sort key and every timestamp read needs it.
 	Meta packet.MirrorMeta
-	// Pkt holds the parsed headers (payload absent: dumpers trim).
-	Pkt packet.Packet
-	// OrigLen is the packet's untrimmed wire length.
-	OrigLen int
 	// Wire is the captured (trimmed) bytes.
 	Wire []byte
-	// Node/Core locate the capturing dumper.
-	Node, Core int
 }
+
+// Wire offsets of the fields the accessors read. IPv4 carries no
+// options (DecodeHeaders refuses them), so every offset up to the end of
+// the BTH is fixed.
+const (
+	ipTOS      = packet.EthernetSize + 1  // DSCP and ECN
+	ipTotalLen = packet.EthernetSize + 2  // 16 bits
+	ipSrc      = packet.EthernetSize + 12 // 4 bytes
+	ipDst      = packet.EthernetSize + 16 // 4 bytes
+	bth        = packet.EthernetSize + packet.IPv4Size + packet.UDPSize
+	bthFlags   = bth + 1 // SE, MigReq, pad count, TVer
+	bthDestQP  = bth + 5 // 24 bits
+	bthPSN     = bth + 9 // 24 bits
+	extHeaders = bth + packet.BTHSize
+)
 
 // Time returns the switch ingress timestamp as a simulation instant.
 func (e *Entry) Time() sim.Time { return sim.Time(e.Meta.Timestamp) }
+
+// Opcode returns the BTH opcode.
+func (e *Entry) Opcode() packet.Opcode { return packet.Opcode(e.Wire[bth]) }
+
+// PSN returns the BTH packet sequence number.
+func (e *Entry) PSN() uint32 { return uint24(e.Wire[bthPSN:]) }
+
+// DestQP returns the BTH destination queue pair number.
+func (e *Entry) DestQP() uint32 { return uint24(e.Wire[bthDestQP:]) }
+
+// PadCount returns the BTH pad count.
+func (e *Entry) PadCount() uint8 { return e.Wire[bthFlags] >> 4 & 0x3 }
+
+// ECN returns the IPv4 ECN codepoint.
+func (e *Entry) ECN() uint8 { return e.Wire[ipTOS] & 0x3 }
+
+// Src returns the IPv4 source address.
+func (e *Entry) Src() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipSrc:])) }
+
+// Dst returns the IPv4 destination address.
+func (e *Entry) Dst() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipDst:])) }
+
+// AETH returns the ACK extended transport header, zero for an opcode
+// that carries none. It follows a RETH when the opcode carries one.
+func (e *Entry) AETH() packet.AETH {
+	op := e.Opcode()
+	if !op.HasAETH() {
+		return packet.AETH{}
+	}
+	off := extHeaders
+	if op.HasRETH() {
+		off += packet.RETHSize
+	}
+	return packet.AETH{Syndrome: e.Wire[off], MSN: uint24(e.Wire[off+1:])}
+}
+
+// DMALen returns the RETH DMA length, the last four bytes of the RETH,
+// or 0 for an opcode that carries no RETH.
+func (e *Entry) DMALen() uint32 {
+	if !e.Opcode().HasRETH() {
+		return 0
+	}
+	return binary.BigEndian.Uint32(e.Wire[extHeaders+packet.RETHSize-4:])
+}
+
+// OrigLen returns the packet's untrimmed wire length: the Ethernet
+// header plus the IPv4 total length.
+func (e *Entry) OrigLen() int {
+	return packet.EthernetSize + int(binary.BigEndian.Uint16(e.Wire[ipTotalLen:]))
+}
+
+// String renders the packet's headers as packet.Packet does.
+func (e *Entry) String() string {
+	var p packet.Packet
+	packet.DecodeHeaders(e.Wire, &p)
+	return p.String()
+}
+
+func uint24(b []byte) uint32 { return uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2]) }
 
 // Trace is a reconstructed, sequence-ordered packet trace.
 type Trace struct {
@@ -54,8 +127,9 @@ type Trace struct {
 // end to end, a run free to span a chunk boundary. One pass reads every
 // record's metadata and finds the run boundaries; a k-way merge over the
 // run heads then yields the records in final order, and each is decoded
-// once, straight into its slot. A head reads the metadata of its next
-// record as it advances, so the merge keeps nothing per record.
+// once as it is placed. A head reads the metadata of its next record as
+// it advances, so the merge keeps nothing per record. The decode only
+// validates: an entry keeps the record's bytes, not the parsed headers.
 func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	var heads []runHead
 	var prev uint64
@@ -79,14 +153,14 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	}
 
 	tr := &Trace{Entries: make([]Entry, pos)}
+	var pkt packet.Packet
 	for out := range tr.Entries {
 		h := &heads[0]
-		r, e := &segs[h.seg][h.off], &tr.Entries[out]
-		origLen, err := packet.DecodeHeaders(r.Wire, &e.Pkt)
-		if err != nil {
+		wire := segs[h.seg][h.off].Wire
+		if _, err := packet.DecodeHeaders(wire, &pkt); err != nil {
 			return nil, firstError(segs)
 		}
-		e.Meta, e.OrigLen, e.Wire, e.Node, e.Core = h.meta, origLen, r.Wire, r.Node, r.Core
+		tr.Entries[out] = Entry{Meta: h.meta, Wire: wire}
 		if h.pos++; h.pos < h.end {
 			// The run goes on, possibly past its chunk's end: the first
 			// pass accepted every record, so the read cannot fail.
@@ -204,14 +278,14 @@ type ConnKey struct {
 
 // Key returns the entry's connection-direction key.
 func (e *Entry) Key() ConnKey {
-	return ConnKey{Src: e.Pkt.IP.Src, Dst: e.Pkt.IP.Dst, DstQPN: e.Pkt.BTH.DestQP}
+	return ConnKey{Src: e.Src(), Dst: e.Dst(), DstQPN: e.DestQP()}
 }
 
 // Reverses reports whether e flows opposite to of: from of's destination
 // address back to its source, as the ACKs, NAKs, CNPs and re-issued read
 // requests answering of do.
 func (e *Entry) Reverses(of *Entry) bool {
-	return e.Pkt.IP.Src == of.Pkt.IP.Dst && e.Pkt.IP.Dst == of.Pkt.IP.Src
+	return e.Src() == of.Dst() && e.Dst() == of.Src()
 }
 
 // Filter returns the entries satisfying keep, preserving order.
@@ -227,7 +301,7 @@ func (t *Trace) Filter(keep func(*Entry) bool) []*Entry {
 
 // DataPackets returns the entries carrying data opcodes.
 func (t *Trace) DataPackets() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Pkt.BTH.Opcode.IsData() })
+	return t.Filter(func(e *Entry) bool { return e.Opcode().IsData() })
 }
 
 // EventsOfType returns the entries the injector marked with ev.
@@ -237,18 +311,18 @@ func (t *Trace) EventsOfType(ev packet.EventType) []*Entry {
 
 // CNPs returns congestion-notification packets.
 func (t *Trace) CNPs() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Pkt.BTH.Opcode.IsCNP() })
+	return t.Filter(func(e *Entry) bool { return e.Opcode().IsCNP() })
 }
 
 // Acks returns ACK/NAK entries.
 func (t *Trace) Acks() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Pkt.BTH.Opcode.IsAck() })
+	return t.Filter(func(e *Entry) bool { return e.Opcode().IsAck() })
 }
 
 // Naks returns only the negative acknowledgements.
 func (t *Trace) Naks() []*Entry {
 	return t.Filter(func(e *Entry) bool {
-		return e.Pkt.BTH.Opcode.IsAck() && e.Pkt.AETH.IsNak()
+		return e.Opcode().IsAck() && e.AETH().IsNak()
 	})
 }
 

@@ -32,7 +32,7 @@ func mkRecord(seq uint64, ev packet.EventType, ts int64, op packet.Opcode, psn u
 	if trim > len(wire) {
 		trim = len(wire)
 	}
-	return dumper.Record{Wire: wire[:trim], Node: int(seq) % 3}
+	return dumper.Record{Wire: wire[:trim]}
 }
 
 func TestReconstructSortsBySeq(t *testing.T) {
@@ -53,14 +53,14 @@ func TestReconstructSortsBySeq(t *testing.T) {
 	if tr.Entries[1].Meta.Event != packet.EventDrop {
 		t.Fatal("event metadata lost")
 	}
-	if tr.Entries[0].Pkt.BTH.PSN != 10 {
+	if tr.Entries[0].PSN() != 10 {
 		t.Fatal("headers mis-decoded")
 	}
 	// WRITE_FIRST carries a RETH.
 	want := packet.EthernetSize + packet.IPv4Size + packet.UDPSize + packet.BTHSize +
 		packet.RETHSize + 1024 + packet.ICRCSize
-	if tr.Entries[0].OrigLen != want {
-		t.Fatalf("OrigLen = %d, want %d", tr.Entries[0].OrigLen, want)
+	if tr.Entries[0].OrigLen() != want {
+		t.Fatalf("OrigLen = %d, want %d", tr.Entries[0].OrigLen(), want)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestPcapRoundTrip(t *testing.T) {
 	if !bytes.Equal(pkts[0].Data, tr.Entries[0].Wire) {
 		t.Fatal("data mismatch after round trip")
 	}
-	if pkts[0].OrigLen != tr.Entries[0].OrigLen {
-		t.Fatalf("orig len = %d, want %d", pkts[0].OrigLen, tr.Entries[0].OrigLen)
+	if pkts[0].OrigLen != tr.Entries[0].OrigLen() {
+		t.Fatalf("orig len = %d, want %d", pkts[0].OrigLen, tr.Entries[0].OrigLen())
 	}
 }
 
@@ -228,9 +228,9 @@ func TestKeyNamesTheHeaderAddresses(t *testing.T) {
 	byKey := map[ConnKey]int{}
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		want := ConnKey{Src: e.Pkt.IP.Src, Dst: e.Pkt.IP.Dst, DstQPN: e.Pkt.BTH.DestQP}
+		want := ConnKey{Src: netip.MustParseAddr(addrs[i%3]), Dst: netip.MustParseAddr(addrs[(i/2+1)%4]), DstQPN: 0x77}
 		if got := e.Key(); got != want {
-			t.Fatalf("entry %d: Key() = %+v, its headers give %+v", i, got, want)
+			t.Fatalf("entry %d: Key() = %+v, its record was built with %+v", i, got, want)
 		}
 		byKey[e.Key()]++
 		for j := range tr.Entries[:i] {
