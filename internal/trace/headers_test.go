@@ -204,6 +204,16 @@ func TestEntryHeadersMatchLiterals(t *testing.T) {
 	}
 }
 
+// TestNoOpcodeCarriesAETHAndRETH holds the layout Entry.AETH relies on:
+// an AETH, when present, directly follows the BTH.
+func TestNoOpcodeCarriesAETHAndRETH(t *testing.T) {
+	for op := 0; op < 256; op++ {
+		if o := packet.Opcode(op); o.HasAETH() && o.HasRETH() {
+			t.Errorf("opcode %v carries both an AETH and a RETH", o)
+		}
+	}
+}
+
 // TestEntryShape pins the sizes this package and the dumper were cut to
 // on 64-bit platforms: an entry is its mirror metadata and a slice of
 // captured bytes, and a record is the slice alone.

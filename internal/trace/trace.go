@@ -68,17 +68,13 @@ func (e *Entry) Src() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipSrc:]
 func (e *Entry) Dst() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipDst:])) }
 
 // AETH returns the ACK extended transport header, zero for an opcode
-// that carries none. It follows a RETH when the opcode carries one.
+// that carries none. No opcode carries both an AETH and a RETH, so an
+// AETH always follows the BTH directly.
 func (e *Entry) AETH() packet.AETH {
-	op := e.Opcode()
-	if !op.HasAETH() {
+	if !e.Opcode().HasAETH() {
 		return packet.AETH{}
 	}
-	off := extHeaders
-	if op.HasRETH() {
-		off += packet.RETHSize
-	}
-	return packet.AETH{Syndrome: e.Wire[off], MSN: uint24(e.Wire[off+1:])}
+	return packet.AETH{Syndrome: e.Wire[extHeaders], MSN: uint24(e.Wire[extHeaders+1:])}
 }
 
 // DMALen returns the RETH DMA length, the last four bytes of the RETH,

@@ -6,7 +6,9 @@
 // simulated packets per second and, where the result traced them, the
 // exact simulated packets and events per op. When the result holds both
 // bulk_explain and bulk_write it also records their ratios, the observer
-// cost.
+// cost. It then measures the bulk_pair_packet and bulk_explain_packet
+// allocation gates (internal/perfgate) in this process and records their
+// allocations and bytes per simulated packet.
 //
 //	go run ./tools/trajectory -commit "$(git rev-parse --short HEAD)"
 //
@@ -20,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"github.com/lumina-sim/lumina/internal/perfgate"
 )
 
 const resultSchema = "lumina-bench/1"
@@ -56,8 +60,16 @@ type ratio struct {
 	AllocKBPerOp float64 `json:"alloc_kb_per_op"`
 }
 
-// row is one line of the trajectory. Workloads is a map, so encoding
-// sorts it by name.
+// gate is one perfgate workload's allocation profile per simulated
+// packet.
+type gate struct {
+	AllocsPerPkt float64 `json:"allocs_per_pkt"`
+	BytesPerPkt  float64 `json:"bytes_per_pkt"`
+}
+
+// row is one line of the trajectory. Workloads and Perfgate are maps, so
+// encoding sorts them by name. Rows written before the perfgate figures
+// were recorded have none.
 type row struct {
 	Commit        string           `json:"commit"`
 	Source        string           `json:"source"`
@@ -65,6 +77,28 @@ type row struct {
 	CalibrationNs float64          `json:"calibration_ns"`
 	Workloads     map[string]point `json:"workloads"`
 	ExplainWrite  *ratio           `json:"explain_over_write,omitempty"`
+	Perfgate      map[string]gate  `json:"perfgate,omitempty"`
+}
+
+// gateNames are the perfgate workloads a row records: the benchmark's
+// bulk run per simulated packet, bare and with every observer on.
+var gateNames = []string{"bulk_pair_packet", "bulk_explain_packet"}
+
+// measure is perfgate.Measure; tests put a fixed measurement in its
+// place.
+var measure = perfgate.Measure
+
+// measureGates measures every gate a row records.
+func measureGates() (map[string]gate, error) {
+	out := map[string]gate{}
+	for _, name := range gateNames {
+		m, err := measure(name)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = gate{AllocsPerPkt: round(m.AllocsPerOp), BytesPerPkt: round(m.BytesPerOp)}
+	}
+	return out, nil
 }
 
 // round keeps three decimals: enough for a millisecond p50, and a row
@@ -159,7 +193,11 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", *in, err)
 	}
-	return appendRow(*out, makeRow(r, *commit))
+	row := makeRow(r, *commit)
+	if row.Perfgate, err = measureGates(); err != nil {
+		return err
+	}
+	return appendRow(*out, row)
 }
 
 func main() {

@@ -2,18 +2,43 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/lumina-sim/lumina/internal/perfgate"
 )
+
+// fixedGates stands in for perfgate.Measure with fixed figures, so a
+// row's perfgate object is a literal, until the test ends.
+func fixedGates(t *testing.T) {
+	t.Helper()
+	figures := map[string]perfgate.Result{
+		"bulk_pair_packet":    {AllocsPerOp: 0.0812345, BytesPerOp: 228.06789},
+		"bulk_explain_packet": {AllocsPerOp: 0.43, BytesPerOp: 778},
+	}
+	measure = func(name string) (perfgate.Result, error) {
+		r, ok := figures[name]
+		if !ok {
+			return perfgate.Result{}, fmt.Errorf("no fixed figures for %q", name)
+		}
+		r.Name = name
+		return r, nil
+	}
+	t.Cleanup(func() { measure = perfgate.Measure })
+}
 
 // TestAppendsOneRowPerRun reads the fixture result twice into a fresh
 // trajectory: two identical lines, each the literal row below, with the
-// figures rounded, the workloads sorted, the observer ratios derived and
-// the exact counts copied where the result traced them.
+// figures rounded, the workloads sorted, the observer ratios derived,
+// the exact counts copied where the result traced them and the perfgate
+// figures per packet.
 func TestAppendsOneRowPerRun(t *testing.T) {
+	fixedGates(t)
 	out := filepath.Join(t.TempDir(), "PERF_TRAJECTORY.jsonl")
 	args := []string{"-result", "testdata/result.json", "-out", out, "-commit", "0123456"}
 	for range 2 {
@@ -29,9 +54,25 @@ func TestAppendsOneRowPerRun(t *testing.T) {
 		`"bulk_explain":{"op_ms_p50":20.988,"allocs_per_op":4700,"alloc_kb_per_op":10138.5,"sim_pkts_per_s":491800},` +
 		`"bulk_write":{"op_ms_p50":12.346,"allocs_per_op":1041,"alloc_kb_per_op":5069.25,"sim_pkts_per_s":836123.457,"sim_pkts_per_op":10322,"sim_events_per_op":20645},` +
 		`"serve_mix":{"op_ms_p50":0.29,"allocs_per_op":1457,"alloc_kb_per_op":173,"sim_pkts_per_s":0}},` +
-		`"explain_over_write":{"op_ms_p50":1.7,"alloc_kb_per_op":2}}` + "\n"
+		`"explain_over_write":{"op_ms_p50":1.7,"alloc_kb_per_op":2},` +
+		`"perfgate":{"bulk_explain_packet":{"allocs_per_pkt":0.43,"bytes_per_pkt":778},` +
+		`"bulk_pair_packet":{"allocs_per_pkt":0.081,"bytes_per_pkt":228.068}}}` + "\n"
 	if got := string(data); got != want+want {
 		t.Fatalf("trajectory:\n%s\nwant twice:\n%s", got, want)
+	}
+}
+
+// TestGatesAreBudgetedWorkloads: every gate a row records is a workload
+// the perfgate budgets hold.
+func TestGatesAreBudgetedWorkloads(t *testing.T) {
+	budgets, err := perfgate.Budgets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range gateNames {
+		if !slices.ContainsFunc(budgets, func(b perfgate.Budget) bool { return b.Name == name }) {
+			t.Errorf("gate %q has no perfgate budget", name)
+		}
 	}
 }
 
