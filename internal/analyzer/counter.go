@@ -76,17 +76,17 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 			// yields a re-read with none and must not count.
 			// Injector-dropped copies never reached the host, so they
 			// carry no evidence.
-			if op.IsReadResponse() && slices.Contains(h.IPs, e.Dst()) && e.Meta.Event != packet.EventDrop {
+			if op.IsReadResponse() && slices.Contains(h.IPs, k.Dst) && e.Meta.Event != packet.EventDrop {
 				j, ok := streamOf[k]
 				if !ok {
 					j = len(streams)
 					streamOf[k] = j
-					streams = append(streams, respState{src: e.Src(), dst: e.Dst()})
+					streams = append(streams, respState{src: k.Src, dst: k.Dst})
 				}
 				streams[j].observe(e.PSN())
 			}
 
-			if !slices.Contains(h.IPs, e.Src()) {
+			if !slices.Contains(h.IPs, k.Src) {
 				continue
 			}
 			txSeen++

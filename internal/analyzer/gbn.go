@@ -221,13 +221,14 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 // fresh addresses-only key.
 func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.ConnKey {
 	ctrlPSN := e.PSN()
+	dataSrc, dataDst := e.Dst(), e.Src()
 	var best *gbnState
 	var bestDist uint32
 	for _, st := range streams {
 		if !st.init {
 			continue
 		}
-		if st.key.Src != e.Dst() || st.key.Dst != e.Src() {
+		if st.key.Src != dataSrc || st.key.Dst != dataDst {
 			continue
 		}
 		ref := st.ePSN
@@ -251,7 +252,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 		if !(op.IsSend() || op.IsWrite() || op.IsReadResponse()) {
 			continue
 		}
-		if d.Src() != e.Dst() || d.Dst() != e.Src() {
+		if d.Src() != dataSrc || d.Dst() != dataDst {
 			continue
 		}
 		dist := psnDist(d.PSN(), ctrlPSN)
@@ -262,7 +263,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 	if found && bestDist < 1<<20 {
 		return bestKey
 	}
-	return trace.ConnKey{Src: e.Dst(), Dst: e.Src()}
+	return trace.ConnKey{Src: dataSrc, Dst: dataDst}
 }
 
 // psnDist is the circular distance between two 24-bit PSNs.

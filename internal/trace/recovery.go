@@ -10,7 +10,7 @@ import "github.com/lumina-sim/lumina/internal/packet"
 func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 	drop := &t.Entries[di]
 	isRead := drop.Opcode().IsReadResponse()
-	psn := drop.PSN()
+	psn, key := drop.PSN(), drop.Key()
 
 	for i := di + 1; i < len(t.Entries); i++ {
 		e := &t.Entries[i]
@@ -20,7 +20,7 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 		// observable at the switch even when the injector drops it again
 		// (Listing 2's iter-2 drop), so it may be a dropped entry; the
 		// trigger must actually reach the receiver, so it may not.
-		if op.IsData() && e.Key() == drop.Key() {
+		if op.IsData() && e.Key() == key {
 			if e.PSN() == psn {
 				return trigger, nack, e
 			}
@@ -30,11 +30,9 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 		}
 
 		// Control packets flow opposite the data direction.
-		if nack == nil && e.Reverses(drop) {
-			if !isRead && op.IsAck() && e.AETH().Syndrome == packet.NakPSNSeqError && e.PSN() == psn {
-				nack = e
-			}
-			if isRead && op.IsReadRequest() && e.PSN() == psn {
+		if nack == nil && e.PSN() == psn && e.Reverses(drop) {
+			if !isRead && op.IsAck() && e.AETH().Syndrome == packet.NakPSNSeqError ||
+				isRead && op.IsReadRequest() {
 				nack = e
 			}
 		}

@@ -95,7 +95,8 @@ func (e *Entry) OrigLen() int {
 // String renders the packet's headers as packet.Packet does.
 func (e *Entry) String() string {
 	var p packet.Packet
-	packet.DecodeHeaders(e.Wire, &p)
+	// Reconstruct admitted the entry only because this decode succeeded.
+	_, _ = packet.DecodeHeaders(e.Wire, &p)
 	return p.String()
 }
 
