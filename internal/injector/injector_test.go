@@ -1,6 +1,7 @@
 package injector
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -347,6 +348,60 @@ func TestNonRoCEFramesForwardedUntouched(t *testing.T) {
 	}
 	if r.sw.Totals().RxRoCE != 0 {
 		t.Fatal("non-RoCE frame counted as RoCE")
+	}
+}
+
+// A frame the RoCE parser rejects still leaves by its destination MAC:
+// the parser fills the Ethernet header before it looks any further, and
+// forwarding reads only that. Frames shorter than a BTH must route too.
+func TestUndecodableFramesForwardedByMAC(t *testing.T) {
+	eth := append(append(append([]byte(nil), macB[:]...), macA[:]...), 0x08, 0x00)
+	ipv4 := []byte{
+		0x45, 0x00, 0x00, 0x28, // v4 IHL 5, total length 40
+		0x00, 0x01, 0x40, 0x00, // ID 1, DF
+		0x40, 0x06, 0x00, 0x00, // TTL 64, TCP, checksum (not checked)
+		10, 0, 0, 1, 10, 0, 0, 2,
+	}
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	arp := cat(eth[:12], []byte{0x08, 0x06}, []byte{
+		0x00, 0x01, 0x08, 0x00, 0x06, 0x04, 0x00, 0x01, // Ethernet/IPv4 request
+	}, macA[:], []byte{10, 0, 0, 1}, make([]byte, 6), []byte{10, 0, 0, 2})
+	tcp := cat(eth, ipv4, []byte{
+		0x04, 0xd2, 0x00, 0x50, 0, 0, 0, 1, 0, 0, 0, 0, // 1234 -> 80, seq 1
+		0x50, 0x02, 0xff, 0xff, 0, 0, 0, 0, // data offset 5, SYN
+	})
+	ihl6 := cat(eth, ipv4, make([]byte, 24))
+	ihl6[14] = 0x46
+	ihl6[14+9] = packet.ProtoUDP
+	runt := cat(eth, ipv4, []byte{0x04, 0xd2, 0x12, 0xb7, 0x00, 0x08, 0x00, 0x00})[:40]
+	runt[14+9] = packet.ProtoUDP
+
+	frames := []struct {
+		name string
+		wire []byte
+	}{{"arp", arp}, {"ipv4-tcp", tcp}, {"ipv4-ihl6", ihl6}, {"runt", runt}}
+	if len(arp) != 42 || len(runt) != 40 {
+		t.Fatalf("spelled %d-byte ARP and %d-byte runt, want 42 and 40", len(arp), len(runt))
+	}
+	for _, f := range frames {
+		r := newRig(t, luminaCfg(), 1, nil)
+		r.sendA(append([]byte(nil), f.wire...))
+		r.s.Run()
+		if len(r.atB) != 1 || !bytes.Equal(r.atB[0], f.wire) {
+			t.Errorf("%s: B received %d frame(s), want the frame unchanged", f.name, len(r.atB))
+		}
+		if len(r.dumps[0]) != 0 {
+			t.Errorf("%s: mirrored", f.name)
+		}
+		if n := r.sw.Totals().RxRoCE; n != 0 {
+			t.Errorf("%s: counted as RoCE (%d)", f.name, n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -166,40 +167,102 @@ func TestICRCDetectsHeaderTampering(t *testing.T) {
 	}
 }
 
-func TestDecodeErrors(t *testing.T) {
-	var p Packet
+// writeFirst is an RDMA Write First, QP 0x12, PSN 0x64, with a RETH for
+// eight bytes at VA 0x1000 and those eight bytes as payload: 70 bytes of
+// headers, 82 on the wire.
+var writeFirst = []byte{
+	0x02, 0x00, 0x00, 0x00, 0x00, 0x02, // Ethernet dst
+	0x02, 0x00, 0x00, 0x00, 0x00, 0x01, // Ethernet src
+	0x08, 0x00, // EtherType IPv4
+	0x45, 0x00, 0x00, 0x44, // IPv4: v4 IHL 5, total length 68
+	0x12, 0x35, 0x40, 0x00, // ID 0x1235, DF
+	0x40, 0x11, 0x14, 0x72, // TTL 64, UDP, header checksum
+	0x0a, 0x00, 0x00, 0x01, // 10.0.0.1
+	0x0a, 0x00, 0x00, 0x02, // 10.0.0.2
+	0xc0, 0x00, 0x12, 0xb7, // UDP 49152 -> 4791
+	0x00, 0x30, 0x00, 0x00, // length 48, checksum 0
+	0x06, 0x00, 0xff, 0xff, // BTH: RC Write First, P_Key 0xffff
+	0x00, 0x00, 0x00, 0x12, // DestQP 0x12
+	0x00, 0x00, 0x00, 0x64, // PSN 0x64
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, // RETH: VA 0x1000
+	0x00, 0x00, 0x00, 0x77, // R_Key 0x77
+	0x00, 0x00, 0x00, 0x08, // DMA length 8
+	0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, // payload
+	0x9f, 0x56, 0x59, 0x53, // iCRC 0x5359569f, least significant byte first
+}
+
+// edited returns writeFirst's first n bytes with b written at off.
+func edited(n, off int, b ...byte) []byte {
+	w := append([]byte(nil), writeFirst[:n]...)
+	copy(w[off:], b)
+	return w
+}
+
+// TestDecodeRejects pins the error each decoder returns for each frame,
+// and what a failed DecodeInto leaves in pkt: the Ethernet header once
+// the frame holds one (the switch forwards undecodable frames by it),
+// nothing before. DecodeHeaders refuses anything shorter than a BTH
+// before it reads a byte.
+func TestDecodeRejects(t *testing.T) {
 	cases := []struct {
-		name string
-		data []byte
+		name          string
+		data          []byte
+		into, headers error
 	}{
-		{"empty", nil},
-		{"runt", make([]byte, 10)},
-		{"eth only", make([]byte, EthernetSize)},
+		{"empty", nil, errTooShort, errTooShort},
+		{"10 zero bytes", make([]byte, 10), errTooShort, errTooShort},
+		{"14 zero bytes", make([]byte, EthernetSize), errNotIPv4, errTooShort},
+		{"20 zero bytes", make([]byte, 20), errNotIPv4, errTooShort},
+		{"write-first[:0]", writeFirst[:0], errTooShort, errTooShort},
+		{"write-first[:13]", writeFirst[:13], errTooShort, errTooShort},
+		{"write-first[:14]", writeFirst[:14], errTooShort, errTooShort},
+		{"write-first[:33]", writeFirst[:33], errTooShort, errTooShort},
+		{"write-first[:34]", writeFirst[:34], errTooShort, errTooShort},
+		{"write-first[:41]", writeFirst[:41], errTooShort, errTooShort},
+		{"write-first[:42]", writeFirst[:42], errTooShort, errTooShort},
+		{"write-first[:53]", writeFirst[:53], errTooShort, errTooShort},
+		{"write-first[:54]", writeFirst[:54], errTooShort, errTooShort},
+		{"write-first[:58]", writeFirst[:58], errTooShort, errTooShort},
+		{"write-first[:69]", writeFirst[:69], errTooShort, errTooShort},
+		{"write-first[:70]", writeFirst[:70], errTooShort, nil},
+		{"write-first", writeFirst, nil, nil},
+		{"ipv6 ethertype", edited(82, 12, 0x86, 0xdd), errNotIPv4, errNotIPv4},
+		{"ipv6 ethertype[:20]", edited(20, 12, 0x86, 0xdd), errNotIPv4, errTooShort},
+		{"ip version 6", edited(82, 14, 0x65), errNotIPv4, errNotIPv4},
+		{"ihl 6", edited(82, 14, 0x46), errBadIHL, errBadIHL},
+		{"protocol 6", edited(82, 23, 6), errNotUDP, errNotUDP},
+		{"compare-swap[:60]", edited(60, 42, byte(OpCompareSwap)), errTooShort, errTooShort},
+		{"cnp without pad", edited(58, 42, byte(OpCNP)), errTooShort, nil},
+		{"cnp", edited(74, 42, byte(OpCNP)), nil, nil},
+	}
+	var full Packet
+	if err := DecodeInto(writeFirst, &full); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
-		if err := Decode(c.data, &p); err == nil {
-			t.Errorf("%s: Decode succeeded on invalid input", c.name)
+		p := full // a previous packet, so a field left unwritten shows
+		if err := DecodeInto(c.data, &p); err != c.into {
+			t.Errorf("%s: DecodeInto = %v, want %v", c.name, err, c.into)
+		}
+		if c.into != nil && len(c.data) < EthernetSize && !reflect.DeepEqual(p, Packet{}) {
+			t.Errorf("%s: DecodeInto left %+v", c.name, p)
+		}
+		if c.into != nil && len(c.data) >= EthernetSize {
+			want := Ethernet{Dst: MAC(c.data[0:6]), Src: MAC(c.data[6:12]), EtherType: be.Uint16(c.data[12:14])}
+			if p.Eth != want {
+				t.Errorf("%s: DecodeInto left Eth %+v, want %+v", c.name, p.Eth, want)
+			}
+		}
+		h := full
+		if _, err := DecodeHeaders(c.data, &h); err != c.headers {
+			t.Errorf("%s: DecodeHeaders = %v, want %v", c.name, err, c.headers)
+		}
+		if len(c.data) < EthernetSize+IPv4Size+UDPSize+BTHSize && !reflect.DeepEqual(h, Packet{}) {
+			t.Errorf("%s: DecodeHeaders left %+v", c.name, h)
 		}
 	}
-
-	// Non-IPv4 ethertype.
-	w := samplePacket(OpSendOnly, 8).Serialize()
-	w[12], w[13] = 0x86, 0xDD // IPv6
-	if err := Decode(w, &p); err == nil {
-		t.Error("Decode accepted non-IPv4 ethertype")
-	}
-
-	// Non-UDP protocol.
-	w = samplePacket(OpSendOnly, 8).Serialize()
-	w[14+9] = 6 // TCP
-	if err := Decode(w, &p); err == nil {
-		t.Error("Decode accepted non-UDP protocol")
-	}
-
-	// Truncated extended header.
-	w = samplePacket(OpWriteFirst, 128).Serialize()
-	if err := Decode(w[:58], &p); err == nil {
-		t.Error("Decode accepted truncated RETH")
+	if err := VerifyICRC(writeFirst); err != nil || !VerifyIPv4Checksum(writeFirst) {
+		t.Errorf("writeFirst is not a valid frame: iCRC %v, IPv4 checksum ok %v", err, VerifyIPv4Checksum(writeFirst))
 	}
 }
 

@@ -52,33 +52,6 @@ func TestDecodeHeadersOnTrimmedPackets(t *testing.T) {
 	}
 }
 
-func TestDecodeHeadersErrors(t *testing.T) {
-	var p Packet
-	if _, err := DecodeHeaders(make([]byte, 20), &p); err == nil {
-		t.Error("runt accepted")
-	}
-	w := samplePacket(OpSendOnly, 8).Serialize()
-	w[12], w[13] = 0x86, 0xDD
-	if _, err := DecodeHeaders(w, &p); err == nil {
-		t.Error("non-IPv4 accepted")
-	}
-	w = samplePacket(OpSendOnly, 8).Serialize()
-	w[14+9] = 6
-	if _, err := DecodeHeaders(w, &p); err == nil {
-		t.Error("non-UDP accepted")
-	}
-	w = samplePacket(OpSendOnly, 8).Serialize()
-	w[14] = 0x46 // IHL 6 (options)
-	if _, err := DecodeHeaders(w, &p); err == nil {
-		t.Error("IP options accepted")
-	}
-	// Truncated mid-extended-header.
-	w = samplePacket(OpCompareSwap, 0).Serialize()
-	if _, err := DecodeHeaders(w[:60], &p); err == nil {
-		t.Error("truncated AtomicETH accepted")
-	}
-}
-
 func TestMACString(t *testing.T) {
 	m := MAC{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01}
 	if got := m.String(); got != "de:ad:be:ef:00:01" {

@@ -257,14 +257,36 @@ func FuzzComputeICRC(f *testing.F) {
 	})
 }
 
+// errTooShort is what DecodeHeaders says of an empty buffer.
+var _, errTooShort = packet.DecodeHeaders(nil, new(packet.Packet))
+
 // FuzzDecodeInto: no input panics the decoder, and a frame it accepts
 // re-encodes to one that decodes to the same packet with a valid iCRC.
+// Every prefix of an accepted frame that keeps its headers, as a
+// dumper's trim does, gives DecodeHeaders the same headers; every
+// shorter prefix is too short.
 func FuzzDecodeInto(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		var p, q packet.Packet
 		if packet.DecodeInto(wire, &p) != nil {
 			return
+		}
+		hdr := packet.WireSize(p.BTH.Opcode, 0, 0) - packet.ICRCSize
+		if p.BTH.Opcode == packet.OpCNP {
+			hdr = icrcHead // a CNP's pad is not a header
+		}
+		want := p
+		want.Payload, want.ICRC = nil, 0
+		for k := range len(wire) + 1 {
+			var h packet.Packet
+			_, err := packet.DecodeHeaders(wire[:k], &h)
+			if k < hdr && err != errTooShort {
+				t.Fatalf("DecodeHeaders of %d bytes (headers %d): %v, want %v", k, hdr, err, errTooShort)
+			}
+			if k >= hdr && (err != nil || !reflect.DeepEqual(h, want)) {
+				t.Fatalf("DecodeHeaders of %d bytes: %v\n%+v\nDecodeInto of %d:\n%+v", k, err, h, len(wire), want)
+			}
 		}
 		enc := p.AppendWire(nil) // also refreshes p's computed fields
 		if len(enc) != p.WireLen() {
