@@ -44,7 +44,7 @@ func main() {
 	forward := func(out *sim.Port) func([]byte) {
 		return func(w []byte) {
 			var pkt packet.Packet
-			if packet.Decode(w, &pkt) == nil &&
+			if packet.DecodeInto(w, &pkt) == nil &&
 				pkt.BTH.Opcode == packet.OpAtomicAcknowledge && !droppedOnce {
 				droppedOnce = true
 				fmt.Println("relay: dropping the first atomic acknowledgement")

@@ -21,7 +21,7 @@ func TestDelayActionPostponesForwarding(t *testing.T) {
 	}
 	r.fromB.SetReceiver(func(w []byte) {
 		var pkt packet.Packet
-		if packet.Decode(w, &pkt) == nil {
+		if packet.DecodeInto(w, &pkt) == nil {
 			arrivals = append(arrivals, struct {
 				psn uint32
 				at  sim.Time
@@ -65,7 +65,7 @@ func TestReorderActionSwapsWithNextPacket(t *testing.T) {
 	var order []uint32
 	r.fromB.SetReceiver(func(w []byte) {
 		var pkt packet.Packet
-		if packet.Decode(w, &pkt) == nil {
+		if packet.DecodeInto(w, &pkt) == nil {
 			order = append(order, pkt.BTH.PSN)
 		}
 	})
@@ -94,7 +94,7 @@ func TestReorderOffsetTwo(t *testing.T) {
 	var order []uint32
 	r.fromB.SetReceiver(func(w []byte) {
 		var pkt packet.Packet
-		if packet.Decode(w, &pkt) == nil {
+		if packet.DecodeInto(w, &pkt) == nil {
 			order = append(order, pkt.BTH.PSN)
 		}
 	})

@@ -282,7 +282,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	sw.total.RxFrames++
 
 	var pkt packet.Packet
-	isRoCE := packet.Decode(wire, &pkt) == nil && pkt.IsRoCE()
+	isRoCE := packet.DecodeInto(wire, &pkt) == nil && pkt.IsRoCE()
 
 	if sw.Cfg.L2Only || !isRoCE {
 		// Plain L2 forwarding (baseline mode, and non-RoCE traffic in

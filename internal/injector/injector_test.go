@@ -141,7 +141,7 @@ func TestITERTracking(t *testing.T) {
 	want := []uint32{1, 1, 1, 1, 2, 2, 2, 3, 3}
 	var pkt packet.Packet
 	for i, psn := range psns {
-		if err := packet.Decode(dataPkt(psn, 0x200), &pkt); err != nil {
+		if err := packet.DecodeInto(dataPkt(psn, 0x200), &pkt); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.sw.trackITER(&pkt); got != want[i] {
@@ -158,7 +158,7 @@ func TestITERSeedHandlesFirstPacketAtIPSN(t *testing.T) {
 		r := newRig(t, luminaCfg(), 1, nil)
 		r.sw.AddConnection(conn(ipsn))
 		var pkt packet.Packet
-		packet.Decode(dataPkt(ipsn, 0x200), &pkt)
+		packet.DecodeInto(dataPkt(ipsn, 0x200), &pkt)
 		if got := r.sw.trackITER(&pkt); got != 1 {
 			t.Fatalf("IPSN %d: first packet ITER = %d, want 1", ipsn, got)
 		}
@@ -189,7 +189,7 @@ func TestDropActionDropsButMirrors(t *testing.T) {
 		if meta.Event == packet.EventDrop {
 			dropSeen = true
 			var pkt packet.Packet
-			if err := packet.Decode(d, &pkt); err != nil {
+			if err := packet.DecodeInto(d, &pkt); err != nil {
 				t.Fatal(err)
 			}
 			if pkt.BTH.PSN != 1002 {
@@ -215,7 +215,7 @@ func TestECNActionMarksAndPreservesICRC(t *testing.T) {
 		t.Fatalf("B received %d frames", len(r.atB))
 	}
 	var pkt packet.Packet
-	if err := packet.Decode(r.atB[0], &pkt); err != nil {
+	if err := packet.DecodeInto(r.atB[0], &pkt); err != nil {
 		t.Fatal(err)
 	}
 	if pkt.IP.ECN != packet.ECNCE {
@@ -247,7 +247,7 @@ func TestSetMigReqActionRewritesAndFixesICRC(t *testing.T) {
 	r.sendA(dataPkt(2000, 0x200)) // dataPkt sends MigReq = false
 	r.s.Run()
 	var pkt packet.Packet
-	if err := packet.Decode(r.atB[0], &pkt); err != nil {
+	if err := packet.DecodeInto(r.atB[0], &pkt); err != nil {
 		t.Fatal(err)
 	}
 	if !pkt.BTH.MigReq {

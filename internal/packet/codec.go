@@ -5,26 +5,16 @@ import (
 	"net/netip"
 )
 
-// Serialize encodes the packet to wire bytes, computing IPv4 TotalLen and
-// header checksum, UDP Length, and the iCRC. The returned buffer is
-// freshly allocated. It is a thin compatibility wrapper around AppendWire;
-// hot paths that reuse buffers should call AppendWire directly. No
-// simulated component calls it any more: outside tests it survives for
-// one-off set-up encodes in perfgate and the frozen bench/probes.go
-// (ROADMAP item 6c), as Decode does for the injector's and the examples'
-// stack-local parses.
-func (p *Packet) Serialize() []byte {
-	buf := make([]byte, p.WireLen())
-	p.serializeInto(buf)
-	return buf
-}
+// Serialize encodes the packet into a freshly allocated buffer. Outside
+// tests only the frozen bench/probes.go calls it (ROADMAP item 6c);
+// everything else calls AppendWire.
+func (p *Packet) Serialize() []byte { return p.AppendWire(nil) }
 
 // AppendWire appends the packet's wire encoding to buf and returns the
 // extended slice, computing IPv4 TotalLen and header checksum, UDP
-// Length, and the iCRC exactly as Serialize does. When cap(buf) already
-// covers the encoded size the call performs zero allocations, which is
-// what lets per-connection scratch buffers make the encode path
-// allocation-free.
+// Length, and the iCRC. When cap(buf) already covers the encoded size
+// the call performs zero allocations, which is what lets per-connection
+// scratch buffers make the encode path allocation-free.
 func (p *Packet) AppendWire(buf []byte) []byte {
 	n := p.WireLen()
 	off := len(buf)
@@ -154,12 +144,6 @@ func (p *Packet) serializeInto(buf []byte) {
 	buf[off+3] = byte(icrc >> 24)
 }
 
-// Decode parses wire bytes into pkt, which is overwritten. It is a thin
-// compatibility wrapper around DecodeInto.
-func Decode(data []byte, pkt *Packet) error {
-	return DecodeInto(data, pkt)
-}
-
 // DecodeInto parses wire bytes into pkt in place, which is overwritten —
 // no per-call allocation. The payload slice aliases data rather than
 // copying it; callers that retain pkt across reuse of the source buffer
@@ -168,113 +152,11 @@ func Decode(data []byte, pkt *Packet) error {
 // VerifyICRC so that corrupted-but-parseable packets (Lumina's corruption
 // events) can still be inspected.
 func DecodeInto(data []byte, pkt *Packet) error {
-	*pkt = Packet{}
-	if len(data) < EthernetSize {
-		return errTooShort
+	off, err := decodeHeaders(data, pkt)
+	if err != nil {
+		return err
 	}
-	copy(pkt.Eth.Dst[:], data[0:6])
-	copy(pkt.Eth.Src[:], data[6:12])
-	pkt.Eth.EtherType = be.Uint16(data[12:14])
-	if pkt.Eth.EtherType != EtherTypeIPv4 {
-		return errNotIPv4
-	}
-	if len(data) < EthernetSize+IPv4Size {
-		return errTooShort
-	}
-	ip := data[14:]
-	if ip[0]>>4 != 4 {
-		return errNotIPv4
-	}
-	if ip[0]&0xF != 5 {
-		return errBadIHL
-	}
-	pkt.IP.DSCP = ip[1] >> 2
-	pkt.IP.ECN = ip[1] & 0x3
-	pkt.IP.TotalLen = be.Uint16(ip[2:4])
-	pkt.IP.ID = be.Uint16(ip[4:6])
-	ff := be.Uint16(ip[6:8])
-	pkt.IP.Flags = uint8(ff >> 13)
-	pkt.IP.FragOff = ff & 0x1FFF
-	pkt.IP.TTL = ip[8]
-	pkt.IP.Protocol = ip[9]
-	pkt.IP.Checksum = be.Uint16(ip[10:12])
-	pkt.IP.Src = netip.AddrFrom4([4]byte(ip[12:16]))
-	pkt.IP.Dst = netip.AddrFrom4([4]byte(ip[16:20]))
-	if pkt.IP.Protocol != ProtoUDP {
-		return errNotUDP
-	}
-	if len(data) < 42 {
-		return errTooShort
-	}
-	udp := data[34:42]
-	pkt.UDP.SrcPort = be.Uint16(udp[0:2])
-	pkt.UDP.DstPort = be.Uint16(udp[2:4])
-	pkt.UDP.Length = be.Uint16(udp[4:6])
-	pkt.UDP.Checksum = be.Uint16(udp[6:8])
-
-	if len(data) < 54 {
-		return errTooShort
-	}
-	b := data[42:54]
-	pkt.BTH.Opcode = Opcode(b[0])
-	pkt.BTH.SE = b[1]&0x80 != 0
-	pkt.BTH.MigReq = b[1]&0x40 != 0
-	pkt.BTH.PadCount = (b[1] >> 4) & 0x3
-	pkt.BTH.TVer = b[1] & 0xF
-	pkt.BTH.PKey = be.Uint16(b[2:4])
-	pkt.BTH.FECN = b[4]&0x80 != 0
-	pkt.BTH.BECN = b[4]&0x40 != 0
-	pkt.BTH.DestQP = uint24(b[5:8])
-	pkt.BTH.AckReq = b[8]&0x80 != 0
-	pkt.BTH.PSN = uint24(b[9:12])
-
-	off := 54
-	op := pkt.BTH.Opcode
-	if op.HasRETH() {
-		if len(data) < off+RETHSize {
-			return errTooShort
-		}
-		r := data[off : off+RETHSize]
-		pkt.RETH.VA = be.Uint64(r[0:8])
-		pkt.RETH.RKey = be.Uint32(r[8:12])
-		pkt.RETH.DMALen = be.Uint32(r[12:16])
-		off += RETHSize
-	}
-	if op.HasAETH() {
-		if len(data) < off+AETHSize {
-			return errTooShort
-		}
-		a := data[off : off+AETHSize]
-		pkt.AETH.Syndrome = a[0]
-		pkt.AETH.MSN = uint24(a[1:4])
-		off += AETHSize
-	}
-	if op.HasImm() {
-		if len(data) < off+ImmSize {
-			return errTooShort
-		}
-		pkt.Imm = be.Uint32(data[off : off+4])
-		off += ImmSize
-	}
-	if op.HasAtomicETH() {
-		if len(data) < off+AtomicETHSize {
-			return errTooShort
-		}
-		a := data[off : off+AtomicETHSize]
-		pkt.Atomic.VA = be.Uint64(a[0:8])
-		pkt.Atomic.RKey = be.Uint32(a[8:12])
-		pkt.Atomic.SwapAdd = be.Uint64(a[12:20])
-		pkt.Atomic.Compare = be.Uint64(a[20:28])
-		off += AtomicETHSize
-	}
-	if op.HasAtomicAck() {
-		if len(data) < off+AtomicAckSize {
-			return errTooShort
-		}
-		pkt.AtomicAck = be.Uint64(data[off : off+8])
-		off += AtomicAckSize
-	}
-	if op == OpCNP {
+	if pkt.BTH.Opcode == OpCNP {
 		if len(data) < off+cnpPadSize {
 			return errTooShort
 		}
@@ -299,21 +181,35 @@ func DecodeInto(data []byte, pkt *Packet) error {
 // and extended headers), tolerating truncated payloads and a missing
 // iCRC. It exists for trimmed mirror captures: the traffic dumpers keep
 // only the first 128 bytes of every packet (§5), which always cover the
-// headers but rarely the payload. Payload and ICRC are left zero;
-// OrigLen (14 + IPv4 TotalLen) tells the caller how long the packet was
-// on the wire.
-func DecodeHeaders(data []byte, pkt *Packet) (origLen int, err error) {
-	*pkt = Packet{}
+// headers but rarely the payload. Payload and ICRC are left zero.
+// Anything shorter than a BTH is refused before a field is read.
+func DecodeHeaders(data []byte, pkt *Packet) error {
 	if len(data) < 54 {
+		*pkt = Packet{}
+		return errTooShort
+	}
+	_, err := decodeHeaders(data, pkt)
+	return err
+}
+
+// decodeHeaders overwrites pkt with the headers at the front of data and
+// returns the offset just past the last extended header. Each length
+// check sits just before the field it guards, so a frame rejected after
+// its Ethernet header still carries the destination MAC the switch
+// forwards it by.
+func decodeHeaders(data []byte, pkt *Packet) (off int, err error) {
+	*pkt = Packet{}
+	if len(data) < EthernetSize {
 		return 0, errTooShort
 	}
-	// Reuse Decode's header parsing by lying about the tail: parse the
-	// fixed part manually (identical logic, no payload bounds checks).
 	copy(pkt.Eth.Dst[:], data[0:6])
 	copy(pkt.Eth.Src[:], data[6:12])
 	pkt.Eth.EtherType = be.Uint16(data[12:14])
 	if pkt.Eth.EtherType != EtherTypeIPv4 {
 		return 0, errNotIPv4
+	}
+	if len(data) < EthernetSize+IPv4Size {
+		return 0, errTooShort
 	}
 	ip := data[14:]
 	if ip[0]>>4 != 4 {
@@ -337,12 +233,18 @@ func DecodeHeaders(data []byte, pkt *Packet) (origLen int, err error) {
 	if pkt.IP.Protocol != ProtoUDP {
 		return 0, errNotUDP
 	}
+	if len(data) < 42 {
+		return 0, errTooShort
+	}
 	udp := data[34:42]
 	pkt.UDP.SrcPort = be.Uint16(udp[0:2])
 	pkt.UDP.DstPort = be.Uint16(udp[2:4])
 	pkt.UDP.Length = be.Uint16(udp[4:6])
 	pkt.UDP.Checksum = be.Uint16(udp[6:8])
 
+	if len(data) < 54 {
+		return 0, errTooShort
+	}
 	b := data[42:54]
 	pkt.BTH.Opcode = Opcode(b[0])
 	pkt.BTH.SE = b[1]&0x80 != 0
@@ -356,7 +258,7 @@ func DecodeHeaders(data []byte, pkt *Packet) (origLen int, err error) {
 	pkt.BTH.AckReq = b[8]&0x80 != 0
 	pkt.BTH.PSN = uint24(b[9:12])
 
-	off := 54
+	off = 54
 	op := pkt.BTH.Opcode
 	if op.HasRETH() {
 		if len(data) < off+RETHSize {
@@ -400,8 +302,9 @@ func DecodeHeaders(data []byte, pkt *Packet) (origLen int, err error) {
 			return 0, errTooShort
 		}
 		pkt.AtomicAck = be.Uint64(data[off : off+8])
+		off += AtomicAckSize
 	}
-	return EthernetSize + int(pkt.IP.TotalLen), nil
+	return off, nil
 }
 
 // VerifyICRC recomputes the invariant CRC over wire bytes and compares it

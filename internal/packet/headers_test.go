@@ -24,11 +24,11 @@ func TestDecodeHeadersOnTrimmedPackets(t *testing.T) {
 			trim = len(wire)
 		}
 		var got Packet
-		origLen, err := DecodeHeaders(wire[:trim], &got)
+		err := DecodeHeaders(wire[:trim], &got)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		if origLen != len(wire) {
+		if origLen := EthernetSize + int(got.IP.TotalLen); origLen != len(wire) {
 			t.Errorf("%v: origLen = %d, want %d", op, origLen, len(wire))
 		}
 		if got.BTH != orig.BTH {

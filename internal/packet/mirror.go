@@ -109,9 +109,8 @@ func CorruptPayload(wire []byte) bool {
 	if len(wire) < HeaderOverhead+1 {
 		return false
 	}
-	// Flip the lowest bit of the first payload byte (right after BTH and
-	// any extended headers). Flipping the byte just before the iCRC is
-	// always payload/pad for data packets and always safe structurally.
+	// Flipping the byte just before the iCRC is always payload/pad for
+	// data packets and always safe structurally.
 	idx := len(wire) - ICRCSize - 1
 	wire[idx] ^= 0x01
 	return true

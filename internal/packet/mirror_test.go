@@ -43,7 +43,7 @@ func TestMirrorMetaPreservesRoCEFields(t *testing.T) {
 	wire := p.Serialize()
 	EmbedMirrorMeta(wire, MirrorMeta{Seq: 42, Event: EventECN, Timestamp: 999})
 	var got Packet
-	if err := Decode(wire, &got); err != nil {
+	if err := DecodeInto(wire, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.BTH != p.BTH {
@@ -78,7 +78,7 @@ func TestRewriteUDPDstPort(t *testing.T) {
 	// Restore, as the dumper does on TERM (§3.4).
 	RewriteUDPDstPort(wire, RoCEv2Port)
 	var got Packet
-	if err := Decode(wire, &got); err != nil {
+	if err := DecodeInto(wire, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.UDP.DstPort != RoCEv2Port {

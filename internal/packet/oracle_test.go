@@ -258,7 +258,7 @@ func FuzzComputeICRC(f *testing.F) {
 }
 
 // errTooShort is what DecodeHeaders says of an empty buffer.
-var _, errTooShort = packet.DecodeHeaders(nil, new(packet.Packet))
+var errTooShort = packet.DecodeHeaders(nil, new(packet.Packet))
 
 // FuzzDecodeInto: no input panics the decoder, and a frame it accepts
 // re-encodes to one that decodes to the same packet with a valid iCRC.
@@ -280,7 +280,7 @@ func FuzzDecodeInto(f *testing.F) {
 		want.Payload, want.ICRC = nil, 0
 		for k := range len(wire) + 1 {
 			var h packet.Packet
-			_, err := packet.DecodeHeaders(wire[:k], &h)
+			err := packet.DecodeHeaders(wire[:k], &h)
 			if k < hdr && err != errTooShort {
 				t.Fatalf("DecodeHeaders of %d bytes (headers %d): %v, want %v", k, hdr, err, errTooShort)
 			}

@@ -3,8 +3,8 @@
 // transport headers (RETH, AETH, Immediate) and the invariant CRC (iCRC).
 //
 // The design follows the decode-into-preallocated-struct idiom: a single
-// Packet struct holds every possible layer, Decode fills it in place
-// without allocating, and Serialize emits wire bytes with all lengths,
+// Packet struct holds every possible layer, DecodeInto fills it in place
+// without allocating, and AppendWire emits wire bytes with all lengths,
 // the IPv4 header checksum, and the iCRC computed. Both the simulated
 // RNICs and the simulated switch operate on these real bytes, exactly as
 // the hardware testbed's P4 parser and DPDK dumper do.
@@ -352,13 +352,13 @@ type Packet struct {
 	Imm       uint32
 
 	// Payload is the IB payload (message data). For header-only packets
-	// it is empty. Decode aliases it into the source buffer (NoCopy
+	// it is empty. DecodeInto aliases it into the source buffer (NoCopy
 	// semantics); callers that retain packets across buffer reuse must
 	// copy it.
 	Payload []byte
 
-	// ICRC is the invariant CRC read from (Decode) or written to
-	// (Serialize) the wire.
+	// ICRC is the invariant CRC read from (DecodeInto) or written to
+	// (AppendWire) the wire.
 	ICRC uint32
 }
 
@@ -426,17 +426,6 @@ func (p *Packet) String() string {
 		s += " CE"
 	}
 	return s
-}
-
-// Clone returns a deep copy (payload included). The injector's mirroring
-// path clones before rewriting header fields so the forwarded original is
-// untouched.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	return &q
 }
 
 var (

@@ -125,7 +125,7 @@ func TestRoundTripAppendWireDecodeInto(t *testing.T) {
 				}
 
 				var viaDecode, viaDecodeInto Packet
-				if err := Decode(legacy, &viaDecode); err != nil {
+				if err := DecodeInto(legacy, &viaDecode); err != nil {
 					t.Fatalf("%s: Decode: %v", name, err)
 				}
 				// DecodeInto must fully overwrite stale state from a prior

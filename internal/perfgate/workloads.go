@@ -74,7 +74,7 @@ func packetAppendWire() (int, int, func()) {
 // packetDecodeInto is the receive-side parse path: decoding wire bytes
 // into a reused packet struct, payload aliased not copied. Zero allocs.
 func packetDecodeInto() (int, int, func()) {
-	wire := samplePacket().Serialize()
+	wire := samplePacket().AppendWire(nil)
 	var pkt packet.Packet
 	return 20000, 1, func() {
 		if err := packet.DecodeInto(wire, &pkt); err != nil {
@@ -86,7 +86,7 @@ func packetDecodeInto() (int, int, func()) {
 // packetICRC is the invariant-CRC computation every received packet
 // pays before transport processing. Zero allocs.
 func packetICRC() (int, int, func()) {
-	wire := samplePacket().Serialize()
+	wire := samplePacket().AppendWire(nil)
 	body := wire[:len(wire)-4]
 	return 20000, 1, func() { _ = packet.ComputeICRC(body) }
 }
@@ -153,7 +153,7 @@ func intStamp() (int, int, func()) {
 	c := inband.NewCollector(nil)
 	origin := c.RegisterHop("nic", true)
 	transit := c.RegisterHop("sw", false)
-	wire := samplePacket().Serialize()
+	wire := samplePacket().AppendWire(nil)
 	// One warm pass grows the stamp log to its steady-state capacity.
 	c.StampWire(wire, origin, 0, 0, 0)
 	c.StampWire(wire, transit, 100, 1500, 80)

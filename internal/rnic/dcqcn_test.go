@@ -12,7 +12,7 @@ import (
 func markEverything(t *testing.T) func([]byte, bool) relayAction {
 	return func(w []byte, fromA bool) relayAction {
 		pkt := &packet.Packet{}
-		if err := packet.Decode(w, pkt); err != nil {
+		if err := packet.DecodeInto(w, pkt); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if fromA && pkt.BTH.Opcode.IsData() {
@@ -479,7 +479,7 @@ func TestAPMRewriteToOneAvoidsDiscards(t *testing.T) {
 			// Equivalent of the injector's set-migreq action: flip the
 			// BTH MigReq bit and fix the iCRC.
 			var pkt packet.Packet
-			if packet.Decode(w, &pkt) == nil && pkt.BTH.Opcode.IsData() {
+			if packet.DecodeInto(w, &pkt) == nil && pkt.BTH.Opcode.IsData() {
 				pkt.BTH.MigReq = true
 				copy(w, pkt.Serialize())
 			}

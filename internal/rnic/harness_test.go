@@ -130,7 +130,7 @@ func (p *testPair) connect(t *testing.T, mtu, timeoutExp, retryCnt int) (qa, qb 
 func decode(t *testing.T, wire []byte) *packet.Packet {
 	t.Helper()
 	var pkt packet.Packet
-	if err := packet.Decode(wire, &pkt); err != nil {
+	if err := packet.DecodeInto(wire, &pkt); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	return &pkt

@@ -77,13 +77,13 @@ func readHeaders(e *Entry) headers {
 // decodedHeaders is what packet.DecodeHeaders says about the same bytes.
 func decodedHeaders(wire []byte) (headers, error) {
 	var p packet.Packet
-	origLen, err := packet.DecodeHeaders(wire, &p)
+	err := packet.DecodeHeaders(wire, &p)
 	return headers{
 		op: p.BTH.Opcode, psn: p.BTH.PSN, qp: p.BTH.DestQP,
 		pad: p.BTH.PadCount, ecn: p.IP.ECN,
 		src: p.IP.Src, dst: p.IP.Dst,
 		aeth: p.AETH, dmaLen: p.RETH.DMALen,
-		origLen: origLen, str: p.String(),
+		origLen: packet.EthernetSize + int(p.IP.TotalLen), str: p.String(),
 	}, err
 }
 

@@ -23,7 +23,7 @@ func reconstructReference(recs []dumper.Record) (*Trace, error) {
 			return nil, fmt.Errorf("trace: record %d too short for mirror metadata", i)
 		}
 		var pkt packet.Packet
-		if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+		if err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %v", i, err)
 		}
 		tr.Entries = append(tr.Entries, Entry{Meta: meta, Wire: r.Wire})

@@ -96,7 +96,7 @@ func (e *Entry) OrigLen() int {
 func (e *Entry) String() string {
 	var p packet.Packet
 	// Reconstruct admitted the entry only because this decode succeeded.
-	_, _ = packet.DecodeHeaders(e.Wire, &p)
+	_ = packet.DecodeHeaders(e.Wire, &p)
 	return p.String()
 }
 
@@ -154,7 +154,7 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	for out := range tr.Entries {
 		h := &heads[0]
 		wire := segs[h.seg][h.off].Wire
-		if _, err := packet.DecodeHeaders(wire, &pkt); err != nil {
+		if err := packet.DecodeHeaders(wire, &pkt); err != nil {
 			return nil, firstError(segs)
 		}
 		tr.Entries[out] = Entry{Meta: h.meta, Wire: wire}
@@ -222,7 +222,7 @@ func firstError(segs [][]dumper.Record) error {
 			if _, ok := packet.ExtractMirrorMeta(r.Wire); !ok {
 				return fmt.Errorf("trace: record %d too short for mirror metadata", i)
 			}
-			if _, err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+			if err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
 				return fmt.Errorf("trace: record %d: %v", i, err)
 			}
 			i++
