@@ -198,49 +198,63 @@ func edited(n, off int, b ...byte) []byte {
 	return w
 }
 
-// TestDecodeRejects pins the error each decoder returns for each frame,
-// and what a failed DecodeInto leaves in pkt: the Ethernet header once
-// the frame holds one (the switch forwards undecodable frames by it),
-// nothing before. DecodeHeaders refuses anything shorter than a BTH
-// before it reads a byte.
-func TestDecodeRejects(t *testing.T) {
-	cases := []struct {
-		name          string
-		data          []byte
-		into, headers error
-	}{
-		{"empty", nil, errTooShort, errTooShort},
-		{"10 zero bytes", make([]byte, 10), errTooShort, errTooShort},
-		{"14 zero bytes", make([]byte, EthernetSize), errNotIPv4, errTooShort},
-		{"20 zero bytes", make([]byte, 20), errNotIPv4, errTooShort},
-		{"write-first[:0]", writeFirst[:0], errTooShort, errTooShort},
-		{"write-first[:13]", writeFirst[:13], errTooShort, errTooShort},
-		{"write-first[:14]", writeFirst[:14], errTooShort, errTooShort},
-		{"write-first[:33]", writeFirst[:33], errTooShort, errTooShort},
-		{"write-first[:34]", writeFirst[:34], errTooShort, errTooShort},
-		{"write-first[:41]", writeFirst[:41], errTooShort, errTooShort},
-		{"write-first[:42]", writeFirst[:42], errTooShort, errTooShort},
-		{"write-first[:53]", writeFirst[:53], errTooShort, errTooShort},
-		{"write-first[:54]", writeFirst[:54], errTooShort, errTooShort},
-		{"write-first[:58]", writeFirst[:58], errTooShort, errTooShort},
-		{"write-first[:69]", writeFirst[:69], errTooShort, errTooShort},
-		{"write-first[:70]", writeFirst[:70], errTooShort, nil},
-		{"write-first", writeFirst, nil, nil},
-		{"ipv6 ethertype", edited(82, 12, 0x86, 0xdd), errNotIPv4, errNotIPv4},
-		{"ipv6 ethertype[:20]", edited(20, 12, 0x86, 0xdd), errNotIPv4, errTooShort},
-		{"ip version 6", edited(82, 14, 0x65), errNotIPv4, errNotIPv4},
-		{"ihl 6", edited(82, 14, 0x46), errBadIHL, errBadIHL},
-		{"protocol 6", edited(82, 23, 6), errNotUDP, errNotUDP},
-		{"compare-swap[:60]", edited(60, 42, byte(OpCompareSwap)), errTooShort, errTooShort},
-		{"cnp without pad", edited(58, 42, byte(OpCNP)), errTooShort, nil},
-		{"cnp", edited(74, 42, byte(OpCNP)), nil, nil},
+// rejectCases holds frames with the exact error each decoder returns for
+// them. DecodeHeaders refuses anything shorter than a BTH before it reads
+// a byte.
+var rejectCases = []struct {
+	name          string
+	data          []byte
+	into, headers error
+}{
+	{"empty", nil, errTooShort, errTooShort},
+	{"10 zero bytes", make([]byte, 10), errTooShort, errTooShort},
+	{"14 zero bytes", make([]byte, EthernetSize), errNotIPv4, errTooShort},
+	{"20 zero bytes", make([]byte, 20), errNotIPv4, errTooShort},
+	{"write-first[:0]", writeFirst[:0], errTooShort, errTooShort},
+	{"write-first[:13]", writeFirst[:13], errTooShort, errTooShort},
+	{"write-first[:14]", writeFirst[:14], errTooShort, errTooShort},
+	{"write-first[:33]", writeFirst[:33], errTooShort, errTooShort},
+	{"write-first[:34]", writeFirst[:34], errTooShort, errTooShort},
+	{"write-first[:41]", writeFirst[:41], errTooShort, errTooShort},
+	{"write-first[:42]", writeFirst[:42], errTooShort, errTooShort},
+	{"write-first[:53]", writeFirst[:53], errTooShort, errTooShort},
+	{"write-first[:54]", writeFirst[:54], errTooShort, errTooShort},
+	{"write-first[:58]", writeFirst[:58], errTooShort, errTooShort},
+	{"write-first[:69]", writeFirst[:69], errTooShort, errTooShort},
+	{"write-first[:70]", writeFirst[:70], errTooShort, nil},
+	{"write-first", writeFirst, nil, nil},
+	{"ipv6 ethertype", edited(82, 12, 0x86, 0xdd), errNotIPv4, errNotIPv4},
+	{"ipv6 ethertype[:20]", edited(20, 12, 0x86, 0xdd), errNotIPv4, errTooShort},
+	{"ip version 6", edited(82, 14, 0x65), errNotIPv4, errNotIPv4},
+	{"ihl 6", edited(82, 14, 0x46), errBadIHL, errBadIHL},
+	{"protocol 6", edited(82, 23, 6), errNotUDP, errNotUDP},
+	{"compare-swap[:60]", edited(60, 42, byte(OpCompareSwap)), errTooShort, errTooShort},
+	{"cnp without pad", edited(58, 42, byte(OpCNP)), errTooShort, nil},
+	{"cnp", edited(74, 42, byte(OpCNP)), nil, nil},
+}
+
+// decodedWriteFirst is writeFirst decoded: the packet each reject case
+// starts from, so a field a failed decode leaves unwritten shows.
+func decodedWriteFirst(t *testing.T) Packet {
+	t.Helper()
+	if err := VerifyICRC(writeFirst); err != nil || !VerifyIPv4Checksum(writeFirst) {
+		t.Errorf("writeFirst is not a valid frame: iCRC %v, IPv4 checksum ok %v", err, VerifyIPv4Checksum(writeFirst))
 	}
 	var full Packet
 	if err := DecodeInto(writeFirst, &full); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases {
-		p := full // a previous packet, so a field left unwritten shows
+	return full
+}
+
+// TestDecodeErrors pins DecodeInto's error for each reject case and what
+// a failed DecodeInto leaves in pkt: the Ethernet header once the frame
+// holds one (the switch forwards undecodable frames by it), nothing
+// before.
+func TestDecodeErrors(t *testing.T) {
+	full := decodedWriteFirst(t)
+	for _, c := range rejectCases {
+		p := full
 		if err := DecodeInto(c.data, &p); err != c.into {
 			t.Errorf("%s: DecodeInto = %v, want %v", c.name, err, c.into)
 		}
@@ -253,6 +267,14 @@ func TestDecodeRejects(t *testing.T) {
 				t.Errorf("%s: DecodeInto left Eth %+v, want %+v", c.name, p.Eth, want)
 			}
 		}
+	}
+}
+
+// TestDecodeHeadersErrors pins DecodeHeaders' error for each reject case
+// and that it leaves pkt zero for anything shorter than a BTH.
+func TestDecodeHeadersErrors(t *testing.T) {
+	full := decodedWriteFirst(t)
+	for _, c := range rejectCases {
 		h := full
 		if err := DecodeHeaders(c.data, &h); err != c.headers {
 			t.Errorf("%s: DecodeHeaders = %v, want %v", c.name, err, c.headers)
@@ -260,9 +282,6 @@ func TestDecodeRejects(t *testing.T) {
 		if len(c.data) < EthernetSize+IPv4Size+UDPSize+BTHSize && !reflect.DeepEqual(h, Packet{}) {
 			t.Errorf("%s: DecodeHeaders left %+v", c.name, h)
 		}
-	}
-	if err := VerifyICRC(writeFirst); err != nil || !VerifyIPv4Checksum(writeFirst) {
-		t.Errorf("writeFirst is not a valid frame: iCRC %v, IPv4 checksum ok %v", err, VerifyIPv4Checksum(writeFirst))
 	}
 }
 
