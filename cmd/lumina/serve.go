@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/serve"
 	"github.com/lumina-sim/lumina/internal/version"
@@ -150,7 +151,14 @@ func printStatus(st *serve.RunStatus) {
 	}
 }
 
+// downloadArtifacts writes every artifact st lists into dir. The names
+// come from the daemon, so all are checked before anything is written.
 func downloadArtifacts(ctx context.Context, c *serve.Client, st *serve.RunStatus, dir string) error {
+	for _, name := range st.Artifacts {
+		if err := resultcache.CheckArtifactName(name); err != nil {
+			return fmt.Errorf("run %s: %w", st.ID, err)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

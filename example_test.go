@@ -20,7 +20,13 @@ func ExampleRun() {
 	}
 	fmt.Println("integrity:", rep.IntegrityOK)
 	fmt.Println("messages OK:", rep.Traffic.Conns[0].Statuses["OK"])
-	fmt.Println("drops in trace:", len(rep.Trace.EventsOfType(2))) // 2 = drop
+	drops := 0
+	for _, e := range rep.Trace.Entries {
+		if e.Meta.Event == 2 { // 2 = drop
+			drops++
+		}
+	}
+	fmt.Println("drops in trace:", drops)
 	// Output:
 	// integrity: true
 	// messages OK: 1

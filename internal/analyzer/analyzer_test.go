@@ -375,16 +375,6 @@ func TestCounterAnalyzerCX5ReadIsClean(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	st := analyzer.Stats([]sim.Duration{0, 10, 20, 30})
-	if st.N != 3 || st.Min != 10 || st.Max != 30 || st.Mean != 20 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if z := analyzer.Stats(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty stats = %+v", z)
-	}
-}
-
 func TestReconstructITERMatchesFigure3(t *testing.T) {
 	// The worked example of Figure 3: PSNs 1 2 3 4 2 3 4 3 4 yield
 	// ITERs  1 1 1 1 2 2 2 3 3.

@@ -84,32 +84,3 @@ func AnalyzeRetransmissions(tr *trace.Trace) []RetransEvent {
 	}
 	return events
 }
-
-// LatencyStats summarizes a set of durations.
-type LatencyStats struct {
-	N              int
-	Min, Max, Mean sim.Duration
-}
-
-// Stats computes summary statistics over non-zero durations.
-func Stats(ds []sim.Duration) LatencyStats {
-	st := LatencyStats{}
-	var sum sim.Duration
-	for _, d := range ds {
-		if d == 0 {
-			continue
-		}
-		if st.N == 0 || d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		sum += d
-		st.N++
-	}
-	if st.N > 0 {
-		st.Mean = sum / sim.Duration(st.N)
-	}
-	return st
-}

@@ -273,11 +273,6 @@ func init() {
 // Total is the size of the (site, transition) universe.
 func Total() int { return offsets[numSites] }
 
-// Key returns the canonical "site/transition" pair key.
-func Key(s Site, t uint8) string {
-	return defs[s].name + "/" + defs[s].transitions[t]
-}
-
 // Map is the run-scoped recorder. A nil Map is a valid no-op, so
 // components call Record unconditionally through their simulator
 // reference regardless of whether coverage was requested.
@@ -301,30 +296,6 @@ func (m *Map) Record(s Site, t uint8) {
 		panic(fmt.Sprintf("coverage: site %s has no transition %d", defs[s].name, t))
 	}
 	m.counts[idx]++
-}
-
-// Reset zeroes all counts, keeping the backing array.
-func (m *Map) Reset() {
-	if m == nil {
-		return
-	}
-	for i := range m.counts {
-		m.counts[i] = 0
-	}
-}
-
-// Covered returns the number of distinct pairs recorded at least once.
-func (m *Map) Covered() int {
-	if m == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range m.counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Report snapshots the map into its canonical document form.
@@ -392,17 +363,6 @@ func (r *Report) countVector() []uint64 {
 		}
 	}
 	return counts
-}
-
-// Keys returns the covered pair keys in canonical (registry) order.
-func (r *Report) Keys() []string {
-	var out []string
-	for _, sr := range r.Sites {
-		for _, tr := range sr.Covered {
-			out = append(out, sr.Name+"/"+tr.Name)
-		}
-	}
-	return out
 }
 
 // Write emits the document as indented JSON with a trailing newline —
@@ -533,15 +493,4 @@ func (s *Set) Size() int {
 		return 0
 	}
 	return s.n
-}
-
-// Keys returns the frontier's pair keys in canonical order.
-func (s *Set) Keys() []string {
-	out := make([]string, 0, s.n)
-	for i := range pairKeys {
-		if s.has(i) {
-			out = append(out, pairKeys[i])
-		}
-	}
-	return out
 }

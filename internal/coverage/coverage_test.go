@@ -39,10 +39,6 @@ func TestRegistryConsistent(t *testing.T) {
 func TestNilMapIsNoOp(t *testing.T) {
 	var m *Map
 	m.Record(SiteAck, AckOK) // must not panic
-	m.Reset()
-	if m.Covered() != 0 {
-		t.Fatal("nil map covered != 0")
-	}
 	if m.Report() != nil {
 		t.Fatal("nil map produced a report")
 	}
@@ -54,9 +50,6 @@ func TestRecordAndReportRoundTrip(t *testing.T) {
 	m.Record(SiteAck, AckOK)
 	m.Record(SiteRewind, RewindTimeout)
 	m.Record(SiteInjectLookup, LookupMiss)
-	if got := m.Covered(); got != 3 {
-		t.Fatalf("covered = %d, want 3", got)
-	}
 	r := m.Report()
 	if r.Schema != Schema || r.Covered != 3 || r.Total != Total() {
 		t.Fatalf("report header = %+v", r)
@@ -79,7 +72,12 @@ func TestRecordAndReportRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("report does not round-trip byte-identically")
 	}
-	keys := r.Keys()
+	var keys []string
+	for _, sr := range r.Sites {
+		for _, tr := range sr.Covered {
+			keys = append(keys, sr.Name+"/"+tr.Name)
+		}
+	}
 	if len(keys) != 3 || keys[0] != "qp.rewind/timeout" || keys[1] != "qp.ack/ack" ||
 		keys[2] != "inject.lookup/miss" {
 		t.Fatalf("keys = %v (must be in registry order)", keys)
@@ -136,8 +134,8 @@ func TestSetAddReportReturnsFreshOnly(t *testing.T) {
 	if fresh := s.AddReport(m.Report()); len(fresh) != 1 || fresh[0] != "qp.timer/arm" {
 		t.Fatalf("delta fresh = %v", fresh)
 	}
-	if got := s.Keys(); len(got) != 3 {
-		t.Fatalf("keys = %v", got)
+	if got := s.Size(); got != 3 {
+		t.Fatalf("size = %d, want 3", got)
 	}
 }
 
@@ -180,17 +178,5 @@ func TestMergeAndDiffReports(t *testing.T) {
 	}
 	if len(d.OnlyB) != 1 || d.OnlyB[0] != "qp.timer/retry" {
 		t.Fatalf("OnlyB = %v", d.OnlyB)
-	}
-}
-
-func TestResetZeroesKeepingCapacity(t *testing.T) {
-	m := NewMap()
-	m.Record(SiteAck, AckOK)
-	m.Reset()
-	if m.Covered() != 0 {
-		t.Fatal("reset did not clear counts")
-	}
-	if avg := testing.AllocsPerRun(100, func() { m.Reset() }); avg != 0 {
-		t.Fatalf("Reset allocates %v/op", avg)
 	}
 }

@@ -286,17 +286,6 @@ func (n *Node) terminate(dst [][]Record) [][]Record {
 	return dst
 }
 
-// CoreLoads reports packets captured per core (RSS balance diagnostics).
-func (n *Node) CoreLoads() []int {
-	out := make([]int, len(n.cores))
-	for i := range n.cores {
-		for _, chunk := range n.cores[i].chunks {
-			out[i] += len(chunk)
-		}
-	}
-	return out
-}
-
 // Pool is a set of dumper nodes managed together.
 type Pool struct {
 	Nodes []*Node
@@ -327,24 +316,6 @@ func (p *Pool) Terminate() [][]Record {
 		all = n.terminate(all)
 	}
 	return all
-}
-
-// Discards sums rx discards across the pool.
-func (p *Pool) Discards() uint64 {
-	var d uint64
-	for _, n := range p.Nodes {
-		d += n.RxDiscards
-	}
-	return d
-}
-
-// Captured sums captured packets across the pool.
-func (p *Pool) Captured() uint64 {
-	var c uint64
-	for _, n := range p.Nodes {
-		c += n.Captured
-	}
-	return c
 }
 
 func (n *Node) String() string {

@@ -94,7 +94,11 @@ func TestRingOccupancyMatchesReference(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		cfg := Config{Cores: 1 + rng.Intn(3), PerCoreGbps: 1, RingDepth: 2 + rng.Intn(12), TrimBytes: 128}
 		var arrivals []arrival
-		offsets := rng.Perm(999)
+		offsets := make([]int, 999) // a permutation of [0, 999)
+		for i := range offsets {
+			j := rng.Intn(i + 1)
+			offsets[i], offsets[j] = offsets[j], i
+		}
 		us := 0
 		for j := range 10 + rng.Intn(20) {
 			us += 1 + rng.Intn(40)

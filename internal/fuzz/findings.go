@@ -6,16 +6,12 @@ import (
 	"io"
 )
 
-// Findings-file schema identifiers. Version 1 carried only anomaly
-// findings; version 2 adds per-finding coverage deltas, the
+// FindingsSchema identifies the findings file. Version 1 carried only
+// anomaly findings; version 2 adds per-finding coverage deltas, the
 // coverage-seed list, and the per-profile frontier reached by the
 // search. Version-2 files are a strict superset: a v1 reader that
-// ignores unknown fields still parses them, and ReadFindingsFile
-// accepts both versions.
-const (
-	FindingsSchemaV1 = "lumina-findings/1"
-	FindingsSchema   = "lumina-findings/2"
-)
+// ignores unknown fields still parses them.
+const FindingsSchema = "lumina-findings/2"
 
 // FindingKind discriminates findings-file records: anomalies crossed
 // the target's score threshold; coverage seeds advanced the behavioral
@@ -112,19 +108,4 @@ func (f *FindingsFile) Write(w io.Writer) error {
 	js = append(js, '\n')
 	_, err = w.Write(js)
 	return err
-}
-
-// ReadFindingsFile parses a findings file, accepting both the v1 and
-// v2 schemas (v1 files simply have no coverage fields).
-func ReadFindingsFile(data []byte) (*FindingsFile, error) {
-	var f FindingsFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("fuzz: findings file: %w", err)
-	}
-	switch f.Schema {
-	case FindingsSchemaV1, FindingsSchema:
-		return &f, nil
-	default:
-		return nil, fmt.Errorf("fuzz: findings file: unknown schema %q", f.Schema)
-	}
 }

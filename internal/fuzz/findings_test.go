@@ -2,9 +2,29 @@ package fuzz
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// FindingsSchemaV1 is the findings file before it grew coverage fields.
+const FindingsSchemaV1 = "lumina-findings/1"
+
+// ReadFindingsFile parses a findings file, accepting both the v1 and
+// v2 schemas (v1 files simply have no coverage fields).
+func ReadFindingsFile(data []byte) (*FindingsFile, error) {
+	var f FindingsFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("fuzz: findings file: %w", err)
+	}
+	switch f.Schema {
+	case FindingsSchemaV1, FindingsSchema:
+		return &f, nil
+	default:
+		return nil, fmt.Errorf("fuzz: findings file: unknown schema %q", f.Schema)
+	}
+}
 
 // A v1 findings file exactly as `lumina fuzz` wrote it before the schema
 // grew coverage fields — the back-compat contract is that it still

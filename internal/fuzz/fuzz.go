@@ -89,11 +89,6 @@ type Options struct {
 	CoverageObserve bool
 }
 
-// DefaultOptions mirror the paper's usage: small pool, mild diversity.
-func DefaultOptions() Options {
-	return Options{Seed: 1, PoolSize: 6, AcceptProb: 0.2, Deadline: 120 * sim.Second, Generation: 8}
-}
-
 // Finding is one anomalous (or, in Result.CoverageSeeds, one
 // frontier-advancing) configuration.
 type Finding struct {
@@ -393,6 +388,3 @@ func (f *Fuzzer) finish() {
 		return f.res.Findings[i].Score > f.res.Findings[j].Score
 	})
 }
-
-// PoolSize reports the current pool population (diagnostics).
-func (f *Fuzzer) PoolSize() int { return len(f.pool) }

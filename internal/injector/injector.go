@@ -251,15 +251,6 @@ func (sw *Switch) InstallRule(r Rule) {
 	sw.rules[r.key()] = &rr
 }
 
-// Rules returns the installed rules (diagnostics).
-func (sw *Switch) Rules() []*Rule {
-	out := make([]*Rule, 0, len(sw.rules))
-	for _, r := range sw.rules {
-		out = append(out, r)
-	}
-	return out
-}
-
 // Totals returns the aggregate counters.
 func (sw *Switch) Totals() PortCounters { return sw.total }
 

@@ -307,8 +307,9 @@ func TestMirrorMetadataSequenceAndTimestamps(t *testing.T) {
 		}
 		lastSeq, lastTS = meta.Seq, meta.Timestamp
 		// RSS rewrite: destination port no longer 4791.
-		if packet.UDPDstPort(d) == packet.RoCEv2Port {
-			t.Fatal("mirror copy still targets 4791; RSS rewrite missing")
+		var pkt packet.Packet
+		if err := packet.DecodeHeaders(d, &pkt); err != nil || pkt.UDP.DstPort == packet.RoCEv2Port {
+			t.Fatalf("mirror copy targets port %d (%v); RSS rewrite missing", pkt.UDP.DstPort, err)
 		}
 	}
 	if r.sw.MirrorCount() != 10 {
@@ -444,9 +445,13 @@ func TestRuleHitCounting(t *testing.T) {
 	r.sendA(dataPkt(100, 0x200))
 	r.sendA(dataPkt(101, 0x200))
 	r.s.Run()
-	rules := r.sw.Rules()
-	if len(rules) != 1 || rules[0].Hits != 1 {
-		t.Fatalf("rules = %+v", rules)
+	if len(r.sw.rules) != 1 {
+		t.Fatalf("%d rules installed, want 1", len(r.sw.rules))
+	}
+	for _, rule := range r.sw.rules {
+		if rule.Hits != 1 {
+			t.Fatalf("rule = %+v, want 1 hit", rule)
+		}
 	}
 }
 

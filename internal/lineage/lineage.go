@@ -372,33 +372,6 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	g.Chains = append(g.Chains, ch)
 }
 
-// Chain returns the chain with the given lineage ID, or nil.
-func (g *Graph) Chain(lineage uint64) *Chain {
-	for i := range g.Chains {
-		if g.Chains[i].Lineage == lineage {
-			return &g.Chains[i]
-		}
-	}
-	return nil
-}
-
-// Find returns the chains concerning the given PSN, optionally narrowed
-// to a QPN (either side of the connection); qpn 0 matches any.
-func (g *Graph) Find(qpn, psn uint32) []*Chain {
-	var out []*Chain
-	for i := range g.Chains {
-		ch := &g.Chains[i]
-		if ch.PSN != psn {
-			continue
-		}
-		if qpn != 0 && qpn != ch.Conn.DstQPN && qpn != ch.ActorQPN {
-			continue
-		}
-		out = append(out, ch)
-	}
-	return out
-}
-
 // ChainsOf returns the lineage IDs of chains for the given event types,
 // in chain (mirror-sequence) order.
 func (g *Graph) ChainsOf(events ...packet.EventType) []uint64 {

@@ -2,7 +2,6 @@ package lineage
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -125,44 +124,4 @@ func (it *ChainItem) Story() string {
 		fmt.Fprintf(&b, "  @ %-11v %-11s %s\n", sim.Time(n.AtNs), n.Kind, n.Label)
 	}
 	return b.String()
-}
-
-// Headline is the one-line form used when listing chains.
-func (it *ChainItem) Headline() string {
-	status := "open"
-	if it.Completed {
-		status = "resolved"
-	}
-	last := "-"
-	if n := len(it.Nodes); n > 0 {
-		last = it.Nodes[n-1].Kind
-	}
-	return fmt.Sprintf("lineage %-4d %-10s psn=%-7d %-9s %d node(s), last=%s  %s",
-		it.Lineage, it.Event, it.PSN, status, len(it.Nodes), last, it.Conn)
-}
-
-// Explain returns the stories of every chain matching (qpn, psn) — the
-// programmatic face of `lumina trace explain`. qpn 0 matches any QPN.
-func (g *Graph) Explain(qpn, psn uint32) string {
-	matches := g.Find(qpn, psn)
-	if len(matches) == 0 {
-		return ""
-	}
-	s := g.Summarize()
-	byLineage := make(map[uint64]*ChainItem, len(s.Items))
-	for i := range s.Items {
-		byLineage[s.Items[i].Lineage] = &s.Items[i]
-	}
-	ids := make([]uint64, 0, len(matches))
-	for _, ch := range matches {
-		ids = append(ids, ch.Lineage)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var parts []string
-	for _, id := range ids {
-		if it := byLineage[id]; it != nil {
-			parts = append(parts, it.Story())
-		}
-	}
-	return strings.Join(parts, "\n")
 }

@@ -1,14 +1,6 @@
 package orchestrator
 
-import (
-	"io"
-
-	"github.com/lumina-sim/lumina/internal/coverage"
-)
-
-// CoverageSchema versions the coverage.json layout for cross-run diffing
-// tools; bump it when a field changes meaning or disappears.
-const CoverageSchema = coverage.Schema
+import "io"
 
 // WriteCoverage renders the coverage report as indented JSON (the
 // coverage.json artifact). The rendering is canonical: sites appear in

@@ -26,8 +26,8 @@ func TestCoverageReportEndToEnd(t *testing.T) {
 	if cr == nil {
 		t.Fatal("Options.Coverage set but Report.Coverage is nil")
 	}
-	if cr.Schema != CoverageSchema {
-		t.Fatalf("schema = %q, want %q", cr.Schema, CoverageSchema)
+	if cr.Schema != coverage.Schema {
+		t.Fatalf("schema = %q, want %q", cr.Schema, coverage.Schema)
 	}
 	if cr.Total != coverage.Total() {
 		t.Fatalf("total = %d, want the %d-pair universe", cr.Total, coverage.Total())
@@ -49,12 +49,14 @@ func TestCoverageReportEndToEnd(t *testing.T) {
 		"qp.timer/arm":        true,
 	}
 	got := map[string]bool{}
-	for _, k := range cr.Keys() {
-		got[k] = true
+	for _, sr := range cr.Sites {
+		for _, tr := range sr.Covered {
+			got[sr.Name+"/"+tr.Name] = true
+		}
 	}
 	for k := range want {
 		if !got[k] {
-			t.Errorf("expected covered pair %s missing (covered: %v)", k, cr.Keys())
+			t.Errorf("expected covered pair %s missing (covered: %v)", k, got)
 		}
 	}
 }

@@ -35,6 +35,24 @@ func run(t *testing.T, cfg config.Test) *Report {
 	return rep
 }
 
+// entries returns the trace entries keep accepts, in trace order.
+func entries(tr *trace.Trace, keep func(*trace.Entry) bool) []*trace.Entry {
+	var out []*trace.Entry
+	for i := range tr.Entries {
+		if keep(&tr.Entries[i]) {
+			out = append(out, &tr.Entries[i])
+		}
+	}
+	return out
+}
+
+func isData(e *trace.Entry) bool { return e.Opcode().IsData() }
+
+// marked accepts the entries the injector marked with ev.
+func marked(ev packet.EventType) func(*trace.Entry) bool {
+	return func(e *trace.Entry) bool { return e.Meta.Event == ev }
+}
+
 func TestCleanRunCollectsEverything(t *testing.T) {
 	rep := run(t, baseCfg())
 
@@ -63,7 +81,7 @@ func TestCleanRunCollectsEverything(t *testing.T) {
 	}
 
 	// Data packets: 2 conns × 5 msgs × 10 packets, plus ACKs.
-	if got := len(rep.Trace.DataPackets()); got != 100 {
+	if got := len(entries(rep.Trace, isData)); got != 100 {
 		t.Fatalf("trace data packets = %d, want 100", got)
 	}
 
@@ -104,11 +122,11 @@ func TestListing2ScenarioEndToEnd(t *testing.T) {
 		}
 	}
 
-	ecns := rep.Trace.EventsOfType(packet.EventECN)
+	ecns := entries(rep.Trace, marked(packet.EventECN))
 	if len(ecns) != 1 {
 		t.Fatalf("ECN events in trace = %d, want 1", len(ecns))
 	}
-	drops := rep.Trace.EventsOfType(packet.EventDrop)
+	drops := entries(rep.Trace, marked(packet.EventDrop))
 	if len(drops) != 2 {
 		t.Fatalf("drop events in trace = %d, want 2 (original + retransmission)", len(drops))
 	}
@@ -117,12 +135,12 @@ func TestListing2ScenarioEndToEnd(t *testing.T) {
 		t.Fatalf("drop PSNs differ: %d vs %d", drops[0].PSN(), drops[1].PSN())
 	}
 	// The responder NAKed at least once; the trace shows it.
-	if len(rep.Trace.Naks()) == 0 {
+	if len(entries(rep.Trace, func(e *trace.Entry) bool { return e.Opcode().IsAck() && e.AETH().IsNak() })) == 0 {
 		t.Fatal("no NAK in trace despite drops")
 	}
 	// The CE mark is visible on the forwarded packet at the responder:
 	// the responder generated a CNP.
-	if len(rep.Trace.CNPs()) == 0 {
+	if len(entries(rep.Trace, func(e *trace.Entry) bool { return e.Opcode().IsCNP() })) == 0 {
 		t.Fatal("no CNP in trace despite ECN marking")
 	}
 }
@@ -167,7 +185,7 @@ func TestReadVerbEndToEnd(t *testing.T) {
 		}
 	}
 	// The drop rule targets responder→requester read-response data.
-	drops := rep.Trace.EventsOfType(packet.EventDrop)
+	drops := entries(rep.Trace, marked(packet.EventDrop))
 	if len(drops) != 1 {
 		t.Fatalf("drops = %d", len(drops))
 	}
@@ -175,7 +193,7 @@ func TestReadVerbEndToEnd(t *testing.T) {
 		t.Fatalf("dropped packet opcode = %v, want a read response", drops[0].Opcode())
 	}
 	// Duplicate read request (the implied NAK) appears in the trace.
-	reqs := rep.Trace.Filter(func(e *trace.Entry) bool {
+	reqs := entries(rep.Trace, func(e *trace.Entry) bool {
 		return e.Opcode().IsReadRequest()
 	})
 	if len(reqs) <= 5*2 { // 2 conns × 5 msgs = 10 first-time requests
@@ -216,7 +234,7 @@ func TestMultiGID(t *testing.T) {
 	rep := run(t, cfg)
 	// The two connections use distinct source IPs.
 	srcs := map[string]bool{}
-	for _, e := range rep.Trace.DataPackets() {
+	for _, e := range entries(rep.Trace, isData) {
 		srcs[e.Src().String()] = true
 	}
 	if len(srcs) != 2 {
@@ -300,10 +318,10 @@ func TestDeadlineTimeoutStillCollectsTelemetry(t *testing.T) {
 	if rep.Metrics == nil {
 		t.Fatal("no metrics snapshot on timeout")
 	}
-	if rep.Metrics.CounterValue("nic.tx_packets") == 0 {
+	if counterValue(rep.Metrics, "nic.tx_packets") == 0 {
 		t.Fatal("nic.tx_packets counter not collected")
 	}
-	if h := rep.Metrics.Hist("nic.tx_gap_ns"); h == nil || h.Count == 0 {
+	if h := hist(rep.Metrics, "nic.tx_gap_ns"); h == nil || h.Count == 0 {
 		t.Fatal("tx gap histogram not collected")
 	}
 	if len(rep.Events) == 0 {
@@ -311,7 +329,7 @@ func TestDeadlineTimeoutStillCollectsTelemetry(t *testing.T) {
 	}
 	// The injected drops show up as probe hits even though the run never
 	// finished.
-	if rep.Metrics.CounterValue("inject.drops") == 0 {
+	if counterValue(rep.Metrics, "inject.drops") == 0 {
 		t.Fatal("inject.drops counter not collected")
 	}
 }
@@ -369,10 +387,10 @@ func TestTelemetryIsDeterministicAndObserveOnly(t *testing.T) {
 	if bare.Metrics != nil || bare.Events != nil {
 		t.Fatal("telemetry collected without opting in")
 	}
-	if r2.Metrics.Hist("retrans.nack_gen_ns") == nil {
+	if hist(r2.Metrics, "retrans.nack_gen_ns") == nil {
 		t.Fatal("expected NACK generation histogram from the drop event")
 	}
-	if r2.Metrics.CounterValue("cnp.sent") == 0 {
+	if counterValue(r2.Metrics, "cnp.sent") == 0 {
 		t.Fatal("expected CNPs from the ECN event")
 	}
 }
@@ -516,7 +534,7 @@ func TestDelayEventInflatesMCT(t *testing.T) {
 	if got := delayed.RequesterCounters[rnic.CtrRetransmits]; got != 0 {
 		t.Fatalf("tail delay below the RTO must not retransmit (got %d)", got)
 	}
-	if len(delayed.Trace.EventsOfType(packet.EventDelay)) != 1 {
+	if len(entries(delayed.Trace, marked(packet.EventDelay))) != 1 {
 		t.Fatal("delay event missing from trace")
 	}
 
@@ -555,7 +573,7 @@ func TestReorderEventTriggersSpuriousRetransmission(t *testing.T) {
 	if got := rep.RequesterCounters[rnic.CtrRetransmits]; got == 0 {
 		t.Fatal("reorder did not trigger go-back-n retransmission")
 	}
-	if len(rep.Trace.EventsOfType(packet.EventReorder)) != 1 {
+	if len(entries(rep.Trace, marked(packet.EventReorder))) != 1 {
 		t.Fatal("reorder event missing from trace")
 	}
 	if !rep.IntegrityOK {

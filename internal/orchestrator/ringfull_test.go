@@ -57,12 +57,12 @@ func TestRingOverflowsReachTheTimeline(t *testing.T) {
 			t.Errorf("%s discarded %d with a ring_peak of %d", track, ds.Discards, peak)
 		}
 		discards += ds.Discards
-		sprayed += uint64(rep.Metrics.CounterValue("switch.spray." + track))
+		sprayed += uint64(counterValue(rep.Metrics, "switch.spray."+track))
 	}
 	if discards == 0 {
 		t.Fatal("the ablation scenario discarded nothing: it no longer overflows a ring")
 	}
-	if mirrored := uint64(rep.Metrics.CounterValue("switch.mirrored")); sprayed != mirrored {
+	if mirrored := uint64(counterValue(rep.Metrics, "switch.mirrored")); sprayed != mirrored {
 		t.Errorf("switch.spray counters sum to %d, switch.mirrored is %d", sprayed, mirrored)
 	}
 }
@@ -74,4 +74,23 @@ func gaugeValue(m *telemetry.MetricsSnapshot, name string) int64 {
 		}
 	}
 	return -1
+}
+
+// counterValue is the named counter's value, zero when absent.
+func counterValue(m *telemetry.MetricsSnapshot, name string) int64 {
+	for _, c := range m.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+func hist(m *telemetry.MetricsSnapshot, name string) *telemetry.HistSnap {
+	for i := range m.Histograms {
+		if m.Histograms[i].Name == name {
+			return &m.Histograms[i]
+		}
+	}
+	return nil
 }

@@ -346,12 +346,3 @@ func ipv4Checksum(hdr []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// VerifyIPv4Checksum recomputes the header checksum over the 20-byte IPv4
-// header in a serialized packet.
-func VerifyIPv4Checksum(data []byte) bool {
-	if len(data) < EthernetSize+IPv4Size {
-		return false
-	}
-	return ipv4Checksum(data[14:34]) == 0
-}

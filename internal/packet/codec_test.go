@@ -319,8 +319,8 @@ func TestOpcodeClassification(t *testing.T) {
 	if !OpCNP.IsCNP() || OpCNP.IsData() {
 		t.Error("CNP classification wrong")
 	}
-	if !OpWriteFirst.IsFirst() || !OpWriteMiddle.IsMiddle() || !OpWriteLast.IsLast() || !OpWriteOnly.IsOnly() {
-		t.Error("first/middle/last/only classification wrong")
+	if !OpWriteFirst.IsFirst() || OpWriteMiddle.IsFirst() || OpWriteMiddle.IsLast() || !OpWriteLast.IsLast() || !OpWriteOnly.IsOnly() {
+		t.Error("first/last/only classification wrong")
 	}
 	if OpAcknowledge.IsData() {
 		t.Error("ACK must not be a data packet (injector only targets data)")

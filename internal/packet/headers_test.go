@@ -59,19 +59,6 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-func TestIsRequestClassification(t *testing.T) {
-	for _, op := range []Opcode{OpSendFirst, OpWriteOnly, OpReadRequest, OpCompareSwap, OpFetchAdd} {
-		if !op.IsRequest() {
-			t.Errorf("%v not classified as request", op)
-		}
-	}
-	for _, op := range []Opcode{OpAcknowledge, OpReadResponseMiddle, OpCNP} {
-		if op.IsRequest() {
-			t.Errorf("%v classified as request", op)
-		}
-	}
-}
-
 func TestRuntGuardsOnInPlaceHelpers(t *testing.T) {
 	short := make([]byte, 4)
 	SetECNCE(short)             // must not panic

@@ -94,14 +94,6 @@ func RewriteUDPDstPort(wire []byte, port uint16) {
 	be.PutUint16(wire[34+2:34+4], port)
 }
 
-// UDPDstPort reads the UDP destination port from a serialized packet.
-func UDPDstPort(wire []byte) uint16 {
-	if len(wire) < EthernetSize+IPv4Size+UDPSize {
-		return 0
-	}
-	return be.Uint16(wire[34+2 : 34+4])
-}
-
 // CorruptPayload flips one bit of the IB payload (or, for header-only
 // packets, the last pre-iCRC byte) without updating the iCRC, emulating
 // the injector's corruption action. Reports whether a bit was flipped.

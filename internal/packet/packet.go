@@ -188,11 +188,6 @@ func (o Opcode) IsAtomic() bool { return o == OpCompareSwap || o == OpFetchAdd }
 // IsCNP reports whether the packet is a DCQCN congestion notification.
 func (o Opcode) IsCNP() bool { return o == OpCNP }
 
-// IsRequest reports whether the opcode flows requester→responder.
-func (o Opcode) IsRequest() bool {
-	return o.IsSend() || o.IsWrite() || o.IsReadRequest() || o == OpCompareSwap || o == OpFetchAdd
-}
-
 // IsData reports whether the packet carries message payload (the packets
 // Lumina's event injector targets; §3.3 footnote 2 excludes control
 // packets such as ACK/NACK/CNP).
@@ -204,15 +199,6 @@ func (o Opcode) IsData() bool {
 func (o Opcode) IsFirst() bool {
 	switch o {
 	case OpSendFirst, OpWriteFirst, OpReadResponseFirst:
-		return true
-	}
-	return false
-}
-
-// IsMiddle reports whether the opcode continues a multi-packet message.
-func (o Opcode) IsMiddle() bool {
-	switch o {
-	case OpSendMiddle, OpWriteMiddle, OpReadResponseMiddle:
 		return true
 	}
 	return false

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -256,6 +255,9 @@ func (c *Cache) readEntry(id string, k Key) (map[string][]byte, error) {
 	}
 	arts := make(map[string][]byte, len(meta.Artifacts))
 	for name, am := range meta.Artifacts {
+		if err := CheckArtifactName(name); err != nil {
+			return nil, fmt.Errorf("resultcache: entry %s: %w", id, err)
+		}
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
@@ -272,6 +274,18 @@ func (c *Cache) readEntry(id string, k Key) (map[string][]byte, error) {
 	return arts, nil
 }
 
+// CheckArtifactName accepts only a plain file name: not empty, not "."
+// or "..", no path separator, and not the entry's own entry.json. A name
+// read from outside — an entry.json on disk, a daemon's run status — is
+// checked before it is joined onto a directory, so it cannot name a file
+// outside that directory.
+func CheckArtifactName(name string) error {
+	if name == "" || name == "." || name == ".." || name == entryJSON || filepath.Base(name) != name {
+		return fmt.Errorf("resultcache: invalid artifact name %q", name)
+	}
+	return nil
+}
+
 // Put stores artifacts under k. The entry is staged in a temp directory
 // and renamed into place atomically; if the key is already present
 // (including a concurrent Put of the same key — results are pure, so
@@ -284,8 +298,8 @@ func (c *Cache) Put(k Key, artifacts map[string][]byte) error {
 	meta := entryMeta{Schema: Schema, Key: k, Artifacts: map[string]artMeta{}}
 	var total int64
 	for name, b := range artifacts {
-		if name == "" || name == entryJSON || filepath.Base(name) != name {
-			return fmt.Errorf("resultcache: invalid artifact name %q", name)
+		if err := CheckArtifactName(name); err != nil {
+			return err
 		}
 		sum := sha256.Sum256(b)
 		meta.Artifacts[name] = artMeta{Bytes: int64(len(b)), SHA256: hex.EncodeToString(sum[:])}
@@ -411,16 +425,4 @@ func (c *Cache) Stats() Stats {
 	s.Bytes = c.totalLocked()
 	s.MaxBytes = c.maxBytes
 	return s
-}
-
-// IDs returns the cached entry IDs, sorted (tests and debugging).
-func (c *Cache) IDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.entries))
-	for id := range c.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

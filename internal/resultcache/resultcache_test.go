@@ -2,6 +2,9 @@ package resultcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,8 +175,8 @@ func TestConcurrentPutSameKey(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("concurrent Put of one key produced %d entries", st.Entries)
 	}
-	if ids := c.IDs(); len(ids) != 1 || ids[0] != k.ID() {
-		t.Fatalf("IDs() = %v, want [%s]", ids, k.ID())
+	if _, ok := c.entries[k.ID()]; !ok || len(c.entries) != 1 {
+		t.Fatalf("%d entries indexed, want only %s", len(c.entries), k.ID())
 	}
 }
 
@@ -204,6 +207,44 @@ func TestCorruptedEntryIsAMiss(t *testing.T) {
 	}
 	if _, ok := c.Get(k); !ok {
 		t.Fatal("miss after repopulating a dropped entry")
+	}
+}
+
+// TestEntryNamingAFileOutsideIsAMiss hand-writes an entry.json that
+// lists a file outside the cache, with its true size and digest: the
+// entry is corrupt, so Get must miss and drop it, never serve the file.
+func TestEntryNamingAFileOutsideIsAMiss(t *testing.T) {
+	root := t.TempDir()
+	c, err := Open(filepath.Join(root, "cache"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(9)
+	if err := c.Put(k, testArtifacts(9)); err != nil {
+		t.Fatal(err)
+	}
+	secret := []byte("not an artifact\n")
+	if err := os.WriteFile(filepath.Join(root, "secret.txt"), secret, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(secret)
+	meta, err := json.Marshal(entryMeta{Schema: Schema, Key: k, Artifacts: map[string]artMeta{
+		"../../../secret.txt": {Bytes: int64(len(secret)), SHA256: hex.EncodeToString(sum[:])},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "cache", "entries", k.ID(), entryJSON), meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if arts, ok := c.Get(k); ok {
+		t.Fatalf("entry naming ../../../secret.txt served as a hit: %q", arts)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("escaping entry not dropped as a miss: %+v", st)
+	}
+	if got, err := os.ReadFile(filepath.Join(root, "secret.txt")); err != nil || !bytes.Equal(got, secret) {
+		t.Fatalf("the file outside the cache changed: %q, %v", got, err)
 	}
 }
 

@@ -1,7 +1,5 @@
 package rnic
 
-import "sort"
-
 // Counter names. The set merges the NVIDIA and Intel vocabularies the
 // paper inspects; the counter analyzer (§4, §6.2.4) cross-checks these
 // against the reconstructed packet trace.
@@ -47,32 +45,11 @@ func (c *Counters) Add(name string, n uint64) { c.m[name] += n }
 // Get reads a counter (zero when never touched).
 func (c *Counters) Get(name string) uint64 { return c.m[name] }
 
-// Names returns the touched counter names, sorted.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot copies the counter values, e.g. for before/after diffing.
 func (c *Counters) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(c.m))
 	for k, v := range c.m {
 		out[k] = v
-	}
-	return out
-}
-
-// Diff returns counters as (c - before) for every name present in either.
-func (c *Counters) Diff(before map[string]uint64) map[string]uint64 {
-	out := map[string]uint64{}
-	for k, v := range c.m {
-		if d := v - before[k]; d != 0 {
-			out[k] = d
-		}
 	}
 	return out
 }

@@ -161,7 +161,7 @@ func TestCX4ImpliedNakCounterStuck(t *testing.T) {
 		droppedOnce := false
 		p.relay.onForward = func(w []byte, fromA bool) relayAction {
 			pkt := decode(t, w)
-			if !fromA && pkt.BTH.Opcode.IsReadResponse() && pkt.BTH.Opcode.IsMiddle() && !droppedOnce {
+			if !fromA && pkt.BTH.Opcode == packet.OpReadResponseMiddle && !droppedOnce {
 				droppedOnce = true
 				return relayDrop
 			}
@@ -199,7 +199,7 @@ func TestCNPReducesQPPaceRate(t *testing.T) {
 	// are active.
 	minRate := line
 	for i := 0; i < 200; i++ {
-		p.s.RunFor(2 * sim.Microsecond)
+		p.runFor(2 * sim.Microsecond)
 		if r := p.aQP.paceRate(); r < minRate {
 			minRate = r
 		}
@@ -242,14 +242,14 @@ func TestDCQCNRateRecoversAfterCongestionEnds(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.aQP.PostSend(WorkRequest{Verb: VerbWrite, Length: 10240, RemoteAddr: mr.Addr, RKey: mr.RKey})
 	}
-	p.s.RunFor(30 * sim.Microsecond) // several RTTs of marked traffic
+	p.runFor(30 * sim.Microsecond) // several RTTs of marked traffic
 	reduced := p.aQP.paceRate()
 	if reduced >= p.a.Prof.LinkGbps {
 		t.Fatal("rate did not reduce under marking")
 	}
 	// Stop marking and let the increase timers run.
 	marking = false
-	p.s.RunFor(50 * sim.Millisecond)
+	p.runFor(50 * sim.Millisecond)
 	recovered := p.aQP.paceRate()
 	if recovered <= reduced {
 		t.Fatalf("rate did not recover: %v -> %v", reduced, recovered)
@@ -400,12 +400,12 @@ func TestSlowPathOverloadWedgesPipeline(t *testing.T) {
 		t.Fatalf("rx_discards_phy = %d, want %d", got, before+1)
 	}
 	// The wedge persists long after the slow paths themselves drained…
-	p.s.RunFor(prof.WedgeDuration / 2)
+	p.runFor(prof.WedgeDuration / 2)
 	if !p.a.stalled() {
 		t.Fatal("wedge cleared before the watchdog duration")
 	}
 	// …and clears at the watchdog deadline.
-	p.s.RunFor(prof.WedgeDuration)
+	p.runFor(prof.WedgeDuration)
 	if p.a.stalled() {
 		t.Fatal("NIC still wedged after the watchdog duration")
 	}

@@ -70,7 +70,7 @@ func TestETSWeightedFairnessOnSpecNIC(t *testing.T) {
 			})
 		}
 	}
-	p.s.RunFor(4 * sim.Millisecond)
+	p.runFor(4 * sim.Millisecond)
 	bytesAt4ms[0], bytesAt4ms[1] = done[0], done[1]
 	p.s.Run()
 	if bytesAt4ms[0] == 0 || bytesAt4ms[1] == 0 {
@@ -95,7 +95,7 @@ func TestETSStrictPriorityStarvesWeighted(t *testing.T) {
 			})
 		}
 	}
-	p.s.RunFor(2 * sim.Millisecond)
+	p.runFor(2 * sim.Millisecond)
 	if done[0] == 0 {
 		t.Fatal("strict queue made no progress")
 	}
@@ -180,7 +180,7 @@ func TestSameQueueQPsShareFairly(t *testing.T) {
 			})
 		}
 	}
-	p.s.RunFor(3 * sim.Millisecond)
+	p.runFor(3 * sim.Millisecond)
 	if done[0] == 0 || done[1] == 0 {
 		t.Fatalf("no progress: %v", done)
 	}

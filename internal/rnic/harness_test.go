@@ -89,6 +89,14 @@ func newPair(t *testing.T, o pairOpts) *testPair {
 	return &testPair{s: s, a: a, b: b, relay: r}
 }
 
+// runFor fires every event due within d and leaves the clock at the
+// deadline even when the queue drains first: the no-op event pins it.
+func (p *testPair) runFor(d sim.Duration) {
+	deadline := p.s.Now().Add(d)
+	p.s.At(deadline, func() {})
+	p.s.DrainUntil(deadline)
+}
+
 func (r *relay) forward(wire []byte, fromA bool) {
 	act := relayPass
 	if r.onForward != nil {

@@ -88,8 +88,7 @@ type NIC struct {
 	// serial and apmBusyTil never decreases, so they finish in that order.
 	apmq ring[*packet.Packet]
 
-	nextQPN uint32
-	nextRK  uint32
+	nextRK uint32
 
 	// rxFree recycles decoded-packet structs across the RX path: a packet
 	// lives from decode until its dispatch event returns (handlers never

@@ -316,9 +316,6 @@ func (qp *QP) Errored() bool { return qp.errored }
 // Transport returns the QP's transport service type.
 func (qp *QP) Transport() Transport { return qp.cfg.Transport }
 
-// MTU returns the path MTU in use.
-func (qp *QP) MTU() int { return qp.cfg.MTU }
-
 // PostRecv queues a receive WQE for incoming Sends.
 func (qp *QP) PostRecv(rr RecvRequest) {
 	r := rr

@@ -424,7 +424,7 @@ func TestCorruptedPacketDroppedByICRC(t *testing.T) {
 	corrupted := false
 	p.relay.onForward = func(w []byte, fromA bool) relayAction {
 		pkt := decode(t, w)
-		if fromA && pkt.BTH.Opcode.IsWrite() && pkt.BTH.Opcode.IsMiddle() && !corrupted {
+		if fromA && pkt.BTH.Opcode == packet.OpWriteMiddle && !corrupted {
 			corrupted = true
 			return relayCorrupt
 		}
@@ -585,13 +585,12 @@ func TestCounterSnapshotAndDiff(t *testing.T) {
 	snap := c.Snapshot()
 	c.Inc("x")
 	c.Add("z", 2)
-	d := c.Diff(snap)
-	if d["x"] != 1 || d["z"] != 2 || d["y"] != 0 {
-		t.Fatalf("diff = %v", d)
+	after := c.Snapshot()
+	if snap["x"] != 1 || len(snap) != 2 {
+		t.Fatalf("snapshot = %v, changed by later counting", snap)
 	}
-	names := c.Names()
-	if len(names) != 3 || names[0] != "x" || names[1] != "y" || names[2] != "z" {
-		t.Fatalf("names = %v", names)
+	if d := map[string]uint64{"x": after["x"] - snap["x"], "y": after["y"] - snap["y"], "z": after["z"] - snap["z"]}; d["x"] != 1 || d["z"] != 2 || d["y"] != 0 || len(after) != 3 {
+		t.Fatalf("diff = %v over %d counters", d, len(after))
 	}
 }
 
@@ -662,8 +661,8 @@ func TestSchedulerFlushOnQPError(t *testing.T) {
 	if p.aQP.txq.len() != 0 {
 		t.Fatalf("errored QP still holds %d queued packets", p.aQP.txq.len())
 	}
-	if p.s.Pending() != 0 {
-		t.Fatalf("events still pending after error drain: %d", p.s.Pending())
+	if p.s.Step() {
+		t.Fatal("events still pending after error drain")
 	}
 }
 
@@ -682,16 +681,16 @@ func TestRNRRetryExceeded(t *testing.T) {
 	if got := p.a.Counters.Get(CtrRnrNakRetry); got != 1 {
 		t.Fatalf("rnr_nak_retry_err = %d", got)
 	}
-	if p.s.Pending() != 0 {
-		t.Fatalf("%d events still pending (RNR loop leak)", p.s.Pending())
+	if p.s.Step() {
+		t.Fatal("events still pending (RNR loop leak)")
 	}
 }
 
 func TestAccessorsAndStringForms(t *testing.T) {
 	p := newPair(t, defaultPairOpts())
 	qa, _, _ := p.connect(t, 2048, 10, 7)
-	if qa.MTU() != 2048 {
-		t.Fatalf("MTU = %d", qa.MTU())
+	if qa.cfg.MTU != 2048 {
+		t.Fatalf("MTU = %d", qa.cfg.MTU)
 	}
 	if p.a.IP() != ip("10.0.0.1") || len(p.a.IPs()) != 1 {
 		t.Fatalf("IP accessors wrong: %v %v", p.a.IP(), p.a.IPs())
@@ -861,7 +860,7 @@ func TestWriteWithImmediateNeedsRecv(t *testing.T) {
 		UseImm: true, Imm: 1,
 		OnComplete: func(c Completion) { st = c.Status },
 	})
-	p.s.RunFor(50 * sim.Microsecond)
+	p.runFor(50 * sim.Microsecond)
 	p.bQP.PostRecv(RecvRequest{WRID: 9})
 	p.s.Run()
 	if st != StatusOK {

@@ -25,8 +25,7 @@ type Port struct {
 	txq    []txFrame
 	txHead int
 	txLen  int
-	// queueBytes is the queue gauge as of the last settle; read it
-	// through QueueBytes.
+	// queueBytes is the queue gauge as of the last settle.
 	queueBytes int64
 
 	// Gauges and counters, exported for integrity checks (§3.5).
@@ -34,7 +33,7 @@ type Port struct {
 	TxBytes  uint64
 	RxFrames uint64
 	RxBytes  uint64
-	MaxQueue int64 // high-water mark of QueueBytes, sampled at each send
+	MaxQueue int64 // high-water mark of queueBytes, sampled at each send
 	// Busy is the cumulative serialization time committed to this port's
 	// transmitter — the link-utilization numerator (Busy / elapsed). It
 	// is credited at enqueue time, so over a window it can briefly exceed
@@ -75,12 +74,6 @@ func (p *Port) SetReceiver(fn func(data []byte)) {
 // it with Simulator.PutFrame; when false the bytes are the sender's and
 // must be neither released nor kept past the handler.
 func (p *Port) SetFrameReceiver(fn func(data []byte, owned bool)) { p.recv = fn }
-
-// Connected reports whether the port is attached to a link.
-func (p *Port) Connected() bool { return p.link != nil }
-
-// Peer returns the port on the other end of the link, or nil.
-func (p *Port) Peer() *Port { return p.peer }
 
 // Send queues a frame for transmission. The frame is delivered to the
 // peer after serialization (len/bandwidth, FIFO behind earlier frames)
@@ -136,12 +129,6 @@ func (p *Port) pushTx(f txFrame) {
 	p.txLen++
 }
 
-// QueueBytes reports the bytes currently waiting for or in serialization.
-func (p *Port) QueueBytes() int64 {
-	p.settle()
-	return p.queueBytes
-}
-
 // SendFrame is Send with explicit ownership: with owned set, data is a
 // pool frame (Simulator.GetFrame) whose ownership passes to the peer's
 // receiver.
@@ -195,16 +182,6 @@ func (p *Port) HandleEvent(_ int, arg uint64, data []byte) {
 		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
 	}
 	p.recv(data, arg != 0)
-}
-
-// TxBacklog returns how long the transmitter is already committed beyond
-// the current instant — i.e. the queueing delay a frame sent now would
-// experience before its own serialization starts.
-func (p *Port) TxBacklog() Duration {
-	if p.txFreeAt <= p.sim.Now() {
-		return 0
-	}
-	return p.txFreeAt.Sub(p.sim.Now())
 }
 
 // Link is a full-duplex point-to-point link between two ports.

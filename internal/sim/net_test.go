@@ -354,18 +354,6 @@ func TestPropertyRNG(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(123)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGForkIndependence(t *testing.T) {
 	r := NewRNG(5)
 	f1 := r.Fork()
@@ -387,14 +375,14 @@ func TestRNGForkIndependence(t *testing.T) {
 func TestPortConnectivityAccessors(t *testing.T) {
 	s := New(1)
 	a, b := Connect(s, "a", "b", 10, 0)
-	if !a.Connected() || !b.Connected() {
-		t.Fatal("connected ports report disconnected")
+	if a.link == nil || a.link != b.link {
+		t.Fatal("connected ports do not share their link")
 	}
-	if a.Peer() != b || b.Peer() != a {
+	if a.peer != b || b.peer != a {
 		t.Fatal("peer links wrong")
 	}
 	var floating Port
-	if floating.Connected() || floating.Peer() != nil {
+	if floating.link != nil || floating.peer != nil {
 		t.Fatal("floating port reports connectivity")
 	}
 }
@@ -406,16 +394,6 @@ func TestRNGAuxiliaryMethods(t *testing.T) {
 			t.Fatalf("Int63n out of range: %d", v)
 		}
 		_ = r.Uint32()
-	}
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), vals...)
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := map[int]bool{}
-	for _, v := range vals {
-		seen[v] = true
-	}
-	if len(seen) != len(orig) {
-		t.Fatalf("shuffle lost elements: %v", vals)
 	}
 	defer func() {
 		if recover() == nil {

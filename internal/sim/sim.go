@@ -47,12 +47,6 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Dur converts a time.Duration into a sim.Duration.
-func Dur(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
-// Std converts a sim.Duration back into a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 func (d Duration) String() string { return time.Duration(d).String() }
 
 // String renders the instant as a duration offset from the simulation
@@ -64,12 +58,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // Sub returns the duration elapsed between u and t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Seconds reports the instant as fractional seconds since the epoch.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Seconds reports the duration as fractional seconds.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // Microseconds reports the duration as fractional microseconds.
 func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
@@ -403,9 +391,6 @@ func (s *Simulator) Coverage() *coverage.Map { return s.cov }
 // RNG returns the simulation's deterministic random number generator.
 func (s *Simulator) RNG() *RNG { return s.rng }
 
-// Pending reports the number of events still scheduled.
-func (s *Simulator) Pending() int { return s.near.n + len(s.far) }
-
 // Executed reports the total number of events fired so far.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
@@ -531,30 +516,9 @@ func (s *Simulator) Run() Time {
 	return s.now
 }
 
-// RunUntil fires events until the virtual clock would pass deadline, then
-// sets the clock to deadline and returns. Events scheduled exactly at the
-// deadline do fire.
-func (s *Simulator) RunUntil(deadline Time) {
-	s.DrainUntil(deadline)
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// RunFor advances the simulation by d virtual nanoseconds.
-func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// NextEventTime reports the instant of the earliest pending event.
-func (s *Simulator) NextEventTime() (Time, bool) {
-	if ev := s.head(); ev != nil {
-		return ev.at, true
-	}
-	return 0, false
-}
-
-// DrainUntil fires events up to and including deadline but, unlike
-// RunUntil, leaves the clock at the last fired event when the queue
-// drains early — so "how long did the run take" reads naturally.
+// DrainUntil fires events up to and including deadline and leaves the
+// clock at the last fired event when the queue drains early — so "how
+// long did the run take" reads naturally.
 func (s *Simulator) DrainUntil(deadline Time) {
 	for s.fireNext(deadline) {
 	}

@@ -32,9 +32,6 @@ func (c *Counter) Add(n int64) { c.v += n }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v++ }
 
-// Value reads the counter.
-func (c *Counter) Value() int64 { return c.v }
-
 // Gauge is a last-value-wins sample.
 type Gauge struct{ v int64 }
 
@@ -138,12 +135,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of recorded samples.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Quantile returns an upper bound for the q-th quantile (q in [0,1]):
 // the exclusive upper edge of the bucket containing that rank.
 func (h *Histogram) Quantile(q float64) int64 {
@@ -246,24 +237,4 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 	}
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Hist returns the named histogram snapshot, or nil.
-func (s *MetricsSnapshot) Hist(name string) *HistSnap {
-	for i := range s.Histograms {
-		if s.Histograms[i].Name == name {
-			return &s.Histograms[i]
-		}
-	}
-	return nil
-}
-
-// CounterValue returns the named counter's value (zero when absent).
-func (s *MetricsSnapshot) CounterValue(name string) int64 {
-	for i := range s.Counters {
-		if s.Counters[i].Name == name {
-			return s.Counters[i].Value
-		}
-	}
-	return 0
 }

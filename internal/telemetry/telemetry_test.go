@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -78,8 +79,8 @@ func TestHistogramStatsAndQuantiles(t *testing.T) {
 	for v := int64(1); v <= 1000; v++ {
 		h.Record(v)
 	}
-	if h.Count() != 1000 || h.Sum() != 500500 {
-		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
+	if h.count != 1000 || h.sum != 500500 {
+		t.Fatalf("count=%d sum=%d", h.count, h.sum)
 	}
 	// Log-linear resolution is 1/2^subBits ≈ 6%: quantile bounds are
 	// bucket upper edges, so allow that slack above the exact value.
@@ -128,8 +129,10 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 			t.Fatal("counters not sorted by name")
 		}
 	}
-	if snap.Hist("h.alpha") == nil || snap.CounterValue("c.zeta") == 0 {
-		t.Fatal("lookup helpers failed")
+	alpha := slices.IndexFunc(snap.Histograms, func(h HistSnap) bool { return h.Name == "h.alpha" })
+	zeta := slices.IndexFunc(snap.Counters, func(c CounterSnap) bool { return c.Name == "c.zeta" })
+	if alpha < 0 || zeta < 0 || snap.Counters[zeta].Value == 0 {
+		t.Fatal("snapshot lost h.alpha or c.zeta")
 	}
 }
 

@@ -285,44 +285,6 @@ func (e *Entry) Reverses(of *Entry) bool {
 	return e.Src() == of.Dst() && e.Dst() == of.Src()
 }
 
-// Filter returns the entries satisfying keep, preserving order.
-func (t *Trace) Filter(keep func(*Entry) bool) []*Entry {
-	var out []*Entry
-	for i := range t.Entries {
-		if keep(&t.Entries[i]) {
-			out = append(out, &t.Entries[i])
-		}
-	}
-	return out
-}
-
-// DataPackets returns the entries carrying data opcodes.
-func (t *Trace) DataPackets() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Opcode().IsData() })
-}
-
-// EventsOfType returns the entries the injector marked with ev.
-func (t *Trace) EventsOfType(ev packet.EventType) []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Meta.Event == ev })
-}
-
-// CNPs returns congestion-notification packets.
-func (t *Trace) CNPs() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Opcode().IsCNP() })
-}
-
-// Acks returns ACK/NAK entries.
-func (t *Trace) Acks() []*Entry {
-	return t.Filter(func(e *Entry) bool { return e.Opcode().IsAck() })
-}
-
-// Naks returns only the negative acknowledgements.
-func (t *Trace) Naks() []*Entry {
-	return t.Filter(func(e *Entry) bool {
-		return e.Opcode().IsAck() && e.AETH().IsNak()
-	})
-}
-
 // Span returns the first and last switch timestamps in the trace.
 func (t *Trace) Span() (first, last sim.Time) {
 	if len(t.Entries) == 0 {

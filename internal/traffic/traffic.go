@@ -12,7 +12,6 @@ package traffic
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/injector"
@@ -69,30 +68,6 @@ func (c *ConnStats) AvgMCT() sim.Duration {
 		total += m
 	}
 	return total / sim.Duration(len(c.MCTs))
-}
-
-// PercentileMCT returns the p-th percentile message completion time
-// (p in [0,100], nearest-rank).
-func (c *ConnStats) PercentileMCT(p float64) sim.Duration {
-	if len(c.MCTs) == 0 {
-		return 0
-	}
-	sorted := append([]sim.Duration(nil), c.MCTs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // Results is the full traffic-generator report.

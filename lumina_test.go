@@ -113,3 +113,51 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignModuleMapIsCurrent reads the tree in DESIGN.md §2: every
+// path it names must exist, and every directory under internal/ and
+// examples/ must be named.
+func TestDesignModuleMapIsCurrent(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(data), "\n## 2. ")
+	_, tree, _ := strings.Cut(section, "```\n")
+	tree, _, _ = strings.Cut(tree, "```")
+	named := map[string]bool{}
+	var dirs []string // dirs[d] is the directory entered at depth d
+	for _, line := range strings.Split(tree, "\n") {
+		runes := []rune(line)
+		at := slices.IndexFunc(runes, func(r rune) bool { return r == '├' || r == '└' })
+		if at < 0 {
+			continue // the module root, or a description's continuation
+		}
+		depth := at / 4
+		entry, _, _ := strings.Cut(string(runes[at+4:]), "  ")
+		for _, name := range strings.Split(entry, " / ") {
+			path := strings.Join(append(slices.Clone(dirs[:depth]), name), "")
+			named[strings.TrimSuffix(path, "/")] = true
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("DESIGN.md §2 names %s: %v", path, err)
+			}
+			if strings.HasSuffix(name, "/") {
+				dirs = append(dirs[:depth], name)
+			}
+		}
+	}
+	for _, parent := range []string{"internal", "examples"} {
+		des, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, de := range des {
+			if dir := parent + "/" + de.Name(); de.IsDir() && !named[dir] {
+				t.Errorf("DESIGN.md §2 does not name %s/", dir)
+			}
+		}
+	}
+	if !named["internal/sim"] || !named["cmd/lumina"] {
+		t.Fatalf("the tree read wrong: %d paths, internal/sim or cmd/lumina missing", len(named))
+	}
+}
