@@ -85,6 +85,41 @@ type Stamp struct {
 	UtilPermille uint16 `json:"util_permille"`
 }
 
+// stamp is a Stamp as the log keeps it (24 bytes): the transit ID is
+// not stored, because each stamp is reachable only from its transit's
+// run, and next links it to the transit's following stamp.
+type stamp struct {
+	at, queue int64
+	// next is the log position (index + 1) of the same transit's next
+	// stamp; zero on its latest.
+	next uint32
+	util uint16
+	hop  uint8
+}
+
+// run is one transit's stamps in the log: the positions (index + 1) of
+// its first and latest stamp, linked through stamp.next.
+type run struct{ head, tail uint32 }
+
+// pageBits sizes the pages the stamp log, the runs and the binds grow
+// by: 1 024 records each.
+const pageBits = 10
+
+// pages is a table grown one fixed-size page at a time, so a record
+// never moves once written and growing never copies one.
+type pages[T any] []*[1 << pageBits]T
+
+// at returns record i, allocating the pages up to it on first use.
+func (p *pages[T]) at(i int) *T {
+	for i>>pageBits >= len(*p) {
+		*p = append(*p, new([1 << pageBits]T))
+	}
+	return p.get(i)
+}
+
+// get returns record i, which must lie in an allocated page.
+func (p pages[T]) get(i int) *T { return &p[i>>pageBits][i&(1<<pageBits-1)] }
+
 // hopState is the per-hop collector state and aggregates.
 type hopState struct {
 	name   string
@@ -94,8 +129,12 @@ type hopState struct {
 	maxQueue int64
 	maxUtil  uint16
 
-	// mint counts the transits this hop originated (origin hops only).
+	// mint counts the transits this hop originated (origin hops only);
+	// runs holds one run per transit minted since the last Reset,
+	// indexed by count - 1 - base.
 	mint uint64
+	base uint64
+	runs pages[run]
 
 	// Utilization window: last stamp instant and the port's cumulative
 	// busy time then.
@@ -124,35 +163,28 @@ type Collector struct {
 	hops []hopState
 
 	// recent maps the 16-bit on-wire transit tag back to the full
-	// transit ID.
-	recent []uint64
+	// transit ID: one page per origin hop, indexed by the tag's high
+	// bits (origin hop ID + 1), holds the transits of its low bits. A
+	// tag without a page was never minted.
+	recent []*[1 << tagCounterBits]uint64
 
-	// byLineage maps mirror sequence numbers (= lineage chain IDs) to
-	// transit IDs, recorded by the injector's pipeline hop.
-	byLineage map[uint64]uint64
+	// binds maps mirror sequence numbers (= lineage chain IDs), which
+	// the injector assigns densely from 1, to the transit IDs the
+	// pipeline hop bound them to; zero is unbound. nbinds counts the
+	// bound ones.
+	binds  pages[uint64]
+	nbinds int
 
-	// The stamp log in recording order: the chunks already full, then the
-	// one being filled. Chunked (sizes doubling from stampChunkMin to
-	// stampChunkMax) so that a run's tens of thousands of stamps are
-	// never copied to make room for the next one.
-	sealed [][]Stamp
-	cur    []Stamp
+	// log holds the n stamps recorded since the last Reset, in
+	// recording order.
+	log pages[stamp]
+	n   uint32
 }
-
-// Stamp-log chunk sizes, in stamps of 40 bytes.
-const (
-	stampChunkMin = 256
-	stampChunkMax = 8192
-)
 
 // NewCollector returns a collector publishing roll-up metrics to hub
 // (nil hub = collect only).
 func NewCollector(hub *telemetry.Hub) *Collector {
-	return &Collector{
-		hub:       hub,
-		recent:    make([]uint64, 1<<16),
-		byLineage: map[uint64]uint64{},
-	}
+	return &Collector{hub: hub}
 }
 
 // RegisterHop adds a hop to the table and returns its ID. Origin hops
@@ -168,6 +200,11 @@ func (c *Collector) RegisterHop(name string, origin bool) uint8 {
 	if origin && len(c.hops) >= MaxOriginHops {
 		// invariant: the orchestrator registers hops in description order, and topology.checkHops returns a Build error first when an origin hop's index reaches MaxOriginHops.
 		panic("inband: origin hops must be registered among the first 63 hops")
+	}
+	if origin {
+		page := len(c.hops) + 1
+		c.recent = append(c.recent, make([]*[1 << tagCounterBits]uint64, page+1-len(c.recent))...)
+		c.recent[page] = new([1 << tagCounterBits]uint64)
 	}
 	c.hops = append(c.hops, hopState{name: name, origin: origin})
 	return uint8(len(c.hops) - 1)
@@ -213,20 +250,18 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 		return
 	}
 	h := &c.hops[hop]
-	var transit uint64
+	var r *run
 	var tag uint16
 	if h.origin {
 		h.mint++
-		transit = (uint64(hop)+1)<<32 | (h.mint & 0xFFFFFFFF)
-		tag = (uint16(hop)+1)<<tagCounterBits | uint16((h.mint-1)&(1<<tagCounterBits-1))
-		c.recent[tag] = transit
+		slot := uint16((h.mint - 1) & (1<<tagCounterBits - 1))
+		tag = (uint16(hop)+1)<<tagCounterBits | slot
+		c.recent[hop+1][slot] = (uint64(hop)+1)<<32 | (h.mint & 0xFFFFFFFF)
+		r = h.runs.at(int(h.mint - 1 - h.base))
+		*r = run{}
 	} else {
 		tag = packet.INTTransit(wire)
-		if tag == 0 {
-			return
-		}
-		transit = c.recent[tag]
-		if transit == 0 {
+		if _, r = c.resolve(tag); r == nil {
 			return
 		}
 	}
@@ -242,10 +277,7 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 	packet.EmbedINTStamp(wire, packet.INTStamp{
 		Transit: tag, Hop: hop, QueueBytes: wireQB, UtilPermille: util,
 	})
-	c.record(h, Stamp{
-		Transit: transit, Hop: hop, AtNs: at,
-		QueueBytes: qb, UtilPermille: util,
-	})
+	c.record(h, r, stamp{at: at, queue: qb, util: util, hop: hop})
 }
 
 // Pipeline is the injector's match-action hop: called once per mirrored
@@ -255,65 +287,91 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 // lineage chains with per-hop breakdowns.
 func (c *Collector) Pipeline(wire []byte, hop uint8, at int64, lineageID uint64) {
 	tag := packet.INTTransit(wire)
-	if tag == 0 {
+	transit, r := c.resolve(tag)
+	if r == nil {
 		return
 	}
-	transit := c.recent[tag]
-	if transit == 0 {
-		return
+	b := c.binds.at(int(lineageID))
+	if *b == 0 {
+		c.nbinds++
 	}
-	c.byLineage[lineageID] = transit
+	*b = transit
 	// The match-action rewrite: the forwarded original leaves the
 	// pipeline carrying this hop's ID (the egress port overwrites the
 	// state with its own queue view microseconds later).
 	packet.EmbedINTStamp(wire, packet.INTStamp{Transit: tag, Hop: hop})
-	c.record(&c.hops[hop], Stamp{Transit: transit, Hop: hop, AtNs: at})
+	c.record(&c.hops[hop], r, stamp{at: at, hop: hop})
 }
 
-func (c *Collector) record(h *hopState, s Stamp) {
-	if len(c.cur) == cap(c.cur) {
-		if c.cur != nil {
-			c.sealed = append(c.sealed, c.cur)
-		}
-		c.cur = make([]Stamp, 0, min(max(2*cap(c.cur), stampChunkMin), stampChunkMax))
+// resolve maps an on-wire tag to its transit ID and run. The run is nil
+// for a tag outside the table, one no origin minted, and one minted
+// before the last Reset.
+func (c *Collector) resolve(tag uint16) (uint64, *run) {
+	page := int(tag >> tagCounterBits)
+	if page >= len(c.recent) || c.recent[page] == nil {
+		return 0, nil
 	}
-	c.cur = append(c.cur, s)
+	transit := c.recent[page][tag&(1<<tagCounterBits-1)]
+	return transit, c.runOf(transit)
+}
+
+// runOf returns the transit's run, or nil when the transit is zero or
+// was minted before the last Reset.
+func (c *Collector) runOf(transit uint64) *run {
+	if transit == 0 {
+		return nil
+	}
+	h := &c.hops[transit>>32-1]
+	i := uint64(uint32(transit) - 1 - uint32(h.base))
+	if i >= h.mint-h.base {
+		return nil
+	}
+	return h.runs.get(int(i))
+}
+
+// record appends s to the log, links it behind r's latest stamp, and
+// folds it into the hop's aggregates.
+func (c *Collector) record(h *hopState, r *run, s stamp) {
+	c.n++
+	*c.log.at(int(c.n - 1)) = s
+	if r.tail == 0 {
+		r.head = c.n
+	} else {
+		c.stampAt(r.tail).next = c.n
+	}
+	r.tail = c.n
 	h.stamps++
-	if s.QueueBytes > h.maxQueue {
-		h.maxQueue = s.QueueBytes
+	if s.queue > h.maxQueue {
+		h.maxQueue = s.queue
 	}
-	if s.UtilPermille > h.maxUtil {
-		h.maxUtil = s.UtilPermille
+	if s.util > h.maxUtil {
+		h.maxUtil = s.util
 	}
 }
 
-// Stamps returns the stamp log in recording (= virtual-time) order, as
-// one slice (a copy once the log spans several chunks). The caller must
-// not mutate the result.
+// stampAt returns the stamp at log position pos (index + 1).
+func (c *Collector) stampAt(pos uint32) *stamp { return c.log.get(int(pos - 1)) }
+
+// Stamps returns the stamp log in recording (= virtual-time) order,
+// rebuilt from the runs.
 func (c *Collector) Stamps() []Stamp {
-	if len(c.sealed) == 0 {
-		return c.cur
-	}
-	out := make([]Stamp, 0, c.StampCount())
-	for _, chunk := range c.chunks() {
-		out = append(out, chunk...)
+	out := make([]Stamp, c.n)
+	for o := range c.hops {
+		h := &c.hops[o]
+		for i := uint64(0); i < h.mint-h.base; i++ {
+			transit := (uint64(o)+1)<<32 | (h.base+i+1)&0xFFFFFFFF
+			for pos := h.runs.get(int(i)).head; pos != 0; {
+				s := c.stampAt(pos)
+				out[pos-1] = Stamp{Transit: transit, Hop: s.hop, AtNs: s.at, QueueBytes: s.queue, UtilPermille: s.util}
+				pos = s.next
+			}
+		}
 	}
 	return out
 }
 
 // StampCount returns the number of collected stamps.
-func (c *Collector) StampCount() int {
-	n := 0
-	for _, chunk := range c.chunks() {
-		n += len(chunk)
-	}
-	return n
-}
-
-// chunks returns the stamp log's chunks in recording order.
-func (c *Collector) chunks() [][]Stamp {
-	return append(c.sealed[:len(c.sealed):len(c.sealed)], c.cur)
-}
+func (c *Collector) StampCount() int { return int(c.n) }
 
 // TransitCount returns how many transits origin hops tagged.
 func (c *Collector) TransitCount() uint64 {
@@ -326,12 +384,15 @@ func (c *Collector) TransitCount() uint64 {
 
 // BindCount returns how many lineage IDs the pipeline hop bound to
 // transits.
-func (c *Collector) BindCount() int { return len(c.byLineage) }
+func (c *Collector) BindCount() int { return c.nbinds }
 
 // TransitOf resolves a lineage (mirror sequence) ID to its transit ID.
 func (c *Collector) TransitOf(lineageID uint64) (uint64, bool) {
-	t, ok := c.byLineage[lineageID]
-	return t, ok
+	if lineageID>>pageBits >= uint64(len(c.binds)) {
+		return 0, false
+	}
+	t := *c.binds.get(int(lineageID))
+	return t, t != 0
 }
 
 // Hops returns the per-hop summaries in hop-ID order.
@@ -369,7 +430,20 @@ func (c *Collector) Publish() {
 	}
 }
 
-// Reset truncates the stamp log, keeping the current chunk's capacity
-// and the hop table. Benchmarks and the perf gate use it to keep the
-// steady-state hot path alloc-free across measurement passes.
-func (c *Collector) Reset() { c.sealed, c.cur = nil, c.cur[:0] }
+// Reset empties the stamp log, the runs, the binds and the per-hop
+// aggregates, keeping every page allocated, the hop table, the
+// utilization windows and transit numbering. Benchmarks and the perf
+// gate use it to keep the steady-state hot path alloc-free across
+// measurement passes.
+func (c *Collector) Reset() {
+	c.n = 0
+	for i := range c.hops {
+		h := &c.hops[i]
+		h.stamps, h.maxQueue, h.maxUtil = 0, 0, 0
+		h.base = h.mint
+	}
+	for _, pg := range c.binds {
+		clear(pg[:])
+	}
+	c.nbinds = 0
+}

@@ -152,7 +152,7 @@ func TestResetKeepsHopsTruncatesLog(t *testing.T) {
 	if c.StampCount() != 0 {
 		t.Fatal("Reset left stamps behind")
 	}
-	if len(c.Hops()) != 1 || c.Hops()[0].Stamps != 1 {
+	if len(c.Hops()) != 1 || c.Hops()[0].Name != "nic" {
 		t.Fatal("Reset disturbed the hop table")
 	}
 	c.StampWire(roceWire(), origin, 10, 0, 0)
@@ -161,24 +161,142 @@ func TestResetKeepsHopsTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestResetAndOutOfTableTags holds the collector self-consistent across
+// Reset and deaf to tags no origin minted. Each row drives a fresh
+// collector (origin nic = hop 0, transit sw = hop 1, pipeline = hop 2)
+// and spells out what must hold after it.
+func TestResetAndOutOfTableTags(t *testing.T) {
+	const registeredOrigins = 1
+	for _, tc := range []struct {
+		name string
+		// failsAtParent records whether the row failed before Reset
+		// cleared per-hop aggregates and binds.
+		failsAtParent bool
+		drive         func(c *Collector, nic, sw, pipe uint8)
+		stamps        int
+		hopStamps     []uint64
+		binds         int
+		bound         map[uint64]bool
+	}{{
+		name:          "Reset clears the per-hop stamps with the log",
+		failsAtParent: true,
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			w := roceWire()
+			c.StampWire(w, nic, 0, 0, 0)
+			c.Pipeline(w, pipe, 50, 1)
+			c.Reset()
+		},
+		stamps: 0, hopStamps: []uint64{0, 0, 0}, binds: 0,
+		bound: map[uint64]bool{1: false},
+	}, {
+		name:          "a bind made after Reset resolves, one made before does not",
+		failsAtParent: true,
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			w := roceWire()
+			c.StampWire(w, nic, 0, 0, 0)
+			c.Pipeline(w, pipe, 50, 1)
+			c.Reset()
+			w = roceWire()
+			c.StampWire(w, nic, 100, 0, 0)
+			c.Pipeline(w, pipe, 150, 2)
+			c.StampWire(w, sw, 200, 0, 0)
+		},
+		stamps: 3, hopStamps: []uint64{1, 1, 1}, binds: 1,
+		bound: map[uint64]bool{1: false, 2: true},
+	}, {
+		name:          "a transit minted before Reset is not stamped after it",
+		failsAtParent: true,
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			w := roceWire()
+			c.StampWire(w, nic, 0, 0, 0)
+			c.Reset()
+			c.Pipeline(w, pipe, 50, 1)
+			c.StampWire(w, sw, 100, 0, 0)
+		},
+		stamps: 0, hopStamps: []uint64{0, 0, 0}, binds: 0,
+		bound: map[uint64]bool{1: false},
+	}, {
+		name: "tag 0 is untagged",
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			driveTag(c, sw, pipe, 0)
+		},
+		stamps: 0, hopStamps: []uint64{0, 0, 0}, binds: 0,
+		bound: map[uint64]bool{1: false},
+	}, {
+		name: "the first tag past the registered origins is ignored",
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			c.StampWire(roceWire(), nic, 0, 0, 0)
+			driveTag(c, sw, pipe, (registeredOrigins+1)<<tagCounterBits)
+		},
+		stamps: 1, hopStamps: []uint64{1, 0, 0}, binds: 0,
+		bound: map[uint64]bool{1: false},
+	}, {
+		name: "tag 0xFFFF is ignored",
+		drive: func(c *Collector, nic, sw, pipe uint8) {
+			c.StampWire(roceWire(), nic, 0, 0, 0)
+			driveTag(c, sw, pipe, 0xFFFF)
+		},
+		stamps: 1, hopStamps: []uint64{1, 0, 0}, binds: 0,
+		bound: map[uint64]bool{1: false},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(nil)
+			nic := c.RegisterHop("nic", true)
+			sw := c.RegisterHop("sw", false)
+			pipe := c.RegisterHop("sw-pipeline", false)
+			tc.drive(c, nic, sw, pipe)
+			if c.StampCount() != tc.stamps || len(c.Stamps()) != tc.stamps {
+				t.Errorf("StampCount = %d, Stamps holds %d, want %d", c.StampCount(), len(c.Stamps()), tc.stamps)
+			}
+			var sum uint64
+			for i, h := range c.Hops() {
+				sum += h.Stamps
+				if h.Stamps != tc.hopStamps[i] {
+					t.Errorf("hop %s holds %d stamps, want %d", h.Name, h.Stamps, tc.hopStamps[i])
+				}
+			}
+			if sum != uint64(c.StampCount()) {
+				t.Errorf("per-hop stamps sum to %d, StampCount is %d", sum, c.StampCount())
+			}
+			if c.BindCount() != tc.binds {
+				t.Errorf("BindCount = %d, want %d", c.BindCount(), tc.binds)
+			}
+			for seq, want := range tc.bound {
+				if _, ok := c.TransitOf(seq); ok != want {
+					t.Errorf("TransitOf(%d) bound = %v, want %v", seq, ok, want)
+				}
+			}
+		})
+	}
+}
+
+// driveTag writes tag into a RoCE frame's INT field and offers it to the
+// transit hop and the pipeline.
+func driveTag(c *Collector, sw, pipe uint8, tag uint16) {
+	w := roceWire()
+	packet.EmbedINTStamp(w, packet.INTStamp{Transit: tag})
+	c.StampWire(w, sw, 10, 0, 0)
+	c.Pipeline(w, pipe, 20, 1)
+}
+
 // TestStampLogKeepsOrderAcrossChunks records enough stamps to span
-// several chunks of the log: Stamps and StampCount must present them as
+// several pages of the log: Stamps and StampCount must present them as
 // one sequence in recording order, stamps recorded early must not move,
 // and Reset must leave a log that starts over.
 func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
 	c := NewCollector(nil)
 	origin := c.RegisterHop("nic", true)
 	wire := roceWire()
-	const n = 5*stampChunkMin + 17
-	var first *Stamp
+	const n = 5<<pageBits + 17
+	var first *stamp
 	for i := 0; i < n; i++ {
 		c.StampWire(wire, origin, int64(i), int64(i)*3, 0)
 		if i == 0 {
-			first = &c.cur[0]
+			first = c.stampAt(1)
 		}
 	}
-	if len(c.sealed) < 2 {
-		t.Fatalf("%d stamps fit %d sealed chunk(s); the log no longer spans several", n, len(c.sealed))
+	if len(c.log) < 2 {
+		t.Fatalf("%d stamps fit %d page(s); the log no longer spans several", n, len(c.log))
 	}
 	st := c.Stamps()
 	if len(st) != n || c.StampCount() != n {
@@ -189,7 +307,7 @@ func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
 			t.Fatalf("stamp %d is %+v: out of recording order", i, st[i])
 		}
 	}
-	if first != &c.sealed[0][0] || first.AtNs != 0 {
+	if first != &c.log[0][0] || first.at != 0 {
 		t.Fatal("growing the log moved a stamp already recorded")
 	}
 	c.Reset()

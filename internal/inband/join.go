@@ -54,41 +54,17 @@ type ChainHops struct {
 }
 
 // Join annotates every lineage chain with the INT stamps of its
-// wire-visible nodes: node.Seq → (pipeline bind) → transit ID → stamp
-// log. Chains, nodes, and crossings all keep their deterministic
-// source order, so the result serializes byte-identically across runs.
+// wire-visible nodes: node.Seq → (pipeline bind) → transit ID → the
+// transit's run of stamps. Chains, nodes, and crossings all keep their
+// deterministic source order, so the result serializes byte-identically
+// across runs.
 //
 // The join is driven by the chains, which name a few hundred of a run's
-// tens of thousands of transits: it first collects the transits the
-// chains' nodes are bound to, then indexes only those in one pass over
-// the stamp log.
+// tens of thousands of transits: each bound node walks only its own
+// transit's run, so the rest of the stamp log is never read.
 func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 	if g == nil || len(g.Chains) == 0 {
 		return nil
-	}
-	// bound resolves a node to the transit the pipeline hop bound its
-	// packet to; probe-derived nodes (Seq 0) never crossed the switch.
-	bound := func(n *lineage.Node) (uint64, bool) {
-		if n.Seq == 0 {
-			return 0, false
-		}
-		return c.TransitOf(n.Seq)
-	}
-	wanted := map[uint64][]*Stamp{} // transit → its stamps, in log order
-	for i := range g.Chains {
-		for _, id := range g.Chains[i].Nodes {
-			if transit, ok := bound(&g.Nodes[id]); ok {
-				wanted[transit] = nil
-			}
-		}
-	}
-	// Per-transit order is virtual-time order because the log's is.
-	for _, chunk := range c.chunks() {
-		for i := range chunk {
-			if of, ok := wanted[chunk[i].Transit]; ok {
-				wanted[chunk[i].Transit] = append(of, &chunk[i])
-			}
-		}
 	}
 	out := make([]ChainHops, 0, len(g.Chains))
 	for _, ch := range g.Chains {
@@ -101,29 +77,42 @@ func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 		for _, id := range ch.Nodes {
 			n := &g.Nodes[id]
 			nh := NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
-			if transit, ok := bound(n); ok {
+			// Probe-derived nodes (Seq 0) never crossed the switch.
+			if transit, ok := c.TransitOf(n.Seq); ok && n.Seq != 0 {
 				nh.Transit = transit
-				stamps := wanted[transit]
-				if len(stamps) > 0 {
-					nh.Hops = make([]HopCrossing, 0, len(stamps))
-				}
-				for k, s := range stamps {
-					cr := HopCrossing{
-						Hop:          c.hops[s.Hop].name,
-						AtNs:         s.AtNs,
-						QueueBytes:   s.QueueBytes,
-						UtilPermille: s.UtilPermille,
-					}
-					if k+1 < len(stamps) {
-						cr.LatencyNs = stamps[k+1].AtNs - s.AtNs
-					}
-					nh.Hops = append(nh.Hops, cr)
-				}
+				nh.Hops = c.crossings(c.runOf(transit))
 			}
 			ah.Nodes = append(ah.Nodes, nh)
 		}
 		ah.PerHop = digest(ah.Nodes)
 		out = append(out, ah)
+	}
+	return out
+}
+
+// crossings resolves a run's stamps, in recording (= virtual-time)
+// order, to hop crossings; nil for a nil or empty run.
+func (c *Collector) crossings(r *run) []HopCrossing {
+	if r == nil || r.head == 0 {
+		return nil
+	}
+	n := 0
+	for pos := r.head; pos != 0; pos = c.stampAt(pos).next {
+		n++
+	}
+	out := make([]HopCrossing, 0, n)
+	for pos := r.head; pos != 0; {
+		s := c.stampAt(pos)
+		cr := HopCrossing{
+			Hop:          c.hops[s.hop].name,
+			AtNs:         s.at,
+			QueueBytes:   s.queue,
+			UtilPermille: s.util,
+		}
+		if pos = s.next; pos != 0 {
+			cr.LatencyNs = c.stampAt(pos).at - s.at
+		}
+		out = append(out, cr)
 	}
 	return out
 }

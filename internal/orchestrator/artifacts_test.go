@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"github.com/lumina-sim/lumina/internal/config"
 )
 
 // countingFile stands in for an artifact's file: it keeps what it is
@@ -123,4 +126,81 @@ func TestWriteFileWrapsRenderAndFlushErrors(t *testing.T) {
 			t.Fatalf("writing %s to /dev/full: %v", name, err)
 		}
 	}
+}
+
+// shortWriter takes room bytes in all, then reports a short write
+// without an error.
+type shortWriter struct{ room int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.room)
+	w.room -= n
+	return n, nil
+}
+
+// FuzzWriteJSONMatchesMarshalIndent holds writeJSON's streaming
+// indenter to the standard library: any JSON value decoded from the
+// input renders as json.MarshalIndent(v, "", "  ") plus a newline,
+// also when the compact stream reaches the indenter one byte per
+// Write, and a writer that refuses bytes surfaces as an error.
+func FuzzWriteJSONMatchesMarshalIndent(f *testing.F) {
+	for _, seed := range []string{`{}`, `[]`, `[[],{}]`, `"<>&"`, `"\u2028"`,
+		`"say \"hi\""`, `{"a\\b":["\\\"",{"":{}},null,-1.5e3,true]}`} {
+		f.Add([]byte(seed))
+	}
+	// The int.json of listing2's corpus entry: chains, nodes and crossings
+	// nested four deep.
+	cfg, err := config.Load(filepath.Join("..", "..", "corpus", "a982ccd565a57c48", "scenario.yaml"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, err := Run(cfg, intOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	js, err := json.Marshal(rep.INT)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(js)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v any
+		if json.Unmarshal(data, &v) != nil {
+			return
+		}
+		want, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+
+		var got bytes.Buffer
+		if err := writeJSON(&got, v); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("writeJSON gave (err %v)\n%s\nMarshalIndent gives\n%s", err, got.Bytes(), want)
+		}
+
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Reset()
+		ind := &indenter{w: &got}
+		for _, c := range append(compact, '\n') {
+			if _, err := ind.Write([]byte{c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("one byte per Write gave\n%s\nMarshalIndent gives\n%s", got.Bytes(), want)
+		}
+
+		if err := writeJSON(&shortWriter{room: len(want) - 1}, v); !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("a writer one byte short: writeJSON returned %v", err)
+		}
+		boom := errors.New("boom")
+		if err := writeJSON(&countingFile{failWith: boom}, v); !errors.Is(err, boom) {
+			t.Fatalf("a failing writer: writeJSON returned %v", err)
+		}
+	})
 }
