@@ -247,11 +247,16 @@ func profilesFlag(fs *flag.FlagSet) *[]string {
 
 // cacheFlag declares a result-cache directory and its size bound, and
 // returns the directory and the function that opens the cache (nil when
-// no directory was given).
+// no directory was given). A bound whose bytes a shift would wrap, or a
+// negative one, is a usage error: either would silently become another
+// cap, or none.
 func cacheFlag(fs *flag.FlagSet) (*string, func() (*resultcache.Cache, error)) {
 	dir := fs.String("cache", "", "result-cache `dir`: cells cached for this build skip simulation, fresh ones are cached (empty disables)")
 	maxMB := fs.Int64("cache-max-mb", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
 	return dir, func() (*resultcache.Cache, error) {
+		if *maxMB < 0 || *maxMB > math.MaxInt64>>20 {
+			return nil, usagef("-cache-max-mb %d is out of range [0, %d]", *maxMB, int64(math.MaxInt64>>20))
+		}
 		if *dir == "" {
 			return nil, nil
 		}

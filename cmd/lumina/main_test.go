@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io/fs"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -205,6 +206,36 @@ func TestExitCodes(t *testing.T) {
 		if code != tc.code || !strings.Contains(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("lumina %q: exit %d, stdout %q, stderr %q; want exit %d, stdout ~%q, stderr ~%q",
 				tc.args, code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
+		}
+	}
+}
+
+// TestCacheMaxMBRange: -cache-max-mb is shifted into bytes, so a value
+// the shift would wrap, or a negative one, must be a usage error (exit 2)
+// rather than an unbounded or 1 MiB cache.
+func TestCacheMaxMBRange(t *testing.T) {
+	for _, tc := range []struct {
+		mb      string
+		wantCap int64 // bytes; -1 for a usage error
+	}{
+		{"-1", -1},
+		{"0", 0},
+		{"8796093022207", math.MaxInt64 >> 20 << 20},
+		{"8796093022208", -1},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		_, open := cacheFlag(fs)
+		if err := fs.Parse([]string{"-cache", t.TempDir(), "-cache-max-mb", tc.mb}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := open()
+		switch {
+		case tc.wantCap < 0 && !errors.As(err, new(usageError)):
+			t.Errorf("-cache-max-mb %s: got %v, want a usage error", tc.mb, err)
+		case tc.wantCap >= 0 && err != nil:
+			t.Errorf("-cache-max-mb %s: %v", tc.mb, err)
+		case tc.wantCap >= 0 && c.Stats().MaxBytes != tc.wantCap:
+			t.Errorf("-cache-max-mb %s: cap %d bytes, want %d", tc.mb, c.Stats().MaxBytes, tc.wantCap)
 		}
 	}
 }

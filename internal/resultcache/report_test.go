@@ -142,6 +142,18 @@ const parentResultJSON = `{
 }
 `
 
+// parentID is testdata/parent-cache's one entry, the ID of parentKey.
+const parentID = "6b413b3ecf5b231f"
+
+func parentKey() Key {
+	return Key{
+		Scenario: "52380f835dfdf2fd",
+		Profile:  "cx5",
+		Options:  orchestrator.Options{Lineage: true}.Fingerprint(),
+		Version:  "(devel)",
+	}
+}
+
 func TestResultJSONFormatIsPinned(t *testing.T) {
 	want := Result{
 		Schema: ResultSchema,
@@ -181,11 +193,10 @@ func TestResultJSONFormatIsPinned(t *testing.T) {
 // commit's entry directory: Get must verify it (every recorded size and
 // digest) and ParseResult must accept its result.json.
 func TestParentWrittenEntryIsStillAVerifiedHit(t *testing.T) {
-	const id = "6b413b3ecf5b231f"
-	// Get touches the index, so work on a copy.
+	// Get refreshes entry.json's mtime, so work on a copy.
 	dir := t.TempDir()
-	src := filepath.Join("testdata", "parent-cache", "entries", id)
-	dst := filepath.Join(dir, "entries", id)
+	src := filepath.Join("testdata", "parent-cache", "entries", parentID)
+	dst := filepath.Join(dir, "entries", parentID)
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +217,9 @@ func TestParentWrittenEntryIsStillAVerifiedHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key{
-		Scenario: "52380f835dfdf2fd",
-		Profile:  "cx5",
-		Options:  orchestrator.Options{Lineage: true}.Fingerprint(),
-		Version:  "(devel)",
-	}
-	if key.ID() != id {
-		t.Fatalf("key ID moved: %s, parent wrote %s", key.ID(), id)
+	key := parentKey()
+	if key.ID() != parentID {
+		t.Fatalf("key ID moved: %s, parent wrote %s", key.ID(), parentID)
 	}
 	arts, ok := c.Get(key)
 	if !ok {

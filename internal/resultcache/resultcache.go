@@ -11,7 +11,7 @@
 //
 //	entries/<id>/entry.json      the key, plus per-artifact size+sha256
 //	entries/<id>/<artifact>      the cached artifact bytes, verbatim
-//	index.json                   logical-clock LRU index (sizes, access)
+//	tmp/                         staging for entries being written
 //
 // <id> is the truncated SHA-256 of the canonical key rendering
 // (Key.ID). Writes are atomic — a staged temp directory renamed into
@@ -23,8 +23,11 @@
 //
 // The cache is single-writer-process by design (the serve daemon owns
 // its cache directory; CLI runs own theirs): the in-process mutex is
-// the only lock, and the LRU index is persisted on Put/eviction, so a
-// crash loses at most access recency, never entries.
+// the only lock. The entry directories are the whole store, so a crash
+// loses nothing; recency is entry.json's mtime. Open builds the LRU
+// table from one scan of entries/, taking each entry's size from its
+// files and its recency from that mtime, which Get and a duplicate Put
+// refresh.
 package resultcache
 
 import (
@@ -34,7 +37,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
+	"time"
 )
 
 // Schema versions the on-disk layout; bump on incompatible changes.
@@ -94,14 +100,8 @@ type artMeta struct {
 
 // indexEntry is one entry's LRU bookkeeping.
 type indexEntry struct {
-	Bytes  int64  `json:"bytes"`
-	Access uint64 `json:"access"` // logical clock, not wall time
-}
-
-type indexFile struct {
-	Schema  string                `json:"schema"`
-	Seq     uint64                `json:"seq"`
-	Entries map[string]indexEntry `json:"entries"`
+	Bytes  int64
+	Access uint64 // logical clock, not wall time
 }
 
 // Cache is an open result cache rooted at a directory.
@@ -120,88 +120,78 @@ const entryJSON = "entry.json"
 
 // Open opens (creating if needed) the cache at dir. maxBytes caps the
 // total artifact bytes retained — Put evicts least-recently-used
-// entries to stay under it; <= 0 means unlimited. A stale or missing
-// index is rebuilt from the entry directories, so the cache survives
-// crashes and manual surgery.
+// entries to stay under it; <= 0 means unlimited. The LRU table is
+// rebuilt from the entry directories on every Open, so the cache
+// survives crashes and manual surgery.
 func Open(dir string, maxBytes int64) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "entries"), 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
 	}
 	c := &Cache{dir: dir, maxBytes: maxBytes, entries: map[string]indexEntry{}}
-	c.loadIndex()
-	if err := c.reconcile(); err != nil {
+	if err := c.adopt(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// loadIndex reads index.json if present and well-formed; anything else
-// starts from an empty index (reconcile re-adopts the entries).
-func (c *Cache) loadIndex() {
-	data, err := os.ReadFile(filepath.Join(c.dir, "index.json"))
-	if err != nil {
-		return
-	}
-	var f indexFile
-	if json.Unmarshal(data, &f) != nil || f.Schema != Schema {
-		return
-	}
-	c.seq = f.Seq
-	for id, e := range f.Entries {
-		c.entries[id] = e
-	}
-}
-
-// reconcile makes the index agree with the entry directories: entries
-// whose directory vanished are dropped, directories the index does not
-// know are adopted (access 0, so they evict first), and stale temp
-// staging directories are swept.
-func (c *Cache) reconcile() error {
+// adopt fills the LRU table from one scan of entries/ and sweeps stale
+// staging directories. Entries take Access 1..n in order of entry.json's
+// modification time, ties broken by ID, so the order is deterministic.
+func (c *Cache) adopt() error {
 	des, err := os.ReadDir(filepath.Join(c.dir, "entries"))
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	onDisk := map[string]bool{}
+	type adopted struct {
+		id      string
+		bytes   int64
+		touched time.Time
+	}
+	var order []adopted
 	for _, de := range des {
-		if !de.IsDir() {
-			continue
-		}
-		id := de.Name()
-		onDisk[id] = true
-		if _, ok := c.entries[id]; !ok {
-			c.entries[id] = indexEntry{Bytes: dirBytes(c.entryDir(id))}
+		if de.IsDir() {
+			bytes, touched := statEntry(c.entryDir(de.Name()))
+			order = append(order, adopted{de.Name(), bytes, touched})
 		}
 	}
-	for id := range c.entries {
-		if !onDisk[id] {
-			delete(c.entries, id)
+	slices.SortFunc(order, func(a, b adopted) int {
+		if n := a.touched.Compare(b.touched); n != 0 {
+			return n
 		}
+		return strings.Compare(a.id, b.id)
+	})
+	for _, a := range order {
+		c.seq++
+		c.entries[a.id] = indexEntry{Bytes: a.bytes, Access: c.seq}
 	}
 	if tmp, err := os.ReadDir(filepath.Join(c.dir, "tmp")); err == nil {
 		for _, de := range tmp {
 			os.RemoveAll(filepath.Join(c.dir, "tmp", de.Name()))
 		}
 	}
-	for _, e := range c.entries {
-		if e.Access >= c.seq {
-			c.seq = e.Access + 1
-		}
-	}
 	return nil
 }
 
-func dirBytes(dir string) int64 {
-	var n int64
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
+// statEntry returns the total size of an entry directory's regular files
+// and entry.json's modification time (zero if it is missing, so such an
+// entry evicts first; Get drops it anyway).
+func statEntry(dir string) (bytes int64, touched time.Time) {
+	des, _ := os.ReadDir(dir)
 	for _, de := range des {
 		if info, err := de.Info(); err == nil && de.Type().IsRegular() {
-			n += info.Size()
+			bytes += info.Size()
+			if de.Name() == entryJSON {
+				touched = info.ModTime()
+			}
 		}
 	}
-	return n
+	return bytes, touched
+}
+
+// touch records a use of entry id on disk, so its recency survives a
+// reopen. Best effort: a failed touch costs only eviction order.
+func (c *Cache) touch(id string) {
+	os.Chtimes(filepath.Join(c.entryDir(id), entryJSON), time.Time{}, time.Now())
 }
 
 func (c *Cache) entryDir(id string) string {
@@ -225,10 +215,11 @@ func (c *Cache) Get(k Key) (map[string][]byte, bool) {
 	if err != nil {
 		// Corruption demotes to a miss: drop the entry so the caller's
 		// fresh run can repopulate it.
-		c.dropLocked(id, e)
+		c.dropLocked(id)
 		c.stats.Misses++
 		return nil, false
 	}
+	c.touch(id)
 	c.seq++
 	e.Access = c.seq
 	c.entries[id] = e
@@ -318,6 +309,7 @@ func (c *Cache) Put(k Key, artifacts map[string][]byte) error {
 	if e, ok := c.entries[id]; ok {
 		// First writer wins; refresh recency so the duplicate Put still
 		// counts as use.
+		c.touch(id)
 		c.seq++
 		e.Access = c.seq
 		c.entries[id] = e
@@ -355,7 +347,7 @@ func (c *Cache) Put(k Key, artifacts map[string][]byte) error {
 	c.entries[id] = indexEntry{Bytes: total, Access: c.seq}
 	c.stats.Puts++
 	c.evictLocked(id)
-	return c.writeIndexLocked()
+	return nil
 }
 
 // evictLocked removes least-recently-used entries until total bytes fit
@@ -378,7 +370,7 @@ func (c *Cache) evictLocked(keep string) {
 		if victim == "" {
 			return
 		}
-		c.dropLocked(victim, c.entries[victim])
+		c.dropLocked(victim)
 		c.stats.Evictions++
 	}
 }
@@ -391,29 +383,9 @@ func (c *Cache) totalLocked() int64 {
 	return n
 }
 
-func (c *Cache) dropLocked(id string, _ indexEntry) {
+func (c *Cache) dropLocked(id string) {
 	os.RemoveAll(c.entryDir(id))
 	delete(c.entries, id)
-}
-
-// writeIndexLocked persists the LRU index atomically.
-func (c *Cache) writeIndexLocked() error {
-	f := indexFile{Schema: Schema, Seq: c.seq, Entries: c.entries}
-	js, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	js = append(js, '\n')
-	c.tmpSeq++
-	tmp := filepath.Join(c.dir, fmt.Sprintf(".index-%d-%d.tmp", os.Getpid(), c.tmpSeq))
-	if err := os.WriteFile(tmp, js, 0o644); err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(c.dir, "index.json")); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	return nil
 }
 
 // Stats returns the current census and lifetime counters.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func testKey(n int) Key {
@@ -300,16 +301,28 @@ func TestReopenRebuildsFromDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Delete the index: reopen must adopt the entry directories.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	// The entry directories are the whole store: nothing else is written.
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if fmt.Sprint(names) != "[entries tmp]" {
+		t.Fatalf("cache root holds %v, want only entries and tmp", names)
+	}
+	// An index.json left by an older build is never read.
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c2.Stats(); st.Entries != 3 {
-		t.Fatalf("reopen adopted %d entries, want 3", st.Entries)
+	if st, st2 := c.Stats(), c2.Stats(); st2.Entries != 3 || st2.Bytes != st.Bytes {
+		t.Fatalf("reopen adopted %d entries of %d bytes, want 3 of %d", st2.Entries, st2.Bytes, st.Bytes)
 	}
 	for i := 0; i < 3; i++ {
 		got, ok := c2.Get(testKey(i))
@@ -320,7 +333,7 @@ func TestReopenRebuildsFromDisk(t *testing.T) {
 			t.Fatalf("entry %d bytes differ after reopen", i)
 		}
 	}
-	// And entries deleted behind the index's back disappear on reopen.
+	// And entries deleted behind the cache's back disappear on reopen.
 	if err := os.RemoveAll(filepath.Join(dir, "entries", testKey(0).ID())); err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +343,53 @@ func TestReopenRebuildsFromDisk(t *testing.T) {
 	}
 	if _, ok := c3.Get(testKey(0)); ok {
 		t.Fatal("deleted entry resurrected by reopen")
+	}
+}
+
+// TestLRURecencySurvivesReopen: a Get refreshes entry.json's mtime, and
+// Open orders entries by it, so a restarted cache still evicts the entry
+// least recently used before the restart.
+func TestLRURecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Put(testKey(i), testArtifacts(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Date both writes an hour back, 0 before 1, so the Get below is the
+	// newest use however coarse the filesystem clock.
+	written := time.Now().Add(-time.Hour)
+	for i := 0; i < 2; i++ {
+		meta := filepath.Join(dir, "entries", testKey(i).ID(), entryJSON)
+		if err := os.Chtimes(meta, time.Time{}, written.Add(time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Get(testKey(0)); !ok {
+		t.Fatal("entry 0 missing before reopen")
+	}
+	// Entries are the same size (single-digit payloads): cap at two and a half.
+	c2, err := Open(dir, c.Stats().Bytes*5/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Put(testKey(2), testArtifacts(2)); err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.Evictions != 1 {
+		t.Fatalf("want one eviction: %+v", st)
+	}
+	if _, ok := c2.Get(testKey(1)); ok {
+		t.Fatal("entry 1, least recently used before the reopen, survived eviction")
+	}
+	for _, i := range []int{0, 2} {
+		if _, ok := c2.Get(testKey(i)); !ok {
+			t.Fatalf("entry %d was evicted", i)
+		}
 	}
 }
 
@@ -346,4 +406,154 @@ func TestPutRejectsBadArtifactNames(t *testing.T) {
 	if err := c.Put(testKey(9), nil); err == nil {
 		t.Fatal("Put accepted empty artifact set")
 	}
+}
+
+// entryCase is one entry.json written beside one artifact, result.json,
+// as the entry of parentKey.
+type entryCase struct {
+	name      string
+	meta, art []byte
+}
+
+// entryCases spells the deterministic half of FuzzCacheEntry: entries Get
+// must serve, and entries it must miss and remove.
+func entryCases(t testing.TB) (valid, invalid []entryCase) {
+	dir := filepath.Join("testdata", "parent-cache", "entries", parentID)
+	meta, err := os.ReadFile(filepath.Join(dir, entryJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := os.ReadFile(filepath.Join(dir, ResultName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent entryMeta
+	if err := json.Unmarshal(meta, &parent); err != nil {
+		t.Fatal(err)
+	}
+	// alone is the parent's entry.json listing only the artifact beside
+	// it, after edit.
+	alone := func(edit func(*entryMeta)) []byte {
+		m := entryMeta{Schema: parent.Schema, Key: parent.Key, Artifacts: map[string]artMeta{ResultName: parent.Artifacts[ResultName]}}
+		edit(&m)
+		js, err := json.MarshalIndent(&m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	same := func(*entryMeta) {}
+	flipped := bytes.Clone(art)
+	flipped[len(flipped)/2] ^= 1
+	valid = []entryCase{
+		{"parent entry, result.json alone", alone(same), art},
+		{"no artifacts listed", alone(func(m *entryMeta) { m.Artifacts = nil }), art},
+	}
+	invalid = []entryCase{
+		{"parent entry, report.json and summary.json absent", meta, art},
+		{"parent entry cut in half", meta[:len(meta)/2], art},
+		{"parent entry without its closing brace", meta[:len(meta)-2], art},
+		{"empty entry.json", []byte{}, art},
+		{"{}", []byte("{}"), art},
+		{"foreign schema", alone(func(m *entryMeta) { m.Schema = "lumina-resultcache/0" }), art},
+		{"another key", alone(func(m *entryMeta) { m.Key.Profile = "e810" }), art},
+		{"artifact named ../x", alone(func(m *entryMeta) { m.Artifacts = map[string]artMeta{"../x": m.Artifacts[ResultName]} }), art},
+		{"artifact named entry.json", alone(func(m *entryMeta) { m.Artifacts = map[string]artMeta{entryJSON: m.Artifacts[ResultName]} }), art},
+		{"artifact one byte short", alone(same), art[:len(art)-1]},
+		{"artifact with a flipped bit", alone(same), flipped},
+	}
+	return valid, invalid
+}
+
+func TestCacheEntryValidAndInvalid(t *testing.T) {
+	valid, invalid := entryCases(t)
+	for _, tc := range valid {
+		t.Run(tc.name, func(t *testing.T) {
+			if !checkEntry(t, tc.meta, tc.art) {
+				t.Fatal("a valid entry missed")
+			}
+		})
+	}
+	for _, tc := range invalid {
+		t.Run(tc.name, func(t *testing.T) {
+			if checkEntry(t, tc.meta, tc.art) {
+				t.Fatal("an invalid entry hit")
+			}
+		})
+	}
+}
+
+// FuzzCacheEntry writes each input as one entry's entry.json beside one
+// artifact, then opens the cache and Gets the entry's key.
+func FuzzCacheEntry(f *testing.F) {
+	valid, invalid := entryCases(f)
+	for _, tc := range append(valid, invalid...) {
+		f.Add(tc.meta, tc.art)
+	}
+	f.Fuzz(func(t *testing.T, meta, art []byte) {
+		checkEntry(t, meta, art)
+	})
+}
+
+// checkEntry writes meta as the entry.json of parentKey's entry beside
+// art as its result.json, opens the cache and Gets the key. A hit must be
+// exactly what verifiedEntry allows and return the bytes on disk;
+// anything else must miss and remove the entry directory. On a hit,
+// ParseResult of result.json must return, not panic. checkEntry reports
+// whether Get hit.
+func checkEntry(t *testing.T, meta, art []byte) bool {
+	dir := t.TempDir()
+	entry := filepath.Join(dir, "entries", parentID)
+	if err := os.MkdirAll(entry, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{entryJSON: meta, ResultName: art} {
+		if err := os.WriteFile(filepath.Join(entry, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts, hit := c.Get(parentKey())
+	want, verifies := verifiedEntry(meta, art)
+	if hit != verifies {
+		t.Fatalf("Get hit = %v, verification says %v", hit, verifies)
+	}
+	if _, err := os.Stat(entry); hit != (err == nil) {
+		t.Fatalf("Get hit = %v, entry directory: %v", hit, err)
+	}
+	if len(arts) != len(want) {
+		t.Fatalf("hit returned %d artifacts, entry.json lists %d", len(arts), len(want))
+	}
+	for name, b := range want {
+		if got, ok := arts[name]; !ok || !bytes.Equal(got, b) {
+			t.Fatalf("%s: hit returned %q, disk holds %q", name, got, b)
+		}
+	}
+	if res, ok := arts[ResultName]; ok {
+		ParseResult(res)
+	}
+	return hit
+}
+
+// verifiedEntry is the rule Get follows, spelled without the cache: if
+// entry.json decodes with this schema and parentKey, and every artifact it
+// lists is result.json with art's size and digest, the artifacts it lists
+// with their bytes.
+func verifiedEntry(meta, art []byte) (map[string][]byte, bool) {
+	var m entryMeta
+	if json.Unmarshal(meta, &m) != nil || m.Schema != Schema || m.Key != parentKey() {
+		return nil, false
+	}
+	sum := sha256.Sum256(art)
+	arts := map[string][]byte{}
+	for name, am := range m.Artifacts {
+		if name != ResultName || am.Bytes != int64(len(art)) || am.SHA256 != hex.EncodeToString(sum[:]) {
+			return nil, false
+		}
+		arts[name] = art
+	}
+	return arts, true
 }
