@@ -67,7 +67,6 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 // TestCallerlessCensus runs the census over small hand-written modules
 // whose answers are spelled out.
 func TestCallerlessCensus(t *testing.T) {
-	const gomod = "module example.com/m\n\ngo 1.22\n"
 	for _, tc := range []struct {
 		name  string
 		files map[string]string
@@ -131,18 +130,7 @@ func main() { println(a.Live()) }`,
 		want: []string{"a.Dead", "a.base", "a.helper"},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			root := t.TempDir()
-			tc.files["go.mod"] = gomod
-			for name, src := range tc.files {
-				file := filepath.Join(root, filepath.FromSlash(name))
-				if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := callerless(root, nil)
+			got, err := callerless(writeModule(t, tc.files), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,8 +141,26 @@ func main() { println(a.Live()) }`,
 	}
 }
 
+// writeModule writes files, keyed by slash-separated path, into a new
+// module example.com/m and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module example.com/m\n\ngo 1.22\n"
+	for name, src := range files {
+		file := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
 // stdImporter type-checks the standard library from source, once per
-// test binary; the module's own packages are checked by callerless.
+// test binary; the module's own packages are checked by checkModule.
 var stdImporter = sync.OnceValues(func() (*token.FileSet, types.Importer) {
 	build.Default.CgoEnabled = false // pure-Go net and os/user: no cgo run
 	fset := token.NewFileSet()
@@ -169,14 +175,29 @@ type modulePackage struct {
 	info  *types.Info
 }
 
-// loadModule parses the non-test Go files of every package of the
+// module is a type-checked module: its path and its packages sorted by
+// import path.
+type module struct {
+	path string
+	pkgs []*modulePackage
+}
+
+var modules sync.Map // root -> func() (*module, error)
+
+// loadModule type-checks the module rooted at root once per test
+// binary, however many censuses judge it.
+func loadModule(root string) (*module, error) {
+	load, _ := modules.LoadOrStore(root, sync.OnceValues(func() (*module, error) { return checkModule(root) }))
+	return load.(func() (*module, error))()
+}
+
+// checkModule parses the non-test Go files of every package of the
 // module rooted at root, as go/build selects them for this platform,
-// and type-checks each against the packages it imports. It returns the
-// module path and the packages sorted by import path.
-func loadModule(root string) (string, []*modulePackage, error) {
+// and type-checks each against the packages it imports.
+func checkModule(root string) (*module, error) {
 	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	modPath, _, _ := strings.Cut(strings.TrimPrefix(string(gomod), "module "), "\n")
 	fset, std := stdImporter()
@@ -214,7 +235,7 @@ func loadModule(root string) (string, []*modulePackage, error) {
 		return nil
 	})
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 
 	// Check each package after the module packages it imports, against
@@ -259,10 +280,10 @@ func loadModule(root string) (string, []*modulePackage, error) {
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].path < pkgs[j].path })
 	for _, p := range pkgs {
 		if err := check(p.path); err != nil {
-			return "", nil, err
+			return nil, err
 		}
 	}
-	return modPath, pkgs, nil
+	return &module{modPath, pkgs}, nil
 }
 
 // callerless returns the sorted names declared under the internal/ of
@@ -274,10 +295,11 @@ func loadModule(root string) (string, []*modulePackage, error) {
 // as referred to by its receiver type when it completes an interface
 // the module mentions, or fmt.Stringer, which fmt asserts.
 func callerless(root string, seams map[string]string) ([]string, error) {
-	modPath, pkgs, err := loadModule(root)
+	m, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
+	modPath, pkgs := m.path, m.pkgs
 	_, std := stdImporter()
 
 	// Nodes are the names the census judges; edges run from the
@@ -505,3 +527,350 @@ func censusName(obj types.Object, internal string) string {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// fieldsAllowed lists the struct fields under internal/ that non-test
+// code does not both write and read and that stay anyway, each with the
+// seam that keeps it. The list is exact, as callerlessAllowed is.
+var fieldsAllowed = map[string]string{
+	"fuzz.Options.CoverageObserve": "the blind arm: only coverage_test.go sets it, to measure the fuzzer with coverage observed but not steering",
+	"rnic.WorkRequest.Imm":         "IB verb API: only rnic's transport tests post a Write-with-immediate",
+	"rnic.WorkRequest.UseImm":      "IB verb API: only rnic's transport tests post a Write-with-immediate",
+	"rnic.RecvRequest.OnComplete":  "IB verb API: only rnic's transport tests post a receive with a completion callback",
+	"rnic.Completion.HasImm":       "IB verb API: only rnic's transport tests read a Write-with-immediate's completion",
+	"rnic.Completion.Imm":          "IB verb API: only rnic's transport tests read a Write-with-immediate's completion",
+	"orchestrator.Testbed.Fabric":  "the frozen bench/ reads it: always nil since one event loop replaced the shards",
+	"orchestrator.Options.Shards":  "the frozen bench/ sets it: ignored since one event loop replaced the shards",
+	"injector.ConnMeta.RespIPSN":   "the frozen bench/ sets it when it registers a synthetic connection",
+	"serve.Config.Run":             "test seam: serve's tests substitute a fake run",
+	"engine.PanicError.Stack":      "evidence kept from a fault: the stack of a job that panicked",
+	"packet.IPv4.Checksum":         "decoded wire field: the header checksum as it arrived",
+	"packet.Packet.ICRC":           "decoded wire field: the invariant CRC as it arrived",
+	"trace.PcapPacket.OrigLen":     "pcap record header: the round-trip tests read it",
+	"trace.PcapPacket.TimestampNs": "pcap record header: the round-trip tests read it",
+}
+
+// TestFieldsAreWrittenAndRead holds every untagged, non-embedded field
+// of a struct declared under internal/ to a write and a read in non-test
+// code somewhere in the module. A knob only tests set, or state nothing
+// reads, gets deleted.
+func TestFieldsAreWrittenAndRead(t *testing.T) {
+	start := time.Now()
+	writerless, readerless, err := fieldCensus(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[string]bool{}
+	for _, name := range writerless {
+		flagged[name] = true
+		if fieldsAllowed[name] == "" {
+			t.Errorf("%s is never set outside tests: delete it, or allow it here with the seam that keeps it", name)
+		}
+	}
+	for _, name := range readerless {
+		flagged[name] = true
+		if fieldsAllowed[name] == "" {
+			t.Errorf("%s is never read outside tests: delete it, or allow it here with the seam that keeps it", name)
+		}
+	}
+	for name := range fieldsAllowed {
+		if !flagged[name] {
+			t.Errorf("%s is allowed but non-test code both writes and reads it now, or it is gone; take it off the list", name)
+		}
+	}
+	t.Logf("field census: %d writerless, %d readerless in %v", len(writerless), len(readerless), time.Since(start).Round(time.Millisecond))
+}
+
+// TestFieldCensus runs the field census over small hand-written modules
+// whose answers are spelled out.
+func TestFieldCensus(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		files                  map[string]string
+		writerless, readerless []string
+	}{{
+		name: "a field set only from a _test.go file is writerless",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Options struct{ Limit, Hook int }
+func Run(o Options) int { return o.Limit + o.Hook }`,
+			"internal/a/a_test.go": `package a
+import "testing"
+func TestHook(t *testing.T) { _ = Run(Options{Hook: 1}) }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { println(a.Run(a.Options{Limit: 2})) }`,
+		},
+		writerless: []string{"a.Options.Hook"},
+	}, {
+		name: "a field written but never read is readerless",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type T struct{ n, seen int }
+func (t *T) Add() int { t.seen = 1; t.n += 2; return t.n }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { var t a.T; println(t.Add()) }`,
+		},
+		readerless: []string{"a.T.seen"},
+	}, {
+		name: "an op-assignment and ++ write but do not read",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type T struct{ hits, bytes int }
+func (t *T) Count(n int) { t.hits++; t.bytes += n }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { var t a.T; t.Count(1) }`,
+		},
+		readerless: []string{"a.T.bytes", "a.T.hits"},
+	}, {
+		name: "an unkeyed literal, &x.F, x.F++ and a pointer method on x.F write",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Pair struct{ X, Y int }
+type buf struct{ b []byte }
+func (b *buf) Put(c byte) { b.b = append(b.b, c) }
+type T struct{ n, m int; p Pair; w buf }
+func (t *T) Bump() *int { t.n++; t.w.Put(1); return &t.m }
+func (t *T) Sum() int   { return t.n + t.m + t.p.X + t.p.Y + len(t.w.b) }
+func New() *T           { return &T{p: Pair{1, 2}} }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { t := a.New(); *t.Bump() = 1; println(t.Sum()) }`,
+		},
+	}, {
+		name: "a pointer method on x.F and &x.F hand out the field, so they read it too",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+import ("sync"; "sync/atomic")
+type T struct{ mu sync.Mutex; n int; hits int64 }
+func (t *T) Add() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	atomic.AddInt64(&t.hits, 1)
+	t.n++
+	return t.n
+}`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { var t a.T; println(t.Add()) }`,
+		},
+	}, {
+		name: "every field of a map-key or compared struct is read",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type key struct{ src, dst int }
+type span struct{ lo, hi int }
+type T struct{ seen map[key]bool; last span }
+func (t *T) Mark(s, d int) bool {
+	k := key{src: s, dst: d}
+	ok := t.seen[k]
+	t.seen[k] = true
+	return ok || t.last == span{lo: s, hi: d}
+}
+func New() *T { return &T{seen: map[key]bool{}} }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { println(a.New().Mark(1, 2)) }`,
+		},
+		writerless: []string{"a.T.last"},
+	}, {
+		name: "a write from a main package outside internal/ counts",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type Config struct{ Seed int }
+func Run(c *Config) int { return c.Seed }`,
+			"cmd/m/main.go": `package main
+import "example.com/m/internal/a"
+func main() { var c a.Config; c.Seed = 7; println(a.Run(&c)) }`,
+		},
+	}, {
+		name: "a write through a pointer field reads the pointer",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+type NIC struct{ Slow int }
+var nic NIC
+func Run() int { return nic.Slow }
+type Pair struct{ Req *NIC }
+func New() *Pair { return &Pair{Req: &nic} }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { a.New().Req.Slow = 3; println(a.Run()) }`,
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			writerless, readerless, err := fieldCensus(writeModule(t, tc.files))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(writerless, tc.writerless) || !reflect.DeepEqual(readerless, tc.readerless) {
+				t.Fatalf("writerless = %q, readerless = %q; want %q and %q", writerless, readerless, tc.writerless, tc.readerless)
+			}
+		})
+	}
+}
+
+// fieldCensus returns, sorted, the untagged, non-embedded fields of the
+// package-level structs declared under the internal/ of the module
+// rooted at root that no non-test code writes, and those that no
+// non-test code reads, spelled as callerless spells a field.
+//
+// A write is a key of a keyed struct literal; any unkeyed literal of the
+// struct; an assignment, op-assignment or ++/-- whose left-hand selector
+// chain holds the field; &x.F; or a pointer-receiver method called on x.F.
+// The last two hand out the field's address, so they read it as well.
+// Any other selector use reads, and so does every field of a struct type
+// used as a map key or compared with == or !=.
+func fieldCensus(root string) (writerless, readerless []string, err error) {
+	m, err := loadModule(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	internal := m.path + "/internal/"
+	judged := map[*types.Var]string{}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	field := func(obj types.Object) *types.Var {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	// readAll reads every field of a struct whose values are compared,
+	// through the structs and arrays it holds.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); !read[f.Origin()] {
+					read[f.Origin()] = true
+					readAll(f.Type())
+				}
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+
+	for _, p := range m.pkgs {
+		info := p.info
+		for _, f := range p.files {
+			if strings.HasPrefix(p.path+"/", internal) {
+				for _, decl := range f.Decls {
+					d, ok := decl.(*ast.GenDecl)
+					if !ok {
+						continue
+					}
+					for _, spec := range d.Specs {
+						s, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						tn := info.Defs[s.Name].(*types.TypeName)
+						if st, ok := tn.Type().Underlying().(*types.Struct); ok && tn.Type() != st {
+							for i := 0; i < st.NumFields(); i++ {
+								if fld := st.Field(i); !fld.Embedded() && st.Tag(i) == "" {
+									judged[fld] = censusName(tn, internal) + "." + fld.Name()
+								}
+							}
+						}
+					}
+				}
+			}
+
+			// First the selectors that write, then every other selector reads.
+			writes := map[*ast.SelectorExpr]bool{} // true: the write reads as well
+			chain := func(e ast.Expr, reads bool) {
+				for {
+					switch x := e.(type) {
+					case *ast.ParenExpr:
+						e = x.X
+					case *ast.IndexExpr:
+						e = x.X
+					case *ast.SelectorExpr:
+						writes[x] = writes[x] || reads
+						if _, ptr := info.Types[x.X].Type.Underlying().(*types.Pointer); ptr {
+							return // the write lands behind a pointer the rest of the chain reads
+						}
+						e = x.X
+					default:
+						return
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						chain(lhs, false)
+					}
+				case *ast.IncDecStmt:
+					chain(n.X, false)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X, true)
+					}
+				case *ast.SelectorExpr:
+					// A pointer method called on a non-pointer x.F takes &x.F.
+					fn, ok := info.Uses[n.Sel].(*types.Func)
+					if !ok || fn.Type().(*types.Signature).Recv() == nil {
+						break
+					}
+					_, ptrRecv := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+					_, ptrX := info.Types[n.X].Type.Underlying().(*types.Pointer)
+					if ptrRecv && !ptrX {
+						chain(n.X, true)
+					}
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v := field(info.Uses[kv.Key.(*ast.Ident)]); v != nil {
+								written[v] = true
+							}
+						}
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(info.Types[n.X].Type)
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if v := field(info.Uses[sel.Sel]); v != nil {
+						reads, isWrite := writes[sel]
+						written[v] = written[v] || isWrite
+						read[v] = read[v] || !isWrite || reads
+					}
+				}
+				return true
+			})
+		}
+		for _, tv := range info.Types {
+			if mt, ok := tv.Type.(*types.Map); ok {
+				readAll(mt.Key())
+			}
+		}
+	}
+	for v, name := range judged {
+		if !written[v] {
+			writerless = append(writerless, name)
+		}
+		if !read[v] {
+			readerless = append(readerless, name)
+		}
+	}
+	sort.Strings(writerless)
+	sort.Strings(readerless)
+	return writerless, readerless, nil
+}

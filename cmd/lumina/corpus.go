@@ -226,6 +226,12 @@ func bindList(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
+// fuzzDeadline bounds the virtual time of every fuzz evaluation and of
+// the minimization and golden runs that admit its findings: a run that
+// times out scores, so a finding's anomaly holds only at the deadline it
+// was scored at.
+const fuzzDeadline = 300 * sim.Second
+
 // bindFuzz runs the genetic test-case generation module (§4,
 // Algorithm 1) against a built-in target.
 //
@@ -264,7 +270,7 @@ func bindFuzz(fs *flag.FlagSet) func([]string) error {
 
 		f, err := fuzz.New(target, fuzz.Options{
 			Seed: *seed, PoolSize: 6, AcceptProb: 0.2,
-			Deadline: 300 * sim.Second, StopAtFirstAnomaly: *stopFirst,
+			Deadline: fuzzDeadline, StopAtFirstAnomaly: *stopFirst,
 			Generation: *generation, Workers: *workers,
 			Coverage: *guided,
 		})
@@ -360,7 +366,7 @@ func saveYAML(dir string, rec *fuzz.FindingRecord) error {
 // failures are reported but do not abort the remaining findings.
 func admit(dir string, fd fuzz.Finding, rec *fuzz.FindingRecord, targetName string, workers int) {
 	cfg := fd.Report.Config
-	mres, err := minimize.Minimize(cfg, minimize.Options{Workers: workers})
+	mres, err := minimize.Minimize(cfg, minimize.Options{Deadline: fuzzDeadline, Workers: workers})
 	switch {
 	case errors.Is(err, minimize.ErrNoAnomaly):
 		fmt.Println("     corpus: no verdict anomaly; admitting unminimized")
@@ -375,7 +381,7 @@ func admit(dir string, fd fuzz.Finding, rec *fuzz.FindingRecord, targetName stri
 	cfg.Name = fmt.Sprintf("%s-finding-%d", targetName, rec.Rank)
 	entry, added, err := corpus.Add(dir, cfg, corpus.Meta{
 		Name: cfg.Name, Target: targetName, Score: fd.Score,
-	}, corpus.RunOptions{Workers: workers})
+	}, corpus.RunOptions{Deadline: fuzzDeadline, Workers: workers})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "     corpus: %v\n", err)
 		return
@@ -396,7 +402,7 @@ func admitSeed(dir string, fd fuzz.Finding, rec *fuzz.FindingRecord, targetName 
 	cfg.Name = fmt.Sprintf("%s-covseed-%d", targetName, rec.Rank)
 	entry, added, err := corpus.Add(dir, cfg, corpus.Meta{
 		Name: cfg.Name, Target: targetName, Score: fd.Score,
-	}, corpus.RunOptions{Workers: workers})
+	}, corpus.RunOptions{Deadline: fuzzDeadline, Workers: workers})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "     corpus: coverage seed: %v\n", err)
 		return

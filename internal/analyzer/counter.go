@@ -19,7 +19,6 @@ type Inconsistency struct {
 	Counter  string
 	Counted  uint64 // what the NIC reports
 	Observed uint64 // what the trace proves happened
-	Detail   string
 }
 
 func (i Inconsistency) String() string {
@@ -128,19 +127,16 @@ func (h HostView) judge(out []Inconsistency, txSeen, cnpsSeen, naksSent, implied
 	if c := h.Counters[rnic.CtrTxRoCEPackets]; c != txSeen {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrTxRoCEPackets, Counted: c, Observed: txSeen,
-			Detail: "transmitted RoCE packets vs trace entries sourced at host",
 		})
 	}
 	if c := h.Counters[rnic.CtrNpCnpSent]; c != cnpsSeen {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrNpCnpSent, Counted: c, Observed: cnpsSeen,
-			Detail: "CNPs on the wire disagree with the NIC's sent-CNP counter",
 		})
 	}
 	if c := h.Counters[rnic.CtrPacketSeqErr]; c != naksSent {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrPacketSeqErr, Counted: c, Observed: naksSent,
-			Detail: "sequence-error NAKs on the wire vs packet_seq_err",
 		})
 	}
 	// implied_nak_seq_err: every re-read preceded by out-of-order read
@@ -149,7 +145,6 @@ func (h HostView) judge(out []Inconsistency, txSeen, cnpsSeen, naksSent, implied
 	if c := h.Counters[rnic.CtrImpliedNakSeq]; impliedNaks > 0 && c < impliedNaks {
 		out = append(out, Inconsistency{
 			Host: h.Name, Counter: rnic.CtrImpliedNakSeq, Counted: c, Observed: impliedNaks,
-			Detail: "OOO-evidenced re-reads on the wire exceed implied_nak_seq_err",
 		})
 	}
 	return out

@@ -326,19 +326,16 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 	if c := h.Counters[rnic.CtrTxRoCEPackets]; c != txSeen {
 		out = append(out, analyzer.Inconsistency{
 			Host: h.Name, Counter: rnic.CtrTxRoCEPackets, Counted: c, Observed: txSeen,
-			Detail: "transmitted RoCE packets vs trace entries sourced at host",
 		})
 	}
 	if c := h.Counters[rnic.CtrNpCnpSent]; c != cnpsSeen {
 		out = append(out, analyzer.Inconsistency{
 			Host: h.Name, Counter: rnic.CtrNpCnpSent, Counted: c, Observed: cnpsSeen,
-			Detail: "CNPs on the wire disagree with the NIC's sent-CNP counter",
 		})
 	}
 	if c := h.Counters[rnic.CtrPacketSeqErr]; c != naksSent {
 		out = append(out, analyzer.Inconsistency{
 			Host: h.Name, Counter: rnic.CtrPacketSeqErr, Counted: c, Observed: naksSent,
-			Detail: "sequence-error NAKs on the wire vs packet_seq_err",
 		})
 	}
 	// implied_nak_seq_err: every re-read preceded by out-of-order read
@@ -349,7 +346,6 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 	if c := h.Counters[rnic.CtrImpliedNakSeq]; impliedNaks > 0 && c < impliedNaks {
 		out = append(out, analyzer.Inconsistency{
 			Host: h.Name, Counter: rnic.CtrImpliedNakSeq, Counted: c, Observed: impliedNaks,
-			Detail: "OOO-evidenced re-reads on the wire exceed implied_nak_seq_err",
 		})
 	}
 	return out

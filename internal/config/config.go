@@ -66,7 +66,11 @@ func (f FabricTopo) Hosts() int { return f.Leaves * f.HostsPerLeaf }
 
 // Host mirrors Listing 1: the NIC under test and its RoCE parameters.
 type Host struct {
+	// Workspace is the host's working directory on the physical
+	// testbed. No model reads it; it is part of the content hash.
 	Workspace string `json:"workspace,omitempty"`
+	// ControlIP is the host's management address on the physical
+	// testbed. No model reads it; it is part of the content hash.
 	ControlIP string `json:"control-ip,omitempty"`
 	NIC       NIC    `json:"nic"`
 	RoCE      RoCE   `json:"roce-parameters"`
@@ -77,8 +81,13 @@ type Host struct {
 
 // NIC selects and places the hardware under test.
 type NIC struct {
-	Type       string       `json:"type" lumina:"default=spec"` // cx4 | cx5 | cx6 | e810 | spec
-	IfName     string       `json:"if-name,omitempty"`
+	Type string `json:"type" lumina:"default=spec"` // cx4 | cx5 | cx6 | e810 | spec
+	// IfName is the NIC's interface name on the physical testbed. No
+	// model reads it; it is part of the content hash.
+	IfName string `json:"if-name,omitempty"`
+	// SwitchPort is the switch port the NIC is cabled to on the
+	// physical testbed. No model reads it; it is part of the content
+	// hash.
 	SwitchPort int          `json:"switch-port,omitempty"`
 	IPList     []netip.Addr `json:"ip-list" lumina:"min=1"`
 }
@@ -89,7 +98,9 @@ type RoCE struct {
 	DCQCNNPEnable      bool `json:"dcqcn-np-enable"`
 	MinTimeBetweenCNPs int  `json:"min-time-between-cnps" lumina:"max=1000000000"` // µs; -1 = hardware default
 	AdaptiveRetrans    bool `json:"adaptive-retrans"`
-	SlowRestart        bool `json:"slow-restart"`
+	// SlowRestart is Listing 2's slow-restart switch. No NIC model
+	// implements it; it is part of the content hash.
+	SlowRestart bool `json:"slow-restart"`
 }
 
 // ETSQueue is one scheduler queue.

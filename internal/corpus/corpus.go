@@ -85,7 +85,6 @@ type Expected struct {
 // Entry is one loaded corpus entry.
 type Entry struct {
 	ID       string
-	Dir      string
 	Config   config.Test
 	Expected Expected
 }
@@ -203,7 +202,7 @@ func Add(dir string, cfg config.Test, meta Meta, opts RunOptions) (*Entry, bool,
 	if err := os.WriteFile(filepath.Join(entryDir, "expected.json"), js, 0o644); err != nil {
 		return nil, false, err
 	}
-	return &Entry{ID: id, Dir: entryDir, Config: cfg, Expected: exp}, true, nil
+	return &Entry{ID: id, Config: cfg, Expected: exp}, true, nil
 }
 
 // loadEntry reads one entry directory.
@@ -223,7 +222,7 @@ func loadEntry(entryDir string) (*Entry, error) {
 	if exp.Schema != Schema {
 		return nil, fmt.Errorf("corpus: %s: unsupported schema %q (want %q)", entryDir, exp.Schema, Schema)
 	}
-	return &Entry{ID: filepath.Base(entryDir), Dir: entryDir, Config: cfg, Expected: exp}, nil
+	return &Entry{ID: filepath.Base(entryDir), Config: cfg, Expected: exp}, nil
 }
 
 // List loads every entry under dir, sorted by ID. Unreadable entries

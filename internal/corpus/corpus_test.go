@@ -143,7 +143,7 @@ func TestCorpusCorruptScenarioReportsDigestDrift(t *testing.T) {
 	// Tamper with one stored scenario: still a valid config, but its
 	// content no longer matches the entry's address.
 	victim := entries[0]
-	path := filepath.Join(victim.Dir, "scenario.yaml")
+	path := filepath.Join(dir, victim.ID, "scenario.yaml")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestCorpusTamperedGoldenDigestReportsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(entries[0].Dir, "expected.json")
+	path := filepath.Join(dir, entries[0].ID, "expected.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestCorpusUnparseableEntryReportsErrorNotPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := entries[1]
-	if err := os.WriteFile(filepath.Join(victim.Dir, "expected.json"),
+	if err := os.WriteFile(filepath.Join(dir, victim.ID, "expected.json"),
 		[]byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func (f *FrontierFile) Merged() *coverage.Report {
 // recorded scenario (native NIC models, no profile retargeting).
 type EntryCoverage struct {
 	ID      string
-	Name    string
 	Covered int
 	Total   int
 }
@@ -103,7 +102,7 @@ func CoverageCounts(ctx context.Context, dir string, workers int) ([]EntryCovera
 	results := engine.Run(ctx, jobs, engine.Options{Workers: workers})
 	out := make([]EntryCoverage, len(entries))
 	for i, e := range entries {
-		ec := EntryCoverage{ID: e.ID, Name: e.Expected.Name, Total: coverage.Total()}
+		ec := EntryCoverage{ID: e.ID, Total: coverage.Total()}
 		r := &results[i]
 		if r.Err != nil {
 			return nil, fmt.Errorf("corpus: coverage for %s: %w", e.ID, r.Err)

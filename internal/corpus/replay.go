@@ -16,7 +16,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 	"github.com/lumina-sim/lumina/internal/version"
 )
 
@@ -160,9 +159,6 @@ type ReplayOptions struct {
 	// Workers is the engine pool size (0 = one per CPU, 1 = serial).
 	// The matrix is byte-identical for every value.
 	Workers int
-	// Hub, when non-nil, receives one corpus.replay probe per cell in
-	// row-major order.
-	Hub *telemetry.Hub
 	// INT enables in-band telemetry on every replayed cell. INT is
 	// observe-only, so cells still judge against the INT-agnostic
 	// goldens — an INT-enabled replay that drifts has caught the INT
@@ -320,10 +316,6 @@ func Replay(ctx context.Context, dir string, opts ReplayOptions) (*Matrix, error
 				c = cells[cellRef{i, j}]
 			}
 			c.StatusName = c.Status.String()
-			opts.Hub.EmitArgs(telemetry.KindCorpusCell, "corpus", id,
-				telemetry.S("profile", p),
-				telemetry.S("status", c.StatusName),
-				telemetry.S("detail", c.Detail))
 			row.Cells = append(row.Cells, c)
 		}
 		m.Rows = append(m.Rows, row)

@@ -14,9 +14,7 @@
 //   - cancellation: a context cancels jobs that have not started;
 //   - per-job wall-clock timeouts, reported as *TimeoutError;
 //   - deterministic result ordering by submission index, never by
-//     completion order;
-//   - progress/failure probes on the telemetry hub, emitted in
-//     submission order so the probe stream is also deterministic.
+//     completion order.
 //
 // Workers=1 degenerates to an inline serial loop on the caller's
 // goroutine — byte-identical in artifacts AND execution shape to the
@@ -33,11 +31,10 @@ import (
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // Job is one simulation to execute: a test configuration, orchestrator
-// options, and a label for probes and error messages.
+// options, and a label for error messages.
 type Job struct {
 	Label string
 	Cfg   config.Test
@@ -47,19 +44,8 @@ type Job struct {
 // JobResult is the outcome of one job. Exactly one of Report/Err is
 // meaningful: Err == nil means Report carries the run's artifacts.
 type JobResult struct {
-	// Index is the job's submission index; Run returns results sorted
-	// by it regardless of completion order.
-	Index int
-	Label string
-
 	Report *orchestrator.Report
 	Err    error
-
-	// Attempts is 1 once the job was executed, 0 when it was cancelled
-	// before starting.
-	Attempts int
-	// Wall is the wall-clock time the job took.
-	Wall time.Duration
 }
 
 // RunFunc executes one configuration; the default is orchestrator.Run.
@@ -79,11 +65,6 @@ type Options struct {
 	// background and its result is discarded — so Timeout also forces
 	// monitored (goroutine-per-job) execution even at Workers=1.
 	Timeout time.Duration
-
-	// Hub receives engine.job progress/failure probes, emitted in
-	// submission order from the coordinating goroutine so the probe
-	// stream is deterministic. Nil disables probes.
-	Hub *telemetry.Hub
 
 	// Run substitutes the execution function (tests); nil means
 	// orchestrator.Run.
@@ -110,8 +91,8 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("job %q exceeded wall-clock timeout %v", e.Label, e.Timeout)
 }
 
-// Run executes jobs on a worker pool and returns one JobResult per job
-// in submission order. It never returns an error itself — per-job
+// Run executes jobs on a worker pool and returns one JobResult per job,
+// results[i] being jobs[i]'s. It never returns an error itself — per-job
 // failures (including recovered panics) land in JobResult.Err. A
 // cancelled context marks not-yet-started jobs with ctx.Err().
 func Run(ctx context.Context, jobs []Job, opts Options) []JobResult {
@@ -131,39 +112,26 @@ func Run(ctx context.Context, jobs []Job, opts Options) []JobResult {
 		// Serial path: inline, submission order, no goroutines unless a
 		// timeout demands monitored execution.
 		for i := range jobs {
-			results[i] = execJob(ctx, i, jobs[i], opts)
-			publish(opts.Hub, &results[i])
+			results[i] = execJob(ctx, jobs[i], opts)
 		}
 		return results
 	}
 
-	next := make(chan int)
-	done := make([]chan struct{}, len(jobs))
-	for i := range done {
-		done[i] = make(chan struct{})
+	// Workers take jobs in submission order, each into its own slot.
+	next := make(chan int, len(jobs))
+	for i := range jobs {
+		next <- i
 	}
+	close(next)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = execJob(ctx, i, jobs[i], opts)
-				close(done[i])
+				results[i] = execJob(ctx, jobs[i], opts)
 			}
 		}()
-	}
-	go func() {
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-	}()
-	// Publish probes in submission order as each job lands, so the
-	// telemetry stream is deterministic and progress is still live.
-	for i := range jobs {
-		<-done[i]
-		publish(opts.Hub, &results[i])
 	}
 	wg.Wait()
 	return results
@@ -179,49 +147,26 @@ func RunConfigs(ctx context.Context, cfgs []config.Test, orch orchestrator.Optio
 	}
 	results := Run(ctx, jobs, opts)
 	reps := make([]*orchestrator.Report, len(results))
-	for i := range results {
-		r := &results[i]
+	for i, r := range results {
 		if r.Err != nil {
-			return nil, fmt.Errorf("job %d (%s): %w", r.Index, r.Label, r.Err)
+			return nil, fmt.Errorf("job %d (%s): %w", i, jobs[i].Label, r.Err)
 		}
 		reps[i] = r.Report
 	}
 	return reps, nil
 }
 
-func publish(hub *telemetry.Hub, r *JobResult) {
-	if hub == nil {
-		return
-	}
-	status := "ok"
-	errStr := ""
-	if r.Err != nil {
-		status = "error"
-		errStr = r.Err.Error()
-	}
-	hub.EmitArgs(telemetry.KindEngineJob, "engine", r.Label,
-		telemetry.I("index", int64(r.Index)),
-		telemetry.I("attempts", int64(r.Attempts)),
-		telemetry.I("wall_us", r.Wall.Microseconds()),
-		telemetry.S("status", status),
-		telemetry.S("error", errStr))
-}
-
 // execJob runs one job once, unless ctx is already cancelled.
-func execJob(ctx context.Context, index int, job Job, opts Options) JobResult {
-	res := JobResult{Index: index, Label: job.Label}
-	if res.Err = ctx.Err(); res.Err != nil {
-		return res
+func execJob(ctx context.Context, job Job, opts Options) JobResult {
+	if err := ctx.Err(); err != nil {
+		return JobResult{Err: err}
 	}
 	run := opts.Run
 	if run == nil {
 		run = orchestrator.Run
 	}
-	start := time.Now()
-	res.Attempts = 1
-	res.Report, res.Err = attempt(ctx, job, run, opts.Timeout)
-	res.Wall = time.Since(start)
-	return res
+	rep, err := attempt(ctx, job, run, opts.Timeout)
+	return JobResult{Report: rep, Err: err}
 }
 
 // attempt executes job once with panic recovery; with a timeout it

@@ -11,7 +11,6 @@ import (
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // tinyCfg is a fast-to-simulate configuration for end-to-end tests.
@@ -54,11 +53,11 @@ func TestRunOrdersResultsBySubmissionIndex(t *testing.T) {
 	})
 	results := Run(context.Background(), jobs, Options{Workers: n, Run: run})
 	for i, r := range results {
-		if r.Index != i || r.Label != fmt.Sprintf("j%d", i) {
-			t.Fatalf("result %d = index %d label %q", i, r.Index, r.Label)
-		}
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if r.Report.Config.Name != jobs[i].Cfg.Name {
+			t.Fatalf("result %d is job %q's", i, r.Report.Config.Name)
 		}
 	}
 }
@@ -134,48 +133,6 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Fatal("no job observed the cancellation")
-	}
-}
-
-func TestRunTelemetryProbesDeterministicOrder(t *testing.T) {
-	jobs := make([]Job, 5)
-	for i := range jobs {
-		jobs[i] = Job{Label: fmt.Sprintf("j%d", i), Cfg: config.Test{Name: fmt.Sprintf("j%d", i)}}
-	}
-	run := fakeRun(func(cfg config.Test) error {
-		if cfg.Name == "j2" {
-			return errors.New("scripted failure")
-		}
-		return nil
-	})
-	for _, workers := range []int{1, 4} {
-		hub := telemetry.NewHub()
-		Run(context.Background(), jobs, Options{Workers: workers, Run: run, Hub: hub})
-		events := hub.Events()
-		if len(events) != len(jobs) {
-			t.Fatalf("workers=%d: %d probe events, want %d", workers, len(events), len(jobs))
-		}
-		for i, ev := range events {
-			if ev.Kind() != telemetry.KindEngineJob {
-				t.Fatalf("event %d kind = %s", i, ev.Kind())
-			}
-			if ev.Name() != fmt.Sprintf("j%d", i) {
-				t.Fatalf("workers=%d: event %d is %q; probes must follow submission order", workers, i, ev.Name())
-			}
-			wantStatus := "ok"
-			if i == 2 {
-				wantStatus = "error"
-			}
-			var status string
-			for j := range ev.NumArgs() {
-				if f := ev.Arg(j); f.Key == "status" {
-					status = f.Str
-				}
-			}
-			if status != wantStatus {
-				t.Fatalf("event %d status = %q, want %q", i, status, wantStatus)
-			}
-		}
 	}
 }
 

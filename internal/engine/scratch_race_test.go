@@ -51,7 +51,7 @@ func TestScratchReuseParallelIdentity(t *testing.T) {
 		out := make([]string, len(results))
 		for i, r := range results {
 			if r.Err != nil {
-				t.Fatalf("workers=%d job %q: %v", workers, r.Label, r.Err)
+				t.Fatalf("workers=%d job %q: %v", workers, jobs[i].Label, r.Err)
 			}
 			out[i] = summaryDigest(t, r.Report)
 		}

@@ -13,7 +13,6 @@ import (
 type Figure11Point struct {
 	Model        string
 	DropConns    int
-	TotalConns   int
 	InjectedMCT  sim.Duration
 	InnocentMCT  sim.Duration
 	InnocentMax  sim.Duration // worst innocent message (the wedge episode)
@@ -71,7 +70,7 @@ func Figure11(model string, dropCounts []int) ([]Figure11Point, error) {
 			}
 		}
 		p := Figure11Point{
-			Model: model, DropConns: i, TotalConns: totalConns,
+			Model: model, DropConns: i,
 			RxDiscards: rep.RequesterCounters[rnic.CtrRxDiscardsPhy],
 		}
 		if nInj > 0 {

@@ -38,9 +38,6 @@ type Rule struct {
 	// ReorderOffset is how many later same-connection data packets an
 	// EventReorder action lets overtake the matched packet.
 	ReorderOffset int
-
-	// Hits counts matches (rule diagnostics in the result bundle).
-	Hits int
 }
 
 func (r Rule) key() ruleKey {
@@ -452,11 +449,7 @@ func (sw *Switch) trackITER(pkt *packet.Packet) uint32 {
 
 func (sw *Switch) lookupRule(pkt *packet.Packet, iter uint32) *Rule {
 	k := ruleKey{pkt.IP.Src, pkt.IP.Dst, pkt.BTH.DestQP, pkt.BTH.PSN, iter}
-	if r, ok := sw.rules[k]; ok {
-		r.Hits++
-		return r
-	}
-	return nil
+	return sw.rules[k]
 }
 
 // rewriteMigReq re-serializes the packet with MigReq forced to 1 — the

@@ -448,10 +448,8 @@ func TestRuleHitCounting(t *testing.T) {
 	if len(r.sw.rules) != 1 {
 		t.Fatalf("%d rules installed, want 1", len(r.sw.rules))
 	}
-	for _, rule := range r.sw.rules {
-		if rule.Hits != 1 {
-			t.Fatalf("rule = %+v, want 1 hit", rule)
-		}
+	if got := r.sw.Totals().Injected; got != 1 {
+		t.Fatalf("Injected = %d, want 1: the rule hits PSN 101 once", got)
 	}
 }
 

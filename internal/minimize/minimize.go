@@ -29,7 +29,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/engine"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // ErrNoAnomaly reports that the configuration's baseline run produced no
@@ -96,9 +95,6 @@ type Options struct {
 	// batch (0 = one per CPU, 1 = serial). The result is byte-identical
 	// for every value.
 	Workers int
-	// Hub, when non-nil, receives one minimize.step probe per candidate
-	// tried, in decision order.
-	Hub *telemetry.Hub
 }
 
 // Step records one candidate the minimizer tried, in decision order.
@@ -209,19 +205,13 @@ func (m *minimizer) acceptFirst(action string, cands []candidate) int {
 		if keep {
 			accepted = i
 		}
-		step := Step{
+		m.res.Steps = append(m.res.Steps, Step{
 			Round:  m.round,
 			Action: action,
 			Detail: cands[i].detail,
 			Events: len(cands[i].cfg.Traffic.Events),
 			Kept:   keep,
-		}
-		m.res.Steps = append(m.res.Steps, step)
-		m.opts.Hub.EmitArgs(telemetry.KindMinimizeStep, "minimize", action,
-			telemetry.I("round", int64(step.Round)),
-			telemetry.I("events", int64(step.Events)),
-			telemetry.S("detail", step.Detail),
-			telemetry.S("kept", fmt.Sprintf("%t", step.Kept)))
+		})
 	}
 	return accepted
 }
@@ -290,19 +280,14 @@ func chunkBounds(n, gran int) []int {
 	return bounds
 }
 
-// simplifier proposes one canonical field simplification, or ok=false
-// when it no longer applies.
-type simplifier struct {
-	name  string
-	apply func(config.Test) (config.Test, string, bool)
-}
-
 // simplifiers is the fixed simplification ladder, tried in this order
-// each round. Candidates that fail validation (for example shrinking a
-// message below an event's packet index) are rejected by their failing
-// run, so each pass can propose aggressively.
-var simplifiers = []simplifier{
-	{"connections", func(c config.Test) (config.Test, string, bool) {
+// each round. Each proposes one canonical field simplification and its
+// detail, or ok=false when it no longer applies. Candidates that fail
+// validation (for example shrinking a message below an event's packet
+// index) are rejected by their failing run, so each pass can propose
+// aggressively.
+var simplifiers = []func(config.Test) (config.Test, string, bool){
+	func(c config.Test) (config.Test, string, bool) {
 		maxQPN := 1
 		for _, ev := range c.Traffic.Events {
 			if ev.QPN > maxQPN {
@@ -318,16 +303,16 @@ var simplifiers = []simplifier{
 			out.Traffic.QPTrafficClass = out.Traffic.QPTrafficClass[:maxQPN]
 		}
 		return out, fmt.Sprintf("num-connections %d→%d", c.Traffic.NumConnections, maxQPN), true
-	}},
-	{"messages", func(c config.Test) (config.Test, string, bool) {
+	},
+	func(c config.Test) (config.Test, string, bool) {
 		if c.Traffic.NumMsgsPerQP <= 1 {
 			return c, "", false
 		}
 		out := c
 		out.Traffic.NumMsgsPerQP = 1
 		return out, fmt.Sprintf("num-msgs-per-qp %d→1", c.Traffic.NumMsgsPerQP), true
-	}},
-	{"message-size", func(c config.Test) (config.Test, string, bool) {
+	},
+	func(c config.Test) (config.Test, string, bool) {
 		if c.Traffic.MessageSize <= c.Traffic.MTU {
 			return c, "", false
 		}
@@ -338,16 +323,16 @@ var simplifiers = []simplifier{
 		out := c
 		out.Traffic.MessageSize = half
 		return out, fmt.Sprintf("message-size %d→%d", c.Traffic.MessageSize, half), true
-	}},
-	{"tx-depth", func(c config.Test) (config.Test, string, bool) {
+	},
+	func(c config.Test) (config.Test, string, bool) {
 		if c.Traffic.TxDepth <= 1 {
 			return c, "", false
 		}
 		out := c
 		out.Traffic.TxDepth = 1
 		return out, fmt.Sprintf("tx-depth %d→1", c.Traffic.TxDepth), true
-	}},
-	{"ets", func(c config.Test) (config.Test, string, bool) {
+	},
+	func(c config.Test) (config.Test, string, bool) {
 		if len(c.Requester.ETS) == 0 && len(c.Responder.ETS) == 0 && len(c.Traffic.QPTrafficClass) == 0 {
 			return c, "", false
 		}
@@ -356,15 +341,15 @@ var simplifiers = []simplifier{
 		out.Responder.ETS = nil
 		out.Traffic.QPTrafficClass = nil
 		return out, "drop ets-queues + qp-traffic-class", true
-	}},
-	{"seed", func(c config.Test) (config.Test, string, bool) {
+	},
+	func(c config.Test) (config.Test, string, bool) {
 		if c.Seed == 1 {
 			return c, "", false
 		}
 		out := c
 		out.Seed = 1
 		return out, fmt.Sprintf("seed %d→1", c.Seed), true
-	}},
+	},
 }
 
 // simplifyFields runs simplification rounds until a fixpoint: each
@@ -377,7 +362,7 @@ func (m *minimizer) simplifyFields(cfg config.Test) (config.Test, bool) {
 		m.round++
 		var cands []candidate
 		for _, s := range simplifiers {
-			if out, detail, ok := s.apply(cfg); ok {
+			if out, detail, ok := s(cfg); ok {
 				cands = append(cands, candidate{cfg: out, detail: detail})
 			}
 		}

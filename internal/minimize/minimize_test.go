@@ -10,7 +10,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/fuzz"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // retryExhaustedConfig builds a config whose anomaly is an unrecovered
@@ -134,23 +133,6 @@ func TestMinimizeCleanConfigIsNoAnomaly(t *testing.T) {
 	c := config.Default()
 	if _, err := Minimize(c, Options{}); err != ErrNoAnomaly {
 		t.Fatalf("err = %v, want ErrNoAnomaly", err)
-	}
-}
-
-func TestMinimizeEmitsStepProbes(t *testing.T) {
-	hub := telemetry.NewHub()
-	res, err := Minimize(retryExhaustedConfig(), Options{Workers: 1, Hub: hub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var probes int
-	for _, ev := range hub.Events() {
-		if ev.Kind() == telemetry.KindMinimizeStep {
-			probes++
-		}
-	}
-	if probes != len(res.Steps) {
-		t.Fatalf("minimize.step probes = %d, steps = %d", probes, len(res.Steps))
 	}
 }
 

@@ -4,6 +4,7 @@
 package orchestrator
 
 import (
+	"bytes"
 	"net/netip"
 	"path/filepath"
 	"regexp"
@@ -377,4 +378,79 @@ func TestPropertyUnmatchableEvent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPropertyInertListingKeys: the Listing-1 keys no model reads —
+// workspace, control-ip, nic.if-name, nic.switch-port and
+// roce-parameters.slow-restart — name a testbed, not a behaviour, so
+// flipping each on both hosts of the paper's running example leaves
+// summary.json, trace.pcap and the canonical summary digest
+// byte-identical. They stay part of the scenario's identity: its
+// config.ContentHash moves. report.json echoes the config, so it moves
+// too and is not compared.
+func TestPropertyInertListingKeys(t *testing.T) {
+	cfg, err := config.Load(filepath.Join("..", "..", "configs", "listing2.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := inertRun(t, cfg)
+	for _, fl := range []struct {
+		key  string
+		flip func(*config.Host)
+	}{
+		{"workspace", func(h *config.Host) { h.Workspace += "/flipped" }},
+		{"control-ip", func(h *config.Host) { h.ControlIP += "-flipped" }},
+		{"nic.if-name", func(h *config.Host) { h.NIC.IfName += "f" }},
+		{"nic.switch-port", func(h *config.Host) { h.NIC.SwitchPort += 7 }},
+		{"roce-parameters.slow-restart", func(h *config.Host) { h.RoCE.SlowRestart = !h.RoCE.SlowRestart }},
+	} {
+		c := cfg
+		fl.flip(&c.Requester)
+		fl.flip(&c.Responder)
+		got := inertRun(t, c)
+		for name, b := range base.artifacts {
+			if !bytes.Equal(got.artifacts[name], b) {
+				t.Errorf("%s: %s moved", fl.key, name)
+			}
+		}
+		if got.digest != base.digest {
+			t.Errorf("%s: summary digest %s, want %s", fl.key, got.digest, base.digest)
+		}
+		if got.hash == base.hash {
+			t.Errorf("%s: content hash %s did not move: the key left the scenario's identity", fl.key, got.hash)
+		}
+	}
+}
+
+// inertOutcome is what TestPropertyInertListingKeys compares of a run.
+type inertOutcome struct {
+	artifacts    map[string][]byte // summary.json and trace.pcap
+	digest, hash string
+}
+
+func inertRun(t *testing.T, cfg config.Test) inertOutcome {
+	t.Helper()
+	hash, err := config.ContentHash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg, Options{Lineage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := inertOutcome{artifacts: map[string][]byte{}, hash: hash}
+	for _, a := range rep.Artifacts() {
+		if a.Name == SummaryName || a.Name == TraceName {
+			if out.artifacts[a.Name], err = a.Bytes(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(out.artifacts) != 2 {
+		t.Fatalf("run rendered %d of summary.json and trace.pcap", len(out.artifacts))
+	}
+	if out.digest, err = rep.SummaryDigest(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -359,7 +359,6 @@ func buildNIC(s *sim.Simulator, h hostSpec) (*rnic.NIC, error) {
 		DCQCNNPEnable:      roce.DCQCNNPEnable,
 		MinTimeBetweenCNPs: roce.MinCNPInterval(),
 		AdaptiveRetrans:    roce.AdaptiveRetrans,
-		SlowRestart:        roce.SlowRestart,
 	}
 	var ets rnic.ETSConfig
 	for _, q := range h.tmpl.ETS {

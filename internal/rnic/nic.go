@@ -17,7 +17,6 @@ type Settings struct {
 	DCQCNNPEnable      bool
 	MinTimeBetweenCNPs sim.Duration // <0 means "use hardware default"
 	AdaptiveRetrans    bool
-	SlowRestart        bool
 }
 
 // DefaultSettings mirror common production defaults: DCQCN fully on,
@@ -28,7 +27,6 @@ func DefaultSettings() Settings {
 		DCQCNNPEnable:      true,
 		MinTimeBetweenCNPs: -1,
 		AdaptiveRetrans:    false,
-		SlowRestart:        true,
 	}
 }
 

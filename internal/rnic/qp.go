@@ -158,8 +158,6 @@ type readCtx struct {
 	startPSN uint32
 	npkts    int
 	length   int
-	va       uint64
-	rkey     uint32
 }
 
 // reread is a duplicate Read request waiting out NACKReactRead: the
@@ -1073,7 +1071,7 @@ func (qp *QP) handleReadRequest(pkt *packet.Packet) {
 			return
 		}
 		qp.cov().Record(coverage.SiteReadReq, coverage.ReadReqNew)
-		ctx := readCtx{startPSN: psn, npkts: npkts, length: length, va: pkt.RETH.VA, rkey: pkt.RETH.RKey}
+		ctx := readCtx{startPSN: psn, npkts: npkts, length: length}
 		qp.rememberRead(ctx)
 		// A read request reserves one PSN per response packet.
 		qp.ePSN = psnAdd(psn, uint32(npkts))

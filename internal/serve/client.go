@@ -16,15 +16,6 @@ import (
 type Client struct {
 	// Base is the daemon's root URL, without a trailing slash.
 	Base string
-	// HTTP overrides the transport (nil = http.DefaultClient).
-	HTTP *http.Client
-}
-
-func (c *Client) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // do issues one request and decodes a JSON response into out (which may
@@ -46,7 +37,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -118,7 +109,7 @@ func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

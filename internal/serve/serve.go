@@ -36,7 +36,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/resultcache"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 	"github.com/lumina-sim/lumina/internal/version"
 )
 
@@ -59,8 +58,6 @@ type Config struct {
 	// JobTimeout bounds each run's wall-clock time (0 = no bound); a
 	// timed-out run fails with the engine's TimeoutError.
 	JobTimeout time.Duration
-	// Hub receives engine probes for served runs.
-	Hub *telemetry.Hub
 	// Run substitutes the execution function (tests); nil means
 	// orchestrator.Run.
 	Run engine.RunFunc
@@ -218,7 +215,7 @@ func (s *Server) execute(r *run) {
 	s.transition(r, StateRunning, nil)
 	res := engine.Run(context.Background(),
 		[]engine.Job{{Label: r.id, Cfg: r.cfg, Opts: r.opts}},
-		engine.Options{Workers: 1, Timeout: s.cfg.JobTimeout, Hub: s.cfg.Hub, Run: s.cfg.Run})[0]
+		engine.Options{Workers: 1, Timeout: s.cfg.JobTimeout, Run: s.cfg.Run})[0]
 	if res.Err != nil {
 		s.transition(r, StateFailed, res.Err)
 		return

@@ -28,12 +28,8 @@ type Port struct {
 	// queueBytes is the queue gauge as of the last settle.
 	queueBytes int64
 
-	// Gauges and counters, exported for integrity checks (§3.5).
-	TxFrames uint64
-	TxBytes  uint64
-	RxFrames uint64
-	RxBytes  uint64
-	MaxQueue int64 // high-water mark of queueBytes, sampled at each send
+	// MaxQueue is the high-water mark of queueBytes, sampled at each send.
+	MaxQueue int64
 	// Busy is the cumulative serialization time committed to this port's
 	// transmitter — the link-utilization numerator (Busy / elapsed). It
 	// is credited at enqueue time, so over a window it can briefly exceed
@@ -152,8 +148,6 @@ func (p *Port) SendFrame(data []byte, owned bool) {
 	p.txFreeAt = done
 	p.Busy += ser
 
-	p.TxFrames++
-	p.TxBytes += uint64(len(data))
 	p.queueBytes += int64(len(data))
 	if p.queueBytes > p.MaxQueue {
 		p.MaxQueue = p.queueBytes
@@ -175,8 +169,6 @@ func OwnedArg(owned bool) uint64 {
 // HandleEvent runs the port's one per-frame event: a frame arriving from
 // the peer, owned by the receiver when arg is non-zero.
 func (p *Port) HandleEvent(_ int, arg uint64, data []byte) {
-	p.RxFrames++
-	p.RxBytes += uint64(len(data))
 	if p.recv == nil {
 		// invariant: the builder attaches every port it connects to a NIC, switch or dumper node, each of which installs its receiver, before the first event runs.
 		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
@@ -191,8 +183,6 @@ type Link struct {
 	GbpsRate float64
 	// Propagation is the one-way signal propagation delay.
 	Propagation Duration
-
-	A, B *Port
 }
 
 // Connect creates a link between two fresh ports with the given line rate
@@ -207,7 +197,6 @@ func Connect(s *Simulator, nameA, nameB string, gbps float64, prop Duration) (*P
 	a := &Port{Name: nameA, sim: s, link: l}
 	b := &Port{Name: nameB, sim: s, link: l}
 	a.peer, b.peer = b, a
-	l.A, l.B = a, b
 	return a, b
 }
 

@@ -99,20 +99,6 @@ func TestFullDuplexIndependence(t *testing.T) {
 	}
 }
 
-func TestPortCounters(t *testing.T) {
-	s := New(1)
-	a, b, _ := pipe(t, s, 100, 0)
-	a.Send(make([]byte, 100))
-	a.Send(make([]byte, 200))
-	s.Run()
-	if a.TxFrames != 2 || a.TxBytes != 300 {
-		t.Fatalf("tx counters = %d frames / %d bytes", a.TxFrames, a.TxBytes)
-	}
-	if b.RxFrames != 2 || b.RxBytes != 300 {
-		t.Fatalf("rx counters = %d frames / %d bytes", b.RxFrames, b.RxBytes)
-	}
-}
-
 func TestQueueGaugeReturnsToZero(t *testing.T) {
 	s := New(1)
 	a, _, _ := pipe(t, s, 100, 0)

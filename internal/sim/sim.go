@@ -329,8 +329,7 @@ type Simulator struct {
 	firedSeq uint64
 	rng      *RNG
 
-	executed  uint64 // total events fired, for diagnostics
-	cancelled uint64
+	executed uint64 // total events fired, for diagnostics
 
 	// hub is the attached telemetry probe bus; nil (the default) means
 	// every probe emitted by components running on this simulator is a
@@ -465,7 +464,6 @@ func (s *Simulator) Cancel(r EventRef) bool {
 	} else {
 		s.far.remove(ev.idx)
 	}
-	s.cancelled++
 	s.recycle(ev)
 	return true
 }

@@ -63,9 +63,6 @@ const (
 	KindNICWedge     Kind = "nic.wedge"        // RX pipeline wedge span
 	KindTracePkt     Kind = "trace.pkt"        // packet synthesized from a captured trace
 	KindVerdict      Kind = "analyzer.verdict" // post-run analyzer pass/fail instants
-	KindEngineJob    Kind = "engine.job"       // run-engine job completion (index, attempts, status)
-	KindMinimizeStep Kind = "minimize.step"    // reproducer-minimizer candidate tried (round, detail, kept)
-	KindCorpusCell   Kind = "corpus.replay"    // corpus replay conformance cell (entry, profile, status)
 )
 
 // Field is one key/value argument of an emit. Val carries numeric
@@ -84,8 +81,8 @@ func I(key string, v int64) Field { return Field{Key: key, Val: v} }
 // S builds a string field.
 func S(key, v string) Field { return Field{Key: key, Str: v} }
 
-// maxArgs is the most arguments one emit may carry: the engine's job
-// probe has five.
+// maxArgs is the most arguments one emit may carry: rnic's wqe_complete
+// has five.
 const maxArgs = 5
 
 // Event is one probe-bus record: a fixed-size value whose only pointer is
@@ -273,7 +270,7 @@ const (
 // record appends one event to the log, interning its strings.
 func (h *Hub) record(kind Kind, track, name string, dur int64, counter bool, args []Field) {
 	if len(args) > maxArgs {
-		// invariant: every emit site passes a fixed argument list of at most maxArgs fields; the widest, the engine's job probe, has five.
+		// invariant: every emit site passes a fixed argument list of at most maxArgs fields; the widest, rnic's wqe_complete, has five.
 		panic("telemetry: more than maxArgs arguments")
 	}
 	e := Event{At: h.now(), Dur: dur, syms: h.syms}

@@ -334,15 +334,15 @@ func TestEventsIsIncremental(t *testing.T) {
 }
 
 // TestSmallHubStaysSmall: chunks start small, so the hub of a five-message
-// run (or of an engine that records a dozen job events) costs a few KiB,
-// not a full-size chunk.
+// run, which records a dozen message events, costs a few KiB, not a
+// full-size chunk.
 func TestSmallHubStaysSmall(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	h := NewHub()
 	for i := 0; i < 10; i++ {
-		h.EmitArgs(KindEngineJob, "engine", "job", I("index", int64(i)), S("status", "ok"))
+		h.EmitArgs(KindTrafficMsg, "qp1", "wqe_complete", I("wr_id", int64(i)), S("status", "ok"))
 	}
 	evs := h.Events()
 	runtime.ReadMemStats(&after)
