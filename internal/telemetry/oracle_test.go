@@ -88,9 +88,12 @@ func (d *draw) value() int64 {
 
 // emitStream drives h with the stream d describes, mirrors every emit
 // into the returned naive log, and flattens the hub's stream at random
-// points along the way.
-func emitStream(h *Hub, d *draw) []naiveEvent {
+// points along the way. Each flattened stream must read as the naive log
+// so far when it is returned, and again once every later emit is in.
+func emitStream(t *testing.T, h *Hub, d *draw) []naiveEvent {
+	t.Helper()
 	var log []naiveEvent
+	var earlier [][]Event
 	now := int64(0)
 	h.SetClock(func() int64 { return now })
 	n := int(d.byte())<<2 | int(d.byte()&3)
@@ -125,12 +128,50 @@ func emitStream(h *Hub, d *draw) []naiveEvent {
 			ev.counter, ev.args = true, []naiveArg{{key: "value", val: v}}
 			h.EmitCounter(ev.kind, ev.track, ev.name, v)
 		case 4:
-			h.Events()
+			evs := h.Events()
+			checkEvents(t, evs, log)
+			earlier = append(earlier, evs)
 			continue
 		}
 		log = append(log, ev)
 	}
+	for _, evs := range earlier {
+		checkEvents(t, evs, log[:len(evs)])
+	}
 	return log
+}
+
+// checkEvents holds every accessor of every event in evs to the naive
+// log.
+func checkEvents(t *testing.T, evs []Event, log []naiveEvent) {
+	t.Helper()
+	if len(evs) != len(log) {
+		t.Fatalf("stream holds %d events, naive log %d", len(evs), len(log))
+	}
+	for i := range evs {
+		e, want := &evs[i], &log[i]
+		if e.At != want.at || e.Dur != max(want.dur, 0) || e.Kind() != want.kind || e.Track() != want.track ||
+			e.Name() != want.name || e.Counter() != want.counter || e.NumArgs() != len(want.args) {
+			t.Fatalf("event %d reads at=%d dur=%d %q %q %q counter=%v args=%d, want %+v",
+				i, e.At, e.Dur, e.Kind(), e.Track(), e.Name(), e.Counter(), e.NumArgs(), *want)
+		}
+		for j, a := range want.args {
+			if got, w := e.Arg(j), (Field{Key: a.key, Val: a.val, Str: a.str}); got != w {
+				t.Fatalf("event %d Arg(%d) = %+v, want %+v", i, j, got, w)
+			}
+			first := a
+			for _, b := range want.args {
+				if b.key == a.key {
+					first = b
+					break
+				}
+			}
+			got, ok := e.Lookup(a.key)
+			if w := (Field{Key: first.key, Val: first.val, Str: first.str}); !ok || got != w {
+				t.Fatalf("event %d Lookup(%q) = %+v %v, want %+v", i, a.key, got, ok, w)
+			}
+		}
+	}
 }
 
 // oracleHead is a trace-event record's fields but its args.
@@ -260,9 +301,11 @@ func checkTimeline(t *testing.T, log []naiveEvent, out []byte) {
 func checkStream(t *testing.T, data []byte) {
 	t.Helper()
 	h := NewHub()
-	log := emitStream(h, &draw{data})
+	log := emitStream(t, h, &draw{data})
+	evs := h.Events()
+	checkEvents(t, evs, log)
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, h.Events()); err != nil {
+	if err := WriteTimeline(&buf, evs); err != nil {
 		t.Fatal(err)
 	}
 	checkTimeline(t, log, buf.Bytes())
