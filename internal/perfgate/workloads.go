@@ -188,10 +188,9 @@ func coverageRecord() (int, int, func()) {
 
 // telemetryEmit is the cost of one probe when telemetry is on: one
 // EmitArgs with three integer arguments on an attached hub whose site is
-// already interned. The event is a fixed-size
-// record appended to the hub's log, so an op's bytes are the record's
-// size and its only allocations are the log's chunks, one per 4096
-// events.
+// already interned. The probe is a varint record appended to the hub's
+// log, so an op's bytes are the record's size and its only allocations
+// are the log's pages, one per 64 KiB of records.
 func telemetryEmit() (int, int, func()) {
 	h := telemetry.NewHub()
 	var v int64
@@ -200,7 +199,7 @@ func telemetryEmit() (int, int, func()) {
 		h.EmitArgs(telemetry.KindRetransTimer, "requester/qp-1", "arm",
 			telemetry.I("rto_ns", v&7), telemetry.I("retry", v), telemetry.I("psn", 1024))
 	}
-	// Past 8160 events the log's chunks have doubled up to their cap.
+	// Past about 7 300 emits the log's pages have doubled up to their cap.
 	for i := 0; i < 8192; i++ {
 		op()
 	}

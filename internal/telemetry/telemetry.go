@@ -19,29 +19,34 @@
 //
 // The third constraint is cost when somebody is listening: a run with
 // every observer on replays the history of a bare run and should cost
-// little more. An emit is therefore an append of a fixed-size record and
-// nothing else. An Event holds its stamp, its duration and up to five
-// numeric arguments inline, plus one pointer: to the hub's intern table,
-// which stores once what emits from the same place share — kind, track,
-// name and argument keys, as one site — and each distinct string value.
-// Accessors (Kind, Track, Name, Arg, Lookup) read through it. The
-// caller's argument list never escapes (it stays on the caller's stack),
-// and a site repeated by every packet is found in a small cache of recent
-// lookups without hashing its strings. The hub owns a chunked log of
-// records; chunks start small and double up to a cap (eventChunkMin..
-// eventChunkMax): a five-message run pays for a few KiB, a 50 000-probe
-// run for a dozen allocations, and nothing recorded is ever copied to
-// make room for what follows. Events() hands out a flat slice because
-// that is what lineage and the timeline writer index, and it is
-// incremental because a run asks twice — before the verdict probes and
-// after: each call moves only the events recorded since the previous one
-// onto the flat stream (after which their chunks are reused), so the
-// second call copies a handful of events, not the run.
+// little more. An emit therefore appends one record to a log and nothing
+// else. What emits from the same place share — kind, track, name and
+// argument keys, as one site — is stored once in the hub's intern table,
+// and so is each distinct string value. The log, which the intern table
+// owns, holds per emit the site's index, the stamp as a delta from the
+// previous one, the duration and the arguments, each a varint and a
+// string as its intern index: a timer arm takes about nine bytes. Its
+// pages start small and double up to a cap (pageMin..pageMax): a
+// five-message run pays for half a KiB, a 50 000-probe run for about a
+// dozen allocations, and a record is never moved once written. The caller's
+// argument list never escapes (it stays on the caller's stack), and a
+// site repeated by every packet is found in a small cache of recent
+// lookups without hashing its strings. Events() hands out a flat slice of
+// 32-byte Events because that is what lineage and the timeline writer
+// index: each holds its stamp, its duration, its site and where its
+// arguments start in the log, and its accessors (Kind, Track, Name, Arg,
+// Lookup) read through the intern table. The slice is incremental
+// because a run asks twice — before the verdict probes and after: each
+// call decodes only the records logged since the previous one, into a
+// stream grown once to fit them and a few more, so the second call
+// neither copies the stream nor decodes the run again.
 //
 // This package deliberately imports nothing but the standard library so
 // that package sim can wire a Hub into the Simulator without an import
 // cycle; virtual time crosses the boundary as int64 nanoseconds.
 package telemetry
+
+import "encoding/binary"
 
 // Kind names a probe event family. Kinds are dot-namespaced by the
 // emitting subsystem; see the README's probe taxonomy.
@@ -87,19 +92,19 @@ const maxArgs = 5
 
 // Event is one probe-bus record: a fixed-size value whose only pointer is
 // to its hub's intern table. The strings of an event — kind, track, name,
-// argument keys and string values — live there once per hub; the event
-// holds their indices and its numeric arguments inline.
+// argument keys and string values — live there once per hub, and so does
+// the log its arguments are read from; the event holds its site's index
+// and where in the log its arguments start.
 type Event struct {
 	// At is the virtual-time stamp in nanoseconds.
 	At int64
 	// Dur, when positive, makes this a span (Chrome "X" event) rather
 	// than an instant.
-	Dur int64
-	// vals[i] is argument i's value, or the index of its string in
-	// syms.strs when the site marks it a string.
-	vals [maxArgs]int64
+	Dur  int64
 	syms *symbols
 	site uint32
+	// args locates the event's arguments in syms' log (see locator).
+	args uint32
 }
 
 // site is what an emit shares with every other emit from the same place:
@@ -127,6 +132,94 @@ type symbols struct {
 	// samples, timer arms, rate changes) each come from one site, so
 	// most lookups end here on one comparison.
 	recent [256]uint32
+
+	// pages is the probe log: one varint record per emit (see append),
+	// in pages that are never moved or rewritten, so a locator stays
+	// valid for the table's lifetime.
+	pages [][]byte
+	// lastAt is the stamp of the latest record, which the next one is
+	// written relative to.
+	lastAt int64
+}
+
+// Log page sizes, in bytes. Each new page doubles the previous one up to
+// the cap: a five-message run pays for one small page, a long run
+// allocates one page every few thousand probes, and nothing written is
+// ever copied.
+const (
+	pageMin = 512
+	pageMax = 64 << 10
+)
+
+// maxRecord is the widest record: a site index, a stamp delta, a
+// duration and maxArgs arguments.
+const maxRecord = binary.MaxVarintLen32 + (2+maxArgs)*binary.MaxVarintLen64
+
+// locator packs a position in the log as page<<16 | offset. An offset
+// fits in 16 bits because pages are at most pageMax bytes, and a page
+// index does because record refuses to start page 1<<16: 2^16 pages of
+// 64 KiB hold more than 10^9 probes, whose flat stream alone would need
+// 32 GB.
+func locator(page, off int) uint32 { return uint32(page)<<16 | uint32(off) }
+
+// unpack is locator's inverse.
+func unpack(loc uint32) (page, off int) { return int(loc >> 16), int(loc & 0xffff) }
+
+// at returns the log from loc on, to the end of its page.
+func (t *symbols) at(loc uint32) []byte {
+	page, off := unpack(loc)
+	return t.pages[page][off:]
+}
+
+// append writes one record: the site (uvarint), the stamp minus the
+// previous record's (zigzag varint: the clock of a test oracle can run
+// backwards), the duration (uvarint), then one zigzag varint per
+// argument, a string argument as its intern index. A record never
+// straddles a page.
+func (t *symbols) append(site uint32, at, dur int64, strs uint8, args []Field) {
+	n := len(t.pages)
+	if n == 0 || cap(t.pages[n-1])-len(t.pages[n-1]) < maxRecord {
+		if n == 1<<16 {
+			// invariant: 2^16 pages hold more than 10^9 probes, whose flat Events stream (32 GB) no run reaches.
+			panic("telemetry: probe log exceeds 2^16 pages")
+		}
+		size := pageMin
+		if n > 0 {
+			size = min(2*cap(t.pages[n-1]), pageMax)
+		}
+		t.pages = append(t.pages, make([]byte, 0, size))
+		n++
+	}
+	p := binary.AppendUvarint(t.pages[n-1], uint64(site))
+	p = binary.AppendVarint(p, at-t.lastAt)
+	p = binary.AppendUvarint(p, uint64(dur))
+	for i := range args {
+		v := args[i].Val
+		if strs&(1<<i) != 0 {
+			v = t.str(args[i].Str)
+		}
+		p = binary.AppendVarint(p, v)
+	}
+	t.pages[n-1] = p
+	t.lastAt = at
+}
+
+// end returns the position just past e's record.
+func (t *symbols) end(e *Event) (page, off int) {
+	page, off = unpack(e.args)
+	b := t.pages[page][off:]
+	for range int(t.sites[e.site].n) {
+		b = skipVarint(b)
+	}
+	return page, len(t.pages[page]) - len(b)
+}
+
+// skipVarint returns b past its first varint.
+func skipVarint(b []byte) []byte {
+	for b[0] >= 0x80 {
+		b = b[1:]
+	}
+	return b[1:]
 }
 
 type entry struct {
@@ -225,10 +318,18 @@ func (e *Event) NumArgs() int { return int(e.info().n) }
 // Arg returns argument i, 0 <= i < NumArgs(), as it was emitted.
 func (e *Event) Arg(i int) Field {
 	s := e.info()
-	if s.strs&(1<<i) != 0 {
-		return Field{Key: s.keys[i], Str: e.syms.strs[e.vals[i]]}
+	if i >= int(s.n) {
+		return Field{}
 	}
-	return Field{Key: s.keys[i], Val: e.vals[i]}
+	b := e.syms.at(e.args)
+	for range i {
+		b = skipVarint(b)
+	}
+	v, _ := binary.Varint(b)
+	if s.strs&(1<<i) != 0 {
+		return Field{Key: s.keys[i], Str: e.syms.strs[v]}
+	}
+	return Field{Key: s.keys[i], Val: v}
 }
 
 // Lookup returns the first argument named key.
@@ -250,47 +351,27 @@ type Hub struct {
 	reg   *Registry
 	syms  *symbols
 
-	// The log of events recorded since the last Events call: the chunks
-	// already full, then the one being filled.
-	sealed [][]Event
-	cur    []Event
-	// flat is the stream Events has handed out so far.
-	flat []Event
+	// flat is the stream Events has handed out so far, and pending the
+	// number of records logged since.
+	flat    []Event
+	pending int
 }
 
-// Chunk sizes, in events. Each new chunk doubles the previous one up to
-// the cap, at which a chunk is a few hundred KiB: big enough that a long
-// run allocates one every few thousand probes, small enough that its
-// unused tail is noise.
-const (
-	eventChunkMin = 32
-	eventChunkMax = 4096
-)
-
-// record appends one event to the log, interning its strings.
+// record logs one event, interning its strings.
 func (h *Hub) record(kind Kind, track, name string, dur int64, counter bool, args []Field) {
 	if len(args) > maxArgs {
 		// invariant: every emit site passes a fixed argument list of at most maxArgs fields; the widest, rnic's wqe_complete, has five.
 		panic("telemetry: more than maxArgs arguments")
 	}
-	e := Event{At: h.now(), Dur: dur, syms: h.syms}
 	var strs uint8 // bit i: argument i is a string
 	for i := range args {
 		if args[i].Str != "" {
 			strs |= 1 << i
-			e.vals[i] = h.syms.str(args[i].Str)
-		} else {
-			e.vals[i] = args[i].Val
 		}
 	}
-	e.site = h.syms.site(kind, track, name, counter, strs, args)
-	if len(h.cur) == cap(h.cur) {
-		if h.cur != nil {
-			h.sealed = append(h.sealed, h.cur)
-		}
-		h.cur = make([]Event, 0, min(max(2*cap(h.cur), eventChunkMin), eventChunkMax))
-	}
-	h.cur = append(h.cur, e)
+	site := h.syms.site(kind, track, name, counter, strs, args)
+	h.syms.append(site, h.now(), dur, strs, args)
+	h.pending++
 }
 
 // NewHub returns an attached hub with an empty registry. Until SetClock
@@ -363,26 +444,41 @@ func (h *Hub) Events() []Event {
 	if h == nil {
 		return nil
 	}
-	n := len(h.cur)
-	for _, c := range h.sealed {
-		n += len(c)
-	}
-	if n == 0 {
+	if h.pending == 0 {
 		return h.flat
 	}
-	if need := len(h.flat) + n; need > cap(h.flat) {
+	if need := len(h.flat) + h.pending; need > cap(h.flat) {
 		// Headroom for the probes that follow a first call (a run's
 		// verdict instants), so they do not copy the stream again.
-		grown := make([]Event, len(h.flat), need+need/8+eventChunkMin)
+		grown := make([]Event, len(h.flat), need+32)
 		copy(grown, h.flat)
 		h.flat = grown
 	}
-	for _, c := range h.sealed {
-		h.flat = append(h.flat, c...)
+	// Resume after the last event handed out: its stamp is the base of
+	// the next record's, and the next record follows its arguments.
+	t := h.syms
+	var at int64
+	page, off := 0, 0
+	if n := len(h.flat); n > 0 {
+		at = h.flat[n-1].At
+		page, off = t.end(&h.flat[n-1])
 	}
-	h.flat = append(h.flat, h.cur...)
-	// The moved events are values, so the log's storage is free again.
-	h.sealed, h.cur = nil, h.cur[:0]
+	for range h.pending {
+		if off == len(t.pages[page]) {
+			page, off = page+1, 0
+		}
+		b := t.pages[page][off:]
+		site, n := binary.Uvarint(b)
+		delta, m := binary.Varint(b[n:])
+		n += m
+		dur, m := binary.Uvarint(b[n:])
+		n += m
+		at += delta
+		e := Event{At: at, Dur: int64(dur), syms: t, site: uint32(site), args: locator(page, off+n)}
+		h.flat = append(h.flat, e)
+		page, off = t.end(&e)
+	}
+	h.pending = 0
 	return h.flat
 }
 

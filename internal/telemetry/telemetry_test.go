@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -212,8 +213,8 @@ func TestWriteJSONStringEscapes(t *testing.T) {
 
 // TestRecordedArgsAreHubOwned pins the record's ownership contract: what
 // an event recorded is a copy only the hub ever wrote, so neither the
-// caller reusing its argument array nor 200k later emits (log chunks
-// filling and being replaced, the intern table growing) can change it.
+// caller reusing its argument array nor 200k later emits (log pages
+// filling and new ones opening, the intern table growing) can change it.
 func TestRecordedArgsAreHubOwned(t *testing.T) {
 	h := NewHub()
 	args := [2]Field{I("psn", 7), S("why", "first")}
@@ -260,10 +261,132 @@ func TestRecordedArgsAreHubOwned(t *testing.T) {
 	}
 }
 
+// TestLogPagesAndLocator drives the probe log across its page boundaries
+// with 200k emits: the widest record a hub of a few sites writes (70
+// bytes: a stamp delta of MinInt64, a duration of MaxInt64 and five
+// arguments at MinInt64 and MaxInt64) and 3- and 4-byte records without
+// arguments, steered so that the pages, from the first 512-byte one
+// through the doubling to 64 KiB and well past it, between them end with
+// every slack a page can end with: from 5 bytes (a 70-byte record begun
+// with maxRecord left) to maxRecord-1. The stream is flattened at random
+// points and at page ends along the way, and every event must read back
+// exactly.
+func TestLogPagesAndLocator(t *testing.T) {
+	const wide = 70 // bytes in the widest record emit writes here
+	extremes := [maxArgs]Field{
+		I("a", math.MinInt64), I("b", math.MaxInt64), I("c", math.MinInt64), I("d", math.MaxInt64), I("e", math.MinInt64),
+	}
+	h := NewHub()
+	now := int64(0)
+	h.SetClock(func() int64 { return now })
+	type rec struct{ at, dur int64 }
+	var log []rec
+	rng := rand.New(rand.NewSource(1))
+	emit := func(size int) {
+		switch size {
+		case wide:
+			now += math.MinInt64 // the stamp alternates between 0 and MinInt64
+			h.EmitSpan(KindRetransTimer, "qp", "wide", math.MaxInt64, extremes[:]...)
+			log = append(log, rec{now, math.MaxInt64})
+		case 4:
+			h.EmitSpan(KindRunPhase, "run", "narrow", 128)
+			log = append(log, rec{now, 128})
+		case 3:
+			h.Emit(KindRunPhase, "run", "narrow")
+			log = append(log, rec{now, 0})
+		}
+		if rng.Intn(4096) == 0 {
+			h.Events()
+		}
+	}
+	pageSize := func(page int) int { return min(pageMin<<min(page, 8), pageMax) }
+	for page := 0; len(log) < 200_000; page++ {
+		// Fill the page up to slack + wide bytes, then close it with a
+		// wide record, which leaves less than maxRecord behind.
+		slack := 5 + page%(maxRecord-5)
+		fill := pageSize(page) - slack - wide
+		n, rest := fill/wide, fill%wide
+		if rest == 1 || rest == 2 || rest == 5 { // not a sum of 3s and 4s
+			n, rest = n-1, rest+wide
+		}
+		for range n {
+			emit(wide)
+		}
+		for ; rest%3 != 0; rest -= 4 {
+			emit(4)
+		}
+		for ; rest > 0; rest -= 3 {
+			emit(3)
+		}
+		emit(wide)
+		if page%8 == 0 {
+			h.Events() // the next call resumes at a page's end
+		}
+	}
+
+	evs := h.Events()
+	if len(evs) != len(log) {
+		t.Fatalf("stream holds %d events, want %d", len(evs), len(log))
+	}
+	for i, want := range log {
+		e := &evs[i]
+		if e.At != want.at || e.Dur != want.dur {
+			t.Fatalf("event %d reads at=%d dur=%d, want %d %d", i, e.At, e.Dur, want.at, want.dur)
+		}
+		n := 0
+		if want.dur == math.MaxInt64 {
+			n = maxArgs
+		}
+		if e.NumArgs() != n {
+			t.Fatalf("event %d has %d args, want %d", i, e.NumArgs(), n)
+		}
+		for j := range n {
+			if e.Arg(j) != extremes[j] {
+				t.Fatalf("event %d Arg(%d) = %+v, want %+v", i, j, e.Arg(j), extremes[j])
+			}
+		}
+	}
+
+	pages := h.syms.pages
+	if len(pages) < 8+maxRecord-5 {
+		t.Fatalf("%d pages: too few to pass the doubling and close with every slack", len(pages))
+	}
+	slacks := map[int]bool{}
+	for p, pg := range pages {
+		if cap(pg) != pageSize(p) {
+			t.Fatalf("page %d holds %d bytes, want %d", p, cap(pg), pageSize(p))
+		}
+		if p < len(pages)-1 {
+			slacks[cap(pg)-len(pg)] = true
+		}
+	}
+	for s := 5; s < maxRecord; s++ {
+		if !slacks[s] {
+			t.Errorf("no page ended with %d bytes to spare", s)
+		}
+	}
+	if len(slacks) != maxRecord-5 {
+		t.Errorf("pages ended with %d distinct slacks, want %d: %v", len(slacks), maxRecord-5, slacks)
+	}
+
+	// The locator at its bound: the last offset of the last page.
+	last := locator(1<<16-1, pageMax-1)
+	if last != math.MaxUint32 {
+		t.Fatalf("locator(2^16-1, pageMax-1) = %#x", last)
+	}
+	if page, off := unpack(last); page != 1<<16-1 || off != pageMax-1 {
+		t.Fatalf("unpack(%#x) = page %d offset %d", last, page, off)
+	}
+	if page, off := unpack(locator(0, 0)); page != 0 || off != 0 {
+		t.Fatalf("unpack(locator(0, 0)) = page %d offset %d", page, off)
+	}
+}
+
 // TestEmitDoesNotAllocate holds the "cost when somebody is listening"
-// constraint: on an attached hub an emit is an append into hub-owned
-// chunks, so 10k mixed emits cost a few dozen chunk allocations in all
-// and the variadic argument lists stay on the caller's stack.
+// constraint: on an attached hub an emit is an append into the hub's log
+// pages, so 10k mixed emits cost a handful of page allocations (and one
+// for the flat stream) in all, and the variadic argument lists stay on
+// the caller's stack.
 func TestEmitDoesNotAllocate(t *testing.T) {
 	const emits = 10_000
 	avg := testing.AllocsPerRun(5, func() {
@@ -333,9 +456,9 @@ func TestEventsIsIncremental(t *testing.T) {
 	}
 }
 
-// TestSmallHubStaysSmall: chunks start small, so the hub of a five-message
-// run, which records a dozen message events, costs a few KiB, not a
-// full-size chunk.
+// TestSmallHubStaysSmall: log pages start small, so the hub of a
+// five-message run, which records a dozen message events, costs a few
+// KiB, not a full-size page.
 func TestSmallHubStaysSmall(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -354,14 +477,14 @@ func TestSmallHubStaysSmall(t *testing.T) {
 	}
 }
 
-// TestEventIsAFixedSizeRecord pins the record format: at most 80 bytes on
+// TestEventIsAFixedSizeRecord pins the record format: at most 32 bytes on
 // a 64-bit platform, and one field the collector must scan, the pointer
 // to the hub's intern table. A slice, string or second pointer creeping
 // back in fails here before it shows as bytes per probe.
 func TestEventIsAFixedSizeRecord(t *testing.T) {
 	typ := reflect.TypeOf(Event{})
-	if strconv.IntSize == 64 && typ.Size() > 80 {
-		t.Errorf("Event is %d bytes, want at most 80", typ.Size())
+	if strconv.IntSize == 64 && typ.Size() > 32 {
+		t.Errorf("Event is %d bytes, want at most 32", typ.Size())
 	}
 	var pointered []string
 	for i := range typ.NumField() {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
 	"strconv"
 )
@@ -85,17 +86,20 @@ func WriteTimeline(w io.Writer, events []Event) error {
 		b = append(b, tids[rowOf[i]]...)
 		if s.n > 0 {
 			b = append(b, `,"args":{`...)
+			// The arguments are read in order, each varint once.
+			args := e.syms.at(e.args)
 			for j := range int(s.n) {
-				a := e.Arg(j)
+				v, n := binary.Varint(args)
+				args = args[n:]
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendJSONString(b, a.Key)
+				b = appendJSONString(b, s.keys[j])
 				b = append(b, ':')
-				if a.Str != "" {
-					b = appendJSONString(b, a.Str)
+				if s.strs&(1<<j) != 0 {
+					b = appendJSONString(b, e.syms.strs[v])
 				} else {
-					b = strconv.AppendInt(b, a.Val, 10)
+					b = strconv.AppendInt(b, v, 10)
 				}
 			}
 			b = append(b, '}')
