@@ -120,9 +120,10 @@ func (h *Histogram) Record(v int64) {
 	}
 	i := bucketIndex(v)
 	if i >= len(h.buckets) {
-		grown := make([]int64, i+1)
-		copy(grown, h.buckets)
-		h.buckets = grown
+		// Amortized growth: a histogram whose maximum creeps up one
+		// bucket at a time reallocates log(buckets) times, not once per
+		// new bucket.
+		h.buckets = append(h.buckets, make([]int64, i+1-len(h.buckets))...)
 	}
 	h.buckets[i]++
 	h.count++
