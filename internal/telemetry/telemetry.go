@@ -214,6 +214,24 @@ func (t *symbols) end(e *Event) (page, off int) {
 	return page, len(t.pages[page]) - len(b)
 }
 
+// uvarint is binary.Uvarint with a fast path for the one-byte values
+// most fields of a record hold.
+func uvarint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
+}
+
+// unzigzag undoes binary.AppendVarint's zigzag encoding.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
 // skipVarint returns b past its first varint.
 func skipVarint(b []byte) []byte {
 	for b[0] >= 0x80 {
@@ -463,20 +481,23 @@ func (h *Hub) Events() []Event {
 		at = h.flat[n-1].At
 		page, off = t.end(&h.flat[n-1])
 	}
+	b := t.pages[page][off:]
 	for range h.pending {
-		if off == len(t.pages[page]) {
-			page, off = page+1, 0
+		if len(b) == 0 {
+			page++
+			b = t.pages[page]
 		}
-		b := t.pages[page][off:]
-		site, n := binary.Uvarint(b)
-		delta, m := binary.Varint(b[n:])
-		n += m
-		dur, m := binary.Uvarint(b[n:])
-		n += m
-		at += delta
-		e := Event{At: at, Dur: int64(dur), syms: t, site: uint32(site), args: locator(page, off+n)}
-		h.flat = append(h.flat, e)
-		page, off = t.end(&e)
+		site, n := uvarint(b)
+		b = b[n:]
+		delta, n := uvarint(b)
+		b = b[n:]
+		dur, n := uvarint(b)
+		b = b[n:]
+		at += unzigzag(delta)
+		h.flat = append(h.flat, Event{At: at, Dur: int64(dur), syms: t, site: uint32(site), args: locator(page, len(t.pages[page])-len(b))})
+		for range t.sites[site].n {
+			b = skipVarint(b)
+		}
 	}
 	h.pending = 0
 	return h.flat
