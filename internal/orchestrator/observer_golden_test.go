@@ -27,11 +27,11 @@ func observerECNConfig() config.Test {
 }
 
 // TestObserverArtifactsGolden pins every artifact of two small runs with
-// every observer on to digests recorded before the probe log was
-// rewritten: report.json, trace.pcap, metrics.json, timeline.json,
-// summary.json, int.json and coverage.json. Comparing a run with a
-// second run of the same binary cannot catch a change that moves these
-// bytes consistently; this can.
+// every observer on to literal digests: report.json, trace.pcap,
+// metrics.json, timeline.json, summary.json, int.json and coverage.json.
+// Comparing a run with a second run of the same binary cannot catch a
+// change to an observer that moves these bytes the same way in both
+// runs; this can. A change that means to move them must say why.
 func TestObserverArtifactsGolden(t *testing.T) {
 	opts := Options{Deadline: 600 * sim.Second, Telemetry: true, Lineage: true, INT: true, Coverage: true}
 	for _, tc := range []struct {

@@ -28,9 +28,9 @@
 // string as its intern index: a timer arm takes about nine bytes. Its
 // pages start small and double up to a cap (pageMin..pageMax): a
 // five-message run pays for half a KiB, a 50 000-probe run for about a
-// dozen allocations, and a record is never moved once written. The caller's
-// argument list never escapes (it stays on the caller's stack), and a
-// site repeated by every packet is found in a small cache of recent
+// dozen allocations, and a record is never moved once written. The
+// caller's argument list never escapes (it stays on the caller's stack),
+// and a site repeated by every packet is found in a small cache of recent
 // lookups without hashing its strings. Events() hands out a flat slice of
 // 32-byte Events because that is what lineage and the timeline writer
 // index: each holds its stamp, its duration, its site and where its
