@@ -157,7 +157,7 @@ const maxRecord = binary.MaxVarintLen32 + (2+maxArgs)*binary.MaxVarintLen64
 
 // locator packs a position in the log as page<<16 | offset. An offset
 // fits in 16 bits because pages are at most pageMax bytes, and a page
-// index does because record refuses to start page 1<<16: 2^16 pages of
+// index does because append refuses to start page 1<<16: 2^16 pages of
 // 64 KiB hold more than 10^9 probes, whose flat stream alone would need
 // 32 GB.
 func locator(page, off int) uint32 { return uint32(page)<<16 | uint32(off) }
