@@ -13,7 +13,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/corpus"
 	"github.com/lumina-sim/lumina/internal/coverage"
-	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -106,15 +105,7 @@ func loadTrace(path string) (*trace.Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	pkts, err := trace.ReadPcap(f)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]dumper.Record, 0, len(pkts))
-	for _, p := range pkts {
-		recs = append(recs, dumper.Record{Wire: p.Data})
-	}
-	return trace.Reconstruct([][]dumper.Record{recs})
+	return trace.FromPcap(f)
 }
 
 // bindTimeline renders a captured trace as Chrome trace-event JSON: one

@@ -6,7 +6,6 @@ import (
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
-	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/trace"
@@ -34,15 +33,7 @@ func addCaptureSeeds(f *testing.F, cfgs ...config.Test) {
 // pcapTrace reads capture bytes the way `lumina trace` does: pcap
 // decoding, then trace reconstruction. ok is false for a refused input.
 func pcapTrace(data []byte) (tr *trace.Trace, ok bool) {
-	pkts, err := trace.ReadPcap(bytes.NewReader(data))
-	if err != nil {
-		return nil, false
-	}
-	recs := make([]dumper.Record, 0, len(pkts))
-	for _, p := range pkts {
-		recs = append(recs, dumper.Record{Wire: p.Data})
-	}
-	tr, err = trace.Reconstruct([][]dumper.Record{recs})
+	tr, err := trace.FromPcap(bytes.NewReader(data))
 	return tr, err == nil
 }
 

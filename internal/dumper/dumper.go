@@ -1,19 +1,13 @@
 // Package dumper implements Lumina's traffic-dumper nodes (§3.4, §5):
-// servers that receive mirrored packets from the event injector, spread
-// them across CPU cores with Receive Side Scaling, trim each packet to
-// its first 128 bytes (all protocol headers, no IB payload), buffer the
-// trimmed records in memory, and write them out when the orchestrator
-// sends TERM — restoring the RSS-randomized UDP destination port to 4791
-// first.
-//
-// Each core has a finite descriptor ring and a finite processing rate;
-// when mirrored traffic arrives faster than a core can drain its ring,
-// the NIC discards packets (rx_discards_phy) — the phenomenon that made
-// the original two-host dumper design capture complete traces only ~30%
-// of the time and motivated per-packet load balancing across a pool.
+// servers that spread mirrored packets over CPU cores with Receive Side
+// Scaling, trim each to its first 128 bytes and keep the trimmed copies
+// until the orchestrator's TERM, with the RSS-randomized UDP destination
+// port restored to 4791. A core whose descriptor ring is full discards
+// (rx_discards_phy), which is why the paper spreads mirrors over a pool.
 package dumper
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -22,14 +16,6 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
 )
-
-// Record is one captured (trimmed) mirror packet. Where it was captured
-// is the chunk that holds it: each core buffers only its own records.
-type Record struct {
-	// Wire holds the trimmed packet bytes with the UDP destination port
-	// restored to 4791.
-	Wire []byte
-}
 
 // Config sizes one dumper node.
 type Config struct {
@@ -45,33 +31,11 @@ func DefaultConfig() Config {
 	return Config{Cores: 8, PerCoreGbps: 5, RingDepth: 1024, TrimBytes: 128}
 }
 
-// core buffers its records in chunks that double from chunkMin to
-// chunkMax records. A full chunk is kept as it is and a new one started,
-// so no record is copied between capture and trace reconstruction.
+// core is one RSS core's ring: when it finishes its last admitted
+// packet and how many it holds.
 type core struct {
 	busyTil sim.Time
 	queued  int
-	chunks  [][]Record
-}
-
-const (
-	chunkMin = 16
-	chunkMax = 1024
-)
-
-// add appends r to the core's last chunk, starting a new one when it is
-// full.
-func (c *core) add(r Record) {
-	last := len(c.chunks) - 1
-	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
-		size := chunkMin
-		if last >= 0 {
-			size = min(2*cap(c.chunks[last]), chunkMax)
-		}
-		c.chunks = append(c.chunks, make([]Record, 0, size))
-		last++
-	}
-	c.chunks[last] = append(c.chunks[last], r)
 }
 
 // Node is one traffic-dumper server.
@@ -92,12 +56,9 @@ type Node struct {
 	sampled  int
 	ringPeak *telemetry.Gauge
 
-	// arena backs the trimmed record copies: records are append-only and
-	// live until Terminate, so carving capped slices out of block
-	// allocations replaces one small allocation per captured packet. Each
-	// record's slice is capped (three-index) so the in-place UDP port
-	// restore cannot touch a neighbouring record.
-	arena []byte
+	// log holds the trimmed copy of every admitted packet, in arrival
+	// order; a copy counts once its core has serviced it.
+	log Log
 
 	// Counters for integrity analysis.
 	RxPackets  uint64
@@ -145,7 +106,7 @@ func (n *Node) receive(wire []byte, owned bool) {
 }
 
 // capture does the work of one arrival: RSS to a core, ring admission,
-// trim, service.
+// trim into the log, service.
 func (n *Node) capture(wire []byte) {
 	if n.terminated {
 		return
@@ -165,12 +126,9 @@ func (n *Node) capture(wire []byte) {
 	c.queued++
 	n.queued++
 
-	trim := n.Cfg.TrimBytes
-	if trim > len(wire) {
-		trim = len(wire)
-	}
-	data := n.arenaAlloc(trim)
-	copy(data, wire[:trim])
+	trim := min(n.Cfg.TrimBytes, len(wire))
+	rec := n.log.add(trim)
+	copy(rec[len(rec)-trim:], wire)
 
 	now := n.Sim.Now()
 	start := now
@@ -191,22 +149,26 @@ func (n *Node) capture(wire []byte) {
 		// and the core finishing with the packet.
 		h.Observe("dumper.sojourn_ns", int64(done.Sub(now)))
 	}
-	n.Sim.AtEvent(done, n, 0, uint64(ci), data)
+	n.Sim.AtEvent(done, n, 0, uint64(ci), rec)
 }
 
 // HandleEvent is the node's only event: core arg finished servicing the
-// packet whose trimmed copy is data.
-func (n *Node) HandleEvent(_ int, arg uint64, data []byte) {
+// packet whose log record is rec. A record serviced after TERM stays
+// out of the trace.
+func (n *Node) HandleEvent(_ int, arg uint64, rec []byte) {
 	ci := int(arg)
-	c := &n.cores[ci]
-	c.queued--
+	n.cores[ci].queued--
 	n.queued--
 	if h := n.Sim.Hub(); h.Active() {
 		n.sampleRing(h)
 	}
-	// Restore the RSS-randomized port before buffering (§3.4).
-	packet.RewriteUDPDstPort(data, packet.RoCEv2Port)
-	c.add(Record{Wire: data})
+	if n.terminated {
+		return
+	}
+	// Restore the RSS-randomized port (§3.4) and mark the record serviced.
+	_, hdr := binary.Uvarint(rec)
+	packet.RewriteUDPDstPort(rec[hdr:], packet.RoCEv2Port)
+	rec[0] |= serviced
 	n.Captured++
 }
 
@@ -221,32 +183,80 @@ func (n *Node) sampleRing(h *telemetry.Hub) {
 	}
 }
 
-// Arena blocks grow geometrically from arenaBlockMin to arenaBlockMax so
-// short captures stay cheap while sustained captures amortize to one
-// allocation per ~512 records.
+// Log is a capture log: records laid end to end in blocks that grow from
+// logBlockMin to logBlockMax bytes, one allocation per ~500 trimmed
+// copies. A record is a uvarint header, its length shifted left once
+// with the serviced mark in bit 0, then its bytes, and never spans two
+// blocks. Copies of a Log share its blocks.
+type Log struct {
+	blocks [][]byte
+}
+
 const (
-	arenaBlockMin = 2 * 1024
-	arenaBlockMax = 64 * 1024
+	logBlockMin = 2 * 1024
+	logBlockMax = 64 * 1024
+
+	serviced = 1 // bit 0 of a record's header: the record counts
 )
 
-// arenaAlloc carves an n-byte capped slice out of the arena.
-func (n *Node) arenaAlloc(sz int) []byte {
-	if cap(n.arena)-len(n.arena) < sz {
-		block := 2 * cap(n.arena)
-		if block < arenaBlockMin {
-			block = arenaBlockMin
+// add appends an unserviced record of sz bytes and returns it, header
+// and bytes, capped so that an in-place rewrite cannot reach the next
+// record.
+func (l *Log) add(sz int) []byte {
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(sz)<<1)
+	need := h + sz
+	last := len(l.blocks) - 1
+	if last < 0 || cap(l.blocks[last])-len(l.blocks[last]) < need {
+		block := logBlockMin
+		if last >= 0 {
+			block = min(2*cap(l.blocks[last]), logBlockMax)
 		}
-		if block > arenaBlockMax {
-			block = arenaBlockMax
-		}
-		if block < sz {
-			block = sz
-		}
-		n.arena = make([]byte, 0, block)
+		l.blocks = append(l.blocks, make([]byte, 0, max(block, need)))
+		last++
 	}
-	off := len(n.arena)
-	n.arena = n.arena[:off+sz]
-	return n.arena[off : off+sz : off+sz]
+	b := l.blocks[last]
+	off := len(b)
+	b = b[:off+need]
+	copy(b[off:], hdr[:h])
+	l.blocks[last] = b
+	return b[off : off+need : off+need]
+}
+
+// Append adds a serviced record holding a copy of wire, as a capture
+// read back from a file holds it.
+func (l *Log) Append(wire []byte) {
+	rec := l.add(len(wire))
+	copy(rec[len(rec)-len(wire):], wire)
+	rec[0] |= serviced
+}
+
+// Cursor returns a reader positioned at the log's first record.
+func (l Log) Cursor() Cursor { return Cursor{blocks: l.blocks} }
+
+// Cursor reads a log's serviced records in order.
+type Cursor struct {
+	blocks [][]byte
+	off    int
+}
+
+// Next returns the bytes of the next serviced record, capped at their
+// end, or false once the log is exhausted.
+func (c *Cursor) Next() ([]byte, bool) {
+	for len(c.blocks) > 0 {
+		b := c.blocks[0][c.off:]
+		if len(b) == 0 {
+			c.blocks, c.off = c.blocks[1:], 0
+			continue
+		}
+		v, h := binary.Uvarint(b)
+		end := h + int(v>>1)
+		c.off += end
+		if v&serviced != 0 {
+			return b[h:end:end], true
+		}
+	}
+	return nil, false
 }
 
 // rssCore hashes the 5-tuple to pick a core — flow-affine, exactly why
@@ -266,24 +276,21 @@ func (n *Node) rssCore(wire []byte) int {
 }
 
 // Terminate implements the orchestrator's TERM message: stop capturing
-// and return all buffered records ("write to disk"), core by core, in
-// one slice.
-func (n *Node) Terminate() []Record {
-	all := make([]Record, 0, n.Captured)
-	for _, chunk := range n.terminate(nil) {
-		all = append(all, chunk...)
+// and return the bytes of every record serviced so far ("write to
+// disk"), in arrival order.
+func (n *Node) Terminate() [][]byte {
+	recs := make([][]byte, 0, n.Captured)
+	c := n.terminate().Cursor()
+	for rec, more := c.Next(); more; rec, more = c.Next() {
+		recs = append(recs, rec)
 	}
-	return all
+	return recs
 }
 
-// terminate stops capturing and appends every buffered chunk to dst,
-// core by core.
-func (n *Node) terminate(dst [][]Record) [][]Record {
+// terminate stops capturing and hands over the node's log, uncopied.
+func (n *Node) terminate() Log {
 	n.terminated = true
-	for i := range n.cores {
-		dst = append(dst, n.cores[i].chunks...)
-	}
-	return dst
+	return n.log
 }
 
 // Pool is a set of dumper nodes managed together.
@@ -300,22 +307,15 @@ func NewPool(s *sim.Simulator, n int, cfg Config) *Pool {
 	return p
 }
 
-// Terminate TERMs every node and returns the captured records as the
-// cores buffered them: their chunks in node, core and chunk order, none
-// copied. Read end to end they are the pool's records node by node and
-// core by core, the input trace.Reconstruct expects.
-func (p *Pool) Terminate() [][]Record {
-	chunks := 0
-	for _, n := range p.Nodes {
-		for i := range n.cores {
-			chunks += len(n.cores[i].chunks)
-		}
+// Terminate TERMs every node and returns their logs in node order, the
+// input trace.Reconstruct expects. TERM is idempotent: a second call
+// returns the same logs.
+func (p *Pool) Terminate() []Log {
+	logs := make([]Log, len(p.Nodes))
+	for i, n := range p.Nodes {
+		logs[i] = n.terminate()
 	}
-	all := make([][]Record, 0, chunks)
-	for _, n := range p.Nodes {
-		all = n.terminate(all)
-	}
-	return all
+	return logs
 }
 
 func (n *Node) String() string {

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -46,11 +47,11 @@ func TestCapturesAndTrims(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("captured %d records", len(recs))
 	}
-	if len(recs[0].Wire) != 128 {
-		t.Fatalf("record is %d bytes, want 128 (trimmed)", len(recs[0].Wire))
+	if len(recs[0]) != 128 {
+		t.Fatalf("record is %d bytes, want 128 (trimmed)", len(recs[0]))
 	}
 	// All protocol headers survive in the first 128 bytes.
-	meta, ok := packet.ExtractMirrorMeta(recs[0].Wire)
+	meta, ok := packet.ExtractMirrorMeta(recs[0])
 	if !ok || meta.Seq != 1 {
 		t.Fatalf("metadata lost after trim: %+v", meta)
 	}
@@ -63,7 +64,7 @@ func TestRestoresUDPPortOnCapture(t *testing.T) {
 	s.Run()
 	recs := n.Terminate()
 	var pkt packet.Packet
-	if err := packet.DecodeHeaders(recs[0].Wire, &pkt); err != nil || pkt.UDP.DstPort != packet.RoCEv2Port {
+	if err := packet.DecodeHeaders(recs[0], &pkt); err != nil || pkt.UDP.DstPort != packet.RoCEv2Port {
 		t.Fatalf("captured dport = %d (%v), want 4791 restored", pkt.UDP.DstPort, err)
 	}
 }
@@ -74,8 +75,8 @@ func TestShortFramesNotPadded(t *testing.T) {
 	src.Send(mirrorFrame(1, 0xC001, 0)) // header-only: < 128 bytes
 	s.Run()
 	recs := n.Terminate()
-	if len(recs) != 1 || len(recs[0].Wire) >= 128 {
-		t.Fatalf("short frame record = %d bytes", len(recs[0].Wire))
+	if len(recs) != 1 || len(recs[0]) >= 128 {
+		t.Fatalf("short frame record = %d bytes", len(recs[0]))
 	}
 }
 
@@ -86,11 +87,16 @@ func TestRSSSpreadsRandomizedPorts(t *testing.T) {
 	cfg.Cores = 4
 	n, src := nodeWithPort(t, s, cfg)
 	rng := sim.NewRNG(7)
+	var frames [][]byte
 	for i := 0; i < 400; i++ {
-		src.Send(mirrorFrame(uint64(i), uint16(0xC000+rng.Intn(0x3000)), 64))
+		frames = append(frames, mirrorFrame(uint64(i), uint16(0xC000+rng.Intn(0x3000)), 64))
+		src.Send(frames[i])
 	}
 	s.Run()
-	loads := n.CoreLoads()
+	if n.Captured != 400 {
+		t.Fatalf("captured %d of 400", n.Captured)
+	}
+	loads := n.CoreLoads(frames)
 	for c, l := range loads {
 		if l == 0 {
 			t.Fatalf("core %d idle under randomized ports: %v", c, loads)
@@ -134,12 +140,17 @@ func TestRSSWithoutRewriteConcentratesOneFlow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 8
 	n, src := nodeWithPort(t, s, cfg)
+	var frames [][]byte
 	for i := 0; i < 200; i++ {
-		src.Send(mirrorFrame(uint64(i), packet.RoCEv2Port, 64))
+		frames = append(frames, mirrorFrame(uint64(i), packet.RoCEv2Port, 64))
+		src.Send(frames[i])
 	}
 	s.Run()
+	if n.Captured != 200 {
+		t.Fatalf("captured %d of 200", n.Captured)
+	}
 	busy := 0
-	for _, l := range n.CoreLoads() {
+	for _, l := range n.CoreLoads(frames) {
 		if l > 0 {
 			busy++
 		}
@@ -217,12 +228,20 @@ func TestPoolAggregation(t *testing.T) {
 		srcs[i%3].Send(mirrorFrame(seq, 0xC000+uint16(i), 64))
 	}
 	s.Run()
-	var recs []Record
-	for _, chunk := range pool.Terminate() {
-		recs = append(recs, chunk...)
+	logs := pool.Terminate()
+	if len(logs) != 3 {
+		t.Fatalf("pool terminate returned %d logs, want one per node", len(logs))
 	}
-	if len(recs) != 30 {
-		t.Fatalf("pool terminate returned %d records", len(recs))
+	for i, l := range logs {
+		recs := 0
+		for c := l.Cursor(); ; recs++ {
+			if _, more := c.Next(); !more {
+				break
+			}
+		}
+		if recs != 10 {
+			t.Fatalf("node %d's log holds %d records, want 10", i, recs)
+		}
 	}
 	// Each node captured the ten frames sent to it and discarded none.
 	for i, node := range pool.Nodes {
@@ -235,41 +254,47 @@ func TestPoolAggregation(t *testing.T) {
 	}
 }
 
-// TestCoreChunksAreHandedOverUncopied captures 3 000 packets on one
-// core: Pool.Terminate must hand over chunks of 16, 32, ... 1 024 and
-// then 1 024 records, in capture order, as the core filled them — a
-// second TERM returns the very same backing arrays.
-func TestCoreChunksAreHandedOverUncopied(t *testing.T) {
+// TestLogIsArrivalOrderedAndHandedOverUncopied captures 3 000 packets
+// on four slow cores of one node, big and small frames mixed so that the
+// cores finish out of arrival order, and through several log blocks. The
+// node's log must hold them in arrival order with the port restored, and
+// a second TERM must hand back the very same bytes.
+func TestLogIsArrivalOrderedAndHandedOverUncopied(t *testing.T) {
 	s := sim.New(1)
-	pool := NewPool(s, 1, Config{Cores: 1, PerCoreGbps: 1000, RingDepth: 4096})
+	pool := NewPool(s, 1, Config{Cores: 4, PerCoreGbps: 10, RingDepth: 4096})
 	src, dst := sim.Connect(s, "sw", "dump", 100, 100)
 	src.SetReceiver(func([]byte) {})
 	pool.Nodes[0].AttachPort(dst)
 	const total = 3000
 	for i := 1; i <= total; i++ {
-		src.Send(mirrorFrame(uint64(i), 0xC000, 64))
+		src.Send(mirrorFrame(uint64(i), uint16(0xC000+i), 1000*(i%3)))
 	}
 	s.Run()
-	chunks := pool.Terminate()
-	seq, size := uint64(0), 16
-	for k, chunk := range chunks {
-		if k < len(chunks)-1 && (len(chunk) != size || cap(chunk) != size) {
-			t.Fatalf("chunk %d holds %d of %d records, want a full %d", k, len(chunk), cap(chunk), size)
-		}
-		for _, r := range chunk {
-			if m, _ := packet.ExtractMirrorMeta(r.Wire); m.Seq != seq+1 {
-				t.Fatalf("chunk %d: seq %d after %d", k, m.Seq, seq)
-			}
-			seq++
-		}
-		size = min(2*size, 1024)
+	first := pool.Terminate()
+	if len(first[0].blocks) < 4 {
+		t.Fatalf("%d records fit in %d log blocks: the capture is too small", total, len(first[0].blocks))
 	}
-	if seq != total {
-		t.Fatalf("chunks hold %d records, want %d", seq, total)
+	recs := pool.Nodes[0].Terminate()
+	if len(recs) != total {
+		t.Fatalf("log holds %d records, want %d", len(recs), total)
 	}
-	again := pool.Terminate()
-	if len(again) != len(chunks) || &again[0][0] != &chunks[0][0] || &again[len(again)-1][0] != &chunks[len(chunks)-1][0] {
-		t.Fatal("a second TERM returned copies of the chunks")
+	var pkt packet.Packet
+	for i, r := range recs {
+		if m, _ := packet.ExtractMirrorMeta(r); m.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: the log is not in arrival order", i, m.Seq)
+		}
+		if err := packet.DecodeHeaders(r, &pkt); err != nil || pkt.UDP.DstPort != packet.RoCEv2Port {
+			t.Fatalf("record %d: dport %d (%v), want 4791 restored", i, pkt.UDP.DstPort, err)
+		}
+	}
+	c := pool.Terminate()[0].Cursor()
+	for i := range recs {
+		if r, _ := c.Next(); unsafe.SliceData(r) != unsafe.SliceData(recs[i]) || len(r) != len(recs[i]) {
+			t.Fatalf("a second TERM returned a copy of record %d", i)
+		}
+	}
+	if _, ok := c.Next(); ok {
+		t.Fatal("a second TERM returned more records than the first")
 	}
 }
 

@@ -1,12 +1,18 @@
 package dumper
 
-// CoreLoads reports packets captured per core (RSS balance diagnostics).
-func (n *Node) CoreLoads() []int {
+// MirrorFrame is mirrorFrame for the external tests.
+var MirrorFrame = mirrorFrame
+
+// Deliver hands the node one mirror frame as its port would, bypassing
+// the link.
+func (n *Node) Deliver(wire []byte) { n.receive(wire, false) }
+
+// CoreLoads reports how many of frames RSS steers to each of the node's
+// cores (balance diagnostics).
+func (n *Node) CoreLoads(frames [][]byte) []int {
 	out := make([]int, len(n.cores))
-	for i := range n.cores {
-		for _, chunk := range n.cores[i].chunks {
-			out[i] += len(chunk)
-		}
+	for _, f := range frames {
+		out[n.rssCore(f)]++
 	}
 	return out
 }

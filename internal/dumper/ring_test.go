@@ -1,13 +1,16 @@
-package dumper
+package dumper_test
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
 	"testing"
 
+	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
+	"github.com/lumina-sim/lumina/internal/trace"
 )
 
 // sample is one point of a node's ring_occupancy track.
@@ -26,12 +29,14 @@ type arrival struct {
 // every service completion in time order, logged as the node-wide
 // occupancy after it. It knows nothing of Node; it keeps a FIFO of
 // completion times per core and picks cores with its own 5-tuple hash.
-func refRing(cfg Config, arrivals []arrival) (log []sample, discards int) {
-	type done struct {
+// done holds, per arrival, the instant its core finishes with it, or
+// -1 for an arrival its full ring discarded.
+func refRing(cfg dumper.Config, arrivals []arrival) (log []sample, discards int, done []sim.Time) {
+	type completion struct {
 		at   sim.Time
 		core int
 	}
-	var pending []done
+	var pending []completion
 	busy := make([]sim.Time, cfg.Cores)
 	depth := make([]int, cfg.Cores)
 	queued := 0
@@ -62,6 +67,7 @@ func refRing(cfg Config, arrivals []arrival) (log []sample, discards int) {
 		c := int(h.Sum32() % uint32(cfg.Cores))
 		if depth[c] >= cfg.RingDepth {
 			discards++
+			done = append(done, -1)
 			continue
 		}
 		depth[c]++
@@ -69,10 +75,41 @@ func refRing(cfg Config, arrivals []arrival) (log []sample, discards int) {
 		log = append(log, sample{a.at, int64(queued)})
 		start := max(a.at, busy[c])
 		busy[c] = start.Add(sim.TransferTime(len(a.wire), cfg.PerCoreGbps))
-		pending = append(pending, done{busy[c], c})
+		pending = append(pending, completion{busy[c], c})
+		done = append(done, busy[c])
 	}
 	complete(sim.MaxTime)
-	return log, discards
+	return log, discards, done
+}
+
+// bursts draws seed's schedule: 10 to 29 bursts of up to three ring
+// depths of same-sized frames with random destination ports, on one to
+// three 1 Gbps cores. It has no tie between an arrival and a
+// completion, so the reference's order is the only one: frames are 125,
+// 250 or 375 bytes (services of whole microseconds), and burst j arrives
+// at a whole microsecond plus an offset in [1, 999] no other burst uses,
+// which every completion it starts keeps. No event falls on a whole
+// microsecond.
+func bursts(rng *sim.RNG) (dumper.Config, []arrival) {
+	base := len(dumper.MirrorFrame(0, 0, 0))
+	cfg := dumper.Config{Cores: 1 + rng.Intn(3), PerCoreGbps: 1, RingDepth: 2 + rng.Intn(12), TrimBytes: 128}
+	var arrivals []arrival
+	offsets := make([]int, 999) // a permutation of [0, 999)
+	for i := range offsets {
+		j := rng.Intn(i + 1)
+		offsets[i], offsets[j] = offsets[j], i
+	}
+	us := 0
+	for j := range 10 + rng.Intn(20) {
+		us += 1 + rng.Intn(40)
+		at := sim.Time(us*1000 + 1 + offsets[j])
+		size := 125 * (1 + rng.Intn(3))
+		for range 1 + rng.Intn(3*cfg.RingDepth) {
+			seq := uint64(len(arrivals))
+			arrivals = append(arrivals, arrival{at, dumper.MirrorFrame(seq, uint16(rng.Intn(1<<16)), size-base)})
+		}
+	}
+	return cfg, arrivals
 }
 
 // TestRingOccupancyMatchesReference drives a node through seeded bursts
@@ -81,45 +118,21 @@ func refRing(cfg Config, arrivals []arrival) (log []sample, discards int) {
 // bucket differs from the previous kept one's, the exact peak as the
 // ring_peak gauge, and one ring_full instant carrying the ring depth per
 // discard.
-//
-// The schedule has no tie between an arrival and a completion, so the
-// reference's order is the only one: frames are 125, 250 or 375 bytes on
-// 1 Gbps cores (services of whole microseconds), and burst j arrives at
-// a whole microsecond plus an offset no other burst uses, which every
-// completion it starts keeps.
 func TestRingOccupancyMatchesReference(t *testing.T) {
-	base := len(mirrorFrame(0, 0, 0))
 	overflowed := 0
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := sim.NewRNG(seed)
-		cfg := Config{Cores: 1 + rng.Intn(3), PerCoreGbps: 1, RingDepth: 2 + rng.Intn(12), TrimBytes: 128}
-		var arrivals []arrival
-		offsets := make([]int, 999) // a permutation of [0, 999)
-		for i := range offsets {
-			j := rng.Intn(i + 1)
-			offsets[i], offsets[j] = offsets[j], i
-		}
-		us := 0
-		for j := range 10 + rng.Intn(20) {
-			us += 1 + rng.Intn(40)
-			at := sim.Time(us*1000 + 1 + offsets[j])
-			size := 125 * (1 + rng.Intn(3))
-			for range 1 + rng.Intn(3*cfg.RingDepth) {
-				seq := uint64(len(arrivals))
-				arrivals = append(arrivals, arrival{at, mirrorFrame(seq, uint16(rng.Intn(1<<16)), size-base)})
-			}
-		}
+		cfg, arrivals := bursts(sim.NewRNG(seed))
 
 		s := sim.New(seed)
 		h := telemetry.NewHub()
 		s.AttachHub(h)
-		n := NewNode(s, 0, cfg)
+		n := dumper.NewNode(s, 0, cfg)
 		for _, a := range arrivals {
-			s.At(a.at, func() { n.receive(a.wire, false) })
+			s.At(a.at, func() { n.Deliver(a.wire) })
 		}
 		s.Run()
 
-		log, discards := refRing(cfg, arrivals)
+		log, discards, _ := refRing(cfg, arrivals)
 		var want []sample
 		var peak int64
 		last := 0
@@ -162,5 +175,86 @@ func TestRingOccupancyMatchesReference(t *testing.T) {
 	}
 	if overflowed < 10 {
 		t.Fatalf("only %d of 40 seeds overflowed a ring: the bursts are too gentle", overflowed)
+	}
+}
+
+// TestCaptureMatchesReference runs the same seeded bursts into a
+// one-node pool and TERMs it at a random whole microsecond a few
+// microseconds into a random burst, while records are still in service,
+// then lets the simulation run out. The reference predicts the capture
+// from its own rings: an admitted arrival is captured when its service
+// ends before TERM, trimmed to 128 bytes, its UDP destination port back
+// at 4791; a discarded one is absent. Pool.Terminate's logs, taken at
+// TERM and again after the run, must give exactly that trace through
+// trace.Reconstruct, byte for byte, and the node's records must be the
+// same copies in arrival order.
+func TestCaptureMatchesReference(t *testing.T) {
+	cut := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := sim.NewRNG(seed)
+		cfg, arrivals := bursts(rng)
+		burst := arrivals[rng.Intn(len(arrivals))].at
+		term := (burst/1000 + sim.Time(1+rng.Intn(3))) * 1000
+
+		_, _, done := refRing(cfg, arrivals)
+		var want [][]byte
+		var seqs []uint64
+		inService := 0
+		for i, a := range arrivals {
+			switch {
+			case done[i] < 0 || a.at > term:
+			case done[i] > term:
+				inService++
+			default:
+				rec := bytes.Clone(a.wire[:min(len(a.wire), cfg.TrimBytes)])
+				rec[36], rec[37] = 4791>>8, 4791&0xFF
+				want = append(want, rec)
+				seqs = append(seqs, uint64(i))
+			}
+		}
+		if inService > 0 {
+			cut++
+		}
+
+		s := sim.New(seed)
+		pool := dumper.NewPool(s, 1, cfg)
+		n := pool.Nodes[0]
+		for _, a := range arrivals {
+			s.At(a.at, func() { n.Deliver(a.wire) })
+		}
+		var atTerm []dumper.Log
+		s.At(term, func() { atTerm = pool.Terminate() })
+		s.Run()
+
+		recs := n.Terminate()
+		if len(recs) != len(want) || int(n.Captured) != len(want) {
+			t.Fatalf("seed %d (%+v, TERM at %d): node holds %d records and counted %d, reference %d (%d in service at TERM)",
+				seed, cfg, term, len(recs), n.Captured, len(want), inService)
+		}
+		for _, c := range []struct {
+			name string
+			logs []dumper.Log
+		}{{"at TERM", atTerm}, {"after the run", pool.Terminate()}} {
+			name, logs := c.name, c.logs
+			tr, err := trace.Reconstruct(logs)
+			if err != nil {
+				t.Fatalf("seed %d, logs %s: %v", seed, name, err)
+			}
+			if len(tr.Entries) != len(want) {
+				t.Fatalf("seed %d, logs %s: %d entries, reference %d", seed, name, len(tr.Entries), len(want))
+			}
+			for i, e := range tr.Entries {
+				if e.Meta.Seq != seqs[i] || !bytes.Equal(e.Wire, want[i]) {
+					t.Fatalf("seed %d, logs %s: entry %d is seq %d\n% x\nreference seq %d\n% x",
+						seed, name, i, e.Meta.Seq, e.Wire, seqs[i], want[i])
+				}
+				if &e.Wire[0] != &recs[i][0] {
+					t.Fatalf("seed %d, logs %s: entry %d is not the node's record %d", seed, name, i, i)
+				}
+			}
+		}
+	}
+	if cut < 10 {
+		t.Fatalf("only %d of 40 seeds had records in service at TERM: the cut is too late", cut)
 	}
 }

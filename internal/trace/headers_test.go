@@ -190,7 +190,7 @@ var literalEntries = []struct {
 // requires every header the analyzers read to be the hand-read value.
 func TestEntryHeadersMatchLiterals(t *testing.T) {
 	for _, c := range literalEntries {
-		tr, err := Reconstruct([][]dumper.Record{{{Wire: c.wire}}})
+		tr, err := Reconstruct([]dumper.Log{logOf(c.wire)})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -216,15 +216,12 @@ func TestNoOpcodeCarriesAETHAndRETH(t *testing.T) {
 
 // TestEntryShape pins the sizes this package and the dumper were cut to
 // on 64-bit platforms: an entry is its mirror metadata and a slice of
-// captured bytes, and a record is the slice alone.
+// captured bytes.
 func TestEntryShape(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
 	if n := unsafe.Sizeof(Entry{}); n != 48 {
 		t.Errorf("trace.Entry is %d bytes, want 48", n)
-	}
-	if n := unsafe.Sizeof(dumper.Record{}); n != 24 {
-		t.Errorf("dumper.Record is %d bytes, want 24", n)
 	}
 }

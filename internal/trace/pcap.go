@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"github.com/lumina-sim/lumina/internal/dumper"
 )
 
 // Classic pcap constants. We write the nanosecond-resolution variant
@@ -118,4 +120,19 @@ func ReadPcap(r io.Reader) ([]PcapPacket, error) {
 			Data:        data,
 		})
 	}
+}
+
+// FromPcap reads a capture WritePcap wrote (or any ReadPcap accepts) and
+// rebuilds its trace: the records, metadata intact, go into one log and
+// through Reconstruct, as a dumper pool's logs do.
+func FromPcap(r io.Reader) (*Trace, error) {
+	pkts, err := ReadPcap(r)
+	if err != nil {
+		return nil, err
+	}
+	var log dumper.Log
+	for _, p := range pkts {
+		log.Append(p.Data)
+	}
+	return Reconstruct([]dumper.Log{log})
 }

@@ -41,10 +41,10 @@ func rawPcap(magic uint32, recs ...rawRecord) []byte {
 // a valid capture must decode to the same packets through each, and an
 // invalid one must fail through each.
 func TestReadPcapShortReads(t *testing.T) {
-	tr, err := Reconstruct([][]dumper.Record{{
+	tr, err := Reconstruct([]dumper.Log{logOf(
 		mkRecord(1, packet.EventNone, 1234567890123, packet.OpWriteFirst, 1, 1024),
 		mkRecord(2, packet.EventDrop, 1234567890456, packet.OpAcknowledge, 1, 0),
-	}})
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +103,52 @@ func TestReadPcapShortReads(t *testing.T) {
 				t.Errorf("%s reader, %s: accepted, %d packet(s)", rd.name, tc.name, len(pkts))
 			}
 		}
+	}
+}
+
+// TestFromPcapKeepsLargeRecords reads captures holding one record of
+// 65 535, 65 536 or 1 MiB bytes, the largest ReadPcap accepts, through
+// FromPcap as `lumina trace` does. A record whose headers decode is one
+// entry holding every one of its bytes; a zero-filled one, or the same
+// record behind a good one, fails with the message naming its index.
+// No length may be cut to fit a narrower record header.
+func TestFromPcapKeepsLargeRecords(t *testing.T) {
+	good := mkRecord(7, packet.EventNone, 99, packet.OpWriteOnly, 3, 64)
+	small := mkRecord(6, packet.EventNone, 98, packet.OpWriteOnly, 2, 64)
+	for _, n := range []int{65535, 65536, 1 << 20} {
+		wire := make([]byte, n)
+		copy(wire, good)
+		tr, err := FromPcap(bytes.NewReader(rawPcap(pcapMagicNs, rawRecord{0, 99, uint32(n), uint32(n), wire})))
+		if err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if len(tr.Entries) != 1 {
+			t.Fatalf("%d bytes: %d entries", n, len(tr.Entries))
+		}
+		e := &tr.Entries[0]
+		if want := (packet.MirrorMeta{Seq: 7, Timestamp: 99}); e.Meta != want || !bytes.Equal(e.Wire, wire) {
+			t.Errorf("%d bytes: entry %+v of %d bytes, want %+v holding all %d", n, e.Meta, len(e.Wire), want, n)
+		}
+		if e.OrigLen() != 138 || e.PSN() != 3 {
+			t.Errorf("%d bytes: OrigLen %d, PSN %d, want 138 and 3", n, e.OrigLen(), e.PSN())
+		}
+
+		zeros := make([]byte, n)
+		for _, c := range []struct {
+			recs []rawRecord
+			want string
+		}{
+			{[]rawRecord{{0, 1, uint32(n), uint32(n), zeros}}, "trace: record 0: packet: not IPv4"},
+			{[]rawRecord{{0, 1, uint32(len(small)), uint32(len(small)), small}, {0, 2, uint32(n), uint32(n), zeros}},
+				"trace: record 1: packet: not IPv4"},
+		} {
+			if _, err := FromPcap(bytes.NewReader(rawPcap(pcapMagicNs, c.recs...))); err == nil || err.Error() != c.want {
+				t.Errorf("%d zero bytes after %d records: error %v, want %q", n, len(c.recs)-1, err, c.want)
+			}
+		}
+	}
+	_, err := FromPcap(bytes.NewReader(rawPcap(pcapMagicNs, rawRecord{0, 0, 1<<20 + 1, 1<<20 + 1, make([]byte, 1<<20+1)})))
+	if want := "trace: invalid pcap: record 0 claims implausible length 1048577"; err == nil || err.Error() != want {
+		t.Errorf("1 MiB + 1: error %v, want %q", err, want)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -15,18 +16,18 @@ import (
 // reconstructReference is the specification Reconstruct is held to:
 // decode every record in input order, failing at the first bad one, then
 // stable-sort the entries by mirror sequence number.
-func reconstructReference(recs []dumper.Record) (*Trace, error) {
+func reconstructReference(recs [][]byte) (*Trace, error) {
 	tr := &Trace{Entries: make([]Entry, 0, len(recs))}
 	for i, r := range recs {
-		meta, ok := packet.ExtractMirrorMeta(r.Wire)
+		meta, ok := packet.ExtractMirrorMeta(r)
 		if !ok {
 			return nil, fmt.Errorf("trace: record %d too short for mirror metadata", i)
 		}
 		var pkt packet.Packet
-		if err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+		if err := packet.DecodeHeaders(r, &pkt); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %v", i, err)
 		}
-		tr.Entries = append(tr.Entries, Entry{Meta: meta, Wire: r.Wire})
+		tr.Entries = append(tr.Entries, Entry{Meta: meta, Wire: r})
 	}
 	sort.SliceStable(tr.Entries, func(i, j int) bool {
 		return tr.Entries[i].Meta.Seq < tr.Entries[j].Meta.Seq
@@ -38,32 +39,23 @@ func reconstructReference(recs []dumper.Record) (*Trace, error) {
 // Each record's bytes have their own backing array, so records sharing a
 // sequence number stay distinguishable and a stability slip shows in the
 // comparison.
-func recordsFor(seqs []uint64) []dumper.Record {
+func recordsFor(seqs []uint64) [][]byte {
 	ops := []packet.Opcode{packet.OpWriteFirst, packet.OpWriteMiddle, packet.OpWriteLast, packet.OpAcknowledge}
-	recs := make([]dumper.Record, len(seqs))
+	recs := make([][]byte, len(seqs))
 	for i, seq := range seqs {
 		recs[i] = mkRecord(seq, packet.EventType(i%3), int64(seq)*10, ops[i%len(ops)], uint32(i), 64*(i%4))
 	}
 	return recs
 }
 
-// concat is the one logical input segs stands for.
-func concat(segs [][]dumper.Record) []dumper.Record {
-	var out []dumper.Record
-	for _, seg := range segs {
-		out = append(out, seg...)
-	}
-	return out
-}
-
-// randomCuts splits recs into segments at random points, empty segments
-// included, as a dumper pool's chunks split its cores' runs.
-func randomCuts(rng *rand.Rand, recs []dumper.Record) [][]dumper.Record {
-	var segs [][]dumper.Record
+// randomCuts splits recs into the contents of logs at random points,
+// empty logs included, as a dumper pool's nodes split one capture.
+func randomCuts(rng *rand.Rand, recs [][]byte) [][][]byte {
+	var segs [][][]byte
 	for len(recs) > 0 || rng.Intn(3) == 0 {
 		n := rng.Intn(len(recs) + 1)
 		if rng.Intn(2) == 0 {
-			n = min(n, rng.Intn(4)) // short and empty segments
+			n = min(n, rng.Intn(4)) // short and empty logs
 		}
 		segs = append(segs, recs[:n:n])
 		recs = recs[n:]
@@ -74,27 +66,49 @@ func randomCuts(rng *rand.Rand, recs []dumper.Record) [][]dumper.Record {
 // badRecords fails Reconstruct each in its own way: too short for the
 // mirror metadata, long enough for it but not for the headers, not
 // IPv4, or a RETH cut short.
-func badRecords() []dumper.Record {
+func badRecords() [][]byte {
 	notIPv4 := mkRecord(9, packet.EventNone, 90, packet.OpWriteOnly, 9, 64)
-	notIPv4.Wire[12], notIPv4.Wire[13] = 0x86, 0xDD
-	return []dumper.Record{
-		{Wire: []byte{1, 2, 3}},  // no mirror metadata
-		{Wire: make([]byte, 40)}, // metadata, truncated headers
-		notIPv4,                  // metadata, undecodable
-		{Wire: mkRecord(4, packet.EventNone, 40, packet.OpWriteFirst, 4, 0).Wire[:60]}, // metadata, truncated RETH
+	notIPv4[12], notIPv4[13] = 0x86, 0xDD
+	return [][]byte{
+		{1, 2, 3},        // no mirror metadata
+		make([]byte, 40), // metadata, truncated headers
+		notIPv4,          // metadata, undecodable
+		mkRecord(4, packet.EventNone, 40, packet.OpWriteFirst, 4, 0)[:60], // metadata, truncated RETH
 	}
 }
 
-// checkAgainstReference runs Reconstruct on segs and requires exactly
-// the reference's result over their concatenation: the same entries in
-// the same order, each holding the very bytes of the record the
-// reference placed there, or the same error text. Every accessor of
-// every admitted entry must agree with a decode of its bytes.
-func checkAgainstReference(t *testing.T, name string, segs [][]dumper.Record) {
+// logsOf writes each segment into a log of its own and reads the logs
+// back, in order, record by record: the records Reconstruct reads, which
+// must be the segments' bytes.
+func logsOf(t *testing.T, segs [][][]byte) ([]dumper.Log, [][]byte) {
 	t.Helper()
-	recs := concat(segs)
+	logs := make([]dumper.Log, len(segs))
+	var recs [][]byte
+	for i, seg := range segs {
+		logs[i] = logOf(seg...)
+		c := logs[i].Cursor()
+		for wire, more := c.Next(); more; wire, more = c.Next() {
+			recs = append(recs, wire)
+		}
+	}
+	want := slices.Concat(segs...)
+	if !slices.EqualFunc(recs, want, bytes.Equal) {
+		t.Fatalf("the logs read back %d records, not the %d written", len(recs), len(want))
+	}
+	return logs, recs
+}
+
+// checkAgainstReference writes each segment into a log, runs Reconstruct
+// on the logs and requires exactly the reference's result over their
+// records in order: the same entries in the same order, each holding the
+// very bytes of the record the reference placed there, or the same
+// error text. Every accessor of every admitted entry must agree with a
+// decode of its bytes.
+func checkAgainstReference(t *testing.T, name string, segs [][][]byte) {
+	t.Helper()
+	logs, recs := logsOf(t, segs)
 	want, werr := reconstructReference(recs)
-	got, err := Reconstruct(segs)
+	got, err := Reconstruct(logs)
 	if werr != nil || err != nil {
 		if werr == nil || err == nil || err.Error() != werr.Error() {
 			t.Fatalf("%s: error %v, reference %v", name, err, werr)
@@ -118,15 +132,17 @@ func checkAgainstReference(t *testing.T, name string, segs [][]dumper.Record) {
 
 // recordIndex returns the position in recs of the record whose bytes
 // wire is, or -1.
-func recordIndex(recs []dumper.Record, wire []byte) int {
-	return slices.IndexFunc(recs, func(r dumper.Record) bool { return unsafe.SliceData(r.Wire) == unsafe.SliceData(wire) })
+func recordIndex(recs [][]byte, wire []byte) int {
+	return slices.IndexFunc(recs, func(r []byte) bool { return unsafe.SliceData(r) == unsafe.SliceData(wire) })
 }
 
 // TestReconstructMatchesStableSort checks the merge against the
 // reference on the input shapes that stress it: already sorted, reversed
 // (every record its own run), shuffled, duplicate-heavy, gapped, a few
-// long interleaved runs (what a dumper pool produces) and hundreds of
-// two-record runs, each as one segment and cut into segments at random.
+// long interleaved runs and hundreds of two-record runs, each as one log
+// and cut into logs at random. A dumper pool's shape, one ascending log
+// per node, and a run that goes on across a log boundary are checked as
+// such.
 func TestReconstructMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	iota64 := func(n int, f func(i int) uint64) []uint64 {
@@ -139,16 +155,19 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 	shuffled := iota64(500, func(i int) uint64 { return uint64(i + 1) })
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-	// Eight cores, each holding an increasing subsequence of 1..800.
-	cores := make([][]uint64, 8)
+	// Four nodes, each holding an increasing subsequence of 1..800.
+	nodes := make([][]uint64, 4)
 	for seq := uint64(1); seq <= 800; seq++ {
-		c := rng.Intn(len(cores))
-		cores[c] = append(cores[c], seq)
+		n := rng.Intn(len(nodes))
+		nodes[n] = append(nodes[n], seq)
 	}
-	var perCore []uint64
-	for _, c := range cores {
-		perCore = append(perCore, c...)
+	var pool [][][]byte
+	for _, seqs := range nodes {
+		pool = append(pool, recordsFor(seqs))
 	}
+	checkAgainstReference(t, "pool", pool)
+	sorted := recordsFor(iota64(6, func(i int) uint64 { return uint64(i + 1) }))
+	checkAgainstReference(t, "run across logs", [][][]byte{nil, sorted[:2], nil, sorted[2:3], sorted[3:]})
 
 	cases := map[string][]uint64{
 		"empty":      nil,
@@ -159,7 +178,7 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 		"duplicates": iota64(400, func(int) uint64 { return uint64(rng.Intn(12)) }),
 		"all-equal":  iota64(100, func(int) uint64 { return 5 }),
 		"gapped":     iota64(300, func(int) uint64 { return uint64(rng.Int63n(1 << 40)) }),
-		"per-core":   perCore,
+		"per-node":   slices.Concat(nodes...),
 		"short-runs": iota64(600, func(i int) uint64 { return uint64(i%2) + uint64(rng.Intn(50)) }),
 	}
 	for name, seqs := range cases {
@@ -167,7 +186,7 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 		if _, err := reconstructReference(recs); err != nil {
 			t.Fatalf("%s: reference failed: %v", name, err)
 		}
-		checkAgainstReference(t, name, [][]dumper.Record{recs})
+		checkAgainstReference(t, name, [][][]byte{recs})
 		for k := 0; k < 8; k++ {
 			checkAgainstReference(t, fmt.Sprintf("%s cut %d", name, k), randomCuts(rng, recs))
 		}
@@ -177,8 +196,9 @@ func TestReconstructMatchesStableSort(t *testing.T) {
 // TestReconstructReportsFirstBadRecord plants records that fail either
 // check — too short for the mirror metadata, long enough for it but not
 // for the headers, or undecodable — at every pair of positions of a
-// shuffled capture, and requires the reference's error: the same record
-// index, the same message.
+// shuffled capture, written into three logs cut at the planted records,
+// and requires the reference's error: the same record index across the
+// logs, the same message.
 func TestReconstructReportsFirstBadRecord(t *testing.T) {
 	bad := badRecords()
 	seqs := []uint64{5, 1, 4, 2, 8, 3, 7, 6}
@@ -187,10 +207,11 @@ func TestReconstructReportsFirstBadRecord(t *testing.T) {
 			for i := 0; i <= len(seqs); i++ {
 				for j := i; j <= len(seqs); j++ {
 					recs := recordsFor(seqs)
-					recs = append(recs[:j:j], append([]dumper.Record{second}, recs[j:]...)...)
-					recs = append(recs[:i:i], append([]dumper.Record{first}, recs[i:]...)...)
-					_, want := reconstructReference(recs)
-					_, got := Reconstruct([][]dumper.Record{recs[:i], recs[i:j], recs[j:]})
+					recs = slices.Insert(recs, j, second)
+					recs = slices.Insert(recs, i, first)
+					logs, read := logsOf(t, [][][]byte{recs[:i], recs[i:j], recs[j:]})
+					_, want := reconstructReference(read)
+					_, got := Reconstruct(logs)
 					if want == nil || got == nil || got.Error() != want.Error() {
 						t.Fatalf("bad records %d@%d and %d@%d: error %v, reference %v", a, i, b, j+1, got, want)
 					}
@@ -201,15 +222,15 @@ func TestReconstructReportsFirstBadRecord(t *testing.T) {
 }
 
 // FuzzReconstructSegments holds Reconstruct to the reference on inputs
-// the fuzzer cuts up. Each byte is one step: 0xFF ends the current
-// segment (two in a row leave an empty one), 0xFE appends a bad record
-// of the kind the next byte picks, and any other byte appends a record
-// with that sequence number. Results must match the reference over the
-// concatenation, error text included.
+// the fuzzer cuts into logs. Each byte is one step: 0xFF ends the
+// current log (two in a row leave an empty one), 0xFE appends a bad
+// record of the kind the next byte picks, and any other byte appends a
+// record with that sequence number. Results must match the reference
+// over the logs' records in order, error text included.
 func FuzzReconstructSegments(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0xFF, 4, 5, 6})             // a run across a cut
-	f.Add([]byte{3, 2, 0xFF, 0xFF, 1, 0xFF, 0, 0})    // empty segments, reversed
-	f.Add([]byte{1, 4, 0xFF, 2, 5, 0xFF, 3, 6})       // interleaved cores
+	f.Add([]byte{1, 2, 3, 0xFF, 4, 5, 6})             // a run across logs
+	f.Add([]byte{3, 2, 0xFF, 0xFF, 1, 0xFF, 0, 0})    // empty logs, reversed
+	f.Add([]byte{1, 4, 0xFF, 2, 5, 0xFF, 3, 6})       // interleaved nodes
 	f.Add([]byte{5, 5, 0xFF, 5, 0xFE, 2, 0xFF, 1, 7}) // ties, a bad record
 	f.Add([]byte{0xFE, 0, 0xFF, 0xFE, 3})
 	bad := badRecords()
@@ -217,11 +238,11 @@ func FuzzReconstructSegments(f *testing.F) {
 		if len(data) > 1024 {
 			return
 		}
-		segs := [][]dumper.Record{nil}
+		segs := [][][]byte{nil}
 		ops := []packet.Opcode{packet.OpWriteFirst, packet.OpWriteMiddle, packet.OpWriteLast, packet.OpAcknowledge}
 		n := 0
 		for k := 0; k < len(data); k++ {
-			var r dumper.Record
+			var r []byte
 			switch b := data[k]; {
 			case b == 0xFF:
 				segs = append(segs, nil)

@@ -107,38 +107,33 @@ type Trace struct {
 	Entries []Entry
 }
 
-// Reconstruct decodes dumper records and orders them by mirror sequence
-// number — the orchestrator's trace-assembly step (§3.5). Records whose
-// headers cannot be parsed are rejected (the dumpers only capture RoCE
-// mirrors, so any such record indicates corruption of the capture path
-// itself).
-//
-// segs is one logical input read end to end: the dumper pool hands over
-// each core's buffered chunks as they are, uncopied, and a caller with
-// one flat slice passes [][]dumper.Record{recs}. Positions below count
-// records across the concatenation.
+// Reconstruct decodes the dumper nodes' capture logs and orders their
+// records by mirror sequence number — the orchestrator's trace-assembly
+// step (§3.5). A record whose headers cannot be parsed is rejected: the
+// dumpers capture only RoCE mirrors, so one indicates corruption of the
+// capture path itself. Positions below count records across the logs
+// read in order.
 //
 // The order is that of a stable sort by sequence number, for any input,
-// but is produced by merging: each dumper core appends its records in
-// arrival order, so the input is a handful of already-sorted runs laid
-// end to end, a run free to span a chunk boundary. One pass reads every
-// record's metadata and finds the run boundaries; a k-way merge over the
-// run heads then yields the records in final order, and each is decoded
-// once as it is placed. A head reads the metadata of its next record as
-// it advances, so the merge keeps nothing per record. The decode only
-// validates: an entry keeps the record's bytes, not the parsed headers.
-func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
+// but is produced by merging: a node's link is FIFO and the one mirroring
+// switch numbers its copies in order, so each log is already one
+// non-decreasing run. One pass reads every record's metadata and cuts
+// each log at its descents; a k-way merge over the run heads then yields
+// the records in final order, each decoded once, to validate it, as it
+// is placed. An entry keeps the record's bytes, not the parsed headers.
+func Reconstruct(logs []dumper.Log) (*Trace, error) {
 	var heads []runHead
 	var prev uint64
 	pos := 0
-	for si, seg := range segs {
-		for off := range seg {
-			m, ok := packet.ExtractMirrorMeta(seg[off].Wire)
+	for _, l := range logs {
+		start, c := pos, l.Cursor()
+		for wire, more := c.Next(); more; wire, more = c.Next() {
+			m, ok := packet.ExtractMirrorMeta(wire)
 			if !ok {
-				return nil, firstError(segs)
+				return nil, firstError(logs)
 			}
-			if pos == 0 || m.Seq < prev {
-				heads = append(heads, runHead{meta: m, pos: pos, seg: si, off: off})
+			if pos == start || m.Seq < prev {
+				heads = append(heads, runHead{meta: m, wire: wire, next: c, pos: pos})
 			}
 			heads[len(heads)-1].end = pos + 1
 			prev = m.Seq
@@ -153,18 +148,15 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	var pkt packet.Packet
 	for out := range tr.Entries {
 		h := &heads[0]
-		wire := segs[h.seg][h.off].Wire
-		if err := packet.DecodeHeaders(wire, &pkt); err != nil {
-			return nil, firstError(segs)
+		if err := packet.DecodeHeaders(h.wire, &pkt); err != nil {
+			return nil, firstError(logs)
 		}
-		tr.Entries[out] = Entry{Meta: h.meta, Wire: wire}
+		tr.Entries[out] = Entry{Meta: h.meta, Wire: h.wire}
 		if h.pos++; h.pos < h.end {
-			// The run goes on, possibly past its chunk's end: the first
-			// pass accepted every record, so the read cannot fail.
-			for h.off++; h.off == len(segs[h.seg]); h.off = 0 {
-				h.seg++
-			}
-			h.meta, _ = packet.ExtractMirrorMeta(segs[h.seg][h.off].Wire)
+			// The run goes on within its log, whose records the first
+			// pass accepted, so neither read can fail.
+			h.wire, _ = h.next.Next()
+			h.meta, _ = packet.ExtractMirrorMeta(h.wire)
 		} else {
 			last := len(heads) - 1
 			heads[0] = heads[last]
@@ -175,13 +167,14 @@ func Reconstruct(segs [][]dumper.Record) (*Trace, error) {
 	return tr, nil
 }
 
-// runHead is the merge cursor of one non-decreasing run of the input:
-// records [pos, end) of the concatenation, the one at pos being
-// segs[seg][off] with metadata meta.
+// runHead is the merge cursor of one non-decreasing run of one log:
+// records [pos, end) of the input, the one at pos holding wire with
+// metadata meta, and next reading the records after it.
 type runHead struct {
 	meta     packet.MirrorMeta
+	wire     []byte
+	next     dumper.Cursor
 	pos, end int
-	seg, off int
 }
 
 // before orders run heads by sequence number; on a tie the run that
@@ -209,20 +202,20 @@ func siftDown(h []runHead, i int) {
 	}
 }
 
-// firstError reports the failure a record-by-record decode of segs, read
-// end to end, stops at: the lowest-indexed bad record, whichever check
-// it fails, indexed across the concatenation. Reconstruct calls it only
-// once it has met a bad record, so the merge never has to track which
-// error comes first.
-func firstError(segs [][]dumper.Record) error {
+// firstError reports the failure a record-by-record decode of the logs,
+// read in order, stops at: the lowest-indexed bad record, whichever
+// check it fails. Reconstruct calls it only once it has met a bad
+// record, so the merge never has to track which error comes first.
+func firstError(logs []dumper.Log) error {
 	var pkt packet.Packet
 	i := 0
-	for _, seg := range segs {
-		for _, r := range seg {
-			if _, ok := packet.ExtractMirrorMeta(r.Wire); !ok {
+	for _, l := range logs {
+		c := l.Cursor()
+		for wire, more := c.Next(); more; wire, more = c.Next() {
+			if _, ok := packet.ExtractMirrorMeta(wire); !ok {
 				return fmt.Errorf("trace: record %d too short for mirror metadata", i)
 			}
-			if err := packet.DecodeHeaders(r.Wire, &pkt); err != nil {
+			if err := packet.DecodeHeaders(wire, &pkt); err != nil {
 				return fmt.Errorf("trace: record %d: %v", i, err)
 			}
 			i++

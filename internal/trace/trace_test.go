@@ -10,7 +10,7 @@ import (
 )
 
 // mkRecord builds a trimmed dumper record with embedded mirror metadata.
-func mkRecord(seq uint64, ev packet.EventType, ts int64, op packet.Opcode, psn uint32, payload int) dumper.Record {
+func mkRecord(seq uint64, ev packet.EventType, ts int64, op packet.Opcode, psn uint32, payload int) []byte {
 	p := &packet.Packet{
 		Eth: packet.Ethernet{EtherType: packet.EtherTypeIPv4},
 		IP: packet.IPv4{
@@ -32,16 +32,25 @@ func mkRecord(seq uint64, ev packet.EventType, ts int64, op packet.Opcode, psn u
 	if trim > len(wire) {
 		trim = len(wire)
 	}
-	return dumper.Record{Wire: wire[:trim]}
+	return wire[:trim]
+}
+
+// logOf is a dumper log holding a serviced copy of each record, in order.
+func logOf(recs ...[]byte) dumper.Log {
+	var l dumper.Log
+	for _, r := range recs {
+		l.Append(r)
+	}
+	return l
 }
 
 func TestReconstructSortsBySeq(t *testing.T) {
-	recs := []dumper.Record{
+	recs := [][]byte{
 		mkRecord(3, packet.EventNone, 300, packet.OpWriteLast, 12, 512),
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteFirst, 10, 1024),
 		mkRecord(2, packet.EventDrop, 200, packet.OpWriteMiddle, 11, 1024),
 	}
-	tr, err := Reconstruct([][]dumper.Record{recs})
+	tr, err := Reconstruct([]dumper.Log{logOf(recs...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +74,22 @@ func TestReconstructSortsBySeq(t *testing.T) {
 }
 
 func TestIntegrityCheckPasses(t *testing.T) {
-	recs := []dumper.Record{
+	recs := [][]byte{
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64),
 		mkRecord(2, packet.EventNone, 200, packet.OpAcknowledge, 1, 0),
 	}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	if err := tr.IntegrityCheck(2, 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestIntegrityCheckDetectsGap(t *testing.T) {
-	recs := []dumper.Record{
+	recs := [][]byte{
 		mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64),
 		mkRecord(3, packet.EventNone, 300, packet.OpWriteOnly, 2, 64),
 	}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	err := tr.IntegrityCheck(3, 3)
 	ie, ok := err.(*IntegrityError)
 	if !ok || ie.Condition != 1 {
@@ -89,8 +98,8 @@ func TestIntegrityCheckDetectsGap(t *testing.T) {
 }
 
 func TestIntegrityCheckDetectsMirrorCountMismatch(t *testing.T) {
-	recs := []dumper.Record{mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64)}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	recs := [][]byte{mkRecord(1, packet.EventNone, 100, packet.OpWriteOnly, 1, 64)}
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	err := tr.IntegrityCheck(5, 1)
 	ie, ok := err.(*IntegrityError)
 	if !ok || ie.Condition != 2 {
@@ -104,13 +113,13 @@ func TestIntegrityCheckDetectsMirrorCountMismatch(t *testing.T) {
 }
 
 func TestFilters(t *testing.T) {
-	recs := []dumper.Record{
+	recs := [][]byte{
 		mkRecord(1, packet.EventNone, 10, packet.OpWriteFirst, 1, 1024),
 		mkRecord(2, packet.EventECN, 20, packet.OpWriteLast, 2, 512),
 		mkRecord(3, packet.EventNone, 30, packet.OpAcknowledge, 2, 0),
 		mkRecord(4, packet.EventNone, 40, packet.OpCNP, 0, 0),
 	}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	var data, acks, naks, cnps, ecns int
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
@@ -139,22 +148,22 @@ func TestFilters(t *testing.T) {
 }
 
 func TestReconstructRejectsGarbage(t *testing.T) {
-	if _, err := Reconstruct([][]dumper.Record{{{Wire: []byte{1, 2, 3}}}}); err == nil {
+	if _, err := Reconstruct([]dumper.Log{logOf([]byte{1, 2, 3})}); err == nil {
 		t.Fatal("garbage record accepted")
 	}
 	bad := mkRecord(1, packet.EventNone, 10, packet.OpWriteOnly, 1, 64)
-	bad.Wire[12], bad.Wire[13] = 0x86, 0xDD // not IPv4
-	if _, err := Reconstruct([][]dumper.Record{{bad}}); err == nil {
+	bad[12], bad[13] = 0x86, 0xDD // not IPv4
+	if _, err := Reconstruct([]dumper.Log{logOf(bad)}); err == nil {
 		t.Fatal("non-IPv4 record accepted")
 	}
 }
 
 func TestPcapRoundTrip(t *testing.T) {
-	recs := []dumper.Record{
+	recs := [][]byte{
 		mkRecord(1, packet.EventNone, 1234567890123, packet.OpWriteFirst, 1, 1024),
 		mkRecord(2, packet.EventDrop, 1234567890456, packet.OpWriteMiddle, 2, 1024),
 	}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	var buf bytes.Buffer
 	if err := tr.WritePcap(&buf); err != nil {
 		t.Fatal(err)
@@ -187,8 +196,8 @@ func TestReadPcapRejectsBadMagic(t *testing.T) {
 }
 
 func TestReadPcapTruncatedRecord(t *testing.T) {
-	recs := []dumper.Record{mkRecord(1, packet.EventNone, 1, packet.OpWriteOnly, 1, 64)}
-	tr, _ := Reconstruct([][]dumper.Record{recs})
+	recs := [][]byte{mkRecord(1, packet.EventNone, 1, packet.OpWriteOnly, 1, 64)}
+	tr, _ := Reconstruct([]dumper.Log{logOf(recs...)})
 	var buf bytes.Buffer
 	tr.WritePcap(&buf)
 	data := buf.Bytes()
@@ -218,16 +227,16 @@ func TestEmptyTracePcap(t *testing.T) {
 // a pair of its own, and allocates nothing.
 func TestKeyNamesTheHeaderAddresses(t *testing.T) {
 	addrs := []string{"10.0.0.1", "10.0.0.2", "10.0.1.9", "192.168.7.250"}
-	var recs []dumper.Record
+	var recs [][]byte
 	for i := 0; i < 64; i++ {
 		src, dst := addrs[i%3], addrs[(i/2+1)%4]
 		rec := mkRecord(uint64(i+1), packet.EventNone, int64(i), packet.OpWriteMiddle, uint32(i), 64)
 		s4, d4 := netip.MustParseAddr(src).As4(), netip.MustParseAddr(dst).As4()
-		copy(rec.Wire[packet.EthernetSize+12:], s4[:])
-		copy(rec.Wire[packet.EthernetSize+16:], d4[:])
+		copy(rec[packet.EthernetSize+12:], s4[:])
+		copy(rec[packet.EthernetSize+16:], d4[:])
 		recs = append(recs, rec)
 	}
-	tr, err := Reconstruct([][]dumper.Record{recs})
+	tr, err := Reconstruct([]dumper.Log{logOf(recs...)})
 	if err != nil {
 		t.Fatal(err)
 	}

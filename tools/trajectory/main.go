@@ -13,6 +13,21 @@
 //	go run ./tools/trajectory -commit "$(git rev-parse --short HEAD)"
 //
 // A perf claim is then a diff between two lines of the file.
+//
+// -profile FILE (repeatable) folds a CPU profile, or a heap profile's
+// alloc_space, onto the layers a packet crosses (see foldProfile), read
+// through `go tool pprof -raw`; -packets N makes the figures per
+// simulated packet. Without -commit the folds are printed; with it they
+// go into the row's layers object, under bulk_pair_packet, the perfgate
+// workload the profiles must measure:
+//
+//	go test -run '^$' -bench 'Workloads/bulk_pair_packet$' -benchtime 200x \
+//	    -memprofilerate 1 -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/perfgate
+//	go run ./tools/trajectory -profile cpu.pprof -profile mem.pprof -packets 2095366
+//
+// With -benchtime Nx the profiles hold N+3 runs of the bulk scenario's
+// 10 322 packets: the N timed runs, the b.N=1 round's run, and one run
+// per round that counts the packets.
 package main
 
 import (
@@ -71,13 +86,24 @@ type gate struct {
 // encoding sorts them by name. Rows written before the perfgate figures
 // were recorded have none.
 type row struct {
-	Commit        string           `json:"commit"`
-	Source        string           `json:"source"`
-	Seed          int64            `json:"seed"`
-	CalibrationNs float64          `json:"calibration_ns"`
-	Workloads     map[string]point `json:"workloads"`
-	ExplainWrite  *ratio           `json:"explain_over_write,omitempty"`
-	Perfgate      map[string]gate  `json:"perfgate,omitempty"`
+	Commit        string            `json:"commit"`
+	Source        string            `json:"source"`
+	Seed          int64             `json:"seed"`
+	CalibrationNs float64           `json:"calibration_ns"`
+	Workloads     map[string]point  `json:"workloads"`
+	ExplainWrite  *ratio            `json:"explain_over_write,omitempty"`
+	Perfgate      map[string]gate   `json:"perfgate,omitempty"`
+	Layers        map[string]layers `json:"layers,omitempty"`
+}
+
+// layers is one workload's profile folds in a row, per simulated
+// packet: CPU nanoseconds and allocated bytes by layer, each with the
+// number of samples it sums.
+type layers struct {
+	CPUSamples       int                `json:"cpu_samples,omitempty"`
+	CPUNsPerPkt      map[string]float64 `json:"cpu_ns_per_pkt,omitempty"`
+	AllocSamples     int                `json:"alloc_samples,omitempty"`
+	AllocBytesPerPkt map[string]float64 `json:"alloc_bytes_per_pkt,omitempty"`
 }
 
 // gateNames are the perfgate workloads a row records: the benchmark's
@@ -175,15 +201,37 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("trajectory", flag.ContinueOnError)
 	in := fs.String("result", "bench/out/result.json", "benchmark result file to read")
 	out := fs.String("out", "PERF_TRAJECTORY.jsonl", "trajectory file to append to")
-	commit := fs.String("commit", "", "commit the result measures (required)")
+	commit := fs.String("commit", "", "commit the result measures (required unless only folding profiles)")
+	var profiles []string
+	fs.Func("profile", "CPU or heap profile `file` to fold onto layers (repeatable)", func(f string) error {
+		profiles = append(profiles, f)
+		return nil
+	})
+	packets := fs.Int("packets", 0, "simulated packets the profiled run executed, for per-packet figures")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+	if *packets < 0 {
+		return fmt.Errorf("-packets %d is negative", *packets)
+	}
+	folds := make([]*fold, len(profiles))
+	for i, f := range profiles {
+		var err error
+		if folds[i], err = readProfile(f); err != nil {
+			return err
+		}
+	}
 	if *commit == "" {
-		return errors.New("-commit is required")
+		if len(profiles) == 0 {
+			return errors.New("-commit is required")
+		}
+		for i, f := range folds {
+			f.print(os.Stdout, profiles[i], *packets)
+		}
+		return nil
 	}
 	data, err := os.ReadFile(*in)
 	if err != nil {
@@ -194,10 +242,32 @@ func run(args []string) error {
 		return fmt.Errorf("%s: %w", *in, err)
 	}
 	row := makeRow(r, *commit)
+	if len(folds) > 0 {
+		if row.Layers, err = layersOf(folds, *packets); err != nil {
+			return err
+		}
+	}
 	if row.Perfgate, err = measureGates(); err != nil {
 		return err
 	}
 	return appendRow(*out, row)
+}
+
+// layersOf puts the folds into a row's layers object, per packet.
+func layersOf(folds []*fold, packets int) (map[string]layers, error) {
+	if packets == 0 {
+		return nil, errors.New("a row's layers need -packets")
+	}
+	var l layers
+	for _, f := range folds {
+		switch f.kind {
+		case "cpu/nanoseconds":
+			l.CPUSamples, l.CPUNsPerPkt = f.samples, f.perPacket(packets)
+		default:
+			l.AllocSamples, l.AllocBytesPerPkt = f.samples, f.perPacket(packets)
+		}
+	}
+	return map[string]layers{"bulk_pair_packet": l}, nil
 }
 
 func main() {
