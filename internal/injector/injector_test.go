@@ -354,7 +354,9 @@ func TestNonRoCEFramesForwardedUntouched(t *testing.T) {
 
 // A frame the RoCE parser rejects still leaves by its destination MAC:
 // the parser fills the Ethernet header before it looks any further, and
-// forwarding reads only that. Frames shorter than a BTH must route too.
+// forwarding reads only that. Frames shorter than a BTH must route too,
+// and so must RoCE frames whose headers parse but whose CNP pad or
+// pad-and-iCRC tail is missing.
 func TestUndecodableFramesForwardedByMAC(t *testing.T) {
 	eth := append(append(append([]byte(nil), macB[:]...), macA[:]...), 0x08, 0x00)
 	ipv4 := []byte{
@@ -382,13 +384,26 @@ func TestUndecodableFramesForwardedByMAC(t *testing.T) {
 	ihl6[14+9] = packet.ProtoUDP
 	runt := cat(eth, ipv4, []byte{0x04, 0xd2, 0x12, 0xb7, 0x00, 0x08, 0x00, 0x00})[:40]
 	runt[14+9] = packet.ProtoUDP
+	// bth spells a UDP/4791 frame through its BTH (QP 0x200, PSN 7) with
+	// the given opcode and flags byte; the IPv4 total length is not read.
+	bth := func(op, flags byte) []byte {
+		ip := cat(ipv4)
+		ip[9] = packet.ProtoUDP
+		return cat(eth, ip, []byte{0xc0, 0x00, 0x12, 0xb7, 0x00, 0x14, 0x00, 0x00}, // UDP 49152 -> 4791
+			[]byte{op, flags, 0xff, 0xff, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x07})
+	}
+	// Headers parse, but the frame is short of what follows them.
+	cnpCut := cat(bth(byte(packet.OpCNP), 0x00), []byte{0x01, 0x02, 0x03, 0x04})     // iCRC, no 16-byte pad
+	writeMiddleCut := cat(bth(byte(packet.OpWriteMiddle), 0x30), []byte{0xa5, 0xa5}) // pad count 3; no pad or iCRC
 
 	frames := []struct {
 		name string
 		wire []byte
-	}{{"arp", arp}, {"ipv4-tcp", tcp}, {"ipv4-ihl6", ihl6}, {"runt", runt}}
-	if len(arp) != 42 || len(runt) != 40 {
-		t.Fatalf("spelled %d-byte ARP and %d-byte runt, want 42 and 40", len(arp), len(runt))
+	}{{"arp", arp}, {"ipv4-tcp", tcp}, {"ipv4-ihl6", ihl6}, {"runt", runt},
+		{"cnp-without-pad", cnpCut}, {"write-middle-without-tail", writeMiddleCut}}
+	if len(arp) != 42 || len(runt) != 40 || len(cnpCut) != 58 || len(writeMiddleCut) != 56 {
+		t.Fatalf("spelled %d-byte ARP, %d-byte runt, %d-byte CNP and %d-byte Write Middle, want 42, 40, 58 and 56",
+			len(arp), len(runt), len(cnpCut), len(writeMiddleCut))
 	}
 	for _, f := range frames {
 		r := newRig(t, luminaCfg(), 1, nil)
@@ -403,6 +418,15 @@ func TestUndecodableFramesForwardedByMAC(t *testing.T) {
 		if n := r.sw.Totals().RxRoCE; n != 0 {
 			t.Errorf("%s: counted as RoCE (%d)", f.name, n)
 		}
+	}
+
+	// A frame shorter than an Ethernet header has no destination MAC to
+	// forward by, whatever its first six bytes say.
+	r := newRig(t, luminaCfg(), 1, nil)
+	r.sendA(append([]byte(nil), eth[:13]...))
+	r.s.Run()
+	if tot := r.sw.Totals(); len(r.atB) != 0 || tot.RxFrames != 1 || tot.TxFrames != 0 {
+		t.Errorf("13-byte runt: B received %d frame(s), counters %+v; want it dropped as an unknown MAC", len(r.atB), tot)
 	}
 }
 
