@@ -24,14 +24,19 @@ type traceBuilder struct {
 }
 
 // add appends p as a capture of the whole frame, its payload sized so
-// that the frame is builtFrameLen bytes long.
+// that the frame is builtFrameLen bytes long, as an IPv4 frame.
 func (b *traceBuilder) add(p packet.Packet, ev packet.EventType) *traceBuilder {
 	b.seq++
 	b.now += 1000
+	p.Eth.EtherType = packet.EtherTypeIPv4
 	p.Payload = make([]byte, builtFrameLen-packet.WireSize(p.BTH.Opcode, 0, int(p.BTH.PadCount)))
+	v, err := packet.ParseHeaders(p.Serialize())
+	if err != nil {
+		panic(err)
+	}
 	b.entries = append(b.entries, trace.Entry{
 		Meta: packet.MirrorMeta{Seq: b.seq, Event: ev, Timestamp: b.now},
-		Wire: p.Serialize(),
+		View: v,
 	})
 	return b
 }

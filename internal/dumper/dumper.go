@@ -263,13 +263,12 @@ func (c *Cursor) Next() ([]byte, bool) {
 // the injector randomizes the UDP destination port to spread a single
 // QP's packets (§3.4).
 func (n *Node) rssCore(wire []byte) int {
-	if len(wire) < packet.EthernetSize+packet.IPv4Size+packet.UDPSize {
+	t, ok := packet.FiveTuple(wire)
+	if !ok {
 		return 0
 	}
 	h := fnv.New32a()
-	h.Write(wire[14+9 : 14+10])  // protocol
-	h.Write(wire[14+12 : 14+20]) // src+dst IP
-	h.Write(wire[34 : 34+4])     // src+dst port
+	h.Write(t[:])
 	// Reduce in uint32: on a 32-bit int, int(h.Sum32()) is negative for
 	// half of all hashes.
 	return int(h.Sum32() % uint32(n.Cfg.Cores))

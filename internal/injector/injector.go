@@ -41,15 +41,13 @@ type Rule struct {
 }
 
 func (r Rule) key() ruleKey {
-	return ruleKey{r.SrcIP, r.DstIP, r.DstQPN, r.PSN, r.Iter}
+	return ruleKey{connKey{r.SrcIP, r.DstIP, r.DstQPN}, r.PSN, r.Iter}
 }
 
 type ruleKey struct {
-	srcIP  netip.Addr
-	dstIP  netip.Addr
-	dstQPN uint32
-	psn    uint32
-	iter   uint32
+	conn connKey
+	psn  uint32
+	iter uint32
 }
 
 // ConnMeta is the runtime traffic metadata a traffic generator shares
@@ -160,8 +158,7 @@ type heldPkt struct {
 	key       connKey
 	wire      []byte
 	owned     bool // wire is a pool frame the switch holds
-	dst       packet.MAC
-	remaining int // same-connection data packets that must overtake first
+	remaining int  // same-connection data packets that must overtake first
 	released  bool
 }
 
@@ -269,13 +266,13 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	pc.RxFrames++
 	sw.total.RxFrames++
 
-	var pkt packet.Packet
-	isRoCE := packet.DecodeInto(wire, &pkt) == nil && pkt.IsRoCE()
+	v, err := packet.ParseFrame(wire)
+	isRoCE := err == nil && v.IsRoCE()
 
 	if sw.Cfg.L2Only || !isRoCE {
 		// Plain L2 forwarding (baseline mode, and non-RoCE traffic in
 		// Lumina mode skips the RoCE pipeline stages).
-		sw.forward(wire, owned, pkt.Eth.Dst, isRoCE)
+		sw.forward(wire, owned, isRoCE)
 		return
 	}
 
@@ -286,11 +283,12 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	// packets, and ACK/CNP PSNs live in unrelated sequence spaces.
 	ev := packet.EventNone
 	var rule *Rule
-	isData := pkt.BTH.Opcode.IsData()
+	key, psn := connKey{v.Src(), v.Dst(), v.DestQP()}, v.PSN()
+	isData := v.Opcode().IsData()
 	if isData {
-		iter := sw.trackITER(&pkt)
+		iter := sw.trackITER(key, psn)
 		if sw.Cfg.Inject {
-			if rule = sw.lookupRule(&pkt, iter); rule != nil {
+			if rule = sw.rules[ruleKey{key, psn, iter}]; rule != nil {
 				sw.Sim.Coverage().Record(coverage.SiteInjectLookup, coverage.LookupHit)
 				ev = rule.Action
 				if h := sw.Sim.Hub(); h.Active() {
@@ -300,8 +298,8 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 					// lineage package keys causal chains on.
 					h.EmitArgs(telemetry.KindInjectHit,
 						fmt.Sprintf("switch/port-%d", portIdx), ev.String(),
-						telemetry.I("psn", int64(pkt.BTH.PSN)),
-						telemetry.I("qpn", int64(pkt.BTH.DestQP)),
+						telemetry.I("psn", int64(psn)),
+						telemetry.I("qpn", int64(key.dstQPN)),
 						telemetry.I("iter", int64(iter)),
 						telemetry.I("lineage", int64(sw.mirrorSeq+1)))
 					h.Count("inject.hits", 1)
@@ -327,10 +325,10 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		packet.CorruptPayload(out)
 	case packet.EventSetMigReq:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionMigReq)
-		out = sw.rewriteMigReq(&pkt)
+		out = sw.rewriteMigReq(wire)
 	}
 	if &out[0] != &wire[0] {
-		// pkt's payload aliased wire; nothing below reads it.
+		// v views wire; nothing below reads it.
 		if owned {
 			sw.Sim.PutFrame(wire)
 		}
@@ -347,7 +345,6 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		sw.mirror(out, ev, portIdx)
 	}
 
-	key := connKey{pkt.IP.Src, pkt.IP.Dst, pkt.BTH.DestQP}
 	switch ev {
 	case packet.EventDrop:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDrop)
@@ -363,7 +360,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		// extra latency on top of the pipeline.
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDelay)
 		d := sw.dataPlaneLatency(true) + rule.Delay
-		sw.Sim.AfterEvent(d, sw, swDelayed, pkt.Eth.Dst.Uint64()<<1|sim.OwnedArg(owned), out)
+		sw.Sim.AfterEvent(d, sw, swDelayed, sim.OwnedArg(owned), out)
 		return
 	case packet.EventReorder:
 		// Packet reordering (§7 future work): park the packet until
@@ -374,12 +371,12 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		if off <= 0 {
 			off = 1
 		}
-		h := &heldPkt{sw: sw, key: key, wire: out, owned: owned, dst: pkt.Eth.Dst, remaining: off}
+		h := &heldPkt{sw: sw, key: key, wire: out, owned: owned, remaining: off}
 		sw.held[key] = append(sw.held[key], h)
 		sw.Sim.AfterEvent(reorderMaxHold, h, 0, 0, nil)
 		return
 	}
-	sw.forward(out, owned, pkt.Eth.Dst, true)
+	sw.forward(out, owned, true)
 
 	// Data packets overtake any parked (reordered) predecessors.
 	if isData {
@@ -421,48 +418,41 @@ func (sw *Switch) release(h *heldPkt) {
 	} else {
 		sw.held[h.key] = holds
 	}
-	sw.forward(h.wire, h.owned, h.dst, true)
+	sw.forward(h.wire, h.owned, true)
 }
 
 // trackITER implements Figure 3: if the packet's PSN is not larger than
 // Last_PSN, a new (re)transmission round begins.
-func (sw *Switch) trackITER(pkt *packet.Packet) uint32 {
-	key := connKey{pkt.IP.Src, pkt.IP.Dst, pkt.BTH.DestQP}
+func (sw *Switch) trackITER(key connKey, psn uint32) uint32 {
 	st, ok := sw.conns[key]
 	if !ok {
 		// Unknown connection (no metadata shared): adopt it with the
 		// current packet starting round 1.
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterAdopt)
-		st = &connState{lastPSN: pkt.BTH.PSN, iter: 1}
+		st = &connState{lastPSN: psn, iter: 1}
 		sw.conns[key] = st
 		return st.iter
 	}
-	if !psnGreater(pkt.BTH.PSN, st.lastPSN) {
+	if !psnGreater(psn, st.lastPSN) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterNewRound)
 		st.iter++
 	} else {
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterTracked)
 	}
-	st.lastPSN = pkt.BTH.PSN
+	st.lastPSN = psn
 	return st.iter
 }
 
-func (sw *Switch) lookupRule(pkt *packet.Packet, iter uint32) *Rule {
-	k := ruleKey{pkt.IP.Src, pkt.IP.Dst, pkt.BTH.DestQP, pkt.BTH.PSN, iter}
-	return sw.rules[k]
-}
-
-// rewriteMigReq re-serializes the packet with MigReq forced to 1 — the
+// rewriteMigReq re-serializes the frame with MigReq forced to 1 — the
 // action Lumina added to confirm the §6.2.3 interop root cause. Unlike
-// ECN marking, MigReq is iCRC-covered, so the packet must be rebuilt.
-// The flip is applied in place on the decoded packet and restored after
-// encoding, avoiding a full clone.
-func (sw *Switch) rewriteMigReq(pkt *packet.Packet) []byte {
-	saved := pkt.BTH.MigReq
+// ECN marking, MigReq is iCRC-covered, so the packet must be rebuilt:
+// this is the one path that decodes a frame into a Packet.
+func (sw *Switch) rewriteMigReq(wire []byte) []byte {
+	var pkt packet.Packet
+	// ingress classified the frame by ParseFrame, whose checks these are.
+	_ = packet.DecodeInto(wire, &pkt)
 	pkt.BTH.MigReq = true
-	out := pkt.AppendWire(sw.Sim.GetFrame(pkt.WireLen())[:0])
-	pkt.BTH.MigReq = saved
-	return out
+	return pkt.AppendWire(sw.Sim.GetFrame(pkt.WireLen())[:0])
 }
 
 // copyFrame duplicates wire into a pool frame.
@@ -488,11 +478,13 @@ func (sw *Switch) dataPlaneLatency(roce bool) sim.Duration {
 	return full
 }
 
-// egress resolves dst to a host port index and counts the frame out of
-// it. An unknown unicast with no default route is dropped — no flooding
-// in a 2-host testbed — and reported as -1, its frame released.
-func (sw *Switch) egress(wire []byte, owned bool, dst packet.MAC, isRoCE bool) int {
-	idx, ok := sw.macTable[dst]
+// egress resolves the frame's destination MAC to a host port index and
+// counts the frame out of it. Rewrites leave the Ethernet header alone,
+// and a frame that fails the RoCE parse still leaves by it. An unknown
+// unicast with no default route is dropped — no flooding in a 2-host
+// testbed — and reported as -1, its frame released.
+func (sw *Switch) egress(wire []byte, owned, isRoCE bool) int {
+	idx, ok := sw.macTable[packet.FrameDst(wire)]
 	if !ok {
 		if sw.defaultPort < 0 {
 			if owned {
@@ -516,12 +508,12 @@ func (sw *Switch) egress(wire []byte, owned bool, dst packet.MAC, isRoCE bool) i
 const (
 	swForward = iota // pipeline latency elapsed: send on host port arg>>1
 	swMirror         // mirror latency elapsed: send on dumper port arg
-	swDelayed        // a delay event's latency elapsed: forward to MAC arg>>1 now
+	swDelayed        // a delay event's latency elapsed: forward now
 )
 
 // forward performs L2 forwarding with the stage-dependent latency.
-func (sw *Switch) forward(wire []byte, owned bool, dst packet.MAC, isRoCE bool) {
-	idx := sw.egress(wire, owned, dst, isRoCE)
+func (sw *Switch) forward(wire []byte, owned, isRoCE bool) {
+	idx := sw.egress(wire, owned, isRoCE)
 	if idx < 0 {
 		return
 	}
@@ -538,7 +530,7 @@ func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
 	case swMirror:
 		sw.dumperPorts[arg].SendFrame(data, true)
 	case swDelayed:
-		if idx := sw.egress(data, arg&1 != 0, packet.MACFromUint64(arg>>1), true); idx >= 0 {
+		if idx := sw.egress(data, arg&1 != 0, true); idx >= 0 {
 			sw.hostPorts[idx].SendFrame(data, arg&1 != 0)
 		}
 	}

@@ -139,12 +139,8 @@ func TestITERTracking(t *testing.T) {
 	r.sw.AddConnection(conn(1))
 	psns := []uint32{1, 2, 3, 4, 2, 3, 4, 3, 4}
 	want := []uint32{1, 1, 1, 1, 2, 2, 2, 3, 3}
-	var pkt packet.Packet
 	for i, psn := range psns {
-		if err := packet.DecodeInto(dataPkt(psn, 0x200), &pkt); err != nil {
-			t.Fatal(err)
-		}
-		if got := r.sw.trackITER(&pkt); got != want[i] {
+		if got := r.sw.trackITER(connKey{ipA, ipB, 0x200}, psn); got != want[i] {
 			t.Fatalf("packet %d (PSN %d): ITER = %d, want %d", i, psn, got, want[i])
 		}
 	}
@@ -157,9 +153,7 @@ func TestITERSeedHandlesFirstPacketAtIPSN(t *testing.T) {
 	for _, ipsn := range []uint32{0, 1, 77, packet.PSNMask} {
 		r := newRig(t, luminaCfg(), 1, nil)
 		r.sw.AddConnection(conn(ipsn))
-		var pkt packet.Packet
-		packet.DecodeInto(dataPkt(ipsn, 0x200), &pkt)
-		if got := r.sw.trackITER(&pkt); got != 1 {
+		if got := r.sw.trackITER(connKey{ipA, ipB, 0x200}, ipsn); got != 1 {
 			t.Fatalf("IPSN %d: first packet ITER = %d, want 1", ipsn, got)
 		}
 	}
@@ -307,9 +301,8 @@ func TestMirrorMetadataSequenceAndTimestamps(t *testing.T) {
 		}
 		lastSeq, lastTS = meta.Seq, meta.Timestamp
 		// RSS rewrite: destination port no longer 4791.
-		var pkt packet.Packet
-		if err := packet.DecodeHeaders(d, &pkt); err != nil || pkt.UDP.DstPort == packet.RoCEv2Port {
-			t.Fatalf("mirror copy targets port %d (%v); RSS rewrite missing", pkt.UDP.DstPort, err)
+		if v, err := packet.ParseHeaders(d); err != nil || v.IsRoCE() {
+			t.Fatalf("mirror copy parses (%v) to the RoCEv2 port; RSS rewrite missing", err)
 		}
 	}
 	if r.sw.MirrorCount() != 10 {

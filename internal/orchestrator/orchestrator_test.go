@@ -155,7 +155,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i := range r1.Trace.Entries {
 		a, b := r1.Trace.Entries[i], r2.Trace.Entries[i]
-		if a.Meta != b.Meta || !bytes.Equal(a.Wire, b.Wire) {
+		if a.Meta != b.Meta || !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("entry %d differs between identical runs", i)
 		}
 	}

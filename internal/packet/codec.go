@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -29,98 +30,73 @@ func (p *Packet) AppendWire(buf []byte) []byte {
 }
 
 func (p *Packet) serializeInto(buf []byte) {
-	ibLen := p.WireLen() - EthernetSize - IPv4Size - UDPSize // BTH..iCRC
+	ibLen := p.WireLen() - offBTH // BTH..iCRC
 	p.IP.TotalLen = uint16(IPv4Size + UDPSize + ibLen)
 	p.UDP.Length = uint16(UDPSize + ibLen)
 
-	// Ethernet.
-	copy(buf[0:6], p.Eth.Dst[:])
-	copy(buf[6:12], p.Eth.Src[:])
-	be.PutUint16(buf[12:14], p.Eth.EtherType)
+	// The fixed headers go through a BTH-deep view of the front, so
+	// their constant offsets need no bounds checks.
+	h := (*[offExt]byte)(buf)
+	copy(h[offEthDst:], p.Eth.Dst[:])
+	copy(h[offEthSrc:], p.Eth.Src[:])
+	be.PutUint16(h[offEtherType:], p.Eth.EtherType)
 
-	// IPv4.
-	ip := buf[14:34]
-	ip[0] = 0x45 // version 4, IHL 5
-	ip[1] = p.IP.DSCP<<2 | p.IP.ECN&0x3
-	be.PutUint16(ip[2:4], p.IP.TotalLen)
-	be.PutUint16(ip[4:6], p.IP.ID)
-	be.PutUint16(ip[6:8], uint16(p.IP.Flags)<<13|p.IP.FragOff&0x1FFF)
-	ip[8] = p.IP.TTL
-	ip[9] = p.IP.Protocol
-	// checksum at ip[10:12] computed below
-	src := p.IP.Src.As4()
-	dst := p.IP.Dst.As4()
-	copy(ip[12:16], src[:])
-	copy(ip[16:20], dst[:])
-	ip[10], ip[11] = 0, 0
-	ck := ipv4Checksum(ip)
-	be.PutUint16(ip[10:12], ck)
+	h[offIPVerIHL] = 0x45 // version 4, IHL 5
+	h[offIPTOS] = p.IP.DSCP<<2 | p.IP.ECN&0x3
+	be.PutUint16(h[offIPTotalLen:], p.IP.TotalLen)
+	be.PutUint16(h[offIPID:], p.IP.ID)
+	be.PutUint16(h[offIPFlags:], uint16(p.IP.Flags)<<13|p.IP.FragOff&0x1FFF)
+	h[offIPTTL] = p.IP.TTL
+	h[offIPProto] = p.IP.Protocol
+	*(*[4]byte)(h[offIPSrc:]) = p.IP.Src.As4()
+	*(*[4]byte)(h[offIPDst:]) = p.IP.Dst.As4()
+	be.PutUint16(h[offIPChecksum:], 0)
+	ck := ipv4Checksum(h[offIP:offUDP])
+	be.PutUint16(h[offIPChecksum:], ck)
 	p.IP.Checksum = ck
 
-	// UDP. RoCEv2 leaves the UDP checksum zero (it is not invariant and
-	// the iCRC already covers the payload).
-	udp := buf[34:42]
-	be.PutUint16(udp[0:2], p.UDP.SrcPort)
-	be.PutUint16(udp[2:4], p.UDP.DstPort)
-	be.PutUint16(udp[4:6], p.UDP.Length)
-	be.PutUint16(udp[6:8], p.UDP.Checksum)
+	// RoCEv2 leaves the UDP checksum zero (it is not invariant and the
+	// iCRC already covers the payload).
+	be.PutUint16(h[offUDPSrcPort:], p.UDP.SrcPort)
+	be.PutUint16(h[offUDPDstPort:], p.UDP.DstPort)
+	be.PutUint16(h[offUDPLength:], p.UDP.Length)
+	be.PutUint16(h[offUDPChecksum:], p.UDP.Checksum)
 
-	// BTH.
-	b := buf[42:54]
-	b[0] = uint8(p.BTH.Opcode)
-	b[1] = 0
-	if p.BTH.SE {
-		b[1] |= 0x80
-	}
-	if p.BTH.MigReq {
-		b[1] |= 0x40
-	}
-	b[1] |= (p.BTH.PadCount & 0x3) << 4
-	b[1] |= p.BTH.TVer & 0xF
-	be.PutUint16(b[2:4], p.BTH.PKey)
-	b[4] = 0 // resv8a: FECN/BECN live here in RoCEv2 practice
-	if p.BTH.FECN {
-		b[4] |= 0x80
-	}
-	if p.BTH.BECN {
-		b[4] |= 0x40
-	}
-	putUint24(b[5:8], p.BTH.DestQP)
-	b[8] = 0
-	if p.BTH.AckReq {
-		b[8] |= 0x80
-	}
-	putUint24(b[9:12], p.BTH.PSN)
+	h[offBTHOpcode] = uint8(p.BTH.Opcode)
+	h[offBTHFlags] = bit(p.BTH.SE, 0x80) | bit(p.BTH.MigReq, 0x40) | (p.BTH.PadCount&0x3)<<4 | p.BTH.TVer&0xF
+	be.PutUint16(h[offBTHPKey:], p.BTH.PKey)
+	// resv8a: FECN/BECN live here in RoCEv2 practice.
+	h[offBTHResv8a] = bit(p.BTH.FECN, 0x80) | bit(p.BTH.BECN, 0x40)
+	putUint24(h[offBTHDestQP:], p.BTH.DestQP)
+	h[offBTHAckReq] = bit(p.BTH.AckReq, 0x80)
+	putUint24(h[offBTHPSN:], p.BTH.PSN)
 
-	off := 54
+	off := offExt
 	op := p.BTH.Opcode
 	if op.HasRETH() {
-		r := buf[off : off+RETHSize]
-		be.PutUint64(r[0:8], p.RETH.VA)
-		be.PutUint32(r[8:12], p.RETH.RKey)
-		be.PutUint32(r[12:16], p.RETH.DMALen)
+		be.PutUint64(buf[off+rethVA:], p.RETH.VA)
+		be.PutUint32(buf[off+rethRKey:], p.RETH.RKey)
+		be.PutUint32(buf[off+rethDMALen:], p.RETH.DMALen)
 		off += RETHSize
 	}
 	if op.HasAETH() {
-		a := buf[off : off+AETHSize]
-		a[0] = p.AETH.Syndrome
-		putUint24(a[1:4], p.AETH.MSN)
+		buf[off+aethSyndrome] = p.AETH.Syndrome
+		putUint24(buf[off+aethMSN:], p.AETH.MSN)
 		off += AETHSize
 	}
 	if op.HasImm() {
-		be.PutUint32(buf[off:off+4], p.Imm)
+		be.PutUint32(buf[off:], p.Imm)
 		off += ImmSize
 	}
 	if op.HasAtomicETH() {
-		a := buf[off : off+AtomicETHSize]
-		be.PutUint64(a[0:8], p.Atomic.VA)
-		be.PutUint32(a[8:12], p.Atomic.RKey)
-		be.PutUint64(a[12:20], p.Atomic.SwapAdd)
-		be.PutUint64(a[20:28], p.Atomic.Compare)
+		be.PutUint64(buf[off+atomicVA:], p.Atomic.VA)
+		be.PutUint32(buf[off+atomicRKey:], p.Atomic.RKey)
+		be.PutUint64(buf[off+atomicSwapAdd:], p.Atomic.SwapAdd)
+		be.PutUint64(buf[off+atomicCompare:], p.Atomic.Compare)
 		off += AtomicETHSize
 	}
 	if op.HasAtomicAck() {
-		be.PutUint64(buf[off:off+8], p.AtomicAck)
+		be.PutUint64(buf[off:], p.AtomicAck)
 		off += AtomicAckSize
 	}
 	if op == OpCNP {
@@ -134,177 +110,117 @@ func (p *Packet) serializeInto(buf []byte) {
 	clear(buf[off : off+int(p.BTH.PadCount)]) // pad bytes are zero on the wire
 	off += int(p.BTH.PadCount)
 
-	icrc := ComputeICRC(buf[:off])
-	p.ICRC = icrc
 	// iCRC is transmitted little-endian (least significant byte first),
 	// mirroring the Ethernet FCS convention.
-	buf[off] = byte(icrc)
-	buf[off+1] = byte(icrc >> 8)
-	buf[off+2] = byte(icrc >> 16)
-	buf[off+3] = byte(icrc >> 24)
+	icrc := ComputeICRC(buf[:off])
+	binary.LittleEndian.PutUint32(buf[off:], icrc)
+	p.ICRC = icrc
+}
+
+// bit returns mask when set holds, else 0.
+func bit(set bool, mask uint8) uint8 {
+	if set {
+		return mask
+	}
+	return 0
 }
 
 // DecodeInto parses wire bytes into pkt in place, which is overwritten —
 // no per-call allocation. The payload slice aliases data rather than
 // copying it; callers that retain pkt across reuse of the source buffer
-// must copy the payload themselves. DecodeInto returns an error for
-// structurally invalid packets; iCRC validity is reported separately by
-// VerifyICRC so that corrupted-but-parseable packets (Lumina's corruption
-// events) can still be inspected.
+// must copy the payload themselves. DecodeInto applies ParseFrame's
+// checks and returns its error for structurally invalid packets,
+// leaving pkt zero but for the Ethernet header of a frame that holds
+// one (the switch forwards an undecodable frame by it). iCRC validity is
+// reported separately by VerifyICRC so that corrupted-but-parseable
+// packets (Lumina's corruption events) can still be inspected.
 func DecodeInto(data []byte, pkt *Packet) error {
-	off, err := decodeHeaders(data, pkt)
+	start, end, err := parseFrame(data)
 	if err != nil {
+		*pkt = Packet{}
+		if len(data) >= EthernetSize {
+			pkt.decodeEthernet(data)
+		}
 		return err
 	}
-	if pkt.BTH.Opcode == OpCNP {
-		if len(data) < off+cnpPadSize {
-			return errTooShort
-		}
-		off += cnpPadSize
+	pkt.decodeHeaders(data)
+	if end > start {
+		pkt.Payload = data[start:end]
 	}
-
-	tail := ICRCSize + int(pkt.BTH.PadCount)
-	if len(data) < off+tail {
-		return errTooShort
-	}
-	pkt.Payload = data[off : len(data)-tail]
-	if len(pkt.Payload) == 0 {
-		pkt.Payload = nil
-	}
-	crcOff := len(data) - ICRCSize
-	pkt.ICRC = uint32(data[crcOff]) | uint32(data[crcOff+1])<<8 |
-		uint32(data[crcOff+2])<<16 | uint32(data[crcOff+3])<<24
+	pkt.ICRC = binary.LittleEndian.Uint32(data[len(data)-ICRCSize:])
 	return nil
 }
 
-// DecodeHeaders parses only the protocol headers (Ethernet/IPv4/UDP/BTH
-// and extended headers), tolerating truncated payloads and a missing
-// iCRC. It exists for trimmed mirror captures: the traffic dumpers keep
-// only the first 128 bytes of every packet (§5), which always cover the
-// headers but rarely the payload. Payload and ICRC are left zero.
-// Anything shorter than a BTH is refused before a field is read.
-func DecodeHeaders(data []byte, pkt *Packet) error {
-	if len(data) < 54 {
-		*pkt = Packet{}
-		return errTooShort
-	}
-	_, err := decodeHeaders(data, pkt)
-	return err
+func (p *Packet) decodeEthernet(b []byte) {
+	h := (*[EthernetSize]byte)(b)
+	p.Eth.Dst = MAC(h[offEthDst:])
+	p.Eth.Src = MAC(h[offEthSrc:])
+	p.Eth.EtherType = be.Uint16(h[offEtherType:])
 }
 
-// decodeHeaders overwrites pkt with the headers at the front of data and
-// returns the offset just past the last extended header. Each length
-// check sits just before the field it guards, so a frame rejected after
-// its Ethernet header still carries the destination MAC the switch
-// forwards it by.
-func decodeHeaders(data []byte, pkt *Packet) (off int, err error) {
-	*pkt = Packet{}
-	if len(data) < EthernetSize {
-		return 0, errTooShort
-	}
-	copy(pkt.Eth.Dst[:], data[0:6])
-	copy(pkt.Eth.Src[:], data[6:12])
-	pkt.Eth.EtherType = be.Uint16(data[12:14])
-	if pkt.Eth.EtherType != EtherTypeIPv4 {
-		return 0, errNotIPv4
-	}
-	if len(data) < EthernetSize+IPv4Size {
-		return 0, errTooShort
-	}
-	ip := data[14:]
-	if ip[0]>>4 != 4 {
-		return 0, errNotIPv4
-	}
-	if ip[0]&0xF != 5 {
-		return 0, errBadIHL
-	}
-	pkt.IP.DSCP = ip[1] >> 2
-	pkt.IP.ECN = ip[1] & 0x3
-	pkt.IP.TotalLen = be.Uint16(ip[2:4])
-	pkt.IP.ID = be.Uint16(ip[4:6])
-	ff := be.Uint16(ip[6:8])
-	pkt.IP.Flags = uint8(ff >> 13)
-	pkt.IP.FragOff = ff & 0x1FFF
-	pkt.IP.TTL = ip[8]
-	pkt.IP.Protocol = ip[9]
-	pkt.IP.Checksum = be.Uint16(ip[10:12])
-	pkt.IP.Src = netip.AddrFrom4([4]byte(ip[12:16]))
-	pkt.IP.Dst = netip.AddrFrom4([4]byte(ip[16:20]))
-	if pkt.IP.Protocol != ProtoUDP {
-		return 0, errNotUDP
-	}
-	if len(data) < 42 {
-		return 0, errTooShort
-	}
-	udp := data[34:42]
-	pkt.UDP.SrcPort = be.Uint16(udp[0:2])
-	pkt.UDP.DstPort = be.Uint16(udp[2:4])
-	pkt.UDP.Length = be.Uint16(udp[4:6])
-	pkt.UDP.Checksum = be.Uint16(udp[6:8])
+// decodeHeaders overwrites p with the headers of b, which parseHeaders
+// accepted, leaving Payload and ICRC zero. Fields are stored one by one
+// through a fixed-size view of the BTH-deep front, so the constant
+// offsets need no bounds checks.
+func (p *Packet) decodeHeaders(b []byte) {
+	*p = Packet{}
+	p.decodeEthernet(b)
+	h := (*[offExt]byte)(b)
+	p.IP.DSCP = h[offIPTOS] >> 2
+	p.IP.ECN = h[offIPTOS] & 0x3
+	p.IP.TotalLen = be.Uint16(h[offIPTotalLen:])
+	p.IP.ID = be.Uint16(h[offIPID:])
+	p.IP.Flags = h[offIPFlags] >> 5
+	p.IP.FragOff = be.Uint16(h[offIPFlags:]) & 0x1FFF
+	p.IP.TTL = h[offIPTTL]
+	p.IP.Protocol = h[offIPProto]
+	p.IP.Checksum = be.Uint16(h[offIPChecksum:])
+	p.IP.Src = netip.AddrFrom4([4]byte(h[offIPSrc:]))
+	p.IP.Dst = netip.AddrFrom4([4]byte(h[offIPDst:]))
+	p.UDP.SrcPort = be.Uint16(h[offUDPSrcPort:])
+	p.UDP.DstPort = be.Uint16(h[offUDPDstPort:])
+	p.UDP.Length = be.Uint16(h[offUDPLength:])
+	p.UDP.Checksum = be.Uint16(h[offUDPChecksum:])
+	flags := h[offBTHFlags]
+	p.BTH.Opcode = Opcode(h[offBTHOpcode])
+	p.BTH.SE = flags&0x80 != 0
+	p.BTH.MigReq = flags&0x40 != 0
+	p.BTH.PadCount = flags >> 4 & 0x3
+	p.BTH.TVer = flags & 0xF
+	p.BTH.PKey = be.Uint16(h[offBTHPKey:])
+	p.BTH.FECN = h[offBTHResv8a]&0x80 != 0
+	p.BTH.BECN = h[offBTHResv8a]&0x40 != 0
+	p.BTH.DestQP = uint24(h[offBTHDestQP:])
+	p.BTH.AckReq = h[offBTHAckReq]&0x80 != 0
+	p.BTH.PSN = uint24(h[offBTHPSN:])
 
-	if len(data) < 54 {
-		return 0, errTooShort
-	}
-	b := data[42:54]
-	pkt.BTH.Opcode = Opcode(b[0])
-	pkt.BTH.SE = b[1]&0x80 != 0
-	pkt.BTH.MigReq = b[1]&0x40 != 0
-	pkt.BTH.PadCount = (b[1] >> 4) & 0x3
-	pkt.BTH.TVer = b[1] & 0xF
-	pkt.BTH.PKey = be.Uint16(b[2:4])
-	pkt.BTH.FECN = b[4]&0x80 != 0
-	pkt.BTH.BECN = b[4]&0x40 != 0
-	pkt.BTH.DestQP = uint24(b[5:8])
-	pkt.BTH.AckReq = b[8]&0x80 != 0
-	pkt.BTH.PSN = uint24(b[9:12])
-
-	off = 54
-	op := pkt.BTH.Opcode
+	off := offExt
+	op := p.BTH.Opcode
 	if op.HasRETH() {
-		if len(data) < off+RETHSize {
-			return 0, errTooShort
-		}
-		r := data[off : off+RETHSize]
-		pkt.RETH.VA = be.Uint64(r[0:8])
-		pkt.RETH.RKey = be.Uint32(r[8:12])
-		pkt.RETH.DMALen = be.Uint32(r[12:16])
+		p.RETH.VA = be.Uint64(b[off+rethVA:])
+		p.RETH.RKey = be.Uint32(b[off+rethRKey:])
+		p.RETH.DMALen = be.Uint32(b[off+rethDMALen:])
 		off += RETHSize
 	}
 	if op.HasAETH() {
-		if len(data) < off+AETHSize {
-			return 0, errTooShort
-		}
-		a := data[off : off+AETHSize]
-		pkt.AETH.Syndrome = a[0]
-		pkt.AETH.MSN = uint24(a[1:4])
+		p.AETH.Syndrome = b[off+aethSyndrome]
+		p.AETH.MSN = uint24(b[off+aethMSN:])
 		off += AETHSize
 	}
 	if op.HasImm() {
-		if len(data) < off+ImmSize {
-			return 0, errTooShort
-		}
-		pkt.Imm = be.Uint32(data[off : off+4])
+		p.Imm = be.Uint32(b[off:])
 		off += ImmSize
 	}
 	if op.HasAtomicETH() {
-		if len(data) < off+AtomicETHSize {
-			return 0, errTooShort
-		}
-		a := data[off : off+AtomicETHSize]
-		pkt.Atomic.VA = be.Uint64(a[0:8])
-		pkt.Atomic.RKey = be.Uint32(a[8:12])
-		pkt.Atomic.SwapAdd = be.Uint64(a[12:20])
-		pkt.Atomic.Compare = be.Uint64(a[20:28])
+		p.Atomic.VA = be.Uint64(b[off+atomicVA:])
+		p.Atomic.RKey = be.Uint32(b[off+atomicRKey:])
+		p.Atomic.SwapAdd = be.Uint64(b[off+atomicSwapAdd:])
+		p.Atomic.Compare = be.Uint64(b[off+atomicCompare:])
 		off += AtomicETHSize
 	}
 	if op.HasAtomicAck() {
-		if len(data) < off+AtomicAckSize {
-			return 0, errTooShort
-		}
-		pkt.AtomicAck = be.Uint64(data[off : off+8])
-		off += AtomicAckSize
+		p.AtomicAck = be.Uint64(b[off:])
 	}
-	return off, nil
 }
 
 // VerifyICRC recomputes the invariant CRC over wire bytes and compares it
@@ -324,16 +240,6 @@ func VerifyICRC(data []byte) error {
 		return fmt.Errorf("packet: iCRC mismatch: wire %#08x, computed %#08x", got, want)
 	}
 	return nil
-}
-
-func putUint24(b []byte, v uint32) {
-	b[0] = byte(v >> 16)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v)
-}
-
-func uint24(b []byte) uint32 {
-	return uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
 }
 
 func ipv4Checksum(hdr []byte) uint16 {

@@ -24,8 +24,7 @@ import (
 // is also what lets Lumina's injector mark ECN without recomputing it,
 // and what forces the injector's corruption action to actually break it.
 func ComputeICRC(wire []byte) uint32 {
-	const headEnd = EthernetSize + IPv4Size + UDPSize + BTHSize
-	if len(wire) < headEnd {
+	if len(wire) < offExt {
 		return 0
 	}
 	// The masked image is the 0xFF prefix plus the 40 header bytes after
@@ -35,14 +34,14 @@ func ComputeICRC(wire []byte) uint32 {
 	// slicing-by-8 — no copy of the head, no write to the frame. Only the
 	// long unmasked tail goes through crc32.Update's optimized path; the
 	// two compose exactly: Update(0, head)+Update(·, tail) ≡ this.
-	h := wire[EthernetSize:headEnd]
+	h := wire[offIP:offExt]
 	le := binary.LittleEndian
 	crc := slice8(icrcSeed, le.Uint64(h[0:])|0xFF<<8)   // IP 0-7: TOS (DSCP+ECN)
 	crc = slice8(crc, le.Uint64(h[8:])|0xFF|0xFFFF<<16) // IP 8-15: TTL, header checksum
 	crc = slice8(crc, le.Uint64(h[16:]))                // IP 16-19, UDP 0-3
 	crc = slice8(crc, le.Uint64(h[24:])|0xFFFF<<16)     // UDP 4-7: checksum; BTH 0-3
 	crc = slice8(crc, le.Uint64(h[32:])|0xFF)           // BTH 4-11: resv8a (FECN/BECN)
-	return crc32.Update(^crc, crc32.IEEETable, wire[headEnd:])
+	return crc32.Update(^crc, crc32.IEEETable, wire[offExt:])
 }
 
 // icrcTables are the slicing-by-8 tables of the IEEE polynomial: table k

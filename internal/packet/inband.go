@@ -19,13 +19,8 @@ import "math/bits"
 // RoCEv2 packet carries is unambiguous. The tag is the low 16 bits of a
 // monotonically growing transit ID (collector-side state maps it back to
 // the full ID); downstream hops overwrite TTL and the compact state with
-// their own view, postcard-style, while the tag rides unchanged.
-const (
-	intTransitOff = EthernetSize + IPv4Size + 6 // UDP checksum bytes
-	intHopOff     = EthernetSize + 8            // IPv4 TTL byte
-	intStateOff   = EthernetSize + 10           // IPv4 header checksum bytes
-	intMinLen     = EthernetSize + IPv4Size + UDPSize
-)
+// their own view, postcard-style, while the tag rides unchanged. A
+// frame that ends before the BTH is too short to carry the fields.
 
 // INTStamp is the compact per-hop record carried in the spare header
 // fields. QueueBytes and UtilPermille round-trip through one byte each
@@ -50,39 +45,39 @@ type INTStamp struct {
 // with a zero transit tag are refused, as are frames too short to carry
 // the UDP header. Reports whether the stamp was written.
 func EmbedINTStamp(wire []byte, s INTStamp) bool {
-	if len(wire) < intMinLen || s.Transit == 0 {
+	if len(wire) < offBTH || s.Transit == 0 {
 		return false
 	}
-	be.PutUint16(wire[intTransitOff:intTransitOff+2], s.Transit)
-	wire[intHopOff] = s.Hop
-	wire[intStateOff] = QuantizeQueueBytes(s.QueueBytes)
-	wire[intStateOff+1] = QuantizeUtil(s.UtilPermille)
+	be.PutUint16(wire[offUDPChecksum:], s.Transit)
+	wire[offIPTTL] = s.Hop
+	wire[offIPChecksum] = QuantizeQueueBytes(s.QueueBytes)
+	wire[offIPChecksum+1] = QuantizeUtil(s.UtilPermille)
 	return true
 }
 
 // DecodeINTStamp reads the most recent INT stamp from a serialized
 // packet. ok is false for frames too short or never stamped.
 func DecodeINTStamp(wire []byte) (s INTStamp, ok bool) {
-	if len(wire) < intMinLen {
+	if len(wire) < offBTH {
 		return INTStamp{}, false
 	}
-	s.Transit = be.Uint16(wire[intTransitOff : intTransitOff+2])
+	s.Transit = be.Uint16(wire[offUDPChecksum:])
 	if s.Transit == 0 {
 		return INTStamp{}, false
 	}
-	s.Hop = wire[intHopOff]
-	s.QueueBytes = DequantizeQueueBytes(wire[intStateOff])
-	s.UtilPermille = DequantizeUtil(wire[intStateOff+1])
+	s.Hop = wire[offIPTTL]
+	s.QueueBytes = DequantizeQueueBytes(wire[offIPChecksum])
+	s.UtilPermille = DequantizeUtil(wire[offIPChecksum+1])
 	return s, true
 }
 
 // INTTransit reads just the transit tag (0 = unstamped). It is the
 // cheap check transit hops use before doing any stamping work.
 func INTTransit(wire []byte) uint16 {
-	if len(wire) < intMinLen {
+	if len(wire) < offBTH {
 		return 0
 	}
-	return be.Uint16(wire[intTransitOff : intTransitOff+2])
+	return be.Uint16(wire[offUDPChecksum:])
 }
 
 // WireIsRoCE reports whether a serialized frame is an IPv4/UDP packet
@@ -90,10 +85,10 @@ func INTTransit(wire []byte) uint16 {
 // hooks use it to skip non-RoCE frames (e.g. RSS-randomized mirror
 // copies, whose rewritten destination port takes them out of scope).
 func WireIsRoCE(wire []byte) bool {
-	return len(wire) >= intMinLen &&
-		be.Uint16(wire[12:14]) == EtherTypeIPv4 &&
-		wire[EthernetSize+9] == ProtoUDP &&
-		be.Uint16(wire[EthernetSize+IPv4Size+2:EthernetSize+IPv4Size+4]) == RoCEv2Port
+	return len(wire) >= offBTH &&
+		be.Uint16(wire[offEtherType:]) == EtherTypeIPv4 &&
+		wire[offIPProto] == ProtoUDP &&
+		be.Uint16(wire[offUDPDstPort:]) == RoCEv2Port
 }
 
 // QuantizeQueueBytes compresses a queue depth into one byte using a

@@ -40,7 +40,7 @@ func TestINTStampRefusals(t *testing.T) {
 	if EmbedINTStamp(wire, INTStamp{Transit: 0}) {
 		t.Fatal("zero transit tag accepted (0 must stay the unstamped sentinel)")
 	}
-	short := make([]byte, intMinLen-1)
+	short := make([]byte, offBTH-1)
 	if EmbedINTStamp(short, INTStamp{Transit: 1}) {
 		t.Fatal("short frame accepted")
 	}
@@ -76,9 +76,9 @@ func TestINTStampTouchesOnlyMaskedFields(t *testing.T) {
 	orig := append([]byte(nil), wire...)
 	EmbedINTStamp(wire, INTStamp{Transit: 0xFFFF, Hop: 0xFF, QueueBytes: 1 << 30, UtilPermille: 9999})
 	masked := map[int]bool{
-		intTransitOff: true, intTransitOff + 1: true,
-		intHopOff:   true,
-		intStateOff: true, intStateOff + 1: true,
+		offUDPChecksum: true, offUDPChecksum + 1: true,
+		offIPTTL:      true,
+		offIPChecksum: true, offIPChecksum + 1: true,
 	}
 	for i := range wire {
 		if !masked[i] && wire[i] != orig[i] {
@@ -93,7 +93,7 @@ func TestWireIsRoCE(t *testing.T) {
 		t.Fatal("serialized RoCEv2 packet not recognized")
 	}
 	nonRoCE := append([]byte(nil), wire...)
-	be.PutUint16(nonRoCE[EthernetSize+IPv4Size+2:], 9999) // not the RoCEv2 port
+	be.PutUint16(nonRoCE[offUDPDstPort:], 9999) // not the RoCEv2 port
 	if WireIsRoCE(nonRoCE) {
 		t.Fatal("non-RoCE destination port recognized as RoCE")
 	}
@@ -102,7 +102,7 @@ func TestWireIsRoCE(t *testing.T) {
 	if WireIsRoCE(notIP) {
 		t.Fatal("non-IPv4 ethertype recognized as RoCE")
 	}
-	if WireIsRoCE(wire[:intMinLen-1]) {
+	if WireIsRoCE(wire[:offBTH-1]) {
 		t.Fatal("short frame recognized as RoCE")
 	}
 }
@@ -154,10 +154,10 @@ func TestINTFieldOffsets(t *testing.T) {
 	p := samplePacket(OpWriteMiddle, 0)
 	p.IP.TTL = 0xAB
 	wire := p.Serialize()
-	if wire[intHopOff] != 0xAB {
-		t.Fatalf("intHopOff does not address the IPv4 TTL byte")
+	if wire[offIPTTL] != 0xAB {
+		t.Fatalf("offIPTTL does not address the IPv4 TTL byte")
 	}
-	if !bytes.Equal(wire[intTransitOff:intTransitOff+2], []byte{0, 0}) {
+	if !bytes.Equal(wire[offUDPChecksum:offUDPChecksum+2], []byte{0, 0}) {
 		t.Fatal("UDP checksum of a fresh RoCEv2 packet is not zero")
 	}
 }

@@ -57,29 +57,24 @@ const metaMask = (1 << 48) - 1
 // packet in place. It must be called on the mirror copy, never the
 // forwarded original.
 func EmbedMirrorMeta(wire []byte, m MirrorMeta) {
-	if len(wire) < EthernetSize+IPv4Size {
+	if len(wire) < offUDP {
 		return
 	}
-	dst := MACFromUint64(uint64(m.Timestamp) & metaMask)
-	src := MACFromUint64(m.Seq & metaMask)
-	copy(wire[0:6], dst[:])
-	copy(wire[6:12], src[:])
-	wire[14+8] = byte(m.Event) // IPv4 TTL
+	*(*MAC)(wire[offEthDst:]) = MACFromUint64(uint64(m.Timestamp) & metaMask)
+	*(*MAC)(wire[offEthSrc:]) = MACFromUint64(m.Seq & metaMask)
+	wire[offIPTTL] = byte(m.Event)
 }
 
 // ExtractMirrorMeta recovers the embedded metadata from a mirrored
 // packet's headers.
 func ExtractMirrorMeta(wire []byte) (MirrorMeta, bool) {
-	if len(wire) < EthernetSize+IPv4Size {
+	if len(wire) < offUDP {
 		return MirrorMeta{}, false
 	}
-	var dst, src MAC
-	copy(dst[:], wire[0:6])
-	copy(src[:], wire[6:12])
 	return MirrorMeta{
-		Seq:       src.Uint64(),
-		Event:     EventType(wire[14+8]),
-		Timestamp: int64(dst.Uint64()),
+		Seq:       MAC(wire[offEthSrc:]).Uint64(),
+		Event:     EventType(wire[offIPTTL]),
+		Timestamp: int64(MAC(wire[offEthDst:]).Uint64()),
 	}, true
 }
 
@@ -88,10 +83,10 @@ func ExtractMirrorMeta(wire []byte) (MirrorMeta, bool) {
 // ports so the dumpers' RSS spreads a single QP's packets across all CPU
 // cores (§3.4), and the dumper restores 4791 before writing to disk.
 func RewriteUDPDstPort(wire []byte, port uint16) {
-	if len(wire) < EthernetSize+IPv4Size+UDPSize {
+	if len(wire) < offBTH {
 		return
 	}
-	be.PutUint16(wire[34+2:34+4], port)
+	be.PutUint16(wire[offUDPDstPort:], port)
 }
 
 // CorruptPayload flips one bit of the IB payload (or, for header-only
@@ -112,8 +107,8 @@ func CorruptPayload(wire []byte) bool {
 // Congestion Experienced in place. The iCRC is unaffected by design (the
 // TOS byte is masked from the iCRC computation).
 func SetECNCE(wire []byte) {
-	if len(wire) < EthernetSize+2 {
+	if len(wire) <= offIPTOS {
 		return
 	}
-	wire[14+1] = wire[14+1]&^0x3 | ECNCE
+	wire[offIPTOS] = wire[offIPTOS]&^0x3 | ECNCE
 }

@@ -225,9 +225,9 @@ var fuzzSeeds = sync.OnceValues(func() ([][]byte, error) {
 		}
 		for i := range rep.Trace.Entries {
 			e := &rep.Trace.Entries[i]
-			if k := (shape{e.Opcode(), len(e.Wire)}); !seen[k] {
+			if k := (shape{e.Opcode(), len(e.Bytes())}); !seen[k] {
 				seen[k] = true
-				seeds = append(seeds, e.Wire)
+				seeds = append(seeds, e.Bytes())
 			}
 		}
 	}
@@ -264,10 +264,15 @@ var errTooShort = packet.DecodeHeaders(nil, new(packet.Packet))
 // re-encodes to one that decodes to the same packet with a valid iCRC.
 // Every prefix of an accepted frame that keeps its headers, as a
 // dumper's trim does, gives DecodeHeaders the same headers; every
-// shorter prefix is too short.
+// shorter prefix is too short. On every prefix of every input,
+// ParseFrame returns DecodeInto's error and ParseHeaders DecodeHeaders',
+// and each accepted View's accessors read what the decoded Packet holds.
 func FuzzDecodeInto(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, wire []byte) {
+		for k := range len(wire) + 1 {
+			checkViews(t, wire[:k])
+		}
 		var p, q packet.Packet
 		if packet.DecodeInto(wire, &p) != nil {
 			return
@@ -302,4 +307,30 @@ func FuzzDecodeInto(f *testing.F) {
 			t.Fatalf("round trip changed the packet:\n%+v\n%+v", p, q)
 		}
 	})
+}
+
+// checkViews holds ParseFrame to DecodeInto and ParseHeaders to
+// DecodeHeaders on b: the same error value, and for an accepted b a View
+// whose accessors read the decoded fields.
+func checkViews(t *testing.T, b []byte) {
+	t.Helper()
+	var p, h packet.Packet
+	v, err := packet.ParseFrame(b)
+	if want := packet.DecodeInto(b, &p); err != want {
+		t.Fatalf("ParseFrame of %d bytes: %v, DecodeInto: %v", len(b), err, want)
+	}
+	if err == nil {
+		if err := checkView(v, p); err != nil {
+			t.Fatalf("ParseFrame of %d bytes: %v", len(b), err)
+		}
+	}
+	v, err = packet.ParseHeaders(b)
+	if want := packet.DecodeHeaders(b, &h); err != want {
+		t.Fatalf("ParseHeaders of %d bytes: %v, DecodeHeaders: %v", len(b), err, want)
+	}
+	if err == nil {
+		if err := checkView(v, h); err != nil {
+			t.Fatalf("ParseHeaders of %d bytes: %v", len(b), err)
+		}
+	}
 }

@@ -2,12 +2,16 @@
 // component: Ethernet / IPv4 / UDP / InfiniBand BTH plus the extended
 // transport headers (RETH, AETH, Immediate) and the invariant CRC (iCRC).
 //
-// The design follows the decode-into-preallocated-struct idiom: a single
-// Packet struct holds every possible layer, DecodeInto fills it in place
-// without allocating, and AppendWire emits wire bytes with all lengths,
-// the IPv4 header checksum, and the iCRC computed. Both the simulated
-// RNICs and the simulated switch operate on these real bytes, exactly as
-// the hardware testbed's P4 parser and DPDK dumper do.
+// The header layout is one table of offsets (view.go) that every reader
+// and writer of header bytes indexes through. A View reads a frame, or
+// the trimmed front of one, in place: only ParseFrame and ParseHeaders
+// make one, after their checks, so its accessors always find their
+// bytes. The switch classifies and matches on a View, and a trace entry
+// is mirror metadata plus one. A Packet holds every layer decoded:
+// DecodeInto fills it in place without allocating, and AppendWire emits
+// wire bytes with all lengths, the IPv4 header checksum and the iCRC
+// computed. The simulated RNICs and switch operate on these real bytes,
+// as the hardware testbed's P4 parser and DPDK dumper do.
 package packet
 
 import (
@@ -367,26 +371,11 @@ func (p *Packet) WireLen() int {
 // never constructs a packet twice (once for its length, once for its
 // bytes).
 func WireSize(op Opcode, payloadLen, padCount int) int {
-	n := EthernetSize + IPv4Size + UDPSize + BTHSize
-	if op.HasRETH() {
-		n += RETHSize
-	}
-	if op.HasAETH() {
-		n += AETHSize
-	}
-	if op.HasImm() {
-		n += ImmSize
-	}
-	if op.HasAtomicETH() {
-		n += AtomicETHSize
-	}
-	if op.HasAtomicAck() {
-		n += AtomicAckSize
-	}
+	n := offExt + int(extSizes[op]) + payloadLen + padCount + ICRCSize
 	if op == OpCNP {
 		n += cnpPadSize
 	}
-	return n + payloadLen + padCount + ICRCSize
+	return n
 }
 
 // cnpPadSize: RoCEv2 CNPs carry a 16-byte zeroed payload field.

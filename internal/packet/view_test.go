@@ -1,22 +1,22 @@
-package trace
+package packet_test
 
 // A header oracle the encoder did not write. Each frame below is a
 // trimmed mirror capture spelled byte by byte from the RoCEv2 wire
 // format, and each expected field is a literal read off those bytes by
 // hand. The frames keep their headers and at most sixteen payload bytes,
 // as a dumper's trim does; IPv4 TotalLen still states the untrimmed
-// length. Header checksums are zero: trace reconstruction never reads
-// them.
+// length. Header checksums are zero: a View never reads them.
 
 import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"path/filepath"
 	"slices"
 	"testing"
-	"unsafe"
 
-	"github.com/lumina-sim/lumina/internal/dumper"
+	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/packet"
 )
 
@@ -50,9 +50,9 @@ var payload16 = bytes.Repeat([]byte{0xa5}, 16)
 
 func frame(parts ...[]byte) []byte { return slices.Concat(append([][]byte{mirrorEth}, parts...)...) }
 
-// headers is what an entry says about its packet, one field per
-// accessor the analyzers read.
-type headers struct {
+// viewFields is what a View says about its packet, one field per
+// accessor the analyzers and the injector read.
+type viewFields struct {
 	op       packet.Opcode
 	psn, qp  uint32
 	pad, ecn uint8
@@ -60,47 +60,38 @@ type headers struct {
 	aeth     packet.AETH
 	dmaLen   uint32
 	origLen  int
+	roce     bool
 	str      string
 }
 
-// readHeaders reads an entry's headers the way the analyzers do.
-func readHeaders(e *Entry) headers {
-	return headers{
-		op: e.Opcode(), psn: e.PSN(), qp: e.DestQP(),
-		pad: e.PadCount(), ecn: e.ECN(),
-		src: e.Src(), dst: e.Dst(),
-		aeth: e.AETH(), dmaLen: e.DMALen(),
-		origLen: e.OrigLen(), str: e.String(),
+func readView(v packet.View) viewFields {
+	return viewFields{
+		op: v.Opcode(), psn: v.PSN(), qp: v.DestQP(),
+		pad: v.PadCount(), ecn: v.ECN(),
+		src: v.Src(), dst: v.Dst(),
+		aeth: v.AETH(), dmaLen: v.DMALen(),
+		origLen: v.OrigLen(), roce: v.IsRoCE(), str: v.String(),
 	}
 }
 
-// decodedHeaders is what packet.DecodeHeaders says about the same bytes.
-func decodedHeaders(wire []byte) (headers, error) {
-	var p packet.Packet
-	err := packet.DecodeHeaders(wire, &p)
-	return headers{
+// decodedFields is what a decoded Packet says in those fields. String
+// renders the headers alone, as a View's does.
+func decodedFields(p packet.Packet) viewFields {
+	p.Payload = nil
+	return viewFields{
 		op: p.BTH.Opcode, psn: p.BTH.PSN, qp: p.BTH.DestQP,
 		pad: p.BTH.PadCount, ecn: p.IP.ECN,
 		src: p.IP.Src, dst: p.IP.Dst,
 		aeth: p.AETH, dmaLen: p.RETH.DMALen,
-		origLen: packet.EthernetSize + int(p.IP.TotalLen), str: p.String(),
-	}, err
+		origLen: packet.EthernetSize + int(p.IP.TotalLen), roce: p.IsRoCE(), str: p.String(),
+	}
 }
 
-// CheckHeaders calls every header accessor of an admitted entry and
-// fails unless each equals the field packet.DecodeHeaders reads from the
-// entry's bytes, and Key is made of them. It is exported for the
-// property over checked-in scenarios, which runs in package trace_test.
-func CheckHeaders(e *Entry) error {
-	want, err := decodedHeaders(e.Wire)
-	if err != nil {
-		return fmt.Errorf("seq %d: admitted entry does not decode: %v", e.Meta.Seq, err)
-	}
-	if got := readHeaders(e); got != want {
-		return fmt.Errorf("seq %d: accessors read\n%+v\nDecodeHeaders reads\n%+v", e.Meta.Seq, got, want)
-	}
-	if k := (ConnKey{Src: want.src, Dst: want.dst, DstQPN: want.qp}); e.Key() != k {
-		return fmt.Errorf("seq %d: Key() = %+v, its headers give %+v", e.Meta.Seq, e.Key(), k)
+// checkView fails unless every accessor of v equals the field p holds,
+// p being the decode of the same bytes.
+func checkView(v packet.View, p packet.Packet) error {
+	if got, want := readView(v), decodedFields(p); got != want {
+		return fmt.Errorf("accessors read\n%+v\nthe decoded packet holds\n%+v", got, want)
 	}
 	return nil
 }
@@ -110,64 +101,64 @@ var (
 	addrB = netip.AddrFrom4([4]byte{10, 0, 0, 2})
 )
 
-var literalEntries = []struct {
+var literalViews = []struct {
 	name string
 	wire []byte
-	want headers
+	want viewFields
 }{
 	{"write-first", frame(
 		ipUDP(0x02, 1084, 1, 2), // ECT(0); 20+8+12+16+1024+4
 		[]byte{0x06, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x01, 0x00},                         // Write First, QP 0x12, PSN 0x100
 		[]byte{0x00, 0x00, 0x7f, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0xab, 0xcd, 0x00, 0x00, 0x30, 0x00}, // RETH: VA, rkey, DMA length 0x3000
 		payload16),
-		headers{op: packet.OpWriteFirst, psn: 0x100, qp: 0x12, ecn: 2, src: addrA, dst: addrB,
+		viewFields{op: packet.OpWriteFirst, psn: 0x100, qp: 0x12, ecn: 2, src: addrA, dst: addrB,
 			dmaLen: 0x3000, origLen: 1098, str: "WRITE_FIRST 10.0.0.1->10.0.0.2 qp=18 psn=256"}},
 	{"write-middle-pad2", frame(
 		ipUDP(0x02, 1068, 1, 2), // 20+8+12+1022+2+4
 		[]byte{0x07, 0x20, 0xff, 0xff, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x01, 0x01}, // Write Middle, pad count 2, PSN 0x101
 		payload16),
-		headers{op: packet.OpWriteMiddle, psn: 0x101, qp: 0x12, pad: 2, ecn: 2, src: addrA, dst: addrB,
+		viewFields{op: packet.OpWriteMiddle, psn: 0x101, qp: 0x12, pad: 2, ecn: 2, src: addrA, dst: addrB,
 			origLen: 1082, str: "WRITE_MIDDLE 10.0.0.1->10.0.0.2 qp=18 psn=257"}},
 	{"read-request", frame(
 		ipUDP(0x02, 60, 1, 2), // 20+8+12+16+4
 		[]byte{0x0c, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x34, 0x80, 0x00, 0x02, 0x00},                          // Read Request, QP 0x34, AckReq, PSN 0x200
 		[]byte{0x00, 0x00, 0x7f, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0xab, 0xce, 0x00, 0x00, 0x20, 0x00}), // RETH: DMA length 0x2000
-		headers{op: packet.OpReadRequest, psn: 0x200, qp: 0x34, ecn: 2, src: addrA, dst: addrB,
+		viewFields{op: packet.OpReadRequest, psn: 0x200, qp: 0x34, ecn: 2, src: addrA, dst: addrB,
 			dmaLen: 0x2000, origLen: 74, str: "READ_REQUEST 10.0.0.1->10.0.0.2 qp=52 psn=512"}},
 	{"read-response-first", frame(
 		ipUDP(0x02, 1072, 2, 1), // 20+8+12+4+1024+4
 		[]byte{0x0d, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x56, 0x00, 0x00, 0x02, 0x00}, // Read Response First, QP 0x56, PSN 0x200
 		[]byte{0x1f, 0x00, 0x00, 0x05}, // AETH: ACK, credits 31, MSN 5
 		payload16),
-		headers{op: packet.OpReadResponseFirst, psn: 0x200, qp: 0x56, ecn: 2, src: addrB, dst: addrA,
+		viewFields{op: packet.OpReadResponseFirst, psn: 0x200, qp: 0x56, ecn: 2, src: addrB, dst: addrA,
 			aeth: packet.AETH{Syndrome: 0x1f, MSN: 5}, origLen: 1086,
 			str: "READ_RESP_FIRST 10.0.0.2->10.0.0.1 qp=86 psn=512 ACK msn=5"}},
 	{"read-response-middle", frame(
 		ipUDP(0x02, 1068, 2, 1), // 20+8+12+1024+4
 		[]byte{0x0e, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x56, 0x00, 0x00, 0x02, 0x01}, // Read Response Middle, PSN 0x201
 		payload16),
-		headers{op: packet.OpReadResponseMiddle, psn: 0x201, qp: 0x56, ecn: 2, src: addrB, dst: addrA,
+		viewFields{op: packet.OpReadResponseMiddle, psn: 0x201, qp: 0x56, ecn: 2, src: addrB, dst: addrA,
 			origLen: 1082, str: "READ_RESP_MIDDLE 10.0.0.2->10.0.0.1 qp=86 psn=513"}},
 	{"read-response-last", frame(
 		ipUDP(0x02, 560, 2, 1), // 20+8+12+4+509+3+4
 		[]byte{0x0f, 0x30, 0xff, 0xff, 0x00, 0x00, 0x00, 0x56, 0x00, 0x00, 0x02, 0x02}, // Read Response Last, pad count 3, PSN 0x202
 		[]byte{0x1f, 0x00, 0x00, 0x06}, // AETH: ACK, MSN 6
 		payload16),
-		headers{op: packet.OpReadResponseLast, psn: 0x202, qp: 0x56, pad: 3, ecn: 2, src: addrB, dst: addrA,
+		viewFields{op: packet.OpReadResponseLast, psn: 0x202, qp: 0x56, pad: 3, ecn: 2, src: addrB, dst: addrA,
 			aeth: packet.AETH{Syndrome: 0x1f, MSN: 6}, origLen: 574,
 			str: "READ_RESP_LAST 10.0.0.2->10.0.0.1 qp=86 psn=514 ACK msn=6"}},
 	{"ack", frame(
 		ipUDP(0x00, 48, 2, 1), // Not-ECT; 20+8+12+4+4
 		[]byte{0x11, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x01, 0x01}, // Acknowledge, QP 0x12, PSN 0x101
 		[]byte{0x00, 0x00, 0x00, 0x03}), // AETH: ACK, MSN 3
-		headers{op: packet.OpAcknowledge, psn: 0x101, qp: 0x12, src: addrB, dst: addrA,
+		viewFields{op: packet.OpAcknowledge, psn: 0x101, qp: 0x12, src: addrB, dst: addrA,
 			aeth: packet.AETH{MSN: 3}, origLen: 62,
 			str: "ACK 10.0.0.2->10.0.0.1 qp=18 psn=257 ACK msn=3"}},
 	{"nak-psn-sequence", frame(
 		ipUDP(0x00, 48, 2, 1),
 		[]byte{0x11, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x01, 0x01},
 		[]byte{0x60, 0x00, 0x00, 0x02}), // AETH: NAK code 0 (PSN sequence error), MSN 2
-		headers{op: packet.OpAcknowledge, psn: 0x101, qp: 0x12, src: addrB, dst: addrA,
+		viewFields{op: packet.OpAcknowledge, psn: 0x101, qp: 0x12, src: addrB, dst: addrA,
 			aeth: packet.AETH{Syndrome: packet.NakPSNSeqError, MSN: 2}, origLen: 62,
 			str: "ACK 10.0.0.2->10.0.0.1 qp=18 psn=257 NAK(code=0) msn=2"}},
 	{"atomic-ack", frame(
@@ -175,36 +166,36 @@ var literalEntries = []struct {
 		[]byte{0x12, 0x00, 0xff, 0xff, 0x00, 0x00, 0x00, 0x78, 0x00, 0x00, 0x03, 0x00}, // Atomic Acknowledge, QP 0x78, PSN 0x300
 		[]byte{0x00, 0x00, 0x00, 0x09},                          // AETH: ACK, MSN 9
 		[]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}), // original remote value
-		headers{op: packet.OpAtomicAcknowledge, psn: 0x300, qp: 0x78, src: addrB, dst: addrA,
+		viewFields{op: packet.OpAtomicAcknowledge, psn: 0x300, qp: 0x78, src: addrB, dst: addrA,
 			aeth: packet.AETH{MSN: 9}, origLen: 70,
 			str: "ATOMIC_ACK 10.0.0.2->10.0.0.1 qp=120 psn=768 ACK msn=9"}},
 	{"cnp-ce", frame(
 		ipUDP(0x03, 60, 2, 1), // CE; 20+8+12+16+4
 		[]byte{0x81, 0x00, 0xff, 0xff, 0x40, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, 0x00}, // CNP, BECN, QP 0x12, PSN 0
 		make([]byte, 16)), // zeroed CNP pad
-		headers{op: packet.OpCNP, qp: 0x12, ecn: packet.ECNCE, src: addrB, dst: addrA,
+		viewFields{op: packet.OpCNP, qp: 0x12, ecn: packet.ECNCE, src: addrB, dst: addrA,
 			origLen: 74, str: "CNP 10.0.0.2->10.0.0.1 qp=18 psn=0 CE"}},
 }
 
-// TestEntryHeadersMatchLiterals reconstructs each literal frame and
-// requires every header the analyzers read to be the hand-read value.
-func TestEntryHeadersMatchLiterals(t *testing.T) {
-	for _, c := range literalEntries {
-		tr, err := Reconstruct([]dumper.Log{logOf(c.wire)})
+// TestViewMatchesLiterals parses each literal frame and requires every
+// accessor to return the hand-read value, reading the frame in place.
+func TestViewMatchesLiterals(t *testing.T) {
+	for _, c := range literalViews {
+		v, err := packet.ParseHeaders(c.wire)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		e := &tr.Entries[0]
-		if want := (packet.MirrorMeta{Seq: 1, Timestamp: 1000}); e.Meta != want {
-			t.Errorf("%s: meta %+v, want %+v", c.name, e.Meta, want)
-		}
-		if got := readHeaders(e); got != c.want {
+		c.want.roce = true // every literal targets UDP port 4791
+		if got := readView(v); got != c.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
+		if b := v.Bytes(); len(b) != len(c.wire) || &b[0] != &c.wire[0] {
+			t.Errorf("%s: the view does not hold the parsed bytes", c.name)
 		}
 	}
 }
 
-// TestNoOpcodeCarriesAETHAndRETH holds the layout Entry.AETH relies on:
+// TestNoOpcodeCarriesAETHAndRETH holds the layout View.AETH relies on:
 // an AETH, when present, directly follows the BTH.
 func TestNoOpcodeCarriesAETHAndRETH(t *testing.T) {
 	for op := 0; op < 256; op++ {
@@ -214,14 +205,42 @@ func TestNoOpcodeCarriesAETHAndRETH(t *testing.T) {
 	}
 }
 
-// TestEntryShape pins the sizes this package and the dumper were cut to
-// on 64-bit platforms: an entry is its mirror metadata and a slice of
-// captured bytes.
-func TestEntryShape(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("sizes are pinned for 64-bit platforms")
+// TestAccessorsMatchDecodeOnCheckedInRuns runs every checked-in
+// scenario and benchmark workload and holds each accessor of every
+// trace entry's View to DecodeHeaders over the entry's bytes.
+func TestAccessorsMatchDecodeOnCheckedInRuns(t *testing.T) {
+	var files []string
+	for _, g := range []string{"configs/*.yaml", "bench/workloads/*.yaml"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
 	}
-	if n := unsafe.Sizeof(Entry{}); n != 48 {
-		t.Errorf("trace.Entry is %d bytes, want 48", n)
+	if len(files) == 0 {
+		t.Fatal("no checked-in scenarios found")
+	}
+	for _, f := range files {
+		cfg, err := config.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := orchestrator.Run(cfg, orchestrator.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if len(rep.Trace.Entries) == 0 {
+			t.Fatalf("%s: empty trace", f)
+		}
+		for i := range rep.Trace.Entries {
+			e := &rep.Trace.Entries[i]
+			var p packet.Packet
+			if err := packet.DecodeHeaders(e.Bytes(), &p); err != nil {
+				t.Fatalf("%s: entry %d (seq %d) does not decode: %v", f, i, e.Meta.Seq, err)
+			}
+			if err := checkView(e.View, p); err != nil {
+				t.Fatalf("%s: entry %d (seq %d): %v", f, i, e.Meta.Seq, err)
+			}
+		}
 	}
 }

@@ -47,12 +47,12 @@ func (t *Trace) WritePcap(w io.Writer) error {
 		rec := bw.AvailableBuffer()
 		rec = le.AppendUint32(rec, uint32(ts/1e9))
 		rec = le.AppendUint32(rec, uint32(ts%1e9))
-		rec = le.AppendUint32(rec, uint32(len(e.Wire)))
+		rec = le.AppendUint32(rec, uint32(len(e.Bytes())))
 		rec = le.AppendUint32(rec, uint32(e.OrigLen()))
 		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
-		if _, err := bw.Write(e.Wire); err != nil {
+		if _, err := bw.Write(e.Bytes()); err != nil {
 			return err
 		}
 	}

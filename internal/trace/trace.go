@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 
@@ -14,93 +13,21 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// Entry is one packet of a reconstructed trace: the bytes a dumper
-// captured and the metadata the injector embedded in them. Its header
-// accessors read Wire in place. Reconstruct admits only records whose
-// headers decode, so every accessor finds the bytes it reads.
+// Entry is one packet of a reconstructed trace: the metadata the
+// injector embedded in a dumper's capture and a View of the captured
+// (trimmed) bytes, whose accessors the analyzers read. Reconstruct
+// admits only records ParseHeaders accepts.
 type Entry struct {
 	// Meta is the data-plane metadata the injector embedded: mirror
 	// sequence number, event type, and the nanosecond ingress timestamp
 	// that every analyzer's latency math builds on. It is kept decoded
 	// because it is the sort key and every timestamp read needs it.
 	Meta packet.MirrorMeta
-	// Wire is the captured (trimmed) bytes.
-	Wire []byte
+	packet.View
 }
-
-// Wire offsets of the fields the accessors read. IPv4 carries no
-// options (DecodeHeaders refuses them), so every offset up to the end of
-// the BTH is fixed.
-const (
-	ipTOS      = packet.EthernetSize + 1  // DSCP and ECN
-	ipTotalLen = packet.EthernetSize + 2  // 16 bits
-	ipSrc      = packet.EthernetSize + 12 // 4 bytes
-	ipDst      = packet.EthernetSize + 16 // 4 bytes
-	bth        = packet.EthernetSize + packet.IPv4Size + packet.UDPSize
-	bthFlags   = bth + 1 // SE, MigReq, pad count, TVer
-	bthDestQP  = bth + 5 // 24 bits
-	bthPSN     = bth + 9 // 24 bits
-	extHeaders = bth + packet.BTHSize
-)
 
 // Time returns the switch ingress timestamp as a simulation instant.
 func (e *Entry) Time() sim.Time { return sim.Time(e.Meta.Timestamp) }
-
-// Opcode returns the BTH opcode.
-func (e *Entry) Opcode() packet.Opcode { return packet.Opcode(e.Wire[bth]) }
-
-// PSN returns the BTH packet sequence number.
-func (e *Entry) PSN() uint32 { return uint24(e.Wire[bthPSN:]) }
-
-// DestQP returns the BTH destination queue pair number.
-func (e *Entry) DestQP() uint32 { return uint24(e.Wire[bthDestQP:]) }
-
-// PadCount returns the BTH pad count.
-func (e *Entry) PadCount() uint8 { return e.Wire[bthFlags] >> 4 & 0x3 }
-
-// ECN returns the IPv4 ECN codepoint.
-func (e *Entry) ECN() uint8 { return e.Wire[ipTOS] & 0x3 }
-
-// Src returns the IPv4 source address.
-func (e *Entry) Src() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipSrc:])) }
-
-// Dst returns the IPv4 destination address.
-func (e *Entry) Dst() netip.Addr { return netip.AddrFrom4([4]byte(e.Wire[ipDst:])) }
-
-// AETH returns the ACK extended transport header, zero for an opcode
-// that carries none. No opcode carries both an AETH and a RETH, so an
-// AETH always follows the BTH directly.
-func (e *Entry) AETH() packet.AETH {
-	if !e.Opcode().HasAETH() {
-		return packet.AETH{}
-	}
-	return packet.AETH{Syndrome: e.Wire[extHeaders], MSN: uint24(e.Wire[extHeaders+1:])}
-}
-
-// DMALen returns the RETH DMA length, the last four bytes of the RETH,
-// or 0 for an opcode that carries no RETH.
-func (e *Entry) DMALen() uint32 {
-	if !e.Opcode().HasRETH() {
-		return 0
-	}
-	return binary.BigEndian.Uint32(e.Wire[extHeaders+packet.RETHSize-4:])
-}
-
-// OrigLen returns the packet's untrimmed wire length: the Ethernet
-// header plus the IPv4 total length.
-func (e *Entry) OrigLen() int {
-	return packet.EthernetSize + int(binary.BigEndian.Uint16(e.Wire[ipTotalLen:]))
-}
-
-// String renders the packet's headers as packet.Packet does.
-func (e *Entry) String() string {
-	var p packet.Packet
-	// Reconstruct admitted the entry only because this decode succeeded.
-	_ = packet.DecodeHeaders(e.Wire, &p)
-	return p.String()
-}
-
-func uint24(b []byte) uint32 { return uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2]) }
 
 // Trace is a reconstructed, sequence-ordered packet trace.
 type Trace struct {
@@ -119,8 +46,8 @@ type Trace struct {
 // switch numbers its copies in order, so each log is already one
 // non-decreasing run. One pass reads every record's metadata and cuts
 // each log at its descents; a k-way merge over the run heads then yields
-// the records in final order, each decoded once, to validate it, as it
-// is placed. An entry keeps the record's bytes, not the parsed headers.
+// the records in final order, each parsed once, to validate it, as it
+// is placed. An entry views the record's bytes in place.
 func Reconstruct(logs []dumper.Log) (*Trace, error) {
 	var heads []runHead
 	var prev uint64
@@ -145,13 +72,13 @@ func Reconstruct(logs []dumper.Log) (*Trace, error) {
 	}
 
 	tr := &Trace{Entries: make([]Entry, pos)}
-	var pkt packet.Packet
 	for out := range tr.Entries {
 		h := &heads[0]
-		if err := packet.DecodeHeaders(h.wire, &pkt); err != nil {
+		v, err := packet.ParseHeaders(h.wire)
+		if err != nil {
 			return nil, firstError(logs)
 		}
-		tr.Entries[out] = Entry{Meta: h.meta, Wire: h.wire}
+		tr.Entries[out] = Entry{Meta: h.meta, View: v}
 		if h.pos++; h.pos < h.end {
 			// The run goes on within its log, whose records the first
 			// pass accepted, so neither read can fail.
@@ -202,12 +129,11 @@ func siftDown(h []runHead, i int) {
 	}
 }
 
-// firstError reports the failure a record-by-record decode of the logs,
+// firstError reports the failure a record-by-record parse of the logs,
 // read in order, stops at: the lowest-indexed bad record, whichever
 // check it fails. Reconstruct calls it only once it has met a bad
 // record, so the merge never has to track which error comes first.
 func firstError(logs []dumper.Log) error {
-	var pkt packet.Packet
 	i := 0
 	for _, l := range logs {
 		c := l.Cursor()
@@ -215,13 +141,13 @@ func firstError(logs []dumper.Log) error {
 			if _, ok := packet.ExtractMirrorMeta(wire); !ok {
 				return fmt.Errorf("trace: record %d too short for mirror metadata", i)
 			}
-			if err := packet.DecodeHeaders(wire, &pkt); err != nil {
+			if _, err := packet.ParseHeaders(wire); err != nil {
 				return fmt.Errorf("trace: record %d: %v", i, err)
 			}
 			i++
 		}
 	}
-	// invariant: Reconstruct calls this only after a record failed ExtractMirrorMeta or DecodeHeaders, and the loop above repeats both checks on every record.
+	// invariant: Reconstruct calls this only after a record failed ExtractMirrorMeta or ParseHeaders, and the loop above repeats both checks on every record.
 	panic("trace: firstError called on records that all decode")
 }
 

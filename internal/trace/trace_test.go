@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"github.com/lumina-sim/lumina/internal/dumper"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -178,7 +179,7 @@ func TestPcapRoundTrip(t *testing.T) {
 	if pkts[0].TimestampNs != 1234567890123 {
 		t.Fatalf("ts = %d", pkts[0].TimestampNs)
 	}
-	if !bytes.Equal(pkts[0].Data, tr.Entries[0].Wire) {
+	if !bytes.Equal(pkts[0].Data, tr.Entries[0].Bytes()) {
 		t.Fatal("data mismatch after round trip")
 	}
 	if pkts[0].OrigLen != tr.Entries[0].OrigLen() {
@@ -268,4 +269,16 @@ func TestKeyNamesTheHeaderAddresses(t *testing.T) {
 		t.Fatalf("Key allocates on a reconstructed trace: %.1f allocs per pass", avg)
 	}
 	_ = sink
+}
+
+// TestEntryShape pins the sizes this package and the dumper were cut to
+// on 64-bit platforms: an entry is its mirror metadata and a View, one
+// slice of captured bytes.
+func TestEntryShape(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Entry{}); n != 48 {
+		t.Errorf("trace.Entry is %d bytes, want 48", n)
+	}
 }
