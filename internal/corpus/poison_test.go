@@ -21,9 +21,13 @@ import (
 // CNPs), retry-exhaustion (black-holed retransmissions), the 16-host
 // fabric incast (frames released two and three hops from their sender)
 // and the noisy-neighbor config (NIC pipeline wedges discarding
-// arrivals). The three checked-in corpus entries must still match their
-// goldens; the config, which has no golden, must match its own
-// unpoisoned run.
+// arrivals). The entries are replayed twice on two workers, so every
+// cell of the second pass runs on frames that another run released,
+// poisoned, and its simulator handed on when it closed: a component that
+// reads a frame from the pool before writing all of it fails there. The
+// three checked-in corpus entries must still match their goldens in both
+// passes; the config, which has no golden, must match its own unpoisoned
+// run.
 func TestPoisonedFramesLeaveDigestsUnchanged(t *testing.T) {
 	entries := []string{
 		"a982ccd565a57c48", // listing2
@@ -65,14 +69,16 @@ func TestPoisonedFramesLeaveDigestsUnchanged(t *testing.T) {
 	clean := noisyDigest()
 
 	defer sim.PoisonReleasedFrames(sim.PoisonReleasedFrames(true))
-	m, err := Replay(context.Background(), dir, ReplayOptions{Profiles: testProfiles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.OK() || len(m.Rows) != len(entries) {
-		var b bytes.Buffer
-		m.Render(&b)
-		t.Errorf("poisoned replay drifted from the goldens:\n%s", b.String())
+	for pass := 1; pass <= 2; pass++ {
+		m, err := Replay(context.Background(), dir, ReplayOptions{Profiles: testProfiles, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.OK() || len(m.Rows) != len(entries) {
+			var b bytes.Buffer
+			m.Render(&b)
+			t.Errorf("poisoned replay pass %d drifted from the goldens:\n%s", pass, b.String())
+		}
 	}
 	if got := noisyDigest(); got != clean {
 		t.Errorf("noisy-neighbor summary digest %s with poisoned frames, %s without", got, clean)

@@ -15,11 +15,13 @@ import (
 // TestScratchReuseParallelIdentity drives real orchestrator runs — which
 // exercise every reused buffer on the hot path: per-QP scratch packets,
 // the shared zero payload, NIC rx-packet freelists, the injector's
-// mirror-buffer pool, and the dumper arenas — across a worker pool, and
-// asserts the summary digests match a serial run of the same batch. Run
-// under -race (CI does) this doubles as the proof that scratch reuse is
-// confined to one worker's simulator: the only memory legitimately
-// shared between workers is read-only.
+// mirror-buffer pool, the dumper arenas, and the frames and event
+// structs a closed simulator hands to the next — across a worker pool,
+// and asserts the summary digests match a serial run of the same batch.
+// Run under -race (CI does) this doubles as the proof that scratch reuse
+// is confined to one worker's simulator while it runs: frames and events
+// move between workers only from a closed simulator to a new one, and
+// the only memory shared by two running simulators is read-only.
 func TestScratchReuseParallelIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations; skipped in -short")

@@ -285,7 +285,9 @@ func (tb *Testbed) counters(responder bool) map[string]uint64 {
 }
 
 // Execute runs traffic to completion (or the deadline), collects all
-// results, reconstructs the trace and performs the integrity check.
+// results, reconstructs the trace and performs the integrity check. It
+// closes tb.Sim once the dumpers are terminated, so a testbed executes
+// once.
 func (tb *Testbed) Execute() (*Report, error) {
 	s, hub := tb.Sim, tb.obs.hub
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "traffic")
@@ -309,6 +311,9 @@ func (tb *Testbed) Execute() (*Report, error) {
 	// TERM the dumpers and rebuild the trace (§3.4, §3.5).
 	hub.Emit(telemetry.KindRunPhase, "orchestrator", "terminate")
 	records := tb.Pool.Terminate()
+	// The dumpers have released their last frame and nothing below
+	// reads one: the next testbed may have this one's frames and events.
+	s.Close()
 	tr, err := trace.Reconstruct(records)
 	if err != nil {
 		return nil, fmt.Errorf("orchestrator: trace reconstruction: %w", err)

@@ -16,7 +16,10 @@ import "sync/atomic"
 //
 // The pool is per Simulator and every component of a testbed runs on
 // the one simulator, so a frame released by whoever consumed it — at
-// any hop — is the next frame of its class handed to any sender.
+// any hop — is the next frame of its class handed to any sender. When
+// the run is over, Close hands the pool to the next simulator New makes
+// (see spares), so a process that runs many testbeds allocates a class's
+// in-flight window once, not once per run.
 
 const (
 	// frameQuantum is the size-class step. Frames are handed out with
@@ -28,10 +31,13 @@ const (
 	// (4096 bytes of payload plus headers); larger frames are allocated
 	// exactly and never pooled.
 	frameClasses = 72
-	// frameClassMax bounds the frames retained per class — far above a
-	// pair testbed's in-flight window, and at most a few hundred KiB per
-	// class in use.
-	frameClassMax = 256
+	// frameClassMax bounds the frames retained per class: the next power
+	// of two above the most frames of one class in flight at once on any
+	// checked-in scenario (761 of the 1 088-byte class, the 16-host
+	// incast; a pair testbed keeps under 100). A set of spares therefore
+	// retains at most 1.1 MiB per class at a 1 KiB MTU and 4.1 MiB at
+	// 4 KiB, and the incast leaves 1.1 MiB in all.
+	frameClassMax = 1024
 )
 
 // framePool is one LIFO stack of released frames per size class.

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"crypto/sha256"
+	"sync"
+	"testing"
+)
 
 // TestReceiverReleasedFrameIsSendersNextGet pins how a frame's ownership
 // crosses a link and where a released frame goes. An owned pool frame is
@@ -96,5 +100,134 @@ func TestPoisonReleasedFrames(t *testing.T) {
 		if v != 0xDB {
 			t.Fatalf("byte %d of a released frame is %#x, want 0xDB", i, v)
 		}
+	}
+}
+
+// spareSets reports the depth of the stack of spares.
+func spareSets() int {
+	spares.Lock()
+	defer spares.Unlock()
+	return len(spares.sets)
+}
+
+// TestCloseHandsFramesAndEventsToNextNew pins the hand-over between
+// runs: the frame and the event struct a closed simulator released are
+// the first the next New hands out, the closed simulator keeps neither,
+// the set is popped (a second New is not handed the same frame), and an
+// EventRef from the closed run cannot cancel the struct's new occupant.
+func TestCloseHandsFramesAndEventsToNextNew(t *testing.T) {
+	s := New(1)
+	frame := s.GetFrame(100)
+	s.PutFrame(frame)
+	stale := s.After(1, func() {})
+	s.Run()
+	depth := spareSets()
+	s.Close()
+	if got := spareSets(); got != depth+1 {
+		t.Fatalf("Close left %d sets of spares, want %d", got, depth+1)
+	}
+	for c, st := range s.frames {
+		if len(st) != 0 {
+			t.Errorf("the closed simulator still holds %d frames of class %d", len(st), c)
+		}
+	}
+	if len(s.free) != 0 {
+		t.Errorf("the closed simulator still holds %d event structs", len(s.free))
+	}
+
+	next := New(2)
+	if got := spareSets(); got != depth {
+		t.Errorf("New left %d sets of spares, want %d", got, depth)
+	}
+	if got := next.GetFrame(100); &got[0] != &frame[0] {
+		t.Error("the next simulator's first frame of the class is not the one the closed simulator released")
+	}
+	fired := false
+	ref := next.After(1, func() { fired = true })
+	if ref.ev != stale.ev {
+		t.Error("the next simulator's first event is not the struct the closed simulator recycled")
+	}
+	if !stale.Cancelled() || next.Cancel(stale) {
+		t.Error("an EventRef from the closed run is live on the struct's new occupant")
+	}
+	next.Run()
+	if !fired {
+		t.Error("the new occupant did not fire")
+	}
+	if got := New(3).GetFrame(100); &got[0] == &frame[0] {
+		t.Error("two open simulators were handed the same frame")
+	}
+}
+
+// TestHandOverAcrossGoroutines runs New → a two-port exchange → Close
+// on two goroutines at once, with released frames poisoned, so every
+// run after the first few starts from frames and events another
+// goroutine's run released. Each run must deliver exactly the bytes the
+// first run did, and the stack of spares must end no deeper than the two
+// simulators open at once can make it. Under -race it also proves the
+// hand-over is synchronised.
+func TestHandOverAcrossGoroutines(t *testing.T) {
+	defer PoisonReleasedFrames(PoisonReleasedFrames(true))
+	exchange := func() [sha256.Size]byte {
+		s := New(1)
+		a, b := Connect(s, "a", "b", 100, 500)
+		h := sha256.New()
+		b.SetFrameReceiver(func(data []byte, owned bool) {
+			h.Write(data)
+			reply := s.GetFrame(64)
+			copy(reply, data)
+			s.PutFrame(data)
+			b.SendFrame(reply, true)
+		})
+		a.SetFrameReceiver(func(data []byte, owned bool) {
+			h.Write(data)
+			s.PutFrame(data)
+		})
+		for i := 0; i < 64; i++ {
+			f := s.GetFrame(64 + 16*i)
+			for j := range f {
+				f[j] = byte(i ^ j)
+			}
+			s.After(Duration(40*i), func() { a.SendFrame(f, true) })
+		}
+		s.Run()
+		s.Close()
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	want := exchange()
+	depth := spareSets()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if got := exchange(); got != want {
+					t.Errorf("run %d delivered bytes with digest %x, the first run %x", i, got[:6], want[:6])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := spareSets(); got > depth+2 {
+		t.Errorf("the stack of spares grew from %d to %d sets with two simulators open at once", depth, got)
+	}
+}
+
+// TestCloseKeepsAtMostFreeMaxEvents checks a closed simulator's set of
+// spares holds at most freeMax event structs however many its run used.
+func TestCloseKeepsAtMostFreeMaxEvents(t *testing.T) {
+	s := New(1)
+	for i := 0; i < freeMax+100; i++ {
+		s.After(Duration(i), func() {})
+	}
+	s.Run()
+	s.Close()
+	next := New(2)
+	if len(next.free) != freeMax {
+		t.Errorf("New adopted %d event structs, want the bound %d", len(next.free), freeMax)
 	}
 }
