@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // Schema identifies the coverage.json document format.
@@ -329,6 +331,11 @@ type Report struct {
 	Covered int          `json:"covered"`
 	Total   int          `json:"total"`
 	Sites   []SiteReport `json:"sites"`
+}
+
+// Publish writes the number of covered pairs into reg.
+func (r *Report) Publish(reg *telemetry.Registry) {
+	reg.Counter("coverage.pairs").Add(int64(r.Covered))
 }
 
 func reportFromCounts(counts []uint64) *Report {

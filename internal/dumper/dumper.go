@@ -51,10 +51,9 @@ type Node struct {
 
 	// The ring_occupancy track is sampled when the occupancy's log2
 	// bucket, bits.Len(queued), differs from that of the last sample
-	// (initially 0, an empty ring). ringPeak holds the exact peak; it is
-	// nil unless a hub was attached when the node was built.
-	sampled  int
-	ringPeak *telemetry.Gauge
+	// (initially 0, an empty ring). peak holds the exact peak.
+	sampled int
+	peak    int
 
 	// log holds the trimmed copy of every admitted packet, in arrival
 	// order; a copy counts once its core has serviced it.
@@ -80,15 +79,23 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 	if cfg.PerCoreGbps <= 0 {
 		cfg.PerCoreGbps = 5
 	}
-	n := &Node{
+	return &Node{
 		Sim: s, Index: index, Cfg: cfg,
 		cores: make([]core, cfg.Cores),
 		track: fmt.Sprintf("dumper-%d", index),
 	}
-	if h := s.Hub(); h.Active() {
-		n.ringPeak = h.Registry().Gauge(n.track + ".ring_peak")
+}
+
+// Publish writes the node's counts into reg: its ring peak even at zero,
+// the packets it admitted and discarded when non-zero.
+func (n *Node) Publish(reg *telemetry.Registry) {
+	reg.Gauge(n.track + ".ring_peak").Set(int64(n.peak))
+	if rx := n.RxPackets - n.RxDiscards; rx != 0 {
+		reg.Counter("dumper.rx").Add(int64(rx))
 	}
-	return n
+	if n.RxDiscards != 0 {
+		reg.Counter("dumper.discards").Add(int64(n.RxDiscards))
+	}
 }
 
 // AttachPort binds the node to its switch-facing port.
@@ -119,12 +126,12 @@ func (n *Node) capture(wire []byte) {
 		if h := n.Sim.Hub(); h.Active() {
 			h.EmitArgs(telemetry.KindDumperDisc, n.track, "ring_full",
 				telemetry.I("core", int64(ci)), telemetry.I("depth", int64(c.queued)))
-			h.Count("dumper.discards", 1)
 		}
 		return
 	}
 	c.queued++
 	n.queued++
+	n.peak = max(n.peak, n.queued)
 
 	trim := min(n.Cfg.TrimBytes, len(wire))
 	rec := n.log.add(trim)
@@ -141,10 +148,6 @@ func (n *Node) capture(wire []byte) {
 	c.busyTil = done
 	if h := n.Sim.Hub(); h.Active() {
 		n.sampleRing(h)
-		if n.ringPeak != nil && int64(n.queued) > n.ringPeak.Value() {
-			n.ringPeak.Set(int64(n.queued))
-		}
-		h.Count("dumper.rx", 1)
 		// Sojourn = ring wait + service: the interval between NIC arrival
 		// and the core finishing with the packet.
 		h.Observe("dumper.sojourn_ns", int64(done.Sub(now)))

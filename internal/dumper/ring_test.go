@@ -163,8 +163,10 @@ func TestRingOccupancyMatchesReference(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d (%+v): ring_occupancy samples\n got  %v\n want %v\n from %v", seed, cfg, got, want, log)
 		}
-		if g := h.Registry().Gauge("dumper-0.ring_peak").Value(); g != peak {
-			t.Fatalf("seed %d: ring_peak = %d, want %d", seed, g, peak)
+		reg := telemetry.NewRegistry()
+		n.Publish(reg)
+		if g := reg.Snapshot().Gauges; len(g) != 1 || g[0].Name != "dumper-0.ring_peak" || g[0].Value != peak {
+			t.Fatalf("seed %d: published gauges %+v, want dumper-0.ring_peak = %d", seed, g, peak)
 		}
 		if int(n.RxDiscards) != discards || fulls != discards {
 			t.Fatalf("seed %d: node discarded %d, published %d ring_full, reference %d", seed, n.RxDiscards, fulls, discards)

@@ -159,7 +159,6 @@ type HopSummary struct {
 // deterministic. The hot path (StampWire) is alloc-free at steady state
 // — perfgate budgets it at zero allocs/op.
 type Collector struct {
-	hub  *telemetry.Hub
 	hops []hopState
 
 	// recent maps the 16-bit on-wire transit tag back to the full
@@ -179,12 +178,6 @@ type Collector struct {
 	// recording order.
 	log pages[stamp]
 	n   uint32
-}
-
-// NewCollector returns a collector publishing roll-up metrics to hub
-// (nil hub = collect only).
-func NewCollector(hub *telemetry.Hub) *Collector {
-	return &Collector{hub: hub}
 }
 
 // RegisterHop adds a hop to the table and returns its ID. Origin hops
@@ -409,24 +402,20 @@ func (c *Collector) Hops() []HopSummary {
 	return out
 }
 
-// Publish drains roll-up counters and per-hop gauges into the hub.
+// Publish writes the roll-up counters and per-hop gauges into reg.
 // Deliberately no histograms: summary.json folds every registry
 // histogram into its latency digests, and INT must leave summary.json
 // byte-identical so instrumented runs replay against existing corpus
 // goldens.
-func (c *Collector) Publish() {
-	h := c.hub
-	if !h.Active() {
-		return
-	}
-	h.Count("int.stamps", int64(c.StampCount()))
-	h.Count("int.transits", int64(c.TransitCount()))
-	h.Count("int.binds", int64(c.BindCount()))
+func (c *Collector) Publish(reg *telemetry.Registry) {
+	reg.Counter("int.stamps").Add(int64(c.StampCount()))
+	reg.Counter("int.transits").Add(int64(c.TransitCount()))
+	reg.Counter("int.binds").Add(int64(c.BindCount()))
 	for i := range c.hops {
 		hs := &c.hops[i]
-		h.SetGauge("int.hop."+hs.name+".stamps", int64(hs.stamps))
-		h.SetGauge("int.hop."+hs.name+".max_queue_bytes", hs.maxQueue)
-		h.SetGauge("int.hop."+hs.name+".max_util_permille", int64(hs.maxUtil))
+		reg.Gauge("int.hop." + hs.name + ".stamps").Set(int64(hs.stamps))
+		reg.Gauge("int.hop." + hs.name + ".max_queue_bytes").Set(hs.maxQueue)
+		reg.Gauge("int.hop." + hs.name + ".max_util_permille").Set(int64(hs.maxUtil))
 	}
 }
 

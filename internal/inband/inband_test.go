@@ -28,7 +28,7 @@ func roceWire() []byte {
 }
 
 func TestOriginAssignsFreshTransits(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	w1, w2 := roceWire(), roceWire()
 	c.StampWire(w1, origin, 10, 0, 0)
@@ -47,7 +47,7 @@ func TestOriginAssignsFreshTransits(t *testing.T) {
 }
 
 func TestTransitHopResolvesTag(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	transit := c.RegisterHop("sw", false)
 	wire := roceWire()
@@ -70,7 +70,7 @@ func TestTransitHopResolvesTag(t *testing.T) {
 }
 
 func TestTransitHopIgnoresUntaggedAndNonRoCE(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	c.RegisterHop("nic", true) // hop 0, unused
 	transit := c.RegisterHop("sw", false)
 	c.StampWire(roceWire(), transit, 0, 0, 0) // no origin ever tagged it
@@ -84,7 +84,7 @@ func TestTransitHopIgnoresUntaggedAndNonRoCE(t *testing.T) {
 }
 
 func TestPipelineBindsLineage(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	pipe := c.RegisterHop("sw-pipeline", false)
 	wire := roceWire()
@@ -107,7 +107,7 @@ func TestPipelineBindsLineage(t *testing.T) {
 }
 
 func TestUtilizationWindow(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	// First window [0,1000]: 500ns of committed airtime = 500‰.
 	c.StampWire(roceWire(), origin, 1000, 0, sim.Duration(500))
@@ -126,7 +126,7 @@ func TestUtilizationWindow(t *testing.T) {
 }
 
 func TestHopSummaries(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	transit := c.RegisterHop("sw", false)
 	wire := roceWire()
@@ -145,7 +145,7 @@ func TestHopSummaries(t *testing.T) {
 }
 
 func TestResetKeepsHopsTruncatesLog(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	c.StampWire(roceWire(), origin, 0, 0, 0)
 	c.Reset()
@@ -240,7 +240,7 @@ func TestResetAndOutOfTableTags(t *testing.T) {
 		bound: map[uint64]bool{1: false},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCollector(nil)
+			c := new(Collector)
 			nic := c.RegisterHop("nic", true)
 			sw := c.RegisterHop("sw", false)
 			pipe := c.RegisterHop("sw-pipeline", false)
@@ -284,7 +284,7 @@ func driveTag(c *Collector, sw, pipe uint8, tag uint16) {
 // one sequence in recording order, stamps recorded early must not move,
 // and Reset must leave a log that starts over.
 func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	origin := c.RegisterHop("nic", true)
 	wire := roceWire()
 	const n = 5<<pageBits + 17
@@ -329,7 +329,7 @@ func stampChain(c *Collector, nic, pipe, sw uint8, seq uint64, base int64, queue
 }
 
 func TestJoinAnnotatesChains(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	nic := c.RegisterHop("req-nic", true)
 	pipe := c.RegisterHop("sw-pipeline", false)
 	sw := c.RegisterHop("sw-resp", false)
@@ -386,7 +386,7 @@ func TestJoinAnnotatesChains(t *testing.T) {
 }
 
 func TestJoinNilGraph(t *testing.T) {
-	c := NewCollector(nil)
+	c := new(Collector)
 	if c.Join(nil) != nil || c.Join(&lineage.Graph{}) != nil {
 		t.Fatal("empty graph produced chains")
 	}

@@ -101,9 +101,8 @@ type Switch struct {
 	dumperPorts []*sim.Port
 	wrrWeights  []int
 	wrrCurrent  []int
-	// spray[i] counts the mirrors sent to dumper i, when a hub was
-	// attached as the dumper was.
-	spray []*telemetry.Counter
+	// spray[i] counts the mirrors sent to dumper i.
+	spray []int64
 
 	rules map[ruleKey]*Rule
 	conns map[connKey]*connState
@@ -210,9 +209,22 @@ func (sw *Switch) AttachDumper(port *sim.Port, weight int) {
 	sw.dumperPorts = append(sw.dumperPorts, port)
 	sw.wrrWeights = append(sw.wrrWeights, weight)
 	sw.wrrCurrent = append(sw.wrrCurrent, 0)
-	if h := sw.Sim.Hub(); h.Active() {
-		name := fmt.Sprintf("switch.spray.dumper-%d", len(sw.spray))
-		sw.spray = append(sw.spray, h.Registry().Counter(name))
+	sw.spray = append(sw.spray, 0)
+}
+
+// Publish writes the switch's counts into reg: the mirrors sent to each
+// dumper even at zero, the mirror, hit and drop totals when non-zero.
+func (sw *Switch) Publish(reg *telemetry.Registry) {
+	for i, n := range sw.spray {
+		reg.Counter(fmt.Sprintf("switch.spray.dumper-%d", i)).Add(n)
+	}
+	for _, c := range [...]struct {
+		name string
+		v    uint64
+	}{{"switch.mirrored", sw.total.Mirrored}, {"inject.hits", sw.total.Injected}, {"inject.drops", sw.total.Dropped}} {
+		if c.v != 0 {
+			reg.Counter(c.name).Add(int64(c.v))
+		}
 	}
 }
 
@@ -302,7 +314,6 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 						telemetry.I("qpn", int64(key.dstQPN)),
 						telemetry.I("iter", int64(iter)),
 						telemetry.I("lineage", int64(sw.mirrorSeq+1)))
-					h.Count("inject.hits", 1)
 				}
 			} else {
 				sw.Sim.Coverage().Record(coverage.SiteInjectLookup, coverage.LookupMiss)
@@ -350,7 +361,6 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDrop)
 		pc.Dropped++
 		sw.total.Dropped++
-		sw.Sim.Hub().Count("inject.drops", 1)
 		if owned {
 			sw.Sim.PutFrame(out)
 		}
@@ -566,12 +576,7 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorSpray)
 		pick = sw.nextDumper()
 	}
-	if h := sw.Sim.Hub(); h.Active() {
-		if pick < len(sw.spray) {
-			sw.spray[pick].Inc()
-		}
-		h.Count("switch.mirrored", 1)
-	}
+	sw.spray[pick]++
 	sw.total.Mirrored++
 	sw.Sim.AfterEvent(sim.Duration(sw.Cfg.PipelineLatencyNs), sw, swMirror, uint64(pick), dup)
 }

@@ -36,12 +36,10 @@ type INTReport struct {
 	Chains []inband.ChainHops `json:"chains,omitempty"`
 }
 
-// buildINTReport drains the collector into the hub, joins stamps with
-// the lineage graph (when built), and runs the hop-level analyzers.
-// Called before the metrics/events snapshot so INT counters and verdict
-// probes land in metrics.json and the timeline.
+// buildINTReport joins stamps with the lineage graph (when built) and
+// runs the hop-level analyzers. Called before the events snapshot so the
+// INT verdict probes land in the timeline.
 func buildINTReport(c *inband.Collector, rep *Report, hub *telemetry.Hub) *INTReport {
-	c.Publish()
 	ir := &INTReport{
 		Schema:   INTSchema,
 		Hops:     c.Hops(),

@@ -30,40 +30,41 @@ func (o *observer) attach(s *sim.Simulator, opts Options) {
 		s.AttachCoverage(o.cov)
 	}
 	if opts.INT {
-		o.col = inband.NewCollector(o.hub)
+		o.col = new(inband.Collector)
 	}
 }
 
-// collect folds every tap into the report. INT and coverage go first so
-// their counters and verdict probes land in metrics.json and the
-// timeline.
+// collect folds every tap into the report. INT goes first so its
+// verdict probes land in the timeline.
 func (o *observer) collect(tb *Testbed, rep *Report) {
 	if o.col != nil {
 		rep.INT = buildINTReport(o.col, rep, o.hub)
 	}
 	if o.cov != nil {
 		rep.Coverage = o.cov.Report()
-		// The frontier size is published only through the telemetry hub
-		// (a no-op without one): metrics.json stays byte-identical with
-		// coverage on or off when telemetry is off, and coverage.json is
-		// independent of telemetry entirely.
-		o.hub.Count("coverage.pairs", int64(rep.Coverage.Covered))
 	}
 	if o.hub == nil {
 		return
 	}
-	// Per-port fabric gauges (queue high-water mark, link utilization):
-	// published whenever telemetry is on, INT or not, so metrics.json
-	// always reflects fabric state.
-	now := int64(tb.Sim.Now())
-	for _, p := range tb.Ports {
-		o.hub.SetGauge("port."+p.Name+".max_queue_bytes", p.MaxQueue)
-		util := int64(0)
-		if now > 0 {
-			util = min(int64(p.Busy)*1000/now, 1000)
-		}
-		o.hub.SetGauge("port."+p.Name+".util_permille", util)
+	// Every count in metrics.json is read here, once, from the component
+	// that kept it; coverage.json is independent of telemetry.
+	reg := o.hub.Registry()
+	for _, n := range tb.Hosts {
+		n.Publish(reg)
 	}
-	rep.Metrics = o.hub.Snapshot()
+	tb.Switch.Publish(reg)
+	for _, n := range tb.Pool.Nodes {
+		n.Publish(reg)
+	}
+	for _, p := range tb.Ports {
+		p.Publish(reg)
+	}
+	if o.col != nil {
+		o.col.Publish(reg)
+	}
+	if rep.Coverage != nil {
+		rep.Coverage.Publish(reg)
+	}
+	rep.Metrics = reg.Snapshot()
 	rep.Events = o.hub.Events()
 }

@@ -150,7 +150,7 @@ func simEventsMixed() (int, int, func()) {
 // truncated (capacity kept) each op, exactly how steady state reuses
 // it.
 func intStamp() (int, int, func()) {
-	c := inband.NewCollector(nil)
+	c := new(inband.Collector)
 	origin := c.RegisterHop("nic", true)
 	transit := c.RegisterHop("sw", false)
 	wire := samplePacket().AppendWire(nil)

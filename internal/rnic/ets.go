@@ -2,11 +2,9 @@ package rnic
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/telemetry"
 )
 
 // ETSQueueConfig describes one queue of the Enhanced Transmission
@@ -52,16 +50,14 @@ func (c ETSConfig) Validate() error {
 // etsQueue is the runtime state of one scheduler queue.
 type etsQueue struct {
 	cfg ETSQueueConfig
-	// grants and bytes count the packets and bytes the queue was granted,
-	// when a hub was attached as the NIC was built.
-	grants, bytes *telemetry.Counter
 	// qps holds the QPs assigned to this queue, served round-robin so a
 	// rate-limited QP cannot head-of-line block its neighbours.
 	qps []*QP
 	rr  int
-	// bytesServed normalizes weighted fairness: the scheduler picks the
-	// eligible weighted queue minimizing bytesServed/weight.
-	bytesServed int64
+	// grants and bytesServed count the packets and bytes the queue was
+	// granted; the scheduler picks the eligible weighted queue minimizing
+	// bytesServed/weight.
+	grants, bytesServed int64
 	// capReadyAt implements the CX6 Dx non-work-conservation bug
 	// (§6.2.1): when capGbps > 0, the queue may not exceed its
 	// guaranteed share even if every other queue is idle.
@@ -91,12 +87,8 @@ func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
 			weighted++
 		}
 	}
-	for i, qc := range cfg.Queues {
+	for _, qc := range cfg.Queues {
 		q := &etsQueue{cfg: qc}
-		if h := nic.Sim.Hub(); h.Active() {
-			q.grants = h.Registry().Counter(nic.Name + "/ets.q" + strconv.Itoa(i) + ".grants")
-			q.bytes = h.Registry().Counter(nic.Name + "/ets.q" + strconv.Itoa(i) + ".bytes")
-		}
 		// The guarantee clamp only manifests when bandwidth is actually
 		// partitioned across multiple weighted queues; a single queue
 		// owns the port.
@@ -164,10 +156,7 @@ func (s *etsScheduler) kick() {
 	} else {
 		s.nic.Sim.Coverage().Record(coverage.SiteETSGrant, coverage.ETSGrantWeighted)
 	}
-	if q.grants != nil {
-		q.grants.Inc()
-		q.bytes.Add(int64(size))
-	}
+	q.grants++
 
 	// Port occupancy at line rate.
 	ser := sim.TransferTime(size, s.nic.Prof.LinkGbps)

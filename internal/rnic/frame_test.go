@@ -149,13 +149,13 @@ func TestFrameLengthsMatchSpec(t *testing.T) {
 	// The ETS scheduler charges each granted packet's length: on a
 	// Write-only requester, which sends nothing around the scheduler,
 	// that is every byte the NIC sent.
-	o := defaultPairOpts()
-	o.hub = telemetry.NewHub()
-	p := newPair(t, o)
+	p := newPair(t, defaultPairOpts())
 	_, _, mr := p.connect(t, mtu, 10, 7)
 	runTransfer(t, p, VerbWrite, 4, 517, mr)
+	reg := telemetry.NewRegistry()
+	p.a.Publish(reg)
 	var ets int64
-	for _, c := range o.hub.Registry().Snapshot().Counters {
+	for _, c := range reg.Snapshot().Counters {
 		if c.Name == "A/ets.q0.bytes" {
 			ets = c.Value
 		}

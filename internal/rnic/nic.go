@@ -3,6 +3,7 @@ package rnic
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -101,10 +102,35 @@ type NIC struct {
 	// lastCNPAt feeds the inter-CNP-gap histogram (telemetry only).
 	lastCNPAt sim.Time
 	anyCNP    bool
+
+	// CNPs sent and rate-limited away (np_cnp_sent may be stuck), and
+	// RX pipeline wedges.
+	cnpSent, cnpSuppressed, wedges int64
 }
 
 // hub returns the telemetry bus (nil-safe no-op when detached).
 func (n *NIC) hub() *telemetry.Hub { return n.Sim.Hub() }
+
+// Publish writes the NIC's counts into reg: each ETS queue's grants and
+// bytes even at zero, the transmit, CNP and wedge totals when non-zero.
+func (n *NIC) Publish(reg *telemetry.Registry) {
+	for i, q := range n.sched.queues {
+		name := n.Name + "/ets.q" + strconv.Itoa(i)
+		reg.Counter(name + ".grants").Add(q.grants)
+		reg.Counter(name + ".bytes").Add(q.bytesServed)
+	}
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"nic.tx_packets", int64(n.Counters.Get(CtrTxRoCEPackets))},
+		{"cnp.sent", n.cnpSent}, {"cnp.suppressed", n.cnpSuppressed}, {"nic.wedges", n.wedges},
+	} {
+		if c.v != 0 {
+			reg.Counter(c.name).Add(c.v)
+		}
+	}
+}
 
 // Config bundles NIC construction parameters.
 type Config struct {
@@ -230,13 +256,12 @@ func (n *NIC) executeAtomic(op packet.Opcode, rkey uint32, addr uint64, swapAdd,
 func (n *NIC) transmit(wire []byte, qp *QP) {
 	n.Counters.Inc(CtrTxRoCEPackets)
 	n.Counters.Add(CtrTxRoCEBytes, uint64(len(wire)))
-	if h := n.hub(); h.Active() && qp != nil {
+	if h := n.hub(); h.Active() {
 		now := n.Sim.Now()
 		if qp.txSeen {
 			h.Observe("nic.tx_gap_ns", int64(now.Sub(qp.lastTxAt)))
 		}
 		qp.lastTxAt, qp.txSeen = now, true
-		h.Count("nic.tx_packets", 1)
 	}
 	n.port.SendFrame(wire, true)
 }
@@ -381,19 +406,19 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 	now := n.Sim.Now()
 	if next, busy := n.cnpNextAllowed[key]; busy && now < next {
 		n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSuppress)
+		n.cnpSuppressed++
 		if h := n.hub(); h.Active() {
 			h.EmitArgs(telemetry.KindCNPGen, n.Name+"/cnp", "suppress",
 				telemetry.I("dest_qpn", int64(qp.remote.QPN)))
-			h.Count("cnp.suppressed", 1)
 		}
 		return // coalesced away by the rate limiter
 	}
 	n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSend)
 	n.cnpNextAllowed[key] = now.Add(n.Prof.CNPInterval(n.Set.MinTimeBetweenCNPs))
+	n.cnpSent++
 	if h := n.hub(); h.Active() {
 		h.EmitArgs(telemetry.KindCNPGen, n.Name+"/cnp", "send",
 			telemetry.I("dest_qpn", int64(qp.remote.QPN)))
-		h.Count("cnp.sent", 1)
 		if n.anyCNP {
 			h.Observe("cnp.gap_ns", int64(now.Sub(n.lastCNPAt)))
 		}
@@ -440,10 +465,10 @@ func (n *NIC) slowPathEnter(d sim.Duration) {
 	if n.slowBusy > n.Prof.SlowPathContexts && now >= n.wedgeCooldownTill {
 		n.wedgedUntil = now.Add(n.Prof.WedgeDuration)
 		n.wedgeCooldownTill = n.wedgedUntil.Add(n.Prof.WedgeCooldown)
+		n.wedges++
 		if h := n.hub(); h.Active() {
 			h.EmitSpan(telemetry.KindNICWedge, n.Name, "rx_wedged", int64(n.Prof.WedgeDuration),
 				telemetry.I("slow_busy", int64(n.slowBusy)))
-			h.Count("nic.wedges", 1)
 		}
 	}
 }

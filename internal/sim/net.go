@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/lumina-sim/lumina/internal/telemetry"
+)
 
 // Port is one end of a full-duplex Link. A component sends raw frames
 // (serialized packet bytes) out of its ports; the link models store-and-
@@ -50,6 +54,17 @@ type Port struct {
 // identical with or without it.
 func (p *Port) SetStamper(fn func(data []byte, at Time, queuedAhead int64, busy Duration)) {
 	p.stamp = fn
+}
+
+// Publish writes the port's queue high-water mark and its link
+// utilization over the run so far, in per mille, into reg.
+func (p *Port) Publish(reg *telemetry.Registry) {
+	util := int64(0)
+	if now := int64(p.sim.now); now > 0 {
+		util = min(int64(p.Busy)*1000/now, 1000)
+	}
+	reg.Gauge("port." + p.Name + ".max_queue_bytes").Set(p.MaxQueue)
+	reg.Gauge("port." + p.Name + ".util_permille").Set(util)
 }
 
 // SetReceiver installs the function invoked for every frame arriving at

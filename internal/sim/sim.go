@@ -423,9 +423,7 @@ func (s *Simulator) Now() Time { return s.now }
 
 // AttachHub connects a telemetry hub to the simulation: components
 // reached through Hub() start recording probes stamped with this
-// simulator's virtual clock. Attaching nil detaches. Attach before
-// building components: the dumper, spray and ETS-queue registry metrics
-// are named when their component is built.
+// simulator's virtual clock. Attaching nil detaches.
 func (s *Simulator) AttachHub(h *telemetry.Hub) {
 	s.hub = h
 	h.SetClock(func() int64 { return int64(s.now) })

@@ -29,17 +29,11 @@ type Counter struct{ v int64 }
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v += n }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Gauge is a last-value-wins sample.
 type Gauge struct{ v int64 }
 
 // Set records the gauge value.
 func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v }
 
 // Counter returns (creating if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {

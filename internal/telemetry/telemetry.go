@@ -511,34 +511,10 @@ func (h *Hub) Registry() *Registry {
 	return h.reg
 }
 
-// Count adds n to the named registry counter.
-func (h *Hub) Count(name string, n int64) {
-	if h == nil {
-		return
-	}
-	h.reg.Counter(name).Add(n)
-}
-
-// SetGauge sets the named registry gauge.
-func (h *Hub) SetGauge(name string, v int64) {
-	if h == nil {
-		return
-	}
-	h.reg.Gauge(name).Set(v)
-}
-
 // Observe records v into the named log-linear histogram.
 func (h *Hub) Observe(name string, v int64) {
 	if h == nil {
 		return
 	}
 	h.reg.Histogram(name).Record(v)
-}
-
-// Snapshot freezes the metrics registry (nil on a detached hub).
-func (h *Hub) Snapshot() *MetricsSnapshot {
-	if h == nil {
-		return nil
-	}
-	return h.reg.Snapshot()
 }
