@@ -16,7 +16,8 @@ import (
 // counterCells light every counter family metrics.json carries: two ETS
 // queues, a CX4 pipeline wedge, injected drops, CNPs an E810 responder's
 // limiter suppresses while its np_cnp_sent stays stuck, ring discards
-// (the rss-rewrite ablation) and the leaf-spine incast.
+// (the rss-rewrite ablation), dumpers no mirror reaches and the
+// leaf-spine incast.
 func counterCells(t *testing.T) []struct {
 	name string
 	cfg  config.Test
@@ -41,6 +42,10 @@ func counterCells(t *testing.T) []struct {
 	ablation.Traffic.MessageSize = 65536
 	ablation.Traffic.TxDepth = 8
 	ablation.Dumpers.RSSPortRewrite = false
+	idle := config.Default()
+	idle.Name = "idle-dumpers"
+	idle.Traffic.MessageSize = 1024
+	idle.Dumpers.Nodes = 8
 	return []struct {
 		name string
 		cfg  config.Test
@@ -51,6 +56,7 @@ func counterCells(t *testing.T) []struct {
 		{"listing2", load("configs", "listing2.yaml"), "ae53967189bdf02492b2991e879dd64eb124399445f8a48d8ff4a20aa7692027"},
 		{e810.Name, e810, "a21b5847286c174535130f4fc2a12ea861e9de932a66e3f706cc1ef1595a6d26"},
 		{ablation.Name, ablation, "292cb1170e35818586df5837e7cf46c53925e0f170a9fc127ad769816d99ece6"},
+		{idle.Name, idle, "4c711ea048f1a0c9d590eaa1fa07188ccd70cd73e80f90816c804bc217489027"},
 		{"incast", load("examples", "fabric_incast", "incast.yaml"), "a29e0d6c3ac100f10dd969c334a5eb6fa0fc3397813762c170528e8084ea1d17"},
 	}
 }
@@ -155,6 +161,9 @@ func TestCountersMatchTheirWitnesses(t *testing.T) {
 				if !ok {
 					t.Errorf("switch.spray.%s missing", track)
 				}
+				if v == 0 {
+					lit["switch.spray at zero"] = true
+				}
 				spray += v
 				peak, ok := gauges[track+".ring_peak"]
 				if !ok {
@@ -205,7 +214,7 @@ func TestCountersMatchTheirWitnesses(t *testing.T) {
 		})
 	}
 	for _, name := range []string{"nic.tx_packets", "dumper.rx", "dumper.discards", "switch.mirrored", "inject.hits", "inject.drops",
-		"cnp.sent", "cnp.suppressed", "nic.wedges", "ring_peak", "switch.spray", "ets.grants", "ets.bytes"} {
+		"cnp.sent", "cnp.suppressed", "nic.wedges", "ring_peak", "switch.spray", "switch.spray at zero", "ets.grants", "ets.bytes"} {
 		if !lit[name] {
 			t.Errorf("%s is zero in every cell", name)
 		}
