@@ -89,6 +89,13 @@ type PortCounters struct {
 	Dropped  uint64 `json:"dropped"` // by drop actions
 }
 
+// dumperPort is a mirror port with its WRR weight, credit and mirror count.
+type dumperPort struct {
+	port            *sim.Port
+	weight, current int
+	spray           int64
+}
+
 // Switch is the event injector instance.
 type Switch struct {
 	Sim *sim.Simulator
@@ -98,11 +105,7 @@ type Switch struct {
 	hostMACs    []packet.MAC
 	macTable    map[packet.MAC]int
 	defaultPort int // unknown-unicast egress (-1 = drop); see SetDefaultPort
-	dumperPorts []*sim.Port
-	wrrWeights  []int
-	wrrCurrent  []int
-	// spray[i] counts the mirrors sent to dumper i.
-	spray []int64
+	dumpers     []dumperPort
 
 	rules map[ruleKey]*Rule
 	conns map[connKey]*connState
@@ -206,17 +209,14 @@ func (sw *Switch) SetDefaultPort(idx int) { sw.defaultPort = idx }
 // AttachDumper binds a mirror port with a WRR weight, at least 1 (the
 // dumper-pool weights tag holds a configured one there).
 func (sw *Switch) AttachDumper(port *sim.Port, weight int) {
-	sw.dumperPorts = append(sw.dumperPorts, port)
-	sw.wrrWeights = append(sw.wrrWeights, weight)
-	sw.wrrCurrent = append(sw.wrrCurrent, 0)
-	sw.spray = append(sw.spray, 0)
+	sw.dumpers = append(sw.dumpers, dumperPort{port: port, weight: weight})
 }
 
 // Publish writes the switch's counts into reg: the mirrors sent to each
 // dumper even at zero, the mirror, hit and drop totals when non-zero.
 func (sw *Switch) Publish(reg *telemetry.Registry) {
-	for i, n := range sw.spray {
-		reg.Counter(fmt.Sprintf("switch.spray.dumper-%d", i)).Add(n)
+	for i, d := range sw.dumpers {
+		reg.Counter(fmt.Sprintf("switch.spray.dumper-%d", i)).Add(d.spray)
 	}
 	for _, c := range [...]struct {
 		name string
@@ -352,7 +352,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 
 	// Ingress mirror: duplicates carry the post-injection bytes plus the
 	// embedded metadata, and leave before the drop takes effect.
-	if sw.Cfg.Mirror && len(sw.dumperPorts) > 0 {
+	if sw.Cfg.Mirror && len(sw.dumpers) > 0 {
 		sw.mirror(out, ev, portIdx)
 	}
 
@@ -538,7 +538,7 @@ func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
 	case swForward:
 		sw.hostPorts[arg>>1].SendFrame(data, arg&1 != 0)
 	case swMirror:
-		sw.dumperPorts[arg].SendFrame(data, true)
+		sw.dumpers[arg].port.SendFrame(data, true)
 	case swDelayed:
 		if idx := sw.egress(data, arg&1 != 0, true); idx >= 0 {
 			sw.hostPorts[idx].SendFrame(data, arg&1 != 0)
@@ -571,31 +571,31 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 	var pick int
 	if sw.ByIngressMirror {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorByIngress)
-		pick = ingress % len(sw.dumperPorts)
+		pick = ingress % len(sw.dumpers)
 	} else {
 		sw.Sim.Coverage().Record(coverage.SiteInjectMirror, coverage.MirrorSpray)
 		pick = sw.nextDumper()
 	}
-	sw.spray[pick]++
+	sw.dumpers[pick].spray++
 	sw.total.Mirrored++
 	sw.Sim.AfterEvent(sim.Duration(sw.Cfg.PipelineLatencyNs), sw, swMirror, uint64(pick), dup)
 }
 
 // nextDumper runs smooth weighted round-robin over the dumper ports.
 func (sw *Switch) nextDumper() int {
-	if len(sw.dumperPorts) == 1 {
+	if len(sw.dumpers) == 1 {
 		return 0
 	}
-	totalW := 0
-	best := 0
-	for i, w := range sw.wrrWeights {
-		sw.wrrCurrent[i] += w
-		totalW += w
-		if sw.wrrCurrent[i] > sw.wrrCurrent[best] {
+	totalW, best := 0, 0
+	for i := range sw.dumpers {
+		d := &sw.dumpers[i]
+		d.current += d.weight
+		totalW += d.weight
+		if d.current > sw.dumpers[best].current {
 			best = i
 		}
 	}
-	sw.wrrCurrent[best] -= totalW
+	sw.dumpers[best].current -= totalW
 	return best
 }
 
@@ -605,5 +605,5 @@ func psnGreater(a, b uint32) bool {
 }
 
 func (sw *Switch) String() string {
-	return fmt.Sprintf("Switch(hosts=%d dumpers=%d rules=%d)", len(sw.hostPorts), len(sw.dumperPorts), len(sw.rules))
+	return fmt.Sprintf("Switch(hosts=%d dumpers=%d rules=%d)", len(sw.hostPorts), len(sw.dumpers), len(sw.rules))
 }

@@ -125,7 +125,8 @@ func TestFoldPrintsAndFillsARow(t *testing.T) {
 	if b.String() != want {
 		t.Errorf("printed\n%s\nwant\n%s", b.String(), want)
 	}
-	l, err := layersOf(folds, 100)
+	pair := []string{"bulk_pair_packet", "bulk_pair_packet"}
+	l, err := layersOf(folds, pair, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,16 @@ func TestFoldPrintsAndFillsARow(t *testing.T) {
 		got.AllocSamples != 3 || got.AllocBytesPerPkt["dumper"] != 6662.37 || len(l) != 1 {
 		t.Errorf("layers %+v", l)
 	}
-	if _, err := layersOf(folds, 0); err == nil {
+	// Each fold lands under the workload its profile measured.
+	l, err = layersOf(folds, []string{"bulk_explain_packet", "bulk_pair_packet"}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, p := l["bulk_explain_packet"], l["bulk_pair_packet"]; len(l) != 2 || e.CPUSamples != 7 || e.AllocSamples != 0 ||
+		p.CPUSamples != 0 || p.AllocSamples != 3 {
+		t.Errorf("layers %+v", l)
+	}
+	if _, err := layersOf(folds, pair, 0); err == nil {
 		t.Error("a row's layers without -packets")
 	}
 }

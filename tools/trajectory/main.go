@@ -14,12 +14,13 @@
 //
 // A perf claim is then a diff between two lines of the file.
 //
-// -profile FILE (repeatable) folds a CPU profile, or a heap profile's
-// alloc_space, onto the layers a packet crosses (see foldProfile), read
-// through `go tool pprof -raw`; -packets N makes the figures per
-// simulated packet. Without -commit the folds are printed; with it they
-// go into the row's layers object, under bulk_pair_packet, the perfgate
-// workload the profiles must measure:
+// -profile [WORKLOAD=]FILE (repeatable) folds a CPU profile, or a heap
+// profile's alloc_space, onto the layers a packet crosses (see
+// foldProfile), read through `go tool pprof -raw`; -packets N makes the
+// figures per simulated packet. Without -commit the folds are printed;
+// with it they go into the row's layers object, under the perfgate
+// workload the profile measured: bulk_pair_packet unless WORKLOAD names
+// bulk_explain_packet.
 //
 //	go test -run '^$' -bench 'Workloads/bulk_pair_packet$' -benchtime 200x \
 //	    -memprofilerate 1 -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/perfgate
@@ -27,7 +28,8 @@
 //
 // With -benchtime Nx the profiles hold N+3 runs of the bulk scenario's
 // 10 322 packets: the N timed runs, the b.N=1 round's run, and one run
-// per round that counts the packets.
+// per round that counts the packets. Both workloads run that scenario,
+// so profiles of the two at one -benchtime share -packets.
 package main
 
 import (
@@ -37,6 +39,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/lumina-sim/lumina/internal/perfgate"
 )
@@ -202,9 +206,16 @@ func run(args []string) error {
 	in := fs.String("result", "bench/out/result.json", "benchmark result file to read")
 	out := fs.String("out", "PERF_TRAJECTORY.jsonl", "trajectory file to append to")
 	commit := fs.String("commit", "", "commit the result measures (required unless only folding profiles)")
-	var profiles []string
-	fs.Func("profile", "CPU or heap profile `file` to fold onto layers (repeatable)", func(f string) error {
-		profiles = append(profiles, f)
+	var profiles, workloads []string
+	fs.Func("profile", "CPU or heap profile `file` to fold onto layers, as WORKLOAD=FILE when it measured another perfgate workload than "+gateNames[0]+" (repeatable)", func(f string) error {
+		w, file, ok := strings.Cut(f, "=")
+		if !ok {
+			w, file = gateNames[0], f
+		}
+		if !slices.Contains(gateNames, w) {
+			return fmt.Errorf("%s is not a workload a row records (%s)", w, strings.Join(gateNames, ", "))
+		}
+		profiles, workloads = append(profiles, file), append(workloads, w)
 		return nil
 	})
 	packets := fs.Int("packets", 0, "simulated packets the profiled run executed, for per-packet figures")
@@ -229,7 +240,7 @@ func run(args []string) error {
 			return errors.New("-commit is required")
 		}
 		for i, f := range folds {
-			f.print(os.Stdout, profiles[i], *packets)
+			f.print(os.Stdout, workloads[i]+"="+profiles[i], *packets)
 		}
 		return nil
 	}
@@ -243,7 +254,7 @@ func run(args []string) error {
 	}
 	row := makeRow(r, *commit)
 	if len(folds) > 0 {
-		if row.Layers, err = layersOf(folds, *packets); err != nil {
+		if row.Layers, err = layersOf(folds, workloads, *packets); err != nil {
 			return err
 		}
 	}
@@ -253,21 +264,24 @@ func run(args []string) error {
 	return appendRow(*out, row)
 }
 
-// layersOf puts the folds into a row's layers object, per packet.
-func layersOf(folds []*fold, packets int) (map[string]layers, error) {
+// layersOf puts the folds into a row's layers object, per packet, each
+// under the workload its profile measured.
+func layersOf(folds []*fold, workloads []string, packets int) (map[string]layers, error) {
 	if packets == 0 {
 		return nil, errors.New("a row's layers need -packets")
 	}
-	var l layers
-	for _, f := range folds {
+	out := map[string]layers{}
+	for i, f := range folds {
+		l := out[workloads[i]]
 		switch f.kind {
 		case "cpu/nanoseconds":
 			l.CPUSamples, l.CPUNsPerPkt = f.samples, f.perPacket(packets)
 		default:
 			l.AllocSamples, l.AllocBytesPerPkt = f.samples, f.perPacket(packets)
 		}
+		out[workloads[i]] = l
 	}
-	return map[string]layers{"bulk_pair_packet": l}, nil
+	return out, nil
 }
 
 func main() {

@@ -117,6 +117,9 @@ func TestRefusesWhatIsNotAResult(t *testing.T) {
 	if err := run([]string{"-out", out, "-commit", "c", "extra"}); err == nil || !strings.Contains(err.Error(), "extra") {
 		t.Errorf("a stray argument: %v", err)
 	}
+	if err := run([]string{"-out", out, "-commit", "c", "-profile", "bulk_write=cpu.pprof"}); err == nil || !strings.Contains(err.Error(), "bulk_write") {
+		t.Errorf("a profile of a workload no row records: %v", err)
+	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused run created the trajectory: %v", err)
 	}
