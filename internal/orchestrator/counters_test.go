@@ -16,8 +16,8 @@ import (
 // counterCells light every counter family metrics.json carries: two ETS
 // queues, a CX4 pipeline wedge, injected drops, CNPs an E810 responder's
 // limiter suppresses while its np_cnp_sent stays stuck, ring discards
-// (the rss-rewrite ablation), dumpers no mirror reaches and the
-// leaf-spine incast.
+// (the rss-rewrite ablation), dumpers no mirror reaches, a QP that
+// exhausts its retries and the leaf-spine incast.
 func counterCells(t *testing.T) []struct {
 	name string
 	cfg  config.Test
@@ -46,6 +46,15 @@ func counterCells(t *testing.T) []struct {
 	idle.Name = "idle-dumpers"
 	idle.Traffic.MessageSize = 1024
 	idle.Dumpers.Nodes = 8
+	exhausted := config.Default()
+	exhausted.Name = "retry-exceeded"
+	exhausted.Traffic.NumConnections = 2
+	exhausted.Traffic.NumMsgsPerQP = 2
+	exhausted.Traffic.MinRetransmitTimeout = 8
+	exhausted.Traffic.MaxRetransmitRetry = 1
+	for iter := 1; iter <= 3; iter++ {
+		exhausted.Traffic.Events = append(exhausted.Traffic.Events, config.Event{QPN: 1, PSN: 1, Iter: iter, Type: "drop"})
+	}
 	return []struct {
 		name string
 		cfg  config.Test
@@ -57,6 +66,7 @@ func counterCells(t *testing.T) []struct {
 		{e810.Name, e810, "a21b5847286c174535130f4fc2a12ea861e9de932a66e3f706cc1ef1595a6d26"},
 		{ablation.Name, ablation, "292cb1170e35818586df5837e7cf46c53925e0f170a9fc127ad769816d99ece6"},
 		{idle.Name, idle, "4c711ea048f1a0c9d590eaa1fa07188ccd70cd73e80f90816c804bc217489027"},
+		{exhausted.Name, exhausted, "84074e829d5f6569d2c47cb674c422bd88d67de016d27b34248116fae3db1e8b"},
 		{"incast", load("examples", "fabric_incast", "incast.yaml"), "a29e0d6c3ac100f10dd969c334a5eb6fa0fc3397813762c170528e8084ea1d17"},
 	}
 }
