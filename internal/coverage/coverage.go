@@ -335,7 +335,7 @@ type Report struct {
 
 // Publish writes the number of covered pairs into reg.
 func (r *Report) Publish(reg *telemetry.Registry) {
-	reg.Counter("coverage.pairs").Add(int64(r.Covered))
+	reg.Add("coverage.pairs", int64(r.Covered))
 }
 
 func reportFromCounts(counts []uint64) *Report {

@@ -55,6 +55,10 @@ type Node struct {
 	sampled int
 	peak    int
 
+	// sojourn is each admitted copy's ring wait plus service, sampled
+	// only while a hub is attached.
+	sojourn telemetry.Histogram
+
 	// log holds the trimmed copy of every admitted packet, in arrival
 	// order; a copy counts once its core has serviced it.
 	log Log
@@ -87,15 +91,16 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 }
 
 // Publish writes the node's counts into reg: its ring peak even at zero,
-// the packets it admitted and discarded when non-zero.
+// the packets it admitted and discarded when non-zero, and its sojourns.
 func (n *Node) Publish(reg *telemetry.Registry) {
-	reg.Gauge(n.track + ".ring_peak").Set(int64(n.peak))
+	reg.Set(n.track+".ring_peak", int64(n.peak))
 	if rx := n.RxPackets - n.RxDiscards; rx != 0 {
-		reg.Counter("dumper.rx").Add(int64(rx))
+		reg.Add("dumper.rx", int64(rx))
 	}
 	if n.RxDiscards != 0 {
-		reg.Counter("dumper.discards").Add(int64(n.RxDiscards))
+		reg.Add("dumper.discards", int64(n.RxDiscards))
 	}
+	reg.AddHistogram("dumper.sojourn_ns", &n.sojourn)
 }
 
 // AttachPort binds the node to its switch-facing port.
@@ -150,7 +155,7 @@ func (n *Node) capture(wire []byte) {
 		n.sampleRing(h)
 		// Sojourn = ring wait + service: the interval between NIC arrival
 		// and the core finishing with the packet.
-		h.Observe("dumper.sojourn_ns", int64(done.Sub(now)))
+		n.sojourn.Record(int64(done.Sub(now)))
 	}
 	n.Sim.AtEvent(done, n, 0, uint64(ci), rec)
 }

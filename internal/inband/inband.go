@@ -408,14 +408,14 @@ func (c *Collector) Hops() []HopSummary {
 // byte-identical so instrumented runs replay against existing corpus
 // goldens.
 func (c *Collector) Publish(reg *telemetry.Registry) {
-	reg.Counter("int.stamps").Add(int64(c.StampCount()))
-	reg.Counter("int.transits").Add(int64(c.TransitCount()))
-	reg.Counter("int.binds").Add(int64(c.BindCount()))
+	reg.Add("int.stamps", int64(c.StampCount()))
+	reg.Add("int.transits", int64(c.TransitCount()))
+	reg.Add("int.binds", int64(c.BindCount()))
 	for i := range c.hops {
 		hs := &c.hops[i]
-		reg.Gauge("int.hop." + hs.name + ".stamps").Set(int64(hs.stamps))
-		reg.Gauge("int.hop." + hs.name + ".max_queue_bytes").Set(hs.maxQueue)
-		reg.Gauge("int.hop." + hs.name + ".max_util_permille").Set(int64(hs.maxUtil))
+		reg.Set("int.hop."+hs.name+".stamps", int64(hs.stamps))
+		reg.Set("int.hop."+hs.name+".max_queue_bytes", hs.maxQueue)
+		reg.Set("int.hop."+hs.name+".max_util_permille", int64(hs.maxUtil))
 	}
 }
 

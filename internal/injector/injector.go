@@ -216,14 +216,14 @@ func (sw *Switch) AttachDumper(port *sim.Port, weight int) {
 // dumper even at zero, the mirror, hit and drop totals when non-zero.
 func (sw *Switch) Publish(reg *telemetry.Registry) {
 	for i, d := range sw.dumpers {
-		reg.Counter(fmt.Sprintf("switch.spray.dumper-%d", i)).Add(d.spray)
+		reg.Add(fmt.Sprintf("switch.spray.dumper-%d", i), d.spray)
 	}
 	for _, c := range [...]struct {
 		name string
 		v    uint64
 	}{{"switch.mirrored", sw.total.Mirrored}, {"inject.hits", sw.total.Injected}, {"inject.drops", sw.total.Dropped}} {
 		if c.v != 0 {
-			reg.Counter(c.name).Add(int64(c.v))
+			reg.Add(c.name, int64(c.v))
 		}
 	}
 }

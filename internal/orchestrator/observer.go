@@ -46,9 +46,17 @@ func (o *observer) collect(tb *Testbed, rep *Report) {
 	if o.hub == nil {
 		return
 	}
-	// Every count in metrics.json is read here, once, from the component
-	// that kept it; coverage.json is independent of telemetry.
-	reg := o.hub.Registry()
+	// Every count and histogram in metrics.json is read here, once, from
+	// the component that kept it; coverage.json is independent of
+	// telemetry. The MCTs are the OK completions' post-to-complete times.
+	reg := telemetry.NewRegistry()
+	var mct telemetry.Histogram
+	for i := range rep.Traffic.Conns {
+		for _, d := range rep.Traffic.Conns[i].MCTs {
+			mct.Record(int64(d))
+		}
+	}
+	reg.AddHistogram("traffic.mct_ns", &mct)
 	for _, n := range tb.Hosts {
 		n.Publish(reg)
 	}

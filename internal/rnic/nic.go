@@ -99,9 +99,14 @@ type NIC struct {
 	// events fire in admission order and each one takes the head.
 	rxq ring[*packet.Packet]
 
-	// lastCNPAt feeds the inter-CNP-gap histogram (telemetry only).
+	// lastCNPAt feeds the inter-CNP-gap histogram.
 	lastCNPAt sim.Time
 	anyCNP    bool
+
+	// Latency histograms, sampled only while a hub is attached: each
+	// QP's inter-transmit gap, the inter-CNP gap, and the QPs' NAK
+	// generation and reaction, read NAK generation and fired RTOs.
+	txGap, cnpGap, nackGen, nackReact, readGen, rto telemetry.Histogram
 
 	// CNPs sent and rate-limited away (np_cnp_sent may be stuck), and
 	// RX pipeline wedges.
@@ -112,12 +117,13 @@ type NIC struct {
 func (n *NIC) hub() *telemetry.Hub { return n.Sim.Hub() }
 
 // Publish writes the NIC's counts into reg: each ETS queue's grants and
-// bytes even at zero, the transmit, CNP and wedge totals when non-zero.
+// bytes even at zero, the transmit, CNP and wedge totals when non-zero,
+// and its histograms.
 func (n *NIC) Publish(reg *telemetry.Registry) {
 	for i, q := range n.sched.queues {
 		name := n.Name + "/ets.q" + strconv.Itoa(i)
-		reg.Counter(name + ".grants").Add(q.grants)
-		reg.Counter(name + ".bytes").Add(q.bytesServed)
+		reg.Add(name+".grants", q.grants)
+		reg.Add(name+".bytes", q.bytesServed)
 	}
 	for _, c := range [...]struct {
 		name string
@@ -127,9 +133,15 @@ func (n *NIC) Publish(reg *telemetry.Registry) {
 		{"cnp.sent", n.cnpSent}, {"cnp.suppressed", n.cnpSuppressed}, {"nic.wedges", n.wedges},
 	} {
 		if c.v != 0 {
-			reg.Counter(c.name).Add(c.v)
+			reg.Add(c.name, c.v)
 		}
 	}
+	reg.AddHistogram("nic.tx_gap_ns", &n.txGap)
+	reg.AddHistogram("cnp.gap_ns", &n.cnpGap)
+	reg.AddHistogram("retrans.nack_gen_ns", &n.nackGen)
+	reg.AddHistogram("retrans.nack_react_ns", &n.nackReact)
+	reg.AddHistogram("retrans.read_gen_ns", &n.readGen)
+	reg.AddHistogram("retrans.rto_ns", &n.rto)
 }
 
 // Config bundles NIC construction parameters.
@@ -256,10 +268,10 @@ func (n *NIC) executeAtomic(op packet.Opcode, rkey uint32, addr uint64, swapAdd,
 func (n *NIC) transmit(wire []byte, qp *QP) {
 	n.Counters.Inc(CtrTxRoCEPackets)
 	n.Counters.Add(CtrTxRoCEBytes, uint64(len(wire)))
-	if h := n.hub(); h.Active() {
+	if n.hub().Active() {
 		now := n.Sim.Now()
 		if qp.txSeen {
-			h.Observe("nic.tx_gap_ns", int64(now.Sub(qp.lastTxAt)))
+			n.txGap.Record(int64(now.Sub(qp.lastTxAt)))
 		}
 		qp.lastTxAt, qp.txSeen = now, true
 	}
@@ -420,7 +432,7 @@ func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
 		h.EmitArgs(telemetry.KindCNPGen, n.Name+"/cnp", "send",
 			telemetry.I("dest_qpn", int64(qp.remote.QPN)))
 		if n.anyCNP {
-			h.Observe("cnp.gap_ns", int64(now.Sub(n.lastCNPAt)))
+			n.cnpGap.Record(int64(now.Sub(n.lastCNPAt)))
 		}
 		n.lastCNPAt, n.anyCNP = now, true
 	}

@@ -704,7 +704,7 @@ func (qp *QP) onSequenceNak(nakPSN uint32) {
 	if h := qp.hub(); h.Active() {
 		h.EmitSpan(telemetry.KindRetransGBN, qp.track, "nack_react", int64(d),
 			telemetry.I("psn", int64(nakPSN)))
-		h.Observe("retrans.nack_react_ns", int64(d))
+		qp.nic.nackReact.Record(int64(d))
 	}
 	qp.nic.Sim.AfterEvent(d, qp, qpNakReact, uint64(nakPSN), nil)
 }
@@ -745,7 +745,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		if h := qp.hub(); h.Active() {
 			h.EmitSpan(telemetry.KindRetransGBN, qp.track, "implied_nak", int64(d),
 				telemetry.I("from_psn", int64(qp.sndUna)))
-			h.Observe("retrans.read_gen_ns", int64(d))
+			qp.nic.readGen.Record(int64(d))
 		}
 		// The read slow path occupies a shared hardware context for its
 		// duration — the resource whose exhaustion stalls CX4 Lx
@@ -884,7 +884,7 @@ func (qp *QP) handleRequest(pkt *packet.Packet) {
 		if h := qp.hub(); armed && h.Active() {
 			h.EmitSpan(telemetry.KindRetransGBN, qp.track, "nack_gen", int64(d),
 				telemetry.I("missing_psn", int64(qp.ePSN)), telemetry.I("got_psn", int64(psn)))
-			h.Observe("retrans.nack_gen_ns", int64(d))
+			qp.nic.nackGen.Record(int64(d))
 		}
 	default:
 		// Duplicate request: re-acknowledge so a lost ACK cannot stall
@@ -1313,7 +1313,7 @@ func (qp *QP) onTimeout() {
 	if h := qp.hub(); h.Active() {
 		h.EmitArgs(telemetry.KindRetransTimer, qp.track, "fire",
 			telemetry.I("retry", int64(qp.retries)), telemetry.I("una_psn", int64(qp.sndUna)))
-		h.Observe("retrans.rto_ns", int64(qp.rto()))
+		qp.nic.rto.Record(int64(qp.rto()))
 	}
 	qp.retries++
 	if qp.retries > qp.retryLimit {

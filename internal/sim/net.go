@@ -63,8 +63,8 @@ func (p *Port) Publish(reg *telemetry.Registry) {
 	if now := int64(p.sim.now); now > 0 {
 		util = min(int64(p.Busy)*1000/now, 1000)
 	}
-	reg.Gauge("port." + p.Name + ".max_queue_bytes").Set(p.MaxQueue)
-	reg.Gauge("port." + p.Name + ".util_permille").Set(util)
+	reg.Set("port."+p.Name+".max_queue_bytes", p.MaxQueue)
+	reg.Set("port."+p.Name+".util_permille", util)
 }
 
 // SetReceiver installs the function invoked for every frame arriving at

@@ -5,64 +5,52 @@ import (
 	"sort"
 )
 
-// Registry holds named counters, gauges, and histograms. Lookups are
-// map-backed for speed; snapshots sort by name so serialized output is
+// Registry builds the contents of metrics.json: named counters, gauges
+// and histograms, written once at the end of a run by the components
+// that kept them. Snapshots sort by name so serialized output is
 // deterministic.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters map[string]int64
+	gauges   map[string]int64
+	hists    map[string]Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		counters: map[string]int64{},
+		gauges:   map[string]int64{},
+		hists:    map[string]Histogram{},
 	}
 }
 
-// Counter is a monotonically increasing count.
-type Counter struct{ v int64 }
+// Add adds v to the named counter, creating it (at v, even 0) if needed.
+func (r *Registry) Add(name string, v int64) { r.counters[name] += v }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v += n }
+// Set sets the named gauge to v.
+func (r *Registry) Set(name string, v int64) { r.gauges[name] = v }
 
-// Gauge is a last-value-wins sample.
-type Gauge struct{ v int64 }
-
-// Set records the gauge value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+// AddHistogram merges h into the named histogram: buckets, count and sum
+// add, min and max are taken over the non-empty histograms. An empty h
+// is skipped, so a histogram is present exactly when it has a sample.
+func (r *Registry) AddHistogram(name string, h *Histogram) {
+	if h.count == 0 {
+		return
 	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	dst := r.hists[name]
+	if dst.count == 0 || h.min < dst.min {
+		dst.min = h.min
 	}
-	return g
-}
-
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+	dst.max = max(dst.max, h.max)
+	dst.count += h.count
+	dst.sum += h.sum
+	if n := len(h.buckets) - len(dst.buckets); n > 0 {
+		dst.buckets = append(dst.buckets, make([]int64, n)...)
 	}
-	return h
+	for i, c := range h.buckets {
+		dst.buckets[i] += c
+	}
+	r.hists[name] = dst
 }
 
 // subBits sets histogram resolution: 2^subBits linear sub-buckets per
@@ -207,12 +195,12 @@ type MetricsSnapshot struct {
 // Snapshot freezes the registry into its serializable form.
 func (r *Registry) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.v})
+	for name, v := range r.counters {
+		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.v})
+	for name, v := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: v})
 	}
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	for name, h := range r.hists {

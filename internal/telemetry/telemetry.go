@@ -1,7 +1,9 @@
 // Package telemetry is Lumina's deterministic observability layer: a
-// probe bus components publish typed, virtual-time-stamped events on, a
-// metrics registry of counters/gauges/log-linear histograms, and a
-// Chrome-trace-event (Perfetto-compatible) timeline exporter.
+// hub that logs the typed, virtual-time-stamped probes components emit,
+// a Chrome-trace-event (Perfetto-compatible) timeline exporter, and the
+// types of metrics.json. The hub is only the probe log. A component
+// keeps its own counts and log-linear Histograms in plain fields, and
+// at the end of a run the orchestrator builds one Registry from them.
 //
 // The design constraint is the simulator's: bit-for-bit determinism.
 // Telemetry never schedules simulation events, never reads the RNG, and
@@ -361,12 +363,11 @@ func (e *Event) Lookup(key string) (Field, bool) {
 	return Field{}, false
 }
 
-// Hub is the probe bus plus the metrics registry. The zero Hub pointer
+// Hub is the probe log. The zero Hub pointer
 // (nil) is the detached state: every method on a nil *Hub returns
 // immediately, so components emit unconditionally.
 type Hub struct {
 	clock func() int64
-	reg   *Registry
 	syms  *symbols
 
 	// flat is the stream Events has handed out so far, and pending the
@@ -392,10 +393,10 @@ func (h *Hub) record(kind Kind, track, name string, dur int64, counter bool, arg
 	h.pending++
 }
 
-// NewHub returns an attached hub with an empty registry. Until SetClock
+// NewHub returns an attached hub with an empty log. Until SetClock
 // is called (sim.Simulator.AttachHub does it), events are stamped 0.
 func NewHub() *Hub {
-	return &Hub{reg: NewRegistry(), syms: &symbols{named: map[[2]string]uint32{}, strID: map[string]uint32{}}}
+	return &Hub{syms: &symbols{named: map[[2]string]uint32{}, strID: map[string]uint32{}}}
 }
 
 // SetClock installs the virtual-clock reader used to stamp events.
@@ -501,20 +502,4 @@ func (h *Hub) Events() []Event {
 	}
 	h.pending = 0
 	return h.flat
-}
-
-// Registry returns the hub's metrics registry (nil on a detached hub).
-func (h *Hub) Registry() *Registry {
-	if h == nil {
-		return nil
-	}
-	return h.reg
-}
-
-// Observe records v into the named log-linear histogram.
-func (h *Hub) Observe(name string, v int64) {
-	if h == nil {
-		return
-	}
-	h.reg.Histogram(name).Record(v)
 }

@@ -23,9 +23,8 @@ func TestNilHubIsNoOp(t *testing.T) {
 	h.EmitArgs(KindRetransGBN, "t", "nak", I("psn", 5))
 	h.EmitSpan(KindNICWedge, "t", "wedge", 100)
 	h.EmitCounter(KindDCQCNRate, "t", "rate", 40)
-	h.Observe("h", 3)
 	h.SetClock(func() int64 { return 7 })
-	if h.Events() != nil || h.Registry() != nil {
+	if h.Events() != nil {
 		t.Fatal("nil hub returned non-nil state")
 	}
 }
@@ -105,9 +104,11 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		// Touch metrics in random order; snapshot must not care.
 		for i := 0; i < 200; i++ {
 			n := names[rng.Intn(len(names))]
-			r.Counter("c." + n).Add(1)
-			r.Histogram("h." + n).Record(int64(rng.Intn(5000)))
-			r.Gauge("g." + n).Set(int64(i))
+			r.Add("c."+n, 1)
+			var h Histogram
+			h.Record(int64(rng.Intn(5000)))
+			r.AddHistogram("h."+n, &h)
+			r.Set("g."+n, int64(i))
 		}
 		js, err := json.Marshal(r.Snapshot())
 		if err != nil {
@@ -132,6 +133,30 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	zeta := slices.IndexFunc(snap.Counters, func(c CounterSnap) bool { return c.Name == "c.zeta" })
 	if alpha < 0 || zeta < 0 || snap.Counters[zeta].Value == 0 {
 		t.Fatal("snapshot lost h.alpha or c.zeta")
+	}
+}
+
+// TestAddHistogramMergesLikeOneHistogram splits random samples over
+// several histograms, some empty, and holds their merge to one histogram
+// that recorded every sample.
+func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 200 {
+		var all Histogram
+		parts := make([]Histogram, 1+rng.Intn(5))
+		for range rng.Intn(40) {
+			v := int64(rng.Intn(1 << uint(rng.Intn(30))))
+			all.Record(v)
+			parts[rng.Intn(len(parts))].Record(v)
+		}
+		merged, want := NewRegistry(), NewRegistry()
+		for i := range parts {
+			merged.AddHistogram("h", &parts[i])
+		}
+		want.AddHistogram("h", &all)
+		if got, exp := merged.Snapshot(), want.Snapshot(); !reflect.DeepEqual(got, exp) {
+			t.Fatalf("trial %d: merge of %d parts = %+v, one histogram %+v", trial, len(parts), got.Histograms, exp.Histograms)
+		}
 	}
 }
 

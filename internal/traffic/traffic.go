@@ -346,9 +346,6 @@ func (p *Pair) onCompletion(c *conn, comp rnic.Completion) {
 		h.EmitArgs(telemetry.KindTrafficMsg, c.track, "complete",
 			telemetry.I("wr_id", int64(comp.WRID)),
 			telemetry.S("status", comp.Status.String()))
-		if comp.Status == rnic.StatusOK {
-			h.Observe("traffic.mct_ns", int64(comp.CompletedAt.Sub(comp.PostedAt)))
-		}
 	}
 
 	if c.completed >= p.Cfg.NumMsgsPerQP || c.reqQP.Errored() {
