@@ -114,8 +114,7 @@ type Switch struct {
 	// same-connection data packets to overtake them.
 	held map[connKey][]*heldPkt
 
-	mirrorSeq uint64
-	rng       *sim.RNG
+	rng *sim.RNG
 
 	perPort []PortCounters
 	total   PortCounters
@@ -267,7 +266,7 @@ func (sw *Switch) PerPort() []PortCounters {
 
 // MirrorCount returns the number of packets mirrored so far — integrity
 // check condition 2 (§3.5).
-func (sw *Switch) MirrorCount() uint64 { return sw.mirrorSeq }
+func (sw *Switch) MirrorCount() uint64 { return sw.total.Mirrored }
 
 // ingress is the switch pipeline entry point (Figure 6). An owned frame
 // is the switch's to pass on or release: it leaves with forward, or goes
@@ -305,15 +304,15 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 				ev = rule.Action
 				if h := sw.Sim.Hub(); h.Active() {
 					// lineage = the mirror sequence number the imminent
-					// ingress mirror stamps on this packet (mirrorSeq is
-					// incremented just before embedding), i.e. the ID the
+					// ingress mirror stamps on this packet (the mirror
+					// count, bumped just before embedding), i.e. the ID the
 					// lineage package keys causal chains on.
 					h.EmitArgs(telemetry.KindInjectHit,
 						fmt.Sprintf("switch/port-%d", portIdx), ev.String(),
 						telemetry.I("psn", int64(psn)),
 						telemetry.I("qpn", int64(key.dstQPN)),
 						telemetry.I("iter", int64(iter)),
-						telemetry.I("lineage", int64(sw.mirrorSeq+1)))
+						telemetry.I("lineage", int64(sw.total.Mirrored+1)))
 				}
 			} else {
 				sw.Sim.Coverage().Record(coverage.SiteInjectLookup, coverage.LookupMiss)
@@ -549,15 +548,15 @@ func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
 // mirror emits the metadata-stamped duplicate toward the dumper pool.
 func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 	dup := sw.copyFrame(wire)
-	sw.mirrorSeq++
+	sw.total.Mirrored++ // the mirror sequence number
 	if sw.intCol != nil {
 		// INT pipeline hop on the forwarded original (the mirror copy is
 		// already duplicated): stamp the ingress instant and bind transit
 		// ID ↔ mirror sequence number, the lineage join key.
-		sw.intCol.Pipeline(wire, sw.intHop, int64(sw.Sim.Now()), sw.mirrorSeq)
+		sw.intCol.Pipeline(wire, sw.intHop, int64(sw.Sim.Now()), sw.total.Mirrored)
 	}
 	packet.EmbedMirrorMeta(dup, packet.MirrorMeta{
-		Seq:       sw.mirrorSeq,
+		Seq:       sw.total.Mirrored,
 		Event:     ev,
 		Timestamp: int64(sw.Sim.Now()),
 	})
@@ -577,7 +576,6 @@ func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 		pick = sw.nextDumper()
 	}
 	sw.dumpers[pick].spray++
-	sw.total.Mirrored++
 	sw.Sim.AfterEvent(sim.Duration(sw.Cfg.PipelineLatencyNs), sw, swMirror, uint64(pick), dup)
 }
 
