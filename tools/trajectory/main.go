@@ -23,13 +23,18 @@
 // bulk_explain_packet.
 //
 //	go test -run '^$' -bench 'Workloads/bulk_pair_packet$' -benchtime 200x \
-//	    -memprofilerate 1 -cpuprofile cpu.pprof -memprofile mem.pprof ./internal/perfgate
+//	    -cpuprofile cpu.pprof ./internal/perfgate
+//	go test -run '^$' -bench 'Workloads/bulk_pair_packet$' -benchtime 200x \
+//	    -memprofilerate 1 -memprofile mem.pprof ./internal/perfgate
 //	go run ./tools/trajectory -profile cpu.pprof -profile mem.pprof -packets 2095366
 //
-// With -benchtime Nx the profiles hold N+3 runs of the bulk scenario's
-// 10 322 packets: the N timed runs, the b.N=1 round's run, and one run
-// per round that counts the packets. Both workloads run that scenario,
-// so profiles of the two at one -benchtime share -packets.
+// The two profiles come from two runs: under -memprofilerate 1 every
+// allocation pays for a heap sample, which would inflate the CPU share
+// of the layers that allocate most. With -benchtime Nx a profile holds
+// N+3 runs of the bulk scenario's 10 322 packets: the N timed runs, the
+// b.N=1 round's run, and one run per round that counts the packets. Both
+// workloads run that scenario, so profiles of the two at one -benchtime
+// share -packets.
 package main
 
 import (
