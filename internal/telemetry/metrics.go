@@ -33,23 +33,27 @@ func (r *Registry) Set(name string, v int64) { r.gauges[name] = v }
 // AddHistogram merges h into the named histogram: buckets, count and sum
 // add, min and max are taken over the non-empty histograms. An empty h
 // is skipped, so a histogram is present exactly when it has a sample.
+// The first h under a name is adopted, not copied: a merge writes a new
+// bucket slice, so an adopted histogram's buckets are only read.
 func (r *Registry) AddHistogram(name string, h *Histogram) {
 	if h.count == 0 {
 		return
 	}
-	dst := r.hists[name]
-	if dst.count == 0 || h.min < dst.min {
-		dst.min = h.min
+	dst, ok := r.hists[name]
+	if !ok {
+		r.hists[name] = *h
+		return
 	}
+	dst.min = min(dst.min, h.min)
 	dst.max = max(dst.max, h.max)
 	dst.count += h.count
 	dst.sum += h.sum
-	if n := len(h.buckets) - len(dst.buckets); n > 0 {
-		dst.buckets = append(dst.buckets, make([]int64, n)...)
-	}
+	b := make([]int64, max(len(dst.buckets), len(h.buckets)))
+	copy(b, dst.buckets)
 	for i, c := range h.buckets {
-		dst.buckets[i] += c
+		b[i] += c
 	}
+	dst.buckets = b
 	r.hists[name] = dst
 }
 
