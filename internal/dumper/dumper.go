@@ -55,8 +55,7 @@ type Node struct {
 	sampled int
 	peak    int
 
-	// sojourn is each admitted copy's ring wait plus service, sampled
-	// only while a hub is attached.
+	// sojourn is sampled only while a hub is attached.
 	sojourn telemetry.Histogram
 
 	// log holds the trimmed copy of every admitted packet, in arrival
