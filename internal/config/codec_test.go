@@ -40,12 +40,14 @@ func TestContentHashesArePinned(t *testing.T) {
 		"configs/noisy-neighbor.yaml":           "4808682c1977a35b",
 		"configs/retrans-probe.yaml":            "c9d03d7220e60919",
 		"corpus/131fb80582e7bfee/scenario.yaml": "131fb80582e7bfee",
+		"corpus/16917aa2b4020769/scenario.yaml": "16917aa2b4020769",
 		"corpus/19aed828727d4213/scenario.yaml": "19aed828727d4213",
 		"corpus/3c214b1d22169463/scenario.yaml": "3c214b1d22169463",
 		"corpus/52380f835dfdf2fd/scenario.yaml": "52380f835dfdf2fd",
 		"corpus/60ffff148aa5f27b/scenario.yaml": "60ffff148aa5f27b",
 		"corpus/6b355107525ab79e/scenario.yaml": "6b355107525ab79e",
 		"corpus/8105d1241be1b4aa/scenario.yaml": "8105d1241be1b4aa",
+		"corpus/9f83c105c7f7d54b/scenario.yaml": "9f83c105c7f7d54b",
 		"corpus/a22ffd9ade27a8df/scenario.yaml": "a22ffd9ade27a8df",
 		"corpus/a982ccd565a57c48/scenario.yaml": "a982ccd565a57c48",
 		"corpus/c563496672a52ab8/scenario.yaml": "c563496672a52ab8",
