@@ -43,9 +43,8 @@ func main() {
 	droppedOnce := false
 	forward := func(out *sim.Port) func([]byte) {
 		return func(w []byte) {
-			var pkt packet.Packet
-			if packet.DecodeInto(w, &pkt) == nil &&
-				pkt.BTH.Opcode == packet.OpAtomicAcknowledge && !droppedOnce {
+			if v, err := packet.ParseFrame(w); err == nil &&
+				v.Opcode() == packet.OpAtomicAcknowledge && !droppedOnce {
 				droppedOnce = true
 				fmt.Println("relay: dropping the first atomic acknowledgement")
 				return

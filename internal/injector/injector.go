@@ -335,7 +335,8 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		packet.CorruptPayload(out)
 	case packet.EventSetMigReq:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionMigReq)
-		out = sw.rewriteMigReq(wire)
+		out = sw.copyFrame(wire)
+		packet.SetMigReq(out)
 	}
 	if &out[0] != &wire[0] {
 		// v views wire; nothing below reads it.
@@ -450,18 +451,6 @@ func (sw *Switch) trackITER(key connKey, psn uint32) uint32 {
 	}
 	st.lastPSN = psn
 	return st.iter
-}
-
-// rewriteMigReq re-serializes the frame with MigReq forced to 1 — the
-// action Lumina added to confirm the §6.2.3 interop root cause. Unlike
-// ECN marking, MigReq is iCRC-covered, so the packet must be rebuilt:
-// this is the one path that decodes a frame into a Packet.
-func (sw *Switch) rewriteMigReq(wire []byte) []byte {
-	var pkt packet.Packet
-	// ingress classified the frame by ParseFrame, whose checks these are.
-	_ = packet.DecodeInto(wire, &pkt)
-	pkt.BTH.MigReq = true
-	return pkt.AppendWire(sw.Sim.GetFrame(pkt.WireLen())[:0])
 }
 
 // copyFrame duplicates wire into a pool frame.

@@ -234,21 +234,38 @@ func TestCorruptActionBreaksICRC(t *testing.T) {
 	}
 }
 
+// TestSetMigReqActionRewritesAndFixesICRC: the forwarded frame is its
+// input with the MigReq bit set (BTH flags byte, offset 43) and the iCRC
+// resealed — no other byte moves, so the INT hop state in an input's
+// TTL, IPv4 checksum and UDP checksum fields survives the rewrite.
 func TestSetMigReqActionRewritesAndFixesICRC(t *testing.T) {
-	r := newRig(t, luminaCfg(), 1, nil)
-	r.sw.AddConnection(conn(2000))
-	r.sw.InstallRule(Rule{SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: 2000, Iter: 1, Action: packet.EventSetMigReq})
-	r.sendA(dataPkt(2000, 0x200)) // dataPkt sends MigReq = false
-	r.s.Run()
-	var pkt packet.Packet
-	if err := packet.DecodeInto(r.atB[0], &pkt); err != nil {
-		t.Fatal(err)
+	const flags = 14 + 20 + 8 + 1
+	stamped := dataPkt(2000, 0x200)
+	if !packet.EmbedINTStamp(stamped, packet.INTStamp{Transit: 7, Hop: 3, QueueBytes: 4096, UtilPermille: 500}) {
+		t.Fatal("EmbedINTStamp refused the frame")
 	}
-	if !pkt.BTH.MigReq {
-		t.Fatal("MigReq not rewritten to 1")
-	}
-	if err := packet.VerifyICRC(r.atB[0]); err != nil {
-		t.Fatalf("MigReq rewrite must recompute iCRC: %v", err)
+	for name, in := range map[string][]byte{"plain": dataPkt(2000, 0x200), "int-stamped": stamped} {
+		r := newRig(t, luminaCfg(), 1, nil)
+		r.sw.AddConnection(conn(2000))
+		r.sw.InstallRule(Rule{SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: 2000, Iter: 1, Action: packet.EventSetMigReq})
+		r.sendA(bytes.Clone(in)) // dataPkt sends MigReq = false
+		r.s.Run()
+		if len(r.atB) != 1 {
+			t.Fatalf("%s: B received %d frames, want 1", name, len(r.atB))
+		}
+		out := r.atB[0]
+		if err := packet.VerifyICRC(out); err != nil {
+			t.Fatalf("%s: MigReq rewrite must recompute iCRC: %v", name, err)
+		}
+		want := bytes.Clone(in)
+		want[flags] |= 0x40
+		crc := len(want) - packet.ICRCSize
+		if len(out) != len(want) || !bytes.Equal(out[:crc], want[:crc]) {
+			t.Fatalf("%s: forwarded frame differs from its input beyond the MigReq bit and the iCRC\n got %x\nwant %x", name, out, want)
+		}
+		if bytes.Equal(out[crc:], in[crc:]) {
+			t.Fatalf("%s: iCRC left as it was", name)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 )
 
 // Serialize encodes the packet into a freshly allocated buffer. Outside
@@ -159,15 +158,17 @@ func (p *Packet) decodeEthernet(b []byte) {
 }
 
 // decodeHeaders overwrites p with the headers of b, which parseHeaders
-// accepted, leaving Payload and ICRC zero. Fields are stored one by one
-// through a fixed-size view of the BTH-deep front, so the constant
-// offsets need no bounds checks.
+// accepted, leaving Payload and ICRC zero. A field a View reads is
+// filled by its accessor; the rest are stored one by one through a
+// fixed-size view of the BTH-deep front, so the constant offsets need
+// no bounds checks.
 func (p *Packet) decodeHeaders(b []byte) {
-	*p = Packet{}
+	v := View{b}
+	*p = Packet{RETH: v.RETH(), AETH: v.AETH(), Atomic: v.Atomic(), AtomicAck: v.AtomicAck(), Imm: v.Imm()}
 	p.decodeEthernet(b)
 	h := (*[offExt]byte)(b)
 	p.IP.DSCP = h[offIPTOS] >> 2
-	p.IP.ECN = h[offIPTOS] & 0x3
+	p.IP.ECN = v.ECN()
 	p.IP.TotalLen = be.Uint16(h[offIPTotalLen:])
 	p.IP.ID = be.Uint16(h[offIPID:])
 	p.IP.Flags = h[offIPFlags] >> 5
@@ -175,52 +176,22 @@ func (p *Packet) decodeHeaders(b []byte) {
 	p.IP.TTL = h[offIPTTL]
 	p.IP.Protocol = h[offIPProto]
 	p.IP.Checksum = be.Uint16(h[offIPChecksum:])
-	p.IP.Src = netip.AddrFrom4([4]byte(h[offIPSrc:]))
-	p.IP.Dst = netip.AddrFrom4([4]byte(h[offIPDst:]))
+	p.IP.Src, p.IP.Dst = v.Src(), v.Dst()
 	p.UDP.SrcPort = be.Uint16(h[offUDPSrcPort:])
 	p.UDP.DstPort = be.Uint16(h[offUDPDstPort:])
 	p.UDP.Length = be.Uint16(h[offUDPLength:])
 	p.UDP.Checksum = be.Uint16(h[offUDPChecksum:])
-	flags := h[offBTHFlags]
-	p.BTH.Opcode = Opcode(h[offBTHOpcode])
-	p.BTH.SE = flags&0x80 != 0
-	p.BTH.MigReq = flags&0x40 != 0
-	p.BTH.PadCount = flags >> 4 & 0x3
-	p.BTH.TVer = flags & 0xF
+	p.BTH.Opcode = v.Opcode()
+	p.BTH.SE = h[offBTHFlags]&0x80 != 0
+	p.BTH.MigReq = v.MigReq()
+	p.BTH.PadCount = v.PadCount()
+	p.BTH.TVer = h[offBTHFlags] & 0xF
 	p.BTH.PKey = be.Uint16(h[offBTHPKey:])
 	p.BTH.FECN = h[offBTHResv8a]&0x80 != 0
 	p.BTH.BECN = h[offBTHResv8a]&0x40 != 0
-	p.BTH.DestQP = uint24(h[offBTHDestQP:])
-	p.BTH.AckReq = h[offBTHAckReq]&0x80 != 0
-	p.BTH.PSN = uint24(h[offBTHPSN:])
-
-	off := offExt
-	op := p.BTH.Opcode
-	if op.HasRETH() {
-		p.RETH.VA = be.Uint64(b[off+rethVA:])
-		p.RETH.RKey = be.Uint32(b[off+rethRKey:])
-		p.RETH.DMALen = be.Uint32(b[off+rethDMALen:])
-		off += RETHSize
-	}
-	if op.HasAETH() {
-		p.AETH.Syndrome = b[off+aethSyndrome]
-		p.AETH.MSN = uint24(b[off+aethMSN:])
-		off += AETHSize
-	}
-	if op.HasImm() {
-		p.Imm = be.Uint32(b[off:])
-		off += ImmSize
-	}
-	if op.HasAtomicETH() {
-		p.Atomic.VA = be.Uint64(b[off+atomicVA:])
-		p.Atomic.RKey = be.Uint32(b[off+atomicRKey:])
-		p.Atomic.SwapAdd = be.Uint64(b[off+atomicSwapAdd:])
-		p.Atomic.Compare = be.Uint64(b[off+atomicCompare:])
-		off += AtomicETHSize
-	}
-	if op.HasAtomicAck() {
-		p.AtomicAck = be.Uint64(b[off:])
-	}
+	p.BTH.DestQP = v.DestQP()
+	p.BTH.AckReq = v.AckReq()
+	p.BTH.PSN = v.PSN()
 }
 
 // VerifyICRC recomputes the invariant CRC over wire bytes and compares it

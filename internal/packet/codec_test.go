@@ -286,14 +286,13 @@ func TestDecodeHeadersErrors(t *testing.T) {
 }
 
 func TestIsRoCE(t *testing.T) {
-	p := samplePacket(OpWriteOnly, 0)
-	if !p.IsRoCE() {
-		t.Fatal("RoCEv2 packet not recognized")
+	wire := samplePacket(OpWriteOnly, 0).Serialize()
+	if v, err := ParseFrame(wire); err != nil || !v.IsRoCE() {
+		t.Fatalf("RoCEv2 packet not recognized (%v)", err)
 	}
-	q := *p
-	q.UDP.DstPort = 53
-	if q.IsRoCE() {
-		t.Fatal("non-4791 packet classified as RoCE")
+	RewriteUDPDstPort(wire, 53)
+	if v, err := ParseFrame(wire); err != nil || v.IsRoCE() {
+		t.Fatalf("non-4791 packet classified as RoCE (%v)", err)
 	}
 }
 

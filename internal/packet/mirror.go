@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // EventType labels the injected event a mirrored packet experienced
 // (§3.4 "Indicating events"). It travels in the mirrored copy's TTL field.
 type EventType uint8
@@ -111,4 +113,17 @@ func SetECNCE(wire []byte) {
 		return
 	}
 	wire[offIPTOS] = wire[offIPTOS]&^0x3 | ECNCE
+}
+
+// SetMigReq sets the BTH MigReq bit of a whole frame in place — the
+// injector's set-migreq action (§6.2.3) — and reseals the iCRC, which
+// covers the bit. No other byte changes, so INT hop state in the IPv4
+// checksum field survives.
+func SetMigReq(wire []byte) {
+	if len(wire) < offExt+ICRCSize {
+		return
+	}
+	wire[offBTHFlags] |= 0x40
+	crc := len(wire) - ICRCSize
+	binary.LittleEndian.PutUint32(wire[crc:], ComputeICRC(wire[:crc]))
 }

@@ -320,7 +320,7 @@ func checkViews(t *testing.T, b []byte) {
 		t.Fatalf("ParseFrame of %d bytes: %v, DecodeInto: %v", len(b), err, want)
 	}
 	if err == nil {
-		if err := checkView(v, p); err != nil {
+		if err := checkView(v, p, true); err != nil {
 			t.Fatalf("ParseFrame of %d bytes: %v", len(b), err)
 		}
 	}
@@ -329,7 +329,7 @@ func checkViews(t *testing.T, b []byte) {
 		t.Fatalf("ParseHeaders of %d bytes: %v, DecodeHeaders: %v", len(b), err, want)
 	}
 	if err == nil {
-		if err := checkView(v, h); err != nil {
+		if err := checkView(v, h, false); err != nil {
 			t.Fatalf("ParseHeaders of %d bytes: %v", len(b), err)
 		}
 	}

@@ -1,17 +1,14 @@
 // Package packet implements the RoCEv2 wire format used by every Lumina
-// component: Ethernet / IPv4 / UDP / InfiniBand BTH plus the extended
-// transport headers (RETH, AETH, Immediate) and the invariant CRC (iCRC).
+// component: Ethernet / IPv4 / UDP / InfiniBand BTH, the extended
+// transport headers and the invariant CRC (iCRC), as real bytes — what
+// the hardware testbed's P4 parser and DPDK dumper see.
 //
-// The header layout is one table of offsets (view.go) that every reader
-// and writer of header bytes indexes through. A View reads a frame, or
-// the trimmed front of one, in place: only ParseFrame and ParseHeaders
-// make one, after their checks, so its accessors always find their
-// bytes. The switch classifies and matches on a View, and a trace entry
-// is mirror metadata plus one. A Packet holds every layer decoded:
-// DecodeInto fills it in place without allocating, and AppendWire emits
-// wire bytes with all lengths, the IPv4 header checksum and the iCRC
-// computed. The simulated RNICs and switch operate on these real bytes,
-// as the hardware testbed's P4 parser and DPDK dumper do.
+// One table of offsets (view.go) spells the header layout. Senders fill
+// a Packet and AppendWire encodes it, computing every length, the IPv4
+// header checksum and the iCRC. Receivers (the switch, the NICs, the
+// dumpers, the trace) read a View: bytes ParseFrame or ParseHeaders
+// checked, read in place by one accessor per field, through which
+// DecodeInto also fills a Packet.
 package packet
 
 import (
@@ -350,14 +347,6 @@ type Packet struct {
 	// ICRC is the invariant CRC read from (DecodeInto) or written to
 	// (AppendWire) the wire.
 	ICRC uint32
-}
-
-// IsRoCE reports whether the packet targets the RoCEv2 UDP port. The
-// switch data plane uses this to separate RDMA traffic from other flows
-// (Fig. 6's "RoCE Packet?" branch).
-func (p *Packet) IsRoCE() bool {
-	return p.Eth.EtherType == EtherTypeIPv4 && p.IP.Protocol == ProtoUDP &&
-		p.UDP.DstPort == RoCEv2Port
 }
 
 // WireLen returns the total serialized length in bytes.

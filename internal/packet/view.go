@@ -74,51 +74,61 @@ var extSizes = func() (t [256]uint8) {
 }()
 
 // parseHeaders applies the header checks to the front of b in wire
-// order, each length check just before the bytes it guards, and returns
-// the offset just past the last extended header.
-func parseHeaders(b []byte) (int, error) {
+// order, each length check just before the bytes it guards.
+func parseHeaders(b []byte) error {
 	if len(b) < EthernetSize {
-		return 0, errTooShort
+		return errTooShort
 	}
 	if be.Uint16(b[offEtherType:]) != EtherTypeIPv4 {
-		return 0, errNotIPv4
+		return errNotIPv4
 	}
 	if len(b) < offUDP {
-		return 0, errTooShort
+		return errTooShort
 	}
 	if b[offIPVerIHL]>>4 != 4 {
-		return 0, errNotIPv4
+		return errNotIPv4
 	}
 	if b[offIPVerIHL]&0xF != 5 {
-		return 0, errBadIHL
+		return errBadIHL
 	}
 	if b[offIPProto] != ProtoUDP {
-		return 0, errNotUDP
+		return errNotUDP
 	}
 	if len(b) < offExt {
-		return 0, errTooShort
+		return errTooShort
 	}
-	end := offExt + int(extSizes[b[offBTHOpcode]])
-	if len(b) < end {
-		return 0, errTooShort
+	if len(b) < extEnd(b) {
+		return errTooShort
 	}
-	return end, nil
+	return nil
 }
+
+// extEnd returns the offset just past the extended headers of b's
+// opcode, which the BTH at the front of b names.
+func extEnd(b []byte) int { return offExt + int(extSizes[b[offBTHOpcode]]) }
 
 // parseFrame applies parseHeaders' checks and then the whole frame's:
 // after the headers, a CNP's 16-byte pad, and the pad bytes and iCRC
 // that end every frame. It returns the payload's bounds.
 func parseFrame(b []byte) (start, end int, err error) {
-	if start, err = parseHeaders(b); err != nil {
+	if err = parseHeaders(b); err != nil {
 		return 0, 0, err
 	}
-	if Opcode(b[offBTHOpcode]) == OpCNP {
-		start += cnpPadSize
-	}
-	if end = len(b) - ICRCSize - int(padCount(b)); end < start {
+	if start, end = payloadBounds(b); end < start {
 		return 0, 0, errTooShort
 	}
 	return start, end, nil
+}
+
+// payloadBounds returns where the payload of a frame whose headers
+// parseHeaders accepted starts (after a CNP's pad) and ends (before the
+// pad bytes and iCRC).
+func payloadBounds(b []byte) (start, end int) {
+	start = extEnd(b)
+	if Opcode(b[offBTHOpcode]) == OpCNP {
+		start += cnpPadSize
+	}
+	return start, len(b) - ICRCSize - int(padCount(b))
 }
 
 // View is wire bytes whose headers ParseHeaders or ParseFrame accepted,
@@ -137,7 +147,7 @@ func ParseHeaders(b []byte) (View, error) {
 	if len(b) < offExt {
 		return View{}, errTooShort
 	}
-	if _, err := parseHeaders(b); err != nil {
+	if err := parseHeaders(b); err != nil {
 		return View{}, err
 	}
 	return View{b}, nil
@@ -156,8 +166,8 @@ func ParseFrame(b []byte) (View, error) {
 // Bytes returns the viewed bytes.
 func (v View) Bytes() []byte { return v.b }
 
-// IsRoCE reports whether the packet targets the RoCEv2 UDP port; the
-// parse already held it to IPv4 and UDP.
+// IsRoCE reports whether the packet targets the RoCEv2 UDP port (Fig. 6's
+// "RoCE Packet?" branch); the parse already held it to IPv4 and UDP.
 func (v View) IsRoCE() bool { return be.Uint16(v.b[offUDPDstPort:]) == RoCEv2Port }
 
 // Opcode returns the BTH opcode.
@@ -191,13 +201,61 @@ func (v View) AETH() AETH {
 	return AETH{Syndrome: v.b[offExt+aethSyndrome], MSN: uint24(v.b[offExt+aethMSN:])}
 }
 
-// DMALen returns the RETH DMA length, or 0 for an opcode that carries
-// no RETH. A RETH always directly follows the BTH.
-func (v View) DMALen() uint32 {
+// AckReq reports the BTH acknowledge-request bit.
+func (v View) AckReq() bool { return v.b[offBTHAckReq]&0x80 != 0 }
+
+// MigReq reports the BTH migration-request bit.
+func (v View) MigReq() bool { return v.b[offBTHFlags]&0x40 != 0 }
+
+// RETH returns the RDMA extended transport header, zero for an opcode
+// that carries none. A RETH always directly follows the BTH.
+func (v View) RETH() RETH {
 	if !v.Opcode().HasRETH() {
+		return RETH{}
+	}
+	h := v.b[offExt:]
+	return RETH{VA: be.Uint64(h[rethVA:]), RKey: be.Uint32(h[rethRKey:]), DMALen: be.Uint32(h[rethDMALen:])}
+}
+
+// DMALen returns the RETH DMA length, or 0 for an opcode that carries
+// no RETH.
+func (v View) DMALen() uint32 { return v.RETH().DMALen }
+
+// Imm returns the immediate data, 0 for an opcode that carries none. An
+// immediate always ends the extended headers.
+func (v View) Imm() uint32 {
+	if !v.Opcode().HasImm() {
 		return 0
 	}
-	return be.Uint32(v.b[offExt+rethDMALen:])
+	return be.Uint32(v.b[extEnd(v.b)-ImmSize:])
+}
+
+// Atomic returns the atomic extended transport header, zero for an
+// opcode that carries none. It always directly follows the BTH.
+func (v View) Atomic() AtomicETH {
+	if !v.Opcode().HasAtomicETH() {
+		return AtomicETH{}
+	}
+	h := v.b[offExt:]
+	return AtomicETH{VA: be.Uint64(h[atomicVA:]), RKey: be.Uint32(h[atomicRKey:]),
+		SwapAdd: be.Uint64(h[atomicSwapAdd:]), Compare: be.Uint64(h[atomicCompare:])}
+}
+
+// AtomicAck returns the original remote value an atomic acknowledge
+// carries, 0 for any other opcode. It always ends the extended headers.
+func (v View) AtomicAck() uint64 {
+	if !v.Opcode().HasAtomicAck() {
+		return 0
+	}
+	return be.Uint64(v.b[extEnd(v.b)-AtomicAckSize:])
+}
+
+// PayloadLen returns the payload length of a whole frame, as ParseFrame
+// bounds it. A trimmed capture's View says nothing of its packet's
+// payload, and its PayloadLen is meaningless.
+func (v View) PayloadLen() int {
+	start, end := payloadBounds(v.b)
+	return end - start
 }
 
 // OrigLen returns the packet's untrimmed wire length: the Ethernet

@@ -61,7 +61,7 @@ func defaultPairOpts() pairOpts {
 func ip(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // newPair builds A <-> relay <-> B with 100 ns propagation per hop.
-func newPair(t *testing.T, o pairOpts) *testPair {
+func newPair(t testing.TB, o pairOpts) *testPair {
 	t.Helper()
 	s := sim.New(o.seed)
 	if o.hub != nil {

@@ -83,21 +83,9 @@ type NIC struct {
 	apmCache   map[uint32]bool // local QPN → in fast cache
 	apmCacheN  int
 	apmBusyTil sim.Time
-	// apmq holds the packets in the slow path, oldest first. Service is
-	// serial and apmBusyTil never decreases, so they finish in that order.
-	apmq ring[*packet.Packet]
+	apmQueued  int // frames in the slow path
 
 	nextRK uint32
-
-	// rxFree recycles decoded-packet structs across the RX path: a packet
-	// lives from decode until its dispatch event returns (handlers never
-	// retain the pointer), so steady-state reception allocates no Packet
-	// structs. Per-NIC, hence safe with one simulator per worker.
-	rxFree []*packet.Packet
-	// rxq holds the decoded packets inside the RX pipeline, oldest first.
-	// PipelineDelay is one constant per NIC, so the pipeline's dispatch
-	// events fire in admission order and each one takes the head.
-	rxq ring[*packet.Packet]
 
 	// lastCNPAt feeds the inter-CNP-gap histogram.
 	lastCNPAt sim.Time
@@ -244,19 +232,19 @@ func (n *NIC) WriteMR(rkey uint32, addr uint64, v uint64) bool {
 
 // executeAtomic performs the remote atomic on the MR cell, returning the
 // original value.
-func (n *NIC) executeAtomic(op packet.Opcode, rkey uint32, addr uint64, swapAdd, compare uint64) (orig uint64, ok bool) {
-	mr, exists := n.mrs[rkey]
-	if !exists || !n.lookupMR(rkey, addr, 8) {
+func (n *NIC) executeAtomic(op packet.Opcode, a packet.AtomicETH) (orig uint64, ok bool) {
+	mr, exists := n.mrs[a.RKey]
+	if !exists || !n.lookupMR(a.RKey, a.VA, 8) {
 		return 0, false
 	}
-	orig = mr.mem[addr]
+	orig = mr.mem[a.VA]
 	switch op {
 	case packet.OpCompareSwap:
-		if orig == compare {
-			mr.mem[addr] = swapAdd
+		if orig == a.Compare {
+			mr.mem[a.VA] = a.SwapAdd
 		}
 	case packet.OpFetchAdd:
-		mr.mem[addr] = orig + swapAdd
+		mr.mem[a.VA] = orig + a.SwapAdd
 	default:
 		return 0, false
 	}
@@ -278,48 +266,35 @@ func (n *NIC) transmit(wire []byte, qp *QP) {
 	n.port.SendFrame(wire, true)
 }
 
-// getRxPkt pops a recycled packet struct (or allocates the first time).
-func (n *NIC) getRxPkt() *packet.Packet {
-	if k := len(n.rxFree); k > 0 {
-		p := n.rxFree[k-1]
-		n.rxFree[k-1] = nil
-		n.rxFree = n.rxFree[:k-1]
-		return p
-	}
-	return new(packet.Packet)
-}
-
-// putRxPkt returns a packet struct to the freelist. The payload alias is
-// dropped so the wire buffer it points into can be collected.
-func (n *NIC) putRxPkt(p *packet.Packet) {
-	p.Payload = nil
-	n.rxFree = append(n.rxFree, p)
-}
-
-// receive is the RX entry point for frames arriving from the switch. A
-// frame the pipeline admits is released when its dispatch event has run;
-// one discarded here is released at once.
+// receive is the RX entry point for frames arriving from the switch.
+// The pipeline reads a frame again when its delay has elapsed, so one
+// the NIC does not own, which is the sender's again once this call
+// returns, is copied into a pool frame first. A frame the pipeline
+// admits is released when its dispatch event has run; one discarded
+// here is released at once.
 func (n *NIC) receive(wire []byte, owned bool) {
-	if !n.admit(wire, owned) && owned {
+	if !owned {
+		wire = append(n.Sim.GetFrame(len(wire))[:0], wire...)
+	}
+	if !n.admit(wire) {
 		n.Sim.PutFrame(wire)
 	}
 }
 
 // admit runs the arrival-time checks and, for a packet that passes them,
-// schedules its dispatch after the pipeline delay. It reports whether the
-// dispatch event now holds the frame.
-func (n *NIC) admit(wire []byte, owned bool) bool {
+// schedules its dispatch after the pipeline delay, or after the APM slow
+// path. It reports whether a dispatch event now holds the frame.
+func (n *NIC) admit(wire []byte) bool {
 	// The phy/pipeline drop decision happens at arrival: a stalled
 	// pipeline discards frames before any parsing (§6.2.2).
 	if n.stalled() {
 		n.Counters.Inc(CtrRxDiscardsPhy)
 		return false
 	}
-	pkt := n.getRxPkt()
-	if err := packet.DecodeInto(wire, pkt); err != nil || !pkt.IsRoCE() {
+	v, err := packet.ParseFrame(wire)
+	if err != nil || !v.IsRoCE() {
 		// Non-RoCE traffic (e.g. the generators' TCP metadata exchange)
 		// is out of scope for the hardware transport.
-		n.putRxPkt(pkt)
 		return false
 	}
 	n.Counters.Inc(CtrRxRoCEPackets)
@@ -328,93 +303,75 @@ func (n *NIC) admit(wire []byte, owned bool) bool {
 	// iCRC check precedes all transport processing.
 	if err := packet.VerifyICRC(wire); err != nil {
 		n.Counters.Inc(CtrICRCErrors)
-		n.putRxPkt(pkt)
 		return false
 	}
 
 	// APM slow path (§6.2.3): data packets carrying MigReq=0 on strict
 	// receivers may detour or be discarded.
-	if n.Prof.StrictAPM && !pkt.BTH.MigReq && pkt.BTH.Opcode.IsData() {
-		if !n.apmAdmit(pkt) {
-			n.Counters.Inc(CtrRxDiscardsPhy)
-			n.putRxPkt(pkt)
-			return false
-		}
-		// apmAdmit schedules delayed delivery itself (with its own copy)
-		// when queued.
-		if n.apmQueued(pkt) {
-			n.putRxPkt(pkt)
-			return false
-		}
+	if n.Prof.StrictAPM && !v.MigReq() && v.Opcode().IsData() && !n.apmFast(v) {
+		return n.apmSlow(wire)
 	}
-
-	n.rxq.push(pkt)
-	n.Sim.AfterEvent(n.Prof.PipelineDelay, n, nicRxDispatch, sim.OwnedArg(owned), wire)
+	n.Sim.AfterEvent(n.Prof.PipelineDelay, n, nicRxDispatch, 0, wire)
 	return true
 }
 
 // NIC event ops.
 const (
-	nicRxDispatch  = iota // the RX pipeline delay of the oldest of rxq elapsed
+	nicRxDispatch  = iota // a frame's RX pipeline delay elapsed
 	nicSlowRelease        // a slow-path context's occupancy ended
-	nicAPMDispatch        // the APM slow path finished the oldest of apmq
+	nicAPMDispatch        // the APM slow path finished a frame
 )
 
-// HandleEvent runs the NIC's events. A dispatch takes the head of its
-// queue; for an RX dispatch data is the packet's frame, which its
-// payload aliases, and arg != 0 when the NIC owns the frame.
-func (n *NIC) HandleEvent(op int, arg uint64, data []byte) {
-	if op == nicSlowRelease {
+// HandleEvent runs the NIC's events. A dispatch's data is the packet's
+// frame, which the NIC owns and releases once the packet is handled.
+func (n *NIC) HandleEvent(op int, _ uint64, data []byte) {
+	switch op {
+	case nicSlowRelease:
 		n.slowBusy--
 		return
+	case nicAPMDispatch:
+		n.apmQueued--
 	}
-	q := &n.rxq
-	if op == nicAPMDispatch {
-		q = &n.apmq
-	}
-	pkt := q.pop()
-	n.dispatch(pkt)
-	n.putRxPkt(pkt)
-	if arg != 0 {
-		n.Sim.PutFrame(data)
-	}
+	v, _ := packet.ParseFrame(data) // admit parsed these bytes
+	n.dispatch(v)
+	n.Sim.PutFrame(data)
 }
 
-// dispatch routes a parsed packet to congestion processing and its QP.
-func (n *NIC) dispatch(pkt *packet.Packet) {
+// dispatch routes a received packet to congestion processing and its QP.
+func (n *NIC) dispatch(v packet.View) {
 	// DCQCN notification point: CE-marked data packets may elicit CNPs.
-	if pkt.IP.ECN == packet.ECNCE && pkt.BTH.Opcode.IsData() {
+	if v.ECN() == packet.ECNCE && v.Opcode().IsData() {
 		n.Counters.Inc(CtrNpEcnMarked)
-		n.maybeSendCNP(pkt)
+		n.maybeSendCNP(v)
 	}
 
-	if pkt.BTH.Opcode.IsCNP() {
+	if v.Opcode().IsCNP() {
 		n.Counters.Inc(CtrRpCnpHandled)
-		if qp, ok := n.qps[pkt.BTH.DestQP]; ok && n.Set.DCQCNRPEnable && qp.rp != nil {
+		if qp, ok := n.qps[v.DestQP()]; ok && n.Set.DCQCNRPEnable && qp.rp != nil {
 			qp.rp.onCNP()
 		}
 		return
 	}
 
-	qp, ok := n.qps[pkt.BTH.DestQP]
+	qp, ok := n.qps[v.DestQP()]
 	if !ok {
 		return // packet for a torn-down or foreign QP
 	}
-	qp.handlePacket(pkt)
+	qp.handlePacket(v)
 }
 
 // maybeSendCNP applies the scope-keyed rate limiter and emits a CNP
 // toward the data sender when allowed.
-func (n *NIC) maybeSendCNP(pkt *packet.Packet) {
+func (n *NIC) maybeSendCNP(v packet.View) {
 	if !n.Set.DCQCNNPEnable {
 		n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPDisabled)
 		return
 	}
-	qp, ok := n.qps[pkt.BTH.DestQP]
+	qp, ok := n.qps[v.DestQP()]
 	if !ok || !qp.connected {
 		return
 	}
-	key := n.cnpScopeKey(pkt.IP.Src, qp.remote.QPN)
+	key := n.cnpScopeKey(v.Src(), qp.remote.QPN)
 	now := n.Sim.Now()
 	if next, busy := n.cnpNextAllowed[key]; busy && now < next {
 		n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSuppress)
@@ -487,46 +444,34 @@ func (n *NIC) slowPathEnter(d sim.Duration) {
 
 // --- APM engine (interoperability, §6.2.3) ---
 
-// apmAdmit decides the fate of a MigReq=0 data packet: fast path (cached
-// connection), queued slow path, or discard on overflow. It reports
-// false for discard.
-func (n *NIC) apmAdmit(pkt *packet.Packet) bool {
-	qpn := pkt.BTH.DestQP
+// apmFast reports whether a MigReq=0 data packet takes the fast path:
+// its connection (local QP) holds an APM cache slot, or takes a free one.
+func (n *NIC) apmFast(v packet.View) bool {
+	qpn := v.DestQP()
 	if n.apmCache[qpn] {
-		return true // fast path: connection holds an APM cache slot
+		return true
 	}
 	if n.apmCacheN < apmCacheCapacity {
 		n.apmCache[qpn] = true
 		n.apmCacheN++
 		return true
 	}
-	// Over-capacity connection: every packet takes the serialized slow
-	// path. Shallow buffer; overflow discards.
-	if n.apmq.len() >= apmSlowBuffer {
-		return false
-	}
-	now := n.Sim.Now()
-	start := now
-	if n.apmBusyTil > start {
-		start = n.apmBusyTil
-	}
-	done := start.Add(n.Prof.APMServiceTime)
-	n.apmBusyTil = done
-	n.Counters.Inc(CtrApmProcessed)
-	p := n.getRxPkt()
-	*p = *pkt
-	if p.Payload != nil {
-		p.Payload = append([]byte(nil), p.Payload...)
-	}
-	n.apmq.push(p)
-	n.Sim.AtEvent(done, n, nicAPMDispatch, 0, nil)
-	return true
+	return false
 }
 
-// apmQueued reports whether the packet was deferred to the slow path
-// (and will be dispatched later by apmAdmit's completion event).
-func (n *NIC) apmQueued(pkt *packet.Packet) bool {
-	return !n.apmCache[pkt.BTH.DestQP]
+// apmSlow sends an over-capacity connection's frame through the
+// serialized slow path, whose shallow buffer discards on overflow. It
+// reports whether the slow path holds the frame.
+func (n *NIC) apmSlow(wire []byte) bool {
+	if n.apmQueued >= apmSlowBuffer {
+		n.Counters.Inc(CtrRxDiscardsPhy)
+		return false
+	}
+	n.apmBusyTil = max(n.Sim.Now(), n.apmBusyTil).Add(n.Prof.APMServiceTime)
+	n.apmQueued++
+	n.Counters.Inc(CtrApmProcessed)
+	n.Sim.AtEvent(n.apmBusyTil, n, nicAPMDispatch, 0, wire)
+	return true
 }
 
 // APM model constants: the fast-connection cache holds this many

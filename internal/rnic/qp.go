@@ -617,58 +617,58 @@ func zeroPayload(n int) []byte {
 
 // handlePacket processes a transport packet addressed to this QP. UC
 // and UD ignore every opcode they do not carry.
-func (qp *QP) handlePacket(pkt *packet.Packet) {
+func (qp *QP) handlePacket(v packet.View) {
 	if !qp.connected || qp.errored {
 		return
 	}
-	op := pkt.BTH.Opcode
+	op := v.Opcode()
 	switch qp.cfg.Transport {
 	case TransportRC:
-		qp.rcDispatch(pkt)
+		qp.rcDispatch(v)
 	case TransportUC:
 		if op.IsSend() || op.IsWrite() {
-			qp.ucHandleRequest(pkt)
+			qp.ucHandleRequest(v)
 		}
 	case TransportUD:
 		if op.IsSend() && op.IsOnly() {
-			qp.udDeliver(pkt)
+			qp.udDeliver(v)
 		}
 	}
 }
 
 // rcDispatch routes one packet to the RC engine's op-specific handlers.
-func (qp *QP) rcDispatch(pkt *packet.Packet) {
-	op := pkt.BTH.Opcode
+func (qp *QP) rcDispatch(v packet.View) {
+	op := v.Opcode()
 	switch {
 	case op == packet.OpAtomicAcknowledge:
-		qp.handleAtomicAck(pkt)
+		qp.handleAtomicAck(v)
 	case op.IsAck():
-		qp.handleAck(pkt)
+		qp.handleAck(v)
 	case op.IsReadResponse():
-		qp.handleReadResponse(pkt)
+		qp.handleReadResponse(v)
 	case op.IsSend() || op.IsWrite():
-		qp.handleRequest(pkt)
+		qp.handleRequest(v)
 	case op.IsReadRequest():
-		qp.handleReadRequest(pkt)
+		qp.handleReadRequest(v)
 	case op.IsAtomic():
-		qp.handleAtomicRequest(pkt)
+		qp.handleAtomicRequest(v)
 	}
 }
 
 // --- requester: ACK / NAK / read responses ---
 
-func (qp *QP) handleAck(pkt *packet.Packet) {
-	a := pkt.AETH
+func (qp *QP) handleAck(v packet.View) {
+	a := v.AETH()
 	switch {
 	case a.IsAck():
 		qp.cov().Record(coverage.SiteAck, coverage.AckOK)
-		qp.advanceUna(psnAdd(pkt.BTH.PSN, 1))
+		qp.advanceUna(psnAdd(v.PSN(), 1))
 	case a.IsNak():
 		code := a.Syndrome & 0x1F
 		switch code {
 		case 0: // PSN sequence error → Go-back-N fast retransmit
 			qp.cov().Record(coverage.SiteAck, coverage.AckNakSeq)
-			qp.onSequenceNak(pkt.BTH.PSN)
+			qp.onSequenceNak(v.PSN())
 		default: // fatal NAKs (remote access, invalid request, ...)
 			qp.cov().Record(coverage.SiteAck, coverage.AckNakFatal)
 			qp.fatal(StatusRemoteAccessError)
@@ -713,8 +713,8 @@ func (qp *QP) onSequenceNak(nakPSN uint32) {
 // loss-detection side of Read traffic (Figure 8b): gaps trigger an
 // implied NAK and a re-read after the (potentially very slow) read
 // slow-path latency.
-func (qp *QP) handleReadResponse(pkt *packet.Packet) {
-	psn := pkt.BTH.PSN
+func (qp *QP) handleReadResponse(v packet.View) {
+	psn := v.PSN()
 	switch {
 	case psn == qp.sndUna:
 		qp.cov().Record(coverage.SiteReadResp, coverage.ReadRespInOrder)
@@ -834,15 +834,15 @@ func (qp *QP) wqeFor(psn uint32) *wqe {
 
 // --- responder: Send/Write requests ---
 
-func (qp *QP) handleRequest(pkt *packet.Packet) {
-	psn := pkt.BTH.PSN
-	op := pkt.BTH.Opcode
+func (qp *QP) handleRequest(v packet.View) {
+	psn := v.PSN()
+	op := v.Opcode()
 	switch {
 	case psn == qp.ePSN:
 		if op.IsFirst() || op.IsOnly() {
 			qp.msgStartPSN = psn
 			if op.IsWrite() {
-				if !qp.nic.lookupMR(pkt.RETH.RKey, pkt.RETH.VA, int(pkt.RETH.DMALen)) {
+				if r := v.RETH(); !qp.nic.lookupMR(r.RKey, r.VA, int(r.DMALen)) {
 					qp.cov().Record(coverage.SiteRecv, coverage.RecvMRFail)
 					qp.sendNakNow(packet.NakRemoteAccess)
 					return
@@ -865,14 +865,14 @@ func (qp *QP) handleRequest(pkt *packet.Packet) {
 			// Sends always consume a receive; Writes only when they carry
 			// immediate data (IB spec).
 			if op.IsSend() || op.HasImm() {
-				qp.consumeRecv(pkt)
+				qp.consumeRecv(v)
 			}
 		}
 		// ACK coalescing: acknowledge on explicit request and every
 		// ackCoalesce in-order packets, so the requester's send window
 		// advances even when a message tail is lost.
 		qp.sinceAck++
-		if pkt.BTH.AckReq || qp.sinceAck >= qp.ackCoalesce() {
+		if v.AckReq() || qp.sinceAck >= qp.ackCoalesce() {
 			qp.sinceAck = 0
 			qp.scheduleAck(psn)
 		}
@@ -891,30 +891,30 @@ func (qp *QP) handleRequest(pkt *packet.Packet) {
 		// the requester.
 		qp.cov().Record(coverage.SiteRecv, coverage.RecvDuplicate)
 		qp.nic.Counters.Inc(CtrDuplicateReq)
-		if pkt.BTH.AckReq || op.IsLast() || op.IsOnly() {
+		if v.AckReq() || op.IsLast() || op.IsOnly() {
 			qp.scheduleAck(psnSub(qp.ePSN, 1))
 		}
 	}
 }
 
-func (qp *QP) consumeRecv(pkt *packet.Packet) {
+func (qp *QP) consumeRecv(v packet.View) {
 	if len(qp.recvs) == 0 {
 		// No receive posted: RNR NAK. (Workloads pre-post receives; this
 		// path exists for spec completeness and tests.)
-		qp.sendAckPacket(pkt.BTH.PSN, packet.SyndromeRNRNak|10)
+		qp.sendAckPacket(v.PSN(), packet.SyndromeRNRNak|10)
 		return
 	}
-	qp.deliverRecv(pkt)
+	qp.deliverRecv(v)
 }
 
-// deliverRecv pops the head receive WQE and completes it for pkt — the
+// deliverRecv pops the head receive WQE and completes it for v — the
 // delivery path every transport shares once its own not-ready policy
 // (RC: RNR NAK; UC/UD: silent drop) has passed.
-func (qp *QP) deliverRecv(pkt *packet.Packet) {
+func (qp *QP) deliverRecv(v packet.View) {
 	rr := qp.recvs[0]
 	qp.recvs = qp.recvs[1:]
-	msgLen := int(psnSub(pkt.BTH.PSN, qp.msgStartPSN))*qp.cfg.MTU + len(pkt.Payload)
-	if pkt.BTH.Opcode.IsWrite() {
+	msgLen := int(psnSub(v.PSN(), qp.msgStartPSN))*qp.cfg.MTU + v.PayloadLen()
+	if v.Opcode().IsWrite() {
 		// Write-with-immediate: the receive completes with the immediate
 		// only; payload bytes went to remote memory, not the recv buffer.
 		msgLen = 0
@@ -925,9 +925,9 @@ func (qp *QP) deliverRecv(pkt *packet.Packet) {
 		CompletedAt: qp.nic.Sim.Now(),
 		Bytes:       msgLen,
 	}
-	if pkt.BTH.Opcode.HasImm() {
+	if v.Opcode().HasImm() {
 		c.HasImm = true
-		c.Imm = pkt.Imm
+		c.Imm = v.Imm()
 	}
 	if rr.OnComplete != nil {
 		rr.OnComplete(c)
@@ -1056,16 +1056,17 @@ func (qp *QP) makeAck(ack txPkt) *packet.Packet {
 
 // --- responder: Read requests ---
 
-func (qp *QP) handleReadRequest(pkt *packet.Packet) {
-	psn := pkt.BTH.PSN
-	length := int(pkt.RETH.DMALen)
+func (qp *QP) handleReadRequest(v packet.View) {
+	psn := v.PSN()
+	reth := v.RETH()
+	length := int(reth.DMALen)
 	npkts := (length + qp.cfg.MTU - 1) / qp.cfg.MTU
 	if npkts == 0 {
 		npkts = 1
 	}
 	switch {
 	case psn == qp.ePSN:
-		if !qp.nic.lookupMR(pkt.RETH.RKey, pkt.RETH.VA, length) {
+		if !qp.nic.lookupMR(reth.RKey, reth.VA, length) {
 			qp.cov().Record(coverage.SiteRecv, coverage.RecvMRFail)
 			qp.sendNakNow(packet.NakRemoteAccess)
 			return
@@ -1175,12 +1176,11 @@ func (qp *QP) makeAtomicRequest(w *wqe, psn uint32) *packet.Packet {
 // so that duplicate requests (retransmissions whose original reply was
 // lost) replay the ORIGINAL result instead of re-executing — atomics
 // must be exactly-once.
-func (qp *QP) handleAtomicRequest(pkt *packet.Packet) {
-	psn := pkt.BTH.PSN
+func (qp *QP) handleAtomicRequest(v packet.View) {
+	psn := v.PSN()
 	switch {
 	case psn == qp.ePSN:
-		orig, ok := qp.nic.executeAtomic(pkt.BTH.Opcode, pkt.Atomic.RKey, pkt.Atomic.VA,
-			pkt.Atomic.SwapAdd, pkt.Atomic.Compare)
+		orig, ok := qp.nic.executeAtomic(v.Opcode(), v.Atomic())
 		if !ok {
 			qp.cov().Record(coverage.SiteRecv, coverage.RecvMRFail)
 			qp.sendNakNow(packet.NakRemoteAccess)
@@ -1237,8 +1237,8 @@ func (qp *QP) sendAtomicAck(psn uint32, orig uint64) {
 // handleAtomicAck completes the atomic WQE at the requester with the
 // original remote value. The WQE completes before the window advances so
 // the no-coalescing clamp does not block its own acknowledgement.
-func (qp *QP) handleAtomicAck(pkt *packet.Packet) {
-	psn := pkt.BTH.PSN
+func (qp *QP) handleAtomicAck(v packet.View) {
+	psn := v.PSN()
 	w := qp.wqeFor(psn)
 	if w != nil && !w.done && w.req.Verb.IsAtomic() {
 		w.done = true
@@ -1249,7 +1249,7 @@ func (qp *QP) handleAtomicAck(pkt *packet.Packet) {
 				PostedAt:    w.postedAt,
 				CompletedAt: qp.nic.Sim.Now(),
 				Bytes:       8,
-				AtomicOrig:  pkt.AtomicAck,
+				AtomicOrig:  v.AtomicAck(),
 			})
 		}
 	}

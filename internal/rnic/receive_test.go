@@ -1,9 +1,11 @@
 package rnic
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/packet"
+	"github.com/lumina-sim/lumina/internal/sim"
 )
 
 // unownedOutcome is what one Send-Only-Immediate observably did: the
@@ -77,4 +79,89 @@ func TestUnownedFrameOutlivesItsSender(t *testing.T) {
 	if len(got.sent) != 1 || got.sent[0] != want.sent[0] {
 		t.Errorf("overwritten run's send completions %+v, untouched run's %+v", got.sent, want.sent)
 	}
+}
+
+// fuzzPair is FuzzNICReceive's testbed: two CX5 NICs (strict APM
+// receivers) through the relay, one RC QP each, the responder's receives
+// posted and a 64 KiB MR registered on it, so no read outruns the run.
+// Every APM cache slot is already taken, as by twelve other
+// connections: a MigReq=0 data packet takes the slow path.
+func fuzzPair(t testing.TB) (*testPair, MR) {
+	o := defaultPairOpts()
+	o.profA, o.profB = Profiles()[ModelCX5], Profiles()[ModelCX5]
+	p := newPair(t, o)
+	cfg := QPConfig{MTU: 1024, TimeoutExp: 10, RetryCnt: 7}
+	p.aQP, p.bQP = p.a.CreateQP(cfg), p.b.CreateQP(cfg)
+	p.aQP.Connect(p.bQP.Local())
+	p.bQP.Connect(p.aQP.Local())
+	for i := range 4 {
+		p.bQP.PostRecv(RecvRequest{WRID: i})
+	}
+	p.b.apmCacheN = apmCacheCapacity
+	return p, p.b.RegisterMR(64 << 10)
+}
+
+// receiveSeeds is one in-order frame per opcode the NIC handles, from
+// the requester's QP to the responder's, its RETH or AtomicETH naming
+// the responder's MR. Each carries MigReq=0, so the data frames take
+// the APM slow path on their way to the transport handlers.
+func receiveSeeds(t testing.TB) [][]byte {
+	p, mr := fuzzPair(t)
+	qa := p.aQP
+	ops := []packet.Opcode{packet.OpCNP}
+	for op := packet.OpSendFirst; op <= packet.OpFetchAdd; op++ {
+		ops = append(ops, op)
+	}
+	var seeds [][]byte
+	for _, op := range ops {
+		h := qa.baseHeader(op, qa.IPSN)
+		h.BTH.AckReq = op.IsLast() || op.IsOnly() || op.IsReadRequest() || op.IsAtomic()
+		h.BTH.MigReq = false
+		h.RETH = packet.RETH{VA: mr.Addr, RKey: mr.RKey, DMALen: 3000}
+		h.AETH = packet.AETH{Syndrome: packet.SyndromeACK | 31}
+		h.Imm = 0xfeedf00d
+		h.Atomic = packet.AtomicETH{VA: mr.Addr, RKey: mr.RKey, SwapAdd: 5}
+		h.AtomicAck = 1000
+		if op.IsData() && !op.IsReadRequest() && !op.IsAtomic() {
+			h.Payload, h.BTH.PadCount = make([]byte, 61), 3
+		}
+		seeds = append(seeds, h.AppendWire(nil))
+	}
+	return seeds
+}
+
+// FuzzNICReceive delivers arbitrary bytes, as an unowned frame, to the
+// responder of a connected RC pair. An input ParseFrame accepts has its
+// iCRC resealed first, so mutated headers reach the transport handlers
+// instead of stopping at the iCRC check. No input may panic the NIC; the
+// RX counters must count the input exactly when it is a RoCEv2 frame,
+// with no iCRC error; and the APM slow path must drain by the deadline.
+func FuzzNICReceive(f *testing.F) {
+	for _, s := range receiveSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		v, err := packet.ParseFrame(wire)
+		roce := err == nil && v.IsRoCE()
+		if err == nil {
+			crc := len(wire) - packet.ICRCSize
+			binary.LittleEndian.PutUint32(wire[crc:], packet.ComputeICRC(wire[:crc]))
+		}
+		p, _ := fuzzPair(t)
+		p.relay.toB.Send(wire)
+		p.runFor(10 * sim.Millisecond)
+		want := uint64(0)
+		if roce {
+			want = 1
+		}
+		if got := p.b.Counters.Get(CtrRxRoCEPackets); got != want {
+			t.Errorf("rx_roce_packets = %d, want %d", got, want)
+		}
+		if got := p.b.Counters.Get(CtrICRCErrors); got != 0 {
+			t.Errorf("%d iCRC error(s) on a resealed frame", got)
+		}
+		if p.b.apmQueued != 0 {
+			t.Errorf("%d frame(s) still in the APM slow path", p.b.apmQueued)
+		}
+	})
 }

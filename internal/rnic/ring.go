@@ -3,8 +3,8 @@ package rnic
 // ring is a growable FIFO over one power-of-two backing array. Popping
 // advances a head index instead of re-slicing, and reset keeps the
 // array, so a queue that fills and drains forever (a QP's transmit
-// descriptors, a NIC's packets in the RX pipeline) allocates only while
-// it grows to its high-water mark.
+// descriptors, its pending atomic ACKs) allocates only while it grows
+// to its high-water mark.
 type ring[T any] struct {
 	buf  []T
 	head int

@@ -10,7 +10,7 @@ import (
 // posted drops it on the floor (real UD QPs do the same — there is no
 // RNR NAK on a datagram QP). A datagram the injector drops is simply
 // never seen, a silent loss the analyzers attribute as expected.
-func (qp *QP) udDeliver(pkt *packet.Packet) {
+func (qp *QP) udDeliver(v packet.View) {
 	if len(qp.recvs) == 0 {
 		qp.cov().Record(coverage.SiteUD, coverage.UDNoRecv)
 		qp.nic.Counters.Inc(CtrUDRxDropped)
@@ -19,7 +19,7 @@ func (qp *QP) udDeliver(pkt *packet.Packet) {
 	qp.cov().Record(coverage.SiteUD, coverage.UDDeliver)
 	// Each datagram is its own message: anchor the message start so the
 	// delivered length is exactly this packet's payload.
-	qp.msgStartPSN = pkt.BTH.PSN
-	qp.deliverRecv(pkt)
+	qp.msgStartPSN = v.PSN()
+	qp.deliverRecv(v)
 	qp.msn = (qp.msn + 1) & packet.PSNMask
 }
