@@ -39,6 +39,7 @@ func TestContentHashesArePinned(t *testing.T) {
 		"configs/listing2.yaml":                 "a982ccd565a57c48",
 		"configs/noisy-neighbor.yaml":           "4808682c1977a35b",
 		"configs/retrans-probe.yaml":            "c9d03d7220e60919",
+		"corpus/05a5cca6c10fbf0e/scenario.yaml": "05a5cca6c10fbf0e",
 		"corpus/131fb80582e7bfee/scenario.yaml": "131fb80582e7bfee",
 		"corpus/16917aa2b4020769/scenario.yaml": "16917aa2b4020769",
 		"corpus/19aed828727d4213/scenario.yaml": "19aed828727d4213",
