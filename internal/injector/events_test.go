@@ -1,6 +1,7 @@
 package injector
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
@@ -146,5 +147,33 @@ func TestTranslateIntentsCarriesDelayAndOffset(t *testing.T) {
 	}
 	if rules[1].Action != packet.EventReorder || rules[1].ReorderOffset != 3 {
 		t.Fatalf("reorder rule = %+v", rules[1])
+	}
+}
+
+// TestReorderOvertakeCreditsEveryHeldPacket holds three packets on one
+// connection at once: PSNs 100, 101 and 102 with offsets 1, 2 and 1.
+// PSN 103 overtakes all three and releases 100 and 102; 104 is the
+// second packet to overtake 101 and releases it; 105 follows.
+func TestReorderOvertakeCreditsEveryHeldPacket(t *testing.T) {
+	r := newRig(t, luminaCfg(), 1, nil)
+	r.sw.AddConnection(conn(100))
+	for psn, off := range map[uint32]int{100: 1, 101: 2, 102: 1} {
+		r.sw.InstallRule(Rule{
+			SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: psn, Iter: 1,
+			Action: packet.EventReorder, ReorderOffset: off,
+		})
+	}
+	var order []uint32
+	r.fromB.SetReceiver(func(w []byte) {
+		if v, err := packet.ParseFrame(w); err == nil {
+			order = append(order, v.PSN())
+		}
+	})
+	for psn := uint32(100); psn <= 105; psn++ {
+		r.sendA(dataPkt(psn, 0x200))
+	}
+	r.s.Run()
+	if want := []uint32{103, 100, 102, 104, 101, 105}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }

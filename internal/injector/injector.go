@@ -13,6 +13,7 @@ package injector
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/coverage"
@@ -395,39 +396,50 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 }
 
 // overtake credits one overtaking packet to every held packet of the
-// connection and releases those whose quota is spent.
+// connection and releases those whose quota is spent, keeping the rest
+// in one pass over the hold list.
 func (sw *Switch) overtake(key connKey) {
 	holds := sw.held[key]
 	if len(holds) == 0 {
 		return
 	}
+	kept := holds[:0]
 	for _, h := range holds {
 		h.remaining--
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionOvertake)
-		if h.remaining <= 0 {
-			sw.release(h)
+		if h.remaining > 0 {
+			kept = append(kept, h)
+		} else {
+			sw.forwardHeld(h)
 		}
+	}
+	clear(holds[len(kept):])
+	if len(kept) == 0 {
+		delete(sw.held, key)
+	} else {
+		sw.held[key] = kept
 	}
 }
 
-// release forwards a held packet (idempotent) and compacts the hold list.
+// release forwards a held packet whose hold timed out, unless an
+// overtake released it first, and takes it off the hold list.
 func (sw *Switch) release(h *heldPkt) {
 	if h.released {
 		return
 	}
-	h.released = true
-	sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionRelease)
-	holds := sw.held[h.key][:0]
-	for _, x := range sw.held[h.key] {
-		if x != h {
-			holds = append(holds, x)
-		}
-	}
+	holds := slices.DeleteFunc(sw.held[h.key], func(x *heldPkt) bool { return x == h })
 	if len(holds) == 0 {
 		delete(sw.held, h.key)
 	} else {
 		sw.held[h.key] = holds
 	}
+	sw.forwardHeld(h)
+}
+
+// forwardHeld sends a held packet on.
+func (sw *Switch) forwardHeld(h *heldPkt) {
+	h.released = true
+	sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionRelease)
 	sw.forward(h.wire, h.owned, true)
 }
 
