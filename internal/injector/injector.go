@@ -41,16 +41,6 @@ type Rule struct {
 	ReorderOffset int
 }
 
-func (r Rule) key() ruleKey {
-	return ruleKey{connKey{r.SrcIP, r.DstIP, r.DstQPN}, r.PSN, r.Iter}
-}
-
-type ruleKey struct {
-	conn connKey
-	psn  uint32
-	iter uint32
-}
-
 // ConnMeta is the runtime traffic metadata a traffic generator shares
 // with the injector before traffic starts (§3.3): both endpoints'
 // IP/QPN/IPSN. It seeds the ITER tracker so Figure 3's Last_PSN starts
@@ -66,16 +56,26 @@ type ConnMeta struct {
 	RespIPSN uint32
 }
 
+// connKey names one direction of a connection: the match fields of a
+// Rule but the PSN and ITER.
 type connKey struct {
-	srcIP  netip.Addr
-	dstIP  netip.Addr
-	dstQPN uint32
+	src, dst [4]byte
+	dstQPN   uint32
 }
 
-// connState is the per-direction ITER tracker (Figure 3).
-type connState struct {
+func keyOf(src, dst netip.Addr, dstQPN uint32) connKey {
+	return connKey{src.As4(), dst.As4(), dstQPN}
+}
+
+// connection is the switch's state for one direction of a connection:
+// the ITER tracker (Figure 3), the match-action entries on (PSN, ITER)
+// and the packets an EventReorder action holds, waiting for later data
+// packets of the connection to overtake them.
+type connection struct {
 	lastPSN uint32
-	iter    uint32
+	iter    uint32 // 0 until AddConnection seeds it or a data packet adopts it
+	rules   map[[2]uint32]Rule
+	held    []*heldPkt
 }
 
 // PortCounters are per-port packet counters dumped for integrity checks
@@ -108,12 +108,7 @@ type Switch struct {
 	defaultPort int // unknown-unicast egress (-1 = drop); see SetDefaultPort
 	dumpers     []dumperPort
 
-	rules map[ruleKey]*Rule
-	conns map[connKey]*connState
-
-	// reorder buffers: packets held by EventReorder, waiting for later
-	// same-connection data packets to overtake them.
-	held map[connKey][]*heldPkt
+	conns map[connKey]*connection
 
 	rng *sim.RNG
 
@@ -146,9 +141,7 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 		Cfg:         cfg,
 		macTable:    map[packet.MAC]int{},
 		defaultPort: -1,
-		rules:       map[ruleKey]*Rule{},
-		conns:       map[connKey]*connState{},
-		held:        map[connKey][]*heldPkt{},
+		conns:       map[connKey]*connection{},
 		rng:         s.RNG().Fork(),
 	}
 }
@@ -157,15 +150,22 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 // handler of its own reorderMaxHold timeout.
 type heldPkt struct {
 	sw        *Switch
-	key       connKey
+	conn      *connection
 	wire      []byte
 	owned     bool // wire is a pool frame the switch holds
 	remaining int  // same-connection data packets that must overtake first
 	released  bool
 }
 
-// HandleEvent releases the packet when its hold times out.
-func (h *heldPkt) HandleEvent(int, uint64, []byte) { h.sw.release(h) }
+// HandleEvent releases the packet when its hold times out, unless an
+// overtake released it first.
+func (h *heldPkt) HandleEvent(int, uint64, []byte) {
+	if h.released {
+		return
+	}
+	h.conn.held = slices.DeleteFunc(h.conn.held, func(x *heldPkt) bool { return x == h })
+	h.sw.release(h)
+}
 
 // reorderMaxHold bounds how long a reordered packet may wait for
 // overtaking traffic before it is forcibly released — without it, a
@@ -235,13 +235,22 @@ func (sw *Switch) EnableINT(c *inband.Collector) {
 	sw.intHop = c.RegisterHop("sw-pipeline", false)
 }
 
+// conn returns the state of the connection named by key, creating it
+// unseeded.
+func (sw *Switch) conn(key connKey) *connection {
+	c := sw.conns[key]
+	if c == nil {
+		c = &connection{}
+		sw.conns[key] = c
+	}
+	return c
+}
+
 // AddConnection seeds the ITER tracker from exchanged traffic metadata.
 func (sw *Switch) AddConnection(m ConnMeta) {
 	seed := func(src, dst netip.Addr, dstQPN, ipsn uint32) {
-		sw.conns[connKey{src, dst, dstQPN}] = &connState{
-			lastPSN: (ipsn - 1) & packet.PSNMask,
-			iter:    1,
-		}
+		c := sw.conn(keyOf(src, dst, dstQPN))
+		c.lastPSN, c.iter = (ipsn-1)&packet.PSNMask, 1
 	}
 	// Requester → responder data (Send/Write/Read requests): requester
 	// PSN space. Responder → requester data (Read responses): also
@@ -253,8 +262,11 @@ func (sw *Switch) AddConnection(m ConnMeta) {
 // InstallRule adds one match-action entry. Installing a duplicate
 // (srcIP,dstIP,dstQPN,psn,iter) key replaces the action.
 func (sw *Switch) InstallRule(r Rule) {
-	rr := r
-	sw.rules[r.key()] = &rr
+	c := sw.conn(keyOf(r.SrcIP, r.DstIP, r.DstQPN))
+	if c.rules == nil {
+		c.rules = map[[2]uint32]Rule{}
+	}
+	c.rules[[2]uint32{r.PSN, r.Iter}] = r
 }
 
 // Totals returns the aggregate counters.
@@ -292,15 +304,18 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	sw.total.RxRoCE++
 
 	// ITER tracking (Figure 3): data packets only — events target data
-	// packets, and ACK/CNP PSNs live in unrelated sequence spaces.
+	// packets, and ACK/CNP PSNs live in unrelated sequence spaces. c stays
+	// nil for any other packet.
 	ev := packet.EventNone
-	var rule *Rule
-	key, psn := connKey{v.Src(), v.Dst(), v.DestQP()}, v.PSN()
-	isData := v.Opcode().IsData()
-	if isData {
-		iter := sw.trackITER(key, psn)
+	var rule Rule
+	var c *connection
+	if v.Opcode().IsData() {
+		c = sw.conn(connKey{v.Src().As4(), v.Dst().As4(), v.DestQP()})
+		psn := v.PSN()
+		iter := sw.trackITER(c, psn)
 		if sw.Cfg.Inject {
-			if rule = sw.rules[ruleKey{key, psn, iter}]; rule != nil {
+			var hit bool
+			if rule, hit = c.rules[[2]uint32{psn, iter}]; hit {
 				sw.Sim.Coverage().Record(coverage.SiteInjectLookup, coverage.LookupHit)
 				ev = rule.Action
 				if h := sw.Sim.Hub(); h.Active() {
@@ -311,7 +326,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 					h.EmitArgs(telemetry.KindInjectHit,
 						fmt.Sprintf("switch/port-%d", portIdx), ev.String(),
 						telemetry.I("psn", int64(psn)),
-						telemetry.I("qpn", int64(key.dstQPN)),
+						telemetry.I("qpn", int64(v.DestQP())),
 						telemetry.I("iter", int64(iter)),
 						telemetry.I("lineage", int64(sw.total.Mirrored+1)))
 				}
@@ -382,62 +397,39 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		if off <= 0 {
 			off = 1
 		}
-		h := &heldPkt{sw: sw, key: key, wire: out, owned: owned, remaining: off}
-		sw.held[key] = append(sw.held[key], h)
+		h := &heldPkt{sw: sw, conn: c, wire: out, owned: owned, remaining: off}
+		c.held = append(c.held, h)
 		sw.Sim.AfterEvent(reorderMaxHold, h, 0, 0, nil)
 		return
 	}
 	sw.forward(out, owned, true)
 
 	// Data packets overtake any parked (reordered) predecessors.
-	if isData {
-		sw.overtake(key)
+	if c != nil {
+		sw.overtake(c)
 	}
 }
 
 // overtake credits one overtaking packet to every held packet of the
 // connection and releases those whose quota is spent, keeping the rest
 // in one pass over the hold list.
-func (sw *Switch) overtake(key connKey) {
-	holds := sw.held[key]
-	if len(holds) == 0 {
-		return
-	}
-	kept := holds[:0]
-	for _, h := range holds {
+func (sw *Switch) overtake(c *connection) {
+	kept := c.held[:0]
+	for _, h := range c.held {
 		h.remaining--
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionOvertake)
 		if h.remaining > 0 {
 			kept = append(kept, h)
 		} else {
-			sw.forwardHeld(h)
+			sw.release(h)
 		}
 	}
-	clear(holds[len(kept):])
-	if len(kept) == 0 {
-		delete(sw.held, key)
-	} else {
-		sw.held[key] = kept
-	}
+	clear(c.held[len(kept):])
+	c.held = kept
 }
 
-// release forwards a held packet whose hold timed out, unless an
-// overtake released it first, and takes it off the hold list.
+// release forwards a held packet.
 func (sw *Switch) release(h *heldPkt) {
-	if h.released {
-		return
-	}
-	holds := slices.DeleteFunc(sw.held[h.key], func(x *heldPkt) bool { return x == h })
-	if len(holds) == 0 {
-		delete(sw.held, h.key)
-	} else {
-		sw.held[h.key] = holds
-	}
-	sw.forwardHeld(h)
-}
-
-// forwardHeld sends a held packet on.
-func (sw *Switch) forwardHeld(h *heldPkt) {
 	h.released = true
 	sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionRelease)
 	sw.forward(h.wire, h.owned, true)
@@ -445,24 +437,21 @@ func (sw *Switch) forwardHeld(h *heldPkt) {
 
 // trackITER implements Figure 3: if the packet's PSN is not larger than
 // Last_PSN, a new (re)transmission round begins.
-func (sw *Switch) trackITER(key connKey, psn uint32) uint32 {
-	st, ok := sw.conns[key]
-	if !ok {
+func (sw *Switch) trackITER(c *connection, psn uint32) uint32 {
+	switch {
+	case c.iter == 0:
 		// Unknown connection (no metadata shared): adopt it with the
 		// current packet starting round 1.
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterAdopt)
-		st = &connState{lastPSN: psn, iter: 1}
-		sw.conns[key] = st
-		return st.iter
-	}
-	if !psnGreater(psn, st.lastPSN) {
+		c.iter = 1
+	case !psnGreater(psn, c.lastPSN):
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterNewRound)
-		st.iter++
-	} else {
+		c.iter++
+	default:
 		sw.Sim.Coverage().Record(coverage.SiteInjectIter, coverage.IterTracked)
 	}
-	st.lastPSN = psn
-	return st.iter
+	c.lastPSN = psn
+	return c.iter
 }
 
 // copyFrame duplicates wire into a pool frame.
@@ -601,8 +590,4 @@ func (sw *Switch) nextDumper() int {
 // psnGreater reports a > b in the 24-bit circular space.
 func psnGreater(a, b uint32) bool {
 	return a != b && ((b-a)&packet.PSNMask) >= 1<<23
-}
-
-func (sw *Switch) String() string {
-	return fmt.Sprintf("Switch(hosts=%d dumpers=%d rules=%d)", len(sw.hostPorts), len(sw.dumpers), len(sw.rules))
 }

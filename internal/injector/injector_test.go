@@ -140,7 +140,7 @@ func TestITERTracking(t *testing.T) {
 	psns := []uint32{1, 2, 3, 4, 2, 3, 4, 3, 4}
 	want := []uint32{1, 1, 1, 1, 2, 2, 2, 3, 3}
 	for i, psn := range psns {
-		if got := r.sw.trackITER(connKey{ipA, ipB, 0x200}, psn); got != want[i] {
+		if got := r.sw.trackITER(r.sw.conns[keyOf(ipA, ipB, 0x200)], psn); got != want[i] {
 			t.Fatalf("packet %d (PSN %d): ITER = %d, want %d", i, psn, got, want[i])
 		}
 	}
@@ -153,7 +153,7 @@ func TestITERSeedHandlesFirstPacketAtIPSN(t *testing.T) {
 	for _, ipsn := range []uint32{0, 1, 77, packet.PSNMask} {
 		r := newRig(t, luminaCfg(), 1, nil)
 		r.sw.AddConnection(conn(ipsn))
-		if got := r.sw.trackITER(connKey{ipA, ipB, 0x200}, ipsn); got != 1 {
+		if got := r.sw.trackITER(r.sw.conns[keyOf(ipA, ipB, 0x200)], ipsn); got != 1 {
 			t.Fatalf("IPSN %d: first packet ITER = %d, want 1", ipsn, got)
 		}
 	}
@@ -479,8 +479,8 @@ func TestRuleHitCounting(t *testing.T) {
 	r.sendA(dataPkt(100, 0x200))
 	r.sendA(dataPkt(101, 0x200))
 	r.s.Run()
-	if len(r.sw.rules) != 1 {
-		t.Fatalf("%d rules installed, want 1", len(r.sw.rules))
+	if len(r.sw.conns[keyOf(ipA, ipB, 0x200)].rules) != 1 {
+		t.Fatalf("%d rules installed, want 1", len(r.sw.conns[keyOf(ipA, ipB, 0x200)].rules))
 	}
 	if got := r.sw.Totals().Injected; got != 1 {
 		t.Fatalf("Injected = %d, want 1: the rule hits PSN 101 once", got)
