@@ -454,3 +454,25 @@ func TestVerdictLine(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptedPacketIsALoss: the receiving NIC discards a packet the
+// injector corrupted on its iCRC, so Go-back-N replay and the
+// retransmission analysis treat it as they treat a drop.
+func TestCorruptedPacketIsALoss(t *testing.T) {
+	b := &traceBuilder{}
+	b.add(writePkt(100, packet.OpWriteFirst), packet.EventNone)
+	b.add(writePkt(101, packet.OpWriteMiddle), packet.EventCorrupt) // discarded at the receiver
+	b.add(writePkt(102, packet.OpWriteMiddle), packet.EventNone)    // creates the gap
+	b.add(nakPkt(101), packet.EventNone)
+	b.add(writePkt(101, packet.OpWriteMiddle), packet.EventNone)
+	b.add(writePkt(102, packet.OpWriteMiddle), packet.EventNone)
+	b.add(writePkt(103, packet.OpWriteLast), packet.EventNone)
+	tr := b.build()
+	if rep := analyzer.CheckGoBackN(tr); !rep.OK() || rep.Events != 1 {
+		t.Errorf("gbn: %d event(s), violations %v; want the NAK for the corrupted PSN 101 accepted as 1 event", rep.Events, rep.Violations)
+	}
+	evs := analyzer.AnalyzeRetransmissions(tr)
+	if len(evs) != 1 || evs[0].DroppedPSN != 101 || evs[0].NackTime != 4000 || evs[0].RetransTime != 5000 || evs[0].Timeout {
+		t.Errorf("retrans: %+v, want one loss at PSN 101, NAKed at 4 µs and retransmitted at 5 µs", evs)
+	}
+}

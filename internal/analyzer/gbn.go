@@ -75,8 +75,9 @@ func (st *gbnState) markLate(psn uint32) {
 //   - retransmission must restart at the NAKed PSN (go-back-N, not
 //     selective repeat).
 //
-// Packets the injector dropped (event type drop) never reached the
-// receiver, so the FSM skips them when advancing its expected PSN.
+// Packets the injector dropped or corrupted (see lost) never reached
+// the receiver's transport, so the FSM skips them when advancing its
+// expected PSN.
 func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	rep := &GBNReport{}
 	// order lists the streams as first seen, beside the map: whatever is
@@ -112,13 +113,13 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 		case op.IsSend() || op.IsWrite() || op.IsReadResponse():
 			st := state(e.Key())
 			// Mirrors are taken at ingress, before the action applies:
-			// dropped packets never reach the receiver, and delayed or
+			// lost packets never reach the receiver, and delayed or
 			// reordered packets reach it later than their mirror
 			// position. None of them advances the receiver's expected
 			// PSN here (the late arrivals land out of order and a
 			// Go-back-N receiver discards them; the visible gap is
 			// filled by the retransmission, which IS in the trace).
-			dropped := e.Meta.Event == packet.EventDrop
+			gone := lost(e.Meta.Event)
 			latent := e.Meta.Event == packet.EventDelay || e.Meta.Event == packet.EventReorder
 			psn := e.PSN()
 			if !st.init {
@@ -128,8 +129,8 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			if latent {
 				st.markLate(psn)
 			}
-			if dropped || latent {
-				// Dropped packets never reach the receiver; late packets
+			if gone || latent {
+				// Lost packets never reach the receiver; late packets
 				// reach it after their mirror position. Neither advances
 				// the replayed expected PSN here.
 				continue

@@ -52,15 +52,20 @@ func (e *RetransEvent) TotalLatency() sim.Duration {
 	return e.RetransTime.Sub(e.DropTime)
 }
 
+// lost reports whether an injected event keeps a data packet's original
+// from the receiver's transport: the switch drops it, or corrupts it and
+// the receiving NIC discards it on its iCRC.
+func lost(ev packet.EventType) bool { return ev == packet.EventDrop || ev == packet.EventCorrupt }
+
 // AnalyzeRetransmissions walks the trace and produces one RetransEvent
-// per injector-dropped data packet, supporting both the NAK-triggered
+// per lost data packet (see lost), supporting both the NAK-triggered
 // fast path (Write/Send) and the re-read path (Read), plus timeout
 // recoveries for tail drops.
 func AnalyzeRetransmissions(tr *trace.Trace) []RetransEvent {
 	var events []RetransEvent
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta.Event != packet.EventDrop || !e.Opcode().IsData() {
+		if !lost(e.Meta.Event) || !e.Opcode().IsData() {
 			continue
 		}
 		ev := RetransEvent{

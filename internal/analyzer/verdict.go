@@ -144,7 +144,7 @@ func (a *Analysis) Verdicts(g *lineage.Graph) []Verdict {
 		Analyzer: "retrans", Pass: recovered == drops,
 		Reason: fmt.Sprintf("%d drop(s): %d recovered (%d by timeout), %d unrecovered",
 			drops, recovered, timeouts, drops-recovered),
-		Chains: chainsOf(packet.EventDrop),
+		Chains: chainsOf(packet.EventDrop, packet.EventCorrupt),
 	})
 
 	cnp := a.CNP
