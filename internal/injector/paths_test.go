@@ -475,15 +475,15 @@ func injectPairs(r *coverage.Report) string {
 // sameOutsideMeta reports whether a mirror copy equals body everywhere
 // but the fields the mirror rewrites: both MACs, the TTL and the UDP
 // destination port.
-func sameOutsideMeta(copy, body []byte) bool {
-	if len(copy) != len(body) {
+func sameOutsideMeta(dup, body []byte) bool {
+	if len(dup) != len(body) {
 		return false
 	}
 	for i := range body {
 		if i < 12 || i == 22 || i == 36 || i == 37 {
 			continue
 		}
-		if copy[i] != body[i] {
+		if dup[i] != body[i] {
 			return false
 		}
 	}
