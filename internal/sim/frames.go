@@ -1,6 +1,9 @@
 package sim
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Frame ownership. Components that build wire frames (NIC transmit, the
 // switch's mirror and rewrite copies) take them from the simulator's
@@ -50,7 +53,8 @@ var poisonFrames atomic.Bool
 // PoisonReleasedFrames is a test hook: while on, every frame returned to
 // any simulator's pool is filled with 0xDB first, so a component that
 // still reads a frame it (or a peer) already released sees garbage and
-// the run's digests change. It returns the previous setting.
+// the run's digests change, and a frame released while its class's
+// stack still holds it panics. It returns the previous setting.
 func PoisonReleasedFrames(on bool) bool { return poisonFrames.Swap(on) }
 
 // GetFrame returns an n-byte frame owned by the caller, recycled from
@@ -72,13 +76,21 @@ func (s *Simulator) GetFrame(n int) []byte {
 // PutFrame returns an owned frame to the pool. The caller must not touch
 // buf afterwards.
 func (s *Simulator) PutFrame(buf []byte) {
+	c := cap(buf) / frameQuantum
 	if poisonFrames.Load() {
 		buf = buf[:cap(buf)]
+		if c < frameClasses && len(buf) > 0 {
+			for _, f := range s.frames[c] {
+				if cap(f) > 0 && &f[:cap(f)][0] == &buf[0] {
+					// invariant: only while the PoisonReleasedFrames test hook is on; a frame ends exactly once, so none is released while its class's stack still holds it.
+					panic(fmt.Sprintf("sim: frame of %d bytes released twice", cap(buf)))
+				}
+			}
+		}
 		for i := range buf {
 			buf[i] = 0xDB
 		}
 	}
-	c := cap(buf) / frameQuantum
 	if c >= frameClasses || len(s.frames[c]) >= frameClassMax {
 		return
 	}

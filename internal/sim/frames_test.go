@@ -90,7 +90,9 @@ func TestFramePoolClassesAndBound(t *testing.T) {
 }
 
 // TestPoisonReleasedFrames checks the use-after-release hook fills a
-// released frame's whole capacity.
+// released frame's whole capacity, and that a second release of a frame
+// the pool still holds panics — with a re-slice of it too — while a
+// frame taken back out of the pool may be released again.
 func TestPoisonReleasedFrames(t *testing.T) {
 	defer PoisonReleasedFrames(PoisonReleasedFrames(true))
 	s := New(1)
@@ -101,6 +103,21 @@ func TestPoisonReleasedFrames(t *testing.T) {
 			t.Fatalf("byte %d of a released frame is %#x, want 0xDB", i, v)
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a frame released twice did not panic")
+			}
+		}()
+		s.PutFrame(buf[:10])
+	}()
+	again := s.GetFrame(100)
+	if &again[0] != &buf[0] {
+		t.Fatal("the released frame is not the next of its class")
+	}
+	s.PutFrame(again) // out of the pool and back: one release, no panic
+	s.PutFrame(s.GetFrame(0))
+	s.PutFrame(make([]byte, 0)) // empty frames have no identity to check
 }
 
 // spareSets reports the depth of the stack of spares.
