@@ -49,7 +49,7 @@ func main() {
 				fmt.Println("relay: dropping the first atomic acknowledgement")
 				return
 			}
-			out.Send(append([]byte(nil), w...))
+			out.Send(w)
 		}
 	}
 	ra.SetReceiver(forward(rb))

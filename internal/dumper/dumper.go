@@ -107,13 +107,11 @@ func (n *Node) AttachPort(p *sim.Port) {
 	p.SetFrameReceiver(n.receive)
 }
 
-// receive is the RX path. The node keeps only its trimmed copy, so an
-// owned mirror frame goes back to the pool as soon as capture returns.
-func (n *Node) receive(wire []byte, owned bool) {
+// receive is the RX path. The node keeps only its trimmed copy, so the
+// mirror frame goes back to the pool as soon as capture returns.
+func (n *Node) receive(wire []byte) {
 	n.capture(wire)
-	if owned {
-		n.Sim.PutFrame(wire)
-	}
+	n.Sim.PutFrame(wire)
 }
 
 // capture does the work of one arrival: RSS to a core, ring admission,

@@ -152,8 +152,7 @@ type heldPkt struct {
 	sw        *Switch
 	conn      *connection
 	wire      []byte
-	owned     bool // wire is a pool frame the switch holds
-	remaining int  // same-connection data packets that must overtake first
+	remaining int // same-connection data packets that must overtake first
 	released  bool
 }
 
@@ -180,7 +179,7 @@ func (sw *Switch) AttachHost(port *sim.Port, mac packet.MAC) int {
 	sw.hostMACs = append(sw.hostMACs, mac)
 	sw.macTable[mac] = idx
 	sw.perPort = append(sw.perPort, PortCounters{})
-	port.SetFrameReceiver(func(wire []byte, owned bool) { sw.ingress(idx, wire, owned) })
+	port.SetFrameReceiver(func(wire []byte) { sw.ingress(idx, wire) })
 	return idx
 }
 
@@ -197,7 +196,7 @@ func (sw *Switch) AttachTrunk(port *sim.Port, macs []packet.MAC) int {
 		sw.macTable[mac] = idx
 	}
 	sw.perPort = append(sw.perPort, PortCounters{})
-	port.SetFrameReceiver(func(wire []byte, owned bool) { sw.ingress(idx, wire, owned) })
+	port.SetFrameReceiver(func(wire []byte) { sw.ingress(idx, wire) })
 	return idx
 }
 
@@ -281,11 +280,10 @@ func (sw *Switch) PerPort() []PortCounters {
 // check condition 2 (§3.5).
 func (sw *Switch) MirrorCount() uint64 { return sw.total.Mirrored }
 
-// ingress is the switch pipeline entry point (Figure 6). An owned frame
-// is the switch's to pass on or release: it leaves with forward, or goes
-// back to the pool where the pipeline drops it or replaces it with a
-// rewritten copy. An unowned one is only ever read.
-func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
+// ingress is the switch pipeline entry point (Figure 6). The frame is
+// the switch's: it leaves with forward, or goes back to the pool where
+// the pipeline drops it.
+func (sw *Switch) ingress(portIdx int, wire []byte) {
 	pc := &sw.perPort[portIdx]
 	pc.RxFrames++
 	sw.total.RxFrames++
@@ -296,7 +294,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	if sw.Cfg.L2Only || !isRoCE {
 		// Plain L2 forwarding (baseline mode, and non-RoCE traffic in
 		// Lumina mode skips the RoCE pipeline stages).
-		sw.forward(wire, owned, isRoCE)
+		sw.forward(wire, isRoCE)
 		return
 	}
 
@@ -336,30 +334,18 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		}
 	}
 
-	// Apply the action to the forwarded original. Rewrites go into a
-	// fresh pool frame — the arriving bytes may be a caller's — which
-	// then replaces the original.
-	out := wire
+	// Apply the action to the forwarded original, in place: the switch
+	// holds the frame.
 	switch ev {
 	case packet.EventECN:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionECN)
-		out = sw.copyFrame(wire)
-		packet.SetECNCE(out)
+		packet.SetECNCE(wire)
 	case packet.EventCorrupt:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionCorrupt)
-		out = sw.copyFrame(wire)
-		packet.CorruptPayload(out)
+		packet.CorruptPayload(wire)
 	case packet.EventSetMigReq:
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionMigReq)
-		out = sw.copyFrame(wire)
-		packet.SetMigReq(out)
-	}
-	if &out[0] != &wire[0] {
-		// v views wire; nothing below reads it.
-		if owned {
-			sw.Sim.PutFrame(wire)
-		}
-		owned = true
+		packet.SetMigReq(wire)
 	}
 	if ev != packet.EventNone {
 		pc.Injected++
@@ -369,7 +355,7 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 	// Ingress mirror: duplicates carry the post-injection bytes plus the
 	// embedded metadata, and leave before the drop takes effect.
 	if sw.Cfg.Mirror && len(sw.dumpers) > 0 {
-		sw.mirror(out, ev, portIdx)
+		sw.mirror(wire, ev, portIdx)
 	}
 
 	switch ev {
@@ -377,16 +363,14 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDrop)
 		pc.Dropped++
 		sw.total.Dropped++
-		if owned {
-			sw.Sim.PutFrame(out)
-		}
+		sw.Sim.PutFrame(wire)
 		return
 	case packet.EventDelay:
 		// Quantitative delay (§7 future work): forward after the rule's
 		// extra latency on top of the pipeline.
 		sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionDelay)
 		d := sw.dataPlaneLatency(true) + rule.Delay
-		sw.Sim.AfterEvent(d, sw, swDelayed, sim.OwnedArg(owned), out)
+		sw.Sim.AfterEvent(d, sw, swDelayed, 0, wire)
 		return
 	case packet.EventReorder:
 		// Packet reordering (§7 future work): park the packet until
@@ -397,12 +381,12 @@ func (sw *Switch) ingress(portIdx int, wire []byte, owned bool) {
 		if off <= 0 {
 			off = 1
 		}
-		h := &heldPkt{sw: sw, conn: c, wire: out, owned: owned, remaining: off}
+		h := &heldPkt{sw: sw, conn: c, wire: wire, remaining: off}
 		c.held = append(c.held, h)
 		sw.Sim.AfterEvent(reorderMaxHold, h, 0, 0, nil)
 		return
 	}
-	sw.forward(out, owned, true)
+	sw.forward(wire, true)
 
 	// Data packets overtake any parked (reordered) predecessors.
 	if c != nil {
@@ -432,7 +416,7 @@ func (sw *Switch) overtake(c *connection) {
 func (sw *Switch) release(h *heldPkt) {
 	h.released = true
 	sw.Sim.Coverage().Record(coverage.SiteInjectAction, coverage.ActionRelease)
-	sw.forward(h.wire, h.owned, true)
+	sw.forward(h.wire, true)
 }
 
 // trackITER implements Figure 3: if the packet's PSN is not larger than
@@ -452,13 +436,6 @@ func (sw *Switch) trackITER(c *connection, psn uint32) uint32 {
 	}
 	c.lastPSN = psn
 	return c.iter
-}
-
-// copyFrame duplicates wire into a pool frame.
-func (sw *Switch) copyFrame(wire []byte) []byte {
-	dup := sw.Sim.GetFrame(len(wire))
-	copy(dup, wire)
-	return dup
 }
 
 // dataPlaneLatency models the pipeline stages a packet traverses:
@@ -482,13 +459,11 @@ func (sw *Switch) dataPlaneLatency(roce bool) sim.Duration {
 // and a frame that fails the RoCE parse still leaves by it. An unknown
 // unicast with no default route is dropped — no flooding in a 2-host
 // testbed — and reported as -1, its frame released.
-func (sw *Switch) egress(wire []byte, owned, isRoCE bool) int {
+func (sw *Switch) egress(wire []byte, isRoCE bool) int {
 	idx, ok := sw.macTable[packet.FrameDst(wire)]
 	if !ok {
 		if sw.defaultPort < 0 {
-			if owned {
-				sw.Sim.PutFrame(wire)
-			}
+			sw.Sim.PutFrame(wire)
 			return -1
 		}
 		idx = sw.defaultPort // default route: the uplink trunk
@@ -502,21 +477,20 @@ func (sw *Switch) egress(wire []byte, owned, isRoCE bool) int {
 	return idx
 }
 
-// Switch event ops. Each carries the frame in data; the low bit of a
-// forward's arg is the frame's ownership.
+// Switch event ops. Each carries the frame in data.
 const (
-	swForward = iota // pipeline latency elapsed: send on host port arg>>1
+	swForward = iota // pipeline latency elapsed: send on host port arg
 	swMirror         // mirror latency elapsed: send on dumper port arg
 	swDelayed        // a delay event's latency elapsed: forward now
 )
 
 // forward performs L2 forwarding with the stage-dependent latency.
-func (sw *Switch) forward(wire []byte, owned, isRoCE bool) {
-	idx := sw.egress(wire, owned, isRoCE)
+func (sw *Switch) forward(wire []byte, isRoCE bool) {
+	idx := sw.egress(wire, isRoCE)
 	if idx < 0 {
 		return
 	}
-	sw.Sim.AfterEvent(sw.dataPlaneLatency(isRoCE), sw, swForward, uint64(idx)<<1|sim.OwnedArg(owned), wire)
+	sw.Sim.AfterEvent(sw.dataPlaneLatency(isRoCE), sw, swForward, uint64(idx), wire)
 }
 
 // HandleEvent puts a frame on its egress port once the latency
@@ -525,19 +499,20 @@ func (sw *Switch) forward(wire []byte, owned, isRoCE bool) {
 func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
 	switch op {
 	case swForward:
-		sw.hostPorts[arg>>1].SendFrame(data, arg&1 != 0)
+		sw.hostPorts[arg].SendFrame(data)
 	case swMirror:
-		sw.dumpers[arg].port.SendFrame(data, true)
+		sw.dumpers[arg].port.SendFrame(data)
 	case swDelayed:
-		if idx := sw.egress(data, arg&1 != 0, true); idx >= 0 {
-			sw.hostPorts[idx].SendFrame(data, arg&1 != 0)
+		if idx := sw.egress(data, true); idx >= 0 {
+			sw.hostPorts[idx].SendFrame(data)
 		}
 	}
 }
 
 // mirror emits the metadata-stamped duplicate toward the dumper pool.
 func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
-	dup := sw.copyFrame(wire)
+	dup := sw.Sim.GetFrame(len(wire))
+	copy(dup, wire)
 	sw.total.Mirrored++ // the mirror sequence number
 	if sw.intCol != nil {
 		// INT pipeline hop on the forwarded original (the mirror copy is

@@ -104,6 +104,28 @@ func TestUnknownMACDropped(t *testing.T) {
 	}
 }
 
+// TestForwardedFrameIsNotTheSendersBuffer: the switch holds a frame for
+// its pipeline latency, and the sender may reuse its buffer as soon as
+// Send returns. Overwriting the buffer while the frame is inside the
+// pipeline must not change what B receives.
+func TestForwardedFrameIsNotTheSendersBuffer(t *testing.T) {
+	r := newRig(t, luminaCfg(), 1, nil)
+	wire := dataPkt(10, 0x200)
+	want := append([]byte(nil), wire...)
+	r.sendA(wire)
+	r.s.DrainUntil(200) // arrived at ~126 ns, forwarded at ~526 ns
+	if r.sw.Totals().RxFrames != 1 || len(r.atB) != 0 {
+		t.Fatalf("at 200 ns the switch has received %d frame(s) and B %d, want 1 and 0", r.sw.Totals().RxFrames, len(r.atB))
+	}
+	for i := range wire {
+		wire[i] = 'a'
+	}
+	r.s.Run()
+	if len(r.atB) != 1 || !bytes.Equal(r.atB[0], want) {
+		t.Fatalf("B received %q, want the bytes A sent", r.atB)
+	}
+}
+
 func TestPipelineLatencyApplied(t *testing.T) {
 	// Full Lumina pipeline: the configured 400 ns. With injection off,
 	// only the parse+forward stages run: 5/8 of it (250 ns).

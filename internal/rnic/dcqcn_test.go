@@ -395,7 +395,7 @@ func TestSlowPathOverloadWedgesPipeline(t *testing.T) {
 	}
 	before := p.a.Counters.Get(CtrRxDiscardsPhy)
 	wire := p.bQP.baseHeader(packet.OpWriteOnly, p.bQP.nextPSN).Serialize()
-	p.a.receive(wire, false)
+	p.a.receive(wire)
 	if got := p.a.Counters.Get(CtrRxDiscardsPhy); got != before+1 {
 		t.Fatalf("rx_discards_phy = %d, want %d", got, before+1)
 	}

@@ -29,9 +29,9 @@ func onSend(t *testing.T, n *NIC, fn func(timed)) {
 // onArrive calls fn for every frame arriving at n's port, before the NIC
 // sees it.
 func onArrive(t *testing.T, n *NIC, fn func(timed)) {
-	n.port.SetFrameReceiver(func(w []byte, owned bool) {
+	n.port.SetFrameReceiver(func(w []byte) {
 		fn(timed{n.Sim.Now(), *decodeHeaders(t, w)})
-		n.receive(w, owned)
+		n.receive(w)
 	})
 }
 

@@ -263,19 +263,13 @@ func (n *NIC) transmit(wire []byte, qp *QP) {
 		}
 		qp.lastTxAt, qp.txSeen = now, true
 	}
-	n.port.SendFrame(wire, true)
+	n.port.SendFrame(wire)
 }
 
-// receive is the RX entry point for frames arriving from the switch.
-// The pipeline reads a frame again when its delay has elapsed, so one
-// the NIC does not own, which is the sender's again once this call
-// returns, is copied into a pool frame first. A frame the pipeline
-// admits is released when its dispatch event has run; one discarded
-// here is released at once.
-func (n *NIC) receive(wire []byte, owned bool) {
-	if !owned {
-		wire = append(n.Sim.GetFrame(len(wire))[:0], wire...)
-	}
+// receive is the RX entry point for frames arriving from the switch. A
+// frame the pipeline admits is released when its dispatch event has run;
+// one discarded here is released at once.
+func (n *NIC) receive(wire []byte) {
 	if !n.admit(wire) {
 		n.Sim.PutFrame(wire)
 	}

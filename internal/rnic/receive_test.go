@@ -8,37 +8,37 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// unownedOutcome is what one Send-Only-Immediate observably did: the
+// relayOutcome is what one Send-Only-Immediate observably did: the
 // PSN the responder acknowledged and both sides' completions.
-type unownedOutcome struct {
+type relayOutcome struct {
 	ackPSN     uint32
 	acks       int
 	recv, sent []Completion
 }
 
-// sendUnowned delivers one Send-Only-Immediate through the relay, which
-// hands the responder bytes it keeps (unowned frames). With scribble
-// set, every byte of each frame the responder receives is overwritten
-// as soon as its receive handler returns — before the pipeline delay
-// elapses — as sim.Port's contract allows a sender to do.
-func sendUnowned(t *testing.T, scribble bool) unownedOutcome {
+// sendThroughRelay delivers one Send-Only-Immediate through a relay
+// that copies each of the requester's frames into one buffer of its own
+// and sends that buffer on to the responder. With scribble set, the
+// relay overwrites every byte of its buffer as soon as Send returns —
+// long before the frame arrives — as sim.Port's contract allows a
+// sender to do.
+func sendThroughRelay(t *testing.T, scribble bool) relayOutcome {
 	t.Helper()
 	p := newPair(t, defaultPairOpts())
-	var out unownedOutcome
+	var out relayOutcome
 	p.relay.onForward = func(w []byte, fromA bool) relayAction {
 		if pkt := decode(t, w); !fromA && pkt.BTH.Opcode == packet.OpAcknowledge {
 			out.ackPSN, out.acks = pkt.BTH.PSN, out.acks+1
 		}
 		return relayPass
 	}
-	p.b.port.SetFrameReceiver(func(w []byte, owned bool) {
-		if owned {
-			t.Fatal("the relay handed the responder an owned frame")
-		}
-		p.b.receive(w, owned)
+	var buf []byte
+	p.relay.toA.SetReceiver(func(w []byte) {
+		buf = append(buf[:0], w...)
+		p.relay.toB.Send(buf)
 		if scribble {
-			for i := range w {
-				w[i] = 0xDB
+			for i := range buf {
+				buf[i] = 0xDB
 			}
 		}
 	})
@@ -54,13 +54,13 @@ func sendUnowned(t *testing.T, scribble bool) unownedOutcome {
 	return out
 }
 
-// TestUnownedFrameOutlivesItsSender: a frame the NIC does not own is
-// the sender's again once the receive handler returns, so what the
-// responder does after its pipeline delay must not depend on those
-// bytes. Overwriting them must leave the acknowledged PSN and both
-// completions as they are with the bytes left alone.
+// TestUnownedFrameOutlivesItsSender: the bytes a caller passes to Send
+// stay the caller's, so what the responder does with the frame must not
+// depend on them once Send returns. Overwriting them must leave the
+// acknowledged PSN and both completions as they are with the bytes left
+// alone.
 func TestUnownedFrameOutlivesItsSender(t *testing.T) {
-	want := sendUnowned(t, false)
+	want := sendThroughRelay(t, false)
 	if want.acks != 1 || len(want.recv) != 1 || len(want.sent) != 1 {
 		t.Fatalf("untouched run: %d ACKs, %d receive and %d send completions, want one each",
 			want.acks, len(want.recv), len(want.sent))
@@ -68,7 +68,7 @@ func TestUnownedFrameOutlivesItsSender(t *testing.T) {
 	if r := want.recv[0]; r.Bytes != 100 || !r.HasImm || r.Imm != 0xfeedf00d {
 		t.Fatalf("untouched run: receive completion %+v, want 100 bytes and immediate 0xfeedf00d", r)
 	}
-	got := sendUnowned(t, true)
+	got := sendThroughRelay(t, true)
 	if got.ackPSN != want.ackPSN || got.acks != want.acks {
 		t.Errorf("overwritten run acknowledged PSN %d in %d ACK(s), untouched run PSN %d in %d",
 			got.ackPSN, got.acks, want.ackPSN, want.acks)
@@ -130,7 +130,7 @@ func receiveSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzNICReceive delivers arbitrary bytes, as an unowned frame, to the
+// FuzzNICReceive delivers arbitrary bytes, as a pool frame, to the
 // responder of a connected RC pair. An input ParseFrame accepts has its
 // iCRC resealed first, so mutated headers reach the transport handlers
 // instead of stopping at the iCRC check. No input may panic the NIC; the

@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// Frame ownership. Components that build wire frames (NIC transmit, the
-// switch's mirror and rewrite copies) take them from the simulator's
-// frame pool with GetFrame and hand them on with Port.SendFrame(data,
-// true): ownership travels with the frame, hop by hop, to whoever
-// consumes it last, and that consumer — a NIC once dispatch is done or
-// the frame is discarded, the switch when it drops a frame or replaces
-// it with a copy, a dumper once it has trimmed its record — returns it
-// with PutFrame. Frames sent with Port.Send stay the caller's: receivers
-// see owned == false and never release or adopt them. A receiver that
-// does not release an owned frame (a test sink) leaks nothing: the
-// garbage collector takes the frame and the pool allocates the next one.
+// Frame ownership. Every frame on a link is a pool frame, held by
+// whoever last received it. Components that build wire frames (NIC
+// transmit, the switch's mirror copies) take them from the simulator's
+// frame pool with GetFrame and hand them on with Port.SendFrame; a
+// caller's own bytes become a pool frame in Port.Send, which copies them.
+// The holder passes the frame on or returns it with PutFrame: a NIC once
+// dispatch is done or the frame is discarded, the switch when it drops a
+// frame, a dumper once it has trimmed its record, and a port whose
+// receiver was installed with SetReceiver when that receiver returns.
+// A frame that is never released (a test sink that keeps it) leaks
+// nothing: the garbage collector takes it and the pool allocates the
+// next one.
 //
 // The pool is per Simulator and every component of a testbed runs on
 // the one simulator, so a frame released by whoever consumed it — at

@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// TestReceiverReleasedFrameIsSendersNextGet pins how a frame's ownership
-// crosses a link and where a released frame goes. An owned pool frame is
-// never copied: the peer's receiver gets the very buffer with
-// owned == true, and once that receiver releases it the frame is the
-// next one of its class the sender is handed — one pool serves both ends
-// of every link. A frame sent with plain Send stays the caller's:
-// owned == false, same bytes, and nothing adopts it.
+// TestReceiverReleasedFrameIsSendersNextGet pins how a frame crosses a
+// link and where a released frame goes. A pool frame sent with SendFrame
+// is never copied: the peer's frame receiver gets the very buffer, and
+// once it releases it the frame is the next one of its class the sender
+// is handed — one pool serves both ends of every link. Bytes sent with
+// Send arrive as a pool frame of their own, never as the caller's
+// buffer, and a receiver installed with SetReceiver only borrows its
+// frame: the port releases it when the receiver returns.
 func TestReceiverReleasedFrameIsSendersNextGet(t *testing.T) {
 	s := New(1)
 	a, b := Connect(s, "a", "b", 100, 500)
@@ -21,40 +22,50 @@ func TestReceiverReleasedFrameIsSendersNextGet(t *testing.T) {
 	for i := range frame {
 		frame[i] = byte(i)
 	}
-	mine := make([]byte, 64)
-
-	var gotOwned, gotMine bool
-	b.SetFrameReceiver(func(data []byte, owned bool) {
-		switch &data[0] {
-		case &frame[0]:
-			gotOwned = true
-			if !owned {
-				t.Error("owned frame arrived as unowned")
-			}
-			if data[0] != 0 || data[63] != 63 {
-				t.Errorf("owned frame corrupted in flight: [0]=%d [63]=%d", data[0], data[63])
-			}
-			s.PutFrame(data)
-		case &mine[0]:
-			gotMine = true
-			if owned {
-				t.Error("caller-owned buffer arrived as an owned frame")
-			}
-		default:
-			t.Error("delivery copied the frame")
-		}
-	})
-	a.SendFrame(frame, true)
-	a.Send(mine)
+	var got []byte
+	b.SetFrameReceiver(func(data []byte) { got = data })
+	a.SendFrame(frame)
 	s.Run()
-	if !gotOwned || !gotMine {
-		t.Fatalf("delivered owned=%v caller-owned=%v, want both", gotOwned, gotMine)
+	if &got[0] != &frame[0] {
+		t.Fatal("delivery copied a pool frame")
 	}
-	if got := s.GetFrame(64); &got[0] != &frame[0] {
+	if got[0] != 0 || got[63] != 63 {
+		t.Errorf("frame corrupted in flight: [0]=%d [63]=%d", got[0], got[63])
+	}
+	s.PutFrame(got)
+	if next := s.GetFrame(64); &next[0] != &frame[0] {
 		t.Error("the frame the receiver released is not the sender's next GetFrame of its class")
 	}
-	if got := s.GetFrame(64); &got[0] == &frame[0] || &got[0] == &mine[0] {
+
+	mine := make([]byte, 64)
+	var lent []byte
+	b.SetReceiver(func(data []byte) { lent = data })
+	a.Send(mine)
+	s.Run()
+	if &lent[0] == &mine[0] {
+		t.Fatal("Send delivered the caller's buffer, not a pool frame")
+	}
+	if next := s.GetFrame(64); &next[0] != &lent[0] {
+		t.Error("the port did not release the frame its lending receiver returned from")
+	}
+	if next := s.GetFrame(64); &next[0] == &frame[0] || &next[0] == &mine[0] {
 		t.Error("the pool handed out a frame it does not own")
+	}
+}
+
+// TestSendCopiesTheCallersBytes: the caller may overwrite its buffer as
+// soon as Send returns, and the peer still receives the bytes it sent.
+func TestSendCopiesTheCallersBytes(t *testing.T) {
+	s := New(1)
+	a, b := Connect(s, "a", "b", 100, 500)
+	var got []byte
+	b.SetReceiver(func(data []byte) { got = append(got, data...) })
+	buf := []byte("the original bytes")
+	a.Send(buf)
+	copy(buf, "overwritten bytes!")
+	s.Run()
+	if string(got) != "the original bytes" {
+		t.Errorf("peer received %q, want %q", got, "the original bytes")
 	}
 }
 
@@ -189,23 +200,20 @@ func TestHandOverAcrossGoroutines(t *testing.T) {
 		s := New(1)
 		a, b := Connect(s, "a", "b", 100, 500)
 		h := sha256.New()
-		b.SetFrameReceiver(func(data []byte, owned bool) {
+		b.SetFrameReceiver(func(data []byte) {
 			h.Write(data)
 			reply := s.GetFrame(64)
 			copy(reply, data)
 			s.PutFrame(data)
-			b.SendFrame(reply, true)
+			b.SendFrame(reply)
 		})
-		a.SetFrameReceiver(func(data []byte, owned bool) {
-			h.Write(data)
-			s.PutFrame(data)
-		})
+		a.SetReceiver(func(data []byte) { h.Write(data) })
 		for i := 0; i < 64; i++ {
 			f := s.GetFrame(64 + 16*i)
 			for j := range f {
 				f[j] = byte(i ^ j)
 			}
-			s.After(Duration(40*i), func() { a.SendFrame(f, true) })
+			s.After(Duration(40*i), func() { a.SendFrame(f) })
 		}
 		s.Run()
 		s.Close()

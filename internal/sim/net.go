@@ -16,7 +16,7 @@ type Port struct {
 	sim  *Simulator
 	link *Link
 	peer *Port
-	recv func(data []byte, owned bool)
+	recv func(data []byte)
 
 	// txFreeAt is the instant the transmitter finishes serializing the
 	// last queued frame; it implements an infinite FIFO output queue.
@@ -68,31 +68,36 @@ func (p *Port) Publish(reg *telemetry.Registry) {
 }
 
 // SetReceiver installs the function invoked for every frame arriving at
-// this port. It must be set before any peer transmits. A receiver
-// installed this way takes no part in frame ownership: it never releases
-// a frame.
+// this port. It must be set before any peer transmits. The frame is only
+// lent to fn: the port releases it when fn returns, so fn must not keep
+// it.
 func (p *Port) SetReceiver(fn func(data []byte)) {
 	if fn == nil {
 		p.recv = nil
 		return
 	}
-	p.recv = func(data []byte, _ bool) { fn(data) }
+	p.recv = func(data []byte) {
+		fn(data)
+		p.sim.PutFrame(data)
+	}
 }
 
-// SetFrameReceiver installs a receiver that also learns whether it now
-// owns the frame: when owned is true the frame came from the pool and the
-// receiver (or whoever it passes the frame on to) must eventually release
-// it with Simulator.PutFrame; when false the bytes are the sender's and
-// must be neither released nor kept past the handler.
-func (p *Port) SetFrameReceiver(fn func(data []byte, owned bool)) { p.recv = fn }
+// SetFrameReceiver installs a receiver that takes every arriving frame:
+// it (or whoever it passes the frame on to) must eventually release it
+// with Simulator.PutFrame.
+func (p *Port) SetFrameReceiver(fn func(data []byte)) { p.recv = fn }
 
-// Send queues a frame for transmission. The frame is delivered to the
-// peer after serialization (len/bandwidth, FIFO behind earlier frames)
-// plus propagation delay. Send never blocks; queueing is unbounded, as in
-// the paper's testbed the switch MMU is the only loss point and losses
-// there are modelled explicitly by the injector. The buffer stays the
-// caller's: no receiver releases or adopts it.
-func (p *Port) Send(data []byte) { p.SendFrame(data, false) }
+// Send queues a copy of data for transmission; the caller may reuse data
+// at once. The frame is delivered to the peer after serialization
+// (len/bandwidth, FIFO behind earlier frames) plus propagation delay.
+// Send never blocks; queueing is unbounded, as in the paper's testbed the
+// switch MMU is the only loss point and losses there are modelled
+// explicitly by the injector.
+func (p *Port) Send(data []byte) {
+	f := p.sim.GetFrame(len(data))
+	copy(f, data)
+	p.SendFrame(f)
+}
 
 // txFrame is one frame between enqueue and the end of its
 // serialization: bytes leave the queue gauge at done, ordered among the
@@ -140,10 +145,9 @@ func (p *Port) pushTx(f txFrame) {
 	p.txLen++
 }
 
-// SendFrame is Send with explicit ownership: with owned set, data is a
-// pool frame (Simulator.GetFrame) whose ownership passes to the peer's
-// receiver.
-func (p *Port) SendFrame(data []byte, owned bool) {
+// SendFrame is Send without the copy: frame is a pool frame
+// (Simulator.GetFrame) that passes to the peer's receiver.
+func (p *Port) SendFrame(frame []byte) {
 	if p.link == nil {
 		// invariant: every Port comes from Connect, which links both ends; only a Port literal built by hand gets here.
 		panic(fmt.Sprintf("sim: send on disconnected port %q", p.Name))
@@ -152,43 +156,34 @@ func (p *Port) SendFrame(data []byte, owned bool) {
 	now := s.Now()
 	p.settle()
 	if p.stamp != nil {
-		p.stamp(data, now, p.queueBytes, p.Busy)
+		p.stamp(frame, now, p.queueBytes, p.Busy)
 	}
 	start := now
 	if p.txFreeAt > start {
 		start = p.txFreeAt
 	}
-	ser := p.link.SerializationDelay(len(data))
+	ser := p.link.SerializationDelay(len(frame))
 	done := start.Add(ser)
 	p.txFreeAt = done
 	p.Busy += ser
 
-	p.queueBytes += int64(len(data))
+	p.queueBytes += int64(len(frame))
 	if p.queueBytes > p.MaxQueue {
 		p.MaxQueue = p.queueBytes
 	}
 
-	arrival := s.AtEvent(done.Add(p.link.Propagation), p.peer, 0, OwnedArg(owned), data)
-	p.pushTx(txFrame{done: done, seq: arrival.ev.seq, bytes: int64(len(data))})
-}
-
-// OwnedArg encodes frame ownership as an event scalar — 1 owned, 0 not —
-// for handlers that carry a frame in data across a delay.
-func OwnedArg(owned bool) uint64 {
-	if owned {
-		return 1
-	}
-	return 0
+	arrival := s.AtEvent(done.Add(p.link.Propagation), p.peer, 0, 0, frame)
+	p.pushTx(txFrame{done: done, seq: arrival.ev.seq, bytes: int64(len(frame))})
 }
 
 // HandleEvent runs the port's one per-frame event: a frame arriving from
-// the peer, owned by the receiver when arg is non-zero.
-func (p *Port) HandleEvent(_ int, arg uint64, data []byte) {
+// the peer, which passes to the receiver.
+func (p *Port) HandleEvent(_ int, _ uint64, data []byte) {
 	if p.recv == nil {
 		// invariant: the builder attaches every port it connects to a NIC, switch or dumper node, each of which installs its receiver, before the first event runs.
 		panic(fmt.Sprintf("sim: frame arrived at port %q with no receiver", p.Name))
 	}
-	p.recv(data, arg != 0)
+	p.recv(data)
 }
 
 // Link is a full-duplex point-to-point link between two ports.
