@@ -513,6 +513,7 @@ func (sw *Switch) HandleEvent(op int, arg uint64, data []byte) {
 func (sw *Switch) mirror(wire []byte, ev packet.EventType, ingress int) {
 	dup := sw.Sim.GetFrame(len(wire))
 	copy(dup, wire)
+	sw.perPort[ingress].Mirrored++
 	sw.total.Mirrored++ // the mirror sequence number
 	if sw.intCol != nil {
 		// INT pipeline hop on the forwarded original (the mirror copy is

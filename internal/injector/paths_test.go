@@ -158,9 +158,10 @@ type mirrored struct {
 }
 
 // ctr spells a PortCounters row: frames and RoCE frames in, frames and
-// RoCE frames out, injected and dropped.
-func ctr(rx, rxRoCE, tx, txRoCE, injected, dropped uint64) PortCounters {
-	return PortCounters{RxFrames: rx, RxRoCE: rxRoCE, TxFrames: tx, TxRoCE: txRoCE, Injected: injected, Dropped: dropped}
+// RoCE frames out, mirrored (counted on the ingress port), injected and
+// dropped.
+func ctr(rx, rxRoCE, tx, txRoCE, mirrored, injected, dropped uint64) PortCounters {
+	return PortCounters{RxFrames: rx, RxRoCE: rxRoCE, TxFrames: tx, TxRoCE: txRoCE, Mirrored: mirrored, Injected: injected, Dropped: dropped}
 }
 
 // pathRow is one path: stage → predicate → effect.
@@ -176,17 +177,16 @@ type pathRow struct {
 	rules     []Rule
 	in        []send
 
-	out      []delivery
-	mirrors  []mirrored // in sequence order
-	ports    [2]PortCounters
-	mirrored uint64 // the total's Mirrored; the ports never count it
-	pairs    string // inject.* pairs and counts, in registry order
+	out     []delivery
+	mirrors []mirrored // in sequence order
+	ports   [2]PortCounters
+	pairs   string // inject.* pairs and counts, in registry order
 }
 
 var (
 	idle    = PortCounters{}
-	rx1     = ctr(1, 1, 0, 0, 0, 0)
-	tx1     = ctr(0, 0, 1, 1, 0, 0)
+	rx1     = ctr(1, 1, 0, 0, 1, 0, 0) // one RoCE frame in, mirrored
+	tx1     = ctr(0, 0, 1, 1, 0, 0, 0)
 	oneMiss = "lookup/miss:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"
 )
 
@@ -195,21 +195,21 @@ var pathRows = []pathRow{
 	// L2-only switch, skips ITER, lookup and mirror and pays 250 ns.
 	{stage: "classify", pred: "shorter than an Ethernet header: no destination MAC, dropped",
 		cfg: luminaSw, dumpers: []int{1}, in: []send{fromA(runt13)},
-		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0), idle}},
+		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), idle}},
 	{stage: "classify", pred: "headers parse but the CNP pad is missing: forwarded by MAC, unchanged",
 		cfg: luminaSw, dumpers: []int{1}, in: []send{fromA(cnpNoPad)},
 		out:   []delivery{{1, 104 + 250 + 4 + 100, cnpNoPad}},
-		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0), ctr(0, 0, 1, 0, 0, 0)}},
+		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), ctr(0, 0, 1, 0, 0, 0, 0)}},
 	{stage: "classify", pred: "UDP destination port is not 4791: forwarded by MAC, unchanged",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventDrop)},
 		in:    []send{fromA(wm100UDP)},
 		out:   []delivery{{1, 105 + 250 + 5 + 100, wm100UDP}},
-		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0), ctr(0, 0, 1, 0, 0, 0)}},
+		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), ctr(0, 0, 1, 0, 0, 0, 0)}},
 	{stage: "classify", pred: "L2-only switch: RoCE forwarded unchanged, counted RoCE only on the way out",
 		cfg: l2OnlySw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventDrop)},
 		in:    []send{fromA(wm100)},
 		out:   []delivery{{1, 460, wm100}},
-		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0), tx1}},
+		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), tx1}},
 
 	// ITER (Figure 3): data packets only.
 	{stage: "iter", pred: "ACK: no ITER and no lookup, though a rule names its PSN",
@@ -218,36 +218,36 @@ var pathRows = []pathRow{
 		in:      []send{fromB(ackB)},
 		out:     []delivery{{0, 104 + 400 + 4 + 100, ackB}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 104, 0, ackB}},
-		ports:   [2]PortCounters{tx1, rx1}, mirrored: 1,
-		pairs: "mirror/spray:1 mirror/rss-rewrite:1"},
+		ports:   [2]PortCounters{tx1, rx1},
+		pairs:   "mirror/spray:1 mirror/rss-rewrite:1"},
 	{stage: "iter", pred: "PSN above Last_PSN (seeded at IPSN-1): same round",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 105 + 400 + 5 + 100, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, tx1}, pairs: oneMiss},
 	{stage: "iter", pred: "PSN below Last_PSN: a new round, whose rule hits",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 2, packet.EventDrop)},
 		in:  []send{fromA(wm100), fromA(wm101), fromA(wm100)},
 		out: []delivery{{1, 610, wm100}, {1, 615, wm101}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}, {0, 2, packet.EventNone, 110, 0, wm101},
 			{0, 3, packet.EventDrop, 115, 0, wm100}},
-		ports: [2]PortCounters{ctr(3, 3, 0, 0, 1, 1), ctr(0, 0, 2, 2, 0, 0)}, mirrored: 3,
+		ports: [2]PortCounters{ctr(3, 3, 0, 0, 3, 1, 1), ctr(0, 0, 2, 2, 0, 0, 0)},
 		pairs: "lookup/hit:1 lookup/miss:2 action/drop:1 mirror/spray:3 mirror/rss-rewrite:3 iter/tracked:2 iter/new-round:1"},
 	{stage: "iter", pred: "PSN equal to Last_PSN: a new round, whose rule hits",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 2, packet.EventDrop)},
 		in:      []send{fromA(wm100), fromA(wm100)},
 		out:     []delivery{{1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}, {0, 2, packet.EventDrop, 110, 0, wm100}},
-		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 1, 1), tx1}, mirrored: 2,
-		pairs: "lookup/hit:1 lookup/miss:1 action/drop:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:1 iter/new-round:1"},
+		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 2, 1, 1), tx1},
+		pairs:   "lookup/hit:1 lookup/miss:1 action/drop:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:1 iter/new-round:1"},
 	{stage: "iter", pred: "connection never added: adopted at ITER 1 (its rule hits), Last_PSN is that PSN",
 		cfg: luminaSw, dumpers: []int{1}, rules: []Rule{onAB(100, 1, packet.EventECN)},
 		in:      []send{fromA(wm100), fromA(wm100)},
 		out:     []delivery{{1, 610, wm100CE}, {1, 615, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventECN, 105, 0, wm100CE}, {0, 2, packet.EventNone, 110, 0, wm100}},
-		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 1, 0), ctr(0, 0, 2, 2, 0, 0)}, mirrored: 2,
-		pairs: "lookup/hit:1 lookup/miss:1 action/ecn:1 mirror/spray:2 mirror/rss-rewrite:2 iter/adopt:1 iter/new-round:1"},
+		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 2, 1, 0), ctr(0, 0, 2, 2, 0, 0, 0)},
+		pairs:   "lookup/hit:1 lookup/miss:1 action/ecn:1 mirror/spray:2 mirror/rss-rewrite:2 iter/adopt:1 iter/new-round:1"},
 
 	// Lookup: exact match on (source, destination, QP, PSN, ITER).
 	{stage: "lookup", pred: "injection off: no lookup, 250 ns, ITER still tracked",
@@ -255,28 +255,28 @@ var pathRows = []pathRow{
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 460, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1,
-		pairs: "mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{rx1, tx1},
+		pairs:   "mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "lookup", pred: "rule on another QP: miss",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		rules:   []Rule{{SrcIP: ipA, DstIP: ipB, DstQPN: 0x201, PSN: 100, Iter: 1, Action: packet.EventDrop}},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, tx1}, pairs: oneMiss},
 	{stage: "lookup", pred: "rule on the reverse direction: miss",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		rules:   []Rule{{SrcIP: ipB, DstIP: ipA, DstQPN: 0x200, PSN: 100, Iter: 1, Action: packet.EventDrop}},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, tx1}, pairs: oneMiss},
 	{stage: "lookup", pred: "rule on a later round: miss",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 2, packet.EventDrop)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, tx1}, pairs: oneMiss},
 
 	// Action: the forwarded original and the mirror copy carry the
 	// rewrite; the mirror copy leaves before a drop.
@@ -285,51 +285,51 @@ var pathRows = []pathRow{
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100CE}},
 		mirrors: []mirrored{{0, 1, packet.EventECN, 105, 0, wm100CE}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 0), tx1}, mirrored: 1,
-		pairs: "lookup/hit:1 action/ecn:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 0), tx1},
+		pairs:   "lookup/hit:1 action/ecn:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "corrupt: last payload byte flipped, iCRC stale",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventCorrupt)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100Bad}},
 		mirrors: []mirrored{{0, 1, packet.EventCorrupt, 105, 0, wm100Bad}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 0), tx1}, mirrored: 1,
-		pairs: "lookup/hit:1 action/corrupt:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 0), tx1},
+		pairs:   "lookup/hit:1 action/corrupt:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "set-migreq: MigReq set, iCRC resealed",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventSetMigReq)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100Mig}},
 		mirrors: []mirrored{{0, 1, packet.EventSetMigReq, 105, 0, wm100Mig}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 0), tx1}, mirrored: 1,
-		pairs: "lookup/hit:1 action/mig-req:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 0), tx1},
+		pairs:   "lookup/hit:1 action/mig-req:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "drop: mirrored, then discarded",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventDrop)},
 		in:      []send{fromA(wm100)},
 		mirrors: []mirrored{{0, 1, packet.EventDrop, 105, 0, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1), idle}, mirrored: 1,
-		pairs: "lookup/hit:1 action/drop:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 1), idle},
+		pairs:   "lookup/hit:1 action/drop:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "delay: forwarded after the pipeline plus the rule's 50 µs",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		rules:   []Rule{{SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: 100, Iter: 1, Action: packet.EventDelay, Delay: 50 * sim.Microsecond}},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 105 + 400 + 50_000 + 5 + 100, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventDelay, 105, 0, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 0), tx1}, mirrored: 1,
-		pairs: "lookup/hit:1 action/delay:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 0), tx1},
+		pairs:   "lookup/hit:1 action/delay:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "reorder offset 1: held until one later data packet overtakes it",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		rules:   []Rule{{SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: 100, Iter: 1, Action: packet.EventReorder, ReorderOffset: 1}},
 		in:      []send{fromA(wm100), fromA(wm101)},
 		out:     []delivery{{1, 615, wm101}, {1, 620, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventReorder, 105, 0, wm100}, {0, 2, packet.EventNone, 110, 0, wm101}},
-		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 1, 0), ctr(0, 0, 2, 2, 0, 0)}, mirrored: 2,
-		pairs: "lookup/hit:1 lookup/miss:1 action/reorder-hold:1 action/overtake:1 action/release:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:2"},
+		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 2, 1, 0), ctr(0, 0, 2, 2, 0, 0, 0)},
+		pairs:   "lookup/hit:1 lookup/miss:1 action/reorder-hold:1 action/overtake:1 action/release:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:2"},
 	{stage: "action", pred: "reorder offset 0: held as offset 1",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventReorder)},
 		in:      []send{fromA(wm100), fromA(wm101)},
 		out:     []delivery{{1, 615, wm101}, {1, 620, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventReorder, 105, 0, wm100}, {0, 2, packet.EventNone, 110, 0, wm101}},
-		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 1, 0), ctr(0, 0, 2, 2, 0, 0)}, mirrored: 2,
-		pairs: "lookup/hit:1 lookup/miss:1 action/reorder-hold:1 action/overtake:1 action/release:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:2"},
+		ports:   [2]PortCounters{ctr(2, 2, 0, 0, 2, 1, 0), ctr(0, 0, 2, 2, 0, 0, 0)},
+		pairs:   "lookup/hit:1 lookup/miss:1 action/reorder-hold:1 action/overtake:1 action/release:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:2"},
 	{stage: "action", pred: "reorder offset 2: released by the second overtake",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		rules: []Rule{{SrcIP: ipA, DstIP: ipB, DstQPN: 0x200, PSN: 100, Iter: 1, Action: packet.EventReorder, ReorderOffset: 2}},
@@ -337,22 +337,22 @@ var pathRows = []pathRow{
 		out:   []delivery{{1, 615, wm101}, {1, 620, wm102}, {1, 625, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventReorder, 105, 0, wm100}, {0, 2, packet.EventNone, 110, 0, wm101},
 			{0, 3, packet.EventNone, 115, 0, wm102}},
-		ports: [2]PortCounters{ctr(3, 3, 0, 0, 1, 0), ctr(0, 0, 3, 3, 0, 0)}, mirrored: 3,
+		ports: [2]PortCounters{ctr(3, 3, 0, 0, 3, 1, 0), ctr(0, 0, 3, 3, 0, 0, 0)},
 		pairs: "lookup/hit:1 lookup/miss:2 action/reorder-hold:1 action/overtake:2 action/release:1 mirror/spray:3 mirror/rss-rewrite:3 iter/tracked:3"},
 	{stage: "action", pred: "reorder with nothing to overtake: released after the 100 µs hold bound",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventReorder)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 105 + 100_000 + 400 + 5 + 100, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventReorder, 105, 0, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 0), tx1}, mirrored: 1,
-		pairs: "lookup/hit:1 action/reorder-hold:1 action/release:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 0, 0, 1, 1, 0), tx1},
+		pairs:   "lookup/hit:1 action/reorder-hold:1 action/release:1 mirror/spray:1 mirror/rss-rewrite:1 iter/tracked:1"},
 	{stage: "action", pred: "reorder: another connection's data packet does not overtake",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100), conn2}, rules: []Rule{onAB(100, 1, packet.EventReorder)},
 		in:  []send{fromA(wm100), fromA(wm(0x201, 100)), fromA(wm101)},
 		out: []delivery{{1, 615, wm(0x201, 100)}, {1, 620, wm101}, {1, 625, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventReorder, 105, 0, wm100}, {0, 2, packet.EventNone, 110, 0, wm(0x201, 100)},
 			{0, 3, packet.EventNone, 115, 0, wm101}},
-		ports: [2]PortCounters{ctr(3, 3, 0, 0, 1, 0), ctr(0, 0, 3, 3, 0, 0)}, mirrored: 3,
+		ports: [2]PortCounters{ctr(3, 3, 0, 0, 3, 1, 0), ctr(0, 0, 3, 3, 0, 0, 0)},
 		pairs: "lookup/hit:1 lookup/miss:2 action/reorder-hold:1 action/overtake:1 action/release:1 mirror/spray:3 mirror/rss-rewrite:3 iter/tracked:3"},
 
 	// Mirror: every RoCE frame that passes classify, before any drop.
@@ -360,13 +360,13 @@ var pathRows = []pathRow{
 		cfg: noMirrorSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		in:    []send{fromA(wm100)},
 		out:   []delivery{{1, 610, wm100}},
-		ports: [2]PortCounters{rx1, tx1},
+		ports: [2]PortCounters{ctr(1, 1, 0, 0, 0, 0, 0), tx1},
 		pairs: "lookup/miss:1 iter/tracked:1"},
 	{stage: "mirror", pred: "no dumper attached",
 		cfg: luminaSw, conns: []ConnMeta{conn(100)},
 		in:    []send{fromA(wm100)},
 		out:   []delivery{{1, 610, wm100}},
-		ports: [2]PortCounters{rx1, tx1},
+		ports: [2]PortCounters{ctr(1, 1, 0, 0, 0, 0, 0), tx1},
 		pairs: "lookup/miss:1 iter/tracked:1"},
 	{stage: "mirror", pred: "spray: smooth weighted round-robin over weights 2 and 1",
 		cfg: luminaSw, dumpers: []int{2, 1}, conns: []ConnMeta{conn(100)},
@@ -374,29 +374,29 @@ var pathRows = []pathRow{
 		out: []delivery{{1, 610, wm100}, {1, 615, wm101}, {1, 620, wm102}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100}, {1, 2, packet.EventNone, 110, 0, wm101},
 			{0, 3, packet.EventNone, 115, 0, wm102}},
-		ports: [2]PortCounters{ctr(3, 3, 0, 0, 0, 0), ctr(0, 0, 3, 3, 0, 0)}, mirrored: 3,
+		ports: [2]PortCounters{ctr(3, 3, 0, 0, 3, 0, 0), ctr(0, 0, 3, 3, 0, 0, 0)},
 		pairs: "lookup/miss:3 mirror/spray:3 mirror/rss-rewrite:3 iter/tracked:3"},
 	{stage: "mirror", pred: "spray without the RSS rewrite: UDP port stays 4791",
 		cfg: luminaSw, dumpers: []int{1}, noRSS: true, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100)},
 		out:     []delivery{{1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, packet.RoCEv2Port, wm100}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1,
-		pairs: "lookup/miss:1 mirror/spray:1 iter/tracked:1"},
+		ports:   [2]PortCounters{rx1, tx1},
+		pairs:   "lookup/miss:1 mirror/spray:1 iter/tracked:1"},
 	{stage: "mirror", pred: "by ingress: port i mirrors to dumper i",
 		cfg: luminaSw, dumpers: []int{1, 1}, byIngress: true, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100), fromB(ackB)},
 		out:     []delivery{{0, 608, ackB}, {1, 610, wm100}},
 		mirrors: []mirrored{{1, 1, packet.EventNone, 104, 0, ackB}, {0, 2, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 0, 0)}, mirrored: 2,
-		pairs: "lookup/miss:1 mirror/by-ingress:2 mirror/rss-rewrite:2 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 1, 0, 0)},
+		pairs:   "lookup/miss:1 mirror/by-ingress:2 mirror/rss-rewrite:2 iter/tracked:1"},
 	{stage: "mirror", pred: "by ingress without the RSS rewrite",
 		cfg: luminaSw, dumpers: []int{1, 1}, byIngress: true, noRSS: true, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100), fromB(ackB)},
 		out:     []delivery{{0, 608, ackB}, {1, 610, wm100}},
 		mirrors: []mirrored{{1, 1, packet.EventNone, 104, packet.RoCEv2Port, ackB}, {0, 2, packet.EventNone, 105, packet.RoCEv2Port, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 0, 0)}, mirrored: 2,
-		pairs: "lookup/miss:1 mirror/by-ingress:2 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 1, 0, 0)},
+		pairs:   "lookup/miss:1 mirror/by-ingress:2 iter/tracked:1"},
 
 	// Egress: L2 forwarding by destination MAC.
 	{stage: "egress", pred: "known MACs: each frame leaves by its host's port",
@@ -404,19 +404,19 @@ var pathRows = []pathRow{
 		in:      []send{fromA(wm100), fromB(ackB)},
 		out:     []delivery{{0, 608, ackB}, {1, 610, wm100}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 104, 0, ackB}, {0, 2, packet.EventNone, 105, 0, wm100}},
-		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 0, 0)}, mirrored: 2,
-		pairs: "lookup/miss:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:1"},
+		ports:   [2]PortCounters{ctr(1, 1, 1, 1, 1, 0, 0), ctr(1, 1, 1, 1, 1, 0, 0)},
+		pairs:   "lookup/miss:1 mirror/spray:2 mirror/rss-rewrite:2 iter/tracked:1"},
 	{stage: "egress", pred: "unknown MAC, no default port: dropped after the mirror",
 		cfg: luminaSw, dumpers: []int{1}, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100ToEE)},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100ToEE}},
-		ports:   [2]PortCounters{rx1, idle}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, idle}, pairs: oneMiss},
 	{stage: "egress", pred: "unknown MAC with a default port: leaves by it",
 		cfg: luminaSw, dumpers: []int{1}, uplink: true, conns: []ConnMeta{conn(100)},
 		in:      []send{fromA(wm100ToEE)},
 		out:     []delivery{{1, 610, wm100ToEE}},
 		mirrors: []mirrored{{0, 1, packet.EventNone, 105, 0, wm100ToEE}},
-		ports:   [2]PortCounters{rx1, tx1}, mirrored: 1, pairs: oneMiss},
+		ports:   [2]PortCounters{rx1, tx1}, pairs: oneMiss},
 }
 
 // runPath drives one row on a fresh switch and returns what it did.
@@ -526,8 +526,8 @@ func TestPipelinePaths(t *testing.T) {
 			}
 			want := ctr(row.ports[0].RxFrames+row.ports[1].RxFrames, row.ports[0].RxRoCE+row.ports[1].RxRoCE,
 				row.ports[0].TxFrames+row.ports[1].TxFrames, row.ports[0].TxRoCE+row.ports[1].TxRoCE,
+				row.ports[0].Mirrored+row.ports[1].Mirrored,
 				row.ports[0].Injected+row.ports[1].Injected, row.ports[0].Dropped+row.ports[1].Dropped)
-			want.Mirrored = row.mirrored
 			if got := sw.Totals(); got != want {
 				t.Errorf("totals %+v, want %+v", got, want)
 			}
