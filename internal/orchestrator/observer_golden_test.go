@@ -43,7 +43,7 @@ func TestObserverArtifactsGolden(t *testing.T) {
 			rcPinConfig(),
 			[]telemetry.Kind{telemetry.KindRetransGBN, telemetry.KindRetransTimer},
 			map[string]string{
-				"report.json":   "7f21e8b867f3d6ed1c00cb03f18c7585043043659cd61a86089a342a1cbaf2c7",
+				"report.json":   "970057d3571c50b5ef7f6da904233b7fd2c8bd4df83dcd4010e8c9cb75932a0d",
 				"trace.pcap":    "ffe51c52a40ee3d28e126a08e0061a3ac894f5bc398b4e445be250cd06ed848d",
 				"metrics.json":  "f8395e1582f34f1efb723a1fbcf1fb95a2a622aeb898d8bc3a5a5484e430e904",
 				"timeline.json": "3786a357d538e4d53a6027f2a5426bd8f21b617f95ebeafd19f9c9bec1e962ff",
@@ -56,7 +56,7 @@ func TestObserverArtifactsGolden(t *testing.T) {
 			observerECNConfig(),
 			[]telemetry.Kind{telemetry.KindCNPGen, telemetry.KindDCQCNRate},
 			map[string]string{
-				"report.json":   "8169d4414b1f3527b116daa89f8d770a36243e40cd700d712665e6170456b916",
+				"report.json":   "24a845dfd2e843b106ddad29220e84b3b1a2096bd7f48b74fee135f49bedeb61",
 				"trace.pcap":    "e097c20d882d6b99b2a9eb3578093e59596ec9fa95ed8a45702032aabb80bd16",
 				"metrics.json":  "174c96fa74ac4ba0dcdc9bb7bc141163345b2d9c0448c110acdd353e587aa202",
 				"timeline.json": "08ab0bc07756eb82c3492ee0421c34235114c2792a7c3b009dcbabb83f7e70f5",
