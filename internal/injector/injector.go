@@ -290,6 +290,10 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 
 	v, err := packet.ParseFrame(wire)
 	isRoCE := err == nil && v.IsRoCE()
+	if isRoCE {
+		pc.RxRoCE++
+		sw.total.RxRoCE++
+	}
 
 	if sw.Cfg.L2Only || !isRoCE {
 		// Plain L2 forwarding (baseline mode, and non-RoCE traffic in
@@ -297,9 +301,6 @@ func (sw *Switch) ingress(portIdx int, wire []byte) {
 		sw.forward(wire, isRoCE)
 		return
 	}
-
-	pc.RxRoCE++
-	sw.total.RxRoCE++
 
 	// ITER tracking (Figure 3): data packets only — events target data
 	// packets, and ACK/CNP PSNs live in unrelated sequence spaces. c stays

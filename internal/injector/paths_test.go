@@ -205,11 +205,11 @@ var pathRows = []pathRow{
 		in:    []send{fromA(wm100UDP)},
 		out:   []delivery{{1, 105 + 250 + 5 + 100, wm100UDP}},
 		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), ctr(0, 0, 1, 0, 0, 0, 0)}},
-	{stage: "classify", pred: "L2-only switch: RoCE forwarded unchanged, counted RoCE only on the way out",
+	{stage: "classify", pred: "L2-only switch: RoCE forwarded unchanged, counted RoCE in and out",
 		cfg: l2OnlySw, dumpers: []int{1}, conns: []ConnMeta{conn(100)}, rules: []Rule{onAB(100, 1, packet.EventDrop)},
 		in:    []send{fromA(wm100)},
 		out:   []delivery{{1, 460, wm100}},
-		ports: [2]PortCounters{ctr(1, 0, 0, 0, 0, 0, 0), tx1}},
+		ports: [2]PortCounters{ctr(1, 1, 0, 0, 0, 0, 0), tx1}},
 
 	// ITER (Figure 3): data packets only.
 	{stage: "iter", pred: "ACK: no ITER and no lookup, though a rule names its PSN",

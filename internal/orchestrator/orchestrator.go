@@ -335,7 +335,7 @@ func (tb *Testbed) Execute() (*Report, error) {
 			Node: n.Index, Rx: n.RxPackets, Discards: n.RxDiscards, Captured: n.Captured,
 		})
 	}
-	if tb.Cfg.Switch.Mirror {
+	if tb.Cfg.Switch.Mirror && !tb.Cfg.Switch.L2Only {
 		err := tr.IntegrityCheck(tb.Switch.MirrorCount(), tb.Switch.Totals().RxRoCE)
 		rep.IntegrityOK = err == nil
 		if err != nil {
