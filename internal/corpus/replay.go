@@ -398,7 +398,7 @@ func cachedOutput(arts map[string][]byte, wantCoverage bool) (out cellOutput, us
 }
 
 // simulatedOutput condenses a finished engine job. With a cache, one
-// resultcache.Render serves the digest, the dump and the Put; without
+// resultcache.RenderResult serves the digest, the dump and the Put; without
 // one, only the canonical summary is rendered (for the digest) plus,
 // under ArtifactsDir, the dumped entries of the report's artifact table.
 func simulatedOutput(res *engine.JobResult, opts ReplayOptions, key resultcache.Key) cellOutput {
@@ -407,18 +407,14 @@ func simulatedOutput(res *engine.JobResult, opts ReplayOptions, key resultcache.
 	}
 	out := cellOutput{coverage: res.Report.Coverage}
 	if opts.Cache != nil {
-		arts, err := resultcache.Render(res.Report)
-		if err != nil {
-			return cellOutput{err: err}
-		}
-		parsed, err := resultcache.ParseResult(arts[resultcache.ResultName])
+		arts, result, err := resultcache.RenderResult(res.Report)
 		if err != nil {
 			return cellOutput{err: err}
 		}
 		// Best-effort: a cache that cannot be written (full disk,
 		// permissions) degrades to cold replays, it never fails one.
 		_ = opts.Cache.Put(key, arts)
-		out.Outcome, out.arts = parsed.Outcome, arts
+		out.Outcome, out.arts = result.Outcome, arts
 		return out
 	}
 	var err error

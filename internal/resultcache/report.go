@@ -53,14 +53,21 @@ func KeyFor(cfg config.Test, profile string, opts orchestrator.Options) (Key, er
 // JSON artifacts). The bytes come from the table's own renderers, so a
 // cache hit returns exactly what WriteArtifacts would have written.
 func Render(rep *orchestrator.Report) (map[string][]byte, error) {
+	arts, _, err := RenderResult(rep)
+	return arts, err
+}
+
+// RenderResult is Render that also returns the result.json document it
+// rendered, so a caller that needs it does not parse it back.
+func RenderResult(rep *orchestrator.Report) (map[string][]byte, *Result, error) {
 	outcome, err := rep.Outcome()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := Result{Schema: ResultSchema, Outcome: outcome, DurationNs: rep.DurationNs, IntegrityOK: rep.IntegrityOK}
-	resJS, err := json.MarshalIndent(&res, "", "  ")
+	res := &Result{Schema: ResultSchema, Outcome: outcome, DurationNs: rep.DurationNs, IntegrityOK: rep.IntegrityOK}
+	resJS, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	arts := map[string][]byte{ResultName: append(resJS, '\n')}
 	for _, a := range rep.Artifacts() {
@@ -68,10 +75,10 @@ func Render(rep *orchestrator.Report) (map[string][]byte, error) {
 			continue
 		}
 		if arts[a.Name], err = a.Bytes(); err != nil {
-			return nil, fmt.Errorf("resultcache: %w", err)
+			return nil, nil, fmt.Errorf("resultcache: %w", err)
 		}
 	}
-	return arts, nil
+	return arts, res, nil
 }
 
 // ParseResult decodes a cached result.json sidecar.

@@ -76,7 +76,7 @@ func TestOneArtifactTableEveryConsumerAgrees(t *testing.T) {
 				t.Fatalf("WriteArtifacts created %v, table lists %v", files, table)
 			}
 
-			arts, err := Render(rep)
+			arts, built, err := RenderResult(rep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,6 +116,9 @@ func TestOneArtifactTableEveryConsumerAgrees(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res.Outcome, outcome) || res.DurationNs != rep.DurationNs || res.IntegrityOK != rep.IntegrityOK {
 				t.Fatalf("result.json = %+v, report outcome %+v", res, outcome)
+			}
+			if !reflect.DeepEqual(built, res) {
+				t.Fatalf("RenderResult returned %+v, its result.json parses to %+v", built, res)
 			}
 		})
 	}

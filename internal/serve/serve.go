@@ -220,12 +220,7 @@ func (s *Server) execute(r *run) {
 		s.transition(r, StateFailed, res.Err)
 		return
 	}
-	arts, err := resultcache.Render(res.Report)
-	if err != nil {
-		s.transition(r, StateFailed, err)
-		return
-	}
-	parsed, err := resultcache.ParseResult(arts[resultcache.ResultName])
+	arts, result, err := resultcache.RenderResult(res.Report)
 	if err != nil {
 		s.transition(r, StateFailed, err)
 		return
@@ -236,7 +231,7 @@ func (s *Server) execute(r *run) {
 		_ = s.cfg.Cache.Put(r.key, arts)
 	}
 	s.mu.Lock()
-	r.result, r.artifacts = parsed, arts
+	r.result, r.artifacts = result, arts
 	s.mu.Unlock()
 	s.transition(r, StateDone, nil)
 }
