@@ -42,6 +42,10 @@
 package inband
 
 import (
+	"encoding/binary"
+	"slices"
+	"sort"
+
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
@@ -85,31 +89,66 @@ type Stamp struct {
 	UtilPermille uint16 `json:"util_permille"`
 }
 
-// stamp is a Stamp as the log keeps it (24 bytes): the transit ID is
-// not stored, because each stamp is reachable only from its transit's
-// run, and next links it to the transit's following stamp.
+// The stamp log is a sequence of write-once records in byte pages that
+// never move; a record never spans two pages. One record is
+//
+//	hop   one byte, the stamping hop's ID (pageEnd instead marks the
+//	      unused rest of a page)
+//	back  uvarint, the distance in log bytes back to the same transit's
+//	      previous record; 0 on the transit's first stamp
+//	at    uvarint, the stamp instant: absolute on the transit's first
+//	      stamp, otherwise the (two's-complement) delta from its previous
+//	      stamp
+//	queue uvarint, the queue bytes
+//	util  uvarint, the utilization in permille
+//
+// A record does not name its transit. Walking back from a transit's
+// latest record (its run) reaches all of its stamps; a forward pass over
+// the whole log gives a first stamp its origin hop's next minted transit
+// and a later one the transit of the record it points back to.
+const (
+	logPageBits = 14
+	logPage     = 1 << logPageBits
+	// maxRecord bounds one record's length: the hop byte, a 32-bit and
+	// two 64-bit uvarints, and a 16-bit one.
+	maxRecord = 1 + binary.MaxVarintLen32 + 2*binary.MaxVarintLen64 + 3
+	// pageEnd is the hop byte no hop has (MaxHops reserves it): a record
+	// that does not fit the rest of a page starts the next page and
+	// leaves this byte behind it.
+	pageEnd = MaxHops
+)
+
+// stamp is one decoded record; at is the raw time field.
 type stamp struct {
-	at, queue int64
-	// next is the log position (index + 1) of the same transit's next
-	// stamp; zero on its latest.
-	next uint32
-	util uint16
-	hop  uint8
+	hop   uint8
+	back  uint32
+	at    uint64
+	queue int64
+	util  uint16
 }
 
-// run is one transit's stamps in the log: the positions (index + 1) of
-// its first and latest stamp, linked through stamp.next.
-type run struct{ head, tail uint32 }
+// run is one transit's stamps in the log: the position + 1 of its
+// latest record (zero before its first), from which the back-distances
+// lead to the others.
+type run uint32
 
-// pageBits sizes the pages the stamp log, the runs and the binds grow
-// by: 1 024 records each.
+// inFlight is one slot of the tag table: the transit a tag names and
+// the instant of that transit's latest stamp, which its next record is
+// written against.
+type inFlight struct {
+	transit uint64
+	at      int64
+}
+
+// pageBits sizes the pages the runs and the binds grow by: 1 024
+// entries each.
 const pageBits = 10
 
-// pages is a table grown one fixed-size page at a time, so a record
+// pages is a table grown one fixed-size page at a time, so an entry
 // never moves once written and growing never copies one.
 type pages[T any] []*[1 << pageBits]T
 
-// at returns record i, allocating the pages up to it on first use.
+// at returns entry i, allocating the pages up to it on first use.
 func (p *pages[T]) at(i int) *T {
 	for i>>pageBits >= len(*p) {
 		*p = append(*p, new([1 << pageBits]T))
@@ -117,7 +156,7 @@ func (p *pages[T]) at(i int) *T {
 	return p.get(i)
 }
 
-// get returns record i, which must lie in an allocated page.
+// get returns entry i, which must lie in an allocated page.
 func (p pages[T]) get(i int) *T { return &p[i>>pageBits][i&(1<<pageBits-1)] }
 
 // hopState is the per-hop collector state and aggregates.
@@ -162,21 +201,22 @@ type Collector struct {
 	hops []hopState
 
 	// recent maps the 16-bit on-wire transit tag back to the full
-	// transit ID: one page per origin hop, indexed by the tag's high
-	// bits (origin hop ID + 1), holds the transits of its low bits. A
-	// tag without a page was never minted.
-	recent []*[1 << tagCounterBits]uint64
+	// transit ID and its latest stamp's instant: one page per origin
+	// hop, indexed by the tag's high bits (origin hop ID + 1), holds the
+	// transits of its low bits. A tag without a page was never minted.
+	recent []*[1 << tagCounterBits]inFlight
 
 	// binds maps mirror sequence numbers (= lineage chain IDs), which
-	// the injector assigns densely from 1, to the transit IDs the
-	// pipeline hop bound them to; zero is unbound. nbinds counts the
-	// bound ones.
-	binds  pages[uint64]
+	// the injector assigns densely from 1, to the run of the transit the
+	// pipeline hop bound them to as it stood at the pipeline's stamp;
+	// zero is unbound. nbinds counts the bound ones.
+	binds  pages[run]
 	nbinds int
 
-	// log holds the n stamps recorded since the last Reset, in
-	// recording order.
-	log pages[stamp]
+	// log holds the n stamps recorded since the last Reset as records
+	// in recording order; end is the log position of the next one.
+	log []*[logPage]byte
+	end uint32
 	n   uint32
 }
 
@@ -196,8 +236,8 @@ func (c *Collector) RegisterHop(name string, origin bool) uint8 {
 	}
 	if origin {
 		page := len(c.hops) + 1
-		c.recent = append(c.recent, make([]*[1 << tagCounterBits]uint64, page+1-len(c.recent))...)
-		c.recent[page] = new([1 << tagCounterBits]uint64)
+		c.recent = append(c.recent, make([]*[1 << tagCounterBits]inFlight, page+1-len(c.recent))...)
+		c.recent[page] = new([1 << tagCounterBits]inFlight)
 	}
 	c.hops = append(c.hops, hopState{name: name, origin: origin})
 	return uint8(len(c.hops) - 1)
@@ -243,18 +283,20 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 		return
 	}
 	h := &c.hops[hop]
+	var f *inFlight
 	var r *run
 	var tag uint16
 	if h.origin {
 		h.mint++
 		slot := uint16((h.mint - 1) & (1<<tagCounterBits - 1))
 		tag = (uint16(hop)+1)<<tagCounterBits | slot
-		c.recent[hop+1][slot] = (uint64(hop)+1)<<32 | (h.mint & 0xFFFFFFFF)
+		f = &c.recent[hop+1][slot]
+		f.transit = (uint64(hop)+1)<<32 | (h.mint & 0xFFFFFFFF)
 		r = h.runs.at(int(h.mint - 1 - h.base))
-		*r = run{}
+		*r = 0
 	} else {
 		tag = packet.INTTransit(wire)
-		if _, r = c.resolve(tag); r == nil {
+		if f, r = c.resolve(tag); r == nil {
 			return
 		}
 	}
@@ -270,7 +312,7 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 	packet.EmbedINTStamp(wire, packet.INTStamp{
 		Transit: tag, Hop: hop, QueueBytes: wireQB, UtilPermille: util,
 	})
-	c.record(h, r, stamp{at: at, queue: qb, util: util, hop: hop})
+	c.record(h, r, f, hop, at, qb, util)
 }
 
 // Pipeline is the injector's match-action hop: called once per mirrored
@@ -280,7 +322,7 @@ func (c *Collector) StampWire(wire []byte, hop uint8, at int64, queuedAhead int6
 // lineage chains with per-hop breakdowns.
 func (c *Collector) Pipeline(wire []byte, hop uint8, at int64, lineageID uint64) {
 	tag := packet.INTTransit(wire)
-	transit, r := c.resolve(tag)
+	f, r := c.resolve(tag)
 	if r == nil {
 		return
 	}
@@ -288,24 +330,24 @@ func (c *Collector) Pipeline(wire []byte, hop uint8, at int64, lineageID uint64)
 	if *b == 0 {
 		c.nbinds++
 	}
-	*b = transit
 	// The match-action rewrite: the forwarded original leaves the
 	// pipeline carrying this hop's ID (the egress port overwrites the
 	// state with its own queue view microseconds later).
 	packet.EmbedINTStamp(wire, packet.INTStamp{Transit: tag, Hop: hop})
-	c.record(&c.hops[hop], r, stamp{at: at, hop: hop})
+	c.record(&c.hops[hop], r, f, hop, at, 0, 0)
+	*b = *r
 }
 
-// resolve maps an on-wire tag to its transit ID and run. The run is nil
-// for a tag outside the table, one no origin minted, and one minted
+// resolve maps an on-wire tag to its tag-table slot and run. The run is
+// nil for a tag outside the table, one no origin minted, and one minted
 // before the last Reset.
-func (c *Collector) resolve(tag uint16) (uint64, *run) {
+func (c *Collector) resolve(tag uint16) (*inFlight, *run) {
 	page := int(tag >> tagCounterBits)
 	if page >= len(c.recent) || c.recent[page] == nil {
-		return 0, nil
+		return nil, nil
 	}
-	transit := c.recent[page][tag&(1<<tagCounterBits-1)]
-	return transit, c.runOf(transit)
+	f := &c.recent[page][tag&(1<<tagCounterBits-1)]
+	return f, c.runOf(f.transit)
 }
 
 // runOf returns the transit's run, or nil when the transit is zero or
@@ -322,43 +364,98 @@ func (c *Collector) runOf(transit uint64) *run {
 	return h.runs.get(int(i))
 }
 
-// record appends s to the log, links it behind r's latest stamp, and
-// folds it into the hop's aggregates.
-func (c *Collector) record(h *hopState, r *run, s stamp) {
+// record appends one record for the transit of run r and tag-table
+// slot f, and folds the stamp into the hop's aggregates. It writes only
+// the new record: the previous one's position is r, its instant f.at.
+func (c *Collector) record(h *hopState, r *run, f *inFlight, hop uint8, at, queue int64, util uint16) {
+	t := uint64(at)
+	if *r != 0 {
+		t = uint64(at - f.at)
+	}
+	var buf [maxRecord]byte
+	pos := c.end
+	rec := encode(buf[:0], hop, pos, *r, t, queue, util)
+	if off := int(pos & (logPage - 1)); off+len(rec) > logPage {
+		c.log[pos>>logPageBits][off] = pageEnd
+		pos += uint32(logPage - off)
+		rec = encode(buf[:0], hop, pos, *r, t, queue, util)
+	}
+	for int(pos>>logPageBits) >= len(c.log) {
+		c.log = append(c.log, new([logPage]byte))
+	}
+	copy(c.log[pos>>logPageBits][pos&(logPage-1):], rec)
+	c.end = pos + uint32(len(rec))
 	c.n++
-	*c.log.at(int(c.n - 1)) = s
-	if r.tail == 0 {
-		r.head = c.n
-	} else {
-		c.stampAt(r.tail).next = c.n
-	}
-	r.tail = c.n
+	*r = run(pos + 1)
+	f.at = at
 	h.stamps++
-	if s.queue > h.maxQueue {
-		h.maxQueue = s.queue
+	if queue > h.maxQueue {
+		h.maxQueue = queue
 	}
-	if s.util > h.maxUtil {
-		h.maxUtil = s.util
+	if util > h.maxUtil {
+		h.maxUtil = util
 	}
 }
 
-// stampAt returns the stamp at log position pos (index + 1).
-func (c *Collector) stampAt(pos uint32) *stamp { return c.log.get(int(pos - 1)) }
+// encode appends the record of a stamp written at log position pos,
+// whose transit's previous record is at prev - 1 (prev zero: none).
+func encode(b []byte, hop uint8, pos uint32, prev run, t uint64, queue int64, util uint16) []byte {
+	var back uint32
+	if prev != 0 {
+		back = pos - uint32(prev-1)
+	}
+	b = append(b, hop)
+	b = binary.AppendUvarint(b, uint64(back))
+	b = binary.AppendUvarint(b, t)
+	b = binary.AppendUvarint(b, uint64(queue))
+	return binary.AppendUvarint(b, uint64(util))
+}
+
+// decode reads the record at log position pos and returns it with its
+// length.
+func (c *Collector) decode(pos uint32) (stamp, uint32) {
+	b := c.log[pos>>logPageBits][pos&(logPage-1):]
+	s := stamp{hop: b[0]}
+	n := 1
+	v, k := binary.Uvarint(b[n:])
+	s.back, n = uint32(v), n+k
+	s.at, k = binary.Uvarint(b[n:])
+	n += k
+	v, k = binary.Uvarint(b[n:])
+	s.queue, n = int64(v), n+k
+	v, k = binary.Uvarint(b[n:])
+	s.util, n = uint16(v), n+k
+	return s, uint32(n)
+}
 
 // Stamps returns the stamp log in recording (= virtual-time) order,
-// rebuilt from the runs.
+// decoded in one forward pass.
 func (c *Collector) Stamps() []Stamp {
 	out := make([]Stamp, c.n)
+	at := make([]uint32, c.n) // the log position of out[i]
+	minted := make([]uint64, len(c.hops))
 	for o := range c.hops {
-		h := &c.hops[o]
-		for i := uint64(0); i < h.mint-h.base; i++ {
-			transit := (uint64(o)+1)<<32 | (h.base+i+1)&0xFFFFFFFF
-			for pos := h.runs.get(int(i)).head; pos != 0; {
-				s := c.stampAt(pos)
-				out[pos-1] = Stamp{Transit: transit, Hop: s.hop, AtNs: s.at, QueueBytes: s.queue, UtilPermille: s.util}
-				pos = s.next
-			}
+		minted[o] = c.hops[o].base
+	}
+	i := 0
+	for pos := uint32(0); pos < c.end; {
+		if c.log[pos>>logPageBits][pos&(logPage-1)] == pageEnd {
+			pos = (pos>>logPageBits + 1) << logPageBits
+			continue
 		}
+		s, n := c.decode(pos)
+		st := Stamp{Hop: s.hop, AtNs: int64(s.at), QueueBytes: s.queue, UtilPermille: s.util}
+		if s.back == 0 {
+			minted[s.hop]++
+			st.Transit = (uint64(s.hop)+1)<<32 | minted[s.hop]&0xFFFFFFFF
+		} else {
+			j, _ := slices.BinarySearch(at[:i], pos-s.back)
+			st.Transit = out[j].Transit
+			st.AtNs += out[j].AtNs
+		}
+		out[i], at[i] = st, pos
+		i++
+		pos += n
 	}
 	return out
 }
@@ -380,12 +477,37 @@ func (c *Collector) TransitCount() uint64 {
 func (c *Collector) BindCount() int { return c.nbinds }
 
 // TransitOf resolves a lineage (mirror sequence) ID to its transit ID.
+// The bind leads back to the transit's first record, which names the
+// origin hop; that hop's transits have their first records in mint
+// order, so a binary search over its runs finds the transit's count.
 func (c *Collector) TransitOf(lineageID uint64) (uint64, bool) {
 	if lineageID>>pageBits >= uint64(len(c.binds)) {
 		return 0, false
 	}
-	t := *c.binds.get(int(lineageID))
-	return t, t != 0
+	b := *c.binds.get(int(lineageID))
+	if b == 0 {
+		return 0, false
+	}
+	first, o := c.first(b)
+	h := &c.hops[o]
+	i := sort.Search(int(h.mint-h.base), func(i int) bool {
+		f, _ := c.first(*h.runs.get(i))
+		return f >= first
+	})
+	return (uint64(o)+1)<<32 | (h.base+uint64(i)+1)&0xFFFFFFFF, true
+}
+
+// first walks the non-empty run r back to its transit's first record
+// and returns that record's position and hop (the origin).
+func (c *Collector) first(r run) (uint32, uint8) {
+	pos := uint32(r - 1)
+	for {
+		s, _ := c.decode(pos)
+		if s.back == 0 {
+			return pos, s.hop
+		}
+		pos -= s.back
+	}
 }
 
 // Hops returns the per-hop summaries in hop-ID order.
@@ -425,7 +547,7 @@ func (c *Collector) Publish(reg *telemetry.Registry) {
 // gate use it to keep the steady-state hot path alloc-free across
 // measurement passes.
 func (c *Collector) Reset() {
-	c.n = 0
+	c.end, c.n = 0, 0
 	for i := range c.hops {
 		h := &c.hops[i]
 		h.stamps, h.maxQueue, h.maxUtil = 0, 0, 0

@@ -288,11 +288,11 @@ func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
 	origin := c.RegisterHop("nic", true)
 	wire := roceWire()
 	const n = 5<<pageBits + 17
-	var first *stamp
+	var first *[logPage]byte
 	for i := 0; i < n; i++ {
 		c.StampWire(wire, origin, int64(i), int64(i)*3, 0)
 		if i == 0 {
-			first = c.stampAt(1)
+			first = c.log[0]
 		}
 	}
 	if len(c.log) < 2 {
@@ -307,7 +307,7 @@ func TestStampLogKeepsOrderAcrossChunks(t *testing.T) {
 			t.Fatalf("stamp %d is %+v: out of recording order", i, st[i])
 		}
 	}
-	if first != &c.log[0][0] || first.at != 0 {
+	if s, _ := c.decode(0); first != c.log[0] || s.at != 0 {
 		t.Fatal("growing the log moved a stamp already recorded")
 	}
 	c.Reset()

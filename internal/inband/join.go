@@ -1,6 +1,10 @@
 package inband
 
-import "github.com/lumina-sim/lumina/internal/lineage"
+import (
+	"slices"
+
+	"github.com/lumina-sim/lumina/internal/lineage"
+)
 
 // HopCrossing is one stamp of one packet transit, resolved to its hop
 // name, with the latency to the transit's next crossing.
@@ -67,12 +71,16 @@ func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 		return nil
 	}
 	out := make([]ChainHops, 0, len(g.Chains))
+	var perHop []HopDigest // digest scratch, cloned to each chain's length
 	for _, ch := range g.Chains {
 		ah := ChainHops{
 			Lineage:   ch.Lineage,
 			Event:     ch.Event.String(),
 			PSN:       ch.PSN,
 			Completed: ch.Completed,
+		}
+		if len(ch.Nodes) > 0 {
+			ah.Nodes = make([]NodeHops, 0, len(ch.Nodes))
 		}
 		for _, id := range ch.Nodes {
 			n := &g.Nodes[id]
@@ -84,43 +92,49 @@ func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 			}
 			ah.Nodes = append(ah.Nodes, nh)
 		}
-		ah.PerHop = digest(ah.Nodes)
+		if perHop = digest(perHop[:0], ah.Nodes); len(perHop) > 0 {
+			ah.PerHop = slices.Clone(perHop)
+		}
 		out = append(out, ah)
 	}
 	return out
 }
 
 // crossings resolves a run's stamps, in recording (= virtual-time)
-// order, to hop crossings; nil for a nil or empty run.
+// order, to hop crossings; nil for a nil or empty run. It walks the run
+// back from its latest record twice: once to count, once to fill.
 func (c *Collector) crossings(r *run) []HopCrossing {
-	if r == nil || r.head == 0 {
+	if r == nil || *r == 0 {
 		return nil
 	}
-	n := 0
-	for pos := r.head; pos != 0; pos = c.stampAt(pos).next {
-		n++
+	n := 1
+	for pos := uint32(*r - 1); ; n++ {
+		s, _ := c.decode(pos)
+		if s.back == 0 {
+			break
+		}
+		pos -= s.back
 	}
-	out := make([]HopCrossing, 0, n)
-	for pos := r.head; pos != 0; {
-		s := c.stampAt(pos)
-		cr := HopCrossing{
-			Hop:          c.hops[s.hop].name,
-			AtNs:         s.at,
-			QueueBytes:   s.queue,
-			UtilPermille: s.util,
-		}
-		if pos = s.next; pos != 0 {
-			cr.LatencyNs = c.stampAt(pos).at - s.at
-		}
-		out = append(out, cr)
+	out := make([]HopCrossing, n)
+	pos := uint32(*r - 1)
+	for i := n - 1; i >= 0; i-- {
+		s, _ := c.decode(pos)
+		out[i] = HopCrossing{Hop: c.hops[s.hop].name, AtNs: int64(s.at), QueueBytes: s.queue, UtilPermille: s.util}
+		pos -= s.back
+	}
+	// Every time but the first is a delta, and it is the latency of the
+	// crossing before it.
+	for i := 1; i < n; i++ {
+		out[i-1].LatencyNs = out[i].AtNs
+		out[i].AtNs += out[i-1].AtNs
 	}
 	return out
 }
 
-// digest folds the nodes' crossings into per-hop aggregates, keyed in
-// first-crossed order (a linear scan: hop counts are single digits).
-func digest(nodes []NodeHops) []HopDigest {
-	var out []HopDigest
+// digest appends to out the nodes' crossings folded into per-hop
+// aggregates, keyed in first-crossed order (a linear scan: hop counts are
+// single digits).
+func digest(out []HopDigest, nodes []NodeHops) []HopDigest {
 	for i := range nodes {
 		for _, cr := range nodes[i].Hops {
 			var d *HopDigest
