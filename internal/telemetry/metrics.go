@@ -44,16 +44,18 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 		r.hists[name] = *h
 		return
 	}
+	dlo, hlo := dst.lo(), h.lo()
+	lo := min(dlo, hlo)
+	b := make([]int64, max(dlo+len(dst.buckets), hlo+len(h.buckets))-lo)
+	copy(b[dlo-lo:], dst.buckets)
+	for i, c := range h.buckets {
+		b[hlo-lo+i] += c
+	}
+	dst.buckets = b
 	dst.min = min(dst.min, h.min)
 	dst.max = max(dst.max, h.max)
 	dst.count += h.count
 	dst.sum += h.sum
-	b := make([]int64, max(len(dst.buckets), len(h.buckets)))
-	copy(b, dst.buckets)
-	for i, c := range h.buckets {
-		b[i] += c
-	}
-	dst.buckets = b
 	r.hists[name] = dst
 }
 
@@ -64,9 +66,11 @@ const subBits = 4
 // Histogram is a log-linear histogram of non-negative int64 samples
 // (virtual-time durations in nanoseconds, queue depths, …): values below
 // 2^subBits are counted exactly; above, each power-of-two octave is
-// split into 2^subBits linear sub-buckets — the HdrHistogram layout,
-// sized at one int64 per touched bucket.
+// split into 2^subBits linear sub-buckets — the HdrHistogram layout.
+// It keeps one int64 per bucket of the window from its smallest
+// sample's bucket to its largest's.
 type Histogram struct {
+	// buckets[j] counts bucket lo()+j.
 	buckets []int64
 	count   int64
 	sum     int64
@@ -105,13 +109,22 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	i := bucketIndex(v)
-	if i >= len(h.buckets) {
+	lo := i
+	if h.count > 0 {
+		lo = h.lo()
+	}
+	if i < lo {
+		b := make([]int64, lo-i+len(h.buckets))
+		copy(b[lo-i:], h.buckets)
+		h.buckets, lo = b, i
+	}
+	if j := i - lo; j >= len(h.buckets) {
 		// Amortized growth: a histogram whose maximum creeps up one
 		// bucket at a time reallocates log(buckets) times, not once per
 		// new bucket.
-		h.buckets = append(h.buckets, make([]int64, i+1-len(h.buckets))...)
+		h.buckets = append(h.buckets, make([]int64, j+1-len(h.buckets))...)
 	}
-	h.buckets[i]++
+	h.buckets[i-lo]++
 	h.count++
 	h.sum += v
 	if h.count == 1 || v < h.min {
@@ -121,6 +134,9 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 }
+
+// lo is the bucket of the smallest sample, where the window starts.
+func (h *Histogram) lo() int { return bucketIndex(h.min) }
 
 // Quantile returns an upper bound for the q-th quantile (q in [0,1]):
 // the exclusive upper edge of the bucket containing that rank.
@@ -136,10 +152,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	rank := int64(q*float64(h.count-1)) + 1
 	var seen int64
-	for i, c := range h.buckets {
+	for j, c := range h.buckets {
 		seen += c
 		if seen >= rank {
-			hi := bucketLow(i+1) - 1
+			hi := bucketLow(h.lo()+j+1) - 1
 			if hi > h.max {
 				hi = h.max
 			}
@@ -212,10 +228,11 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
-		for i, c := range h.buckets {
+		for j, c := range h.buckets {
 			if c == 0 {
 				continue
 			}
+			i := h.lo() + j
 			hs.Buckets = append(hs.Buckets, BucketSnap{
 				Low: bucketLow(i), High: bucketLow(i+1) - 1, Count: c,
 			})

@@ -138,33 +138,48 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 
 // TestAddHistogramMergesLikeOneHistogram splits random samples over
 // several histograms, some empty, and holds their merge to one histogram
-// that recorded every sample.
+// that recorded every sample. In every other trial the first sample is
+// the largest, so the bucket windows grow downward. Every histogram must
+// keep exactly the window from its smallest sample's bucket to its
+// largest's.
 func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	// dense spells a histogram's buckets from bucket 0, checking its
+	// window on the way.
+	dense := func(trial int, h *Histogram) []int64 {
+		if h.count == 0 {
+			return nil
+		}
+		lo := bucketIndex(h.min)
+		if len(h.buckets) != bucketIndex(h.max)-lo+1 || h.buckets[0] == 0 || h.buckets[len(h.buckets)-1] == 0 {
+			t.Fatalf("trial %d: %d buckets %v for samples %d..%d", trial, len(h.buckets), h.buckets, h.min, h.max)
+		}
+		return append(make([]int64, lo), h.buckets...)
+	}
 	for trial := range 200 {
 		var all Histogram
 		parts := make([]Histogram, 1+rng.Intn(5))
-		for range rng.Intn(40) {
-			v := int64(rng.Intn(1 << uint(rng.Intn(30))))
+		record := func(v int64) {
 			all.Record(v)
 			parts[rng.Intn(len(parts))].Record(v)
 		}
+		if trial%2 == 1 {
+			record(1<<30 - 1)
+		}
+		for range rng.Intn(40) {
+			record(int64(rng.Intn(1 << uint(rng.Intn(30)))))
+		}
 		r := NewRegistry()
 		for i := range parts {
+			dense(trial, &parts[i])
 			r.AddHistogram("h", &parts[i])
 		}
 		got, ok := r.hists["h"]
 		if ok != (all.count != 0) {
 			t.Fatalf("trial %d: merge present = %v with %d samples", trial, ok, all.count)
 		}
-		trim := func(b []int64) []int64 {
-			for len(b) > 0 && b[len(b)-1] == 0 {
-				b = b[:len(b)-1]
-			}
-			return b
-		}
 		if got.count != all.count || got.sum != all.sum || got.min != all.min || got.max != all.max ||
-			!slices.Equal(trim(got.buckets), trim(all.buckets)) {
+			!slices.Equal(dense(trial, &got), dense(trial, &all)) {
 			t.Fatalf("trial %d: merge of %d parts = %+v, one histogram %+v", trial, len(parts), got, all)
 		}
 	}
