@@ -265,18 +265,23 @@ func driveCollector(t *testing.T, c *Collector, r *refCollector, data []byte) in
 		case 10:
 			c.StampWire(nonRoCE, op%5, now, 0, 0)
 		case 11:
-			// A burst of whole transits: origin, pipeline, one or two
-			// transit hops, each packet its own frame slot in turn.
+			// A burst of whole transits, two at a time with their
+			// stamps interleaved: origin, pipeline, one or two transit
+			// hops, each packet its own frame slot in turn.
 			seq := in.uint(2) % fzSeqs
 			for n := 16 * (1 + int(in.byte())); n > 0 && budget > 0; n-- {
-				k = (k + 1) % fzFrames
-				stamp(k, uint8(n%2))
-				pipe(k, seq)
-				stamp(k, fzSwitch)
+				a, b := (k+1)%fzFrames, (k+2)%fzFrames
+				k = b
+				stamp(a, uint8(n%2))
+				stamp(b, uint8(n+1)%2)
+				pipe(a, seq)
+				pipe(b, (seq+1)%fzSeqs)
+				stamp(a, fzSwitch)
+				stamp(b, fzSwitch)
 				if n%3 == 0 {
-					stamp(k, fzSpine)
+					stamp(a, fzSpine)
 				}
-				seq = (seq + 1) % fzSeqs
+				seq = (seq + 2) % fzSeqs
 			}
 		case 12:
 			pages = max(pages, len(c.log))
@@ -369,6 +374,7 @@ var referenceSeeds = [][]byte{
 	{0, 1, 2, 4, 1, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 1, 12, 0, 3, 1, 2, 0, 7, 0, 0, 3},
 	{1, 0, 4, 1, 2, 3, 4, 5, 2, 1, 2, 3, 4, 5, 2, 9, 0, 1, 3, 3, 1, 1, 1, 7, 0, 42, 2, 1, 2, 3, 4, 5},
 	{3, 11, 0, 7, 255, 2, 1, 2, 3, 4, 5, 2, 9, 9, 9, 9, 9, 3, 1, 2, 3, 4, 5, 0, 3, 3},
+	{0, 0, 0, 10, 0, 5, 0, 3, 1, 1, 0, 20, 0, 1, 0, 2, 0, 3, 0, 7, 0, 9, 0, 4, 1, 4, 0, 11, 0, 2, 0, 1, 0, 6, 0, 5, 0, 3, 1, 7, 0, 6, 0, 4},
 	{2, 11, 0, 1, 255, 0, 12, 4, 11, 0, 9, 255, 2, 255, 255, 255, 255, 255, 2, 255, 255, 255, 255, 255},
 }
 
