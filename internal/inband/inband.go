@@ -10,10 +10,13 @@
 // format), so instrumented runs carry telemetry without growing a
 // single frame or scheduling a single extra event. Each stamping hop
 // rewrites the compact on-wire state with its own queue depth and link
-// utilization and simultaneously appends a full-fidelity Stamp to the
-// collector — the simulator's deterministic event order makes the
+// utilization and simultaneously appends a full-fidelity stamp to the
+// collector's log — the simulator's deterministic event order makes the
 // stamp log, and everything derived from it, byte-identical across
-// runs and engine worker counts.
+// runs and engine worker counts. The log is write-once: each stamp is a
+// varint record of its hop, the distance back to its transit's
+// previous record, and its time (a delta after the transit's first),
+// queue depth and utilization, about seven bytes (see stamp).
 //
 // Hops come in three flavors:
 //
@@ -89,8 +92,9 @@ type Stamp struct {
 	UtilPermille uint16 `json:"util_permille"`
 }
 
-// The stamp log is a sequence of write-once records in byte pages that
-// never move; a record never spans two pages. One record is
+// stamp is one record of the stamp log, decoded. The log is a sequence
+// of write-once records in byte pages that never move; a record never
+// spans two pages. On the page a record is
 //
 //	hop   one byte, the stamping hop's ID (pageEnd instead marks the
 //	      unused rest of a page)
@@ -106,7 +110,16 @@ type Stamp struct {
 // latest record (its run) reaches all of its stamps; a forward pass over
 // the whole log gives a first stamp its origin hop's next minted transit
 // and a later one the transit of the record it points back to.
+type stamp struct {
+	hop   uint8
+	back  uint32
+	at    uint64 // the raw time field
+	queue int64
+	util  uint16
+}
+
 const (
+	// logPageBits sizes the stamp log's pages: 16 KiB each.
 	logPageBits = 14
 	logPage     = 1 << logPageBits
 	// maxRecord bounds one record's length: the hop byte, a 32-bit and
@@ -117,15 +130,6 @@ const (
 	// leaves this byte behind it.
 	pageEnd = MaxHops
 )
-
-// stamp is one decoded record; at is the raw time field.
-type stamp struct {
-	hop   uint8
-	back  uint32
-	at    uint64
-	queue int64
-	util  uint16
-}
 
 // run is one transit's stamps in the log: the position + 1 of its
 // latest record (zero before its first), from which the back-distances
@@ -214,7 +218,9 @@ type Collector struct {
 	nbinds int
 
 	// log holds the n stamps recorded since the last Reset as records
-	// in recording order; end is the log position of the next one.
+	// in recording order; end is the log position (page << logPageBits
+	// + offset) of the next one. At about seven bytes a stamp, 32-bit
+	// positions address some 600 million stamps.
 	log []*[logPage]byte
 	end uint32
 	n   uint32

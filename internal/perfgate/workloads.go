@@ -31,6 +31,7 @@ type workloadFn func() (ops, units int, op func())
 var workloads = map[string]workloadFn{
 	"packet_append_wire":  packetAppendWire,
 	"packet_decode_into":  packetDecodeInto,
+	"packet_parse_frame":  packetParseFrame,
 	"packet_icrc":         packetICRC,
 	"sim_events":          simEvents,
 	"sim_events_mixed":    simEventsMixed,
@@ -78,6 +79,18 @@ func packetDecodeInto() (int, int, func()) {
 	var pkt packet.Packet
 	return 20000, 1, func() {
 		if err := packet.DecodeInto(wire, &pkt); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// packetParseFrame is the receive-side check every frame a NIC or the
+// switch admits pays: one packet.View over the wire bytes, nothing
+// copied. Zero allocs.
+func packetParseFrame() (int, int, func()) {
+	wire := samplePacket().AppendWire(nil)
+	return 20000, 1, func() {
+		if _, err := packet.ParseFrame(wire); err != nil {
 			panic(err)
 		}
 	}
