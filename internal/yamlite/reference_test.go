@@ -346,11 +346,41 @@ func (r *treeReader) value(depth int) any {
 // Marshal's bytes, and its error when it refuses the tree, to the
 // reference's.
 func FuzzMarshalMatchesReference(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("\x05\x01\x08\x03\x00\x09\x03\x06\x02\x04\x05"))
-	f.Add([]byte("\x04\x07\x05hello\x09\x04\x08\x03\x02\x06\x04\x06\x0a\x01\x07\x00\x03\x06\x0e"))
-	f.Add([]byte("\x02\x01\x09\x02\x09\x01\x02\x00\x08\x02\x03\x08\x01\x05\x09"))
-	f.Add([]byte("\x03\x00\x04\xff\xff\xff\xff\xff\xff\xf0\x7f\x02\x04\x00\x00\x00\x00\x00\x00\xf8\x7f\x04\x0a"))
+	// Seeds spelled in treeReader's terms: a tag byte per value, a
+	// count byte per map or list, word(i) for scalarSeeds[i], raw(s) for
+	// a literal string and f64/i64 for 8-byte numbers.
+	word := func(i int) string { return string(rune(i << 1)) }
+	raw := func(s string) string { return string(rune(len(s)<<1|1)) + s }
+	u64 := func(x uint64) string { return string(binary.LittleEndian.AppendUint64(nil, x)) }
+	f64 := func(x float64) string { return u64(math.Float64bits(x)) }
+	const (
+		root, mapping, list = "\x02", "\x08", "\x09"
+		null, boolean, i64  = "\x00", "\x01", "\x02"
+		float, str, unknown = "\x04", "\x06", "\x0a"
+		empty               = "\x0b"
+	)
+	for _, seed := range []string{
+		"",
+		// Quoted keys and values, floats that need ".0" and one that
+		// does not, flow and block lists, a flow mapping per item.
+		root + "\x05" +
+			raw("a'b") + str + raw("it's") +
+			raw("fl") + float + f64(3) +
+			raw("evt") + list + "\x02" +
+			mapping + "\x02" + raw("qp") + i64 + u64(1) + word(0) + str + word(1) +
+			float + f64(-0.5) +
+			raw("list") + list + "\x03" + float + f64(1<<40) + str + word(11) + boolean +
+			raw("nested") + mapping + "\x02" + word(14) + null + word(16) + empty,
+		// Floats with no '.' of their own, a negative int.
+		root + "\x04" + raw("a") + float + f64(1e21) + raw("b") + float + f64(math.Inf(1)) +
+			raw("c") + float + f64(math.NaN()) + raw("d") + "\x03" + u64(1<<32-7),
+		// Refusals: a nested list, an unsupported type, a list root.
+		root + "\x02" + raw("k") + list + "\x01" + list + "\x01" + null + raw("z") + unknown,
+		root + "\x01" + raw("u") + unknown,
+		"\x01" + list + "\x01" + str + word(2),
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &treeReader{b: data}
 		var doc any
