@@ -1,8 +1,10 @@
 package yamlite
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -12,101 +14,143 @@ import (
 // for deterministic output, lists of scalars use flow form, and lists of
 // mappings use block "- key: value" form, matching the style of the
 // paper's listings. Marshal(Parse(x)) is semantically idempotent.
+//
+// These are the canonical bytes config.ContentHash digests. Marshal
+// appends them to one buffer, sorting every map's keys in one shared
+// slice; FuzzMarshalMatchesReference holds them to the fmt-based writer
+// it replaced, byte for byte.
 func Marshal(v any) ([]byte, error) {
-	var b strings.Builder
 	switch x := v.(type) {
 	case map[string]any:
-		if err := writeMap(&b, x, 0); err != nil {
+		// Room for a scenario's document and its deepest key stack.
+		w := writer{buf: make([]byte, 0, 1024), keys: make([]string, 0, 32)}
+		if err := w.mapping(x, 0); err != nil {
 			return nil, err
 		}
+		return w.buf, nil
 	case nil:
-		// empty document
+		return []byte{}, nil // empty document
 	default:
 		return nil, fmt.Errorf("yamlite: document root must be a mapping, got %T", v)
 	}
-	return []byte(b.String()), nil
 }
 
-func writeMap(b *strings.Builder, m map[string]any, indent int) error {
-	keys := make([]string, 0, len(m))
+// writer appends a document to buf. keys is a stack of sorted key runs:
+// a map pushes its keys, writes its entries (nested maps push above
+// them) and pops them.
+type writer struct {
+	buf  []byte
+	keys []string
+}
+
+// sortedKeys pushes m's keys in order and returns where they start.
+func (w *writer) sortedKeys(m map[string]any) int {
+	base := len(w.keys)
 	for k := range m {
-		keys = append(keys, k)
+		w.keys = append(w.keys, k)
 	}
-	sort.Strings(keys)
-	pad := strings.Repeat(" ", indent)
-	for _, k := range keys {
+	slices.Sort(w.keys[base:])
+	return base
+}
+
+// indent appends n spaces.
+func (w *writer) indent(n int) {
+	for range n {
+		w.buf = append(w.buf, ' ')
+	}
+}
+
+// key appends indent spaces, k (quoted when it must be) and a colon.
+func (w *writer) key(k string, indent int) {
+	w.indent(indent)
+	w.buf = appendString(w.buf, k)
+	w.buf = append(w.buf, ':')
+}
+
+func (w *writer) mapping(m map[string]any, indent int) error {
+	base := w.sortedKeys(m)
+	for i := base; i < base+len(m); i++ {
+		k := w.keys[i]
 		v := m[k]
+		w.key(k, indent)
 		switch x := v.(type) {
 		case map[string]any:
 			if len(x) == 0 {
-				fmt.Fprintf(b, "%s%s: {}\n", pad, quoteKey(k))
+				w.buf = append(w.buf, " {}\n"...)
 				continue
 			}
-			fmt.Fprintf(b, "%s%s:\n", pad, quoteKey(k))
-			if err := writeMap(b, x, indent+2); err != nil {
+			w.buf = append(w.buf, '\n')
+			if err := w.mapping(x, indent+2); err != nil {
 				return err
 			}
 		case []any:
 			if len(x) == 0 {
-				fmt.Fprintf(b, "%s%s: []\n", pad, quoteKey(k))
+				w.buf = append(w.buf, " []\n"...)
 				continue
 			}
-			if allScalars(x) {
-				parts := make([]string, len(x))
-				for i, e := range x {
-					s, err := scalarString(e)
-					if err != nil {
-						return err
-					}
-					parts[i] = s
+			if !allScalars(x) {
+				w.buf = append(w.buf, '\n')
+				if err := w.sequence(x, indent+2); err != nil {
+					return err
 				}
-				fmt.Fprintf(b, "%s%s: [%s]\n", pad, quoteKey(k), strings.Join(parts, ", "))
 				continue
 			}
-			fmt.Fprintf(b, "%s%s:\n", pad, quoteKey(k))
-			if err := writeSeq(b, x, indent+2); err != nil {
-				return err
+			w.buf = append(w.buf, " ["...)
+			for j, e := range x {
+				if j > 0 {
+					w.buf = append(w.buf, ", "...)
+				}
+				var err error
+				if w.buf, err = appendScalar(w.buf, e); err != nil {
+					return err
+				}
 			}
+			w.buf = append(w.buf, "]\n"...)
 		default:
-			s, err := scalarString(v)
-			if err != nil {
+			w.buf = append(w.buf, ' ')
+			var err error
+			if w.buf, err = appendScalar(w.buf, v); err != nil {
 				return fmt.Errorf("key %q: %w", k, err)
 			}
-			fmt.Fprintf(b, "%s%s: %s\n", pad, quoteKey(k), s)
+			w.buf = append(w.buf, '\n')
 		}
 	}
+	w.keys = w.keys[:base]
 	return nil
 }
 
-func writeSeq(b *strings.Builder, seq []any, indent int) error {
-	pad := strings.Repeat(" ", indent)
+func (w *writer) sequence(seq []any, indent int) error {
 	for _, e := range seq {
-		switch x := e.(type) {
-		case map[string]any:
-			// Inline flow mapping per item — the Listing-2 style.
-			keys := make([]string, 0, len(x))
-			for k := range x {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			parts := make([]string, 0, len(keys))
-			for _, k := range keys {
-				s, err := scalarString(x[k])
-				if err != nil {
-					return err
-				}
-				parts = append(parts, fmt.Sprintf("%s: %s", quoteKey(k), s))
-			}
-			fmt.Fprintf(b, "%s- {%s}\n", pad, strings.Join(parts, ", "))
-		case []any:
-			return fmt.Errorf("yamlite: nested sequences are not supported")
-		default:
-			s, err := scalarString(e)
-			if err != nil {
+		if _, nested := e.([]any); nested {
+			return errors.New("yamlite: nested sequences are not supported")
+		}
+		w.indent(indent)
+		w.buf = append(w.buf, "- "...)
+		m, ok := e.(map[string]any)
+		if !ok {
+			var err error
+			if w.buf, err = appendScalar(w.buf, e); err != nil {
 				return err
 			}
-			fmt.Fprintf(b, "%s- %s\n", pad, s)
+			w.buf = append(w.buf, '\n')
+			continue
 		}
+		// Inline flow mapping per item — the Listing-2 style.
+		base := w.sortedKeys(m)
+		w.buf = append(w.buf, '{')
+		for i, k := range w.keys[base:] {
+			if i > 0 {
+				w.buf = append(w.buf, ", "...)
+			}
+			w.buf = appendString(w.buf, k)
+			w.buf = append(w.buf, ": "...)
+			var err error
+			if w.buf, err = appendScalar(w.buf, m[k]); err != nil {
+				return err
+			}
+		}
+		w.keys = w.keys[:base]
+		w.buf = append(w.buf, "}\n"...)
 	}
 	return nil
 }
@@ -121,58 +165,66 @@ func allScalars(seq []any) bool {
 	return true
 }
 
-// scalarString renders a scalar so Parse reads back the same typed value.
-func scalarString(v any) (string, error) {
+// appendScalar renders a scalar so Parse reads back the same typed value.
+func appendScalar(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return "null", nil
+		return append(b, "null"...), nil
 	case bool:
-		if x {
-			return "true", nil
-		}
-		return "false", nil
+		return strconv.AppendBool(b, x), nil
 	case int:
-		return strconv.Itoa(x), nil
+		return strconv.AppendInt(b, int64(x), 10), nil
 	case int64:
-		return strconv.FormatInt(x, 10), nil
+		return strconv.AppendInt(b, x, 10), nil
 	case float64:
-		s := strconv.FormatFloat(x, 'g', -1, 64)
+		n := len(b)
+		b = strconv.AppendFloat(b, x, 'g', -1, 64)
 		// Ensure it re-parses as a float, not an int.
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		if !bytes.ContainsAny(b[n:], ".eE") {
+			b = append(b, ".0"...)
 		}
-		return s, nil
+		return b, nil
 	case string:
 		if strings.ContainsAny(x, "\n\r") {
 			// The format is line-based; multi-line scalars do not exist.
-			return "", fmt.Errorf("yamlite: cannot marshal string containing newline")
+			return b, fmt.Errorf("yamlite: cannot marshal string containing newline")
 		}
-		if needsQuoting(x) {
-			return "'" + strings.ReplaceAll(x, "'", "''") + "'", nil
-		}
-		return x, nil
+		return appendString(b, x), nil
 	default:
-		return "", fmt.Errorf("yamlite: cannot marshal %T", v)
+		return b, fmt.Errorf("yamlite: cannot marshal %T", v)
 	}
+}
+
+// appendString appends s bare, or quoted when a bare s would not read
+// back as s.
+func appendString(b []byte, s string) []byte {
+	if needsQuoting(s) {
+		return appendQuoted(b, s)
+	}
+	return append(b, s...)
+}
+
+// appendQuoted appends s single-quoted, every ' in it doubled.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '\'')
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		b = append(b, s[:i+1]...)
+		b = append(b, '\'')
+		s = s[i+1:]
+	}
+	b = append(b, s...)
+	return append(b, '\'')
 }
 
 // needsQuoting reports whether a bare rendering of s would parse back as
 // something other than the string s.
 func needsQuoting(s string) bool {
-	if s == "" {
-		return true
-	}
-	if got, isStr := Scalar(s).(string); !isStr || got != s {
-		return true
-	}
-	return strings.ContainsAny(s, ":#{}[],'\"\n") ||
+	return !plain(s) ||
+		strings.ContainsAny(s, ":#{}[],'\"\n") ||
 		strings.HasPrefix(s, "- ") || s == "-" ||
 		s != strings.TrimSpace(s)
-}
-
-func quoteKey(k string) string {
-	if needsQuoting(k) {
-		return "'" + strings.ReplaceAll(k, "'", "''") + "'"
-	}
-	return k
 }

@@ -440,35 +440,171 @@ func flowColon(s string) int {
 
 // Scalar converts a scalar token into a typed Go value using YAML 1.1-ish
 // rules restricted to what test configs need: booleans in several
-// capitalizations (the paper's configs use "False"/"True"), null, base-10
+// capitalizations (the paper's configs use "False"/"True"), null,
 // integers, floats, and strings (quoted or bare).
+//
+// A token is classified by its shape before strconv sees it, so a word
+// costs no failed parse:
+//
+//	[+-]?[0-9]+                        base-10 int64 (a float past int64's range)
+//	0[xX][+-]?[0-9a-fA-F]+             base-16 int64
+//	[+-]?(inf|infinity), nan           float64, in any case
+//	[+-]?mantissa([eE][+-]?exponent)?  float64; the mantissa holds digits, '_'
+//	                                   and at most one '.', the exponent
+//	                                   digits and '_' after a first digit
+//	[+-]?0[xX]mantissa[pP][+-]?exponent
+//	                                   float64, the mantissa in hex digits
+//
+// Anything else, and a number strconv refuses (an out-of-range value,
+// a misplaced '_'), is the string itself.
 func Scalar(s string) any {
-	switch s {
-	case "", "~", "null", "Null", "NULL":
-		return nil
-	case "true", "True", "TRUE", "yes", "Yes", "on", "On":
-		return true
-	case "false", "False", "FALSE", "no", "No", "off", "Off":
-		return false
+	if v, ok := keyword(s); ok {
+		return v
 	}
-	if q := unquoteIfQuoted(s); q != nil {
-		return *q
+	if q, ok := unquoteIfQuoted(s); ok {
+		return q
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+	switch i, f, k := number(s); k {
+	case isInt:
 		return i
-	}
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		if i, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
-			return i
-		}
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	case isFloat:
 		return f
 	}
 	return s
 }
 
-func unquoteIfQuoted(s string) *string {
+// plain reports whether Scalar reads s as the string s itself, without
+// building the value.
+func plain(s string) bool {
+	if _, ok := keyword(s); ok {
+		return false
+	}
+	if _, ok := unquoteIfQuoted(s); ok {
+		return false
+	}
+	_, _, k := number(s)
+	return k == notNumber
+}
+
+// keyword reads the null and boolean words.
+func keyword(s string) (any, bool) {
+	switch s {
+	case "", "~", "null", "Null", "NULL":
+		return nil, true
+	case "true", "True", "TRUE", "yes", "Yes", "on", "On":
+		return true, true
+	case "false", "False", "FALSE", "no", "No", "off", "Off":
+		return false, true
+	}
+	return nil, false
+}
+
+type numberKind uint8
+
+const (
+	notNumber numberKind = iota
+	isInt
+	isFloat
+)
+
+// number reads s by the grammar on Scalar.
+func number(s string) (int64, float64, numberKind) {
+	switch shape(s) {
+	case decimalShape:
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return i, 0, isInt
+		}
+	case hexShape:
+		if i, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
+			return i, 0, isInt
+		}
+		return 0, 0, notNumber
+	case floatShape:
+	default:
+		return 0, 0, notNumber
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return 0, f, isFloat
+	}
+	return 0, 0, notNumber
+}
+
+type tokenShape uint8
+
+const (
+	wordShape    tokenShape = iota
+	decimalShape            // [+-]?[0-9]+
+	hexShape                // 0[xX][+-]?[0-9a-fA-F]+
+	floatShape              // what strconv.ParseFloat may accept
+)
+
+// shape classifies a token lexically. No token strconv accepts is a
+// word; a float shape may still hold a misplaced '_'.
+func shape(s string) tokenShape {
+	if len(s) > 2 && s[0] == '0' && s[1]|0x20 == 'x' && allOf(unsigned(s[2:]), isHex) {
+		return hexShape
+	}
+	t := unsigned(s)
+	if allOf(t, isDigit) {
+		return decimalShape
+	}
+	if strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity") || strings.EqualFold(s, "nan") {
+		return floatShape
+	}
+	digit, exp := isDigit, byte('e')
+	if len(t) > 2 && t[0] == '0' && t[1]|0x20 == 'x' {
+		t, digit, exp = t[2:], isHex, 'p'
+	}
+	i, dot, digits := 0, false, false
+	for ; i < len(t); i++ {
+		if c := t[i]; c == '.' && !dot {
+			dot = true
+		} else if digit(c) {
+			digits = true
+		} else if c != '_' {
+			break
+		}
+	}
+	switch {
+	case !digits, i < len(t) && t[i]|0x20 != exp:
+		return wordShape
+	case i == len(t) && exp == 'p':
+		return wordShape // a hex float needs its exponent
+	case i == len(t):
+		return floatShape
+	}
+	e := unsigned(t[i+1:])
+	if e == "" || !isDigit(e[0]) || !allOf(e, func(c byte) bool { return isDigit(c) || c == '_' }) {
+		return wordShape
+	}
+	return floatShape
+}
+
+// unsigned drops one leading sign.
+func unsigned(s string) string {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		return s[1:]
+	}
+	return s
+}
+
+// allOf reports whether s is non-empty and every byte of it is ok.
+func allOf(s string, ok func(byte) bool) bool {
+	for i := 0; i < len(s); i++ {
+		if !ok(s[i]) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isHex(c byte) bool { return isDigit(c) || 'a' <= c|0x20 && c|0x20 <= 'f' }
+
+// unquoteIfQuoted returns the text between matching quotes, unescaped,
+// and whether s is quoted at all.
+func unquoteIfQuoted(s string) (string, bool) {
 	if len(s) >= 2 && (s[0] == '\'' || s[0] == '"') && s[len(s)-1] == s[0] {
 		inner := s[1 : len(s)-1]
 		if s[0] == '\'' {
@@ -477,14 +613,14 @@ func unquoteIfQuoted(s string) *string {
 			inner = strings.ReplaceAll(inner, `\"`, `"`)
 			inner = strings.ReplaceAll(inner, `\\`, `\`)
 		}
-		return &inner
+		return inner, true
 	}
-	return nil
+	return "", false
 }
 
 func unquote(s string) string {
-	if q := unquoteIfQuoted(s); q != nil {
-		return *q
+	if q, ok := unquoteIfQuoted(s); ok {
+		return q
 	}
 	return s
 }
