@@ -44,11 +44,12 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 		r.hists[name] = *h
 		return
 	}
+	dw, hw := dst.window(), h.window()
 	dlo, hlo := dst.lo(), h.lo()
 	lo := min(dlo, hlo)
-	b := make([]int64, max(dlo+len(dst.buckets), hlo+len(h.buckets))-lo)
-	copy(b[dlo-lo:], dst.buckets)
-	for i, c := range h.buckets {
+	b := make([]int64, max(dlo+len(dw), hlo+len(hw))-lo)
+	copy(b[dlo-lo:], dw)
+	for i, c := range hw {
 		b[hlo-lo+i] += c
 	}
 	dst.buckets = b
@@ -68,9 +69,12 @@ const subBits = 4
 // 2^subBits are counted exactly; above, each power-of-two octave is
 // split into 2^subBits linear sub-buckets — the HdrHistogram layout.
 // It keeps one int64 per bucket of the window from its smallest
-// sample's bucket to its largest's.
+// sample's bucket to its largest's, and below the window zeros down to
+// the start of that bucket's octave, so a window growing downward
+// reallocates once per octave, not once per bucket.
 type Histogram struct {
-	// buckets[j] counts bucket lo()+j.
+	// buckets ends at the largest sample's bucket; window() is its tail
+	// from the smallest sample's bucket on.
 	buckets []int64
 	count   int64
 	sum     int64
@@ -108,35 +112,44 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	i := bucketIndex(v)
-	lo := i
-	if h.count > 0 {
-		lo = h.lo()
+	if h.count == 0 {
+		h.min, h.max = v, v
+		h.buckets = append(h.buckets[:0], 0)
 	}
-	if i < lo {
-		b := make([]int64, lo-i+len(h.buckets))
-		copy(b[lo-i:], h.buckets)
-		h.buckets, lo = b, i
-	}
-	if j := i - lo; j >= len(h.buckets) {
+	i, hi := bucketIndex(v), bucketIndex(h.max)
+	base := hi + 1 - len(h.buckets) // the bucket buckets[0] counts
+	switch {
+	case i > hi:
 		// Amortized growth: a histogram whose maximum creeps up one
 		// bucket at a time reallocates log(buckets) times, not once per
 		// new bucket.
-		h.buckets = append(h.buckets, make([]int64, j+1-len(h.buckets))...)
+		h.buckets = append(h.buckets, make([]int64, i-hi)...)
+	case i < base:
+		// Downward, the buckets grow to the start of i's octave, so a
+		// minimum that creeps down reallocates once per octave.
+		pad := base - i&^(1<<subBits-1)
+		b := make([]int64, pad+len(h.buckets))
+		copy(b[pad:], h.buckets)
+		h.buckets, base = b, base-pad
 	}
-	h.buckets[i-lo]++
+	h.buckets[i-base]++
 	h.count++
 	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
 }
 
 // lo is the bucket of the smallest sample, where the window starts.
 func (h *Histogram) lo() int { return bucketIndex(h.min) }
+
+// window returns the buckets from the smallest sample's to the
+// largest's: window()[j] counts bucket lo()+j.
+func (h *Histogram) window() []int64 {
+	if h.count == 0 {
+		return nil
+	}
+	return h.buckets[len(h.buckets)-(bucketIndex(h.max)-h.lo()+1):]
+}
 
 // Quantile returns an upper bound for the q-th quantile (q in [0,1]):
 // the exclusive upper edge of the bucket containing that rank.
@@ -152,7 +165,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	rank := int64(q*float64(h.count-1)) + 1
 	var seen int64
-	for j, c := range h.buckets {
+	for j, c := range h.window() {
 		seen += c
 		if seen >= rank {
 			hi := bucketLow(h.lo()+j+1) - 1
@@ -228,7 +241,7 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
-		for j, c := range h.buckets {
+		for j, c := range h.window() {
 			if c == 0 {
 				continue
 			}

@@ -141,7 +141,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // that recorded every sample. In every other trial the first sample is
 // the largest, so the bucket windows grow downward. Every histogram must
 // keep exactly the window from its smallest sample's bucket to its
-// largest's.
+// largest's, its buckets must end there, and below the window it may
+// keep only zeros, none below the start of the window's first octave.
 func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// dense spells a histogram's buckets from bucket 0, checking its
@@ -151,10 +152,13 @@ func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
 			return nil
 		}
 		lo := bucketIndex(h.min)
-		if len(h.buckets) != bucketIndex(h.max)-lo+1 || h.buckets[0] == 0 || h.buckets[len(h.buckets)-1] == 0 {
-			t.Fatalf("trial %d: %d buckets %v for samples %d..%d", trial, len(h.buckets), h.buckets, h.min, h.max)
+		w := h.window()
+		pad := h.buckets[:len(h.buckets)-len(w)]
+		if len(w) != bucketIndex(h.max)-lo+1 || w[0] == 0 || w[len(w)-1] == 0 ||
+			len(pad) > lo&(1<<subBits-1) || slices.ContainsFunc(pad, func(c int64) bool { return c != 0 }) {
+			t.Fatalf("trial %d: buckets %v, window %v for samples %d..%d", trial, h.buckets, w, h.min, h.max)
 		}
-		return append(make([]int64, lo), h.buckets...)
+		return append(make([]int64, lo), w...)
 	}
 	for trial := range 200 {
 		var all Histogram
