@@ -1,6 +1,7 @@
 package perfgate
 
 import (
+	"os"
 	"sort"
 	"testing"
 
@@ -141,6 +142,27 @@ func TestBulkScenarioIsTheBenchWorkload(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("bulkScenario hashes to %s, bench/workloads/bulk.yaml to %s", got, want)
+	}
+}
+
+// TestKeyScenarioIsTheCorpusEntry pins keyScenario to the corpus entry
+// it copies, byte for byte and by content hash, so scenario_key measures
+// a real entry's canonical form.
+func TestKeyScenarioIsTheCorpusEntry(t *testing.T) {
+	const id = "a982ccd565a57c48"
+	file, err := os.ReadFile("../../corpus/" + id + "/scenario.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(file) != keyScenario {
+		t.Errorf("keyScenario differs from corpus/%s/scenario.yaml", id)
+	}
+	cfg, err := config.Parse([]byte(keyScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := config.ContentHash(cfg); err != nil || got != id {
+		t.Errorf("keyScenario hashes to %s (%v), want %s", got, err, id)
 	}
 }
 

@@ -42,6 +42,7 @@ var workloads = map[string]workloadFn{
 	"bulk_pair_packet":    bulkPairPacket,
 	"bulk_explain_packet": bulkExplainPacket,
 	"cache_lookup":        cacheLookup,
+	"scenario_key":        scenarioKey,
 	"telemetry_emit":      telemetryEmit,
 }
 
@@ -273,6 +274,82 @@ func cacheLookup() (int, int, func()) {
 	return 200, 1, func() {
 		if _, ok := c.Get(key); !ok {
 			panic("perfgate: cache_lookup missed a warm key")
+		}
+	}
+}
+
+// keyScenario is corpus entry a982ccd565a57c48's scenario.yaml, the
+// paper's Listing 2 in canonical form (go:embed cannot reach the corpus
+// from here; TestKeyScenarioIsTheCorpusEntry holds the two equal).
+const keyScenario = `dumper-pool:
+  cores-per-node: 8
+  node-gbps: 100.0
+  nodes: 4
+  per-core-gbps: 5.0
+  per-packet-lb: true
+  rss-port-rewrite: true
+  trim-bytes: 128
+name: listing2
+requester:
+  control-ip: traffic-requester
+  nic:
+    if-name: enp4s0
+    ip-list: [10.0.0.2, 10.0.0.12]
+    switch-port: 144
+    type: cx4
+  roce-parameters:
+    adaptive-retrans: false
+    dcqcn-np-enable: true
+    dcqcn-rp-enable: false
+    min-time-between-cnps: 0
+    slow-restart: true
+responder:
+  control-ip: traffic-responder
+  nic:
+    ip-list: [10.0.0.3]
+    type: cx4
+  roce-parameters:
+    adaptive-retrans: false
+    dcqcn-np-enable: true
+    dcqcn-rp-enable: true
+    min-time-between-cnps: -1
+    slow-restart: true
+seed: 42
+switch:
+  inject: true
+  mirror: true
+  pipeline-latency-ns: 400
+traffic:
+  barrier-sync: true
+  data-pkt-events:
+    - {iter: 1, psn: 4, qpn: 1, type: ecn}
+    - {iter: 1, psn: 5, qpn: 2, type: drop}
+    - {iter: 2, psn: 5, qpn: 2, type: drop}
+  max-retransmit-retry: 7
+  message-size: 10240
+  min-retransmit-timeout: 14
+  mtu: 1024
+  multi-gid: true
+  num-connections: 2
+  num-msgs-per-qp: 10
+  rdma-verb: write
+  tx-depth: 1
+`
+
+// scenarioKey is what a served submission pays before the cache is
+// consulted: config.Parse of the scenario bytes, then resultcache.KeyFor,
+// whose content hash renders the canonical YAML.
+func scenarioKey() (int, int, func()) {
+	data := []byte(keyScenario)
+	opts := orchestrator.DefaultOptions()
+	opts.Lineage = true
+	return 2000, 1, func() {
+		cfg, err := config.Parse(data)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := resultcache.KeyFor(cfg, "", opts); err != nil {
+			panic(err)
 		}
 	}
 }
