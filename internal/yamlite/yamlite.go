@@ -510,6 +510,8 @@ const (
 // number reads s by the grammar on Scalar.
 func number(s string) (int64, float64, numberKind) {
 	switch shape(s) {
+	case wordShape:
+		return 0, 0, notNumber
 	case decimalShape:
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return i, 0, isInt
@@ -518,10 +520,6 @@ func number(s string) (int64, float64, numberKind) {
 		if i, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
 			return i, 0, isInt
 		}
-		return 0, 0, notNumber
-	case floatShape:
-	default:
-		return 0, 0, notNumber
 	}
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
 		return 0, f, isFloat
