@@ -298,7 +298,9 @@ func checkTimeline(t *testing.T, log []naiveEvent, out []byte) {
 	}
 }
 
-func checkStream(t *testing.T, data []byte) {
+// checkStream runs the stream data describes through both checks and
+// returns the hub that logged it.
+func checkStream(t *testing.T, data []byte) *Hub {
 	t.Helper()
 	h := NewHub()
 	log := emitStream(t, h, &draw{data})
@@ -309,14 +311,34 @@ func checkStream(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	checkTimeline(t, log, buf.Bytes())
+	return h
 }
 
+// TestTimelineMatchesOracle runs 60 seeded streams. Between them they
+// must fill at least three log pages and name a track first on a page
+// after the first, so the timeline's rows are read across page ends.
 func TestTimelineMatchesOracle(t *testing.T) {
+	pages, lateTrack := 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
 		data := make([]byte, 1<<14)
 		rand.New(rand.NewSource(seed)).Read(data)
-		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) { checkStream(t, data) })
+		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
+			h := checkStream(t, data)
+			pages = max(pages, len(h.syms.pages))
+			seen := map[string]bool{}
+			for _, e := range h.Events() {
+				if !seen[e.Track()] {
+					seen[e.Track()] = true
+					page, _ := unpack(e.args)
+					lateTrack = max(lateTrack, page)
+				}
+			}
+		})
 	}
+	if pages < 3 || lateTrack < 1 {
+		t.Fatalf("the seeds fill at most %d log pages and name a track first on page %d at the latest; want 3 pages and a later page", pages, lateTrack)
+	}
+	t.Logf("up to %d log pages; a track first named on page %d", pages, lateTrack)
 }
 
 func FuzzTimeline(f *testing.F) {
