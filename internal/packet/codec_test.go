@@ -146,6 +146,32 @@ func TestICRCSurvivesECNMarkAndTTLDecrement(t *testing.T) {
 	}
 }
 
+// TestSetECNCEResealsTheIPv4Checksum marks writeFirst CE: TOS 0x00 →
+// 0x03 and the header checksum 0x1472 → 0x146f (computed outside the
+// repository). Under an INT transit tag the checksum bytes hold hop
+// state and stay as they were.
+func TestSetECNCEResealsTheIPv4Checksum(t *testing.T) {
+	wire := append([]byte(nil), writeFirst...)
+	SetECNCE(wire)
+	want := append([]byte(nil), writeFirst...)
+	want[15], want[24], want[25] = 0x03, 0x14, 0x6f
+	if !bytes.Equal(wire, want) {
+		t.Fatalf("CE-marked frame:\n got  % x\n want % x", wire, want)
+	}
+	if !VerifyIPv4Checksum(wire) {
+		t.Fatal("CE-marked frame fails its IPv4 checksum")
+	}
+
+	tagged := append([]byte(nil), writeFirst...)
+	tagged[24], tagged[25], tagged[40], tagged[41] = 0xab, 0xcd, 0x00, 0x07 // hop state, transit tag 7
+	SetECNCE(tagged)
+	want = append([]byte(nil), writeFirst...)
+	want[15], want[24], want[25], want[40], want[41] = 0x03, 0xab, 0xcd, 0x00, 0x07
+	if !bytes.Equal(tagged, want) {
+		t.Fatalf("CE-marked INT frame:\n got  % x\n want % x", tagged, want)
+	}
+}
+
 func TestICRCDetectsPayloadCorruption(t *testing.T) {
 	p := samplePacket(OpSendOnly, 512)
 	wire := p.Serialize()

@@ -107,12 +107,18 @@ func CorruptPayload(wire []byte) bool {
 
 // SetECNCE rewrites the IP ECN field of a serialized packet to
 // Congestion Experienced in place. The iCRC is unaffected by design (the
-// TOS byte is masked from the iCRC computation).
+// TOS byte is masked from the iCRC computation). The IPv4 header
+// checksum is resealed unless the frame carries an INT transit tag (a
+// non-zero UDP checksum), whose hop state the checksum bytes hold.
 func SetECNCE(wire []byte) {
 	if len(wire) <= offIPTOS {
 		return
 	}
 	wire[offIPTOS] = wire[offIPTOS]&^0x3 | ECNCE
+	if len(wire) >= offBTH && be.Uint16(wire[offUDPChecksum:]) == 0 {
+		be.PutUint16(wire[offIPChecksum:], 0)
+		be.PutUint16(wire[offIPChecksum:], ipv4Checksum(wire[offIP:offUDP]))
+	}
 }
 
 // SetMigReq sets the BTH MigReq bit of a whole frame in place — the
