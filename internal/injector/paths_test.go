@@ -106,7 +106,7 @@ var (
 	wm100     = wm(0x200, 100)
 	wm101     = wm(0x200, 101)
 	wm102     = wm(0x200, 102)
-	wm100CE   = with(wm100, 15, 0x03)                                   // ECN CE; checksum and iCRC untouched
+	wm100CE   = with(with(wm100, 15, 0x03), 24, 0x26, 0xac)             // ECN CE, header checksum 0x26ac; iCRC untouched
 	wm100Bad  = with(wm100, 69, 0x0e)                                   // last payload byte flipped, iCRC stale
 	wm100Mig  = with(with(wm100, 43, 0x40), 70, 0xac, 0x47, 0xd0, 0x83) // MigReq set, iCRC 0x83d047ac
 	wm100UDP  = with(wm100, 36, 0x00, 0x50)                             // UDP destination port 80
