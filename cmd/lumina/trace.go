@@ -144,15 +144,14 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 			hub.EmitArgs(telemetry.KindTracePkt, fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
 				e.Opcode().String(), args...)
 		}
-		events := hub.Events()
 
 		if *outPath == "" {
-			return telemetry.WriteTimeline(os.Stdout, events)
+			return telemetry.WriteTimeline(os.Stdout, hub)
 		}
-		if err := writeFile(*outPath, func(w io.Writer) error { return telemetry.WriteTimeline(w, events) }); err != nil {
+		if err := writeFile(*outPath, func(w io.Writer) error { return telemetry.WriteTimeline(w, hub) }); err != nil {
 			return err
 		}
-		fmt.Printf("timeline (%d packets) written to %s\n", len(events), *outPath)
+		fmt.Printf("timeline (%d packets) written to %s\n", len(tr.Entries), *outPath)
 		return nil
 	}
 }

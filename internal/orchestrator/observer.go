@@ -75,4 +75,5 @@ func (o *observer) collect(tb *Testbed, rep *Report) {
 	}
 	rep.Metrics = reg.Snapshot()
 	rep.Events = o.hub.Events()
+	rep.hub = o.hub
 }

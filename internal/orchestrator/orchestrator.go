@@ -146,9 +146,12 @@ type Report struct {
 	// Options.Telemetry was set. Serialized to metrics.json by
 	// WriteArtifacts (omitted from report.json to keep it stable).
 	Metrics *telemetry.MetricsSnapshot `json:"-"`
-	// Events is the recorded probe stream in emission order; nil unless
-	// Options.Telemetry was set. Rendered by telemetry.WriteTimeline.
+	// Events is the probe stream in emission order, decoded from the
+	// probe log; nil unless Options.Telemetry was set. timeline.json
+	// renders from the log itself (hub); this flat copy is kept for
+	// callers that index the stream, such as the benchmark's lineage pass.
 	Events []telemetry.Event `json:"-"`
+	hub    *telemetry.Hub
 
 	// Trace is the reconstructed packet trace (not serialized to JSON;
 	// use WriteArtifacts for a pcap).
@@ -425,7 +428,7 @@ func (r *Report) Artifacts() []Artifact {
 		{true, Artifact{ReportName, r.writeReport}},
 		{r.Trace != nil, Artifact{TraceName, func(w io.Writer) error { return r.Trace.WritePcap(w) }}},
 		{r.Metrics != nil, Artifact{MetricsName, func(w io.Writer) error { return writeJSON(w, r.Metrics) }}},
-		{r.Events != nil, Artifact{TimelineName, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.Events) }}},
+		{r.hub != nil, Artifact{TimelineName, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.hub) }}},
 		{r.Lineage != nil, Artifact{SummaryName, r.WriteSummary}},
 		{r.INT != nil, Artifact{INTName, r.WriteINT}},
 		{r.Coverage != nil, Artifact{CoverageName, r.WriteCoverage}},

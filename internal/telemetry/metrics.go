@@ -44,15 +44,13 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 		r.hists[name] = *h
 		return
 	}
-	dw, hw := dst.window(), h.window()
-	dlo, hlo := dst.lo(), h.lo()
-	lo := min(dlo, hlo)
-	b := make([]int64, max(dlo+len(dw), hlo+len(hw))-lo)
-	copy(b[dlo-lo:], dw)
-	for i, c := range hw {
-		b[hlo-lo+i] += c
+	lo := min(dst.base, h.base)
+	b := make([]int64, max(dst.base+len(dst.buckets), h.base+len(h.buckets))-lo)
+	copy(b[dst.base-lo:], dst.buckets)
+	for j, c := range h.buckets {
+		b[h.base-lo+j] += c
 	}
-	dst.buckets = b
+	dst.buckets, dst.base = b, lo
 	dst.min = min(dst.min, h.min)
 	dst.max = max(dst.max, h.max)
 	dst.count += h.count
@@ -68,14 +66,13 @@ const subBits = 4
 // (virtual-time durations in nanoseconds, queue depths, …): values below
 // 2^subBits are counted exactly; above, each power-of-two octave is
 // split into 2^subBits linear sub-buckets — the HdrHistogram layout.
-// It keeps one int64 per bucket of the window from its smallest
-// sample's bucket to its largest's, and below the window zeros down to
-// the start of that bucket's octave, so a window growing downward
-// reallocates once per octave, not once per bucket.
+// It keeps one int64 per bucket of the whole octaves from its smallest
+// sample's to its largest's, so it allocates once per octave its samples
+// reach downward, and upward only as append's growth.
 type Histogram struct {
-	// buckets ends at the largest sample's bucket; window() is its tail
-	// from the smallest sample's bucket on.
+	// buckets[j] counts bucket base+j; base is a multiple of 2^subBits.
 	buckets []int64
+	base    int
 	count   int64
 	sum     int64
 	min     int64
@@ -112,43 +109,28 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
+	const octave = 1 << subBits
+	i := bucketIndex(v)
 	if h.count == 0 {
-		h.min, h.max = v, v
-		h.buckets = append(h.buckets[:0], 0)
+		h.min, h.max, h.base = v, v, i&^(octave-1)
 	}
-	i, hi := bucketIndex(v), bucketIndex(h.max)
-	base := hi + 1 - len(h.buckets) // the bucket buckets[0] counts
-	switch {
-	case i > hi:
-		// Amortized growth: a histogram whose maximum creeps up one
-		// bucket at a time reallocates log(buckets) times, not once per
-		// new bucket.
-		h.buckets = append(h.buckets, make([]int64, i-hi)...)
-	case i < base:
-		// Downward, the buckets grow to the start of i's octave, so a
-		// minimum that creeps down reallocates once per octave.
-		pad := base - i&^(1<<subBits-1)
-		b := make([]int64, pad+len(h.buckets))
-		copy(b[pad:], h.buckets)
-		h.buckets, base = b, base-pad
+	switch end := h.base + len(h.buckets); {
+	case i >= end:
+		// Upward to the end of i's octave, amortized by append; the
+		// first sample allocates its octave here.
+		h.buckets = append(h.buckets, make([]int64, i|(octave-1)+1-end)...)
+	case i < h.base:
+		// Downward to the start of i's octave: one copy per octave.
+		lo := i &^ (octave - 1)
+		b := make([]int64, h.base-lo+len(h.buckets))
+		copy(b[h.base-lo:], h.buckets)
+		h.buckets, h.base = b, lo
 	}
-	h.buckets[i-base]++
+	h.buckets[i-h.base]++
 	h.count++
 	h.sum += v
 	h.min = min(h.min, v)
 	h.max = max(h.max, v)
-}
-
-// lo is the bucket of the smallest sample, where the window starts.
-func (h *Histogram) lo() int { return bucketIndex(h.min) }
-
-// window returns the buckets from the smallest sample's to the
-// largest's: window()[j] counts bucket lo()+j.
-func (h *Histogram) window() []int64 {
-	if h.count == 0 {
-		return nil
-	}
-	return h.buckets[len(h.buckets)-(bucketIndex(h.max)-h.lo()+1):]
 }
 
 // Quantile returns an upper bound for the q-th quantile (q in [0,1]):
@@ -165,10 +147,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	rank := int64(q*float64(h.count-1)) + 1
 	var seen int64
-	for j, c := range h.window() {
+	for j, c := range h.buckets {
 		seen += c
 		if seen >= rank {
-			hi := bucketLow(h.lo()+j+1) - 1
+			hi := bucketLow(h.base+j+1) - 1
 			if hi > h.max {
 				hi = h.max
 			}
@@ -241,11 +223,11 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
-		for j, c := range h.window() {
+		for j, c := range h.buckets {
 			if c == 0 {
 				continue
 			}
-			i := h.lo() + j
+			i := h.base + j
 			hs.Buckets = append(hs.Buckets, BucketSnap{
 				Low: bucketLow(i), High: bucketLow(i+1) - 1, Count: c,
 			})

@@ -307,7 +307,7 @@ func checkStream(t *testing.T, data []byte) *Hub {
 	evs := h.Events()
 	checkEvents(t, evs, log)
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, evs); err != nil {
+	if err := WriteTimeline(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	checkTimeline(t, log, buf.Bytes())

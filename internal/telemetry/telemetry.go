@@ -33,15 +33,18 @@
 // dozen allocations, and a record is never moved once written. The
 // caller's argument list never escapes (it stays on the caller's stack),
 // and a site repeated by every packet is found in a small cache of recent
-// lookups without hashing its strings. Events() hands out a flat slice of
-// 32-byte Events because that is what lineage and the timeline writer
-// index: each holds its stamp, its duration, its site and where its
-// arguments start in the log, and its accessors (Kind, Track, Name, Arg,
-// Lookup) read through the intern table. The slice is incremental
-// because a run asks twice — before the verdict probes and after: each
-// call decodes only the records logged since the previous one, into a
-// stream grown once to fit them and a few more, so the second call
-// neither copies the stream nor decodes the run again.
+// lookups without hashing its strings. The log is decoded one way: a
+// cursor (page, offset, stamp base) steps through it a record at a time.
+// WriteTimeline walks the log in place with one, its track rows read off
+// the intern table. Events() hands out a flat slice of 32-byte Events
+// for lineage, which indexes the stream: each holds its stamp, its
+// duration, its site and where its arguments start in the log, and its
+// accessors (Kind, Track, Name, Arg, Lookup) read through the intern
+// table. The slice is incremental because a run asks twice — before the
+// verdict probes and after: the hub keeps its cursor, so each call
+// decodes only the records logged since the previous one, into a stream
+// grown once to fit them and a few more, and the second call neither
+// copies the stream nor decodes the run again.
 //
 // This package deliberately imports nothing but the standard library so
 // that package sim can wire a Hub into the Simulator without an import
@@ -206,14 +209,36 @@ func (t *symbols) append(site uint32, at, dur int64, strs uint8, args []Field) {
 	t.lastAt = at
 }
 
-// end returns the position just past e's record.
-func (t *symbols) end(e *Event) (page, off int) {
-	page, off = unpack(e.args)
-	b := t.pages[page][off:]
-	for range int(t.sites[e.site].n) {
+// cursor is a position in the log: the page and offset of the next
+// record to decode, and the stamp that record's delta is taken from.
+type cursor struct {
+	page, off int
+	at        int64
+}
+
+// next decodes the record at c and moves c past it; false at the end of
+// the log. A cursor at the end stays valid: it reads what is logged next.
+func (t *symbols) next(c *cursor) (Event, bool) {
+	if c.page < len(t.pages)-1 && c.off == len(t.pages[c.page]) {
+		c.page, c.off = c.page+1, 0
+	}
+	if c.page >= len(t.pages) || c.off == len(t.pages[c.page]) {
+		return Event{}, false
+	}
+	b := t.pages[c.page][c.off:]
+	site, n := uvarint(b)
+	b = b[n:]
+	delta, n := uvarint(b)
+	b = b[n:]
+	dur, n := uvarint(b)
+	b = b[n:]
+	c.at += unzigzag(delta)
+	e := Event{At: c.at, Dur: int64(dur), syms: t, site: uint32(site), args: locator(c.page, len(t.pages[c.page])-len(b))}
+	for range t.sites[site].n {
 		b = skipVarint(b)
 	}
-	return page, len(t.pages[page]) - len(b)
+	c.off = len(t.pages[c.page]) - len(b)
+	return e, true
 }
 
 // uvarint is binary.Uvarint with a fast path for the one-byte values
@@ -370,9 +395,11 @@ type Hub struct {
 	clock func() int64
 	syms  *symbols
 
-	// flat is the stream Events has handed out so far, and pending the
-	// number of records logged since.
+	// flat is the stream Events has handed out so far, read the
+	// position just past its last record, and pending the number of
+	// records logged since.
 	flat    []Event
+	read    cursor
 	pending int
 }
 
@@ -463,9 +490,6 @@ func (h *Hub) Events() []Event {
 	if h == nil {
 		return nil
 	}
-	if h.pending == 0 {
-		return h.flat
-	}
 	if need := len(h.flat) + h.pending; need > cap(h.flat) {
 		// Headroom for the probes that follow a first call (a run's
 		// verdict instants), so they do not copy the stream again.
@@ -473,32 +497,8 @@ func (h *Hub) Events() []Event {
 		copy(grown, h.flat)
 		h.flat = grown
 	}
-	// Resume after the last event handed out: its stamp is the base of
-	// the next record's, and the next record follows its arguments.
-	t := h.syms
-	var at int64
-	page, off := 0, 0
-	if n := len(h.flat); n > 0 {
-		at = h.flat[n-1].At
-		page, off = t.end(&h.flat[n-1])
-	}
-	b := t.pages[page][off:]
-	for range h.pending {
-		if len(b) == 0 {
-			page++
-			b = t.pages[page]
-		}
-		site, n := uvarint(b)
-		b = b[n:]
-		delta, n := uvarint(b)
-		b = b[n:]
-		dur, n := uvarint(b)
-		b = b[n:]
-		at += unzigzag(delta)
-		h.flat = append(h.flat, Event{At: at, Dur: int64(dur), syms: t, site: uint32(site), args: locator(page, len(t.pages[page])-len(b))})
-		for range t.sites[site].n {
-			b = skipVarint(b)
-		}
+	for e, ok := h.syms.next(&h.read); ok; e, ok = h.syms.next(&h.read) {
+		h.flat = append(h.flat, e)
 	}
 	h.pending = 0
 	return h.flat

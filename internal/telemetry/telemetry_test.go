@@ -139,26 +139,24 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 // TestAddHistogramMergesLikeOneHistogram splits random samples over
 // several histograms, some empty, and holds their merge to one histogram
 // that recorded every sample. In every other trial the first sample is
-// the largest, so the bucket windows grow downward. Every histogram must
-// keep exactly the window from its smallest sample's bucket to its
-// largest's, its buckets must end there, and below the window it may
-// keep only zeros, none below the start of the window's first octave.
+// the largest, so the buckets grow downward. Every histogram must keep
+// exactly the whole octaves from its smallest sample's bucket to its
+// largest's.
 func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// dense spells a histogram's buckets from bucket 0, checking its
-	// window on the way.
+	// octaves on the way.
 	dense := func(trial int, h *Histogram) []int64 {
 		if h.count == 0 {
 			return nil
 		}
-		lo := bucketIndex(h.min)
-		w := h.window()
-		pad := h.buckets[:len(h.buckets)-len(w)]
-		if len(w) != bucketIndex(h.max)-lo+1 || w[0] == 0 || w[len(w)-1] == 0 ||
-			len(pad) > lo&(1<<subBits-1) || slices.ContainsFunc(pad, func(c int64) bool { return c != 0 }) {
-			t.Fatalf("trial %d: buckets %v, window %v for samples %d..%d", trial, h.buckets, w, h.min, h.max)
+		const octave = 1 << subBits
+		lo, hi := bucketIndex(h.min), bucketIndex(h.max)
+		if h.base != lo&^(octave-1) || h.base+len(h.buckets) != hi|(octave-1)+1 ||
+			h.buckets[lo-h.base] == 0 || h.buckets[hi-h.base] == 0 {
+			t.Fatalf("trial %d: buckets %v from %d for samples %d..%d", trial, h.buckets, h.base, h.min, h.max)
 		}
-		return append(make([]int64, lo), w...)
+		return append(make([]int64, h.base), h.buckets...)
 	}
 	for trial := range 200 {
 		var all Histogram
@@ -190,7 +188,7 @@ func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
 }
 
 func TestWriteTimelineIsValidJSONAndDeterministic(t *testing.T) {
-	mk := func() []Event {
+	mk := func() *Hub {
 		h := NewHub()
 		now := int64(0)
 		h.SetClock(func() int64 { return now })
@@ -203,7 +201,7 @@ func TestWriteTimelineIsValidJSONAndDeterministic(t *testing.T) {
 		h.EmitCounter(KindDCQCNRate, "requester/qp-0x01", "rate_mbps", 40_000)
 		now = 3999
 		h.Emit(KindDumperDisc, "dumper-0", "ring_full")
-		return h.Events()
+		return h
 	}
 
 	var a, b bytes.Buffer
@@ -252,7 +250,7 @@ func TestWriteJSONStringEscapes(t *testing.T) {
 	var buf bytes.Buffer
 	h := NewHub()
 	h.Emit("k", `t"\x`+"\n", "n")
-	if err := WriteTimeline(&buf, h.Events()); err != nil {
+	if err := WriteTimeline(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

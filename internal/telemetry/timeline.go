@@ -7,53 +7,53 @@ import (
 	"strconv"
 )
 
-// WriteTimeline renders a probe stream as Chrome trace-event JSON (the
+// WriteTimeline renders h's probe log as Chrome trace-event JSON (the
 // JSON Array Format with metadata, as consumed by Perfetto and
-// chrome://tracing). Each distinct Event.Track() becomes one named thread
-// row; instants render as "i" events, spans as "X", counter samples as
-// "C" counter tracks.
+// chrome://tracing), reading the log in place. Each distinct track
+// becomes one named thread row; instants render as "i" events, spans as
+// "X", counter samples as "C" counter tracks.
 //
 // The writer is hand-rolled rather than encoding/json so the byte
 // output is fully specified: field order fixed, timestamps printed as
 // integer-nanosecond-derived microseconds with exactly three decimals.
-// Identical event streams serialize to identical bytes — the property
-// the determinism acceptance test pins down.
+// Identical probe logs serialize to identical bytes — the property the
+// determinism acceptance test pins down.
 //
 // Each record is formatted with plain appends into the writer's own free
 // space (bufio's AvailableBuffer) and handed over in one Write, so
 // rendering costs no intermediate strings and one method call per event.
-func WriteTimeline(w io.Writer, events []Event) error {
+func WriteTimeline(w io.Writer, h *Hub) error {
 	// A caller that already buffers (WriteArtifacts does) is written to
 	// directly: NewWriter hands back a *bufio.Writer it is given.
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[")
 
-	// Track rows, in first-appearance order. Each event's row is looked
-	// up here, once, and each row's number rendered once.
-	rows := map[string]int32{}
-	rowOf := make([]int32, len(events))
-	var tids [][]byte
+	// Track rows, in first-appearance order. A site is interned at its
+	// first emit, so the sites' order is the order tracks first appear
+	// in; each site's row number is rendered here, once.
+	t := h.syms
+	rows := map[string][]byte{}
+	tids := make([][]byte, len(t.sites))
 	sep := "" // nothing before the first record, a comma before the rest
-	for i := range events {
-		t := events[i].Track()
-		row, ok := rows[t]
+	for i := range t.sites {
+		track := t.sites[i].track
+		tid, ok := rows[track]
 		if !ok {
-			row = int32(len(tids))
-			rows[t] = row
-			tids = append(tids, strconv.AppendInt(nil, int64(row)+1, 10))
+			tid = strconv.AppendInt(nil, int64(len(rows))+1, 10)
+			rows[track] = tid
 			b := append(recordSpace(bw), sep...)
 			sep = ","
 			b = append(b, `{"name":"thread_name","ph":"M","pid":1,"tid":`...)
-			b = append(b, tids[row]...)
+			b = append(b, tid...)
 			b = append(b, `,"args":{"name":`...)
-			b = appendJSONString(b, t)
+			b = appendJSONString(b, track)
 			bw.Write(append(b, "}}"...))
 		}
-		rowOf[i] = row
+		tids[i] = tid
 	}
 
-	for i := range events {
-		e := &events[i]
+	var c cursor
+	for e, ok := t.next(&c); ok; e, ok = t.next(&c) {
 		b := append(recordSpace(bw), sep...)
 		sep = ","
 		b = append(b, `{"name":`...)
@@ -83,11 +83,11 @@ func WriteTimeline(w io.Writer, events []Event) error {
 		b = append(b, `,"ts":`...)
 		b = appendMicros(b, e.At)
 		b = append(b, `,"pid":1,"tid":`...)
-		b = append(b, tids[rowOf[i]]...)
+		b = append(b, tids[e.site]...)
 		if s.n > 0 {
 			b = append(b, `,"args":{`...)
 			// The arguments are read in order, each varint once.
-			args := e.syms.at(e.args)
+			args := t.at(e.args)
 			for j := range int(s.n) {
 				v, n := binary.Varint(args)
 				args = args[n:]
@@ -97,7 +97,7 @@ func WriteTimeline(w io.Writer, events []Event) error {
 				b = appendJSONString(b, s.keys[j])
 				b = append(b, ':')
 				if s.strs&(1<<j) != 0 {
-					b = appendJSONString(b, e.syms.strs[v])
+					b = appendJSONString(b, t.strs[v])
 				} else {
 					b = strconv.AppendInt(b, v, 10)
 				}
