@@ -159,9 +159,9 @@ func FuzzExecute(f *testing.F) {
 }
 
 // FuzzBuild is FuzzExecute without Execute. It explores the inputs Build
-// sees far faster, so it stays as a local target: whatever Parse
-// accepts, Build must assemble or refuse with an error, never panic or
-// allocate past what Validate's size limits allow.
+// sees far faster: whatever Parse accepts, Build must assemble or refuse
+// with an error, never panic or allocate past what Validate's size
+// limits allow.
 func FuzzBuild(f *testing.F) {
 	fuzzScenarios(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -343,7 +343,11 @@ func TestTimelineMatchesOracle(t *testing.T) {
 
 func FuzzTimeline(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
-		data := make([]byte, 512)
+		size := 512
+		if seed == 4 {
+			size = 1 << 14 // spans several log pages
+		}
+		data := make([]byte, size)
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
