@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -70,11 +71,6 @@ func snapOf(h *Histogram) (HistSnap, bool) {
 	return hs[0], true
 }
 
-func sameSnap(a HistSnap, aok bool, b HistSnap, bok bool) bool {
-	return aok == bok && a.Name == b.Name && a.Count == b.Count && a.Sum == b.Sum && a.Min == b.Min &&
-		a.Max == b.Max && a.P50 == b.P50 && a.P99 == b.P99 && slices.Equal(a.Buckets, b.Buckets)
-}
-
 // checkHistograms records the samples d describes into up to four
 // histograms and one that sees them all, then holds every snapshot and
 // two merges (all parts, and all parts over a merge of the first two) to
@@ -100,7 +96,7 @@ func checkHistograms(t *testing.T, d *draw) {
 		t.Helper()
 		g, gok := snapOf(got)
 		w, wok := refSnap(samples)
-		if !sameSnap(g, gok, w, wok) {
+		if gok != wok || !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s of %v:\n got  %+v (%v)\n want %+v (%v)", what, samples, g, gok, w, wok)
 		}
 	}
