@@ -697,6 +697,17 @@ func New() *Pair { return &Pair{Req: &nic} }`,
 import "example.com/m/internal/a"
 func main() { a.New().Req.Slow = 3; println(a.Run()) }`,
 		},
+	}, {
+		name: "a write to a package-qualified variable is no field write",
+		files: map[string]string{
+			"internal/a/a.go": `package a
+var Rate, Hits int
+type T struct{ Rate int }
+func (t T) Get() int { return t.Rate + Rate + Hits }`,
+			"main.go": `package main
+import "example.com/m/internal/a"
+func main() { a.Rate = 1; a.Hits++; println(a.T{Rate: 2}.Get()) }`,
+		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			writerless, readerless, err := fieldCensus(writeModule(t, tc.files))
@@ -788,6 +799,11 @@ func fieldCensus(root string) (writerless, readerless []string, err error) {
 					case *ast.IndexExpr:
 						e = x.X
 					case *ast.SelectorExpr:
+						if id, ok := x.X.(*ast.Ident); ok {
+							if _, pkg := info.Uses[id].(*types.PkgName); pkg {
+								return // pkg.V is a variable, not a field, and pkg has no type
+							}
+						}
 						writes[x] = writes[x] || reads
 						if _, ptr := info.Types[x.X].Type.Underlying().(*types.Pointer); ptr {
 							return // the write lands behind a pointer the rest of the chain reads
