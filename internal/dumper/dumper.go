@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -85,7 +86,7 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 	return &Node{
 		Sim: s, Index: index, Cfg: cfg,
 		cores: make([]core, cfg.Cores),
-		track: fmt.Sprintf("dumper-%d", index),
+		track: "dumper-" + strconv.Itoa(index),
 	}
 }
 

@@ -49,9 +49,9 @@ type rpState struct {
 	active     bool
 }
 
-func newRPState(qp *QP) *rpState {
+func newRPState(qp *QP) rpState {
 	nic := qp.nic
-	return &rpState{
+	return rpState{
 		nic:         nic,
 		qp:          qp,
 		lineGbps:    nic.Prof.LinkGbps,

@@ -44,7 +44,15 @@ type MR struct {
 // operations need real 64-bit cells to operate on.
 type mrState struct {
 	MR
-	mem map[uint64]uint64 // sparse 8-byte cells keyed by address
+	mem map[uint64]uint64 // sparse 8-byte cells keyed by address; nil until the first store
+}
+
+// store writes the 64-bit cell at addr.
+func (mr *mrState) store(addr, v uint64) {
+	if mr.mem == nil {
+		mr.mem = map[uint64]uint64{}
+	}
+	mr.mem[addr] = v
 }
 
 // NIC is one simulated RDMA NIC instance.
@@ -196,7 +204,7 @@ func (n *NIC) RegisterMR(length int) MR {
 		Length: length,
 		RKey:   0x1000 + n.nextRK,
 	}
-	n.mrs[mr.RKey] = &mrState{MR: mr, mem: map[uint64]uint64{}}
+	n.mrs[mr.RKey] = &mrState{MR: mr}
 	return mr
 }
 
@@ -226,7 +234,7 @@ func (n *NIC) WriteMR(rkey uint32, addr uint64, v uint64) bool {
 	if !ok || !n.lookupMR(rkey, addr, 8) {
 		return false
 	}
-	mr.mem[addr] = v
+	mr.store(addr, v)
 	return true
 }
 
@@ -241,10 +249,10 @@ func (n *NIC) executeAtomic(op packet.Opcode, a packet.AtomicETH) (orig uint64, 
 	switch op {
 	case packet.OpCompareSwap:
 		if orig == a.Compare {
-			mr.mem[a.VA] = a.SwapAdd
+			mr.store(a.VA, a.SwapAdd)
 		}
 	case packet.OpFetchAdd:
-		mr.mem[a.VA] = orig + a.SwapAdd
+		mr.store(a.VA, orig+a.SwapAdd)
 	default:
 		return 0, false
 	}

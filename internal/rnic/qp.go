@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/packet"
@@ -188,7 +189,9 @@ type QP struct {
 	udpSrcPort uint16
 
 	// requester state
-	wqes         []*wqe
+	wqes         []*wqe // every WQE ever posted, in post order
+	wqeLive      int    // index of the oldest WQE not done; all before it are
+	slab         []wqe  // where PostSend takes the next WQE; see wqeSlab
 	nextPSN      uint32 // next unassigned PSN
 	sndUna       uint32 // oldest unacknowledged PSN (also: next expected read-response PSN)
 	sendPtr      uint32 // next PSN to hand to the scheduler
@@ -217,7 +220,8 @@ type QP struct {
 	// transmit path (owned by the ETS scheduler)
 	txq         txq
 	paceReadyAt sim.Time
-	rp          *rpState
+	rp          *rpState // &rpMem with dcqcn-rp-enable, else nil
+	rpMem       rpState
 
 	// scratch is the per-connection packet used to build outgoing wire
 	// bytes. Every build resets it, encodes immediately, and never
@@ -276,11 +280,15 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 		qp.retryLimit = adaptiveRetryMin + n.rng.Intn(adaptiveRetryMax-adaptiveRetryMin+1)
 	}
 	if n.Set.DCQCNRPEnable {
-		qp.rp = newRPState(qp)
+		qp.rpMem = newRPState(qp)
+		qp.rp = &qp.rpMem
 	}
 	n.qps[qpn] = qp
 	n.sched.register(qp)
-	qp.track = fmt.Sprintf("%s/qp-0x%06x", n.Name, qpn)
+	// "<nic>/qp-0x%06x": qpn is below 1<<24, so with that bit set its
+	// hex form has seven digits, and the last six are the zero-padded QPN.
+	var hex [7]byte
+	qp.track = n.Name + "/qp-0x" + string(strconv.AppendUint(hex[:0], uint64(qpn)|1<<24, 16)[1:])
 	qp.hub().EmitArgs(telemetry.KindQPState, qp.track, "RESET",
 		telemetry.I("qpn", int64(qpn)), telemetry.I("ipsn", int64(qp.IPSN)))
 	qp.cov().Record(coverage.SiteQPState, coverage.QPStateReset)
@@ -347,14 +355,20 @@ func (qp *QP) PostSend(req WorkRequest) error {
 		return fmt.Errorf("rnic: UD datagram of %d bytes exceeds the %d-byte MTU",
 			req.Length, qp.cfg.MTU)
 	}
-	w := &wqe{
+	if len(qp.slab) == cap(qp.slab) {
+		qp.slab = make([]wqe, 0, wqeSlab)
+		if qp.wqes == nil {
+			qp.wqes = make([]*wqe, 0, wqeSlab)
+		}
+	}
+	qp.slab = append(qp.slab, wqe{
 		req:      req,
 		startPSN: qp.nextPSN,
 		endPSN:   psnAdd(qp.nextPSN, uint32(npkts-1)),
 		npkts:    npkts,
 		postedAt: qp.nic.Sim.Now(),
-	}
-	qp.wqes = append(qp.wqes, w)
+	})
+	qp.wqes = append(qp.wqes, &qp.slab[len(qp.slab)-1])
 	qp.nextPSN = psnAdd(qp.nextPSN, uint32(npkts))
 	qp.pump()
 	return nil
@@ -775,7 +789,7 @@ func (qp *QP) advanceUnaNoTimerReset(to uint32) bool {
 	// the original value) has not arrived — otherwise a lost atomic ack
 	// would orphan the operation instead of triggering the timeout that
 	// replays it from the responder's cache.
-	for _, w := range qp.wqes {
+	for _, w := range qp.wqes[qp.wqeLive:] {
 		if w.done || !w.req.Verb.IsAtomic() {
 			continue
 		}
@@ -788,7 +802,7 @@ func (qp *QP) advanceUnaNoTimerReset(to uint32) bool {
 		return false
 	}
 	qp.sndUna = to
-	for _, w := range qp.wqes {
+	for _, w := range qp.wqes[qp.wqeLive:] {
 		if w.done || w.req.Verb == VerbRead || w.req.Verb.IsAtomic() {
 			continue
 		}
@@ -803,7 +817,7 @@ func (qp *QP) complete(w *wqe, st CompletionStatus) {
 	if w.done {
 		return
 	}
-	w.done = true
+	qp.markDone(w)
 	// The PSN range lets offline lineage reconstruction join a
 	// retransmitted packet to the message completion it unblocked.
 	qp.hub().EmitArgs(telemetry.KindTrafficMsg, qp.track, "wqe_complete",
@@ -820,6 +834,15 @@ func (qp *QP) complete(w *wqe, st CompletionStatus) {
 			CompletedAt: qp.nic.Sim.Now(),
 			Bytes:       w.req.Length,
 		})
+	}
+}
+
+// markDone marks w done and moves wqeLive past the done prefix. done
+// never reverts, so the loops that skip done WQEs may start there.
+func (qp *QP) markDone(w *wqe) {
+	w.done = true
+	for qp.wqeLive < len(qp.wqes) && qp.wqes[qp.wqeLive].done {
+		qp.wqeLive++
 	}
 }
 
@@ -1241,7 +1264,7 @@ func (qp *QP) handleAtomicAck(v packet.View) {
 	psn := v.PSN()
 	w := qp.wqeFor(psn)
 	if w != nil && !w.done && w.req.Verb.IsAtomic() {
-		w.done = true
+		qp.markDone(w)
 		if w.req.OnComplete != nil {
 			w.req.OnComplete(Completion{
 				WRID:        w.req.WRID,
@@ -1348,7 +1371,7 @@ func (qp *QP) fatal(st CompletionStatus) {
 	qp.nic.Sim.Cancel(qp.rtoTimer)
 	qp.nic.sched.flush(qp)
 	first := true
-	for _, w := range qp.wqes {
+	for _, w := range qp.wqes[qp.wqeLive:] {
 		if w.done {
 			continue
 		}
@@ -1363,6 +1386,11 @@ func (qp *QP) fatal(st CompletionStatus) {
 		qp.rp.stop()
 	}
 }
+
+// wqeSlab is how many WQEs PostSend allocates at once. A slot is never
+// reused: a queued retransmission (txPkt.w) can still name a WQE that
+// has completed, so slab entries must neither move nor change.
+const wqeSlab = 4
 
 // rnrRetryLimit bounds receiver-not-ready retries before the QP errors
 // (IBV's rnr_retry; 7 is the common non-infinite maximum).

@@ -12,6 +12,7 @@ package traffic
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/injector"
@@ -115,6 +116,9 @@ type conn struct {
 	completed     int
 	done          bool
 	track         string // telemetry track, "traffic/conn-<idx>"
+	// onComplete is every posted WR's OnComplete, built once per
+	// connection.
+	onComplete func(rnic.Completion)
 }
 
 // Pair is a requester/responder generator pair bound to two NICs.
@@ -173,7 +177,7 @@ func NewPairLabeled(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, l
 	if err != nil {
 		return nil, err
 	}
-	p := &Pair{Sim: s, Req: req, Resp: resp, Cfg: cfg, verbs: verbs}
+	p := &Pair{Sim: s, Req: req, Resp: resp, Cfg: cfg, verbs: verbs, conns: make([]*conn, 0, cfg.NumConnections)}
 	reqIPs := req.IPs()
 	for i := 0; i < cfg.NumConnections; i++ {
 		tp, err := rnic.ParseTransport(cfg.TransportOf(i))
@@ -203,10 +207,11 @@ func NewPairLabeled(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, l
 		sq.Connect(rq.Local())
 		mr := resp.RegisterMR(cfg.MessageSize * cfg.NumMsgsPerQP)
 		c := &conn{reqQP: rq, respQP: sq, mr: mr}
+		c.onComplete = func(comp rnic.Completion) { p.onCompletion(c, comp) }
 		if label == "" {
-			c.track = fmt.Sprintf("traffic/conn-%d", i)
+			c.track = "traffic/conn-" + strconv.Itoa(i)
 		} else {
-			c.track = fmt.Sprintf("traffic/%s/conn-%d", label, i)
+			c.track = "traffic/" + label + "/conn-" + strconv.Itoa(i)
 		}
 		c.stats = ConnStats{
 			Index: i, ReqQPN: rq.QPN, RespQPN: sq.QPN,
@@ -315,7 +320,7 @@ func (p *Pair) postOne(c *conn) {
 	wr := rnic.WorkRequest{
 		WRID: idx, Verb: p.verbFor(idx), Length: p.Cfg.MessageSize,
 		RemoteAddr: c.mr.Addr, RKey: c.mr.RKey,
-		OnComplete: func(comp rnic.Completion) { p.onCompletion(c, comp) },
+		OnComplete: c.onComplete,
 	}
 	if h := p.Sim.Hub(); h.Active() {
 		h.EmitArgs(telemetry.KindTrafficMsg, c.track, "post",
@@ -336,6 +341,9 @@ func (p *Pair) onCompletion(c *conn, comp rnic.Completion) {
 	st := &c.stats
 	st.Statuses[comp.Status.String()]++
 	if comp.Status == rnic.StatusOK {
+		if st.MCTs == nil {
+			st.MCTs = make([]sim.Duration, 0, p.Cfg.NumMsgsPerQP)
+		}
 		st.MCTs = append(st.MCTs, comp.CompletedAt.Sub(comp.PostedAt))
 		st.Bytes += int64(comp.Bytes)
 	} else {
@@ -391,6 +399,7 @@ func (p *Pair) finish() {
 	}
 	p.finished = true
 	p.results.End = p.Sim.Now()
+	p.results.Conns = make([]ConnStats, 0, len(p.conns))
 	for _, c := range p.conns {
 		p.results.Conns = append(p.results.Conns, c.stats)
 	}
@@ -424,7 +433,7 @@ func (p *Pair) Snapshot() *Results {
 	if p.finished {
 		return p.results
 	}
-	out := &Results{Start: p.results.Start, End: p.Sim.Now()}
+	out := &Results{Start: p.results.Start, End: p.Sim.Now(), Conns: make([]ConnStats, 0, len(p.conns))}
 	for _, c := range p.conns {
 		out.Conns = append(out.Conns, c.stats)
 	}
