@@ -2,6 +2,8 @@ package orchestrator
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/rnic"
@@ -9,17 +11,44 @@ import (
 	"github.com/lumina-sim/lumina/internal/trace"
 )
 
-// samples is a witness's multiset of histogram samples, reduced to what
-// a histogram keeps exactly.
-type samples struct{ count, sum, min, max int64 }
+// samples is a witness's multiset of histogram samples.
+type samples []int64
 
-func (s *samples) add(v int64) {
-	if s.count == 0 || v < s.min {
-		s.min = v
+func (s *samples) add(v int64) { *s = append(*s, v) }
+
+func (s samples) sorted() samples {
+	c := slices.Clone(s)
+	slices.Sort(c)
+	return c
+}
+
+// summary is what a histogram keeps exactly: count, sum, min and max.
+func (s samples) summary() [4]int64 {
+	if len(s) == 0 {
+		return [4]int64{}
 	}
-	s.max = max(s.max, v)
-	s.count++
-	s.sum += v
+	var sum int64
+	for _, v := range s {
+		sum += v
+	}
+	return [4]int64{int64(len(s)), sum, slices.Min(s), slices.Max(s)}
+}
+
+// quantileBounds returns the range a histogram's q-quantile must lie in:
+// from the exact order statistic v at the rank Quantile documents (the
+// ⌊q·(n−1)⌋+1-th smallest) up to the last value of v's bucket, capped at
+// the largest sample. The bucket geometry is spelled here, not read
+// from telemetry: a value below 16 has a bucket of its own; above, a
+// bucket holds 2^(bits.Len64(v)−5) values and starts at a multiple of
+// that width.
+func (s samples) quantileBounds(q float64) (lo, hi int64) {
+	sorted := s.sorted()
+	v := sorted[int(q*float64(len(s)-1))]
+	width := int64(1)
+	if v >= 16 {
+		width = 1 << (bits.Len64(uint64(v)) - 5)
+	}
+	return v, min(v|(width-1), sorted[len(s)-1])
 }
 
 // TestHistogramsMatchTheirWitnesses holds every histogram in metrics.json
@@ -131,14 +160,23 @@ func TestHistogramsMatchTheirWitnesses(t *testing.T) {
 
 			check := func(name string, got telemetry.HistSnap, present bool, s samples) {
 				t.Helper()
-				if present != (s.count != 0) {
-					t.Errorf("%s present = %v with %d witness samples: want it present exactly when sampled", name, present, s.count)
+				if present != (len(s) != 0) {
+					t.Errorf("%s present = %v with %d witness samples: want it present exactly when sampled", name, present, len(s))
 				}
-				if g := (samples{got.Count, got.Sum, got.Min, got.Max}); g != s {
-					t.Errorf("%s count/sum/min/max = %v, witness %v", name, g, s)
+				if g := [4]int64{got.Count, got.Sum, got.Min, got.Max}; g != s.summary() {
+					t.Errorf("%s count/sum/min/max = %v, witness %v", name, g, s.summary())
 				}
-				if s.count != 0 {
-					lit[name] = true
+				if len(s) == 0 {
+					return
+				}
+				lit[name] = true
+				for _, p := range []struct {
+					q   float64
+					got int64
+				}{{0.50, got.P50}, {0.99, got.P99}} {
+					if lo, hi := s.quantileBounds(p.q); p.got < lo || p.got > hi {
+						t.Errorf("%s p%v = %d, want within [%d, %d]", name, p.q*100, p.got, lo, hi)
+					}
 				}
 			}
 			for name, s := range want {
@@ -151,12 +189,13 @@ func TestHistogramsMatchTheirWitnesses(t *testing.T) {
 			for _, name := range []string{"retrans.nack_gen_ns", "retrans.nack_react_ns", "retrans.read_gen_ns", "cnp.gap_ns", "retrans.rto_ns"} {
 				if want[name] == nil {
 					h, ok := hists[name]
-					check(name, h, ok, samples{})
+					check(name, h, ok, nil)
 				}
 			}
 			// The MCTs are the traffic probes' post-to-complete spans of
 			// every OK message, and nothing else.
-			if m, p := want["traffic.mct_ns"], want["traffic.msg post→complete"]; (m == nil) != (p == nil) || m != nil && *m != *p {
+			if m, p := want["traffic.mct_ns"], want["traffic.msg post→complete"]; (m == nil) != (p == nil) ||
+				m != nil && !slices.Equal(m.sorted(), p.sorted()) {
 				t.Errorf("traffic.mct_ns witness %v, OK post→complete probes %v", m, p)
 			}
 			for name, n := range counts {
