@@ -190,7 +190,7 @@ type QP struct {
 
 	// requester state
 	wqes         []*wqe // every WQE ever posted, in post order
-	wqeLive      int    // index of the oldest WQE not done; all before it are
+	wqeLive      int    // index of the oldest WQE not done; every one before it is
 	slab         []wqe  // where PostSend takes the next WQE; see wqeSlab
 	nextPSN      uint32 // next unassigned PSN
 	sndUna       uint32 // oldest unacknowledged PSN (also: next expected read-response PSN)
@@ -285,14 +285,19 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 	}
 	n.qps[qpn] = qp
 	n.sched.register(qp)
-	// "<nic>/qp-0x%06x": qpn is below 1<<24, so with that bit set its
-	// hex form has seven digits, and the last six are the zero-padded QPN.
-	var hex [7]byte
-	qp.track = n.Name + "/qp-0x" + string(strconv.AppendUint(hex[:0], uint64(qpn)|1<<24, 16)[1:])
+	qp.track = qpTrack(n.Name, qpn)
 	qp.hub().EmitArgs(telemetry.KindQPState, qp.track, "RESET",
 		telemetry.I("qpn", int64(qpn)), telemetry.I("ipsn", int64(qp.IPSN)))
 	qp.cov().Record(coverage.SiteQPState, coverage.QPStateReset)
 	return qp
+}
+
+// qpTrack names a QP's telemetry track, fmt's "%s/qp-0x%06x" of the NIC
+// name and a 24-bit QPN without fmt's boxing. With bit 24 set the QPN's
+// hex form has seven digits, and the last six are the zero-padded QPN.
+func qpTrack(nic string, qpn uint32) string {
+	var hex [7]byte
+	return nic + "/qp-0x" + string(strconv.AppendUint(hex[:0], uint64(qpn)|1<<24, 16)[1:])
 }
 
 // Local returns the endpoint descriptor the peer (and the event injector)
@@ -356,6 +361,7 @@ func (qp *QP) PostSend(req WorkRequest) error {
 			req.Length, qp.cfg.MTU)
 	}
 	if len(qp.slab) == cap(qp.slab) {
+		// The first slab also sizes qp.wqes for one slab's worth.
 		qp.slab = make([]wqe, 0, wqeSlab)
 		if qp.wqes == nil {
 			qp.wqes = make([]*wqe, 0, wqeSlab)

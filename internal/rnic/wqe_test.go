@@ -1,6 +1,7 @@
 package rnic
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -116,5 +117,13 @@ func TestWritesAcrossSlabsRewind(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestQPTrackIsTheFormattedName(t *testing.T) {
+	for _, qpn := range []uint32{1, 0xf, 0x10, 0xabc, 0xfffff, 0x100000, 0x5a5a5a, packet.PSNMask} {
+		if got, want := qpTrack("rnic-0", qpn), fmt.Sprintf("%s/qp-0x%06x", "rnic-0", qpn); got != want {
+			t.Errorf("qpTrack(%#x) = %q, want %q", qpn, got, want)
+		}
 	}
 }
