@@ -342,6 +342,8 @@ func (p *Pair) onCompletion(c *conn, comp rnic.Completion) {
 	st.Statuses[comp.Status.String()]++
 	if comp.Status == rnic.StatusOK {
 		if st.MCTs == nil {
+			// Sized at the first OK completion, so a connection with
+			// none keeps a nil slice (null in report.json).
 			st.MCTs = make([]sim.Duration, 0, p.Cfg.NumMsgsPerQP)
 		}
 		st.MCTs = append(st.MCTs, comp.CompletedAt.Sub(comp.PostedAt))
