@@ -50,10 +50,10 @@ func bindTrace(fs *flag.FlagSet) func([]string) error {
 				iter = fmt.Sprintf("%d", iters[i])
 			}
 			ev := "-"
-			if e.Meta.Event != 0 {
-				ev = e.Meta.Event.String()
+			if e.Meta().Event != 0 {
+				ev = e.Meta().Event.String()
 			}
-			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", e.Meta.Seq, e.Time(), iter, ev, e.String())
+			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", e.Meta().Seq, e.Time(), iter, ev, e.String())
 		}
 		if limit < len(tr.Entries) {
 			fmt.Printf("… %d more packets (-n 0 for all)\n", len(tr.Entries)-limit)
@@ -127,19 +127,19 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 
 		hub := telemetry.NewHub()
 		var e *trace.Entry
-		hub.SetClock(func() int64 { return e.Meta.Timestamp })
+		hub.SetClock(func() int64 { return e.Meta().Timestamp })
 		for i := range tr.Entries {
 			e = &tr.Entries[i]
 			k := e.Key()
 			args := []telemetry.Field{
 				telemetry.I("psn", int64(e.PSN())),
-				telemetry.I("seq", int64(e.Meta.Seq)),
+				telemetry.I("seq", int64(e.Meta().Seq)),
 			}
 			if iters[i] > 0 {
 				args = append(args, telemetry.I("iter", int64(iters[i])))
 			}
-			if e.Meta.Event != 0 {
-				args = append(args, telemetry.S("event", e.Meta.Event.String()))
+			if e.Meta().Event != 0 {
+				args = append(args, telemetry.S("event", e.Meta().Event.String()))
 			}
 			hub.EmitArgs(telemetry.KindTracePkt, fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
 				e.Opcode().String(), args...)

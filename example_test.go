@@ -22,7 +22,7 @@ func ExampleRun() {
 	fmt.Println("messages OK:", rep.Traffic.Conns[0].Statuses["OK"])
 	drops := 0
 	for _, e := range rep.Trace.Entries {
-		if e.Meta.Event == 2 { // 2 = drop
+		if e.Meta().Event == 2 { // 2 = drop
 			drops++
 		}
 	}

@@ -44,8 +44,8 @@ func main() {
 	// The injector marked exactly one packet as dropped; the mirror copy
 	// still appears in the trace (mirroring happens before the drop).
 	for _, e := range rep.Trace.Entries {
-		if e.Meta.Event.String() == "drop" {
-			fmt.Printf("dropped:  seq=%d %v\n", e.Meta.Seq, e.String())
+		if e.Meta().Event.String() == "drop" {
+			fmt.Printf("dropped:  seq=%d %v\n", e.Meta().Seq, e.String())
 		}
 	}
 

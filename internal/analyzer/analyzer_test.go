@@ -30,14 +30,13 @@ func (b *traceBuilder) add(p packet.Packet, ev packet.EventType) *traceBuilder {
 	b.now += 1000
 	p.Eth.EtherType = packet.EtherTypeIPv4
 	p.Payload = make([]byte, builtFrameLen-packet.WireSize(p.BTH.Opcode, 0, int(p.BTH.PadCount)))
-	v, err := packet.ParseHeaders(p.Serialize())
+	wire := p.Serialize()
+	packet.EmbedMirrorMeta(wire, packet.MirrorMeta{Seq: b.seq, Event: ev, Timestamp: b.now})
+	v, err := packet.ParseHeaders(wire)
 	if err != nil {
 		panic(err)
 	}
-	b.entries = append(b.entries, trace.Entry{
-		Meta: packet.MirrorMeta{Seq: b.seq, Event: ev, Timestamp: b.now},
-		View: v,
-	})
+	b.entries = append(b.entries, trace.Entry{View: v})
 	return b
 }
 
@@ -429,7 +428,7 @@ func TestReconstructITERMatchesInjectorOnRealRun(t *testing.T) {
 	iters := analyzer.ReconstructITER(rep.Trace)
 	for i := range rep.Trace.Entries {
 		e := &rep.Trace.Entries[i]
-		if e.Meta.Event == packet.EventECN {
+		if e.Meta().Event == packet.EventECN {
 			if iters[i] != 2 {
 				t.Fatalf("iter-2 rule fired on a packet offline reconstruction labels round %d", iters[i])
 			}

@@ -46,7 +46,7 @@ func AnalyzeCNP(tr *trace.Trace) *CNPReport {
 		k := e.Key()
 		pair := trace.ConnKey{Src: k.Src, Dst: k.Dst}
 		switch {
-		case op.IsData() && e.ECN() == packet.ECNCE && e.Meta.Event != packet.EventDrop:
+		case op.IsData() && e.ECN() == packet.ECNCE && e.Meta().Event != packet.EventDrop:
 			rep.ECNMarked[k.Dst]++
 			markedSeen[pair] = true
 		case op.IsCNP():

@@ -75,7 +75,7 @@ func checkCounters(tr *trace.Trace, hosts []HostView) []Inconsistency {
 			// yields a re-read with none and must not count.
 			// Injector-dropped copies never reached the host, so they
 			// carry no evidence.
-			if op.IsReadResponse() && slices.Contains(h.IPs, k.Dst) && e.Meta.Event != packet.EventDrop {
+			if op.IsReadResponse() && slices.Contains(h.IPs, k.Dst) && e.Meta().Event != packet.EventDrop {
 				j, ok := streamOf[k]
 				if !ok {
 					j = len(streams)

@@ -267,7 +267,7 @@ func checkHost(tr *trace.Trace, h analyzer.HostView) []analyzer.Inconsistency {
 		// Read responses delivered toward this host feed the OOO
 		// evidence tracker. Injector-dropped copies never reached the
 		// host, so they carry no evidence.
-		if op.IsReadResponse() && slices.Contains(h.IPs, e.Dst()) && e.Meta.Event != packet.EventDrop {
+		if op.IsReadResponse() && slices.Contains(h.IPs, e.Dst()) && e.Meta().Event != packet.EventDrop {
 			k := e.Key()
 			st := respOOO[k]
 			if st == nil {

@@ -101,7 +101,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	}
 	addViolation := func(st *gbnState, e *trace.Entry, format string, args ...any) {
 		rep.Violations = append(rep.Violations, Violation{
-			Conn: st.key, Seq: e.Meta.Seq, Time: e.Time(),
+			Conn: st.key, Seq: e.Meta().Seq, Time: e.Time(),
 			Reason: fmt.Sprintf(format, args...),
 		})
 	}
@@ -119,7 +119,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			// PSN here (the late arrivals land out of order and a
 			// Go-back-N receiver discards them; the visible gap is
 			// filled by the retransmission, which IS in the trace).
-			latent := e.Meta.Event == packet.EventDelay || e.Meta.Event == packet.EventReorder
+			latent := e.Meta().Event == packet.EventDelay || e.Meta().Event == packet.EventReorder
 			psn := e.PSN()
 			if !st.init {
 				st.init = true
@@ -128,7 +128,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			if latent {
 				st.markLate(psn)
 			}
-			if lost(e.Meta.Event) || latent {
+			if lost(e.Meta().Event) || latent {
 				// Lost packets never reach the receiver; late packets
 				// reach it after their mirror position. Neither advances
 				// the replayed expected PSN here.

@@ -56,7 +56,7 @@ func FuzzPcapToAnalyzers(f *testing.F) {
 		tr.Span()
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
-			_, _, _, _ = e.String(), e.Key(), e.Meta.Event.String(), e.OrigLen()
+			_, _, _, _ = e.String(), e.Key(), e.Meta().Event.String(), e.OrigLen()
 			_, _, _, _, _ = e.Opcode(), e.PSN(), e.DestQP(), e.PadCount(), e.ECN()
 			_, _, _, _ = e.Src(), e.Dst(), e.AETH(), e.DMALen()
 		}

@@ -65,7 +65,7 @@ func AnalyzeRetransmissions(tr *trace.Trace) []RetransEvent {
 	var events []RetransEvent
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if !lost(e.Meta.Event) || !e.Opcode().IsData() {
+		if !lost(e.Meta().Event) || !e.Opcode().IsData() {
 			continue
 		}
 		ev := RetransEvent{

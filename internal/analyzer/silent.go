@@ -38,7 +38,7 @@ func AnalyzeSilentLoss(tr *trace.Trace, unreliable map[uint32]bool) []SilentLoss
 	var out []SilentLoss
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta.Event != packet.EventDrop || !e.Opcode().IsData() {
+		if e.Meta().Event != packet.EventDrop || !e.Opcode().IsData() {
 			continue
 		}
 		if !unreliable[e.DestQP()] {
@@ -47,7 +47,7 @@ func AnalyzeSilentLoss(tr *trace.Trace, unreliable map[uint32]bool) []SilentLoss
 		l := SilentLoss{
 			Conn:     e.Key(),
 			PSN:      e.PSN(),
-			Seq:      e.Meta.Seq,
+			Seq:      e.Meta().Seq,
 			DropTime: e.Time(),
 		}
 		for j := i + 1; j < len(tr.Entries); j++ {

@@ -246,9 +246,9 @@ func TestCaptureMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d, logs %s: %d entries, reference %d", seed, name, len(tr.Entries), len(want))
 			}
 			for i, e := range tr.Entries {
-				if e.Meta.Seq != seqs[i] || !bytes.Equal(e.Bytes(), want[i]) {
+				if e.Meta().Seq != seqs[i] || !bytes.Equal(e.Bytes(), want[i]) {
 					t.Fatalf("seed %d, logs %s: entry %d is seq %d\n% x\nreference seq %d\n% x",
-						seed, name, i, e.Meta.Seq, e.Bytes(), seqs[i], want[i])
+						seed, name, i, e.Meta().Seq, e.Bytes(), seqs[i], want[i])
 				}
 				if &e.Bytes()[0] != &recs[i][0] {
 					t.Fatalf("seed %d, logs %s: entry %d is not the node's record %d", seed, name, i, i)

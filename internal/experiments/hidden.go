@@ -203,7 +203,7 @@ func AdaptiveRetrans(model string, adaptive bool, drops int) ([]AdaptiveRetransP
 	found := false
 	for i := range rep.Trace.Entries {
 		e := &rep.Trace.Entries[i]
-		if e.Meta.Event == packet.EventDrop {
+		if e.Meta().Event == packet.EventDrop {
 			droppedPSN = e.PSN()
 			found = true
 			break

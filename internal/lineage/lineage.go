@@ -113,10 +113,10 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 	events = timeOrdered(events)
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta.Event == packet.EventNone {
+		if e.Meta().Event == packet.EventNone {
 			continue
 		}
-		switch e.Meta.Event {
+		switch e.Meta().Event {
 		case packet.EventECN:
 			g.buildECNChain(tr, i, events)
 		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
@@ -142,8 +142,8 @@ func (g *Graph) injectNode(e *trace.Entry) Node {
 	return Node{
 		Kind: NodeInject, At: e.Time(),
 		Label: fmt.Sprintf("injector applied %s to psn %d (mirror seq %d)",
-			e.Meta.Event, e.PSN(), e.Meta.Seq),
-		PSN: e.PSN(), Seq: e.Meta.Seq,
+			e.Meta().Event, e.PSN(), e.Meta().Seq),
+		PSN: e.PSN(), Seq: e.Meta().Seq,
 	}
 }
 
@@ -151,7 +151,7 @@ func (g *Graph) injectNode(e *trace.Entry) Node {
 // (e.g. set-migreq, or an event on a non-data packet).
 func (g *Graph) buildBareChain(tr *trace.Trace, di int) {
 	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.PSN()}
+	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: e.PSN()}
 	ch.Nodes = append(ch.Nodes, g.addNode(g.injectNode(e)))
 	ch.Completed = true // nothing further to wait for
 	g.Chains = append(g.Chains, ch)
@@ -164,7 +164,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 	e := &tr.Entries[di]
 	isRead := e.Opcode().IsReadResponse()
 	psn := e.PSN()
-	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: psn}
+	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: psn}
 
 	trigger, nack, retrans := tr.Recovery(di)
 
@@ -182,7 +182,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			Kind: NodeOOO, At: trigger.Time(),
 			Label: fmt.Sprintf("psn %d arrived out of order, exposing the gap at psn %d",
 				trigger.PSN(), psn),
-			PSN: trigger.PSN(), Seq: trigger.Meta.Seq,
+			PSN: trigger.PSN(), Seq: trigger.Meta().Seq,
 		})
 		ch.Nodes = append(ch.Nodes, id)
 		link(last, id, "gap_detect")
@@ -194,7 +194,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		if isRead {
 			kind, label = NodeReRead, fmt.Sprintf("requester re-issued READ from psn %d (implied NAK)", psn)
 		}
-		id := g.addNode(Node{Kind: kind, At: nack.Time(), Label: label, PSN: psn, Seq: nack.Meta.Seq})
+		id := g.addNode(Node{Kind: kind, At: nack.Time(), Label: label, PSN: psn, Seq: nack.Meta().Seq})
 		ch.Nodes = append(ch.Nodes, id)
 		link(last, id, "nack_gen")
 		last = id
@@ -268,10 +268,10 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 	}
 	if retrans != nil {
 		label := fmt.Sprintf("psn %d retransmitted onto the wire", psn)
-		if retrans.Meta.Event == packet.EventDrop {
+		if retrans.Meta().Event == packet.EventDrop {
 			label += " (and dropped again by the injector)"
 		}
-		id := g.addNode(Node{Kind: NodeRetransmit, At: retransAt, Label: label, PSN: psn, Seq: retrans.Meta.Seq})
+		id := g.addNode(Node{Kind: NodeRetransmit, At: retransAt, Label: label, PSN: psn, Seq: retrans.Meta().Seq})
 		ch.Nodes = append(ch.Nodes, id)
 		// Without the rewind probe (trace-only build) the hop from the
 		// NAK covers the whole sender reaction, not just serialization.
@@ -314,7 +314,7 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 // rate cut the CNP caused at the sender.
 func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event) {
 	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta.Seq, Event: e.Meta.Event, Conn: e.Key(), PSN: e.PSN()}
+	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: e.PSN()}
 	last := g.addNode(g.injectNode(e))
 	ch.Nodes = append(ch.Nodes, last)
 
@@ -343,7 +343,7 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 	id := g.addNode(Node{
 		Kind: NodeCNP, At: cnp.Time(),
 		Label: fmt.Sprintf("notification point sent CNP toward qp 0x%06x", cnp.DestQP()),
-		Seq:   cnp.Meta.Seq,
+		Seq:   cnp.Meta().Seq,
 	})
 	ch.Nodes = append(ch.Nodes, id)
 	link(last, id, "cnp_gen")

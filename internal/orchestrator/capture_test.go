@@ -220,7 +220,7 @@ func runCapture(t *testing.T, cfg config.Test, opts Options) (*Report, []capFram
 		if err := checkCaptureFrame(f, cfg.Dumpers.TrimBytes); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		m := rep.Trace.Entries[i].Meta
+		m := rep.Trace.Entries[i].Meta()
 		seq, ts, ev := capMAC48(f.data[6:]), int64(capMAC48(f.data)), f.data[capIPv4Start+8]
 		if seq != m.Seq || ts != m.Timestamp || ev != byte(m.Event) || f.ts != m.Timestamp {
 			t.Fatalf("frame %d: (seq, timestamp, event, pcap time) = (%d, %d, %d, %d), entry metadata %+v",

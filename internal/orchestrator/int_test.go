@@ -156,8 +156,8 @@ func TestINTIsObserveOnly(t *testing.T) {
 	}
 	for i := range rep.Trace.Entries {
 		a, p := &rep.Trace.Entries[i], &plainRep.Trace.Entries[i]
-		if a.Meta != p.Meta || a.PSN() != p.PSN() || a.Opcode() != p.Opcode() {
-			t.Fatalf("trace entry %d diverged with INT on: %+v vs %+v", i, a.Meta, p.Meta)
+		if a.Meta() != p.Meta() || a.PSN() != p.PSN() || a.Opcode() != p.Opcode() {
+			t.Fatalf("trace entry %d diverged with INT on: %+v vs %+v", i, a.Meta(), p.Meta())
 		}
 	}
 	if len(rep.Verdicts) != len(plainRep.Verdicts) {
@@ -263,10 +263,10 @@ func TestJoinMatchesIndexEverythingJoin(t *testing.T) {
 		sampled := &lineage.Graph{}
 		for i := 0; i < len(rep.Trace.Entries); i += 7 {
 			e := &rep.Trace.Entries[i]
-			wire := lineage.Node{ID: len(sampled.Nodes), Kind: lineage.NodeInject, At: e.Time(), PSN: e.PSN(), Seq: e.Meta.Seq}
+			wire := lineage.Node{ID: len(sampled.Nodes), Kind: lineage.NodeInject, At: e.Time(), PSN: e.PSN(), Seq: e.Meta().Seq}
 			probe := lineage.Node{ID: wire.ID + 1, Kind: lineage.NodeRewind, At: e.Time() + 1, PSN: e.PSN()}
 			sampled.Nodes = append(sampled.Nodes, wire, probe)
-			sampled.Chains = append(sampled.Chains, lineage.Chain{Lineage: e.Meta.Seq, PSN: e.PSN(), Nodes: []int{wire.ID, probe.ID}})
+			sampled.Chains = append(sampled.Chains, lineage.Chain{Lineage: e.Meta().Seq, PSN: e.PSN(), Nodes: []int{wire.ID, probe.ID}})
 		}
 		want := joinEveryTransit(col, sampled)
 		crossings := 0

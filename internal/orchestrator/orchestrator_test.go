@@ -50,7 +50,7 @@ func isData(e *trace.Entry) bool { return e.Opcode().IsData() }
 
 // marked accepts the entries the injector marked with ev.
 func marked(ev packet.EventType) func(*trace.Entry) bool {
-	return func(e *trace.Entry) bool { return e.Meta.Event == ev }
+	return func(e *trace.Entry) bool { return e.Meta().Event == ev }
 }
 
 func TestCleanRunCollectsEverything(t *testing.T) {
@@ -155,7 +155,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i := range r1.Trace.Entries {
 		a, b := r1.Trace.Entries[i], r2.Trace.Entries[i]
-		if a.Meta != b.Meta || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if a.Meta() != b.Meta() || !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("entry %d differs between identical runs", i)
 		}
 	}
@@ -506,7 +506,7 @@ func TestSwitchCountersConsistentWithNICs(t *testing.T) {
 func TestTimestampsInTraceAreMonotonicPerSeq(t *testing.T) {
 	rep := run(t, baseCfg())
 	for i := 1; i < len(rep.Trace.Entries); i++ {
-		if rep.Trace.Entries[i].Meta.Timestamp < rep.Trace.Entries[i-1].Meta.Timestamp {
+		if rep.Trace.Entries[i].Meta().Timestamp < rep.Trace.Entries[i-1].Meta().Timestamp {
 			t.Fatal("mirror timestamps not monotone in sequence order")
 		}
 	}

@@ -308,10 +308,10 @@ func TestAccessorsMatchDecodeOnCheckedInRuns(t *testing.T) {
 			e := &rep.Trace.Entries[i]
 			var p packet.Packet
 			if err := packet.DecodeHeaders(e.Bytes(), &p); err != nil {
-				t.Fatalf("%s: entry %d (seq %d) does not decode: %v", f, i, e.Meta.Seq, err)
+				t.Fatalf("%s: entry %d (seq %d) does not decode: %v", f, i, e.Meta().Seq, err)
 			}
 			if err := checkView(e.View, p, false); err != nil {
-				t.Fatalf("%s: entry %d (seq %d): %v", f, i, e.Meta.Seq, err)
+				t.Fatalf("%s: entry %d (seq %d): %v", f, i, e.Meta().Seq, err)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func (t *Trace) WritePcap(w io.Writer) error {
 	}
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		ts := e.Meta.Timestamp
+		ts := e.Meta().Timestamp
 		rec := bw.AvailableBuffer()
 		rec = le.AppendUint32(rec, uint32(ts/1e9))
 		rec = le.AppendUint32(rec, uint32(ts%1e9))

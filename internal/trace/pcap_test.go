@@ -55,7 +55,7 @@ func TestReadPcapShortReads(t *testing.T) {
 	capture := buf.Bytes()
 	var written []PcapPacket
 	for _, e := range tr.Entries {
-		written = append(written, PcapPacket{TimestampNs: e.Meta.Timestamp, OrigLen: e.OrigLen(), Data: e.Bytes()})
+		written = append(written, PcapPacket{TimestampNs: e.Meta().Timestamp, OrigLen: e.OrigLen(), Data: e.Bytes()})
 	}
 
 	valid := []struct {
@@ -126,8 +126,8 @@ func TestFromPcapKeepsLargeRecords(t *testing.T) {
 			t.Fatalf("%d bytes: %d entries", n, len(tr.Entries))
 		}
 		e := &tr.Entries[0]
-		if want := (packet.MirrorMeta{Seq: 7, Timestamp: 99}); e.Meta != want || !bytes.Equal(e.Bytes(), wire) {
-			t.Errorf("%d bytes: entry %+v of %d bytes, want %+v holding all %d", n, e.Meta, len(e.Bytes()), want, n)
+		if want := (packet.MirrorMeta{Seq: 7, Timestamp: 99}); e.Meta() != want || !bytes.Equal(e.Bytes(), wire) {
+			t.Errorf("%d bytes: entry %+v of %d bytes, want %+v holding all %d", n, e.Meta(), len(e.Bytes()), want, n)
 		}
 		if e.OrigLen() != 138 || e.PSN() != 3 {
 			t.Errorf("%d bytes: OrigLen %d, PSN %d, want 138 and 3", n, e.OrigLen(), e.PSN())

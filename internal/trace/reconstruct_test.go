@@ -15,24 +15,30 @@ import (
 
 // reconstructReference is the specification Reconstruct is held to:
 // parse every record in input order, failing at the first bad one, then
-// stable-sort the entries by mirror sequence number.
-func reconstructReference(recs [][]byte) (*Trace, error) {
-	tr := &Trace{Entries: make([]Entry, 0, len(recs))}
+// stable-sort the records by mirror sequence number. It keeps each
+// record's metadata as ExtractMirrorMeta read it, so an Entry whose
+// Meta decodes anything else differs from it.
+func reconstructReference(recs [][]byte) ([]refEntry, error) {
+	out := make([]refEntry, 0, len(recs))
 	for i, r := range recs {
 		meta, ok := packet.ExtractMirrorMeta(r)
 		if !ok {
 			return nil, fmt.Errorf("trace: record %d too short for mirror metadata", i)
 		}
-		v, err := packet.ParseHeaders(r)
-		if err != nil {
+		if _, err := packet.ParseHeaders(r); err != nil {
 			return nil, fmt.Errorf("trace: record %d: %v", i, err)
 		}
-		tr.Entries = append(tr.Entries, Entry{Meta: meta, View: v})
+		out = append(out, refEntry{meta, r})
 	}
-	sort.SliceStable(tr.Entries, func(i, j int) bool {
-		return tr.Entries[i].Meta.Seq < tr.Entries[j].Meta.Seq
-	})
-	return tr, nil
+	sort.SliceStable(out, func(i, j int) bool { return out[i].meta.Seq < out[j].meta.Seq })
+	return out, nil
+}
+
+// refEntry is one record of the reference's trace: its metadata and
+// its bytes.
+type refEntry struct {
+	meta packet.MirrorMeta
+	wire []byte
 }
 
 // recordsFor builds one record per sequence number, in the given order.
@@ -114,15 +120,15 @@ func checkAgainstReference(t *testing.T, name string, segs [][][]byte) {
 		}
 		return
 	}
-	if len(got.Entries) != len(want.Entries) {
-		t.Fatalf("%s: %d entries, reference %d", name, len(got.Entries), len(want.Entries))
+	if len(got.Entries) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", name, len(got.Entries), len(want))
 	}
 	for i := range got.Entries {
-		g, w := &got.Entries[i], &want.Entries[i]
-		gw, ww := g.Bytes(), w.Bytes()
-		if g.Meta != w.Meta || len(gw) != len(ww) || unsafe.SliceData(gw) != unsafe.SliceData(ww) {
-			t.Fatalf("%s: entry %d holds record %d (seq %d), reference has record %d (seq %d)", name, i,
-				recordIndex(recs, gw), g.Meta.Seq, recordIndex(recs, ww), w.Meta.Seq)
+		g, w := &got.Entries[i], &want[i]
+		gw, ww := g.Bytes(), w.wire
+		if g.Meta() != w.meta || len(gw) != len(ww) || unsafe.SliceData(gw) != unsafe.SliceData(ww) {
+			t.Fatalf("%s: entry %d holds record %d (%+v), reference has record %d (%+v)", name, i,
+				recordIndex(recs, gw), g.Meta(), recordIndex(recs, ww), w.meta)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func (t *Trace) Recovery(di int) (trigger, nack, retrans *Entry) {
 			if e.PSN() == psn {
 				return trigger, nack, e
 			}
-			if trigger == nil && e.Meta.Event != packet.EventDrop && PSNLess(psn, e.PSN()) {
+			if trigger == nil && e.Meta().Event != packet.EventDrop && PSNLess(psn, e.PSN()) {
 				trigger = e
 			}
 		}

@@ -13,21 +13,27 @@ import (
 	"github.com/lumina-sim/lumina/internal/sim"
 )
 
-// Entry is one packet of a reconstructed trace: the metadata the
-// injector embedded in a dumper's capture and a View of the captured
+// Entry is one packet of a reconstructed trace: a View of the captured
 // (trimmed) bytes, whose accessors the analyzers read. Reconstruct
-// admits only records ParseHeaders accepts.
+// admits only records ParseHeaders accepts. The data-plane metadata the
+// injector embedded lives in those bytes' spare header fields (§3.4),
+// and Meta and Time decode it from there: nothing writes a record once
+// the dumper has serviced it, so no decoded copy is kept.
 type Entry struct {
-	// Meta is the data-plane metadata the injector embedded: mirror
-	// sequence number, event type, and the nanosecond ingress timestamp
-	// that every analyzer's latency math builds on. It is kept decoded
-	// because it is the sort key and every timestamp read needs it.
-	Meta packet.MirrorMeta
 	packet.View
 }
 
+// Meta returns the data-plane metadata the injector embedded: mirror
+// sequence number, event type, and the nanosecond ingress timestamp
+// that every analyzer's latency math builds on.
+func (e *Entry) Meta() packet.MirrorMeta {
+	// Reconstruct admitted the record through ExtractMirrorMeta.
+	m, _ := packet.ExtractMirrorMeta(e.Bytes())
+	return m
+}
+
 // Time returns the switch ingress timestamp as a simulation instant.
-func (e *Entry) Time() sim.Time { return sim.Time(e.Meta.Timestamp) }
+func (e *Entry) Time() sim.Time { return sim.Time(e.Meta().Timestamp) }
 
 // Trace is a reconstructed, sequence-ordered packet trace.
 type Trace struct {
@@ -78,7 +84,7 @@ func Reconstruct(logs []dumper.Log) (*Trace, error) {
 		if err != nil {
 			return nil, firstError(logs)
 		}
-		tr.Entries[out] = Entry{Meta: h.meta, View: v}
+		tr.Entries[out] = Entry{View: v}
 		if h.pos++; h.pos < h.end {
 			// The run goes on within its log, whose records the first
 			// pass accepted, so neither read can fail.
@@ -170,7 +176,7 @@ func (e *IntegrityError) Error() string {
 // Only when all three hold is the trace complete and analyzable.
 func (t *Trace) IntegrityCheck(mirrored, rxRoCE uint64) error {
 	for i := 1; i < len(t.Entries); i++ {
-		prev, cur := t.Entries[i-1].Meta.Seq, t.Entries[i].Meta.Seq
+		prev, cur := t.Entries[i-1].Meta().Seq, t.Entries[i].Meta().Seq
 		if cur != prev+1 {
 			return &IntegrityError{1, fmt.Sprintf("gap between mirror seq %d and %d", prev, cur)}
 		}

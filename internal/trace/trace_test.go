@@ -56,11 +56,11 @@ func TestReconstructSortsBySeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range tr.Entries {
-		if e.Meta.Seq != uint64(i+1) {
-			t.Fatalf("entry %d has seq %d", i, e.Meta.Seq)
+		if e.Meta().Seq != uint64(i+1) {
+			t.Fatalf("entry %d has seq %d", i, e.Meta().Seq)
 		}
 	}
-	if tr.Entries[1].Meta.Event != packet.EventDrop {
+	if tr.Entries[1].Meta().Event != packet.EventDrop {
 		t.Fatal("event metadata lost")
 	}
 	if tr.Entries[0].PSN() != 10 {
@@ -135,7 +135,7 @@ func TestFilters(t *testing.T) {
 		case op.IsCNP():
 			cnps++
 		}
-		if e.Meta.Event == packet.EventECN {
+		if e.Meta().Event == packet.EventECN {
 			ecns++
 		}
 	}
@@ -272,13 +272,13 @@ func TestKeyNamesTheHeaderAddresses(t *testing.T) {
 }
 
 // TestEntryShape pins the sizes this package and the dumper were cut to
-// on 64-bit platforms: an entry is its mirror metadata and a View, one
-// slice of captured bytes.
+// on 64-bit platforms: an entry is a View, one slice of captured bytes,
+// and nothing beside it.
 func TestEntryShape(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if n := unsafe.Sizeof(Entry{}); n != 48 {
-		t.Errorf("trace.Entry is %d bytes, want 48", n)
+	if n := unsafe.Sizeof(Entry{}); n != 24 {
+		t.Errorf("trace.Entry is %d bytes, want 24", n)
 	}
 }
