@@ -49,11 +49,11 @@ func bindTrace(fs *flag.FlagSet) func([]string) error {
 			if iters[i] > 0 {
 				iter = fmt.Sprintf("%d", iters[i])
 			}
-			ev := "-"
-			if e.Meta().Event != 0 {
-				ev = e.Meta().Event.String()
+			m, ev := e.Meta(), "-"
+			if m.Event != 0 {
+				ev = m.Event.String()
 			}
-			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", e.Meta().Seq, e.Time(), iter, ev, e.String())
+			fmt.Printf("%-6d %-14v %-5s %-6s %s\n", m.Seq, e.Time(), iter, ev, e.String())
 		}
 		if limit < len(tr.Entries) {
 			fmt.Printf("… %d more packets (-n 0 for all)\n", len(tr.Entries)-limit)
@@ -130,16 +130,16 @@ func bindTimeline(fs *flag.FlagSet) func([]string) error {
 		hub.SetClock(func() int64 { return e.Meta().Timestamp })
 		for i := range tr.Entries {
 			e = &tr.Entries[i]
-			k := e.Key()
+			k, m := e.Key(), e.Meta()
 			args := []telemetry.Field{
 				telemetry.I("psn", int64(e.PSN())),
-				telemetry.I("seq", int64(e.Meta().Seq)),
+				telemetry.I("seq", int64(m.Seq)),
 			}
 			if iters[i] > 0 {
 				args = append(args, telemetry.I("iter", int64(iters[i])))
 			}
-			if e.Meta().Event != 0 {
-				args = append(args, telemetry.S("event", e.Meta().Event.String()))
+			if m.Event != 0 {
+				args = append(args, telemetry.S("event", m.Event.String()))
 			}
 			hub.EmitArgs(telemetry.KindTracePkt, fmt.Sprintf("%s->%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN),
 				e.Opcode().String(), args...)

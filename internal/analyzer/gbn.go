@@ -119,7 +119,8 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			// PSN here (the late arrivals land out of order and a
 			// Go-back-N receiver discards them; the visible gap is
 			// filled by the retransmission, which IS in the trace).
-			latent := e.Meta().Event == packet.EventDelay || e.Meta().Event == packet.EventReorder
+			ev := e.Meta().Event
+			latent := ev == packet.EventDelay || ev == packet.EventReorder
 			psn := e.PSN()
 			if !st.init {
 				st.init = true
@@ -128,7 +129,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 			if latent {
 				st.markLate(psn)
 			}
-			if lost(e.Meta().Event) || latent {
+			if lost(ev) || latent {
 				// Lost packets never reach the receiver; late packets
 				// reach it after their mirror position. Neither advances
 				// the replayed expected PSN here.

@@ -113,10 +113,8 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 	events = timeOrdered(events)
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
-		if e.Meta().Event == packet.EventNone {
-			continue
-		}
 		switch e.Meta().Event {
+		case packet.EventNone:
 		case packet.EventECN:
 			g.buildECNChain(tr, i, events)
 		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
@@ -139,11 +137,12 @@ func (g *Graph) addNode(n Node) int {
 }
 
 func (g *Graph) injectNode(e *trace.Entry) Node {
+	m := e.Meta()
 	return Node{
 		Kind: NodeInject, At: e.Time(),
 		Label: fmt.Sprintf("injector applied %s to psn %d (mirror seq %d)",
-			e.Meta().Event, e.PSN(), e.Meta().Seq),
-		PSN: e.PSN(), Seq: e.Meta().Seq,
+			m.Event, e.PSN(), m.Seq),
+		PSN: e.PSN(), Seq: m.Seq,
 	}
 }
 
