@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sort"
 	"strconv"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
@@ -852,13 +853,23 @@ func (qp *QP) markDone(w *wqe) {
 	}
 }
 
+// wqeFor returns the WQE whose PSN range holds psn, or nil. qp.wqes is
+// append-only and PostSend reserves each WQE's PSNs right after the
+// previous one's, so the WQEs' offsets from the first one's start ascend
+// up to nextPSN's, and a binary search over them finds psn's. The PSNs a
+// QP posts span less than 2^23 (config bounds a connection to 2^22
+// packets), so no offset wraps.
 func (qp *QP) wqeFor(psn uint32) *wqe {
-	for _, w := range qp.wqes {
-		if !psnLT(psn, w.startPSN) && !psnLT(w.endPSN, psn) {
-			return w
-		}
+	if len(qp.wqes) == 0 {
+		return nil
 	}
-	return nil
+	base := qp.wqes[0].startPSN
+	off := psnSub(psn, base)
+	if off >= psnSub(qp.nextPSN, base) {
+		return nil
+	}
+	i := sort.Search(len(qp.wqes), func(i int) bool { return psnSub(qp.wqes[i].startPSN, base) > off })
+	return qp.wqes[i-1]
 }
 
 // --- responder: Send/Write requests ---

@@ -1,6 +1,7 @@
 package rnic
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -126,4 +127,64 @@ func TestQPTrackIsTheFormattedName(t *testing.T) {
 			t.Errorf("qpTrack(%#x) = %q, want %q", qpn, got, want)
 		}
 	}
+}
+
+// wqeForScan is the lookup wqeFor replaced, kept as its reference: the
+// first WQE in post order whose PSN range holds psn by the half-space
+// compare.
+func wqeForScan(qp *QP, psn uint32) *wqe {
+	for _, w := range qp.wqes {
+		if !psnLT(psn, w.startPSN) && !psnLT(w.endPSN, psn) {
+			return w
+		}
+	}
+	return nil
+}
+
+// wqeHistoryMax bounds how many WQEs one fuzz input posts, so a history
+// spans at most wqeHistoryMax·64 PSNs.
+const wqeHistoryMax = 256
+
+// FuzzWQEForMatchesScan posts a history of Writes decoded from sizes,
+// one WQE of 1 + b%64 packets per byte b, from an IPSN of ipsn's low 24
+// bits, and holds wqeFor to wqeForScan on every PSN from two before the
+// first WQE's start to two past nextPSN. Histories span under 2^14 PSNs,
+// far below the 2^23 where the scan's half-space compare starts to call
+// a one-packet WQE exactly half the space away a match.
+func FuzzWQEForMatchesScan(f *testing.F) {
+	f.Add(uint32(0), []byte{0})
+	f.Add(uint32(1000), []byte{2, 0, 63, 5, 5, 1})
+	f.Add(uint32(packet.PSNMask), []byte{0, 0, 3})            // the second WQE starts at PSN 0
+	f.Add(uint32(packet.PSNMask-40), []byte{9, 20, 63, 0, 7}) // a WQE straddles the wrap
+	f.Add(uint32(packet.PSNMask-2), bytes.Repeat([]byte{1}, 9))
+	f.Fuzz(func(t *testing.T, ipsn uint32, sizes []byte) {
+		if len(sizes) == 0 || len(sizes) > wqeHistoryMax {
+			return
+		}
+		p := newPair(t, defaultPairOpts())
+		qa, _, mr := p.connect(t, 256, 10, 7)
+		ipsn &= packet.PSNMask
+		qa.IPSN, qa.nextPSN, qa.sndUna, qa.sendPtr, qa.maxSent = ipsn, ipsn, ipsn, ipsn, ipsn
+		for i, b := range sizes {
+			wr := WorkRequest{WRID: i, Verb: VerbWrite, Length: (1 + int(b%64)) * 256, RemoteAddr: mr.Addr, RKey: mr.RKey}
+			if err := qa.PostSend(wr); err != nil {
+				t.Fatalf("PostSend %d: %v", i, err)
+			}
+		}
+		span := psnSub(qa.nextPSN, ipsn)
+		for d := uint32(0); d < span+5; d++ {
+			psn := psnSub(ipsn+d, 2)
+			if got, want := qa.wqeFor(psn), wqeForScan(qa, psn); got != want {
+				t.Fatalf("PSN %d (IPSN %d, %d WQEs): wqeFor %s, scan %s", psn, ipsn, len(qa.wqes), wqeName(qa, got), wqeName(qa, want))
+			}
+		}
+	})
+}
+
+// wqeName names w by its index in qp.wqes and its PSN range.
+func wqeName(qp *QP, w *wqe) string {
+	if w == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("WQE %d [%d, %d]", slices.Index(qp.wqes, w), w.startPSN, w.endPSN)
 }
