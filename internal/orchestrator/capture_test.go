@@ -28,7 +28,9 @@ import (
 //     unless the frame's event is corrupt;
 //   - the mirror metadata: sequence number in the source MAC, ingress
 //     timestamp in the destination MAC and in the pcap record, event type
-//     in the TTL, each equal to the run's trace entry at the same index.
+//     in the TTL, each equal to the run's trace entry at the same index,
+//     and sequence numbers that run consecutively (§3.5's first
+//     integrity condition; every checked-in scenario captures whole).
 //
 // Under INT a forwarded frame carries its transit tag in the UDP checksum
 // and its hop's queue and utilisation state in the IPv4 checksum bytes,
@@ -220,11 +222,15 @@ func runCapture(t *testing.T, cfg config.Test, opts Options) (*Report, []capFram
 		if err := checkCaptureFrame(f, cfg.Dumpers.TrimBytes); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		m := rep.Trace.Entries[i].Meta()
+		e := &rep.Trace.Entries[i]
+		m := e.Meta()
 		seq, ts, ev := capMAC48(f.data[6:]), int64(capMAC48(f.data)), f.data[capIPv4Start+8]
-		if seq != m.Seq || ts != m.Timestamp || ev != byte(m.Event) || f.ts != m.Timestamp {
-			t.Fatalf("frame %d: (seq, timestamp, event, pcap time) = (%d, %d, %d, %d), entry metadata %+v",
-				i, seq, ts, ev, f.ts, m)
+		if seq != m.Seq || ts != m.Timestamp || ev != byte(m.Event) || f.ts != ts || int64(e.Time()) != ts {
+			t.Fatalf("frame %d: (seq, timestamp, event, pcap time) = (%d, %d, %d, %d), entry metadata %+v at %d",
+				i, seq, ts, ev, f.ts, m, e.Time())
+		}
+		if first := capMAC48(frames[0].data[6:]); seq != first+uint64(i) {
+			t.Fatalf("frame %d: sequence number %d, want %d after frame 0's %d (§3.5 condition 1)", i, seq, first+uint64(i), first)
 		}
 	}
 	return rep, frames
