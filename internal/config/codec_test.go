@@ -86,6 +86,12 @@ func TestContentHashesArePinned(t *testing.T) {
 	if got, err := ContentHash(Default()); err != nil || got != "d637d896c6278312" {
 		t.Errorf("ContentHash(Default()) = %s, %v; pinned d637d896c6278312", got, err)
 	}
+	// Every profile override is part of the identity.
+	c := Default()
+	c.Requester.NIC.Profile = &Overrides{NoETSClamp: true, NoSlowPathWedge: true, NoStrictAPM: true, AckCoalesce: 16}
+	if got, err := ContentHash(c); err != nil || got != "a7268adeaca767a0" {
+		t.Errorf("ContentHash(Default() with every override) = %s, %v; pinned a7268adeaca767a0", got, err)
+	}
 }
 
 // TestEveryConfigFieldHasAKey walks Test by reflection: every field is
@@ -322,6 +328,9 @@ func TestEveryBoundHoldsAtItsEdge(t *testing.T) {
 				case s >= 0:
 					v = v.Field(s)
 				case v.Kind() == reflect.Pointer:
+					if v.IsNil() {
+						v.Set(reflect.New(v.Type().Elem())) // nic.profile
+					}
 					v = v.Elem()
 				default:
 					v = v.Index(0)
@@ -404,6 +413,12 @@ func randomTest(r *rand.Rand) Test {
 		if r.Intn(2) == 0 {
 			h.Workspace, h.ControlIP = pick("/home/foo/bar/", "ws #1"), pick("host-a", "10.9.9.9")
 			h.NIC.IfName, h.NIC.SwitchPort = pick("enp4s0", "eth0"), 1+r.Intn(200)
+		}
+		if r.Intn(2) == 0 {
+			h.NIC.Profile = &Overrides{
+				NoETSClamp: r.Intn(2) == 0, NoSlowPathWedge: r.Intn(2) == 0, NoStrictAPM: r.Intn(2) == 0,
+				AckCoalesce: r.Intn(17),
+			}
 		}
 		for n := 1 + r.Intn(3); n > 0; n-- {
 			h.NIC.IPList = append(h.NIC.IPList, netip.MustParseAddr(pick("10.0.0.1", "10.0.0.12", "fe80::1", "2001:db8::7")))

@@ -90,6 +90,31 @@ type NIC struct {
 	// hash.
 	SwitchPort int          `json:"switch-port,omitempty"`
 	IPList     []netip.Addr `json:"ip-list" lumina:"min=1"`
+	// Profile overrides single behaviours of the model Type names, the
+	// flips the ablations make. Nil (absent, or no key set) runs the
+	// model as it is; a pointer, so report.json leaves it out as well.
+	Profile *Overrides `json:"profile,omitempty"`
+}
+
+// Overrides each turn one modelled mechanism off or retune it. A key is
+// set exactly when it is non-zero, so a set key always appears in the
+// canonical YAML and the content hash; orchestrator applies them to the
+// profile it builds the NIC from.
+type Overrides struct {
+	// NoETSClamp makes weighted ETS queues work-conserving (clears the
+	// CX6 Dx guarantee clamp, §6.2.1).
+	NoETSClamp bool `json:"no-ets-clamp,omitempty"`
+	// NoSlowPathWedge gives the slow path unlimited contexts, so it
+	// never wedges the RX pipeline (§6.2.2).
+	NoSlowPathWedge bool `json:"no-slow-path-wedge,omitempty"`
+	// NoStrictAPM admits every connection to the fast path whatever its
+	// MigReq (§6.2.3).
+	NoStrictAPM bool `json:"no-strict-apm,omitempty"`
+	// AckCoalesce is the responder's ACK coalescing factor: one ACK per
+	// this many in-order request packets. Zero keeps the model's (4).
+	// Past the packets a connection may send, only AckReq packets are
+	// acknowledged.
+	AckCoalesce int `json:"ack-coalesce,omitempty" lumina:"min=0,max=4194304"`
 }
 
 // RoCE mirrors Listing 1's roce-parameters block.
@@ -265,6 +290,9 @@ func (t *Test) Validate() error {
 		t.Seed = 1
 	}
 	for _, h := range []*Host{&t.Requester, &t.Responder} {
+		if h.NIC.Profile != nil && *h.NIC.Profile == (Overrides{}) {
+			h.NIC.Profile = nil // `profile: {}` is the model as it is
+		}
 		for i, q := range h.ETS {
 			if q.Strict && q.Weight != 0 {
 				return fmt.Errorf("config: ETS queue %d both strict and weighted", i)

@@ -8,6 +8,13 @@ import (
 	"github.com/lumina-sim/lumina/internal/config"
 )
 
+// everyOverride sets every profile override, on both hosts.
+const everyOverride = `requester:
+  nic: {type: cx6, profile: {no-ets-clamp: true, no-slow-path-wedge: true, no-strict-apm: true, ack-coalesce: 16}}
+responder:
+  nic: {type: cx5, profile: {no-ets-clamp: true, no-slow-path-wedge: true, no-strict-apm: true, ack-coalesce: 1}}
+`
+
 // FuzzParseScenario feeds arbitrary bytes to Parse, which must never
 // panic. Whatever it accepts must survive the canonical round trip: the
 // re-parsed document marshals to the same bytes and hashes the same,
@@ -27,6 +34,7 @@ func FuzzParseScenario(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	f.Add([]byte(everyOverride))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := config.Parse(data)
 		if err != nil {

@@ -164,6 +164,12 @@ func FuzzExecute(f *testing.F) {
 // limits allow.
 func FuzzBuild(f *testing.F) {
 	fuzzScenarios(f)
+	f.Add([]byte(`requester:
+  nic: {type: cx4, profile: {no-ets-clamp: true, no-slow-path-wedge: true, no-strict-apm: true, ack-coalesce: 4194304}}
+  ets-queues: [{weight: 50}, {weight: 50}]
+responder:
+  nic: {type: cx5, profile: {no-ets-clamp: true, no-slow-path-wedge: true, no-strict-apm: true, ack-coalesce: 1}}
+`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := config.Parse(data)
 		if err != nil {

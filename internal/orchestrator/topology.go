@@ -353,6 +353,22 @@ func buildNIC(s *sim.Simulator, h hostSpec) (*rnic.NIC, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The scenario's overrides are the one way to run a model with a
+	// mechanism flipped.
+	if o := h.tmpl.NIC.Profile; o != nil {
+		if o.NoETSClamp {
+			prof.ETSNonWorkConserving = false
+		}
+		if o.NoSlowPathWedge {
+			prof.SlowPathContexts = 0
+		}
+		if o.NoStrictAPM {
+			prof.StrictAPM = false
+		}
+		if o.AckCoalesce > 0 {
+			prof.AckCoalesce = o.AckCoalesce
+		}
+	}
 	roce := h.tmpl.RoCE
 	set := rnic.Settings{
 		DCQCNRPEnable:      roce.DCQCNRPEnable,

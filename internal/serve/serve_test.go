@@ -446,6 +446,11 @@ func TestServeHealthzAndBadRequests(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "num-connections") || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("10^15 connections: %v, want HTTP 400 naming num-connections", err)
 	}
+	// So is a profile override out of its bounds.
+	_, err = c.Submit(ctx, SubmitRequest{Scenario: "responder: {nic: {profile: {ack-coalesce: -1}}}"})
+	if err == nil || !strings.Contains(err.Error(), "responder.nic.profile.ack-coalesce") || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("ack-coalesce -1: %v, want HTTP 400 naming the key", err)
+	}
 	if _, err := c.Status(ctx, "deadbeef"); err == nil {
 		t.Fatal("unknown run id did not 404")
 	}
