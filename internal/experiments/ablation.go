@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
-	"github.com/lumina-sim/lumina/internal/packet"
 	"github.com/lumina-sim/lumina/internal/rnic"
 	"github.com/lumina-sim/lumina/internal/sim"
-	"github.com/lumina-sim/lumina/internal/traffic"
 )
 
 // Ablations quantify the design choices DESIGN.md calls out by flipping
@@ -38,92 +35,62 @@ func AblationTable(points []AblationPoint) *Table {
 	return t
 }
 
-// customPair runs one two-NIC traffic scenario with explicitly supplied
-// profiles — the hook the ablations use to flip single profile fields
-// without registering new models. It returns the finished pair.
-func customPair(profReq, profResp rnic.Profile, mutate func(*config.Traffic), ets rnic.ETSConfig) (*traffic.Pair, error) {
-	s := sim.New(1)
-	req := rnic.New(s, profReq, rnic.Config{
-		Name: "req", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
-		IPs: []netip.Addr{netip.MustParseAddr("10.0.0.1")},
-		Set: rnic.DefaultSettings(), ETS: ets,
-	})
-	resp := rnic.New(s, profResp, rnic.Config{
-		Name: "resp", MAC: packet.MAC{2, 0, 0, 0, 0, 2},
-		IPs: []netip.Addr{netip.MustParseAddr("10.0.0.2")},
-		Set: rnic.DefaultSettings(),
-	})
-	pa, pb := sim.Connect(s, "a", "b", min(profReq.LinkGbps, profResp.LinkGbps), 100)
-	req.AttachPort(pa)
-	resp.AttachPort(pb)
-	tr := config.Traffic{
-		NumConnections: 1, Verb: "write", NumMsgsPerQP: 5,
-		MTU: 1024, MessageSize: 1 << 20, TxDepth: 4,
-		MinRetransmitTimeout: 14, MaxRetransmitRetry: 7,
+// variants returns one copy of base per override set, each set on the
+// host side picks; nil runs the model as it is.
+func variants(base config.Test, side func(*config.Test) *config.Host, overrides ...*config.Overrides) []config.Test {
+	cfgs := make([]config.Test, len(overrides))
+	for i, o := range overrides {
+		cfgs[i] = base
+		side(&cfgs[i]).NIC.Profile = o
 	}
-	if mutate != nil {
-		mutate(&tr)
-	}
-	pair, err := traffic.NewPair(s, req, resp, tr)
-	if err != nil {
-		return nil, err
-	}
-	pair.Start(nil)
-	s.Run()
-	return pair, nil
+	return cfgs
 }
 
+func requester(c *config.Test) *config.Host { return &c.Requester }
+func responder(c *config.Test) *config.Host { return &c.Responder }
+
 // AblateETSClamp measures the throughput a lone flow loses to the CX6 Dx
-// guarantee clamp by flipping ETSNonWorkConserving off.
+// guarantee clamp, by running the requester without it.
 func AblateETSClamp() ([]AblationPoint, error) {
-	ets := rnic.ETSConfig{Queues: []rnic.ETSQueueConfig{{Weight: 50}, {Weight: 50}}}
-	measure := func(clamped bool) (float64, error) {
-		prof := rnic.Profiles()[rnic.ModelCX6]
-		prof.ETSNonWorkConserving = clamped
-		pair, err := customPair(prof, rnic.Profiles()[rnic.ModelCX6], nil, ets)
-		if err != nil {
-			return 0, err
-		}
-		return pair.Results().Conns[0].GoodputGbps(), nil
-	}
-	clamped, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	unclamped, err := measure(false)
+	cfg := config.Default()
+	cfg.Name = "ets-clamp"
+	cfg.Requester.NIC.Type = rnic.ModelCX6
+	cfg.Responder.NIC.Type = rnic.ModelCX6
+	cfg.Requester.ETS = []config.ETSQueue{{Weight: 50}, {Weight: 50}}
+	cfg.Traffic.NumMsgsPerQP = 5
+	cfg.Traffic.MessageSize = 1 << 20
+	cfg.Traffic.TxDepth = 4
+	reps, err := runAll(cfg.Name, variants(cfg, requester, nil, &config.Overrides{NoETSClamp: true}))
 	if err != nil {
 		return nil, err
 	}
 	return []AblationPoint{
-		{"ets-clamp", "cx6 (clamped)", "lone-flow-gbps", clamped},
-		{"ets-clamp", "cx6 w/o clamp", "lone-flow-gbps", unclamped},
+		{"ets-clamp", "cx6 (clamped)", "lone-flow-gbps", reps[0].Traffic.Conns[0].GoodputGbps()},
+		{"ets-clamp", "cx6 w/o clamp", "lone-flow-gbps", reps[1].Traffic.Conns[0].GoodputGbps()},
 	}, nil
 }
 
 // AblateWedge measures the noisy-neighbor amplification carried by the
-// slow-path wedge, by giving CX4 unlimited slow-path contexts.
+// slow-path wedge, by giving the CX4 requester unlimited slow-path
+// contexts.
 func AblateWedge() ([]AblationPoint, error) {
-	measure := func(contexts int) (float64, error) {
-		cfg := config.Default()
-		cfg.Requester.NIC.Type = rnic.ModelCX4
-		cfg.Responder.NIC.Type = rnic.ModelCX4
-		cfg.Traffic.Verb = "read"
-		cfg.Traffic.NumConnections = 36
-		cfg.Traffic.NumMsgsPerQP = 10
-		cfg.Traffic.MessageSize = 20 * 1024
-		for q := 1; q <= 12; q++ {
-			cfg.Traffic.Events = append(cfg.Traffic.Events,
-				config.Event{QPN: q, PSN: 5, Type: "drop", Iter: 1})
-		}
-		tb, err := orchestrator.Build(cfg, orchestrator.DefaultOptions())
-		if err != nil {
-			return 0, err
-		}
-		tb.Flows[0].Req.Prof.SlowPathContexts = contexts
-		rep, err := tb.Execute()
-		if err != nil {
-			return 0, err
-		}
+	cfg := config.Default()
+	cfg.Name = "slow-path-wedge"
+	cfg.Requester.NIC.Type = rnic.ModelCX4
+	cfg.Responder.NIC.Type = rnic.ModelCX4
+	cfg.Traffic.Verb = "read"
+	cfg.Traffic.NumConnections = 36
+	cfg.Traffic.NumMsgsPerQP = 10
+	cfg.Traffic.MessageSize = 20 * 1024
+	for q := 1; q <= 12; q++ {
+		cfg.Traffic.Events = append(cfg.Traffic.Events,
+			config.Event{QPN: q, PSN: 5, Type: "drop", Iter: 1})
+	}
+	reps, err := runAll(cfg.Name, variants(cfg, requester, nil, &config.Overrides{NoSlowPathWedge: true}))
+	if err != nil {
+		return nil, err
+	}
+	innocentMCT := func(rep *orchestrator.Report) float64 {
 		var innocent sim.Duration
 		n := 0
 		for i := range rep.Traffic.Conns {
@@ -133,56 +100,36 @@ func AblateWedge() ([]AblationPoint, error) {
 				n++
 			}
 		}
-		return float64(innocent/sim.Duration(n)) / 1e6, nil // ms
-	}
-	wedged, err := measure(10)
-	if err != nil {
-		return nil, err
-	}
-	unlimited, err := measure(0)
-	if err != nil {
-		return nil, err
+		return float64(innocent/sim.Duration(n)) / 1e6 // ms
 	}
 	return []AblationPoint{
-		{"slow-path-wedge", "cx4 (10 contexts)", "innocent-mct-ms", wedged},
-		{"slow-path-wedge", "cx4 unlimited contexts", "innocent-mct-ms", unlimited},
+		{"slow-path-wedge", "cx4 (10 contexts)", "innocent-mct-ms", innocentMCT(reps[0])},
+		{"slow-path-wedge", "cx4 unlimited contexts", "innocent-mct-ms", innocentMCT(reps[1])},
 	}, nil
 }
 
 // AblateAPM measures the interop damage carried by the strict-APM slow
-// path, by disabling it on the CX5 responder.
+// path, by running the CX5 responder without it.
 func AblateAPM() ([]AblationPoint, error) {
-	measure := func(strict bool) (float64, error) {
-		cfg := config.Default()
-		cfg.Requester.NIC.Type = rnic.ModelE810
-		cfg.Responder.NIC.Type = rnic.ModelCX5
-		cfg.Traffic.Verb = "send"
-		cfg.Traffic.NumConnections = 16
-		cfg.Traffic.NumMsgsPerQP = 5
-		cfg.Traffic.MessageSize = 102400
-		cfg.Traffic.MinRetransmitTimeout = 12
-		tb, err := orchestrator.Build(cfg, orchestrator.DefaultOptions())
-		if err != nil {
-			return 0, err
-		}
-		tb.Flows[0].Resp.Prof.StrictAPM = strict
-		rep, err := tb.Execute()
-		if err != nil {
-			return 0, err
-		}
-		return float64(rep.ResponderCounters[rnic.CtrRxDiscardsPhy]), nil
-	}
-	strict, err := measure(true)
+	cfg := config.Default()
+	cfg.Name = "strict-apm"
+	cfg.Requester.NIC.Type = rnic.ModelE810
+	cfg.Responder.NIC.Type = rnic.ModelCX5
+	cfg.Traffic.Verb = "send"
+	cfg.Traffic.NumConnections = 16
+	cfg.Traffic.NumMsgsPerQP = 5
+	cfg.Traffic.MessageSize = 102400
+	cfg.Traffic.MinRetransmitTimeout = 12
+	reps, err := runAll(cfg.Name, variants(cfg, responder, nil, &config.Overrides{NoStrictAPM: true}))
 	if err != nil {
 		return nil, err
 	}
-	relaxed, err := measure(false)
-	if err != nil {
-		return nil, err
+	discards := func(rep *orchestrator.Report) float64 {
+		return float64(rep.ResponderCounters[rnic.CtrRxDiscardsPhy])
 	}
 	return []AblationPoint{
-		{"strict-apm", "cx5 strict APM", "rx-discards", strict},
-		{"strict-apm", "cx5 w/o strict APM", "rx-discards", relaxed},
+		{"strict-apm", "cx5 strict APM", "rx-discards", discards(reps[0])},
+		{"strict-apm", "cx5 w/o strict APM", "rx-discards", discards(reps[1])},
 	}, nil
 }
 
@@ -220,24 +167,29 @@ func AblateRSSRewrite() ([]AblationPoint, error) {
 }
 
 // AblateAckCoalescing measures control-packet overhead versus the
-// coalescing factor: the ACK count drops with the factor while goodput
-// stays flat.
+// responder's coalescing factor: the ACK count drops with the factor
+// while goodput stays flat.
 func AblateAckCoalescing() ([]AblationPoint, error) {
+	cfg := config.Default()
+	cfg.Name = "ack-coalesce"
+	cfg.Traffic.NumMsgsPerQP = 10
+	cfg.Traffic.MessageSize = 102400
+	cfg.Traffic.TxDepth = 4
+	factors := []int{1, 4, 16}
+	var overrides []*config.Overrides
+	for _, f := range factors {
+		overrides = append(overrides, &config.Overrides{AckCoalesce: f})
+	}
+	reps, err := runAll(cfg.Name, variants(cfg, responder, overrides...))
+	if err != nil {
+		return nil, err
+	}
 	var out []AblationPoint
-	for _, factor := range []int{1, 4, 16} {
-		prof := rnic.Profiles()[rnic.ModelSpec]
-		prof.AckCoalesce = factor
-		pair, err := customPair(prof, prof, func(tr *config.Traffic) {
-			tr.NumMsgsPerQP = 10
-			tr.MessageSize = 102400
-		}, rnic.ETSConfig{})
-		if err != nil {
-			return nil, err
-		}
-		acks := float64(pair.Resp.Counters.Get(rnic.CtrTxRoCEPackets))
+	for i, rep := range reps {
+		variant := fmt.Sprintf("factor %d", factors[i])
 		out = append(out,
-			AblationPoint{"ack-coalesce", fmt.Sprintf("factor %d", factor), "responder-tx-pkts", acks},
-			AblationPoint{"ack-coalesce", fmt.Sprintf("factor %d", factor), "goodput-gbps", pair.Results().Conns[0].GoodputGbps()},
+			AblationPoint{"ack-coalesce", variant, "responder-tx-pkts", float64(rep.ResponderCounters[rnic.CtrTxRoCEPackets])},
+			AblationPoint{"ack-coalesce", variant, "goodput-gbps", rep.Traffic.Conns[0].GoodputGbps()},
 		)
 	}
 	return out, nil
