@@ -890,3 +890,191 @@ func fieldCensus(root string) (writerless, readerless []string, err error) {
 	sort.Strings(readerless)
 	return writerless, readerless, nil
 }
+
+// builderAllowed lists the non-test code outside internal/orchestrator
+// that builds simulated hardware by hand, each with its reason. A key is
+// a package's directory, or its directory and a function. The list is
+// exact, as callerlessAllowed is.
+var builderAllowed = map[string]string{
+	"bench":                            "frozen with the benchmark: its probes time a bare port, switch and dumper (ROADMAP item 6)",
+	"internal/perfgate.simEvents":      "perf gate: times the event queue alone, on a bare simulator",
+	"internal/perfgate.simEventsMixed": "perf gate: times both tiers of the event queue, on a bare simulator",
+	"examples/atomic_counter":          "example: drives the atomic verbs below the orchestrator, through a relay that drops one acknowledgement",
+}
+
+// TestOneWayToBuildATestbed holds what builds simulated hardware —
+// sim.New, sim.Connect, rnic.New and traffic's NewPair constructors — to
+// internal/orchestrator, where Build turns a scenario into a testbed,
+// and forbids writing a NIC's profile through x.Prof.F anywhere: a run
+// with one mechanism flipped is a scenario with a nic.profile override.
+func TestOneWayToBuildATestbed(t *testing.T) {
+	sites, err := builderSites(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := map[string]bool{}
+	for _, s := range sites {
+		where, what, _ := strings.Cut(s, ": ")
+		dir, _, _ := strings.Cut(where, ".")
+		switch {
+		case what == "writes .Prof":
+			t.Errorf("%s: set the override in the scenario's nic.profile instead", s)
+		case builderAllowed[where] != "":
+			matched[where] = true
+		case builderAllowed[dir] != "":
+			matched[dir] = true
+		default:
+			t.Errorf("%s: build the testbed from a scenario with orchestrator.Build, or allow it here with its reason", s)
+		}
+	}
+	for key := range builderAllowed {
+		if !matched[key] {
+			t.Errorf("%s is allowed to build by hand but does not: take it off the list", key)
+		}
+	}
+}
+
+// TestBuilderCensus runs builderSites over a small hand-written module
+// whose answer is spelled out.
+func TestBuilderCensus(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/sim/sim.go": `package sim
+type Simulator struct{}
+func New(seed int64) *Simulator { return &Simulator{} }
+func Connect(s *Simulator) {}`,
+		"internal/rnic/rnic.go": `package rnic
+import "example.com/m/internal/sim"
+type Profile struct{ AckCoalesce int }
+type NIC struct{ Prof Profile }
+func New(s *sim.Simulator, p Profile) *NIC { return &NIC{Prof: p} }`,
+		"internal/traffic/traffic.go": `package traffic
+import "example.com/m/internal/rnic"
+func NewPair(a, b *rnic.NIC) {}`,
+		"internal/orchestrator/build.go": `package orchestrator
+import ("example.com/m/internal/rnic"; "example.com/m/internal/sim"; "example.com/m/internal/traffic")
+func Build() *rnic.NIC {
+	s := sim.New(1)
+	prof := rnic.Profile{}
+	prof.AckCoalesce = 2
+	n := rnic.New(s, prof)
+	sim.Connect(s)
+	traffic.NewPair(n, n)
+	return n
+}`,
+		"internal/orchestrator/build_test.go": `package orchestrator
+import ("testing"; "example.com/m/internal/sim")
+func TestBuild(t *testing.T) { sim.New(2); Build().Prof.AckCoalesce = 3 }`,
+		"cmd/m/main.go": `package main
+import ("example.com/m/internal/orchestrator"; "example.com/m/internal/rnic"; "example.com/m/internal/sim")
+var s = sim.New(3)
+type tool struct{}
+func (tool) run() { rnic.New(s, rnic.Profile{}) }
+func main() { tool{}.run(); orchestrator.Build().Prof.AckCoalesce++ }`,
+	})
+	got, err := builderSites(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"cmd/m.main: writes .Prof", "cmd/m.tool.run: rnic.New", "cmd/m.var: sim.New"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("builderSites = %q, want %q", got, want)
+	}
+}
+
+// builderSites returns, sorted and each once, the places in the non-test
+// code of the module rooted at root that build simulated hardware
+// outside internal/orchestrator, as "dir.func: sim.New" (dir is the
+// package's directory, func the enclosing function, method as
+// Type.method, or var for a package-level initializer), and the places
+// anywhere that assign through a selector naming a field Prof, as
+// "dir.func: writes .Prof".
+func builderSites(root string) ([]string, error) {
+	m, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	builders := map[string]bool{
+		m.path + "/internal/sim.New":     true,
+		m.path + "/internal/sim.Connect": true,
+		m.path + "/internal/rnic.New":    true,
+	}
+	set := map[string]bool{}
+	for _, p := range m.pkgs {
+		dir := strings.TrimPrefix(strings.TrimPrefix(p.path, m.path), "/")
+		if dir == "" {
+			dir = "."
+		}
+		builds := dir != "internal/orchestrator"
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				where := dir + ".var"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					where = dir + "." + fd.Name.Name
+					if fd.Recv != nil {
+						recv := fd.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if id, ok := recv.(*ast.Ident); ok {
+							where = dir + "." + id.Name + "." + fd.Name.Name
+						}
+					}
+				}
+				// writesProf reports whether an assigned expression's
+				// selector chain passes through a field named Prof.
+				writesProf := func(e ast.Expr) bool {
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							if v, ok := p.info.Uses[x.Sel].(*types.Var); ok && v.IsField() && v.Name() == "Prof" {
+								return true
+							}
+							e = x.X
+						default:
+							return false
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						var id *ast.Ident
+						switch fn := n.Fun.(type) {
+						case *ast.Ident:
+							id = fn
+						case *ast.SelectorExpr:
+							id = fn.Sel
+						}
+						if fn, ok := p.info.Uses[id].(*types.Func); builds && ok && fn.Pkg() != nil {
+							name := fn.Pkg().Path() + "." + fn.Name()
+							if builders[name] || fn.Pkg().Path() == m.path+"/internal/traffic" && strings.HasPrefix(fn.Name(), "NewPair") {
+								set[where+": "+fn.Pkg().Name()+"."+fn.Name()] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if writesProf(lhs) {
+								set[where+": writes .Prof"] = true
+							}
+						}
+					case *ast.IncDecStmt:
+						if writesProf(n.X) {
+							set[where+": writes .Prof"] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	sites := make([]string, 0, len(set))
+	for s := range set {
+		sites = append(sites, s)
+	}
+	sort.Strings(sites)
+	return sites, nil
+}

@@ -22,7 +22,10 @@ import (
 
 func main() {
 	s := sim.New(1)
-	prof := rnic.Profiles()[rnic.ModelCX5]
+	prof, err := rnic.ProfileByName(rnic.ModelCX5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	a := rnic.New(s, prof, rnic.Config{
 		Name: "requester", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
 		IPs: []netip.Addr{netip.MustParseAddr("10.0.0.1")},

@@ -216,7 +216,7 @@ func TestRetransAnalyzerMeasuresWriteBreakdown(t *testing.T) {
 		t.Fatal("mid-message drop recovered by timeout, want fast retransmit")
 	}
 	gen, react := ev.GenLatency(), ev.ReactLatency()
-	prof := rnic.Profiles()[rnic.ModelCX5]
+	prof, _ := rnic.ProfileByName(rnic.ModelCX5)
 	// CX5's NACK generation is ~2µs; allow generous bounds around the
 	// profile value plus propagation.
 	if gen < prof.NACKGenWrite.Base/2 || gen > prof.NACKGenWrite.Base*5 {

@@ -322,7 +322,7 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 
 	var metas []injector.ConnMeta
 	for _, fl := range t.flows {
-		p, err := traffic.NewPairLabeled(s, tb.Hosts[fl.sender], tb.Hosts[fl.receiver], cfg.Traffic, fl.label)
+		p, err := traffic.NewPair(s, tb.Hosts[fl.sender], tb.Hosts[fl.receiver], cfg.Traffic, fl.label)
 		if err != nil {
 			return nil, err
 		}

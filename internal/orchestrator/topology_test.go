@@ -104,7 +104,7 @@ func TestBuildFollowsTheDescription(t *testing.T) {
 		t.Fatalf("hosts=%d flows=%d, want 4, 3", len(tb.Hosts), len(tb.Flows))
 	}
 	for i, fl := range tb.Flows {
-		if fl.Req != tb.Hosts[i+1] || fl.Resp != tb.Hosts[0] {
+		if m := fl.ConnMetas()[0]; m.ReqIP != tb.Hosts[i+1].IPs()[0] || m.RespIP != tb.Hosts[0].IPs()[0] {
 			t.Errorf("flow %d does not run host %d -> host 0", i, i+1)
 		}
 	}

@@ -160,16 +160,6 @@ func (p Profile) CNPInterval(configured sim.Duration) sim.Duration {
 	return max(iv, p.HiddenCNPInterval)
 }
 
-// Profiles returns the built-in model table, freshly allocated so callers
-// may tweak fields (ablation benchmarks do).
-func Profiles() map[string]Profile {
-	m := make(map[string]Profile, len(ModelNames()))
-	for _, name := range ModelNames() {
-		m[name], _ = builtin(name)
-	}
-	return m
-}
-
 // builtin builds the named built-in profile, and only that one: every
 // call returns fresh values (AdaptiveTimeouts included) that no other
 // caller shares.

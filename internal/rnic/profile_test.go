@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// Profiles returns the built-in model table, freshly allocated so a
+// test may tweak a field of one model.
+func Profiles() map[string]Profile {
+	m := make(map[string]Profile, len(ModelNames()))
+	for _, name := range ModelNames() {
+		m[name], _ = builtin(name)
+	}
+	return m
+}
+
 // TestProfileByNameBuildsOneFreshProfile: a lookup returns the profile
 // Profiles() holds for the name, costs the allocation of that profile
 // alone, and hands out a value no other caller shares — mutating its

@@ -29,3 +29,11 @@ func (c *ConnStats) PercentileMCT(p float64) sim.Duration {
 	}
 	return sorted[rank]
 }
+
+// Results returns the report (nil until finished).
+func (p *Pair) Results() *Results {
+	if !p.finished {
+		return nil
+	}
+	return p.results
+}

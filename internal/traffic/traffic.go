@@ -123,10 +123,8 @@ type conn struct {
 
 // Pair is a requester/responder generator pair bound to two NICs.
 type Pair struct {
-	Sim  *sim.Simulator
-	Req  *rnic.NIC
-	Resp *rnic.NIC
-	Cfg  config.Traffic
+	Sim *sim.Simulator
+	Cfg config.Traffic
 
 	verbs []rnic.Verb
 	conns []*conn
@@ -162,22 +160,17 @@ func parseVerbCombo(spec string) ([]rnic.Verb, error) {
 }
 
 // NewPair creates the generator pair and performs QP setup and metadata
-// exchange (but does not start traffic).
-func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic) (*Pair, error) {
-	return NewPairLabeled(s, req, resp, cfg, "")
-}
-
-// NewPairLabeled is NewPair with a telemetry label distinguishing this
+// exchange (but does not start traffic). label distinguishes this
 // pair's probe tracks from other pairs sharing one hub — fabric runs
 // create one pair per sender. An empty label keeps the classic
 // "traffic/conn-<i>" names; otherwise tracks are
 // "traffic/<label>/conn-<i>".
-func NewPairLabeled(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label string) (*Pair, error) {
+func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label string) (*Pair, error) {
 	verbs, err := parseVerbCombo(cfg.Verb)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pair{Sim: s, Req: req, Resp: resp, Cfg: cfg, verbs: verbs, conns: make([]*conn, 0, cfg.NumConnections)}
+	p := &Pair{Sim: s, Cfg: cfg, verbs: verbs, conns: make([]*conn, 0, cfg.NumConnections)}
 	reqIPs := req.IPs()
 	for i := 0; i < cfg.NumConnections; i++ {
 		tp, err := rnic.ParseTransport(cfg.TransportOf(i))
@@ -415,14 +408,6 @@ func (p *Pair) finish() {
 
 // Finished reports whether all traffic completed.
 func (p *Pair) Finished() bool { return p.finished }
-
-// Results returns the report (nil until finished).
-func (p *Pair) Results() *Results {
-	if !p.finished {
-		return nil
-	}
-	return p.results
-}
 
 // Snapshot returns the report in its current state, even mid-run — the
 // partial per-connection stats a timed-out run still has. Returns nil

@@ -15,7 +15,7 @@ import (
 func directPair(t *testing.T, seed int64) (*sim.Simulator, *rnic.NIC, *rnic.NIC) {
 	t.Helper()
 	s := sim.New(seed)
-	prof := rnic.Profiles()[rnic.ModelSpec]
+	prof, _ := rnic.ProfileByName(rnic.ModelSpec)
 	a := rnic.New(s, prof, rnic.Config{
 		Name: "req", MAC: packet.MAC{2, 0, 0, 0, 0, 1},
 		IPs: []netip.Addr{netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.11")},
@@ -42,7 +42,7 @@ func trafficCfg() config.Traffic {
 
 func TestPairRunsToCompletion(t *testing.T) {
 	s, a, b := directPair(t, 1)
-	p, err := NewPair(s, a, b, trafficCfg())
+	p, err := NewPair(s, a, b, trafficCfg(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPairRunsToCompletion(t *testing.T) {
 
 func TestConnMetasMatchQPs(t *testing.T) {
 	s, a, b := directPair(t, 2)
-	p, err := NewPair(s, a, b, trafficCfg())
+	p, err := NewPair(s, a, b, trafficCfg(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTxDepthLimitsOutstanding(t *testing.T) {
 	cfg.NumConnections = 1
 	cfg.NumMsgsPerQP = 4
 	cfg.TxDepth = 1
-	p, _ := NewPair(s, a, b, cfg)
+	p, _ := NewPair(s, a, b, cfg, "")
 	p.Start(nil)
 	s.Run()
 	res := p.Results()
@@ -128,7 +128,7 @@ func TestTxDepthLimitsOutstanding(t *testing.T) {
 	// reflect queueing delay.
 	s2, a2, b2 := directPair(t, 3)
 	cfg.TxDepth = 4
-	p2, _ := NewPair(s2, a2, b2, cfg)
+	p2, _ := NewPair(s2, a2, b2, cfg, "")
 	p2.Start(nil)
 	s2.Run()
 	m2 := p2.Results().Conns[0].MCTs
@@ -150,7 +150,7 @@ func TestBarrierSyncRoundsAdvanceTogether(t *testing.T) {
 	cfg.NumConnections = 3
 	cfg.NumMsgsPerQP = 3
 	cfg.BarrierSync = true
-	p, _ := NewPair(s, a, b, cfg)
+	p, _ := NewPair(s, a, b, cfg, "")
 	p.Start(nil)
 	s.Run()
 	res := p.Results()
@@ -169,7 +169,7 @@ func TestMultiGIDAssignsAlternatingSources(t *testing.T) {
 	cfg := trafficCfg()
 	cfg.NumConnections = 4
 	cfg.MultiGID = true
-	p, _ := NewPair(s, a, b, cfg)
+	p, _ := NewPair(s, a, b, cfg, "")
 	metas := p.ConnMetas()
 	ips := map[string]int{}
 	for _, m := range metas {
@@ -184,7 +184,7 @@ func TestSendVerbPostsRecvs(t *testing.T) {
 	s, a, b := directPair(t, 6)
 	cfg := trafficCfg()
 	cfg.Verb = "send"
-	p, _ := NewPair(s, a, b, cfg)
+	p, _ := NewPair(s, a, b, cfg, "")
 	p.Start(nil)
 	s.Run()
 	for _, c := range p.Results().Conns {
@@ -198,7 +198,7 @@ func TestReadVerb(t *testing.T) {
 	s, a, b := directPair(t, 7)
 	cfg := trafficCfg()
 	cfg.Verb = "read"
-	p, _ := NewPair(s, a, b, cfg)
+	p, _ := NewPair(s, a, b, cfg, "")
 	p.Start(nil)
 	s.Run()
 	for _, c := range p.Results().Conns {
@@ -212,14 +212,14 @@ func TestUnknownVerbRejected(t *testing.T) {
 	s, a, b := directPair(t, 8)
 	cfg := trafficCfg()
 	cfg.Verb = "atomic"
-	if _, err := NewPair(s, a, b, cfg); err == nil {
+	if _, err := NewPair(s, a, b, cfg, ""); err == nil {
 		t.Fatal("unknown verb accepted")
 	}
 }
 
 func TestDoubleStartRejected(t *testing.T) {
 	s, a, b := directPair(t, 9)
-	p, _ := NewPair(s, a, b, trafficCfg())
+	p, _ := NewPair(s, a, b, trafficCfg(), "")
 	if err := p.Start(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDoubleStartRejected(t *testing.T) {
 
 func TestResultsNilBeforeFinish(t *testing.T) {
 	s, a, b := directPair(t, 10)
-	p, _ := NewPair(s, a, b, trafficCfg())
+	p, _ := NewPair(s, a, b, trafficCfg(), "")
 	if p.Results() != nil {
 		t.Fatal("results before start")
 	}
@@ -251,7 +251,7 @@ func TestSendReadVerbComboBidirectional(t *testing.T) {
 	cfg := trafficCfg()
 	cfg.Verb = "send+read"
 	cfg.NumMsgsPerQP = 6
-	p, err := NewPair(s, a, b, cfg)
+	p, err := NewPair(s, a, b, cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestWriteReadVerbCombo(t *testing.T) {
 	cfg := trafficCfg()
 	cfg.Verb = "write+read"
 	cfg.NumMsgsPerQP = 4
-	p, err := NewPair(s, a, b, cfg)
+	p, err := NewPair(s, a, b, cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
