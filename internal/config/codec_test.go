@@ -92,6 +92,10 @@ func TestContentHashesArePinned(t *testing.T) {
 	if got, err := ContentHash(c); err != nil || got != "a7268adeaca767a0" {
 		t.Errorf("ContentHash(Default() with every override) = %s, %v; pinned a7268adeaca767a0", got, err)
 	}
+	// An empty block sets none: it is the model as it is.
+	if c, err := Parse([]byte("requester: {nic: {profile: {}}}")); err != nil || c.Requester.NIC.Profile != nil {
+		t.Errorf("an empty profile block parses to %+v, %v; want none", c.Requester.NIC.Profile, err)
+	}
 }
 
 // TestEveryConfigFieldHasAKey walks Test by reflection: every field is

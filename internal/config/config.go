@@ -96,10 +96,10 @@ type NIC struct {
 	Profile *Overrides `json:"profile,omitempty"`
 }
 
-// Overrides each turn one modelled mechanism off or retune it. A key is
-// set exactly when it is non-zero, so a set key always appears in the
-// canonical YAML and the content hash; orchestrator applies them to the
-// profile it builds the NIC from.
+// Overrides turn single modelled mechanisms off or retune them, one per
+// key. A key is set exactly when it is non-zero, so a set key always
+// appears in the canonical YAML and the content hash; orchestrator
+// applies them to the profile it builds the NIC from.
 type Overrides struct {
 	// NoETSClamp makes weighted ETS queues work-conserving (clears the
 	// CX6 Dx guarantee clamp, §6.2.1).
