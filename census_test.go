@@ -35,7 +35,6 @@ var callerlessAllowed = map[string]string{
 	"packet.SyndromeNakBase":   "spec enumeration: the NAK syndrome class",
 	"packet.NakRemoteOpErr":    "spec enumeration: the NAK code no model raises",
 	"packet.NakInvalidRDReq":   "spec enumeration: the NAK code no model raises",
-	"inband.Collector.Stamps":  "oracle: orchestrator's joinEveryTransit, the reference TestJoinMatchesIndexEverythingJoin holds Join to, reads the whole stamp log, which no production path hands out",
 }
 
 // TestExportedNamesHaveCallers holds every function, method, type,

@@ -2,17 +2,22 @@ package orchestrator
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/config"
 	"github.com/lumina-sim/lumina/internal/inband"
 	"github.com/lumina-sim/lumina/internal/lineage"
+	"github.com/lumina-sim/lumina/internal/packet"
+	"github.com/lumina-sim/lumina/internal/sim"
 	"github.com/lumina-sim/lumina/internal/telemetry"
+	"github.com/lumina-sim/lumina/internal/trace"
 )
 
 func intOpts() Options {
@@ -193,18 +198,136 @@ func TestPortGaugesPublishedWithoutINT(t *testing.T) {
 	}
 }
 
-// joinEveryTransit is the specification Collector.Join is held to — the
-// join it replaced: index every stamp of the run by transit, then
-// annotate the chains from that index. Written against the collector's
-// public surface only.
-func joinEveryTransit(c *inband.Collector, g *lineage.Graph) []inband.ChainHops {
+// intReplay is the specification Collector.Join is held to: every
+// transit's crossings rebuilt from the run's StampWire calls, recorded
+// at the ports as they happen, and its pipeline stamps, read back from
+// the capture (the mirror copy leaves the pipeline with the transit's
+// tag, the mirror sequence number and the pipeline's instant). It
+// follows inband's refCollector: transits are minted and tagged per
+// origin hop, utilization is windowed per hop, and each transit keeps
+// its crossings in a plain list. Nothing of it reads the stamp log.
+type intReplay struct {
+	hops     []inband.HopSummary // names and origin flags
+	pipeline uint8
+	mint     []uint64
+	lastAt   []int64
+	lastBusy []int64
+	lastUtil []uint16
+	// recent names the transit each on-wire tag carries, transits each
+	// transit's crossings in call order and binds each mirror sequence
+	// number's transit.
+	recent   map[uint16]uint64
+	transits map[uint64][]inband.HopCrossing
+	binds    map[uint64]uint64
+	// stamps are the recorded StampWire calls not yet replayed.
+	stamps []wireStamp
+}
+
+// wireStamp is one recorded StampWire call: the hop, its arguments and
+// the tag the frame arrived with.
+type wireStamp struct {
+	hop       uint8
+	tag       uint16
+	at, queue int64
+	busy      int64
+}
+
+// recordINT wraps the stamper of every INT hop port of tb so each call
+// is recorded before the collector sees it. Call it after Build and
+// before Execute.
+func recordINT(t *testing.T, tb *Testbed) *intReplay {
+	col := tb.obs.col
+	r := &intReplay{hops: col.Hops(), recent: map[uint16]uint64{}, transits: map[uint64][]inband.HopCrossing{}, binds: map[uint64]uint64{}}
+	n := len(r.hops)
+	r.mint, r.lastAt, r.lastBusy, r.lastUtil = make([]uint64, n), make([]int64, n), make([]int64, n), make([]uint16, n)
+	ports := 0
+	for i, h := range r.hops {
+		if h.Name == "sw-pipeline" {
+			r.pipeline = uint8(i)
+			continue
+		}
+		for _, p := range tb.Ports {
+			if p.Name != h.Name {
+				continue
+			}
+			hop := uint8(i)
+			p.SetStamper(func(data []byte, at sim.Time, queued int64, busy sim.Duration) {
+				if packet.WireIsRoCE(data) {
+					r.stamps = append(r.stamps, wireStamp{hop: hop, tag: packet.INTTransit(data), at: int64(at), queue: queued, busy: int64(busy)})
+				}
+				col.StampWire(data, hop, int64(at), queued, busy)
+			})
+			ports++
+		}
+	}
+	if ports != n-1 {
+		t.Fatalf("recorded %d of the %d stamping ports", ports, n-1)
+	}
+	return r
+}
+
+// replay runs the recorded calls and the trace's pipeline stamps
+// through the reference in virtual-time order, a pipeline stamp ahead
+// of the port stamps of its own instant (ingress precedes egress).
+func (r *intReplay) replay(tr *trace.Trace) {
+	pipes := slices.Clone(tr.Entries)
+	slices.SortFunc(pipes, func(a, b trace.Entry) int { return cmp.Compare(a.Meta().Seq, b.Meta().Seq) })
+	k := 0
+	for _, s := range r.stamps {
+		for ; k < len(pipes) && pipes[k].Time() <= sim.Time(s.at); k++ {
+			r.pipe(&pipes[k])
+		}
+		r.stamp(s)
+	}
+	for ; k < len(pipes); k++ {
+		r.pipe(&pipes[k])
+	}
+	r.stamps = nil
+}
+
+func (r *intReplay) stamp(s wireStamp) {
+	var transit uint64
+	if r.hops[s.hop].Origin {
+		r.mint[s.hop]++
+		transit = (uint64(s.hop)+1)<<32 | r.mint[s.hop]
+		s.tag = (uint16(s.hop)+1)<<10 | uint16((r.mint[s.hop]-1)%1024)
+		r.recent[s.tag] = transit
+	} else if transit = r.recent[s.tag]; transit == 0 {
+		return
+	}
+	util := r.lastUtil[s.hop]
+	if elapsed := s.at - r.lastAt[s.hop]; elapsed > 0 {
+		util = uint16(min(max((s.busy-r.lastBusy[s.hop])*1000/elapsed, 0), 1000))
+		r.lastAt[s.hop], r.lastBusy[s.hop], r.lastUtil[s.hop] = s.at, s.busy, util
+	}
+	r.cross(transit, inband.HopCrossing{Hop: r.hops[s.hop].Name, AtNs: s.at, QueueBytes: max(s.queue, 0), UtilPermille: util})
+}
+
+// pipe replays the pipeline stamp a captured mirror copy records.
+func (r *intReplay) pipe(e *trace.Entry) {
+	transit := r.recent[packet.INTTransit(e.Bytes())]
+	if transit == 0 {
+		return
+	}
+	r.binds[e.Meta().Seq] = transit
+	r.cross(transit, inband.HopCrossing{Hop: r.hops[r.pipeline].Name, AtNs: int64(e.Time())})
+}
+
+// cross appends a crossing to the transit's list and closes the
+// latency of the one before it.
+func (r *intReplay) cross(transit uint64, c inband.HopCrossing) {
+	l := r.transits[transit]
+	if len(l) > 0 {
+		l[len(l)-1].LatencyNs = c.AtNs - l[len(l)-1].AtNs
+	}
+	r.transits[transit] = append(l, c)
+}
+
+// join annotates g's chains from the replayed transits; PerHop is left
+// to the digest both sides share.
+func (r *intReplay) join(g *lineage.Graph) []inband.ChainHops {
 	if g == nil || len(g.Chains) == 0 {
 		return nil
-	}
-	stamps, hops := c.Stamps(), c.Hops()
-	byTransit := map[uint64][]int{}
-	for i := range stamps {
-		byTransit[stamps[i].Transit] = append(byTransit[stamps[i].Transit], i)
 	}
 	var out []inband.ChainHops
 	for _, ch := range g.Chains {
@@ -212,17 +335,9 @@ func joinEveryTransit(c *inband.Collector, g *lineage.Graph) []inband.ChainHops 
 		for _, id := range ch.Nodes {
 			n := &g.Nodes[id]
 			nh := inband.NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
-			if transit, ok := c.TransitOf(n.Seq); ok && n.Seq != 0 {
+			if transit, ok := r.binds[n.Seq]; ok && n.Seq != 0 {
 				nh.Transit = transit
-				idx := byTransit[transit]
-				for k, si := range idx {
-					s := &stamps[si]
-					cr := inband.HopCrossing{Hop: hops[s.Hop].Name, AtNs: s.AtNs, QueueBytes: s.QueueBytes, UtilPermille: s.UtilPermille}
-					if k+1 < len(idx) {
-						cr.LatencyNs = stamps[idx[k+1]].AtNs - s.AtNs
-					}
-					nh.Hops = append(nh.Hops, cr)
-				}
+				nh.Hops = slices.Clone(r.transits[transit])
 			}
 			ah.Nodes = append(ah.Nodes, nh)
 		}
@@ -249,12 +364,14 @@ func TestJoinMatchesIndexEverythingJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := recordINT(t, tb)
 		rep, err := tb.Execute()
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref.replay(rep.Trace)
 		col := tb.obs.col
-		if got, want := rep.INT.Chains, joinEveryTransit(col, rep.Lineage); (cfg.Fabric == nil) != (len(want) > 0) {
+		if got, want := rep.INT.Chains, ref.join(rep.Lineage); (cfg.Fabric == nil) != (len(want) > 0) {
 			t.Fatalf("%s: the reference joined %d chains", cfg.Name, len(want))
 		} else {
 			compareJoins(t, cfg.Name, got, want)
@@ -268,7 +385,7 @@ func TestJoinMatchesIndexEverythingJoin(t *testing.T) {
 			sampled.Nodes = append(sampled.Nodes, wire, probe)
 			sampled.Chains = append(sampled.Chains, lineage.Chain{Lineage: e.Meta().Seq, PSN: e.PSN(), Nodes: []int{wire.ID, probe.ID}})
 		}
-		want := joinEveryTransit(col, sampled)
+		want := ref.join(sampled)
 		crossings := 0
 		for _, ch := range want {
 			crossings += len(ch.Nodes[0].Hops)
@@ -286,13 +403,13 @@ func TestJoinMatchesIndexEverythingJoin(t *testing.T) {
 func compareJoins(t *testing.T, what string, got, want []inband.ChainHops) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d chains joined, the index-everything join gives %d", what, len(got), len(want))
+		t.Fatalf("%s: %d chains joined, the replay gives %d", what, len(got), len(want))
 	}
 	for i := range want {
 		g := got[i]
 		g.PerHop = nil
 		if !reflect.DeepEqual(g, want[i]) {
-			t.Fatalf("%s: chain %d joined as\n%+v\nthe index-everything join gives\n%+v", what, i, g, want[i])
+			t.Fatalf("%s: chain %d joined as\n%+v\nthe replay gives\n%+v", what, i, g, want[i])
 		}
 	}
 }
