@@ -236,23 +236,28 @@ func runCapture(t *testing.T, cfg config.Test, opts Options) []capFrame {
 	return frames
 }
 
-// TestCaptureFramesAreWellFormed runs every checked-in scenario and
-// benchmark workload plain and with every observer on, and holds each
-// frame of both captures to the rules above.
+// TestCaptureFramesAreWellFormed runs every checked-in scenario,
+// benchmark workload and corpus entry plain and with every observer on,
+// and holds each frame of both captures to the rules above. A corpus
+// entry's subtest is named by its ID.
 func TestCaptureFramesAreWellFormed(t *testing.T) {
 	var files []string
-	for _, g := range []string{"configs/*.yaml", "bench/workloads/*.yaml"} {
+	for _, g := range []string{"configs/*.yaml", "bench/workloads/*.yaml", "corpus/*/scenario.yaml"} {
 		m, err := filepath.Glob(filepath.Join("..", "..", g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, m...)
 	}
-	if len(files) < 8 {
-		t.Fatalf("found %d checked-in scenarios, want at least 8", len(files))
+	if len(files) < 22 {
+		t.Fatalf("found %d checked-in scenarios, want at least 22", len(files))
 	}
 	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
+		name := filepath.Base(file)
+		if name == "scenario.yaml" {
+			name = filepath.Base(filepath.Dir(file))
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg, err := config.Load(file)
 			if err != nil {
 				t.Fatal(err)
