@@ -1,7 +1,7 @@
 package inband
 
 import (
-	"slices"
+	"math/bits"
 
 	"github.com/lumina-sim/lumina/internal/lineage"
 )
@@ -65,80 +65,111 @@ type ChainHops struct {
 //
 // The join is driven by the chains, which name a few hundred of a run's
 // tens of thousands of transits: each bound node walks only its own
-// transit's run, so the rest of the stamp log is never read.
+// transit's run, so the rest of the stamp log is never read. A first
+// pass resolves the nodes and counts their crossings and each chain's
+// hops; the second fills slabs of exactly that size, so every chain's
+// nodes, every node's crossings and every chain's digest are
+// capacity-clipped windows into three allocations.
 func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 	if g == nil || len(g.Chains) == 0 {
 		return nil
 	}
-	out := make([]ChainHops, 0, len(g.Chains))
-	var perHop []HopDigest // digest scratch, cloned to each chain's length
-	for _, ch := range g.Chains {
-		ah := ChainHops{
-			Lineage:   ch.Lineage,
-			Event:     ch.Event.String(),
-			PSN:       ch.PSN,
-			Completed: ch.Completed,
-		}
-		if len(ch.Nodes) > 0 {
-			ah.Nodes = make([]NodeHops, 0, len(ch.Nodes))
-		}
+	nodes := 0
+	for i := range g.Chains {
+		nodes += len(g.Chains[i].Nodes)
+	}
+	out := make([]ChainHops, len(g.Chains))
+	nodeSlab := make([]NodeHops, nodes)
+	counts := make([]int, nodes) // each node's crossings
+	crossings, digests, k := 0, 0, 0
+	for i := range g.Chains {
+		ch := &g.Chains[i]
+		out[i] = ChainHops{Lineage: ch.Lineage, Event: ch.Event.String(), PSN: ch.PSN, Completed: ch.Completed}
+		var hops [MaxHops/64 + 1]uint64 // the hops the chain's crossings name
 		for _, id := range ch.Nodes {
 			n := &g.Nodes[id]
-			nh := NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
+			nh := &nodeSlab[k]
+			*nh = NodeHops{Kind: string(n.Kind), AtNs: int64(n.At), PSN: n.PSN, Seq: n.Seq}
 			// Probe-derived nodes (Seq 0) never crossed the switch.
 			if transit, ok := c.TransitOf(n.Seq); ok && n.Seq != 0 {
 				nh.Transit = transit
-				nh.Hops = c.crossings(c.runOf(transit))
+				counts[k] = c.count(c.runOf(transit), &hops)
+				crossings += counts[k]
 			}
-			ah.Nodes = append(ah.Nodes, nh)
+			k++
 		}
-		if perHop = digest(perHop[:0], ah.Nodes); len(perHop) > 0 {
-			ah.PerHop = slices.Clone(perHop)
+		for _, w := range hops {
+			digests += bits.OnesCount64(w)
 		}
-		out = append(out, ah)
+	}
+	slab := make([]HopCrossing, crossings)
+	perHop := make([]HopDigest, 0, digests)
+	k = 0
+	for i := range g.Chains {
+		ah := &out[i]
+		if n := len(g.Chains[i].Nodes); n > 0 {
+			ah.Nodes, nodeSlab = nodeSlab[:n:n], nodeSlab[n:]
+		}
+		for j := range ah.Nodes {
+			if n := counts[k]; n > 0 {
+				nh := &ah.Nodes[j]
+				nh.Hops, slab = slab[:n:n], slab[n:]
+				c.fill(nh.Hops, c.runOf(nh.Transit))
+			}
+			k++
+		}
+		start := len(perHop)
+		if perHop = digest(perHop, start, ah.Nodes); len(perHop) > start {
+			ah.PerHop = perHop[start:len(perHop):len(perHop)]
+		}
 	}
 	return out
 }
 
-// crossings resolves a run's stamps, in recording (= virtual-time)
-// order, to hop crossings; nil for a nil or empty run. It walks the run
-// back from its latest record twice: once to count, once to fill.
-func (c *Collector) crossings(r *run) []HopCrossing {
+// count returns how many stamps a run holds (zero for a nil or empty
+// run), marking in hops the ID of each stamping hop.
+func (c *Collector) count(r *run, hops *[MaxHops/64 + 1]uint64) int {
 	if r == nil || *r == 0 {
-		return nil
+		return 0
 	}
 	n := 1
 	for pos := uint32(*r - 1); ; n++ {
 		s, _ := c.decode(pos)
+		hops[s.hop/64] |= 1 << (s.hop % 64)
 		if s.back == 0 {
-			break
+			return n
 		}
 		pos -= s.back
 	}
-	out := make([]HopCrossing, n)
+}
+
+// fill resolves the run's stamps, in recording (= virtual-time) order,
+// to hop crossings: out holds exactly as many as the run has stamps. It
+// walks the run back from its latest record.
+func (c *Collector) fill(out []HopCrossing, r *run) {
 	pos := uint32(*r - 1)
-	for i := n - 1; i >= 0; i-- {
+	for i := len(out) - 1; i >= 0; i-- {
 		s, _ := c.decode(pos)
 		out[i] = HopCrossing{Hop: c.hops[s.hop].name, AtNs: int64(s.at), QueueBytes: s.queue, UtilPermille: s.util}
 		pos -= s.back
 	}
 	// Every time but the first is a delta, and it is the latency of the
 	// crossing before it.
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(out); i++ {
 		out[i-1].LatencyNs = out[i].AtNs
 		out[i].AtNs += out[i-1].AtNs
 	}
-	return out
 }
 
 // digest appends to out the nodes' crossings folded into per-hop
-// aggregates, keyed in first-crossed order (a linear scan: hop counts are
-// single digits).
-func digest(out []HopDigest, nodes []NodeHops) []HopDigest {
+// aggregates, keyed in first-crossed order; the aggregates already in
+// out from index start on are the chain's own (a linear scan: hop counts
+// are single digits).
+func digest(out []HopDigest, start int, nodes []NodeHops) []HopDigest {
 	for i := range nodes {
 		for _, cr := range nodes[i].Hops {
 			var d *HopDigest
-			for j := range out {
+			for j := start; j < len(out); j++ {
 				if out[j].Hop == cr.Hop {
 					d = &out[j]
 					break

@@ -27,7 +27,6 @@ package lineage
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -105,97 +104,196 @@ type Graph struct {
 // run's probe stream. events may be nil: chains then contain only the
 // wire-visible nodes. The probe stream is expected in virtual-time order,
 // as a hub records it; one that is not is sorted into a private copy.
+//
+// The graph is sized once, from a count of the trace's injected
+// entries: every chain's node IDs and edges are capacity-clipped
+// windows into two slabs the whole graph shares, and every label is
+// appended to one buffer, so a chain costs no allocation of its own.
 func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 	g := &Graph{}
 	if tr == nil {
 		return g
 	}
 	events = timeOrdered(events)
+	var chains, nodes, edges int
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		switch e.Meta().Event {
+		case packet.EventNone:
+			continue
+		case packet.EventECN:
+			nodes, edges = nodes+ecnNodes, edges+ecnNodes-1
+		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
+			if e.Opcode().IsData() {
+				nodes, edges = nodes+recoveryNodes, edges+recoveryNodes-1
+				break
+			}
+			nodes++
+		default:
+			nodes++
+		}
+		chains++
+	}
+	if chains == 0 {
+		return g
+	}
+	b := &builder{
+		g:      g,
+		ids:    make([]int, 0, nodes),
+		edges:  make([]Edge, 0, edges),
+		labels: make([]byte, 0, nodes*labelBytes),
+		ends:   make([]int, 0, nodes),
+	}
+	g.Nodes = make([]Node, 0, nodes)
+	g.Chains = make([]Chain, 0, chains)
 	for i := range tr.Entries {
 		e := &tr.Entries[i]
 		switch e.Meta().Event {
 		case packet.EventNone:
 		case packet.EventECN:
-			g.buildECNChain(tr, i, events)
+			b.buildECNChain(tr, i, events)
 		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
 			if e.Opcode().IsData() {
-				g.buildRecoveryChain(tr, i, events)
+				b.buildRecoveryChain(tr, i, events)
 			} else {
-				g.buildBareChain(tr, i)
+				b.buildBareChain(tr, i)
 			}
 		default: // set-migreq and future one-shot rewrites
-			g.buildBareChain(tr, i)
+			b.buildBareChain(tr, i)
 		}
+	}
+	// One string holds every label; each node's is a substring of it.
+	labels, start := string(b.labels), 0
+	for i, end := range b.ends {
+		g.Nodes[i].Label = labels[start:end]
+		start = end
 	}
 	return g
 }
 
-func (g *Graph) addNode(n Node) int {
-	n.ID = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
+// The most nodes one chain can hold: inject, ooo-arrival, nack or
+// rto-fire, rewind, retransmit and complete for a recovery chain;
+// inject, cnp and rate-cut for an ECN chain. Chains are paths, so each
+// has one edge fewer. labelBytes is what a label takes on average,
+// rounded up.
+const (
+	recoveryNodes = 6
+	ecnNodes      = 3
+	labelBytes    = 48
+)
+
+// builder fills one Graph: the node IDs and edges of every chain go to
+// shared slabs, and every label to one buffer, ends[i] marking where
+// node i's label ends.
+type builder struct {
+	g      *Graph
+	ids    []int
+	edges  []Edge
+	labels []byte
+	ends   []int
+}
+
+// chain is one chain under construction: where its windows start in the
+// slabs.
+type chain struct {
+	Chain
+	ids, edges int
+}
+
+func (b *builder) open(e *trace.Entry) chain {
+	m := e.Meta()
+	return chain{Chain: Chain{Lineage: m.Seq, Event: m.Event, Conn: e.Key(), PSN: e.PSN()}, ids: len(b.ids), edges: len(b.edges)}
+}
+
+// close clips the chain's windows into the slabs and adds it to the
+// graph.
+func (b *builder) close(ch *chain) {
+	ch.Nodes = b.ids[ch.ids:len(b.ids):len(b.ids)]
+	if len(b.edges) > ch.edges {
+		ch.Edges = b.edges[ch.edges:len(b.edges):len(b.edges)]
+	}
+	b.g.Chains = append(b.g.Chains, ch.Chain)
+}
+
+// add appends n to the graph and to the chain, its label being the
+// bytes appended to b.labels since the previous node's, and returns its
+// ID.
+func (b *builder) add(n Node) int {
+	n.ID = len(b.g.Nodes)
+	b.g.Nodes = append(b.g.Nodes, n)
+	b.ids = append(b.ids, n.ID)
+	b.ends = append(b.ends, len(b.labels))
 	return n.ID
 }
 
-func (g *Graph) injectNode(e *trace.Entry) Node {
+// link appends the causal step from → to to the chain being built.
+func (b *builder) link(from, to int, label string) {
+	nodes := b.g.Nodes
+	b.edges = append(b.edges, Edge{From: from, To: to, Label: label, Latency: nodes[to].At.Sub(nodes[from].At)})
+}
+
+// text, num and snum append label fragments: a string, an unsigned and
+// a signed decimal.
+func (b *builder) text(s string) *builder {
+	b.labels = append(b.labels, s...)
+	return b
+}
+
+func (b *builder) num(v uint64) *builder {
+	b.labels = strconv.AppendUint(b.labels, v, 10)
+	return b
+}
+
+func (b *builder) snum(v int64) *builder {
+	b.labels = strconv.AppendInt(b.labels, v, 10)
+	return b
+}
+
+func (b *builder) inject(e *trace.Entry) int {
 	m := e.Meta()
-	return Node{
-		Kind: NodeInject, At: e.Time(),
-		Label: fmt.Sprintf("injector applied %s to psn %d (mirror seq %d)",
-			m.Event, e.PSN(), m.Seq),
-		PSN: e.PSN(), Seq: m.Seq,
-	}
+	b.text("injector applied ").text(m.Event.String()).text(" to psn ").num(uint64(e.PSN())).text(" (mirror seq ").num(m.Seq).text(")")
+	return b.add(Node{Kind: NodeInject, At: e.Time(), PSN: e.PSN(), Seq: m.Seq})
 }
 
 // buildBareChain records an injection with no modelled reaction chain
 // (e.g. set-migreq, or an event on a non-data packet).
-func (g *Graph) buildBareChain(tr *trace.Trace, di int) {
-	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: e.PSN()}
-	ch.Nodes = append(ch.Nodes, g.addNode(g.injectNode(e)))
+func (b *builder) buildBareChain(tr *trace.Trace, di int) {
+	ch := b.open(&tr.Entries[di])
+	b.inject(&tr.Entries[di])
 	ch.Completed = true // nothing further to wait for
-	g.Chains = append(g.Chains, ch)
+	b.close(&ch)
 }
 
 // buildRecoveryChain follows a loss-class event (drop, corrupt, or the
 // spurious-NAK races delay/reorder can provoke) through Go-back-N
 // recovery to message completion.
-func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.Event) {
+func (b *builder) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.Event) {
 	e := &tr.Entries[di]
 	isRead := e.Opcode().IsReadResponse()
 	psn := e.PSN()
-	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: psn}
+	ch := b.open(e)
 
 	trigger, nack, retrans := tr.Recovery(di)
 
-	link := func(from, to int, label string) {
-		ch.Edges = append(ch.Edges, Edge{
-			From: from, To: to, Label: label,
-			Latency: g.Nodes[to].At.Sub(g.Nodes[from].At),
-		})
-	}
-	last := g.addNode(g.injectNode(e))
-	ch.Nodes = append(ch.Nodes, last)
+	last := b.inject(e)
 
 	if trigger != nil && (nack != nil || retrans != nil) {
-		id := g.addNode(Node{
-			Kind: NodeOOO, At: trigger.Time(),
-			Label: fmt.Sprintf("psn %d arrived out of order, exposing the gap at psn %d",
-				trigger.PSN(), psn),
-			PSN: trigger.PSN(), Seq: trigger.Meta().Seq,
-		})
-		ch.Nodes = append(ch.Nodes, id)
-		link(last, id, "gap_detect")
+		b.text("psn ").num(uint64(trigger.PSN())).text(" arrived out of order, exposing the gap at psn ").num(uint64(psn))
+		id := b.add(Node{Kind: NodeOOO, At: trigger.Time(), PSN: trigger.PSN(), Seq: trigger.Meta().Seq})
+		b.link(last, id, "gap_detect")
 		last = id
 	}
 	nackAt := sim.Time(0)
 	if nack != nil {
-		kind, label := NodeNack, fmt.Sprintf("receiver sent NAK(seq-err) naming first missing psn %d", psn)
+		kind := NodeNack
 		if isRead {
-			kind, label = NodeReRead, fmt.Sprintf("requester re-issued READ from psn %d (implied NAK)", psn)
+			kind = NodeReRead
+			b.text("requester re-issued READ from psn ").num(uint64(psn)).text(" (implied NAK)")
+		} else {
+			b.text("receiver sent NAK(seq-err) naming first missing psn ").num(uint64(psn))
 		}
-		id := g.addNode(Node{Kind: kind, At: nack.Time(), Label: label, PSN: psn, Seq: nack.Meta().Seq})
-		ch.Nodes = append(ch.Nodes, id)
-		link(last, id, "nack_gen")
+		id := b.add(Node{Kind: kind, At: nack.Time(), PSN: psn, Seq: nack.Meta().Seq})
+		b.link(last, id, "nack_gen")
 		last = id
 		nackAt = nack.Time()
 		if isRead {
@@ -224,13 +322,9 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			return ok && !trace.PSNLess(psn, uint32(una)&psnMask)
 		}); rto != nil {
 			retry, _ := argI(rto, "retry")
-			id := g.addNode(Node{
-				Kind: NodeRTO, At: sim.Time(rto.At),
-				Label: fmt.Sprintf("sender retransmission timer fired (retry %d)", retry),
-				PSN:   psn,
-			})
-			ch.Nodes = append(ch.Nodes, id)
-			link(last, id, "rto_wait")
+			b.text("sender retransmission timer fired (retry ").snum(retry).text(")")
+			id := b.add(Node{Kind: NodeRTO, At: sim.Time(rto.At), PSN: psn})
+			b.link(last, id, "rto_wait")
 			last = id
 			nackAt = sim.Time(rto.At)
 			if qpn, ok := trackQPN(rto.Track()); ok {
@@ -250,13 +344,9 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 			p, ok := argI(ev, "psn")
 			return ok && uint32(p)&psnMask == psn
 		}); rw != nil {
-			id := g.addNode(Node{
-				Kind: NodeRewind, At: sim.Time(rw.At),
-				Label: fmt.Sprintf("sender rewound send state to psn %d (go-back-n)", psn),
-				PSN:   psn,
-			})
-			ch.Nodes = append(ch.Nodes, id)
-			link(last, id, "nack_react")
+			b.text("sender rewound send state to psn ").num(uint64(psn)).text(" (go-back-n)")
+			id := b.add(Node{Kind: NodeRewind, At: sim.Time(rw.At), PSN: psn})
+			b.link(last, id, "nack_react")
 			last = id
 			if ch.ActorQPN == 0 {
 				if qpn, ok := trackQPN(rw.Track()); ok {
@@ -266,22 +356,21 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		}
 	}
 	if retrans != nil {
-		label := fmt.Sprintf("psn %d retransmitted onto the wire", psn)
+		b.text("psn ").num(uint64(psn)).text(" retransmitted onto the wire")
 		if retrans.Meta().Event == packet.EventDrop {
-			label += " (and dropped again by the injector)"
+			b.text(" (and dropped again by the injector)")
 		}
-		id := g.addNode(Node{Kind: NodeRetransmit, At: retransAt, Label: label, PSN: psn, Seq: retrans.Meta().Seq})
-		ch.Nodes = append(ch.Nodes, id)
+		id := b.add(Node{Kind: NodeRetransmit, At: retransAt, PSN: psn, Seq: retrans.Meta().Seq})
 		// Without the rewind probe (trace-only build) the hop from the
 		// NAK covers the whole sender reaction, not just serialization.
 		edgeLabel := "retx_tx"
-		switch g.Nodes[last].Kind {
+		switch b.g.Nodes[last].Kind {
 		case NodeNack, NodeReRead:
 			edgeLabel = "nack_react"
 		case NodeInject, NodeOOO:
 			edgeLabel = "recovery"
 		}
-		link(last, id, edgeLabel)
+		b.link(last, id, edgeLabel)
 		last = id
 
 		// Completion: the first WQE whose PSN range covers the dropped
@@ -296,33 +385,21 @@ func (g *Graph) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry.E
 		}); done != nil {
 			wrID, _ := argI(done, "wr_id")
 			status := argS(done, "status")
-			id := g.addNode(Node{
-				Kind: NodeComplete, At: sim.Time(done.At),
-				Label: fmt.Sprintf("message completed (wr_id %d, status %s)", wrID, status),
-				PSN:   psn,
-			})
-			ch.Nodes = append(ch.Nodes, id)
-			link(last, id, "deliver")
+			b.text("message completed (wr_id ").snum(wrID).text(", status ").text(status).text(")")
+			id := b.add(Node{Kind: NodeComplete, At: sim.Time(done.At), PSN: psn})
+			b.link(last, id, "deliver")
 			ch.Completed = status == "OK"
 		}
 	}
-	g.Chains = append(g.Chains, ch)
+	b.close(&ch)
 }
 
 // buildECNChain follows a CE mark to the CNP it provoked and the DCQCN
 // rate cut the CNP caused at the sender.
-func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event) {
+func (b *builder) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event) {
 	e := &tr.Entries[di]
-	ch := Chain{Lineage: e.Meta().Seq, Event: e.Meta().Event, Conn: e.Key(), PSN: e.PSN()}
-	last := g.addNode(g.injectNode(e))
-	ch.Nodes = append(ch.Nodes, last)
-
-	link := func(from, to int, label string) {
-		ch.Edges = append(ch.Edges, Edge{
-			From: from, To: to, Label: label,
-			Latency: g.Nodes[to].At.Sub(g.Nodes[from].At),
-		})
-	}
+	ch := b.open(e)
+	last := b.inject(e)
 
 	// The receiver's notification point answers with a CNP flowing
 	// opposite the data direction (possibly suppressed by the NIC's
@@ -336,16 +413,12 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 		}
 	}
 	if cnp == nil {
-		g.Chains = append(g.Chains, ch)
+		b.close(&ch)
 		return
 	}
-	id := g.addNode(Node{
-		Kind: NodeCNP, At: cnp.Time(),
-		Label: fmt.Sprintf("notification point sent CNP toward qp 0x%06x", cnp.DestQP()),
-		Seq:   cnp.Meta().Seq,
-	})
-	ch.Nodes = append(ch.Nodes, id)
-	link(last, id, "cnp_gen")
+	b.labels = appendQPN(b.text("notification point sent CNP toward qp ").labels, cnp.DestQP())
+	id := b.add(Node{Kind: NodeCNP, At: cnp.Time(), Seq: cnp.Meta().Seq})
+	b.link(last, id, "cnp_gen")
 	last = id
 	ch.ActorQPN = cnp.DestQP()
 
@@ -360,15 +433,23 @@ func (g *Graph) buildECNChain(tr *trace.Trace, di int, events []telemetry.Event)
 		if cut.NumArgs() > 0 {
 			rate = cut.Arg(0).Val
 		}
-		id := g.addNode(Node{
-			Kind: NodeRateCut, At: sim.Time(cut.At),
-			Label: fmt.Sprintf("reaction point cut paced rate to %d Mbps", rate),
-		})
-		ch.Nodes = append(ch.Nodes, id)
-		link(last, id, "rate_react")
+		b.text("reaction point cut paced rate to ").snum(rate).text(" Mbps")
+		id := b.add(Node{Kind: NodeRateCut, At: sim.Time(cut.At)})
+		b.link(last, id, "rate_react")
 		ch.Completed = true
 	}
-	g.Chains = append(g.Chains, ch)
+	b.close(&ch)
+}
+
+// appendQPN appends qpn as fmt's "0x%06x" renders it.
+func appendQPN(dst []byte, qpn uint32) []byte {
+	var digits [8]byte
+	hex := strconv.AppendUint(digits[:0], uint64(qpn), 16)
+	dst = append(dst, "0x"...)
+	for i := len(hex); i < 6; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, hex...)
 }
 
 // ChainsOf returns the lineage IDs of chains for the given event types,

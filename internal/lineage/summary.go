@@ -52,52 +52,74 @@ type EdgeItem struct {
 	LatencyNs int64  `json:"latency_ns"`
 }
 
-// connName renders k as fmt's "%s>%s/qp-0x%06x" would, appending the
-// addresses' text to one stack buffer instead of boxing and formatting
-// each: Summarize runs once per chain.
-func connName(k trace.ConnKey) string {
-	var buf [64]byte
-	b := k.Src.AppendTo(buf[:0])
-	b = append(b, '>')
-	b = k.Dst.AppendTo(b)
-	return string(fmt.Appendf(b, "/qp-0x%06x", k.DstQPN))
+// AppendConn appends k as fmt's "%s>%s/qp-0x%06x" renders it.
+func AppendConn(dst []byte, k trace.ConnKey) []byte {
+	dst = k.Src.AppendTo(dst)
+	dst = append(dst, '>')
+	dst = k.Dst.AppendTo(dst)
+	return appendQPN(append(dst, "/qp-"...), k.DstQPN)
 }
 
-// Summarize converts the graph into its serializable form.
-func (g *Graph) Summarize() *ChainsSummary {
-	s := &ChainsSummary{}
-	if len(g.Chains) > 0 {
-		s.ByEvent = map[string]int{}
+// Local returns the position of node id in the chain, the last one when
+// it repeats and 0 when it is absent: the index a serialized edge names
+// its ends by.
+func (ch *Chain) Local(id int) int {
+	for k := len(ch.Nodes) - 1; k >= 0; k-- {
+		if ch.Nodes[k] == id {
+			return k
+		}
 	}
+	return 0
+}
+
+// Summarize converts the graph into its serializable form. It counts
+// the nodes and edges first, so every item's nodes and edges are windows
+// into two slabs of exactly that size, and names each distinct
+// connection once.
+func (g *Graph) Summarize() *ChainsSummary {
+	s := &ChainsSummary{Total: len(g.Chains)}
+	if len(g.Chains) == 0 {
+		return s
+	}
+	var nodes, edges int
+	for i := range g.Chains {
+		nodes += len(g.Chains[i].Nodes)
+		edges += len(g.Chains[i].Edges)
+	}
+	s.ByEvent = map[string]int{}
+	s.Items = make([]ChainItem, len(g.Chains))
+	nodeSlab, edgeSlab := make([]NodeItem, nodes), make([]EdgeItem, edges)
+	names := map[trace.ConnKey]string{}
 	for ci := range g.Chains {
 		ch := &g.Chains[ci]
-		s.Total++
 		if ch.Completed {
 			s.Completed++
 		}
 		s.ByEvent[ch.Event.String()]++
-		item := ChainItem{
-			Lineage: ch.Lineage, Event: ch.Event.String(),
-			Conn:     connName(ch.Conn),
-			PSN:      ch.PSN,
+		conn, ok := names[ch.Conn]
+		if !ok {
+			var buf [64]byte
+			conn = string(AppendConn(buf[:0], ch.Conn))
+			names[ch.Conn] = conn
+		}
+		it := &s.Items[ci]
+		*it = ChainItem{
+			Lineage: ch.Lineage, Event: ch.Event.String(), Conn: conn, PSN: ch.PSN,
 			ActorQPN: ch.ActorQPN, Completed: ch.Completed,
 		}
-		local := make(map[int]int, len(ch.Nodes))
-		for _, id := range ch.Nodes {
-			n := &g.Nodes[id]
-			local[id] = len(item.Nodes)
-			item.Nodes = append(item.Nodes, NodeItem{
-				Kind: string(n.Kind), AtNs: int64(n.At), Label: n.Label,
-				PSN: n.PSN, Seq: n.Seq,
-			})
+		if n := len(ch.Nodes); n > 0 {
+			it.Nodes, nodeSlab = nodeSlab[:n:n], nodeSlab[n:]
+			for k, id := range ch.Nodes {
+				n := &g.Nodes[id]
+				it.Nodes[k] = NodeItem{Kind: string(n.Kind), AtNs: int64(n.At), Label: n.Label, PSN: n.PSN, Seq: n.Seq}
+			}
 		}
-		for _, e := range ch.Edges {
-			item.Edges = append(item.Edges, EdgeItem{
-				From: local[e.From], To: local[e.To],
-				Label: e.Label, LatencyNs: int64(e.Latency),
-			})
+		if n := len(ch.Edges); n > 0 {
+			it.Edges, edgeSlab = edgeSlab[:n:n], edgeSlab[n:]
+			for k, e := range ch.Edges {
+				it.Edges[k] = EdgeItem{From: ch.Local(e.From), To: ch.Local(e.To), Label: e.Label, LatencyNs: int64(e.Latency)}
+			}
 		}
-		s.Items = append(s.Items, item)
 	}
 	return s
 }

@@ -1,13 +1,16 @@
 package orchestrator
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"path/filepath"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/rnic"
 )
 
@@ -101,4 +104,47 @@ func TestArtifactAppendersMatchMarshalIndent(t *testing.T) {
 	if chains == 0 {
 		t.Fatal("no scenario built a lineage chain")
 	}
+}
+
+// chainAllocs bounds what lineage.Build, Collector.Join and the two
+// appenders allocate together, whatever the number of chains: the
+// graph's slabs, label buffer and label string, the join's slabs and
+// the appenders' writer state.
+const chainAllocs = 14
+
+// TestChainsCostNoAllocation rebuilds bulk.yaml's lineage graph (more
+// than 80 chains), joins it with the run's stamps and appends both JSON
+// files into a buffered writer, and requires the allocations to stay
+// within a budget that does not grow with the chains: a chain that
+// allocates again fails it.
+func TestChainsCostNoAllocation(t *testing.T) {
+	cfg, err := config.Load(filepath.Join("..", "..", "bench", "workloads", "bulk.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := Build(cfg, allObservers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tb.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rep.Lineage.Chains); n < 80 {
+		t.Fatalf("bulk.yaml builds %d chains, want at least 80", n)
+	}
+	bw := bufio.NewWriterSize(io.Discard, artifactBufSize)
+	r, ir := *rep, *rep.INT
+	r.INT = &ir
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Lineage = lineage.Build(rep.Trace, rep.Events)
+		ir.Chains = tb.obs.col.Join(r.Lineage)
+		if r.WriteSummary(bw) != nil || r.WriteINT(bw) != nil {
+			t.Fatal("write failed")
+		}
+	})
+	if allocs > chainAllocs {
+		t.Fatalf("%d chains cost %.0f allocations, want at most %d", len(rep.Lineage.Chains), allocs, chainAllocs)
+	}
+	t.Logf("%d chains, %.0f allocations", len(rep.Lineage.Chains), allocs)
 }

@@ -55,8 +55,121 @@ func buildINTReport(c *inband.Collector, rep *Report, hub *telemetry.Hub) *INTRe
 	return ir
 }
 
-// WriteINT renders the INT report as indented JSON (the int.json
-// artifact).
+// WriteINT appends the INT report as indented JSON (the int.json
+// artifact): the bytes writeJSON renders of r.INT, written field by
+// field.
 func (r *Report) WriteINT(w io.Writer) error {
-	return writeJSON(w, r.INT)
+	j := newJSONW(w)
+	r.INT.appendTo(&j)
+	return j.end()
+}
+
+// appendTo writes the report as encoding/json renders the struct.
+func (ir *INTReport) appendTo(j *jsonw) {
+	if ir == nil {
+		j.null()
+		return
+	}
+	j.open('{')
+	j.str("schema", ir.Schema)
+	j.key("hops")
+	if ir.Hops == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for i := range ir.Hops {
+			h := &ir.Hops[i]
+			j.elem()
+			j.open('{')
+			j.uint("id", uint64(h.ID))
+			j.str("name", h.Name)
+			if h.Origin {
+				j.bool("origin", true)
+			}
+			j.uint("stamps", h.Stamps)
+			j.int("max_queue_bytes", h.MaxQueueBytes)
+			j.uint("max_util_permille", uint64(h.MaxUtilPermille))
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.int("stamps", int64(ir.Stamps))
+	j.uint("transits", ir.Transits)
+	j.int("binds", int64(ir.Binds))
+	j.verdicts(ir.Verdicts)
+	if len(ir.Chains) > 0 {
+		j.key("chains")
+		j.open('[')
+		for i := range ir.Chains {
+			j.elem()
+			appendChainHops(j, &ir.Chains[i])
+		}
+		j.close(']')
+	}
+	j.close('}')
+}
+
+// appendChainHops writes one annotated chain as encoding/json renders
+// inband.ChainHops.
+func appendChainHops(j *jsonw, ch *inband.ChainHops) {
+	j.open('{')
+	j.uint("lineage", ch.Lineage)
+	j.str("event", ch.Event)
+	j.uint("psn", uint64(ch.PSN))
+	j.bool("completed", ch.Completed)
+	j.key("nodes")
+	if ch.Nodes == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for i := range ch.Nodes {
+			n := &ch.Nodes[i]
+			j.elem()
+			j.open('{')
+			j.str("kind", n.Kind)
+			j.int("at_ns", n.AtNs)
+			j.uint("psn", uint64(n.PSN))
+			if n.Seq != 0 {
+				j.uint("seq", n.Seq)
+			}
+			if n.Transit != 0 {
+				j.uint("transit", n.Transit)
+			}
+			if len(n.Hops) > 0 {
+				j.key("hops")
+				j.open('[')
+				for k := range n.Hops {
+					c := &n.Hops[k]
+					j.elem()
+					j.open('{')
+					j.str("hop", c.Hop)
+					j.int("at_ns", c.AtNs)
+					j.int("queue_bytes", c.QueueBytes)
+					j.uint("util_permille", uint64(c.UtilPermille))
+					j.int("latency_ns", c.LatencyNs)
+					j.close('}')
+				}
+				j.close(']')
+			}
+			j.close('}')
+		}
+		j.close(']')
+	}
+	if len(ch.PerHop) > 0 {
+		j.key("per_hop")
+		j.open('[')
+		for i := range ch.PerHop {
+			d := &ch.PerHop[i]
+			j.elem()
+			j.open('{')
+			j.str("hop", d.Hop)
+			j.int("crossings", int64(d.Crossings))
+			j.int("max_queue_bytes", d.MaxQueueBytes)
+			j.uint("max_util_permille", uint64(d.MaxUtilPermille))
+			j.int("total_latency_ns", d.TotalLatencyNs)
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.close('}')
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"slices"
+	"strings"
 
 	"github.com/lumina-sim/lumina/internal/analyzer"
 	"github.com/lumina-sim/lumina/internal/lineage"
@@ -58,54 +60,13 @@ type Summary struct {
 	Latencies []LatencyDigest        `json:"latencies,omitempty"`
 }
 
-// Summary condenses the report into its summary.json form.
-func (r *Report) Summary() *Summary {
-	s := &Summary{
-		Schema:      SummarySchema,
-		CodeVersion: version.Stamp(),
-		Name:        r.Config.Name,
-		Seed:        r.Config.Seed,
-		Requester:   r.Config.Requester.NIC.Type,
-		Responder:   r.Config.Responder.NIC.Type,
-		Verb:        r.Config.Traffic.Verb,
-		DurationNs:  r.DurationNs,
-		TimedOut:    r.TimedOut,
-
-		IntegrityOK: r.IntegrityOK,
-		Verdicts:    r.Verdicts,
-	}
-	if r.Trace != nil {
-		s.TracePackets = len(r.Trace.Entries)
-	}
-	if r.Traffic != nil {
-		for _, c := range r.Traffic.Conns {
-			for st, n := range c.Statuses {
-				if st == "OK" {
-					s.MessagesOK += n
-				} else {
-					s.MessagesFailed += n
-				}
-			}
-		}
-	}
-	if r.Lineage != nil {
-		s.Chains = r.Lineage.Summarize()
-	}
-	if r.Metrics != nil {
-		for i := range r.Metrics.Histograms {
-			h := &r.Metrics.Histograms[i]
-			s.Latencies = append(s.Latencies, LatencyDigest{
-				Name: h.Name, Count: h.Count, P50: h.P50, P99: h.P99, Max: h.Max,
-			})
-		}
-	}
-	return s
-}
-
-// WriteSummary renders the summary as indented JSON, including the
-// build's code_version stamp.
+// WriteSummary appends the summary as indented JSON, including the
+// build's code_version stamp: the bytes writeJSON renders of the Summary
+// value, written straight from the report and its lineage graph.
 func (r *Report) WriteSummary(w io.Writer) error {
-	return writeJSON(w, r.Summary())
+	j := newJSONW(w)
+	r.appendSummary(&j, version.Stamp())
+	return j.end()
 }
 
 // SummaryDigest is the hex SHA-256 of the canonical summary form — the
@@ -114,13 +75,171 @@ func (r *Report) WriteSummary(w io.Writer) error {
 // behaviour, not builds: a digest that changed on every commit could
 // never catch a drift.
 func (r *Report) SummaryDigest() (string, error) {
-	s := r.Summary()
-	s.CodeVersion = ""
 	h := sha256.New()
-	if err := writeJSON(h, s); err != nil {
+	j := newJSONW(h)
+	r.appendSummary(&j, "")
+	if err := j.end(); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// appendSummary writes the Summary of the report, field for field as
+// encoding/json renders the struct, with codeVersion as its stamp.
+func (r *Report) appendSummary(j *jsonw, codeVersion string) {
+	j.open('{')
+	j.str("schema", SummarySchema)
+	if codeVersion != "" {
+		j.str("code_version", codeVersion)
+	}
+	j.str("name", r.Config.Name)
+	j.int("seed", r.Config.Seed)
+	j.str("requester_nic", r.Config.Requester.NIC.Type)
+	j.str("responder_nic", r.Config.Responder.NIC.Type)
+	j.str("verb", r.Config.Traffic.Verb)
+	j.int("duration_ns", int64(r.DurationNs))
+	j.bool("timed_out", r.TimedOut)
+	j.bool("integrity_ok", r.IntegrityOK)
+	packets, ok, failed := 0, 0, 0
+	if r.Trace != nil {
+		packets = len(r.Trace.Entries)
+	}
+	if r.Traffic != nil {
+		for _, c := range r.Traffic.Conns {
+			for st, n := range c.Statuses {
+				if st == "OK" {
+					ok += n
+				} else {
+					failed += n
+				}
+			}
+		}
+	}
+	j.int("trace_packets", int64(packets))
+	j.int("messages_ok", int64(ok))
+	j.int("messages_failed", int64(failed))
+	j.verdicts(r.Verdicts)
+	if g := r.Lineage; g != nil {
+		j.key("chains")
+		appendChains(j, g)
+	}
+	if r.Metrics != nil && len(r.Metrics.Histograms) > 0 {
+		j.key("latencies")
+		j.open('[')
+		for i := range r.Metrics.Histograms {
+			h := &r.Metrics.Histograms[i]
+			j.elem()
+			j.open('{')
+			j.str("name", h.Name)
+			j.int("count", h.Count)
+			j.int("p50_ns", h.P50)
+			j.int("p99_ns", h.P99)
+			j.int("max_ns", h.Max)
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.close('}')
+}
+
+// appendChains writes the graph as its lineage.ChainsSummary: by_event
+// in sorted key order, each chain's edges naming their ends by position
+// in the chain.
+func appendChains(j *jsonw, g *lineage.Graph) {
+	j.open('{')
+	completed := 0
+	var counts [8]eventCount // by_event: room for every event name and "unknown"
+	byEvent := counts[:0]
+	for i := range g.Chains {
+		ch := &g.Chains[i]
+		if ch.Completed {
+			completed++
+		}
+		name := ch.Event.String()
+		k := slices.IndexFunc(byEvent, func(c eventCount) bool { return c.name == name })
+		if k < 0 {
+			k = len(byEvent)
+			byEvent = append(byEvent, eventCount{name: name})
+		}
+		byEvent[k].n++
+	}
+	j.int("total", int64(len(g.Chains)))
+	j.int("completed", int64(completed))
+	if len(byEvent) > 0 {
+		slices.SortFunc(byEvent, func(a, b eventCount) int { return strings.Compare(a.name, b.name) })
+		j.key("by_event")
+		j.open('{')
+		for _, c := range byEvent {
+			j.int(c.name, int64(c.n))
+		}
+		j.close('}')
+		j.key("items")
+		j.open('[')
+		for i := range g.Chains {
+			j.elem()
+			appendChain(j, g, &g.Chains[i])
+		}
+		j.close(']')
+	}
+	j.close('}')
+}
+
+// eventCount is one by_event entry.
+type eventCount struct {
+	name string
+	n    int
+}
+
+// appendChain writes one chain as its lineage.ChainItem.
+func appendChain(j *jsonw, g *lineage.Graph, ch *lineage.Chain) {
+	j.open('{')
+	j.uint("lineage", ch.Lineage)
+	j.str("event", ch.Event.String())
+	var conn [96]byte
+	j.key("conn")
+	j.strBytes(lineage.AppendConn(conn[:0], ch.Conn))
+	j.uint("psn", uint64(ch.PSN))
+	if ch.ActorQPN != 0 {
+		j.uint("actor_qpn", uint64(ch.ActorQPN))
+	}
+	j.bool("completed", ch.Completed)
+	j.key("nodes")
+	if ch.Nodes == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for _, id := range ch.Nodes {
+			n := &g.Nodes[id]
+			j.elem()
+			j.open('{')
+			j.str("kind", string(n.Kind))
+			j.int("at_ns", int64(n.At))
+			j.str("label", n.Label)
+			if n.PSN != 0 {
+				j.uint("psn", uint64(n.PSN))
+			}
+			if n.Seq != 0 {
+				j.uint("seq", n.Seq)
+			}
+			j.close('}')
+		}
+		j.close(']')
+	}
+	if len(ch.Edges) > 0 {
+		j.key("edges")
+		j.open('[')
+		for _, e := range ch.Edges {
+			j.elem()
+			j.open('{')
+			j.int("from", int64(ch.Local(e.From)))
+			j.int("to", int64(ch.Local(e.To)))
+			j.str("label", e.Label)
+			j.int("latency_ns", int64(e.Latency))
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.close('}')
 }
 
 // Outcome is the judged form of a run: what a consumer needs to score
