@@ -1,6 +1,9 @@
 package lineage_test
 
 import (
+	"fmt"
+	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"github.com/lumina-sim/lumina/internal/lineage"
 	"github.com/lumina-sim/lumina/internal/orchestrator"
 	"github.com/lumina-sim/lumina/internal/packet"
+	"github.com/lumina-sim/lumina/internal/trace"
 )
 
 func runScenario(t *testing.T, mutate func(*config.Test)) *orchestrator.Report {
@@ -213,5 +217,111 @@ func TestBuildNilAndEmpty(t *testing.T) {
 	s := rep.Lineage.Summarize()
 	if s.Total != 0 || s.ByEvent != nil {
 		t.Fatalf("empty summary = %+v", s)
+	}
+}
+
+// A chain's node IDs and edges are windows into slabs the whole graph
+// shares: appending to one chain's must not show through in the next.
+func TestChainWindowsAreClipped(t *testing.T) {
+	rep := runScenario(t, func(c *config.Test) {
+		c.Traffic.NumConnections = 2
+		c.Traffic.Events = []config.Event{
+			{QPN: 1, PSN: 5, Type: "drop", Iter: 1},
+			{QPN: 2, PSN: 3, Type: "ecn", Iter: 1},
+			{QPN: 1, PSN: 9, Type: "ecn", Iter: 1},
+		}
+	})
+	g := rep.Lineage
+	if len(g.Chains) < 3 {
+		t.Fatalf("%d chains, want 3", len(g.Chains))
+	}
+	for i := 0; i+1 < len(g.Chains); i++ {
+		next := &g.Chains[i+1]
+		nodes, edges := slices.Clone(next.Nodes), slices.Clone(next.Edges)
+		_ = append(g.Chains[i].Nodes, -1)
+		_ = append(g.Chains[i].Edges, lineage.Edge{From: -1, To: -1, Label: "shown through"})
+		if !slices.Equal(next.Nodes, nodes) || !slices.Equal(next.Edges, edges) {
+			t.Fatalf("appending to chain %d changed chain %d: nodes %v → %v, edges %v → %v", i, i+1, nodes, next.Nodes, edges, next.Edges)
+		}
+	}
+}
+
+// Every label reads as fmt renders it from what its node and chain hold
+// (a prefix where the rest comes from a probe argument the graph does
+// not keep). The runs must name a QPN below 0x100000, whose hex needs
+// padding.
+func TestLabelsMatchSprintf(t *testing.T) {
+	seen := map[lineage.NodeKind]bool{}
+	padded := false
+	for seed := int64(1); seed <= 64 && (!padded || seed <= 4); seed++ {
+		verb := []string{"write", "read"}[seed%2]
+		rep := runScenario(t, func(c *config.Test) {
+			c.Seed = seed
+			c.Traffic.Verb = verb
+			c.Traffic.NumConnections = 4
+			c.Traffic.Events = []config.Event{{QPN: 1, PSN: 5, Type: "drop", Iter: 1}}
+			for q := 1; q <= 4; q++ {
+				c.Traffic.Events = append(c.Traffic.Events, config.Event{QPN: q, PSN: 2, Type: "ecn", Iter: 1})
+			}
+		})
+		g := rep.Lineage
+		for ci := range g.Chains {
+			ch := &g.Chains[ci]
+			for _, id := range ch.Nodes {
+				n := &g.Nodes[id]
+				seen[n.Kind] = true
+				var want string
+				prefix := false
+				switch n.Kind {
+				case lineage.NodeInject:
+					want = fmt.Sprintf("injector applied %s to psn %d (mirror seq %d)", ch.Event, n.PSN, n.Seq)
+				case lineage.NodeOOO:
+					want = fmt.Sprintf("psn %d arrived out of order, exposing the gap at psn %d", n.PSN, ch.PSN)
+				case lineage.NodeNack:
+					want = fmt.Sprintf("receiver sent NAK(seq-err) naming first missing psn %d", ch.PSN)
+				case lineage.NodeReRead:
+					want = fmt.Sprintf("requester re-issued READ from psn %d (implied NAK)", ch.PSN)
+				case lineage.NodeRewind:
+					want = fmt.Sprintf("sender rewound send state to psn %d (go-back-n)", ch.PSN)
+				case lineage.NodeRetransmit:
+					want, prefix = fmt.Sprintf("psn %d retransmitted onto the wire", ch.PSN), true
+				case lineage.NodeCNP:
+					want = fmt.Sprintf("notification point sent CNP toward qp 0x%06x", ch.ActorQPN)
+					padded = padded || ch.ActorQPN < 0x100000
+				case lineage.NodeRTO:
+					want, prefix = "sender retransmission timer fired (retry ", true
+				case lineage.NodeComplete:
+					want, prefix = "message completed (wr_id ", true
+				case lineage.NodeRateCut:
+					want, prefix = "reaction point cut paced rate to ", true
+				}
+				if n.Label != want && !(prefix && strings.HasPrefix(n.Label, want)) {
+					t.Fatalf("seed %d: %s label %q, want %q", seed, n.Kind, n.Label, want)
+				}
+			}
+		}
+	}
+	if !padded {
+		t.Fatal("no CNP went toward a QPN below 0x100000")
+	}
+	for _, k := range []lineage.NodeKind{lineage.NodeInject, lineage.NodeOOO, lineage.NodeNack, lineage.NodeReRead,
+		lineage.NodeRewind, lineage.NodeRetransmit, lineage.NodeCNP, lineage.NodeComplete, lineage.NodeRateCut} {
+		if !seen[k] {
+			t.Errorf("no %s node built", k)
+		}
+	}
+}
+
+// AppendConn renders a connection between valid addresses as fmt's
+// "%s>%s/qp-0x%06x" does.
+func TestAppendConnMatchesSprintf(t *testing.T) {
+	for _, k := range []trace.ConnKey{
+		{Src: netip.MustParseAddr("10.0.0.2"), Dst: netip.MustParseAddr("10.0.0.3"), DstQPN: 0x622887},
+		{Src: netip.MustParseAddr("10.0.0.3"), Dst: netip.MustParseAddr("10.0.0.2"), DstQPN: 0x11},
+		{Src: netip.MustParseAddr("fe80::1%eth<0>"), Dst: netip.MustParseAddr("::ffff:10.0.0.1"), DstQPN: 0xffffffff},
+	} {
+		if got, want := string(lineage.AppendConn(nil, k)), fmt.Sprintf("%s>%s/qp-0x%06x", k.Src, k.Dst, k.DstQPN); got != want {
+			t.Errorf("AppendConn gives %q, fmt %q", got, want)
+		}
 	}
 }

@@ -52,7 +52,8 @@ type EdgeItem struct {
 	LatencyNs int64  `json:"latency_ns"`
 }
 
-// AppendConn appends k as fmt's "%s>%s/qp-0x%06x" renders it.
+// AppendConn appends k as fmt's "%s>%s/qp-0x%06x" renders it, except
+// that a zero address appends nothing.
 func AppendConn(dst []byte, k trace.ConnKey) []byte {
 	dst = k.Src.AppendTo(dst)
 	dst = append(dst, '>')

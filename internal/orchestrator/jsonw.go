@@ -25,11 +25,12 @@ type jsonw struct {
 }
 
 // newJSONW starts a document on w — w itself when it is a
-// *bufio.Writer, as WriteArtifacts hands every renderer.
+// *bufio.Writer, as WriteArtifacts hands every renderer, else a small
+// buffer in front of it (a digest's hash, a test's bytes.Buffer).
 func newJSONW(w io.Writer) jsonw {
 	bw, ok := w.(*bufio.Writer)
 	if !ok {
-		bw = bufio.NewWriter(w)
+		bw = bufio.NewWriterSize(w, 512)
 	}
 	return jsonw{w: bw}
 }
@@ -98,11 +99,8 @@ func (j *jsonw) null() { j.w.WriteString("null") }
 
 func (j *jsonw) str(k, v string) {
 	j.key(k)
-	j.w.Write(appendString(j.room(2+6*len(v)), v))
+	writeString(j, v)
 }
-
-// strBytes writes v as a string value.
-func (j *jsonw) strBytes(v []byte) { j.w.Write(appendString(j.room(2+6*len(v)), v)) }
 
 func (j *jsonw) int(k string, v int64) {
 	j.key(k)
@@ -148,13 +146,33 @@ func (j *jsonw) verdicts(vs []analyzer.Verdict) {
 	j.close(']')
 }
 
-// appendString appends s as encoding/json quotes it with HTML escaping
+// writeString writes s as encoding/json quotes it with HTML escaping
 // on, as json.Marshal does: \" \\ \b \f \n \r \t, \u00XX for the other
 // control bytes and for < > &, \ufffd for each byte of invalid
-// UTF-8, and \u2028 and \u2029 for U+2028 and U+2029.
-func appendString[T string | []byte](dst []byte, s T) []byte {
+// UTF-8, and \u2028 and \u2029 for U+2028 and U+2029. It escapes s in
+// pieces that fit the buffer even escaped six bytes for one, each piece
+// ending before a byte that starts a rune, so no piece splits a rune.
+// (Only within a leading run of continuation bytes, each of which
+// escapes alone, may a piece end elsewhere.)
+func writeString[T string | []byte](j *jsonw, s T) {
+	j.w.WriteByte('"')
+	for len(s) > 0 {
+		n := min(len(s), j.w.Size()/6)
+		for k := n; n < len(s) && k > 0; k-- {
+			if utf8.RuneStart(s[k]) {
+				n = k
+				break
+			}
+		}
+		j.w.Write(appendEscaped(j.room(6*n), s[:n]))
+		s = s[n:]
+	}
+	j.w.WriteByte('"')
+}
+
+// appendEscaped appends s escaped, without quotes.
+func appendEscaped[T string | []byte](dst []byte, s T) []byte {
 	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
@@ -199,6 +217,5 @@ func appendString[T string | []byte](dst []byte, s T) []byte {
 		i += size
 		start = i
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(dst, s[start:]...)
 }

@@ -197,7 +197,7 @@ func appendChain(j *jsonw, g *lineage.Graph, ch *lineage.Chain) {
 	j.str("event", ch.Event.String())
 	var conn [96]byte
 	j.key("conn")
-	j.strBytes(lineage.AppendConn(conn[:0], ch.Conn))
+	writeString(j, lineage.AppendConn(conn[:0], ch.Conn))
 	j.uint("psn", uint64(ch.PSN))
 	if ch.ActorQPN != 0 {
 		j.uint("actor_qpn", uint64(ch.ActorQPN))
