@@ -69,7 +69,7 @@ type ChainHops struct {
 // pass resolves the nodes and counts their crossings and each chain's
 // hops; the second fills slabs of exactly that size, so every chain's
 // nodes, every node's crossings and every chain's digest are
-// capacity-clipped windows into three allocations.
+// capacity-clipped windows into one slab each.
 func (c *Collector) Join(g *lineage.Graph) []ChainHops {
 	if g == nil || len(g.Chains) == 0 {
 		return nil

@@ -183,7 +183,7 @@ func (in *artifactInput) uint(n int) uint64 {
 // str is a string of up to 15 bytes of raw input, which may be invalid
 // UTF-8 or hold control bytes, or one of the fragments encoding/json
 // escapes followed by another string; either may be repeated up to 255
-// times, so long strings cross the appender's buffer.
+// times, to at most 4 KiB, so long strings cross the appender's buffer.
 func (in *artifactInput) str() string {
 	n := int(in.byte())
 	var s string
@@ -197,8 +197,8 @@ func (in *artifactInput) str() string {
 		}
 		s = string(b)
 	}
-	if n&0x40 != 0 {
-		s = strings.Repeat(s, int(in.byte()))
+	if n&0x40 != 0 && s != "" {
+		s = strings.Repeat(s, min(int(in.byte()), 4096/len(s)))
 	}
 	return s
 }
