@@ -115,24 +115,11 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 		return g
 	}
 	events = timeOrdered(events)
-	var chains, nodes, edges int
+	var chains, nodes int
 	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		switch e.Meta().Event {
-		case packet.EventNone:
-			continue
-		case packet.EventECN:
-			nodes, edges = nodes+ecnNodes, edges+ecnNodes-1
-		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
-			if e.Opcode().IsData() {
-				nodes, edges = nodes+recoveryNodes, edges+recoveryNodes-1
-				break
-			}
-			nodes++
-		default:
-			nodes++
+		if n := chainNodes(&tr.Entries[i]); n > 0 {
+			chains, nodes = chains+1, nodes+n
 		}
-		chains++
 	}
 	if chains == 0 {
 		return g
@@ -140,25 +127,19 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 	b := &builder{
 		g:      g,
 		ids:    make([]int, 0, nodes),
-		edges:  make([]Edge, 0, edges),
+		edges:  make([]Edge, 0, nodes-chains), // chains are paths
 		labels: make([]byte, 0, nodes*labelBytes),
 		ends:   make([]int, 0, nodes),
 	}
 	g.Nodes = make([]Node, 0, nodes)
 	g.Chains = make([]Chain, 0, chains)
 	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		switch e.Meta().Event {
-		case packet.EventNone:
-		case packet.EventECN:
+		switch chainNodes(&tr.Entries[i]) {
+		case ecnNodes:
 			b.buildECNChain(tr, i, events)
-		case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
-			if e.Opcode().IsData() {
-				b.buildRecoveryChain(tr, i, events)
-			} else {
-				b.buildBareChain(tr, i)
-			}
-		default: // set-migreq and future one-shot rewrites
+		case recoveryNodes:
+			b.buildRecoveryChain(tr, i, events)
+		case 1:
 			b.buildBareChain(tr, i)
 		}
 	}
@@ -173,14 +154,34 @@ func Build(tr *trace.Trace, events []telemetry.Event) *Graph {
 
 // The most nodes one chain can hold: inject, ooo-arrival, nack or
 // rto-fire, rewind, retransmit and complete for a recovery chain;
-// inject, cnp and rate-cut for an ECN chain. Chains are paths, so each
-// has one edge fewer. labelBytes is what a label takes on average,
-// rounded up.
+// inject, cnp and rate-cut for an ECN chain. labelBytes is what a label
+// takes on average, rounded up.
 const (
 	recoveryNodes = 6
 	ecnNodes      = 3
 	labelBytes    = 48
 )
+
+// chainNodes classifies a trace entry by the chain it starts: none (0)
+// for an entry the injector left alone, a recovery chain for a
+// loss-class event (drop, corrupt, or the spurious-NAK races delay and
+// reorder can provoke) on a data packet, an ECN chain, or a bare
+// one-node chain for any other injection (set-migreq, an event on a
+// non-data packet, future one-shot rewrites). It returns the most nodes
+// that chain can hold.
+func chainNodes(e *trace.Entry) int {
+	switch e.Meta().Event {
+	case packet.EventNone:
+		return 0
+	case packet.EventECN:
+		return ecnNodes
+	case packet.EventDrop, packet.EventCorrupt, packet.EventDelay, packet.EventReorder:
+		if e.Opcode().IsData() {
+			return recoveryNodes
+		}
+	}
+	return 1
+}
 
 // builder fills one Graph: the node IDs and edges of every chain go to
 // shared slabs, and every label to one buffer, ends[i] marking where

@@ -27,11 +27,12 @@ type LatencyDigest struct {
 	Max   int64  `json:"max_ns"`
 }
 
-// Summary is the machine-readable run summary WriteArtifacts emits as
-// summary.json. It is designed for cross-run diffing: every field is
-// derived deterministically from the run (struct field order is fixed,
-// slices are in deterministic order, the only map — chains.by_event —
-// serializes with sorted keys), so two same-seed runs produce
+// Summary is the layout of summary.json, the machine-readable run
+// summary: readers decode the file into it, and WriteSummary writes the
+// bytes encoding/json renders of it. It is designed for cross-run
+// diffing: every field is derived deterministically from the run (field
+// order is fixed, slices are in deterministic order, the only map —
+// chains.by_event — has sorted keys), so two same-seed runs produce
 // byte-identical files.
 type Summary struct {
 	Schema string `json:"schema"`
