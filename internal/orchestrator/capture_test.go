@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
+	"github.com/lumina-sim/lumina/internal/rnic"
 )
 
 // The capture validator: every frame of the trace.pcap a run writes is
@@ -238,8 +239,11 @@ func runCapture(t *testing.T, cfg config.Test, opts Options) []capFrame {
 
 // TestCaptureFramesAreWellFormed runs every checked-in scenario,
 // benchmark workload and corpus entry plain and with every observer on,
-// and holds each frame of both captures to the rules above. A corpus
-// entry's subtest is named by its ID.
+// and holds each frame of both captures to the rules above: as checked
+// in, and (unless -short) with both hosts retargeted at each NIC model
+// in turn, since each model drives its QPs through different recovery
+// paths. A corpus entry's subtest is named by its ID; a retargeted run's
+// by the scenario and the model.
 func TestCaptureFramesAreWellFormed(t *testing.T) {
 	var files []string
 	for _, g := range []string{"configs/*.yaml", "bench/workloads/*.yaml", "corpus/*/scenario.yaml"} {
@@ -257,38 +261,53 @@ func TestCaptureFramesAreWellFormed(t *testing.T) {
 		if name == "scenario.yaml" {
 			name = filepath.Base(filepath.Dir(file))
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg, err := config.Load(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain := runCapture(t, cfg, DefaultOptions())
-			withINT := runCapture(t, cfg, allObservers())
-			if len(plain) == 0 || len(withINT) != len(plain) {
-				t.Fatalf("captures of %d (plain) and %d (INT) frames", len(plain), len(withINT))
-			}
-			tagged := 0
-			for i := range plain {
-				p, q := plain[i], withINT[i]
-				if binary.BigEndian.Uint16(p.data[capUDPStart+6:]) != 0 {
-					t.Fatalf("frame %d: plain run's UDP checksum is not zero", i)
+		cfg, err := config.Load(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { checkCaptures(t, cfg) })
+		for _, model := range rnic.ModelNames() {
+			t.Run(name+"/"+model, func(t *testing.T) {
+				if testing.Short() {
+					t.Skip("the profile sweep runs without -short")
 				}
-				if binary.BigEndian.Uint16(q.data[capUDPStart+6:]) != 0 {
-					tagged++
-				}
-				if p.ts != q.ts || p.orig != q.orig || len(p.data) != len(q.data) {
-					t.Fatalf("frame %d: INT run's record header differs from the plain run's", i)
-				}
-				for j := range p.data {
-					if p.data[j] != q.data[j] && j != capIPv4Start+10 && j != capIPv4Start+11 &&
-						j != capUDPStart+6 && j != capUDPStart+7 {
-						t.Fatalf("frame %d: byte %d is %#02x with INT on, %#02x off", i, j, q.data[j], p.data[j])
-					}
-				}
+				c := cfg
+				c.Requester.NIC.Type, c.Responder.NIC.Type = model, model
+				checkCaptures(t, c)
+			})
+		}
+	}
+}
+
+// checkCaptures runs cfg plain and with every observer on, and holds the
+// two captures to each other outside the bytes INT owns.
+func checkCaptures(t *testing.T, cfg config.Test) {
+	t.Helper()
+	plain := runCapture(t, cfg, DefaultOptions())
+	withINT := runCapture(t, cfg, allObservers())
+	if len(plain) == 0 || len(withINT) != len(plain) {
+		t.Fatalf("captures of %d (plain) and %d (INT) frames", len(plain), len(withINT))
+	}
+	tagged := 0
+	for i := range plain {
+		p, q := plain[i], withINT[i]
+		if binary.BigEndian.Uint16(p.data[capUDPStart+6:]) != 0 {
+			t.Fatalf("frame %d: plain run's UDP checksum is not zero", i)
+		}
+		if binary.BigEndian.Uint16(q.data[capUDPStart+6:]) != 0 {
+			tagged++
+		}
+		if p.ts != q.ts || p.orig != q.orig || len(p.data) != len(q.data) {
+			t.Fatalf("frame %d: INT run's record header differs from the plain run's", i)
+		}
+		for j := range p.data {
+			if p.data[j] != q.data[j] && j != capIPv4Start+10 && j != capIPv4Start+11 &&
+				j != capUDPStart+6 && j != capUDPStart+7 {
+				t.Fatalf("frame %d: byte %d is %#02x with INT on, %#02x off", i, j, q.data[j], p.data[j])
 			}
-			if tagged == 0 {
-				t.Fatal("INT run tagged no captured frame")
-			}
-		})
+		}
+	}
+	if tagged == 0 {
+		t.Fatal("INT run tagged no captured frame")
 	}
 }
