@@ -185,13 +185,16 @@ func chainNodes(e *trace.Entry) int {
 
 // builder fills one Graph: the node IDs and edges of every chain go to
 // shared slabs, and every label to one buffer, ends[i] marking where
-// node i's label ends.
+// node i's label ends. dones indexes the probe stream's wqe_complete
+// events by track (see completion), once the first chain looks one up.
 type builder struct {
-	g      *Graph
-	ids    []int
-	edges  []Edge
-	labels []byte
-	ends   []int
+	g       *Graph
+	ids     []int
+	edges   []Edge
+	labels  []byte
+	ends    []int
+	dones   []int32
+	indexed bool
 }
 
 // chain is one chain under construction: where its windows start in the
@@ -376,14 +379,7 @@ func (b *builder) buildRecoveryChain(tr *trace.Trace, di int, events []telemetry
 
 		// Completion: the first WQE whose PSN range covers the dropped
 		// PSN and that completed after the retransmission.
-		if done := findEvent(events, retransAt, 0, func(ev *telemetry.Event) bool {
-			if ev.Kind() != telemetry.KindTrafficMsg || ev.Name() != "wqe_complete" || ev.Track() != track {
-				return false
-			}
-			start, ok1 := argI(ev, "start_psn")
-			end, ok2 := argI(ev, "end_psn")
-			return ok1 && ok2 && psnInRange(psn, uint32(start)&psnMask, uint32(end)&psnMask)
-		}); done != nil {
+		if done := b.completion(events, track, retransAt, psn); done != nil {
 			wrID, _ := argI(done, "wr_id")
 			status := argS(done, "status")
 			b.text("message completed (wr_id ").snum(wrID).text(", status ").text(status).text(")")
@@ -466,6 +462,55 @@ func (g *Graph) ChainsOf(events ...packet.EventType) []uint64 {
 		}
 	}
 	return ids
+}
+
+// completion returns the earliest wqe_complete probe on track at or
+// after from whose PSN range holds psn, the first emitted among those
+// sharing its stamp, as findEvent would. The probes are indexed once per
+// Build, sorted by track and stably so by time, so a lookup walks only
+// its requester's completions: a completion that is far off or never
+// comes costs no walk to the stream's end.
+func (b *builder) completion(events []telemetry.Event, track string, from sim.Time, psn uint32) *telemetry.Event {
+	if !b.indexed {
+		b.indexed = true
+		n := 0
+		for i := range events {
+			if isCompletion(&events[i]) {
+				n++
+			}
+		}
+		b.dones = make([]int32, 0, n)
+		for i := range events {
+			if isCompletion(&events[i]) {
+				b.dones = append(b.dones, int32(i))
+			}
+		}
+		slices.SortStableFunc(b.dones, func(x, y int32) int { return strings.Compare(events[x].Track(), events[y].Track()) })
+	}
+	i := sort.Search(len(b.dones), func(i int) bool {
+		ev := &events[b.dones[i]]
+		if c := strings.Compare(ev.Track(), track); c != 0 {
+			return c > 0
+		}
+		return sim.Time(ev.At) >= from
+	})
+	for ; i < len(b.dones); i++ {
+		ev := &events[b.dones[i]]
+		if ev.Track() != track {
+			break
+		}
+		start, ok1 := argI(ev, "start_psn")
+		end, ok2 := argI(ev, "end_psn")
+		if ok1 && ok2 && psnInRange(psn, uint32(start)&psnMask, uint32(end)&psnMask) {
+			return ev
+		}
+	}
+	return nil
+}
+
+// isCompletion reports whether ev is a QP's wqe_complete probe.
+func isCompletion(ev *telemetry.Event) bool {
+	return ev.Name() == "wqe_complete" && ev.Kind() == telemetry.KindTrafficMsg
 }
 
 // --- probe-stream helpers ---
