@@ -80,15 +80,31 @@ func (st *gbnState) markLate(psn uint32) {
 // expected PSN.
 func CheckGoBackN(tr *trace.Trace) *GBNReport {
 	rep := &GBNReport{}
+	// The data streams are counted first, so that their states come from
+	// one slab: the map then holds each data key, its state nil until
+	// the replay first reaches it. A control packet may still name a
+	// stream no data packet shows, and that one is allocated alone.
+	states := map[trace.ConnKey]*gbnState{}
+	for i := range tr.Entries {
+		if isDataEntry(&tr.Entries[i]) {
+			states[tr.Entries[i].Key()] = nil
+		}
+	}
+	slab := make([]gbnState, 0, len(states))
 	// order lists the streams as first seen, beside the map: whatever is
 	// chosen among several streams is chosen in that order, never in the
 	// map's, so a verdict cannot change from run to run.
-	states := map[trace.ConnKey]*gbnState{}
-	var order []*gbnState
+	order := make([]*gbnState, 0, len(states))
 	state := func(k trace.ConnKey) *gbnState {
-		st, ok := states[k]
-		if !ok {
-			st = &gbnState{key: k}
+		st := states[k]
+		if st == nil {
+			if len(slab) < cap(slab) {
+				slab = slab[:len(slab)+1]
+				st = &slab[len(slab)-1]
+				st.key = k
+			} else {
+				st = &gbnState{key: k}
+			}
 			states[k] = st
 			order = append(order, st)
 			rep.ConnsChecked++
@@ -110,7 +126,7 @@ func CheckGoBackN(tr *trace.Trace) *GBNReport {
 		e := &tr.Entries[i]
 		op := e.Opcode()
 		switch {
-		case op.IsSend() || op.IsWrite() || op.IsReadResponse():
+		case isDataEntry(e):
 			st := state(e.Key())
 			// Mirrors are taken at ingress, before the action applies:
 			// lost packets never reach the receiver, and delayed or
@@ -249,8 +265,7 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 	found := false
 	for i := range tr.Entries {
 		d := &tr.Entries[i]
-		op := d.Opcode()
-		if !(op.IsSend() || op.IsWrite() || op.IsReadResponse()) {
+		if !isDataEntry(d) {
 			continue
 		}
 		if d.Src() != dataSrc || d.Dst() != dataDst {
@@ -265,6 +280,13 @@ func resolveDataKey(streams []*gbnState, tr *trace.Trace, e *trace.Entry) trace.
 		return bestKey
 	}
 	return trace.ConnKey{Src: dataSrc, Dst: dataDst}
+}
+
+// isDataEntry reports whether e carries data its receiver sequences:
+// a Send, a Write or a Read response.
+func isDataEntry(e *trace.Entry) bool {
+	op := e.Opcode()
+	return op.IsSend() || op.IsWrite() || op.IsReadResponse()
 }
 
 // psnDist is the circular distance between two 24-bit PSNs.

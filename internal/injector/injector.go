@@ -108,7 +108,10 @@ type Switch struct {
 	defaultPort int // unknown-unicast egress (-1 = drop); see SetDefaultPort
 	dumpers     []dumperPort
 
-	conns map[connKey]*connection
+	conns map[connKey]*connection // made by the first conn, sized by slab
+	// slab is where conn takes new records while AddConnections' slab
+	// lasts; it is never grown, so its entries never move.
+	slab []connection
 
 	rng *sim.RNG
 
@@ -141,7 +144,6 @@ func New(s *sim.Simulator, cfg config.Switch) *Switch {
 		Cfg:         cfg,
 		macTable:    map[packet.MAC]int{},
 		defaultPort: -1,
-		conns:       map[connKey]*connection{},
 		rng:         s.RNG().Fork(),
 	}
 }
@@ -239,10 +241,28 @@ func (sw *Switch) EnableINT(c *inband.Collector) {
 func (sw *Switch) conn(key connKey) *connection {
 	c := sw.conns[key]
 	if c == nil {
-		c = &connection{}
+		if sw.conns == nil {
+			sw.conns = make(map[connKey]*connection, cap(sw.slab))
+		}
+		if len(sw.slab) < cap(sw.slab) {
+			sw.slab = sw.slab[:len(sw.slab)+1]
+			c = &sw.slab[len(sw.slab)-1]
+		} else {
+			c = &connection{}
+		}
 		sw.conns[key] = c
 	}
 	return c
+}
+
+// AddConnections seeds the ITER trackers of every connection in ms, as
+// AddConnection does, with both directions' records taken from one slab
+// sized for them.
+func (sw *Switch) AddConnections(ms []ConnMeta) {
+	sw.slab = make([]connection, 0, 2*len(ms))
+	for _, m := range ms {
+		sw.AddConnection(m)
+	}
 }
 
 // AddConnection seeds the ITER tracker from exchanged traffic metadata.

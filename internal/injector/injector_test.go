@@ -181,6 +181,50 @@ func TestITERSeedHandlesFirstPacketAtIPSN(t *testing.T) {
 	}
 }
 
+// TestConnMetasNeverShareARecord seeds three connections, two of them
+// between the same hosts, from one AddConnections slab, then a fourth
+// through AddConnection once the slab is spent: each direction of each
+// connection must own its record, seeded from its own metadata, and
+// ITER progress on one must not show on another.
+func TestConnMetasNeverShareARecord(t *testing.T) {
+	r := newRig(t, luminaCfg(), 1, nil)
+	ipC := netip.MustParseAddr("10.0.0.3")
+	metas := []ConnMeta{
+		{ReqIP: ipA, ReqQPN: 0x101, ReqIPSN: 10, RespIP: ipB, RespQPN: 0x201, RespIPSN: 20},
+		{ReqIP: ipA, ReqQPN: 0x102, ReqIPSN: 30, RespIP: ipB, RespQPN: 0x202, RespIPSN: 40},
+		{ReqIP: ipC, ReqQPN: 0x103, ReqIPSN: 50, RespIP: ipB, RespQPN: 0x203, RespIPSN: 60},
+	}
+	r.sw.AddConnections(metas)
+	extra := ConnMeta{ReqIP: ipA, ReqQPN: 0x104, ReqIPSN: 70, RespIP: ipB, RespQPN: 0x204, RespIPSN: 80}
+	r.sw.AddConnection(extra)
+	seen := map[*connection]bool{}
+	for _, m := range append(metas, extra) {
+		for _, k := range []connKey{keyOf(m.ReqIP, m.RespIP, m.RespQPN), keyOf(m.RespIP, m.ReqIP, m.ReqQPN)} {
+			c := r.sw.conns[k]
+			if c == nil || seen[c] {
+				t.Fatalf("meta %+v: key %v has no record of its own", m, k)
+			}
+			seen[c] = true
+			if c.iter != 1 || c.lastPSN != m.ReqIPSN-1 {
+				t.Fatalf("meta %+v: key %v seeded (iter %d, last PSN %d), want (1, %d)", m, k, c.iter, c.lastPSN, m.ReqIPSN-1)
+			}
+		}
+	}
+	// A retransmission on the first connection moves only its ITER.
+	first := r.sw.conns[keyOf(ipA, ipB, 0x201)]
+	r.sw.trackITER(first, 10)
+	r.sw.trackITER(first, 11)
+	r.sw.trackITER(first, 10)
+	for c := range seen {
+		if c != first && c.iter != 1 {
+			t.Fatalf("another connection's ITER moved to %d", c.iter)
+		}
+	}
+	if first.iter != 2 {
+		t.Fatalf("first connection's ITER is %d after a retransmission, want 2", first.iter)
+	}
+}
+
 func TestDropActionDropsButMirrors(t *testing.T) {
 	r := newRig(t, luminaCfg(), 1, nil)
 	r.sw.AddConnection(conn(1000))

@@ -252,6 +252,9 @@ func Build(cfg config.Test, opts Options) (*Testbed, error) {
 // trafficResults folds the flows' snapshots in flow order, reindexing
 // connections; a lone flow's fold is its own snapshot.
 func (tb *Testbed) trafficResults() *traffic.Results {
+	if len(tb.Flows) == 1 {
+		return tb.Flows[0].Snapshot()
+	}
 	out := &traffic.Results{Conns: make([]traffic.ConnStats, 0, len(tb.Flows)*tb.Cfg.Traffic.NumConnections)}
 	for _, p := range tb.Flows {
 		r := p.Snapshot()

@@ -320,7 +320,7 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 		sw.EnableINT(tb.obs.col)
 	}
 
-	var metas []injector.ConnMeta
+	metas := make([]injector.ConnMeta, 0, len(t.flows)*cfg.Traffic.NumConnections)
 	for _, fl := range t.flows {
 		p, err := traffic.NewPair(s, tb.Hosts[fl.sender], tb.Hosts[fl.receiver], cfg.Traffic, fl.label)
 		if err != nil {
@@ -333,9 +333,7 @@ func (t *topology) build(cfg config.Test, opts Options) (*Testbed, error) {
 	// Control-plane phase (§3.3): the requesters share runtime metadata
 	// with the injector, which combines it with the configured intents
 	// to populate the match-action table — before traffic starts.
-	for _, m := range metas {
-		sw.AddConnection(m)
-	}
+	sw.AddConnections(metas)
 	if cfg.Switch.Inject {
 		rules, err := injector.TranslateIntents(cfg.Traffic.Events, cfg.Traffic.Verb, metas, cfg.Traffic.PacketsPerQP())
 		if err != nil {

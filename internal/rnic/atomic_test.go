@@ -239,3 +239,78 @@ func TestAtomicAckNotCoalescedByLaterAcks(t *testing.T) {
 		t.Fatalf("cell = %d, want 104 (each add exactly once)", v)
 	}
 }
+
+// TestAtomicCompletionsFollowPostingOrder posts a Write, four
+// fetch-adds and, once those are done, another Write, with the first
+// atomic's ACK dropped (every copy of it in the second case, so the QP
+// errors). The later atomics' ACKs arrive first, yet the send queue must
+// complete in posting order: an RC completion waits for every earlier
+// WQE's.
+func TestAtomicCompletionsFollowPostingOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dropAll  bool
+		statuses []CompletionStatus // by WRID
+	}{
+		{"ack-lost-once", false, []CompletionStatus{StatusOK, StatusOK, StatusOK, StatusOK, StatusOK, StatusOK}},
+		// The first atomic exhausts its retries, and the atomics
+		// acknowledged behind it complete OK after it. The QP refuses
+		// the last Write.
+		{"ack-lost-always", true, []CompletionStatus{StatusOK, StatusRetryExceeded, StatusOK, StatusOK, StatusOK}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := defaultPairOpts()
+			o.timeoutExp = 8
+			p := newPair(t, o)
+			firstAtomicPSN, seen := uint32(0), false
+			p.relay.onForward = func(w []byte, fromA bool) relayAction {
+				pkt := decode(t, w)
+				if fromA && pkt.BTH.Opcode == packet.OpFetchAdd && !seen {
+					firstAtomicPSN, seen = pkt.BTH.PSN, true
+				}
+				if !fromA && pkt.BTH.Opcode == packet.OpAtomicAcknowledge && pkt.BTH.PSN == firstAtomicPSN &&
+					(tc.dropAll || p.relay.dropped == 0) {
+					return relayDrop
+				}
+				return relayPass
+			}
+			_, _, mr := p.connect(t, 1024, 8, 1)
+			p.b.WriteMR(mr.RKey, mr.Addr, 100)
+			var got []Completion
+			posted := 0
+			post := func(wr WorkRequest) error {
+				wr.WRID = posted
+				wr.RemoteAddr, wr.RKey = mr.Addr, mr.RKey
+				wr.OnComplete = func(c Completion) { got = append(got, c) }
+				err := p.aQP.PostSend(wr)
+				if err == nil {
+					posted++
+				}
+				return err
+			}
+			post(WorkRequest{Verb: VerbWrite, Length: 2048})
+			for range 4 {
+				post(WorkRequest{Verb: VerbFetchAdd, SwapAdd: 1})
+			}
+			p.s.Run()
+			if err := post(WorkRequest{Verb: VerbWrite, Length: 1024}); (err != nil) != tc.dropAll {
+				t.Fatalf("PostSend after the atomics: %v", err)
+			}
+			p.s.Run()
+			if len(got) != len(tc.statuses) {
+				t.Fatalf("%d completions, want %d: %+v", len(got), len(tc.statuses), got)
+			}
+			for i, c := range got {
+				if c.WRID != i || c.Status != tc.statuses[i] {
+					t.Fatalf("completion %d is WRID %d %v, want WRID %d %v", i, c.WRID, c.Status, i, tc.statuses[i])
+				}
+				if atomic := i >= 1 && i <= 4; atomic && c.Status == StatusOK && c.AtomicOrig != uint64(99+i) {
+					t.Errorf("WRID %d returned %d, want %d", i, c.AtomicOrig, 99+i)
+				}
+				if i > 0 && c.CompletedAt < got[i-1].CompletedAt {
+					t.Errorf("WRID %d completed at %v, before WRID %d at %v", i, c.CompletedAt, i-1, got[i-1].CompletedAt)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -100,13 +101,19 @@ func newETSScheduler(nic *NIC, cfg ETSConfig) *etsScheduler {
 	return s
 }
 
-func (s *etsScheduler) register(qp *QP) {
+func (s *etsScheduler) register(qp *QP, more int) {
 	tc := qp.cfg.TrafficClass
 	if tc < 0 || tc >= len(s.queues) {
 		// invariant: config.Validate refuses a qp-traffic-class outside the requester's ETS queues (one when none is set), fabric hosts share the requester's queues, and responder QPs use class 0.
 		panic(fmt.Sprintf("rnic: QP traffic class %d out of range (%d ETS queues)", tc, len(s.queues)))
 	}
-	s.queues[tc].qps = append(s.queues[tc].qps, qp)
+	q := s.queues[tc]
+	if len(q.qps) == cap(q.qps) {
+		// Room for the more QPs the NIC has reserved as well: most
+		// share a class.
+		q.qps = slices.Grow(q.qps, 1+more)
+	}
+	q.qps = append(q.qps, qp)
 }
 
 // enqueue admits a packet from qp into the scheduler. It kicks once

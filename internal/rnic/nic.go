@@ -67,14 +67,15 @@ type NIC struct {
 
 	port *sim.Port
 	ips  []netip.Addr
-	qps  map[uint32]*QP
-	mrs  map[uint32]*mrState
+	qps  map[uint32]*QP      // made by the first CreateQP, sized by its reservation
+	mrs  map[uint32]*mrState // made by the first RegisterMR, likewise
 	rng  *sim.RNG
 
 	sched *etsScheduler
+	res   reservation
 
 	// DCQCN notification point: next instant a CNP may be emitted, per
-	// rate-limiter scope bucket.
+	// rate-limiter scope bucket; nil until the first CNP.
 	cnpNextAllowed map[cnpBucket]sim.Time
 
 	// Slow-path engine (§6.2.2): occupancy above Prof.SlowPathContexts
@@ -88,7 +89,7 @@ type NIC struct {
 	// APM engine (§6.2.3): connections (local QPs) whose peers send
 	// MigReq=0 beyond the APM cache capacity have every packet serviced
 	// by a single slow server with a shallow buffer.
-	apmCache   map[uint32]bool // local QPN → in fast cache
+	apmCache   map[uint32]bool // local QPN → in fast cache; nil until the first
 	apmCacheN  int
 	apmBusyTil sim.Time
 	apmQueued  int // frames in the slow path
@@ -165,18 +166,14 @@ func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 		panic(err)
 	}
 	n := &NIC{
-		Sim:            s,
-		Prof:           prof,
-		Set:            cfg.Set,
-		Name:           cfg.Name,
-		MAC:            cfg.MAC,
-		Counters:       NewCounters(),
-		ips:            append([]netip.Addr(nil), cfg.IPs...),
-		qps:            map[uint32]*QP{},
-		mrs:            map[uint32]*mrState{},
-		rng:            s.RNG().Fork(),
-		cnpNextAllowed: map[cnpBucket]sim.Time{},
-		apmCache:       map[uint32]bool{},
+		Sim:      s,
+		Prof:     prof,
+		Set:      cfg.Set,
+		Name:     cfg.Name,
+		MAC:      cfg.MAC,
+		Counters: NewCounters(),
+		ips:      append([]netip.Addr(nil), cfg.IPs...),
+		rng:      s.RNG().Fork(),
 	}
 	n.sched = newETSScheduler(n, ets)
 	return n
@@ -204,8 +201,61 @@ func (n *NIC) RegisterMR(length int) MR {
 		Length: length,
 		RKey:   0x1000 + n.nextRK,
 	}
-	n.mrs[mr.RKey] = &mrState{MR: mr}
+	if n.mrs == nil {
+		n.mrs = make(map[uint32]*mrState, cap(n.res.mrs))
+	}
+	st := take(&n.res.mrs)
+	*st = mrState{MR: mr}
+	n.mrs[mr.RKey] = st
 	return mr
+}
+
+// reservation holds the slabs Reserve made: where the next CreateQP and
+// RegisterMR calls take their records, and the requester QPs their
+// first work requests and transmit runs, each QP a capacity-clipped
+// window of wqesPerQP (txRunsPerQP) entries. A slab is never grown, so
+// its entries never move.
+type reservation struct {
+	qps       []QP
+	mrs       []mrState
+	wqes      []wqe
+	wqePtrs   []*wqe
+	runs      []txPkt
+	wqesPerQP int
+}
+
+// txRunsPerQP is the transmit ring a reserved requester QP starts with:
+// the size ring.grow would first allocate.
+const txRunsPerQP = 4
+
+// Reserve sizes the NIC's next qps CreateQP and mrs RegisterMR calls:
+// their records come from one slab each instead of one allocation
+// apiece. With wqesPerQP > 0 each of those QPs also gets room for its
+// first wqesPerQP posted work requests and a transmit ring. The caller
+// knows the counts before it creates anything (a traffic generator its
+// connections and messages per QP); calls past them allocate as
+// usual, and a new Reserve drops what the last one left unused.
+// Reserving draws nothing from the NIC's RNG.
+func (n *NIC) Reserve(qps, mrs, wqesPerQP int) {
+	n.res = reservation{qps: make([]QP, 0, qps), mrs: make([]mrState, 0, mrs)}
+	if wqesPerQP > 0 {
+		n.res.wqesPerQP = wqesPerQP
+		n.res.wqes = make([]wqe, 0, qps*wqesPerQP)
+		n.res.wqePtrs = make([]*wqe, 0, qps*wqesPerQP)
+		n.res.runs = make([]txPkt, qps*txRunsPerQP)
+	}
+}
+
+// take returns the next entry of a reserved slab, or a new record when
+// the slab is spent.
+func take[T any](slab *[]T) *T {
+	s := *slab
+	if len(s) == cap(s) {
+		return new(T)
+	}
+	s = s[:len(s)+1]
+	*slab = s
+	return &s[len(s)-1]
 }
 
 // lookupMR validates an rkey/address/length triple.
@@ -385,6 +435,9 @@ func (n *NIC) maybeSendCNP(v packet.View) {
 		return // coalesced away by the rate limiter
 	}
 	n.Sim.Coverage().Record(coverage.SiteDCQCNNP, coverage.NPSend)
+	if n.cnpNextAllowed == nil {
+		n.cnpNextAllowed = map[cnpBucket]sim.Time{}
+	}
 	n.cnpNextAllowed[key] = now.Add(n.Prof.CNPInterval(n.Set.MinTimeBetweenCNPs))
 	n.cnpSent++
 	if h := n.hub(); h.Active() {
@@ -454,6 +507,9 @@ func (n *NIC) apmFast(v packet.View) bool {
 		return true
 	}
 	if n.apmCacheN < apmCacheCapacity {
+		if n.apmCache == nil {
+			n.apmCache = map[uint32]bool{}
+		}
 		n.apmCache[qpn] = true
 		n.apmCacheN++
 		return true

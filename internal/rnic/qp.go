@@ -144,14 +144,19 @@ type Endpoint struct {
 	IPSN uint32
 }
 
-// wqe is a posted work request with its PSN reservation.
+// wqe is a posted work request with its PSN reservation. done means
+// the request finished; its completion is delivered once every earlier
+// WQE has finished too (see complete), with status and, for an atomic,
+// the original value its ACK carried.
 type wqe struct {
 	req      WorkRequest
 	startPSN uint32
 	endPSN   uint32
-	npkts    int
-	postedAt sim.Time
+	npkts    int32
 	done     bool
+	status   uint8 // a CompletionStatus, set with done
+	postedAt sim.Time
+	orig     uint64
 }
 
 // readCtx records an executed read request at the responder so that
@@ -209,7 +214,7 @@ type QP struct {
 	msn         uint32
 	nakArmed    bool // one NAK per request gap
 	msgStartPSN uint32
-	recvs       []*RecvRequest
+	recvs       []RecvRequest
 	reads       []readCtx   // recent read executions, for duplicate re-reads
 	rereads     []reread    // re-reads waiting out NACKReactRead, by slot
 	atomicAcks  ring[txPkt] // atomic ACKs waiting out AckGenDelay, oldest first
@@ -229,9 +234,9 @@ type QP struct {
 	// retains the pointer, so one struct serves the whole QP lifetime.
 	scratch packet.Packet
 
-	// track is this QP's telemetry timeline row; lastTxAt feeds the
-	// per-QP inter-packet-gap histogram (both only consulted when a
-	// telemetry hub is attached).
+	// track is this QP's telemetry timeline row, named only when a
+	// telemetry hub is attached at CreateQP; lastTxAt feeds the per-QP
+	// inter-packet-gap histogram (both only consulted with a hub).
 	track    string
 	lastTxAt sim.Time
 	txSeen   bool
@@ -265,12 +270,20 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 			}
 		}
 	}
-	qp := &QP{
+	i, qp := len(n.res.qps), take(&n.res.qps)
+	*qp = QP{
 		nic:        n,
 		cfg:        cfg,
 		QPN:        qpn,
 		IPSN:       n.rng.Uint32() & packet.PSNMask,
 		udpSrcPort: uint16(49152 + n.rng.Intn(16384)),
+	}
+	if k := n.res.wqesPerQP; k > 0 && len(n.res.qps) > i {
+		// The QP's windows of the reserved slabs, clipped so that
+		// outgrowing one allocates rather than runs into the next QP's.
+		qp.slab = n.res.wqes[i*k : i*k : (i+1)*k]
+		qp.wqes = n.res.wqePtrs[i*k : i*k : (i+1)*k]
+		qp.txq.runs.buf = n.res.runs[i*txRunsPerQP : (i+1)*txRunsPerQP : (i+1)*txRunsPerQP]
 	}
 	qp.nextPSN = qp.IPSN
 	qp.sndUna = qp.IPSN
@@ -284,9 +297,14 @@ func (n *NIC) CreateQP(cfg QPConfig) *QP {
 		qp.rpMem = newRPState(qp)
 		qp.rp = &qp.rpMem
 	}
+	if n.qps == nil {
+		n.qps = make(map[uint32]*QP, cap(n.res.qps))
+	}
 	n.qps[qpn] = qp
-	n.sched.register(qp)
-	qp.track = qpTrack(n.Name, qpn)
+	n.sched.register(qp, cap(n.res.qps)-len(n.res.qps))
+	if qp.hub().Active() {
+		qp.track = qpTrack(n.Name, qpn)
+	}
 	qp.hub().EmitArgs(telemetry.KindQPState, qp.track, "RESET",
 		telemetry.I("qpn", int64(qpn)), telemetry.I("ipsn", int64(qp.IPSN)))
 	qp.cov().Record(coverage.SiteQPState, coverage.QPStateReset)
@@ -330,8 +348,7 @@ func (qp *QP) Transport() Transport { return qp.cfg.Transport }
 
 // PostRecv queues a receive WQE for incoming Sends.
 func (qp *QP) PostRecv(rr RecvRequest) {
-	r := rr
-	qp.recvs = append(qp.recvs, &r)
+	qp.recvs = append(qp.recvs, rr)
 }
 
 // PostSend queues a work request; transmission starts immediately
@@ -372,7 +389,7 @@ func (qp *QP) PostSend(req WorkRequest) error {
 		req:      req,
 		startPSN: qp.nextPSN,
 		endPSN:   psnAdd(qp.nextPSN, uint32(npkts-1)),
-		npkts:    npkts,
+		npkts:    int32(npkts),
 		postedAt: qp.nic.Sim.Now(),
 	})
 	qp.wqes = append(qp.wqes, &qp.slab[len(qp.slab)-1])
@@ -570,7 +587,7 @@ func respOpcode(i, npkts int) packet.Opcode {
 
 func (qp *QP) makeDataPacket(w *wqe, psn uint32) *packet.Packet {
 	i := int(psnSub(psn, w.startPSN))
-	op := dataOpcode(w.req.Verb, i, w.npkts, w.req.UseImm)
+	op := dataOpcode(w.req.Verb, i, int(w.npkts), w.req.UseImm)
 	p := qp.baseHeader(op, psn)
 	if op.HasRETH() {
 		p.RETH = packet.RETH{VA: w.req.RemoteAddr, RKey: w.req.RKey, DMALen: uint32(w.req.Length)}
@@ -578,7 +595,7 @@ func (qp *QP) makeDataPacket(w *wqe, psn uint32) *packet.Packet {
 	if op.HasImm() {
 		p.Imm = w.req.Imm
 	}
-	n := segLen(w.req.Length, qp.cfg.MTU, i, w.npkts)
+	n := segLen(w.req.Length, qp.cfg.MTU, i, int(w.npkts))
 	p.Payload = zeroPayload(n)
 	p.BTH.PadCount = uint8((4 - n%4) % 4)
 	if op.IsLast() || op.IsOnly() {
@@ -820,11 +837,29 @@ func (qp *QP) advanceUnaNoTimerReset(to uint32) bool {
 	return true
 }
 
+// complete finishes w with status st, then delivers the completions
+// of the finished prefix of the send queue in posting order. An RC
+// atomic's ACK can finish it while an earlier WQE is outstanding; its
+// completion waits in w until that one finishes, as the IB spec orders
+// a send queue's completions. done never reverts, so the loops that
+// skip done WQEs may start at wqeLive.
 func (qp *QP) complete(w *wqe, st CompletionStatus) {
 	if w.done {
 		return
 	}
-	qp.markDone(w)
+	w.done, w.status = true, uint8(st)
+	// wqeLive moves before each delivery: a completion callback may post
+	// work that completes, re-entering here, and must see w delivered.
+	for qp.wqeLive < len(qp.wqes) && qp.wqes[qp.wqeLive].done {
+		w := qp.wqes[qp.wqeLive]
+		qp.wqeLive++
+		qp.deliver(w)
+	}
+}
+
+// deliver hands a finished WQE's completion to the application.
+func (qp *QP) deliver(w *wqe) {
+	st := CompletionStatus(w.status)
 	// The PSN range lets offline lineage reconstruction join a
 	// retransmitted packet to the message completion it unblocked.
 	qp.hub().EmitArgs(telemetry.KindTrafficMsg, qp.track, "wqe_complete",
@@ -840,16 +875,8 @@ func (qp *QP) complete(w *wqe, st CompletionStatus) {
 			PostedAt:    w.postedAt,
 			CompletedAt: qp.nic.Sim.Now(),
 			Bytes:       w.req.Length,
+			AtomicOrig:  w.orig,
 		})
-	}
-}
-
-// markDone marks w done and moves wqeLive past the done prefix. done
-// never reverts, so the loops that skip done WQEs may start there.
-func (qp *QP) markDone(w *wqe) {
-	w.done = true
-	for qp.wqeLive < len(qp.wqes) && qp.wqes[qp.wqeLive].done {
-		qp.wqeLive++
 	}
 }
 
@@ -1274,24 +1301,16 @@ func (qp *QP) sendAtomicAck(psn uint32, orig uint64) {
 	qp.nic.Sim.AfterEvent(qp.nic.Prof.AckGenDelay, qp, qpAtomicAck, 0, nil)
 }
 
-// handleAtomicAck completes the atomic WQE at the requester with the
-// original remote value. The WQE completes before the window advances so
-// the no-coalescing clamp does not block its own acknowledgement.
+// handleAtomicAck finishes the atomic WQE at the requester with the
+// original remote value; complete holds its completion while an earlier
+// WQE is outstanding. The WQE finishes before the window advances so the
+// no-coalescing clamp does not block its own acknowledgement.
 func (qp *QP) handleAtomicAck(v packet.View) {
 	psn := v.PSN()
 	w := qp.wqeFor(psn)
 	if w != nil && !w.done && w.req.Verb.IsAtomic() {
-		qp.markDone(w)
-		if w.req.OnComplete != nil {
-			w.req.OnComplete(Completion{
-				WRID:        w.req.WRID,
-				Status:      StatusOK,
-				PostedAt:    w.postedAt,
-				CompletedAt: qp.nic.Sim.Now(),
-				Bytes:       8,
-				AtomicOrig:  v.AtomicAck(),
-			})
-		}
+		w.orig = v.AtomicAck()
+		qp.complete(w, StatusOK)
 	}
 	qp.advanceUna(psnAdd(psn, 1))
 }

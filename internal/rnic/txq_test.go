@@ -38,7 +38,7 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 			verb := []Verb{VerbWrite, VerbSend}[rng.Intn(2)]
 			wqes = append(wqes, &wqe{
 				req:      WorkRequest{Verb: verb, Length: length, UseImm: rng.Intn(2) == 0},
-				startPSN: psn, endPSN: psnAdd(psn, uint32(npkts-1)), npkts: npkts,
+				startPSN: psn, endPSN: psnAdd(psn, uint32(npkts-1)), npkts: int32(npkts),
 			})
 			psn = psnAdd(psn, uint32(npkts))
 		}
@@ -67,7 +67,7 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 			case op < 3: // data packets, as pump hands them over
 				for n := 1 + rng.Intn(12); n > 0 && wi < len(wqes); n-- {
 					push(dataAt(wqes[wi], i))
-					if i++; i == wqes[wi].npkts {
+					if i++; i == int(wqes[wi].npkts) {
 						wi, i = wi+1, 0
 					}
 				}
@@ -85,7 +85,7 @@ func TestTxQueueMatchesPerPacketFIFO(t *testing.T) {
 				want = want[:0]
 				wi, i = rng.Intn(wi+1), 0
 				if wi < len(wqes) {
-					i = rng.Intn(wqes[wi].npkts)
+					i = rng.Intn(int(wqes[wi].npkts))
 				}
 			default:
 				for n := rng.Intn(8); n > 0 && len(want) > 0; n-- {

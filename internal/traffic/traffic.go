@@ -115,7 +115,7 @@ type conn struct {
 	posted        int
 	completed     int
 	done          bool
-	track         string // telemetry track, "traffic/conn-<idx>"
+	track         string // telemetry track, "traffic/conn-<idx>"; named only with a hub
 	// onComplete is every posted WR's OnComplete, built once per
 	// connection.
 	onComplete func(rnic.Completion)
@@ -127,7 +127,14 @@ type Pair struct {
 	Cfg config.Traffic
 
 	verbs []rnic.Verb
-	conns []*conn
+	// conns is one slab; entries never move, since each completion
+	// callback holds its connection's address.
+	conns []conn
+	// mcts backs every connection's MCTs: connection i's window is
+	// mcts[i*NumMsgsPerQP:][:0:NumMsgsPerQP], cut at its first OK
+	// completion, so a connection with none keeps a nil slice (null in
+	// report.json). Made at the pair's first OK completion.
+	mcts []sim.Duration
 
 	started  bool
 	finished bool
@@ -170,9 +177,13 @@ func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label st
 	if err != nil {
 		return nil, err
 	}
-	p := &Pair{Sim: s, Cfg: cfg, verbs: verbs, conns: make([]*conn, 0, cfg.NumConnections)}
+	p := &Pair{Sim: s, Cfg: cfg, verbs: verbs, conns: make([]conn, cfg.NumConnections)}
+	// Each connection is a QP on each NIC, the responder's memory region
+	// and the requester's NumMsgsPerQP work requests.
+	req.Reserve(cfg.NumConnections, 0, cfg.NumMsgsPerQP)
+	resp.Reserve(cfg.NumConnections, cfg.NumConnections, 0)
 	reqIPs := req.IPs()
-	for i := 0; i < cfg.NumConnections; i++ {
+	for i := range p.conns {
 		tp, err := rnic.ParseTransport(cfg.TransportOf(i))
 		if err != nil {
 			return nil, err
@@ -199,18 +210,20 @@ func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label st
 		rq.Connect(sq.Local())
 		sq.Connect(rq.Local())
 		mr := resp.RegisterMR(cfg.MessageSize * cfg.NumMsgsPerQP)
-		c := &conn{reqQP: rq, respQP: sq, mr: mr}
+		c := &p.conns[i]
+		*c = conn{reqQP: rq, respQP: sq, mr: mr}
 		c.onComplete = func(comp rnic.Completion) { p.onCompletion(c, comp) }
-		if label == "" {
-			c.track = "traffic/conn-" + strconv.Itoa(i)
-		} else {
-			c.track = "traffic/" + label + "/conn-" + strconv.Itoa(i)
+		if s.Hub().Active() {
+			if label == "" {
+				c.track = "traffic/conn-" + strconv.Itoa(i)
+			} else {
+				c.track = "traffic/" + label + "/conn-" + strconv.Itoa(i)
+			}
 		}
 		c.stats = ConnStats{
 			Index: i, ReqQPN: rq.QPN, RespQPN: sq.QPN,
 			Statuses: map[string]int{},
 		}
-		p.conns = append(p.conns, c)
 	}
 	return p, nil
 }
@@ -221,7 +234,8 @@ func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label st
 // on these QPs as expected silent losses rather than recovery failures.
 func (p *Pair) UnreliableQPNs() map[uint32]bool {
 	var set map[uint32]bool
-	for _, c := range p.conns {
+	for i := range p.conns {
+		c := &p.conns[i]
 		if c.reqQP.Transport().Reliable() {
 			continue
 		}
@@ -238,7 +252,8 @@ func (p *Pair) UnreliableQPNs() map[uint32]bool {
 // event injector before traffic starts (§3.3).
 func (p *Pair) ConnMetas() []injector.ConnMeta {
 	out := make([]injector.ConnMeta, 0, len(p.conns))
-	for _, c := range p.conns {
+	for i := range p.conns {
+		c := &p.conns[i]
 		rl, sl := c.reqQP.Local(), c.respQP.Local()
 		out = append(out, injector.ConnMeta{
 			ReqIP: rl.IP, ReqQPN: rl.QPN, ReqIPSN: rl.IPSN,
@@ -259,10 +274,10 @@ func (p *Pair) Start(onDone func(*Results)) error {
 	p.results = &Results{Start: p.Sim.Now()}
 
 	// Responder pre-posts receives for every expected Send message.
-	for _, c := range p.conns {
+	for i := range p.conns {
 		for m := 0; m < p.Cfg.NumMsgsPerQP; m++ {
 			if p.verbFor(m) == rnic.VerbSend {
-				c.respQP.PostRecv(rnic.RecvRequest{WRID: m})
+				p.conns[i].respQP.PostRecv(rnic.RecvRequest{WRID: m})
 			}
 		}
 	}
@@ -270,8 +285,8 @@ func (p *Pair) Start(onDone func(*Results)) error {
 	if p.Cfg.BarrierSync {
 		p.postRound()
 	} else {
-		for _, c := range p.conns {
-			p.fill(c)
+		for i := range p.conns {
+			p.fill(&p.conns[i])
 		}
 	}
 	return nil
@@ -295,7 +310,8 @@ func (p *Pair) fill(c *conn) {
 // round k across all QPs (§3.2).
 func (p *Pair) postRound() {
 	p.roundDone = 0
-	for _, c := range p.conns {
+	for i := range p.conns {
+		c := &p.conns[i]
 		if !c.done && c.posted < p.Cfg.NumMsgsPerQP {
 			p.postOne(c)
 		} else {
@@ -335,9 +351,11 @@ func (p *Pair) onCompletion(c *conn, comp rnic.Completion) {
 	st.Statuses[comp.Status.String()]++
 	if comp.Status == rnic.StatusOK {
 		if st.MCTs == nil {
-			// Sized at the first OK completion, so a connection with
-			// none keeps a nil slice (null in report.json).
-			st.MCTs = make([]sim.Duration, 0, p.Cfg.NumMsgsPerQP)
+			m := p.Cfg.NumMsgsPerQP
+			if p.mcts == nil {
+				p.mcts = make([]sim.Duration, len(p.conns)*m)
+			}
+			st.MCTs = p.mcts[st.Index*m : st.Index*m : (st.Index+1)*m]
 		}
 		st.MCTs = append(st.MCTs, comp.CompletedAt.Sub(comp.PostedAt))
 		st.Bytes += int64(comp.Bytes)
@@ -380,8 +398,8 @@ func (p *Pair) onCompletion(c *conn, comp rnic.Completion) {
 }
 
 func (p *Pair) allDone() bool {
-	for _, c := range p.conns {
-		if !c.done {
+	for i := range p.conns {
+		if !p.conns[i].done {
 			return false
 		}
 	}
@@ -395,8 +413,8 @@ func (p *Pair) finish() {
 	p.finished = true
 	p.results.End = p.Sim.Now()
 	p.results.Conns = make([]ConnStats, 0, len(p.conns))
-	for _, c := range p.conns {
-		p.results.Conns = append(p.results.Conns, c.stats)
+	for i := range p.conns {
+		p.results.Conns = append(p.results.Conns, p.conns[i].stats)
 	}
 	// The requester sends the completion notification to the responder
 	// over the TCP connection (§3.2); in the simulation the orchestrator
@@ -421,8 +439,8 @@ func (p *Pair) Snapshot() *Results {
 		return p.results
 	}
 	out := &Results{Start: p.results.Start, End: p.Sim.Now(), Conns: make([]ConnStats, 0, len(p.conns))}
-	for _, c := range p.conns {
-		out.Conns = append(out.Conns, c.stats)
+	for i := range p.conns {
+		out.Conns = append(out.Conns, p.conns[i].stats)
 	}
 	return out
 }

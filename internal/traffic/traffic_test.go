@@ -325,3 +325,68 @@ func TestPercentileMCT(t *testing.T) {
 		t.Error("empty percentile not zero")
 	}
 }
+
+// TestMCTWindowsAreClipped checks that the connections' MCTs, windows
+// into one slab, cannot run into each other: appending to one
+// connection's MCTs leaves the next connection's unchanged, and each
+// window holds exactly its own completions.
+func TestMCTWindowsAreClipped(t *testing.T) {
+	s, a, b := directPair(t, 3)
+	cfg := trafficCfg()
+	cfg.NumConnections = 3
+	p, err := NewPair(s, a, b, cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Results
+	if err := p.Start(func(r *Results) { res = r }); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if res == nil {
+		t.Fatal("traffic never finished")
+	}
+	for i := range res.Conns {
+		if c := &res.Conns[i]; len(c.MCTs) != cfg.NumMsgsPerQP || cap(c.MCTs) != cfg.NumMsgsPerQP {
+			t.Fatalf("conn %d: MCTs len %d cap %d, want %d", i, len(c.MCTs), cap(c.MCTs), cfg.NumMsgsPerQP)
+		}
+	}
+	next := append([]sim.Duration(nil), res.Conns[1].MCTs...)
+	_ = append(res.Conns[0].MCTs, -1)
+	for i, d := range res.Conns[1].MCTs {
+		if d != next[i] {
+			t.Fatalf("appending to conn 0's MCTs moved conn 1's MCT %d: %v → %v", i, next[i], d)
+		}
+	}
+}
+
+// TestConnectionWithoutOKCompletionKeepsNilMCTs runs one connection
+// that never completes a message: its MCTs stay nil (null in
+// report.json) while the other's fill their window.
+func TestConnectionWithoutOKCompletionKeepsNilMCTs(t *testing.T) {
+	s, a, b := directPair(t, 4)
+	cfg := trafficCfg()
+	cfg.MaxRetransmitRetry = 0
+	cfg.MinRetransmitTimeout = 1
+	p, err := NewPair(s, a, b, cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Connection 1's responder QP is never reachable: its requester
+	// errors out on its first timeout.
+	p.conns[1].reqQP.Connect(rnic.Endpoint{IP: netip.MustParseAddr("10.9.9.9"), QPN: 7})
+	var res *Results
+	if err := p.Start(func(r *Results) { res = r }); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if res == nil {
+		t.Fatal("traffic never finished")
+	}
+	if got := res.Conns[1].MCTs; got != nil || !res.Conns[1].Errored {
+		t.Fatalf("conn 1: MCTs %v errored %v, want nil and errored", got, res.Conns[1].Errored)
+	}
+	if got := res.Conns[0].MCTs; len(got) != cfg.NumMsgsPerQP {
+		t.Fatalf("conn 0: %d MCTs, want %d", len(got), cfg.NumMsgsPerQP)
+	}
+}
