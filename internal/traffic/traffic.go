@@ -166,6 +166,12 @@ func parseVerbCombo(spec string) ([]rnic.Verb, error) {
 	return out, nil
 }
 
+// reservedWQEs bounds the work requests a pair reserves before it
+// starts, so that building a scenario whose deadline will cut it short
+// does not allocate for messages it never posts; past the bound,
+// PostSend allocates as it goes.
+const reservedWQEs = 1 << 16
+
 // NewPair creates the generator pair and performs QP setup and metadata
 // exchange (but does not start traffic). label distinguishes this
 // pair's probe tracks from other pairs sharing one hub — fabric runs
@@ -179,8 +185,9 @@ func NewPair(s *sim.Simulator, req, resp *rnic.NIC, cfg config.Traffic, label st
 	}
 	p := &Pair{Sim: s, Cfg: cfg, verbs: verbs, conns: make([]conn, cfg.NumConnections)}
 	// Each connection is a QP on each NIC, the responder's memory region
-	// and the requester's NumMsgsPerQP work requests.
-	req.Reserve(cfg.NumConnections, 0, cfg.NumMsgsPerQP)
+	// and the requester's NumMsgsPerQP work requests, up to a pair-wide
+	// reservedWQEs.
+	req.Reserve(cfg.NumConnections, 0, min(cfg.NumMsgsPerQP, max(1, reservedWQEs/cfg.NumConnections)))
 	resp.Reserve(cfg.NumConnections, cfg.NumConnections, 0)
 	reqIPs := req.IPs()
 	for i := range p.conns {

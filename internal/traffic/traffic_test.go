@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"github.com/lumina-sim/lumina/internal/config"
@@ -388,5 +389,24 @@ func TestConnectionWithoutOKCompletionKeepsNilMCTs(t *testing.T) {
 	}
 	if got := res.Conns[0].MCTs; len(got) != cfg.NumMsgsPerQP {
 		t.Fatalf("conn 0: %d MCTs, want %d", len(got), cfg.NumMsgsPerQP)
+	}
+}
+
+// TestNewPairReservesBoundedWork builds one connection at the message
+// bound a scenario may ask for: a pair reserves work requests for at
+// most reservedWQEs of them, so building it allocates megabytes, not
+// the half gigabyte all 2^22 would take before one is posted.
+func TestNewPairReservesBoundedWork(t *testing.T) {
+	s, a, b := directPair(t, 5)
+	cfg := trafficCfg()
+	cfg.NumConnections, cfg.NumMsgsPerQP, cfg.MessageSize = 1, 1<<22, 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := NewPair(s, a, b, cfg, ""); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 16 {
+		t.Fatalf("NewPair allocated %.1f MB for one connection", mb)
 	}
 }
