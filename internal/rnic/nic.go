@@ -72,7 +72,7 @@ type NIC struct {
 	rng  *sim.RNG
 
 	sched *etsScheduler
-	res   reservation
+	res   reservation // where CreateQP and RegisterMR take records; see Reserve
 
 	// DCQCN notification point: next instant a CNP may be emitted, per
 	// rate-limiter scope bucket; nil until the first CNP.
@@ -89,7 +89,7 @@ type NIC struct {
 	// APM engine (§6.2.3): connections (local QPs) whose peers send
 	// MigReq=0 beyond the APM cache capacity have every packet serviced
 	// by a single slow server with a shallow buffer.
-	apmCache   map[uint32]bool // local QPN → in fast cache; nil until the first
+	apmCache   map[uint32]bool // local QPN → in fast cache; nil until one is
 	apmCacheN  int
 	apmBusyTil sim.Time
 	apmQueued  int // frames in the slow path

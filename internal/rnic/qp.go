@@ -851,9 +851,9 @@ func (qp *QP) complete(w *wqe, st CompletionStatus) {
 	// wqeLive moves before each delivery: a completion callback may post
 	// work that completes, re-entering here, and must see w delivered.
 	for qp.wqeLive < len(qp.wqes) && qp.wqes[qp.wqeLive].done {
-		w := qp.wqes[qp.wqeLive]
+		next := qp.wqes[qp.wqeLive]
 		qp.wqeLive++
-		qp.deliver(w)
+		qp.deliver(next)
 	}
 }
 
@@ -1423,7 +1423,8 @@ func (qp *QP) fatal(st CompletionStatus) {
 	}
 }
 
-// wqeSlab is how many WQEs PostSend allocates at once. A slot is never
+// wqeSlab is how many WQEs PostSend allocates at once once the QP's
+// reserved window (NIC.Reserve), if any, is spent. A slot is never
 // reused: a queued retransmission (txPkt.w) can still name a WQE that
 // has completed, so slab entries must neither move nor change.
 const wqeSlab = 4
