@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
 	"path/filepath"
 	"strings"
@@ -57,9 +59,36 @@ func appenderScenarios(t testing.TB) map[string]config.Test {
 	return cfgs
 }
 
-// checkAppenders requires summary.json and int.json as the report writes
-// them to equal json.MarshalIndent of their struct forms plus a newline,
-// and SummaryDigest to be the SHA-256 of the canonical struct form.
+// marshalIndent writes v as the JSON artifacts other than report.json
+// must read: json.MarshalIndent(v, "", "  ") plus a newline.
+func marshalIndent(w io.Writer, v any) error {
+	js, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(js, '\n'))
+	return err
+}
+
+// artifactBytes renders rep's artifact called name through the table.
+func artifactBytes(t *testing.T, rep *Report, name string) []byte {
+	t.Helper()
+	for _, a := range rep.Artifacts() {
+		if a.Name == name {
+			b, err := a.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatalf("the report lists no %s", name)
+	return nil
+}
+
+// checkAppenders requires summary.json, int.json and metrics.json as the
+// report writes them to equal marshalIndent of their struct forms, and
+// SummaryDigest to be the SHA-256 of the canonical struct form.
 func checkAppenders(t *testing.T, what string, rep *Report) {
 	t.Helper()
 	var got, want bytes.Buffer
@@ -67,7 +96,7 @@ func checkAppenders(t *testing.T, what string, rep *Report) {
 		t.Fatalf("%s: WriteSummary: %v", what, err)
 	}
 	s := rep.Summary()
-	if err := writeJSON(&want, s); err != nil {
+	if err := marshalIndent(&want, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -75,11 +104,20 @@ func checkAppenders(t *testing.T, what string, rep *Report) {
 	}
 	s.CodeVersion = ""
 	h := sha256.New()
-	if err := writeJSON(h, s); err != nil {
+	if err := marshalIndent(h, s); err != nil {
 		t.Fatal(err)
 	}
 	if d, err := rep.SummaryDigest(); err != nil || d != hex.EncodeToString(h.Sum(nil)) {
 		t.Fatalf("%s: SummaryDigest = %s (err %v), the struct form hashes to %x", what, d, err, h.Sum(nil))
+	}
+	if rep.Metrics != nil {
+		want.Reset()
+		if err := marshalIndent(&want, rep.Metrics); err != nil {
+			t.Fatal(err)
+		}
+		if got := artifactBytes(t, rep, MetricsName); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: metrics.json is\n%s\nthe struct form renders\n%s", what, got, want.Bytes())
+		}
 	}
 	if rep.INT == nil {
 		return
@@ -89,7 +127,7 @@ func checkAppenders(t *testing.T, what string, rep *Report) {
 	if err := rep.WriteINT(&got); err != nil {
 		t.Fatalf("%s: WriteINT: %v", what, err)
 	}
-	if err := writeJSON(&want, rep.INT); err != nil {
+	if err := marshalIndent(&want, rep.INT); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -97,8 +135,8 @@ func checkAppenders(t *testing.T, what string, rep *Report) {
 	}
 }
 
-// TestArtifactAppendersMatchMarshalIndent holds the summary.json and
-// int.json writers to encoding/json over every checked-in scenario run
+// TestArtifactAppendersMatchMarshalIndent holds the summary.json,
+// int.json and metrics.json writers to encoding/json over every checked-in scenario run
 // with every observer on.
 func TestArtifactAppendersMatchMarshalIndent(t *testing.T) {
 	opts := DefaultOptions()
@@ -215,10 +253,26 @@ func (in *artifactInput) verdicts() []analyzer.Verdict {
 	return vs
 }
 
-// report decodes a Report carrying everything summary.json and int.json
-// read: config strings, counts, verdicts, a hand-built lineage graph
-// (edges may name nodes outside their chain, a chain may repeat a node
-// or have none), histograms and an INT report.
+// named decodes a counter or gauge list: nil, empty, or one or two
+// named values.
+func (in *artifactInput) named() []telemetry.CounterSnap {
+	k := in.byte() % 4
+	if k == 0 {
+		return nil
+	}
+	cs := []telemetry.CounterSnap{}
+	for range k - 1 {
+		cs = append(cs, telemetry.CounterSnap{Name: in.str(), Value: int64(in.uint(8))})
+	}
+	return cs
+}
+
+// report decodes a Report carrying everything summary.json, int.json
+// and metrics.json read: config strings, counts, verdicts, a hand-built
+// lineage graph (edges may name nodes outside their chain, a chain may
+// repeat a node or have none), a metrics snapshot (counters and gauges
+// nil, empty or named, histograms with and without buckets) and an INT
+// report.
 func (in *artifactInput) report() *Report {
 	r := &Report{DurationNs: sim.Time(in.uint(8)), TimedOut: in.byte()%2 == 0, IntegrityOK: in.byte()%2 == 0}
 	r.Config.Name, r.Config.Seed = in.str(), int64(in.uint(8))
@@ -269,11 +323,25 @@ func (in *artifactInput) report() *Report {
 		r.Lineage = g
 	}
 	if in.byte()%2 == 0 {
-		r.Metrics = &telemetry.MetricsSnapshot{}
-		for range in.byte() % 3 {
-			r.Metrics.Histograms = append(r.Metrics.Histograms, telemetry.HistSnap{Name: in.str(),
-				Count: int64(in.uint(8)), P50: int64(in.uint(8)), P99: int64(in.uint(2)), Max: int64(in.uint(8))})
+		m := &telemetry.MetricsSnapshot{Counters: in.named()}
+		for _, g := range in.named() {
+			m.Gauges = append(m.Gauges, telemetry.GaugeSnap(g))
 		}
+		if k := in.byte() % 4; k > 0 {
+			m.Histograms = []telemetry.HistSnap{}
+			for range k - 1 {
+				h := telemetry.HistSnap{Name: in.str(), Count: int64(in.uint(8)), Sum: int64(in.uint(8)),
+					Min: int64(in.uint(8)), Max: int64(in.uint(8)), P50: int64(in.uint(8)), P99: int64(in.uint(2))}
+				if k := in.byte() % 4; k > 0 {
+					h.Buckets = []telemetry.BucketSnap{}
+					for range k - 1 {
+						h.Buckets = append(h.Buckets, telemetry.BucketSnap{Low: int64(in.uint(8)), High: int64(in.uint(8)), Count: int64(in.uint(4))})
+					}
+				}
+				m.Histograms = append(m.Histograms, h)
+			}
+		}
+		r.Metrics = m
 	}
 	if in.byte()%4 != 0 {
 		ir := &INTReport{Schema: INTSchema, Stamps: int(in.uint(4)), Transits: in.uint(8), Binds: int(in.uint(2))}
@@ -306,8 +374,8 @@ func (in *artifactInput) report() *Report {
 	return r
 }
 
-// FuzzArtifactAppendersMatchMarshalIndent holds the summary.json and
-// int.json appenders to encoding/json over reports decoded from the
+// FuzzArtifactAppendersMatchMarshalIndent holds the summary.json,
+// int.json and metrics.json writers to encoding/json over reports decoded from the
 // input, whose strings carry what encoding/json escapes (< > &,
 // U+2028 and U+2029, control bytes, invalid UTF-8), and requires a
 // writer that refuses bytes to surface as an error.
@@ -323,6 +391,13 @@ func FuzzArtifactAppendersMatchMarshalIndent(f *testing.F) {
 		"\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xc1\x00\xff\x00\xcd\x00\xff\xc8\x4b\xfe\xcb\x00\xc7",
 	} {
 		f.Add([]byte(seed))
+	}
+	// Random bytes reach every branch of the decoder, the metrics
+	// snapshot's nil and empty lists among them.
+	for seed := int64(1); seed <= 8; seed++ {
+		data := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := artifactInput(data)

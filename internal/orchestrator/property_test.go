@@ -330,7 +330,7 @@ func canonicalSummary(t *testing.T, rep *Report) string {
 	s := rep.Summary()
 	s.CodeVersion = ""
 	var sb strings.Builder
-	if err := writeJSON(&sb, s); err != nil {
+	if err := marshalIndent(&sb, s); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()

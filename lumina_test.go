@@ -61,8 +61,9 @@ func TestFacadeFuzzerConstruction(t *testing.T) {
 }
 
 // TestDocsNameOnlyDeclaredNames fails when a user-facing document names
-// a lumina.<Name> that lumina.go does not declare, or a Test… that is
-// not the prefix of a test function somewhere in the module.
+// a lumina.<Name> that lumina.go does not declare, a Test… that is not
+// the prefix of a test function somewhere in the module, or a Fuzz…
+// that is not a fuzz target.
 func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "lumina.go", nil, 0)
 	if err != nil {
@@ -73,7 +74,8 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 		declared[name] = true
 	}
 	var tests []string
-	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	fuzzTargets := map[string]bool{}
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -85,7 +87,11 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 		}
 		src, err := os.ReadFile(path)
 		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			tests = append(tests, string(m[1]))
+			if name := string(m[1]); strings.HasPrefix(name, "Fuzz") {
+				fuzzTargets[name] = true
+			} else {
+				tests = append(tests, name)
+			}
 		}
 		return err
 	})
@@ -93,6 +99,7 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	testName := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	fuzzName := regexp.MustCompile(`\bFuzz[A-Z]\w*`)
 	mention := regexp.MustCompile(`\blumina\.([A-Z]\w*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(doc)
@@ -108,6 +115,11 @@ func TestDocsNameOnlyDeclaredNames(t *testing.T) {
 			for _, name := range testName.FindAllString(line, -1) {
 				if !slices.ContainsFunc(tests, func(test string) bool { return strings.HasPrefix(test, name) }) {
 					t.Errorf("%s:%d names %s, which no test function's name starts with", doc, i+1, name)
+				}
+			}
+			for _, name := range fuzzName.FindAllString(line, -1) {
+				if !fuzzTargets[name] {
+					t.Errorf("%s:%d names %s, which is no fuzz target", doc, i+1, name)
 				}
 			}
 		}
