@@ -930,9 +930,10 @@ func (qp *QP) handleRequest(v packet.View) {
 		if op.IsLast() || op.IsOnly() {
 			qp.msn = (qp.msn + 1) & packet.PSNMask
 			// Sends always consume a receive; Writes only when they carry
-			// immediate data (IB spec).
+			// immediate data (IB spec). The RNR check above made sure one
+			// is posted.
 			if op.IsSend() || op.HasImm() {
-				qp.consumeRecv(v)
+				qp.deliverRecv(v)
 			}
 		}
 		// ACK coalescing: acknowledge on explicit request and every
@@ -962,16 +963,6 @@ func (qp *QP) handleRequest(v packet.View) {
 			qp.scheduleAck(psnSub(qp.ePSN, 1))
 		}
 	}
-}
-
-func (qp *QP) consumeRecv(v packet.View) {
-	if len(qp.recvs) == 0 {
-		// No receive posted: RNR NAK. (Workloads pre-post receives; this
-		// path exists for spec completeness and tests.)
-		qp.sendAckPacket(v.PSN(), packet.SyndromeRNRNak|10)
-		return
-	}
-	qp.deliverRecv(v)
 }
 
 // deliverRecv pops the head receive WQE and completes it for v — the
