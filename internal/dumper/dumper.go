@@ -56,8 +56,8 @@ type Node struct {
 	sampled int
 	peak    int
 
-	// sojourn is sampled only while a hub is attached.
-	sojourn telemetry.Histogram
+	// sojourn is the hub's, nil without one.
+	sojourn *telemetry.Histogram
 
 	// log holds the trimmed copy of every admitted packet, in arrival
 	// order; a copy counts once its core has serviced it.
@@ -69,7 +69,9 @@ type Node struct {
 	Captured   uint64
 }
 
-// NewNode creates a dumper node; attach its port with AttachPort.
+// NewNode creates a dumper node; attach its port with AttachPort. Its
+// sojourn histogram is taken from the hub attached to s, so attach it
+// first.
 func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
@@ -85,13 +87,14 @@ func NewNode(s *sim.Simulator, index int, cfg Config) *Node {
 	}
 	return &Node{
 		Sim: s, Index: index, Cfg: cfg,
-		cores: make([]core, cfg.Cores),
-		track: "dumper-" + strconv.Itoa(index),
+		cores:   make([]core, cfg.Cores),
+		track:   "dumper-" + strconv.Itoa(index),
+		sojourn: s.Hub().Histogram("dumper.sojourn_ns"),
 	}
 }
 
 // Publish writes the node's counts into reg: its ring peak even at zero,
-// the packets it admitted and discarded when non-zero, and its sojourns.
+// and the packets it admitted and discarded when non-zero.
 func (n *Node) Publish(reg *telemetry.Registry) {
 	reg.Set(n.track+".ring_peak", int64(n.peak))
 	if rx := n.RxPackets - n.RxDiscards; rx != 0 {
@@ -100,7 +103,6 @@ func (n *Node) Publish(reg *telemetry.Registry) {
 	if n.RxDiscards != 0 {
 		reg.Add("dumper.discards", int64(n.RxDiscards))
 	}
-	reg.AddHistogram("dumper.sojourn_ns", &n.sojourn)
 }
 
 // AttachPort binds the node to its switch-facing port.

@@ -56,8 +56,8 @@ func buildINTReport(c *inband.Collector, rep *Report, hub *telemetry.Hub) *INTRe
 }
 
 // WriteINT appends the INT report as indented JSON (the int.json
-// artifact): the bytes writeJSON renders of r.INT, written field by
-// field.
+// artifact): the bytes json.MarshalIndent renders of r.INT, written
+// field by field.
 func (r *Report) WriteINT(w io.Writer) error {
 	j := newJSONW(w)
 	r.INT.appendTo(&j)

@@ -10,11 +10,11 @@ import (
 )
 
 // jsonw appends indented JSON straight into a buffered writer, byte for
-// byte what writeJSON renders of the same value: json.MarshalIndent
-// with prefix "" and indent "  ", encoding/json's string escaping, a
-// newline at the end. summary.json and int.json are written through it
-// from the report, so writing them builds no intermediate value and
-// calls no encoder. Numbers and strings are appended to the writer's
+// byte what json.MarshalIndent with prefix "" and indent "  " renders
+// of the same value, encoding/json's string escaping included, plus a
+// newline at the end. summary.json, int.json and metrics.json are
+// written through it from the report, so writing them builds no
+// intermediate value and calls no encoder. Numbers and strings are appended to the writer's
 // AvailableBuffer, so a field costs no allocation.
 type jsonw struct {
 	w     *bufio.Writer

@@ -1,6 +1,8 @@
 package orchestrator
 
 import (
+	"io"
+
 	"github.com/lumina-sim/lumina/internal/coverage"
 	"github.com/lumina-sim/lumina/internal/inband"
 	"github.com/lumina-sim/lumina/internal/sim"
@@ -46,17 +48,17 @@ func (o *observer) collect(tb *Testbed, rep *Report) {
 	if o.hub == nil {
 		return
 	}
-	// Every count and histogram in metrics.json is read here, once, from
-	// the component that kept it; coverage.json is independent of
+	// The histograms were recorded into the hub's registry as the run
+	// went; every count in metrics.json is published into it here, once,
+	// from the component that kept it. coverage.json is independent of
 	// telemetry. The MCTs are the OK completions' post-to-complete times.
-	reg := telemetry.NewRegistry()
-	var mct telemetry.Histogram
+	reg := o.hub.Registry()
+	mct := reg.Histogram("traffic.mct_ns")
 	for i := range rep.Traffic.Conns {
 		for _, d := range rep.Traffic.Conns[i].MCTs {
 			mct.Record(int64(d))
 		}
 	}
-	reg.AddHistogram("traffic.mct_ns", &mct)
 	for _, n := range tb.Hosts {
 		n.Publish(reg)
 	}
@@ -76,4 +78,76 @@ func (o *observer) collect(tb *Testbed, rep *Report) {
 	rep.Metrics = reg.Snapshot()
 	rep.Events = o.hub.Events()
 	rep.hub = o.hub
+}
+
+// writeMetrics appends metrics.json: the bytes json.MarshalIndent
+// renders of r.Metrics, written field by field.
+func (r *Report) writeMetrics(w io.Writer) error {
+	m := r.Metrics
+	j := newJSONW(w)
+	j.open('{')
+	j.key("counters")
+	if m.Counters == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for _, c := range m.Counters {
+			j.namedValue(c.Name, c.Value)
+		}
+		j.close(']')
+	}
+	if len(m.Gauges) > 0 {
+		j.key("gauges")
+		j.open('[')
+		for _, g := range m.Gauges {
+			j.namedValue(g.Name, g.Value)
+		}
+		j.close(']')
+	}
+	j.key("histograms")
+	if m.Histograms == nil {
+		j.null()
+	} else {
+		j.open('[')
+		for i := range m.Histograms {
+			h := &m.Histograms[i]
+			j.elem()
+			j.open('{')
+			j.str("name", h.Name)
+			j.int("count", h.Count)
+			j.int("sum", h.Sum)
+			j.int("min", h.Min)
+			j.int("max", h.Max)
+			j.int("p50", h.P50)
+			j.int("p99", h.P99)
+			j.key("buckets")
+			if h.Buckets == nil {
+				j.null()
+			} else {
+				j.open('[')
+				for _, b := range h.Buckets {
+					j.elem()
+					j.open('{')
+					j.int("low", b.Low)
+					j.int("high", b.High)
+					j.int("count", b.Count)
+					j.close('}')
+				}
+				j.close(']')
+			}
+			j.close('}')
+		}
+		j.close(']')
+	}
+	j.close('}')
+	return j.end()
+}
+
+// namedValue writes one counter or gauge as an array element.
+func (j *jsonw) namedValue(name string, v int64) {
+	j.elem()
+	j.open('{')
+	j.str("name", name)
+	j.int("value", v)
+	j.close('}')
 }

@@ -430,7 +430,7 @@ func (r *Report) Artifacts() []Artifact {
 	}{
 		{true, Artifact{ReportName, r.writeReport}},
 		{r.Trace != nil, Artifact{TraceName, func(w io.Writer) error { return r.Trace.WritePcap(w) }}},
-		{r.Metrics != nil, Artifact{MetricsName, func(w io.Writer) error { return writeJSON(w, r.Metrics) }}},
+		{r.Metrics != nil, Artifact{MetricsName, r.writeMetrics}},
 		{r.hub != nil, Artifact{TimelineName, func(w io.Writer) error { return telemetry.WriteTimeline(w, r.hub) }}},
 		{r.Lineage != nil, Artifact{SummaryName, r.WriteSummary}},
 		{r.INT != nil, Artifact{INTName, r.WriteINT}},

@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"slices"
 	"strings"
@@ -62,8 +61,9 @@ type Summary struct {
 }
 
 // WriteSummary appends the summary as indented JSON, including the
-// build's code_version stamp: the bytes writeJSON renders of the Summary
-// value, written straight from the report and its lineage graph.
+// build's code_version stamp: the bytes json.MarshalIndent renders of
+// the Summary value, written straight from the report and its lineage
+// graph.
 func (r *Report) WriteSummary(w io.Writer) error {
 	j := newJSONW(w)
 	r.appendSummary(&j, version.Stamp())
@@ -269,109 +269,4 @@ func (r *Report) Outcome() (Outcome, error) {
 		out.Verdicts[v.Analyzer] = v.Pass
 	}
 	return out, nil
-}
-
-// writeJSON renders v the way every JSON artifact but report.json is
-// rendered: indented, newline-terminated — byte for byte
-// json.MarshalIndent(v, "", "  ") plus "\n", streamed through an
-// indenter instead of built as a second, indented copy.
-func writeJSON(w io.Writer, v any) error {
-	return json.NewEncoder(&indenter{w: w}).Encode(v)
-}
-
-// indenter re-indents the compact JSON stream written to it exactly as
-// json.Indent with prefix "" and indent "  " does, passing the result
-// on to w through a fixed buffer. Its input is the encoder's output:
-// compact JSON, newline-terminated, whose only whitespace outside
-// strings is that newline.
-type indenter struct {
-	w     io.Writer
-	err   error
-	depth int
-	// inStr and esc track a string literal and a backslash in it; open
-	// holds a '{' or '[' whose line break waits for the next byte, which
-	// closes it at once ({} and []) or opens its first element.
-	inStr, esc, open bool
-	n                int
-	buf              [1024]byte
-}
-
-func (d *indenter) Write(p []byte) (int, error) {
-	for _, c := range p {
-		if d.inStr {
-			switch {
-			case d.esc:
-				d.esc = false
-			case c == '\\':
-				d.esc = true
-			case c == '"':
-				d.inStr = false
-			}
-			d.put(c)
-			continue
-		}
-		if d.open && c != '}' && c != ']' {
-			d.open = false
-			d.depth++
-			d.newline()
-		}
-		switch c {
-		case '"':
-			d.inStr = true
-			d.put(c)
-		case '{', '[':
-			d.open = true
-			d.put(c)
-		case ',':
-			d.put(c)
-			d.newline()
-		case ':':
-			d.put(c)
-			d.put(' ')
-		case '}', ']':
-			if d.open {
-				d.open = false
-			} else {
-				d.depth--
-				d.newline()
-			}
-			d.put(c)
-		default:
-			d.put(c)
-		}
-	}
-	d.flush()
-	if d.err != nil {
-		return 0, d.err
-	}
-	return len(p), nil
-}
-
-// newline starts a line indented to the current depth.
-func (d *indenter) newline() {
-	d.put('\n')
-	for i := 0; i < d.depth; i++ {
-		d.put(' ')
-		d.put(' ')
-	}
-}
-
-func (d *indenter) put(c byte) {
-	if d.n == len(d.buf) {
-		d.flush()
-	}
-	d.buf[d.n] = c
-	d.n++
-}
-
-// flush passes the buffered bytes on, keeping the first error (a short
-// write without one is io.ErrShortWrite).
-func (d *indenter) flush() {
-	if d.err == nil && d.n > 0 {
-		var n int
-		if n, d.err = d.w.Write(d.buf[:d.n]); d.err == nil && n < d.n {
-			d.err = io.ErrShortWrite
-		}
-	}
-	d.n = 0
 }

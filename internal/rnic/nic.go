@@ -100,10 +100,10 @@ type NIC struct {
 	lastCNPAt sim.Time
 	anyCNP    bool
 
-	// Latency histograms, sampled only while a hub is attached: each
-	// QP's inter-transmit gap, the inter-CNP gap, and the QPs' NAK
+	// Latency histograms, the hub's (nil without one): each QP's
+	// inter-transmit gap, the inter-CNP gap, and the QPs' NAK
 	// generation and reaction, read NAK generation and fired RTOs.
-	txGap, cnpGap, nackGen, nackReact, readGen, rto telemetry.Histogram
+	txGap, cnpGap, nackGen, nackReact, readGen, rto *telemetry.Histogram
 
 	// CNPs sent and rate-limited away (np_cnp_sent may be stuck), and
 	// RX pipeline wedges.
@@ -114,8 +114,8 @@ type NIC struct {
 func (n *NIC) hub() *telemetry.Hub { return n.Sim.Hub() }
 
 // Publish writes the NIC's counts into reg: each ETS queue's grants and
-// bytes even at zero, the transmit, CNP and wedge totals when non-zero,
-// and its histograms.
+// bytes even at zero, and the transmit, CNP and wedge totals when
+// non-zero.
 func (n *NIC) Publish(reg *telemetry.Registry) {
 	for i, q := range n.sched.queues {
 		name := n.Name + "/ets.q" + strconv.Itoa(i)
@@ -133,12 +133,6 @@ func (n *NIC) Publish(reg *telemetry.Registry) {
 			reg.Add(c.name, c.v)
 		}
 	}
-	reg.AddHistogram("nic.tx_gap_ns", &n.txGap)
-	reg.AddHistogram("cnp.gap_ns", &n.cnpGap)
-	reg.AddHistogram("retrans.nack_gen_ns", &n.nackGen)
-	reg.AddHistogram("retrans.nack_react_ns", &n.nackReact)
-	reg.AddHistogram("retrans.read_gen_ns", &n.readGen)
-	reg.AddHistogram("retrans.rto_ns", &n.rto)
 }
 
 // Config bundles NIC construction parameters.
@@ -152,6 +146,8 @@ type Config struct {
 
 // New creates a NIC. The RNG is forked from the simulator's so component
 // construction order does not perturb other components' random streams.
+// The histograms are taken from the hub attached to s, so attach it
+// first.
 func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 	if len(cfg.IPs) == 0 {
 		// invariant: config.Validate refuses a host whose ip-list is empty or holds no parseable address, and the orchestrator's topology gives every fabric host a generated one.
@@ -165,15 +161,22 @@ func New(s *sim.Simulator, prof Profile, cfg Config) *NIC {
 		// invariant: config.Validate refuses ets-queues that are strict and weighted or weighted without a positive weight, the two checks ETSConfig.Validate makes on a non-empty list.
 		panic(err)
 	}
+	h := s.Hub()
 	n := &NIC{
-		Sim:      s,
-		Prof:     prof,
-		Set:      cfg.Set,
-		Name:     cfg.Name,
-		MAC:      cfg.MAC,
-		Counters: NewCounters(),
-		ips:      append([]netip.Addr(nil), cfg.IPs...),
-		rng:      s.RNG().Fork(),
+		Sim:       s,
+		Prof:      prof,
+		Set:       cfg.Set,
+		Name:      cfg.Name,
+		MAC:       cfg.MAC,
+		Counters:  NewCounters(),
+		ips:       append([]netip.Addr(nil), cfg.IPs...),
+		rng:       s.RNG().Fork(),
+		txGap:     h.Histogram("nic.tx_gap_ns"),
+		cnpGap:    h.Histogram("cnp.gap_ns"),
+		nackGen:   h.Histogram("retrans.nack_gen_ns"),
+		nackReact: h.Histogram("retrans.nack_react_ns"),
+		readGen:   h.Histogram("retrans.read_gen_ns"),
+		rto:       h.Histogram("retrans.rto_ns"),
 	}
 	n.sched = newETSScheduler(n, ets)
 	return n

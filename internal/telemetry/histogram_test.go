@@ -9,11 +9,11 @@ import (
 
 // The histogram oracle: samples drawn from input bytes go into several
 // histograms and, beside them, into plain lists. Each histogram's
-// snapshot, and the snapshot of their merge, must equal what the list
-// predicts with bucket bounds spelled here from the layout's definition
-// (values below 16 exact; above, octave [2^e, 2^(e+1)) cut into sixteen
-// sub-buckets of width 2^(e-4)), sharing no code with bucketIndex or
-// bucketLow.
+// snapshot, and that of two recorders of one registry name, must equal
+// what the list predicts with bucket bounds spelled here from the
+// layout's definition (values below 16 exact; above, octave
+// [2^e, 2^(e+1)) cut into sixteen sub-buckets of width 2^(e-4)),
+// sharing no code with bucketIndex or bucketLow.
 
 // refBucket returns the bounds of the bucket holding v ≥ 0.
 func refBucket(v int64) (low, high int64) {
@@ -63,7 +63,7 @@ func refSnap(samples []int64) (HistSnap, bool) {
 // snapOf is h's snapshot through a registry of its own.
 func snapOf(h *Histogram) (HistSnap, bool) {
 	r := NewRegistry()
-	r.AddHistogram("h", h)
+	r.hists["h"] = h
 	hs := r.Snapshot().Histograms
 	if len(hs) == 0 {
 		return HistSnap{}, false
@@ -72,15 +72,18 @@ func snapOf(h *Histogram) (HistSnap, bool) {
 }
 
 // checkHistograms records the samples d describes into up to four
-// histograms and one that sees them all, then holds every snapshot and
-// two merges (all parts, and all parts over a merge of the first two) to
-// the reference.
+// histograms, one that sees them all, and two recorders of one registry
+// name that split them, then holds every snapshot to the reference and
+// every histogram's buckets to the layout: from 0 to the end of its
+// largest sample's octave.
 func checkHistograms(t *testing.T, d *draw) {
 	t.Helper()
 	parts := make([]Histogram, 1+int(d.byte())%4)
 	samples := make([][]int64, len(parts))
 	var all Histogram
 	var every []int64
+	r := NewRegistry()
+	recorders := [2]*Histogram{r.Histogram("h"), r.Histogram("h")}
 	for range int(d.byte())<<1 | int(d.byte()&1) {
 		c := d.byte()
 		// Magnitudes spread over every octave; only an unshifted draw
@@ -91,6 +94,7 @@ func checkHistograms(t *testing.T, d *draw) {
 		samples[p] = append(samples[p], v)
 		all.Record(v)
 		every = append(every, v)
+		recorders[p%2].Record(v)
 	}
 	check := func(what string, got *Histogram, samples []int64) {
 		t.Helper()
@@ -99,34 +103,21 @@ func checkHistograms(t *testing.T, d *draw) {
 		if gok != wok || !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s of %v:\n got  %+v (%v)\n want %+v (%v)", what, samples, g, gok, w, wok)
 		}
+		end := 0
+		if len(samples) > 0 {
+			end = (bucketIndex(w.Max) | (1<<subBits - 1)) + 1
+		}
+		if len(got.buckets) != end {
+			t.Fatalf("%s of %v: %d buckets, want %d", what, samples, len(got.buckets), end)
+		}
 	}
 	for i := range parts {
 		check("part", &parts[i], samples[i])
 	}
 	check("one histogram", &all, every)
-
-	r := NewRegistry()
-	for i := range parts {
-		r.AddHistogram("h", &parts[i])
-	}
-	merged := r.hists["h"]
-	check("merge", &merged, every)
-	if len(parts) > 2 {
-		r2 := NewRegistry()
-		r2.AddHistogram("h", &parts[0])
-		r2.AddHistogram("h", &parts[1])
-		first := r2.hists["h"]
-		r3 := NewRegistry()
-		r3.AddHistogram("h", &first)
-		for i := range parts[2:] {
-			r3.AddHistogram("h", &parts[2+i])
-		}
-		nested := r3.hists["h"]
-		check("merge over a merge", &nested, every)
-	}
-	// Merging reads its inputs only.
-	for i := range parts {
-		check("part after the merges", &parts[i], samples[i])
+	check("two recorders of one name", r.hists["h"], every)
+	if hs := r.Snapshot().Histograms; len(hs) != min(len(every), 1) {
+		t.Fatalf("the registry's snapshot of %d samples holds %d histograms", len(every), len(hs))
 	}
 }
 

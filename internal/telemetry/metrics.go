@@ -6,13 +6,14 @@ import (
 )
 
 // Registry builds the contents of metrics.json: named counters, gauges
-// and histograms, written once at the end of a run by the components
-// that kept them. Snapshots sort by name so serialized output is
-// deterministic.
+// and histograms. It owns one histogram per name, which components take
+// when they are built and record into as the run goes; counts are
+// written once at the end of a run by the components that kept them.
+// Snapshots sort by name so serialized output is deterministic.
 type Registry struct {
 	counters map[string]int64
 	gauges   map[string]int64
-	hists    map[string]Histogram
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -20,7 +21,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]int64{},
 		gauges:   map[string]int64{},
-		hists:    map[string]Histogram{},
+		hists:    map[string]*Histogram{},
 	}
 }
 
@@ -30,32 +31,32 @@ func (r *Registry) Add(name string, v int64) { r.counters[name] += v }
 // Set sets the named gauge to v.
 func (r *Registry) Set(name string, v int64) { r.gauges[name] = v }
 
-// AddHistogram merges h into the named histogram: buckets, count and sum
-// add, min and max are taken over the non-empty histograms. An empty h
-// is skipped, so a histogram is present exactly when it has a sample.
-// The first h under a name is adopted, not copied: a merge writes a new
-// bucket slice, so an adopted histogram's buckets are only read.
-func (r *Registry) AddHistogram(name string, h *Histogram) {
-	if h.count == 0 {
-		return
+// Histogram returns the named histogram, creating it on first use:
+// every recorder of one name records into the one histogram.
+func (r *Registry) Histogram(name string) *Histogram {
+	h := r.hists[name]
+	if h == nil {
+		h = new(Histogram)
+		r.hists[name] = h
 	}
-	dst, ok := r.hists[name]
-	if !ok {
-		r.hists[name] = *h
-		return
+	return h
+}
+
+// Registry returns the hub's metrics registry, nil on a nil hub.
+func (h *Hub) Registry() *Registry {
+	if h == nil {
+		return nil
 	}
-	lo := min(dst.base, h.base)
-	b := make([]int64, max(dst.base+len(dst.buckets), h.base+len(h.buckets))-lo)
-	copy(b[dst.base-lo:], dst.buckets)
-	for j, c := range h.buckets {
-		b[h.base-lo+j] += c
+	return h.reg
+}
+
+// Histogram returns the hub registry's named histogram; nil on a nil
+// hub, and recording into nil does nothing.
+func (h *Hub) Histogram(name string) *Histogram {
+	if h == nil {
+		return nil
 	}
-	dst.buckets, dst.base = b, lo
-	dst.min = min(dst.min, h.min)
-	dst.max = max(dst.max, h.max)
-	dst.count += h.count
-	dst.sum += h.sum
-	r.hists[name] = dst
+	return h.reg.Histogram(name)
 }
 
 // subBits sets histogram resolution: 2^subBits linear sub-buckets per
@@ -66,13 +67,10 @@ const subBits = 4
 // (virtual-time durations in nanoseconds, queue depths, …): values below
 // 2^subBits are counted exactly; above, each power-of-two octave is
 // split into 2^subBits linear sub-buckets — the HdrHistogram layout.
-// It keeps one int64 per bucket of the whole octaves from its smallest
-// sample's to its largest's, so it allocates once per octave its samples
-// reach downward, and upward only as append's growth.
+// It keeps one int64 per bucket from 0 to the end of its largest
+// sample's octave, grown by append.
 type Histogram struct {
-	// buckets[j] counts bucket base+j; base is a multiple of 2^subBits.
 	buckets []int64
-	base    int
 	count   int64
 	sum     int64
 	min     int64
@@ -102,31 +100,23 @@ func bucketLow(i int) int64 {
 	return int64(1)<<uint(subBits+o-1) + sub<<uint(o-1)
 }
 
-// Record adds one sample. Negative samples clamp to zero (they cannot
-// occur for virtual-time durations; the clamp keeps the bucket math
-// total).
+// Record adds one sample; on a nil histogram it does nothing. Negative
+// samples clamp to zero (they cannot occur for virtual-time durations;
+// the clamp keeps the bucket math total).
 func (h *Histogram) Record(v int64) {
-	if v < 0 {
-		v = 0
+	if h == nil {
+		return
 	}
-	const octave = 1 << subBits
+	v = max(v, 0)
 	i := bucketIndex(v)
+	if i >= len(h.buckets) {
+		// To the end of i's octave, amortized by append.
+		h.buckets = append(h.buckets, make([]int64, i|(1<<subBits-1)+1-len(h.buckets))...)
+	}
 	if h.count == 0 {
-		h.min, h.max, h.base = v, v, i&^(octave-1)
+		h.min, h.max = v, v
 	}
-	switch end := h.base + len(h.buckets); {
-	case i >= end:
-		// Upward to the end of i's octave, amortized by append; the
-		// first sample allocates its octave here.
-		h.buckets = append(h.buckets, make([]int64, i|(octave-1)+1-end)...)
-	case i < h.base:
-		// Downward to the start of i's octave: one copy per octave.
-		lo := i &^ (octave - 1)
-		b := make([]int64, h.base-lo+len(h.buckets))
-		copy(b[h.base-lo:], h.buckets)
-		h.buckets, h.base = b, lo
-	}
-	h.buckets[i-h.base]++
+	h.buckets[i]++
 	h.count++
 	h.sum += v
 	h.min = min(h.min, v)
@@ -150,7 +140,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for j, c := range h.buckets {
 		seen += c
 		if seen >= rank {
-			hi := bucketLow(h.base+j+1) - 1
+			hi := bucketLow(j+1) - 1
 			if hi > h.max {
 				hi = h.max
 			}
@@ -207,7 +197,8 @@ type MetricsSnapshot struct {
 	Histograms []HistSnap    `json:"histograms"`
 }
 
-// Snapshot freezes the registry into its serializable form.
+// Snapshot freezes the registry into its serializable form, leaving
+// out the histograms that have no sample.
 func (r *Registry) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
 	for name, v := range r.counters {
@@ -219,15 +210,17 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 	}
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	for name, h := range r.hists {
+		if h.count == 0 {
+			continue
+		}
 		hs := HistSnap{
 			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}
-		for j, c := range h.buckets {
+		for i, c := range h.buckets {
 			if c == 0 {
 				continue
 			}
-			i := h.base + j
 			hs.Buckets = append(hs.Buckets, BucketSnap{
 				Low: bucketLow(i), High: bucketLow(i+1) - 1, Count: c,
 			})

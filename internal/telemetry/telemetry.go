@@ -1,9 +1,8 @@
 // Package telemetry is Lumina's deterministic observability layer: a
-// hub that logs the typed, virtual-time-stamped probes components emit,
-// a Chrome-trace-event (Perfetto-compatible) timeline exporter, and the
-// types of metrics.json. The hub is only the probe log. A component
-// keeps its own counts and log-linear Histograms in plain fields, and
-// at the end of a run the orchestrator builds one Registry from them.
+// hub that logs the probes components emit and owns the run's metrics
+// Registry, a Chrome-trace-event timeline exporter, and the types of
+// metrics.json. Components take their Histograms from the hub when built,
+// one per metric name, and publish their plain-field counts at run end.
 //
 // The design constraint is the simulator's: bit-for-bit determinism.
 // Telemetry never schedules simulation events, never reads the RNG, and
@@ -388,12 +387,12 @@ func (e *Event) Lookup(key string) (Field, bool) {
 	return Field{}, false
 }
 
-// Hub is the probe log. The zero Hub pointer
-// (nil) is the detached state: every method on a nil *Hub returns
-// immediately, so components emit unconditionally.
+// Hub is the probe log and the run's Registry. A nil *Hub is detached:
+// every method on it returns at once, so components emit unconditionally.
 type Hub struct {
 	clock func() int64
 	syms  *symbols
+	reg   *Registry
 
 	// flat is the stream Events has handed out so far, read the
 	// position just past its last record, and pending the number of
@@ -420,10 +419,10 @@ func (h *Hub) record(kind Kind, track, name string, dur int64, counter bool, arg
 	h.pending++
 }
 
-// NewHub returns an attached hub with an empty log. Until SetClock
-// is called (sim.Simulator.AttachHub does it), events are stamped 0.
+// NewHub returns an attached hub with an empty log and registry. Until
+// SetClock is called (sim.Simulator.AttachHub does it), events are stamped 0.
 func NewHub() *Hub {
-	return &Hub{syms: &symbols{named: map[[2]string]uint32{}, strID: map[string]uint32{}}}
+	return &Hub{syms: &symbols{named: map[[2]string]uint32{}, strID: map[string]uint32{}}, reg: NewRegistry()}
 }
 
 // SetClock installs the virtual-clock reader used to stamp events.

@@ -24,7 +24,8 @@ func TestNilHubIsNoOp(t *testing.T) {
 	h.EmitSpan(KindNICWedge, "t", "wedge", 100)
 	h.EmitCounter(KindDCQCNRate, "t", "rate", 40)
 	h.SetClock(func() int64 { return 7 })
-	if h.Events() != nil {
+	h.Histogram("h").Record(3)
+	if h.Events() != nil || h.Registry() != nil || h.Histogram("h") != nil {
 		t.Fatal("nil hub returned non-nil state")
 	}
 }
@@ -105,11 +106,10 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			n := names[rng.Intn(len(names))]
 			r.Add("c."+n, 1)
-			var h Histogram
-			h.Record(int64(rng.Intn(5000)))
-			r.AddHistogram("h."+n, &h)
+			r.Histogram("h." + n).Record(int64(rng.Intn(5000)))
 			r.Set("g."+n, int64(i))
 		}
+		r.Histogram("h.unrecorded")
 		js, err := json.Marshal(r.Snapshot())
 		if err != nil {
 			t.Fatal(err)
@@ -134,56 +134,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	if alpha < 0 || zeta < 0 || snap.Counters[zeta].Value == 0 {
 		t.Fatal("snapshot lost h.alpha or c.zeta")
 	}
-}
-
-// TestAddHistogramMergesLikeOneHistogram splits random samples over
-// several histograms, some empty, and holds their merge to one histogram
-// that recorded every sample. In every other trial the first sample is
-// the largest, so the buckets grow downward. Every histogram must keep
-// exactly the whole octaves from its smallest sample's bucket to its
-// largest's.
-func TestAddHistogramMergesLikeOneHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// dense spells a histogram's buckets from bucket 0, checking its
-	// octaves on the way.
-	dense := func(trial int, h *Histogram) []int64 {
-		if h.count == 0 {
-			return nil
-		}
-		const octave = 1 << subBits
-		lo, hi := bucketIndex(h.min), bucketIndex(h.max)
-		if h.base != lo&^(octave-1) || h.base+len(h.buckets) != hi|(octave-1)+1 ||
-			h.buckets[lo-h.base] == 0 || h.buckets[hi-h.base] == 0 {
-			t.Fatalf("trial %d: buckets %v from %d for samples %d..%d", trial, h.buckets, h.base, h.min, h.max)
-		}
-		return append(make([]int64, h.base), h.buckets...)
-	}
-	for trial := range 200 {
-		var all Histogram
-		parts := make([]Histogram, 1+rng.Intn(5))
-		record := func(v int64) {
-			all.Record(v)
-			parts[rng.Intn(len(parts))].Record(v)
-		}
-		if trial%2 == 1 {
-			record(1<<30 - 1)
-		}
-		for range rng.Intn(40) {
-			record(int64(rng.Intn(1 << uint(rng.Intn(30)))))
-		}
-		r := NewRegistry()
-		for i := range parts {
-			dense(trial, &parts[i])
-			r.AddHistogram("h", &parts[i])
-		}
-		got, ok := r.hists["h"]
-		if ok != (all.count != 0) {
-			t.Fatalf("trial %d: merge present = %v with %d samples", trial, ok, all.count)
-		}
-		if got.count != all.count || got.sum != all.sum || got.min != all.min || got.max != all.max ||
-			!slices.Equal(dense(trial, &got), dense(trial, &all)) {
-			t.Fatalf("trial %d: merge of %d parts = %+v, one histogram %+v", trial, len(parts), got, all)
-		}
+	if slices.ContainsFunc(snap.Histograms, func(h HistSnap) bool { return h.Name == "h.unrecorded" }) {
+		t.Fatal("snapshot holds a histogram with no sample")
 	}
 }
 
