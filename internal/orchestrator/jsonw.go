@@ -14,8 +14,9 @@ import (
 // of the same value, encoding/json's string escaping included, plus a
 // newline at the end. summary.json, int.json and metrics.json are
 // written through it from the report, so writing them builds no
-// intermediate value and calls no encoder. Numbers and strings are appended to the writer's
-// AvailableBuffer, so a field costs no allocation.
+// intermediate value and calls no encoder. Numbers and strings are
+// appended to the writer's AvailableBuffer, so a field costs no
+// allocation.
 type jsonw struct {
 	w     *bufio.Writer
 	depth int
