@@ -139,6 +139,62 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestRecordersOfOneNameShareOneHistogram splits random samples over
+// several recorders of one name, taken from a hub and from its registry,
+// and holds what the registry keeps to one histogram that recorded every
+// sample. In every other trial the first sample is the largest, so later
+// samples land below the buckets already kept. Every histogram must keep
+// exactly the buckets from 0 to the end of its largest sample's octave.
+func TestRecordersOfOneNameShareOneHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	layout := func(trial int, h *Histogram) {
+		end := 0
+		if h.count != 0 {
+			end = bucketIndex(h.max) | (1<<subBits - 1) + 1
+		}
+		if len(h.buckets) != end {
+			t.Fatalf("trial %d: %d buckets for samples %d..%d, want %d", trial, len(h.buckets), h.min, h.max, end)
+		}
+	}
+	for trial := range 200 {
+		hub := NewHub()
+		recorders := make([]*Histogram, 1+rng.Intn(5))
+		for i := range recorders {
+			if i%2 == 0 {
+				recorders[i] = hub.Histogram("h")
+			} else {
+				recorders[i] = hub.Registry().Histogram("h")
+			}
+		}
+		var all Histogram
+		record := func(v int64) {
+			all.Record(v)
+			recorders[rng.Intn(len(recorders))].Record(v)
+		}
+		if trial%2 == 1 {
+			record(1<<30 - 1)
+		}
+		for range rng.Intn(40) {
+			record(int64(rng.Intn(1 << uint(rng.Intn(30)))))
+		}
+		got := hub.Registry().hists["h"]
+		for i, r := range recorders {
+			if r != got {
+				t.Fatalf("trial %d: recorder %d is not the registry's histogram", trial, i)
+			}
+		}
+		layout(trial, &all)
+		layout(trial, got)
+		if got.count != all.count || got.sum != all.sum || got.min != all.min || got.max != all.max ||
+			!slices.Equal(got.buckets, all.buckets) {
+			t.Fatalf("trial %d: %d recorders kept %+v, one histogram %+v", trial, len(recorders), *got, all)
+		}
+		if hs := hub.Registry().Snapshot().Histograms; len(hs) != min(int(all.count), 1) {
+			t.Fatalf("trial %d: snapshot of %d samples holds %d histograms", trial, all.count, len(hs))
+		}
+	}
+}
+
 func TestWriteTimelineIsValidJSONAndDeterministic(t *testing.T) {
 	mk := func() *Hub {
 		h := NewHub()
